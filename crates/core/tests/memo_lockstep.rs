@@ -289,3 +289,108 @@ fn gate_refuses_with_reasons() {
     assert!(memo_ineligibility(&eligible, false, true, false).is_some());
     assert!(memo_ineligibility(&eligible, false, false, true).is_some());
 }
+
+/// Engine-level case for the delay-class pipes: at every iteration
+/// boundary of this workload the receiver of the last transfer holds a
+/// partial ACK block whose flush timer is armed, and the senders' RTO
+/// timers of the last few segments have not surfaced yet — all of them
+/// entries of delay-class pipes, not of the scheduler. A matched boundary
+/// must fingerprint them and a replay must shift them, or the memoized
+/// run diverges from the live one (and the engine's debug-build
+/// re-snapshot assertion fires).
+#[test]
+fn replay_shifts_pending_delay_class_entries() {
+    use fp_collectives::ring::ring_allreduce;
+    use fp_collectives::runner::{CollectiveRunner, RunnerConfig};
+    use fp_netsim::config::SimConfig;
+    use fp_netsim::ids::HostId;
+    use fp_netsim::sim::Simulator;
+    use fp_netsim::topology::{FatTreeSpec, Topology};
+
+    /// Per live boundary: (class-pipe entries pending, flows holding an
+    /// unflushed partial ACK block).
+    type Seen = Rc<RefCell<Vec<(u64, usize)>>>;
+
+    fn run(memo: bool, sched: SchedKind) -> (Simulator, Seen) {
+        let topo = Topology::fat_tree(FatTreeSpec {
+            leaves: 8,
+            spines: 4,
+            ..Default::default()
+        });
+        let cfg = SimConfig {
+            sched: Some(sched),
+            spray: SprayPolicy::LeastLoaded,
+            ..Default::default()
+        };
+        let mut sim = Simulator::new(topo, cfg, 7);
+        if memo {
+            sim.enable_memo(Vec::new());
+        }
+        // Ten packets per ring chunk (nine full segments and an odd
+        // tail): the first eight are acknowledged by count, the last two
+        // wait for the 500 ns flush timer.
+        let hosts: Vec<HostId> = (0..8).map(HostId).collect();
+        let mut runner = CollectiveRunner::new(
+            ring_allreduce(&hosts, 8 * (9 * 4096 + 100)),
+            RunnerConfig {
+                iterations: 14,
+                // The hook below only observes, so skipping it on
+                // replayed iterations is the no-op the flag promises.
+                memo_barrier_hooks: true,
+                ..Default::default()
+            },
+        );
+        let seen: Seen = Rc::default();
+        let log = seen.clone();
+        runner.set_iteration_end_hook(Box::new(move |sim, _| {
+            let ss = sim.sched_stats();
+            let unflushed = sim.flows.iter().filter(|f| f.pending_ack.is_some()).count();
+            log.borrow_mut()
+                .push((ss.class_pushes - ss.class_pops, unflushed));
+        }));
+        sim.set_app(Box::new(runner));
+        sim.run();
+        (sim, seen)
+    }
+
+    for sched in [SchedKind::Heap, SchedKind::Wheel] {
+        let (live, live_seen) = run(false, sched);
+        let (memo, memo_seen) = run(true, sched);
+        for &(class_pending, unflushed) in live_seen.borrow().iter() {
+            assert!(unflushed > 0, "no ACK flush timer armed at a boundary");
+            assert!(class_pending > unflushed as u64, "RTO timers pending too");
+        }
+        let mc = memo.memo_counters().expect("memo armed");
+        assert!(mc.hits > 0, "never fast-forwarded: {:?}", mc.fallback);
+        // Matched boundaries are live ones: the hook saw them.
+        assert!(memo_seen.borrow().len() < live_seen.borrow().len());
+        let n = memo_seen.borrow().len();
+        assert_eq!(memo_seen.borrow()[..3], live_seen.borrow()[..3]);
+        assert_eq!(
+            memo_seen.borrow()[n - 1],
+            *live_seen.borrow().last().unwrap()
+        );
+
+        assert_eq!(live.now(), memo.now(), "end time");
+        assert_eq!(format!("{:?}", live.stats), format!("{:?}", memo.stats));
+        // Entry by entry: the store's own `Debug` walks a hash index.
+        assert_eq!(live.counters.keys(), memo.counters.keys());
+        for (job, iter) in live.counters.keys() {
+            assert_eq!(
+                format!("{:?}", live.counters.get(job, iter)),
+                format!("{:?}", memo.counters.get(job, iter)),
+                "counters of iteration {iter}"
+            );
+        }
+        assert_eq!(live.iter_spans(), memo.iter_spans());
+        // Pushes and pops are exact on replay, per container.
+        let (ls, ms) = (live.sched_stats(), memo.sched_stats());
+        assert_eq!(
+            (ls.pushes, ls.pops, ls.class_pushes, ls.class_pops),
+            (ms.pushes, ms.pops, ms.class_pushes, ms.class_pops)
+        );
+        assert_eq!(ms.class_pushes, ms.class_pops, "drained");
+        // The scheduler saw only the runner's per-host start wake-ups.
+        assert_eq!(ms.pushes, 14 * 8);
+    }
+}

@@ -171,9 +171,9 @@ impl SchedKind {
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug, Default)]
 pub struct SchedStats {
     /// Events actually pushed into the backend (excludes sequence numbers
-    /// that were merely *reserved* for pipeline entries — see
+    /// that were merely *reserved* for pipe entries — see
     /// [`Scheduler::reserve_seq`]). This is the "scheduler traffic" number
-    /// the link-pipeline change shrinks.
+    /// the delivery and delay-class pipes shrink.
     pub pushes: u64,
     /// Events popped back out of the backend. Counts every pop the engine
     /// performs — including lazily-cancelled RTO timers that are then
@@ -195,6 +195,15 @@ pub struct SchedStats {
     /// Pushes that landed below a peek-advanced cursor and were spliced
     /// straight into the due buffer (rare; see [`crate::wheel`]).
     pub due_splices: u64,
+    /// Events appended to a delay-class pipe instead of the backend (see
+    /// [`crate::pipeline::ClassPipes`]). Filled in by
+    /// `Simulator::sched_stats`; a bare scheduler reports zero.
+    pub class_pushes: u64,
+    /// Events popped off a delay-class pipe — like `pops`, including
+    /// lazily-cancelled RTO timers that are then discarded. On a drained,
+    /// recorder-free run `pops + class_pops == events -
+    /// pipeline_deliveries + rto_stale_skips`.
+    pub class_pops: u64,
 }
 
 impl SchedStats {
@@ -210,6 +219,8 @@ impl SchedStats {
         self.cascades += other.cascades;
         self.cascaded_entries += other.cascaded_entries;
         self.due_splices += other.due_splices;
+        self.class_pushes += other.class_pushes;
+        self.class_pops += other.class_pops;
     }
 }
 
@@ -739,6 +750,8 @@ mod tests {
             cascades: 6,
             cascaded_entries: 7,
             due_splices: 1,
+            class_pushes: 30,
+            class_pops: 25,
         };
         let mut m = SchedStats {
             pushes: 20,
@@ -749,6 +762,8 @@ mod tests {
             cascades: 1,
             cascaded_entries: 1,
             due_splices: 0,
+            class_pushes: 3,
+            class_pops: 3,
         };
         m.merge(&a);
         assert_eq!(m.pushes, 120);
@@ -759,6 +774,8 @@ mod tests {
         assert_eq!(m.cascades, 7);
         assert_eq!(m.cascaded_entries, 8);
         assert_eq!(m.due_splices, 1);
+        assert_eq!(m.class_pushes, 33);
+        assert_eq!(m.class_pops, 28);
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //!
 //! ## What a replay applies
 //!
-//! * scheduler / front-heap / delivery-pipe entries shift by
-//!   `(u·P, u·Sq, u·k·F)` in place (uniform shifts preserve heap order);
+//! * scheduler / front-heap / delivery-pipe / delay-class-pipe entries
+//!   shift by `(u·P, u·Sq, u·k·F)` in place (uniform shifts preserve heap
+//!   and FIFO order);
 //! * cumulative counters ([`Stats`], per-link tx/delivered counters,
 //!   scheduler push/pop statistics) grow by `u ×` the recorded window
 //!   delta; high-water marks are left alone — a matched steady-state
@@ -80,6 +81,7 @@ use crate::bitset::BitSet;
 use crate::counters::{CounterDelta, CounterStore};
 use crate::engine::{EventKind, SchedStats};
 use crate::packet::{AckBlock, FlowId, Packet, PacketKind, NPRIO};
+use crate::pipeline::CLASS_PIPE;
 use crate::rng::RngStreams;
 use crate::spray::SprayPolicy;
 use crate::stats::Stats;
@@ -139,6 +141,9 @@ pub struct MemoState {
     barriers: Vec<u32>,
     /// Set when the configuration can never memoize (e.g. random spray).
     disabled: Option<&'static str>,
+    /// `FP_MEMO_DEBUG` was set when memoization was armed: print which
+    /// snapshot fields differ on every fingerprint miss (stderr only).
+    debug_misses: bool,
     /// Records of the last [`MEMO_RING`] *consecutive* eligible
     /// boundaries, oldest first. Any refusal clears it, so entry `j`
     /// (from the back) is always exactly `j + 1` boundaries ago.
@@ -221,7 +226,10 @@ impl BoundaryRecord {
 // Normalized residual state
 // ---------------------------------------------------------------------
 
-/// A pending scheduler event, rebased to the boundary.
+/// A pending timer/control event, rebased to the boundary. Scheduler and
+/// delay-class-pipe entries are one multiset here: which container an
+/// event waits in never affects dispatch order, so it is not residual
+/// state.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct NormEvent {
     /// Time offset from the boundary (`at - T_i`).
@@ -371,11 +379,13 @@ struct NormSnapshot {
     dterm: u32,
     /// Flows per iteration block (`F`).
     fpb: u32,
-    /// Pending scheduler events, sorted by `(dt, rseq)`.
+    /// Pending scheduler and delay-class-pipe events, sorted by
+    /// `(dt, rseq)`.
     events: Vec<NormEvent>,
     /// Per-pipe in-flight FIFOs.
     pipes: Vec<Vec<NormInFlight>>,
-    /// Armed pipe fronts, sorted.
+    /// Armed delivery-pipe fronts, sorted (delay-class fronts are derived
+    /// from `events` and left out).
     front: Vec<NormFront>,
     links: Vec<NormLink>,
     switches: Vec<NormSwitch>,
@@ -390,7 +400,8 @@ struct NormSnapshot {
     blocks: Vec<NormFlow>,
 }
 
-/// Report which snapshot fields mismatch (dev aid, `FP_MEMO_DEBUG=1`).
+/// Report which snapshot fields mismatch (dev aid, `FP_MEMO_DEBUG=1`,
+/// read once in [`Simulator::enable_memo`]).
 fn snap_diff(a: &NormSnapshot, b: &NormSnapshot) -> String {
     let mut out = Vec::new();
     if a.dterm != b.dterm {
@@ -592,6 +603,8 @@ fn sched_window(cur: &SchedStats, prev: &SchedStats) -> SchedStats {
         cascades: cur.cascades - prev.cascades,
         cascaded_entries: cur.cascaded_entries - prev.cascaded_entries,
         due_splices: cur.due_splices - prev.due_splices,
+        class_pushes: cur.class_pushes - prev.class_pushes,
+        class_pops: cur.class_pops - prev.class_pops,
     }
 }
 
@@ -644,6 +657,7 @@ impl Simulator {
         self.memo = Some(Box::new(MemoState {
             barriers,
             disabled,
+            debug_misses: std::env::var_os("FP_MEMO_DEBUG").is_some(),
             ring: Vec::new(),
             hits: 0,
             replayed_iters: 0,
@@ -725,7 +739,7 @@ impl Simulator {
         // iterations. Smallest `k` wins (most iterations per window
         // record, fewest live boundaries between hits).
         let Some(pos) = st.ring.iter().rposition(|p| p.snap == snap) else {
-            if std::env::var_os("FP_MEMO_DEBUG").is_some() {
+            if st.debug_misses {
                 if let Some(p) = st.ring.last() {
                     eprintln!(
                         "memo miss at iter {next_iter}: {}",
@@ -804,6 +818,7 @@ impl Simulator {
         let dseq = sq * units as u64;
         let dflow = snap.fpb * iters;
         self.heap.memo_rebase(dt, dseq, dflow);
+        self.timers.memo_rebase(dt, dseq, dflow);
         self.front.memo_shift(dt, dseq);
         for pipe in &mut self.pipes {
             for e in pipe.iter_mut() {
@@ -867,6 +882,11 @@ impl Simulator {
         }
         self.stats.memo_apply(&stats_delta, units as u64);
         self.heap.memo_add_stats(&sched_delta, units as u64);
+        self.timers.memo_add_stats(
+            sched_delta.class_pushes,
+            sched_delta.class_pops,
+            units as u64,
+        );
         self.now = boundary + dt;
         self.last_event_ns = self.now.as_ns();
         let replayed_events = stats_delta.events * units as u64;
@@ -966,7 +986,7 @@ impl Simulator {
         {
             let nn = &mut n;
             let evs = &mut events;
-            self.heap.memo_for_each(&mut |at, seq, kind| {
+            let mut visit = |at: SimTime, seq: u64, kind: EventKind| {
                 let dt = nn.dt(at);
                 let rseq = nn.rseq(seq);
                 let kind = match kind {
@@ -995,7 +1015,9 @@ impl Simulator {
                     }
                 };
                 evs.push(NormEvent { dt, rseq, kind });
-            });
+            };
+            self.heap.memo_for_each(&mut visit);
+            self.timers.memo_for_each(&mut visit);
         }
         events.sort();
 
@@ -1018,6 +1040,7 @@ impl Simulator {
             .front
             .memo_entries()
             .iter()
+            .filter(|f| f.pipe & CLASS_PIPE == 0)
             .map(|f| NormFront {
                 dt: n.dt(f.at),
                 rseq: n.rseq(f.seq),

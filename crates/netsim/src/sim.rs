@@ -26,7 +26,7 @@ use crate::engine::{EventKind, EventQueue, SchedKind, SchedStats, Scheduler};
 use crate::fault::{FaultAction, FaultEvent, FaultKind};
 use crate::ids::{HostId, LinkId, NodeId, SwitchId};
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority, NPRIO};
-use crate::pipeline::{FrontHeap, InFlight, PipeFront};
+use crate::pipeline::{ClassPipes, FrontHeap, InFlight, PipeFront, Timed, CLASS_PIPE};
 use crate::rng::RngStreams;
 use crate::shard::{RemoteOpen, RemotePfc, RemotePkt, ShardOutbox, ShardPlan};
 use crate::spray;
@@ -42,6 +42,10 @@ use std::collections::{HashMap, VecDeque};
 // reach the simulator's private runtime state without widening its API.
 #[path = "memo.rs"]
 pub mod memo;
+
+#[cfg(test)]
+#[path = "delay_class_tests.rs"]
+mod delay_class_tests;
 
 /// Runtime state of one directed link (its egress queue lives at the
 /// transmitting node).
@@ -232,11 +236,14 @@ pub struct Simulator {
     /// The fabric.
     pub topo: Topology,
     now: SimTime,
-    /// Future-event list; backend chosen by `cfg.sched` / `FP_SCHED`.
+    /// Future-event list for absolute-time events (faults, controls,
+    /// wake-ups, sampler ticks, cross-shard PFC) and for delays past the
+    /// class bound; backend chosen by `cfg.sched` / `FP_SCHED`. Also the
+    /// one source of tie-break sequence numbers for every pipe.
     heap: EventQueue,
-    /// Armed head-of-pipe arrivals, one per nonempty delivery pipe. The
-    /// event loop dispatches min(front, scheduler) by `(time, seq)` — see
-    /// `crate::pipeline`.
+    /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
+    /// The event loop dispatches min(front, scheduler) by `(time, seq)` —
+    /// see `crate::pipeline`.
     front: FrontHeap,
     /// Delivery pipes, one per latency class: contiguous FIFOs of packets
     /// on the wire, sorted by `(at, seq)` by construction (monotone clock +
@@ -246,6 +253,11 @@ pub struct Simulator {
     link_pipe: Vec<u32>,
     /// Total packets on the wire across all delivery pipes.
     in_flight_pkts: usize,
+    /// Delay-class pipes: every constant-delay event (`TxDone`, `Rto`,
+    /// `AckFlush`, local `Pfc`) waits here instead of in `heap`; their
+    /// heads share `front` with the delivery pipes. See
+    /// [`Simulator::schedule_after`].
+    timers: ClassPipes,
     links: Vec<LinkState>,
     switches: Vec<SwitchState>,
     hosts: Vec<HostState>,
@@ -370,6 +382,7 @@ impl Simulator {
             pipes,
             link_pipe,
             in_flight_pkts: 0,
+            timers: ClassPipes::default(),
             links,
             switches,
             hosts,
@@ -1115,7 +1128,7 @@ impl Simulator {
         s
     }
 
-    /// Which of (scheduler head, link-front head) dispatches next, by
+    /// Which of (scheduler head, pipe-front head) dispatches next, by
     /// global `(time, seq)` order. `None` when both are idle.
     #[inline]
     fn next_due(&mut self) -> Option<(SimTime, bool)> {
@@ -1178,26 +1191,61 @@ impl Simulator {
         }
     }
 
-    /// Dispatch the earliest head-of-pipe arrival: pop the head packet off
-    /// its delivery pipe, re-arm the front for the next entry (or disarm if
-    /// the pipe went empty), and deliver. Counts toward `stats.events`
-    /// exactly like the per-packet `Delivery` event it replaces, so event
+    /// Schedule `kind` to fire `delay` from now.
+    ///
+    /// The clock is monotone, so events sharing one `delay` are created in
+    /// `(time, seq)` order: they wait in that delay's class pipe
+    /// (`crate::pipeline`) and only the pipe head competes for dispatch.
+    /// The sequence number is reserved here, exactly where a scheduler
+    /// push would consume it, so dispatch order — and with it stale-RTO
+    /// skipping, event accounting, RNG draws and every output byte — is
+    /// the same whichever container the event waits in. A delay past the
+    /// class bound goes to the scheduler.
+    #[inline]
+    fn schedule_after(&mut self, delay: SimDuration, kind: EventKind) {
+        let at = self.now + delay;
+        let Some(class) = self.timers.class_of(delay) else {
+            self.heap.push(at, kind);
+            return;
+        };
+        let seq = self.heap.reserve_seq();
+        if self.timers.push(class, Timed { at, seq, kind }) {
+            self.front.arm(PipeFront {
+                at,
+                seq,
+                pipe: CLASS_PIPE | class,
+            });
+        }
+    }
+
+    /// Test hook: replace the delay-class bound before any event is
+    /// scheduled. 0 keeps every event in the scheduler (the engine before
+    /// class pipes); a small value forces overflow.
+    #[cfg(test)]
+    fn set_class_bound(&mut self, bound: usize) {
+        assert_eq!(self.timers.classes(), 0, "bound set after scheduling");
+        self.timers = ClassPipes::with_bound(bound);
+    }
+
+    /// Dispatch the earliest pipe head and re-arm the front for the entry
+    /// behind it (or disarm if the pipe went empty). A delay-class head
+    /// goes through [`Self::dispatch`] like a scheduler pop. A delivery
+    /// head is delivered here and counts toward `stats.events` exactly
+    /// like the per-packet `Delivery` event it replaces, so event
     /// accounting and `max_events` behave identically.
     fn deliver_front(&mut self) {
         let f = self.front.peek().expect("front nonempty");
+        if f.pipe & CLASS_PIPE != 0 {
+            let (head, next) = self.timers.pop(f.pipe & !CLASS_PIPE);
+            debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
+            self.front.advance_top(next);
+            self.dispatch(head.at, head.kind);
+            return;
+        }
         let pipe = &mut self.pipes[f.pipe as usize];
         let head = pipe.pop_front().expect("armed pipe has packets in it");
         debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
-        match pipe.front() {
-            Some(next) => self.front.replace_top(PipeFront {
-                at: next.at,
-                seq: next.seq,
-                pipe: f.pipe,
-            }),
-            None => {
-                self.front.pop_top();
-            }
-        }
+        self.front.advance_top(pipe.front().map(|n| (n.at, n.seq)));
         self.links[head.link.idx()].inflight -= 1;
         self.in_flight_pkts -= 1;
         debug_assert!(f.at >= self.now, "time went backwards");
@@ -1212,8 +1260,8 @@ impl Simulator {
         // Lazy RTO cancellation: a timer whose segment was acknowledged (or
         // whose flow failed) since arming is discarded here, before any
         // event accounting — it does not advance the clock and does not
-        // count toward `stats.events` or the `max_events` guard. The heap
-        // strictly shrinks on a skip, so this cannot loop.
+        // count toward `stats.events` or the `max_events` guard. Its
+        // container strictly shrinks on a skip, so this cannot loop.
         if let EventKind::Rto { flow, seq, gen, .. } = kind {
             if self.rto_is_stale(flow, seq, gen) {
                 self.stats.rto_stale_skips += 1;
@@ -1409,6 +1457,10 @@ impl Simulator {
         let s = &mut self.switches[sw.idx()];
         let v = vspine as usize;
         let elapsed = self.now.as_ns().saturating_sub(s.spray_deficit_at[v]);
+        if elapsed < tau {
+            // Zero halvings: skip the division (nearly every read).
+            return s.spray_deficit[v];
+        }
         let halvings = elapsed.checked_div(tau).unwrap_or(0);
         if halvings > 0 {
             s.spray_deficit[v] >>= halvings.min(63);
@@ -1454,7 +1506,7 @@ impl Simulator {
         let l = &mut self.links[link.idx()];
         l.txing = true;
         l.current = Some(pkt);
-        self.heap.push(self.now + ser, EventKind::TxDone { link });
+        self.schedule_after(ser, EventKind::TxDone { link });
     }
 
     /// Pull the next fresh (never-sent) segment at priority class `q` from
@@ -1495,8 +1547,8 @@ impl Simulator {
             }
             self.stats.data_pkts_sent += 1;
             let gen = self.flows[fid as usize].rto_gen[seq as usize];
-            self.heap.push(
-                self.now + self.cfg.rto,
+            self.schedule_after(
+                self.cfg.rto,
                 EventKind::Rto {
                     flow: fid,
                     seq,
@@ -1623,7 +1675,6 @@ impl Simulator {
     /// lives in another shard the frame crosses via the outbox.
     fn push_pfc(&mut self, in_link: LinkId, prio: u8, pause: bool) {
         let delay = self.topo.links[self.topo.peer[in_link.idx()].idx()].latency;
-        let at = self.now + delay;
         if self
             .shard
             .as_ref()
@@ -1635,14 +1686,14 @@ impl Simulator {
                 .outbox
                 .pfcs
                 .push(RemotePfc {
-                    at,
+                    at: self.now + delay,
                     link: in_link,
                     prio,
                     pause,
                 });
         } else {
-            self.heap.push(
-                at,
+            self.schedule_after(
+                delay,
                 EventKind::Pfc {
                     link: in_link,
                     prio,
@@ -1937,10 +1988,7 @@ impl Simulator {
             self.send_ack(flow, block);
         }
         if schedule_flush {
-            self.heap.push(
-                self.now + self.cfg.ack_flush_delay,
-                EventKind::AckFlush { flow },
-            );
+            self.schedule_after(self.cfg.ack_flush_delay, EventKind::AckFlush { flow });
         }
     }
 
@@ -2091,8 +2139,8 @@ impl Simulator {
         let exp = (attempt + 1).min(self.cfg.rto_backoff_cap);
         let backoff = self.cfg.rto.mul_f64(self.cfg.rto_backoff.powi(exp as i32));
         let gen = self.flows[flow as usize].rto_gen[seq as usize];
-        self.heap.push(
-            self.now + backoff,
+        self.schedule_after(
+            backoff,
             EventKind::Rto {
                 flow,
                 seq,
@@ -2111,10 +2159,10 @@ impl Simulator {
         self.flows.iter().all(|f| f.is_complete())
     }
 
-    /// Pending work count: scheduled events plus packets on the wire
-    /// (0 = idle).
+    /// Pending work count: events in the scheduler and the delay-class
+    /// pipes plus packets on the wire (0 = idle).
     pub fn pending_events(&self) -> usize {
-        self.heap.len() + self.in_flight_pkts
+        self.heap.len() + self.timers.len() + self.in_flight_pkts
     }
 
     /// Which scheduler backend this simulator runs on.
@@ -2125,7 +2173,11 @@ impl Simulator {
     /// Scheduler occupancy counters accumulated so far (telemetry only —
     /// never part of trial results, which are backend-independent).
     pub fn sched_stats(&self) -> SchedStats {
-        self.heap.stats()
+        SchedStats {
+            class_pushes: self.timers.pushes(),
+            class_pops: self.timers.pops(),
+            ..self.heap.stats()
+        }
     }
 }
 
@@ -2187,10 +2239,12 @@ mod tests {
 
     #[test]
     fn pipeline_deliveries_dominate_and_account_exactly() {
-        // Recorder-free drained run: every scheduler pop is either an
-        // engine event that was not a pipeline delivery, or a stale RTO
-        // discarded by lazy cancellation. Deliveries themselves never
-        // round-trip the scheduler — that is the point of the pipelines.
+        // Recorder-free drained run: every scheduler or class-pipe pop is
+        // either an engine event that was not a pipeline delivery, or a
+        // stale RTO discarded by lazy cancellation. Deliveries themselves
+        // never round-trip either container — that is the point of the
+        // pipelines — and with no fault, control or wake-up scheduled,
+        // every timer rode a delay-class pipe: the scheduler saw nothing.
         let mut s = sim(17);
         s.post_message(HostId(0), HostId(2), 500_000, None, Priority::MEASURED);
         let r = s.run();
@@ -2198,14 +2252,48 @@ mod tests {
         assert_eq!(s.pending_events(), 0);
         let ss = s.sched_stats();
         assert_eq!(ss.pushes, ss.pops, "drained run: pushes == pops");
+        assert_eq!(ss.class_pushes, ss.class_pops, "drained class pipes");
         assert_eq!(
-            ss.pops,
+            ss.pops + ss.class_pops,
             s.stats.events - s.stats.pipeline_deliveries + s.stats.rto_stale_skips
         );
+        assert_eq!(ss.pushes, 0, "a constant-delay event reached the scheduler");
         // Roughly one delivery per tx'd packet; in any case a large share
         // of all engine events bypassed the scheduler.
         assert_eq!(s.stats.pipeline_deliveries, s.stats.pkts_txed);
         assert!(s.stats.pipeline_deliveries * 3 > s.stats.events);
+    }
+
+    #[test]
+    fn decayed_deficit_matches_the_always_divide_formulation() {
+        // The read path returns early when less than one tau has passed;
+        // that must be invisible: same value, same timestamp base, across
+        // grid crossings, multi-tau gaps, > 63 halvings and tau = 0.
+        fn reference(deficit: &mut u64, at: &mut u64, now: u64, tau: u64) -> u64 {
+            let elapsed = now.saturating_sub(*at);
+            let halvings = elapsed.checked_div(tau).unwrap_or(0);
+            if halvings > 0 {
+                *deficit >>= halvings.min(63);
+                *at += halvings * tau;
+            }
+            *deficit
+        }
+        for tau in [0u64, 1, 100, 100_000] {
+            let mut s = sim(1);
+            s.cfg.spray_tau = SimDuration::from_ns(tau);
+            let (mut want, mut want_at, mut now) = (0u64, 0u64, 0u64);
+            let steps = [0, 1, tau / 2, tau.saturating_sub(1), 1, tau, tau + 1];
+            let gaps = [3 * tau + 7, 5, 70 * tau, 2 * tau, 0];
+            for step in steps.into_iter().chain(gaps) {
+                now += step;
+                s.now = SimTime::from_ns(now);
+                want += 4160;
+                s.switches[0].spray_deficit[1] += 4160;
+                let got = s.decayed_deficit(SwitchId(0), 1);
+                assert_eq!(got, reference(&mut want, &mut want_at, now, tau));
+                assert_eq!(s.switches[0].spray_deficit_at[1], want_at, "tau={tau}");
+            }
+        }
     }
 
     #[test]

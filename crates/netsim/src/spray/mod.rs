@@ -292,15 +292,26 @@ pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut Sm
         }
         SprayPolicy::Adaptive | SprayPolicy::LeastLoaded => {
             // Scan starting at the cursor so equal-load ports are taken in
-            // rotation; advance the cursor past the chosen port.
-            let start = (*cursor as usize) % n;
+            // rotation; advance the cursor past the chosen port. The scan
+            // order is `(start + k) % n` for `k` in `0..n`, walked as two
+            // slices so the per-candidate step has no division; the cursor
+            // this arm writes is at most `n`, so the reduction below
+            // rarely divides either.
+            let c = *cursor as usize;
+            let start = if c < n { c } else { c % n };
+            let (wrapped, first) = loads.split_at(start);
             let mut best = start;
-            let mut best_load = loads[start];
-            for k in 1..n {
-                let i = (start + k) % n;
-                if loads[i] < best_load {
+            let mut best_load = first[0];
+            for (k, &l) in first.iter().enumerate().skip(1) {
+                if l < best_load {
+                    best = start + k;
+                    best_load = l;
+                }
+            }
+            for (i, &l) in wrapped.iter().enumerate() {
+                if l < best_load {
                     best = i;
-                    best_load = loads[i];
+                    best_load = l;
                 }
             }
             *cursor = (best as u64) + 1;
@@ -333,7 +344,52 @@ pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut Sm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The rotating least-loaded scan as originally written: one modulo
+    /// per candidate.
+    fn choose_modulo(loads: &[u64], cursor: &mut u64) -> usize {
+        let n = loads.len();
+        let start = (*cursor as usize) % n;
+        let mut best = start;
+        for k in 1..n {
+            let i = (start + k) % n;
+            if loads[i] < loads[best] {
+                best = i;
+            }
+        }
+        *cursor = (best as u64) + 1;
+        best
+    }
+
+    proptest! {
+        /// The division-free scan returns the same `(index, cursor)` as
+        /// the modulo formulation for any loads (ties included), any
+        /// cursor (in range, at `n`, or far past it) and any `n`.
+        #[test]
+        fn rotating_scan_matches_modulo_formulation(
+            raw in proptest::collection::vec(0u64..u64::MAX, 1..40),
+            cursor in 0u64..u64::MAX,
+            spread in 1u64..6,
+            near in 0u8..2,
+        ) {
+            // A narrow value range makes ties the common case.
+            let loads: Vec<u64> = raw.iter().map(|r| r % spread).collect();
+            let cursor = if near == 1 { cursor % (loads.len() as u64 + 2) } else { cursor };
+            let mut rng = SmallRng::seed_from_u64(0);
+            for policy in [SprayPolicy::Adaptive, SprayPolicy::LeastLoaded] {
+                let (mut c_new, mut c_old) = (cursor, cursor);
+                // A few picks in a row, so cursors written by the scan
+                // itself (`best + 1`, up to `n`) are exercised too.
+                for _ in 0..4 {
+                    let got = choose(policy, &loads, &mut c_new, &mut rng);
+                    let want = choose_modulo(&loads, &mut c_old);
+                    prop_assert_eq!((got, c_new), (want, c_old));
+                }
+            }
+        }
+    }
 
     #[test]
     fn round_robin_cycles() {

@@ -36,7 +36,9 @@ pub struct Stats {
     /// Of `events`, how many were head-of-pipeline deliveries dispatched
     /// straight from a link's in-flight FIFO (never pushed through the
     /// scheduler). `events - pipeline_deliveries + rto_stale_skips` is the
-    /// number of scheduler pops a drained, recorder-free run performed.
+    /// number of pops a drained, recorder-free run performed off the
+    /// scheduler and the delay-class pipes together (`SchedStats::pops +
+    /// SchedStats::class_pops`).
     pub pipeline_deliveries: u64,
     /// Packets that completed serialization on some link.
     pub pkts_txed: u64,

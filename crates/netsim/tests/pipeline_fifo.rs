@@ -1,32 +1,26 @@
 //! Property tests for the delivery pipes.
 //!
-//! Two layers:
+//! A model-level test drives the [`FrontHeap`] + FIFO pipe machinery
+//! exactly the way the engine does — pipe inserts reserve a scheduler
+//! sequence number, the dispatcher pops whichever of (scheduler head,
+//! front head) orders first by `(time, seq)` — against random scripts
+//! that interleave scheduler traffic (including the *backdated* pushes
+//! lazy RTO cancellation produces) on **both** scheduler backends. The
+//! model uses one pipe per link (the finest legal granularity; the
+//! simulator coalesces same-latency links, which only merges already-
+//! sorted streams). The property: per-link delivery order equals
+//! per-link injection order (the FIFO invariant), and both backends
+//! dispatch the identical global sequence.
 //!
-//! * A **model-level** test drives the [`FrontHeap`] + FIFO pipe machinery
-//!   exactly the way the engine does — pipe inserts reserve a scheduler
-//!   sequence number, the dispatcher pops whichever of (scheduler head,
-//!   front head) orders first by `(time, seq)` — against random scripts
-//!   that interleave scheduler traffic (including the *backdated* pushes
-//!   lazy RTO cancellation produces) on **both** scheduler backends. The
-//!   model uses one pipe per link (the finest legal granularity; the
-//!   simulator coalesces same-latency links, which only merges already-
-//!   sorted streams). The property: per-link delivery order equals
-//!   per-link injection order (the FIFO invariant), and both backends
-//!   dispatch the identical global sequence.
-//! * A **full-simulator** test runs small random fabrics under random
-//!   silent faults, admin-downs, and PFC configurations on both backends
-//!   and asserts byte-identical statistics plus the scheduled/executed
-//!   accounting identity. The per-link monotonicity `debug_assert!`s inside
-//!   the simulator are live in this build, so any FIFO violation aborts the
-//!   run instead of merely skewing results.
+//! The full-simulator counterpart — random faulted fabrics on both
+//! backends with the scheduled/executed accounting identity — lives in
+//! `src/delay_class_tests.rs`, which also varies the delay-class bound.
 
 use std::collections::VecDeque;
 
-use fp_netsim::engine::{EventHeap, EventKind, SchedKind, Scheduler};
-use fp_netsim::fault::{FaultEvent, FaultKind};
-use fp_netsim::ids::{HostId, LinkId};
+use fp_netsim::engine::{EventHeap, EventKind, Scheduler};
+use fp_netsim::ids::HostId;
 use fp_netsim::pipeline::{FrontHeap, PipeFront};
-use fp_netsim::prelude::*;
 use fp_netsim::time::SimTime;
 use fp_netsim::wheel::TimingWheel;
 use proptest::prelude::*;
@@ -215,77 +209,5 @@ proptest! {
             }
             (a, b) => prop_assert!(false, "driver failed: heap={:?} wheel={:?}", a.err(), b.err()),
         }
-    }
-
-    /// Full-simulator determinism and accounting under random faults and
-    /// PFC configurations: both backends produce identical statistics, and
-    /// on a drained recorder-free run the scheduler pop count decomposes
-    /// exactly into engine events minus pipeline deliveries plus stale-RTO
-    /// skips.
-    #[test]
-    fn random_faulted_runs_agree_across_backends(
-        seed in 0u64..1 << 48,
-        leaves in 2u32..6,
-        spines in 1u32..4,
-        msgs in 1usize..6,
-        fault_sel in 0u32..5,
-        pfc_sel in 0u32..2,
-    ) {
-        let pfc_on = pfc_sel == 1;
-        let mut results = Vec::new();
-        for sched in [SchedKind::Heap, SchedKind::Wheel] {
-            let topo = Topology::fat_tree(FatTreeSpec {
-                leaves,
-                spines,
-                hosts_per_leaf: 1,
-                ..Default::default()
-            });
-            let n_links = topo.n_links() as u32;
-            let mut cfg = SimConfig {
-                sched: Some(sched),
-                // Fail fast under black holes so drains stay cheap.
-                rto_max_attempts: 6,
-                ..SimConfig::default()
-            };
-            cfg.pfc.enabled = pfc_on;
-            let mut sim = Simulator::new(topo, cfg, seed);
-            // A deterministic spread of small messages.
-            for m in 0..msgs {
-                let src = HostId((m as u32) % leaves);
-                let dst = HostId((m as u32 + 1 + (seed as u32 % (leaves - 1))) % leaves);
-                if src != dst {
-                    sim.post_message(src, dst, 200_000 + 17 * m as u64, None, Priority::MEASURED);
-                }
-            }
-            // One random fault, healed midway through the expected run.
-            let link = LinkId((seed as u32 >> 8) % n_links);
-            let kind = match fault_sel {
-                0 => Some(FaultKind::SilentDrop { rate: 0.2 }),
-                1 => Some(FaultKind::SilentBlackhole),
-                2 => Some(FaultKind::DstBlackhole { dst_leaf: 0 }),
-                3 => Some(FaultKind::AdminDown),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                sim.schedule_fault(FaultEvent::set_bidir(SimTime::from_ns(2_000), link, kind));
-                sim.schedule_fault(FaultEvent::clear_bidir(SimTime::from_ns(40_000), link));
-            }
-            let summary = sim.run();
-            prop_assert_eq!(summary.reason, RunReason::Drained);
-            prop_assert_eq!(sim.pending_events(), 0, "drained run left pending work");
-
-            // Scheduled-vs-executed accounting: every pop is either an
-            // engine-processed event that was *not* a pipeline delivery,
-            // or a stale RTO discarded by lazy cancellation.
-            let ss = sim.sched_stats();
-            prop_assert_eq!(ss.pushes, ss.pops, "drained: pushes == pops");
-            prop_assert_eq!(
-                ss.pops,
-                sim.stats.events - sim.stats.pipeline_deliveries + sim.stats.rto_stale_skips,
-                "pop count decomposition"
-            );
-            results.push((summary.events, summary.end, format!("{:?}", sim.stats)));
-        }
-        prop_assert_eq!(&results[0], &results[1], "heap and wheel runs diverged");
     }
 }

@@ -32,6 +32,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench --workspace --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
+echo "==> benchmark/: its own tests, then 3-s checked runs of three workloads"
+# benchmark/ is a package of its own that links public symbols of every
+# crate; nothing above builds it. Seed 1 also compares event, packet,
+# retransmit and alarm counts with benchmark/expected.json, so a change in
+# simulated behaviour fails here.
+(cd benchmark && cargo test --offline -q)
+for w in steady_adaptive steady_leastloaded fault_loop; do
+    # stderr stays on the terminal so a build failure or panic is visible.
+    line="$(benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+    if [[ "$line" == *'"correct":true'* && "$line" == *'"failed":0'* ]]; then
+        echo "    $w: correct, 0 failed"
+    else
+        echo "    $w: benchmark run not clean: ${line:-<no output>}" >&2
+        exit 1
+    fi
+done
+
 BINARIES=(fig5a fig5b fig5c preexisting ablate_spray ablate_jitter mitigation)
 t1="$(mktemp -d)"
 t4="$(mktemp -d)"
@@ -105,6 +122,19 @@ for name in ("headline", "baseline", "telemetry_overhead", "mitigation",
     missing = [k for k in required if k not in e]
     if missing:
         sys.exit(f"BENCH_netsim.json[{name}]: missing keys {missing}")
+# `sched_pushes` is whatever still reaches the wheel/heap. Since the
+# delay-class pipes (DESIGN.md §6) that is only absolute-time events and
+# overflow past the class bound, so rows recorded after that change read
+# close to 0 while older rows read millions: both are valid, any count up
+# to one push per event plus its stale timers is. (monitord rows reuse the
+# key for snapshots offered and are checked further down.)
+for name, e in d.items():
+    if name.startswith("monitord"):
+        continue
+    p = e["sched_pushes"]
+    if not isinstance(p, int) or p < 0 or p > 2 * e["events"]:
+        sys.exit(f"BENCH_netsim.json[{name}]: sched_pushes {p!r} outside "
+                 f"[0, 2 x events = {2 * e['events']}]")
 # Shard-only keys appear exactly on sharded rows: an unsharded row carrying
 # `"shard_events": []` (the pre-epoch serializer's artifact) is a schema
 # violation, as is a sharded row missing its sync accounting.
@@ -180,10 +210,11 @@ print(f"    memo_headline: {mh['events_per_sec']/1e6:.1f} Mev/s vs live "
       f"headline {hl['events_per_sec']/1e6:.1f} Mev/s")
 EOF
 
-echo "==> perf smoke (warn-only): quick headline vs committed BENCH_netsim.json"
+echo "==> perf smoke: quick headline vs committed BENCH_netsim.json"
 # A quick run is a different workload than the committed full campaign, so
 # the absolute events/sec are not comparable run-to-run on shared hardware;
-# print the delta as a canary but never fail the gate on it.
+# print the delta as a canary but never fail the gate on it. The share of
+# events that reach the scheduler is an exact count and does gate.
 pb="$(mktemp -d)"
 trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb"' EXIT
 FP_QUICK=1 FP_BENCH_JSON="$pb/bench.json" FP_RESULTS="$pb" \
@@ -199,6 +230,15 @@ print(f"    quick headline: {probe['events_per_sec']/1e6:.2f} Mev/s "
 if delta < -0.30:
     print("    WARNING: quick headline >30% below the committed rate — "
           "worth a full re-measure before merging perf-sensitive changes")
+# Not host noise but an exact count, so this one fails: constant-delay
+# events ride the delay-class pipes, and a quick headline that pushes more
+# than 1 % of its events through the scheduler has lost them.
+share = probe["sched_pushes"] / probe["events"]
+print(f"    quick headline: {probe['sched_pushes']} scheduler pushes for "
+      f"{probe['events']} events ({share:.3%})")
+if share > 0.01:
+    sys.exit("quick headline: scheduler pushes above 1 % of events — "
+             "constant-delay events are reaching the wheel again")
 EOF
 FP_QUICK=1 FP_RESULTS="$t4" \
     cargo run --release -q -p fp-bench --bin headline >/dev/null
