@@ -20,6 +20,26 @@ use crate::model::PortLoads;
 use fp_netsim::counters::CounterStore;
 use serde::{Deserialize, Serialize};
 
+/// What [`Monitor::scan`] reads iterations from: a whole run's
+/// [`CounterStore`], or a window holding only the iterations still open
+/// ([`crate::snapshot::OpenWindow`]).
+pub trait IterSource {
+    /// Whether any counter of `(job, iter)` was recorded.
+    fn has_iter(&self, job: u32, iter: u32) -> bool;
+    /// The observed per-port loads of `(job, iter)`, if recorded.
+    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads>;
+}
+
+impl IterSource for CounterStore {
+    fn has_iter(&self, job: u32, iter: u32) -> bool {
+        self.get(job, iter).is_some()
+    }
+
+    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads> {
+        self.get(job, iter).map(PortLoads::from_counters)
+    }
+}
+
 /// Where predictions come from.
 pub enum ModelSource {
     /// Analytical or simulation-based prediction, fixed for the job.
@@ -108,20 +128,27 @@ impl Monitor {
     /// Process every *closed* iteration in `counters`. Iteration `i` is
     /// closed once iteration `i+1` has been observed; pass `flush = true`
     /// at end of job to evaluate the trailing iteration too.
-    pub fn scan(&mut self, counters: &CounterStore, flush: bool) {
+    pub fn scan<S: IterSource>(&mut self, counters: &S, flush: bool) {
         loop {
             let i = self.next_iter;
-            let Some(c) = counters.get(self.job, i) else {
-                break;
-            };
-            let closed = flush || counters.get(self.job, i + 1).is_some();
+            let closed = flush
+                || i.checked_add(1)
+                    .is_some_and(|next| counters.has_iter(self.job, next));
             if !closed {
                 break;
             }
-            let obs = PortLoads::from_counters(c);
+            let Some(obs) = counters.iter_loads(self.job, i) else {
+                break;
+            };
             self.evaluate(i, &obs);
             self.next_iter += 1;
         }
+    }
+
+    /// The first iteration `scan` has not evaluated yet; everything below
+    /// it will never be read again.
+    pub fn next_iter(&self) -> u32 {
+        self.next_iter
     }
 
     fn evaluate(&mut self, iter: u32, obs: &PortLoads) {

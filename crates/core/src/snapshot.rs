@@ -4,8 +4,10 @@
 //! A [`CounterSnapshot`] carries one job's closed iteration counters for
 //! one fabric: the row-major `(leaf, vspine)` byte matrix the detector
 //! compares, plus enough shape metadata for a consumer that has never seen
-//! the fabric to rebuild a [`CounterStore`] and run the [`Monitor`]
-//! incrementally. The per-source breakdown is deliberately *not* shipped:
+//! the fabric to run the [`Monitor`] incrementally — over a rebuilt
+//! [`CounterStore`] ([`CounterSnapshot::apply`], the offline oracle) or,
+//! for a stream of any length, over an [`OpenWindow`] of the iterations
+//! still open. The per-source breakdown is deliberately *not* shipped:
 //! the temporal-symmetry detector reads only per-port bytes
 //! ([`crate::model::PortLoads::from_counters`]), and ring localization
 //! correlates alarms across leaves rather than across senders, so the wire
@@ -15,10 +17,13 @@
 //! [`CounterStore`]: fp_netsim::counters::CounterStore
 //! [`Monitor`]: crate::monitor::Monitor
 
+use crate::model::PortLoads;
+use crate::monitor::IterSource;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::packet::CollectiveTag;
 use fp_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One job-iteration's counters from one fabric, as shipped to the
 /// monitor service (in-process channel or newline-delimited JSON).
@@ -98,6 +103,103 @@ impl CounterSnapshot {
     /// An empty store with this snapshot's fabric dimensions.
     pub fn new_store(&self) -> CounterStore {
         CounterStore::new(self.n_leaves as usize, self.n_vspines as usize)
+    }
+}
+
+/// The iterations of one `(fabric, job)` stream that its
+/// [`Monitor`](crate::monitor::Monitor) has not evaluated yet — what a
+/// long-running consumer keeps instead of a [`CounterStore`] that grows
+/// with the stream. It answers [`IterSource`] exactly as the store
+/// [`CounterSnapshot::apply`] fills would: cells add on a repeated
+/// iteration, an all-zero snapshot records nothing, and — because the
+/// monitor never looks back — an iteration it has passed can be evicted,
+/// or arrive late and be evicted, unread. Memory is the open iterations
+/// × ports, whatever the stream length.
+///
+/// [`CounterStore`]: fp_netsim::counters::CounterStore
+#[derive(Clone, Debug)]
+pub struct OpenWindow {
+    job: u32,
+    n_leaves: usize,
+    n_vspines: usize,
+    /// Per-port byte cells of each open iteration, row-major.
+    open: BTreeMap<u32, Vec<u64>>,
+}
+
+impl OpenWindow {
+    /// An empty window for `job` on an `n_leaves × n_vspines` fabric.
+    pub fn new(job: u32, n_leaves: u32, n_vspines: u32) -> Self {
+        OpenWindow {
+            job,
+            n_leaves: n_leaves as usize,
+            n_vspines: n_vspines as usize,
+            open: BTreeMap::new(),
+        }
+    }
+
+    /// Record one snapshot's `bytes` for iteration `iter` of this
+    /// window's job.
+    ///
+    /// # Panics
+    /// If `bytes` is not `n_leaves × n_vspines` long — the caller checks
+    /// wire input against the stream's shape first.
+    pub fn record(&mut self, iter: u32, bytes: Vec<u64>) {
+        assert_eq!(
+            Some(bytes.len()),
+            self.n_leaves.checked_mul(self.n_vspines),
+            "snapshot cells do not match the window's fabric shape"
+        );
+        if bytes.iter().all(|&b| b == 0) {
+            return;
+        }
+        match self.open.entry(iter) {
+            Entry::Vacant(e) => {
+                e.insert(bytes);
+            }
+            Entry::Occupied(mut e) => {
+                for (cell, b) in e.get_mut().iter_mut().zip(bytes) {
+                    *cell += b;
+                }
+            }
+        }
+    }
+
+    /// Forget every iteration below `iter`. Called with
+    /// [`Monitor::next_iter`](crate::monitor::Monitor::next_iter) after
+    /// every scan, this also discards a late snapshot of an iteration
+    /// already evaluated.
+    pub fn evict_below(&mut self, iter: u32) {
+        while let Some(e) = self.open.first_entry() {
+            if *e.key() >= iter {
+                break;
+            }
+            e.remove();
+        }
+    }
+
+    /// Iterations currently held.
+    pub fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// No iteration is held.
+    pub fn is_empty(&self) -> bool {
+        self.open.is_empty()
+    }
+}
+
+impl IterSource for OpenWindow {
+    fn has_iter(&self, job: u32, iter: u32) -> bool {
+        job == self.job && self.open.contains_key(&iter)
+    }
+
+    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads> {
+        let cells = self.open.get(&iter).filter(|_| job == self.job)?;
+        Some(PortLoads {
+            n_leaves: self.n_leaves,
+            n_vspines: self.n_vspines,
+            bytes: cells.iter().map(|&b| b as f64).collect(),
+        })
     }
 }
 

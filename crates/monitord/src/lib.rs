@@ -12,13 +12,14 @@
 //!   [`Block`](QueuePolicy::Block).
 //! * **Process** ([`service`]) — one worker batches snapshots off the
 //!   queue and demultiplexes them onto per-`(fabric, job)` stream state:
-//!   a rebuilt counter store plus an incrementally-scanned learned
-//!   monitor, flushed through the ring localizer when the stream ends.
-//!   Per-stream alarm output is byte-identical to running the offline
-//!   monitor over the same snapshot sequence.
+//!   a window of the iterations not evaluated yet plus an
+//!   incrementally-scanned learned monitor, flushed through the ring
+//!   localizer when the stream ends. Memory does not grow with stream
+//!   length, and per-stream alarm output is byte-identical to running the
+//!   offline monitor over the same snapshot sequence.
 //! * **Transport** ([`wire`]) — in-process [`IngestHandle::push`], or
 //!   newline-delimited JSON over any `BufRead` (stdin, pipes) and a
-//!   Unix-domain socket listener.
+//!   Unix-domain socket listener; canonical lines are decoded in place.
 //! * **Self-observability** ([`metrics`]) — counters, gauges and
 //!   log-bucketed histograms (ingest rate, queue depth, batch sizes,
 //!   scan/verdict latencies, drops) exported as periodic `metrics.jsonl`
@@ -40,7 +41,7 @@ pub mod wire;
 pub use metrics::MetricsRegistry;
 pub use queue::{IngestQueue, QueuePolicy, QueueStats};
 pub use service::{IngestHandle, Monitord, ServiceConfig, ServiceReport, StreamReport};
-pub use wire::{feed_lines, snapshot_line, WireStats};
+pub use wire::{decode_line, feed_lines, snapshot_line, WireStats};
 
 #[cfg(unix)]
 pub use wire::serve_unix;

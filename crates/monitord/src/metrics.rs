@@ -67,6 +67,12 @@ impl MetricsRegistry {
         self.hists.entry(name).or_default().record(v);
     }
 
+    /// Make a histogram exist (empty) before its first observation, so
+    /// exports list it from the first line on.
+    pub fn register_histogram(&mut self, name: &'static str) {
+        self.hists.entry(name).or_default();
+    }
+
     /// Seconds since the registry was created.
     pub fn uptime_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64().max(1e-9)

@@ -2,11 +2,14 @@
 //!
 //! Producers (trial feeds, wire transports) push [`CounterSnapshot`]s;
 //! one service worker pops batches. The queue is deliberately a plain
-//! `Mutex<VecDeque>` + two condvars: ingest is dominated by the monitor
-//! scan on the consumer side, so lock-free cleverness would buy nothing,
-//! while the mutex gives exact depth accounting — which *is* the product
-//! here: every time the queue pushes back, the event is counted and
-//! visible in `metrics.jsonl`.
+//! `Mutex<VecDeque>` + two condvars: the mutex gives exact depth
+//! accounting — which *is* the product here: every time the queue pushes
+//! back, the event is counted and visible in `metrics.jsonl`. The one
+//! refinement is that each side counts, under the lock, how many threads
+//! are parked on its condvar, and the other side notifies only when that
+//! count is non-zero: std's `notify_*` is a futex syscall whether or not
+//! anyone waits, and a worker that keeps up would otherwise pay one per
+//! snapshot.
 
 use flowpulse::snapshot::CounterSnapshot;
 use std::collections::VecDeque;
@@ -64,6 +67,10 @@ pub(crate) struct Item {
 struct State {
     q: VecDeque<Item>,
     closed: bool,
+    /// Consumers parked on `not_empty`.
+    pop_waiting: usize,
+    /// Producers parked on `not_full` (blocked or in a timed park).
+    push_waiting: usize,
 }
 
 /// Monotonic backpressure counters, readable at any time.
@@ -105,6 +112,8 @@ impl IngestQueue {
             state: Mutex::new(State {
                 q: VecDeque::with_capacity(cap.min(4096)),
                 closed: false,
+                pop_waiting: 0,
+                push_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -137,15 +146,19 @@ impl IngestQueue {
                 }
                 QueuePolicy::Block => {
                     self.blocked.fetch_add(1, Ordering::Relaxed);
+                    st.push_waiting += 1;
                     while st.q.len() >= self.cap && !st.closed {
                         st = self.not_full.wait(st).unwrap();
                     }
+                    st.push_waiting -= 1;
                 }
                 QueuePolicy::Park => {
+                    st.push_waiting += 1;
                     while st.q.len() >= self.cap && !st.closed {
                         self.parked.fetch_add(1, Ordering::Relaxed);
                         st = self.not_full.wait_timeout(st, PARK_BACKOFF).unwrap().0;
                     }
+                    st.push_waiting -= 1;
                 }
             }
         }
@@ -158,8 +171,14 @@ impl IngestQueue {
             snap,
         });
         self.accepted.fetch_add(1, Ordering::Relaxed);
+        // Read under the lock: a consumer bumps `pop_waiting` before its
+        // wait releases the mutex, so it is either counted here or will
+        // see this item when it takes the lock.
+        let wake = st.pop_waiting > 0;
         drop(st);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         true
     }
 
@@ -168,8 +187,12 @@ impl IngestQueue {
     /// the queue is closed *and* drained — the worker's shutdown signal.
     pub(crate) fn pop_batch(&self, max: usize) -> Option<(Vec<Item>, usize)> {
         let mut st = self.state.lock().unwrap();
-        while st.q.is_empty() && !st.closed {
-            st = self.not_empty.wait(st).unwrap();
+        if st.q.is_empty() && !st.closed {
+            st.pop_waiting += 1;
+            while st.q.is_empty() && !st.closed {
+                st = self.not_empty.wait(st).unwrap();
+            }
+            st.pop_waiting -= 1;
         }
         if st.q.is_empty() {
             return None;
@@ -177,8 +200,11 @@ impl IngestQueue {
         let n = st.q.len().min(max.max(1));
         let batch: Vec<Item> = st.q.drain(..n).collect();
         let depth = st.q.len();
+        let wake = st.push_waiting > 0;
         drop(st);
-        self.not_full.notify_all();
+        if wake {
+            self.not_full.notify_all();
+        }
         Some((batch, depth))
     }
 
@@ -282,6 +308,67 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.dropped, 0);
         assert!(s.parked > 0);
+    }
+
+    /// No lost wake-up and exact accounting with notifications sent only
+    /// to parked threads: 4 producers against a consumer that sometimes
+    /// sleeps (so both sides really park), over every policy, tiny
+    /// capacities and both batch extremes. A lost wake-up hangs the test.
+    #[test]
+    fn waiter_aware_wakeups_lose_nothing_under_stress() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 400;
+        for policy in [QueuePolicy::Block, QueuePolicy::Park, QueuePolicy::Drop] {
+            for cap in [1, 2, 8] {
+                for batch_max in [1, 64] {
+                    let q = IngestQueue::new(cap, policy);
+                    let processed = std::thread::scope(|s| {
+                        let consumer = s.spawn(|| {
+                            let mut seen = 0u64;
+                            let mut batches = 0u64;
+                            while let Some((batch, depth)) = q.pop_batch(batch_max) {
+                                assert!(!batch.is_empty() && batch.len() <= batch_max);
+                                assert!(depth <= cap);
+                                seen += batch.len() as u64;
+                                batches += 1;
+                                if batches.is_multiple_of(7) {
+                                    std::thread::sleep(Duration::from_micros(100));
+                                }
+                            }
+                            seen
+                        });
+                        let producers: Vec<_> = (0..PRODUCERS)
+                            .map(|p| {
+                                let q = &q;
+                                s.spawn(move || {
+                                    for i in 0..PER_PRODUCER {
+                                        q.push(snap((p * PER_PRODUCER + i) as u32));
+                                        if i % 64 == 63 {
+                                            // Let the consumer drain and park.
+                                            std::thread::sleep(Duration::from_micros(150));
+                                        }
+                                    }
+                                })
+                            })
+                            .collect();
+                        for p in producers {
+                            p.join().unwrap();
+                        }
+                        q.close();
+                        consumer.join().unwrap()
+                    });
+                    let st = q.stats();
+                    let what = format!("{} cap={cap} batch_max={batch_max}", policy.name());
+                    assert_eq!(st.offered, PRODUCERS * PER_PRODUCER, "{what}");
+                    assert_eq!(st.offered, st.accepted + st.dropped, "{what}");
+                    assert_eq!(st.accepted, processed, "{what}");
+                    if policy != QueuePolicy::Drop {
+                        assert_eq!(st.dropped, 0, "{what}");
+                    }
+                    assert_eq!(q.depth(), 0, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

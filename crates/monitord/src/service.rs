@@ -2,13 +2,16 @@
 //!
 //! Ingested [`CounterSnapshot`]s are batched off the bounded queue and
 //! demultiplexed onto per-stream state keyed by `(fabric, job)`. Each
-//! stream rebuilds a consumer-side [`CounterStore`] and drives a learned
-//! [`Monitor`] incrementally — `scan(…, false)` per snapshot, `scan(…,
-//! true)` on the stream's final snapshot — which produces an alarm
-//! sequence byte-identical to scanning the whole store offline once
-//! (`Monitor::scan` only ever evaluates closed iterations, so the split
-//! points cannot matter). On close, the ring localizer correlates the
-//! stream's shortfall alarms into cable verdicts.
+//! stream keeps an [`OpenWindow`] — the cells of the iterations its
+//! monitor has not evaluated yet, nothing older — and drives a learned
+//! [`Monitor`] over it incrementally — `scan(…, false)` per snapshot,
+//! `scan(…, true)` on the stream's final snapshot — which produces an
+//! alarm sequence byte-identical to rebuilding a whole [`CounterStore`]
+//! with `CounterSnapshot::apply` and scanning it offline once
+//! (`Monitor::scan` only ever evaluates closed iterations and never
+//! looks back, so neither the split points nor the eviction can
+//! matter). On close, the ring localizer correlates the stream's
+//! shortfall alarms into cable verdicts.
 //!
 //! Processing stays single-threaded by design: stream state needs no
 //! locks, batch boundaries are the only scheduling unit, and per-stream
@@ -23,7 +26,7 @@ use crate::queue::{IngestQueue, QueuePolicy, QueueStats};
 use flowpulse::detector::Detector;
 use flowpulse::localizer::{Localizer, RingLocalization};
 use flowpulse::monitor::{Alarm, Monitor};
-use flowpulse::snapshot::CounterSnapshot;
+use flowpulse::snapshot::{CounterSnapshot, OpenWindow};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -104,9 +107,10 @@ pub struct ServiceReport {
 }
 
 struct StreamState {
-    store: fp_netsim::counters::CounterStore,
+    window: OpenWindow,
     monitor: Monitor,
     n_leaves: u32,
+    n_vspines: u32,
     snapshots: u32,
     closed: bool,
     localization: Option<RingLocalization>,
@@ -115,13 +119,22 @@ struct StreamState {
 impl StreamState {
     fn new(first: &CounterSnapshot, cfg: &ServiceConfig) -> Self {
         StreamState {
-            store: first.new_store(),
+            window: OpenWindow::new(first.job, first.n_leaves, first.n_vspines),
             monitor: Monitor::new_learned(first.job, Detector::new(cfg.threshold), cfg.warmup),
             n_leaves: first.n_leaves,
+            n_vspines: first.n_vspines,
             snapshots: 0,
             closed: false,
             localization: None,
         }
+    }
+
+    /// `snap` has this stream's fabric shape and one cell per port. Both
+    /// dimensions are untrusted wire fields: a `u32` product can wrap, a
+    /// `u64` one cannot.
+    fn shape_matches(&self, snap: &CounterSnapshot) -> bool {
+        (snap.n_leaves, snap.n_vspines) == (self.n_leaves, self.n_vspines)
+            && snap.bytes.len() as u64 == u64::from(snap.n_leaves) * u64::from(snap.n_vspines)
     }
 }
 
@@ -210,6 +223,45 @@ impl Monitord {
     }
 }
 
+/// Every metric DESIGN.md §10 documents, so a `metrics.jsonl` line has
+/// the same keys whatever happened (or did not) before it.
+const COUNTERS: &[&str] = &[
+    "ingest_offered",
+    "ingest_accepted",
+    "ingest_dropped",
+    "ingest_parked",
+    "ingest_blocked",
+    "snapshots_processed",
+    "alarms_raised",
+    "streams_closed",
+    "shape_errors",
+];
+const GAUGES: &[&str] = &[
+    "queue_depth",
+    "streams_active",
+    "ingest_per_sec",
+    "open_iters",
+];
+const HISTOGRAMS: &[&str] = &[
+    "batch_size",
+    "queue_depth_at_batch",
+    "queue_wait_ns",
+    "scan_latency_ns",
+    "verdict_latency_ns",
+];
+
+fn register_schema(m: &mut MetricsRegistry) {
+    for c in COUNTERS {
+        m.inc(c, 0);
+    }
+    for g in GAUGES {
+        m.set_gauge(g, 0.0);
+    }
+    for h in HISTOGRAMS {
+        m.register_histogram(h);
+    }
+}
+
 fn mirror_queue(m: &mut MetricsRegistry, q: &QueueStats) {
     m.set_counter("ingest_offered", q.offered);
     m.set_counter("ingest_accepted", q.accepted);
@@ -217,6 +269,13 @@ fn mirror_queue(m: &mut MetricsRegistry, q: &QueueStats) {
     m.set_counter("ingest_parked", q.parked);
     m.set_counter("ingest_blocked", q.blocked);
     m.set_gauge("ingest_per_sec", q.accepted as f64 / m.uptime_secs());
+}
+
+/// The largest open-iteration window across streams: 1–2 on a healthy
+/// stream, growing only behind a gap the scan is stalled at.
+fn set_open_iters(m: &mut MetricsRegistry, streams: &BTreeMap<(String, u32), StreamState>) {
+    let widest = streams.values().map(|s| s.window.len()).max().unwrap_or(0);
+    m.set_gauge("open_iters", widest as f64);
 }
 
 /// Emit one metrics line: appended to `sink` when writing periodically,
@@ -233,6 +292,7 @@ fn emit_metrics(m: &mut MetricsRegistry, sink: Option<&mut std::fs::File>) -> St
 
 fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
     let mut metrics = MetricsRegistry::new();
+    register_schema(&mut metrics);
     let mut streams: BTreeMap<(String, u32), StreamState> = BTreeMap::new();
     let mut batches = 0u64;
     let mut snapshots = 0u64;
@@ -253,21 +313,20 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 "queue_wait_ns",
                 item.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
-            let snap = item.snap;
-            let key = (snap.fabric.clone(), snap.job);
+            let mut snap = item.snap;
+            let key = (std::mem::take(&mut snap.fabric), snap.job);
             let state = streams
                 .entry(key)
                 .or_insert_with(|| StreamState::new(&snap, cfg));
-            if snap.bytes.len() != (snap.n_leaves * snap.n_vspines) as usize
-                || snap.n_leaves != state.n_leaves
-            {
+            if !state.shape_matches(&snap) {
                 metrics.inc("shape_errors", 1);
                 continue;
             }
             let t0 = Instant::now();
             let alarms_before = state.monitor.alarms.len();
-            snap.apply(&mut state.store);
-            state.monitor.scan(&state.store, snap.last);
+            state.window.record(snap.iter, snap.bytes);
+            state.monitor.scan(&state.window, snap.last);
+            state.window.evict_below(state.monitor.next_iter());
             metrics.observe("scan_latency_ns", t0.elapsed().as_nanos() as u64);
             metrics.inc("snapshots_processed", 1);
             metrics.inc(
@@ -291,11 +350,13 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
         batches += 1;
         metrics.set_gauge("streams_active", streams.len() as f64);
         if cfg.metrics_every_batches > 0 && batches.is_multiple_of(cfg.metrics_every_batches) {
+            set_open_iters(&mut metrics, &streams);
             mirror_queue(&mut metrics, &queue.stats());
             emit_metrics(&mut metrics, sink.as_mut());
         }
     }
     // Final line so short runs still leave a complete metrics.jsonl.
+    set_open_iters(&mut metrics, &streams);
     mirror_queue(&mut metrics, &queue.stats());
     emit_metrics(&mut metrics, sink.as_mut());
     WorkerOut {
@@ -346,6 +407,17 @@ mod tests {
         let mut m = Monitor::new_learned(snaps[0].job, Detector::new(cfg.threshold), cfg.warmup);
         m.scan(&store, true);
         m.alarms
+    }
+
+    /// One entry of a `metrics.jsonl` line, e.g. `("gauges", "open_iters")`.
+    fn metric(line: &str, section: &str, name: &str) -> Option<serde::Value> {
+        let v: serde::Value = serde_json::from_str(line).unwrap();
+        metric_field(&metric_field(&v, section)?, name)
+    }
+
+    fn metric_field(v: &serde::Value, key: &str) -> Option<serde::Value> {
+        let (_, found) = v.as_map()?.iter().find(|(k, _)| k == key)?;
+        Some(found.clone())
     }
 
     #[test]
@@ -410,35 +482,14 @@ mod tests {
             handle.push(s);
         }
         let report = svc.shutdown();
-        let v: serde::Value = serde_json::from_str(&report.metrics_final).unwrap();
-        let map = v.as_map().unwrap();
-        let hists = map
-            .iter()
-            .find(|(k, _)| k == "histograms")
-            .unwrap()
-            .1
-            .as_map()
-            .unwrap();
-        for h in [
-            "batch_size",
-            "queue_depth_at_batch",
-            "queue_wait_ns",
-            "scan_latency_ns",
-            "verdict_latency_ns",
-        ] {
-            assert!(hists.iter().any(|(k, _)| k == h), "missing histogram {h}");
+        for h in HISTOGRAMS {
+            let count = metric(&report.metrics_final, "histograms", h)
+                .and_then(|h| metric_field(&h, "count"))
+                .and_then(|c| c.as_u64());
+            assert!(count > Some(0), "histogram {h} recorded nothing");
         }
-        let counters = map
-            .iter()
-            .find(|(k, _)| k == "counters")
-            .unwrap()
-            .1
-            .as_map()
-            .unwrap();
-        let processed = counters
-            .iter()
-            .find(|(k, _)| k == "snapshots_processed")
-            .and_then(|(_, v)| v.as_u64())
+        let processed = metric(&report.metrics_final, "counters", "snapshots_processed")
+            .and_then(|v| v.as_u64())
             .unwrap();
         assert_eq!(processed, 4);
         assert!(report
@@ -465,5 +516,68 @@ mod tests {
         // Iteration 0 closes (iter 2 seen? no — gap at 1 stalls the scan).
         assert!(s.alarms.is_empty());
         assert!(s.closed);
+        // The stall is visible: iterations 2, 3 and 4 stay open behind the
+        // gap, where a healthy stream ends with none.
+        let open = metric(&report.metrics_final, "gauges", "open_iters").unwrap();
+        assert_eq!(open.as_f64(), Some(3.0));
+    }
+
+    #[test]
+    fn shape_check_compares_both_dimensions_without_wrapping() {
+        let svc = Monitord::spawn(ServiceConfig::default());
+        let handle = svc.handle();
+        let good = stream("f", 2, false).remove(0);
+        // Self-consistent, right leaf count, wrong vspine count: applying
+        // it would scatter its cells with the stream's stride.
+        let narrow = CounterSnapshot {
+            n_vspines: 1,
+            bytes: vec![1000; 4],
+            ..good.clone()
+        };
+        let swapped = CounterSnapshot {
+            n_leaves: 2,
+            n_vspines: 4,
+            ..good.clone()
+        };
+        // 65536 × 65536 is 0 in `u32`, which an empty matrix would match.
+        let wrapping = CounterSnapshot {
+            fabric: "g".into(),
+            n_leaves: 1 << 16,
+            n_vspines: 1 << 16,
+            bytes: Vec::new(),
+            ..good.clone()
+        };
+        for s in [good, narrow, swapped, wrapping] {
+            handle.push(s);
+        }
+        let report = svc.shutdown();
+        let errors = metric(&report.metrics_final, "counters", "shape_errors").unwrap();
+        assert_eq!(errors.as_u64(), Some(3));
+        let per_stream: Vec<(&str, u32)> = report
+            .streams
+            .iter()
+            .map(|s| (s.fabric.as_str(), s.snapshots))
+            .collect();
+        assert_eq!(per_stream, [("f", 1), ("g", 0)]);
+    }
+
+    #[test]
+    fn idle_service_emits_the_whole_metrics_schema() {
+        let report = Monitord::spawn(ServiceConfig::default()).shutdown();
+        for (section, names) in [
+            ("counters", COUNTERS),
+            ("gauges", GAUGES),
+            ("histograms", HISTOGRAMS),
+        ] {
+            for name in names {
+                assert!(
+                    metric(&report.metrics_final, section, name).is_some(),
+                    "idle metrics line lacks {section}.{name}"
+                );
+            }
+        }
+        assert!(report
+            .prometheus
+            .contains("fp_monitord_streams_closed_total 0"));
     }
 }

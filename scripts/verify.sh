@@ -32,13 +32,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench --workspace --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
-echo "==> benchmark/: its own tests, then 3-s checked runs of three workloads"
+echo "==> benchmark/: its own tests, then 3-s checked runs of four workloads"
 # benchmark/ is a package of its own that links public symbols of every
 # crate; nothing above builds it. Seed 1 also compares event, packet,
 # retransmit and alarm counts with benchmark/expected.json, so a change in
-# simulated behaviour fails here.
+# simulated behaviour fails here; monitord_ingest checks the live service
+# against an offline Monitor stream by stream (every snapshot processed,
+# every stream closed, alarm JSON equal).
 (cd benchmark && cargo test --offline -q)
-for w in steady_adaptive steady_leastloaded fault_loop; do
+for w in steady_adaptive steady_leastloaded fault_loop monitord_ingest; do
     # stderr stays on the terminal so a build failure or panic is visible.
     line="$(benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
     if [[ "$line" == *'"correct":true'* && "$line" == *'"failed":0'* ]]; then
@@ -365,9 +367,13 @@ for policy in ("block", "drop", "park"):
                 sys.exit(f"{path}:{i}: missing key '{k}'")
     final = lines[-1]
     for c in ("ingest_offered", "ingest_accepted", "ingest_dropped",
-              "snapshots_processed", "streams_closed"):
+              "snapshots_processed", "streams_closed", "alarms_raised",
+              "shape_errors"):
         if c not in final["counters"]:
             sys.exit(f"{path}: final line missing counter '{c}'")
+    for g in ("queue_depth", "streams_active", "ingest_per_sec", "open_iters"):
+        if g not in final["gauges"]:
+            sys.exit(f"{path}: final line missing gauge '{g}'")
     for h in ("batch_size", "queue_depth_at_batch", "queue_wait_ns",
               "scan_latency_ns", "verdict_latency_ns"):
         if h not in final["histograms"]:
