@@ -81,6 +81,23 @@ pub struct BenchEntry {
     /// Healthy cables wrongly admin-downed across the campaign. `None` for
     /// controller-less campaigns.
     pub false_mitigations: Option<u64>,
+    /// `fp-monitord`'s own per-stage latencies on a `monitord*` row.
+    /// `None` — and no keys in the JSON — on every other row.
+    pub service_latency: Option<ServiceLatency>,
+}
+
+/// Where a snapshot's time went inside the monitor service, microseconds,
+/// as upper bucket bounds of the histograms the service records.
+#[derive(Copy, Clone, Debug)]
+pub struct ServiceLatency {
+    /// Median time between `push` and the worker picking the snapshot up.
+    pub queue_wait_p50_us: f64,
+    /// 99th percentile of the same.
+    pub queue_wait_p99_us: f64,
+    /// Median record + scan + evict time of one snapshot.
+    pub scan_p50_us: f64,
+    /// 99th percentile of the same.
+    pub scan_p99_us: f64,
 }
 
 /// Logical cores this host exposes, for [`BenchEntry::host_parallelism`].
@@ -130,6 +147,14 @@ impl Serialize for BenchEntry {
                 self.false_mitigations.to_value(),
             ),
         ]);
+        if let Some(l) = self.service_latency {
+            m.extend([
+                ("queue_wait_p50_us".into(), l.queue_wait_p50_us.to_value()),
+                ("queue_wait_p99_us".into(), l.queue_wait_p99_us.to_value()),
+                ("scan_p50_us".into(), l.scan_p50_us.to_value()),
+                ("scan_p99_us".into(), l.scan_p99_us.to_value()),
+            ]);
+        }
         Value::Map(m)
     }
 }
@@ -239,6 +264,7 @@ mod tests {
             tt_detect_ns: Some(1_000),
             tt_mitigate_ns: Some(51_000),
             false_mitigations: Some(0),
+            service_latency: None,
         }
     }
 

@@ -288,6 +288,7 @@ fn main() {
         tt_detect_ns,
         tt_mitigate_ns,
         false_mitigations: Some(false_mitigations),
+        service_latency: None,
     }) {
         Ok(Some(p)) => println!("[bench {}]", p.display()),
         Ok(None) => {}

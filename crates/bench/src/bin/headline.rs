@@ -90,6 +90,7 @@ fn main() {
         tt_detect_ns: None,
         tt_mitigate_ns: None,
         false_mitigations: None,
+        service_latency: None,
     }) {
         Ok(Some(p)) => println!("[bench {}]", p.display()),
         Ok(None) => {}
@@ -131,6 +132,7 @@ fn main() {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: None,
         }) {
             Ok(Some(p)) => println!("[bench baseline {}]", p.display()),
             Ok(None) => {}
@@ -186,6 +188,7 @@ fn main() {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: None,
         }) {
             Ok(Some(p)) => println!("[bench telemetry_overhead {}]", p.display()),
             Ok(None) => {}
@@ -256,6 +259,7 @@ fn main() {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: None,
         }) {
             Ok(Some(p)) => println!("[bench memo_headline {}]", p.display()),
             Ok(None) => {}

@@ -261,6 +261,7 @@ fn main() {
         tt_detect_ns,
         tt_mitigate_ns,
         false_mitigations: Some(false_mitigations),
+        service_latency: None,
     }) {
         Ok(Some(p)) => println!("[bench {}]", p.display()),
         Ok(None) => {}
@@ -368,6 +369,7 @@ fn main() {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: None,
         }) {
             Ok(Some(p)) => println!("[bench memo_mitigation {}]", p.display()),
             Ok(None) => {}

@@ -37,6 +37,15 @@ fn synthesize(base: &[CounterSnapshot], fabric: String, rounds: u32) -> Vec<Coun
     out
 }
 
+/// One quantile of a service histogram, read off the report's Prometheus
+/// dump (`fp_monitord_<hist>{quantile="<q>"} <ns>`), in microseconds.
+fn quantile_us(prometheus: &str, hist: &str, q: &str) -> f64 {
+    let key = format!("fp_monitord_{hist}{{quantile=\"{q}\"}} ");
+    let ns = prometheus.lines().find_map(|l| l.strip_prefix(&key));
+    let ns: f64 = ns.and_then(|v| v.parse().ok()).expect("service histogram");
+    ns / 1e3
+}
+
 fn main() {
     header("E10 monitord sweep — snapshots/sec vs streams x queue policy");
     let threads: usize = std::env::var("FP_THREADS")
@@ -114,16 +123,27 @@ fn main() {
         let report = svc.shutdown();
         let wall_us = (t0.elapsed().as_micros() as u64).max(1);
         let eps = report.snapshots as f64 * 1e6 / wall_us as f64;
+        let latency = fp_bench::ServiceLatency {
+            queue_wait_p50_us: quantile_us(&report.prometheus, "queue_wait_ns", "0.5"),
+            queue_wait_p99_us: quantile_us(&report.prometheus, "queue_wait_ns", "0.99"),
+            scan_p50_us: quantile_us(&report.prometheus, "scan_latency_ns", "0.5"),
+            scan_p99_us: quantile_us(&report.prometheus, "scan_latency_ns", "0.99"),
+        };
 
         println!(
             "{name}: {streams} streams x {} snaps, processed={} in {wall_us} us \
-             ({eps:.0} snap/s), dropped={} parked={} blocked={} closed={}",
+             ({eps:.0} snap/s), dropped={} parked={} blocked={} closed={}, \
+             queue wait p50/p99 {:.1}/{:.1} us, scan p50/p99 {:.1}/{:.1} us",
             total / streams,
             report.snapshots,
             report.queue.dropped,
             report.queue.parked,
             report.queue.blocked,
             report.streams.iter().filter(|s| s.closed).count(),
+            latency.queue_wait_p50_us,
+            latency.queue_wait_p99_us,
+            latency.scan_p50_us,
+            latency.scan_p99_us,
         );
         if policy == QueuePolicy::Block {
             assert_eq!(
@@ -161,6 +181,7 @@ fn main() {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: Some(latency),
         }) {
             Ok(Some(p)) => println!("[bench {}]", p.display()),
             Ok(None) => {}

@@ -46,6 +46,7 @@ fn record(name: &str, r: &TrialResult, wall_us: u64, eps: f64) {
         tt_detect_ns: None,
         tt_mitigate_ns: None,
         false_mitigations: None,
+        service_latency: None,
     }) {
         Ok(Some(p)) => println!("[bench {}]", p.display()),
         Ok(None) => {}

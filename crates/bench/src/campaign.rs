@@ -147,6 +147,7 @@ impl Campaign {
             tt_detect_ns: None,
             tt_mitigate_ns: None,
             false_mitigations: None,
+            service_latency: None,
         }) {
             Ok(Some(p)) => println!("[bench {}]", p.display()),
             Ok(None) => {}

@@ -83,7 +83,7 @@ impl LearnedModel {
 
     /// Feed one iteration's observed loads, in order.
     pub fn observe(&mut self, obs: &PortLoads) -> LearnedUpdate {
-        let Some(base) = self.baseline.clone() else {
+        let Some(base) = &self.baseline else {
             self.samples.push(obs.clone());
             if self.samples.len() as u32 >= self.warmup {
                 self.baseline = Some(PortLoads::mean_of(&self.samples));
@@ -96,7 +96,7 @@ impl LearnedModel {
         if max_rel <= self.threshold {
             return LearnedUpdate::Consistent;
         }
-        if self.healing_detection && self.looks_like_heal(&base, obs) {
+        if self.healing_detection && self.looks_like_heal(base, obs) {
             // Restart learning from this healthier state.
             self.rebaselines += 1;
             self.samples.clear();
@@ -147,7 +147,7 @@ impl LearnedModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn loads(vals: &[f64]) -> PortLoads {
@@ -237,6 +237,87 @@ mod tests {
         match m.observe(&loads(&[1000.0, 1000.0])) {
             LearnedUpdate::Deviating { .. } => {}
             u => panic!("expected Deviating, got {u:?}"),
+        }
+    }
+
+    /// `observe` as it was while it still cloned the baseline on every
+    /// call: the reference the borrowing version is held to.
+    fn observe_by_clone(m: &mut LearnedModel, obs: &PortLoads) -> LearnedUpdate {
+        let Some(base) = m.baseline.clone() else {
+            m.samples.push(obs.clone());
+            if m.samples.len() as u32 >= m.warmup {
+                m.baseline = Some(PortLoads::mean_of(&m.samples));
+                m.samples.clear();
+                return LearnedUpdate::BaselineReady;
+            }
+            return LearnedUpdate::Warming;
+        };
+        let max_rel = base.max_rel_dev(obs, m.min_expected);
+        if max_rel <= m.threshold {
+            return LearnedUpdate::Consistent;
+        }
+        if m.healing_detection && m.looks_like_heal(&base, obs) {
+            m.rebaselines += 1;
+            m.samples.clear();
+            m.samples.push(obs.clone());
+            if m.warmup == 1 {
+                m.baseline = Some(obs.clone());
+                m.samples.clear();
+            } else {
+                m.baseline = None;
+            }
+            return LearnedUpdate::Rebalanced;
+        }
+        LearnedUpdate::Deviating { max_rel }
+    }
+
+    /// Port loads that walk a model through every verdict: a fault-time
+    /// shape, the healed shape, noise inside the threshold, new faults.
+    pub(crate) const SHAPES: [[f64; 4]; 7] = [
+        [700.0, 1000.0, 1000.0, 1000.0],
+        [1000.0, 1000.0, 1000.0, 1000.0],
+        [1004.0, 997.0, 1000.0, 1001.0],
+        [940.0, 1000.0, 1000.0, 1030.0],
+        [900.0, 900.0, 900.0, 900.0],
+        [0.0, 1000.0, 1000.0, 1000.0],
+        [1000.0, 1000.0, 0.5, 3.0],
+    ];
+
+    pub(crate) fn shape(k: usize) -> PortLoads {
+        PortLoads {
+            n_leaves: 2,
+            n_vspines: 2,
+            bytes: SHAPES[k].to_vec(),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Borrowing the baseline changed no verdict and no state: heal →
+        /// `Rebalanced` with a one- and a multi-iteration warm-up,
+        /// `force_relearn` at arbitrary points, healing detection off.
+        #[test]
+        fn observe_matches_the_cloning_formulation(
+            warmup in 1u32..4,
+            healing in 0u32..4,
+            steps in collection::vec((0usize..SHAPES.len(), 0u32..12), 1..40),
+        ) {
+            let mut new = LearnedModel::new(warmup, 0.01);
+            new.healing_detection = healing > 0;
+            let mut old = new.clone();
+            for (k, relearn) in steps {
+                if relearn == 0 {
+                    new.force_relearn();
+                    old.force_relearn();
+                }
+                prop_assert_eq!(new.observe(&shape(k)), observe_by_clone(&mut old, &shape(k)));
+                prop_assert_eq!(new.baseline(), old.baseline());
+                prop_assert_eq!(&new.samples, &old.samples);
+                prop_assert_eq!(new.rebaselines, old.rebaselines);
+            }
         }
     }
 

@@ -152,28 +152,33 @@ impl Monitor {
     }
 
     fn evaluate(&mut self, iter: u32, obs: &PortLoads) {
-        match &mut self.model {
+        let devs = match &mut self.model {
             ModelSource::Fixed(expected) => {
-                let expected = expected.clone();
                 self.iter_max_dev
-                    .push((iter, self.detector.max_abs_rel(&expected, obs)));
-                let devs = self.detector.compare(&expected, obs);
-                self.push_alarms(iter, devs);
+                    .push((iter, self.detector.max_abs_rel(expected, obs)));
+                self.detector.compare(expected, obs)
             }
             ModelSource::Learned(lm) => {
-                let baseline_before = lm.baseline().cloned();
-                let verdict = lm.observe(obs);
-                self.learned_events.push((iter, verdict.clone()));
-                if let Some(base) = baseline_before {
+                // Measured against the baseline `obs` is judged by, so
+                // before `observe`, which replaces it on a heal.
+                if let Some(base) = lm.baseline() {
                     self.iter_max_dev
-                        .push((iter, self.detector.max_abs_rel(&base, obs)));
-                    if matches!(verdict, LearnedUpdate::Deviating { .. }) {
-                        let devs = self.detector.compare(&base, obs);
-                        self.push_alarms(iter, devs);
-                    }
+                        .push((iter, self.detector.max_abs_rel(base, obs)));
                 }
+                let verdict = lm.observe(obs);
+                // A deviating verdict leaves the baseline it judged by in
+                // place, so comparing after `observe` reads the same one.
+                let devs = match (&verdict, lm.baseline()) {
+                    (LearnedUpdate::Deviating { .. }, Some(base)) => {
+                        self.detector.compare(base, obs)
+                    }
+                    _ => Vec::new(),
+                };
+                self.learned_events.push((iter, verdict));
+                devs
             }
-        }
+        };
+        self.push_alarms(iter, devs);
     }
 
     fn push_alarms(&mut self, iter: u32, devs: Vec<Deviation>) {
@@ -471,6 +476,80 @@ mod tests {
         m.scan(&store(&[[1000, 1000], [600, 1000], [1000, 1000]]), true);
         assert!(m.alarms.is_empty(), "skipped iteration must not alarm");
         assert_eq!(m.iter_max_dev.len(), 2); // iters 0 and 2
+    }
+
+    /// What `evaluate` derived from one observation while it still cloned
+    /// the baseline before `observe` and the verdict after it: the learned
+    /// event, the max-deviation record and the deviations alarmed on.
+    fn evaluate_by_clone(
+        lm: &mut LearnedModel,
+        detector: &Detector,
+        obs: &PortLoads,
+    ) -> (LearnedUpdate, Option<f64>, Vec<Deviation>) {
+        let baseline_before = lm.baseline().cloned();
+        let verdict = lm.observe(obs);
+        let event = verdict.clone();
+        let mut max_dev = None;
+        let mut devs = Vec::new();
+        if let Some(base) = baseline_before {
+            max_dev = Some(detector.max_abs_rel(&base, obs));
+            if matches!(verdict, LearnedUpdate::Deviating { .. }) {
+                devs = detector.compare(&base, obs);
+            }
+        }
+        (event, max_dev, devs)
+    }
+
+    use crate::learned::tests::{shape, SHAPES};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The clone-free `evaluate` records what the cloning one did, step
+        /// for step: through warm-up, noise, new faults, a heal that
+        /// rebaselines (at once with `warmup` 1, after relearning with
+        /// more) and `rebaseline()` calls in between.
+        #[test]
+        fn evaluate_matches_the_cloning_formulation(
+            warmup in 1u32..4,
+            // The detector's floor need not be the model's.
+            min_expected in 0u32..3,
+            steps in collection::vec((0usize..SHAPES.len(), 0u32..12), 1..40),
+        ) {
+            let detector = Detector {
+                threshold: 0.01,
+                min_expected: [1.0, 0.25, 2000.0][min_expected as usize],
+            };
+            let mut m = Monitor::new_learned(1, detector, warmup);
+            let mut reference = LearnedModel::new(warmup, detector.threshold);
+            let (mut events, mut max_devs, mut alarmed) = (Vec::new(), Vec::new(), Vec::new());
+            for (iter, (k, rebaseline)) in steps.into_iter().enumerate() {
+                let iter = iter as u32;
+                if rebaseline == 0 {
+                    m.rebaseline();
+                    reference.force_relearn();
+                }
+                let obs = shape(k);
+                m.evaluate(iter, &obs);
+                let (event, max_dev, devs) = evaluate_by_clone(&mut reference, &detector, &obs);
+                events.push((iter, event));
+                max_devs.extend(max_dev.map(|d| (iter, d)));
+                alarmed.extend(devs.into_iter().map(|d| (iter, d)));
+
+                prop_assert_eq!(&m.learned_events, &events);
+                prop_assert_eq!(&m.iter_max_dev, &max_devs);
+                // `compare` lists ports leaf by leaf, the order alarms are
+                // grouped in.
+                let raised: Vec<(u32, Deviation)> = m
+                    .alarms
+                    .iter()
+                    .flat_map(|a| a.deviations.iter().map(|&d| (a.iter, d)))
+                    .collect();
+                prop_assert_eq!(&raised, &alarmed);
+                prop_assert_eq!(m.learned().unwrap().baseline(), reference.baseline());
+            }
+        }
     }
 
     #[test]

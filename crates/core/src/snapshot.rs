@@ -27,7 +27,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One job-iteration's counters from one fabric, as shipped to the
 /// monitor service (in-process channel or newline-delimited JSON).
-#[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize, Debug)]
 pub struct CounterSnapshot {
     /// Stream identity: which fabric produced this snapshot. The trial
     /// harness leaves this empty; feeds ([`crate::eval::monitord_feed`])
@@ -164,16 +164,17 @@ impl OpenWindow {
         }
     }
 
-    /// Forget every iteration below `iter`. Called with
+    /// Forget every iteration below `iter`, moving its cell buffer onto
+    /// `spent` for the caller to reuse or drop. Called with
     /// [`Monitor::next_iter`](crate::monitor::Monitor::next_iter) after
     /// every scan, this also discards a late snapshot of an iteration
     /// already evaluated.
-    pub fn evict_below(&mut self, iter: u32) {
+    pub fn evict_below(&mut self, iter: u32, spent: &mut Vec<Vec<u64>>) {
         while let Some(e) = self.open.first_entry() {
             if *e.key() >= iter {
                 break;
             }
-            e.remove();
+            spent.push(e.remove());
         }
     }
 

@@ -85,7 +85,7 @@ proptest! {
 
             st.window.record(snap.iter, snap.bytes);
             st.online.scan(&st.window, snap.last);
-            st.window.evict_below(st.online.next_iter());
+            st.window.evict_below(st.online.next_iter(), &mut Vec::new());
 
             prop_assert_eq!(&st.online.alarms, &st.offline.alarms, "step {}", step);
             prop_assert_eq!(&st.online.iter_max_dev, &st.offline.iter_max_dev, "step {}", step);

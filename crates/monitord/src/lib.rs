@@ -9,7 +9,9 @@
 //!
 //! * **Ingest** ([`queue`]) — a bounded queue with explicit, counted
 //!   backpressure: [`QueuePolicy::Drop`] / [`Park`](QueuePolicy::Park) /
-//!   [`Block`](QueuePolicy::Block).
+//!   [`Block`](QueuePolicy::Block), and a return lane that carries
+//!   processed snapshots back to the decoder, so that in steady state no
+//!   heap block is allocated on one thread and freed on the other.
 //! * **Process** ([`service`]) — one worker batches snapshots off the
 //!   queue and demultiplexes them onto per-`(fabric, job)` stream state:
 //!   a window of the iterations not evaluated yet plus an
@@ -19,7 +21,9 @@
 //!   offline monitor over the same snapshot sequence.
 //! * **Transport** ([`wire`]) — in-process [`IngestHandle::push`], or
 //!   newline-delimited JSON over any `BufRead` (stdin, pipes) and a
-//!   Unix-domain socket listener; canonical lines are decoded in place.
+//!   Unix-domain socket listener; canonical lines are decoded in place,
+//!   undecodable ones (bad UTF-8 included) are counted and skipped, and a
+//!   failed connection ends only itself.
 //! * **Self-observability** ([`metrics`]) — counters, gauges and
 //!   log-bucketed histograms (ingest rate, queue depth, batch sizes,
 //!   scan/verdict latencies, drops) exported as periodic `metrics.jsonl`

@@ -20,7 +20,7 @@
 //!
 //! [`CounterSnapshot`]: flowpulse::snapshot::CounterSnapshot
 
-use fp_monitord::{feed_lines, Monitord, QueuePolicy, ServiceConfig};
+use fp_monitord::{feed_lines, Monitord, QueuePolicy, ServiceConfig, WireStats};
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -56,7 +56,7 @@ fn main() {
     let svc = Monitord::spawn(cfg);
     let handle = svc.handle();
 
-    let stats = match std::env::var("FP_MONITORD_SOCK") {
+    let fed = match std::env::var("FP_MONITORD_SOCK") {
         Ok(path) if !path.is_empty() => {
             let _ = std::fs::remove_file(&path);
             let listener =
@@ -65,10 +65,17 @@ fn main() {
             let max = std::env::var("FP_MONITORD_CONNS")
                 .ok()
                 .and_then(|v| v.parse().ok());
-            fp_monitord::serve_unix(&listener, &handle, max).expect("serve socket")
+            fp_monitord::serve_unix(&listener, &handle, max)
         }
-        _ => feed_lines(std::io::stdin().lock(), &handle).expect("read stdin"),
+        _ => feed_lines(std::io::stdin().lock(), &handle),
     };
+    // Input that fails ends the run, not the report: every stream's
+    // verdicts so far are still printed, then the exit status says so.
+    let input_failed = fed.is_err();
+    let stats = fed.unwrap_or_else(|e| {
+        eprintln!("fp-monitord: input failed, wire counts are lost: {e}");
+        WireStats::default()
+    });
 
     let report = svc.shutdown();
     println!(
@@ -106,4 +113,7 @@ fn main() {
         );
     }
     println!("\n{}", report.prometheus);
+    if input_failed {
+        std::process::exit(1);
+    }
 }

@@ -10,6 +10,14 @@
 //! count is non-zero: std's `notify_*` is a futex syscall whether or not
 //! anyone waits, and a worker that keeps up would otherwise pay one per
 //! snapshot.
+//!
+//! Under the same mutex runs a **return lane** in the other direction:
+//! the worker deposits the snapshots it is done with, and a decoding
+//! producer ([`crate::wire::feed_lines`]) takes a few back to decode the
+//! next lines into. A snapshot's cell buffer and fabric id are heap
+//! blocks; allocated by the producer and freed by the worker, every one
+//! of them would take the allocator's per-arena lock on both threads and
+//! the two stages would run one after the other instead of side by side.
 
 use flowpulse::snapshot::CounterSnapshot;
 use std::collections::VecDeque;
@@ -57,6 +65,9 @@ impl QueuePolicy {
 /// How long a parked producer sleeps between capacity re-checks.
 const PARK_BACKOFF: Duration = Duration::from_micros(200);
 
+/// Spent snapshots a producer takes off the return lane at a time.
+const WITHDRAW: usize = 16;
+
 /// One queued snapshot, stamped at enqueue so the service can report
 /// queue-wait latency.
 pub(crate) struct Item {
@@ -66,6 +77,9 @@ pub(crate) struct Item {
 
 struct State {
     q: VecDeque<Item>,
+    /// The return lane: processed snapshots, kept for the heap blocks
+    /// they own. Never more than `cap`.
+    spare: Vec<CounterSnapshot>,
     closed: bool,
     /// Consumers parked on `not_empty`.
     pop_waiting: usize,
@@ -111,6 +125,7 @@ impl IngestQueue {
         IngestQueue {
             state: Mutex::new(State {
                 q: VecDeque::with_capacity(cap.min(4096)),
+                spare: Vec::new(),
                 closed: false,
                 pop_waiting: 0,
                 push_waiting: 0,
@@ -136,14 +151,27 @@ impl IngestQueue {
     /// the drop policy, or the queue is closed); `Park`/`Block` producers
     /// only ever see `false` after [`close`](Self::close).
     pub fn push(&self, snap: CounterSnapshot) -> bool {
+        self.offer(snap, None)
+    }
+
+    /// [`push`](Self::push) for a producer that decodes into recycled
+    /// snapshots: a rejected `snap` goes back onto `stash`, and an empty
+    /// `stash` is refilled from the return lane under the lock the push
+    /// holds anyway.
+    pub(crate) fn push_recycling(
+        &self,
+        snap: CounterSnapshot,
+        stash: &mut Vec<CounterSnapshot>,
+    ) -> bool {
+        self.offer(snap, Some(stash))
+    }
+
+    fn offer(&self, snap: CounterSnapshot, stash: Option<&mut Vec<CounterSnapshot>>) -> bool {
         self.offered.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock().unwrap();
         if st.q.len() >= self.cap && !st.closed {
             match self.policy {
-                QueuePolicy::Drop => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
+                QueuePolicy::Drop => {}
                 QueuePolicy::Block => {
                     self.blocked.fetch_add(1, Ordering::Relaxed);
                     st.push_waiting += 1;
@@ -162,8 +190,13 @@ impl IngestQueue {
                 }
             }
         }
-        if st.closed {
+        // Still full only under the drop policy: the others waited.
+        if st.closed || st.q.len() >= self.cap {
+            drop(st);
             self.dropped.fetch_add(1, Ordering::Relaxed);
+            if let Some(stash) = stash {
+                stash.push(snap);
+            }
             return false;
         }
         st.q.push_back(Item {
@@ -171,6 +204,10 @@ impl IngestQueue {
             snap,
         });
         self.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Some(stash) = stash.filter(|s| s.is_empty()) {
+            let keep = st.spare.len().saturating_sub(WITHDRAW);
+            stash.extend(st.spare.drain(keep..));
+        }
         // Read under the lock: a consumer bumps `pop_waiting` before its
         // wait releases the mutex, so it is either counted here or will
         // see this item when it takes the lock.
@@ -185,8 +222,17 @@ impl IngestQueue {
     /// Take up to `max` snapshots, blocking while the queue is empty and
     /// open. Returns the batch plus the depth left behind, or `None` once
     /// the queue is closed *and* drained — the worker's shutdown signal.
-    pub(crate) fn pop_batch(&self, max: usize) -> Option<(Vec<Item>, usize)> {
+    /// `spent` — the snapshots the worker finished since its last call —
+    /// is emptied onto the return lane first; what the lane has no room
+    /// for is freed.
+    pub(crate) fn pop_batch(
+        &self,
+        max: usize,
+        spent: &mut Vec<CounterSnapshot>,
+    ) -> Option<(Vec<Item>, usize)> {
         let mut st = self.state.lock().unwrap();
+        let room = self.cap - st.spare.len();
+        st.spare.extend(spent.drain(..room.min(spent.len())));
         if st.q.is_empty() && !st.closed {
             st.pop_waiting += 1;
             while st.q.is_empty() && !st.closed {
@@ -205,6 +251,7 @@ impl IngestQueue {
         if wake {
             self.not_full.notify_all();
         }
+        spent.clear();
         Some((batch, depth))
     }
 
@@ -219,6 +266,12 @@ impl IngestQueue {
     /// Snapshots currently enqueued.
     pub fn depth(&self) -> usize {
         self.state.lock().unwrap().q.len()
+    }
+
+    /// Spent snapshots waiting on the return lane (at most the queue's
+    /// capacity).
+    pub fn spare_buffers(&self) -> usize {
+        self.state.lock().unwrap().spare.len()
     }
 
     /// Current backpressure counters.
@@ -269,7 +322,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = 0u64;
-                while let Some((batch, _)) = q.pop_batch(1) {
+                while let Some((batch, _)) = q.pop_batch(1, &mut Vec::new()) {
                     seen += batch.len() as u64;
                     std::thread::sleep(Duration::from_micros(50));
                 }
@@ -293,7 +346,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = 0u64;
-                while let Some((batch, _)) = q.pop_batch(8) {
+                while let Some((batch, _)) = q.pop_batch(8, &mut Vec::new()) {
                     seen += batch.len() as u64;
                     std::thread::sleep(Duration::from_micros(300));
                 }
@@ -326,7 +379,8 @@ mod tests {
                         let consumer = s.spawn(|| {
                             let mut seen = 0u64;
                             let mut batches = 0u64;
-                            while let Some((batch, depth)) = q.pop_batch(batch_max) {
+                            while let Some((batch, depth)) = q.pop_batch(batch_max, &mut Vec::new())
+                            {
                                 assert!(!batch.is_empty() && batch.len() <= batch_max);
                                 assert!(depth <= cap);
                                 seen += batch.len() as u64;
@@ -369,6 +423,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn return_lane_is_bounded_and_feeds_an_empty_stash() {
+        let q = IngestQueue::new(2, QueuePolicy::Drop);
+        let mut stash = Vec::new();
+        assert!(q.push_recycling(snap(0), &mut stash));
+        assert!(stash.is_empty(), "nothing has come back yet");
+        // The worker hands back three; the lane keeps `cap` of them.
+        let mut spent = vec![snap(10), snap(11), snap(12)];
+        let (batch, _) = q.pop_batch(8, &mut spent).unwrap();
+        assert_eq!(batch.len(), 1);
+        assert!(spent.is_empty());
+        assert_eq!(q.spare_buffers(), 2);
+        // A push with an empty stash withdraws them, a plain push does not.
+        assert!(q.push(snap(1)));
+        assert_eq!(q.spare_buffers(), 2);
+        assert!(q.push_recycling(snap(2), &mut stash));
+        assert_eq!(stash.iter().map(|s| s.iter).collect::<Vec<_>>(), [10, 11]);
+        assert_eq!(q.spare_buffers(), 0);
+        // Full under `drop`: the rejected snapshot lands on the stash whole.
+        let mut big = snap(3);
+        big.bytes = Vec::with_capacity(128);
+        big.bytes.push(7);
+        assert!(!q.push_recycling(big, &mut stash));
+        let back = stash.last().unwrap();
+        assert_eq!((back.iter, back.bytes.capacity()), (3, 128));
+        // So is one pushed after close.
+        q.close();
+        assert!(!q.push_recycling(snap(4), &mut stash));
+        assert_eq!(stash.last().unwrap().iter, 4);
+        assert_eq!(q.stats().dropped, 2);
     }
 
     #[test]

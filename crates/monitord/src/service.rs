@@ -1,7 +1,7 @@
 //! The monitor service: one worker thread, many streams.
 //!
 //! Ingested [`CounterSnapshot`]s are batched off the bounded queue and
-//! demultiplexed onto per-stream state keyed by `(fabric, job)`. Each
+//! demultiplexed onto per-stream state keyed by fabric, then job. Each
 //! stream keeps an [`OpenWindow`] — the cells of the iterations its
 //! monitor has not evaluated yet, nothing older — and drives a learned
 //! [`Monitor`] over it incrementally — `scan(…, false)` per snapshot,
@@ -11,7 +11,10 @@
 //! (`Monitor::scan` only ever evaluates closed iterations and never
 //! looks back, so neither the split points nor the eviction can
 //! matter). On close, the ring localizer correlates the stream's
-//! shortfall alarms into cable verdicts.
+//! shortfall alarms into cable verdicts. A processed snapshot goes back
+//! to its producer over the queue's return lane, carrying its fabric id
+//! and the cell buffer its stream's window just evicted, so that the
+//! worker frees nothing a decoder allocated.
 //!
 //! Processing stays single-threaded by design: stream state needs no
 //! locks, batch boundaries are the only scheduling unit, and per-stream
@@ -138,8 +141,12 @@ impl StreamState {
     }
 }
 
+/// Stream state by fabric, then job: a snapshot finds its stream through
+/// `&str`, leaving its own fabric `String` whole for the return lane.
+type Streams = BTreeMap<String, BTreeMap<u32, StreamState>>;
+
 struct WorkerOut {
-    streams: BTreeMap<(String, u32), StreamState>,
+    streams: Streams,
     metrics: MetricsRegistry,
     batches: u64,
     snapshots: u64,
@@ -155,7 +162,7 @@ pub struct Monitord {
 
 /// Cloneable, thread-safe push handle into a running service.
 #[derive(Clone)]
-pub struct IngestHandle(Arc<IngestQueue>);
+pub struct IngestHandle(pub(crate) Arc<IngestQueue>);
 
 impl IngestHandle {
     /// Offer one snapshot; see [`IngestQueue::push`] for the policy
@@ -167,6 +174,12 @@ impl IngestHandle {
     /// Current queue depth (snapshots waiting).
     pub fn depth(&self) -> usize {
         self.0.depth()
+    }
+
+    /// Processed snapshots waiting on the return lane; see
+    /// [`IngestQueue::spare_buffers`].
+    pub fn spare_buffers(&self) -> usize {
+        self.0.spare_buffers()
     }
 }
 
@@ -196,20 +209,21 @@ impl Monitord {
     pub fn shutdown(self) -> ServiceReport {
         self.queue.close();
         let mut out = self.worker.join().expect("monitord worker panicked");
-        let queue = self.queue.stats();
-        mirror_queue(&mut out.metrics, &queue);
+        let queue = mirror_queue(&mut out.metrics, &self.queue);
         let metrics_final = emit_metrics(&mut out.metrics, None);
         let prometheus = out.metrics.prometheus_text();
         let streams = out
             .streams
             .into_iter()
-            .map(|((fabric, job), s)| StreamReport {
-                fabric,
-                job,
-                snapshots: s.snapshots,
-                closed: s.closed,
-                alarms: s.monitor.alarms,
-                localization: s.localization,
+            .flat_map(|(fabric, jobs)| {
+                jobs.into_iter().map(move |(job, s)| StreamReport {
+                    fabric: fabric.clone(),
+                    job,
+                    snapshots: s.snapshots,
+                    closed: s.closed,
+                    alarms: s.monitor.alarms,
+                    localization: s.localization,
+                })
             })
             .collect();
         ServiceReport {
@@ -241,6 +255,7 @@ const GAUGES: &[&str] = &[
     "streams_active",
     "ingest_per_sec",
     "open_iters",
+    "spare_buffers",
 ];
 const HISTOGRAMS: &[&str] = &[
     "batch_size",
@@ -262,19 +277,25 @@ fn register_schema(m: &mut MetricsRegistry) {
     }
 }
 
-fn mirror_queue(m: &mut MetricsRegistry, q: &QueueStats) {
+/// Copy the queue's own accounting into the registry; returns the
+/// counters read.
+fn mirror_queue(m: &mut MetricsRegistry, queue: &IngestQueue) -> QueueStats {
+    let q = queue.stats();
     m.set_counter("ingest_offered", q.offered);
     m.set_counter("ingest_accepted", q.accepted);
     m.set_counter("ingest_dropped", q.dropped);
     m.set_counter("ingest_parked", q.parked);
     m.set_counter("ingest_blocked", q.blocked);
     m.set_gauge("ingest_per_sec", q.accepted as f64 / m.uptime_secs());
+    m.set_gauge("spare_buffers", queue.spare_buffers() as f64);
+    q
 }
 
 /// The largest open-iteration window across streams: 1–2 on a healthy
 /// stream, growing only behind a gap the scan is stalled at.
-fn set_open_iters(m: &mut MetricsRegistry, streams: &BTreeMap<(String, u32), StreamState>) {
-    let widest = streams.values().map(|s| s.window.len()).max().unwrap_or(0);
+fn set_open_iters(m: &mut MetricsRegistry, streams: &Streams) {
+    let windows = streams.values().flat_map(BTreeMap::values);
+    let widest = windows.map(|s| s.window.len()).max().unwrap_or(0);
     m.set_gauge("open_iters", widest as f64);
 }
 
@@ -293,9 +314,13 @@ fn emit_metrics(m: &mut MetricsRegistry, sink: Option<&mut std::fs::File>) -> St
 fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
     let mut metrics = MetricsRegistry::new();
     register_schema(&mut metrics);
-    let mut streams: BTreeMap<(String, u32), StreamState> = BTreeMap::new();
+    let mut streams = Streams::new();
+    let mut streams_active = 0u64;
     let mut batches = 0u64;
     let mut snapshots = 0u64;
+    // Processed snapshots, handed to the return lane with the next pop.
+    let mut spent = Vec::new();
+    let mut evicted = Vec::new();
     let mut sink = cfg.metrics_path.as_ref().map(|p| {
         if let Some(dir) = p.parent() {
             std::fs::create_dir_all(dir).ok();
@@ -303,7 +328,7 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
         std::fs::File::create(p).expect("create metrics.jsonl")
     });
 
-    while let Some((batch, depth_after)) = queue.pop_batch(cfg.batch_max) {
+    while let Some((batch, depth_after)) = queue.pop_batch(cfg.batch_max, &mut spent) {
         metrics.observe("batch_size", batch.len() as u64);
         metrics.observe("queue_depth_at_batch", depth_after as u64);
         metrics.set_gauge("queue_depth", depth_after as f64);
@@ -314,19 +339,36 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 item.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
             let mut snap = item.snap;
-            let key = (std::mem::take(&mut snap.fabric), snap.job);
-            let state = streams
-                .entry(key)
-                .or_insert_with(|| StreamState::new(&snap, cfg));
+            let jobs = match streams.get_mut(snap.fabric.as_str()) {
+                Some(jobs) => jobs,
+                None => streams.entry(snap.fabric.clone()).or_default(),
+            };
+            let state = jobs.entry(snap.job).or_insert_with(|| {
+                streams_active += 1;
+                StreamState::new(&snap, cfg)
+            });
             if !state.shape_matches(&snap) {
                 metrics.inc("shape_errors", 1);
+                spent.push(snap);
                 continue;
             }
             let t0 = Instant::now();
             let alarms_before = state.monitor.alarms.len();
-            state.window.record(snap.iter, snap.bytes);
+            state
+                .window
+                .record(snap.iter, std::mem::take(&mut snap.bytes));
             state.monitor.scan(&state.window, snap.last);
-            state.window.evict_below(state.monitor.next_iter());
+            // Nothing here reads the per-iteration diagnostics; left
+            // alone they grow by an entry per snapshot for good.
+            state.monitor.iter_max_dev.clear();
+            state.monitor.learned_events.clear();
+            // One evicted buffer rides back in place of the one the window
+            // kept; a flush or a closed gap evicts more, freed here.
+            state
+                .window
+                .evict_below(state.monitor.next_iter(), &mut evicted);
+            snap.bytes = evicted.pop().unwrap_or_default();
+            evicted.clear();
             metrics.observe("scan_latency_ns", t0.elapsed().as_nanos() as u64);
             metrics.inc("snapshots_processed", 1);
             metrics.inc(
@@ -346,18 +388,19 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 state.closed = true;
                 metrics.inc("streams_closed", 1);
             }
+            spent.push(snap);
         }
         batches += 1;
-        metrics.set_gauge("streams_active", streams.len() as f64);
+        metrics.set_gauge("streams_active", streams_active as f64);
         if cfg.metrics_every_batches > 0 && batches.is_multiple_of(cfg.metrics_every_batches) {
             set_open_iters(&mut metrics, &streams);
-            mirror_queue(&mut metrics, &queue.stats());
+            mirror_queue(&mut metrics, queue);
             emit_metrics(&mut metrics, sink.as_mut());
         }
     }
     // Final line so short runs still leave a complete metrics.jsonl.
     set_open_iters(&mut metrics, &streams);
-    mirror_queue(&mut metrics, &queue.stats());
+    mirror_queue(&mut metrics, queue);
     emit_metrics(&mut metrics, sink.as_mut());
     WorkerOut {
         streams,
@@ -472,6 +515,29 @@ mod tests {
                 assert!(s.alarms.is_empty() && s.localization.is_none());
             }
         }
+    }
+
+    #[test]
+    fn long_stream_retains_no_per_iteration_diagnostics() {
+        let cfg = ServiceConfig::default();
+        let snaps = stream("f", 10_000, true);
+        let svc = Monitord::spawn(cfg.clone());
+        let handle = svc.handle();
+        for s in &snaps {
+            assert!(handle.push(s.clone()));
+        }
+        // `shutdown` by hand, to look at the monitor the report drops.
+        svc.queue.close();
+        let mut out = svc.worker.join().unwrap();
+        let state = out.streams.get_mut("f").and_then(|jobs| jobs.remove(&1));
+        let state = state.expect("the stream exists");
+        assert!(state.monitor.iter_max_dev.is_empty());
+        assert!(state.monitor.learned_events.is_empty());
+        // What is reported is what it was: every alarm, in order.
+        assert_eq!((state.snapshots, state.closed), (10_000, true));
+        assert_eq!(state.monitor.alarms, offline_alarms(&snaps, &cfg));
+        assert_eq!(state.monitor.alarms.len(), 2 * 9_998);
+        assert_eq!(state.localization.unwrap().cables, vec![(1, 0)]);
     }
 
     #[test]

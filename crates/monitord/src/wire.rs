@@ -2,14 +2,18 @@
 //!
 //! [`feed_lines`] pumps any `BufRead` (stdin, a pipe, a socket stream)
 //! into a service's [`IngestHandle`]; [`serve_unix`] accepts connections
-//! on a Unix-domain socket and pumps each one. Malformed lines are
-//! counted and skipped rather than killing the stream — a service that
-//! dies on one bad producer line is not a service.
+//! on a Unix-domain socket and pumps each one. Malformed lines — bytes
+//! that are not UTF-8 included — are counted and skipped rather than
+//! killing the stream, and a connection that fails mid-read ends that
+//! connection only: a service that dies on one bad producer line is not
+//! a service.
 //!
 //! [`decode_line`] scans a line of the exact shape [`snapshot_line`]
 //! emits in place, without building a `Value` tree, and hands every other
 //! input to `serde_json::from_str` unchanged — so which lines are
-//! accepted, and as what, stays `serde_json`'s decision.
+//! accepted, and as what, stays `serde_json`'s decision. [`feed_lines`]
+//! scans into snapshots the service has finished with (the queue's
+//! return lane), so a steady feed allocates nothing per line.
 
 use crate::service::IngestHandle;
 use flowpulse::snapshot::CounterSnapshot;
@@ -35,8 +39,9 @@ pub fn snapshot_line(s: &CounterSnapshot) -> String {
 /// or an `Err` exactly when `serde_json::from_str::<CounterSnapshot>`
 /// gives one.
 pub fn decode_line(line: &str) -> Result<CounterSnapshot, serde_json::Error> {
-    match scan_canonical(line) {
-        Some(snap) => Ok(snap),
+    let mut snap = CounterSnapshot::default();
+    match scan_canonical(line, &mut snap) {
+        Some(()) => Ok(snap),
         None => serde_json::from_str(line),
     }
 }
@@ -92,28 +97,33 @@ impl<'a> Scan<'a> {
 /// Scan a line of exactly the shape [`snapshot_line`] emits: keys in
 /// declaration order, no whitespace, plain decimal integers, a fabric id
 /// without escapes. `None` means "not that shape", never "malformed".
-fn scan_canonical(line: &str) -> Option<CounterSnapshot> {
+///
+/// Every field of `into` is overwritten, reusing the capacity its
+/// `fabric` and `bytes` bring; after a `None` it holds leftovers.
+fn scan_canonical(line: &str, into: &mut CounterSnapshot) -> Option<()> {
     let mut s = Scan(line);
     s.lit("{\"fabric\":\"")?;
     let fabric = s.plain_str()?;
     s.lit(",\"job\":")?;
-    let job = s.uint32()?;
+    into.job = s.uint32()?;
     s.lit(",\"iter\":")?;
-    let iter = s.uint32()?;
+    into.iter = s.uint32()?;
     s.lit(",\"n_leaves\":")?;
-    let n_leaves = s.uint32()?;
+    into.n_leaves = s.uint32()?;
     s.lit(",\"n_vspines\":")?;
-    let n_vspines = s.uint32()?;
+    into.n_vspines = s.uint32()?;
     s.lit(",\"t_ns\":")?;
-    let t_ns = s.uint()?;
+    into.t_ns = s.uint()?;
     s.lit(",\"bytes\":[")?;
     // Every cell takes at least two bytes of the line, which bounds the
     // allocation by the input whatever the dimensions claim.
-    let cells = (u64::from(n_leaves) * u64::from(n_vspines)).min(s.0.len() as u64 / 2 + 1);
-    let mut bytes = Vec::with_capacity(cells as usize);
+    let cells =
+        (u64::from(into.n_leaves) * u64::from(into.n_vspines)).min(s.0.len() as u64 / 2 + 1);
+    into.bytes.clear();
+    into.bytes.reserve(cells as usize);
     if s.lit("]").is_none() {
         loop {
-            bytes.push(s.uint()?);
+            into.bytes.push(s.uint()?);
             if s.lit(",").is_none() {
                 s.lit("]")?;
                 break;
@@ -121,77 +131,109 @@ fn scan_canonical(line: &str) -> Option<CounterSnapshot> {
         }
     }
     s.lit(",\"last\":")?;
-    let last = if s.lit("true").is_some() {
+    into.last = if s.lit("true").is_some() {
         true
     } else {
         s.lit("false")?;
         false
     };
     s.lit("}")?;
-    s.0.is_empty().then(|| CounterSnapshot {
-        fabric: fabric.to_owned(),
-        job,
-        iter,
-        n_leaves,
-        n_vspines,
-        t_ns,
-        bytes,
-        last,
-    })
+    if !s.0.is_empty() {
+        return None;
+    }
+    into.fabric.clear();
+    into.fabric.push_str(fabric);
+    Some(())
 }
 
 /// Pump newline-delimited snapshots from `reader` into `handle` until
-/// EOF. Empty lines are ignored; malformed lines are counted and logged
-/// to stderr (first few only).
-pub fn feed_lines<R: BufRead>(mut reader: R, handle: &IngestHandle) -> std::io::Result<WireStats> {
+/// EOF. Empty lines are ignored; malformed lines (not a snapshot, not
+/// UTF-8, cut short by EOF) are counted and logged to stderr (first few
+/// only). `Err` is a failed read, never a bad line.
+pub fn feed_lines<R: BufRead>(reader: R, handle: &IngestHandle) -> std::io::Result<WireStats> {
     let mut stats = WireStats::default();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        stats.lines += 1;
-        match decode_line(t) {
-            Ok(snap) => {
-                if !handle.push(snap) {
-                    stats.rejected += 1;
-                }
-            }
-            Err(e) => {
-                stats.malformed += 1;
-                if stats.malformed <= 3 {
-                    eprintln!("fp-monitord: skipping malformed line: {e}");
-                }
-            }
-        }
-    }
+    pump(reader, handle, &mut stats)?;
     Ok(stats)
+}
+
+/// [`feed_lines`] onto running totals, which keep what was counted before
+/// a failed read.
+fn pump<R: BufRead>(
+    mut reader: R,
+    handle: &IngestHandle,
+    stats: &mut WireStats,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    // Snapshots the service is done with, to decode the next lines into.
+    let mut stash = Vec::new();
+    while reader.read_until(b'\n', &mut line)? > 0 {
+        let text = std::str::from_utf8(&line).map(str::trim);
+        if text != Ok("") {
+            stats.lines += 1;
+            let decoded = text
+                .map_err(|e| e.to_string())
+                .and_then(|t| decode_recycling(t, &mut stash).map_err(|e| e.to_string()));
+            match decoded {
+                Ok(snap) => {
+                    if !handle.0.push_recycling(snap, &mut stash) {
+                        stats.rejected += 1;
+                    }
+                }
+                Err(e) => {
+                    stats.malformed += 1;
+                    if stats.malformed <= 3 {
+                        eprintln!("fp-monitord: skipping malformed line: {e}");
+                    }
+                }
+            }
+        }
+        line.clear();
+    }
+    Ok(())
+}
+
+/// [`decode_line`] into a snapshot off `stash` when it has one.
+fn decode_recycling(
+    line: &str,
+    stash: &mut Vec<CounterSnapshot>,
+) -> Result<CounterSnapshot, serde_json::Error> {
+    let mut snap = stash.pop().unwrap_or_default();
+    if scan_canonical(line, &mut snap).is_some() {
+        return Ok(snap);
+    }
+    stash.push(snap);
+    serde_json::from_str(line)
 }
 
 /// Accept connections on a Unix-domain socket and pump each one through
 /// [`feed_lines`]. Connections are served sequentially — producers that
 /// need concurrency multiplex snapshots onto one connection (lines are
 /// self-describing, so interleaving streams on a single pipe is the
-/// normal case). Stops after `max_conns` connections when given (tests,
-/// bounded demos); serves forever otherwise.
+/// normal case). A connection whose read fails is logged and dropped,
+/// keeping what it delivered; `Err` means the listener itself failed.
+/// Stops after `max_conns` connections when given (tests, bounded demos);
+/// serves forever otherwise.
 #[cfg(unix)]
 pub fn serve_unix(
     listener: &std::os::unix::net::UnixListener,
     handle: &IngestHandle,
     max_conns: Option<u64>,
 ) -> std::io::Result<WireStats> {
+    serve_conns(listener.incoming(), handle, max_conns)
+}
+
+/// [`serve_unix`] over any source of connections.
+#[cfg(any(unix, test))]
+fn serve_conns<C: std::io::Read>(
+    conns: impl Iterator<Item = std::io::Result<C>>,
+    handle: &IngestHandle,
+    max_conns: Option<u64>,
+) -> std::io::Result<WireStats> {
     let mut total = WireStats::default();
-    for (served, conn) in listener.incoming().enumerate() {
-        let conn = conn?;
-        let s = feed_lines(std::io::BufReader::new(conn), handle)?;
-        total.lines += s.lines;
-        total.malformed += s.malformed;
-        total.rejected += s.rejected;
+    for (served, conn) in conns.enumerate() {
+        if let Err(e) = pump(std::io::BufReader::new(conn?), handle, &mut total) {
+            eprintln!("fp-monitord: connection {served} dropped: {e}");
+        }
         if max_conns.is_some_and(|m| served as u64 + 1 >= m) {
             break;
         }
@@ -239,6 +281,78 @@ mod tests {
         assert_eq!(report.streams[0].fabric, "pipe-0");
         assert_eq!(report.streams[0].snapshots, 3);
         assert_eq!(report.streams[0].alarms.len(), 1, "iter-2 dip must alarm");
+    }
+
+    #[test]
+    fn bad_bytes_and_a_cut_line_are_counted_not_fatal() {
+        let svc = Monitord::spawn(ServiceConfig::default());
+        let lines: Vec<String> = snaps("pipe-0").iter().map(snapshot_line).collect();
+        let mut wire = Vec::new();
+        wire.extend_from_slice(lines[0].as_bytes());
+        wire.extend_from_slice(b"\n\xff\xfe garbage\n");
+        wire.extend_from_slice(lines[1].as_bytes());
+        wire.push(b'\n');
+        wire.extend_from_slice(lines[2].as_bytes());
+        wire.push(b'\n');
+        // A producer that died mid-line: no closing brace, no newline.
+        wire.extend_from_slice(&lines[0].as_bytes()[..lines[0].len() / 2]);
+        let stats = feed_lines(&wire[..], &svc.handle()).unwrap();
+        assert_eq!((stats.lines, stats.malformed, stats.rejected), (5, 2, 0));
+        let report = svc.shutdown();
+        assert_eq!(report.streams[0].snapshots, 3);
+        assert!(report.streams[0].closed);
+        assert_eq!(report.streams[0].alarms.len(), 1, "iter-2 dip must alarm");
+    }
+
+    /// Serves `data`, then fails like a peer that went away.
+    struct ResetAfter<'a>(&'a [u8]);
+
+    impl std::io::Read for ResetAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::ConnectionReset.into());
+            }
+            let n = self.0.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reset_connection_does_not_stop_the_next_one() {
+        let svc = Monitord::spawn(ServiceConfig::default());
+        let mut broken = Vec::new();
+        let mut healthy = Vec::new();
+        for (a, b) in snaps("sock-a").iter().zip(&snaps("sock-b")) {
+            broken.extend_from_slice(snapshot_line(a).as_bytes());
+            broken.push(b'\n');
+            healthy.extend_from_slice(snapshot_line(b).as_bytes());
+            healthy.push(b'\n');
+        }
+        // Two whole lines and half of the third, then the reset.
+        let cut = broken.len() - 20;
+        let conns = vec![
+            Ok(ResetAfter(&broken[..cut])),
+            Ok(ResetAfter(&healthy)),
+            Err(std::io::ErrorKind::Other.into()),
+        ];
+        // Both connections end in an error; the listener's own does not
+        // arrive because `max_conns` stops the loop first.
+        let stats = serve_conns(conns.into_iter(), &svc.handle(), Some(2)).unwrap();
+        assert_eq!((stats.lines, stats.malformed, stats.rejected), (5, 0, 0));
+        let report = svc.shutdown();
+        let seen: Vec<(&str, u32, bool)> = report
+            .streams
+            .iter()
+            .map(|s| (s.fabric.as_str(), s.snapshots, s.closed))
+            .collect();
+        assert_eq!(seen, [("sock-a", 2, false), ("sock-b", 3, true)]);
+
+        let failing = vec![Err::<ResetAfter<'_>, _>(std::io::ErrorKind::Other.into())];
+        let idle = Monitord::spawn(ServiceConfig::default());
+        assert!(serve_conns(failing.into_iter(), &idle.handle(), None).is_err());
+        idle.shutdown();
     }
 
     /// `decode_line` and `serde_json` give the same value or both refuse.
@@ -332,7 +446,8 @@ mod tests {
             let line = snapshot_line(&snap);
             prop_assert_eq!(decode_line(&line).map_err(|e| e.to_string()), Ok(snap.clone()));
             let plain = !snap.fabric.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20);
-            prop_assert_eq!(scan_canonical(&line).is_some(), plain, "{}", line);
+            let mut scanned = CounterSnapshot::default();
+            prop_assert_eq!(scan_canonical(&line, &mut scanned).is_some(), plain, "{}", line);
 
             let (kind, field, number, at) = mutation;
             let at = at % (line.len() + 1);
@@ -407,6 +522,186 @@ mod tests {
                 }
             };
             agree(&mutated)?;
+        }
+    }
+
+    /// One stream of the lane differential: a 2×2 fabric whose port 0 sags
+    /// by `sag` % from `onset` on. Fabric ids differ in length and cells in
+    /// digit count, so a recycled snapshot rarely fits its next use exactly.
+    fn lane_stream(index: usize, iters: u32, onset: u32, sag: u64) -> Vec<CounterSnapshot> {
+        let base = 10u64.pow(3 + index as u32 % 4);
+        (0..iters)
+            .map(|i| CounterSnapshot {
+                fabric: format!("lane-{}{index}", "x".repeat(index % 3 * 7)),
+                job: index as u32 % 2,
+                iter: i,
+                n_leaves: 2,
+                n_vspines: 2,
+                t_ns: u64::from(i),
+                bytes: vec![
+                    base - if i >= onset { base * sag / 100 } else { 0 },
+                    base,
+                    base,
+                    base + u64::from(i % 2),
+                ],
+                last: i + 1 == iters,
+            })
+            .collect()
+    }
+
+    /// The streams split over `producers` feeds, each interleaving its
+    /// streams by iteration.
+    fn lane_wires(streams: &[Vec<CounterSnapshot>], producers: usize) -> Vec<Vec<u8>> {
+        let mut wires = vec![Vec::new(); producers];
+        let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..longest {
+            for (k, st) in streams.iter().enumerate() {
+                if let Some(snap) = st.get(i) {
+                    let wire = &mut wires[k % producers];
+                    wire.extend_from_slice(snapshot_line(snap).as_bytes());
+                    wire.push(b'\n');
+                }
+            }
+        }
+        wires
+    }
+
+    /// Run one `feed_lines` per wire against `handle`, concurrently.
+    fn feed_all(wires: &[Vec<u8>], handle: &IngestHandle) -> WireStats {
+        std::thread::scope(|s| {
+            let feeds: Vec<_> = wires
+                .iter()
+                .map(|w| s.spawn(move || feed_lines(&w[..], handle).unwrap()))
+                .collect();
+            let mut total = WireStats::default();
+            for f in feeds {
+                let st = f.join().unwrap();
+                total.lines += st.lines;
+                total.malformed += st.malformed;
+                total.rejected += st.rejected;
+            }
+            total
+        })
+    }
+
+    /// Drain `queue` as the worker does, but hand every snapshot back
+    /// scribbled over. Returns how many were popped and the first that was
+    /// not the snapshot `streams` sent — reported rather than asserted on
+    /// the spot, because a worker that stops popping leaves blocked feeds
+    /// hanging.
+    fn scribbling_worker<'a>(
+        queue: &crate::queue::IngestQueue,
+        streams: &'a [Vec<CounterSnapshot>],
+    ) -> (u64, Option<(CounterSnapshot, Option<&'a CounterSnapshot>)>) {
+        let mut spent = Vec::new();
+        let mut seen = 0;
+        let mut wrong = None;
+        while let Some((batch, _)) = queue.pop_batch(3, &mut spent) {
+            for item in batch {
+                let mut snap = item.snap;
+                let sent = streams
+                    .iter()
+                    .find(|st| (&st[0].fabric, st[0].job) == (&snap.fabric, snap.job))
+                    .and_then(|st| st.get(snap.iter as usize));
+                if sent != Some(&snap) {
+                    wrong.get_or_insert((snap.clone(), sent));
+                }
+                seen += 1;
+                snap.fabric.push_str("\u{1}stale");
+                snap.bytes.iter_mut().for_each(|b| *b = u64::MAX);
+                snap.bytes.extend([u64::MAX; 3]);
+                (snap.job, snap.iter, snap.t_ns, snap.last) = (!0, !0, !0, true);
+                spent.push(snap);
+            }
+        }
+        (seen, wrong)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The return lane changes nothing a consumer can see, under every
+        /// policy, from a queue of one to one that never fills, with one
+        /// feed or four: (1) a stand-in worker that hands every snapshot
+        /// back scribbled over still pops exactly what each line encodes,
+        /// so no recycled snapshot is reused while queued or decoded into
+        /// partially; (2) the real service's per-stream alarms equal the
+        /// offline monitor's — or, where `drop` lost a snapshot, stop short
+        /// of them at the gap.
+        #[test]
+        fn return_lane_is_invisible_to_the_consumer(
+            shapes in collection::vec((2u32..12, 0u32..12, 0u64..9), 1..7),
+        ) {
+            use crate::queue::{IngestQueue, QueuePolicy};
+            use flowpulse::{detector::Detector, monitor::Monitor};
+            use std::sync::Arc;
+
+            let streams: Vec<Vec<CounterSnapshot>> = shapes
+                .iter()
+                .enumerate()
+                .map(|(k, &(iters, onset, sag))| lane_stream(k, iters, onset, sag))
+                .collect();
+            let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
+            let cfg = ServiceConfig { batch_max: 3, ..Default::default() };
+            let offline: Vec<_> = streams
+                .iter()
+                .map(|st| {
+                    let mut store = st[0].new_store();
+                    st.iter().for_each(|s| s.apply(&mut store));
+                    let mut m =
+                        Monitor::new_learned(st[0].job, Detector::new(cfg.threshold), cfg.warmup);
+                    m.scan(&store, true);
+                    m.alarms
+                })
+                .collect();
+
+            for policy in [QueuePolicy::Block, QueuePolicy::Park, QueuePolicy::Drop] {
+                for cap in [1, 8, 1024] {
+                    for producers in [1, 4] {
+                        let what = format!("{} cap={cap} producers={producers}", policy.name());
+                        let lossless = policy != QueuePolicy::Drop || cap as u64 >= total;
+                        let wires = lane_wires(&streams, producers);
+
+                        let queue = Arc::new(IngestQueue::new(cap, policy));
+                        let handle = IngestHandle(Arc::clone(&queue));
+                        let (stats, (seen, wrong)) = std::thread::scope(|s| {
+                            let worker = s.spawn(|| scribbling_worker(&queue, &streams));
+                            let stats = feed_all(&wires, &handle);
+                            queue.close();
+                            (stats, worker.join().unwrap())
+                        });
+                        prop_assert_eq!(wrong, None, "popped vs sent, {}", what);
+                        prop_assert_eq!((stats.lines, stats.malformed), (total, 0), "{}", what);
+                        prop_assert_eq!(seen + stats.rejected, total, "{}", what);
+                        prop_assert_eq!(stats.rejected, queue.stats().dropped, "{}", what);
+                        prop_assert!(!lossless || seen == total, "{}", what);
+                        prop_assert!(queue.spare_buffers() <= cap, "{}", what);
+
+                        let svc = Monitord::spawn(ServiceConfig {
+                            queue_capacity: cap,
+                            policy,
+                            ..cfg.clone()
+                        });
+                        let stats = feed_all(&wires, &svc.handle());
+                        let report = svc.shutdown();
+                        prop_assert_eq!(report.snapshots + stats.rejected, total, "{}", what);
+                        for (st, offline) in streams.iter().zip(&offline) {
+                            let live = report
+                                .streams
+                                .iter()
+                                .find(|s| (&s.fabric, s.job) == (&st[0].fabric, st[0].job));
+                            match live {
+                                Some(s) if lossless => {
+                                    prop_assert!(s.closed, "{}", what);
+                                    prop_assert_eq!(&s.alarms, offline, "{}", what);
+                                }
+                                Some(s) => prop_assert!(offline.starts_with(&s.alarms), "{}", what),
+                                None => prop_assert!(!lossless, "{}", what),
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

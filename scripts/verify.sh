@@ -184,6 +184,15 @@ if missing:
 if e11["false_mitigations"] != 0:
     sys.exit(f"BENCH_netsim.json[e11_spray]: {e11['false_mitigations']} false "
              "mitigations across the backend x verb cross")
+# monitord rows carry the service's own stage latencies, other rows none.
+latency_keys = ["queue_wait_p50_us", "queue_wait_p99_us",
+                "scan_p50_us", "scan_p99_us"]
+for name, e in d.items():
+    have = [k for k in latency_keys if isinstance(e.get(k), (int, float))]
+    want = latency_keys if name.startswith("monitord") else []
+    if have != want:
+        sys.exit(f"BENCH_netsim.json[{name}]: service latency keys {have}, "
+                 f"expected {want}")
 mb = d["monitord32_block"]
 if mb["events"] != mb["sched_pushes"]:
     sys.exit("BENCH_netsim.json[monitord32_block]: blocking policy lost "
@@ -371,7 +380,8 @@ for policy in ("block", "drop", "park"):
               "shape_errors"):
         if c not in final["counters"]:
             sys.exit(f"{path}: final line missing counter '{c}'")
-    for g in ("queue_depth", "streams_active", "ingest_per_sec", "open_iters"):
+    for g in ("queue_depth", "streams_active", "ingest_per_sec", "open_iters",
+              "spare_buffers"):
         if g not in final["gauges"]:
             sys.exit(f"{path}: final line missing gauge '{g}'")
     for h in ("batch_size", "queue_depth_at_batch", "queue_wait_ns",
@@ -386,5 +396,42 @@ for policy in ("block", "drop", "park"):
 print("    metrics.jsonl schema valid for block/drop/park; "
       "lossless policies report zero drops")
 EOF
+
+echo "==> monitord stdin: bad bytes and a cut-off line must not stop the daemon"
+# Two streams, one sagging from iteration 2 on, fed to the real binary
+# twice: clean, and with a line of non-UTF-8 bytes in the middle plus a
+# last line cut short. Both runs must exit 0 and report the same streams.
+python3 - "$tm1" <<'EOF'
+import json, sys, os
+lines = []
+for it in range(5):
+    for fabric, sag in (("pipe-a", 0), ("pipe-b", 80)):
+        cells = [1000 - (sag if it >= 2 else 0), 1000, 1000, 1000]
+        lines.append(json.dumps(
+            {"fabric": fabric, "job": 1, "iter": it, "n_leaves": 2,
+             "n_vspines": 2, "t_ns": 100 * it, "bytes": cells,
+             "last": it == 4}, separators=(",", ":")).encode())
+clean = b"".join(l + b"\n" for l in lines)
+dirty = (b"".join(l + b"\n" for l in lines[:5]) + b"\xff\xfe garbage\n"
+         + b"".join(l + b"\n" for l in lines[5:]) + lines[0][:40])
+open(os.path.join(sys.argv[1], "stdin_clean.ndjson"), "wb").write(clean)
+open(os.path.join(sys.argv[1], "stdin_dirty.ndjson"), "wb").write(dirty)
+EOF
+for kind in clean dirty; do
+    # `set -e`: a non-zero exit (the old panic) fails the gate right here.
+    target/release/fp-monitord <"$tm1/stdin_$kind.ndjson" \
+        >"$tm1/stdin_$kind.out" 2>/dev/null
+    grep '^stream ' "$tm1/stdin_$kind.out" >"$tm1/stdin_$kind.streams"
+done
+grep -q '^stream pipe-b/job1: 5 snapshots, 3 alarms' "$tm1/stdin_clean.streams"
+cmp "$tm1/stdin_clean.streams" "$tm1/stdin_dirty.streams"
+grep -q '(wire: 10 lines, 0 malformed, 0 rejected)' "$tm1/stdin_clean.out"
+grep -q '(wire: 12 lines, 2 malformed, 0 rejected)' "$tm1/stdin_dirty.out"
+echo "    exit 0, 2 malformed counted, stream verdicts equal to the clean run's"
+
+echo "==> monitord return lane: allocator-counted steady state (release)"
+# Debug ran above with the workspace tests; optimised code is what ships,
+# and inlining is what could turn a reused buffer back into a fresh one.
+cargo test --release -q -p fp-monitord --test alloc_steady
 
 echo "verify: OK"
