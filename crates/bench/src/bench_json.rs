@@ -29,28 +29,10 @@ pub struct BenchEntry {
     /// Worker threads the campaign ran with.
     pub threads: u64,
     /// Logical cores the producing host exposed
-    /// (`std::thread::available_parallelism`). Shard-scaling rows recorded
-    /// on a single-core host measure coordination overhead, not speedup —
-    /// this field lets readers tell the two apart.
+    /// (`std::thread::available_parallelism`): a `threads > 1` row
+    /// recorded on a single-core host measures coordination overhead, not
+    /// speedup — this field lets readers tell the two apart.
     pub host_parallelism: u64,
-    /// Intra-trial shard count the fabric ran with (1 = unsharded).
-    pub shards: u64,
-    /// Epoch cap (max windows per synchronization round) the sharded
-    /// coordinator ran with; 1 is the legacy per-window handshake. 0 when
-    /// unsharded (omitted from the JSON).
-    pub shard_epoch: u64,
-    /// Conservative-lookahead windows executed across trials. 0 when
-    /// unsharded (omitted from the JSON).
-    pub shard_windows: u64,
-    /// Coordinator synchronization rounds across trials. Equals
-    /// `shard_windows` under the per-window handshake; epoch batching
-    /// amortizes `shard_windows / shard_syncs` windows per round. 0 when
-    /// unsharded (omitted from the JSON).
-    pub shard_syncs: u64,
-    /// Engine events dispatched per shard, summed across trials (empty,
-    /// and omitted from the JSON, when unsharded). Sums to more than
-    /// `events` because boundary packets are counted once per side.
-    pub shard_events: Vec<u64>,
     /// Whether `FP_QUICK` reduced the sweep.
     pub quick: bool,
     /// Trial count.
@@ -107,11 +89,10 @@ pub fn host_parallelism() -> u64 {
         .unwrap_or(1)
 }
 
-/// Hand-written so unsharded rows omit the shard-only keys entirely
-/// instead of carrying a misleading `"shard_events": []` (the vendored
-/// derive has no skip attribute). The controller keys (`tt_*`,
-/// `false_mitigations`) stay explicit nulls: their absence would read as
-/// "metric not implemented" rather than "controller disabled".
+/// Hand-written so only `monitord*` rows carry the service-latency keys
+/// (the vendored derive has no skip attribute). The controller keys
+/// (`tt_*`, `false_mitigations`) stay explicit nulls: their absence would
+/// read as "metric not implemented" rather than "controller disabled".
 impl Serialize for BenchEntry {
     fn to_value(&self) -> Value {
         let mut m: Vec<(String, Value)> = vec![
@@ -120,15 +101,6 @@ impl Serialize for BenchEntry {
             ("scheduler".into(), self.scheduler.to_value()),
             ("threads".into(), self.threads.to_value()),
             ("host_parallelism".into(), self.host_parallelism.to_value()),
-            ("shards".into(), self.shards.to_value()),
-        ];
-        if self.shards > 1 {
-            m.push(("shard_epoch".into(), self.shard_epoch.to_value()));
-            m.push(("shard_windows".into(), self.shard_windows.to_value()));
-            m.push(("shard_syncs".into(), self.shard_syncs.to_value()));
-            m.push(("shard_events".into(), self.shard_events.to_value()));
-        }
-        m.extend([
             ("quick".into(), self.quick.to_value()),
             ("trials".into(), self.trials.to_value()),
             ("wall_us".into(), self.wall_us.to_value()),
@@ -146,7 +118,7 @@ impl Serialize for BenchEntry {
                 "false_mitigations".into(),
                 self.false_mitigations.to_value(),
             ),
-        ]);
+        ];
         if let Some(l) = self.service_latency {
             m.extend([
                 ("queue_wait_p50_us".into(), l.queue_wait_p50_us.to_value()),
@@ -248,11 +220,6 @@ mod tests {
             scheduler: "wheel".into(),
             threads: 2,
             host_parallelism: 4,
-            shards: 1,
-            shard_epoch: 0,
-            shard_windows: 0,
-            shard_syncs: 0,
-            shard_events: Vec::new(),
             quick: false,
             trials: 3,
             wall_us: 1_000_000,
@@ -306,7 +273,6 @@ mod tests {
             "scheduler",
             "threads",
             "host_parallelism",
-            "shards",
             "quick",
             "trials",
             "wall_us",
@@ -320,40 +286,6 @@ mod tests {
             "false_mitigations",
         ] {
             assert!(map.iter().any(|(k, _)| k == key), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn unsharded_entry_omits_shard_keys() {
-        let v = entry("x", 1.5).to_value();
-        let map = v.as_map().unwrap();
-        for key in [
-            "shard_events",
-            "shard_epoch",
-            "shard_windows",
-            "shard_syncs",
-        ] {
-            assert!(map.iter().all(|(k, _)| k != key), "unexpected {key}");
-        }
-    }
-
-    #[test]
-    fn sharded_entry_carries_shard_keys() {
-        let mut e = entry("x", 1.5);
-        e.shards = 2;
-        e.shard_epoch = 32;
-        e.shard_windows = 400;
-        e.shard_syncs = 25;
-        e.shard_events = vec![100, 120];
-        let v = e.to_value();
-        let map = v.as_map().unwrap();
-        let get = |key: &str| map.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        assert!(matches!(get("shard_epoch"), Some(Value::U64(32))));
-        assert!(matches!(get("shard_windows"), Some(Value::U64(400))));
-        assert!(matches!(get("shard_syncs"), Some(Value::U64(25))));
-        match get("shard_events") {
-            Some(Value::Seq(s)) => assert_eq!(s.len(), 2),
-            other => panic!("shard_events missing or wrong shape: {other:?}"),
         }
     }
 }

@@ -74,11 +74,6 @@ fn main() {
         scheduler: r.sched_kind.name().into(),
         threads: 1,
         host_parallelism: fp_bench::host_parallelism(),
-        shards: u64::from(r.shards),
-        shard_epoch: u64::from(r.shard_epoch),
-        shard_windows: r.shard_windows,
-        shard_syncs: r.shard_syncs,
-        shard_events: r.shard_events.clone(),
         quick: fp_bench::quick(),
         trials: 1,
         wall_us,
@@ -116,11 +111,6 @@ fn main() {
             scheduler: base.sched_kind.name().into(),
             threads: 1,
             host_parallelism: fp_bench::host_parallelism(),
-            shards: u64::from(base.shards),
-            shard_epoch: u64::from(base.shard_epoch),
-            shard_windows: base.shard_windows,
-            shard_syncs: base.shard_syncs,
-            shard_events: base.shard_events.clone(),
             quick: false,
             trials: 1,
             wall_us: base_wall,
@@ -172,11 +162,6 @@ fn main() {
             scheduler: tel.sched_kind.name().into(),
             threads: 1,
             host_parallelism: fp_bench::host_parallelism(),
-            shards: u64::from(tel.shards),
-            shard_epoch: u64::from(tel.shard_epoch),
-            shard_windows: tel.shard_windows,
-            shard_syncs: tel.shard_syncs,
-            shard_events: tel.shard_events.clone(),
             quick: false,
             trials: 1,
             wall_us: tel_wall,
@@ -243,11 +228,6 @@ fn main() {
             scheduler: memo.sched_kind.name().into(),
             threads: 1,
             host_parallelism: fp_bench::host_parallelism(),
-            shards: u64::from(memo.shards),
-            shard_epoch: u64::from(memo.shard_epoch),
-            shard_windows: memo.shard_windows,
-            shard_syncs: memo.shard_syncs,
-            shard_events: memo.shard_events.clone(),
             quick: false,
             trials: 1,
             wall_us: memo_wall,
@@ -275,13 +255,6 @@ fn main() {
             wall_us,
             r.sched_kind,
             &r.sched,
-            &fp_bench::ShardAgg {
-                shards: u64::from(r.shards),
-                epoch: u64::from(r.shard_epoch),
-                windows: r.shard_windows,
-                syncs: r.shard_syncs,
-                events: r.shard_events.clone(),
-            },
             (r.memo_hits, r.memo_replayed_events),
         )
         .write(dir)

@@ -237,7 +237,6 @@ fn main() {
     let events_total: u64 = timings.iter().map(|t| t.events).sum();
     let results: Vec<TrialResult> = timed.into_iter().map(|(r, _)| r).collect();
     let (sched_kind, sched) = fp_bench::campaign::aggregate_sched(&results);
-    let shard_agg = fp_bench::campaign::aggregate_shards(&results);
     let (memo_hits, memo_replayed_events) = fp_bench::campaign::aggregate_memo(&results);
     match fp_bench::record_bench(&fp_bench::BenchEntry {
         name: "mitigation".into(),
@@ -245,11 +244,6 @@ fn main() {
         scheduler: sched_kind.name().into(),
         threads: campaign.threads() as u64,
         host_parallelism: fp_bench::host_parallelism(),
-        shards: shard_agg.shards,
-        shard_epoch: shard_agg.epoch,
-        shard_windows: shard_agg.windows,
-        shard_syncs: shard_agg.syncs,
-        shard_events: shard_agg.events.clone(),
         quick: fp_bench::quick(),
         trials: cases.len() as u64,
         wall_us: wall_us_total,
@@ -277,7 +271,6 @@ fn main() {
             wall_us_total,
             sched_kind,
             &sched,
-            &shard_agg,
             (memo_hits, memo_replayed_events),
         );
         // Attach the controller sweep: which cells ran closed-loop, with
@@ -353,11 +346,6 @@ fn main() {
             scheduler: memo.sched_kind.name().into(),
             threads: 1,
             host_parallelism: fp_bench::host_parallelism(),
-            shards: u64::from(memo.shards),
-            shard_epoch: u64::from(memo.shard_epoch),
-            shard_windows: memo.shard_windows,
-            shard_syncs: memo.shard_syncs,
-            shard_events: memo.shard_events.clone(),
             quick: false,
             trials: 1,
             wall_us: memo_wall,

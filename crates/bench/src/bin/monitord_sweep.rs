@@ -48,10 +48,7 @@ fn quantile_us(prometheus: &str, hist: &str, q: &str) -> f64 {
 
 fn main() {
     header("E10 monitord sweep — snapshots/sec vs streams x queue policy");
-    let threads: usize = std::env::var("FP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let threads = fp_bench::Campaign::from_env().threads();
     let rounds: u32 = pick(50, 5);
 
     // Base trials: two clean, two faulty, learned model (the service's
@@ -165,11 +162,6 @@ fn main() {
             scheduler: "monitord".into(),
             threads: threads as u64,
             host_parallelism: fp_bench::host_parallelism(),
-            shards: 1,
-            shard_epoch: 0,
-            shard_windows: 0,
-            shard_syncs: 0,
-            shard_events: Vec::new(),
             quick: fp_bench::quick(),
             trials: streams as u64,
             wall_us,

@@ -56,17 +56,13 @@ pub struct Campaign {
 
 impl Campaign {
     /// Pool sized from `FP_THREADS`, or the machine's available parallelism
-    /// when the variable is unset or unparsable.
+    /// when the variable is unset or empty. Anything but a positive integer
+    /// panics, see [`fp_netsim::config::env_setting`].
     pub fn from_env() -> Campaign {
-        let threads = std::env::var("FP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let threads = fp_netsim::config::env_setting("FP_THREADS", "a positive integer", |v| {
+            v.parse::<usize>().ok().filter(|&n| n > 0)
+        })
+        .unwrap_or_else(|| crate::host_parallelism() as usize);
         Campaign::with_threads(threads)
     }
 
@@ -122,7 +118,6 @@ impl Campaign {
             );
         }
         let (sched_kind, sched) = aggregate_sched(&results);
-        let shard_agg = aggregate_shards(&results);
         let (memo_hits, memo_replayed_events) = aggregate_memo(&results);
         let events_total: u64 = timings.iter().map(|t| t.events).sum();
         match crate::record_bench(&crate::BenchEntry {
@@ -131,11 +126,6 @@ impl Campaign {
             scheduler: sched_kind.name().to_string(),
             threads: self.threads as u64,
             host_parallelism: crate::host_parallelism(),
-            shards: shard_agg.shards,
-            shard_epoch: shard_agg.epoch,
-            shard_windows: shard_agg.windows,
-            shard_syncs: shard_agg.syncs,
-            shard_events: shard_agg.events.clone(),
             quick: crate::quick(),
             trials: specs.len() as u64,
             wall_us: wall_us_total,
@@ -162,7 +152,6 @@ impl Campaign {
                 wall_us_total,
                 sched_kind,
                 &sched,
-                &shard_agg,
                 (memo_hits, memo_replayed_events),
             );
             let mdir = dir.join(name);
@@ -189,46 +178,6 @@ pub fn aggregate_sched(results: &[TrialResult]) -> (SchedKind, SchedStats) {
     (kind, agg)
 }
 
-/// Aggregated intra-trial shard accounting for one campaign.
-#[derive(Clone, Debug, Default)]
-pub struct ShardAgg {
-    /// Shard count from the first trial (campaigns don't mix shard counts
-    /// within a sweep; 1 = unsharded).
-    pub shards: u64,
-    /// Epoch cap from the first trial (0 when unsharded).
-    pub epoch: u64,
-    /// Conservative-lookahead windows executed, summed across trials.
-    pub windows: u64,
-    /// Coordinator synchronization rounds, summed across trials.
-    pub syncs: u64,
-    /// Element-wise sum of per-shard event counts across trials (empty
-    /// when the campaign ran unsharded).
-    pub events: Vec<u64>,
-}
-
-/// Aggregate intra-trial shard accounting over a campaign's results.
-pub fn aggregate_shards(results: &[TrialResult]) -> ShardAgg {
-    let mut agg = ShardAgg {
-        shards: results.first().map(|r| u64::from(r.shards)).unwrap_or(1),
-        epoch: results
-            .first()
-            .map(|r| u64::from(r.shard_epoch))
-            .unwrap_or(0),
-        ..ShardAgg::default()
-    };
-    for r in results {
-        agg.windows += r.shard_windows;
-        agg.syncs += r.shard_syncs;
-        if agg.events.len() < r.shard_events.len() {
-            agg.events.resize(r.shard_events.len(), 0);
-        }
-        for (slot, &e) in agg.events.iter_mut().zip(r.shard_events.iter()) {
-            *slot += e;
-        }
-    }
-    agg
-}
-
 /// Aggregate temporal-symmetry memoization accounting over a campaign's
 /// results: total fast-forwarded spans and the engine events those spans
 /// account for (both 0 when memoization was off or never converged).
@@ -248,7 +197,6 @@ pub fn campaign_manifest(
     wall_us_total: u64,
     sched_kind: SchedKind,
     sched: &SchedStats,
-    shard_agg: &ShardAgg,
     memo: (u64, u64),
 ) -> fp_telemetry::Manifest {
     let events_total: u64 = timings.iter().map(|t| t.events).sum();
@@ -268,8 +216,6 @@ pub fn campaign_manifest(
             events_total as f64 * 1e6 / wall_us_total as f64
         },
         scheduler: sched_kind.name().to_string(),
-        shards: shard_agg.shards,
-        shard_epoch: shard_agg.epoch,
         memo_hits: memo.0,
         memo_replayed_events: memo.1,
         sched: sched.to_value(),
@@ -499,15 +445,9 @@ mod tests {
             1_000_000,
             SchedKind::Wheel,
             &stats,
-            &ShardAgg {
-                shards: 1,
-                ..ShardAgg::default()
-            },
             (5, 2_000),
         );
         assert_eq!(m.trials, 2);
-        assert_eq!(m.shards, 1);
-        assert_eq!(m.shard_epoch, 0);
         assert!(m.host_parallelism >= 1);
         assert_eq!(m.memo_hits, 5);
         assert_eq!(m.memo_replayed_events, 2_000);

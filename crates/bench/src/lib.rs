@@ -27,7 +27,7 @@ pub mod bench_json;
 pub mod campaign;
 
 pub use bench_json::{host_parallelism, record_bench, record_bench_at, BenchEntry, ServiceLatency};
-pub use campaign::{campaign_manifest, log_trials_to, Campaign, ShardAgg, TrialTiming};
+pub use campaign::{campaign_manifest, log_trials_to, Campaign, TrialTiming};
 
 use serde::Serialize;
 use std::io::Write;

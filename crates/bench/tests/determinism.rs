@@ -236,120 +236,6 @@ fn trait_refactor_preserves_pinned_adaptive_digest() {
 }
 
 #[test]
-fn shard_counts_are_byte_identical() {
-    // FP_SHARDS rows: the same sweep partitioned into 1/2/4 intra-trial
-    // shards, per scheduler backend. `shards = Some(1)` exercises the
-    // unsharded path (the eligibility gate requires >= 2), so the 1-row
-    // doubles as the guarantee that requesting sharding without enough
-    // shards changes nothing. At this scale the sharded fabric is free of
-    // same-instant cross-boundary ties in anything a fig row reads, so
-    // every serialized row must match byte for byte. The raw spot-checks
-    // below additionally pin the engine's conservation accounting; the one
-    // residual sharding is allowed is a span *end* moving by a single
-    // serialization quantum when a tail arrival ties across a boundary
-    // (see `crates/collectives/tests/shard_lockstep.rs`), so per-iteration
-    // goodput is held to that tolerance instead of exact bytes.
-    use fp_netsim::engine::SchedKind;
-    for kind in [SchedKind::Heap, SchedKind::Wheel] {
-        let specs_at = |shards: u32| -> Vec<TrialSpec> {
-            sweep()
-                .into_iter()
-                .map(|mut s| {
-                    s.shards = Some(shards);
-                    s.sim.sched = Some(kind);
-                    s
-                })
-                .collect()
-        };
-        let base_specs = specs_at(1);
-        let base = Campaign::with_threads(1).run(&base_specs);
-        assert!(base
-            .iter()
-            .all(|r| r.shards == 1 && r.shard_events.is_empty()));
-        for shards in [2u32, 4] {
-            let specs = specs_at(shards);
-            let got = Campaign::with_threads(2).run(&specs);
-            let ctx = format!("shards={shards}, sched={kind:?}");
-            for r in &got {
-                assert_eq!(r.shards, shards, "sharded path not taken ({ctx})");
-                assert_eq!(r.shard_events.len(), shards as usize, "{ctx}");
-            }
-            assert_eq!(
-                serialize_rows(&base_specs, &base),
-                serialize_rows(&specs, &got),
-                "FP_SHARDS must not change output bytes ({ctx})"
-            );
-            for (a, b) in base.iter().zip(&got) {
-                assert_eq!(a.iter_max_dev, b.iter_max_dev, "{ctx}");
-                assert_eq!(a.fault_port, b.fault_port, "{ctx}");
-                assert_eq!(a.alarms, b.alarms, "{ctx}");
-                assert_eq!(a.stats.events, b.stats.events, "{ctx}");
-                assert_eq!(a.stats.pkts_txed, b.stats.pkts_txed, "{ctx}");
-                assert_eq!(a.stats.retransmits, b.stats.retransmits, "{ctx}");
-                assert_eq!(a.stats.silent_drops(), b.stats.silent_drops(), "{ctx}");
-                assert_eq!(a.iter_goodput.len(), b.iter_goodput.len(), "{ctx}");
-                for (&(ia, ga), &(ib, gb)) in a.iter_goodput.iter().zip(&b.iter_goodput) {
-                    assert_eq!(ia, ib, "{ctx}");
-                    assert!(
-                        (ga - gb).abs() <= 1e-3 * ga.abs(),
-                        "goodput drifted beyond a quantum: {ga} vs {gb} ({ctx})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The spray-engine side of the shard gate, both directions: the pure
-/// hash backends (ECMP, PRIME) partition cleanly and must take the
-/// sharded fast path byte-identically, while REPS recycles ACK-fed
-/// entropy state and must fall back to a single simulator with its
-/// explicit reason — never silently.
-#[test]
-fn spray_backends_gate_the_shard_path() {
-    use flowpulse::eval::shard_ineligibility;
-    use fp_netsim::spray::SprayPolicy;
-    let spec_with = |policy: SprayPolicy, shards: u32| -> TrialSpec {
-        let mut s = TrialSpec {
-            leaves: 4,
-            spines: 2,
-            bytes_per_node: 2 * 1024 * 1024,
-            iterations: 2,
-            seed: 9,
-            shards: Some(shards),
-            ..Default::default()
-        };
-        s.sim.spray = policy;
-        s
-    };
-    for policy in [SprayPolicy::Ecmp, SprayPolicy::Prime] {
-        assert_eq!(shard_ineligibility(&spec_with(policy, 2), false), None);
-        let base = run_trial(&spec_with(policy, 1));
-        let sharded = run_trial(&spec_with(policy, 2));
-        assert_eq!(sharded.shards, 2, "{policy:?}: sharded path not taken");
-        assert!(sharded.shard_fallback.is_none(), "{policy:?}");
-        assert_eq!(base.iter_max_dev, sharded.iter_max_dev, "{policy:?}");
-        assert_eq!(base.stats.events, sharded.stats.events, "{policy:?}");
-        assert_eq!(base.stats.pkts_txed, sharded.stats.pkts_txed, "{policy:?}");
-    }
-    for policy in [SprayPolicy::Reps, SprayPolicy::RepsFailover] {
-        let reason =
-            shard_ineligibility(&spec_with(policy, 2), false).expect("REPS must refuse shards");
-        assert!(
-            reason.contains("recycles ACK-fed entropy state"),
-            "{policy:?} reason: {reason}"
-        );
-        let r = run_trial(&spec_with(policy, 2));
-        assert_eq!(r.shards, 1, "{policy:?}: sharded an ineligible backend");
-        let fallback = r.shard_fallback.expect("fallback reason must surface");
-        assert!(
-            fallback.contains("recycles ACK-fed entropy state"),
-            "{policy:?} fallback: {fallback}"
-        );
-    }
-}
-
-#[test]
 fn controller_campaign_is_byte_identical_across_thread_counts() {
     // Closed-loop trials carry extra state (an online monitor, scheduled
     // control events); the worker-pool contract must hold for them too.
@@ -396,8 +282,20 @@ fn fp_threads_env_sets_pool_size() {
     // process-global env mutation cannot race another test.
     std::env::set_var("FP_THREADS", "3");
     assert_eq!(Campaign::from_env().threads(), 3);
-    std::env::set_var("FP_THREADS", "not-a-number");
-    assert!(Campaign::from_env().threads() >= 1, "falls back to cores");
+    // A typo must not silently run on a different pool size.
+    for bad in ["0", "four"] {
+        std::env::set_var("FP_THREADS", bad);
+        let err = std::panic::catch_unwind(|| Campaign::from_env().threads()).expect_err(bad);
+        let msg = err.downcast_ref::<String>().expect("panic message");
+        assert!(
+            msg.contains("FP_THREADS") && msg.contains(bad),
+            "panic must name the variable and the value: {msg}"
+        );
+    }
+    for unset in ["", " "] {
+        std::env::set_var("FP_THREADS", unset);
+        assert!(Campaign::from_env().threads() >= 1, "empty means unset");
+    }
     std::env::remove_var("FP_THREADS");
     assert!(Campaign::from_env().threads() >= 1);
 }

@@ -178,10 +178,6 @@ fn manifest_validates_when_present() {
     let m: Value = serde_json::from_str(&read(&dir, "manifest.json")).expect("manifest parses");
     assert!(get(&m, "name").and_then(Value::as_str).is_some());
     assert!(get(&m, "git").and_then(Value::as_str).is_some());
-    assert!(
-        get(&m, "shards").and_then(Value::as_u64).is_some(),
-        "manifest records the intra-trial shard count"
-    );
     let trials = get(&m, "trials").and_then(Value::as_u64).expect("trials");
     let seeds = get(&m, "seeds").and_then(Value::as_seq).expect("seeds");
     let specs = get(&m, "specs").and_then(Value::as_seq).expect("specs");

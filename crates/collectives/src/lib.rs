@@ -35,7 +35,6 @@ pub mod jitter;
 pub mod ring;
 pub mod runner;
 pub mod schedule;
-pub mod shard;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -49,5 +48,4 @@ pub mod prelude {
     pub use crate::ring::{ring_allgather, ring_allreduce, ring_reduce_scatter};
     pub use crate::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
     pub use crate::schedule::{Schedule, Transfer};
-    pub use crate::shard::{run_sharded, threaded_from_env, ShardFault, ShardedOutcome};
 }

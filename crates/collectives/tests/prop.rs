@@ -148,3 +148,185 @@ proptest! {
         prop_assert_eq!(c.total_bytes(), expected);
     }
 }
+
+// ---------------------------------------------------------------------
+// Faulted runs through `CollectiveRunner`: run-twice determinism and
+// packet/byte conservation.
+// ---------------------------------------------------------------------
+
+use fp_netsim::prelude::*;
+
+/// One faulted collective run: a schedule on an 8×4 (or smaller) fabric,
+/// fault flips applied once each by the iteration-start hook — the way the
+/// evaluation harness installs and heals its injected fault.
+struct FaultedRun {
+    leaves: u32,
+    spines: u32,
+    seed: u64,
+    sched: Schedule,
+    jitter: JitterModel,
+    /// `(link, action, at_iter)`.
+    flips: Vec<(LinkId, FaultAction, u32)>,
+}
+
+fn fabric(leaves: u32, spines: u32) -> Topology {
+    Topology::fat_tree(FatTreeSpec {
+        leaves,
+        spines,
+        hosts_per_leaf: 1,
+        ..Default::default()
+    })
+}
+
+/// Run `sc` to drain, check conservation, and return everything a harness
+/// reads from the fabric in `Debug` form (counter entries in key order).
+fn run_and_check(sc: &FaultedRun) -> String {
+    const ITERS: u32 = 3;
+    let mut sim = Simulator::new(fabric(sc.leaves, sc.spines), SimConfig::default(), sc.seed);
+    let mut runner = CollectiveRunner::new(
+        sc.sched.clone(),
+        RunnerConfig {
+            iterations: ITERS,
+            jitter: sc.jitter,
+            ..Default::default()
+        },
+    );
+    let flips = sc.flips.clone();
+    let mut fired = vec![false; flips.len()];
+    runner.set_iteration_start_hook(Box::new(move |sim, iter| {
+        for (&(link, action, at_iter), fired) in flips.iter().zip(fired.iter_mut()) {
+            if !*fired && iter >= at_iter {
+                sim.apply_fault_now(link, action, false);
+                *fired = true;
+            }
+        }
+    }));
+    sim.set_app(Box::new(runner));
+    assert_eq!(sim.run().reason, RunReason::Drained);
+    assert_eq!(sim.pending_events(), 0);
+
+    // Bytes: every transfer of every iteration arrives exactly once, however
+    // many segments the fault ate on the way.
+    assert!(sim.all_flows_complete());
+    assert_eq!(sim.stats.flows_failed, 0);
+    assert_eq!(
+        sim.stats.flows_completed,
+        ITERS as u64 * sc.sched.transfers.len() as u64
+    );
+    assert_eq!(
+        sim.stats.bytes_delivered,
+        ITERS as u64 * sc.sched.total_bytes()
+    );
+    let segments: u64 = sim.flows.iter().map(|f| f.npkts as u64).sum();
+    assert_eq!(
+        sim.stats.data_pkts_delivered - sim.stats.dup_pkts_delivered,
+        segments
+    );
+    // Packets: what a link serialized it either delivered or lost to the
+    // silent fault; no other drop cause exists in these scenarios.
+    let (txed, delivered) = (0..sim.topo.n_links() as u32)
+        .map(|l| sim.link(LinkId(l)))
+        .fold((0, 0), |(t, d), l| (t + l.txed_pkts, d + l.delivered_pkts));
+    assert_eq!(txed, sim.stats.pkts_txed);
+    assert_eq!(txed - delivered, sim.stats.silent_drops());
+    assert_eq!(sim.stats.total_drops(), sim.stats.silent_drops());
+
+    let counters: Vec<String> = sim
+        .counters
+        .keys()
+        .into_iter()
+        .map(|(job, iter)| format!("{job}/{iter}: {:?}", sim.counters.get(job, iter)))
+        .collect();
+    format!(
+        "{:?}\n{counters:?}\n{:?}\n{:?}",
+        sim.stats,
+        sim.iter_spans(),
+        sim.trace.to_records()
+    )
+}
+
+fn ring_run(leaves: u32, spines: u32, seed: u64) -> FaultedRun {
+    FaultedRun {
+        leaves,
+        spines,
+        seed,
+        sched: ring_allreduce(&hosts(leaves), 96 * 1024),
+        jitter: JitterModel::Uniform {
+            max: SimDuration::from_us(1),
+        },
+        flips: Vec::new(),
+    }
+}
+
+/// Fault timings and collective shapes no other runner-level test covers:
+/// a fault live from the first iteration, an install followed by a heal,
+/// same-instant pairwise exchanges, and unjittered simultaneous starts.
+#[test]
+fn faulted_runner_scenarios_are_deterministic_and_conserve() {
+    let topo = fabric(8, 4);
+
+    let mut blackhole_from_start = ring_run(8, 4, 13);
+    blackhole_from_start.flips = vec![(
+        topo.downlink(0, 5),
+        FaultAction::Set(FaultKind::SilentBlackhole),
+        0,
+    )];
+
+    let mut install_then_heal = ring_run(8, 4, 12);
+    let down = topo.downlink(1, 2);
+    install_then_heal.flips = vec![
+        (
+            down,
+            FaultAction::Set(FaultKind::SilentDrop { rate: 0.05 }),
+            1,
+        ),
+        (down, FaultAction::Clear, 2),
+    ];
+
+    // Pairwise exchanges land packets on two spine downlinks at the same
+    // nanosecond: same-instant ties are resolved by sequence number alone.
+    let mut halving_doubling = ring_run(8, 4, 15);
+    halving_doubling.sched = halving_doubling_allreduce(&hosts(8), 128 * 1024);
+    halving_doubling.flips = vec![(
+        topo.downlink(2, 6),
+        FaultAction::Set(FaultKind::SilentDrop { rate: 0.1 }),
+        1,
+    )];
+
+    let mut simultaneous_starts = ring_run(4, 2, 16);
+    simultaneous_starts.jitter = JitterModel::None;
+
+    for (name, sc) in [
+        ("blackhole from iteration 0", blackhole_from_start),
+        ("install then heal", install_then_heal),
+        ("halving-doubling under drop", halving_doubling),
+        ("no-jitter simultaneous starts", simultaneous_starts),
+    ] {
+        let first = run_and_check(&sc);
+        assert_eq!(first, run_and_check(&sc), "{name}: second run differs");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random install-then-heal faults: same properties, any cable, any
+    /// onset iteration (a heal past the last iteration never fires).
+    #[test]
+    fn random_faulted_runs_are_deterministic_and_conserve(
+        seed in 1u64..1_000,
+        fleaf in 0u32..8,
+        fv in 0u32..4,
+        at_iter in 0u32..3,
+        rate in 0.02f64..1.0,
+    ) {
+        let mut sc = ring_run(8, 4, seed);
+        sc.sched = ring_allreduce(&hosts(8), 32 * 1024);
+        let link = fabric(8, 4).downlink(fv, fleaf);
+        sc.flips = vec![
+            (link, FaultAction::Set(FaultKind::SilentDrop { rate }), at_iter),
+            (link, FaultAction::Clear, at_iter + 1),
+        ];
+        prop_assert_eq!(run_and_check(&sc), run_and_check(&sc));
+    }
+}

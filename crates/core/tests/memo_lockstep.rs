@@ -92,8 +92,6 @@ fn assert_lockstep(off: &TrialResult, on: &TrialResult) {
         format!("{:?}", on.snapshots),
         "snapshot stream"
     );
-    assert_eq!(off.shards, on.shards);
-    assert_eq!(off.shard_fallback, on.shard_fallback);
 }
 
 fn run_pair(spec: &TrialSpec) -> (TrialResult, TrialResult) {
@@ -284,10 +282,9 @@ fn gate_refuses_with_reasons() {
 
     // The pure gate function, for the ineligibility table in DESIGN.md.
     let eligible = base_spec(3, 8, false, true);
-    assert_eq!(memo_ineligibility(&eligible, false, false, false), None);
-    assert!(memo_ineligibility(&eligible, true, false, false).is_some());
-    assert!(memo_ineligibility(&eligible, false, true, false).is_some());
-    assert!(memo_ineligibility(&eligible, false, false, true).is_some());
+    assert_eq!(memo_ineligibility(&eligible, false, false), None);
+    assert!(memo_ineligibility(&eligible, true, false).is_some());
+    assert!(memo_ineligibility(&eligible, false, true).is_some());
 }
 
 /// Engine-level case for the delay-class pipes: at every iteration

@@ -19,32 +19,60 @@
 //! | `FP_MONITORD_CONNS`      | (unset)   | stop after N socket connections  |
 //!
 //! [`CounterSnapshot`]: flowpulse::snapshot::CounterSnapshot
+//!
+//! A value that does not parse ends the process with status 2 and a line
+//! naming the variable and the value; unset or empty means the default.
 
 use fp_monitord::{feed_lines, Monitord, QueuePolicy, ServiceConfig, WireStats};
+use fp_netsim::config::parse_setting;
 
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The service configuration and the socket connection limit
+/// (`FP_MONITORD_CONNS`), from the settings `var` looks up.
+fn settings(var: impl Fn(&str) -> Option<String>) -> Result<(ServiceConfig, Option<u64>), String> {
+    fn get<T>(
+        var: &dyn Fn(&str) -> Option<String>,
+        key: &str,
+        expected: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        parse_setting(key, var(key).as_deref(), expected, parse)
+    }
+    fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+        v.parse().ok()
+    }
+    let count = "a whole number";
+    let d = ServiceConfig::default();
+    let cfg = ServiceConfig {
+        queue_capacity: get(&var, "FP_MONITORD_CAP", count, num)?.unwrap_or(d.queue_capacity),
+        batch_max: get(&var, "FP_MONITORD_BATCH", count, num)?.unwrap_or(d.batch_max),
+        policy: get(
+            &var,
+            "FP_MONITORD_POLICY",
+            "drop|park|block",
+            QueuePolicy::parse,
+        )?
+        .unwrap_or(d.policy),
+        threshold: get(
+            &var,
+            "FP_MONITORD_THRESHOLD",
+            "a fraction such as 0.01",
+            |v| num::<f64>(v).filter(|t| t.is_finite() && *t >= 0.0),
+        )?
+        .unwrap_or(d.threshold),
+        warmup: get(&var, "FP_MONITORD_WARMUP", count, num)?.unwrap_or(d.warmup),
+        metrics_path: var("FP_MONITORD_METRICS")
+            .filter(|p| !p.is_empty())
+            .map(std::path::PathBuf::from),
+        ..d
+    };
+    Ok((cfg, get(&var, "FP_MONITORD_CONNS", count, num)?))
 }
 
 fn main() {
-    let cfg = ServiceConfig {
-        queue_capacity: env_or("FP_MONITORD_CAP", 1024),
-        batch_max: env_or("FP_MONITORD_BATCH", 64),
-        policy: std::env::var("FP_MONITORD_POLICY")
-            .ok()
-            .and_then(|v| QueuePolicy::parse(&v))
-            .unwrap_or(QueuePolicy::Block),
-        threshold: env_or("FP_MONITORD_THRESHOLD", 0.01),
-        warmup: env_or("FP_MONITORD_WARMUP", 1),
-        metrics_path: std::env::var("FP_MONITORD_METRICS")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(std::path::PathBuf::from),
-        ..Default::default()
-    };
+    let (cfg, max_conns) = settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| {
+        eprintln!("fp-monitord: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "fp-monitord: policy={} cap={} batch={} threshold={} warmup={}",
         cfg.policy.name(),
@@ -62,10 +90,7 @@ fn main() {
             let listener =
                 std::os::unix::net::UnixListener::bind(&path).expect("bind monitord socket");
             eprintln!("fp-monitord: listening on {path}");
-            let max = std::env::var("FP_MONITORD_CONNS")
-                .ok()
-                .and_then(|v| v.parse().ok());
-            fp_monitord::serve_unix(&listener, &handle, max)
+            fp_monitord::serve_unix(&listener, &handle, max_conns)
         }
         _ => feed_lines(std::io::stdin().lock(), &handle),
     };
@@ -115,5 +140,76 @@ fn main() {
     println!("\n{}", report.prometheus);
     if input_failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |key| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn unset_and_empty_settings_mean_the_defaults() {
+        let d = ServiceConfig::default();
+        for env in [
+            &[][..],
+            &[("FP_MONITORD_CAP", ""), ("FP_MONITORD_POLICY", " ")][..],
+        ] {
+            let (cfg, conns) = settings(with(env)).unwrap();
+            assert_eq!(cfg.queue_capacity, d.queue_capacity);
+            assert_eq!(cfg.batch_max, d.batch_max);
+            assert_eq!(cfg.policy, d.policy);
+            assert_eq!(cfg.threshold, d.threshold);
+            assert_eq!(cfg.warmup, d.warmup);
+            assert_eq!(cfg.metrics_path, None);
+            assert_eq!(conns, None);
+        }
+    }
+
+    #[test]
+    fn well_formed_settings_apply() {
+        let (cfg, conns) = settings(with(&[
+            ("FP_MONITORD_CAP", "16"),
+            ("FP_MONITORD_BATCH", "4"),
+            ("FP_MONITORD_POLICY", "Drop"),
+            ("FP_MONITORD_THRESHOLD", "0.05"),
+            ("FP_MONITORD_WARMUP", "3"),
+            ("FP_MONITORD_METRICS", "m.jsonl"),
+            ("FP_MONITORD_CONNS", "2"),
+        ]))
+        .unwrap();
+        assert_eq!((cfg.queue_capacity, cfg.batch_max), (16, 4));
+        assert_eq!(cfg.policy, QueuePolicy::Drop);
+        assert_eq!((cfg.threshold, cfg.warmup), (0.05, 3));
+        assert_eq!(cfg.metrics_path, Some("m.jsonl".into()));
+        assert_eq!(conns, Some(2));
+    }
+
+    #[test]
+    fn a_mistyped_setting_is_refused_by_name_and_value() {
+        for (key, bad) in [
+            ("FP_MONITORD_POLICY", "dorp"),
+            ("FP_MONITORD_THRESHOLD", "1%"),
+            ("FP_MONITORD_THRESHOLD", "-0.01"),
+            ("FP_MONITORD_THRESHOLD", "NaN"),
+            ("FP_MONITORD_CAP", "1k"),
+            ("FP_MONITORD_BATCH", "-1"),
+            ("FP_MONITORD_WARMUP", "one"),
+            ("FP_MONITORD_CONNS", "2.5"),
+        ] {
+            let err = settings(|k| (k == key).then(|| bad.to_string())).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains(bad),
+                "{key}={bad}: error must name both: {err}"
+            );
+        }
     }
 }

@@ -321,51 +321,6 @@ impl CounterStore {
             }
         }
     }
-
-    /// Fold another store of identical dimensions into this one: byte,
-    /// packet and per-source cells add; `first_seen` takes the minimum
-    /// and `last_seen` the maximum per row. Used to merge the per-shard
-    /// counter stores of an intra-trial sharded run — each row (leaf or
-    /// agg) is written by exactly one shard, so merged contents equal an
-    /// unsharded run's. Detector reads go through sorted [`Self::keys`],
-    /// so entry insertion order does not matter.
-    pub fn merge_from(&mut self, other: &CounterStore) {
-        assert_eq!(
-            (self.n_rows, self.n_vspines, self.n_src),
-            (other.n_rows, other.n_vspines, other.n_src),
-            "merging counter stores of different fabrics"
-        );
-        for (key, oc) in &other.entries {
-            let i = match self.index.get(key) {
-                Some(&i) => i as usize,
-                None => {
-                    let i = self.entries.len();
-                    self.entries.push((
-                        *key,
-                        IterCounters::new(self.n_rows, self.n_vspines, self.n_src),
-                    ));
-                    self.index.insert(*key, i as u32);
-                    i
-                }
-            };
-            let c = &mut self.entries[i].1;
-            for (a, b) in c.bytes.iter_mut().zip(&oc.bytes) {
-                *a += b;
-            }
-            for (a, b) in c.pkts.iter_mut().zip(&oc.pkts) {
-                *a += b;
-            }
-            for (a, b) in c.by_src.iter_mut().zip(&oc.by_src) {
-                *a += b;
-            }
-            for (a, b) in c.first_seen.iter_mut().zip(&oc.first_seen) {
-                *a = (*a).min(*b);
-            }
-            for (a, b) in c.last_seen.iter_mut().zip(&oc.last_seen) {
-                *a = (*a).max(*b);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -431,32 +386,6 @@ mod tests {
         assert_eq!(s.get(2, 0).unwrap().port_bytes(0, 0), 30);
         assert_eq!(s.iters_of(1), vec![0, 1]);
         assert_eq!(s.keys(), vec![(1, 0), (1, 1), (2, 0)]);
-    }
-
-    #[test]
-    fn merge_adds_cells_and_resolves_seen_times() {
-        let mut a = CounterStore::new(2, 2);
-        a.record(0, 0, TAG, 1, 10, SimTime::from_ns(5));
-        let mut b = CounterStore::new(2, 2);
-        b.record(0, 0, TAG, 1, 7, SimTime::from_ns(3));
-        b.record(
-            1,
-            1,
-            CollectiveTag { job: 1, iter: 1 },
-            0,
-            4,
-            SimTime::from_ns(9),
-        );
-        a.merge_from(&b);
-        let c = a.get(1, 0).unwrap();
-        assert_eq!(c.port_bytes(0, 0), 17);
-        assert_eq!(c.port_pkts(0, 0), 2);
-        assert_eq!(c.port_src_bytes(0, 0, 1), 17);
-        assert_eq!(c.first_seen_at(0), Some(SimTime::from_ns(3)));
-        assert_eq!(c.last_seen[0], 5);
-        // The (1,1) entry was created by the merge.
-        assert_eq!(a.get(1, 1).unwrap().port_bytes(1, 1), 4);
-        assert_eq!(a.keys(), vec![(1, 0), (1, 1)]);
     }
 
     #[test]

@@ -142,15 +142,15 @@ pub enum SchedKind {
 
 impl SchedKind {
     /// Resolve from the `FP_SCHED` environment variable: `heap` or `wheel`
-    /// (unset defaults to the wheel). Any other value panics — a typo in an
-    /// A/B run must not silently fall back to the default.
+    /// (unset or empty defaults to the wheel; anything else panics, see
+    /// [`crate::config::env_setting`]).
     pub fn from_env() -> SchedKind {
-        match std::env::var("FP_SCHED") {
-            Ok(v) if v == "heap" => SchedKind::Heap,
-            Ok(v) if v == "wheel" || v.is_empty() => SchedKind::Wheel,
-            Ok(v) => panic!("FP_SCHED={v:?} not recognized (expected \"heap\" or \"wheel\")"),
-            Err(_) => SchedKind::Wheel,
-        }
+        crate::config::env_setting("FP_SCHED", "heap|wheel", |v| match v {
+            "heap" => Some(SchedKind::Heap),
+            "wheel" => Some(SchedKind::Wheel),
+            _ => None,
+        })
+        .unwrap_or_default()
     }
 
     /// Stable lowercase name (`"heap"` / `"wheel"`), matching the
@@ -207,7 +207,9 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Accumulate another scheduler's counters (campaign aggregation).
+    /// Accumulate another trial's scheduler counters (totals over the
+    /// trials of a campaign or of a benchmark unit); `max_pending` is a
+    /// high-water mark, every other field a sum.
     pub fn merge(&mut self, other: &SchedStats) {
         self.pushes += other.pushes;
         self.pops += other.pops;
@@ -245,11 +247,6 @@ pub trait Scheduler {
     /// sequence number, and therefore every equal-timestamp ordering
     /// decision, is identical to the per-packet-event engine.
     fn reserve_seq(&mut self) -> u64;
-    /// Reserve `n` consecutive sequence numbers, returning the first.
-    /// Equivalent to `n` calls of [`Scheduler::reserve_seq`] — the batched
-    /// ingress splice uses it to number a whole remote batch with one
-    /// counter bump while keeping every per-packet sequence identical.
-    fn reserve_seq_range(&mut self, n: u64) -> u64;
     /// Pop the earliest event.
     fn pop(&mut self) -> Option<(SimTime, EventKind)>;
     /// Pop the earliest event if it is due at or before `horizon`.
@@ -338,15 +335,6 @@ impl EventHeap {
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        seq
-    }
-
-    /// Reserve `n` consecutive sequence numbers, returning the first (see
-    /// [`Scheduler::reserve_seq_range`]).
-    #[inline]
-    pub fn reserve_seq_range(&mut self, n: u64) -> u64 {
-        let seq = self.seq;
-        self.seq += n;
         seq
     }
 
@@ -463,9 +451,6 @@ impl Scheduler for EventHeap {
     fn reserve_seq(&mut self) -> u64 {
         EventHeap::reserve_seq(self)
     }
-    fn reserve_seq_range(&mut self, n: u64) -> u64 {
-        EventHeap::reserve_seq_range(self, n)
-    }
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         EventHeap::pop(self)
     }
@@ -563,10 +548,6 @@ impl Scheduler for EventQueue {
     #[inline]
     fn reserve_seq(&mut self) -> u64 {
         dispatch!(self, q => q.reserve_seq())
-    }
-    #[inline]
-    fn reserve_seq_range(&mut self, n: u64) -> u64 {
-        dispatch!(self, q => q.reserve_seq_range(n))
     }
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {

@@ -55,7 +55,6 @@ pub mod ids;
 pub mod packet;
 pub mod pipeline;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 pub mod spray;
 pub mod stats;
@@ -76,7 +75,6 @@ pub mod prelude {
     pub use crate::fault::{FaultAction, FaultEvent, FaultKind};
     pub use crate::ids::{HostId, LinkId, NodeId, SwitchId};
     pub use crate::packet::{CollectiveTag, FlowId, Packet, Priority};
-    pub use crate::shard::{shards_from_env, ShardPlan};
     pub use crate::sim::memo::{memo_from_env, MemoCounters, MemoReplay};
     pub use crate::sim::{IterSpanRecord, RunReason, RunSummary, Simulator};
     pub use crate::spray::SprayPolicy;

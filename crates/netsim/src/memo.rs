@@ -64,10 +64,10 @@
 //!
 //! The snapshot *refuses* (falls back to live simulation, recording a
 //! reason) whenever residual state is not provably periodic: a telemetry
-//! recorder or shard coordinator is attached, a fault is installed on any
-//! link, control/fault/wake/sampler events are pending in the scheduler,
-//! the flow table does not divide evenly into per-iteration blocks, or
-//! the warm-up (`next_iter < D + 3` for block-reference depth `D`) has
+//! recorder is attached, a fault is installed on any link,
+//! control/fault/wake/sampler events are pending in the scheduler, the
+//! flow table does not divide evenly into per-iteration blocks, or the
+//! warm-up (`next_iter < D + 3` for block-reference depth `D`) has
 //! not completed. Random spray policies are refused at enable time (their
 //! RNG draws would also break the fingerprint, but refusing early gives a
 //! clear fallback reason). Scheduled faults and controls act as
@@ -89,13 +89,15 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
 use crate::transport::{AckAccum, FlowState};
 
-/// Memoization requested via `FP_MEMO` (default off). Accepts the same
-/// spellings as the other `FP_*` toggles.
+/// Memoization requested via `FP_MEMO` (default off; an unrecognised
+/// value panics, see [`crate::config::env_setting`]).
 pub fn memo_from_env() -> bool {
-    matches!(
-        std::env::var("FP_MEMO").ok().as_deref(),
-        Some("1" | "on" | "true" | "yes")
-    )
+    crate::config::env_setting("FP_MEMO", "1|on|true|yes or 0|off|false|no", |v| match v {
+        "1" | "on" | "true" | "yes" => Some(true),
+        "0" | "off" | "false" | "no" => Some(false),
+        _ => None,
+    })
+    .unwrap_or(false)
 }
 
 /// A fast-forward the engine just performed, reported to the workload
@@ -353,9 +355,6 @@ struct NormFlow {
     /// `(job, top_iter - iter)`.
     tag: Option<(u32, u32)>,
     prio: u8,
-    /// `flows_len - global`.
-    dglobal: u32,
-    app_token: u64,
     next_seq: u32,
     acked: BitSet,
     failed: bool,
@@ -556,12 +555,6 @@ impl Normalizer {
     }
 
     fn flow(&mut self, f: &FlowState) -> NormFlow {
-        let dglobal = if f.global < self.flows_len {
-            self.flows_len - f.global
-        } else {
-            self.fail("foreign-global-id");
-            0
-        };
         NormFlow {
             src: f.src.0,
             dst: f.dst.0,
@@ -570,8 +563,6 @@ impl Normalizer {
             npkts: f.npkts,
             tag: f.tag.map(|t| (t.job, self.diter(t.iter))),
             prio: f.prio.0,
-            dglobal,
-            app_token: f.app_token,
             next_seq: f.next_seq,
             acked: f.acked.clone(),
             failed: f.failed,
@@ -706,11 +697,6 @@ impl Simulator {
         }
         if self.recorder.is_some() {
             st.fallback.get_or_insert("recorder-attached");
-            st.ring.clear();
-            return None;
-        }
-        if self.shard.is_some() {
-            st.fallback.get_or_insert("sharded");
             st.ring.clear();
             return None;
         }
@@ -888,7 +874,6 @@ impl Simulator {
             units as u64,
         );
         self.now = boundary + dt;
-        self.last_event_ns = self.now.as_ns();
         let replayed_events = stats_delta.events * units as u64;
         self.trace.push(
             boundary,
@@ -1160,11 +1145,11 @@ impl Simulator {
     ///   terminal block.
     ///
     /// Shifting a flow by `s` blocks (`s` a multiple of `k`) adds
-    /// `(s/k)·P` to its timestamps, `s·F` to its global id and `s` to its
-    /// iteration tag; all transport state (bitmaps, generations,
-    /// counters) copies verbatim — that is what the fingerprint equality
-    /// certifies, block by block, for every block live at either compared
-    /// boundary.
+    /// `(s/k)·P` to its timestamps and `s` to its iteration tag (its id is
+    /// its table index, which the push below moves by `s·F`); all
+    /// transport state (bitmaps, generations, counters) copies verbatim —
+    /// that is what the fingerprint equality certifies, block by block,
+    /// for every block live at either compared boundary.
     fn memo_replay_flows(
         &mut self,
         fpb: u32,
@@ -1199,7 +1184,6 @@ impl Simulator {
                 if let Some(c) = f.completed_at {
                     f.completed_at = Some(c + shift);
                 }
-                f.global += s * fpb;
                 if let Some(tag) = &mut f.tag {
                     tag.iter += s;
                 }

@@ -20,12 +20,12 @@
 //!   property-tested in `tests/pipeline_fifo.rs`).
 //! * **Delay-class pipes** ([`ClassPipes`]) carry timer and control events
 //!   ([`Timed`]): `TxDone` (one class per serialization time), `Rto` (the
-//!   base timeout and each backoff multiple), `AckFlush` and local `Pfc`
+//!   base timeout and each backoff multiple), `AckFlush` and `Pfc`
 //!   frames. Classes are keyed by the delay *value* and discovered on first
 //!   use, up to a small bound; a delay past the bound simply goes to the
 //!   scheduler, which remains the general future-event list for everything
 //!   scheduled at an absolute time (faults, controls, wake-ups, sampler
-//!   ticks, cross-shard PFC).
+//!   ticks).
 //!
 //! ## Pipe granularity
 //!

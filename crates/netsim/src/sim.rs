@@ -28,7 +28,6 @@ use crate::ids::{HostId, LinkId, NodeId, SwitchId};
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority, NPRIO};
 use crate::pipeline::{ClassPipes, FrontHeap, InFlight, PipeFront, Timed, CLASS_PIPE};
 use crate::rng::RngStreams;
-use crate::shard::{RemoteOpen, RemotePfc, RemotePkt, ShardOutbox, ShardPlan};
 use crate::spray;
 use crate::stats::{DropCause, Stats};
 use crate::time::{SimDuration, SimTime};
@@ -36,7 +35,7 @@ use crate::topology::{LinkClass, SwitchKind, Topology};
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::transport::{AckAccum, FlowState};
 use fp_telemetry::{LinkMeta, LinkSample, Recorder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 // A child module (rather than a sibling) so the fast-forward machinery can
 // reach the simulator's private runtime state without widening its API.
@@ -201,34 +200,6 @@ pub struct IterSpanRecord {
     pub end: SimTime,
 }
 
-/// Per-shard state of a simulator participating in an intra-trial
-/// sharded run (see [`crate::shard`]). `None` on ordinary simulators —
-/// every sharding hook then reduces to one `Option` branch, keeping the
-/// unsharded fast path and its output bytes untouched.
-struct ShardCtx {
-    /// This simulator's shard id.
-    shard: u32,
-    /// The partition (node owners + lookahead).
-    plan: ShardPlan,
-    /// First delivery-pipe index reserved for coordinator-injected remote
-    /// arrivals (one extra pipe per latency class).
-    remote_pipe_base: u32,
-    /// Trial-global flow id → local `flows` index, for own flows and
-    /// mirrors of remotely-posted flows alike.
-    fid_map: HashMap<FlowId, FlowId>,
-    /// Next global flow id to allocate (strided by `plan.n_shards` so
-    /// shards never collide without coordination).
-    next_global: FlowId,
-    /// Boundary-crossing traffic emitted this window.
-    outbox: ShardOutbox,
-    /// Wire-transit log of boundary-crossing packets this shard sent:
-    /// `(link, send_ns, arrive_ns)`. Boundary links never touch the
-    /// sender's `LinkState::inflight` (delivery happens at the receiving
-    /// shard), so the telemetry merge recomputes their in-flight depth
-    /// from this log. Only populated while a recorder is attached.
-    wire_log: Vec<(u32, u64, u64)>,
-}
-
 /// The packet-level fat-tree simulator.
 pub struct Simulator {
     /// Configuration (immutable after construction).
@@ -237,9 +208,9 @@ pub struct Simulator {
     pub topo: Topology,
     now: SimTime,
     /// Future-event list for absolute-time events (faults, controls,
-    /// wake-ups, sampler ticks, cross-shard PFC) and for delays past the
-    /// class bound; backend chosen by `cfg.sched` / `FP_SCHED`. Also the
-    /// one source of tie-break sequence numbers for every pipe.
+    /// wake-ups, sampler ticks) and for delays past the class bound;
+    /// backend chosen by `cfg.sched` / `FP_SCHED`. Also the one source of
+    /// tie-break sequence numbers for every pipe.
     heap: EventQueue,
     /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
     /// The event loop dispatches min(front, scheduler) by `(time, seq)` —
@@ -254,7 +225,7 @@ pub struct Simulator {
     /// Total packets on the wire across all delivery pipes.
     in_flight_pkts: usize,
     /// Delay-class pipes: every constant-delay event (`TxDone`, `Rto`,
-    /// `AckFlush`, local `Pfc`) waits here instead of in `heap`; their
+    /// `AckFlush`, `Pfc`) waits here instead of in `heap`; their
     /// heads share `front` with the delivery pipes. See
     /// [`Simulator::schedule_after`].
     timers: ClassPipes,
@@ -281,18 +252,6 @@ pub struct Simulator {
     applied_controls: Vec<AppliedControl>,
     iter_spans: Vec<IterSpanRecord>,
     recorder: Option<Box<dyn Recorder>>,
-    /// Absolute time of the next sampler tick (0 = no periodic sampler).
-    /// Unsharded sims drive the sampler through a self-rescheduling heap
-    /// event; sharded sims sample lazily at grid points inside
-    /// [`Simulator::run_window`] so the sampler never occupies the heap,
-    /// never consumes a sequence number, and never widens
-    /// [`Simulator::next_event_time`] — the window schedule (and therefore
-    /// every tie-break) is byte-identical to a recorder-free run.
-    next_sample_ns: u64,
-    /// Time of the last dispatched non-sampler event (sharded telemetry
-    /// uses the cross-shard max to place the final sampler tick exactly
-    /// where an unsharded run would).
-    last_event_ns: u64,
     scratch_cands: Vec<LinkId>,
     scratch_loads: Vec<u64>,
     /// Scratch uplink-slot ids handed to feedback-driven sprayers.
@@ -307,8 +266,6 @@ pub struct Simulator {
     /// Number of links currently carrying [`LinkState::spray_avoid`];
     /// zero keeps the avoidance filter entirely off the spray hot path.
     spray_avoided: u32,
-    /// Sharded-run state; `None` (the default) on ordinary simulators.
-    shard: Option<Box<ShardCtx>>,
     /// Temporal-symmetry memoization state (`FP_MEMO`, see [`memo`]);
     /// `None` (the default) falls back to fully live simulation.
     memo: Option<Box<memo::MemoState>>,
@@ -399,15 +356,12 @@ impl Simulator {
             applied_controls: Vec::new(),
             iter_spans: Vec::new(),
             recorder: None,
-            next_sample_ns: 0,
-            last_event_ns: 0,
             scratch_cands: Vec::new(),
             scratch_loads: Vec::new(),
             scratch_slots: Vec::new(),
             scratch_echoes: Vec::new(),
             spray_feedback,
             spray_avoided: 0,
-            shard: None,
             memo: None,
         };
         sim.recompute_routing();
@@ -457,83 +411,13 @@ impl Simulator {
         self.recorder = Some(rec);
         if interval > 0 {
             let at = self.now + SimDuration::from_ns(interval);
-            self.next_sample_ns = at.as_ns();
-            // Sharded sims sample lazily in `run_window` instead — a heap
-            // entry would consume sequence numbers and stretch
-            // `next_event_time`, perturbing the coordinator's window
-            // schedule away from the recorder-free run.
-            if self.shard.is_none() {
-                self.heap.push(at, EventKind::Sample);
-            }
+            self.heap.push(at, EventKind::Sample);
         }
-    }
-
-    /// Emit sampler rows for every grid point at or before `t` (the next
-    /// event due in this window). Sampling at `g == t` *before* the event
-    /// dispatches mirrors the unsharded tie order, where the sampler's heap
-    /// entry — pushed a full interval earlier — carries the lower sequence
-    /// number. Only meaningful on sharded sims; unsharded sampling rides
-    /// the self-rescheduling `Sample` heap event.
-    fn sample_up_to(&mut self, t: SimTime) {
-        if self.recorder.is_none() || self.next_sample_ns == 0 {
-            return;
-        }
-        let interval = self
-            .recorder
-            .as_ref()
-            .map(|r| r.sample_interval_ns())
-            .unwrap_or(0);
-        if interval == 0 {
-            return;
-        }
-        while self.next_sample_ns <= t.as_ns() {
-            let at = SimTime::from_ns(self.next_sample_ns);
-            debug_assert!(at >= self.now, "sampler grid fell behind the clock");
-            self.now = at;
-            self.sample_links();
-            self.next_sample_ns += interval;
-        }
-    }
-
-    /// Emit the sharded sampler's final row set: one tick at the first
-    /// grid point strictly past the shard's last local event, capturing
-    /// its drained state. Lazy window sampling only fires ahead of a due
-    /// event, so without this flush the post-drain state (empty queues,
-    /// final `txed_bytes`) would never be observed — while the unsharded
-    /// sampler's trailing tick observes exactly that. Ticks beyond this
-    /// one are reconstructed by carry-forward in the telemetry merge (the
-    /// shard's links can no longer change). Called by the shard executor
-    /// at `Finish`, after the last window has run.
-    pub fn sampler_flush_final(&mut self) {
-        if self.recorder.is_none() || self.next_sample_ns == 0 {
-            return;
-        }
-        let at = SimTime::from_ns(self.next_sample_ns);
-        debug_assert!(at >= self.now, "sampler grid fell behind the clock");
-        self.now = at;
-        self.sample_links();
-        self.next_sample_ns += self
-            .recorder
-            .as_ref()
-            .map(|r| r.sample_interval_ns())
-            .unwrap_or(0);
     }
 
     /// Detach and return the recorder (for post-run export and flushing).
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
         self.recorder.take()
-    }
-
-    /// True if a telemetry recorder is attached.
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Time of the last dispatched non-sampler event, nanoseconds (0 if
-    /// nothing ran yet). Sampler ticks are excluded, so this is the time
-    /// an unsharded run's final trailing tick is derived from.
-    pub fn last_event_ns(&self) -> u64 {
-        self.last_event_ns
     }
 
     /// Report a completed collective iteration span. Always appended to the
@@ -677,33 +561,18 @@ impl Simulator {
 
     /// Apply a fault action right now.
     pub fn apply_fault_now(&mut self, link: LinkId, action: FaultAction, bidirectional: bool) {
-        self.apply_fault_action(link, action, true);
+        self.apply_fault_action(link, action);
         if bidirectional {
             let peer = self.topo.peer[link.idx()];
-            self.apply_fault_action(peer, action, true);
+            self.apply_fault_action(peer, action);
         }
     }
 
-    /// Apply a fault action right now without a trace record. Used by
-    /// sharded runs to replicate *known* (routing-visible) faults onto
-    /// shards that do not own the link: the state flip must happen
-    /// everywhere, but only the owning shard's trace may record it, or the
-    /// merged trace would show one install per shard.
-    pub fn apply_fault_untraced(&mut self, link: LinkId, action: FaultAction, bidirectional: bool) {
-        self.apply_fault_action(link, action, false);
-        if bidirectional {
-            let peer = self.topo.peer[link.idx()];
-            self.apply_fault_action(peer, action, false);
-        }
-    }
-
-    fn apply_fault_action(&mut self, link: LinkId, action: FaultAction, traced: bool) {
+    fn apply_fault_action(&mut self, link: LinkId, action: FaultAction) {
         match action {
             FaultAction::Set(kind) => {
-                if traced {
-                    self.trace
-                        .push(self.now, TraceEvent::FaultSet { link, kind });
-                }
+                self.trace
+                    .push(self.now, TraceEvent::FaultSet { link, kind });
                 if kind == FaultKind::AdminDown {
                     self.links[link.idx()].admin_up = false;
                     self.links[link.idx()].fault = None;
@@ -714,9 +583,7 @@ impl Simulator {
                 }
             }
             FaultAction::Clear => {
-                if traced {
-                    self.trace.push(self.now, TraceEvent::FaultCleared { link });
-                }
+                self.trace.push(self.now, TraceEvent::FaultCleared { link });
                 let was_down = !self.links[link.idx()].admin_up;
                 self.links[link.idx()].fault = None;
                 self.links[link.idx()].admin_up = true;
@@ -830,59 +697,18 @@ impl Simulator {
         tag: Option<CollectiveTag>,
         prio: Priority,
     ) -> FlowId {
-        self.post_message_tok(src, dst, bytes, tag, prio, u64::MAX)
-    }
-
-    /// [`Simulator::post_message`] with an opaque application token
-    /// attached to the flow (readable back via `flows[id].app_token`).
-    /// Sharded workload drivers use the token to map completions at the
-    /// receiving shard back to workload transfers.
-    pub fn post_message_tok(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        bytes: u64,
-        tag: Option<CollectiveTag>,
-        prio: Priority,
-        token: u64,
-    ) -> FlowId {
         assert!(src != dst, "self-addressed message");
         let id = self.flows.len() as FlowId;
-        let mut f = FlowState::new(src, dst, bytes, self.cfg.mtu, tag, prio, self.now);
-        f.app_token = token;
-        f.global = match self.shard.as_mut() {
-            Some(c) => {
-                debug_assert_eq!(
-                    c.plan.owner(NodeId::Host(src)),
-                    c.shard,
-                    "posting at a non-owned host"
-                );
-                let g = c.next_global;
-                c.next_global += c.plan.n_shards;
-                c.fid_map.insert(g, id);
-                g
-            }
-            None => id,
-        };
-        let global = f.global;
-        self.flows.push(f);
+        self.flows.push(FlowState::new(
+            src,
+            dst,
+            bytes,
+            self.cfg.mtu,
+            tag,
+            prio,
+            self.now,
+        ));
         self.hosts[src.idx()].active.push_back(id);
-        if let Some(c) = self.shard.as_mut() {
-            // The receiver lives in another shard: ship an open record so
-            // its mirror exists before any data packet crosses over.
-            if c.plan.owner(NodeId::Host(dst)) != c.shard {
-                c.outbox.opens.push(RemoteOpen {
-                    global,
-                    src,
-                    dst,
-                    bytes,
-                    tag,
-                    prio,
-                    token,
-                    at: self.now,
-                });
-            }
-        }
         self.try_start_tx(self.topo.host_up[src.idx()]);
         id
     }
@@ -891,215 +717,6 @@ impl Simulator {
     pub fn schedule_wake(&mut self, at: SimTime, host: HostId, token: u64) {
         debug_assert!(at >= self.now);
         self.heap.push(at, EventKind::Wake { host, token });
-    }
-
-    // ------------------------------------------------------------------
-    // Intra-trial sharding (see `crate::shard` and DESIGN.md)
-    // ------------------------------------------------------------------
-
-    /// Turn this simulator into shard `shard` of `plan`. Must be called
-    /// before any traffic is posted. Appends one delivery pipe per
-    /// latency class for coordinator-injected remote arrivals.
-    pub fn attach_shard(&mut self, shard: u32, plan: ShardPlan) {
-        assert!(
-            self.flows.is_empty() && self.now == SimTime::ZERO,
-            "attach_shard must precede all traffic"
-        );
-        assert!(shard < plan.n_shards, "shard id out of range");
-        let base = self.pipes.len() as u32;
-        for _ in 0..base {
-            self.pipes.push(VecDeque::new());
-        }
-        self.shard = Some(Box::new(ShardCtx {
-            shard,
-            plan,
-            remote_pipe_base: base,
-            fid_map: HashMap::new(),
-            next_global: shard,
-            outbox: ShardOutbox::default(),
-            wire_log: Vec::new(),
-        }));
-    }
-
-    /// Earliest pending event or head-of-pipe arrival time, if any — the
-    /// shard's contribution to the coordinator's conservative window.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.next_due().map(|(t, _)| t)
-    }
-
-    /// Run every event strictly before `end` (the conservative window
-    /// bound). The clock is *not* advanced to `end` on drain, so a
-    /// quiescent shard never races ahead of injected future arrivals.
-    /// Returns events processed.
-    pub fn run_window(&mut self, end: SimTime) -> u64 {
-        self.start_app_if_needed();
-        let start_events = self.stats.events;
-        loop {
-            let (t, from_front) = match self.next_due() {
-                None => break,
-                Some((t, _)) if t >= end => break,
-                Some(due) => due,
-            };
-            // Emit sampler rows for grid points passed by this event (and
-            // for a grid point *at* it, before it dispatches) — sharded
-            // sims keep the sampler out of the heap so the window schedule
-            // matches a recorder-free run; see `sample_up_to`.
-            self.sample_up_to(t);
-            if from_front {
-                self.deliver_front();
-            } else {
-                let (k_at, kind) = self.heap.pop().expect("peeked");
-                self.dispatch(k_at, kind);
-            }
-        }
-        self.stats.events - start_events
-    }
-
-    /// Inject a packet that crossed the shard boundary: append it to the
-    /// remote delivery pipe of `link`'s latency class, stamped with the
-    /// sender-computed arrival time. Arrivals per pipe must be injected
-    /// in nondecreasing time order (the coordinator sorts each window).
-    pub fn shard_inject_pkt(&mut self, at: SimTime, link: LinkId, pkt: Packet) {
-        let c = self
-            .shard
-            .as_ref()
-            .expect("shard_inject_pkt on unsharded sim");
-        let class = c.remote_pipe_base + self.link_pipe[link.idx()];
-        let seq = self.heap.reserve_seq();
-        let pipe = &mut self.pipes[class as usize];
-        debug_assert!(
-            pipe.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
-            "remote pipe arrivals must be FIFO"
-        );
-        if pipe.is_empty() {
-            self.front.arm(PipeFront {
-                at,
-                seq,
-                pipe: class,
-            });
-        }
-        pipe.push_back(InFlight { at, seq, link, pkt });
-        self.links[link.idx()].inflight += 1;
-        self.in_flight_pkts += 1;
-    }
-
-    /// Batched ingress splice: inject a whole pre-sorted remote batch in
-    /// one pass. The batch's sequence numbers come from a single counter
-    /// bump ([`Scheduler::reserve_seq_range`]) with `seq0 + i` for packet
-    /// `i` — exactly the numbers `n` separate [`Self::shard_inject_pkt`]
-    /// calls would have drawn — and each pipe that went empty→nonempty is
-    /// armed once at the end. No event dispatches mid-splice, so the
-    /// deferred arms leave the identical end state without per-packet
-    /// front-heap probes.
-    pub fn shard_inject_pkts(&mut self, batch: &[RemotePkt]) {
-        if batch.is_empty() {
-            return;
-        }
-        let base = self
-            .shard
-            .as_ref()
-            .expect("shard_inject_pkts on unsharded sim")
-            .remote_pipe_base;
-        let seq0 = self.heap.reserve_seq_range(batch.len() as u64);
-        let mut to_arm: Vec<PipeFront> = Vec::with_capacity(4);
-        for (i, r) in batch.iter().enumerate() {
-            let seq = seq0 + i as u64;
-            let class = base + self.link_pipe[r.link.idx()];
-            let pipe = &mut self.pipes[class as usize];
-            debug_assert!(
-                pipe.back().is_none_or(|b| (b.at, b.seq) < (r.at, seq)),
-                "remote pipe arrivals must be FIFO"
-            );
-            if pipe.is_empty() {
-                to_arm.push(PipeFront {
-                    at: r.at,
-                    seq,
-                    pipe: class,
-                });
-            }
-            pipe.push_back(InFlight {
-                at: r.at,
-                seq,
-                link: r.link,
-                pkt: r.pkt,
-            });
-            self.links[r.link.idx()].inflight += 1;
-            self.in_flight_pkts += 1;
-        }
-        for f in to_arm {
-            self.front.arm(f);
-        }
-    }
-
-    /// Inject a PFC frame that crossed the shard boundary (the paused
-    /// transmitter lives here, the switch that sent the frame does not).
-    pub fn shard_inject_pfc(&mut self, at: SimTime, link: LinkId, prio: u8, pause: bool) {
-        debug_assert!(at >= self.now, "PFC injected into the past");
-        self.heap.push(at, EventKind::Pfc { link, prio, pause });
-    }
-
-    /// Create a passive receiver mirror for a flow posted in another
-    /// shard. The mirror holds receiver state (reassembly, ACK
-    /// generation) and never transmits.
-    pub fn shard_open_flow(&mut self, open: &RemoteOpen) {
-        let id = self.flows.len() as FlowId;
-        let mut f = FlowState::new(
-            open.src,
-            open.dst,
-            open.bytes,
-            self.cfg.mtu,
-            open.tag,
-            open.prio,
-            open.at,
-        );
-        f.global = open.global;
-        f.app_token = open.token;
-        self.flows.push(f);
-        let c = self
-            .shard
-            .as_mut()
-            .expect("shard_open_flow on unsharded sim");
-        debug_assert_eq!(
-            c.plan.owner(NodeId::Host(open.dst)),
-            c.shard,
-            "mirror at a non-owned host"
-        );
-        c.fid_map.insert(open.global, id);
-    }
-
-    /// Drain the wire-transit log of boundary-crossing packets this shard
-    /// sent: `(link, send_ns, arrive_ns)` in send order. Empty unless a
-    /// recorder was attached (see `ShardCtx::wire_log`).
-    pub fn shard_take_wire_log(&mut self) -> Vec<(u32, u64, u64)> {
-        std::mem::take(
-            &mut self
-                .shard
-                .as_mut()
-                .expect("unsharded sim has no wire log")
-                .wire_log,
-        )
-    }
-
-    /// Drain the boundary-crossing traffic emitted since the last drain.
-    pub fn shard_take_outbox(&mut self) -> ShardOutbox {
-        std::mem::take(
-            &mut self
-                .shard
-                .as_mut()
-                .expect("unsharded sim has no outbox")
-                .outbox,
-        )
-    }
-
-    /// Local `flows` index of a wire-level (trial-global) flow id.
-    fn local_fid(&self, global: FlowId) -> FlowId {
-        match self.shard.as_ref() {
-            Some(c) => *c
-                .fid_map
-                .get(&global)
-                .expect("packet for a flow this shard never saw opened"),
-            None => global,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1250,7 +867,6 @@ impl Simulator {
         self.in_flight_pkts -= 1;
         debug_assert!(f.at >= self.now, "time went backwards");
         self.now = f.at;
-        self.last_event_ns = f.at.as_ns();
         self.stats.events += 1;
         self.stats.pipeline_deliveries += 1;
         self.handle_delivery(head.link, head.pkt);
@@ -1284,7 +900,6 @@ impl Simulator {
                 .filter(|&i| i > 0)
             {
                 let next = at + SimDuration::from_ns(interval);
-                self.next_sample_ns = next.as_ns();
                 if !self.heap.is_empty() || !self.front.is_empty() {
                     self.heap.push(next, EventKind::Sample);
                 }
@@ -1293,7 +908,6 @@ impl Simulator {
         }
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.last_event_ns = at.as_ns();
         self.stats.events += 1;
         match kind {
             EventKind::TxDone { link } => self.handle_tx_done(link),
@@ -1528,10 +1142,7 @@ impl Simulator {
             let seq = f.next_seq;
             f.next_seq += 1;
             let pkt = Packet {
-                kind: PacketKind::Data {
-                    flow: f.global,
-                    seq,
-                },
+                kind: PacketKind::Data { flow: fid, seq },
                 src: f.src,
                 dst: f.dst,
                 size: f.seg_size(seq),
@@ -1599,24 +1210,6 @@ impl Simulator {
                     },
                 },
             );
-        } else if self
-            .shard
-            .as_ref()
-            .is_some_and(|c| c.plan.link_dst_owner(&self.topo, link) != c.shard)
-        {
-            // The far end belongs to another shard: hand the packet to
-            // the coordinator with its precomputed arrival time instead
-            // of the local pipes. Cross-shard links have latency >= the
-            // plan's lookahead, so the arrival always lands in a later
-            // window.
-            let at = self.now + self.topo.links[link.idx()].latency;
-            let now_ns = self.now.as_ns();
-            let has_rec = self.recorder.is_some();
-            let c = self.shard.as_mut().expect("checked above");
-            if has_rec {
-                c.wire_log.push((link.idx() as u32, now_ns, at.as_ns()));
-            }
-            c.outbox.pkts.push(RemotePkt { at, link, pkt });
         } else {
             // Pipe insert — the surviving packet goes on the wire. A
             // sequence number is reserved here, exactly where the old
@@ -1671,36 +1264,17 @@ impl Simulator {
     }
 
     /// Schedule a PFC pause/resume frame taking effect at `in_link`'s
-    /// transmitter one reverse-link latency from now. If that transmitter
-    /// lives in another shard the frame crosses via the outbox.
+    /// transmitter one reverse-link latency from now.
     fn push_pfc(&mut self, in_link: LinkId, prio: u8, pause: bool) {
         let delay = self.topo.links[self.topo.peer[in_link.idx()].idx()].latency;
-        if self
-            .shard
-            .as_ref()
-            .is_some_and(|c| c.plan.link_owner(&self.topo, in_link) != c.shard)
-        {
-            self.shard
-                .as_mut()
-                .expect("checked above")
-                .outbox
-                .pfcs
-                .push(RemotePfc {
-                    at: self.now + delay,
-                    link: in_link,
-                    prio,
-                    pause,
-                });
-        } else {
-            self.schedule_after(
-                delay,
-                EventKind::Pfc {
-                    link: in_link,
-                    prio,
-                    pause,
-                },
-            );
-        }
+        self.schedule_after(
+            delay,
+            EventKind::Pfc {
+                link: in_link,
+                prio,
+                pause,
+            },
+        );
     }
 
     fn handle_pfc(&mut self, link: LinkId, prio: u8, pause: bool) {
@@ -1903,17 +1477,9 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn host_receive(&mut self, h: HostId, pkt: Packet) {
-        // Wire packets carry trial-global flow ids; translate to the
-        // local table (identity on unsharded simulators).
         match pkt.kind {
-            PacketKind::Data { flow, seq } => {
-                let flow = self.local_fid(flow);
-                self.receive_data(h, flow, seq, pkt.size, pkt.ce)
-            }
-            PacketKind::Ack { flow, block } => {
-                let flow = self.local_fid(flow);
-                self.receive_ack(h, flow, block)
-            }
+            PacketKind::Data { flow, seq } => self.receive_data(h, flow, seq, pkt.size, pkt.ce),
+            PacketKind::Ack { flow, block } => self.receive_ack(h, flow, block),
         }
     }
 
@@ -2006,10 +1572,7 @@ impl Simulator {
     fn send_ack(&mut self, flow: FlowId, block: AckBlock) {
         let f = &self.flows[flow as usize];
         let pkt = Packet {
-            kind: PacketKind::Ack {
-                flow: f.global,
-                block,
-            },
+            kind: PacketKind::Ack { flow, block },
             src: f.dst,
             dst: f.src,
             size: self.cfg.ack_size,
@@ -2029,7 +1592,7 @@ impl Simulator {
         let feedback = self.spray_feedback;
         let mut echoes = std::mem::take(&mut self.scratch_echoes);
         echoes.clear();
-        let (global, pair, newly_done) = {
+        let (pair, newly_done) = {
             let f = &mut self.flows[flow as usize];
             let was_done = f.fully_acked();
             // Cumulative watermark first (heals any previously lost ACKs)…
@@ -2056,7 +1619,7 @@ impl Simulator {
                     }
                 }
             }
-            (f.global, (f.src.0, f.dst.0), !was_done && f.fully_acked())
+            ((f.src.0, f.dst.0), !was_done && f.fully_acked())
         };
         // Echo each newly acknowledged segment to the source leaf's
         // sprayer: a clean ACK proves the path, a CE-marked one flags it.
@@ -2069,7 +1632,7 @@ impl Simulator {
                 } else {
                     spray::SprayEcho::Ack
                 };
-                sprayer.on_feedback(global, pair, seq, echo);
+                sprayer.on_feedback(flow, pair, seq, echo);
             }
         }
         self.scratch_echoes = echoes;
@@ -2104,10 +1667,7 @@ impl Simulator {
         let (src, pkt) = {
             let f = &self.flows[flow as usize];
             let pkt = Packet {
-                kind: PacketKind::Data {
-                    flow: f.global,
-                    seq,
-                },
+                kind: PacketKind::Data { flow, seq },
                 src: f.src,
                 dst: f.dst,
                 size: f.seg_size(seq),
@@ -2129,11 +1689,11 @@ impl Simulator {
         // under its new entropy.
         if self.spray_feedback {
             let f = &self.flows[flow as usize];
-            let (global, pair) = (f.global, (f.src.0, f.dst.0));
+            let pair = (f.src.0, f.dst.0);
             let leaf = self.hosts[src.idx()].leaf as usize;
             self.switches[leaf]
                 .sprayer
-                .on_feedback(global, pair, seq, spray::SprayEcho::Timeout);
+                .on_feedback(flow, pair, seq, spray::SprayEcho::Timeout);
         }
         self.enqueue(self.topo.host_up[src.idx()], pkt);
         let exp = (attempt + 1).min(self.cfg.rto_backoff_cap);
@@ -2190,10 +1750,8 @@ fn node_label(n: NodeId) -> String {
 }
 
 /// The telemetry link descriptions for a topology — what
-/// [`Simulator::set_recorder`] hands to [`Recorder::on_topology`]. Public
-/// so the sharded-telemetry replay path can describe the fabric to the
-/// user's recorder without building a simulator.
-pub fn link_metas(topo: &Topology) -> Vec<LinkMeta> {
+/// [`Simulator::set_recorder`] hands to [`Recorder::on_topology`].
+fn link_metas(topo: &Topology) -> Vec<LinkMeta> {
     topo.links
         .iter()
         .enumerate()

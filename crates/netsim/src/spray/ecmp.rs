@@ -12,8 +12,8 @@
 //!
 //! Stateless and purely functional in `(src, dst, n_candidates)`; it
 //! never touches the RNG or the rotation cursor, so it is trivially
-//! byte-identical across thread counts, scheduler backends and shard
-//! partitions, and its memo residual is always clean.
+//! byte-identical across thread counts and scheduler backends, and its
+//! memo residual is always clean.
 
 use super::{SprayCtx, Sprayer};
 use crate::rng::splitmix64;

@@ -143,17 +143,15 @@ impl SprayPolicy {
         }
     }
 
-    /// Read the `FP_SPRAY` environment knob; `None` when unset or
-    /// unparsable (callers fall back to [`SprayPolicy::Adaptive`]).
+    /// Read the `FP_SPRAY` environment knob; `None` when unset or empty
+    /// (callers fall back to [`SprayPolicy::Adaptive`]). An unknown policy
+    /// name panics, see [`crate::config::env_setting`].
     pub fn from_env() -> Option<SprayPolicy> {
-        let raw = std::env::var("FP_SPRAY").ok()?;
-        match SprayPolicy::parse(&raw) {
-            some @ Some(_) => some,
-            None => {
-                eprintln!("FP_SPRAY: unknown policy {raw:?}; using the default");
-                None
-            }
-        }
+        crate::config::env_setting(
+            "FP_SPRAY",
+            "random|rr|adaptive|least_loaded|least_loaded_random_tie|ecmp|prime|reps|reps_failover",
+            SprayPolicy::parse,
+        )
     }
 }
 
@@ -214,9 +212,8 @@ pub struct SprayCtx<'a> {
 /// never ambient randomness or map iteration order — so a trial replays
 /// byte-identically at any `FP_THREADS`/`FP_SCHED` setting. Backends whose
 /// state is fed by transport echoes ([`Sprayer::on_feedback`]) are still
-/// deterministic in a single-simulator run but refuse the memo and shard
-/// fast paths (see [`Sprayer::memo_residual`] and the harness eligibility
-/// gates).
+/// deterministic but refuse the memo fast path (see
+/// [`Sprayer::memo_residual`] and the harness eligibility gate).
 pub trait Sprayer: std::fmt::Debug + Send {
     /// Choose a candidate index for the packet described by `ctx`.
     /// `cursor` is the switch's rotation state (shared with the classic

@@ -28,10 +28,9 @@
 //! entropies are purged.
 //!
 //! All state is per-leaf and fed by the deterministic echo stream, so the
-//! backend is byte-deterministic in a single-simulator run. The pool is
-//! fed by ACK arrival order, though, so the backend refuses the
-//! temporal-symmetry memo ([`Sprayer::memo_residual`]) and the harness's
-//! shard gate keeps it off the sharded fast path.
+//! backend is byte-deterministic. The pool is fed by ACK arrival order,
+//! though, so the backend refuses the temporal-symmetry memo
+//! ([`Sprayer::memo_residual`]).
 
 use super::{SprayCtx, SprayEcho, Sprayer};
 use crate::packet::FlowId;

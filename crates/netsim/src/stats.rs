@@ -96,12 +96,9 @@ impl Stats {
         self.drops[DropCause::SilentFault.idx()]
     }
 
-    /// Fold another run's counters into this one (used to merge per-shard
-    /// statistics of an intra-trial sharded run). Every field is a sum
-    /// except `max_queue_bytes`, which is a high-water mark. Each counter
-    /// has a single writing shard (transmit-side stats at the sender's
-    /// shard, delivery-side at the receiver's), so the merged totals equal
-    /// an unsharded run's.
+    /// Fold another trial's counters into this one (totals over the
+    /// trials of a campaign or of a benchmark unit). Every field is a sum
+    /// except `max_queue_bytes`, which is a high-water mark.
     pub fn merge(&mut self, other: &Stats) {
         self.events += other.events;
         self.pipeline_deliveries += other.pipeline_deliveries;

@@ -35,15 +35,6 @@ pub struct FlowState {
     pub tag: Option<CollectiveTag>,
     /// Priority class for data packets.
     pub prio: Priority,
-    /// Trial-global flow id stamped into wire packets. Equal to the local
-    /// table index on an unsharded simulator; under intra-trial sharding
-    /// ([`crate::shard`]) the sending shard allocates it from a strided
-    /// global namespace so both endpoint shards can name the same flow.
-    pub global: crate::packet::FlowId,
-    /// Opaque application token attached at post time (`u64::MAX` =
-    /// none). Sharded workload drivers use it to map a completion back to
-    /// the workload-level transfer without a shared table.
-    pub app_token: u64,
 
     // --- sender side ---
     /// Next fresh (never-transmitted) segment.
@@ -97,8 +88,6 @@ impl FlowState {
             npkts,
             tag,
             prio,
-            global: 0,
-            app_token: u64::MAX,
             next_seq: 0,
             acked: BitSet::new(npkts),
             failed: false,

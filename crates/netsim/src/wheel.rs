@@ -156,15 +156,6 @@ impl TimingWheel {
         seq
     }
 
-    /// Reserve `n` consecutive sequence numbers, returning the first (see
-    /// [`Scheduler::reserve_seq_range`]).
-    #[inline]
-    pub fn reserve_seq_range(&mut self, n: u64) -> u64 {
-        let seq = self.seq;
-        self.seq += n;
-        seq
-    }
-
     /// Schedule `kind` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.reserve_seq();
@@ -448,9 +439,6 @@ impl Scheduler for TimingWheel {
     }
     fn reserve_seq(&mut self) -> u64 {
         TimingWheel::reserve_seq(self)
-    }
-    fn reserve_seq_range(&mut self, n: u64) -> u64 {
-        TimingWheel::reserve_seq_range(self, n)
     }
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         TimingWheel::pop(self)

@@ -37,14 +37,12 @@ mod histogram;
 mod manifest;
 mod recorder;
 mod run;
-mod tap;
 
 pub use events::{Event, EventRecord};
 pub use histogram::{HistogramBucket, HistogramExport, LogHistogram};
 pub use manifest::{dirt_is_artifacts_only, git_describe, Manifest};
 pub use recorder::{LinkMeta, LinkSample, NullRecorder, Recorder};
 pub use run::{IterSpan, RunRecorder, SampleRow};
-pub use tap::TapRecorder;
 
 /// Default sampler period: 100 µs of simulated time between link samples.
 pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 100_000;

@@ -19,8 +19,8 @@ pub struct Manifest {
     pub threads: u64,
     /// Logical cores the producing host exposed
     /// (`std::thread::available_parallelism`). Lets readers judge whether
-    /// parallel rows (worker pools, sharded fabrics) measured real
-    /// concurrency or single-core coordination overhead.
+    /// worker-pool rows measured real concurrency or single-core
+    /// coordination overhead.
     pub host_parallelism: u64,
     /// Whether `FP_QUICK` reduced the sweep.
     pub quick: bool,
@@ -36,12 +36,6 @@ pub struct Manifest {
     pub events_per_sec: f64,
     /// Event-scheduler backend the trials ran on (`"heap"` / `"wheel"`).
     pub scheduler: String,
-    /// Intra-trial shard count the fabric ran with (1 = unsharded).
-    pub shards: u64,
-    /// Epoch cap (max windows per synchronization round) the sharded
-    /// coordinator ran with; 1 is the legacy per-window handshake, 0 when
-    /// unsharded.
-    pub shard_epoch: u64,
     /// Iteration spans fast-forwarded by temporal-symmetry memoization
     /// (`FP_MEMO`), summed across trials. 0 when memoization was off or
     /// never converged.
@@ -139,8 +133,6 @@ mod tests {
             events_total: 9000,
             events_per_sec: 7.5e7,
             scheduler: "wheel".into(),
-            shards: 1,
-            shard_epoch: 0,
             memo_hits: 3,
             memo_replayed_events: 4500,
             sched: Value::Map(vec![("max_pending".to_string(), Value::U64(12))]),
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(get("trials").and_then(Value::as_u64), Some(2));
         assert_eq!(get("scheduler").and_then(Value::as_str), Some("wheel"));
         assert_eq!(get("host_parallelism").and_then(Value::as_u64), Some(8));
-        assert_eq!(get("shard_epoch").and_then(Value::as_u64), Some(0));
         assert_eq!(get("memo_hits").and_then(Value::as_u64), Some(3));
         assert_eq!(
             get("memo_replayed_events").and_then(Value::as_u64),

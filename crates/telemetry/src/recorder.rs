@@ -76,14 +76,6 @@ pub trait Recorder {
     fn finish(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-
-    /// Downcast support for harnesses that need their concrete recorder
-    /// back from a `Box<dyn Recorder>` (e.g. the shard coordinator
-    /// retrieving its per-shard [`crate::TapRecorder`] buffers). Returns
-    /// `None` by default; implementations that opt in return `Some(self)`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 /// A recorder that records nothing (every hook is the default no-op).

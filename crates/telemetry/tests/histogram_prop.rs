@@ -1,8 +1,6 @@
 //! Histogram-merge soundness: merging log-bucketed histograms must be
-//! exactly equivalent to recording the concatenated sample stream. Both
-//! the shard-telemetry merge and monitord's cross-stream aggregation lean
-//! on this property — a drifting merge would silently corrupt exported
-//! percentiles.
+//! exactly equivalent to recording the concatenated sample stream — a
+//! drifting merge would silently corrupt exported percentiles.
 
 use fp_telemetry::LogHistogram;
 use proptest::prelude::*;

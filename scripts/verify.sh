@@ -32,6 +32,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench --workspace --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
+echo "==> removed subsystem stays removed: no intra-trial sharding left behind"
+# Intra-trial sharding was deleted (DESIGN.md §9). The bracket in each
+# alternative keeps these lines from matching themselves. One mention is
+# allowed: eval.rs's inert-field test sets the old shard-count variable to
+# show that nothing reads it.
+gone='FP_SHAR[D]|run_sharde[d]|ShardPla[n]|attach_shar[d]|shard_scalin[g]'
+if git grep -nE "$gone" -- crates src examples tests scripts |
+    grep -v '^crates/core/src/eval.rs:.*_var("FP_SHAR[D]S"'; then
+    echo "    sharding identifiers are back (lines above)" >&2
+    exit 1
+fi
+python3 - <<'EOF'
+import json, sys
+for name, e in json.load(open("BENCH_netsim.json")).items():
+    keys = [k for k in e if k.startswith("shard")]
+    if keys or name.startswith("shard"):
+        sys.exit(f"BENCH_netsim.json[{name}]: shard row or keys {keys}")
+EOF
+echo "    none under crates/ src/ examples/ tests/ scripts/, no shard row or key in BENCH_netsim.json"
+
 echo "==> benchmark/: its own tests, then 3-s checked runs of four workloads"
 # benchmark/ is a package of its own that links public symbols of every
 # crate; nothing above builds it. Seed 1 also compares event, packet,
@@ -93,6 +113,16 @@ for pol in ecmp prime reps; do
     echo "    fig5a FP_SPRAY=$pol: JSON byte-identical across thread counts"
 done
 
+echo "==> FP_* typos: a mistyped toggle must stop a sweep, not run the default"
+for bad in FP_SPRAY=ecpm FP_MEMO=On FP_THREADS=four FP_SCHED=wheeel; do
+    if env FP_QUICK=1 FP_RESULTS="$tsp/typo" "$bad" target/release/fig5a >/dev/null 2>"$tsp/typo.err"; then
+        echo "    $bad: fig5a ran anyway" >&2
+        exit 1
+    fi
+    grep -qF "${bad%%=*}=\"${bad#*=}\" not recognized" "$tsp/typo.err"
+done
+echo "    fig5a refuses FP_SPRAY=ecpm, FP_MEMO=On, FP_THREADS=four, FP_SCHED=wheeel by name and value"
+
 echo "==> E11 smoke: quick spray x mitigation cross, 1 vs 4 threads"
 # The binary itself asserts the headline E11 claims on every run: healthy
 # fabrics are never mitigated (zero false mitigations, zero verbs) and
@@ -109,13 +139,11 @@ python3 - <<'EOF'
 import json, sys
 d = json.load(open("BENCH_netsim.json"))
 required = ["name", "git", "scheduler", "threads", "host_parallelism",
-            "shards", "quick", "trials", "wall_us", "events",
+            "quick", "trials", "wall_us", "events",
             "events_per_sec", "sched_pushes", "memo_hits",
             "memo_replayed_events"]
 for name in ("headline", "baseline", "telemetry_overhead", "mitigation",
              "e11_spray", "memo_headline", "memo_mitigation",
-             "shards1", "shards2", "shards4", "shards8",
-             "shards2_inline", "shards4_inline", "shards8_inline",
              "monitord32_block", "monitord64_block",
              "monitord32_drop", "monitord32_park"):
     e = d.get(name)
@@ -137,36 +165,6 @@ for name, e in d.items():
     if not isinstance(p, int) or p < 0 or p > 2 * e["events"]:
         sys.exit(f"BENCH_netsim.json[{name}]: sched_pushes {p!r} outside "
                  f"[0, 2 x events = {2 * e['events']}]")
-# Shard-only keys appear exactly on sharded rows: an unsharded row carrying
-# `"shard_events": []` (the pre-epoch serializer's artifact) is a schema
-# violation, as is a sharded row missing its sync accounting.
-shard_keys = ["shard_epoch", "shard_windows", "shard_syncs", "shard_events"]
-for name, e in d.items():
-    if e["shards"] == 1:
-        present = [k for k in shard_keys if k in e]
-        if present:
-            sys.exit(f"BENCH_netsim.json[{name}]: unsharded row carries {present}")
-    else:
-        missing = [k for k in shard_keys if k not in e]
-        if missing:
-            sys.exit(f"BENCH_netsim.json[{name}]: sharded row missing {missing}")
-for n in (1, 2, 4, 8):
-    for suffix in ("", "_inline"):
-        if n == 1 and suffix:
-            continue
-        e = d[f"shards{n}{suffix}"]
-        if e["shards"] != n:
-            sys.exit(f"BENCH_netsim.json[shards{n}{suffix}]: "
-                     f"shards field is {e['shards']}")
-        if n > 1:
-            if len(e["shard_events"]) != n:
-                sys.exit(f"BENCH_netsim.json[shards{n}{suffix}]: "
-                         f"{len(e['shard_events'])} per-shard event counts")
-            amort = e["shard_windows"] / max(e["shard_syncs"], 1)
-            if e["shard_epoch"] >= 16 and amort < 4.0:
-                sys.exit(f"BENCH_netsim.json[shards{n}{suffix}]: epoch "
-                         f"batching amortized only {amort:.1f} windows/sync "
-                         f"at epoch cap {e['shard_epoch']}")
 for name in ("memo_headline", "memo_mitigation"):
     if d[name]["memo_hits"] == 0:
         sys.exit(f"BENCH_netsim.json[{name}]: memoized campaign recorded 0 hits")
@@ -198,7 +196,7 @@ if mb["events"] != mb["sched_pushes"]:
     sys.exit("BENCH_netsim.json[monitord32_block]: blocking policy lost "
              f"snapshots ({mb['events']} processed of {mb['sched_pushes']} offered)")
 print("    headline + baseline + overhead + mitigation + e11_spray + memo + "
-      "shard + monitord entries carry all required keys")
+      "monitord entries carry all required keys")
 EOF
 
 echo "==> memo perf canary (warn-only): committed memo rows vs live rates"
@@ -264,70 +262,10 @@ FP_TELEMETRY_CHECK="$tt/headline" \
     cargo test --release -q -p fp-bench --test telemetry_schema
 echo "    telemetry artifacts validate (JSONL schema + Chrome trace)"
 
-echo "==> FP_SHARDS smoke: sharded quick headline vs unsharded"
-ts="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb" "$ts"' EXIT
-FP_QUICK=1 FP_SHARDS=2 FP_BENCH_JSON="$ts/bench.json" FP_RESULTS="$ts" \
-    cargo run --release -q -p fp-bench --bin headline >/dev/null
-cmp "$t4/headline.json" "$ts/headline.json"
-echo "    headline: JSON byte-identical at FP_SHARDS=2 vs unsharded"
-# FP_SHARDS=4 at the quick scale hits the one residual conservative
-# sharding does not replicate — a same-instant cross-boundary ACK/data tie
-# that shifts adaptive-spray placement and with it the deviation telemetry
-# (DESIGN.md "Intra-trial sharding"). Detection verdicts and conservation
-# stay exact; the deviation fields are printed as a warn-only delta.
-FP_QUICK=1 FP_SHARDS=4 FP_RESULTS="$ts/s4" \
-    cargo run --release -q -p fp-bench --bin headline >/dev/null
-python3 - "$t4/headline.json" "$ts/s4/headline.json" "$ts/bench.json" "$pb/bench.json" <<'EOF'
-import json, sys
-base = json.load(open(sys.argv[1]))
-s4 = json.load(open(sys.argv[2]))
-for k in ("detected", "false_alarm", "localized_correctly",
-          "probe_bytes_for_parity", "flowpulse_bytes_injected"):
-    if base[k] != s4[k]:
-        sys.exit(f"FP_SHARDS=4 changed headline verdict {k}: "
-                 f"{base[k]} vs {s4[k]}")
-for k in ("faulty_iteration_dev", "clean_iteration_dev_max"):
-    d = s4[k] / base[k] - 1.0 if base[k] else 0.0
-    print(f"    FP_SHARDS=4 {k}: {s4[k]:.6f} vs {base[k]:.6f} ({d:+.1%}, "
-          "tie residual — informational)")
-sh = json.load(open(sys.argv[3]))["headline"]
-un = json.load(open(sys.argv[4]))["headline"]
-ratio = sh["events_per_sec"] / un["events_per_sec"]
-print(f"    perf canary (warn-only): FP_SHARDS=2 {sh['events_per_sec']/1e6:.2f} "
-      f"Mev/s vs unsharded {un['events_per_sec']/1e6:.2f} Mev/s ({ratio:.2f}x; "
-      "< 1x expected on hosts without spare cores)")
-EOF
-echo "    headline: FP_SHARDS=4 verdicts identical (deviation fields warn-only)"
-
-echo "==> FP_SHARD_EPOCH smoke: epoch batching must not change output bytes"
-FP_QUICK=1 FP_SHARDS=2 FP_SHARD_EPOCH=1 FP_BENCH_JSON="$ts/e1.json" FP_RESULTS="$ts/e1" \
-    cargo run --release -q -p fp-bench --bin headline >/dev/null
-FP_QUICK=1 FP_SHARDS=2 FP_SHARD_EPOCH=4 FP_BENCH_JSON="$ts/e4.json" FP_RESULTS="$ts/e4" \
-    cargo run --release -q -p fp-bench --bin headline >/dev/null
-cmp "$ts/e1/headline.json" "$ts/e4/headline.json"
-# The earlier FP_SHARDS=2 run used the default epoch cap (32).
-cmp "$ts/headline.json" "$ts/e4/headline.json"
-echo "    headline: JSON byte-identical at FP_SHARD_EPOCH=1 vs 4 vs default (FP_SHARDS=2)"
-python3 - "$ts/e1.json" "$ts/e4.json" <<'EOF'
-import json, sys
-e1 = json.load(open(sys.argv[1]))["headline"]
-e4 = json.load(open(sys.argv[2]))["headline"]
-ratio = e4["events_per_sec"] / e1["events_per_sec"]
-amort = e4["shard_windows"] / max(e4["shard_syncs"], 1)
-print(f"    threaded perf canary (warn-only): epoch=4 "
-      f"{e4['events_per_sec']/1e6:.2f} Mev/s vs per-window epoch=1 "
-      f"{e1['events_per_sec']/1e6:.2f} Mev/s ({ratio:.2f}x speedup; "
-      f"{amort:.1f} windows/sync; host_parallelism={e4['host_parallelism']})")
-if ratio < 1.0 and e4["host_parallelism"] >= 4:
-    print("    WARNING: epoch batching slower than the per-window handshake "
-          "on a multi-core host — the sync amortization regressed")
-EOF
-
 echo "==> FP_MEMO smoke: memoized runs byte-identical to live (wheel + heap)"
 tmo="$(mktemp -d)"
 tmm="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb" "$ts" "$tmo" "$tmm"' EXIT
+trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb" "$tmo" "$tmm"' EXIT
 for bin in headline fig2 mitigation; do
     FP_QUICK=1 FP_RESULTS="$tmo" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
@@ -349,7 +287,7 @@ echo "    quickstart: memoized steady state replayed, byte-identical to live"
 echo "==> monitord smoke: quick E10 sweep through the live service"
 tm1="$(mktemp -d)"
 tm4="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb" "$ts" "$tmo" "$tmm" "$tm1" "$tm4"' EXIT
+trap 'rm -rf "$t1" "$t4" "$tt" "$th" "$tsp" "$pb" "$tmo" "$tmm" "$tm1" "$tm4"' EXIT
 # The sweep itself asserts zero drops + all streams closed under the
 # blocking policy; verify.sh additionally checks the metrics.jsonl schema
 # and that per-stream verdicts are byte-identical across producer thread
@@ -428,6 +366,17 @@ cmp "$tm1/stdin_clean.streams" "$tm1/stdin_dirty.streams"
 grep -q '(wire: 10 lines, 0 malformed, 0 rejected)' "$tm1/stdin_clean.out"
 grep -q '(wire: 12 lines, 2 malformed, 0 rejected)' "$tm1/stdin_dirty.out"
 echo "    exit 0, 2 malformed counted, stream verdicts equal to the clean run's"
+
+echo "==> monitord settings: a mistyped value must stop the daemon with status 2"
+for bad in FP_MONITORD_POLICY=dorp FP_MONITORD_THRESHOLD=1% FP_MONITORD_CAP=1k; do
+    rc=0
+    env "$bad" target/release/fp-monitord </dev/null >/dev/null 2>"$tm1/bad_setting.err" || rc=$?
+    if [[ $rc -ne 2 ]] || ! grep -qF "${bad%%=*}=\"${bad#*=}\"" "$tm1/bad_setting.err"; then
+        echo "    $bad: exit $rc, stderr: $(cat "$tm1/bad_setting.err")" >&2
+        exit 1
+    fi
+done
+echo "    exit 2 naming variable and value for a bad policy, threshold and capacity"
 
 echo "==> monitord return lane: allocator-counted steady state (release)"
 # Debug ran above with the workspace tests; optimised code is what ships,
