@@ -16,7 +16,7 @@
 //! pair, which would make the ECMP column vacuous).
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json, Campaign, TrialTiming};
+use fp_bench::{header, pick, save_json, Campaign};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
 use fp_netsim::spray::SprayPolicy;
 use serde::Serialize;
@@ -184,24 +184,14 @@ fn main() {
     // inside the closure; determinism is per-spec, not per-thread.
     let campaign = Campaign::from_env();
     let t0 = std::time::Instant::now();
-    let timed: Vec<(TrialResult, u64)> = campaign.map(&cases, |case| {
-        let t = std::time::Instant::now();
-        let r = run_ctrl_trial(&case.spec, case.ctrl);
-        (r, t.elapsed().as_micros() as u64)
-    });
-    let wall_us_total = (t0.elapsed().as_micros() as u64).max(1);
-
-    let mut timings = Vec::new();
-    let mut rows = Vec::new();
-    for (idx, (case, (r, wall_us))) in cases.iter().zip(&timed).enumerate() {
-        timings.push(TrialTiming {
-            idx,
-            seed: case.spec.seed,
-            wall_us: *wall_us,
-            events: r.stats.events,
-        });
-        rows.push(row_of(case, r));
-    }
+    let results: Vec<TrialResult> =
+        campaign.map(&cases, |case| run_ctrl_trial(&case.spec, case.ctrl));
+    let wall_us_total = t0.elapsed().as_micros() as u64;
+    let rows: Vec<Row> = cases
+        .iter()
+        .zip(&results)
+        .map(|(c, r)| row_of(c, r))
+        .collect();
 
     println!(
         "{:<14} {:<16} {:<10} {:>9} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}  recovered",
@@ -241,64 +231,14 @@ fn main() {
         );
     }
 
-    let log_path = fp_bench::out_dir().join("campaign_log.txt");
-    if let Err(e) = fp_bench::log_trials_to(
-        &log_path,
-        "e11_spray",
-        campaign.threads(),
-        &timings,
-        wall_us_total,
-    ) {
-        eprintln!("warning: cannot append campaign log: {e}");
-    }
-    let mean = |xs: Vec<u64>| {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<u64>() / xs.len() as u64)
-        }
-    };
-    let tt_detect_ns = mean(rows.iter().filter_map(|r| r.tt_detect_ns).collect());
-    let tt_mitigate_ns = mean(rows.iter().filter_map(|r| r.tt_mitigate_ns).collect());
-    let false_mitigations: u64 = rows.iter().map(|r| r.false_mitigations as u64).sum();
-    let events_total: u64 = timings.iter().map(|t| t.events).sum();
-    let results: Vec<TrialResult> = timed.into_iter().map(|(r, _)| r).collect();
-    let (sched_kind, sched) = fp_bench::campaign::aggregate_sched(&results);
-    let (memo_hits, memo_replayed_events) = fp_bench::campaign::aggregate_memo(&results);
-    match fp_bench::record_bench(&fp_bench::BenchEntry {
-        name: "e11_spray".into(),
-        git: fp_telemetry::git_describe(),
-        scheduler: sched_kind.name().into(),
-        threads: campaign.threads() as u64,
-        host_parallelism: fp_bench::host_parallelism(),
-        quick: fp_bench::quick(),
-        trials: cases.len() as u64,
-        wall_us: wall_us_total,
-        events: events_total,
-        events_per_sec: events_total as f64 * 1e6 / wall_us_total as f64,
-        sched_pushes: sched.pushes,
-        memo_hits,
-        memo_replayed_events,
-        tt_detect_ns,
-        tt_mitigate_ns,
-        false_mitigations: Some(false_mitigations),
-        service_latency: None,
-    }) {
-        Ok(Some(p)) => println!("[bench {}]", p.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: cannot update bench json: {e}"),
-    }
     if let Some(dir) = fp_telemetry::dir_from_env() {
         let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
         let mut m = fp_bench::campaign_manifest(
             "e11_spray",
             campaign.threads(),
             &specs,
-            &timings,
+            &results,
             wall_us_total,
-            sched_kind,
-            &sched,
-            (memo_hits, memo_replayed_events),
         );
         m.ctrl = serde::Value::Map(
             cases

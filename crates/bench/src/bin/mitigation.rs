@@ -9,7 +9,7 @@
 //! and fault-free controller runs pin the false-mitigation count at zero.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json, Campaign, TrialTiming};
+use fp_bench::{header, pick, save_json, Campaign};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig};
 use fp_netsim::time::SimDuration;
 use serde::Serialize;
@@ -160,27 +160,16 @@ fn main() {
     // inside the closure; determinism is per-spec, not per-thread.
     let campaign = Campaign::from_env();
     let t0 = std::time::Instant::now();
-    let timed: Vec<(TrialResult, u64)> = campaign.map(&cases, |case| {
-        let t = std::time::Instant::now();
-        let r = match case.ctrl {
-            Some(cfg) => run_ctrl_trial(&case.spec, cfg),
-            None => run_trial(&case.spec),
-        };
-        (r, t.elapsed().as_micros() as u64)
+    let results: Vec<TrialResult> = campaign.map(&cases, |case| match case.ctrl {
+        Some(cfg) => run_ctrl_trial(&case.spec, cfg),
+        None => run_trial(&case.spec),
     });
-    let wall_us_total = (t0.elapsed().as_micros() as u64).max(1);
-
-    let mut timings = Vec::new();
-    let mut rows = Vec::new();
-    for (idx, (case, (r, wall_us))) in cases.iter().zip(&timed).enumerate() {
-        timings.push(TrialTiming {
-            idx,
-            seed: case.spec.seed,
-            wall_us: *wall_us,
-            events: r.stats.events,
-        });
-        rows.push(row_of(case, r));
-    }
+    let wall_us_total = t0.elapsed().as_micros() as u64;
+    let rows: Vec<Row> = cases
+        .iter()
+        .zip(&results)
+        .map(|(c, r)| row_of(c, r))
+        .collect();
 
     println!(
         "{:<28} {:>9} {:>12} {:>9} {:>9} {:>9}  recovered",
@@ -211,67 +200,16 @@ fn main() {
         );
     }
 
-    // Campaign accounting: log, bench entry with closed-loop aggregates,
-    // manifest with the controller sweep parameters attached.
-    let log_path = fp_bench::out_dir().join("campaign_log.txt");
-    if let Err(e) = fp_bench::log_trials_to(
-        &log_path,
-        "mitigation",
-        campaign.threads(),
-        &timings,
-        wall_us_total,
-    ) {
-        eprintln!("warning: cannot append campaign log: {e}");
-    }
-    let ctrl_rows: Vec<&Row> = rows.iter().filter(|r| r.controller).collect();
-    let mean = |xs: Vec<u64>| {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<u64>() / xs.len() as u64)
-        }
-    };
-    let tt_detect_ns = mean(ctrl_rows.iter().filter_map(|r| r.tt_detect_ns).collect());
-    let tt_mitigate_ns = mean(ctrl_rows.iter().filter_map(|r| r.tt_mitigate_ns).collect());
-    let false_mitigations: u64 = ctrl_rows.iter().map(|r| r.false_mitigations as u64).sum();
-    let events_total: u64 = timings.iter().map(|t| t.events).sum();
-    let results: Vec<TrialResult> = timed.into_iter().map(|(r, _)| r).collect();
-    let (sched_kind, sched) = fp_bench::campaign::aggregate_sched(&results);
-    let (memo_hits, memo_replayed_events) = fp_bench::campaign::aggregate_memo(&results);
-    match fp_bench::record_bench(&fp_bench::BenchEntry {
-        name: "mitigation".into(),
-        git: fp_telemetry::git_describe(),
-        scheduler: sched_kind.name().into(),
-        threads: campaign.threads() as u64,
-        host_parallelism: fp_bench::host_parallelism(),
-        quick: fp_bench::quick(),
-        trials: cases.len() as u64,
-        wall_us: wall_us_total,
-        events: events_total,
-        events_per_sec: events_total as f64 * 1e6 / wall_us_total as f64,
-        sched_pushes: sched.pushes,
-        memo_hits,
-        memo_replayed_events,
-        tt_detect_ns,
-        tt_mitigate_ns,
-        false_mitigations: Some(false_mitigations),
-        service_latency: None,
-    }) {
-        Ok(Some(p)) => println!("[bench {}]", p.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: cannot update bench json: {e}"),
-    }
+    // With FP_TELEMETRY=dir: the campaign manifest, with the controller
+    // sweep parameters attached.
     if let Some(dir) = fp_telemetry::dir_from_env() {
         let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
         let mut m = fp_bench::campaign_manifest(
             "mitigation",
             campaign.threads(),
             &specs,
-            &timings,
+            &results,
             wall_us_total,
-            sched_kind,
-            &sched,
-            (memo_hits, memo_replayed_events),
         );
         // Attach the controller sweep: which cells ran closed-loop, with
         // what knobs (Null stays the controller-less marker elsewhere).
@@ -295,75 +233,6 @@ fn main() {
         }
     }
     save_json("mitigation", &rows);
-
-    // `memo_mitigation`: the sweep's fabric running a long fault-free
-    // stretch — the regime onset sweeps spend most of their events in —
-    // with temporal-symmetry fast-forward (`FP_MEMO`) on, against a live
-    // run of the identical spec for the byte-identity check. Pinned to
-    // least-loaded spray (the default adaptive policy's absolute-grid
-    // deficit decay never realigns with the iteration period, DESIGN.md
-    // §11) and jitter-free starts (per-node RNG draws are refused too).
-    // Full runs only; the committed row is the trajectory behind the
-    // "≥3× the mitigation sweep rate" fast-forward claim.
-    if !fp_bench::quick() {
-        let mut memo_spec = TrialSpec {
-            iterations: 40,
-            jitter: fp_collectives::jitter::JitterModel::None,
-            ..base.clone()
-        };
-        memo_spec.sim.spray = fp_netsim::spray::SprayPolicy::LeastLoaded;
-        let mut live_spec = memo_spec.clone();
-        live_spec.memo = Some(false);
-        memo_spec.memo = Some(true);
-        let t0 = std::time::Instant::now();
-        let live = run_trial(&live_spec);
-        let live_wall = (t0.elapsed().as_micros() as u64).max(1);
-        let t0 = std::time::Instant::now();
-        let memo = run_trial(&memo_spec);
-        let memo_wall = (t0.elapsed().as_micros() as u64).max(1);
-        assert_eq!(memo.memo_fallback, None, "memo must stay eligible");
-        assert!(memo.memo_hits > 0, "steady state never fast-forwarded");
-        assert_eq!(
-            format!("{:?}", live.stats),
-            format!("{:?}", memo.stats),
-            "fast-forward must be byte-identical to the live engine"
-        );
-        assert_eq!(live.iter_goodput, memo.iter_goodput);
-        let eps = memo.stats.events as f64 * 1e6 / memo_wall as f64;
-        println!(
-            "memo mitigation: {}/{} iterations replayed ({} events), \
-             {memo_wall} us memo-on vs {live_wall} us live ({:.2}x, \
-             {:.1} Mev/s counting replayed events)",
-            memo.memo_replayed_iters,
-            memo_spec.iterations,
-            memo.memo_replayed_events,
-            live_wall as f64 / memo_wall as f64,
-            eps / 1e6
-        );
-        match fp_bench::record_bench(&fp_bench::BenchEntry {
-            name: "memo_mitigation".into(),
-            git: fp_telemetry::git_describe(),
-            scheduler: memo.sched_kind.name().into(),
-            threads: 1,
-            host_parallelism: fp_bench::host_parallelism(),
-            quick: false,
-            trials: 1,
-            wall_us: memo_wall,
-            events: memo.stats.events,
-            events_per_sec: eps,
-            sched_pushes: memo.sched.pushes,
-            memo_hits: memo.memo_hits,
-            memo_replayed_events: memo.memo_replayed_events,
-            tt_detect_ns: None,
-            tt_mitigate_ns: None,
-            false_mitigations: None,
-            service_latency: None,
-        }) {
-            Ok(Some(p)) => println!("[bench memo_mitigation {}]", p.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: cannot update bench json: {e}"),
-        }
-    }
 
     if fp_bench::quick() {
         println!("\nE9 (quick mode): reduced sweep, reporting without asserting.");

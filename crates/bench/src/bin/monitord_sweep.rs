@@ -5,11 +5,12 @@
 //! then synthesizes N concurrent snapshot streams by replaying their
 //! per-iteration counter snapshots under rewritten fabric ids for R
 //! rounds, blasted from `FP_THREADS` producer threads into one
-//! `fp-monitord` instance. One `BENCH_netsim.json` row per
-//! (streams, policy) cell (`"monitord32_block"`, …); `events` counts
-//! snapshots processed and `events_per_sec` is the sustained ingest
-//! rate. The blocking-policy cells assert the E10 acceptance bar: zero
-//! drops at ≥ 32 concurrent streams.
+//! `fp-monitord` instance, one (streams, policy) cell at a time
+//! (`"monitord32_block"`, …). The blocking-policy cells assert the E10
+//! acceptance bar: zero drops at ≥ 32 concurrent streams. Each cell's
+//! own metrics land in `results/monitord_metrics_<cell>.jsonl`; how fast
+//! the service ingests is measured by `benchmark/`'s `monitord_ingest`
+//! workload, the rate printed here is a single reading.
 //!
 //! The 32-stream blocking cell also saves `results/monitord_alarms.json`
 //! — per-stream alarm/localization verdicts, which are byte-identical
@@ -120,13 +121,7 @@ fn main() {
         let report = svc.shutdown();
         let wall_us = (t0.elapsed().as_micros() as u64).max(1);
         let eps = report.snapshots as f64 * 1e6 / wall_us as f64;
-        let latency = fp_bench::ServiceLatency {
-            queue_wait_p50_us: quantile_us(&report.prometheus, "queue_wait_ns", "0.5"),
-            queue_wait_p99_us: quantile_us(&report.prometheus, "queue_wait_ns", "0.99"),
-            scan_p50_us: quantile_us(&report.prometheus, "scan_latency_ns", "0.5"),
-            scan_p99_us: quantile_us(&report.prometheus, "scan_latency_ns", "0.99"),
-        };
-
+        let us = |hist, q| quantile_us(&report.prometheus, hist, q);
         println!(
             "{name}: {streams} streams x {} snaps, processed={} in {wall_us} us \
              ({eps:.0} snap/s), dropped={} parked={} blocked={} closed={}, \
@@ -137,10 +132,10 @@ fn main() {
             report.queue.parked,
             report.queue.blocked,
             report.streams.iter().filter(|s| s.closed).count(),
-            latency.queue_wait_p50_us,
-            latency.queue_wait_p99_us,
-            latency.scan_p50_us,
-            latency.scan_p99_us,
+            us("queue_wait_ns", "0.5"),
+            us("queue_wait_ns", "0.99"),
+            us("scan_latency_ns", "0.5"),
+            us("scan_latency_ns", "0.99"),
         );
         if policy == QueuePolicy::Block {
             assert_eq!(
@@ -154,30 +149,6 @@ fn main() {
             // Deterministic per-stream verdicts: byte-identical across
             // producer thread counts and vs the offline monitor.
             fp_bench::save_json("monitord_alarms", &report.streams);
-        }
-
-        match fp_bench::record_bench(&fp_bench::BenchEntry {
-            name,
-            git: fp_telemetry::git_describe(),
-            scheduler: "monitord".into(),
-            threads: threads as u64,
-            host_parallelism: fp_bench::host_parallelism(),
-            quick: fp_bench::quick(),
-            trials: streams as u64,
-            wall_us,
-            events: report.snapshots,
-            events_per_sec: eps,
-            sched_pushes: report.queue.offered,
-            memo_hits: 0,
-            memo_replayed_events: 0,
-            tt_detect_ns: None,
-            tt_mitigate_ns: None,
-            false_mitigations: None,
-            service_latency: Some(latency),
-        }) {
-            Ok(Some(p)) => println!("[bench {}]", p.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: cannot update bench json: {e}"),
         }
     }
 }

@@ -23,11 +23,9 @@
 //! `FP_THREADS` sets the pool size (default: all cores) without changing a
 //! byte of the output.
 
-pub mod bench_json;
 pub mod campaign;
 
-pub use bench_json::{host_parallelism, record_bench, record_bench_at, BenchEntry, ServiceLatency};
-pub use campaign::{campaign_manifest, log_trials_to, Campaign, TrialTiming};
+pub use campaign::{campaign_manifest, Campaign};
 
 use serde::Serialize;
 use std::io::Write;

@@ -177,7 +177,7 @@ fn heap_and_wheel_schedulers_are_byte_identical() {
     assert_eq!(
         serialize_rows(&heap_specs, &heap),
         serialize_rows(&wheel_specs, &wheel),
-        "FP_SCHED must not change output bytes"
+        "the scheduler backend must not change output bytes"
     );
     for (a, b) in heap.iter().zip(&wheel) {
         assert_eq!(a.iter_max_dev, b.iter_max_dev);

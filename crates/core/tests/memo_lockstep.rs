@@ -186,7 +186,7 @@ fn transient_fault_reconverges_after_heal() {
 }
 
 /// Wheel backend, same transient schedule: replay must be byte-identical
-/// under `FP_SCHED=wheel` too.
+/// on `SchedKind::Wheel` too.
 #[test]
 fn transient_fault_reconverges_on_wheel() {
     let mut spec = base_spec(11, 18, true, true);

@@ -5,36 +5,7 @@ use crate::spray::SprayPolicy;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// One rule for every `FP_*` setting: `Ok(None)` when `raw` is unset or
-/// empty (the caller's default applies), `Ok(Some)` of what `parse` makes
-/// of a recognised value, and for anything else an error naming the
-/// variable and the value — a typo in an A/B run must not silently fall
-/// back to the default.
-pub fn parse_setting<T>(
-    var: &str,
-    raw: Option<&str>,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    let Some(v) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
-        return Ok(None);
-    };
-    match parse(v) {
-        Some(t) => Ok(Some(t)),
-        None => Err(format!("{var}={v:?} not recognized (expected {expected})")),
-    }
-}
-
-/// [`parse_setting`] on the process environment, for library code with no
-/// error path to its caller: an unrecognised value panics.
-pub fn env_setting<T>(
-    var: &str,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse_setting(var, raw.as_deref(), expected, parse).unwrap_or_else(|e| panic!("{e}"))
-}
+pub use fp_telemetry::{env_setting, parse_setting};
 
 /// Priority Flow Control parameters (per ingress port, per priority).
 ///
@@ -112,9 +83,8 @@ pub struct SimConfig {
     /// Hard safety limit on processed events (guards runaway configs).
     pub max_events: u64,
     /// Future-event scheduler backend. `None` (the default, and what specs
-    /// that predate the field deserialize to) resolves from the `FP_SCHED`
-    /// environment variable at simulator construction; the choice never
-    /// affects results, only speed.
+    /// that predate the field deserialize to) means the timing wheel; the
+    /// choice never affects results, only speed.
     pub sched: Option<SchedKind>,
 }
 
@@ -201,21 +171,6 @@ mod tests {
         let mut c = SimConfig::default();
         c.ack_flush_delay = c.rto;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn settings_apply_default_or_refuse() {
-        let count = |raw| parse_setting("FP_X", raw, "a count", |v| v.parse::<u32>().ok());
-        for unset in [None, Some(""), Some("  ")] {
-            assert_eq!(count(unset), Ok(None), "{unset:?} means unset");
-        }
-        assert_eq!(count(Some("7")), Ok(Some(7)));
-        assert_eq!(count(Some(" 7 ")), Ok(Some(7)));
-        assert_eq!(
-            count(Some("1k")),
-            Err("FP_X=\"1k\" not recognized (expected a count)".into()),
-            "the error names the variable and the value"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`crate::sim::Simulator::schedule_control`]. Actions ride the same
 //! future-event scheduler as everything else (a tiny index-carrying event,
 //! applied in `(time, seq)` order), so a controller-enabled run stays
-//! byte-identical across `FP_SCHED` backends and thread counts.
+//! byte-identical across scheduler backends and thread counts.
 //!
 //! Applied actions reuse the existing fault machinery: `AdminDown` goes
 //! through the same spray-set recompute path as a known

@@ -6,8 +6,8 @@
 //! equal timestamps are processed in insertion order (a per-scheduler
 //! sequence number breaks ties), so runs are bit-for-bit reproducible for a
 //! given seed regardless of platform *and of scheduler backend*. The
-//! backend is chosen per simulator via [`SchedKind`], resolvable from the
-//! `FP_SCHED` environment variable for A/B validation.
+//! backend is chosen per simulator via [`SchedKind`]
+//! ([`crate::config::SimConfig::sched`]).
 
 use crate::ids::{HostId, LinkId};
 use crate::packet::FlowId;
@@ -131,8 +131,8 @@ const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
 /// Which future-event scheduler backs a simulator.
 #[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug, Default)]
 pub enum SchedKind {
-    /// Binary min-heap (`O(log n)` push/pop) — the original backend, kept
-    /// selectable as the A/B baseline.
+    /// Binary min-heap (`O(log n)` push/pop) — the original backend, the
+    /// reference the lockstep tests compare the wheel against.
     Heap,
     /// Hierarchical timing wheel (`O(1)` near-future push/pop) — the
     /// default.
@@ -141,20 +141,7 @@ pub enum SchedKind {
 }
 
 impl SchedKind {
-    /// Resolve from the `FP_SCHED` environment variable: `heap` or `wheel`
-    /// (unset or empty defaults to the wheel; anything else panics, see
-    /// [`crate::config::env_setting`]).
-    pub fn from_env() -> SchedKind {
-        crate::config::env_setting("FP_SCHED", "heap|wheel", |v| match v {
-            "heap" => Some(SchedKind::Heap),
-            "wheel" => Some(SchedKind::Wheel),
-            _ => None,
-        })
-        .unwrap_or_default()
-    }
-
-    /// Stable lowercase name (`"heap"` / `"wheel"`), matching the
-    /// `FP_SCHED` values.
+    /// Stable lowercase name (`"heap"` / `"wheel"`).
     pub fn name(self) -> &'static str {
         match self {
             SchedKind::Heap => "heap",

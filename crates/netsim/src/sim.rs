@@ -209,7 +209,7 @@ pub struct Simulator {
     now: SimTime,
     /// Future-event list for absolute-time events (faults, controls,
     /// wake-ups, sampler ticks) and for delays past the class bound;
-    /// backend chosen by `cfg.sched` / `FP_SCHED`. Also the one source of
+    /// backend chosen by `cfg.sched`. Also the one source of
     /// tie-break sequence numbers for every pipe.
     heap: EventQueue,
     /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
@@ -312,7 +312,7 @@ impl Simulator {
             topo.cores_per_group as usize,
             topo.n_leaves(),
         );
-        let sched = cfg.sched.unwrap_or_else(SchedKind::from_env);
+        let sched = cfg.sched.unwrap_or_default();
         // One delivery pipe per distinct link latency (two in a fat tree:
         // host↔leaf and leaf↔spine). Class order follows first appearance
         // in the link table, which is deterministic.

@@ -210,9 +210,10 @@ pub struct SprayCtx<'a> {
 /// Determinism contract: `pick` may consult only its own state, the
 /// context, the shared rotation `cursor` and the purpose-split spray RNG —
 /// never ambient randomness or map iteration order — so a trial replays
-/// byte-identically at any `FP_THREADS`/`FP_SCHED` setting. Backends whose
-/// state is fed by transport echoes ([`Sprayer::on_feedback`]) are still
-/// deterministic but refuse the memo fast path (see
+/// byte-identically at any `FP_THREADS` setting and on either scheduler
+/// backend. Backends whose state is fed by transport echoes
+/// ([`Sprayer::on_feedback`]) are still deterministic but refuse the memo
+/// fast path (see
 /// [`Sprayer::memo_residual`] and the harness eligibility gate).
 pub trait Sprayer: std::fmt::Debug + Send {
     /// Choose a candidate index for the packet described by `ctx`.

@@ -5,7 +5,7 @@
 //! and far-future times beyond the wheel horizon (the overflow spill) —
 //! and must produce exactly the same pop sequence at every step. This is
 //! the unit-level half of the determinism argument; the trial-level half
-//! (byte-identical result JSON under `FP_SCHED=heap` vs `wheel`) lives in
+//! (byte-identical result JSON on `SchedKind::Heap` vs `Wheel`) lives in
 //! `fp-bench`'s determinism suite.
 
 use fp_netsim::engine::{EventHeap, EventKind, Scheduler};

@@ -40,7 +40,7 @@ mod run;
 
 pub use events::{Event, EventRecord};
 pub use histogram::{HistogramBucket, HistogramExport, LogHistogram};
-pub use manifest::{dirt_is_artifacts_only, git_describe, Manifest};
+pub use manifest::{git_describe, Manifest};
 pub use recorder::{LinkMeta, LinkSample, NullRecorder, Recorder};
 pub use run::{IterSpan, RunRecorder, SampleRow};
 
@@ -55,12 +55,84 @@ pub fn dir_from_env() -> Option<std::path::PathBuf> {
         .map(std::path::PathBuf::from)
 }
 
-/// Sampler period override via `FP_TELEMETRY_INTERVAL_NS`, falling back to
-/// [`DEFAULT_SAMPLE_INTERVAL_NS`] when unset or unparseable.
+/// One rule for every `FP_*` setting: `Ok(None)` when `raw` is unset or
+/// empty (the caller's default applies), `Ok(Some)` of what `parse` makes
+/// of a recognised value, and for anything else an error naming the
+/// variable and the value — a typo in an A/B run must not silently fall
+/// back to the default.
+pub fn parse_setting<T>(
+    var: &str,
+    raw: Option<&str>,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(v) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
+        return Ok(None);
+    };
+    match parse(v) {
+        Some(t) => Ok(Some(t)),
+        None => Err(format!("{var}={v:?} not recognized (expected {expected})")),
+    }
+}
+
+/// [`parse_setting`] on the process environment, for library code with no
+/// error path to its caller: an unrecognised value panics.
+pub fn env_setting<T>(
+    var: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_setting(var, raw.as_deref(), expected, parse).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// What `FP_TELEMETRY_INTERVAL_NS` accepts: a positive count of nanoseconds.
+fn positive_ns(v: &str) -> Option<u64> {
+    v.parse().ok().filter(|&ns| ns > 0)
+}
+
+/// Sampler period from `FP_TELEMETRY_INTERVAL_NS`, or
+/// [`DEFAULT_SAMPLE_INTERVAL_NS`] when unset or empty. Anything but a
+/// positive integer panics, see [`env_setting`].
 pub fn sample_interval_from_env() -> u64 {
-    std::env::var("FP_TELEMETRY_INTERVAL_NS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&ns| ns > 0)
-        .unwrap_or(DEFAULT_SAMPLE_INTERVAL_NS)
+    env_setting(
+        "FP_TELEMETRY_INTERVAL_NS",
+        "a positive integer of nanoseconds",
+        positive_ns,
+    )
+    .unwrap_or(DEFAULT_SAMPLE_INTERVAL_NS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn settings_apply_default_or_refuse() {
+        let count = |raw| parse_setting("FP_X", raw, "a count", |v| v.parse::<u32>().ok());
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(count(unset), Ok(None), "{unset:?} means unset");
+        }
+        assert_eq!(count(Some("7")), Ok(Some(7)));
+        assert_eq!(count(Some(" 7 ")), Ok(Some(7)));
+        assert_eq!(
+            count(Some("1k")),
+            Err("FP_X=\"1k\" not recognized (expected a count)".into()),
+            "the error names the variable and the value"
+        );
+    }
+
+    #[test]
+    fn sample_interval_refuses_what_is_not_a_positive_integer() {
+        let ns = |raw| parse_setting("FP_TELEMETRY_INTERVAL_NS", raw, "ns", positive_ns);
+        assert_eq!(ns(None), Ok(None));
+        assert_eq!(ns(Some("")), Ok(None));
+        assert_eq!(ns(Some("250")), Ok(Some(250)));
+        for bad in ["1ms", "0", "-5", "1e3"] {
+            assert!(
+                ns(Some(bad)).is_err(),
+                "{bad:?} used to run the 100 µs default"
+            );
+        }
+    }
 }

@@ -80,41 +80,6 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Whether every modified/untracked path in the worktree is a generated
-/// benchmark artifact (`results/…`, `BENCH_*.json`). Benchmark runs dirty
-/// their own tree by writing the numbers they are about to stamp, so a
-/// `-dirty` suffix caused only by such paths says nothing about the code
-/// that produced them. Returns `false` when git is unavailable or the
-/// tree is clean (there is no dirt to excuse).
-pub fn dirt_is_artifacts_only() -> bool {
-    let Some(out) = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-    else {
-        return false;
-    };
-    let mut any = false;
-    for line in out.lines().filter(|l| !l.is_empty()) {
-        any = true;
-        // Porcelain v1: two status columns, a space, then the path
-        // (renames print "old -> new"; both sides must be artifacts).
-        let paths = line.get(3..).unwrap_or("");
-        if !paths.split(" -> ").all(is_artifact_path) {
-            return false;
-        }
-    }
-    any
-}
-
-fn is_artifact_path(p: &str) -> bool {
-    let p = p.trim().trim_matches('"');
-    let base = p.rsplit('/').next().unwrap_or(p);
-    p.starts_with("results/") || (base.starts_with("BENCH_") && base.ends_with(".json"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,23 +135,5 @@ mod tests {
     fn git_describe_never_panics() {
         let g = git_describe();
         assert!(!g.is_empty());
-    }
-
-    #[test]
-    fn artifact_paths_are_recognized() {
-        assert!(is_artifact_path("results/campaign_log.txt"));
-        assert!(is_artifact_path("results/headline/manifest.json"));
-        assert!(is_artifact_path("BENCH_netsim.json"));
-        assert!(is_artifact_path("\"results/with space.json\""));
-        assert!(!is_artifact_path("crates/netsim/src/sim.rs"));
-        assert!(!is_artifact_path("BENCH_netsim.json.bak"));
-        assert!(!is_artifact_path("src/results/foo.rs"));
-    }
-
-    #[test]
-    fn dirt_check_never_panics() {
-        // Result depends on the enclosing worktree; only the contract
-        // "callable anywhere without panicking" is testable here.
-        let _ = dirt_is_artifacts_only();
     }
 }
