@@ -7,6 +7,11 @@ pub struct BitSet {
     words: Vec<u64>,
     len: u32,
     ones: u32,
+    /// Index of the first word that is not all ones (`words.len()` when
+    /// every word is). Bits are never cleared, so it only moves up, and
+    /// [`BitSet::first_clear`] need not rescan the full prefix on every
+    /// call — per received segment, that made one large flow quadratic.
+    first_open: u32,
 }
 
 impl BitSet {
@@ -16,6 +21,7 @@ impl BitSet {
             words: vec![0; (len as usize).div_ceil(64)],
             len,
             ones: 0,
+            first_open: 0,
         }
     }
 
@@ -53,6 +59,11 @@ impl BitSet {
         if *w & m == 0 {
             *w |= m;
             self.ones += 1;
+            if *w == u64::MAX {
+                while self.words.get(self.first_open as usize) == Some(&u64::MAX) {
+                    self.first_open += 1;
+                }
+            }
             true
         } else {
             false
@@ -61,21 +72,17 @@ impl BitSet {
 
     /// Index of the first clear bit, if any.
     pub fn first_clear(&self) -> Option<u32> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != u64::MAX {
-                let bit = wi as u32 * 64 + w.trailing_ones();
-                if bit < self.len {
-                    return Some(bit);
-                }
-            }
-        }
-        None
+        let w = *self.words.get(self.first_open as usize)?;
+        // A tail word holds only `len % 64` usable bits and never fills.
+        let bit = self.first_open * 64 + w.trailing_ones();
+        (bit < self.len).then_some(bit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::splitmix64;
 
     #[test]
     fn set_get_count() {
@@ -110,6 +117,47 @@ mod tests {
         assert_eq!(b.first_clear(), Some(64));
         b.set(64);
         assert_eq!(b.first_clear(), Some(65));
+    }
+
+    #[test]
+    fn first_clear_matches_the_naive_scan_under_random_set_orders() {
+        fn naive(b: &BitSet) -> Option<u32> {
+            (0..b.len()).find(|&i| !b.get(i))
+        }
+        let mut state = 0x5eed_u64;
+        // Word-aligned, ragged-tail, sub-word and single-bit lengths.
+        for len in [1u32, 63, 64, 65, 128, 130, 191, 192, 1000] {
+            for _ in 0..8 {
+                let mut order: Vec<u32> = (0..len).collect();
+                for i in (1..order.len()).rev() {
+                    state = splitmix64(state);
+                    order.swap(i, (state % (i as u64 + 1)) as usize);
+                }
+                let mut b = BitSet::new(len);
+                assert_eq!(b.first_clear(), Some(0));
+                for (n, &i) in order.iter().enumerate() {
+                    assert!(b.set(i));
+                    assert!(!b.set(i), "second set is a no-op");
+                    assert_eq!(b.first_clear(), naive(&b), "len {len} after {} sets", n + 1);
+                }
+                assert!(b.full());
+                assert_eq!(b.first_clear(), None, "full set of {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_clear_tracks_a_large_in_order_flow() {
+        // A 1 GiB message is 262 144 segments; receiving them in order
+        // asked for the watermark once per segment, each a rescan of up to
+        // 4 096 full words. With the hint the whole loop touches each word
+        // a constant number of times.
+        let n = 262_144;
+        let mut b = BitSet::new(n);
+        for i in 0..n {
+            b.set(i);
+            assert_eq!(b.first_clear(), (i + 1 < n).then_some(i + 1));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Differential test of the delay-class pipes against the all-scheduler
-//! engine they replaced.
+//! engine they replaced, and the full-simulator scenario generator the
+//! engine's other differential tests share (`fast_path_tests`).
 //!
 //! A class bound of 0 sends every constant-delay event to the scheduler —
 //! exactly the engine before the class pipes existed — so running the same
@@ -9,59 +10,194 @@
 //! is deliberately not configurable outside tests.
 
 use super::*;
+use crate::config::PfcConfig;
+use crate::control::ControlAction;
 use crate::packet::CollectiveTag;
 use crate::pipeline::MAX_DELAY_CLASSES;
-use crate::topology::FatTreeSpec;
+use crate::topology::{Clos3Spec, FatTreeSpec};
+use fp_telemetry::LinkSample;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// What one run must reproduce at every bound and on both backends.
-type Outcome = (u64, SimTime, String, String);
+/// One full-simulator scenario: a small random fabric, a few tagged
+/// messages with odd tail sizes (one distinct serialization delay each,
+/// so more delays than a small bound holds), one random fault healed
+/// midway — plus the engine variant to run it on.
+#[derive(Copy, Clone, Debug)]
+pub(super) struct Scenario {
+    pub sched: SchedKind,
+    /// Delay-class bound (see [`Simulator::set_class_bound`]).
+    pub bound: usize,
+    /// Run every enqueue down the queued route (the engine before the
+    /// uncontended-hop shortcut).
+    pub queued_route_only: bool,
+    pub seed: u64,
+    pub leaves: u32,
+    pub spines: u32,
+    pub hosts_per_leaf: u32,
+    /// Two pods of `leaves` leaves under `spines` aggs and two cores per
+    /// group instead of a 2-level tree (fills `agg_counters`).
+    pub three_level: bool,
+    pub msgs: usize,
+    /// 0 drop, 1 blackhole, 2 dst-blackhole, 3 admin-down, else none.
+    pub fault_sel: u32,
+    /// 0 off, 1 default thresholds, 2 XOFF/XON of a few packets so pauses
+    /// actually happen.
+    pub pfc_sel: u32,
+    pub spray: spray::SprayPolicy,
+    /// Messages rotate through the three priorities and every third one
+    /// is untagged background traffic.
+    pub mixed_prio: bool,
+    /// `RecycleEntropy` on a cable mid-run, restored later.
+    pub recycle: bool,
+    /// Telemetry sampling interval; 0 attaches no recorder (and keeps the
+    /// sampler's ticks out of the scheduler).
+    pub sample_ns: u64,
+}
 
-/// Scheduler pushes, class-pipe pushes and classes discovered.
-type Traffic = (u64, u64, usize);
-
-/// One scenario on one backend at one class bound: a small random
-/// fabric, a few tagged messages with odd tail sizes (one distinct
-/// serialization delay each, so more delays than a small bound holds),
-/// one random fault healed midway, PFC on or off.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    sched: SchedKind,
-    bound: usize,
-    seed: u64,
-    leaves: u32,
-    spines: u32,
-    msgs: usize,
-    fault_sel: u32,
-    pfc_on: bool,
-) -> (Outcome, Traffic) {
-    let topo = Topology::fat_tree(FatTreeSpec {
-        leaves,
-        spines,
-        hosts_per_leaf: 1,
-        ..Default::default()
-    });
-    let n_links = topo.n_links() as u32;
-    let mut cfg = SimConfig {
-        sched: Some(sched),
-        // Fail fast under black holes so drains stay cheap.
-        rto_max_attempts: 6,
-        ..SimConfig::default()
-    };
-    cfg.pfc.enabled = pfc_on;
-    let mut sim = Simulator::new(topo, cfg, seed);
-    sim.set_class_bound(bound);
-    let tag = Some(CollectiveTag { job: 1, iter: 0 });
-    for m in 0..msgs {
-        let src = HostId((m as u32) % leaves);
-        let dst = HostId((m as u32 + 1 + (seed as u32 % (leaves - 1))) % leaves);
-        if src != dst {
-            let bytes = 200_000 + 17 * m as u64;
-            sim.post_message(src, dst, bytes, tag, Priority::MEASURED);
+impl Scenario {
+    /// The shape the class-bound test has always generated.
+    pub fn basic(seed: u64, leaves: u32, spines: u32, msgs: usize, fault_sel: u32) -> Scenario {
+        Scenario {
+            sched: SchedKind::Wheel,
+            bound: MAX_DELAY_CLASSES,
+            queued_route_only: false,
+            seed,
+            leaves,
+            spines,
+            hosts_per_leaf: 1,
+            three_level: false,
+            msgs,
+            fault_sel,
+            pfc_sel: 1,
+            spray: spray::SprayPolicy::default(),
+            mixed_prio: false,
+            recycle: false,
+            sample_ns: 0,
         }
     }
-    let link = LinkId((seed as u32 >> 8) % n_links);
-    let kind = match fault_sel {
+}
+
+/// What one run must reproduce on every engine variant.
+#[derive(PartialEq, Debug)]
+pub(super) struct Outcome {
+    events: u64,
+    end: SimTime,
+    stats: String,
+    counters: String,
+    agg_counters: String,
+    trace: Vec<crate::trace::TraceRecord>,
+    applied_controls: Vec<AppliedControl>,
+    /// Every `(time, link, egress state)` the telemetry sampler saw.
+    samples: Vec<(u64, u32, LinkSample)>,
+}
+
+/// Keeps every link sample (shared, so the test reads it after boxing).
+struct SampleLog {
+    interval: u64,
+    samples: Rc<RefCell<Vec<(u64, u32, LinkSample)>>>,
+}
+
+impl Recorder for SampleLog {
+    fn sample_interval_ns(&self) -> u64 {
+        self.interval
+    }
+    fn on_link_sample(&mut self, t_ns: u64, link: u32, s: &LinkSample) {
+        self.samples.borrow_mut().push((t_ns, link, *s));
+    }
+}
+
+/// How the engine got there: allowed to differ between variants.
+#[derive(Copy, Clone, Debug)]
+pub(super) struct Traffic {
+    /// Scheduler pushes.
+    pub pushes: u64,
+    pub class_pushes: u64,
+    /// Delay classes discovered.
+    pub classes: usize,
+    /// Packets that took the uncontended-hop shortcut.
+    pub direct_starts: u64,
+    pub pfc_pauses: u64,
+}
+
+/// Entry by entry: the store's own `Debug` walks a hash index.
+fn counters_debug(c: &CounterStore) -> String {
+    format!(
+        "{:?}",
+        c.keys()
+            .iter()
+            .map(|&(job, iter)| c.get(job, iter))
+            .collect::<Vec<_>>()
+    )
+}
+
+pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
+    let topo = if sc.three_level {
+        Topology::clos3(Clos3Spec {
+            pods: 2,
+            leaves_per_pod: sc.leaves,
+            aggs_per_pod: sc.spines,
+            cores_per_group: 2,
+            hosts_per_leaf: sc.hosts_per_leaf,
+            ..Default::default()
+        })
+    } else {
+        Topology::fat_tree(FatTreeSpec {
+            leaves: sc.leaves,
+            spines: sc.spines,
+            hosts_per_leaf: sc.hosts_per_leaf,
+            ..Default::default()
+        })
+    };
+    let n_links = topo.n_links() as u32;
+    let n_hosts = topo.n_hosts() as u32;
+    let cfg = SimConfig {
+        sched: Some(sc.sched),
+        spray: sc.spray,
+        // Fail fast under black holes so drains stay cheap.
+        rto_max_attempts: 6,
+        pfc: match sc.pfc_sel {
+            0 => PfcConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            1 => PfcConfig::default(),
+            _ => PfcConfig {
+                enabled: true,
+                xoff_bytes: 3 * 4160,
+                xon_bytes: 4160,
+            },
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(topo, cfg, sc.seed);
+    sim.set_class_bound(sc.bound);
+    sim.queued_route_only = sc.queued_route_only;
+    let samples = Rc::new(RefCell::new(Vec::new()));
+    if sc.sample_ns > 0 {
+        sim.set_recorder(Box::new(SampleLog {
+            interval: sc.sample_ns,
+            samples: samples.clone(),
+        }));
+    }
+    let tag = Some(CollectiveTag { job: 1, iter: 0 });
+    for m in 0..sc.msgs as u32 {
+        let src = HostId(m % n_hosts);
+        let dst = HostId((m + 1 + (sc.seed as u32 % (n_hosts - 1))) % n_hosts);
+        if src == dst {
+            continue;
+        }
+        let bytes = 200_000 + 17 * m as u64;
+        let (tag, prio) = match (sc.mixed_prio, m % 3) {
+            (false, _) | (true, 0) => (tag, Priority::MEASURED),
+            (true, 1) => (tag, Priority::CONTROL),
+            (true, _) => (None, Priority::BACKGROUND),
+        };
+        sim.post_message(src, dst, bytes, tag, prio);
+    }
+    let link = LinkId((sc.seed as u32 >> 8) % n_links);
+    let kind = match sc.fault_sel {
         0 => Some(FaultKind::SilentDrop { rate: 0.2 }),
         1 => Some(FaultKind::SilentBlackhole),
         2 => Some(FaultKind::DstBlackhole { dst_leaf: 0 }),
@@ -72,33 +208,49 @@ fn run(
         sim.schedule_fault(FaultEvent::set_bidir(SimTime::from_ns(2_000), link, kind));
         sim.schedule_fault(FaultEvent::clear_bidir(SimTime::from_ns(40_000), link));
     }
+    if sc.recycle {
+        let cable = LinkId((sc.seed as u32 >> 16) % n_links);
+        sim.schedule_control(
+            SimTime::from_ns(3_000),
+            ControlAction::recycle_entropy_cable(cable),
+        );
+        sim.schedule_control(
+            SimTime::from_ns(30_000),
+            ControlAction::restore_cable(cable),
+        );
+    }
     let summary = sim.run();
     assert_eq!(summary.reason, RunReason::Drained);
     assert_eq!(sim.pending_events(), 0, "drained run left pending work");
     let ss = sim.sched_stats();
     assert_eq!(ss.pushes, ss.pops, "scheduler drained");
     assert_eq!(ss.class_pushes, ss.class_pops, "class pipes drained");
+    let samples = samples.take();
+    // Sampler ticks are popped like any event but never counted as one.
+    let ticks = samples.len() as u64 / n_links as u64;
     assert_eq!(
         ss.pops + ss.class_pops,
-        sim.stats.events - sim.stats.pipeline_deliveries + sim.stats.rto_stale_skips,
+        sim.stats.events - sim.stats.pipeline_deliveries + sim.stats.rto_stale_skips + ticks,
         "pop count decomposition"
     );
     (
-        (
-            summary.events,
-            summary.end,
-            format!("{:?}", sim.stats),
-            // Entry by entry: the store's own `Debug` walks a hash index.
-            format!(
-                "{:?}",
-                sim.counters
-                    .keys()
-                    .iter()
-                    .map(|&(job, iter)| sim.counters.get(job, iter))
-                    .collect::<Vec<_>>()
-            ),
-        ),
-        (ss.pushes, ss.class_pushes, sim.timers.classes()),
+        Outcome {
+            events: summary.events,
+            end: summary.end,
+            stats: format!("{:?}", sim.stats),
+            counters: counters_debug(&sim.counters),
+            agg_counters: counters_debug(&sim.agg_counters),
+            trace: sim.trace.to_records(),
+            applied_controls: sim.applied_controls().to_vec(),
+            samples,
+        },
+        Traffic {
+            pushes: ss.pushes,
+            class_pushes: ss.class_pushes,
+            classes: sim.timers.classes(),
+            direct_starts: sim.direct_starts,
+            pfc_pauses: sim.stats.pfc_pauses,
+        },
     )
 }
 
@@ -114,21 +266,26 @@ proptest! {
         fault_sel in 0u32..5,
         pfc_sel in 0u32..2,
     ) {
-        let go = |sched, bound| run(sched, bound, seed, leaves, spines, msgs, fault_sel, pfc_sel == 1);
-        let (want, (all_pushes, none, _)) = go(SchedKind::Wheel, 0);
-        prop_assert_eq!(none, 0, "bound 0 must keep every event in the scheduler");
+        let go = |sched, bound| run(Scenario {
+            sched,
+            bound,
+            pfc_sel,
+            ..Scenario::basic(seed, leaves, spines, msgs, fault_sel)
+        });
+        let (want, all) = go(SchedKind::Wheel, 0);
+        prop_assert_eq!(all.class_pushes, 0, "bound 0 must keep every event in the scheduler");
         for sched in [SchedKind::Heap, SchedKind::Wheel] {
             for bound in [0, 2, MAX_DELAY_CLASSES] {
-                let (got, (pushes, class_pushes, classes)) = go(sched, bound);
+                let (got, t) = go(sched, bound);
                 prop_assert_eq!(&got, &want, "diverged at {:?} bound {}", sched, bound);
                 // Events only move between containers; none is elided.
-                prop_assert_eq!(pushes + class_pushes, all_pushes);
-                prop_assert!(classes <= bound);
+                prop_assert_eq!(t.pushes + t.class_pushes, all.pushes);
+                prop_assert!(t.classes <= bound);
                 if bound == 2 {
                     // TxDone of a data packet, TxDone of an ACK, the RTO
                     // and the ACK flush are four delays already.
-                    prop_assert_eq!(classes, 2);
-                    prop_assert!(pushes > 2, "nothing overflowed at bound 2");
+                    prop_assert_eq!(t.classes, 2);
+                    prop_assert!(t.pushes > 2, "nothing overflowed at bound 2");
                 }
             }
         }
@@ -140,9 +297,11 @@ proptest! {
 /// only the two scheduled fault updates reach the scheduler.
 #[test]
 fn default_config_fits_the_production_bound() {
-    let (_, (pushes, class_pushes, classes)) =
-        run(SchedKind::Wheel, MAX_DELAY_CLASSES, 77, 4, 2, 3, 1, true);
-    assert_eq!(pushes, 2, "only FaultUpdate set + clear are absolute-time");
-    assert!(class_pushes > 1_000);
-    assert!(classes > 4 && classes <= MAX_DELAY_CLASSES, "{classes}");
+    let (_, t) = run(Scenario::basic(77, 4, 2, 3, 1));
+    assert_eq!(
+        t.pushes, 2,
+        "only FaultUpdate set + clear are absolute-time"
+    );
+    assert!(t.class_pushes > 1_000);
+    assert!(t.classes > 4 && t.classes <= MAX_DELAY_CLASSES, "{t:?}");
 }

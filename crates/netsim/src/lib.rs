@@ -49,6 +49,7 @@ pub mod bitset;
 pub mod config;
 pub mod control;
 pub mod counters;
+pub mod egress;
 pub mod engine;
 pub mod fault;
 pub mod ids;

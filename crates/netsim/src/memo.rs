@@ -79,7 +79,9 @@
 use super::{IterSpanRecord, Simulator};
 use crate::bitset::BitSet;
 use crate::counters::{CounterDelta, CounterStore};
+use crate::egress::PortBudget;
 use crate::engine::{EventKind, SchedStats};
+use crate::ids::LinkId;
 use crate::packet::{AckBlock, FlowId, Packet, PacketKind, NPRIO};
 use crate::pipeline::CLASS_PIPE;
 use crate::rng::RngStreams;
@@ -315,6 +317,8 @@ struct NormLink {
     /// `T_i - paused_since` per paused priority, zero when not paused
     /// (replay shifts `paused_since` so the age is preserved).
     pause_age: [u64; NPRIO],
+    /// PFC budget of the switch port this link ends at.
+    pfc: PortBudget,
 }
 
 /// One switch's runtime state. `valid_up`/`valid_core` are derived from
@@ -327,8 +331,6 @@ struct NormLink {
 /// phase).
 #[derive(PartialEq, Eq, Debug)]
 struct NormSwitch {
-    ingress_usage: Vec<[u64; NPRIO]>,
-    pause_sent: Vec<[bool; NPRIO]>,
     rr_cursor: u64,
     /// Pluggable-backend residual from [`crate::spray::Sprayer::memo_residual`]:
     /// a canonical digest of any backend-private state (0 for stateless
@@ -804,6 +806,7 @@ impl Simulator {
         let dseq = sq * units as u64;
         let dflow = snap.fpb * iters;
         self.heap.memo_rebase(dt, dseq, dflow);
+        self.sched_head_stale = true;
         self.timers.memo_rebase(dt, dseq, dflow);
         self.front.memo_shift(dt, dseq);
         for pipe in &mut self.pipes {
@@ -818,13 +821,8 @@ impl Simulator {
             l.txed_bytes += d[1] * units as u64;
             l.delivered_pkts += d[2] * units as u64;
             l.delivered_bytes += d[3] * units as u64;
-            if let Some(cur) = l.current.as_mut() {
-                shift_packet(cur, dflow, iters);
-            }
-            for q in &mut l.queues {
-                for pkt in q.iter_mut() {
-                    shift_packet(pkt, dflow, iters);
-                }
+            for pkt in l.packets_mut() {
+                shift_packet(pkt, dflow, iters);
             }
             for pr in 0..NPRIO {
                 if l.paused[pr] {
@@ -1037,14 +1035,15 @@ impl Simulator {
         let links: Vec<NormLink> = self
             .links
             .iter()
-            .map(|l| NormLink {
+            .enumerate()
+            .map(|(i, l)| NormLink {
                 admin_up: l.admin_up,
                 spray_avoid: l.spray_avoid,
                 txing: l.txing,
-                current: l.current.as_ref().map(|p| n.packet(p)),
+                current: l.current().map(|p| n.packet(p)),
                 inflight: l.inflight,
                 queued_bytes: l.queued_bytes,
-                queues: std::array::from_fn(|q| l.queues[q].iter().map(|p| n.packet(p)).collect()),
+                queues: std::array::from_fn(|q| l.queued(q).map(|p| n.packet(p)).collect()),
                 paused: l.paused,
                 pause_age: std::array::from_fn(|q| {
                     if l.paused[q] {
@@ -1053,6 +1052,7 @@ impl Simulator {
                         0
                     }
                 }),
+                pfc: *self.pfc.port(LinkId(i as u32)),
             })
             .collect();
 
@@ -1061,8 +1061,6 @@ impl Simulator {
             .switches
             .iter()
             .map(|s| NormSwitch {
-                ingress_usage: s.ingress_usage.clone(),
-                pause_sent: s.pause_sent.clone(),
                 rr_cursor: s.rr_cursor,
                 sprayer_residual: match s.sprayer.memo_residual() {
                     Ok(r) => r,

@@ -228,29 +228,36 @@ impl ClassPipes {
     }
 }
 
-/// Binary min-heap over each nonempty pipe's [`PipeFront`], ordered by
-/// `(at, seq)`.
+/// The armed [`PipeFront`] of each nonempty pipe, with the earliest by
+/// `(at, seq)` on top.
 ///
 /// Holds at most one entry per pipe, so its size is bounded by the number
 /// of *busy pipes* (two latency classes in a fat tree plus at most
 /// [`MAX_DELAY_CLASSES`] delay classes), not by the number of packets in
-/// flight or timers pending — the pipes absorb the depth.
+/// flight or timers pending — the pipes absorb the depth. At that size a
+/// linear scan for the minimum after each change (a run of compare/select
+/// over three cache lines) beats sifting a binary heap, whose few levels
+/// cost a mispredicted branch each; the name is kept for the callers.
 /// Sequence numbers are globally unique, so the order is total and
 /// deterministic.
 #[derive(Default, Debug)]
 pub struct FrontHeap {
-    heap: Vec<PipeFront>,
+    /// Armed fronts in no particular order.
+    fronts: Vec<PipeFront>,
+    /// Index of the earliest front (0 when nothing is armed).
+    top: usize,
     /// High-water mark of armed pipes.
     max_armed: u64,
 }
 
+/// `(at, seq)` as one integer: the order the event loop dispatches in.
 #[inline]
-fn before(a: &PipeFront, b: &PipeFront) -> bool {
-    (a.at, a.seq) < (b.at, b.seq)
+fn key(f: &PipeFront) -> u128 {
+    (f.at.as_ns() as u128) << 64 | f.seq as u128
 }
 
 impl FrontHeap {
-    /// Empty heap.
+    /// Nothing armed.
     pub fn new() -> Self {
         Self::default()
     }
@@ -258,18 +265,18 @@ impl FrontHeap {
     /// The earliest armed front, if any pipe is busy.
     #[inline]
     pub fn peek(&self) -> Option<PipeFront> {
-        self.heap.first().copied()
+        self.fronts.get(self.top).copied()
     }
 
     /// Number of armed pipes (pipes with a packet in flight).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.fronts.len()
     }
 
     /// True if no pipe has packets in flight.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.fronts.is_empty()
     }
 
     /// High-water mark of simultaneously armed pipes.
@@ -278,21 +285,27 @@ impl FrontHeap {
     }
 
     /// Arm a pipe that just went empty → nonempty.
+    #[inline]
     pub fn arm(&mut self, f: PipeFront) {
-        self.heap.push(f);
-        self.sift_up(self.heap.len() - 1);
-        self.max_armed = self.max_armed.max(self.heap.len() as u64);
+        if self.fronts.is_empty() || key(&f) < key(&self.fronts[self.top]) {
+            self.top = self.fronts.len();
+        }
+        self.fronts.push(f);
+        self.max_armed = self.max_armed.max(self.fronts.len() as u64);
     }
 
-    /// Replace the just-delivered top with the same pipe's next head.
-    /// The replacement never sorts before the old top (a pipe's arrivals
-    /// strictly increase), so one sift-down restores the heap — the
-    /// steady-state delivery costs a single sift instead of pop + push.
+    /// Replace the just-delivered top with the same pipe's next head
+    /// (which never sorts before the old top: a pipe's arrivals strictly
+    /// increase).
+    #[inline]
     pub fn replace_top(&mut self, f: PipeFront) {
-        debug_assert!(!self.heap.is_empty(), "replace_top on empty front heap");
-        debug_assert!(!before(&f, &self.heap[0]), "pipe arrivals regressed");
-        self.heap[0] = f;
-        self.sift_down(0);
+        debug_assert!(!self.fronts.is_empty(), "replace_top with nothing armed");
+        debug_assert!(
+            key(&f) >= key(&self.fronts[self.top]),
+            "pipe arrivals regressed"
+        );
+        self.fronts[self.top] = f;
+        self.find_top();
     }
 
     /// The top's pipe just gave up its head: re-arm it for the entry behind
@@ -301,7 +314,7 @@ impl FrontHeap {
     pub fn advance_top(&mut self, next: Option<(SimTime, u64)>) {
         match next {
             Some((at, seq)) => {
-                let pipe = self.heap[0].pipe;
+                let pipe = self.fronts[self.top].pipe;
                 self.replace_top(PipeFront { at, seq, pipe });
             }
             None => {
@@ -310,67 +323,44 @@ impl FrontHeap {
         }
     }
 
-    /// All armed fronts in internal heap order (memo fingerprinting sorts
-    /// a copy itself).
+    /// All armed fronts in internal order (memo fingerprinting sorts a
+    /// copy itself).
     pub(crate) fn memo_entries(&self) -> &[PipeFront] {
-        &self.heap
+        &self.fronts
     }
 
     /// Temporal-symmetry fast-forward: shift every armed front by `dt` in
     /// time and `dseq` in sequence. A uniform shift preserves the `(at,
-    /// seq)` order, so the heap invariant survives untouched. `max_armed`
-    /// is a high-water mark — a matched steady-state window arms no new
-    /// maximum.
+    /// seq)` order, so the top stays the top. `max_armed` is a high-water
+    /// mark — a matched steady-state window arms no new maximum.
     pub(crate) fn memo_shift(&mut self, dt: crate::time::SimDuration, dseq: u64) {
-        for f in &mut self.heap {
+        for f in &mut self.fronts {
             f.at += dt;
             f.seq += dseq;
         }
     }
 
     /// Remove the top after delivering the last packet of its pipe.
+    #[inline]
     pub fn pop_top(&mut self) -> Option<PipeFront> {
-        if self.heap.is_empty() {
+        if self.fronts.is_empty() {
             return None;
         }
-        let top = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let top = self.fronts.swap_remove(self.top);
+        self.find_top();
         Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if before(&self.heap[i], &self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
+    #[inline]
+    fn find_top(&mut self) {
+        let (mut top, mut best) = (0, u128::MAX);
+        for (i, f) in self.fronts.iter().enumerate() {
+            let k = key(f);
+            if k < best {
+                (top, best) = (i, k);
             }
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            if l >= self.heap.len() {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < self.heap.len() && before(&self.heap[r], &self.heap[l]) {
-                r
-            } else {
-                l
-            };
-            if before(&self.heap[c], &self.heap[i]) {
-                self.heap.swap(i, c);
-                i = c;
-            } else {
-                break;
-            }
-        }
+        self.top = top;
     }
 }
 

@@ -22,6 +22,8 @@ use crate::app::Application;
 use crate::config::SimConfig;
 use crate::control::{AppliedControl, ControlAction, ControlEvent, ControlVerb};
 use crate::counters::CounterStore;
+pub use crate::egress::LinkState;
+use crate::egress::PfcIngress;
 use crate::engine::{EventKind, EventQueue, SchedKind, SchedStats, Scheduler};
 use crate::fault::{FaultAction, FaultEvent, FaultKind};
 use crate::ids::{HostId, LinkId, NodeId, SwitchId};
@@ -34,7 +36,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkClass, SwitchKind, Topology};
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::transport::{AckAccum, FlowState};
-use fp_telemetry::{LinkMeta, LinkSample, Recorder};
+use fp_telemetry::{LinkMeta, Recorder};
 use std::collections::VecDeque;
 
 // A child module (rather than a sibling) so the fast-forward machinery can
@@ -46,86 +48,13 @@ pub mod memo;
 #[path = "delay_class_tests.rs"]
 mod delay_class_tests;
 
-/// Runtime state of one directed link (its egress queue lives at the
-/// transmitting node).
-#[derive(Debug)]
-pub struct LinkState {
-    /// Administratively up (known faults take links out of routing).
-    pub admin_up: bool,
-    /// Entropy-recycle remediation flag (`ControlVerb::RecycleEntropy`):
-    /// the link stays admin-up and keeps forwarding, but spray decisions
-    /// steer away from it whenever an alternative candidate exists. Far
-    /// gentler than admin-down — in-flight and queued packets survive.
-    pub spray_avoid: bool,
-    /// Installed silent fault, if any.
-    pub fault: Option<FaultKind>,
-    /// Currently serializing a packet.
-    pub txing: bool,
-    current: Option<Packet>,
-    /// Packets on the wire: fully serialized, propagating toward the far
-    /// end. The packets themselves live in the simulator's per-latency-class
-    /// delivery pipes (see `crate::pipeline`); this is the link's share.
-    inflight: u32,
-    queues: [VecDeque<Packet>; NPRIO],
-    /// Queued **plus in-flight** wire bytes across priorities — the APS load
-    /// signal. Including the packet currently serializing is what lets
-    /// least-loaded spraying rotate away from the port it just used (as
-    /// DRILL-style hardware does) instead of seeing all-empty queues.
-    pub queued_bytes: u64,
-    /// PFC pause state per priority (set by the downstream receiver).
-    pub paused: [bool; NPRIO],
-    /// When the current pause interval started, per priority (valid only
-    /// while `paused[p]`; feeds `Stats::pfc_pause_ns`).
-    paused_since: [SimTime; NPRIO],
-    /// Packets fully serialized onto this link.
-    pub txed_pkts: u64,
-    /// Wire bytes fully serialized onto this link.
-    pub txed_bytes: u64,
-    /// Packets delivered at the far end (survived faults).
-    pub delivered_pkts: u64,
-    /// Payload bytes delivered at the far end.
-    pub delivered_bytes: u64,
-}
-
-impl LinkState {
-    fn new() -> Self {
-        LinkState {
-            admin_up: true,
-            spray_avoid: false,
-            fault: None,
-            txing: false,
-            current: None,
-            inflight: 0,
-            queues: Default::default(),
-            queued_bytes: 0,
-            paused: [false; NPRIO],
-            paused_since: [SimTime::ZERO; NPRIO],
-            txed_pkts: 0,
-            txed_bytes: 0,
-            delivered_pkts: 0,
-            delivered_bytes: 0,
-        }
-    }
-
-    /// Packets waiting in all priority queues.
-    pub fn queued_pkts(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Packets on the wire (serialized, not yet delivered) — the per-link
-    /// pipeline depth sampled by telemetry.
-    pub fn inflight_pkts(&self) -> usize {
-        self.inflight as usize
-    }
-}
+#[cfg(test)]
+#[path = "fast_path_tests.rs"]
+mod fast_path_tests;
 
 /// Runtime state of one switch.
 #[derive(Debug)]
 struct SwitchState {
-    /// Buffered bytes per (ingress port, priority) — PFC accounting.
-    ingress_usage: Vec<[u64; NPRIO]>,
-    /// Whether a PAUSE is outstanding per (ingress port, priority).
-    pause_sent: Vec<[bool; NPRIO]>,
     /// Round-robin spray cursor.
     rr_cursor: u64,
     /// Pluggable spray backend ([`spray::Sprayer`]) built from
@@ -216,6 +145,10 @@ pub struct Simulator {
     /// The event loop dispatches min(front, scheduler) by `(time, seq)` —
     /// see `crate::pipeline`.
     front: FrontHeap,
+    /// `heap`'s head `(time, seq)` as of the last refresh, and whether the
+    /// scheduler changed since (see [`Self::dispatch_next`]).
+    sched_head: Option<(SimTime, u64)>,
+    sched_head_stale: bool,
     /// Delivery pipes, one per latency class: contiguous FIFOs of packets
     /// on the wire, sorted by `(at, seq)` by construction (monotone clock +
     /// constant per-class latency).
@@ -230,6 +163,8 @@ pub struct Simulator {
     /// [`Simulator::schedule_after`].
     timers: ClassPipes,
     links: Vec<LinkState>,
+    /// PFC accounting per (switch ingress port, priority).
+    pfc: PfcIngress,
     switches: Vec<SwitchState>,
     hosts: Vec<HostState>,
     /// Transport flow table (public for inspection by harnesses).
@@ -269,6 +204,13 @@ pub struct Simulator {
     /// Temporal-symmetry memoization state (`FP_MEMO`, see [`memo`]);
     /// `None` (the default) falls back to fully live simulation.
     memo: Option<Box<memo::MemoState>>,
+    /// Test hook: send every packet down the queued route, i.e. run the
+    /// engine as it was before the uncontended-hop shortcut.
+    #[cfg(test)]
+    queued_route_only: bool,
+    /// Packets that took the uncontended-hop shortcut (tests only).
+    #[cfg(test)]
+    direct_starts: u64,
 }
 
 impl Simulator {
@@ -289,8 +231,6 @@ impl Simulator {
                     SwitchKind::Spine(_) | SwitchKind::Core(_) => (0, 0, 0),
                 };
                 SwitchState {
-                    ingress_usage: vec![[0; NPRIO]; topo.switch_ports[i] as usize],
-                    pause_sent: vec![[false; NPRIO]; topo.switch_ports[i] as usize],
                     rr_cursor: 0,
                     sprayer: spray::make_sprayer(cfg.spray, n_deficit),
                     valid_up: vec![Vec::new(); n_valid_up],
@@ -336,11 +276,14 @@ impl Simulator {
             now: SimTime::ZERO,
             heap: EventQueue::new(sched),
             front: FrontHeap::new(),
+            sched_head: None,
+            sched_head_stale: false,
             pipes,
             link_pipe,
             in_flight_pkts: 0,
             timers: ClassPipes::default(),
             links,
+            pfc: PfcIngress::new(n_links),
             switches,
             hosts,
             flows: Vec::new(),
@@ -363,6 +306,10 @@ impl Simulator {
             spray_feedback,
             spray_avoided: 0,
             memo: None,
+            #[cfg(test)]
+            queued_route_only: false,
+            #[cfg(test)]
+            direct_starts: 0,
         };
         sim.recompute_routing();
         sim
@@ -411,7 +358,7 @@ impl Simulator {
         self.recorder = Some(rec);
         if interval > 0 {
             let at = self.now + SimDuration::from_ns(interval);
-            self.heap.push(at, EventKind::Sample);
+            self.sched_push(at, EventKind::Sample);
         }
     }
 
@@ -450,23 +397,7 @@ impl Simulator {
         };
         let t = self.now.as_ns();
         for (i, l) in self.links.iter().enumerate() {
-            let mut mask = 0u8;
-            for (p, &paused) in l.paused.iter().enumerate() {
-                if paused {
-                    mask |= 1 << p;
-                }
-            }
-            rec.on_link_sample(
-                t,
-                i as u32,
-                &LinkSample {
-                    queued_bytes: l.queued_bytes,
-                    queued_pkts: l.queued_pkts() as u32,
-                    inflight_pkts: l.inflight,
-                    txed_bytes: l.txed_bytes,
-                    paused_mask: mask,
-                },
-            );
+            rec.on_link_sample(t, i as u32, &l.sample());
         }
         self.recorder = Some(rec);
     }
@@ -479,7 +410,7 @@ impl Simulator {
     pub fn schedule_fault(&mut self, ev: FaultEvent) {
         let idx = self.fault_events.len() as u32;
         self.fault_events.push(ev);
-        self.heap.push(ev.at, EventKind::FaultUpdate { idx });
+        self.sched_push(ev.at, EventKind::FaultUpdate { idx });
     }
 
     // ------------------------------------------------------------------
@@ -496,7 +427,7 @@ impl Simulator {
     pub fn schedule_control(&mut self, at: SimTime, action: ControlAction) -> u32 {
         let idx = self.control_events.len() as u32;
         self.control_events.push(ControlEvent { at, action });
-        self.heap.push(at, EventKind::ControlUpdate { idx });
+        self.sched_push(at, EventKind::ControlUpdate { idx });
         idx
     }
 
@@ -601,24 +532,20 @@ impl Simulator {
     /// Drop everything queued on a link that just went admin-down,
     /// releasing PFC accounting for each dropped packet.
     fn drain_link_queues(&mut self, link: LinkId) {
-        for q in 0..NPRIO {
-            while let Some(pkt) = self.links[link.idx()].queues[q].pop_front() {
-                let wire = self.wire_size(&pkt);
-                self.links[link.idx()].queued_bytes -= wire;
-                self.stats.drop(DropCause::AdminDown);
-                self.trace.push(
-                    self.now,
-                    TraceEvent::Drop {
-                        link,
-                        cause: DropCause::AdminDown,
-                        flow: match pkt.kind {
-                            PacketKind::Data { flow, .. } => Some(flow),
-                            _ => None,
-                        },
+        while let Some((pkt, wire)) = self.links[link.idx()].drain_next(self.cfg.wire_overhead) {
+            self.stats.drop(DropCause::AdminDown);
+            self.trace.push(
+                self.now,
+                TraceEvent::Drop {
+                    link,
+                    cause: DropCause::AdminDown,
+                    flow: match pkt.kind {
+                        PacketKind::Data { flow, .. } => Some(flow),
+                        _ => None,
                     },
-                );
-                self.pfc_release(link, &pkt, wire);
-            }
+                },
+            );
+            self.pfc_release(&pkt, wire);
         }
     }
 
@@ -716,7 +643,7 @@ impl Simulator {
     /// Schedule an application wake-up at absolute time `at`.
     pub fn schedule_wake(&mut self, at: SimTime, host: HostId, token: u64) {
         debug_assert!(at >= self.now);
-        self.heap.push(at, EventKind::Wake { host, token });
+        self.sched_push(at, EventKind::Wake { host, token });
     }
 
     // ------------------------------------------------------------------
@@ -745,43 +672,61 @@ impl Simulator {
         s
     }
 
-    /// Which of (scheduler head, pipe-front head) dispatches next, by
-    /// global `(time, seq)` order. `None` when both are idle.
+    /// Every scheduler push goes through here so the cached head knows.
     #[inline]
-    fn next_due(&mut self) -> Option<(SimTime, bool)> {
+    fn sched_push(&mut self, at: SimTime, kind: EventKind) {
+        self.heap.push(at, kind);
+        self.sched_head_stale = true;
+    }
+
+    /// Dispatch whichever of (scheduler head, pipe-front head) orders
+    /// first by global `(time, seq)` — the one place an event leaves its
+    /// container, and so the one place the cached scheduler head is
+    /// refreshed. `Err` says why nothing was dispatched.
+    #[inline]
+    fn dispatch_next(&mut self, horizon: SimTime, max_events: u64) -> Result<(), RunReason> {
+        // The scheduler holds a few dozen entries per trial against
+        // millions of loop iterations, so its head is read from a field and
+        // re-peeked only after a push, pop or rebase. Re-peeking *here*
+        // rather than at the push keeps the wheel's lazy cursor where the
+        // peek-every-iteration loop had it, so `SchedStats` do not move.
+        if self.sched_head_stale {
+            self.sched_head = self.heap.peek_next();
+            self.sched_head_stale = false;
+        }
+        debug_assert_eq!(self.sched_head, self.heap.peek_next());
         let front = self.front.peek();
-        match (self.heap.peek_next(), front) {
-            (None, None) => None,
-            (Some((t, _)), None) => Some((t, false)),
-            (None, Some(f)) => Some((f.at, true)),
-            (Some((t, s)), Some(f)) => {
-                if (f.at, f.seq) < (t, s) {
-                    Some((f.at, true))
-                } else {
-                    Some((t, false))
-                }
+        // The front head goes first unless the scheduler's orders before it.
+        let (at, front) = match (self.sched_head, front) {
+            (None, None) => return Err(RunReason::Drained),
+            (Some((t, s)), Some(f)) if (t, s) < (f.at, f.seq) => (t, None),
+            (Some((t, _)), None) => (t, None),
+            (_, Some(f)) => (f.at, Some(f)),
+        };
+        if at > horizon {
+            return Err(RunReason::TimeLimit);
+        }
+        if self.stats.events >= max_events {
+            return Err(RunReason::EventLimit);
+        }
+        match front {
+            Some(f) => self.deliver_front(f),
+            None => {
+                let (k_at, kind) = self.heap.pop().expect("peeked");
+                self.sched_head_stale = true;
+                debug_assert_eq!(k_at, at);
+                self.dispatch(k_at, kind);
             }
         }
+        Ok(())
     }
 
     fn run_inner(&mut self, horizon: SimTime) -> RunSummary {
         self.start_app_if_needed();
         let start_events = self.stats.events;
         let reason = loop {
-            let (at, from_front) = match self.next_due() {
-                None => break RunReason::Drained,
-                Some((t, _)) if t > horizon => break RunReason::TimeLimit,
-                Some(due) => due,
-            };
-            if self.stats.events >= self.cfg.max_events {
-                break RunReason::EventLimit;
-            }
-            if from_front {
-                self.deliver_front();
-            } else {
-                let (k_at, kind) = self.heap.pop().expect("peeked");
-                debug_assert_eq!(k_at, at);
-                self.dispatch(k_at, kind);
+            if let Err(reason) = self.dispatch_next(horizon, self.cfg.max_events) {
+                break reason;
             }
         };
         RunSummary {
@@ -794,18 +739,7 @@ impl Simulator {
     /// Process a single event (test/debug hook). Returns false if idle.
     pub fn step(&mut self) -> bool {
         self.start_app_if_needed();
-        match self.next_due() {
-            Some((_, true)) => {
-                self.deliver_front();
-                true
-            }
-            Some((_, false)) => {
-                let (at, kind) = self.heap.pop().expect("peeked");
-                self.dispatch(at, kind);
-                true
-            }
-            None => false,
-        }
+        self.dispatch_next(SimTime::MAX, u64::MAX).is_ok()
     }
 
     /// Schedule `kind` to fire `delay` from now.
@@ -822,7 +756,7 @@ impl Simulator {
     fn schedule_after(&mut self, delay: SimDuration, kind: EventKind) {
         let at = self.now + delay;
         let Some(class) = self.timers.class_of(delay) else {
-            self.heap.push(at, kind);
+            self.sched_push(at, kind);
             return;
         };
         let seq = self.heap.reserve_seq();
@@ -844,14 +778,14 @@ impl Simulator {
         self.timers = ClassPipes::with_bound(bound);
     }
 
-    /// Dispatch the earliest pipe head and re-arm the front for the entry
+    /// Dispatch the earliest pipe head `f` and re-arm the front for the entry
     /// behind it (or disarm if the pipe went empty). A delay-class head
     /// goes through [`Self::dispatch`] like a scheduler pop. A delivery
     /// head is delivered here and counts toward `stats.events` exactly
     /// like the per-packet `Delivery` event it replaces, so event
     /// accounting and `max_events` behave identically.
-    fn deliver_front(&mut self) {
-        let f = self.front.peek().expect("front nonempty");
+    fn deliver_front(&mut self, f: PipeFront) {
+        debug_assert_eq!(self.front.peek(), Some(f));
         if f.pipe & CLASS_PIPE != 0 {
             let (head, next) = self.timers.pop(f.pipe & !CLASS_PIPE);
             debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
@@ -901,7 +835,7 @@ impl Simulator {
             {
                 let next = at + SimDuration::from_ns(interval);
                 if !self.heap.is_empty() || !self.front.is_empty() {
-                    self.heap.push(next, EventKind::Sample);
+                    self.sched_push(next, EventKind::Sample);
                 }
             }
             return;
@@ -1085,13 +1019,17 @@ impl Simulator {
 
     /// Start transmitting on `link` if it is idle and something is eligible.
     fn try_start_tx(&mut self, link: LinkId) {
-        {
-            let l = &self.links[link.idx()];
-            if l.txing || !l.admin_up {
-                return;
-            }
+        let l = &self.links[link.idx()];
+        if l.txing || !l.admin_up {
+            return;
         }
         let src = self.topo.links[link.idx()].src;
+        // A switch sends only what is queued (a host NIC also pulls fresh
+        // segments), so an empty switch egress — the usual state after a
+        // `TxDone` on a sprayed fabric — is settled by the occupancy mask.
+        if l.queues_empty() && matches!(src, NodeId::Switch(_)) {
+            return;
+        }
         let mut chosen: Option<Packet> = None;
         for q in 0..NPRIO {
             if self.links[link.idx()].paused[q] {
@@ -1099,7 +1037,7 @@ impl Simulator {
             }
             // queued_bytes is *not* decremented here: it tracks queued plus
             // in-flight bytes and is released at TxDone.
-            if let Some(pkt) = self.links[link.idx()].queues[q].pop_front() {
+            if let Some(pkt) = self.links[link.idx()].pop(q) {
                 chosen = Some(pkt);
                 break;
             }
@@ -1108,18 +1046,23 @@ impl Simulator {
                     // Fresh segments bypass the queue; charge them so the
                     // in-flight accounting stays symmetric.
                     let wire = self.wire_size(&pkt);
-                    self.links[link.idx()].queued_bytes += wire;
+                    self.links[link.idx()].charge(wire);
                     chosen = Some(pkt);
                     break;
                 }
             }
         }
-        let Some(pkt) = chosen else { return };
+        if let Some(pkt) = chosen {
+            self.begin_tx(link, pkt);
+        }
+    }
+
+    /// Put `pkt` on `link`'s wire and schedule the end of its serialization.
+    #[inline]
+    fn begin_tx(&mut self, link: LinkId, pkt: Packet) {
         let wire = self.wire_size(&pkt);
         let ser = self.topo.links[link.idx()].bandwidth.ser_time(wire);
-        let l = &mut self.links[link.idx()];
-        l.txing = true;
-        l.current = Some(pkt);
+        self.links[link.idx()].start(pkt);
         self.schedule_after(ser, EventKind::TxDone { link });
     }
 
@@ -1173,22 +1116,10 @@ impl Simulator {
     }
 
     fn handle_tx_done(&mut self, link: LinkId) {
-        let pkt = self.links[link.idx()]
-            .current
-            .take()
-            .expect("TxDone without current packet");
-        let wire = self.wire_size(&pkt);
-        {
-            let l = &mut self.links[link.idx()];
-            l.txing = false;
-            l.txed_pkts += 1;
-            l.txed_bytes += wire;
-            debug_assert!(l.queued_bytes >= wire, "in-flight accounting underflow");
-            l.queued_bytes -= wire;
-        }
+        let (pkt, wire) = self.links[link.idx()].finish(self.cfg.wire_overhead);
         self.stats.pkts_txed += 1;
         // Release PFC budget the packet held at this node.
-        self.pfc_release(link, &pkt, wire);
+        self.pfc_release(&pkt, wire);
         // Silent-fault sampling: the packet burned wire time; does it arrive?
         let dropped = match self.links[link.idx()].fault {
             Some(fault) if fault.is_silent() => {
@@ -1241,25 +1172,33 @@ impl Simulator {
     }
 
     /// Decrement PFC ingress accounting for a packet leaving (or being
-    /// dropped from) the buffer of the node that transmits `out_link`;
-    /// send RESUME upstream if we fall below XON.
-    fn pfc_release(&mut self, out_link: LinkId, pkt: &Packet, wire: u64) {
+    /// dropped from) a switch buffer; send RESUME upstream if the port
+    /// falls below XON. Host-originated packets (`ingress` unset) hold no
+    /// budget.
+    fn pfc_release(&mut self, pkt: &Packet, wire: u64) {
         if !self.cfg.pfc.enabled {
             return;
         }
         let Some(in_link) = pkt.ingress else { return };
-        let NodeId::Switch(sw) = self.topo.links[out_link.idx()].src else {
-            return;
-        };
-        let port = self.topo.links[in_link.idx()].dst_port as usize;
         let q = pkt.prio.idx();
-        let s = &mut self.switches[sw.idx()];
-        debug_assert!(s.ingress_usage[port][q] >= wire, "pfc accounting underflow");
-        s.ingress_usage[port][q] -= wire;
-        if s.pause_sent[port][q] && s.ingress_usage[port][q] <= self.cfg.pfc.xon_bytes {
-            s.pause_sent[port][q] = false;
+        if self.pfc.release(in_link, q, wire, self.cfg.pfc.xon_bytes) {
             self.stats.pfc_resumes += 1;
             self.push_pfc(in_link, q as u8, false);
+        }
+    }
+
+    /// Charge PFC ingress accounting for a packet just buffered at a
+    /// switch; send PAUSE upstream on crossing XOFF.
+    #[inline]
+    fn pfc_charge(&mut self, pkt: &Packet, wire: u64) {
+        if !self.cfg.pfc.enabled {
+            return;
+        }
+        let Some(in_link) = pkt.ingress else { return };
+        let q = pkt.prio.idx();
+        if self.pfc.charge(in_link, q, wire, self.cfg.pfc.xoff_bytes) {
+            self.stats.pfc_pauses += 1;
+            self.push_pfc(in_link, q as u8, true);
         }
     }
 
@@ -1279,24 +1218,12 @@ impl Simulator {
 
     fn handle_pfc(&mut self, link: LinkId, prio: u8, pause: bool) {
         let q = prio as usize;
-        let was = self.links[link.idx()].paused[q];
-        // Pause/resume frames strictly alternate per (link, priority): the
-        // downstream switch's `pause_sent` bookkeeping sends a resume only
-        // while a pause is outstanding and vice versa.
-        debug_assert_ne!(was, pause, "unpaired PFC frame on {link:?} prio {prio}");
-        if pause {
-            self.links[link.idx()].paused_since[q] = self.now;
-        } else if was {
-            let pause_ns = self
-                .now
-                .as_ns()
-                .saturating_sub(self.links[link.idx()].paused_since[q].as_ns());
+        if let Some(pause_ns) = self.links[link.idx()].set_paused(q, pause, self.now) {
             self.stats.pfc_pause_ns[q] += pause_ns;
             if let Some(rec) = self.recorder.as_mut() {
                 rec.on_pfc_pause_ns(prio, pause_ns);
             }
         }
-        self.links[link.idx()].paused[q] = pause;
         self.trace.push(
             self.now,
             TraceEvent::PfcState {
@@ -1426,10 +1353,12 @@ impl Simulator {
         }
     }
 
-    /// Enqueue `pkt` on `out_link`'s egress queue, charge PFC budget, and
-    /// kick the transmitter.
+    /// Hand `pkt` to `out_link`'s egress: charge the load signal and the
+    /// PFC budget, then either queue it and kick the transmitter or — on an
+    /// uncontended egress — put it on the wire directly.
     fn enqueue(&mut self, out_link: LinkId, mut pkt: Packet) {
-        if !self.links[out_link.idx()].admin_up {
+        let l = &self.links[out_link.idx()];
+        if !l.admin_up {
             self.stats.drop(DropCause::AdminDown);
             return;
         }
@@ -1439,37 +1368,47 @@ impl Simulator {
         if self.spray_feedback
             && !pkt.ce
             && pkt.is_data()
-            && self.links[out_link.idx()].queued_bytes >= self.cfg.ecn_threshold
+            && l.queued_bytes >= self.cfg.ecn_threshold
         {
             pkt.ce = true;
         }
         let wire = self.wire_size(&pkt);
         let q = pkt.prio.idx();
-        {
-            let l = &mut self.links[out_link.idx()];
-            l.queues[q].push_back(pkt);
-            l.queued_bytes += wire;
-            if l.queued_bytes > self.stats.max_queue_bytes {
-                self.stats.max_queue_bytes = l.queued_bytes;
-            }
+        let owner = self.topo.links[out_link.idx()].src;
+        // `ingress` is stamped by the switch that buffers the packet and
+        // by nobody else; the PFC budget is keyed on that.
+        debug_assert_eq!(pkt.ingress.is_some(), matches!(owner, NodeId::Switch(_)));
+        // Uncontended hop: queueing the packet would have `try_start_tx`
+        // walk the classes and pop this very packet back. On a host NIC
+        // the walk also pulls fresh segments of every higher class first,
+        // so the shortcut needs there to be none to pull. Everything below
+        // happens in the same order on both routes, so which one ran is
+        // not observable (DESIGN.md §6).
+        let direct = l.uncontended(q)
+            && match owner {
+                NodeId::Switch(_) => true,
+                NodeId::Host(h) => q == 0 || self.hosts[h.idx()].active.is_empty(),
+            };
+        #[cfg(test)]
+        let direct = direct && !self.queued_route_only;
+        let l = &mut self.links[out_link.idx()];
+        let depth = l.charge(wire);
+        if depth > self.stats.max_queue_bytes {
+            self.stats.max_queue_bytes = depth;
         }
-        // PFC charge at the owning switch.
-        if self.cfg.pfc.enabled {
-            if let Some(in_link) = pkt.ingress {
-                if let NodeId::Switch(sw) = self.topo.links[out_link.idx()].src {
-                    let port = self.topo.links[in_link.idx()].dst_port as usize;
-                    let s = &mut self.switches[sw.idx()];
-                    s.ingress_usage[port][q] += wire;
-                    if s.ingress_usage[port][q] >= self.cfg.pfc.xoff_bytes && !s.pause_sent[port][q]
-                    {
-                        s.pause_sent[port][q] = true;
-                        self.stats.pfc_pauses += 1;
-                        self.push_pfc(in_link, q as u8, true);
-                    }
-                }
-            }
+        if !direct {
+            l.push(pkt);
         }
-        self.try_start_tx(out_link);
+        self.pfc_charge(&pkt, wire);
+        if direct {
+            #[cfg(test)]
+            {
+                self.direct_starts += 1;
+            }
+            self.begin_tx(out_link, pkt);
+        } else {
+            self.try_start_tx(out_link);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1767,6 +1706,7 @@ fn link_metas(topo: &Topology) -> Vec<LinkMeta> {
 mod tests {
     use super::*;
     use crate::topology::FatTreeSpec;
+    use fp_telemetry::LinkSample;
 
     fn small_topo() -> Topology {
         Topology::fat_tree(FatTreeSpec {

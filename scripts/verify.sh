@@ -31,15 +31,17 @@ if git grep -nE "$gone" -- crates src examples tests scripts |
 fi
 echo "    none under crates/ src/ examples/ tests/ scripts/"
 
-echo "==> benchmark/: its own tests, then 3-s checked runs of four workloads"
+echo "==> benchmark/: its own tests, then 3-s checked runs of all six workloads"
 # benchmark/ is a package of its own that links public symbols of every
 # crate; nothing above builds it. Seed 1 also compares event, packet,
-# retransmit and alarm counts with benchmark/expected.json, so a change in
-# simulated behaviour fails here; monitord_ingest checks the live service
-# against an offline Monitor stream by stream (every snapshot processed,
-# every stream closed, alarm JSON equal).
+# retransmit, drop and alarm counts with benchmark/expected.json, so a
+# change in simulated behaviour fails here — on the paper's own fabric
+# (paper_live) and through the 2-thread campaign pool (sweep_small) as
+# well; monitord_ingest checks the live service against an offline Monitor
+# stream by stream (every snapshot processed, every stream closed, alarm
+# JSON equal).
 (cd benchmark && cargo test --offline -q)
-for w in steady_adaptive steady_leastloaded fault_loop monitord_ingest; do
+for w in paper_live steady_adaptive steady_leastloaded fault_loop sweep_small monitord_ingest; do
     # stderr stays on the terminal so a build failure or panic is visible.
     line="$(benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
     if [[ "$line" == *'"correct":true'* && "$line" == *'"failed":0'* ]]; then
