@@ -31,9 +31,10 @@ use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Reduced sweep sizes for smoke runs (`FP_QUICK=1`).
+/// Reduced sweep sizes for smoke runs (`FP_QUICK=1`; an unrecognised value
+/// panics, see [`fp_telemetry::env_toggle`]).
 pub fn quick() -> bool {
-    std::env::var("FP_QUICK").map(|v| v != "0").unwrap_or(false)
+    fp_telemetry::env_toggle("FP_QUICK")
 }
 
 /// `full` normally, `quick_v` under `FP_QUICK=1`.

@@ -27,7 +27,7 @@ use std::rc::Rc;
 #[derive(Copy, Clone, Debug)]
 pub(super) struct Scenario {
     pub sched: SchedKind,
-    /// Delay-class bound (see [`Simulator::set_class_bound`]).
+    /// Delay-class bound (see `Agenda::set_class_bound`).
     pub bound: usize,
     /// Run every enqueue down the queued route (the engine before the
     /// uncontended-hop shortcut).
@@ -172,7 +172,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(topo, cfg, sc.seed);
-    sim.set_class_bound(sc.bound);
+    sim.agenda.set_class_bound(sc.bound);
     sim.queued_route_only = sc.queued_route_only;
     let samples = Rc::new(RefCell::new(Vec::new()));
     if sc.sample_ns > 0 {
@@ -247,7 +247,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
         Traffic {
             pushes: ss.pushes,
             class_pushes: ss.class_pushes,
-            classes: sim.timers.classes(),
+            classes: sim.agenda.classes(),
             direct_starts: sim.direct_starts,
             pfc_pauses: sim.stats.pfc_pauses,
         },

@@ -29,7 +29,7 @@ pub enum EventKind {
     ///
     /// RTO events are *lazily cancelled*: when a segment is acknowledged the
     /// sender bumps its per-segment generation counter instead of searching
-    /// the heap, and a popped timer whose `gen` no longer matches is
+    /// the agenda, and a popped timer whose `gen` no longer matches is
     /// discarded without being dispatched (it never counts as a processed
     /// event and never advances the clock).
     Rto {
@@ -82,7 +82,7 @@ pub enum EventKind {
     /// are *not* charged to `stats.events` or the `max_events` guard, so an
     /// attached recorder never perturbs event accounting. The tick
     /// reschedules itself only while other events remain, so it cannot keep
-    /// an otherwise-drained heap alive.
+    /// an otherwise-drained agenda alive.
     Sample,
 }
 
@@ -183,8 +183,8 @@ pub struct SchedStats {
     /// straight into the due buffer (rare; see [`crate::wheel`]).
     pub due_splices: u64,
     /// Events appended to a delay-class pipe instead of the backend (see
-    /// [`crate::pipeline::ClassPipes`]). Filled in by
-    /// `Simulator::sched_stats`; a bare scheduler reports zero.
+    /// [`crate::pipeline`]). Filled in by `Simulator::sched_stats`; a bare
+    /// scheduler reports zero.
     pub class_pushes: u64,
     /// Events popped off a delay-class pipe — like `pops`, including
     /// lazily-cancelled RTO timers that are then discarded. On a drained,
@@ -236,14 +236,10 @@ pub trait Scheduler {
     fn reserve_seq(&mut self) -> u64;
     /// Pop the earliest event.
     fn pop(&mut self) -> Option<(SimTime, EventKind)>;
-    /// Pop the earliest event if it is due at or before `horizon`.
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)>;
-    /// Timestamp of the next event without removing it. Takes `&mut self`
-    /// because the wheel advances its cursor lazily on peek.
-    fn peek_time(&mut self) -> Option<SimTime>;
     /// `(timestamp, sequence)` of the next event without removing it — the
-    /// pair the event loop compares against an armed link front to decide
-    /// which dispatches first at equal timestamps.
+    /// pair the event loop compares against an armed pipe front to decide
+    /// which dispatches first at equal timestamps. Takes `&mut self`
+    /// because the wheel advances its cursor lazily on peek.
     fn peek_next(&mut self) -> Option<(SimTime, u64)>;
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -251,10 +247,6 @@ pub trait Scheduler {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Total events ever pushed (monotonic). Sequence numbers that were
-    /// only *reserved* for pipeline entries do not count — this is real
-    /// scheduler traffic, the number the link pipelines cut.
-    fn scheduled(&self) -> u64;
     /// Which backend this is.
     fn kind(&self) -> SchedKind;
     /// Lifetime occupancy counters.
@@ -316,77 +308,6 @@ impl EventHeap {
         Self::default()
     }
 
-    /// Consume the next sequence number without pushing (see
-    /// [`Scheduler::reserve_seq`]).
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Schedule `kind` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.reserve_seq();
-        self.pushed += 1;
-        if self.next.is_none_or(|(t, s)| (at, seq) < (t, s)) {
-            self.next = Some((at, seq));
-        }
-        self.heap.push(HeapEntry { at, seq, kind });
-        self.max_pending = self.max_pending.max(self.heap.len() as u64);
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let popped = self.heap.pop()?;
-        self.popped += 1;
-        // Refresh the cached head only while the heap is nonempty; when the
-        // pop emptied it, `peek()` would dereference just to store `None`.
-        self.next = if self.heap.is_empty() {
-            None
-        } else {
-            self.heap.peek().map(|e| (e.at, e.seq))
-        };
-        Some((popped.at, popped.kind))
-    }
-
-    /// Pop the earliest event if it is due at or before `horizon`.
-    /// Single-access fast path for the main event loop: the cached head
-    /// timestamp decides without touching the heap.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        match self.next {
-            Some((t, _)) if t <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Timestamp of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.next.map(|(t, _)| t)
-    }
-
-    /// `(timestamp, sequence)` of the next event without removing it.
-    #[inline]
-    pub fn peek_next(&self) -> Option<(SimTime, u64)> {
-        self.next
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever pushed (monotonic; excludes reservations).
-    pub fn scheduled(&self) -> u64 {
-        self.pushed
-    }
-
     /// Visit every pending entry, in no particular order (memo snapshot).
     pub(crate) fn memo_for_each(&self, f: &mut dyn FnMut(SimTime, u64, EventKind)) {
         for e in self.heap.iter() {
@@ -433,31 +354,38 @@ impl EventHeap {
 
 impl Scheduler for EventHeap {
     fn push(&mut self, at: SimTime, kind: EventKind) {
-        EventHeap::push(self, at, kind);
+        let seq = self.reserve_seq();
+        self.pushed += 1;
+        if self.next.is_none_or(|(t, s)| (at, seq) < (t, s)) {
+            self.next = Some((at, seq));
+        }
+        self.heap.push(HeapEntry { at, seq, kind });
+        self.max_pending = self.max_pending.max(self.heap.len() as u64);
     }
+    #[inline]
     fn reserve_seq(&mut self) -> u64 {
-        EventHeap::reserve_seq(self)
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        EventHeap::pop(self)
+        let popped = self.heap.pop()?;
+        self.popped += 1;
+        // Refresh the cached head only while the heap is nonempty; when the
+        // pop emptied it, `peek()` would dereference just to store `None`.
+        self.next = if self.heap.is_empty() {
+            None
+        } else {
+            self.heap.peek().map(|e| (e.at, e.seq))
+        };
+        Some((popped.at, popped.kind))
     }
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        EventHeap::pop_at_or_before(self, horizon)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventHeap::peek_time(self)
-    }
+    #[inline]
     fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        EventHeap::peek_next(self)
+        self.next
     }
     fn len(&self) -> usize {
-        EventHeap::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventHeap::is_empty(self)
-    }
-    fn scheduled(&self) -> u64 {
-        EventHeap::scheduled(self)
+        self.heap.len()
     }
     fn kind(&self) -> SchedKind {
         SchedKind::Heap
@@ -541,14 +469,6 @@ impl Scheduler for EventQueue {
         dispatch!(self, q => q.pop())
     }
     #[inline]
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        dispatch!(self, q => q.pop_at_or_before(horizon))
-    }
-    #[inline]
-    fn peek_time(&mut self) -> Option<SimTime> {
-        dispatch!(self, q => q.peek_time())
-    }
-    #[inline]
     fn peek_next(&mut self) -> Option<(SimTime, u64)> {
         dispatch!(self, q => q.peek_next())
     }
@@ -560,20 +480,11 @@ impl Scheduler for EventQueue {
     fn is_empty(&self) -> bool {
         dispatch!(self, q => q.is_empty())
     }
-    fn scheduled(&self) -> u64 {
-        dispatch!(self, q => q.scheduled())
-    }
     fn kind(&self) -> SchedKind {
-        match self {
-            EventQueue::Heap(_) => SchedKind::Heap,
-            EventQueue::Wheel(_) => SchedKind::Wheel,
-        }
+        dispatch!(self, q => q.kind())
     }
     fn stats(&self) -> SchedStats {
-        match self {
-            EventQueue::Heap(q) => Scheduler::stats(q),
-            EventQueue::Wheel(q) => q.stats(),
-        }
+        dispatch!(self, q => q.stats())
     }
 }
 
@@ -623,55 +534,40 @@ mod tests {
         let mut h = EventHeap::new();
         let (t, k) = wake(55, 0);
         h.push(t, k);
-        assert_eq!(h.peek_time(), Some(SimTime::from_ns(55)));
+        assert_eq!(h.peek_next(), Some((SimTime::from_ns(55), 0)));
         assert_eq!(h.len(), 1);
         h.pop();
         assert!(h.is_empty());
-        assert_eq!(h.peek_time(), None);
+        assert_eq!(h.peek_next(), None);
     }
 
     #[test]
     fn cached_peek_tracks_pushes_and_pops() {
         let mut h = EventHeap::new();
-        assert_eq!(h.peek_time(), None);
+        assert_eq!(h.peek_next(), None);
         let (t, k) = wake(50, 0);
         h.push(t, k);
         let (t, k) = wake(10, 1);
         h.push(t, k);
         let (t, k) = wake(30, 2);
         h.push(t, k);
-        assert_eq!(h.peek_time(), Some(SimTime::from_ns(10)));
+        assert_eq!(h.peek_next(), Some((SimTime::from_ns(10), 1)));
         h.pop();
-        assert_eq!(h.peek_time(), Some(SimTime::from_ns(30)));
+        assert_eq!(h.peek_next(), Some((SimTime::from_ns(30), 2)));
         h.pop();
         h.pop();
-        assert_eq!(h.peek_time(), None);
+        assert_eq!(h.peek_next(), None);
     }
 
     #[test]
-    fn pop_at_or_before_respects_horizon() {
-        let mut h = EventHeap::new();
-        for (t, k) in [wake(10, 0), wake(20, 1), wake(30, 2)] {
-            h.push(t, k);
-        }
-        assert!(h.pop_at_or_before(SimTime::from_ns(5)).is_none());
-        let (at, _) = h.pop_at_or_before(SimTime::from_ns(20)).unwrap();
-        assert_eq!(at.as_ns(), 10);
-        let (at, _) = h.pop_at_or_before(SimTime::from_ns(20)).unwrap();
-        assert_eq!(at.as_ns(), 20);
-        assert!(h.pop_at_or_before(SimTime::from_ns(20)).is_none());
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn scheduled_counts_all_pushes() {
+    fn pushes_count_every_push_ever_made() {
         let mut h = EventHeap::new();
         for i in 0..5u64 {
             let (t, k) = wake(i, i);
             h.push(t, k);
         }
         h.pop();
-        assert_eq!(h.scheduled(), 5);
+        assert_eq!(h.stats().pushes, 5);
     }
 
     #[test]
@@ -680,9 +576,9 @@ mod tests {
         let (t, k) = wake(7, 0);
         h.push(t, k);
         assert_eq!(h.pop().map(|(t, _)| t.as_ns()), Some(7));
-        assert_eq!(h.peek_time(), None);
+        assert_eq!(h.peek_next(), None);
         assert!(h.pop().is_none());
-        assert_eq!(h.peek_time(), None);
+        assert_eq!(h.peek_next(), None);
     }
 
     #[test]
@@ -696,8 +592,8 @@ mod tests {
         h.pop();
         let (t, k) = wake(9, 9);
         h.push(t, k);
-        assert_eq!(Scheduler::stats(&h).max_pending, 4);
-        assert_eq!(Scheduler::stats(&h).cascades, 0);
+        assert_eq!(h.stats().max_pending, 4);
+        assert_eq!(h.stats().cascades, 0);
     }
 
     #[test]
@@ -758,13 +654,12 @@ mod tests {
             assert_eq!(reserved, 1, "kind={kind:?}");
             let (t, k) = wake(10, 2);
             q.push(t, k);
-            assert_eq!(q.scheduled(), 2, "reservation must not count as a push");
-            assert_eq!(Scheduler::stats(&q).pushes, 2);
+            assert_eq!(q.stats().pushes, 2, "reservation must not count as a push");
             assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 0)));
             q.pop();
             assert_eq!(q.peek_next().map(|(_, s)| s), Some(2));
             q.pop();
-            assert_eq!(Scheduler::stats(&q).pops, 2);
+            assert_eq!(q.stats().pops, 2);
             assert_eq!(q.peek_next(), None);
         }
     }
@@ -779,7 +674,7 @@ mod tests {
             }
             q.pop();
             q.pop();
-            let s = Scheduler::stats(&q);
+            let s = q.stats();
             assert_eq!(s.pushes, s.pops + q.len() as u64, "kind={kind:?}");
         }
     }
@@ -788,15 +683,15 @@ mod tests {
     fn event_queue_dispatches_to_both_backends() {
         for kind in [SchedKind::Heap, SchedKind::Wheel] {
             let mut q = EventQueue::new(kind);
-            assert_eq!(Scheduler::kind(&q), kind);
+            assert_eq!(q.kind(), kind);
             assert!(q.is_empty());
             for (t, tok) in [(30u64, 0u64), (10, 1), (30, 2)] {
                 let (at, k) = wake(t, tok);
                 q.push(at, k);
             }
             assert_eq!(q.len(), 3);
-            assert_eq!(q.scheduled(), 3);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ns(10)));
+            assert_eq!(q.stats().pushes, 3);
+            assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 1)));
             let order: Vec<(u64, u64)> = std::iter::from_fn(|| {
                 q.pop().map(|(t, k)| match k {
                     EventKind::Wake { token, .. } => (t.as_ns(), token),
@@ -805,7 +700,7 @@ mod tests {
             })
             .collect();
             assert_eq!(order, vec![(10, 1), (30, 0), (30, 2)], "kind={kind:?}");
-            assert_eq!(Scheduler::stats(&q).max_pending, 3);
+            assert_eq!(q.stats().max_pending, 3);
         }
     }
 }

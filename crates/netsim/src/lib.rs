@@ -26,7 +26,19 @@
 //!
 //! The simulator is a deterministic discrete-event engine: integer
 //! nanosecond timestamps, FIFO tie-breaking, and purpose-split RNG streams
-//! derived from one seed, so every run is exactly reproducible.
+//! derived from one seed, so every run is exactly reproducible. Its layers,
+//! from the clock outward:
+//!
+//! * [`engine`] / [`wheel`] — the two future-event schedulers (timing wheel
+//!   by default, binary heap as the reference) behind one trait;
+//! * [`pipeline`] — the agenda: where every pending event waits (scheduler,
+//!   delay-class pipe or delivery pipe) and which is next;
+//! * [`egress`], `switch`, [`transport`] — the state a handler mutates: one
+//!   transmitter per link with its PFC budget, per-switch routing tables
+//!   and the spray stage, per-flow sender/receiver bookkeeping;
+//! * [`sim`] — the event loop and the handler of each event kind, with the
+//!   statistics, trace, recorder and application callbacks; [`sim::memo`]
+//!   fast-forwards steady-state iterations.
 //!
 //! ## Quick example
 //!
@@ -59,6 +71,7 @@ pub mod rng;
 pub mod sim;
 pub mod spray;
 pub mod stats;
+mod switch;
 pub mod time;
 pub mod topology;
 pub mod trace;

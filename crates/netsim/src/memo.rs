@@ -38,9 +38,9 @@
 //!
 //! ## What a replay applies
 //!
-//! * scheduler / front-heap / delivery-pipe / delay-class-pipe entries
-//!   shift by `(u·P, u·Sq, u·k·F)` in place (uniform shifts preserve heap
-//!   and FIFO order);
+//! * every pending entry of the agenda (`crate::pipeline`) shifts by
+//!   `(u·P, u·Sq, u·k·F)` in place (uniform shifts preserve heap and FIFO
+//!   order);
 //! * cumulative counters ([`Stats`], per-link tx/delivered counters,
 //!   scheduler push/pop statistics) grow by `u ×` the recorded window
 //!   delta; high-water marks are left alone — a matched steady-state
@@ -83,7 +83,7 @@ use crate::egress::PortBudget;
 use crate::engine::{EventKind, SchedStats};
 use crate::ids::LinkId;
 use crate::packet::{AckBlock, FlowId, Packet, PacketKind, NPRIO};
-use crate::pipeline::CLASS_PIPE;
+use crate::pipeline::Due;
 use crate::rng::RngStreams;
 use crate::spray::SprayPolicy;
 use crate::stats::Stats;
@@ -92,14 +92,9 @@ use crate::trace::TraceEvent;
 use crate::transport::{AckAccum, FlowState};
 
 /// Memoization requested via `FP_MEMO` (default off; an unrecognised
-/// value panics, see [`crate::config::env_setting`]).
+/// value panics, see [`fp_telemetry::env_toggle`]).
 pub fn memo_from_env() -> bool {
-    crate::config::env_setting("FP_MEMO", "1|on|true|yes or 0|off|false|no", |v| match v {
-        "1" | "on" | "true" | "yes" => Some(true),
-        "0" | "off" | "false" | "no" => Some(false),
-        _ => None,
-    })
-    .unwrap_or(false)
+    fp_telemetry::env_toggle("FP_MEMO")
 }
 
 /// A fast-forward the engine just performed, reported to the workload
@@ -145,7 +140,7 @@ pub struct MemoState {
     barriers: Vec<u32>,
     /// Set when the configuration can never memoize (e.g. random spray).
     disabled: Option<&'static str>,
-    /// `FP_MEMO_DEBUG` was set when memoization was armed: print which
+    /// `FP_MEMO_DEBUG` was on when memoization was armed: print which
     /// snapshot fields differ on every fingerprint miss (stderr only).
     debug_misses: bool,
     /// Records of the last [`MEMO_RING`] *consecutive* eligible
@@ -201,7 +196,7 @@ impl BoundaryRecord {
     fn capture(sim: &Simulator, snap: NormSnapshot) -> BoundaryRecord {
         BoundaryRecord {
             at: sim.now,
-            seq: sim.heap.memo_seq(),
+            seq: sim.agenda.memo_seq(),
             flows_len: sim.flows.len() as u32,
             stats: sim.stats.clone(),
             sched: sim.sched_stats(),
@@ -230,10 +225,9 @@ impl BoundaryRecord {
 // Normalized residual state
 // ---------------------------------------------------------------------
 
-/// A pending timer/control event, rebased to the boundary. Scheduler and
-/// delay-class-pipe entries are one multiset here: which container an
-/// event waits in never affects dispatch order, so it is not residual
-/// state.
+/// A pending timer/control event, rebased to the boundary. One multiset
+/// whichever container of the agenda an event waits in: that never affects
+/// dispatch order, so it is not residual state.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct NormEvent {
     /// Time offset from the boundary (`at - T_i`).
@@ -284,23 +278,14 @@ enum NormPacketKind {
     Ack { dflow: u32, block: AckBlock },
 }
 
-/// One in-flight packet of a delivery pipe (pipes are FIFO by
-/// construction, so per-pipe order is already canonical).
+/// One packet on the wire (the agenda visits them latency class by
+/// latency class, each FIFO by construction, so the order is canonical).
 #[derive(PartialEq, Eq, Debug)]
 struct NormInFlight {
     dt: u64,
     rseq: u64,
     link: u32,
     pkt: NormPacket,
-}
-
-/// One armed front-heap entry (sorted for comparison — the internal heap
-/// layout is history-dependent).
-#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct NormFront {
-    dt: u64,
-    rseq: u64,
-    pipe: u32,
 }
 
 /// One directed link's runtime state, rebased.
@@ -380,20 +365,16 @@ struct NormSnapshot {
     dterm: u32,
     /// Flows per iteration block (`F`).
     fpb: u32,
-    /// Pending scheduler and delay-class-pipe events, sorted by
-    /// `(dt, rseq)`.
+    /// Pending timed events, sorted by `(dt, rseq)`.
     events: Vec<NormEvent>,
-    /// Per-pipe in-flight FIFOs.
-    pipes: Vec<Vec<NormInFlight>>,
-    /// Armed delivery-pipe fronts, sorted (delay-class fronts are derived
-    /// from `events` and left out).
-    front: Vec<NormFront>,
+    /// Packets on the wire, in the agenda's visiting order. The armed
+    /// pipe fronts are derived from these two and left out.
+    wire: Vec<NormInFlight>,
     links: Vec<NormLink>,
     switches: Vec<NormSwitch>,
     /// Per-host active-flow deques (`flows_len - flow` per entry; may
     /// contain exhausted flows awaiting lazy removal — those shift too).
     hosts: Vec<Vec<u32>>,
-    in_flight_pkts: usize,
     /// All four RNG streams, compared raw: equality implies the window
     /// drew nothing, so a replay correctly leaves them untouched.
     rng: RngStreams,
@@ -414,11 +395,8 @@ fn snap_diff(a: &NormSnapshot, b: &NormSnapshot) -> String {
     if a.events != b.events {
         out.push(format!("events\n  {:?}\n  {:?}", a.events, b.events));
     }
-    if a.pipes != b.pipes {
-        out.push(format!("pipes\n  {:?}\n  {:?}", a.pipes, b.pipes));
-    }
-    if a.front != b.front {
-        out.push(format!("front {:?} vs {:?}", a.front, b.front));
+    if a.wire != b.wire {
+        out.push(format!("wire\n  {:?}\n  {:?}", a.wire, b.wire));
     }
     if a.links != b.links {
         for (i, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
@@ -436,12 +414,6 @@ fn snap_diff(a: &NormSnapshot, b: &NormSnapshot) -> String {
     }
     if a.hosts != b.hosts {
         out.push(format!("hosts {:?} vs {:?}", a.hosts, b.hosts));
-    }
-    if a.in_flight_pkts != b.in_flight_pkts {
-        out.push(format!(
-            "in_flight_pkts {} vs {}",
-            a.in_flight_pkts, b.in_flight_pkts
-        ));
     }
     if a.rng != b.rng {
         out.push("rng".to_string());
@@ -650,7 +622,7 @@ impl Simulator {
         self.memo = Some(Box::new(MemoState {
             barriers,
             disabled,
-            debug_misses: std::env::var_os("FP_MEMO_DEBUG").is_some(),
+            debug_misses: fp_telemetry::env_toggle("FP_MEMO_DEBUG"),
             ring: Vec::new(),
             hits: 0,
             replayed_iters: 0,
@@ -781,7 +753,7 @@ impl Simulator {
         debug_assert_eq!(self.flows.len() as u32 - p.flows_len, k * snap.fpb);
 
         // ---- recorded window deltas ----
-        let sq = self.heap.memo_seq() - p.seq;
+        let sq = self.agenda.memo_seq() - p.seq;
         let link_delta: Vec<[u64; 4]> = self
             .links
             .iter()
@@ -805,17 +777,8 @@ impl Simulator {
         let dt = SimDuration::from_ns(period_ns * units as u64);
         let dseq = sq * units as u64;
         let dflow = snap.fpb * iters;
-        self.heap.memo_rebase(dt, dseq, dflow);
-        self.sched_head_stale = true;
-        self.timers.memo_rebase(dt, dseq, dflow);
-        self.front.memo_shift(dt, dseq);
-        for pipe in &mut self.pipes {
-            for e in pipe.iter_mut() {
-                e.at += dt;
-                e.seq += dseq;
-                shift_packet(&mut e.pkt, dflow, iters);
-            }
-        }
+        self.agenda
+            .memo_rebase(dt, dseq, dflow, &mut |pkt| shift_packet(pkt, dflow, iters));
         for (l, d) in self.links.iter_mut().zip(&link_delta) {
             l.txed_pkts += d[0] * units as u64;
             l.txed_bytes += d[1] * units as u64;
@@ -831,7 +794,7 @@ impl Simulator {
             }
         }
         if self.cfg.spray_tau.as_ns() > 0 {
-            for sw in &mut self.switches {
+            for sw in &mut self.switches.state {
                 for v in 0..sw.spray_deficit_at.len() {
                     // Never-touched slots keep their initial zero base
                     // (it is not boundary-relative state).
@@ -865,12 +828,7 @@ impl Simulator {
             }
         }
         self.stats.memo_apply(&stats_delta, units as u64);
-        self.heap.memo_add_stats(&sched_delta, units as u64);
-        self.timers.memo_add_stats(
-            sched_delta.class_pushes,
-            sched_delta.class_pops,
-            units as u64,
-        );
+        self.agenda.memo_add_stats(&sched_delta, units as u64);
         self.now = boundary + dt;
         let replayed_events = stats_delta.events * units as u64;
         self.trace.push(
@@ -923,7 +881,7 @@ impl Simulator {
             return;
         }
         let now = self.now.as_ns();
-        for sw in &mut self.switches {
+        for sw in &mut self.switches.state {
             for v in 0..sw.spray_deficit.len() {
                 if sw.spray_deficit[v] == 0 && sw.spray_deficit_at[v] == 0 {
                     continue; // never touched
@@ -957,7 +915,7 @@ impl Simulator {
         self.memo_sync_spray_decay();
         let mut n = Normalizer {
             t_ns: self.now.as_ns(),
-            seqc: self.heap.memo_seq(),
+            seqc: self.agenda.memo_seq(),
             flows_len,
             fpb: flows_len / next_iter,
             top_iter: next_iter - 1,
@@ -966,71 +924,51 @@ impl Simulator {
         };
 
         let mut events: Vec<NormEvent> = Vec::new();
-        {
-            let nn = &mut n;
-            let evs = &mut events;
-            let mut visit = |at: SimTime, seq: u64, kind: EventKind| {
-                let dt = nn.dt(at);
-                let rseq = nn.rseq(seq);
-                let kind = match kind {
-                    EventKind::Rto {
-                        flow,
-                        seq,
-                        attempt,
-                        gen,
-                    } => NormEventKind::Rto {
-                        dflow: nn.dflow(flow),
-                        seq,
-                        attempt,
-                        gen,
-                    },
-                    EventKind::AckFlush { flow } => NormEventKind::AckFlush {
-                        dflow: nn.dflow(flow),
-                    },
-                    EventKind::TxDone { link } => NormEventKind::TxDone { link: link.0 },
-                    EventKind::Wake { .. }
-                    | EventKind::FaultUpdate { .. }
-                    | EventKind::ControlUpdate { .. }
-                    | EventKind::Pfc { .. }
-                    | EventKind::Sample => {
-                        nn.fail("pending-control-events");
-                        NormEventKind::TxDone { link: u32::MAX }
-                    }
-                };
-                evs.push(NormEvent { dt, rseq, kind });
+        let mut wire: Vec<NormInFlight> = Vec::new();
+        self.agenda.memo_for_each(&mut |at, seq, due| {
+            let dt = n.dt(at);
+            let rseq = n.rseq(seq);
+            let kind = match due {
+                Due::Delivery(link, pkt) => {
+                    let (link, pkt) = (link.0, n.packet(&pkt));
+                    wire.push(NormInFlight {
+                        dt,
+                        rseq,
+                        link,
+                        pkt,
+                    });
+                    return;
+                }
+                Due::Event(kind) => kind,
             };
-            self.heap.memo_for_each(&mut visit);
-            self.timers.memo_for_each(&mut visit);
-        }
+            let kind = match kind {
+                EventKind::Rto {
+                    flow,
+                    seq,
+                    attempt,
+                    gen,
+                } => NormEventKind::Rto {
+                    dflow: n.dflow(flow),
+                    seq,
+                    attempt,
+                    gen,
+                },
+                EventKind::AckFlush { flow } => NormEventKind::AckFlush {
+                    dflow: n.dflow(flow),
+                },
+                EventKind::TxDone { link } => NormEventKind::TxDone { link: link.0 },
+                EventKind::Wake { .. }
+                | EventKind::FaultUpdate { .. }
+                | EventKind::ControlUpdate { .. }
+                | EventKind::Pfc { .. }
+                | EventKind::Sample => {
+                    n.fail("pending-control-events");
+                    NormEventKind::TxDone { link: u32::MAX }
+                }
+            };
+            events.push(NormEvent { dt, rseq, kind });
+        });
         events.sort();
-
-        let pipes: Vec<Vec<NormInFlight>> = self
-            .pipes
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .map(|e| NormInFlight {
-                        dt: n.dt(e.at),
-                        rseq: n.rseq(e.seq),
-                        link: e.link.0,
-                        pkt: n.packet(&e.pkt),
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut front: Vec<NormFront> = self
-            .front
-            .memo_entries()
-            .iter()
-            .filter(|f| f.pipe & CLASS_PIPE == 0)
-            .map(|f| NormFront {
-                dt: n.dt(f.at),
-                rseq: n.rseq(f.seq),
-                pipe: f.pipe,
-            })
-            .collect();
-        front.sort();
 
         let links: Vec<NormLink> = self
             .links
@@ -1059,6 +997,7 @@ impl Simulator {
         let tau = self.cfg.spray_tau.as_ns();
         let switches: Vec<NormSwitch> = self
             .switches
+            .state
             .iter()
             .map(|s| NormSwitch {
                 rr_cursor: s.rr_cursor,
@@ -1114,12 +1053,10 @@ impl Simulator {
             dterm,
             fpb: n.fpb,
             events,
-            pipes,
-            front,
+            wire,
             links,
             switches,
             hosts,
-            in_flight_pkts: self.in_flight_pkts,
             rng,
             blocks,
         })

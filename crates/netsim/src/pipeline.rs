@@ -1,4 +1,4 @@
-//! Event pipes: FIFOs of pending events that bypass the scheduler.
+//! The agenda: where every pending event waits, and which goes next.
 //!
 //! Almost everything the engine schedules lands at `now + d` for one of a
 //! handful of constants `d`, and the engine clock `now` is monotone across
@@ -6,26 +6,34 @@
 //! order when they are created. A sorted stream needs no priority queue:
 //! it lives in a contiguous FIFO (a "pipe"), and only its *head* competes
 //! for dispatch. A single armed [`PipeFront`] per nonempty pipe sits in a
-//! small [`FrontHeap`]; the event loop dispatches whichever of (scheduler
-//! head, front head) orders first by `(time, seq)`.
+//! small [`FrontHeap`]; whichever of (scheduler head, front head) orders
+//! first by `(time, seq)` is the next event.
 //!
-//! Two families of pipes share the one front heap:
+//! `Agenda` owns all of it — the scheduler (and with it the one sequence
+//! counter), both pipe families, the front set, the cached scheduler head
+//! and the link → latency-class map — and the rest of the engine sees four
+//! entry points: `at` (absolute time), `after` (constant delay),
+//! `deliver` (a packet on a wire) and the `peek` / `pop` pair. Which
+//! container an event waits in is this module's business and nobody
+//! else's; the memo fast-forward reaches pending events only through the
+//! `memo_*` trio.
 //!
-//! * **Delivery pipes** carry packets on the wire ([`InFlight`]), one pipe
-//!   per link *latency class* (two in a fat tree: host↔leaf, leaf↔spine).
-//!   The FIFO argument holds per link — a link serializes in order and has
-//!   a fixed latency — and therefore for any set of links sharing a latency
-//!   value. Per-link order is a subsequence of its class pipe, so the
-//!   per-link FIFO invariant is preserved by construction (and
-//!   property-tested in `tests/pipeline_fifo.rs`).
-//! * **Delay-class pipes** ([`ClassPipes`]) carry timer and control events
-//!   ([`Timed`]): `TxDone` (one class per serialization time), `Rto` (the
-//!   base timeout and each backoff multiple), `AckFlush` and `Pfc`
-//!   frames. Classes are keyed by the delay *value* and discovered on first
-//!   use, up to a small bound; a delay past the bound simply goes to the
-//!   scheduler, which remains the general future-event list for everything
-//!   scheduled at an absolute time (faults, controls, wake-ups, sampler
-//!   ticks).
+//! Two families of pipes share the one front set:
+//!
+//! * **Delivery pipes** carry packets on the wire, one pipe per link
+//!   *latency class* (two in a fat tree: host↔leaf, leaf↔spine). The FIFO
+//!   argument holds per link — a link serializes in order and has a fixed
+//!   latency — and therefore for any set of links sharing a latency value.
+//!   Per-link order is a subsequence of its class pipe, so the per-link
+//!   FIFO invariant is preserved by construction (and property-tested in
+//!   `tests/pipeline_fifo.rs`).
+//! * **Delay-class pipes** carry timer and control events: `TxDone` (one
+//!   class per serialization time), `Rto` (the base timeout and each
+//!   backoff multiple), `AckFlush` and `Pfc` frames. Classes are keyed by
+//!   the delay *value* and discovered on first use, up to a small bound; a
+//!   delay past the bound simply goes to the scheduler, which remains the
+//!   general future-event list for everything scheduled at an absolute
+//!   time (faults, controls, wake-ups, sampler ticks).
 //!
 //! ## Pipe granularity
 //!
@@ -42,49 +50,34 @@
 //!
 //! Every pipe insert *reserves* a sequence number from the scheduler at
 //! exactly the program point where a scheduler push would have consumed one
-//! ([`Scheduler::reserve_seq`](crate::engine::Scheduler::reserve_seq)) and
-//! stores it in the entry. Each pipe is sorted by `(at, seq)` by
-//! construction, the front heap orders pipe heads by the same pair, and
-//! the event loop compares that pair against the scheduler's head — so the
-//! global dispatch order, and therefore every RNG draw and every output
-//! byte, is identical to the all-scheduler engine on both scheduler
-//! backends. Which container an event waits in is unobservable.
+//! ([`Scheduler::reserve_seq`]) and stores it in the entry. Each pipe is
+//! sorted by `(at, seq)` by construction, the front heap orders pipe heads
+//! by the same pair, and `peek` compares that pair against the scheduler's
+//! head — so the global dispatch order, and therefore every RNG draw and
+//! every output byte, is identical to the all-scheduler engine on both
+//! scheduler backends. Which container an event waits in is unobservable.
 
-use crate::engine::EventKind;
+use crate::engine::{EventKind, EventQueue, SchedKind, SchedStats, Scheduler};
 use crate::ids::LinkId;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// One packet on the wire.
-#[derive(Copy, Clone, Debug)]
-pub struct InFlight {
-    /// Arrival time at the far end (serialization end + link latency).
-    pub at: SimTime,
-    /// Global scheduler sequence number reserved at pipe insert; breaks
-    /// equal-timestamp ties exactly like a scheduler push would.
-    pub seq: u64,
-    /// The link whose wire the packet is on.
-    pub link: LinkId,
-    /// The packet itself.
-    pub pkt: Packet,
-}
-
-/// The armed head-of-pipe arrival of one delivery pipe.
+/// The armed head-of-pipe entry of one pipe.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct PipeFront {
-    /// Head arrival time.
+    /// Head due time.
     pub at: SimTime,
     /// Reserved sequence number of the head entry.
     pub seq: u64,
-    /// Dense index of the pipe this is the front of. Delay-class pipes
-    /// carry [`CLASS_PIPE`] in the high bit; delivery pipes do not.
+    /// Dense index of the pipe this is the front of (the agenda marks its
+    /// delay-class pipes with the high bit; delivery pipes carry none).
     pub pipe: u32,
 }
 
-/// Marks a [`PipeFront::pipe`] index as a delay-class pipe of
-/// [`ClassPipes`] rather than a delivery pipe.
-pub const CLASS_PIPE: u32 = 1 << 31;
+/// Marks a [`PipeFront::pipe`] index as a delay-class pipe rather than a
+/// delivery pipe.
+const CLASS_PIPE: u32 = 1 << 31;
 
 /// Delay classes a simulator discovers before further delays fall back to
 /// the scheduler. The default configuration uses about a dozen (three
@@ -94,137 +87,63 @@ pub const CLASS_PIPE: u32 = 1 << 31;
 /// heap without limit.
 pub const MAX_DELAY_CLASSES: usize = 16;
 
-/// One timer or control event waiting in a delay-class pipe.
+/// One pending entry of a pipe: due time, the global sequence number
+/// reserved at insert (it breaks equal-timestamp ties exactly like a
+/// scheduler push would), and what is waiting.
 #[derive(Copy, Clone, Debug)]
-pub struct Timed {
-    /// Due time (`now + delay` at scheduling).
-    pub at: SimTime,
-    /// Global scheduler sequence number reserved at scheduling.
-    pub seq: u64,
-    /// The event itself.
-    pub kind: EventKind,
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    item: T,
 }
 
-/// Delay-class pipes: one FIFO of [`Timed`] events per distinct constant
-/// delay (see the module docs). The owner arms and re-arms the shared
-/// [`FrontHeap`]; this type only keeps the FIFOs and their counters.
+/// One FIFO per class, each sorted by `(at, seq)` by construction. The
+/// owner arms and re-arms the shared [`FrontHeap`].
 #[derive(Debug)]
-pub struct ClassPipes {
-    /// Delay of class `i`, nanoseconds. At most `bound` entries, scanned
-    /// linearly — the hot delays are discovered first.
-    delays: Vec<u64>,
-    pipes: Vec<VecDeque<Timed>>,
-    bound: usize,
-    pushes: u64,
-    pops: u64,
-}
+struct Pipes<T>(Vec<VecDeque<Entry<T>>>);
 
-impl Default for ClassPipes {
-    fn default() -> Self {
-        ClassPipes::with_bound(MAX_DELAY_CLASSES)
-    }
-}
-
-impl ClassPipes {
-    /// Empty set that will discover at most `bound` classes (0 sends every
-    /// event to the scheduler).
-    pub fn with_bound(bound: usize) -> Self {
-        ClassPipes {
-            delays: Vec::new(),
-            pipes: Vec::new(),
-            bound,
-            pushes: 0,
-            pops: 0,
-        }
+impl<T> Pipes<T> {
+    /// Add an empty pipe; returns its class index.
+    fn open(&mut self) -> u32 {
+        self.0.push(VecDeque::new());
+        (self.0.len() - 1) as u32
     }
 
-    /// The class of `delay`, opening a new one on first sight. `None` once
-    /// the bound is exhausted: the caller schedules the event normally.
+    /// Append to `class`. Returns true when the pipe was empty, i.e. the
+    /// caller must arm its front.
     #[inline]
-    pub fn class_of(&mut self, delay: SimDuration) -> Option<u32> {
-        let d = delay.as_ns();
-        if let Some(i) = self.delays.iter().position(|&x| x == d) {
-            return Some(i as u32);
-        }
-        if self.delays.len() >= self.bound {
-            return None;
-        }
-        self.delays.push(d);
-        self.pipes.push(VecDeque::new());
-        Some((self.delays.len() - 1) as u32)
-    }
-
-    /// Append `e` to `class`. Returns true when the pipe was empty, i.e.
-    /// the caller must arm its front.
-    #[inline]
-    pub fn push(&mut self, class: u32, e: Timed) -> bool {
-        let pipe = &mut self.pipes[class as usize];
+    fn push(&mut self, class: u32, at: SimTime, seq: u64, item: T) -> bool {
+        let pipe = &mut self.0[class as usize];
         debug_assert!(
-            pipe.back().is_none_or(|b| (b.at, b.seq) < (e.at, e.seq)),
-            "delay-class pipe must be FIFO"
+            pipe.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
+            "a pipe must be FIFO"
         );
         let was_empty = pipe.is_empty();
-        pipe.push_back(e);
-        self.pushes += 1;
+        pipe.push_back(Entry { at, seq, item });
         was_empty
     }
 
     /// Pop the head of `class` and report the `(at, seq)` of the entry
     /// behind it, if any (the caller re-arms or disarms the front).
     #[inline]
-    pub fn pop(&mut self, class: u32) -> (Timed, Option<(SimTime, u64)>) {
-        let pipe = &mut self.pipes[class as usize];
-        let head = pipe.pop_front().expect("armed class pipe has an entry");
-        self.pops += 1;
+    fn pop(&mut self, class: u32) -> (Entry<T>, Option<(SimTime, u64)>) {
+        let pipe = &mut self.0[class as usize];
+        let head = pipe.pop_front().expect("armed pipe has an entry");
         (head, pipe.front().map(|n| (n.at, n.seq)))
     }
 
-    /// Events waiting across all classes.
-    pub fn len(&self) -> usize {
-        self.pipes.iter().map(VecDeque::len).sum()
+    /// Entries waiting across all classes.
+    fn len(&self) -> usize {
+        self.0.iter().map(VecDeque::len).sum()
     }
 
-    /// True if no class holds an event.
-    pub fn is_empty(&self) -> bool {
-        self.pipes.iter().all(VecDeque::is_empty)
+    /// Every waiting entry, class order then FIFO.
+    fn iter(&self) -> impl Iterator<Item = &Entry<T>> {
+        self.0.iter().flatten()
     }
 
-    /// Classes discovered so far.
-    pub fn classes(&self) -> usize {
-        self.delays.len()
-    }
-
-    /// Events ever appended (monotonic).
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Events ever popped (monotonic).
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Visit every waiting entry (memo snapshot; class order, then FIFO).
-    pub(crate) fn memo_for_each(&self, f: &mut dyn FnMut(SimTime, u64, EventKind)) {
-        for e in self.pipes.iter().flatten() {
-            f(e.at, e.seq, e.kind);
-        }
-    }
-
-    /// Temporal-symmetry fast-forward: the same uniform `(dt, dseq, dflow)`
-    /// shift the scheduler's entries get. FIFO order survives untouched.
-    pub(crate) fn memo_rebase(&mut self, dt: SimDuration, dseq: u64, dflow: u32) {
-        for e in self.pipes.iter_mut().flatten() {
-            e.at += dt;
-            e.seq += dseq;
-            e.kind = e.kind.memo_shift_flow(dflow);
-        }
-    }
-
-    /// Account `reps` repetitions of one recorded window's traffic.
-    pub(crate) fn memo_add_stats(&mut self, pushes: u64, pops: u64, reps: u64) {
-        self.pushes += pushes * reps;
-        self.pops += pops * reps;
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry<T>> {
+        self.0.iter_mut().flatten()
     }
 }
 
@@ -323,17 +242,11 @@ impl FrontHeap {
         }
     }
 
-    /// All armed fronts in internal order (memo fingerprinting sorts a
-    /// copy itself).
-    pub(crate) fn memo_entries(&self) -> &[PipeFront] {
-        &self.fronts
-    }
-
     /// Temporal-symmetry fast-forward: shift every armed front by `dt` in
     /// time and `dseq` in sequence. A uniform shift preserves the `(at,
     /// seq)` order, so the top stays the top. `max_armed` is a high-water
     /// mark — a matched steady-state window arms no new maximum.
-    pub(crate) fn memo_shift(&mut self, dt: crate::time::SimDuration, dseq: u64) {
+    pub(crate) fn memo_shift(&mut self, dt: SimDuration, dseq: u64) {
         for f in &mut self.fronts {
             f.at += dt;
             f.seq += dseq;
@@ -364,9 +277,284 @@ impl FrontHeap {
     }
 }
 
+/// What [`Agenda::pop`] hands the event loop.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Due {
+    /// A timed event, from the scheduler or a delay-class pipe.
+    Event(EventKind),
+    /// A packet reaching the far end of `LinkId`'s wire.
+    Delivery(LinkId, Packet),
+}
+
+/// The earliest pending entry as [`Agenda::peek`] found it; hand it back to
+/// [`Agenda::pop`] to take that entry.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Next {
+    /// When it is due.
+    pub(crate) at: SimTime,
+    /// The armed front it sits behind; `None` for the scheduler's head.
+    front: Option<PipeFront>,
+}
+
+/// Every pending event of one simulator (see the module docs).
+pub(crate) struct Agenda {
+    /// Future-event list for absolute-time events (faults, controls,
+    /// wake-ups, sampler ticks) and for delays past the class bound. Also
+    /// the one source of tie-break sequence numbers for every pipe.
+    sched: EventQueue,
+    /// `sched`'s head `(time, seq)` as of the last refresh, and whether
+    /// `sched` changed since (see [`Self::peek`]).
+    head: Option<(SimTime, u64)>,
+    head_stale: bool,
+    /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
+    front: FrontHeap,
+    /// Delivery pipes, one per link latency class.
+    wire: Pipes<(LinkId, Packet)>,
+    /// Latency class of each link (index into `wire`).
+    link_class: Vec<u32>,
+    /// Delay-class pipes: `TxDone`, `Rto`, `AckFlush` and `Pfc` events.
+    timers: Pipes<EventKind>,
+    /// Delay of timer class `i`, nanoseconds. At most `class_bound`
+    /// entries, scanned linearly — the hot delays are discovered first.
+    delays: Vec<u64>,
+    class_bound: usize,
+    class_pushes: u64,
+    class_pops: u64,
+}
+
+impl Agenda {
+    /// Empty agenda on scheduler backend `sched` for links with the given
+    /// latencies, in link order. One delivery pipe per distinct latency;
+    /// class order follows first appearance, which is deterministic.
+    pub(crate) fn new(sched: SchedKind, latencies: impl Iterator<Item = SimDuration>) -> Self {
+        let mut wire = Pipes(Vec::new());
+        let mut classes: Vec<SimDuration> = Vec::new();
+        let link_class = latencies
+            .map(|l| match classes.iter().position(|&d| d == l) {
+                Some(i) => i as u32,
+                None => {
+                    classes.push(l);
+                    wire.open()
+                }
+            })
+            .collect();
+        Agenda {
+            sched: EventQueue::new(sched),
+            head: None,
+            head_stale: false,
+            front: FrontHeap::new(),
+            wire,
+            link_class,
+            timers: Pipes(Vec::new()),
+            delays: Vec::new(),
+            class_bound: MAX_DELAY_CLASSES,
+            class_pushes: 0,
+            class_pops: 0,
+        }
+    }
+
+    /// Schedule `kind` at absolute time `at`.
+    #[inline]
+    pub(crate) fn at(&mut self, at: SimTime, kind: EventKind) {
+        self.sched.push(at, kind);
+        self.head_stale = true;
+    }
+
+    /// Schedule `kind` to fire `delay` after `now`.
+    ///
+    /// The clock is monotone, so events sharing one `delay` are created in
+    /// `(time, seq)` order: they wait in that delay's class pipe and only
+    /// the pipe head competes for dispatch. The sequence number is reserved
+    /// here, exactly where a scheduler push would consume it, so dispatch
+    /// order — and with it stale-RTO skipping, event accounting, RNG draws
+    /// and every output byte — is the same whichever container the event
+    /// waits in. A delay past the class bound goes to the scheduler.
+    #[inline]
+    pub(crate) fn after(&mut self, now: SimTime, delay: SimDuration, kind: EventKind) {
+        let at = now + delay;
+        let d = delay.as_ns();
+        let class = match self.delays.iter().position(|&x| x == d) {
+            Some(i) => i as u32,
+            None if self.delays.len() < self.class_bound => {
+                self.delays.push(d);
+                self.timers.open()
+            }
+            None => return self.at(at, kind),
+        };
+        let seq = self.sched.reserve_seq();
+        self.class_pushes += 1;
+        if self.timers.push(class, at, seq, kind) {
+            let pipe = CLASS_PIPE | class;
+            self.front.arm(PipeFront { at, seq, pipe });
+        }
+    }
+
+    /// Put `pkt` on `link`'s wire, arriving at `at` (now + the link's
+    /// latency). The sequence number is reserved here, exactly where the
+    /// per-packet `Delivery` push consumed one. Only an *empty* pipe arms
+    /// the front; otherwise the FIFO absorbs the packet and the scheduler
+    /// sees no traffic at all.
+    #[inline]
+    pub(crate) fn deliver(&mut self, at: SimTime, link: LinkId, pkt: Packet) {
+        let seq = self.sched.reserve_seq();
+        let pipe = self.link_class[link.idx()];
+        if self.wire.push(pipe, at, seq, (link, pkt)) {
+            self.front.arm(PipeFront { at, seq, pipe });
+        }
+    }
+
+    /// Whichever of (scheduler head, pipe-front head) orders first by
+    /// global `(time, seq)`; `None` when nothing is pending.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> Option<Next> {
+        // The scheduler holds a few dozen entries per trial against
+        // millions of loop iterations, so its head is read from a field and
+        // re-peeked only after a push, pop or rebase. Re-peeking *here*
+        // rather than at the push keeps the wheel's lazy cursor where a
+        // peek-every-iteration loop had it, so `SchedStats` do not move.
+        if self.head_stale {
+            self.head = self.sched.peek_next();
+            self.head_stale = false;
+        }
+        debug_assert_eq!(self.head, self.sched.peek_next());
+        // The front head goes first unless the scheduler's orders before it.
+        match (self.head, self.front.peek()) {
+            (None, None) => None,
+            (Some((at, s)), Some(f)) if (at, s) < (f.at, f.seq) => Some(Next { at, front: None }),
+            (Some((at, _)), None) => Some(Next { at, front: None }),
+            (_, front @ Some(f)) => Some(Next { at: f.at, front }),
+        }
+    }
+
+    /// Take the entry `next` names out of its container, re-arming the
+    /// front for the entry behind it (or disarming it if the pipe emptied).
+    #[inline]
+    pub(crate) fn pop(&mut self, next: Next) -> Due {
+        let Some(f) = next.front else {
+            let (at, kind) = self.sched.pop().expect("peeked");
+            debug_assert_eq!(at, next.at);
+            self.head_stale = true;
+            return Due::Event(kind);
+        };
+        debug_assert_eq!(self.front.peek(), Some(f));
+        if f.pipe & CLASS_PIPE != 0 {
+            let (head, behind) = self.timers.pop(f.pipe & !CLASS_PIPE);
+            debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
+            self.class_pops += 1;
+            self.front.advance_top(behind);
+            Due::Event(head.item)
+        } else {
+            let (head, behind) = self.wire.pop(f.pipe);
+            debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
+            self.front.advance_top(behind);
+            let (link, pkt) = head.item;
+            Due::Delivery(link, pkt)
+        }
+    }
+
+    /// Pending entries: scheduler events, delay-class events and packets
+    /// on the wire.
+    pub(crate) fn len(&self) -> usize {
+        self.sched.len() + self.timers.len() + self.wire.len()
+    }
+
+    /// True when nothing is pending. Every nonempty pipe has an armed front.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sched.is_empty() && self.front.is_empty()
+    }
+
+    /// Which scheduler backend this agenda runs on.
+    pub(crate) fn sched_kind(&self) -> SchedKind {
+        self.sched.kind()
+    }
+
+    /// The scheduler's occupancy counters plus the delay-class traffic.
+    pub(crate) fn stats(&self) -> SchedStats {
+        SchedStats {
+            class_pushes: self.class_pushes,
+            class_pops: self.class_pops,
+            ..self.sched.stats()
+        }
+    }
+
+    /// Test hook: replace the delay-class bound before any event is
+    /// scheduled. 0 keeps every event in the scheduler (the engine before
+    /// class pipes); a small value forces overflow.
+    #[cfg(test)]
+    pub(crate) fn set_class_bound(&mut self, bound: usize) {
+        assert!(self.delays.is_empty(), "bound set after scheduling");
+        self.class_bound = bound;
+    }
+
+    /// Delay classes discovered so far.
+    #[cfg(test)]
+    pub(crate) fn classes(&self) -> usize {
+        self.delays.len()
+    }
+
+    /// Current sequence-counter value (pushes + reservations so far).
+    pub(crate) fn memo_seq(&self) -> u64 {
+        self.sched.memo_seq()
+    }
+
+    /// Visit every pending entry with its `(at, seq)`: scheduler entries
+    /// in backend order, then each delay-class pipe, then each delivery
+    /// pipe in class order, head first. The armed fronts are derived from
+    /// the pipes and are not residual state of their own.
+    pub(crate) fn memo_for_each(&self, f: &mut dyn FnMut(SimTime, u64, Due)) {
+        self.sched
+            .memo_for_each(&mut |at, seq, kind| f(at, seq, Due::Event(kind)));
+        for e in self.timers.iter() {
+            f(e.at, e.seq, Due::Event(e.item));
+        }
+        for e in self.wire.iter() {
+            let (link, pkt) = e.item;
+            f(e.at, e.seq, Due::Delivery(link, pkt));
+        }
+    }
+
+    /// Temporal-symmetry fast-forward: shift every pending entry by `dt`
+    /// in time and `dseq` in sequence (and the sequence counter with it),
+    /// every event's flow reference by `dflow`, and hand each packet on the
+    /// wire to `shift_pkt`. A uniform shift preserves every container's
+    /// order, so the fronts stay the fronts.
+    pub(crate) fn memo_rebase(
+        &mut self,
+        dt: SimDuration,
+        dseq: u64,
+        dflow: u32,
+        shift_pkt: &mut dyn FnMut(&mut Packet),
+    ) {
+        self.sched.memo_rebase(dt, dseq, dflow);
+        self.head_stale = true;
+        for e in self.timers.iter_mut() {
+            e.at += dt;
+            e.seq += dseq;
+            e.item = e.item.memo_shift_flow(dflow);
+        }
+        for e in self.wire.iter_mut() {
+            e.at += dt;
+            e.seq += dseq;
+            shift_pkt(&mut e.item.1);
+        }
+        self.front.memo_shift(dt, dseq);
+    }
+
+    /// Account `reps` repetitions of one recorded window's traffic.
+    pub(crate) fn memo_add_stats(&mut self, d: &SchedStats, reps: u64) {
+        self.sched.memo_add_stats(d, reps);
+        self.class_pushes += d.class_pushes * reps;
+        self.class_pops += d.class_pops * reps;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EventHeap;
+    use crate::ids::HostId;
+    use crate::packet::{PacketKind, Priority};
     use proptest::prelude::*;
 
     fn front(at: u64, seq: u64, pipe: u32) -> PipeFront {
@@ -413,45 +601,169 @@ mod tests {
         assert_eq!(order, vec![1, 2, 0]);
     }
 
-    fn timed(at: u64, seq: u64) -> Timed {
-        Timed {
-            at: SimTime::from_ns(at),
-            seq,
-            kind: EventKind::AckFlush { flow: seq as u32 },
+    fn wake(token: u64) -> EventKind {
+        EventKind::Wake {
+            host: HostId(0),
+            token,
         }
+    }
+
+    /// An agenda over six links in three latency classes (5, 9, 5, 1, …).
+    const LATENCIES: [u64; 3] = [5, 9, 1];
+    fn agenda(sched: SchedKind) -> Agenda {
+        let lat = |l: usize| SimDuration::from_ns(LATENCIES[l % 3]);
+        Agenda::new(sched, (0..6).map(lat))
     }
 
     #[test]
     fn classes_are_discovered_up_to_the_bound() {
-        let mut p = ClassPipes::with_bound(2);
+        let mut a = agenda(SchedKind::Wheel);
+        a.set_class_bound(2);
         let d = SimDuration::from_ns;
-        assert_eq!(p.class_of(d(84)), Some(0));
-        assert_eq!(p.class_of(d(5_000)), Some(1));
-        assert_eq!(p.class_of(d(84)), Some(0), "known delay keeps its class");
-        assert_eq!(p.class_of(d(3)), None, "past the bound: scheduler");
-        assert_eq!(p.classes(), 2);
-        assert_eq!(ClassPipes::with_bound(0).class_of(d(84)), None);
+        for (i, delay) in [84, 5_000, 84, 3].into_iter().enumerate() {
+            a.after(SimTime::ZERO, d(delay), wake(i as u64));
+        }
+        assert_eq!(a.classes(), 2, "84 and 5 000 ns; 84 keeps its class");
+        let s = a.stats();
+        assert_eq!((s.class_pushes, s.pushes), (3, 1), "3 ns is past the bound");
+        assert_eq!(a.len(), 4);
+        let mut none = agenda(SchedKind::Heap);
+        none.set_class_bound(0);
+        none.after(SimTime::ZERO, d(84), wake(0));
+        assert_eq!((none.classes(), none.stats().pushes), (0, 1));
     }
 
     #[test]
-    fn class_pipe_is_fifo_and_counts_exactly() {
-        let mut p = ClassPipes::default();
-        let c = p.class_of(SimDuration::from_ns(500)).unwrap();
-        assert!(p.push(c, timed(510, 0)), "empty pipe: arm the front");
-        assert!(!p.push(c, timed(510, 3)));
-        assert!(!p.push(c, timed(620, 4)));
-        assert_eq!((p.len(), p.pushes(), p.pops()), (3, 3, 0));
-        let (head, next) = p.pop(c);
-        assert_eq!((head.at.as_ns(), head.seq), (510, 0));
+    fn a_pipe_is_fifo_and_says_when_to_arm() {
+        let mut p: Pipes<u32> = Pipes(Vec::new());
+        assert_eq!((p.open(), p.open()), (0, 1));
+        let mut push = |class, at, seq| p.push(class, SimTime::from_ns(at), seq, seq as u32);
+        assert!(push(1, 510, 0), "empty pipe: arm the front");
+        assert!(!push(1, 510, 3));
+        assert!(!push(1, 620, 4));
+        assert!(push(0, 7, 5), "classes are independent");
+        assert_eq!(p.len(), 4);
+        let (head, next) = p.pop(1);
+        assert_eq!((head.at.as_ns(), head.seq, head.item), (510, 0, 0));
         assert_eq!(next, Some((SimTime::from_ns(510), 3)));
-        p.pop(c);
-        let (_, next) = p.pop(c);
+        p.pop(1);
+        let (_, next) = p.pop(1);
         assert_eq!(next, None, "caller disarms the front");
-        assert!(p.is_empty());
-        assert_eq!((p.pushes(), p.pops()), (3, 3));
+        assert_eq!(p.iter().map(|e| e.seq).collect::<Vec<_>>(), [5]);
+    }
+
+    /// Drive an [`Agenda`] and a single [`EventHeap`] — the all-scheduler
+    /// engine — with one script. Every agenda insert takes one sequence
+    /// number, exactly like the heap push that mirrors it, so the heap's
+    /// `(at, seq)` order is the order the agenda must pop in.
+    fn agenda_vs_heap(sched: SchedKind, script: &[u64]) -> Result<(), String> {
+        let mut a = agenda(sched);
+        let mut model = EventHeap::new();
+        // Item `id`: `Some(link)` for a delivery, `None` for a timed event.
+        let mut items: Vec<Option<LinkId>> = Vec::new();
+        let (mut now, mut on_wire) = (SimTime::ZERO, 0u64);
+        for &raw in script {
+            let arg = raw >> 3;
+            let id = items.len() as u64;
+            match raw % 8 {
+                // Absolute time, a few ns out: often before the cached
+                // scheduler head, often tied with a pipe head.
+                0 | 1 => {
+                    let at = now + SimDuration::from_ns(arg % 12);
+                    a.at(at, wake(id));
+                    model.push(at, wake(id));
+                    items.push(None);
+                }
+                // 24 distinct delays: eight overflow to the scheduler.
+                2..=4 => {
+                    let delay = SimDuration::from_ns(1 + 3 * (arg % 24));
+                    a.after(now, delay, wake(id));
+                    model.push(now + delay, wake(id));
+                    items.push(None);
+                }
+                5 => {
+                    let link = LinkId((arg % 6) as u32);
+                    let at = now + SimDuration::from_ns(LATENCIES[link.idx() % 3]);
+                    let pkt = Packet {
+                        kind: PacketKind::Data {
+                            flow: id as u32,
+                            seq: 0,
+                        },
+                        src: HostId(0),
+                        dst: HostId(1),
+                        size: 64,
+                        prio: Priority::MEASURED,
+                        tag: None,
+                        src_leaf: 0,
+                        ingress: None,
+                        ce: false,
+                    };
+                    a.deliver(at, link, pkt);
+                    model.push(at, wake(id));
+                    items.push(Some(link));
+                    on_wire += 1;
+                }
+                // Look without taking: warms the cached scheduler head.
+                6 => {
+                    if a.peek().map(|n| n.at) != model.peek_next().map(|(t, _)| t) {
+                        return Err(format!("peek diverged at item {id}"));
+                    }
+                }
+                _ => {
+                    for _ in 0..=arg % 3 {
+                        let want = model.pop();
+                        let got = a.peek().map(|n| (n.at, a.pop(n)));
+                        let want = want.map(|(at, k)| match k {
+                            EventKind::Wake { token, .. } => (at, token),
+                            _ => unreachable!(),
+                        });
+                        let got = got.map(|(at, due)| match due {
+                            Due::Event(EventKind::Wake { token, .. }) => (at, token, None),
+                            Due::Delivery(link, pkt) => match pkt.kind {
+                                PacketKind::Data { flow, .. } => (at, flow as u64, Some(link)),
+                                PacketKind::Ack { .. } => unreachable!(),
+                            },
+                            Due::Event(k) => unreachable!("{k:?}"),
+                        });
+                        let want = want.map(|(at, id)| (at, id, items[id as usize]));
+                        if got != want {
+                            return Err(format!("popped {got:?}, the heap says {want:?}"));
+                        }
+                        let Some((at, _, link)) = got else { break };
+                        on_wire -= link.is_some() as u64;
+                        now = now.max(at);
+                    }
+                }
+            }
+            if (a.len(), a.is_empty()) != (model.len(), model.is_empty()) {
+                return Err(format!("len {} vs {}", a.len(), model.len()));
+            }
+            // Deliveries are in no scheduler counter: count those still on
+            // the wire apart, and nothing else may be unaccounted for.
+            let s = a.stats();
+            if s.pushes + s.class_pushes != s.pops + s.class_pops + a.len() as u64 - on_wire {
+                return Err(format!("pushes != pops + len: {s:?} len {}", a.len()));
+            }
+        }
+        Ok(())
     }
 
     proptest! {
+        /// Pop order, `len`, `is_empty` and the pushes = pops + len
+        /// identity of the agenda match one heap ordered by `(at, seq)`,
+        /// under random interleavings of `at` / `after` / `deliver` / peek
+        /// / pop with equal timestamps, more delays than there are classes
+        /// and pushes that order before the cached scheduler head (a
+        /// cache not invalidated on a push fails here).
+        #[test]
+        fn agenda_matches_a_single_heap(script in proptest::collection::vec(0u64..u64::MAX, 1..400)) {
+            for sched in [SchedKind::Heap, SchedKind::Wheel] {
+                if let Err(e) = agenda_vs_heap(sched, &script) {
+                    prop_assert!(false, "{:?}: {}", sched, e);
+                }
+            }
+        }
+
         /// The front heap agrees with a sort over arbitrary interleavings
         /// of arm / replace-top / pop-top, with per-pipe monotone arrivals
         /// — the exact contract the simulator relies on.

@@ -1,9 +1,13 @@
-//! The simulator: event loop, switching, spraying, PFC, transport.
+//! The simulator: the event loop and the handler of every event kind.
 //!
-//! [`Simulator`] owns the whole world — topology, per-link queues, per-switch
-//! PFC state, the transport flow table, FlowPulse counters — and processes a
-//! deterministic event heap. See the crate docs for the model; the short
-//! version:
+//! [`Simulator`] owns the whole world — topology, per-link egress state
+//! ([`crate::egress`]), per-switch forwarding state (`crate::switch`), the
+//! transport flow table ([`crate::transport`]), FlowPulse counters — and
+//! processes its pending events in the deterministic `(time, seq)` order
+//! the agenda ([`crate::pipeline`]) yields them. The state-owning modules
+//! decide *what* changes; this file decides *when*, and keeps the
+//! statistics, the trace, the recorder and the application callbacks. See
+//! the crate docs for the model; the short version:
 //!
 //! * Output-queued switches with strict-priority egress queues per directed
 //!   link. A packet arriving at a switch is routed and enqueued instantly;
@@ -24,18 +28,19 @@ use crate::control::{AppliedControl, ControlAction, ControlEvent, ControlVerb};
 use crate::counters::CounterStore;
 pub use crate::egress::LinkState;
 use crate::egress::PfcIngress;
-use crate::engine::{EventKind, EventQueue, SchedKind, SchedStats, Scheduler};
+use crate::engine::{EventKind, SchedKind, SchedStats};
 use crate::fault::{FaultAction, FaultEvent, FaultKind};
 use crate::ids::{HostId, LinkId, NodeId, SwitchId};
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority, NPRIO};
-use crate::pipeline::{ClassPipes, FrontHeap, InFlight, PipeFront, Timed, CLASS_PIPE};
+use crate::pipeline::{Agenda, Due};
 use crate::rng::RngStreams;
 use crate::spray;
 use crate::stats::{DropCause, Stats};
+use crate::switch::{Fabric, Switches};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{LinkClass, SwitchKind, Topology};
+use crate::topology::{LinkClass, Topology};
 use crate::trace::{TraceBuffer, TraceEvent};
-use crate::transport::{AckAccum, FlowState};
+use crate::transport::{FlowState, RtoOutcome};
 use fp_telemetry::{LinkMeta, Recorder};
 use std::collections::VecDeque;
 
@@ -52,29 +57,6 @@ mod delay_class_tests;
 #[path = "fast_path_tests.rs"]
 mod fast_path_tests;
 
-/// Runtime state of one switch.
-#[derive(Debug)]
-struct SwitchState {
-    /// Round-robin spray cursor.
-    rr_cursor: u64,
-    /// Pluggable spray backend ([`spray::Sprayer`]) built from
-    /// `cfg.spray`. Classic policies wrap [`spray::choose`] verbatim, so
-    /// the default `Adaptive` path is byte-identical to the pre-trait
-    /// engine; stateful backends (REPS) keep their per-switch state here.
-    sprayer: Box<dyn spray::Sprayer>,
-    /// Leaf only: valid uplinks per destination leaf (admin state only —
-    /// silent faults are *not* reflected here, that's the point).
-    valid_up: Vec<Vec<LinkId>>,
-    /// 3-level aggs only: valid agg→core uplinks per destination pod.
-    valid_core: Vec<Vec<LinkId>>,
-    /// [`SprayPolicy::Adaptive`]: decaying per-upstream-port byte counters
-    /// (the utilization half of the load signal). Sized `n_vspines` on
-    /// leaves, `cores_per_group` on 3-level aggs.
-    spray_deficit: Vec<u64>,
-    /// Timestamp base for the lazy exponential decay of `spray_deficit`.
-    spray_deficit_at: Vec<u64>,
-}
-
 /// Runtime state of one host NIC.
 #[derive(Debug)]
 struct HostState {
@@ -83,19 +65,10 @@ struct HostState {
     active: VecDeque<FlowId>,
 }
 
-/// Which upstream table a spray decision consults.
-#[derive(Copy, Clone)]
-enum SprayTable {
-    /// Leaf uplinks valid toward this destination leaf.
-    Up(u32),
-    /// Agg→core uplinks valid toward this destination pod (3-level).
-    Core(u32),
-}
-
 /// Why [`Simulator::run`] returned.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RunReason {
-    /// The event heap drained: nothing left to do.
+    /// The agenda drained: nothing left to do.
     Drained,
     /// `max_events` was hit (safety stop).
     EventLimit,
@@ -136,36 +109,14 @@ pub struct Simulator {
     /// The fabric.
     pub topo: Topology,
     now: SimTime,
-    /// Future-event list for absolute-time events (faults, controls,
-    /// wake-ups, sampler ticks) and for delays past the class bound;
-    /// backend chosen by `cfg.sched`. Also the one source of
-    /// tie-break sequence numbers for every pipe.
-    heap: EventQueue,
-    /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
-    /// The event loop dispatches min(front, scheduler) by `(time, seq)` —
-    /// see `crate::pipeline`.
-    front: FrontHeap,
-    /// `heap`'s head `(time, seq)` as of the last refresh, and whether the
-    /// scheduler changed since (see [`Self::dispatch_next`]).
-    sched_head: Option<(SimTime, u64)>,
-    sched_head_stale: bool,
-    /// Delivery pipes, one per latency class: contiguous FIFOs of packets
-    /// on the wire, sorted by `(at, seq)` by construction (monotone clock +
-    /// constant per-class latency).
-    pipes: Vec<VecDeque<InFlight>>,
-    /// Latency class of each link (index into `pipes`).
-    link_pipe: Vec<u32>,
-    /// Total packets on the wire across all delivery pipes.
-    in_flight_pkts: usize,
-    /// Delay-class pipes: every constant-delay event (`TxDone`, `Rto`,
-    /// `AckFlush`, `Pfc`) waits here instead of in `heap`; their
-    /// heads share `front` with the delivery pipes. See
-    /// [`Simulator::schedule_after`].
-    timers: ClassPipes,
+    /// Every pending event: timers, control events and packets on the
+    /// wire, in the containers `crate::pipeline` chooses for them.
+    agenda: Agenda,
     links: Vec<LinkState>,
     /// PFC accounting per (switch ingress port, priority).
     pfc: PfcIngress,
-    switches: Vec<SwitchState>,
+    /// Forwarding state of every switch and the spray stage.
+    switches: Switches,
     hosts: Vec<HostState>,
     /// Transport flow table (public for inspection by harnesses).
     pub flows: Vec<FlowState>,
@@ -187,20 +138,9 @@ pub struct Simulator {
     applied_controls: Vec<AppliedControl>,
     iter_spans: Vec<IterSpanRecord>,
     recorder: Option<Box<dyn Recorder>>,
-    scratch_cands: Vec<LinkId>,
-    scratch_loads: Vec<u64>,
-    /// Scratch uplink-slot ids handed to feedback-driven sprayers.
-    scratch_slots: Vec<u32>,
     /// Scratch `(seq, ce)` echoes collected while the flow table is
     /// borrowed in [`Simulator::receive_ack`].
     scratch_echoes: Vec<(u32, bool)>,
-    /// `cfg.spray.wants_feedback()`, cached: gates every per-packet
-    /// feedback hook (CE marking, ACK echoes) so classic policies pay one
-    /// predictable branch and stay byte-identical to the pre-trait engine.
-    spray_feedback: bool,
-    /// Number of links currently carrying [`LinkState::spray_avoid`];
-    /// zero keeps the avoidance filter entirely off the spray hot path.
-    spray_avoided: u32,
     /// Temporal-symmetry memoization state (`FP_MEMO`, see [`memo`]);
     /// `None` (the default) falls back to fully live simulation.
     memo: Option<Box<memo::MemoState>>,
@@ -218,28 +158,8 @@ impl Simulator {
     pub fn new(topo: Topology, cfg: SimConfig, seed: u64) -> Simulator {
         cfg.validate().expect("invalid SimConfig");
         let n_links = topo.n_links();
-        let n_switches = topo.n_switches();
         let links = (0..n_links).map(|_| LinkState::new()).collect();
-        let three_level = topo.is_three_level();
-        let switches = (0..n_switches)
-            .map(|i| {
-                let (n_valid_up, n_valid_core, n_deficit) = match topo.switch_kind[i] {
-                    SwitchKind::Leaf(_) => (topo.n_leaves(), 0, topo.n_vspines()),
-                    SwitchKind::Spine(_) if three_level => {
-                        (0, topo.pods as usize, topo.cores_per_group as usize)
-                    }
-                    SwitchKind::Spine(_) | SwitchKind::Core(_) => (0, 0, 0),
-                };
-                SwitchState {
-                    rr_cursor: 0,
-                    sprayer: spray::make_sprayer(cfg.spray, n_deficit),
-                    valid_up: vec![Vec::new(); n_valid_up],
-                    valid_core: vec![Vec::new(); n_valid_core],
-                    spray_deficit: vec![0; n_deficit],
-                    spray_deficit_at: vec![0; n_deficit],
-                }
-            })
-            .collect();
+        let switches = Switches::new(&topo, &cfg);
         let hosts = (0..topo.n_hosts())
             .map(|h| HostState {
                 leaf: topo.host_leaf[h],
@@ -252,36 +172,15 @@ impl Simulator {
             topo.cores_per_group as usize,
             topo.n_leaves(),
         );
-        let sched = cfg.sched.unwrap_or_default();
-        // One delivery pipe per distinct link latency (two in a fat tree:
-        // host↔leaf and leaf↔spine). Class order follows first appearance
-        // in the link table, which is deterministic.
-        let mut latencies: Vec<SimDuration> = Vec::new();
-        let link_pipe = topo
-            .links
-            .iter()
-            .map(|l| match latencies.iter().position(|&d| d == l.latency) {
-                Some(i) => i as u32,
-                None => {
-                    latencies.push(l.latency);
-                    (latencies.len() - 1) as u32
-                }
-            })
-            .collect();
-        let pipes = vec![VecDeque::new(); latencies.len()];
-        let spray_feedback = cfg.spray.wants_feedback();
+        let agenda = Agenda::new(
+            cfg.sched.unwrap_or_default(),
+            topo.links.iter().map(|l| l.latency),
+        );
         let mut sim = Simulator {
             cfg,
             topo,
             now: SimTime::ZERO,
-            heap: EventQueue::new(sched),
-            front: FrontHeap::new(),
-            sched_head: None,
-            sched_head_stale: false,
-            pipes,
-            link_pipe,
-            in_flight_pkts: 0,
-            timers: ClassPipes::default(),
+            agenda,
             links,
             pfc: PfcIngress::new(n_links),
             switches,
@@ -299,19 +198,14 @@ impl Simulator {
             applied_controls: Vec::new(),
             iter_spans: Vec::new(),
             recorder: None,
-            scratch_cands: Vec::new(),
-            scratch_loads: Vec::new(),
-            scratch_slots: Vec::new(),
             scratch_echoes: Vec::new(),
-            spray_feedback,
-            spray_avoided: 0,
             memo: None,
             #[cfg(test)]
             queued_route_only: false,
             #[cfg(test)]
             direct_starts: 0,
         };
-        sim.recompute_routing();
+        sim.switches.recompute_routing(&sim.topo, &sim.links);
         sim
     }
 
@@ -339,7 +233,7 @@ impl Simulator {
     /// Valid (admin-known) uplinks from `leaf` toward `dst_leaf` — the spray
     /// candidate set. Exposed for load models.
     pub fn valid_uplinks(&self, leaf: u32, dst_leaf: u32) -> &[LinkId] {
-        &self.switches[leaf as usize].valid_up[dst_leaf as usize]
+        self.switches.valid_uplinks(leaf, dst_leaf)
     }
 
     // ------------------------------------------------------------------
@@ -358,7 +252,7 @@ impl Simulator {
         self.recorder = Some(rec);
         if interval > 0 {
             let at = self.now + SimDuration::from_ns(interval);
-            self.sched_push(at, EventKind::Sample);
+            self.agenda.at(at, EventKind::Sample);
         }
     }
 
@@ -410,7 +304,7 @@ impl Simulator {
     pub fn schedule_fault(&mut self, ev: FaultEvent) {
         let idx = self.fault_events.len() as u32;
         self.fault_events.push(ev);
-        self.sched_push(ev.at, EventKind::FaultUpdate { idx });
+        self.agenda.at(ev.at, EventKind::FaultUpdate { idx });
     }
 
     // ------------------------------------------------------------------
@@ -427,7 +321,7 @@ impl Simulator {
     pub fn schedule_control(&mut self, at: SimTime, action: ControlAction) -> u32 {
         let idx = self.control_events.len() as u32;
         self.control_events.push(ControlEvent { at, action });
-        self.sched_push(at, EventKind::ControlUpdate { idx });
+        self.agenda.at(at, EventKind::ControlUpdate { idx });
         idx
     }
 
@@ -461,10 +355,11 @@ impl Simulator {
             // only. No admin state change, no queue drain, no routing
             // recompute — queued and in-flight packets finish normally.
             ControlVerb::RecycleEntropy => {
-                self.set_spray_avoid(action.link, true);
+                let link = action.link.idx();
+                self.switches.set_spray_avoid(&mut self.links[link], true);
                 if action.bidirectional {
-                    let peer = self.topo.peer[action.link.idx()];
-                    self.set_spray_avoid(peer, true);
+                    let peer = self.topo.peer[link].idx();
+                    self.switches.set_spray_avoid(&mut self.links[peer], true);
                 }
             }
         }
@@ -473,21 +368,6 @@ impl Simulator {
             idx,
             action,
         });
-    }
-
-    /// Flip a link's entropy-recycle quarantine flag, maintaining the
-    /// global count that keeps the avoidance filter off the spray hot
-    /// path while no link is quarantined.
-    fn set_spray_avoid(&mut self, link: LinkId, on: bool) {
-        let l = &mut self.links[link.idx()];
-        if l.spray_avoid != on {
-            l.spray_avoid = on;
-            if on {
-                self.spray_avoided += 1;
-            } else {
-                self.spray_avoided -= 1;
-            }
-        }
     }
 
     /// Apply a fault action right now.
@@ -508,7 +388,7 @@ impl Simulator {
                     self.links[link.idx()].admin_up = false;
                     self.links[link.idx()].fault = None;
                     self.drain_link_queues(link);
-                    self.recompute_routing();
+                    self.switches.recompute_routing(&self.topo, &self.links);
                 } else {
                     self.links[link.idx()].fault = Some(kind);
                 }
@@ -520,9 +400,10 @@ impl Simulator {
                 self.links[link.idx()].admin_up = true;
                 // A healed/restored link also sheds any entropy-recycle
                 // quarantine — it is trustworthy again.
-                self.set_spray_avoid(link, false);
+                self.switches
+                    .set_spray_avoid(&mut self.links[link.idx()], false);
                 if was_down {
-                    self.recompute_routing();
+                    self.switches.recompute_routing(&self.topo, &self.links);
                 }
                 self.try_start_tx(link);
             }
@@ -533,81 +414,20 @@ impl Simulator {
     /// releasing PFC accounting for each dropped packet.
     fn drain_link_queues(&mut self, link: LinkId) {
         while let Some((pkt, wire)) = self.links[link.idx()].drain_next(self.cfg.wire_overhead) {
-            self.stats.drop(DropCause::AdminDown);
-            self.trace.push(
-                self.now,
-                TraceEvent::Drop {
-                    link,
-                    cause: DropCause::AdminDown,
-                    flow: match pkt.kind {
-                        PacketKind::Data { flow, .. } => Some(flow),
-                        _ => None,
-                    },
-                },
-            );
+            self.trace_drop(link, DropCause::AdminDown, &pkt);
             self.pfc_release(&pkt, wire);
         }
     }
 
-    /// Rebuild all valid-uplink sets (leaf→agg and, for 3-level, agg→core)
-    /// from link admin state.
-    fn recompute_routing(&mut self) {
-        let nl = self.topo.n_leaves();
-        let nv = self.topo.n_vspines();
-        let three = self.topo.is_three_level();
-        let pods = self.topo.pods;
-        let k = self.topo.cores_per_group;
-
-        // Agg→core validity first (leaf validity depends on it).
-        if three {
-            for g in 0..self.topo.n_aggs() as u32 {
-                let sw = nl + g as usize; // agg switch id
-                let a = g % nv as u32; // within-pod agg index = core group
-                for dst_pod in 0..pods {
-                    let mut set =
-                        std::mem::take(&mut self.switches[sw].valid_core[dst_pod as usize]);
-                    set.clear();
-                    for kk in 0..k {
-                        let up = self.topo.agg_uplink(g, kk);
-                        let c = self.topo.core_global(a, kk);
-                        let down = self.topo.core_downlink(c, dst_pod);
-                        if self.links[up.idx()].admin_up && self.links[down.idx()].admin_up {
-                            set.push(up);
-                        }
-                    }
-                    self.switches[sw].valid_core[dst_pod as usize] = set;
-                }
-            }
-        }
-
-        for leaf in 0..nl {
-            let src_pod = self.topo.pod_of_leaf(leaf as u32);
-            for dst in 0..nl {
-                let mut set = std::mem::take(&mut self.switches[leaf].valid_up[dst]);
-                set.clear();
-                if dst != leaf {
-                    let dst_pod = self.topo.pod_of_leaf(dst as u32);
-                    for v in 0..nv {
-                        let up = self.topo.uplink(leaf as u32, v as u32);
-                        let down = self.topo.downlink(v as u32, dst as u32);
-                        if !(self.links[up.idx()].admin_up && self.links[down.idx()].admin_up) {
-                            continue;
-                        }
-                        if three && dst_pod != src_pod {
-                            // Cross-pod: the source-pod agg must still
-                            // reach the destination pod via some core.
-                            let g = self.topo.agg_global(src_pod, v as u32);
-                            let agg_sw = nl + g as usize;
-                            if self.switches[agg_sw].valid_core[dst_pod as usize].is_empty() {
-                                continue;
-                            }
-                        }
-                        set.push(up);
-                    }
-                }
-                self.switches[leaf].valid_up[dst] = set;
-            }
-        }
+    /// Count and trace a packet dropped at `link`.
+    fn trace_drop(&mut self, link: LinkId, cause: DropCause, pkt: &Packet) {
+        self.stats.drop(cause);
+        let flow = match pkt.kind {
+            PacketKind::Data { flow, .. } => Some(flow),
+            PacketKind::Ack { .. } => None,
+        };
+        self.trace
+            .push(self.now, TraceEvent::Drop { link, cause, flow });
     }
 
     // ------------------------------------------------------------------
@@ -643,7 +463,7 @@ impl Simulator {
     /// Schedule an application wake-up at absolute time `at`.
     pub fn schedule_wake(&mut self, at: SimTime, host: HostId, token: u64) {
         debug_assert!(at >= self.now);
-        self.sched_push(at, EventKind::Wake { host, token });
+        self.agenda.at(at, EventKind::Wake { host, token });
     }
 
     // ------------------------------------------------------------------
@@ -657,13 +477,13 @@ impl Simulator {
         }
     }
 
-    /// Run until the event heap drains (the workload stops posting work).
+    /// Run until the agenda drains (the workload stops posting work).
     pub fn run(&mut self) -> RunSummary {
         self.run_inner(SimTime::MAX)
     }
 
     /// Run until simulated time `horizon` (events at exactly `horizon` are
-    /// processed). The clock is left at `horizon` if the heap drained early.
+    /// processed). The clock is left at `horizon` if the agenda drained early.
     pub fn run_until(&mut self, horizon: SimTime) -> RunSummary {
         let s = self.run_inner(horizon);
         if self.now < horizon {
@@ -672,50 +492,32 @@ impl Simulator {
         s
     }
 
-    /// Every scheduler push goes through here so the cached head knows.
-    #[inline]
-    fn sched_push(&mut self, at: SimTime, kind: EventKind) {
-        self.heap.push(at, kind);
-        self.sched_head_stale = true;
-    }
-
-    /// Dispatch whichever of (scheduler head, pipe-front head) orders
-    /// first by global `(time, seq)` — the one place an event leaves its
-    /// container, and so the one place the cached scheduler head is
-    /// refreshed. `Err` says why nothing was dispatched.
+    /// Dispatch the earliest pending event — the one place an event leaves
+    /// the agenda. `Err` says why nothing was dispatched. A delivery is
+    /// handled here and counts toward `stats.events` exactly like the
+    /// per-packet `Delivery` event it replaces, so event accounting and
+    /// `max_events` behave identically.
     #[inline]
     fn dispatch_next(&mut self, horizon: SimTime, max_events: u64) -> Result<(), RunReason> {
-        // The scheduler holds a few dozen entries per trial against
-        // millions of loop iterations, so its head is read from a field and
-        // re-peeked only after a push, pop or rebase. Re-peeking *here*
-        // rather than at the push keeps the wheel's lazy cursor where the
-        // peek-every-iteration loop had it, so `SchedStats` do not move.
-        if self.sched_head_stale {
-            self.sched_head = self.heap.peek_next();
-            self.sched_head_stale = false;
-        }
-        debug_assert_eq!(self.sched_head, self.heap.peek_next());
-        let front = self.front.peek();
-        // The front head goes first unless the scheduler's orders before it.
-        let (at, front) = match (self.sched_head, front) {
-            (None, None) => return Err(RunReason::Drained),
-            (Some((t, s)), Some(f)) if (t, s) < (f.at, f.seq) => (t, None),
-            (Some((t, _)), None) => (t, None),
-            (_, Some(f)) => (f.at, Some(f)),
+        let Some(next) = self.agenda.peek() else {
+            return Err(RunReason::Drained);
         };
+        let at = next.at;
         if at > horizon {
             return Err(RunReason::TimeLimit);
         }
         if self.stats.events >= max_events {
             return Err(RunReason::EventLimit);
         }
-        match front {
-            Some(f) => self.deliver_front(f),
-            None => {
-                let (k_at, kind) = self.heap.pop().expect("peeked");
-                self.sched_head_stale = true;
-                debug_assert_eq!(k_at, at);
-                self.dispatch(k_at, kind);
+        match self.agenda.pop(next) {
+            Due::Event(kind) => self.dispatch(at, kind),
+            Due::Delivery(link, pkt) => {
+                self.links[link.idx()].inflight -= 1;
+                debug_assert!(at >= self.now, "time went backwards");
+                self.now = at;
+                self.stats.events += 1;
+                self.stats.pipeline_deliveries += 1;
+                self.handle_delivery(link, pkt);
             }
         }
         Ok(())
@@ -742,70 +544,6 @@ impl Simulator {
         self.dispatch_next(SimTime::MAX, u64::MAX).is_ok()
     }
 
-    /// Schedule `kind` to fire `delay` from now.
-    ///
-    /// The clock is monotone, so events sharing one `delay` are created in
-    /// `(time, seq)` order: they wait in that delay's class pipe
-    /// (`crate::pipeline`) and only the pipe head competes for dispatch.
-    /// The sequence number is reserved here, exactly where a scheduler
-    /// push would consume it, so dispatch order — and with it stale-RTO
-    /// skipping, event accounting, RNG draws and every output byte — is
-    /// the same whichever container the event waits in. A delay past the
-    /// class bound goes to the scheduler.
-    #[inline]
-    fn schedule_after(&mut self, delay: SimDuration, kind: EventKind) {
-        let at = self.now + delay;
-        let Some(class) = self.timers.class_of(delay) else {
-            self.sched_push(at, kind);
-            return;
-        };
-        let seq = self.heap.reserve_seq();
-        if self.timers.push(class, Timed { at, seq, kind }) {
-            self.front.arm(PipeFront {
-                at,
-                seq,
-                pipe: CLASS_PIPE | class,
-            });
-        }
-    }
-
-    /// Test hook: replace the delay-class bound before any event is
-    /// scheduled. 0 keeps every event in the scheduler (the engine before
-    /// class pipes); a small value forces overflow.
-    #[cfg(test)]
-    fn set_class_bound(&mut self, bound: usize) {
-        assert_eq!(self.timers.classes(), 0, "bound set after scheduling");
-        self.timers = ClassPipes::with_bound(bound);
-    }
-
-    /// Dispatch the earliest pipe head `f` and re-arm the front for the entry
-    /// behind it (or disarm if the pipe went empty). A delay-class head
-    /// goes through [`Self::dispatch`] like a scheduler pop. A delivery
-    /// head is delivered here and counts toward `stats.events` exactly
-    /// like the per-packet `Delivery` event it replaces, so event
-    /// accounting and `max_events` behave identically.
-    fn deliver_front(&mut self, f: PipeFront) {
-        debug_assert_eq!(self.front.peek(), Some(f));
-        if f.pipe & CLASS_PIPE != 0 {
-            let (head, next) = self.timers.pop(f.pipe & !CLASS_PIPE);
-            debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
-            self.front.advance_top(next);
-            self.dispatch(head.at, head.kind);
-            return;
-        }
-        let pipe = &mut self.pipes[f.pipe as usize];
-        let head = pipe.pop_front().expect("armed pipe has packets in it");
-        debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
-        self.front.advance_top(pipe.front().map(|n| (n.at, n.seq)));
-        self.links[head.link.idx()].inflight -= 1;
-        self.in_flight_pkts -= 1;
-        debug_assert!(f.at >= self.now, "time went backwards");
-        self.now = f.at;
-        self.stats.events += 1;
-        self.stats.pipeline_deliveries += 1;
-        self.handle_delivery(head.link, head.pkt);
-    }
-
     fn dispatch(&mut self, at: SimTime, kind: EventKind) {
         // Lazy RTO cancellation: a timer whose segment was acknowledged (or
         // whose flow failed) since arming is discarded here, before any
@@ -813,7 +551,7 @@ impl Simulator {
         // count toward `stats.events` or the `max_events` guard. Its
         // container strictly shrinks on a skip, so this cannot loop.
         if let EventKind::Rto { flow, seq, gen, .. } = kind {
-            if self.rto_is_stale(flow, seq, gen) {
+            if self.flows[flow as usize].rto_is_stale(seq, gen) {
                 self.stats.rto_stale_skips += 1;
                 return;
             }
@@ -834,8 +572,8 @@ impl Simulator {
                 .filter(|&i| i > 0)
             {
                 let next = at + SimDuration::from_ns(interval);
-                if !self.heap.is_empty() || !self.front.is_empty() {
-                    self.sched_push(next, EventKind::Sample);
+                if !self.agenda.is_empty() {
+                    self.agenda.at(next, EventKind::Sample);
                 }
             }
             return;
@@ -878,143 +616,6 @@ impl Simulator {
 
     fn wire_size(&self, pkt: &Packet) -> u64 {
         pkt.size as u64 + self.cfg.wire_overhead as u64
-    }
-
-    /// Deficit-table slot of an upstream (sprayed) link: the vspine index
-    /// for leaf uplinks, the core slot for agg uplinks.
-    fn deficit_idx(&self, up: LinkId) -> u32 {
-        match self.topo.links[up.idx()].class {
-            LinkClass::LeafUp { vspine, .. } => vspine,
-            LinkClass::AggUp { core_k, .. } => core_k,
-            c => unreachable!("not a sprayed uplink: {c:?}"),
-        }
-    }
-
-    /// One APS decision: pick among the switch's valid upstream links for
-    /// the given table (leaf→spine per destination leaf, or 3-level
-    /// agg→core per destination pod), honouring the configured policy and
-    /// charging the adaptive byte deficit.
-    fn spray_among(&mut self, sw: SwitchId, table: SprayTable, pkt: &Packet) -> Option<LinkId> {
-        let mut cands = std::mem::take(&mut self.scratch_cands);
-        cands.clear();
-        {
-            let s = &self.switches[sw.idx()];
-            let set = match table {
-                SprayTable::Up(dst_leaf) => &s.valid_up[dst_leaf as usize],
-                SprayTable::Core(dst_pod) => &s.valid_core[dst_pod as usize],
-            };
-            cands.extend_from_slice(set);
-        }
-        if cands.is_empty() {
-            self.scratch_cands = cands;
-            return None;
-        }
-        // Entropy-recycle remediation (`ControlVerb::RecycleEntropy`):
-        // drop quarantined uplinks from the candidate set, mirroring the
-        // admin-down pairing (the uplink itself, or — when steering
-        // around a spine — the paired spine→destination downlink). The
-        // filter never empties the set: with no clean alternative the
-        // original candidates stand, because the pick must stay total.
-        if self.spray_avoided > 0 && cands.len() > 1 {
-            let n_before = cands.len();
-            cands.retain(|&up| {
-                if self.links[up.idx()].spray_avoid {
-                    return false;
-                }
-                if let SprayTable::Up(dst_leaf) = table {
-                    let down = self.topo.downlink(self.deficit_idx(up), dst_leaf);
-                    if self.links[down.idx()].spray_avoid {
-                        return false;
-                    }
-                }
-                true
-            });
-            if cands.is_empty() {
-                let s = &self.switches[sw.idx()];
-                let set = match table {
-                    SprayTable::Up(dst_leaf) => &s.valid_up[dst_leaf as usize],
-                    SprayTable::Core(dst_pod) => &s.valid_core[dst_pod as usize],
-                };
-                cands.extend_from_slice(set);
-            } else if cands.len() < n_before {
-                self.stats.spray_avoided_picks += 1;
-            }
-        }
-        let adaptive = self.cfg.spray == spray::SprayPolicy::Adaptive;
-        let chosen = if cands.len() == 1 {
-            cands[0]
-        } else {
-            let mut loads = std::mem::take(&mut self.scratch_loads);
-            loads.clear();
-            // Load signals feed only the classic policies; skipping the
-            // gather for hash/entropy backends keeps their pick O(1).
-            if self.cfg.spray.is_classic() {
-                for &id in &cands {
-                    let mut load = self.links[id.idx()].queued_bytes;
-                    if adaptive {
-                        load += self.decayed_deficit(sw, self.deficit_idx(id));
-                    }
-                    loads.push(load);
-                }
-            }
-            let mut slots = std::mem::take(&mut self.scratch_slots);
-            slots.clear();
-            if self.spray_feedback {
-                for &id in &cands {
-                    slots.push(self.deficit_idx(id));
-                }
-            }
-            let (flow, seq, data) = match pkt.kind {
-                PacketKind::Data { flow, seq } => (flow, seq, true),
-                PacketKind::Ack { flow, .. } => (flow, 0, false),
-            };
-            let ctx = spray::SprayCtx {
-                flow,
-                src: pkt.src.0,
-                dst: pkt.dst.0,
-                seq,
-                data,
-                cands: &cands,
-                loads: &loads,
-                slots: &slots,
-            };
-            let sw_state = &mut self.switches[sw.idx()];
-            let i = sw_state
-                .sprayer
-                .pick(&ctx, &mut sw_state.rr_cursor, &mut self.rng.spray);
-            debug_assert!(i < cands.len(), "sprayer picked out of range");
-            let c = cands[i];
-            self.scratch_loads = loads;
-            self.scratch_slots = slots;
-            c
-        };
-        self.scratch_cands = cands;
-        if adaptive {
-            let v = self.deficit_idx(chosen) as usize;
-            let wire = self.wire_size(pkt);
-            self.switches[sw.idx()].spray_deficit[v] += wire;
-        }
-        Some(chosen)
-    }
-
-    /// Read leaf `sw`'s spray deficit for `vspine`, applying lazy
-    /// exponential decay: the counter halves every `spray_tau`. This is the
-    /// EWMA-like utilization signal of [`spray::SprayPolicy::Adaptive`].
-    fn decayed_deficit(&mut self, sw: SwitchId, vspine: u32) -> u64 {
-        let tau = self.cfg.spray_tau.as_ns();
-        let s = &mut self.switches[sw.idx()];
-        let v = vspine as usize;
-        let elapsed = self.now.as_ns().saturating_sub(s.spray_deficit_at[v]);
-        if elapsed < tau {
-            // Zero halvings: skip the division (nearly every read).
-            return s.spray_deficit[v];
-        }
-        let halvings = elapsed.checked_div(tau).unwrap_or(0);
-        if halvings > 0 {
-            s.spray_deficit[v] >>= halvings.min(63);
-            s.spray_deficit_at[v] += halvings * tau;
-        }
-        s.spray_deficit[v]
     }
 
     /// Start transmitting on `link` if it is idle and something is eligible.
@@ -1063,7 +664,7 @@ impl Simulator {
         let wire = self.wire_size(&pkt);
         let ser = self.topo.links[link.idx()].bandwidth.ser_time(wire);
         self.links[link.idx()].start(pkt);
-        self.schedule_after(ser, EventKind::TxDone { link });
+        self.agenda.after(self.now, ser, EventKind::TxDone { link });
     }
 
     /// Pull the next fresh (never-sent) segment at priority class `q` from
@@ -1081,35 +682,14 @@ impl Simulator {
                 self.hosts[h.idx()].active.push_back(fid);
                 continue;
             }
+            let leaf = self.hosts[h.idx()].leaf as u16;
             let f = &mut self.flows[fid as usize];
-            let seq = f.next_seq;
-            f.next_seq += 1;
-            let pkt = Packet {
-                kind: PacketKind::Data { flow: fid, seq },
-                src: f.src,
-                dst: f.dst,
-                size: f.seg_size(seq),
-                prio: f.prio,
-                tag: f.tag,
-                src_leaf: self.hosts[h.idx()].leaf as u16,
-                ingress: None,
-                ce: false,
-            };
-            let still_fresh = self.flows[fid as usize].has_fresh();
-            if still_fresh {
+            let (pkt, rto) = f.send_fresh(fid, leaf);
+            if f.has_fresh() {
                 self.hosts[h.idx()].active.push_back(fid);
             }
             self.stats.data_pkts_sent += 1;
-            let gen = self.flows[fid as usize].rto_gen[seq as usize];
-            self.schedule_after(
-                self.cfg.rto,
-                EventKind::Rto {
-                    flow: fid,
-                    seq,
-                    attempt: 0,
-                    gen,
-                },
-            );
+            self.agenda.after(self.now, self.cfg.rto, rto);
             return Some(pkt);
         }
         None
@@ -1129,44 +709,12 @@ impl Simulator {
             _ => false,
         };
         if dropped {
-            self.stats.drop(DropCause::SilentFault);
-            self.trace.push(
-                self.now,
-                TraceEvent::Drop {
-                    link,
-                    cause: DropCause::SilentFault,
-                    flow: match pkt.kind {
-                        PacketKind::Data { flow, .. } => Some(flow),
-                        _ => None,
-                    },
-                },
-            );
+            self.trace_drop(link, DropCause::SilentFault, &pkt);
         } else {
-            // Pipe insert — the surviving packet goes on the wire. A
-            // sequence number is reserved here, exactly where the old
-            // per-packet `Delivery` push consumed one, so every other
-            // event's tie-break is unchanged. Only an *empty* pipe arms
-            // the front; otherwise the FIFO absorbs the packet and the
-            // scheduler sees no traffic at all.
-            let latency = self.topo.links[link.idx()].latency;
-            let at = self.now + latency;
-            let seq = self.heap.reserve_seq();
-            let class = self.link_pipe[link.idx()];
-            let pipe = &mut self.pipes[class as usize];
-            debug_assert!(
-                pipe.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
-                "pipe arrivals must be FIFO"
-            );
-            if pipe.is_empty() {
-                self.front.arm(PipeFront {
-                    at,
-                    seq,
-                    pipe: class,
-                });
-            }
-            pipe.push_back(InFlight { at, seq, link, pkt });
+            // The surviving packet goes on the wire.
+            let at = self.now + self.topo.links[link.idx()].latency;
+            self.agenda.deliver(at, link, pkt);
             self.links[link.idx()].inflight += 1;
-            self.in_flight_pkts += 1;
         }
         self.try_start_tx(link);
     }
@@ -1206,14 +754,9 @@ impl Simulator {
     /// transmitter one reverse-link latency from now.
     fn push_pfc(&mut self, in_link: LinkId, prio: u8, pause: bool) {
         let delay = self.topo.links[self.topo.peer[in_link.idx()].idx()].latency;
-        self.schedule_after(
-            delay,
-            EventKind::Pfc {
-                link: in_link,
-                prio,
-                pause,
-            },
-        );
+        let link = in_link;
+        let frame = EventKind::Pfc { link, prio, pause };
+        self.agenda.after(self.now, delay, frame);
     }
 
     fn handle_pfc(&mut self, link: LinkId, prio: u8, pause: bool) {
@@ -1280,76 +823,19 @@ impl Simulator {
             }
             _ => {}
         }
-        match self.route(sw, &pkt, in_link) {
+        let fab = Fabric {
+            topo: &self.topo,
+            links: &self.links,
+            cfg: &self.cfg,
+            now: self.now,
+        };
+        let (rng, stats) = (&mut self.rng.spray, &mut self.stats);
+        match self.switches.route(&fab, sw, &pkt, in_link, rng, stats) {
             Some(out_link) => {
                 pkt.ingress = Some(in_link);
                 self.enqueue(out_link, pkt);
             }
-            None => {
-                self.stats.drop(DropCause::NoRoute);
-                self.trace.push(
-                    self.now,
-                    TraceEvent::Drop {
-                        link: in_link,
-                        cause: DropCause::NoRoute,
-                        flow: match pkt.kind {
-                            PacketKind::Data { flow, .. } => Some(flow),
-                            _ => None,
-                        },
-                    },
-                );
-            }
-        }
-    }
-
-    /// Pick the egress link for `pkt` at switch `sw`.
-    fn route(&mut self, sw: SwitchId, pkt: &Packet, in_link: LinkId) -> Option<LinkId> {
-        match self.topo.switch_kind[sw.idx()] {
-            SwitchKind::Leaf(l) => {
-                let dst_leaf = self.topo.leaf_of(pkt.dst);
-                if dst_leaf == l {
-                    let down = self.topo.host_down[pkt.dst.idx()];
-                    return self.links[down.idx()].admin_up.then_some(down);
-                }
-                // Upstream: adaptive per-packet spray over valid uplinks.
-                self.spray_among(sw, SprayTable::Up(dst_leaf), pkt)
-            }
-            SwitchKind::Spine(g) => {
-                let dst_leaf = self.topo.leaf_of(pkt.dst);
-                match self.topo.links[in_link.idx()].class {
-                    LinkClass::LeafUp { vspine, .. } => {
-                        if !self.topo.is_three_level() {
-                            // 2-level: down the same plane, deterministic.
-                            let down = self.topo.downlink(vspine, dst_leaf);
-                            return self.links[down.idx()].admin_up.then_some(down);
-                        }
-                        let my_pod = g / self.topo.spec.spines;
-                        let dst_pod = self.topo.pod_of_leaf(dst_leaf);
-                        if dst_pod == my_pod {
-                            // Intra-pod: straight down to the leaf.
-                            let down = self.topo.downlink(vspine, dst_leaf);
-                            self.links[down.idx()].admin_up.then_some(down)
-                        } else {
-                            // Cross-pod: second spray stage over the core
-                            // group, mirroring the leaf's logic.
-                            self.spray_among(sw, SprayTable::Core(dst_pod), pkt)
-                        }
-                    }
-                    LinkClass::CoreDown { .. } => {
-                        // Final descent: agg g (within-pod index) → leaf.
-                        let a = g % self.topo.spec.spines;
-                        let down = self.topo.downlink(a, dst_leaf);
-                        self.links[down.idx()].admin_up.then_some(down)
-                    }
-                    c => unreachable!("agg ingress must be LeafUp/CoreDown, got {c:?}"),
-                }
-            }
-            SwitchKind::Core(c) => {
-                // Deterministic: one downlink per pod.
-                let dst_pod = self.topo.pod_of_leaf(self.topo.leaf_of(pkt.dst));
-                let down = self.topo.core_downlink(c, dst_pod);
-                self.links[down.idx()].admin_up.then_some(down)
-            }
+            None => self.trace_drop(in_link, DropCause::NoRoute, &pkt),
         }
     }
 
@@ -1365,7 +851,7 @@ impl Simulator {
         // ECN: CE-mark data packets entering a standing queue. Gated on
         // the backend actually consuming the echo so classic policies run
         // the pre-feedback byte path unchanged.
-        if self.spray_feedback
+        if self.switches.feedback
             && !pkt.ce
             && pkt.is_data()
             && l.queued_bytes >= self.cfg.ecn_threshold
@@ -1425,15 +911,7 @@ impl Simulator {
     fn receive_data(&mut self, h: HostId, flow: FlowId, seq: u32, size: u32, ce: bool) {
         debug_assert_eq!(self.flows[flow as usize].dst, h, "data at wrong host");
         self.stats.data_pkts_delivered += 1;
-        let (newly, completed) = {
-            let f = &mut self.flows[flow as usize];
-            let newly = f.rcvd.set(seq);
-            let completed = newly && f.rcvd.full();
-            if completed {
-                f.completed_at = Some(self.now);
-            }
-            (newly, completed)
-        };
+        let (newly, completed) = self.flows[flow as usize].on_data(seq, self.now);
         if newly {
             self.stats.bytes_delivered += size as u64;
         } else {
@@ -1455,56 +933,20 @@ impl Simulator {
     }
 
     fn accumulate_ack(&mut self, flow: FlowId, seq: u32, ce: bool) {
-        let coalesce = self.cfg.ack_coalesce;
-        let mut flush_block: Option<AckBlock> = None;
-        let mut schedule_flush = false;
-        {
-            let f = &mut self.flows[flow as usize];
-            // Cumulative watermark: lowest sequence not yet received.
-            let cum = f.rcvd.first_clear().unwrap_or(f.npkts);
-            match &mut f.pending_ack {
-                None => {
-                    let mut a = AckAccum::new(seq, ce);
-                    if coalesce <= 1 {
-                        flush_block = Some(a.block(cum));
-                        f.pending_ack = None;
-                    } else {
-                        a.flush_scheduled = true;
-                        f.pending_ack = Some(a);
-                        schedule_flush = true;
-                    }
-                }
-                Some(a) => {
-                    if !a.add(seq, ce) {
-                        // Window overflow: emit the old block, restart.
-                        flush_block = Some(a.block(cum));
-                        let had_timer = a.flush_scheduled;
-                        let mut na = AckAccum::new(seq, ce);
-                        na.flush_scheduled = had_timer;
-                        *a = na;
-                    } else if a.count() >= coalesce {
-                        flush_block = Some(a.block(cum));
-                        f.pending_ack = None;
-                    }
-                }
-            }
-        }
-        if let Some(block) = flush_block {
+        let f = &mut self.flows[flow as usize];
+        let (block, schedule_flush) = f.ack_data(seq, ce, self.cfg.ack_coalesce);
+        if let Some(block) = block {
             self.send_ack(flow, block);
         }
         if schedule_flush {
-            self.schedule_after(self.cfg.ack_flush_delay, EventKind::AckFlush { flow });
+            let flush = EventKind::AckFlush { flow };
+            self.agenda.after(self.now, self.cfg.ack_flush_delay, flush);
         }
     }
 
     fn handle_ack_flush(&mut self, flow: FlowId) {
-        let block = {
-            let f = &mut self.flows[flow as usize];
-            let cum = f.rcvd.first_clear().unwrap_or(f.npkts);
-            f.pending_ack.take().map(|a| a.block(cum))
-        };
-        if let Some(b) = block {
-            self.send_ack(flow, b);
+        if let Some(block) = self.flows[flow as usize].flush_ack() {
+            self.send_ack(flow, block);
         }
     }
 
@@ -1528,43 +970,16 @@ impl Simulator {
 
     fn receive_ack(&mut self, h: HostId, flow: FlowId, block: AckBlock) {
         debug_assert_eq!(self.flows[flow as usize].src, h, "ack at wrong host");
-        let feedback = self.spray_feedback;
         let mut echoes = std::mem::take(&mut self.scratch_echoes);
         echoes.clear();
-        let (pair, newly_done) = {
-            let f = &mut self.flows[flow as usize];
-            let was_done = f.fully_acked();
-            // Cumulative watermark first (heals any previously lost ACKs)…
-            let cum = block.cum.min(f.npkts);
-            while f.cum_acked < cum {
-                if f.acked.set(f.cum_acked) {
-                    // Newly acknowledged: lazily cancel the pending timer.
-                    f.rto_gen[f.cum_acked as usize] += 1;
-                    if feedback {
-                        // Watermark-healed segments carry no CE echo (a
-                        // lost ACK loses its marks; clean is the safe
-                        // reading — REPS just recycles one more entropy).
-                        echoes.push((f.cum_acked, false));
-                    }
-                }
-                f.cum_acked += 1;
-            }
-            // …then the selective block.
-            for seq in block.seqs() {
-                if seq < f.npkts && f.acked.set(seq) {
-                    f.rto_gen[seq as usize] += 1;
-                    if feedback {
-                        echoes.push((seq, block.ce(seq)));
-                    }
-                }
-            }
-            ((f.src.0, f.dst.0), !was_done && f.fully_acked())
-        };
+        let f = &mut self.flows[flow as usize];
+        let pair = (f.src.0, f.dst.0);
+        let newly_done = f.on_ack(block, self.switches.feedback.then_some(&mut echoes));
         // Echo each newly acknowledged segment to the source leaf's
         // sprayer: a clean ACK proves the path, a CE-marked one flags it.
         if !echoes.is_empty() {
             let leaf = self.hosts[h.idx()].leaf as usize;
-            let sprayer = &mut self.switches[leaf].sprayer;
+            let sprayer = &mut self.switches.state[leaf].sprayer;
             for &(seq, ce) in echoes.iter() {
                 let echo = if ce {
                     spray::SprayEcho::Ecn
@@ -1580,73 +995,41 @@ impl Simulator {
         }
     }
 
-    /// True if a popped RTO timer no longer matters: the flow already gave
-    /// up, the segment was acknowledged, or its generation was bumped
-    /// (which [`Self::receive_ack`] does on every fresh acknowledgement).
-    fn rto_is_stale(&self, flow: FlowId, seq: u32, gen: u32) -> bool {
-        let f = &self.flows[flow as usize];
-        f.failed || f.acked.get(seq) || f.rto_gen[seq as usize] != gen
-    }
-
     fn handle_rto(&mut self, flow: FlowId, seq: u32, attempt: u32) {
-        {
+        let f = &mut self.flows[flow as usize];
+        let (src, pair) = (f.src, (f.src.0, f.dst.0));
+        let leaf = self.hosts[src.idx()].leaf;
+        let max = self.cfg.rto_max_attempts;
+        let (pkt, rearm) = match f.on_rto(flow, seq, attempt, max, leaf as u16) {
             // Defense in depth: `dispatch` already discards stale timers.
-            let f = &self.flows[flow as usize];
-            if f.failed || f.acked.get(seq) {
+            RtoOutcome::Stale => return,
+            RtoOutcome::GaveUp => {
+                self.stats.flows_failed += 1;
+                self.trace.push(self.now, TraceEvent::FlowFailed { flow });
+                self.with_app(|app, sim| app.on_flow_failed(sim, flow));
                 return;
             }
-        }
-        if attempt >= self.cfg.rto_max_attempts {
-            self.flows[flow as usize].failed = true;
-            self.stats.flows_failed += 1;
-            self.trace.push(self.now, TraceEvent::FlowFailed { flow });
-            self.with_app(|app, sim| app.on_flow_failed(sim, flow));
-            return;
-        }
-        let (src, pkt) = {
-            let f = &self.flows[flow as usize];
-            let pkt = Packet {
-                kind: PacketKind::Data { flow, seq },
-                src: f.src,
-                dst: f.dst,
-                size: f.seg_size(seq),
-                prio: f.prio,
-                tag: f.tag,
-                src_leaf: self.hosts[f.src.idx()].leaf as u16,
-                ingress: None,
-                ce: false,
-            };
-            (f.src, pkt)
+            RtoOutcome::Retransmit(pkt, rearm) => (pkt, rearm),
         };
         self.stats.retransmits += 1;
-        self.flows[flow as usize].retx += 1;
         if let Some(rec) = self.recorder.as_mut() {
             rec.on_rto_attempt(attempt);
         }
         // Loss echo to the source leaf's sprayer *before* the retransmit
         // is enqueued, so the fresh spray decision re-records the segment
         // under its new entropy.
-        if self.spray_feedback {
-            let f = &self.flows[flow as usize];
-            let pair = (f.src.0, f.dst.0);
-            let leaf = self.hosts[src.idx()].leaf as usize;
-            self.switches[leaf]
-                .sprayer
-                .on_feedback(flow, pair, seq, spray::SprayEcho::Timeout);
+        if self.switches.feedback {
+            self.switches.state[leaf as usize].sprayer.on_feedback(
+                flow,
+                pair,
+                seq,
+                spray::SprayEcho::Timeout,
+            );
         }
         self.enqueue(self.topo.host_up[src.idx()], pkt);
         let exp = (attempt + 1).min(self.cfg.rto_backoff_cap);
         let backoff = self.cfg.rto.mul_f64(self.cfg.rto_backoff.powi(exp as i32));
-        let gen = self.flows[flow as usize].rto_gen[seq as usize];
-        self.schedule_after(
-            backoff,
-            EventKind::Rto {
-                flow,
-                seq,
-                attempt: attempt + 1,
-                gen,
-            },
-        );
+        self.agenda.after(self.now, backoff, rearm);
     }
 
     // ------------------------------------------------------------------
@@ -1658,25 +1041,21 @@ impl Simulator {
         self.flows.iter().all(|f| f.is_complete())
     }
 
-    /// Pending work count: events in the scheduler and the delay-class
-    /// pipes plus packets on the wire (0 = idle).
+    /// Pending work count: timed events plus packets on the wire
+    /// (0 = idle).
     pub fn pending_events(&self) -> usize {
-        self.heap.len() + self.timers.len() + self.in_flight_pkts
+        self.agenda.len()
     }
 
     /// Which scheduler backend this simulator runs on.
     pub fn sched_kind(&self) -> SchedKind {
-        self.heap.kind()
+        self.agenda.sched_kind()
     }
 
     /// Scheduler occupancy counters accumulated so far (telemetry only —
     /// never part of trial results, which are backend-independent).
     pub fn sched_stats(&self) -> SchedStats {
-        SchedStats {
-            class_pushes: self.timers.pushes(),
-            class_pops: self.timers.pops(),
-            ..self.heap.stats()
-        }
+        self.agenda.stats()
     }
 }
 
@@ -1760,38 +1139,6 @@ mod tests {
         // of all engine events bypassed the scheduler.
         assert_eq!(s.stats.pipeline_deliveries, s.stats.pkts_txed);
         assert!(s.stats.pipeline_deliveries * 3 > s.stats.events);
-    }
-
-    #[test]
-    fn decayed_deficit_matches_the_always_divide_formulation() {
-        // The read path returns early when less than one tau has passed;
-        // that must be invisible: same value, same timestamp base, across
-        // grid crossings, multi-tau gaps, > 63 halvings and tau = 0.
-        fn reference(deficit: &mut u64, at: &mut u64, now: u64, tau: u64) -> u64 {
-            let elapsed = now.saturating_sub(*at);
-            let halvings = elapsed.checked_div(tau).unwrap_or(0);
-            if halvings > 0 {
-                *deficit >>= halvings.min(63);
-                *at += halvings * tau;
-            }
-            *deficit
-        }
-        for tau in [0u64, 1, 100, 100_000] {
-            let mut s = sim(1);
-            s.cfg.spray_tau = SimDuration::from_ns(tau);
-            let (mut want, mut want_at, mut now) = (0u64, 0u64, 0u64);
-            let steps = [0, 1, tau / 2, tau.saturating_sub(1), 1, tau, tau + 1];
-            let gaps = [3 * tau + 7, 5, 70 * tau, 2 * tau, 0];
-            for step in steps.into_iter().chain(gaps) {
-                now += step;
-                s.now = SimTime::from_ns(now);
-                want += 4160;
-                s.switches[0].spray_deficit[1] += 4160;
-                let got = s.decayed_deficit(SwitchId(0), 1);
-                assert_eq!(got, reference(&mut want, &mut want_at, now, tau));
-                assert_eq!(s.switches[0].spray_deficit_at[1], want_at, "tau={tau}");
-            }
-        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! ACKs. Message completion fires when the receiver holds every segment.
 
 use crate::bitset::BitSet;
+use crate::engine::EventKind;
 use crate::ids::HostId;
-use crate::packet::{AckBlock, CollectiveTag, Priority};
+use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority};
 use crate::time::SimTime;
 
 /// Sender+receiver state for one message flow. The simulator holds the
@@ -51,7 +52,7 @@ pub struct FlowState {
     pub cum_acked: u32,
     /// Per-segment retransmission-timer generation. Armed RTO events carry
     /// the generation current at arming time; acknowledging a segment bumps
-    /// its generation, lazily cancelling any timer still in the heap
+    /// its generation, lazily cancelling any timer still pending
     /// (checked at pop time, see [`crate::engine::EventKind::Rto`]).
     pub rto_gen: Vec<u32>,
 
@@ -126,6 +127,180 @@ impl FlowState {
     pub fn has_fresh(&self) -> bool {
         self.next_seq < self.npkts && !self.failed
     }
+
+    /// Data segment `seq` of this flow (table index `fid`) as it leaves
+    /// the sender's NIC under leaf `src_leaf`.
+    pub(crate) fn segment(&self, fid: FlowId, seq: u32, src_leaf: u16) -> Packet {
+        Packet {
+            kind: PacketKind::Data { flow: fid, seq },
+            src: self.src,
+            dst: self.dst,
+            size: self.seg_size(seq),
+            prio: self.prio,
+            tag: self.tag,
+            src_leaf,
+            ingress: None,
+            ce: false,
+        }
+    }
+
+    /// The retransmission timer guarding `seq`, armed at the segment's
+    /// current generation.
+    fn rto(&self, fid: FlowId, seq: u32, attempt: u32) -> EventKind {
+        let gen = self.rto_gen[seq as usize];
+        EventKind::Rto {
+            flow: fid,
+            seq,
+            attempt,
+            gen,
+        }
+    }
+
+    /// Sender: emit the next fresh segment, with the first timer to arm
+    /// for it. The caller has checked [`Self::has_fresh`].
+    pub(crate) fn send_fresh(&mut self, fid: FlowId, src_leaf: u16) -> (Packet, EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (self.segment(fid, seq, src_leaf), self.rto(fid, seq, 0))
+    }
+
+    /// True if a popped RTO timer no longer matters: the flow already gave
+    /// up, the segment was acknowledged, or its generation was bumped
+    /// (which [`Self::on_ack`] does on every fresh acknowledgement).
+    pub(crate) fn rto_is_stale(&self, seq: u32, gen: u32) -> bool {
+        self.failed || self.acked.get(seq) || self.rto_gen[seq as usize] != gen
+    }
+
+    /// Sender: the timer of `seq` fired after `attempt` retransmissions.
+    pub(crate) fn on_rto(
+        &mut self,
+        fid: FlowId,
+        seq: u32,
+        attempt: u32,
+        max_attempts: u32,
+        src_leaf: u16,
+    ) -> RtoOutcome {
+        if self.failed || self.acked.get(seq) {
+            return RtoOutcome::Stale;
+        }
+        if attempt >= max_attempts {
+            self.failed = true;
+            return RtoOutcome::GaveUp;
+        }
+        self.retx += 1;
+        RtoOutcome::Retransmit(
+            self.segment(fid, seq, src_leaf),
+            self.rto(fid, seq, attempt + 1),
+        )
+    }
+
+    /// Receiver: segment `seq` arrived at `now`. Returns `(newly received,
+    /// completed the message)`.
+    pub(crate) fn on_data(&mut self, seq: u32, now: SimTime) -> (bool, bool) {
+        let newly = self.rcvd.set(seq);
+        let completed = newly && self.rcvd.full();
+        if completed {
+            self.completed_at = Some(now);
+        }
+        (newly, completed)
+    }
+
+    /// Cumulative watermark: lowest sequence not yet received.
+    fn cum_rcvd(&self) -> u32 {
+        self.rcvd.first_clear().unwrap_or(self.npkts)
+    }
+
+    /// Receiver: fold the acknowledgement of `seq` (CE-marked if `ce`) into
+    /// the pending accumulator, `coalesce` sequences per block. Returns the
+    /// block to send now, if one filled up, and whether the caller must
+    /// schedule the flush timer of a freshly opened accumulator.
+    pub(crate) fn ack_data(
+        &mut self,
+        seq: u32,
+        ce: bool,
+        coalesce: u32,
+    ) -> (Option<AckBlock>, bool) {
+        let cum = self.cum_rcvd();
+        match &mut self.pending_ack {
+            None => {
+                let mut a = AckAccum::new(seq, ce);
+                if coalesce <= 1 {
+                    return (Some(a.block(cum)), false);
+                }
+                a.flush_scheduled = true;
+                self.pending_ack = Some(a);
+                (None, true)
+            }
+            Some(a) => {
+                if !a.add(seq, ce) {
+                    // Window overflow: emit the old block, restart under
+                    // the timer that is already running.
+                    let old = a.block(cum);
+                    *a = AckAccum {
+                        flush_scheduled: a.flush_scheduled,
+                        ..AckAccum::new(seq, ce)
+                    };
+                    (Some(old), false)
+                } else if a.count() >= coalesce {
+                    (self.pending_ack.take().map(|a| a.block(cum)), false)
+                } else {
+                    (None, false)
+                }
+            }
+        }
+    }
+
+    /// Receiver: the flush timer fired; whatever is pending goes out.
+    pub(crate) fn flush_ack(&mut self) -> Option<AckBlock> {
+        let cum = self.cum_rcvd();
+        self.pending_ack.take().map(|a| a.block(cum))
+    }
+
+    /// Sender: apply one ACK. Every *newly* acknowledged segment bumps its
+    /// timer generation (lazily cancelling the pending `Rto`) and, when
+    /// `echoes` is given, is reported there as `(seq, CE-marked)`. Returns
+    /// true when this ACK completed the flow's acknowledgement.
+    pub(crate) fn on_ack(
+        &mut self,
+        block: AckBlock,
+        mut echoes: Option<&mut Vec<(u32, bool)>>,
+    ) -> bool {
+        let was_done = self.fully_acked();
+        // Cumulative watermark first (heals any previously lost ACKs)…
+        let cum = block.cum.min(self.npkts);
+        while self.cum_acked < cum {
+            if self.acked.set(self.cum_acked) {
+                self.rto_gen[self.cum_acked as usize] += 1;
+                if let Some(e) = echoes.as_deref_mut() {
+                    // Watermark-healed segments carry no CE echo (a lost
+                    // ACK loses its marks; clean is the safe reading —
+                    // REPS just recycles one more entropy).
+                    e.push((self.cum_acked, false));
+                }
+            }
+            self.cum_acked += 1;
+        }
+        // …then the selective block.
+        for seq in block.seqs() {
+            if seq < self.npkts && self.acked.set(seq) {
+                self.rto_gen[seq as usize] += 1;
+                if let Some(e) = echoes.as_deref_mut() {
+                    e.push((seq, block.ce(seq)));
+                }
+            }
+        }
+        !was_done && self.fully_acked()
+    }
+}
+
+/// What [`FlowState::on_rto`] decided.
+pub(crate) enum RtoOutcome {
+    /// The flow failed or the segment was acknowledged meanwhile.
+    Stale,
+    /// Out of attempts: the flow is now failed.
+    GaveUp,
+    /// Send this packet again and arm this timer behind it.
+    Retransmit(Packet, EventKind),
 }
 
 /// Receiver-side accumulator that coalesces ACKs for up to 64 consecutive
@@ -256,6 +431,132 @@ mod tests {
         // CE echoes ride bit-parallel to the ack mask.
         assert!(!b.ce(100));
         assert!(b.ce(163));
+    }
+
+    fn ack(cum: u32, base: u32, mask: u64, ce_mask: u64) -> AckBlock {
+        AckBlock {
+            cum,
+            base,
+            mask,
+            ce_mask,
+        }
+    }
+
+    #[test]
+    fn ack_applies_the_watermark_then_the_block_and_bumps_each_timer_once() {
+        let mut f = flow(8 * 4096, 4096);
+        let mut echoes = Vec::new();
+        // Watermark covers 0..3; the block names 2 (again), 5 and 6, the
+        // last one CE-marked.
+        let block = ack(3, 2, 0b11001, 0b10000);
+        assert!(!f.on_ack(block, Some(&mut echoes)));
+        assert_eq!(f.cum_acked, 3);
+        assert_eq!(f.rto_gen, [1, 1, 1, 0, 0, 1, 1, 0]);
+        // Watermark-healed segments first and always clean, then the
+        // block's own with their marks; 2 is reported once.
+        assert_eq!(
+            echoes,
+            [(0, false), (1, false), (2, false), (5, false), (6, true)]
+        );
+        // The same ACK again acknowledges nothing new: no bump, no echo.
+        echoes.clear();
+        assert!(!f.on_ack(block, Some(&mut echoes)));
+        assert_eq!(f.rto_gen, [1, 1, 1, 0, 0, 1, 1, 0]);
+        assert!(echoes.is_empty());
+        assert!(f.rto_is_stale(5, 0), "acknowledged");
+        assert!(!f.rto_is_stale(3, 0));
+        // A watermark past the end is clamped; finishing reports done once.
+        assert!(f.on_ack(ack(99, 0, 0, 0), None), "feedback off: no echoes");
+        assert_eq!(f.rto_gen, [1; 8]);
+        assert!(f.fully_acked());
+        assert!(!f.on_ack(ack(99, 0, 0, 0), None), "already done");
+    }
+
+    #[test]
+    fn rto_retransmits_at_the_current_generation_until_attempts_run_out() {
+        let mut f = flow(3 * 4096 + 10, 4096);
+        let (pkt, rto) = f.send_fresh(7, 2);
+        let show = |p: &Packet| format!("{p:?}");
+        assert_eq!(show(&pkt), show(&f.segment(7, 0, 2)));
+        assert!(matches!(
+            rto,
+            EventKind::Rto {
+                flow: 7,
+                seq: 0,
+                attempt: 0,
+                gen: 0
+            }
+        ));
+        assert_eq!(
+            (f.next_seq, pkt.size, f.segment(7, 3, 2).size),
+            (1, 4096, 10)
+        );
+        match f.on_rto(7, 0, 0, 2, 2) {
+            RtoOutcome::Retransmit(
+                again,
+                EventKind::Rto {
+                    attempt: 1, gen: 0, ..
+                },
+            ) => {
+                assert_eq!(show(&again), show(&pkt))
+            }
+            _ => panic!("first timeout must retransmit"),
+        }
+        assert_eq!(f.retx, 1);
+        f.on_ack(ack(0, 0, 1, 0), None);
+        assert!(matches!(f.on_rto(7, 0, 1, 2, 2), RtoOutcome::Stale));
+        assert!(matches!(f.on_rto(7, 1, 2, 2, 2), RtoOutcome::GaveUp));
+        assert!(f.failed && !f.has_fresh());
+        assert!(matches!(f.on_rto(7, 2, 0, 2, 2), RtoOutcome::Stale));
+        assert_eq!(f.retx, 1);
+    }
+
+    #[test]
+    fn receiver_coalesces_flushes_and_restarts_under_the_running_timer() {
+        let mut f = flow(200 * 4096, 4096);
+        assert_eq!(f.on_data(1, SimTime::from_ns(5)), (true, false));
+        assert_eq!(
+            f.on_data(1, SimTime::from_ns(6)),
+            (false, false),
+            "duplicate"
+        );
+        // First sequence opens the accumulator and asks for the timer.
+        assert_eq!(f.ack_data(1, false, 3), (None, true));
+        assert_eq!(f.ack_data(2, true, 3), (None, false));
+        // Third fills it: the block goes out with the receive watermark
+        // (segment 0 is still missing) and the accumulator closes.
+        assert_eq!(
+            f.ack_data(3, false, 3),
+            (Some(ack(0, 1, 0b111, 0b010)), false)
+        );
+        assert_eq!(f.pending_ack, None);
+        // Window overflow: the old block goes out, the new one starts at
+        // the offending sequence and keeps `flush_scheduled` — the timer
+        // armed for the old one is still running, so none is asked for.
+        assert_eq!(f.ack_data(10, false, 8), (None, true));
+        assert_eq!(f.ack_data(100, true, 8), (Some(ack(0, 10, 1, 0)), false));
+        let restarted = f.pending_ack.expect("restarted");
+        assert_eq!((restarted.base, restarted.ce_mask), (100, 1));
+        assert!(restarted.flush_scheduled);
+        // A sequence below the base overflows the same way.
+        assert_eq!(f.ack_data(99, false, 8), (Some(ack(0, 100, 1, 1)), false));
+        assert!(f.pending_ack.is_some_and(|a| a.flush_scheduled));
+        // The timer takes whatever is pending, once.
+        f.on_data(0, SimTime::from_ns(9));
+        assert_eq!(f.flush_ack(), Some(ack(2, 99, 1, 0)));
+        assert_eq!(f.flush_ack(), None);
+        // No coalescing: every sequence is its own block, no timer.
+        assert_eq!(f.ack_data(7, false, 1), (Some(ack(2, 7, 1, 0)), false));
+        assert_eq!(f.pending_ack, None);
+    }
+
+    #[test]
+    fn completion_is_stamped_once() {
+        let mut f = flow(2 * 4096, 4096);
+        assert_eq!(f.on_data(1, SimTime::from_ns(3)), (true, false));
+        assert_eq!(f.on_data(0, SimTime::from_ns(8)), (true, true));
+        assert_eq!(f.on_data(0, SimTime::from_ns(9)), (false, false));
+        assert_eq!(f.completed_at, Some(SimTime::from_ns(8)));
     }
 
     #[test]

@@ -147,96 +147,6 @@ impl TimingWheel {
         }
     }
 
-    /// Consume the next sequence number without pushing (see
-    /// [`Scheduler::reserve_seq`]).
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Schedule `kind` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.reserve_seq();
-        self.stats.pushes += 1;
-        if at < self.cursor {
-            // The cursor overshot `at` (peek-ahead, or a popped-but-stale
-            // RTO timer); everything in the wheel/overflow is at or after
-            // the cursor, so this entry is due before all of it. Splice
-            // into the unconsumed tail of the due buffer, keeping
-            // (at, seq) order (`seq` is globally maximal, so it follows
-            // any equal-timestamp entry).
-            let e = Entry { at, seq, kind };
-            let mut i = self.due.len();
-            while i > self.due_pos && self.due[i - 1].at > e.at {
-                i -= 1;
-            }
-            self.due.insert(i, e);
-            self.stats.due_splices += 1;
-        } else {
-            self.file(Entry { at, seq, kind });
-        }
-        self.len += 1;
-        self.stats.max_pending = self.stats.max_pending.max(self.len as u64);
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        self.ensure_due();
-        let e = self.due.get(self.due_pos)?;
-        self.due_pos += 1;
-        self.len -= 1;
-        self.stats.pops += 1;
-        Some((e.at, e.kind))
-    }
-
-    /// Pop the earliest event if it is due at or before `horizon`.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        self.ensure_due();
-        let e = self.due.get(self.due_pos)?;
-        if e.at > horizon {
-            return None;
-        }
-        self.due_pos += 1;
-        self.len -= 1;
-        self.stats.pops += 1;
-        Some((e.at, e.kind))
-    }
-
-    /// Timestamp of the next event without removing it. `&mut` because the
-    /// wheel advances its cursor lazily on peek.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.ensure_due();
-        self.due.get(self.due_pos).map(|e| e.at)
-    }
-
-    /// `(timestamp, sequence)` of the next event without removing it.
-    pub fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        self.ensure_due();
-        self.due.get(self.due_pos).map(|e| (e.at, e.seq))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total events ever pushed (monotonic; excludes reservations).
-    pub fn scheduled(&self) -> u64 {
-        self.stats.pushes
-    }
-
-    /// Lifetime occupancy counters.
-    pub fn stats(&self) -> SchedStats {
-        self.stats
-    }
-
     /// Visit every pending entry (memo snapshot): filed slots, the overflow
     /// spill and the unread due-buffer tail. Order is internal, not pop
     /// order.
@@ -435,37 +345,54 @@ impl TimingWheel {
 
 impl Scheduler for TimingWheel {
     fn push(&mut self, at: SimTime, kind: EventKind) {
-        TimingWheel::push(self, at, kind);
+        let seq = self.reserve_seq();
+        self.stats.pushes += 1;
+        if at < self.cursor {
+            // The cursor overshot `at` (peek-ahead, or a popped-but-stale
+            // RTO timer); everything in the wheel/overflow is at or after
+            // the cursor, so this entry is due before all of it. Splice
+            // into the unconsumed tail of the due buffer, keeping
+            // (at, seq) order (`seq` is globally maximal, so it follows
+            // any equal-timestamp entry).
+            let e = Entry { at, seq, kind };
+            let mut i = self.due.len();
+            while i > self.due_pos && self.due[i - 1].at > e.at {
+                i -= 1;
+            }
+            self.due.insert(i, e);
+            self.stats.due_splices += 1;
+        } else {
+            self.file(Entry { at, seq, kind });
+        }
+        self.len += 1;
+        self.stats.max_pending = self.stats.max_pending.max(self.len as u64);
     }
+    #[inline]
     fn reserve_seq(&mut self) -> u64 {
-        TimingWheel::reserve_seq(self)
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        TimingWheel::pop(self)
-    }
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        TimingWheel::pop_at_or_before(self, horizon)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        TimingWheel::peek_time(self)
+        self.ensure_due();
+        let e = self.due.get(self.due_pos)?;
+        self.due_pos += 1;
+        self.len -= 1;
+        self.stats.pops += 1;
+        Some((e.at, e.kind))
     }
     fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        TimingWheel::peek_next(self)
+        self.ensure_due();
+        self.due.get(self.due_pos).map(|e| (e.at, e.seq))
     }
     fn len(&self) -> usize {
-        TimingWheel::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        TimingWheel::is_empty(self)
-    }
-    fn scheduled(&self) -> u64 {
-        TimingWheel::scheduled(self)
+        self.len
     }
     fn kind(&self) -> SchedKind {
         SchedKind::Wheel
     }
     fn stats(&self) -> SchedStats {
-        TimingWheel::stats(self)
+        self.stats
     }
 }
 
@@ -537,56 +464,41 @@ mod tests {
         let mut w = TimingWheel::new();
         let (t, k) = wake(55, 0);
         w.push(t, k);
-        assert_eq!(w.peek_time(), Some(SimTime::from_ns(55)));
+        assert_eq!(w.peek_next(), Some((SimTime::from_ns(55), 0)));
         assert_eq!(w.len(), 1);
         w.pop();
         assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.peek_next(), None);
     }
 
     #[test]
     fn peek_tracks_pushes_and_pops() {
         // Mirror of the heap's cached-`next_at` invariant test.
         let mut w = TimingWheel::new();
-        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.peek_next(), None);
         let (t, k) = wake(50, 0);
         w.push(t, k);
         let (t, k) = wake(10, 1);
         w.push(t, k);
         let (t, k) = wake(30, 2);
         w.push(t, k);
-        assert_eq!(w.peek_time(), Some(SimTime::from_ns(10)));
+        assert_eq!(w.peek_next(), Some((SimTime::from_ns(10), 1)));
         w.pop();
-        assert_eq!(w.peek_time(), Some(SimTime::from_ns(30)));
+        assert_eq!(w.peek_next(), Some((SimTime::from_ns(30), 2)));
         w.pop();
         w.pop();
-        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.peek_next(), None);
     }
 
     #[test]
-    fn pop_at_or_before_respects_horizon() {
-        let mut w = TimingWheel::new();
-        for (t, k) in [wake(10, 0), wake(20, 1), wake(30, 2)] {
-            w.push(t, k);
-        }
-        assert!(w.pop_at_or_before(SimTime::from_ns(5)).is_none());
-        let (at, _) = w.pop_at_or_before(SimTime::from_ns(20)).unwrap();
-        assert_eq!(at.as_ns(), 10);
-        let (at, _) = w.pop_at_or_before(SimTime::from_ns(20)).unwrap();
-        assert_eq!(at.as_ns(), 20);
-        assert!(w.pop_at_or_before(SimTime::from_ns(20)).is_none());
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn scheduled_counts_all_pushes() {
+    fn pushes_count_every_push_ever_made() {
         let mut w = TimingWheel::new();
         for i in 0..5u64 {
             let (t, k) = wake(i, i);
             w.push(t, k);
         }
         w.pop();
-        assert_eq!(w.scheduled(), 5);
+        assert_eq!(w.stats().pushes, 5);
     }
 
     #[test]
@@ -657,7 +569,7 @@ mod tests {
         let (t, k) = wake(1_000, 1);
         w.push(t, k);
         assert_eq!(w.pop().map(|(t, k)| (t.as_ns(), token(k))), Some((10, 0)));
-        assert_eq!(w.peek_time(), Some(SimTime::from_ns(1_000))); // cursor → 1000
+        assert_eq!(w.peek_next(), Some((SimTime::from_ns(1_000), 1))); // cursor → 1000
         let (t, k) = wake(500, 2);
         w.push(t, k);
         let (t, k) = wake(200, 3);

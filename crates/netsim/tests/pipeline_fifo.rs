@@ -202,7 +202,7 @@ proptest! {
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a, b, "backends dispatched different sequences");
-                let (hs, ws) = (Scheduler::stats(&heap), wheel.stats());
+                let (hs, ws) = (heap.stats(), wheel.stats());
                 prop_assert_eq!(hs.pushes, ws.pushes);
                 prop_assert_eq!(hs.pops, ws.pops);
                 prop_assert_eq!(hs.pushes, hs.pops, "drained: pushes == pops");

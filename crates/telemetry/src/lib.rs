@@ -86,6 +86,23 @@ pub fn env_setting<T>(
     parse_setting(var, raw.as_deref(), expected, parse).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// What every on/off `FP_*` setting accepts.
+fn toggle(v: &str) -> Option<bool> {
+    match v {
+        "1" | "on" | "true" | "yes" => Some(true),
+        "0" | "off" | "false" | "no" => Some(false),
+        _ => None,
+    }
+}
+
+/// An on/off setting (`FP_QUICK`, `FP_MEMO`, `FP_MEMO_DEBUG`) from the
+/// process environment: off when unset or empty, like every default;
+/// anything but `1|on|true|yes` / `0|off|false|no` panics, see
+/// [`env_setting`].
+pub fn env_toggle(var: &str) -> bool {
+    env_setting(var, "1|on|true|yes or 0|off|false|no", toggle).unwrap_or(false)
+}
+
 /// What `FP_TELEMETRY_INTERVAL_NS` accepts: a positive count of nanoseconds.
 fn positive_ns(v: &str) -> Option<u64> {
     v.parse().ok().filter(|&ns| ns > 0)
@@ -120,6 +137,21 @@ mod tests {
             Err("FP_X=\"1k\" not recognized (expected a count)".into()),
             "the error names the variable and the value"
         );
+    }
+
+    #[test]
+    fn toggles_read_on_off_or_refuse() {
+        let t = |raw| parse_setting("FP_QUICK", raw, "on or off", toggle);
+        for on in ["1", "on", "true", "yes"] {
+            assert_eq!(t(Some(on)), Ok(Some(true)));
+        }
+        for off in ["0", "off", "false", "no"] {
+            assert_eq!(t(Some(off)), Ok(Some(false)), "{off:?} used to mean on");
+        }
+        assert_eq!(t(Some("")), Ok(None), "empty is unset, not on");
+        for bad in ["ture", "On", "2"] {
+            assert!(t(Some(bad)).is_err(), "{bad:?} used to mean on");
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> benchmark/ builds against the changed crates"
+# benchmark/ is a package of its own (frozen for most PRs) that links
+# public symbols of every crate and that nothing else here builds: the
+# first thing a refactor breaks, so it comes before the tests.
+(cd benchmark && cargo build --offline --release)
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
@@ -31,15 +37,30 @@ if git grep -nE "$gone" -- crates src examples tests scripts |
 fi
 echo "    none under crates/ src/ examples/ tests/ scripts/"
 
+echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
+# Only the agenda (pipeline.rs), the schedulers under it and in-crate test
+# modules may name the containers or reserve a sequence number. The
+# bracket keeps this line from matching itself.
+inside='reserve_se[q]|CLASS_PIP[E]|ClassPipe[s]|FrontHea[p]'
+if git grep --untracked -nE "$inside" -- crates/netsim/src |
+    grep -vE '^crates/netsim/src/(pipeline|engine|wheel|[a-z_]*_tests)\.rs:'; then
+    echo "    a container leaked out of the agenda (lines above)" >&2
+    exit 1
+fi
+echo "    clean outside pipeline.rs, engine.rs, wheel.rs and *_tests.rs"
+
+echo "==> fp-netsim non-test lines (each file up to its 'mod tests', *_tests.rs left out)"
+for f in crates/netsim/src/*.rs crates/netsim/src/*/*.rs; do
+    [[ "$f" == *_tests.rs ]] || echo "$(awk '/^mod tests/{exit} {n++} END{print n}' "$f") $f"
+done | sort -rn | awk '{s += $1; printf "    %5d %s\n", $1, $2} END {printf "    %5d total\n", s}'
+
 echo "==> benchmark/: its own tests, then 3-s checked runs of all six workloads"
-# benchmark/ is a package of its own that links public symbols of every
-# crate; nothing above builds it. Seed 1 also compares event, packet,
-# retransmit, drop and alarm counts with benchmark/expected.json, so a
-# change in simulated behaviour fails here — on the paper's own fabric
-# (paper_live) and through the 2-thread campaign pool (sweep_small) as
-# well; monitord_ingest checks the live service against an offline Monitor
-# stream by stream (every snapshot processed, every stream closed, alarm
-# JSON equal).
+# Seed 1 also compares event, packet, retransmit, drop and alarm counts
+# with benchmark/expected.json, so a change in simulated behaviour fails
+# here — on the paper's own fabric (paper_live) and through the 2-thread
+# campaign pool (sweep_small) as well; monitord_ingest checks the live
+# service against an offline Monitor stream by stream (every snapshot
+# processed, every stream closed, alarm JSON equal).
 (cd benchmark && cargo test --offline -q)
 for w in paper_live steady_adaptive steady_leastloaded fault_loop sweep_small monitord_ingest; do
     # stderr stays on the terminal so a build failure or panic is visible.
@@ -85,7 +106,7 @@ done
 echo "==> FP_* typos: a mistyped toggle must stop a sweep, not run the default"
 # headline is the binary that reads the sampler interval (and only with
 # FP_TELEMETRY set); every other toggle is read by any sweep.
-for bad in FP_SPRAY=ecpm FP_MEMO=On FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
+for bad in FP_SPRAY=ecpm FP_MEMO=On FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
     bin=fig5a
     [[ "$bad" == FP_TELEMETRY_INTERVAL_NS=* ]] && bin=headline
     if env FP_QUICK=1 FP_RESULTS="$tsp/typo" FP_TELEMETRY="$tsp/typo_tel" "$bad" \
@@ -95,7 +116,7 @@ for bad in FP_SPRAY=ecpm FP_MEMO=On FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms
     fi
     grep -qF "${bad%%=*}=\"${bad#*=}\" not recognized" "$tsp/typo.err"
 done
-echo "    refused by name and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_THREADS=four (fig5a)," \
+echo "    refused by name and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_QUICK=ture, FP_THREADS=four (fig5a)," \
     "FP_TELEMETRY_INTERVAL_NS=1ms (headline)"
 
 echo "==> E11 smoke: quick spray x mitigation cross, 1 vs 4 threads"
