@@ -32,8 +32,6 @@ struct Case {
     scenario: &'static str,
     spec: TrialSpec,
     ctrl: CtrlConfig,
-    /// Fault onset iteration (0 = fault-free run).
-    onset: u32,
 }
 
 #[derive(Serialize)]
@@ -57,36 +55,14 @@ struct Row {
     recovered: bool,
 }
 
-fn goodput(r: &TrialResult, iter: u32) -> f64 {
-    r.iter_goodput
-        .iter()
-        .find(|&&(i, _)| i == iter)
-        .map(|&(_, g)| g)
-        .unwrap_or(0.0)
-}
-
 fn row_of(case: &Case, r: &TrialResult) -> Row {
-    let iters = r.iter_goodput.len() as u32;
-    let onset = case.onset;
-    let pre_to = if onset == 0 { iters } else { onset };
-    let pre: Vec<f64> = (0..pre_to).map(|i| goodput(r, i)).collect();
-    let pre_bps = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-    let during_to = r
-        .ctrl
-        .as_ref()
-        .and_then(|c| c.mitigate_iter)
-        .unwrap_or(iters)
-        .min(iters);
-    let during_bps = (onset..during_to.max(onset + 1).min(iters))
-        .map(|i| goodput(r, i))
-        .fold(f64::INFINITY, f64::min);
-    let during_bps = if during_bps.is_finite() {
-        during_bps
-    } else {
-        pre_bps
-    };
-    let post_bps = goodput(r, iters - 1);
     let c = r.ctrl.as_ref();
+    // A fault-free run (onset 0) counts its whole trajectory as "pre".
+    let g = goodput_phases(
+        &r.iter_goodput,
+        r.fault_iter.unwrap_or(0),
+        c.and_then(|c| c.mitigate_iter),
+    );
     let verb_count = |verb: &str| {
         c.map(|c| c.actions.iter().filter(|a| a.detail.contains(verb)).count() as u32)
             .unwrap_or(0)
@@ -103,10 +79,10 @@ fn row_of(case: &Case, r: &TrialResult) -> Row {
         admin_downs: verb_count("admin_down"),
         recycles: verb_count("recycle_entropy"),
         flows_failed: r.stats.flows_failed,
-        pre_bps,
-        during_bps,
-        post_bps,
-        recovered: onset > 0 && post_bps >= 0.95 * pre_bps,
+        pre_bps: g.pre_bps,
+        during_bps: g.during_bps,
+        post_bps: g.post_bps,
+        recovered: g.recovered,
     }
 }
 
@@ -163,7 +139,6 @@ fn main() {
                     mitigation: mit,
                     ..CtrlConfig::default()
                 },
-                onset: ONSET,
             });
         }
         // Fault-free column: detection quality on a healthy fabric — the
@@ -176,7 +151,6 @@ fn main() {
             scenario: "clean",
             spec: clean,
             ctrl: CtrlConfig::default(),
-            onset: 0,
         });
     }
 
@@ -231,32 +205,21 @@ fn main() {
         );
     }
 
-    if let Some(dir) = fp_telemetry::dir_from_env() {
-        let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
-        let mut m = fp_bench::campaign_manifest(
-            "e11_spray",
-            campaign.threads(),
-            &specs,
-            &results,
-            wall_us_total,
-        );
-        m.ctrl = serde::Value::Map(
-            cases
-                .iter()
-                .map(|c| {
-                    (
-                        format!("{}/{}/{}", c.backend, c.mitigation, c.scenario),
-                        c.ctrl.to_value(),
-                    )
-                })
-                .collect(),
-        );
-        let mdir = dir.join("e11_spray");
-        match m.write(&mdir) {
-            Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
-            Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
-        }
-    }
+    let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
+    let ctrl = cases
+        .iter()
+        .map(|c| {
+            let key = format!("{}/{}/{}", c.backend, c.mitigation, c.scenario);
+            (key, c.ctrl.to_value())
+        })
+        .collect();
+    campaign.write_manifest(
+        "e11_spray",
+        &specs,
+        &results,
+        wall_us_total,
+        serde::Value::Map(ctrl),
+    );
     save_json("e11_spray", &rows);
 
     // The acceptance bar stays up in quick mode: the headline rows are in

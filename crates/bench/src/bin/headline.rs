@@ -45,10 +45,9 @@ fn main() {
     // With FP_TELEMETRY=dir, ride a full RunRecorder along: link samples,
     // FCT/RTO/PFC histograms, structured events and a Chrome trace land in
     // $FP_TELEMETRY/headline/ next to the run's manifest.
-    let telemetry = fp_telemetry::dir_from_env().map(|d| d.join("headline"));
-    let recorder = telemetry.clone().map(|d| {
+    let recorder = fp_telemetry::dir_from_env().map(|d| {
         Box::new(
-            fp_telemetry::RunRecorder::new(d)
+            fp_telemetry::RunRecorder::new(d.join("headline"))
                 .with_interval_ns(fp_telemetry::sample_interval_from_env()),
         ) as Box<dyn fp_telemetry::Recorder>
     });
@@ -67,18 +66,13 @@ fn main() {
         r.sched.pushes,
         r.stats.events
     );
-    if let Some(dir) = &telemetry {
-        fp_bench::campaign_manifest(
-            "headline",
-            1,
-            std::slice::from_ref(&spec),
-            std::slice::from_ref(&r),
-            wall_us,
-        )
-        .write(dir)
-        .expect("write manifest");
-        println!("[telemetry {}]", dir.display());
-    }
+    fp_bench::Campaign::with_threads(1).write_manifest(
+        "headline",
+        std::slice::from_ref(&spec),
+        std::slice::from_ref(&r),
+        wall_us,
+        serde::Value::Null,
+    );
     let (clean, faulty) = flowpulse::eval::split_devs(&r);
     let clean_max = clean.iter().cloned().fold(0.0, f64::max);
     let faulty_max = faulty.iter().cloned().fold(0.0, f64::max);

@@ -20,8 +20,6 @@ struct Case {
     label: String,
     spec: TrialSpec,
     ctrl: Option<CtrlConfig>,
-    /// Fault onset iteration (0 = fault-free run).
-    onset: u32,
 }
 
 #[derive(Serialize)]
@@ -40,38 +38,14 @@ struct Row {
     recovered: bool,
 }
 
-fn goodput(r: &TrialResult, iter: u32) -> f64 {
-    r.iter_goodput
-        .iter()
-        .find(|&&(i, _)| i == iter)
-        .map(|&(_, g)| g)
-        .unwrap_or(0.0)
-}
-
 fn row_of(case: &Case, r: &TrialResult) -> Row {
-    let iters = r.iter_goodput.len() as u32;
-    let onset = case.onset;
-    // Pre-fault mean; for fault-free runs the whole trajectory counts.
-    let pre_to = if onset == 0 { iters } else { onset };
-    let pre: Vec<f64> = (0..pre_to).map(|i| goodput(r, i)).collect();
-    let pre_bps = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-    // During: worst iteration while the fault burned unmitigated.
-    let during_to = r
-        .ctrl
-        .as_ref()
-        .and_then(|c| c.mitigate_iter)
-        .unwrap_or(iters)
-        .min(iters);
-    let during_bps = (onset..during_to.max(onset + 1).min(iters))
-        .map(|i| goodput(r, i))
-        .fold(f64::INFINITY, f64::min);
-    let during_bps = if during_bps.is_finite() {
-        during_bps
-    } else {
-        pre_bps
-    };
-    let post_bps = goodput(r, iters - 1);
     let c = r.ctrl.as_ref();
+    // A fault-free run (onset 0) counts its whole trajectory as "pre".
+    let g = goodput_phases(
+        &r.iter_goodput,
+        r.fault_iter.unwrap_or(0),
+        c.and_then(|c| c.mitigate_iter),
+    );
     Row {
         label: case.label.clone(),
         controller: case.ctrl.is_some(),
@@ -84,10 +58,10 @@ fn row_of(case: &Case, r: &TrialResult) -> Row {
         tt_mitigate_ns: c.and_then(|c| c.time_to_mitigate_ns),
         mitigate_iter: c.and_then(|c| c.mitigate_iter),
         false_mitigations: c.map(|c| c.false_mitigations).unwrap_or(0),
-        pre_bps,
-        during_bps,
-        post_bps,
-        recovered: onset > 0 && post_bps >= 0.95 * pre_bps,
+        pre_bps: g.pre_bps,
+        during_bps: g.during_bps,
+        post_bps: g.post_bps,
+        recovered: g.recovered,
     }
 }
 
@@ -131,14 +105,12 @@ fn main() {
                         reaction_latency: SimDuration::from_us(us),
                         ..CtrlConfig::default()
                     }),
-                    onset,
                 });
             }
             cases.push(Case {
                 label: format!("{kname}@{onset} baseline"),
                 spec,
                 ctrl: None,
-                onset,
             });
         }
     }
@@ -152,7 +124,6 @@ fn main() {
                 ..base.clone()
             },
             ctrl: Some(CtrlConfig::default()),
-            onset: 0,
         });
     }
 
@@ -201,37 +172,23 @@ fn main() {
     }
 
     // With FP_TELEMETRY=dir: the campaign manifest, with the controller
-    // sweep parameters attached.
-    if let Some(dir) = fp_telemetry::dir_from_env() {
-        let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
-        let mut m = fp_bench::campaign_manifest(
-            "mitigation",
-            campaign.threads(),
-            &specs,
-            &results,
-            wall_us_total,
-        );
-        // Attach the controller sweep: which cells ran closed-loop, with
-        // what knobs (Null stays the controller-less marker elsewhere).
-        m.ctrl = serde::Value::Map(
-            cases
-                .iter()
-                .map(|c| {
-                    (
-                        c.label.clone(),
-                        c.ctrl
-                            .map(|cfg| cfg.to_value())
-                            .unwrap_or(serde::Value::Null),
-                    )
-                })
-                .collect(),
-        );
-        let mdir = dir.join("mitigation");
-        match m.write(&mdir) {
-            Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
-            Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
-        }
-    }
+    // sweep attached — which cells ran closed-loop, with what knobs (Null
+    // stays the controller-less marker).
+    let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
+    let ctrl = cases
+        .iter()
+        .map(|c| {
+            let cfg = c.ctrl.map_or(serde::Value::Null, |cfg| cfg.to_value());
+            (c.label.clone(), cfg)
+        })
+        .collect();
+    campaign.write_manifest(
+        "mitigation",
+        &specs,
+        &results,
+        wall_us_total,
+        serde::Value::Map(ctrl),
+    );
     save_json("mitigation", &rows);
 
     if fp_bench::quick() {

@@ -65,7 +65,10 @@ fn main() {
         }
     };
     let spec: TrialSpec = serde_json::from_str(&raw).expect("parse TrialSpec JSON");
-    spec.sim.validate().expect("invalid sim config");
+    if let Err(e) = spec.validate() {
+        eprintln!("invalid TrialSpec: {e}");
+        std::process::exit(2);
+    }
     let r = run_trial(&spec);
     let summary = Summary {
         detected: r.detected,

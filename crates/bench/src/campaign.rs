@@ -73,15 +73,33 @@ impl Campaign {
         let t0 = Instant::now();
         let results = self.run(specs);
         let wall_us_total = t0.elapsed().as_micros() as u64;
-        if let Some(dir) = fp_telemetry::dir_from_env() {
-            let mdir = dir.join(name);
-            match campaign_manifest(name, self.threads, specs, &results, wall_us_total).write(&mdir)
-            {
-                Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
-                Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
-            }
-        }
+        self.write_manifest(name, specs, &results, wall_us_total, serde::Value::Null);
         results
+    }
+
+    /// When `FP_TELEMETRY` is set, write the [`campaign_manifest`] of a
+    /// finished campaign to `$FP_TELEMETRY/<name>/manifest.json`; nothing
+    /// otherwise. `ctrl` is the controller sweep that rode it (`Null` for
+    /// controller-less campaigns). A manifest that cannot be written is a
+    /// warning, not a failed sweep.
+    pub fn write_manifest(
+        &self,
+        name: &str,
+        specs: &[TrialSpec],
+        results: &[TrialResult],
+        wall_us_total: u64,
+        ctrl: serde::Value,
+    ) {
+        let Some(dir) = fp_telemetry::dir_from_env() else {
+            return;
+        };
+        let mut m = campaign_manifest(name, self.threads, specs, results, wall_us_total);
+        m.ctrl = ctrl;
+        let mdir = dir.join(name);
+        match m.write(&mdir) {
+            Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
+            Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
+        }
     }
 }
 
@@ -111,7 +129,7 @@ fn aggregate_memo(results: &[TrialResult]) -> (u64, u64) {
 /// Build the self-describing [`fp_telemetry::Manifest`] for one campaign
 /// from its specs, their results (same order) and the wall-clock the
 /// whole campaign took.
-pub fn campaign_manifest(
+fn campaign_manifest(
     name: &str,
     threads: usize,
     specs: &[TrialSpec],

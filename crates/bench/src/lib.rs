@@ -25,7 +25,7 @@
 
 pub mod campaign;
 
-pub use campaign::{campaign_manifest, Campaign};
+pub use campaign::Campaign;
 
 use serde::Serialize;
 use std::io::Write;
@@ -46,9 +46,17 @@ pub fn pick<T>(full: T, quick_v: T) -> T {
     }
 }
 
-/// Output directory for JSON result rows.
+/// Where `FP_RESULTS` points: the given directory, or `results` when the
+/// variable is unset or empty (an empty path would be the current
+/// directory). Any non-empty value is taken as is, UTF-8 or not.
+fn results_dir(var: Option<std::ffi::OsString>) -> PathBuf {
+    var.filter(|v| !v.is_empty())
+        .map_or_else(|| "results".into(), PathBuf::from)
+}
+
+/// Output directory for JSON result rows (`FP_RESULTS`, default `results`).
 pub fn out_dir() -> PathBuf {
-    let d = PathBuf::from(std::env::var("FP_RESULTS").unwrap_or_else(|_| "results".into()));
+    let d = results_dir(std::env::var_os("FP_RESULTS"));
     std::fs::create_dir_all(&d).expect("create results dir");
     d
 }
@@ -87,6 +95,19 @@ mod tests {
             assert_eq!(pick(10, 2), 10);
         } else {
             assert_eq!(pick(10, 2), 2);
+        }
+    }
+
+    #[test]
+    fn results_dir_defaults_when_unset_or_empty() {
+        assert_eq!(results_dir(None), PathBuf::from("results"));
+        assert_eq!(results_dir(Some("".into())), PathBuf::from("results"));
+        assert_eq!(results_dir(Some("out/x".into())), PathBuf::from("out/x"));
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let raw = std::ffi::OsString::from_vec(vec![b'r', 0xff]);
+            assert_eq!(results_dir(Some(raw.clone())), PathBuf::from(raw));
         }
     }
 

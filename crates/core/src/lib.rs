@@ -25,7 +25,8 @@
 //!
 //! [`baselines`] implements the spatial-symmetry check and a
 //! Pingmesh-style prober for comparison; [`eval`] is the end-to-end trial
-//! harness behind every figure reproduction in `fp-bench`.
+//! harness behind every figure reproduction in `fp-bench` — one pipeline,
+//! spec → run → score.
 //!
 //! ## Quick example
 //!
@@ -76,9 +77,9 @@ pub mod prelude {
     };
     pub use crate::detector::{Detector, Deviation};
     pub use crate::eval::{
-        monitord_feed, roc_curve, run_trial, run_trial_ctl, run_trial_with, CollectiveKind,
-        CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary, FaultSpec, InjectedFault, ModelKind,
-        Rates, RocPoint, TrialController, TrialResult, TrialSpec,
+        goodput_phases, monitord_feed, roc_curve, run_trial, run_trial_ctl, run_trial_with,
+        CollectiveKind, CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary, FaultSpec, GoodputPhases,
+        InjectedFault, ModelKind, Rates, RocPoint, TrialController, TrialResult, TrialSpec,
     };
     pub use crate::learned::{LearnedModel, LearnedUpdate};
     pub use crate::localizer::{Localizer, PortVerdict, RingLocalization};

@@ -21,6 +21,7 @@
 //!   reports across leaves pins the cable.
 
 use crate::model::PortSrcLoads;
+use crate::monitor::{shortfall_ports, Alarm};
 use serde::{Deserialize, Serialize};
 
 /// Verdict for one alarmed port from per-sender comparison.
@@ -130,6 +131,19 @@ impl Localizer {
         out.cables.dedup();
         out.unpaired.sort_unstable();
         out
+    }
+
+    /// [`localize_ring`](Localizer::localize_ring) straight from alarms, for
+    /// a ring laid out one node per leaf in leaf order (`succ(l) = (l + 1)
+    /// mod leaves`, the layout `eval::build_schedule` produces): the
+    /// alarms' shortfall ports ([`shortfall_ports`]) are the evidence. No
+    /// shortfall at all yields the empty verdict.
+    pub fn localize_ring_alarms<'a>(
+        &self,
+        alarms: impl IntoIterator<Item = &'a Alarm>,
+        leaves: u32,
+    ) -> RingLocalization {
+        self.localize_ring(&shortfall_ports(alarms), |l| (l + 1) % leaves)
     }
 }
 

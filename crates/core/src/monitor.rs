@@ -240,20 +240,21 @@ impl Monitor {
             .filter(move |a| a.fresh && a.iter >= from)
     }
 
-    /// Export alarms into a telemetry recorder as structured
-    /// [`fp_telemetry::Event::Alarm`]s. Only *fresh* alarms are exported —
-    /// one per fault episode, not one per iteration (see [`Alarm::fresh`]).
-    /// `verdict` attaches each alarm's localization verdict, when one is
-    /// known. Monitoring is post-hoc (counters are scanned after the run),
-    /// so the caller supplies the simulated time `at_ns` the scan is
-    /// attributed to — conventionally the end-of-run clock.
+    /// Export `alarms` (a monitor's, or a finished trial's) into a
+    /// telemetry recorder as structured [`fp_telemetry::Event::Alarm`]s.
+    /// Only *fresh* alarms are exported — one per fault episode, not one
+    /// per iteration (see [`Alarm::fresh`]). `verdict` attaches each
+    /// alarm's localization verdict, when one is known. Monitoring is
+    /// post-hoc (counters are scanned after the run), so the caller
+    /// supplies the simulated time `at_ns` the scan is attributed to —
+    /// conventionally the end-of-run clock.
     pub fn export_alarms(
-        &self,
+        alarms: &[Alarm],
         at_ns: u64,
         rec: &mut dyn fp_telemetry::Recorder,
         verdict: impl Fn(&Alarm) -> Option<String>,
     ) {
-        for a in self.alarms.iter().filter(|a| a.fresh) {
+        for a in alarms.iter().filter(|a| a.fresh) {
             let worst_rel = a
                 .deviations
                 .iter()
@@ -282,32 +283,42 @@ impl Monitor {
     /// Alarmed `(leaf, vspine)` ports across all iterations ≥ `from`
     /// (input for ring localization).
     pub fn alarmed_ports(&self, from: u32) -> Vec<(u32, u32)> {
-        self.collect_ports(from, |_| true)
+        collect_ports(self.alarms.iter().filter(|a| a.iter >= from), |_| true)
     }
 
-    /// Alarmed ports showing a *shortfall* (observed < expected). Fault
-    /// localization reasons about reduced traffic (§5.3); ports that merely
-    /// absorbed the retransmitted excess are excluded here.
+    /// Alarmed ports showing a *shortfall* ([`shortfall_ports`]) across all
+    /// iterations ≥ `from`.
     pub fn shortfall_ports(&self, from: u32) -> Vec<(u32, u32)> {
-        self.collect_ports(from, |rel| rel < 0.0)
+        shortfall_ports(self.alarms.iter().filter(|a| a.iter >= from))
     }
+}
 
-    fn collect_ports(&self, from: u32, keep: impl Fn(f64) -> bool) -> Vec<(u32, u32)> {
-        let mut v: Vec<(u32, u32)> = self
-            .alarms
-            .iter()
-            .filter(|a| a.iter >= from)
-            .flat_map(|a| {
-                a.deviations
-                    .iter()
-                    .filter(|d| keep(d.rel))
-                    .map(|d| (d.leaf, d.vspine))
-            })
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
+/// The `(leaf, vspine)` ports of `alarms` showing a *shortfall* (observed <
+/// expected), sorted and deduplicated. Fault localization reasons about
+/// reduced traffic (§5.3); ports that merely absorbed the retransmitted
+/// excess are excluded. The one alarm → ports reduction: the offline
+/// monitor, `fp-ctrl` and `fp-monitord` all localize from this list
+/// ([`Localizer::localize_ring_alarms`](crate::localizer::Localizer::localize_ring_alarms)).
+pub fn shortfall_ports<'a>(alarms: impl IntoIterator<Item = &'a Alarm>) -> Vec<(u32, u32)> {
+    collect_ports(alarms, |rel| rel < 0.0)
+}
+
+fn collect_ports<'a>(
+    alarms: impl IntoIterator<Item = &'a Alarm>,
+    keep: impl Fn(f64) -> bool,
+) -> Vec<(u32, u32)> {
+    let mut v: Vec<(u32, u32)> = alarms
+        .into_iter()
+        .flat_map(|a| {
+            a.deviations
+                .iter()
+                .filter(|d| keep(d.rel))
+                .map(|d| (d.leaf, d.vspine))
+        })
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 #[cfg(test)]
@@ -564,7 +575,9 @@ mod tests {
         let mut m = Monitor::new_fixed(1, Detector::new(0.01), prediction(1000.0, 1000.0));
         m.scan(&s, true);
         let mut c = Collect(Vec::new());
-        m.export_alarms(42, &mut c, |a| Some(format!("cable({},0)", a.leaf)));
+        Monitor::export_alarms(&m.alarms, 42, &mut c, |a| {
+            Some(format!("cable({},0)", a.leaf))
+        });
         assert_eq!(c.0.len(), 1, "one export per episode, not per iteration");
         assert_eq!(
             c.0[0],

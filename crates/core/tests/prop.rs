@@ -143,6 +143,48 @@ proptest! {
         prop_assert_eq!(loc.cables, vec![(leaf, v)]);
         prop_assert!(loc.unpaired.is_empty());
     }
+
+    /// The shared alarm → ports reduction (what `fp-ctrl` and `fp-monitord`
+    /// localize from) is the offline monitor's `shortfall_ports`, and the
+    /// ring verdict taken straight from alarms is the one taken from those
+    /// ports — over any alarm history, from any starting iteration.
+    #[test]
+    fn alarm_to_ports_reduction_matches_the_monitor(
+        // Per iteration, per port: short, on target or over.
+        history in proptest::collection::vec(proptest::collection::vec(0usize..3, 12), 1..8),
+        from in 0u32..8,
+    ) {
+        use flowpulse::monitor::shortfall_ports;
+        use fp_netsim::packet::CollectiveTag;
+        const LEAVES: u32 = 4;
+        const VSPINES: u32 = 3;
+        let mut counters = fp_netsim::counters::CounterStore::new(LEAVES as usize, VSPINES as usize);
+        for (iter, ports) in (0u32..).zip(&history) {
+            for (port, &level) in (0u32..).zip(ports) {
+                let tag = CollectiveTag { job: 1, iter };
+                let bytes = [900, 1000, 1100][level];
+                counters.record(port / VSPINES, port % VSPINES, tag, 0, bytes, fp_netsim::time::SimTime::ZERO);
+            }
+        }
+        let predicted = PortLoads { n_leaves: 4, n_vspines: 3, bytes: vec![1000.0; 12] };
+        let mut m = Monitor::new_fixed(1, Detector::new(0.01), predicted);
+        m.scan(&counters, true);
+
+        let since = || m.alarms.iter().filter(|a| a.iter >= from);
+        let by_hand: std::collections::BTreeSet<(u32, u32)> = since()
+            .flat_map(|a| &a.deviations)
+            .filter(|d| d.observed < d.expected)
+            .map(|d| (d.leaf, d.vspine))
+            .collect();
+        let ports = m.shortfall_ports(from);
+        prop_assert_eq!(&shortfall_ports(since()), &ports);
+        prop_assert_eq!(&ports, &by_hand.into_iter().collect::<Vec<_>>());
+        let loc = Localizer::default();
+        prop_assert_eq!(
+            loc.localize_ring_alarms(since(), LEAVES),
+            loc.localize_ring(&ports, |l| (l + 1) % LEAVES)
+        );
+    }
 }
 
 proptest! {

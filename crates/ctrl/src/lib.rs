@@ -186,22 +186,7 @@ impl Controller {
     /// Culprit cables from the fresh alarms' shortfall ports, via ring
     /// correlation (paired and unpaired verdicts both name a cable to pull).
     fn localize(&self, fresh: &[Alarm]) -> Vec<(u32, u32)> {
-        let mut ports: Vec<(u32, u32)> = fresh
-            .iter()
-            .flat_map(|a| {
-                a.deviations
-                    .iter()
-                    .filter(|d| d.rel < 0.0)
-                    .map(|d| (d.leaf, d.vspine))
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        if ports.is_empty() {
-            return Vec::new();
-        }
-        let leaves = self.leaves;
-        let loc = Localizer::default().localize_ring(&ports, |l| (l + 1) % leaves);
+        let loc = Localizer::default().localize_ring_alarms(fresh, self.leaves);
         let mut culprits = loc.cables;
         culprits.extend(loc.unpaired);
         culprits.sort_unstable();
@@ -299,21 +284,11 @@ impl TrialController for Controller {
     }
 }
 
-/// [`flowpulse::eval::run_trial_with`] plus a [`Controller`] built from
-/// `cfg`, with the telemetry recorder riding along.
-pub fn run_ctrl_trial_with(
-    spec: &TrialSpec,
-    cfg: CtrlConfig,
-    recorder: Option<Box<dyn fp_telemetry::Recorder>>,
-) -> (TrialResult, Option<Box<dyn fp_telemetry::Recorder>>) {
-    let ctl = Rc::new(RefCell::new(Controller::for_spec(spec, cfg)));
-    flowpulse::eval::run_trial_ctl(spec, recorder, Some(ctl))
-}
-
 /// Run one trial closed-loop: a fresh [`Controller`] built from `cfg` rides
 /// the simulation and its record lands in [`TrialResult::ctrl`].
 pub fn run_ctrl_trial(spec: &TrialSpec, cfg: CtrlConfig) -> TrialResult {
-    run_ctrl_trial_with(spec, cfg, None).0
+    let ctl = Rc::new(RefCell::new(Controller::for_spec(spec, cfg)));
+    flowpulse::eval::run_trial_ctl(spec, None, Some(ctl)).0
 }
 
 #[cfg(test)]

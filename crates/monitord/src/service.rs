@@ -378,11 +378,11 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
             state.snapshots += 1;
             if snap.last && !state.closed {
                 let t0 = Instant::now();
-                let alarmed = state.monitor.shortfall_ports(0);
-                if !alarmed.is_empty() {
-                    let n = state.n_leaves;
-                    state.localization =
-                        Some(Localizer::default().localize_ring(&alarmed, |l| (l + 1) % n));
+                let loc = Localizer::default()
+                    .localize_ring_alarms(&state.monitor.alarms, state.n_leaves);
+                // No shortfall anywhere: the stream closes without a verdict.
+                if loc != RingLocalization::default() {
+                    state.localization = Some(loc);
                 }
                 metrics.observe("verdict_latency_ns", t0.elapsed().as_nanos() as u64);
                 state.closed = true;

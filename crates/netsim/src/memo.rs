@@ -98,18 +98,13 @@ pub fn memo_from_env() -> bool {
 }
 
 /// A fast-forward the engine just performed, reported to the workload
-/// runner so it can mirror the replay in its own per-iteration records.
+/// runner so it can skip the replayed iterations (the engine extends its
+/// own counters, statistics and span log over them).
 #[derive(Copy, Clone, Debug)]
 pub struct MemoReplay {
     /// Iterations replayed (the runner's iteration counter advances by
-    /// this much). Always a multiple of [`MemoReplay::window`].
+    /// this much): a whole number of matched steady-state windows.
     pub iters: u32,
-    /// Iterations per matched steady-state window (`k`): the boundary
-    /// fingerprint repeated at this distance.
-    pub window: u32,
-    /// The steady-state period `P` of one whole window: every replayed
-    /// window's records shift by one more multiple of it.
-    pub period: SimDuration,
 }
 
 /// Memoization outcome counters for one run (surfaced in trial results,
@@ -646,7 +641,7 @@ impl Simulator {
     /// iteration `next_iter - 1` completed with `remaining` iterations
     /// left to run. Returns a [`MemoReplay`] when the engine
     /// fast-forwarded `iters` of them; the runner then advances its own
-    /// counters and records instead of scheduling the next iteration
+    /// iteration counter instead of scheduling the next iteration
     /// normally. Returns `None` (and simulates live) on a fingerprint
     /// miss or any eligibility refusal.
     pub fn memo_boundary(&mut self, next_iter: u32, remaining: u32) -> Option<MemoReplay> {
@@ -861,11 +856,7 @@ impl Simulator {
         // landing boundary (its baselines re-captured post-replay).
         st.ring.clear();
         st.push(BoundaryRecord::capture(self, snap));
-        Some(MemoReplay {
-            iters,
-            window: k,
-            period: SimDuration::from_ns(period_ns),
-        })
+        Some(MemoReplay { iters })
     }
 
     /// Eagerly apply the lazy exponential decay of every adaptive-spray

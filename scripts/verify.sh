@@ -27,15 +27,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> removed subsystem stays removed: no intra-trial sharding left behind"
 # Intra-trial sharding was deleted (DESIGN.md §9). The bracket in each
 # alternative keeps these lines from matching themselves. One mention is
-# allowed: eval.rs's inert-field test sets the old shard-count variable to
-# show that nothing reads it.
+# allowed: eval/run.rs's inert-field test sets the old shard-count variable
+# to show that nothing reads it.
 gone='FP_SHAR[D]|run_sharde[d]|ShardPla[n]|attach_shar[d]|shard_scalin[g]'
-if git grep -nE "$gone" -- crates src examples tests scripts |
-    grep -v '^crates/core/src/eval.rs:.*_var("FP_SHAR[D]S"'; then
+if git grep --untracked -nE "$gone" -- crates src examples tests scripts |
+    grep -v '^crates/core/src/eval/run.rs:.*_var("FP_SHAR[D]S"'; then
     echo "    sharding identifiers are back (lines above)" >&2
     exit 1
 fi
 echo "    none under crates/ src/ examples/ tests/ scripts/"
+
+echo "==> single owners stay single: no runner iteration log, no second controller door, no eval.rs"
+# The engine's span log is the iteration record (the runner kept a shadow
+# copy), `run_ctrl_trial` is fp-ctrl's one door, and the trial harness is
+# the eval/{spec,run,score}.rs pipeline. Same bracket trick as above.
+gone='iter_goodput_bp[s]|iter_starte[d]|iter_finishe[d]|run_ctrl_trial_wit[h]'
+if git grep --untracked -nE "$gone" -- crates src examples tests; then
+    echo "    a deleted duplicate is back (lines above)" >&2
+    exit 1
+fi
+if [[ -e crates/core/src/eval.rs ]]; then
+    echo "    crates/core/src/eval.rs exists again: the harness lives in crates/core/src/eval/" >&2
+    exit 1
+fi
+echo "    none under crates/ src/ examples/ tests/; eval.rs absent"
 
 echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
 # Only the agenda (pipeline.rs), the schedulers under it and in-crate test
@@ -49,10 +64,16 @@ if git grep --untracked -nE "$inside" -- crates/netsim/src |
 fi
 echo "    clean outside pipeline.rs, engine.rs, wheel.rs and *_tests.rs"
 
-echo "==> fp-netsim non-test lines (each file up to its 'mod tests', *_tests.rs left out)"
-for f in crates/netsim/src/*.rs crates/netsim/src/*/*.rs; do
-    [[ "$f" == *_tests.rs ]] || echo "$(awk '/^mod tests/{exit} {n++} END{print n}' "$f") $f"
-done | sort -rn | awk '{s += $1; printf "    %5d %s\n", $1, $2} END {printf "    %5d total\n", s}'
+echo "==> non-test lines per crate (each file up to its 'mod tests', *_tests.rs left out)"
+# Every file of fp-netsim, where the carving happens; a subtotal for each
+# crate, so the next simplicity PR starts from a number.
+for crate in crates/*/; do
+    find "${crate}src" -name '*.rs' ! -name '*_tests.rs' | sort | while read -r f; do
+        echo "$(awk '/^mod tests/{exit} {n++} END{print n+0}' "$f") $f"
+    done | sort -rn | awk -v crate="${crate%/}" '
+        { s += $1; if (crate == "crates/netsim") printf "    %5d %s\n", $1, $2 }
+        END { printf "    %5d %s/src total\n", s, crate }'
+done
 
 echo "==> benchmark/: its own tests, then 3-s checked runs of all six workloads"
 # Seed 1 also compares event, packet, retransmit, drop and alarm counts
@@ -118,6 +139,14 @@ for bad in FP_SPRAY=ecpm FP_MEMO=On FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_I
 done
 echo "    refused by name and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_QUICK=ture, FP_THREADS=four (fig5a)," \
     "FP_TELEMETRY_INTERVAL_NS=1ms (headline)"
+
+echo "==> FP_RESULTS= (set but empty) means the default directory, not the current one"
+fig5a="$PWD/target/release/fig5a"
+mkdir "$tsp/empty_results"
+(cd "$tsp/empty_results" && FP_QUICK=1 FP_RESULTS= "$fig5a" >/dev/null)
+test -s "$tsp/empty_results/results/fig5a.json"
+test ! -e "$tsp/empty_results/fig5a.json"
+echo "    fig5a rows landed under results/ of its working directory"
 
 echo "==> E11 smoke: quick spray x mitigation cross, 1 vs 4 threads"
 # The binary itself asserts the headline E11 claims on every run: healthy
