@@ -6,7 +6,7 @@
 //! fault-free noise floor and detection accuracy at a 1.5% drop.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use fp_collectives::jitter::JitterModel;
 use fp_netsim::time::SimDuration;
 use serde::Serialize;
@@ -20,9 +20,10 @@ struct Row {
 }
 
 fn main() {
-    let jitters_us: Vec<u64> = pick(vec![0, 1, 5, 20], vec![0, 5]);
-    let fault_seeds = seeds(pick(3, 2));
-    let clean_seeds = seeds(pick(2, 1));
+    let cfg = RunConfig::from_env();
+    let jitters_us: Vec<u64> = cfg.pick(vec![0, 1, 5, 20], vec![0, 5]);
+    let fault_seeds = seeds(cfg.pick(3, 2));
+    let clean_seeds = seeds(cfg.pick(2, 1));
 
     let base_for = |us: u64| {
         let jitter = if us == 0 {
@@ -33,12 +34,12 @@ fn main() {
             }
         };
         TrialSpec {
-            leaves: pick(32, 8),
-            spines: pick(16, 4),
-            bytes_per_node: pick(32, 8) * 1024 * 1024,
+            leaves: cfg.pick(32, 8),
+            spines: cfg.pick(16, 4),
+            bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
             iterations: 3,
             jitter,
-            ..Default::default()
+            ..cfg.base_spec()
         }
     };
 
@@ -66,9 +67,7 @@ fn main() {
             });
         }
     }
-    let mut results = Campaign::from_env()
-        .run_logged("ablate_jitter", &specs)
-        .into_iter();
+    let mut results = cfg.run_logged("ablate_jitter", &specs).into_iter();
 
     header("A2 — jitter sensitivity (ring-allreduce, 1.5% drop)");
     println!(
@@ -102,7 +101,7 @@ fn main() {
             fnr: r.fnr(),
         });
     }
-    save_json("ablate_jitter", &rows);
+    cfg.save_json("ablate_jitter", &rows);
     println!(
         "\nA2 verdict: with adaptive spraying the noise floor stays well \
          below the 1% threshold across realistic jitter magnitudes \

@@ -11,7 +11,7 @@
 //!    local-vs-remote by itself.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json, seeds};
+use fp_bench::{header, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,21 +29,21 @@ struct A2ARow {
     correct: bool,
 }
 
-fn ring_part(rows: &mut Vec<RingRow>) {
+fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
     header("A4.1 — ring cross-leaf correlation");
     println!(
         "{:>14} {:>8} {:>10} {:>10}",
         "fault", "trials", "detected", "localized"
     );
     for bidir in [false, true] {
-        let seeds = seeds(pick(8, 3));
+        let seeds = seeds(cfg.pick(8, 3));
         let mut detected = 0;
         let mut localized = 0;
         for &s in &seeds {
             let spec = TrialSpec {
-                leaves: pick(16, 8),
-                spines: pick(8, 4),
-                bytes_per_node: pick(32, 8) * 1024 * 1024,
+                leaves: cfg.pick(16, 8),
+                spines: cfg.pick(8, 4),
+                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
                 iterations: 3,
                 seed: s,
                 fault: Some(FaultSpec {
@@ -52,7 +52,7 @@ fn ring_part(rows: &mut Vec<RingRow>) {
                     heal_at_iter: None,
                     bidirectional: bidir,
                 }),
-                ..Default::default()
+                ..cfg.base_spec()
             };
             let r = run_trial(&spec);
             detected += r.detected as u32;
@@ -101,11 +101,12 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
     let demand = sched.demand(leaves as usize);
     let pred = flowpulse::analytical::AnalyticalModel::new(&topo, []).predict(&demand);
 
-    let cfg = SimConfig {
+    // Pinned on purpose (see above): `FP_SPRAY` does not reach this run.
+    let sim_cfg = SimConfig {
         spray: fp_netsim::spray::SprayPolicy::Random,
         ..Default::default()
     };
-    let mut sim = Simulator::new(topo.clone(), cfg, 5);
+    let mut sim = Simulator::new(topo.clone(), sim_cfg, 5);
     // Bidirectional 30% gray fault on a known cable from iteration 1.
     let fleaf = 3u32;
     let fv = 1u32;
@@ -205,11 +206,12 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let mut ring_rows = Vec::new();
-    ring_part(&mut ring_rows);
+    ring_part(&cfg, &mut ring_rows);
     let mut a2a_rows = Vec::new();
     alltoall_part(&mut a2a_rows);
-    save_json("ablate_localize_ring", &ring_rows);
-    save_json("ablate_localize_alltoall", &a2a_rows);
+    cfg.save_json("ablate_localize_ring", &ring_rows);
+    cfg.save_json("ablate_localize_alltoall", &a2a_rows);
     println!("\nA4 verdict: see tables — both localization paths functional.");
 }

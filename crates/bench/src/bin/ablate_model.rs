@@ -3,7 +3,7 @@
 //! detector; this sweep compares their FPR/FNR on identical scenarios.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds};
+use fp_bench::{header, pct, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -15,14 +15,15 @@ struct Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let models = [
         ModelKind::Analytical,
         ModelKind::Simulation,
         ModelKind::Learned { warmup: 2 },
     ];
-    let drop_rates: Vec<f64> = pick(vec![0.02], vec![0.02]);
-    let fault_seeds = seeds(pick(3, 2));
-    let clean_seeds = seeds(pick(3, 1));
+    let drop_rates: Vec<f64> = cfg.pick(vec![0.02], vec![0.02]);
+    let fault_seeds = seeds(cfg.pick(3, 2));
+    let clean_seeds = seeds(cfg.pick(3, 1));
 
     header("Model comparison — analytical vs simulation vs learned");
     println!("{:>22} {:>8} {:>8} {:>8}", "model", "drop", "FPR", "FNR");
@@ -31,13 +32,13 @@ fn main() {
     for model in models {
         for &rate in &drop_rates {
             let base = TrialSpec {
-                leaves: pick(16, 8),
-                spines: pick(8, 4),
-                bytes_per_node: pick(32, 8) * 1024 * 1024,
+                leaves: cfg.pick(16, 8),
+                spines: cfg.pick(8, 4),
+                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
                 // Learned needs warmup room before the fault.
                 iterations: 5,
                 model,
-                ..Default::default()
+                ..cfg.base_spec()
             };
             let mut trials = Vec::new();
             for &s in &clean_seeds {
@@ -74,7 +75,7 @@ fn main() {
             });
         }
     }
-    save_json("ablate_model", &rows);
+    cfg.save_json("ablate_model", &rows);
     println!(
         "\nVerdict: all three §5.2 prediction methods support accurate \
          detection; the learned model additionally adapts to healed faults."

@@ -11,7 +11,7 @@
 //! analytical prediction.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json};
+use fp_bench::{header, pct, RunConfig};
 use fp_collectives::prelude::*;
 use fp_netsim::prelude::*;
 use serde::Serialize;
@@ -24,10 +24,10 @@ struct Row {
     collective_wall_us: u64,
 }
 
-fn scenario(background: bool, prioritized: bool) -> Row {
-    let leaves = pick(16u32, 8);
+fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
+    let leaves = cfg.pick(16u32, 8);
     let spines = leaves / 2;
-    let bytes = pick(16u64, 8) * 1024 * 1024;
+    let bytes = cfg.pick(16u64, 8) * 1024 * 1024;
     let topo = Topology::fat_tree(FatTreeSpec {
         leaves,
         spines,
@@ -40,7 +40,8 @@ fn scenario(background: bool, prioritized: bool) -> Row {
         .predict(&demand)
         .loads;
 
-    let mut sim = Simulator::new(topo, SimConfig::default(), 11);
+    // Follows `FP_SPRAY`: the drift is a property of the backend in use.
+    let mut sim = Simulator::new(topo, cfg.sim(), 11);
     let rcfg = RunnerConfig {
         job: 1,
         iterations: 3,
@@ -60,7 +61,7 @@ fn scenario(background: bool, prioritized: bool) -> Row {
         apps.push(Box::new(BackgroundTraffic::new(BackgroundConfig {
             msg_bytes: 1024 * 1024,
             mean_interval: SimDuration::from_us(5),
-            until: SimTime::from_ms(pick(4, 2)),
+            until: SimTime::from_ms(cfg.pick(4, 2)),
             ..Default::default()
         })));
     }
@@ -85,6 +86,7 @@ fn scenario(background: bool, prioritized: bool) -> Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     header("A3 — background traffic and measurement prioritization");
     println!(
         "{:>12} {:>12} {:>16} {:>16}",
@@ -92,7 +94,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (bg, prio) in [(false, true), (true, true), (true, false)] {
-        let r = scenario(bg, prio);
+        let r = scenario(&cfg, bg, prio);
         println!(
             "{:>12} {:>12} {:>16} {:>14}us",
             r.background,
@@ -102,7 +104,7 @@ fn main() {
         );
         rows.push(r);
     }
-    save_json("ablate_priority", &rows);
+    cfg.save_json("ablate_priority", &rows);
     println!(
         "\nA3 verdict: prioritizing the measured collective keeps observed \
          loads on-model under background load; an unprioritized collective \

@@ -19,7 +19,7 @@
 //! random faulty cable is usually invisible to it).
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use fp_netsim::spray::SprayPolicy;
 use serde::Serialize;
 
@@ -34,6 +34,7 @@ struct Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     // (backend, reference model it is scored against).
     let policies = [
         (SprayPolicy::Adaptive, ModelKind::Analytical),
@@ -45,23 +46,24 @@ fn main() {
         (SprayPolicy::Reps, ModelKind::Learned { warmup: 1 }),
         (SprayPolicy::RepsFailover, ModelKind::Learned { warmup: 1 }),
     ];
-    let sizes_mib: Vec<u64> = pick(vec![8, 32], vec![8]);
-    let fault_seeds = seeds(pick(3, 2));
-    let clean_seeds = seeds(pick(3, 1));
+    let sizes_mib: Vec<u64> = cfg.pick(vec![8, 32], vec![8]);
+    let fault_seeds = seeds(cfg.pick(3, 2));
+    let clean_seeds = seeds(cfg.pick(3, 1));
 
     let base_for = |policy: SprayPolicy, model: ModelKind, mib: u64| {
+        // The swept variable, pinned per row: `FP_SPRAY` does not reach it.
         let sim_cfg = fp_netsim::config::SimConfig {
             spray: policy,
             ..Default::default()
         };
         TrialSpec {
-            leaves: pick(16, 8),
-            spines: pick(8, 4),
+            leaves: cfg.pick(16, 8),
+            spines: cfg.pick(8, 4),
             bytes_per_node: mib * 1024 * 1024,
             iterations: 3,
             model,
             sim: sim_cfg,
-            ..Default::default()
+            ..cfg.base_spec()
         }
     };
 
@@ -91,9 +93,7 @@ fn main() {
             }
         }
     }
-    let mut results = Campaign::from_env()
-        .run_logged("ablate_spray", &specs)
-        .into_iter();
+    let mut results = cfg.run_logged("ablate_spray", &specs).into_iter();
 
     header("A1 — spray backend vs symmetry noise and detection (1.5% drop)");
     println!(
@@ -138,7 +138,7 @@ fn main() {
             });
         }
     }
-    save_json("ablate_spray", &rows);
+    cfg.save_json("ablate_spray", &rows);
     // The pair-keyed backends must not pay for their determinism with
     // false alarms: healthy-state volumes are iteration-stable under the
     // learned baseline by construction.

@@ -16,7 +16,7 @@
 //! pair, which would make the ECMP column vacuous).
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json, Campaign};
+use fp_bench::{header, RunConfig};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
 use fp_netsim::spray::SprayPolicy;
 use serde::Serialize;
@@ -87,6 +87,7 @@ fn row_of(case: &Case, r: &TrialResult) -> Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     header("E11 — spray backend × mitigation zoo on a blackholed cable");
     let backends: &[(&str, SprayPolicy)] = &[
         ("adaptive", SprayPolicy::Adaptive),
@@ -98,8 +99,8 @@ fn main() {
     // Quick mode still witnesses the headline row (reps + recycle on the
     // blackhole) plus the pinned-vs-recycled contrast and a clean row per
     // swept backend; full mode sweeps the whole cross.
-    let backends = pick(backends, &backends[2..4]);
-    let mitigations: &[(&str, Mitigation)] = pick(
+    let backends = cfg.pick(backends, &backends[2..4]);
+    let mitigations: &[(&str, Mitigation)] = cfg.pick(
         &[
             ("admin_down", Mitigation::AdminDown),
             ("recycle_entropy", Mitigation::RecycleEntropy),
@@ -114,7 +115,7 @@ fn main() {
         bytes_per_node: 8 * 1024 * 1024,
         iterations: 8,
         seed: SEED,
-        ..Default::default()
+        ..cfg.base_spec()
     };
 
     let mut cases = Vec::new();
@@ -156,10 +157,10 @@ fn main() {
 
     // Controllers are !Send, so each worker builds its trial's controller
     // inside the closure; determinism is per-spec, not per-thread.
-    let campaign = Campaign::from_env();
     let t0 = std::time::Instant::now();
-    let results: Vec<TrialResult> =
-        campaign.map(&cases, |case| run_ctrl_trial(&case.spec, case.ctrl));
+    let results: Vec<TrialResult> = cfg
+        .campaign()
+        .map(&cases, |case| run_ctrl_trial(&case.spec, case.ctrl));
     let wall_us_total = t0.elapsed().as_micros() as u64;
     let rows: Vec<Row> = cases
         .iter()
@@ -213,14 +214,14 @@ fn main() {
             (key, c.ctrl.to_value())
         })
         .collect();
-    campaign.write_manifest(
+    cfg.write_manifest(
         "e11_spray",
         &specs,
         &results,
         wall_us_total,
         serde::Value::Map(ctrl),
     );
-    save_json("e11_spray", &rows);
+    cfg.save_json("e11_spray", &rows);
 
     // The acceptance bar stays up in quick mode: the headline rows are in
     // every subset. Entropy recycling alone must carry a REPS fabric
@@ -263,7 +264,7 @@ fn main() {
             }
         }
     }
-    if fp_bench::quick() {
+    if cfg.quick {
         println!("\nE11 (quick mode): reduced sweep; headline asserts held.");
         return;
     }

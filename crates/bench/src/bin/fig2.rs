@@ -9,7 +9,7 @@
 //! source and destination leaves, which reshape the valid-spine sets.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, save_json};
+use fp_bench::{header, pct, RunConfig};
 use fp_collectives::schedule::{Schedule, Transfer};
 use fp_netsim::prelude::*;
 use serde::Serialize;
@@ -39,6 +39,7 @@ fn single_flow_schedule(src: HostId, dst: HostId, bytes: u64) -> Schedule {
 }
 
 fn run_scenario(
+    cfg: &RunConfig,
     name: &str,
     topo: &Topology,
     admin_cables: &[(u32, u32)],
@@ -58,11 +59,11 @@ fn run_scenario(
     }
 
     let ana = AnalyticalModel::new(topo, admin_down.iter().copied()).predict(&demand);
-    let (sim_pred, _) =
-        SimulationModel::new(SimConfig::default()).predict(topo, &admin_down, &sched, 7);
+    // Model and fabric both follow `FP_SPRAY`.
+    let (sim_pred, _) = SimulationModel::new(cfg.sim()).predict(topo, &admin_down, &sched, 7);
 
     // The "production" fabric run.
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), 42);
+    let mut sim = Simulator::new(topo.clone(), cfg.sim(), 42);
     for &l in &admin_down {
         sim.apply_fault_now(
             l,
@@ -103,7 +104,8 @@ fn run_scenario(
 }
 
 fn main() {
-    let (leaves, spines, bytes) = if fp_bench::quick() {
+    let cfg = RunConfig::from_env();
+    let (leaves, spines, bytes) = if cfg.quick {
         (8u32, 4u32, 8 * 1024 * 1024u64)
     } else {
         (32, 16, 64 * 1024 * 1024)
@@ -115,16 +117,23 @@ fn main() {
     });
     let mut rows = Vec::new();
 
-    let w1 = run_scenario("clean fabric", &topo, &[], bytes, &mut rows);
+    let w1 = run_scenario(&cfg, "clean fabric", &topo, &[], bytes, &mut rows);
 
     // Pre-existing faults touching both ends of the flow's path:
     // one uplink cable at the source leaf, one downlink cable at the
     // destination leaf.
     let dst_leaf = leaves / 2;
     let cables = [(0u32, 1u32), (dst_leaf, spines - 1)];
-    let w2 = run_scenario("with pre-existing faults", &topo, &cables, bytes, &mut rows);
+    let w2 = run_scenario(
+        &cfg,
+        "with pre-existing faults",
+        &topo,
+        &cables,
+        bytes,
+        &mut rows,
+    );
 
-    save_json("fig2", &rows);
+    cfg.save_json("fig2", &rows);
     println!(
         "\nFig 2 verdict: analytical model tracks the packet-level fabric to \
          within {} (clean) / {} (pre-existing faults).",

@@ -17,7 +17,7 @@
 //! the baseline is replaced — exactly the Fig. 3 story.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json};
+use fp_bench::{header, RunConfig};
 use fp_netsim::units::fmt_bytes;
 use serde::Serialize;
 
@@ -31,12 +31,13 @@ struct Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let heal_at = 4u32;
     let spec = TrialSpec {
-        leaves: pick(32, 8),
-        spines: pick(16, 4),
-        bytes_per_node: pick(32, 4) * 1024 * 1024,
-        iterations: pick(10, 8),
+        leaves: cfg.pick(32, 8),
+        spines: cfg.pick(16, 4),
+        bytes_per_node: cfg.pick(32, 4) * 1024 * 1024,
+        iterations: cfg.pick(10, 8),
         model: ModelKind::Learned { warmup: 2 },
         // Jitter-free so the post-heal baseline is exactly stable — the
         // clean Fig. 3 narrative (A2 quantifies jitter effects separately).
@@ -48,7 +49,7 @@ fn main() {
             bidirectional: false,
         }),
         seed: 7,
-        ..Default::default()
+        ..cfg.base_spec()
     };
     let r = run_trial(&spec);
     let (fleaf, fv) = r.fault_port.expect("fault injected");
@@ -98,7 +99,7 @@ fn main() {
             alarmed: alarmed.contains(&(i as u32)),
         });
     }
-    save_json("fig3", &rows);
+    cfg.save_json("fig3", &rows);
 
     let rebalanced = r
         .learned_events

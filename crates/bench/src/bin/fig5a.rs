@@ -7,7 +7,7 @@
 //! and sweep the detection threshold offline to produce ROC points.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,20 +19,21 @@ struct Row {
 }
 
 fn main() {
-    let drop_rates: Vec<f64> = pick(
+    let cfg = RunConfig::from_env();
+    let drop_rates: Vec<f64> = cfg.pick(
         vec![0.005, 0.008, 0.010, 0.015, 0.020, 0.030],
         vec![0.008, 0.015],
     );
-    let fault_seeds = seeds(pick(5, 2));
-    let clean_seeds = seeds(pick(8, 2));
+    let fault_seeds = seeds(cfg.pick(5, 2));
+    let clean_seeds = seeds(cfg.pick(8, 2));
     let thresholds = [0.001, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03];
 
     let base = TrialSpec {
-        leaves: pick(32, 8),
-        spines: pick(16, 4),
-        bytes_per_node: pick(64, 8) * 1024 * 1024,
+        leaves: cfg.pick(32, 8),
+        spines: cfg.pick(16, 4),
+        bytes_per_node: cfg.pick(64, 8) * 1024 * 1024,
         iterations: 3,
-        ..Default::default()
+        ..cfg.base_spec()
     };
 
     // The whole sweep as one spec list, in the order the serial harness ran
@@ -60,7 +61,7 @@ fn main() {
             });
         }
     }
-    let mut results = Campaign::from_env().run_logged("fig5a", &specs).into_iter();
+    let mut results = cfg.run_logged("fig5a", &specs).into_iter();
 
     // Clean deviations: fault-free trials + pre-fault iterations of fault
     // trials all contribute.
@@ -119,7 +120,7 @@ fn main() {
             perfect_at_1pct.push(rate);
         }
     }
-    save_json("fig5a", &rows);
+    cfg.save_json("fig5a", &rows);
 
     println!(
         "\nFig 5(a) verdict: 1% threshold is a perfect classifier for drop \

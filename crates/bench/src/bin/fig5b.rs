@@ -16,7 +16,7 @@
 //! challenging".
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -31,19 +31,20 @@ struct Row {
 }
 
 fn main() {
-    let radixes: Vec<u32> = pick(vec![8, 16, 32, 64], vec![8, 16]);
+    let cfg = RunConfig::from_env();
+    let radixes: Vec<u32> = cfg.pick(vec![8, 16, 32, 64], vec![8, 16]);
     let drop_rate = 0.008;
     let threshold = 0.005;
-    let fault_seeds = seeds(pick(4, 2));
-    let clean_seeds = seeds(pick(4, 1));
+    let fault_seeds = seeds(cfg.pick(4, 2));
+    let clean_seeds = seeds(cfg.pick(4, 1));
 
     let base_for = |radix: u32| TrialSpec {
         leaves: radix,
         spines: radix / 2,
-        bytes_per_node: pick(16, 8) * 1024 * 1024,
+        bytes_per_node: cfg.pick(16, 8) * 1024 * 1024,
         iterations: 3,
         threshold,
-        ..Default::default()
+        ..cfg.base_spec()
     };
 
     // Specs in serial-harness order: per radix, clean seeds then fault
@@ -70,7 +71,7 @@ fn main() {
             });
         }
     }
-    let mut results = Campaign::from_env().run_logged("fig5b", &specs).into_iter();
+    let mut results = cfg.run_logged("fig5b", &specs).into_iter();
 
     header("Fig 5(b) — FPR/FNR vs switch radix (drop rate 0.8%)");
     println!(
@@ -110,7 +111,7 @@ fn main() {
             mean_faulty_dev: mean_dev,
         });
     }
-    save_json("fig5b", &rows);
+    cfg.save_json("fig5b", &rows);
 
     println!(
         "\nFig 5(b) verdict: at a fixed threshold below the p·(1−1/s) \

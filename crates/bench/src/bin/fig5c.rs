@@ -6,7 +6,7 @@
 //! large ones (the paper notes LLM AllReduces reach GBs) separate cleanly.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -18,17 +18,18 @@ struct Row {
 }
 
 fn main() {
-    let sizes_mib: Vec<u64> = pick(vec![2, 8, 32, 128], vec![2, 8]);
-    let drop_rates: Vec<f64> = pick(vec![0.008, 0.015, 0.025], vec![0.015]);
-    let fault_seeds = seeds(pick(3, 2));
-    let clean_seeds = seeds(pick(2, 1));
+    let cfg = RunConfig::from_env();
+    let sizes_mib: Vec<u64> = cfg.pick(vec![2, 8, 32, 128], vec![2, 8]);
+    let drop_rates: Vec<f64> = cfg.pick(vec![0.008, 0.015, 0.025], vec![0.015]);
+    let fault_seeds = seeds(cfg.pick(3, 2));
+    let clean_seeds = seeds(cfg.pick(2, 1));
 
     let base_for = |mib: u64| TrialSpec {
-        leaves: pick(32, 8),
-        spines: pick(16, 4),
+        leaves: cfg.pick(32, 8),
+        spines: cfg.pick(16, 4),
         bytes_per_node: mib * 1024 * 1024,
         iterations: 3,
-        ..Default::default()
+        ..cfg.base_spec()
     };
 
     // Specs in serial-harness order: per size, the shared clean trials once,
@@ -58,7 +59,7 @@ fn main() {
             }
         }
     }
-    let mut results = Campaign::from_env().run_logged("fig5c", &specs).into_iter();
+    let mut results = cfg.run_logged("fig5c", &specs).into_iter();
 
     header("Fig 5(c) — FPR/FNR vs collective size");
     println!(
@@ -89,7 +90,7 @@ fn main() {
             });
         }
     }
-    save_json("fig5c", &rows);
+    cfg.save_json("fig5c", &rows);
 
     println!(
         "\nFig 5(c) verdict: error rates fall with collective size; GB-scale \

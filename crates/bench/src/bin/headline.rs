@@ -8,7 +8,7 @@
 
 use flowpulse::baselines::{run_probe_mesh, ProbeMeshConfig};
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json};
+use fp_bench::{header, pct, RunConfig};
 use fp_netsim::fault::FaultAction;
 use fp_netsim::prelude::*;
 use fp_netsim::units::fmt_bytes;
@@ -27,10 +27,11 @@ struct Headline {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let spec = TrialSpec {
-        leaves: pick(32, 8),
-        spines: pick(16, 4),
-        bytes_per_node: pick(64, 8) * 1024 * 1024,
+        leaves: cfg.pick(32, 8),
+        spines: cfg.pick(16, 4),
+        bytes_per_node: cfg.pick(64, 8) * 1024 * 1024,
         iterations: 3,
         fault: Some(FaultSpec {
             kind: InjectedFault::Drop { rate: 0.015 },
@@ -39,16 +40,16 @@ fn main() {
             bidirectional: false,
         }),
         seed: 2025,
-        ..Default::default()
+        ..cfg.base_spec()
     };
     header("E7 — headline: 1.5% silent corruption, 32-leaf fat tree, Ring-AllReduce");
     // With FP_TELEMETRY=dir, ride a full RunRecorder along: link samples,
     // FCT/RTO/PFC histograms, structured events and a Chrome trace land in
     // $FP_TELEMETRY/headline/ next to the run's manifest.
-    let recorder = fp_telemetry::dir_from_env().map(|d| {
+    let recorder = cfg.telemetry.as_ref().map(|d| {
         Box::new(
             fp_telemetry::RunRecorder::new(d.join("headline"))
-                .with_interval_ns(fp_telemetry::sample_interval_from_env()),
+                .with_interval_ns(cfg.sample_interval_ns),
         ) as Box<dyn fp_telemetry::Recorder>
     });
     let t0 = std::time::Instant::now();
@@ -66,7 +67,7 @@ fn main() {
         r.sched.pushes,
         r.stats.events
     );
-    fp_bench::Campaign::with_threads(1).write_manifest(
+    cfg.write_manifest(
         "headline",
         std::slice::from_ref(&spec),
         std::slice::from_ref(&r),
@@ -103,7 +104,8 @@ fn main() {
             spines: spec.spines,
             ..Default::default()
         }),
-        SimConfig::default(),
+        // The prober crosses the fabric the trial ran on: follows `FP_SPRAY`.
+        cfg.sim(),
         1,
     );
     let bad = sim.topo.downlink(fv, fleaf);
@@ -116,7 +118,7 @@ fn main() {
     // leaves never help. Run rounds until detected.
     let mut probe_bytes = 0u64;
     let mut detected_by_probe = false;
-    for _ in 0..pick(40, 10) {
+    for _ in 0..cfg.pick(40, 10) {
         let rep = run_probe_mesh(&mut sim, &ProbeMeshConfig::default());
         probe_bytes += rep.bytes_injected;
         if rep.detected {
@@ -135,7 +137,7 @@ fn main() {
         }
     );
 
-    save_json(
+    cfg.save_json(
         "headline",
         &Headline {
             drop_rate: 0.015,
@@ -149,7 +151,7 @@ fn main() {
         },
     );
 
-    if fp_bench::quick() {
+    if cfg.quick {
         // Quick mode shrinks the fabric below the regime the headline
         // claim is about (1.5% signal vs 4-spine retransmit inflation);
         // report without asserting.

@@ -9,7 +9,7 @@
 //! and fault-free controller runs pin the false-mitigation count at zero.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick, save_json, Campaign};
+use fp_bench::{header, RunConfig};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig};
 use fp_netsim::time::SimDuration;
 use serde::Serialize;
@@ -66,23 +66,24 @@ fn row_of(case: &Case, r: &TrialResult) -> Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     header("E9 — closed-loop mitigation: fault × onset × reaction latency");
     let base = TrialSpec {
-        leaves: pick(16, 8),
-        spines: pick(8, 4),
+        leaves: cfg.pick(16, 8),
+        spines: cfg.pick(8, 4),
         bytes_per_node: 8 * 1024 * 1024,
         iterations: 8,
         seed: 42,
-        ..Default::default()
+        ..cfg.base_spec()
     };
     let kinds: &[(&str, InjectedFault)] = &[
         ("blackhole", InjectedFault::Blackhole),
         ("dst_blackhole", InjectedFault::DstBlackhole),
         ("drop5", InjectedFault::Drop { rate: 0.05 }),
     ];
-    let kinds = &kinds[..pick(kinds.len(), 2)];
-    let onsets: &[u32] = pick(&[2u32, 3][..], &[2u32][..]);
-    let reactions: &[u64] = pick(&[0u64, 50, 200][..], &[50u64][..]);
+    let kinds = &kinds[..cfg.pick(kinds.len(), 2)];
+    let onsets: &[u32] = cfg.pick(&[2u32, 3][..], &[2u32][..]);
+    let reactions: &[u64] = cfg.pick(&[0u64, 50, 200][..], &[50u64][..]);
 
     let mut cases = Vec::new();
     for (kname, kind) in kinds {
@@ -129,9 +130,8 @@ fn main() {
 
     // Controllers are !Send, so each worker builds its trial's controller
     // inside the closure; determinism is per-spec, not per-thread.
-    let campaign = Campaign::from_env();
     let t0 = std::time::Instant::now();
-    let results: Vec<TrialResult> = campaign.map(&cases, |case| match case.ctrl {
+    let results: Vec<TrialResult> = cfg.campaign().map(&cases, |case| match case.ctrl {
         Some(cfg) => run_ctrl_trial(&case.spec, cfg),
         None => run_trial(&case.spec),
     });
@@ -182,16 +182,16 @@ fn main() {
             (c.label.clone(), cfg)
         })
         .collect();
-    campaign.write_manifest(
+    cfg.write_manifest(
         "mitigation",
         &specs,
         &results,
         wall_us_total,
         serde::Value::Map(ctrl),
     );
-    save_json("mitigation", &rows);
+    cfg.save_json("mitigation", &rows);
 
-    if fp_bench::quick() {
+    if cfg.quick {
         println!("\nE9 (quick mode): reduced sweep, reporting without asserting.");
         return;
     }

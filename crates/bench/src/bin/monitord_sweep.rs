@@ -18,7 +18,7 @@
 //! against `4`) and to the offline monitor on the same sequences.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pick};
+use fp_bench::{header, RunConfig};
 use fp_monitord::{Monitord, QueuePolicy, ServiceConfig};
 
 /// Synthetic stream: a base snapshot sequence replayed for `rounds`
@@ -48,19 +48,19 @@ fn quantile_us(prometheus: &str, hist: &str, q: &str) -> f64 {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     header("E10 monitord sweep — snapshots/sec vs streams x queue policy");
-    let threads = fp_bench::Campaign::from_env().threads();
-    let rounds: u32 = pick(50, 5);
+    let rounds: u32 = cfg.pick(50, 5);
 
     // Base trials: two clean, two faulty, learned model (the service's
     // own monitor config), generated once outside the timed region.
     let bases: Vec<Vec<CounterSnapshot>> = (0..4u64)
         .map(|i| {
             let spec = TrialSpec {
-                leaves: pick(16, 8),
-                spines: pick(8, 4),
-                bytes_per_node: pick(8, 2) * 1024 * 1024,
-                iterations: pick(6, 4),
+                leaves: cfg.pick(16, 8),
+                spines: cfg.pick(8, 4),
+                bytes_per_node: cfg.pick(8, 2) * 1024 * 1024,
+                iterations: cfg.pick(6, 4),
                 jitter: fp_collectives::jitter::JitterModel::None,
                 model: ModelKind::Learned { warmup: 1 },
                 fault: (i % 2 == 0).then_some(FaultSpec {
@@ -70,7 +70,7 @@ fn main() {
                     bidirectional: false,
                 }),
                 seed: 9000 + i,
-                ..Default::default()
+                ..cfg.base_spec()
             };
             run_trial(&spec).snapshots
         })
@@ -93,16 +93,16 @@ fn main() {
             queue_capacity: 256,
             batch_max: 64,
             policy,
-            metrics_path: Some(fp_bench::out_dir().join(format!("monitord_metrics_{name}.jsonl"))),
+            metrics_path: Some(cfg.out_dir().join(format!("monitord_metrics_{name}.jsonl"))),
             ..Default::default()
         });
         let handle = svc.handle();
 
         let t0 = std::time::Instant::now();
         std::thread::scope(|s| {
-            for p in 0..threads.max(1) {
+            for p in 0..cfg.threads {
                 let chunk: Vec<&Vec<CounterSnapshot>> =
-                    feeds.iter().skip(p).step_by(threads.max(1)).collect();
+                    feeds.iter().skip(p).step_by(cfg.threads).collect();
                 let handle = handle.clone();
                 s.spawn(move || {
                     // Round-robin across this producer's streams so the
@@ -148,7 +148,7 @@ fn main() {
         if streams == 32 && policy == QueuePolicy::Block {
             // Deterministic per-stream verdicts: byte-identical across
             // producer thread counts and vs the offline monitor.
-            fp_bench::save_json("monitord_alarms", &report.streams);
+            cfg.save_json("monitord_alarms", &report.streams);
         }
     }
 }

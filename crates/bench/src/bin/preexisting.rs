@@ -9,7 +9,7 @@
 
 use flowpulse::baselines::SpatialSymmetryDetector;
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds, Campaign};
+use fp_bench::{header, pct, seeds, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,19 +22,20 @@ struct Row {
 }
 
 fn main() {
-    let preexisting_counts: Vec<u32> = pick(vec![0, 2, 4, 8], vec![0, 2]);
-    let drop_rates: Vec<f64> = pick(vec![0.010, 0.015, 0.025], vec![0.025]);
-    let fault_seeds = seeds(pick(3, 2));
-    let clean_seeds = seeds(pick(3, 1));
+    let cfg = RunConfig::from_env();
+    let preexisting_counts: Vec<u32> = cfg.pick(vec![0, 2, 4, 8], vec![0, 2]);
+    let drop_rates: Vec<f64> = cfg.pick(vec![0.010, 0.015, 0.025], vec![0.025]);
+    let fault_seeds = seeds(cfg.pick(3, 2));
+    let clean_seeds = seeds(cfg.pick(3, 1));
     let spatial = SpatialSymmetryDetector::default();
 
     let base_for = |pre: u32| TrialSpec {
-        leaves: pick(32, 8),
-        spines: pick(16, 4),
-        bytes_per_node: pick(32, 8) * 1024 * 1024,
+        leaves: cfg.pick(32, 8),
+        spines: cfg.pick(16, 4),
+        bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
         preexisting: pre,
         iterations: 3,
-        ..Default::default()
+        ..cfg.base_spec()
     };
 
     // Specs in serial-harness order: per pre-existing count, the shared
@@ -63,9 +64,7 @@ fn main() {
             }
         }
     }
-    let mut results = Campaign::from_env()
-        .run_logged("preexisting", &specs)
-        .into_iter();
+    let mut results = cfg.run_logged("preexisting", &specs).into_iter();
 
     header("E6 — new silent faults on top of pre-existing known faults");
     println!(
@@ -113,7 +112,7 @@ fn main() {
             });
         }
     }
-    save_json("preexisting", &rows);
+    cfg.save_json("preexisting", &rows);
 
     let perfect: Vec<&Row> = rows
         .iter()

@@ -9,7 +9,7 @@
 //! cannot disambiguate the slot.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, pick, save_json, seeds};
+use fp_bench::{header, pct, seeds, RunConfig};
 use fp_collectives::prelude::*;
 use fp_netsim::prelude::*;
 use fp_netsim::topology::Clos3Spec;
@@ -26,17 +26,18 @@ struct Row {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let spec = Clos3Spec {
-        pods: pick(4, 2),
-        leaves_per_pod: pick(4, 2),
-        aggs_per_pod: pick(4, 2),
+        pods: cfg.pick(4, 2),
+        leaves_per_pod: cfg.pick(4, 2),
+        aggs_per_pod: cfg.pick(4, 2),
         cores_per_group: 2,
         hosts_per_leaf: 1,
         ..Default::default()
     };
-    let bytes = pick(16u64, 4) * 1024 * 1024;
-    let drop_rates = pick(vec![0.02, 0.05, 0.10], vec![0.05]);
-    let trial_seeds = seeds(pick(3, 2));
+    let bytes = cfg.pick(16u64, 4) * 1024 * 1024;
+    let drop_rates = cfg.pick(vec![0.02, 0.05, 0.10], vec![0.05]);
+    let trial_seeds = seeds(cfg.pick(3, 2));
 
     header("E8 — 3-level Clos, two-tier monitoring");
     println!(
@@ -75,7 +76,8 @@ fn main() {
             let bad = topo.core_downlink(topo.core_global(group, slot), dst_pod);
             let expected_port = (topo.agg_global(dst_pod, group), slot);
 
-            let mut sim = Simulator::new(topo, SimConfig::default(), seed);
+            // Follows `FP_SPRAY` (leaves and aggs spray with the same backend).
+            let mut sim = Simulator::new(topo, cfg.sim(), seed);
             let mut runner = CollectiveRunner::new(
                 sched,
                 RunnerConfig {
@@ -130,7 +132,7 @@ fn main() {
             false_alarms,
         });
     }
-    save_json("threelevel", &rows);
+    cfg.save_json("threelevel", &rows);
     println!(
         "\nE8 verdict: two-tier deployment detects silent core-link faults and \
          pins the exact core slot from the aggregation switches alone."

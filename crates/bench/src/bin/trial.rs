@@ -9,8 +9,12 @@
 //! # Edit it, then run:
 //! cargo run --release -p fp-bench --bin trial -- spec.json
 //! ```
+//!
+//! The template follows `FP_SPRAY` / `FP_MEMO`; a spec that leaves `memo`
+//! out runs under `FP_MEMO`, everything else it says itself.
 
 use flowpulse::prelude::*;
+use fp_bench::RunConfig;
 use serde::Serialize;
 use std::io::Read;
 
@@ -38,6 +42,7 @@ struct Summary {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--template") {
         let spec = TrialSpec {
@@ -47,7 +52,7 @@ fn main() {
                 heal_at_iter: None,
                 bidirectional: false,
             }),
-            ..Default::default()
+            ..cfg.base_spec()
         };
         println!("{}", serde_json::to_string_pretty(&spec).unwrap());
         return;
@@ -64,7 +69,8 @@ fn main() {
             s
         }
     };
-    let spec: TrialSpec = serde_json::from_str(&raw).expect("parse TrialSpec JSON");
+    let mut spec: TrialSpec = serde_json::from_str(&raw).expect("parse TrialSpec JSON");
+    spec.memo.get_or_insert(cfg.memo);
     if let Err(e) = spec.validate() {
         eprintln!("invalid TrialSpec: {e}");
         std::process::exit(2);

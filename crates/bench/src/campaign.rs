@@ -10,13 +10,14 @@
 //!   or wall-clock time;
 //! * results come back in input order no matter which worker finished first.
 //!
-//! The pool size comes from `FP_THREADS` (falling back to the machine's
-//! available parallelism), so `FP_THREADS=1` reproduces the serial harness
-//! exactly and any other value produces the same bytes, faster. Binaries
-//! build their full spec list up front in the order the serial code ran
-//! trials, call [`Campaign::run`] once, then aggregate the results walking
-//! that same order.
+//! The pool size comes from [`RunConfig::threads`] (`FP_THREADS`, falling
+//! back to the machine's available parallelism), so `FP_THREADS=1`
+//! reproduces the serial harness exactly and any other value produces the
+//! same bytes, faster. Binaries build their full spec list up front in the
+//! order the serial code ran trials, call [`Campaign::run`] once, then
+//! aggregate the results walking that same order.
 
+use crate::config::RunConfig;
 use flowpulse::prelude::{run_trial, TrialResult, TrialSpec};
 use fp_netsim::engine::{SchedKind, SchedStats};
 use serde::Serialize;
@@ -24,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Logical cores this host exposes (`std::thread::available_parallelism`).
-fn host_parallelism() -> u64 {
+pub(crate) fn host_parallelism() -> u64 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1)
@@ -36,17 +37,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Pool sized from `FP_THREADS`, or the machine's available parallelism
-    /// when the variable is unset or empty. Anything but a positive integer
-    /// panics, see [`fp_netsim::config::env_setting`].
-    pub fn from_env() -> Campaign {
-        let threads = fp_netsim::config::env_setting("FP_THREADS", "a positive integer", |v| {
-            v.parse::<usize>().ok().filter(|&n| n > 0)
-        })
-        .unwrap_or_else(|| host_parallelism() as usize);
-        Campaign::with_threads(threads)
-    }
-
     /// Pool of exactly `threads` workers (0 is clamped to 1).
     pub fn with_threads(threads: usize) -> Campaign {
         Campaign {
@@ -54,24 +44,21 @@ impl Campaign {
         }
     }
 
-    /// Worker count this campaign will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run every spec, returning results in input order.
     pub fn run(&self, specs: &[TrialSpec]) -> Vec<TrialResult> {
         self.map(specs, run_trial)
     }
+}
 
-    /// [`run`](Campaign::run), plus — when `FP_TELEMETRY` is set — a
-    /// `manifest.json` describing the whole run (specs, seeds, revision,
-    /// totals) written to `$FP_TELEMETRY/<name>/`. The trial results are
-    /// byte-identical to [`run`](Campaign::run): timing never feeds back
-    /// into simulation.
+impl RunConfig {
+    /// [`Campaign::run`] on the configured pool, plus — when `FP_TELEMETRY`
+    /// is set — a `manifest.json` describing the whole run (configuration,
+    /// specs, seeds, revision, totals) written to `$FP_TELEMETRY/<name>/`.
+    /// The trial results are byte-identical to [`Campaign::run`]: timing
+    /// never feeds back into simulation.
     pub fn run_logged(&self, name: &str, specs: &[TrialSpec]) -> Vec<TrialResult> {
         let t0 = Instant::now();
-        let results = self.run(specs);
+        let results = self.campaign().run(specs);
         let wall_us_total = t0.elapsed().as_micros() as u64;
         self.write_manifest(name, specs, &results, wall_us_total, serde::Value::Null);
         results
@@ -90,10 +77,10 @@ impl Campaign {
         wall_us_total: u64,
         ctrl: serde::Value,
     ) {
-        let Some(dir) = fp_telemetry::dir_from_env() else {
+        let Some(dir) = &self.telemetry else {
             return;
         };
-        let mut m = campaign_manifest(name, self.threads, specs, results, wall_us_total);
+        let mut m = campaign_manifest(name, self, specs, results, wall_us_total);
         m.ctrl = ctrl;
         let mdir = dir.join(name);
         match m.write(&mdir) {
@@ -127,11 +114,11 @@ fn aggregate_memo(results: &[TrialResult]) -> (u64, u64) {
 }
 
 /// Build the self-describing [`fp_telemetry::Manifest`] for one campaign
-/// from its specs, their results (same order) and the wall-clock the
-/// whole campaign took.
+/// from the configuration it ran under, its specs, their results (same
+/// order) and the wall-clock the whole campaign took.
 fn campaign_manifest(
     name: &str,
-    threads: usize,
+    cfg: &RunConfig,
     specs: &[TrialSpec],
     results: &[TrialResult],
     wall_us_total: u64,
@@ -142,9 +129,8 @@ fn campaign_manifest(
     fp_telemetry::Manifest {
         name: name.to_string(),
         git: fp_telemetry::git_describe(),
-        threads: threads as u64,
+        config: cfg.to_value(),
         host_parallelism: host_parallelism(),
-        quick: crate::quick(),
         trials: specs.len() as u64,
         seeds: specs.iter().map(|s| s.seed).collect(),
         wall_us_total,
@@ -242,18 +228,27 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        assert_eq!(Campaign::with_threads(0).threads(), 1);
+        assert_eq!(Campaign::with_threads(0).threads, 1);
     }
 
+    /// What `FP_MEMO` / `FP_SPRAY` asked for is what the manifest says ran:
+    /// in its `config` object and in every echoed spec.
     #[test]
-    fn campaign_manifest_totals() {
+    fn campaign_manifest_totals_and_echo() {
+        let cfg = RunConfig::from_vars(|key| match key {
+            "FP_MEMO" => Some("1".into()),
+            "FP_SPRAY" => Some("reps".into()),
+            "FP_THREADS" => Some("2".into()),
+            _ => None,
+        })
+        .unwrap();
         let mut spec = TrialSpec {
             leaves: 4,
             spines: 2,
             bytes_per_node: 64 * 1024,
             iterations: 1,
             seed: 7,
-            ..TrialSpec::default()
+            ..cfg.base_spec()
         };
         spec.sim.sched = Some(SchedKind::Wheel);
         let specs = vec![
@@ -263,8 +258,8 @@ mod tests {
                 ..spec.clone()
             },
         ];
-        let results = Campaign::with_threads(2).run(&specs);
-        let m = campaign_manifest("demo", 4, &specs, &results, 1_000_000);
+        let results = cfg.campaign().run(&specs);
+        let m = campaign_manifest("demo", &cfg, &specs, &results, 1_000_000);
         assert_eq!(m.trials, 2);
         assert!(m.host_parallelism >= 1);
         assert_eq!(m.seeds, vec![7, 8]);
@@ -280,8 +275,22 @@ mod tests {
         assert!(sched
             .iter()
             .any(|(k, v)| k == "max_pending" && v.as_u64() == max_pending));
+
+        let get = |v: &serde::Value, key: &str| {
+            let map = v.as_map().expect("a JSON object");
+            map.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        };
+        assert_eq!(get(&m.config, "memo"), Some(serde::Value::Bool(true)));
+        assert_eq!(get(&m.config, "threads"), Some(serde::Value::U64(2)));
+        assert_eq!(get(&m.config, "quick"), Some(serde::Value::Bool(false)));
         // The spec list is embedded verbatim.
-        assert_eq!(m.specs.as_seq().map(<[serde::Value]>::len), Some(2));
+        let echoed = m.specs.as_seq().expect("specs is a list");
+        assert_eq!(echoed.len(), 2);
+        for s in echoed {
+            assert_eq!(get(s, "memo"), Some(serde::Value::Bool(true)));
+            let spray = get(&get(s, "sim").expect("sim"), "spray");
+            assert_eq!(spray, Some(serde::Value::Str("Reps".into())));
+        }
     }
 
     #[test]

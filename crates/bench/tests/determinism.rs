@@ -275,27 +275,3 @@ fn controller_campaign_is_byte_identical_across_thread_counts() {
         .iter()
         .all(|r| r.ctrl.as_ref().unwrap().time_to_mitigate_ns.is_some()));
 }
-
-#[test]
-fn fp_threads_env_sets_pool_size() {
-    // This is the only test in this binary touching FP_THREADS, so the
-    // process-global env mutation cannot race another test.
-    std::env::set_var("FP_THREADS", "3");
-    assert_eq!(Campaign::from_env().threads(), 3);
-    // A typo must not silently run on a different pool size.
-    for bad in ["0", "four"] {
-        std::env::set_var("FP_THREADS", bad);
-        let err = std::panic::catch_unwind(|| Campaign::from_env().threads()).expect_err(bad);
-        let msg = err.downcast_ref::<String>().expect("panic message");
-        assert!(
-            msg.contains("FP_THREADS") && msg.contains(bad),
-            "panic must name the variable and the value: {msg}"
-        );
-    }
-    for unset in ["", " "] {
-        std::env::set_var("FP_THREADS", unset);
-        assert!(Campaign::from_env().threads() >= 1, "empty means unset");
-    }
-    std::env::remove_var("FP_THREADS");
-    assert!(Campaign::from_env().threads() >= 1);
-}

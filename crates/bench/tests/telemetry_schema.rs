@@ -32,11 +32,20 @@ fn get<'v>(map: &'v Value, key: &str) -> Option<&'v Value> {
     map.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// `FP_TELEMETRY_CHECK`: a directory of artifacts some other run wrote
+/// (`verify.sh` points it at `headline`'s). This test's input, not a knob.
+#[allow(clippy::disallowed_methods)]
+fn check_dir() -> Option<PathBuf> {
+    std::env::var_os("FP_TELEMETRY_CHECK")
+        .filter(|s| !s.is_empty())
+        .map(PathBuf::from)
+}
+
 /// The artifact directory to validate: `FP_TELEMETRY_CHECK` if set, else a
 /// freshly generated one from a small faulted trial.
 fn artifact_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("FP_TELEMETRY_CHECK").filter(|s| !s.is_empty()) {
-        return PathBuf::from(dir);
+    if let Some(dir) = check_dir() {
+        return dir;
     }
     let dir = std::env::temp_dir().join(format!("fp-telemetry-schema-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -168,9 +177,8 @@ fn artifacts_validate() {
 fn manifest_validates_when_present() {
     // The manifest is written by campaign runs, not by the recorder itself;
     // validate it when pointed at campaign output, skip otherwise.
-    let dir = match std::env::var_os("FP_TELEMETRY_CHECK").filter(|s| !s.is_empty()) {
-        Some(d) => PathBuf::from(d),
-        None => return,
+    let Some(dir) = check_dir() else {
+        return;
     };
     if !dir.join("manifest.json").exists() {
         return;
@@ -183,4 +191,17 @@ fn manifest_validates_when_present() {
     let specs = get(&m, "specs").and_then(Value::as_seq).expect("specs");
     assert_eq!(seeds.len() as u64, trials);
     assert_eq!(specs.len() as u64, trials);
+    // The resolved configuration, every knob, defaults included.
+    let config = get(&m, "config").expect("config");
+    for knob in [
+        "quick",
+        "threads",
+        "results",
+        "spray",
+        "memo",
+        "telemetry",
+        "sample_interval_ns",
+    ] {
+        assert!(get(config, knob).is_some(), "config echoes {knob}");
+    }
 }

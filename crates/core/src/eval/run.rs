@@ -23,7 +23,7 @@ use fp_netsim::engine::{SchedKind, SchedStats};
 use fp_netsim::fault::{FaultAction, FaultKind};
 use fp_netsim::ids::LinkId;
 use fp_netsim::rng::splitmix64;
-use fp_netsim::sim::memo::{memo_from_env, MemoCounters};
+use fp_netsim::sim::memo::MemoCounters;
 use fp_netsim::sim::{IterSpanRecord, Simulator};
 use fp_netsim::stats::Stats;
 use fp_netsim::topology::Topology;
@@ -208,7 +208,7 @@ fn execute(
     // Fault onsets and heal edges are barriers a replay never crosses, so
     // the iteration-start install/heal hook — which only acts at exactly
     // those iterations — is safe to skip in between (`memo_barrier_hooks`).
-    let memo_requested = spec.memo.unwrap_or_else(memo_from_env);
+    let memo_requested = spec.memo.unwrap_or(false);
     let memo_ineligible = memo_requested
         .then(|| memo_ineligibility(spec, controller.is_some(), recorder.is_some()))
         .flatten();
@@ -584,15 +584,12 @@ mod tests {
         assert_eq!(base.stats.pkts_txed, r.stats.pkts_txed);
 
         // Neither do the inert shard fields (kept for the frozen
-        // `benchmark/` package) or the variable that used to fill them in,
-        // which no other test in this binary touches and nothing reads.
-        std::env::set_var("FP_SHARDS", "2");
+        // `benchmark/` package).
         let inert = run_trial(&TrialSpec {
             shards: Some(2),
             shard_epoch: Some(1),
             ..spec.clone()
         });
-        std::env::remove_var("FP_SHARDS");
         assert_eq!(format!("{inert:?}"), format!("{base:?}"));
         assert_eq!((inert.shard_windows, inert.shard_syncs), (0, 0));
     }

@@ -119,7 +119,7 @@ pub struct TrialSpec {
     pub shard_epoch: Option<u32>,
     /// Temporal-symmetry fast-forward: memoize steady-state collective
     /// iterations and replay their recorded deltas instead of simulating
-    /// them (`None` = the `FP_MEMO` environment override, default off).
+    /// them (`None` means off).
     /// Results are byte-identical either way; fault onsets, heal edges and
     /// scheduled controls act as barriers the replay never crosses. Trials
     /// that are ineligible (start jitter, online controller, telemetry

@@ -24,22 +24,19 @@
 //! naming the variable and the value; unset or empty means the default.
 
 use fp_monitord::{feed_lines, Monitord, QueuePolicy, ServiceConfig, WireStats};
-use fp_netsim::config::parse_setting;
+use fp_telemetry::parse_setting as get;
+use std::path::PathBuf;
 
-/// The service configuration and the socket connection limit
-/// (`FP_MONITORD_CONNS`), from the settings `var` looks up.
-fn settings(var: impl Fn(&str) -> Option<String>) -> Result<(ServiceConfig, Option<u64>), String> {
-    fn get<T>(
-        var: &dyn Fn(&str) -> Option<String>,
-        key: &str,
-        expected: &str,
-        parse: impl FnOnce(&str) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        parse_setting(key, var(key).as_deref(), expected, parse)
-    }
+/// The service configuration, the socket to serve (`FP_MONITORD_SOCK`) and
+/// its connection limit (`FP_MONITORD_CONNS`), from the settings `var`
+/// looks up.
+type Settings = (ServiceConfig, Option<PathBuf>, Option<u64>);
+
+fn settings(var: impl Fn(&str) -> Option<String>) -> Result<Settings, String> {
     fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
         v.parse().ok()
     }
+    let path = |key| var(key).filter(|p| !p.is_empty()).map(PathBuf::from);
     let count = "a whole number";
     let d = ServiceConfig::default();
     let cfg = ServiceConfig {
@@ -60,39 +57,43 @@ fn settings(var: impl Fn(&str) -> Option<String>) -> Result<(ServiceConfig, Opti
         )?
         .unwrap_or(d.threshold),
         warmup: get(&var, "FP_MONITORD_WARMUP", count, num)?.unwrap_or(d.warmup),
-        metrics_path: var("FP_MONITORD_METRICS")
-            .filter(|p| !p.is_empty())
-            .map(std::path::PathBuf::from),
+        metrics_path: path("FP_MONITORD_METRICS"),
         ..d
     };
-    Ok((cfg, get(&var, "FP_MONITORD_CONNS", count, num)?))
+    let conns = get(&var, "FP_MONITORD_CONNS", count, num)?;
+    Ok((cfg, path("FP_MONITORD_SOCK"), conns))
 }
 
+/// The one place the daemon reads its environment.
+#[allow(clippy::disallowed_methods)]
 fn main() {
-    let (cfg, max_conns) = settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| {
+    let (cfg, sock, max_conns) = settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| {
         eprintln!("fp-monitord: {e}");
         std::process::exit(2);
     });
     eprintln!(
-        "fp-monitord: policy={} cap={} batch={} threshold={} warmup={}",
+        "fp-monitord: policy={} cap={} batch={} threshold={} warmup={} metrics={:?} sock={:?} conns={:?}",
         cfg.policy.name(),
         cfg.queue_capacity,
         cfg.batch_max,
         cfg.threshold,
-        cfg.warmup
+        cfg.warmup,
+        cfg.metrics_path,
+        sock,
+        max_conns
     );
     let svc = Monitord::spawn(cfg);
     let handle = svc.handle();
 
-    let fed = match std::env::var("FP_MONITORD_SOCK") {
-        Ok(path) if !path.is_empty() => {
+    let fed = match sock {
+        Some(path) => {
             let _ = std::fs::remove_file(&path);
             let listener =
                 std::os::unix::net::UnixListener::bind(&path).expect("bind monitord socket");
-            eprintln!("fp-monitord: listening on {path}");
+            eprintln!("fp-monitord: listening on {}", path.display());
             fp_monitord::serve_unix(&listener, &handle, max_conns)
         }
-        _ => feed_lines(std::io::stdin().lock(), &handle),
+        None => feed_lines(std::io::stdin().lock(), &handle),
     };
     // Input that fails ends the run, not the report: every stream's
     // verdicts so far are still printed, then the exit status says so.
@@ -163,26 +164,27 @@ mod tests {
             &[][..],
             &[("FP_MONITORD_CAP", ""), ("FP_MONITORD_POLICY", " ")][..],
         ] {
-            let (cfg, conns) = settings(with(env)).unwrap();
+            let (cfg, sock, conns) = settings(with(env)).unwrap();
             assert_eq!(cfg.queue_capacity, d.queue_capacity);
             assert_eq!(cfg.batch_max, d.batch_max);
             assert_eq!(cfg.policy, d.policy);
             assert_eq!(cfg.threshold, d.threshold);
             assert_eq!(cfg.warmup, d.warmup);
             assert_eq!(cfg.metrics_path, None);
-            assert_eq!(conns, None);
+            assert_eq!((sock, conns), (None, None));
         }
     }
 
     #[test]
     fn well_formed_settings_apply() {
-        let (cfg, conns) = settings(with(&[
+        let (cfg, sock, conns) = settings(with(&[
             ("FP_MONITORD_CAP", "16"),
             ("FP_MONITORD_BATCH", "4"),
             ("FP_MONITORD_POLICY", "Drop"),
             ("FP_MONITORD_THRESHOLD", "0.05"),
             ("FP_MONITORD_WARMUP", "3"),
             ("FP_MONITORD_METRICS", "m.jsonl"),
+            ("FP_MONITORD_SOCK", "/tmp/m.sock"),
             ("FP_MONITORD_CONNS", "2"),
         ]))
         .unwrap();
@@ -190,6 +192,7 @@ mod tests {
         assert_eq!(cfg.policy, QueuePolicy::Drop);
         assert_eq!((cfg.threshold, cfg.warmup), (0.05, 3));
         assert_eq!(cfg.metrics_path, Some("m.jsonl".into()));
+        assert_eq!(sock, Some("/tmp/m.sock".into()));
         assert_eq!(conns, Some(2));
     }
 

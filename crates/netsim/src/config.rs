@@ -5,8 +5,6 @@ use crate::spray::SprayPolicy;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-pub use fp_telemetry::{env_setting, parse_setting};
-
 /// Priority Flow Control parameters (per ingress port, per priority).
 ///
 /// A switch tracks how many buffered bytes arrived via each ingress port at
@@ -61,10 +59,8 @@ pub struct SimConfig {
     pub ack_coalesce: u32,
     /// Flush a partially-filled ACK after this delay (must be ≪ RTO).
     pub ack_flush_delay: SimDuration,
-    /// Leaf uplink selection policy / spray backend. `Default::default`
-    /// resolves from the `FP_SPRAY` environment variable (falling back to
-    /// [`SprayPolicy::Adaptive`]); specs that pin the field explicitly are
-    /// unaffected by the environment.
+    /// Leaf uplink selection policy / spray backend (default
+    /// [`SprayPolicy::Adaptive`]).
     pub spray: SprayPolicy,
     /// Half-life of the [`SprayPolicy::Adaptive`] utilization counters
     /// (lazy exponential decay). Zero disables decay (pure byte-deficit
@@ -106,7 +102,7 @@ impl Default for SimConfig {
             rto_max_attempts: 50,
             ack_coalesce: 8,
             ack_flush_delay: SimDuration::from_ns(500),
-            spray: SprayPolicy::from_env().unwrap_or(SprayPolicy::Adaptive),
+            spray: SprayPolicy::Adaptive,
             spray_tau: SimDuration::from_us(100),
             ecn_threshold: default_ecn_threshold(),
             pfc: PfcConfig::default(),

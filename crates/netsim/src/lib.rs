@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::fault::{FaultAction, FaultEvent, FaultKind};
     pub use crate::ids::{HostId, LinkId, NodeId, SwitchId};
     pub use crate::packet::{CollectiveTag, FlowId, Packet, Priority};
-    pub use crate::sim::memo::{memo_from_env, MemoCounters, MemoReplay};
+    pub use crate::sim::memo::{MemoCounters, MemoReplay};
     pub use crate::sim::{IterSpanRecord, RunReason, RunSummary, Simulator};
     pub use crate::spray::SprayPolicy;
     pub use crate::stats::{DropCause, Stats};

@@ -91,12 +91,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
 use crate::transport::{AckAccum, FlowState};
 
-/// Memoization requested via `FP_MEMO` (default off; an unrecognised
-/// value panics, see [`fp_telemetry::env_toggle`]).
-pub fn memo_from_env() -> bool {
-    fp_telemetry::env_toggle("FP_MEMO")
-}
-
 /// A fast-forward the engine just performed, reported to the workload
 /// runner so it can skip the replayed iterations (the engine extends its
 /// own counters, statistics and span log over them).
@@ -135,9 +129,6 @@ pub struct MemoState {
     barriers: Vec<u32>,
     /// Set when the configuration can never memoize (e.g. random spray).
     disabled: Option<&'static str>,
-    /// `FP_MEMO_DEBUG` was on when memoization was armed: print which
-    /// snapshot fields differ on every fingerprint miss (stderr only).
-    debug_misses: bool,
     /// Records of the last [`MEMO_RING`] *consecutive* eligible
     /// boundaries, oldest first. Any refusal clears it, so entry `j`
     /// (from the back) is always exactly `j + 1` boundaries ago.
@@ -377,59 +368,6 @@ struct NormSnapshot {
     blocks: Vec<NormFlow>,
 }
 
-/// Report which snapshot fields mismatch (dev aid, `FP_MEMO_DEBUG=1`,
-/// read once in [`Simulator::enable_memo`]).
-fn snap_diff(a: &NormSnapshot, b: &NormSnapshot) -> String {
-    let mut out = Vec::new();
-    if a.dterm != b.dterm {
-        out.push(format!("dterm {} vs {}", a.dterm, b.dterm));
-    }
-    if a.fpb != b.fpb {
-        out.push(format!("fpb {} vs {}", a.fpb, b.fpb));
-    }
-    if a.events != b.events {
-        out.push(format!("events\n  {:?}\n  {:?}", a.events, b.events));
-    }
-    if a.wire != b.wire {
-        out.push(format!("wire\n  {:?}\n  {:?}", a.wire, b.wire));
-    }
-    if a.links != b.links {
-        for (i, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
-            if x != y {
-                out.push(format!("link{i}\n  {x:?}\n  {y:?}"));
-            }
-        }
-    }
-    if a.switches != b.switches {
-        for (i, (x, y)) in a.switches.iter().zip(&b.switches).enumerate() {
-            if x != y {
-                out.push(format!("switch{i}\n  {x:?}\n  {y:?}"));
-            }
-        }
-    }
-    if a.hosts != b.hosts {
-        out.push(format!("hosts {:?} vs {:?}", a.hosts, b.hosts));
-    }
-    if a.rng != b.rng {
-        out.push("rng".to_string());
-    }
-    if a.blocks != b.blocks {
-        for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
-            if x != y {
-                out.push(format!("block[{i}]\n  {x:?}\n  {y:?}"));
-            }
-        }
-        if a.blocks.len() != b.blocks.len() {
-            out.push(format!(
-                "blocks len {} vs {}",
-                a.blocks.len(),
-                b.blocks.len()
-            ));
-        }
-    }
-    out.join("\n")
-}
-
 /// Shared normalization context: rebases ids and times, tracks the max
 /// block distance referenced, and records the first refusal reason.
 struct Normalizer {
@@ -617,7 +555,6 @@ impl Simulator {
         self.memo = Some(Box::new(MemoState {
             barriers,
             disabled,
-            debug_misses: fp_telemetry::env_toggle("FP_MEMO_DEBUG"),
             ring: Vec::new(),
             hits: 0,
             replayed_iters: 0,
@@ -694,14 +631,6 @@ impl Simulator {
         // iterations. Smallest `k` wins (most iterations per window
         // record, fewest live boundaries between hits).
         let Some(pos) = st.ring.iter().rposition(|p| p.snap == snap) else {
-            if st.debug_misses {
-                if let Some(p) = st.ring.last() {
-                    eprintln!(
-                        "memo miss at iter {next_iter}: {}",
-                        snap_diff(&p.snap, &snap)
-                    );
-                }
-            }
             st.push(BoundaryRecord::capture(self, snap));
             return None;
         };

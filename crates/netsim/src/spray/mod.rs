@@ -142,17 +142,6 @@ impl SprayPolicy {
             _ => None,
         }
     }
-
-    /// Read the `FP_SPRAY` environment knob; `None` when unset or empty
-    /// (callers fall back to [`SprayPolicy::Adaptive`]). An unknown policy
-    /// name panics, see [`crate::config::env_setting`].
-    pub fn from_env() -> Option<SprayPolicy> {
-        crate::config::env_setting(
-            "FP_SPRAY",
-            "random|rr|adaptive|least_loaded|least_loaded_random_tie|ecmp|prime|reps|reps_failover",
-            SprayPolicy::parse,
-        )
-    }
 }
 
 /// Transport echo delivered to the sprayer that placed a packet

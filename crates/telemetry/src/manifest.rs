@@ -2,8 +2,8 @@
 //!
 //! A campaign that runs with `FP_TELEMETRY=dir` writes one
 //! `dir/<name>/manifest.json` recording the exact trial specs, seeds,
-//! thread count, and code revision that produced the artifacts, plus
-//! wall-time totals — enough to reproduce or audit a run months later.
+//! resolved configuration, and code revision that produced the artifacts,
+//! plus wall-time totals — enough to reproduce or audit a run months later.
 
 use serde::{Serialize, Value};
 use std::path::Path;
@@ -15,15 +15,15 @@ pub struct Manifest {
     pub name: String,
     /// `git describe --always --dirty` of the producing tree.
     pub git: String,
-    /// Worker threads the campaign ran with.
-    pub threads: u64,
+    /// Every configuration knob the run resolved at start-up, defaults
+    /// included (worker threads, quick mode, spray backend, memo, …),
+    /// serialized by the caller.
+    pub config: Value,
     /// Logical cores the producing host exposed
     /// (`std::thread::available_parallelism`). Lets readers judge whether
     /// worker-pool rows measured real concurrency or single-core
     /// coordination overhead.
     pub host_parallelism: u64,
-    /// Whether `FP_QUICK` reduced the sweep.
-    pub quick: bool,
     /// Trial count.
     pub trials: u64,
     /// Seeds, in spec order.
@@ -89,9 +89,8 @@ mod tests {
         let m = Manifest {
             name: "fig5a".into(),
             git: "abc1234".into(),
-            threads: 4,
+            config: Value::Map(vec![("threads".to_string(), Value::U64(4))]),
             host_parallelism: 8,
-            quick: true,
             trials: 2,
             seeds: vec![1000, 1001],
             wall_us_total: 120,
@@ -124,6 +123,7 @@ mod tests {
             Some(4500)
         );
         assert!(get("sched").and_then(Value::as_map).is_some());
+        assert!(get("config").and_then(Value::as_map).is_some());
         assert_eq!(
             get("specs").and_then(Value::as_seq).map(<[Value]>::len),
             Some(1)

@@ -18,39 +18,15 @@ echo "==> benchmark/ builds against the changed crates"
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> tier-1 tests with every fp-bench knob exported: no library reads the environment"
+# The same test binaries (cached build), so this costs test time only.
+FP_SPRAY=ecmp FP_MEMO=1 FP_QUICK=1 FP_THREADS=1 cargo test -q
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> removed subsystem stays removed: no intra-trial sharding left behind"
-# Intra-trial sharding was deleted (DESIGN.md §9). The bracket in each
-# alternative keeps these lines from matching themselves. One mention is
-# allowed: eval/run.rs's inert-field test sets the old shard-count variable
-# to show that nothing reads it.
-gone='FP_SHAR[D]|run_sharde[d]|ShardPla[n]|attach_shar[d]|shard_scalin[g]'
-if git grep --untracked -nE "$gone" -- crates src examples tests scripts |
-    grep -v '^crates/core/src/eval/run.rs:.*_var("FP_SHAR[D]S"'; then
-    echo "    sharding identifiers are back (lines above)" >&2
-    exit 1
-fi
-echo "    none under crates/ src/ examples/ tests/ scripts/"
-
-echo "==> single owners stay single: no runner iteration log, no second controller door, no eval.rs"
-# The engine's span log is the iteration record (the runner kept a shadow
-# copy), `run_ctrl_trial` is fp-ctrl's one door, and the trial harness is
-# the eval/{spec,run,score}.rs pipeline. Same bracket trick as above.
-gone='iter_goodput_bp[s]|iter_starte[d]|iter_finishe[d]|run_ctrl_trial_wit[h]'
-if git grep --untracked -nE "$gone" -- crates src examples tests; then
-    echo "    a deleted duplicate is back (lines above)" >&2
-    exit 1
-fi
-if [[ -e crates/core/src/eval.rs ]]; then
-    echo "    crates/core/src/eval.rs exists again: the harness lives in crates/core/src/eval/" >&2
-    exit 1
-fi
-echo "    none under crates/ src/ examples/ tests/; eval.rs absent"
 
 echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
 # Only the agenda (pipeline.rs), the schedulers under it and in-crate test
@@ -113,32 +89,41 @@ done
 echo "==> FP_SPRAY smoke: pluggable backends byte-identical across thread counts"
 tsp="$(mktemp -d)"
 trap 'rm -rf "$t1" "$t4" "$tt" "$tsp"' EXIT
-# fig5a does not pin `sim.spray`, so the env knob drives the whole sweep;
-# `reps` exercises the ACK-fed feedback path end to end.
+# fig5a does not pin `sim.spray`, so the knob (through `cfg.base_spec()`)
+# drives the whole sweep; `reps` exercises the ACK-fed feedback path end to
+# end. Each backend's bytes must also differ from the Adaptive run above,
+# or the knob no longer reaches the trials.
 for pol in ecmp prime reps; do
     FP_QUICK=1 FP_SPRAY="$pol" FP_THREADS=1 FP_RESULTS="$tsp/s1" \
         cargo run --release -q -p fp-bench --bin fig5a >/dev/null
     FP_QUICK=1 FP_SPRAY="$pol" FP_THREADS=4 FP_RESULTS="$tsp/s4" \
         cargo run --release -q -p fp-bench --bin fig5a >/dev/null
     cmp "$tsp/s1/fig5a.json" "$tsp/s4/fig5a.json"
-    echo "    fig5a FP_SPRAY=$pol: JSON byte-identical across thread counts"
-done
-
-echo "==> FP_* typos: a mistyped toggle must stop a sweep, not run the default"
-# headline is the binary that reads the sampler interval (and only with
-# FP_TELEMETRY set); every other toggle is read by any sweep.
-for bad in FP_SPRAY=ecpm FP_MEMO=On FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
-    bin=fig5a
-    [[ "$bad" == FP_TELEMETRY_INTERVAL_NS=* ]] && bin=headline
-    if env FP_QUICK=1 FP_RESULTS="$tsp/typo" FP_TELEMETRY="$tsp/typo_tel" "$bad" \
-        "target/release/$bin" >/dev/null 2>"$tsp/typo.err"; then
-        echo "    $bad: $bin ran anyway" >&2
+    if cmp -s "$tsp/s1/fig5a.json" "$t1/fig5a.json"; then
+        echo "    fig5a FP_SPRAY=$pol: same bytes as the Adaptive run, the knob did not apply" >&2
         exit 1
     fi
-    grep -qF "${bad%%=*}=\"${bad#*=}\" not recognized" "$tsp/typo.err"
+    echo "    fig5a FP_SPRAY=$pol: JSON byte-identical across thread counts, unlike Adaptive's"
 done
-echo "    refused by name and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_QUICK=ture, FP_THREADS=four (fig5a)," \
-    "FP_TELEMETRY_INTERVAL_NS=1ms (headline)"
+
+echo "==> FP_* typos: a mistyped knob must stop every fp-bench binary with status 2"
+# Each binary resolves the whole configuration first thing in main, so any
+# of them refuses any knob, before a trial runs or a file is written.
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "$src" .rs)"
+    for bad in FP_SPRAY=ecpm FP_MEMO=On FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
+        rc=0
+        env FP_QUICK=1 FP_RESULTS="$tsp/typo" "$bad" "target/release/$bin" \
+            </dev/null >/dev/null 2>"$tsp/typo.err" || rc=$?
+        if [[ $rc -ne 2 ]] || ! grep -qF "${bad%%=*}=\"${bad#*=}\" not recognized" "$tsp/typo.err"; then
+            echo "    $bad: $bin exit $rc, stderr: $(cat "$tsp/typo.err")" >&2
+            exit 1
+        fi
+    done
+done
+test ! -e "$tsp/typo"
+echo "    exit 2 naming variable and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_QUICK=ture," \
+    "FP_THREADS=four, FP_TELEMETRY_INTERVAL_NS=1ms ($(ls crates/bench/src/bin/*.rs | wc -l) binaries each)"
 
 echo "==> FP_RESULTS= (set but empty) means the default directory, not the current one"
 fig5a="$PWD/target/release/fig5a"
