@@ -32,6 +32,13 @@ struct Summary {
     retransmits: u64,
     data_pkts_sent: u64,
     events: u64,
+    /// Engine events per data packet delivered.
+    events_per_pkt: f64,
+    /// Entries the agenda handed out per data packet delivered: scheduler,
+    /// delay-class and head-of-line pops plus wire deliveries. Unlike
+    /// `events` this counts the retransmission timers that surface only to
+    /// be discarded, so it is where a change in timer traffic shows.
+    agenda_ops_per_pkt: f64,
     /// Trace-ring records retained by the run (drops, fault transitions,
     /// PFC state changes, flow failures), oldest first. The ring is
     /// bounded: when `trace_truncated` is true, `trace_offered` events were
@@ -76,6 +83,9 @@ fn main() {
         std::process::exit(2);
     }
     let r = run_trial(&spec);
+    let agenda_ops =
+        r.sched.pops + r.sched.class_pops + r.sched.head_pops + r.stats.pipeline_deliveries;
+    let per_pkt = |n: u64| n as f64 / r.stats.data_pkts_delivered.max(1) as f64;
     let summary = Summary {
         detected: r.detected,
         false_alarm: r.false_alarm,
@@ -89,6 +99,8 @@ fn main() {
         retransmits: r.stats.retransmits,
         data_pkts_sent: r.stats.data_pkts_sent,
         events: r.stats.events,
+        events_per_pkt: per_pkt(r.stats.events),
+        agenda_ops_per_pkt: per_pkt(agenda_ops),
         trace: r.trace.clone(),
         trace_offered: r.trace_offered,
         trace_truncated: r.trace_truncated,

@@ -275,6 +275,11 @@ mod tests {
         assert!(sched
             .iter()
             .any(|(k, v)| k == "max_pending" && v.as_u64() == max_pending));
+        let head_arms: u64 = results.iter().map(|r| r.sched.head_arms).sum();
+        assert!(head_arms > 0, "no trial armed a head-of-line timer");
+        assert!(sched
+            .iter()
+            .any(|(k, v)| k == "head_arms" && v.as_u64() == Some(head_arms)));
 
         let get = |v: &serde::Value, key: &str| {
             let map = v.as_map().expect("a JSON object");

@@ -287,11 +287,12 @@ fn gate_refuses_with_reasons() {
     assert!(memo_ineligibility(&eligible, false, true).is_some());
 }
 
-/// Engine-level case for the delay-class pipes: at every iteration
-/// boundary of this workload the receiver of the last transfer holds a
-/// partial ACK block whose flush timer is armed, and the senders' RTO
-/// timers of the last few segments have not surfaced yet — all of them
-/// entries of delay-class pipes, not of the scheduler. A matched boundary
+/// Engine-level case for the timers that wait outside the scheduler: at
+/// every iteration boundary of this workload the receiver of the last
+/// transfer holds a partial ACK block whose flush timer is armed — an
+/// entry of a delay-class pipe — and the senders' RTO deadlines of the
+/// last few segments have not passed yet — one armed head-of-line timer
+/// per flow plus the slots behind it in the flow's log. A matched boundary
 /// must fingerprint them and a replay must shift them, or the memoized
 /// run diverges from the live one (and the engine's debug-build
 /// re-snapshot assertion fires).
@@ -304,9 +305,9 @@ fn replay_shifts_pending_delay_class_entries() {
     use fp_netsim::sim::Simulator;
     use fp_netsim::topology::{FatTreeSpec, Topology};
 
-    /// Per live boundary: (class-pipe entries pending, flows holding an
-    /// unflushed partial ACK block).
-    type Seen = Rc<RefCell<Vec<(u64, usize)>>>;
+    /// Per live boundary: (class-pipe entries pending, head-of-line timers
+    /// armed, flows holding an unflushed partial ACK block).
+    type Seen = Rc<RefCell<Vec<(u64, u64, usize)>>>;
 
     fn run(memo: bool, sched: SchedKind) -> (Simulator, Seen) {
         let topo = Topology::fat_tree(FatTreeSpec {
@@ -342,8 +343,9 @@ fn replay_shifts_pending_delay_class_entries() {
         runner.set_iteration_end_hook(Box::new(move |sim, _| {
             let ss = sim.sched_stats();
             let unflushed = sim.flows.iter().filter(|f| f.pending_ack.is_some()).count();
+            let class_pending = ss.class_pushes - ss.class_pops;
             log.borrow_mut()
-                .push((ss.class_pushes - ss.class_pops, unflushed));
+                .push((class_pending, ss.head_arms - ss.head_pops, unflushed));
         }));
         sim.set_app(Box::new(runner));
         sim.run();
@@ -353,9 +355,10 @@ fn replay_shifts_pending_delay_class_entries() {
     for sched in [SchedKind::Heap, SchedKind::Wheel] {
         let (live, live_seen) = run(false, sched);
         let (memo, memo_seen) = run(true, sched);
-        for &(class_pending, unflushed) in live_seen.borrow().iter() {
+        for &(class_pending, heads, unflushed) in live_seen.borrow().iter() {
             assert!(unflushed > 0, "no ACK flush timer armed at a boundary");
-            assert!(class_pending > unflushed as u64, "RTO timers pending too");
+            assert!(class_pending >= unflushed as u64, "one flush timer each");
+            assert!(heads > 0, "no flow's RTO timer armed at a boundary");
         }
         let mc = memo.memo_counters().expect("memo armed");
         assert!(mc.hits > 0, "never fast-forwarded: {:?}", mc.fallback);
@@ -386,7 +389,9 @@ fn replay_shifts_pending_delay_class_entries() {
             (ls.pushes, ls.pops, ls.class_pushes, ls.class_pops),
             (ms.pushes, ms.pops, ms.class_pushes, ms.class_pops)
         );
+        assert_eq!((ls.head_arms, ls.head_pops), (ms.head_arms, ms.head_pops));
         assert_eq!(ms.class_pushes, ms.class_pops, "drained");
+        assert_eq!(ms.head_arms, ms.head_pops, "drained");
         // The scheduler saw only the runner's per-host start wake-ups.
         assert_eq!(ms.pushes, 14 * 8);
     }

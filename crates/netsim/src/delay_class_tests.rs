@@ -1,6 +1,7 @@
 //! Differential test of the delay-class pipes against the all-scheduler
 //! engine they replaced, and the full-simulator scenario generator the
-//! engine's other differential tests share (`fast_path_tests`).
+//! engine's other differential tests share (`fast_path_tests`,
+//! `head_timer_tests`).
 //!
 //! A class bound of 0 sends every constant-delay event to the scheduler —
 //! exactly the engine before the class pipes existed — so running the same
@@ -32,6 +33,9 @@ pub(super) struct Scenario {
     /// Run every enqueue down the queued route (the engine before the
     /// uncontended-hop shortcut).
     pub queued_route_only: bool,
+    /// Arm a first-attempt timer per segment (the transport before the
+    /// per-flow head-of-line timer).
+    pub per_segment_rto: bool,
     pub seed: u64,
     pub leaves: u32,
     pub spines: u32,
@@ -42,6 +46,10 @@ pub(super) struct Scenario {
     pub msgs: usize,
     /// 0 drop, 1 blackhole, 2 dst-blackhole, 3 admin-down, else none.
     pub fault_sel: u32,
+    /// The fault comes and goes three times before it heals for good.
+    pub flap: bool,
+    /// Timeouts a segment survives before its flow gives up.
+    pub rto_max_attempts: u32,
     /// 0 off, 1 default thresholds, 2 XOFF/XON of a few packets so pauses
     /// actually happen.
     pub pfc_sel: u32,
@@ -63,6 +71,7 @@ impl Scenario {
             sched: SchedKind::Wheel,
             bound: MAX_DELAY_CLASSES,
             queued_route_only: false,
+            per_segment_rto: false,
             seed,
             leaves,
             spines,
@@ -70,6 +79,9 @@ impl Scenario {
             three_level: false,
             msgs,
             fault_sel,
+            flap: false,
+            // Fail fast under black holes so drains stay cheap.
+            rto_max_attempts: 6,
             pfc_sel: 1,
             spray: spray::SprayPolicy::default(),
             mixed_prio: false,
@@ -84,13 +96,26 @@ impl Scenario {
 pub(super) struct Outcome {
     events: u64,
     end: SimTime,
+    /// Without `rto_stale_skips`, which is how many dead timers surfaced
+    /// and the one statistic the timer scheme may change.
     stats: String,
+    pub rto_stale_skips: u64,
     counters: String,
     agg_counters: String,
     trace: Vec<crate::trace::TraceRecord>,
     applied_controls: Vec<AppliedControl>,
     /// Every `(time, link, egress state)` the telemetry sampler saw.
     samples: Vec<(u64, u32, LinkSample)>,
+}
+
+impl Outcome {
+    /// Everything but how many dead timers surfaced.
+    pub fn sans_stale_skips(self) -> Outcome {
+        Outcome {
+            rto_stale_skips: 0,
+            ..self
+        }
+    }
 }
 
 /// Keeps every link sample (shared, so the test reads it after boxing).
@@ -119,6 +144,11 @@ pub(super) struct Traffic {
     /// Packets that took the uncontended-hop shortcut.
     pub direct_starts: u64,
     pub pfc_pauses: u64,
+    /// First-attempt timers armed one per flow at a time.
+    pub head_arms: u64,
+    pub data_pkts_sent: u64,
+    pub retransmits: u64,
+    pub flows_failed: u64,
 }
 
 /// Entry by entry: the store's own `Debug` walks a hash index.
@@ -155,8 +185,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
     let cfg = SimConfig {
         sched: Some(sc.sched),
         spray: sc.spray,
-        // Fail fast under black holes so drains stay cheap.
-        rto_max_attempts: 6,
+        rto_max_attempts: sc.rto_max_attempts,
         pfc: match sc.pfc_sel {
             0 => PfcConfig {
                 enabled: false,
@@ -174,6 +203,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
     let mut sim = Simulator::new(topo, cfg, sc.seed);
     sim.agenda.set_class_bound(sc.bound);
     sim.queued_route_only = sc.queued_route_only;
+    sim.per_segment_rto = sc.per_segment_rto;
     let samples = Rc::new(RefCell::new(Vec::new()));
     if sc.sample_ns > 0 {
         sim.set_recorder(Box::new(SampleLog {
@@ -205,8 +235,14 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
         _ => None,
     };
     if let Some(kind) = kind {
-        sim.schedule_fault(FaultEvent::set_bidir(SimTime::from_ns(2_000), link, kind));
-        sim.schedule_fault(FaultEvent::clear_bidir(SimTime::from_ns(40_000), link));
+        let spans: &[(u64, u64)] = match sc.flap {
+            false => &[(2_000, 40_000)],
+            true => &[(2_000, 9_000), (13_000, 21_000), (26_000, 40_000)],
+        };
+        for &(set, clear) in spans {
+            sim.schedule_fault(FaultEvent::set_bidir(SimTime::from_ns(set), link, kind));
+            sim.schedule_fault(FaultEvent::clear_bidir(SimTime::from_ns(clear), link));
+        }
     }
     if sc.recycle {
         let cable = LinkId((sc.seed as u32 >> 16) % n_links);
@@ -225,19 +261,28 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
     let ss = sim.sched_stats();
     assert_eq!(ss.pushes, ss.pops, "scheduler drained");
     assert_eq!(ss.class_pushes, ss.class_pops, "class pipes drained");
+    assert_eq!(ss.head_arms, ss.head_pops, "head-of-line timers drained");
     let samples = samples.take();
     // Sampler ticks are popped like any event but never counted as one.
     let ticks = samples.len() as u64 / n_links as u64;
     assert_eq!(
-        ss.pops + ss.class_pops,
+        ss.pops + ss.class_pops + ss.head_pops,
         sim.stats.events - sim.stats.pipeline_deliveries + sim.stats.rto_stale_skips + ticks,
         "pop count decomposition"
     );
+    // Drained: every flow is acknowledged or gave up, and gave its timer
+    // slot log back.
+    for (id, f) in sim.flows.iter().enumerate() {
+        assert!(f.fully_acked() || f.failed, "flow {id} left in doubt");
+        assert!(!f.rto_armed && f.sent.capacity() == 0, "flow {id} log");
+    }
+    let rto_stale_skips = std::mem::take(&mut sim.stats.rto_stale_skips);
     (
         Outcome {
             events: summary.events,
             end: summary.end,
             stats: format!("{:?}", sim.stats),
+            rto_stale_skips,
             counters: counters_debug(&sim.counters),
             agg_counters: counters_debug(&sim.agg_counters),
             trace: sim.trace.to_records(),
@@ -250,6 +295,10 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
             classes: sim.agenda.classes(),
             direct_starts: sim.direct_starts,
             pfc_pauses: sim.stats.pfc_pauses,
+            head_arms: ss.head_arms,
+            data_pkts_sent: sim.stats.data_pkts_sent,
+            retransmits: sim.stats.retransmits,
+            flows_failed: sim.stats.flows_failed,
         },
     )
 }

@@ -27,11 +27,13 @@ pub enum EventKind {
     },
     /// Retransmission timer for one segment.
     ///
-    /// RTO events are *lazily cancelled*: when a segment is acknowledged the
-    /// sender bumps its per-segment generation counter instead of searching
-    /// the agenda, and a popped timer whose `gen` no longer matches is
-    /// discarded without being dispatched (it never counts as a processed
-    /// event and never advances the clock).
+    /// RTO events are *lazily cancelled*: nothing searches the agenda when
+    /// a segment is acknowledged or its flow gives up; a timer that
+    /// surfaces for such a segment is discarded without being dispatched
+    /// (it never counts as a processed event and never advances the
+    /// clock). A flow keeps only one first-attempt timer (`attempt` 0)
+    /// armed at a time, for its oldest segment still in doubt
+    /// (`crate::transport`); every backoff timer is armed on its own.
     Rto {
         /// Owning flow.
         flow: FlowId,
@@ -39,9 +41,6 @@ pub enum EventKind {
         seq: u32,
         /// How many times this segment has been retransmitted already.
         attempt: u32,
-        /// Generation of the segment's timer at arming time; compared
-        /// against the flow's current generation at pop time.
-        gen: u32,
     },
     /// Application wake-up (workload-scheduled).
     Wake {
@@ -96,16 +95,10 @@ impl EventKind {
     /// debug-panic here.
     pub(crate) fn memo_shift_flow(self, dflow: u32) -> EventKind {
         match self {
-            EventKind::Rto {
-                flow,
-                seq,
-                attempt,
-                gen,
-            } => EventKind::Rto {
+            EventKind::Rto { flow, seq, attempt } => EventKind::Rto {
                 flow: flow + dflow,
                 seq,
                 attempt,
-                gen,
             },
             EventKind::AckFlush { flow } => EventKind::AckFlush { flow: flow + dflow },
             EventKind::TxDone { .. } => self,
@@ -122,11 +115,12 @@ impl EventKind {
 // path in the simulator. Deliveries — which used to carry the 64-byte
 // `Packet` by value — no longer exist as scheduler events at all: packets
 // ride per-link FIFO pipelines (`crate::pipeline`) and only tiny timer /
-// control events go through the wheel or heap. The largest variant today
-// is `Rto` (tag + four `u32`s, padded to the 8-byte alignment `Wake`'s
-// token forces); if a variant ever needs more, box its payload instead of
-// raising this.
-const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
+// control events go through the wheel or heap. The largest variants today
+// are `Wake` (tag, host and the 8-byte token) and `Rto` (tag + three
+// `u32`s): two words, which is also what a delay-class pipe entry packs an
+// event into (`crate::pipeline`). If a variant ever needs more, box its
+// payload instead of raising this.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
 
 /// Which future-event scheduler backs a simulator.
 #[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug, Default)]
@@ -188,9 +182,14 @@ pub struct SchedStats {
     pub class_pushes: u64,
     /// Events popped off a delay-class pipe — like `pops`, including
     /// lazily-cancelled RTO timers that are then discarded. On a drained,
-    /// recorder-free run `pops + class_pops == events -
+    /// recorder-free run `pops + class_pops + head_pops == events -
     /// pipeline_deliveries + rto_stale_skips`.
     pub class_pops: u64,
+    /// First-attempt retransmission timers armed in the agenda's
+    /// head-of-line set (one at a time per flow, see `crate::transport`).
+    pub head_arms: u64,
+    /// Head-of-line timers that surfaced (live or lazily cancelled).
+    pub head_pops: u64,
 }
 
 impl SchedStats {
@@ -210,6 +209,8 @@ impl SchedStats {
         self.due_splices += other.due_splices;
         self.class_pushes += other.class_pushes;
         self.class_pops += other.class_pops;
+        self.head_arms += other.head_arms;
+        self.head_pops += other.head_pops;
     }
 }
 
@@ -616,6 +617,8 @@ mod tests {
             due_splices: 1,
             class_pushes: 30,
             class_pops: 25,
+            head_arms: 9,
+            head_pops: 8,
         };
         let mut m = SchedStats {
             pushes: 20,
@@ -628,6 +631,8 @@ mod tests {
             due_splices: 0,
             class_pushes: 3,
             class_pops: 3,
+            head_arms: 2,
+            head_pops: 1,
         };
         m.merge(&a);
         assert_eq!(m.pushes, 120);
@@ -640,6 +645,7 @@ mod tests {
         assert_eq!(m.due_splices, 1);
         assert_eq!(m.class_pushes, 33);
         assert_eq!(m.class_pops, 28);
+        assert_eq!((m.head_arms, m.head_pops), (11, 9));
     }
 
     #[test]

@@ -229,18 +229,9 @@ struct NormEvent {
 /// planes, recorders) and must never be silently replayed.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum NormEventKind {
-    Rto {
-        dflow: u32,
-        seq: u32,
-        attempt: u32,
-        gen: u32,
-    },
-    AckFlush {
-        dflow: u32,
-    },
-    TxDone {
-        link: u32,
-    },
+    Rto { dflow: u32, seq: u32, attempt: u32 },
+    AckFlush { dflow: u32 },
+    TxDone { link: u32 },
 }
 
 /// A packet, with flow id and iteration tag rebased.
@@ -333,7 +324,12 @@ struct NormFlow {
     failed: bool,
     retx: u32,
     cum_acked: u32,
-    rto_gen: Vec<u32>,
+    /// The readable part of the first-attempt slot log — the armed slot
+    /// and those behind it — as `(at - T_i, seq_counter - seq)`; empty
+    /// when no slot is armed.
+    sent: Vec<(u64, u64)>,
+    rto_cursor: u32,
+    rto_armed: bool,
     rcvd: BitSet,
     pending_ack: Option<AckAccum>,
     /// `T_i - completed_at`, if completed.
@@ -462,6 +458,14 @@ impl Normalizer {
     }
 
     fn flow(&mut self, f: &FlowState) -> NormFlow {
+        let unsurfaced = f.sent.get(f.rto_cursor as usize..).unwrap_or(&[]);
+        let sent = unsurfaced
+            .iter()
+            .map(|slot| {
+                let (at, seq) = slot.memo_parts();
+                (self.dt(at), self.rseq(seq))
+            })
+            .collect();
         NormFlow {
             src: f.src.0,
             dst: f.dst.0,
@@ -475,7 +479,9 @@ impl Normalizer {
             failed: f.failed,
             retx: f.retx,
             cum_acked: f.cum_acked,
-            rto_gen: f.rto_gen.clone(),
+            sent,
+            rto_cursor: f.rto_cursor,
+            rto_armed: f.rto_armed,
             rcvd: f.rcvd.clone(),
             pending_ack: f.pending_ack,
             completed_age: f.completed_at.map(|c| self.age(c)),
@@ -503,6 +509,8 @@ fn sched_window(cur: &SchedStats, prev: &SchedStats) -> SchedStats {
         due_splices: cur.due_splices - prev.due_splices,
         class_pushes: cur.class_pushes - prev.class_pushes,
         class_pops: cur.class_pops - prev.class_pops,
+        head_arms: cur.head_arms - prev.head_arms,
+        head_pops: cur.head_pops - prev.head_pops,
     }
 }
 
@@ -733,7 +741,7 @@ impl Simulator {
                 *f += dflow;
             }
         }
-        self.memo_replay_flows(snap.fpb, next_iter, units, k, snap.dterm, period_ns);
+        self.memo_replay_flows(&snap, next_iter, units, k, period_ns, sq);
         for j in 1..=units {
             let tshift = period_ns * j as u64;
             for d in &counter_deltas {
@@ -862,16 +870,10 @@ impl Simulator {
                 Due::Event(kind) => kind,
             };
             let kind = match kind {
-                EventKind::Rto {
-                    flow,
-                    seq,
-                    attempt,
-                    gen,
-                } => NormEventKind::Rto {
+                EventKind::Rto { flow, seq, attempt } => NormEventKind::Rto {
                     dflow: n.dflow(flow),
                     seq,
                     attempt,
-                    gen,
                 },
                 EventKind::AckFlush { flow } => NormEventKind::AckFlush {
                     dflow: n.dflow(flow),
@@ -1000,20 +1002,22 @@ impl Simulator {
     ///   terminal block.
     ///
     /// Shifting a flow by `s` blocks (`s` a multiple of `k`) adds
-    /// `(s/k)·P` to its timestamps and `s` to its iteration tag (its id is
-    /// its table index, which the push below moves by `s·F`); all
-    /// transport state (bitmaps, generations, counters) copies verbatim —
+    /// `(s/k)·P` to its timestamps, `s` to its iteration tag (its id is
+    /// its table index, which the push below moves by `s·F`) and
+    /// `((s/k)·P, (s/k)·Sq)` to its logged timer slots; all other
+    /// transport state (bitmaps, cursors, counters) copies verbatim —
     /// that is what the fingerprint equality certifies, block by block,
     /// for every block live at either compared boundary.
     fn memo_replay_flows(
         &mut self,
-        fpb: u32,
+        snap: &NormSnapshot,
         next_iter: u32,
         units: u32,
         k: u32,
-        dterm: u32,
         period_ns: u64,
+        sq: u64,
     ) {
+        let (fpb, dterm) = (snap.fpb, snap.dterm);
         let iters = units * k;
         let nb_old = next_iter; // blocks before the replay
         let nb_new = next_iter + iters;
@@ -1041,6 +1045,9 @@ impl Simulator {
                 }
                 if let Some(tag) = &mut f.tag {
                     tag.iter += s;
+                }
+                for slot in &mut f.sent {
+                    slot.memo_shift(shift, sq * (s / k) as u64);
                 }
                 self.flows.push(f);
             }

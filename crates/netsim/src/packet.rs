@@ -4,7 +4,7 @@
 //! payload bytes. Packets in flight live in the engine's delivery pipes
 //! (`crate::pipeline`), not inside scheduler events, so `Packet`'s size is
 //! off the scheduler's hot path (`EventKind` carries only IDs and fits in
-//! 24 bytes). Data packets belong to a transport flow ([`FlowId`]) and may
+//! 16 bytes). Data packets belong to a transport flow ([`FlowId`]) and may
 //! carry a [`CollectiveTag`] identifying the collective job and training
 //! iteration they belong to; this is the paper's NCCL `flow_id` tagging
 //! (§5.1): it is the only piece of information switches need in order to know

@@ -19,8 +19,9 @@
 //!   burned wire time but never arrives, exactly like a CRC-failed frame.
 //! * PFC: per ingress-port/priority buffered-byte accounting with XOFF/XON
 //!   thresholds; PAUSE frames take one link latency to take effect.
-//! * Transport: per-segment RTO with exponential backoff, coalesced
-//!   selective ACKs, reorder-tolerant receivers.
+//! * Transport: a retransmission deadline per segment (one armed timer per
+//!   flow) with exponential backoff, coalesced selective ACKs,
+//!   reorder-tolerant receivers.
 
 use crate::app::Application;
 use crate::config::SimConfig;
@@ -56,6 +57,10 @@ mod delay_class_tests;
 #[cfg(test)]
 #[path = "fast_path_tests.rs"]
 mod fast_path_tests;
+
+#[cfg(test)]
+#[path = "head_timer_tests.rs"]
+mod head_timer_tests;
 
 /// Runtime state of one host NIC.
 #[derive(Debug)]
@@ -151,6 +156,10 @@ pub struct Simulator {
     /// Packets that took the uncontended-hop shortcut (tests only).
     #[cfg(test)]
     direct_starts: u64,
+    /// Test hook: arm a first-attempt timer for every segment, i.e. run
+    /// the transport as it was before the per-flow head-of-line timer.
+    #[cfg(test)]
+    per_segment_rto: bool,
 }
 
 impl Simulator {
@@ -204,6 +213,8 @@ impl Simulator {
             queued_route_only: false,
             #[cfg(test)]
             direct_starts: 0,
+            #[cfg(test)]
+            per_segment_rto: false,
         };
         sim.switches.recompute_routing(&sim.topo, &sim.links);
         sim
@@ -545,13 +556,26 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, at: SimTime, kind: EventKind) {
-        // Lazy RTO cancellation: a timer whose segment was acknowledged (or
-        // whose flow failed) since arming is discarded here, before any
-        // event accounting — it does not advance the clock and does not
-        // count toward `stats.events` or the `max_events` guard. Its
-        // container strictly shrinks on a skip, so this cannot loop.
-        if let EventKind::Rto { flow, seq, gen, .. } = kind {
-            if self.flows[flow as usize].rto_is_stale(seq, gen) {
+        if let EventKind::Rto { flow, seq, attempt } = kind {
+            let f = &mut self.flows[flow as usize];
+            // A first-attempt timer is its flow's only armed one: the
+            // flow's next logged slot takes its place before anything else
+            // happens, so the flow never names a timer that is gone.
+            let head_of_line = attempt == 0;
+            #[cfg(test)]
+            let head_of_line = head_of_line && !self.per_segment_rto;
+            if head_of_line {
+                if let Some((slot, next)) = f.next_head(flow, seq) {
+                    self.agenda.arm_reserved(slot, next);
+                }
+            }
+            // Lazy RTO cancellation: a timer whose segment was acknowledged
+            // (or whose flow failed) since arming is discarded here, before
+            // any event accounting — it does not advance the clock and does
+            // not count toward `stats.events` or the `max_events` guard.
+            // Pending timers strictly shrink on a skip (a flow's slots only
+            // move forward), so this cannot loop.
+            if f.rto_is_stale(seq) {
                 self.stats.rto_stale_skips += 1;
                 return;
             }
@@ -583,9 +607,7 @@ impl Simulator {
         self.stats.events += 1;
         match kind {
             EventKind::TxDone { link } => self.handle_tx_done(link),
-            EventKind::Rto {
-                flow, seq, attempt, ..
-            } => self.handle_rto(flow, seq, attempt),
+            EventKind::Rto { flow, seq, attempt } => self.handle_rto(flow, seq, attempt),
             EventKind::Wake { host, token } => {
                 self.with_app(|app, sim| app.on_wake(sim, host, token))
             }
@@ -668,7 +690,8 @@ impl Simulator {
     }
 
     /// Pull the next fresh (never-sent) segment at priority class `q` from
-    /// host `h`'s active flows, round-robin. Arms the first RTO.
+    /// host `h`'s active flows, round-robin. Takes the segment's place in
+    /// the timer order and arms it if the flow has no timer armed.
     fn next_fresh(&mut self, h: HostId, q: usize) -> Option<Packet> {
         let n = self.hosts[h.idx()].active.len();
         for _ in 0..n {
@@ -684,12 +707,22 @@ impl Simulator {
             }
             let leaf = self.hosts[h.idx()].leaf as u16;
             let f = &mut self.flows[fid as usize];
-            let (pkt, rto) = f.send_fresh(fid, leaf);
+            let pkt = f.send_fresh(fid, leaf);
             if f.has_fresh() {
                 self.hosts[h.idx()].active.push_back(fid);
             }
             self.stats.data_pkts_sent += 1;
-            self.agenda.after(self.now, self.cfg.rto, rto);
+            #[cfg(test)]
+            if self.per_segment_rto {
+                let (flow, seq, attempt) = (fid, f.next_seq - 1, 0);
+                let rto = EventKind::Rto { flow, seq, attempt };
+                self.agenda.after(self.now, self.cfg.rto, rto);
+                return Some(pkt);
+            }
+            let slot = self.agenda.reserve_after(self.now, self.cfg.rto);
+            if let Some(rto) = f.log_sent(fid, slot) {
+                self.agenda.arm_reserved(slot, rto);
+            }
             return Some(pkt);
         }
         None
@@ -1116,12 +1149,13 @@ mod tests {
 
     #[test]
     fn pipeline_deliveries_dominate_and_account_exactly() {
-        // Recorder-free drained run: every scheduler or class-pipe pop is
-        // either an engine event that was not a pipeline delivery, or a
-        // stale RTO discarded by lazy cancellation. Deliveries themselves
-        // never round-trip either container — that is the point of the
-        // pipelines — and with no fault, control or wake-up scheduled,
-        // every timer rode a delay-class pipe: the scheduler saw nothing.
+        // Recorder-free drained run: every scheduler, class-pipe or
+        // head-of-line pop is either an engine event that was not a
+        // pipeline delivery, or a stale RTO discarded by lazy cancellation.
+        // Deliveries themselves never round-trip any of those containers —
+        // that is the point of the pipelines — and with no fault, control
+        // or wake-up scheduled, every timer rode a delay-class pipe or was
+        // a flow's head-of-line timer: the scheduler saw nothing.
         let mut s = sim(17);
         s.post_message(HostId(0), HostId(2), 500_000, None, Priority::MEASURED);
         let r = s.run();
@@ -1130,8 +1164,9 @@ mod tests {
         let ss = s.sched_stats();
         assert_eq!(ss.pushes, ss.pops, "drained run: pushes == pops");
         assert_eq!(ss.class_pushes, ss.class_pops, "drained class pipes");
+        assert_eq!(ss.head_arms, ss.head_pops, "drained head-of-line timers");
         assert_eq!(
-            ss.pops + ss.class_pops,
+            ss.pops + ss.class_pops + ss.head_pops,
             s.stats.events - s.stats.pipeline_deliveries + s.stats.rto_stale_skips
         );
         assert_eq!(ss.pushes, 0, "a constant-delay event reached the scheduler");
@@ -1413,7 +1448,10 @@ mod tests {
         let r = s.run();
         assert_eq!(r.reason, RunReason::Drained);
         assert_eq!(s.stats.retransmits, 0);
-        assert_eq!(s.stats.rto_stale_skips, 1, "one armed timer, one skip");
+        assert_eq!(
+            s.stats.rto_stale_skips, 1,
+            "one segment: the flow's only timer is armed and dies stale"
+        );
         assert!(
             s.now() < SimTime::ZERO + s.cfg.rto,
             "dead timer advanced the clock to {}",
@@ -1426,10 +1464,19 @@ mod tests {
         let mut s = sim(61);
         s.post_message(HostId(0), HostId(3), 1_000_000, None, Priority::MEASURED);
         s.run();
-        let npkts = s.flows[0].npkts as u64;
-        assert_eq!(s.stats.retransmits, 0);
-        // Every segment armed exactly one timer and every one died stale.
-        assert_eq!(s.stats.rto_stale_skips, npkts);
+        assert_eq!((s.flows[0].npkts, s.stats.retransmits), (245, 0));
+        let ss = s.sched_stats();
+        assert_eq!(
+            ss.head_arms, s.stats.rto_stale_skips,
+            "every one died stale"
+        );
+        assert_eq!(
+            s.stats.rto_stale_skips, 8,
+            "one timer at a time: each one that surfaces (an RTO after its \
+             segment left) hands over to the oldest segment still \
+             unacknowledged, about an RTO less a round trip further on, and \
+             the last segment sent is always armed"
+        );
     }
 
     #[test]
@@ -1455,7 +1502,11 @@ mod tests {
         let (r1, skips, retx) = run(u64::MAX);
         assert_eq!(r1.reason, RunReason::Drained);
         assert!(retx > 0, "fault must have forced retransmissions");
-        assert!(skips > 0, "acked segments must leave stale timers behind");
+        assert!(
+            skips > 0 && skips < 123,
+            "{skips}: an acknowledged head-of-line segment leaves a stale \
+             timer behind, most of the 123 segments never arm one"
+        );
         let (r2, skips2, _) = run(r1.events + 1);
         assert_eq!(r2.reason, RunReason::Drained);
         assert_eq!(r2.events, r1.events, "runs must be identical");

@@ -37,8 +37,9 @@ pub struct Stats {
     /// straight from a link's in-flight FIFO (never pushed through the
     /// scheduler). `events - pipeline_deliveries + rto_stale_skips` is the
     /// number of pops a drained, recorder-free run performed off the
-    /// scheduler and the delay-class pipes together (`SchedStats::pops +
-    /// SchedStats::class_pops`).
+    /// scheduler, the delay-class pipes and the head-of-line timer set
+    /// together (`SchedStats::pops + SchedStats::class_pops +
+    /// SchedStats::head_pops`).
     pub pipeline_deliveries: u64,
     /// Packets that completed serialization on some link.
     pub pkts_txed: u64,
@@ -50,7 +51,9 @@ pub struct Stats {
     pub retransmits: u64,
     /// RTO timer events discarded by lazy cancellation (segment already
     /// acknowledged or flow failed when the timer surfaced). Not included
-    /// in `events`.
+    /// in `events`. A flow keeps one first-attempt timer armed at a time
+    /// (`crate::transport`), so this counts the few that surfaced, not one
+    /// per acknowledged segment.
     pub rto_stale_skips: u64,
     /// Data packets delivered to their destination host (including dups).
     pub data_pkts_delivered: u64,

@@ -7,15 +7,39 @@
 //!
 //! Each message is one *flow*: a fixed number of MTU-sized segments. The
 //! sender blasts segments at line rate (no congestion window — the fabric is
-//! lossless and non-blocking), arms a per-segment retransmission timer, and
-//! retransmits on timeout with exponential backoff. The receiver accepts
+//! lossless and non-blocking), gives every segment a retransmission deadline,
+//! and retransmits on timeout with exponential backoff. The receiver accepts
 //! segments in any order, deduplicates, and returns coalesced selective
 //! ACKs. Message completion fires when the receiver holds every segment.
+//!
+//! ## One first-attempt timer per flow
+//!
+//! On a lossless fabric almost every segment is acknowledged long before
+//! its deadline, so a timer per segment is an agenda entry that surfaces
+//! only to be thrown away. The sender instead *logs* each segment's first
+//! deadline — the agenda slot reserved when the segment left
+//! (`FlowState::sent`) — and keeps a single one armed: the slot of its
+//! oldest sent segment still unacknowledged. When that timer surfaces,
+//! `FlowState::next_head` moves on to the next sent segment still
+//! unacknowledged and arms *its* logged slot; the surfaced timer is then
+//! handled like any timer (retransmit, or discard if acknowledged
+//! meanwhile). A segment's deadline matters only if the segment is
+//! unacknowledged when it passes; a flow's slots strictly increase;
+//! acknowledgement is final — so every timeout fires at the time and in
+//! the order a timer per segment would have given it. Backoff timers
+//! (attempt ≥ 1) are rare and stay one per segment.
+//!
+//! The flow's *last* sent slot is armed even when its segment is
+//! acknowledged: it surfaces as a discard, and until it does the agenda is
+//! nonempty exactly when it would have been with a timer per segment (the
+//! telemetry sampler ticks while anything is pending, `run_until` reports
+//! whether anything was).
 
 use crate::bitset::BitSet;
 use crate::engine::EventKind;
 use crate::ids::HostId;
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority};
+use crate::pipeline::Reserved;
 use crate::time::SimTime;
 
 /// Sender+receiver state for one message flow. The simulator holds the
@@ -50,11 +74,15 @@ pub struct FlowState {
     /// Highest cumulative-ACK watermark processed (sender side; avoids
     /// re-scanning the bitmap on every cumulative ACK).
     pub cum_acked: u32,
-    /// Per-segment retransmission-timer generation. Armed RTO events carry
-    /// the generation current at arming time; acknowledging a segment bumps
-    /// its generation, lazily cancelling any timer still pending
-    /// (checked at pop time, see [`crate::engine::EventKind::Rto`]).
-    pub rto_gen: Vec<u32>,
+    /// First-attempt timer slot of every segment sent so far, by segment
+    /// (see the module docs). Given back, capacity and all, once the flow
+    /// is fully acknowledged or failed and none of its slots is armed.
+    pub(crate) sent: Vec<Reserved>,
+    /// The segment whose logged slot is armed in the agenda while
+    /// `rto_armed`; otherwise `next_seq` (every logged slot has surfaced).
+    pub(crate) rto_cursor: u32,
+    /// True while one of this flow's logged slots is armed.
+    pub(crate) rto_armed: bool,
 
     // --- receiver side ---
     /// Segments received so far.
@@ -94,7 +122,9 @@ impl FlowState {
             failed: false,
             retx: 0,
             cum_acked: 0,
-            rto_gen: vec![0; npkts as usize],
+            sent: Vec::new(),
+            rto_cursor: 0,
+            rto_armed: false,
             rcvd: BitSet::new(npkts),
             pending_ack: None,
             completed_at: None,
@@ -144,31 +174,71 @@ impl FlowState {
         }
     }
 
-    /// The retransmission timer guarding `seq`, armed at the segment's
-    /// current generation.
-    fn rto(&self, fid: FlowId, seq: u32, attempt: u32) -> EventKind {
-        let gen = self.rto_gen[seq as usize];
-        EventKind::Rto {
-            flow: fid,
-            seq,
-            attempt,
-            gen,
+    /// The retransmission timer guarding `seq` after `attempt` timeouts.
+    fn rto(flow: FlowId, seq: u32, attempt: u32) -> EventKind {
+        EventKind::Rto { flow, seq, attempt }
+    }
+
+    /// Sender: emit the next fresh segment. The caller has checked
+    /// [`Self::has_fresh`] and owes the segment its first-attempt timer
+    /// ([`Self::log_sent`]).
+    pub(crate) fn send_fresh(&mut self, fid: FlowId, src_leaf: u16) -> Packet {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.segment(fid, seq, src_leaf)
+    }
+
+    /// Sender: log `slot` as the first-attempt deadline of the segment
+    /// [`Self::send_fresh`] just emitted. Returns the timer to arm at
+    /// `slot` when the flow has none armed.
+    pub(crate) fn log_sent(&mut self, fid: FlowId, slot: Reserved) -> Option<EventKind> {
+        if self.sent.capacity() == 0 {
+            self.sent.reserve_exact(self.npkts as usize);
+        }
+        self.sent.push(slot);
+        debug_assert_eq!(self.sent.len() as u32, self.next_seq);
+        if self.rto_armed {
+            return None;
+        }
+        (self.rto_armed, self.rto_cursor) = (true, self.next_seq - 1);
+        Some(Self::rto(fid, self.rto_cursor, 0))
+    }
+
+    /// Sender: the armed first-attempt timer (of segment `seq`) surfaced.
+    /// Returns the next logged slot to arm and its timer: the next sent
+    /// segment still unacknowledged, or failing that (and always once the
+    /// flow has failed) the last one sent. `None` once every logged slot
+    /// has surfaced.
+    pub(crate) fn next_head(&mut self, fid: FlowId, seq: u32) -> Option<(Reserved, EventKind)> {
+        debug_assert!(self.rto_armed && self.rto_cursor == seq);
+        let last = self.next_seq - 1;
+        let mut next = seq + 1;
+        if self.failed {
+            next = next.max(last);
+        }
+        while next < last && self.acked.get(next) {
+            next += 1;
+        }
+        if next > last {
+            (self.rto_armed, self.rto_cursor) = (false, self.next_seq);
+            self.release_log();
+            return None;
+        }
+        self.rto_cursor = next;
+        Some((self.sent[next as usize], Self::rto(fid, next, 0)))
+    }
+
+    /// Give the slot log back once nothing can read it again.
+    fn release_log(&mut self) {
+        if !self.rto_armed && (self.failed || self.fully_acked()) {
+            self.sent = Vec::new();
         }
     }
 
-    /// Sender: emit the next fresh segment, with the first timer to arm
-    /// for it. The caller has checked [`Self::has_fresh`].
-    pub(crate) fn send_fresh(&mut self, fid: FlowId, src_leaf: u16) -> (Packet, EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        (self.segment(fid, seq, src_leaf), self.rto(fid, seq, 0))
-    }
-
-    /// True if a popped RTO timer no longer matters: the flow already gave
-    /// up, the segment was acknowledged, or its generation was bumped
-    /// (which [`Self::on_ack`] does on every fresh acknowledgement).
-    pub(crate) fn rto_is_stale(&self, seq: u32, gen: u32) -> bool {
-        self.failed || self.acked.get(seq) || self.rto_gen[seq as usize] != gen
+    /// True if a surfaced RTO timer no longer matters: the flow already
+    /// gave up or the segment was acknowledged.
+    pub(crate) fn rto_is_stale(&self, seq: u32) -> bool {
+        self.failed || self.acked.get(seq)
     }
 
     /// Sender: the timer of `seq` fired after `attempt` retransmissions.
@@ -185,12 +255,13 @@ impl FlowState {
         }
         if attempt >= max_attempts {
             self.failed = true;
+            self.release_log();
             return RtoOutcome::GaveUp;
         }
         self.retx += 1;
         RtoOutcome::Retransmit(
             self.segment(fid, seq, src_leaf),
-            self.rto(fid, seq, attempt + 1),
+            Self::rto(fid, seq, attempt + 1),
         )
     }
 
@@ -256,10 +327,10 @@ impl FlowState {
         self.pending_ack.take().map(|a| a.block(cum))
     }
 
-    /// Sender: apply one ACK. Every *newly* acknowledged segment bumps its
-    /// timer generation (lazily cancelling the pending `Rto`) and, when
-    /// `echoes` is given, is reported there as `(seq, CE-marked)`. Returns
-    /// true when this ACK completed the flow's acknowledgement.
+    /// Sender: apply one ACK. Every *newly* acknowledged segment is, when
+    /// `echoes` is given, reported there as `(seq, CE-marked)`; a timer
+    /// pending for it is cancelled lazily, when it surfaces. Returns true
+    /// when this ACK completed the flow's acknowledgement.
     pub(crate) fn on_ack(
         &mut self,
         block: AckBlock,
@@ -270,7 +341,6 @@ impl FlowState {
         let cum = block.cum.min(self.npkts);
         while self.cum_acked < cum {
             if self.acked.set(self.cum_acked) {
-                self.rto_gen[self.cum_acked as usize] += 1;
                 if let Some(e) = echoes.as_deref_mut() {
                     // Watermark-healed segments carry no CE echo (a lost
                     // ACK loses its marks; clean is the safe reading —
@@ -283,13 +353,16 @@ impl FlowState {
         // …then the selective block.
         for seq in block.seqs() {
             if seq < self.npkts && self.acked.set(seq) {
-                self.rto_gen[seq as usize] += 1;
                 if let Some(e) = echoes.as_deref_mut() {
                     e.push((seq, block.ce(seq)));
                 }
             }
         }
-        !was_done && self.fully_acked()
+        let done = !was_done && self.fully_acked();
+        if done {
+            self.release_log();
+        }
+        done
     }
 }
 
@@ -367,6 +440,9 @@ impl AckAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SchedKind;
+    use crate::pipeline::Agenda;
+    use crate::time::SimDuration;
 
     fn flow(bytes: u64, mtu: u32) -> FlowState {
         FlowState::new(
@@ -443,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_applies_the_watermark_then_the_block_and_bumps_each_timer_once() {
+    fn ack_applies_the_watermark_then_the_block_and_reports_each_segment_once() {
         let mut f = flow(8 * 4096, 4096);
         let mut echoes = Vec::new();
         // Watermark covers 0..3; the block names 2 (again), 5 and 6, the
@@ -451,42 +527,33 @@ mod tests {
         let block = ack(3, 2, 0b11001, 0b10000);
         assert!(!f.on_ack(block, Some(&mut echoes)));
         assert_eq!(f.cum_acked, 3);
-        assert_eq!(f.rto_gen, [1, 1, 1, 0, 0, 1, 1, 0]);
+        let acked = |f: &FlowState| (0..8).filter(|&s| f.acked.get(s)).collect::<Vec<_>>();
+        assert_eq!(acked(&f), [0, 1, 2, 5, 6]);
         // Watermark-healed segments first and always clean, then the
         // block's own with their marks; 2 is reported once.
         assert_eq!(
             echoes,
             [(0, false), (1, false), (2, false), (5, false), (6, true)]
         );
-        // The same ACK again acknowledges nothing new: no bump, no echo.
+        // The same ACK again acknowledges nothing new: no echo.
         echoes.clear();
         assert!(!f.on_ack(block, Some(&mut echoes)));
-        assert_eq!(f.rto_gen, [1, 1, 1, 0, 0, 1, 1, 0]);
+        assert_eq!(acked(&f), [0, 1, 2, 5, 6]);
         assert!(echoes.is_empty());
-        assert!(f.rto_is_stale(5, 0), "acknowledged");
-        assert!(!f.rto_is_stale(3, 0));
+        assert!(f.rto_is_stale(5), "acknowledged");
+        assert!(!f.rto_is_stale(3));
         // A watermark past the end is clamped; finishing reports done once.
         assert!(f.on_ack(ack(99, 0, 0, 0), None), "feedback off: no echoes");
-        assert_eq!(f.rto_gen, [1; 8]);
         assert!(f.fully_acked());
         assert!(!f.on_ack(ack(99, 0, 0, 0), None), "already done");
     }
 
     #[test]
-    fn rto_retransmits_at_the_current_generation_until_attempts_run_out() {
+    fn rto_retransmits_until_attempts_run_out() {
         let mut f = flow(3 * 4096 + 10, 4096);
-        let (pkt, rto) = f.send_fresh(7, 2);
+        let pkt = f.send_fresh(7, 2);
         let show = |p: &Packet| format!("{p:?}");
         assert_eq!(show(&pkt), show(&f.segment(7, 0, 2)));
-        assert!(matches!(
-            rto,
-            EventKind::Rto {
-                flow: 7,
-                seq: 0,
-                attempt: 0,
-                gen: 0
-            }
-        ));
         assert_eq!(
             (f.next_seq, pkt.size, f.segment(7, 3, 2).size),
             (1, 4096, 10)
@@ -495,7 +562,9 @@ mod tests {
             RtoOutcome::Retransmit(
                 again,
                 EventKind::Rto {
-                    attempt: 1, gen: 0, ..
+                    flow: 7,
+                    seq: 0,
+                    attempt: 1,
                 },
             ) => {
                 assert_eq!(show(&again), show(&pkt))
@@ -509,6 +578,106 @@ mod tests {
         assert!(f.failed && !f.has_fresh());
         assert!(matches!(f.on_rto(7, 2, 0, 2, 2), RtoOutcome::Stale));
         assert_eq!(f.retx, 1);
+    }
+
+    /// Send the next `n` segments, 100 ns apart, their slots taken from a
+    /// scratch agenda; which segment each send asked a timer for.
+    fn send(f: &mut FlowState, agenda: &mut Agenda, n: u32) -> Vec<Option<u32>> {
+        let sends = (0..n).map(|_| {
+            let now = SimTime::from_ns(100 * f.next_seq as u64);
+            f.send_fresh(7, 2);
+            let slot = agenda.reserve_after(now, SimDuration::from_ns(5_000));
+            f.log_sent(7, slot).map(|rto| match rto {
+                EventKind::Rto {
+                    flow: 7,
+                    seq,
+                    attempt: 0,
+                } => seq,
+                other => panic!("not a first-attempt timer: {other:?}"),
+            })
+        });
+        sends.collect()
+    }
+
+    fn agenda() -> Agenda {
+        Agenda::new(SchedKind::Heap, std::iter::empty())
+    }
+
+    /// The timer of `seq` surfaced: which segment's logged slot is armed
+    /// next.
+    fn surfaced(f: &mut FlowState, seq: u32) -> Option<u32> {
+        let (slot, rto) = f.next_head(7, seq)?;
+        let EventKind::Rto {
+            flow: 7,
+            seq,
+            attempt: 0,
+        } = rto
+        else {
+            panic!("not a first-attempt timer: {rto:?}");
+        };
+        assert_eq!(slot, f.sent[seq as usize], "armed where it was logged");
+        Some(seq)
+    }
+
+    #[test]
+    fn the_head_passes_over_acked_segments_but_never_the_last_one_sent() {
+        let (mut f, mut a) = (flow(6 * 4096, 4096), agenda());
+        assert_eq!(
+            send(&mut f, &mut a, 6),
+            [Some(0), None, None, None, None, None],
+            "one timer armed, five slots only logged"
+        );
+        let slots: Vec<_> = f.sent.iter().map(|s| s.memo_parts()).collect();
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "slots increase");
+        f.on_ack(ack(0, 1, 0b1011, 0), None); // 1, 2 and 4
+        assert_eq!(surfaced(&mut f, 0), Some(3));
+        f.on_ack(ack(0, 3, 0b101, 0), None); // 3 and 5
+        assert_eq!(surfaced(&mut f, 3), Some(5), "acknowledged, but the last");
+        assert_eq!((f.rto_armed, f.rto_cursor), (true, 5));
+        assert_eq!(surfaced(&mut f, 5), None);
+        assert_eq!((f.rto_armed, f.rto_cursor), (false, 6));
+        // Segment 0 is still in doubt (on a backoff timer of its own).
+        assert_eq!(f.sent.capacity(), 6);
+        assert!(f.on_ack(ack(1, 0, 0, 0), None));
+        assert_eq!(f.sent.capacity(), 0, "freed by the last acknowledgement");
+    }
+
+    #[test]
+    fn a_failed_flow_keeps_only_its_last_slot_armed() {
+        let (mut f, mut a) = (flow(5 * 4096, 4096), agenda());
+        send(&mut f, &mut a, 4);
+        assert!(matches!(f.on_rto(7, 0, 1, 1, 2), RtoOutcome::GaveUp));
+        assert_eq!(f.sent.capacity(), 5, "a slot is still armed");
+        assert_eq!(
+            surfaced(&mut f, 0),
+            Some(3),
+            "1 and 2 are unacked, and moot"
+        );
+        assert_eq!(surfaced(&mut f, 3), None);
+        assert_eq!(f.sent.capacity(), 0, "freed once nothing is armed");
+    }
+
+    #[test]
+    fn a_flow_with_no_timer_armed_arms_the_next_segment_it_sends() {
+        let (mut f, mut a) = (flow(4 * 4096, 4096), agenda());
+        assert_eq!(send(&mut f, &mut a, 2), [Some(0), None]);
+        // Segment 0 times out for real: the head moves on first, then the
+        // retransmission takes a backoff timer of its own.
+        assert_eq!(surfaced(&mut f, 0), Some(1));
+        assert!(matches!(
+            f.on_rto(7, 0, 0, 3, 2),
+            RtoOutcome::Retransmit(_, EventKind::Rto { attempt: 1, .. })
+        ));
+        assert_eq!(surfaced(&mut f, 1), None);
+        assert_eq!((f.rto_armed, f.rto_cursor), (false, 2));
+        assert_eq!(f.sent.capacity(), 4, "two segments are yet to be sent");
+        assert_eq!(send(&mut f, &mut a, 2), [Some(2), None]);
+        // Giving up with a slot armed keeps the log; its last slot frees it.
+        assert!(matches!(f.on_rto(7, 0, 3, 3, 2), RtoOutcome::GaveUp));
+        assert_eq!(surfaced(&mut f, 2), Some(3));
+        assert_eq!(f.sent.capacity(), 4);
+        assert_eq!(surfaced(&mut f, 3), None);
+        assert_eq!(f.sent.capacity(), 0);
     }
 
     #[test]

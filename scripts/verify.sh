@@ -30,9 +30,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
 # Only the agenda (pipeline.rs), the schedulers under it and in-crate test
-# modules may name the containers or reserve a sequence number. The
+# modules may name the containers (pipes, their ring, the head-of-line
+# timer set), reserve a sequence number or make up a reserved slot. The
 # bracket keeps this line from matching itself.
-inside='reserve_se[q]|CLASS_PIP[E]|ClassPipe[s]|FrontHea[p]'
+inside='reserve_se[q]|CLASS_PIP[E]|ClassPipe[s]|FrontHea[p]|Rin[g]<|HEAD_PIP[E]|Reserve[d] \{'
 if git grep --untracked -nE "$inside" -- crates/netsim/src |
     grep -vE '^crates/netsim/src/(pipeline|engine|wheel|[a-z_]*_tests)\.rs:'; then
     echo "    a container leaked out of the agenda (lines above)" >&2
