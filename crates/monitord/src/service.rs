@@ -200,11 +200,6 @@ impl Monitord {
         IngestHandle(Arc::clone(&self.queue))
     }
 
-    /// Live queue stats (drops, parks, blocks so far).
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
-    }
-
     /// Close the queue, drain it, join the worker, and report.
     pub fn shutdown(self) -> ServiceReport {
         self.queue.close();

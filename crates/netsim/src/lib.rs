@@ -68,6 +68,8 @@ pub mod ids;
 pub mod packet;
 pub mod pipeline;
 pub mod rng;
+#[cfg(test)]
+mod routing_tests;
 pub mod sim;
 pub mod spray;
 pub mod stats;

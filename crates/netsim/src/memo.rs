@@ -730,7 +730,7 @@ impl Simulator {
                 for v in 0..sw.spray_deficit_at.len() {
                     // Never-touched slots keep their initial zero base
                     // (it is not boundary-relative state).
-                    if sw.spray_deficit[v] != 0 || sw.spray_deficit_at[v] != 0 {
+                    if !sw.untouched(v) {
                         sw.spray_deficit_at[v] += dt.as_ns();
                     }
                 }
@@ -797,30 +797,16 @@ impl Simulator {
     }
 
     /// Eagerly apply the lazy exponential decay of every adaptive-spray
-    /// deficit slot up to `now`. Semantically a no-op — it performs
-    /// exactly the advancement `decayed_deficit` would perform at the
-    /// next touch (the floor-composition identity
-    /// `q + ⌊(x - q·τ)/τ⌋ = ⌊x/τ⌋` makes early advancement commute with
-    /// later ones) — but it puts `spray_deficit_at` into a canonical,
-    /// boundary-relative form the fingerprint can compare.
+    /// deficit slot up to `now`
+    /// ([`crate::switch::SwitchState::sync_decay`]). Semantically a no-op —
+    /// the floor-composition identity `q + ⌊(x - q·τ)/τ⌋ = ⌊x/τ⌋` makes
+    /// early advancement commute with later ones — but it puts
+    /// `spray_deficit_at` into a canonical, boundary-relative form the
+    /// fingerprint can compare.
     fn memo_sync_spray_decay(&mut self) {
-        let tau = self.cfg.spray_tau.as_ns();
-        if tau == 0 {
-            return;
-        }
-        let now = self.now.as_ns();
+        let (now, tau) = (self.now.as_ns(), self.cfg.spray_tau.as_ns());
         for sw in &mut self.switches.state {
-            for v in 0..sw.spray_deficit.len() {
-                if sw.spray_deficit[v] == 0 && sw.spray_deficit_at[v] == 0 {
-                    continue; // never touched
-                }
-                let elapsed = now.saturating_sub(sw.spray_deficit_at[v]);
-                let halvings = elapsed / tau;
-                if halvings > 0 {
-                    sw.spray_deficit[v] >>= halvings.min(63);
-                    sw.spray_deficit_at[v] += halvings * tau;
-                }
-            }
+            sw.sync_decay(now, tau);
         }
     }
 
@@ -930,17 +916,15 @@ impl Simulator {
                         0
                     }
                 },
-                spray: s
-                    .spray_deficit
-                    .iter()
-                    .zip(&s.spray_deficit_at)
-                    .map(|(&v, &at)| {
+                spray: (0..s.spray_deficit.len())
+                    .map(|v| {
+                        let (d, at) = (s.spray_deficit[v], s.spray_deficit_at[v]);
                         if tau == 0 {
-                            (v, 0) // decay disabled; the timestamp base is dead state
-                        } else if v == 0 && at == 0 {
-                            (0, u64::MAX) // never touched
+                            (d, 0) // decay disabled; the timestamp base is dead state
+                        } else if s.untouched(v) {
+                            (0, u64::MAX)
                         } else {
-                            (v, n.t_ns - at)
+                            (d, n.t_ns - at)
                         }
                     })
                     .collect(),

@@ -65,7 +65,6 @@ mod head_timer_tests;
 /// Runtime state of one host NIC.
 #[derive(Debug)]
 struct HostState {
-    leaf: u32,
     /// Flows with fresh segments left, drained round-robin.
     active: VecDeque<FlowId>,
 }
@@ -170,8 +169,7 @@ impl Simulator {
         let links = (0..n_links).map(|_| LinkState::new()).collect();
         let switches = Switches::new(&topo, &cfg);
         let hosts = (0..topo.n_hosts())
-            .map(|h| HostState {
-                leaf: topo.host_leaf[h],
+            .map(|_| HostState {
                 active: VecDeque::new(),
             })
             .collect();
@@ -238,13 +236,7 @@ impl Simulator {
 
     /// The leaf a host hangs off.
     pub fn host_leaf(&self, h: HostId) -> u32 {
-        self.hosts[h.idx()].leaf
-    }
-
-    /// Valid (admin-known) uplinks from `leaf` toward `dst_leaf` — the spray
-    /// candidate set. Exposed for load models.
-    pub fn valid_uplinks(&self, leaf: u32, dst_leaf: u32) -> &[LinkId] {
-        self.switches.valid_uplinks(leaf, dst_leaf)
+        self.topo.leaf_of(h)
     }
 
     // ------------------------------------------------------------------
@@ -705,7 +697,7 @@ impl Simulator {
                 self.hosts[h.idx()].active.push_back(fid);
                 continue;
             }
-            let leaf = self.hosts[h.idx()].leaf as u16;
+            let leaf = self.topo.leaf_of(h) as u16;
             let f = &mut self.flows[fid as usize];
             let pkt = f.send_fresh(fid, leaf);
             if f.has_fresh() {
@@ -992,7 +984,7 @@ impl Simulator {
             size: self.cfg.ack_size,
             prio: Priority::CONTROL,
             tag: None,
-            src_leaf: self.hosts[f.dst.idx()].leaf as u16,
+            src_leaf: self.topo.leaf_of(f.dst) as u16,
             ingress: None,
             ce: false,
         };
@@ -1011,7 +1003,7 @@ impl Simulator {
         // Echo each newly acknowledged segment to the source leaf's
         // sprayer: a clean ACK proves the path, a CE-marked one flags it.
         if !echoes.is_empty() {
-            let leaf = self.hosts[h.idx()].leaf as usize;
+            let leaf = self.topo.leaf_of(h) as usize;
             let sprayer = &mut self.switches.state[leaf].sprayer;
             for &(seq, ce) in echoes.iter() {
                 let echo = if ce {
@@ -1031,7 +1023,7 @@ impl Simulator {
     fn handle_rto(&mut self, flow: FlowId, seq: u32, attempt: u32) {
         let f = &mut self.flows[flow as usize];
         let (src, pair) = (f.src, (f.src.0, f.dst.0));
-        let leaf = self.hosts[src.idx()].leaf;
+        let leaf = self.topo.leaf_of(src);
         let max = self.cfg.rto_max_attempts;
         let (pkt, rearm) = match f.on_rto(flow, seq, attempt, max, leaf as u16) {
             // Defense in depth: `dispatch` already discards stale timers.
@@ -1260,7 +1252,7 @@ mod tests {
         let mut s = sim(17);
         let up = s.topo.uplink(0, 0);
         s.apply_fault_now(up, FaultAction::Set(FaultKind::AdminDown), true);
-        assert_eq!(s.valid_uplinks(0, 3).len(), 1);
+        assert_eq!(s.switches.state[0].valid_up[3].len(), 1);
         s.post_message(HostId(0), HostId(3), 1_000_000, None, Priority::MEASURED);
         s.run();
         assert!(s.all_flows_complete());
@@ -1276,9 +1268,9 @@ mod tests {
         let down = s.topo.downlink(0, 3);
         s.apply_fault_now(down, FaultAction::Set(FaultKind::AdminDown), true);
         // leaf0 -> leaf3 must avoid vspine 0...
-        assert_eq!(s.valid_uplinks(0, 3), &[s.topo.uplink(0, 1)]);
+        assert_eq!(s.switches.state[0].valid_up[3], &[s.topo.uplink(0, 1)]);
         // ...but leaf0 -> leaf2 still uses both.
-        assert_eq!(s.valid_uplinks(0, 2).len(), 2);
+        assert_eq!(s.switches.state[0].valid_up[2].len(), 2);
     }
 
     #[test]
@@ -1286,9 +1278,9 @@ mod tests {
         let mut s = sim(23);
         let up = s.topo.uplink(2, 1);
         s.apply_fault_now(up, FaultAction::Set(FaultKind::AdminDown), true);
-        assert_eq!(s.valid_uplinks(2, 0).len(), 1);
+        assert_eq!(s.switches.state[2].valid_up[0].len(), 1);
         s.apply_fault_now(up, FaultAction::Clear, true);
-        assert_eq!(s.valid_uplinks(2, 0).len(), 2);
+        assert_eq!(s.switches.state[2].valid_up[0].len(), 2);
     }
 
     #[test]
@@ -1311,7 +1303,7 @@ mod tests {
         assert_eq!(applied[1].at, up_at);
         assert_eq!(applied[1].action.verb, ControlVerb::Restore);
         // The restore returned the cable to routing.
-        assert_eq!(s.valid_uplinks(0, 3).len(), 2);
+        assert_eq!(s.switches.state[0].valid_up[3].len(), 2);
         // Both transitions landed in the trace ring.
         let controls = s
             .trace

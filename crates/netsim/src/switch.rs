@@ -29,9 +29,9 @@ pub(crate) struct SwitchState {
     pub(crate) sprayer: Box<dyn spray::Sprayer>,
     /// Leaf only: valid uplinks per destination leaf (admin state only —
     /// silent faults are *not* reflected here, that's the point).
-    valid_up: Vec<Vec<LinkId>>,
+    pub(crate) valid_up: Vec<Vec<LinkId>>,
     /// 3-level aggs only: valid agg→core uplinks per destination pod.
-    valid_core: Vec<Vec<LinkId>>,
+    pub(crate) valid_core: Vec<Vec<LinkId>>,
     /// [`spray::SprayPolicy::Adaptive`]: decaying per-upstream-port byte
     /// counters (the utilization half of the load signal). Sized
     /// `n_vspines` on leaves, `cores_per_group` on 3-level aggs.
@@ -57,6 +57,23 @@ impl SwitchState {
             self.spray_deficit_at[v] += halvings * tau;
         }
         self.spray_deficit[v]
+    }
+
+    /// A slot nothing was ever charged to: its timestamp base is still the
+    /// initial zero, which is not relative to any clock.
+    pub(crate) fn untouched(&self, v: usize) -> bool {
+        self.spray_deficit[v] == 0 && self.spray_deficit_at[v] == 0
+    }
+
+    /// Apply the lazy decay of every touched slot up to `now`: exactly the
+    /// advancement [`Self::decayed_deficit`] performs at the slot's next
+    /// read, done early.
+    pub(crate) fn sync_decay(&mut self, now: u64, tau: u64) {
+        for v in 0..self.spray_deficit.len() {
+            if !self.untouched(v) {
+                self.decayed_deficit(v, now, tau);
+            }
+        }
     }
 }
 
@@ -140,11 +157,6 @@ impl Switches {
         }
     }
 
-    /// Valid (admin-known) uplinks from `leaf` toward `dst_leaf`.
-    pub(crate) fn valid_uplinks(&self, leaf: u32, dst_leaf: u32) -> &[LinkId] {
-        &self.state[leaf as usize].valid_up[dst_leaf as usize]
-    }
-
     /// Flip a link's entropy-recycle quarantine flag, maintaining the
     /// global count that keeps the avoidance filter off the spray hot
     /// path while no link is quarantined.
@@ -160,55 +172,29 @@ impl Switches {
     }
 
     /// Rebuild all valid-uplink sets (leaf→agg and, for 3-level, agg→core)
-    /// from link admin state.
+    /// from link admin state, by [`Topology::valid_planes`] and
+    /// [`Topology::valid_core_slots`].
     pub(crate) fn recompute_routing(&mut self, topo: &Topology, links: &[LinkState]) {
-        let nl = topo.n_leaves();
-        let nv = topo.n_vspines();
-        let three = topo.is_three_level();
         let up = |l: LinkId| links[l.idx()].admin_up;
-
-        // Agg→core validity first (leaf validity depends on it).
-        if three {
-            for g in 0..topo.n_aggs() as u32 {
-                let sw = nl + g as usize; // agg switch id
-                let a = g % nv as u32; // within-pod agg index = core group
-                for dst_pod in 0..topo.pods {
-                    let set = &mut self.state[sw].valid_core[dst_pod as usize];
-                    set.clear();
-                    for kk in 0..topo.cores_per_group {
-                        let uplink = topo.agg_uplink(g, kk);
-                        let down = topo.core_downlink(topo.core_global(a, kk), dst_pod);
-                        if up(uplink) && up(down) {
-                            set.push(uplink);
-                        }
+        for (s, kind) in self.state.iter_mut().zip(&topo.switch_kind) {
+            match *kind {
+                SwitchKind::Leaf(leaf) => {
+                    for (dst, set) in (0..).zip(&mut s.valid_up) {
+                        set.clear();
+                        set.extend(
+                            topo.valid_planes(leaf, dst, up)
+                                .map(|v| topo.uplink(leaf, v)),
+                        );
                     }
                 }
-            }
-        }
-
-        for leaf in 0..nl {
-            let src_pod = topo.pod_of_leaf(leaf as u32);
-            for dst in 0..nl {
-                let mut set = std::mem::take(&mut self.state[leaf].valid_up[dst]);
-                set.clear();
-                if dst != leaf {
-                    let dst_pod = topo.pod_of_leaf(dst as u32);
-                    for v in 0..nv as u32 {
-                        if !(up(topo.uplink(leaf as u32, v)) && up(topo.downlink(v, dst as u32))) {
-                            continue;
-                        }
-                        if three && dst_pod != src_pod {
-                            // Cross-pod: the source-pod agg must still
-                            // reach the destination pod via some core.
-                            let agg_sw = nl + topo.agg_global(src_pod, v) as usize;
-                            if self.state[agg_sw].valid_core[dst_pod as usize].is_empty() {
-                                continue;
-                            }
-                        }
-                        set.push(topo.uplink(leaf as u32, v));
+                SwitchKind::Spine(agg) => {
+                    for (pod, set) in (0..).zip(&mut s.valid_core) {
+                        set.clear();
+                        let slots = topo.valid_core_slots(agg, pod, up);
+                        set.extend(slots.map(|k| topo.agg_uplink(agg, k)));
                     }
                 }
-                self.state[leaf].valid_up[dst] = set;
+                SwitchKind::Core(_) => {}
             }
         }
     }

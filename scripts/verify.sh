@@ -204,6 +204,12 @@ echo "==> quickstart example: fault-free fast-forward must engage (memo_hits > 0
 cargo run --release -q --example quickstart >/dev/null
 echo "    quickstart: memoized steady state replayed, byte-identical to live"
 
+echo "==> clos3_tour example: the agg tier must pin the faulty core slot"
+# The 3-level builder and routing rule end to end, outside threelevel's
+# golden file: the example asserts its own verdict.
+cargo run --release -q --example clos3_tour >/dev/null
+echo "    clos3_tour: leaf tier detected, agg tier pinned the core slot"
+
 echo "==> monitord smoke: quick E10 sweep through the live service"
 tm1="$(mktemp -d)"
 tm4="$(mktemp -d)"
