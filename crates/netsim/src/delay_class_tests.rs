@@ -94,18 +94,18 @@ impl Scenario {
 /// What one run must reproduce on every engine variant.
 #[derive(PartialEq, Debug)]
 pub(super) struct Outcome {
-    events: u64,
-    end: SimTime,
+    pub events: u64,
+    pub end: SimTime,
     /// Without `rto_stale_skips`, which is how many dead timers surfaced
     /// and the one statistic the timer scheme may change.
-    stats: String,
+    pub stats: String,
     pub rto_stale_skips: u64,
-    counters: String,
-    agg_counters: String,
-    trace: Vec<crate::trace::TraceRecord>,
-    applied_controls: Vec<AppliedControl>,
+    pub counters: String,
+    pub agg_counters: String,
+    pub trace: Vec<crate::trace::TraceRecord>,
+    pub applied_controls: Vec<AppliedControl>,
     /// Every `(time, link, egress state)` the telemetry sampler saw.
-    samples: Vec<(u64, u32, LinkSample)>,
+    pub samples: Vec<(u64, u32, LinkSample)>,
 }
 
 impl Outcome {

@@ -25,7 +25,7 @@ const SPRAYS: [spray::SprayPolicy; 6] = [
 
 /// Scenario `case` of the corpus: every knob of the generator drawn from a
 /// fixed stream, so a failure names a scenario that reruns.
-fn scenario(case: u64) -> Scenario {
+pub(super) fn scenario(case: u64) -> Scenario {
     let mut word = 0x7157_0f10 ^ case;
     let mut draw = |n: u64| {
         word = splitmix64(word);

@@ -55,6 +55,10 @@ pub mod memo;
 mod delay_class_tests;
 
 #[cfg(test)]
+#[path = "engine_digest_tests.rs"]
+mod engine_digest_tests;
+
+#[cfg(test)]
 #[path = "fast_path_tests.rs"]
 mod fast_path_tests;
 
