@@ -54,18 +54,6 @@ impl DemandMatrix {
             .filter(|&(_, &b)| b > 0)
             .map(move |(i, &b)| (HostId((i / n) as u32), HostId((i % n) as u32), b))
     }
-
-    /// Total bytes destined to `dst`.
-    pub fn to_dst(&self, dst: HostId) -> u64 {
-        (0..self.n).map(|s| self.d[s * self.n + dst.idx()]).sum()
-    }
-
-    /// Total bytes originated by `src`.
-    pub fn from_src(&self, src: HostId) -> u64 {
-        self.d[src.idx() * self.n..(src.idx() + 1) * self.n]
-            .iter()
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -81,9 +69,6 @@ mod tests {
         assert_eq!(d.get(HostId(0), HostId(1)), 150);
         assert_eq!(d.get(HostId(1), HostId(0)), 0);
         assert_eq!(d.total(), 157);
-        assert_eq!(d.to_dst(HostId(1)), 150);
-        assert_eq!(d.from_src(HostId(0)), 150);
-        assert_eq!(d.from_src(HostId(3)), 7);
     }
 
     #[test]

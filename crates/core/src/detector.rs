@@ -58,55 +58,32 @@ impl Detector {
         assert_eq!(expected.bytes.len(), observed.bytes.len(), "shape mismatch");
         let mut out = Vec::new();
         for leaf in 0..expected.n_leaves as u32 {
-            self.compare_leaf_into(expected, observed, leaf, &mut out);
-        }
-        out
-    }
-
-    /// Deviations visible at one leaf only — this is the per-switch,
-    /// coordination-free check a real deployment runs.
-    pub fn compare_leaf(
-        &self,
-        expected: &PortLoads,
-        observed: &PortLoads,
-        leaf: u32,
-    ) -> Vec<Deviation> {
-        let mut out = Vec::new();
-        self.compare_leaf_into(expected, observed, leaf, &mut out);
-        out
-    }
-
-    fn compare_leaf_into(
-        &self,
-        expected: &PortLoads,
-        observed: &PortLoads,
-        leaf: u32,
-        out: &mut Vec<Deviation>,
-    ) {
-        for v in 0..expected.n_vspines as u32 {
-            let e = expected.get(leaf, v);
-            let o = observed.get(leaf, v);
-            if e >= self.min_expected {
-                let rel = (o - e) / e;
-                if rel.abs() > self.threshold {
+            for v in 0..expected.n_vspines as u32 {
+                let e = expected.get(leaf, v);
+                let o = observed.get(leaf, v);
+                if e >= self.min_expected {
+                    let rel = (o - e) / e;
+                    if rel.abs() > self.threshold {
+                        out.push(Deviation {
+                            leaf,
+                            vspine: v,
+                            expected: e,
+                            observed: o,
+                            rel,
+                        });
+                    }
+                } else if o > self.min_expected {
                     out.push(Deviation {
                         leaf,
                         vspine: v,
                         expected: e,
                         observed: o,
-                        rel,
+                        rel: f64::INFINITY,
                     });
                 }
-            } else if o > self.min_expected {
-                out.push(Deviation {
-                    leaf,
-                    vspine: v,
-                    expected: e,
-                    observed: o,
-                    rel: f64::INFINITY,
-                });
             }
         }
+        out
     }
 
     /// Largest absolute relative deviation (for ROC sweeps, which evaluate
@@ -178,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn per_leaf_view_matches_global() {
+    fn deviations_name_their_leaf() {
         let d = Detector::new(0.01);
         let e = PortLoads {
             n_leaves: 2,
@@ -192,9 +169,7 @@ mod tests {
         };
         let all = d.compare(&e, &o);
         assert_eq!(all.len(), 1);
-        assert_eq!(all[0].leaf, 1);
-        assert!(d.compare_leaf(&e, &o, 0).is_empty());
-        assert_eq!(d.compare_leaf(&e, &o, 1), all);
+        assert_eq!((all[0].leaf, all[0].vspine), (1, 0));
     }
 
     #[test]

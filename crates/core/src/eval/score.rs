@@ -477,7 +477,7 @@ impl Rates {
     }
 
     /// Tally one trial's iterations at the trial's own threshold.
-    pub fn add_trial(&mut self, r: &TrialResult) {
+    fn add_trial(&mut self, r: &TrialResult) {
         let alarmed: std::collections::HashSet<u32> = r.alarms.iter().map(|a| a.iter).collect();
         for &(iter, _) in &r.iter_max_dev {
             let faulty = r.is_faulty_iter(iter);
@@ -533,7 +533,7 @@ fn frac_above(xs: &[f64], t: f64) -> f64 {
 
 impl TrialResult {
     /// Was the injected fault active during `iter`?
-    pub fn is_faulty_iter(&self, iter: u32) -> bool {
+    fn is_faulty_iter(&self, iter: u32) -> bool {
         self.fault_iter
             .is_some_and(|at| iter >= at && self.heal_iter.is_none_or(|h| iter < h))
     }

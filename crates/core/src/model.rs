@@ -137,7 +137,7 @@ impl PortSrcLoads {
     }
 
     /// All-zero with an explicit source dimension.
-    pub fn zeros_with_src(n_rows: usize, n_vspines: usize, n_src: usize) -> Self {
+    fn zeros_with_src(n_rows: usize, n_vspines: usize, n_src: usize) -> Self {
         PortSrcLoads {
             n_leaves: n_rows,
             n_vspines,

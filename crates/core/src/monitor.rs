@@ -41,7 +41,7 @@ impl IterSource for CounterStore {
 }
 
 /// Where predictions come from.
-pub enum ModelSource {
+enum ModelSource {
     /// Analytical or simulation-based prediction, fixed for the job.
     Fixed(PortLoads),
     /// Learn from the first iterations (with healing rebaseline).
@@ -232,14 +232,6 @@ impl Monitor {
         self.next_iter = self.next_iter.max(iter);
     }
 
-    /// Alarms that opened a fault episode (see [`Alarm::fresh`]) at
-    /// iteration ≥ `from`.
-    pub fn fresh_alarms(&self, from: u32) -> impl Iterator<Item = &Alarm> {
-        self.alarms
-            .iter()
-            .filter(move |a| a.fresh && a.iter >= from)
-    }
-
     /// Export `alarms` (a monitor's, or a finished trial's) into a
     /// telemetry recorder as structured [`fp_telemetry::Event::Alarm`]s.
     /// Only *fresh* alarms are exported — one per fault episode, not one
@@ -273,19 +265,6 @@ impl Monitor {
         }
     }
 
-    /// Alarms raised for iterations in `[from, to)`.
-    pub fn alarms_in(&self, from: u32, to: u32) -> impl Iterator<Item = &Alarm> {
-        self.alarms
-            .iter()
-            .filter(move |a| a.iter >= from && a.iter < to)
-    }
-
-    /// Alarmed `(leaf, vspine)` ports across all iterations ≥ `from`
-    /// (input for ring localization).
-    pub fn alarmed_ports(&self, from: u32) -> Vec<(u32, u32)> {
-        collect_ports(self.alarms.iter().filter(|a| a.iter >= from), |_| true)
-    }
-
     /// Alarmed ports showing a *shortfall* ([`shortfall_ports`]) across all
     /// iterations ≥ `from`.
     pub fn shortfall_ports(&self, from: u32) -> Vec<(u32, u32)> {
@@ -300,19 +279,12 @@ impl Monitor {
 /// monitor, `fp-ctrl` and `fp-monitord` all localize from this list
 /// ([`Localizer::localize_ring_alarms`](crate::localizer::Localizer::localize_ring_alarms)).
 pub fn shortfall_ports<'a>(alarms: impl IntoIterator<Item = &'a Alarm>) -> Vec<(u32, u32)> {
-    collect_ports(alarms, |rel| rel < 0.0)
-}
-
-fn collect_ports<'a>(
-    alarms: impl IntoIterator<Item = &'a Alarm>,
-    keep: impl Fn(f64) -> bool,
-) -> Vec<(u32, u32)> {
     let mut v: Vec<(u32, u32)> = alarms
         .into_iter()
         .flat_map(|a| {
             a.deviations
                 .iter()
-                .filter(|d| keep(d.rel))
+                .filter(|d| d.rel < 0.0)
                 .map(|d| (d.leaf, d.vspine))
         })
         .collect();
@@ -349,6 +321,11 @@ mod tests {
             }
         }
         s
+    }
+
+    /// Alarms that opened a fault episode.
+    fn fresh(m: &Monitor) -> impl Iterator<Item = &Alarm> {
+        m.alarms.iter().filter(|a| a.fresh)
     }
 
     fn prediction(a: f64, b: f64) -> PortLoads {
@@ -423,16 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn alarmed_ports_dedup() {
-        let s = store(&[[900, 1000], [900, 1000], [900, 1000]]);
-        let mut m = Monitor::new_fixed(1, Detector::new(0.01), prediction(1000.0, 1000.0));
-        m.scan(&s, true);
-        assert_eq!(m.alarmed_ports(0), vec![(0, 0)]);
-        assert_eq!(m.alarms.len(), 3); // one per iteration
-        assert_eq!(m.alarms_in(1, 2).count(), 1);
-    }
-
-    #[test]
     fn hysteresis_one_fresh_alarm_per_episode() {
         // One uncleared fault alarming on three consecutive iterations:
         // episode consumers see exactly one fresh alarm, per-iteration
@@ -441,8 +408,8 @@ mod tests {
         let mut m = Monitor::new_fixed(1, Detector::new(0.01), prediction(1000.0, 1000.0));
         m.scan(&s, true);
         assert_eq!(m.alarms.len(), 3);
-        assert_eq!(m.fresh_alarms(0).count(), 1);
-        assert_eq!(m.fresh_alarms(0).next().unwrap().iter, 0);
+        assert_eq!(fresh(&m).count(), 1);
+        assert_eq!(fresh(&m).next().unwrap().iter, 0);
     }
 
     #[test]
@@ -453,8 +420,8 @@ mod tests {
         let mut m = Monitor::new_fixed(1, Detector::new(0.01), prediction(1000.0, 1000.0));
         m.scan(&s, true);
         assert_eq!(m.alarms.len(), 3);
-        let fresh: Vec<u32> = m.fresh_alarms(0).map(|a| a.iter).collect();
-        assert_eq!(fresh, vec![0, 2]);
+        let iters: Vec<u32> = fresh(&m).map(|a| a.iter).collect();
+        assert_eq!(iters, vec![0, 2]);
     }
 
     #[test]
@@ -462,11 +429,11 @@ mod tests {
         let s = store(&[[900, 1000], [900, 1000]]);
         let mut m = Monitor::new_fixed(1, Detector::new(0.01), prediction(1000.0, 1000.0));
         m.scan(&s, false); // iter 0 closed, alarmed
-        assert_eq!(m.fresh_alarms(0).count(), 1);
+        assert_eq!(fresh(&m).count(), 1);
         m.rebaseline();
         m.scan(&s, true); // iter 1: same ports, but hysteresis was cleared
         assert_eq!(m.alarms.len(), 2);
-        assert_eq!(m.fresh_alarms(0).count(), 2, "rebaseline re-arms episodes");
+        assert_eq!(fresh(&m).count(), 2, "rebaseline re-arms episodes");
 
         let mut lm = Monitor::new_learned(1, Detector::new(0.01), 1);
         lm.scan(&store(&[[1000, 1000], [1000, 1000]]), true);

@@ -99,7 +99,7 @@ impl Default for CtrlConfig {
 
 /// The online detect→localize→mitigate→rebaseline state machine.
 ///
-/// Construct one per trial ([`Controller::for_spec`]) and hand it to
+/// Construct one per trial (`Controller::for_spec`) and hand it to
 /// [`flowpulse::eval::run_trial_ctl`] — or use [`run_ctrl_trial`] which does
 /// both. Campaigns fan controller-enabled trials across threads by building
 /// the controller *inside* the worker closure; nothing here is `Send`.
@@ -135,7 +135,7 @@ impl Controller {
 
     /// Controller matching a trial spec (the harness runs the measured
     /// collective as job 1).
-    pub fn for_spec(spec: &TrialSpec, cfg: CtrlConfig) -> Controller {
+    fn for_spec(spec: &TrialSpec, cfg: CtrlConfig) -> Controller {
         Controller::new(1, spec.leaves, cfg)
     }
 

@@ -32,7 +32,7 @@
 //! The `fp-monitord` binary wraps all of this around stdin or
 //! `FP_MONITORD_SOCK`; `flowpulse::eval::monitord_feed` is the harness
 //! side that streams N concurrent simulated fabrics into one service
-//! (see `examples/monitord_demo.rs` and the E10 sweep in `fp-bench`).
+//! (see the E10 sweep `monitord_sweep` in `fp-bench`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

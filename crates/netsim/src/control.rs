@@ -3,19 +3,20 @@
 //! Faults ([`crate::fault`]) model what the *network* does to the job; this
 //! module models what an *operator* (or an automated control loop, see
 //! `fp-ctrl`) does back. A [`ControlAction`] is a remediation primitive —
-//! today: administratively removing a suspect link from routing, or
-//! restoring it — that a controller schedules into the simulation with
-//! [`crate::sim::Simulator::schedule_control`]. Actions ride the same
-//! future-event scheduler as everything else (a tiny index-carrying event,
-//! applied in `(time, seq)` order), so a controller-enabled run stays
-//! byte-identical across scheduler backends and thread counts.
+//! take a suspect link out of routing, quarantine it for spraying, or
+//! restore it — that a controller schedules into the simulation with
+//! [`crate::sim::Simulator::schedule_control`].
 //!
-//! Applied actions reuse the existing fault machinery: `AdminDown` goes
-//! through the same spray-set recompute path as a known
-//! [`FaultKind::AdminDown`](crate::fault::FaultKind), which is exactly the
-//! paper's remediation story — once the fault is *known*, adaptive spraying
-//! routes around it and the analytical `d/(s−f)` load shape applies again.
+//! A remediation is a silent fault made *known* — the paper's story: once
+//! it is known, spraying routes around it and the analytical `d/(s−f)`
+//! load shape applies again. So each verb is a
+//! [`FaultAction`] ([`ControlVerb::action`]) and rides the simulator's one
+//! link-change schedule with faults and heals, applied in `(time, seq)`
+//! order; a controller-enabled run stays byte-identical across scheduler
+//! backends and thread counts. All that sets it apart is what is logged
+//! when it lands: a `ControlApplied` trace record and an [`AppliedControl`].
 
+use crate::fault::{FaultAction, FaultKind};
 use crate::ids::LinkId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -45,6 +46,15 @@ impl ControlVerb {
             ControlVerb::AdminDown => "admin_down",
             ControlVerb::Restore => "restore",
             ControlVerb::RecycleEntropy => "recycle_entropy",
+        }
+    }
+
+    /// The link change this verb is.
+    pub fn action(self) -> FaultAction {
+        match self {
+            ControlVerb::AdminDown => FaultAction::Set(FaultKind::AdminDown),
+            ControlVerb::Restore => FaultAction::Clear,
+            ControlVerb::RecycleEntropy => FaultAction::Quarantine,
         }
     }
 }
@@ -92,16 +102,6 @@ impl ControlAction {
     }
 }
 
-/// A scheduled control action (the control-plane analogue of
-/// [`crate::fault::FaultEvent`]).
-#[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
-pub struct ControlEvent {
-    /// When the action lands (controller decision time + reaction latency).
-    pub at: SimTime,
-    /// The action.
-    pub action: ControlAction,
-}
-
 /// An applied control action, as logged by the engine: what landed, when,
 /// and which schedule entry it came from. Controllers poll this log (it is
 /// append-only and indexed by application order) to learn that their
@@ -110,7 +110,8 @@ pub struct ControlEvent {
 pub struct AppliedControl {
     /// Simulated time the action was applied.
     pub at: SimTime,
-    /// Index into the control schedule (return value of `schedule_control`).
+    /// Index into the link-change schedule (return value of
+    /// `schedule_control`).
     pub idx: u32,
     /// The action that was applied.
     pub action: ControlAction,
@@ -138,5 +139,18 @@ mod tests {
         let q = ControlAction::recycle_entropy_cable(LinkId(7));
         assert!(q.bidirectional);
         assert_eq!(q.verb, ControlVerb::RecycleEntropy);
+    }
+
+    #[test]
+    fn every_verb_is_a_link_change() {
+        assert_eq!(
+            ControlVerb::AdminDown.action(),
+            FaultAction::Set(FaultKind::AdminDown)
+        );
+        assert_eq!(ControlVerb::Restore.action(), FaultAction::Clear);
+        assert_eq!(
+            ControlVerb::RecycleEntropy.action(),
+            FaultAction::Quarantine
+        );
     }
 }

@@ -62,11 +62,6 @@ impl IterCounters {
         self.bytes[leaf as usize * self.n_vspines + vspine as usize]
     }
 
-    /// Packets received at `leaf` on the ingress port from `vspine`.
-    pub fn port_pkts(&self, leaf: u32, vspine: u32) -> u64 {
-        self.pkts[leaf as usize * self.n_vspines + vspine as usize]
-    }
-
     /// Bytes received at `leaf` from `vspine` originated by hosts under
     /// `src_leaf`.
     pub fn port_src_bytes(&self, leaf: u32, vspine: u32, src_leaf: u32) -> u64 {
@@ -336,7 +331,6 @@ mod tests {
         s.record(2, 1, TAG, 3, 50, SimTime::from_ns(20));
         let c = s.get(1, 0).unwrap();
         assert_eq!(c.port_bytes(2, 1), 150);
-        assert_eq!(c.port_pkts(2, 1), 2);
         assert_eq!(c.port_src_bytes(2, 1, 0), 100);
         assert_eq!(c.port_src_bytes(2, 1, 3), 50);
         assert_eq!(c.port_bytes(0, 0), 0);

@@ -13,6 +13,7 @@
 use super::*;
 use crate::config::PfcConfig;
 use crate::control::ControlAction;
+use crate::fault::{FaultAction, FaultKind};
 use crate::packet::CollectiveTag;
 use crate::pipeline::MAX_DELAY_CLASSES;
 use crate::topology::{Clos3Spec, FatTreeSpec};
@@ -240,8 +241,9 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
             true => &[(2_000, 9_000), (13_000, 21_000), (26_000, 40_000)],
         };
         for &(set, clear) in spans {
-            sim.schedule_fault(FaultEvent::set_bidir(SimTime::from_ns(set), link, kind));
-            sim.schedule_fault(FaultEvent::clear_bidir(SimTime::from_ns(clear), link));
+            let (set, clear) = (SimTime::from_ns(set), SimTime::from_ns(clear));
+            sim.schedule_fault(FaultEvent::new(set, link, FaultAction::Set(kind), true));
+            sim.schedule_fault(FaultEvent::new(clear, link, FaultAction::Clear, true));
         }
     }
     if sc.recycle {
@@ -349,7 +351,7 @@ fn default_config_fits_the_production_bound() {
     let (_, t) = run(Scenario::basic(77, 4, 2, 3, 1));
     assert_eq!(
         t.pushes, 2,
-        "only FaultUpdate set + clear are absolute-time"
+        "only the fault's two link changes are absolute-time"
     );
     assert!(t.class_pushes > 1_000);
     assert!(t.classes > 4 && t.classes <= MAX_DELAY_CLASSES, "{t:?}");

@@ -138,12 +138,6 @@ impl LinkState {
         self.admin_up && !self.txing && !self.paused[q] && self.occupied == 0
     }
 
-    /// True when no class holds a queued packet.
-    #[inline]
-    pub(crate) fn queues_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
     /// Charge `wire` bytes to the load signal (the packet is about to be
     /// queued or started); returns the new depth.
     #[inline]
@@ -174,6 +168,16 @@ impl LinkState {
         }
         self.check_mask();
         pkt
+    }
+
+    /// Strict priority: the head of the first class that is not paused and
+    /// has a packet queued — all a switch egress ever sends.
+    #[inline]
+    pub(crate) fn pop_unpaused(&mut self) -> Option<Packet> {
+        if self.occupied == 0 {
+            return None;
+        }
+        (0..NPRIO).find_map(|q| if self.paused[q] { None } else { self.pop(q) })
     }
 
     /// Put `pkt` on the wire (either route ends here).
@@ -358,14 +362,8 @@ mod tests {
         if l.txing || !l.admin_up {
             return;
         }
-        for q in 0..NPRIO {
-            if l.paused[q] {
-                continue;
-            }
-            if let Some(head) = l.pop(q) {
-                l.start(head);
-                return;
-            }
+        if let Some(head) = l.pop_unpaused() {
+            l.start(head);
         }
     }
 
@@ -390,7 +388,7 @@ mod tests {
                 fast.start(p);
                 queue_then_start(&mut slow, p);
                 assert_eq!(observable(&fast), observable(&slow));
-                assert!(fast.queues_empty() && slow.queues_empty());
+                assert_eq!((fast.queued_pkts(), slow.queued_pkts()), (0, 0));
                 let (a, b) = (fast.finish(OVERHEAD), slow.finish(OVERHEAD));
                 assert_eq!((seq_of(&a.0), a.1), (seq_of(&b.0), b.1));
                 assert_eq!(observable(&fast), observable(&slow));
@@ -444,7 +442,7 @@ mod tests {
         assert_eq!(l.sample().queued_pkts, 5);
         assert_eq!(l.pop(Priority::MEASURED.idx()).map(|p| seq_of(&p)), Some(3));
         assert_eq!(l.pop(Priority::MEASURED.idx()).map(|p| seq_of(&p)), None);
-        assert!(!l.queues_empty());
+        assert_ne!(l.queued_pkts(), 0);
         // Drain: strict priority, FIFO inside a class, bytes released.
         let drained: Vec<u32> = std::iter::from_fn(|| l.drain_next(OVERHEAD))
             .map(|(p, wire)| {
@@ -453,7 +451,6 @@ mod tests {
             })
             .collect();
         assert_eq!(drained, vec![1, 4, 0, 2]);
-        assert!(l.queues_empty());
         assert_eq!(l.queued_pkts(), 0);
         // The MEASURED packet popped above was never finished.
         assert_eq!(l.queued_bytes, 1003 + OVERHEAD as u64);

@@ -49,15 +49,10 @@ pub enum EventKind {
         /// Opaque application token.
         token: u64,
     },
-    /// Apply entry `idx` of the fault schedule.
-    FaultUpdate {
+    /// Apply entry `idx` of the link-change schedule: a fault, a heal or a
+    /// control plane's remediation.
+    LinkChange {
         /// Index into the schedule.
-        idx: u32,
-    },
-    /// Apply entry `idx` of the control-action schedule (remediation issued
-    /// by a control plane, landing after its reaction latency).
-    ControlUpdate {
-        /// Index into the control schedule.
         idx: u32,
     },
     /// A PFC pause/resume frame takes effect at the transmitter of `link`.
@@ -90,9 +85,8 @@ impl EventKind {
     /// symmetry fast-forward shifts every residual timer onto the replayed
     /// iteration's flow block (`crate::sim::memo`). Events that reference no
     /// flow pass through unchanged. Variants that must never appear in a
-    /// memoized residual (`Wake`, `FaultUpdate`, `ControlUpdate`, `Pfc`,
-    /// `Sample` — the eligibility scan refuses boundaries holding them)
-    /// debug-panic here.
+    /// memoized residual (`Wake`, `LinkChange`, `Pfc`, `Sample` — the
+    /// eligibility scan refuses boundaries holding them) debug-panic here.
     pub(crate) fn memo_shift_flow(self, dflow: u32) -> EventKind {
         match self {
             EventKind::Rto { flow, seq, attempt } => EventKind::Rto {

@@ -8,6 +8,7 @@
 
 use super::delay_class_tests::{run, Scenario};
 use super::*;
+use crate::packet::NPRIO;
 use crate::topology::FatTreeSpec;
 use proptest::prelude::*;
 
@@ -143,8 +144,9 @@ fn ack_of(seq: u32) -> AckBlock {
 /// One `next_fresh` pull at host 0: what it yielded and the `active` deque
 /// it left behind.
 fn pull(s: &mut Simulator, q: usize) -> (Option<String>, Vec<u32>) {
-    let got = s.next_fresh(HostId(0), q).as_ref().map(label);
-    (got, Vec::from(s.hosts[0].active.clone()))
+    let (hosts, mut nic) = s.nic();
+    let got = hosts.next_fresh(&mut nic, HostId(0), q).as_ref().map(label);
+    (got, Vec::from(s.hosts.active[0].clone()))
 }
 
 /// The host NIC drains its active flows round-robin *per class*, and a
@@ -244,7 +246,7 @@ fn ack_and_retransmit_order_on_a_busy_idle_or_paused_host_uplink() {
         let b = s.post_message(HostId(0), HostId(3), 2 * MTU, None, Priority::BACKGROUND);
         assert_eq!((f, g, b), (0, 1, 2));
         assert_eq!(next_starts(&mut s, l, 3), ["a1", "d2.0", "d2.1"], "{why}");
-        assert_eq!(Vec::from(s.hosts[0].active.clone()), [0], "{why}");
+        assert_eq!(Vec::from(s.hosts.active[0].clone()), [0], "{why}");
         // Run the rest dry: the uplink must sit idle with the retransmit
         // still queued.
         s.run_until(SimTime::from_ns(4_000));

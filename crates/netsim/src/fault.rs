@@ -1,4 +1,4 @@
-//! Link fault models and the fault-injection schedule.
+//! Link fault models and the timed link changes that install and clear them.
 //!
 //! The paper distinguishes two axes of faultiness (§1, §4):
 //!
@@ -9,9 +9,13 @@
 //! * **Silent faults** (everything else): the link keeps carrying traffic and
 //!   stays in the routing tables, but drops some or all packets without any
 //!   reflection in telemetry. These are what FlowPulse exists to catch.
+//!
+//! A remediation is a silent fault made known, so a control-plane verb
+//! ([`crate::control`]) is a [`FaultAction`] too, and every timed link
+//! change — fault, heal or remediation — is one [`FaultEvent`] on the
+//! simulator's one link-change schedule.
 
 use crate::ids::LinkId;
-use crate::packet::Packet;
 use crate::rng::coin;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
@@ -48,36 +52,37 @@ impl FaultKind {
         !matches!(self, FaultKind::AdminDown)
     }
 
-    /// Decide whether this fault drops `pkt` (whose destination host sits
-    /// under `pkt_dst_leaf`). Only meaningful for silent faults; `AdminDown`
+    /// Decide whether this fault drops a packet whose destination host
+    /// sits under `dst`. Only meaningful for silent faults; `AdminDown`
     /// is enforced by routing, not per-packet sampling. The simulator
     /// samples this at the end of serialization, as the packet would enter
     /// its link's delivery pipe — a dropped packet never goes in flight, and
     /// a fault cleared mid-flight cannot retroactively save packets already
     /// dropped at insert.
-    pub fn drops(&self, pkt: &Packet, pkt_dst_leaf: u16, rng: &mut SmallRng) -> bool {
+    pub fn drops(&self, dst: u16, rng: &mut SmallRng) -> bool {
         match *self {
-            FaultKind::AdminDown => true,
+            FaultKind::AdminDown | FaultKind::SilentBlackhole => true,
             FaultKind::SilentDrop { rate } => coin(rng, rate),
-            FaultKind::SilentBlackhole => true,
-            FaultKind::DstBlackhole { dst_leaf } => {
-                let _ = pkt;
-                pkt_dst_leaf == dst_leaf
-            }
+            FaultKind::DstBlackhole { dst_leaf } => dst == dst_leaf,
         }
     }
 }
 
-/// What a scheduled fault event does.
+/// What a link change does.
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub enum FaultAction {
     /// Install (or replace) the fault on the link.
     Set(FaultKind),
-    /// Heal the link: clear any fault and restore it to routing.
+    /// Heal the link: clear any fault and any quarantine, and restore it
+    /// to routing.
     Clear,
+    /// Quarantine the link for spray decisions only: it stays up and keeps
+    /// forwarding, but sprayers avoid it while an alternative exists
+    /// ([`crate::control::ControlVerb::RecycleEntropy`]).
+    Quarantine,
 }
 
-/// A timed fault-injection entry.
+/// A timed link change.
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct FaultEvent {
     /// When the change takes effect.
@@ -86,48 +91,19 @@ pub struct FaultEvent {
     pub link: LinkId,
     /// Apply to the reverse direction as well (physical-cable semantics).
     pub bidirectional: bool,
-    /// Install or clear.
+    /// What changes.
     pub action: FaultAction,
 }
 
 impl FaultEvent {
-    /// Install `kind` on `link` (one direction) at `at`.
-    pub fn set(at: SimTime, link: LinkId, kind: FaultKind) -> Self {
+    /// `action` on `link` at `at` (and on its peer, if `bidirectional`):
+    /// the argument order of [`crate::sim::Simulator::apply_fault_now`].
+    pub fn new(at: SimTime, link: LinkId, action: FaultAction, bidirectional: bool) -> Self {
         FaultEvent {
             at,
             link,
-            bidirectional: false,
-            action: FaultAction::Set(kind),
-        }
-    }
-
-    /// Install `kind` on both directions of the physical link at `at`.
-    pub fn set_bidir(at: SimTime, link: LinkId, kind: FaultKind) -> Self {
-        FaultEvent {
-            at,
-            link,
-            bidirectional: true,
-            action: FaultAction::Set(kind),
-        }
-    }
-
-    /// Heal `link` (one direction) at `at`.
-    pub fn clear(at: SimTime, link: LinkId) -> Self {
-        FaultEvent {
-            at,
-            link,
-            bidirectional: false,
-            action: FaultAction::Clear,
-        }
-    }
-
-    /// Heal both directions of the physical link at `at`.
-    pub fn clear_bidir(at: SimTime, link: LinkId) -> Self {
-        FaultEvent {
-            at,
-            link,
-            bidirectional: true,
-            action: FaultAction::Clear,
+            bidirectional,
+            action,
         }
     }
 }
@@ -148,19 +124,14 @@ pub fn flap_schedule(
     let mut out = Vec::with_capacity(2 * cycles as usize);
     let mut t = start;
     for _ in 0..cycles {
-        out.push(FaultEvent {
-            at: t,
+        out.push(FaultEvent::new(
+            t,
             link,
+            FaultAction::Set(kind),
             bidirectional,
-            action: FaultAction::Set(kind),
-        });
+        ));
         t += on;
-        out.push(FaultEvent {
-            at: t,
-            link,
-            bidirectional,
-            action: FaultAction::Clear,
-        });
+        out.push(FaultEvent::new(t, link, FaultAction::Clear, bidirectional));
         t += off;
     }
     out
@@ -169,23 +140,7 @@ pub fn flap_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::HostId;
-    use crate::packet::{PacketKind, Priority};
     use rand::SeedableRng;
-
-    fn pkt(dst: u32) -> Packet {
-        Packet {
-            kind: PacketKind::Data { flow: 0, seq: 0 },
-            src: HostId(0),
-            dst: HostId(dst),
-            size: 4096,
-            prio: Priority::MEASURED,
-            tag: None,
-            src_leaf: 0,
-            ingress: None,
-            ce: false,
-        }
-    }
 
     #[test]
     fn silent_classification() {
@@ -199,7 +154,7 @@ mod tests {
     fn blackhole_drops_everything() {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..32 {
-            assert!(FaultKind::SilentBlackhole.drops(&pkt(5), 2, &mut rng));
+            assert!(FaultKind::SilentBlackhole.drops(2, &mut rng));
         }
     }
 
@@ -207,8 +162,8 @@ mod tests {
     fn dst_blackhole_is_selective() {
         let mut rng = SmallRng::seed_from_u64(1);
         let f = FaultKind::DstBlackhole { dst_leaf: 4 };
-        assert!(f.drops(&pkt(0), 4, &mut rng));
-        assert!(!f.drops(&pkt(0), 5, &mut rng));
+        assert!(f.drops(4, &mut rng));
+        assert!(!f.drops(5, &mut rng));
     }
 
     #[test]
@@ -216,7 +171,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let f = FaultKind::SilentDrop { rate: 0.015 };
         let n = 100_000;
-        let drops = (0..n).filter(|_| f.drops(&pkt(1), 0, &mut rng)).count();
+        let drops = (0..n).filter(|_| f.drops(0, &mut rng)).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.015).abs() < 0.002, "rate={rate}");
     }
@@ -249,7 +204,7 @@ mod tests {
     #[test]
     fn zero_and_one_rates_are_exact() {
         let mut rng = SmallRng::seed_from_u64(7);
-        assert!(!FaultKind::SilentDrop { rate: 0.0 }.drops(&pkt(1), 0, &mut rng));
-        assert!(FaultKind::SilentDrop { rate: 1.0 }.drops(&pkt(1), 0, &mut rng));
+        assert!(!FaultKind::SilentDrop { rate: 0.0 }.drops(0, &mut rng));
+        assert!(FaultKind::SilentDrop { rate: 1.0 }.drops(0, &mut rng));
     }
 }

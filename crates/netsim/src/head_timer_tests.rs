@@ -8,6 +8,7 @@
 
 use super::delay_class_tests::{run, Scenario};
 use super::*;
+use crate::fault::{FaultAction, FaultKind};
 use crate::pipeline::MAX_DELAY_CLASSES;
 use crate::rng::splitmix64;
 use crate::topology::FatTreeSpec;

@@ -33,11 +33,13 @@
 //!   by default, binary heap as the reference) behind one trait;
 //! * [`pipeline`] — the agenda: where every pending event waits (scheduler,
 //!   delay-class pipe or delivery pipe) and which is next;
-//! * [`egress`], `switch`, [`transport`] — the state a handler mutates: one
-//!   transmitter per link with its PFC budget, per-switch routing tables
-//!   and the spray stage, per-flow sender/receiver bookkeeping;
+//! * [`egress`], `switch`, `host`, [`transport`] — the state a handler
+//!   mutates: one transmitter per link with its PFC budget, per-switch
+//!   routing tables and the spray stage, each host NIC's round robin over
+//!   its flows, per-flow sender/receiver bookkeeping;
 //! * [`sim`] — the event loop and the handler of each event kind, with the
-//!   statistics, trace, recorder and application callbacks; [`sim::memo`]
+//!   statistics, trace and application callbacks; its children apply timed
+//!   link changes and feed the telemetry recorder, and [`sim::memo`]
 //!   fast-forwards steady-state iterations.
 //!
 //! ## Quick example
@@ -64,6 +66,7 @@ pub mod counters;
 pub mod egress;
 pub mod engine;
 pub mod fault;
+mod host;
 pub mod ids;
 pub mod packet;
 pub mod pipeline;
@@ -85,7 +88,7 @@ pub mod wheel;
 pub mod prelude {
     pub use crate::app::{Application, MultiApp, NullApp};
     pub use crate::config::{PfcConfig, SimConfig};
-    pub use crate::control::{AppliedControl, ControlAction, ControlEvent, ControlVerb};
+    pub use crate::control::{AppliedControl, ControlAction, ControlVerb};
     pub use crate::counters::{CounterStore, IterCounters};
     pub use crate::engine::{SchedKind, SchedStats};
     pub use crate::fault::{FaultAction, FaultEvent, FaultKind};

@@ -34,7 +34,7 @@
 //!   the delay *value* and discovered on first use, up to a small bound; a
 //!   delay past the bound simply goes to the scheduler, which remains the
 //!   general future-event list for everything scheduled at an absolute
-//!   time (faults, controls, wake-ups, sampler ticks).
+//!   time (link changes, wake-ups, sampler ticks).
 //! * **Head-of-line timers** are the first-attempt `Rto`s. The transport
 //!   reserves a slot — `(deadline, sequence number)` — for every segment
 //!   it sends but arms only one per flow at a time (`crate::transport`),
@@ -135,11 +135,10 @@ const _: () = assert!(std::mem::size_of::<Entry<(LinkId, Packet)>>() <= 96);
 const TX_DONE: u64 = 0;
 const RTO: u64 = 1;
 const WAKE: u64 = 2;
-const FAULT_UPDATE: u64 = 3;
-const CONTROL_UPDATE: u64 = 4;
-const PFC: u64 = 5;
-const ACK_FLUSH: u64 = 6;
-const SAMPLE: u64 = 7;
+const LINK_CHANGE: u64 = 3;
+const PFC: u64 = 4;
+const ACK_FLUSH: u64 = 5;
+const SAMPLE: u64 = 6;
 
 #[inline(always)]
 fn pack(kind: EventKind) -> Packed {
@@ -150,8 +149,7 @@ fn pack(kind: EventKind) -> Packed {
             tagged(RTO, flow, seq as u64 | (attempt as u64) << 32)
         }
         EventKind::Wake { host, token } => tagged(WAKE, host.0, token),
-        EventKind::FaultUpdate { idx } => tagged(FAULT_UPDATE, idx, 0),
-        EventKind::ControlUpdate { idx } => tagged(CONTROL_UPDATE, idx, 0),
+        EventKind::LinkChange { idx } => tagged(LINK_CHANGE, idx, 0),
         EventKind::Pfc { link, prio, pause } => {
             tagged(PFC, link.0, prio as u64 | (pause as u64) << 8)
         }
@@ -174,8 +172,7 @@ fn unpack(Packed(head, rest): Packed) -> EventKind {
             host: HostId(id),
             token: rest,
         },
-        FAULT_UPDATE => EventKind::FaultUpdate { idx: id },
-        CONTROL_UPDATE => EventKind::ControlUpdate { idx: id },
+        LINK_CHANGE => EventKind::LinkChange { idx: id },
         PFC => EventKind::Pfc {
             link: LinkId(id),
             prio: rest as u8,
@@ -364,8 +361,6 @@ pub struct FrontHeap {
     fronts: Vec<PipeFront>,
     /// Index of the earliest front (0 when nothing is armed).
     top: usize,
-    /// High-water mark of armed pipes.
-    max_armed: u64,
 }
 
 /// `(at, seq)` as one integer: the order the event loop dispatches in.
@@ -397,11 +392,6 @@ impl FrontHeap {
         self.fronts.is_empty()
     }
 
-    /// High-water mark of simultaneously armed pipes.
-    pub fn max_armed(&self) -> u64 {
-        self.max_armed
-    }
-
     /// Arm a pipe that just went empty → nonempty.
     #[inline]
     pub fn arm(&mut self, f: PipeFront) {
@@ -409,7 +399,6 @@ impl FrontHeap {
             self.top = self.fronts.len();
         }
         self.fronts.push(f);
-        self.max_armed = self.max_armed.max(self.fronts.len() as u64);
     }
 
     /// Replace the just-delivered top with the same pipe's next head
@@ -438,7 +427,7 @@ impl FrontHeap {
     /// The top's pipe just gave up its head: re-arm it for the entry behind
     /// (`next`, that entry's `(at, seq)`) or disarm it if the pipe emptied.
     #[inline]
-    pub fn advance_top(&mut self, next: Option<(SimTime, u64)>) {
+    fn advance_top(&mut self, next: Option<(SimTime, u64)>) {
         match next {
             Some((at, seq)) => {
                 let pipe = self.fronts[self.top].pipe;
@@ -452,8 +441,7 @@ impl FrontHeap {
 
     /// Temporal-symmetry fast-forward: shift every armed front by `dt` in
     /// time and `dseq` in sequence. A uniform shift preserves the `(at,
-    /// seq)` order, so the top stays the top. `max_armed` is a high-water
-    /// mark — a matched steady-state window arms no new maximum.
+    /// seq)` order, so the top stays the top.
     pub(crate) fn memo_shift(&mut self, dt: SimDuration, dseq: u64) {
         for f in &mut self.fronts {
             f.at += dt;
@@ -506,8 +494,8 @@ pub(crate) struct Next {
 
 /// Every pending event of one simulator (see the module docs).
 pub(crate) struct Agenda {
-    /// Future-event list for absolute-time events (faults, controls,
-    /// wake-ups, sampler ticks) and for delays past the class bound. Also
+    /// Future-event list for absolute-time events (link changes, wake-ups,
+    /// sampler ticks) and for delays past the class bound. Also
     /// the one source of tie-break sequence numbers for every pipe.
     sched: EventQueue,
     /// `sched`'s head `(time, seq)` as of the last refresh, and whether
@@ -842,7 +830,6 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| h.pop_top().map(|f| f.seq)).collect();
         assert_eq!(order, vec![2, 9, 1, 5]);
         assert!(h.is_empty());
-        assert_eq!(h.max_armed(), 4);
     }
 
     #[test]
@@ -912,8 +899,7 @@ mod tests {
                 host: HostId(0),
                 token: 1 << 63,
             },
-            EventKind::FaultUpdate { idx: u32::MAX },
-            EventKind::ControlUpdate { idx: u32::MAX },
+            EventKind::LinkChange { idx: u32::MAX },
             EventKind::Pfc {
                 link,
                 prio: u8::MAX,
@@ -940,7 +926,7 @@ mod tests {
         }
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags, (0..8).collect::<Vec<_>>(), "a variant was left out");
+        assert_eq!(tags, (0..7).collect::<Vec<_>>(), "a variant was left out");
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! The simulator: the event loop and the handler of every event kind.
+//! The simulator: the event loop and the data-path handlers.
 //!
 //! [`Simulator`] owns the whole world — topology, per-link egress state
-//! ([`crate::egress`]), per-switch forwarding state (`crate::switch`), the
-//! transport flow table ([`crate::transport`]), FlowPulse counters — and
-//! processes its pending events in the deterministic `(time, seq)` order
-//! the agenda ([`crate::pipeline`]) yields them. The state-owning modules
-//! decide *what* changes; this file decides *when*, and keeps the
-//! statistics, the trace, the recorder and the application callbacks. See
-//! the crate docs for the model; the short version:
+//! ([`crate::egress`]), per-switch forwarding state (`crate::switch`), each
+//! host NIC's round robin (`crate::host`), the transport flow table
+//! ([`crate::transport`]), FlowPulse counters — and processes its pending
+//! events in the deterministic `(time, seq)` order the agenda
+//! ([`crate::pipeline`]) yields them. The state-owning modules decide
+//! *what* changes; this file decides *when*, and keeps the statistics, the
+//! trace and the application callbacks. Its children keep what is not the
+//! data path: `links` applies timed link changes — faults, heals and
+//! remediations, one schedule — `telemetry` feeds the recorder, and
+//! [`memo`] fast-forwards steady-state iterations. See the crate docs for
+//! the model; the short version:
 //!
 //! * Output-queued switches with strict-priority egress queues per directed
 //!   link. A packet arriving at a switch is routed and enqueued instantly;
@@ -25,30 +29,30 @@
 
 use crate::app::Application;
 use crate::config::SimConfig;
-use crate::control::{AppliedControl, ControlAction, ControlEvent, ControlVerb};
+use crate::control::{AppliedControl, ControlAction};
 use crate::counters::CounterStore;
 pub use crate::egress::LinkState;
 use crate::egress::PfcIngress;
 use crate::engine::{EventKind, SchedKind, SchedStats};
-use crate::fault::{FaultAction, FaultEvent, FaultKind};
+use crate::fault::FaultEvent;
+use crate::host::{Hosts, Nic};
 use crate::ids::{HostId, LinkId, NodeId, SwitchId};
-use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority, NPRIO};
+use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority};
 use crate::pipeline::{Agenda, Due};
 use crate::rng::RngStreams;
 use crate::spray;
 use crate::stats::{DropCause, Stats};
 use crate::switch::{Fabric, Switches};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::topology::{LinkClass, Topology};
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::transport::{FlowState, RtoOutcome};
-use fp_telemetry::{LinkMeta, Recorder};
-use std::collections::VecDeque;
+use fp_telemetry::Recorder;
+pub use telemetry::IterSpanRecord;
 
-// A child module (rather than a sibling) so the fast-forward machinery can
-// reach the simulator's private runtime state without widening its API.
-#[path = "memo.rs"]
+mod links;
 pub mod memo;
+mod telemetry;
 
 #[cfg(test)]
 #[path = "delay_class_tests.rs"]
@@ -65,13 +69,6 @@ mod fast_path_tests;
 #[cfg(test)]
 #[path = "head_timer_tests.rs"]
 mod head_timer_tests;
-
-/// Runtime state of one host NIC.
-#[derive(Debug)]
-struct HostState {
-    /// Flows with fresh segments left, drained round-robin.
-    active: VecDeque<FlowId>,
-}
 
 /// Why [`Simulator::run`] returned.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -95,21 +92,6 @@ pub struct RunSummary {
     pub reason: RunReason,
 }
 
-/// One completed collective iteration, as reported by a workload runner.
-/// Always logged by the engine (no recorder needed) so goodput and
-/// control-plane latencies can be measured on any run.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct IterSpanRecord {
-    /// Job identifier.
-    pub job: u32,
-    /// Iteration number within the job.
-    pub iter: u32,
-    /// When the iteration's first transfer was posted.
-    pub start: SimTime,
-    /// When the iteration's last transfer completed.
-    pub end: SimTime,
-}
-
 /// The packet-level fat-tree simulator.
 pub struct Simulator {
     /// Configuration (immutable after construction).
@@ -117,15 +99,15 @@ pub struct Simulator {
     /// The fabric.
     pub topo: Topology,
     now: SimTime,
-    /// Every pending event: timers, control events and packets on the
-    /// wire, in the containers `crate::pipeline` chooses for them.
+    /// Every pending event: timers, link changes and packets on the wire,
+    /// in the containers `crate::pipeline` chooses for them.
     agenda: Agenda,
     links: Vec<LinkState>,
     /// PFC accounting per (switch ingress port, priority).
     pfc: PfcIngress,
     /// Forwarding state of every switch and the spray stage.
     switches: Switches,
-    hosts: Vec<HostState>,
+    hosts: Hosts,
     /// Transport flow table (public for inspection by harnesses).
     pub flows: Vec<FlowState>,
     rng: RngStreams,
@@ -141,8 +123,9 @@ pub struct Simulator {
     pub trace: TraceBuffer,
     app: Option<Box<dyn Application>>,
     app_started: bool,
-    fault_events: Vec<FaultEvent>,
-    control_events: Vec<ControlEvent>,
+    /// Every timed link change — fault, heal or remediation — with the
+    /// control action that scheduled it, if one did (see `links`).
+    link_changes: Vec<(FaultEvent, Option<ControlAction>)>,
     applied_controls: Vec<AppliedControl>,
     iter_spans: Vec<IterSpanRecord>,
     recorder: Option<Box<dyn Recorder>>,
@@ -172,11 +155,6 @@ impl Simulator {
         let n_links = topo.n_links();
         let links = (0..n_links).map(|_| LinkState::new()).collect();
         let switches = Switches::new(&topo, &cfg);
-        let hosts = (0..topo.n_hosts())
-            .map(|_| HostState {
-                active: VecDeque::new(),
-            })
-            .collect();
         let counters = CounterStore::new(topo.n_leaves(), topo.n_vspines());
         let agg_counters = CounterStore::new_with_src(
             topo.n_aggs(),
@@ -189,13 +167,13 @@ impl Simulator {
         );
         let mut sim = Simulator {
             cfg,
+            hosts: Hosts::new(topo.n_hosts()),
             topo,
             now: SimTime::ZERO,
             agenda,
             links,
             pfc: PfcIngress::new(n_links),
             switches,
-            hosts,
             flows: Vec::new(),
             rng: RngStreams::new(seed),
             stats: Stats::default(),
@@ -204,8 +182,7 @@ impl Simulator {
             trace: TraceBuffer::new(4096),
             app: None,
             app_started: false,
-            fault_events: Vec::new(),
-            control_events: Vec::new(),
+            link_changes: Vec::new(),
             applied_controls: Vec::new(),
             iter_spans: Vec::new(),
             recorder: None,
@@ -236,194 +213,6 @@ impl Simulator {
     /// Read-only view of a link's runtime state.
     pub fn link(&self, id: LinkId) -> &LinkState {
         &self.links[id.idx()]
-    }
-
-    /// The leaf a host hangs off.
-    pub fn host_leaf(&self, h: HostId) -> u32 {
-        self.topo.leaf_of(h)
-    }
-
-    // ------------------------------------------------------------------
-    // Telemetry
-    // ------------------------------------------------------------------
-
-    /// Attach a telemetry recorder. The recorder immediately receives the
-    /// topology description; if it asks for a nonzero sampling interval the
-    /// periodic link sampler is scheduled. With no recorder attached (the
-    /// default) every telemetry call site reduces to one `Option` branch
-    /// and no sampler events exist, so runs are byte-identical to a build
-    /// without telemetry.
-    pub fn set_recorder(&mut self, mut rec: Box<dyn Recorder>) {
-        rec.on_topology(&link_metas(&self.topo));
-        let interval = rec.sample_interval_ns();
-        self.recorder = Some(rec);
-        if interval > 0 {
-            let at = self.now + SimDuration::from_ns(interval);
-            self.agenda.at(at, EventKind::Sample);
-        }
-    }
-
-    /// Detach and return the recorder (for post-run export and flushing).
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// Report a completed collective iteration span. Always appended to the
-    /// in-sim span log (see [`Simulator::iter_spans`]) so goodput and
-    /// control-plane timing can be computed without a recorder; additionally
-    /// forwarded to the telemetry recorder when one is attached. Called by
-    /// workload runners.
-    pub fn record_iteration_span(&mut self, job: u32, iter: u32, start: SimTime, end: SimTime) {
-        self.iter_spans.push(IterSpanRecord {
-            job,
-            iter,
-            start,
-            end,
-        });
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_iteration(job, iter, start.as_ns(), end.as_ns());
-        }
-    }
-
-    /// Completed collective iteration spans, in completion order.
-    pub fn iter_spans(&self) -> &[IterSpanRecord] {
-        &self.iter_spans
-    }
-
-    /// Sampler tick: hand every link's egress state to the recorder.
-    fn sample_links(&mut self) {
-        // Move the recorder out so the link table can be borrowed freely.
-        let Some(mut rec) = self.recorder.take() else {
-            return;
-        };
-        let t = self.now.as_ns();
-        for (i, l) in self.links.iter().enumerate() {
-            rec.on_link_sample(t, i as u32, &l.sample());
-        }
-        self.recorder = Some(rec);
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection
-    // ------------------------------------------------------------------
-
-    /// Schedule a fault event for later application.
-    pub fn schedule_fault(&mut self, ev: FaultEvent) {
-        let idx = self.fault_events.len() as u32;
-        self.fault_events.push(ev);
-        self.agenda.at(ev.at, EventKind::FaultUpdate { idx });
-    }
-
-    // ------------------------------------------------------------------
-    // Control plane
-    // ------------------------------------------------------------------
-
-    /// Schedule a control-plane action (remediation) to land at `at`.
-    ///
-    /// The action rides the same future-event scheduler as every other
-    /// event, so a controller-enabled run stays byte-identical across
-    /// scheduler backends and thread counts. Returns the schedule index,
-    /// which reappears in [`Simulator::applied_controls`] once the action
-    /// has taken effect.
-    pub fn schedule_control(&mut self, at: SimTime, action: ControlAction) -> u32 {
-        let idx = self.control_events.len() as u32;
-        self.control_events.push(ControlEvent { at, action });
-        self.agenda.at(at, EventKind::ControlUpdate { idx });
-        idx
-    }
-
-    /// The full control-action schedule so far (applied or pending).
-    pub fn control_events(&self) -> &[ControlEvent] {
-        &self.control_events
-    }
-
-    /// Append-only log of control actions that have been applied.
-    pub fn applied_controls(&self) -> &[AppliedControl] {
-        &self.applied_controls
-    }
-
-    /// Apply a control action immediately, logging it with schedule index
-    /// `idx`.
-    fn apply_control(&mut self, idx: u32, action: ControlAction) {
-        self.trace
-            .push(self.now, TraceEvent::ControlApplied { link: action.link });
-        match action.verb {
-            ControlVerb::AdminDown => {
-                self.apply_fault_now(
-                    action.link,
-                    FaultAction::Set(FaultKind::AdminDown),
-                    action.bidirectional,
-                );
-            }
-            ControlVerb::Restore => {
-                self.apply_fault_now(action.link, FaultAction::Clear, action.bidirectional);
-            }
-            // Soft mitigation: quarantine the cable for spray decisions
-            // only. No admin state change, no queue drain, no routing
-            // recompute — queued and in-flight packets finish normally.
-            ControlVerb::RecycleEntropy => {
-                let link = action.link.idx();
-                self.switches.set_spray_avoid(&mut self.links[link], true);
-                if action.bidirectional {
-                    let peer = self.topo.peer[link].idx();
-                    self.switches.set_spray_avoid(&mut self.links[peer], true);
-                }
-            }
-        }
-        self.applied_controls.push(AppliedControl {
-            at: self.now,
-            idx,
-            action,
-        });
-    }
-
-    /// Apply a fault action right now.
-    pub fn apply_fault_now(&mut self, link: LinkId, action: FaultAction, bidirectional: bool) {
-        self.apply_fault_action(link, action);
-        if bidirectional {
-            let peer = self.topo.peer[link.idx()];
-            self.apply_fault_action(peer, action);
-        }
-    }
-
-    fn apply_fault_action(&mut self, link: LinkId, action: FaultAction) {
-        match action {
-            FaultAction::Set(kind) => {
-                self.trace
-                    .push(self.now, TraceEvent::FaultSet { link, kind });
-                if kind == FaultKind::AdminDown {
-                    self.links[link.idx()].admin_up = false;
-                    self.links[link.idx()].fault = None;
-                    self.drain_link_queues(link);
-                    self.switches.recompute_routing(&self.topo, &self.links);
-                } else {
-                    self.links[link.idx()].fault = Some(kind);
-                }
-            }
-            FaultAction::Clear => {
-                self.trace.push(self.now, TraceEvent::FaultCleared { link });
-                let was_down = !self.links[link.idx()].admin_up;
-                self.links[link.idx()].fault = None;
-                self.links[link.idx()].admin_up = true;
-                // A healed/restored link also sheds any entropy-recycle
-                // quarantine — it is trustworthy again.
-                self.switches
-                    .set_spray_avoid(&mut self.links[link.idx()], false);
-                if was_down {
-                    self.switches.recompute_routing(&self.topo, &self.links);
-                }
-                self.try_start_tx(link);
-            }
-        }
-    }
-
-    /// Drop everything queued on a link that just went admin-down,
-    /// releasing PFC accounting for each dropped packet.
-    fn drain_link_queues(&mut self, link: LinkId) {
-        while let Some((pkt, wire)) = self.links[link.idx()].drain_next(self.cfg.wire_overhead) {
-            self.trace_drop(link, DropCause::AdminDown, &pkt);
-            self.pfc_release(&pkt, wire);
-        }
     }
 
     /// Count and trace a packet dropped at `link`.
@@ -462,15 +251,26 @@ impl Simulator {
             prio,
             self.now,
         ));
-        self.hosts[src.idx()].active.push_back(id);
+        self.hosts.post(src, id);
         self.try_start_tx(self.topo.host_up[src.idx()]);
         id
     }
 
     /// Schedule an application wake-up at absolute time `at`.
     pub fn schedule_wake(&mut self, at: SimTime, host: HostId, token: u64) {
-        debug_assert!(at >= self.now);
-        self.agenda.at(at, EventKind::Wake { host, token });
+        self.at(at, EventKind::Wake { host, token });
+    }
+
+    /// The door every absolute-time event comes in by. `at` may not be in
+    /// the past: the clock only moves forward, and every pipe's FIFO order
+    /// rests on that — in a release build too.
+    fn at(&mut self, at: SimTime, kind: EventKind) {
+        let (t, now) = (at.as_ns(), self.now.as_ns());
+        assert!(
+            t >= now,
+            "{kind:?} scheduled at {t} ns, before now ({now} ns)"
+        );
+        self.agenda.at(at, kind);
     }
 
     // ------------------------------------------------------------------
@@ -576,27 +376,9 @@ impl Simulator {
                 return;
             }
         }
-        // Sampler ticks advance the clock but, like stale-RTO skips, are
-        // not charged to `stats.events` or the `max_events` guard —
-        // telemetry must not perturb event accounting. The tick reschedules
-        // itself only while other events remain, so a drained workload
-        // cannot be kept alive by its own sampler.
+        // Sampler ticks are not engine events either (see `telemetry`).
         if matches!(kind, EventKind::Sample) {
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            self.sample_links();
-            if let Some(interval) = self
-                .recorder
-                .as_ref()
-                .map(|r| r.sample_interval_ns())
-                .filter(|&i| i > 0)
-            {
-                let next = at + SimDuration::from_ns(interval);
-                if !self.agenda.is_empty() {
-                    self.agenda.at(next, EventKind::Sample);
-                }
-            }
-            return;
+            return self.sample_tick(at);
         }
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
@@ -607,14 +389,7 @@ impl Simulator {
             EventKind::Wake { host, token } => {
                 self.with_app(|app, sim| app.on_wake(sim, host, token))
             }
-            EventKind::FaultUpdate { idx } => {
-                let ev = self.fault_events[idx as usize];
-                self.apply_fault_now(ev.link, ev.action, ev.bidirectional);
-            }
-            EventKind::ControlUpdate { idx } => {
-                let ev = self.control_events[idx as usize];
-                self.apply_control(idx, ev.action);
-            }
+            EventKind::LinkChange { idx } => self.apply_link_change(idx),
             EventKind::Pfc { link, prio, pause } => self.handle_pfc(link, prio, pause),
             EventKind::AckFlush { flow } => self.handle_ack_flush(flow),
             EventKind::Sample => unreachable!("handled before event accounting"),
@@ -638,42 +413,39 @@ impl Simulator {
 
     /// Start transmitting on `link` if it is idle and something is eligible.
     fn try_start_tx(&mut self, link: LinkId) {
-        let l = &self.links[link.idx()];
+        let l = &mut self.links[link.idx()];
         if l.txing || !l.admin_up {
             return;
         }
-        let src = self.topo.links[link.idx()].src;
-        // A switch sends only what is queued (a host NIC also pulls fresh
-        // segments), so an empty switch egress — the usual state after a
-        // `TxDone` on a sprayed fabric — is settled by the occupancy mask.
-        if l.queues_empty() && matches!(src, NodeId::Switch(_)) {
-            return;
-        }
-        let mut chosen: Option<Packet> = None;
-        for q in 0..NPRIO {
-            if self.links[link.idx()].paused[q] {
-                continue;
+        let pkt = match self.topo.links[link.idx()].src {
+            // A switch sends only what is queued, so an empty switch egress
+            // — the usual state after a `TxDone` on a sprayed fabric — is
+            // settled by the occupancy mask.
+            NodeId::Switch(_) => l.pop_unpaused(),
+            NodeId::Host(h) => {
+                let (hosts, mut nic) = self.nic();
+                hosts.next_packet(&mut nic, h, link)
             }
-            // queued_bytes is *not* decremented here: it tracks queued plus
-            // in-flight bytes and is released at TxDone.
-            if let Some(pkt) = self.links[link.idx()].pop(q) {
-                chosen = Some(pkt);
-                break;
-            }
-            if let NodeId::Host(h) = src {
-                if let Some(pkt) = self.next_fresh(h, q) {
-                    // Fresh segments bypass the queue; charge them so the
-                    // in-flight accounting stays symmetric.
-                    let wire = self.wire_size(&pkt);
-                    self.links[link.idx()].charge(wire);
-                    chosen = Some(pkt);
-                    break;
-                }
-            }
-        }
-        if let Some(pkt) = chosen {
+        };
+        if let Some(pkt) = pkt {
             self.begin_tx(link, pkt);
         }
+    }
+
+    /// The host NICs, and the rest of the world as one sees it.
+    fn nic(&mut self) -> (&mut Hosts, Nic<'_>) {
+        let nic = Nic {
+            topo: &self.topo,
+            cfg: &self.cfg,
+            now: self.now,
+            links: &mut self.links,
+            flows: &mut self.flows,
+            agenda: &mut self.agenda,
+            stats: &mut self.stats,
+            #[cfg(test)]
+            per_segment_rto: self.per_segment_rto,
+        };
+        (&mut self.hosts, nic)
     }
 
     /// Put `pkt` on `link`'s wire and schedule the end of its serialization.
@@ -685,45 +457,6 @@ impl Simulator {
         self.agenda.after(self.now, ser, EventKind::TxDone { link });
     }
 
-    /// Pull the next fresh (never-sent) segment at priority class `q` from
-    /// host `h`'s active flows, round-robin. Takes the segment's place in
-    /// the timer order and arms it if the flow has no timer armed.
-    fn next_fresh(&mut self, h: HostId, q: usize) -> Option<Packet> {
-        let n = self.hosts[h.idx()].active.len();
-        for _ in 0..n {
-            let fid = self.hosts[h.idx()].active.pop_front().expect("len checked");
-            let f = &self.flows[fid as usize];
-            if !f.has_fresh() {
-                // Exhausted (or failed): drop from the active set.
-                continue;
-            }
-            if f.prio.idx() != q {
-                self.hosts[h.idx()].active.push_back(fid);
-                continue;
-            }
-            let leaf = self.topo.leaf_of(h) as u16;
-            let f = &mut self.flows[fid as usize];
-            let pkt = f.send_fresh(fid, leaf);
-            if f.has_fresh() {
-                self.hosts[h.idx()].active.push_back(fid);
-            }
-            self.stats.data_pkts_sent += 1;
-            #[cfg(test)]
-            if self.per_segment_rto {
-                let (flow, seq, attempt) = (fid, f.next_seq - 1, 0);
-                let rto = EventKind::Rto { flow, seq, attempt };
-                self.agenda.after(self.now, self.cfg.rto, rto);
-                return Some(pkt);
-            }
-            let slot = self.agenda.reserve_after(self.now, self.cfg.rto);
-            if let Some(rto) = f.log_sent(fid, slot) {
-                self.agenda.arm_reserved(slot, rto);
-            }
-            return Some(pkt);
-        }
-        None
-    }
-
     fn handle_tx_done(&mut self, link: LinkId) {
         let (pkt, wire) = self.links[link.idx()].finish(self.cfg.wire_overhead);
         self.stats.pkts_txed += 1;
@@ -733,7 +466,7 @@ impl Simulator {
         let dropped = match self.links[link.idx()].fault {
             Some(fault) if fault.is_silent() => {
                 let dst_leaf = self.topo.leaf_of(pkt.dst) as u16;
-                fault.drops(&pkt, dst_leaf, &mut self.rng.fault)
+                fault.drops(dst_leaf, &mut self.rng.fault)
             }
             _ => false,
         };
@@ -783,8 +516,11 @@ impl Simulator {
     /// transmitter one reverse-link latency from now.
     fn push_pfc(&mut self, in_link: LinkId, prio: u8, pause: bool) {
         let delay = self.topo.links[self.topo.peer[in_link.idx()].idx()].latency;
-        let link = in_link;
-        let frame = EventKind::Pfc { link, prio, pause };
+        let frame = EventKind::Pfc {
+            link: in_link,
+            prio,
+            pause,
+        };
         self.agenda.after(self.now, delay, frame);
     }
 
@@ -810,11 +546,9 @@ impl Simulator {
     }
 
     fn handle_delivery(&mut self, link: LinkId, pkt: Packet) {
-        {
-            let l = &mut self.links[link.idx()];
-            l.delivered_pkts += 1;
-            l.delivered_bytes += pkt.size as u64;
-        }
+        let l = &mut self.links[link.idx()];
+        l.delivered_pkts += 1;
+        l.delivered_bytes += pkt.size as u64;
         match self.topo.links[link.idx()].dst {
             NodeId::Switch(sw) => self.switch_receive(sw, link, pkt),
             NodeId::Host(h) => self.host_receive(h, pkt),
@@ -824,33 +558,23 @@ impl Simulator {
     fn switch_receive(&mut self, sw: SwitchId, in_link: LinkId, mut pkt: Packet) {
         // FlowPulse counters: tagged data arriving at a monitored ingress —
         // spine→leaf ports at leaves, core→agg ports at 3-level aggs.
-        match self.topo.links[in_link.idx()].class {
-            LinkClass::SpineDown { vspine, leaf } if pkt.is_data() => {
-                if let Some(tag) = pkt.tag {
-                    self.counters.record(
-                        leaf,
-                        vspine,
-                        tag,
-                        pkt.src_leaf as u32,
-                        pkt.size as u64,
-                        self.now,
-                    );
-                }
+        let monitored = match self.topo.links[in_link.idx()].class {
+            LinkClass::SpineDown { vspine, leaf } => Some((&mut self.counters, leaf, vspine)),
+            LinkClass::CoreDown { core, agg } => {
+                let k = core % self.topo.cores_per_group.max(1);
+                Some((&mut self.agg_counters, agg, k))
             }
-            LinkClass::CoreDown { core, agg } if pkt.is_data() => {
-                if let Some(tag) = pkt.tag {
-                    let k = core % self.topo.cores_per_group.max(1);
-                    self.agg_counters.record(
-                        agg,
-                        k,
-                        tag,
-                        pkt.src_leaf as u32,
-                        pkt.size as u64,
-                        self.now,
-                    );
-                }
-            }
-            _ => {}
+            _ => None,
+        };
+        if let (Some((store, row, port)), Some(tag), true) = (monitored, pkt.tag, pkt.is_data()) {
+            store.record(
+                row,
+                port,
+                tag,
+                pkt.src_leaf as u32,
+                pkt.size as u64,
+                self.now,
+            );
         }
         let fab = Fabric {
             topo: &self.topo,
@@ -902,7 +626,7 @@ impl Simulator {
         let direct = l.uncontended(q)
             && match owner {
                 NodeId::Switch(_) => true,
-                NodeId::Host(h) => q == 0 || self.hosts[h.idx()].active.is_empty(),
+                NodeId::Host(h) => self.hosts.nothing_fresh_above(h, q),
             };
         #[cfg(test)]
         let direct = direct && !self.queued_route_only;
@@ -1088,31 +812,10 @@ impl Simulator {
     }
 }
 
-/// Compact endpoint label for telemetry track names.
-fn node_label(n: NodeId) -> String {
-    match n {
-        NodeId::Host(h) => format!("host{}", h.0),
-        NodeId::Switch(s) => format!("sw{}", s.0),
-    }
-}
-
-/// The telemetry link descriptions for a topology — what
-/// [`Simulator::set_recorder`] hands to [`Recorder::on_topology`].
-fn link_metas(topo: &Topology) -> Vec<LinkMeta> {
-    topo.links
-        .iter()
-        .enumerate()
-        .map(|(i, l)| LinkMeta {
-            id: i as u32,
-            name: format!("{}->{}", node_label(l.src), node_label(l.dst)),
-            bytes_per_sec: l.bandwidth.bps() / 8,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultKind};
     use crate::topology::FatTreeSpec;
     use fp_telemetry::LinkSample;
 
@@ -1385,6 +1088,41 @@ mod tests {
         assert_eq!(s.now().as_ns(), 200);
     }
 
+    /// A simulator whose clock stands at 5 µs.
+    fn sim_at_5us() -> Simulator {
+        let mut s = sim(89);
+        s.run_until(SimTime::from_us(5));
+        s
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled at 4000 ns, before now (5000 ns)")]
+    fn a_wake_in_the_past_is_refused() {
+        sim_at_5us().schedule_wake(SimTime::from_us(4), HostId(0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled at 4000 ns, before now (5000 ns)")]
+    fn a_fault_in_the_past_is_refused() {
+        let mut s = sim_at_5us();
+        let up = s.topo.uplink(0, 0);
+        s.schedule_fault(FaultEvent::new(
+            SimTime::from_us(4),
+            up,
+            FaultAction::Clear,
+            false,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled at 4000 ns, before now (5000 ns)")]
+    fn a_control_in_the_past_is_refused() {
+        use crate::control::ControlAction;
+        let mut s = sim_at_5us();
+        let up = s.topo.uplink(0, 0);
+        s.schedule_control(SimTime::from_us(4), ControlAction::restore_cable(up));
+    }
+
     #[test]
     fn run_until_respects_horizon() {
         let mut s = sim(41);
@@ -1411,12 +1149,10 @@ mod tests {
     fn scheduled_fault_fires_at_time() {
         let mut s = sim(47);
         let bad = s.topo.downlink(0, 3);
-        s.schedule_fault(FaultEvent::set(
-            SimTime::from_us(10),
-            bad,
-            FaultKind::SilentBlackhole,
-        ));
-        s.schedule_fault(FaultEvent::clear(SimTime::from_us(20), bad));
+        let blackhole = FaultAction::Set(FaultKind::SilentBlackhole);
+        let (set, clear) = (SimTime::from_us(10), SimTime::from_us(20));
+        s.schedule_fault(FaultEvent::new(set, bad, blackhole, false));
+        s.schedule_fault(FaultEvent::new(clear, bad, FaultAction::Clear, false));
         s.run();
         assert!(s.link(bad).fault.is_none());
         assert!(s.link(bad).admin_up);

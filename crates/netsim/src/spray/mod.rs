@@ -11,7 +11,7 @@
 //! placed the packet.
 //!
 //! Classic policies (the paper's repertoire, byte-identical to the
-//! pre-trait implementation via [`ClassicSprayer`]):
+//! pre-trait implementation via `ClassicSprayer`):
 //!
 //! * [`SprayPolicy::Random`] — uniform random port (Dixit et al.).
 //! * [`SprayPolicy::RoundRobin`] — cyclic, perfectly smooth.
@@ -227,19 +227,11 @@ pub trait Sprayer: std::fmt::Debug + Send {
 
 /// The classic closed-enum policies behind the [`Sprayer`] trait.
 /// Delegates to [`choose`], so RNG draws, cursor updates and therefore
-/// output bytes are identical to the pre-trait implementation.
+/// output bytes are identical to the pre-trait implementation. Holds only
+/// policies for which [`SprayPolicy::is_classic`] is true.
 #[derive(Copy, Clone, Debug)]
-pub struct ClassicSprayer {
+struct ClassicSprayer {
     policy: SprayPolicy,
-}
-
-impl ClassicSprayer {
-    /// Wrap a classic policy (callers must pass one; see
-    /// [`SprayPolicy::is_classic`]).
-    pub fn new(policy: SprayPolicy) -> Self {
-        debug_assert!(policy.is_classic(), "not a classic policy: {policy:?}");
-        ClassicSprayer { policy }
-    }
 }
 
 impl Sprayer for ClassicSprayer {
@@ -254,7 +246,7 @@ impl Sprayer for ClassicSprayer {
 /// it.
 pub fn make_sprayer(policy: SprayPolicy, n_slots: usize) -> Box<dyn Sprayer> {
     match policy {
-        p if p.is_classic() => Box::new(ClassicSprayer::new(p)),
+        policy if policy.is_classic() => Box::new(ClassicSprayer { policy }),
         SprayPolicy::Ecmp => Box::new(EcmpSprayer::new()),
         SprayPolicy::Prime => Box::new(PrimeSprayer::new()),
         SprayPolicy::Reps => Box::new(RepsSprayer::new(n_slots, false)),
@@ -493,7 +485,7 @@ mod tests {
             let mut rng_b = SmallRng::seed_from_u64(11);
             let mut cur_a = 0u64;
             let mut cur_b = 0u64;
-            let mut s = ClassicSprayer::new(policy);
+            let mut s = ClassicSprayer { policy };
             for loads in &loads_seq {
                 let direct = choose(policy, loads, &mut cur_a, &mut rng_a);
                 let ctx = SprayCtx {

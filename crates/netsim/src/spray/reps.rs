@@ -95,16 +95,6 @@ impl RepsSprayer {
         }
     }
 
-    /// Cached (recyclable) entropies across all slots.
-    pub fn cache_len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
-    }
-
-    /// Data packets awaiting an echo.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// True when `slot` has crossed the suspicion threshold.
     fn suspect(&self, slot: u32) -> bool {
         self.suspicion
@@ -234,6 +224,11 @@ mod tests {
     use crate::ids::LinkId;
     use rand::SeedableRng;
 
+    /// Cached (recyclable) entropies across all slots.
+    fn cache_len(s: &RepsSprayer) -> usize {
+        s.buckets.iter().map(|b| b.len()).sum()
+    }
+
     fn ctx<'a>(flow: u32, seq: u32, cands: &'a [LinkId], slots: &'a [u32]) -> SprayCtx<'a> {
         SprayCtx {
             flow,
@@ -258,16 +253,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut cur = 0;
         let idx = s.pick(&ctx(1, 0, &c, &sl), &mut cur, &mut rng);
-        assert_eq!(s.inflight_len(), 1);
+        assert_eq!(s.inflight.len(), 1);
         assert_eq!(s.fresh, 1);
         s.on_feedback(1, (0, 0), 0, SprayEcho::Ack);
-        assert_eq!(s.cache_len(), 1, "clean ACK must recycle the entropy");
-        assert_eq!(s.inflight_len(), 0);
+        assert_eq!(cache_len(&s), 1, "clean ACK must recycle the entropy");
+        assert_eq!(s.inflight.len(), 0);
         // The recycled entropy reproduces the same pick.
         let idx2 = s.pick(&ctx(1, 1, &c, &sl), &mut cur, &mut rng);
         assert_eq!(idx, idx2, "recycled entropy must replay the proven path");
         assert_eq!(s.recycled, 1);
-        assert_eq!(s.cache_len(), 0);
+        assert_eq!(cache_len(&s), 0);
     }
 
     #[test]
@@ -296,9 +291,9 @@ mod tests {
         let mut cur = 0;
         s.pick(&ctx(1, 0, &c, &sl), &mut cur, &mut rng);
         s.on_feedback(1, (0, 0), 0, SprayEcho::Ecn);
-        assert_eq!(s.cache_len(), 0, "CE-marked entropy must not be recycled");
+        assert_eq!(cache_len(&s), 0, "CE-marked entropy must not be recycled");
         assert_eq!(s.evicted, 1);
-        assert_eq!(s.inflight_len(), 0);
+        assert_eq!(s.inflight.len(), 0);
     }
 
     #[test]
@@ -343,7 +338,7 @@ mod tests {
             s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng);
             s.on_feedback(1, (0, 0), seq, SprayEcho::Ack);
         }
-        assert!(s.cache_len() > 0);
+        assert!(cache_len(&s) > 0);
         // Quarantine slot 0 by force.
         s.suspicion[0] = QUARANTINE_AFTER;
         let evicted_before = s.evicted;
@@ -415,7 +410,7 @@ mod tests {
             counts[s.pick(&ack_ctx(seq), &mut cur, &mut rng)] += 1;
         }
         assert_eq!(counts, [2, 2, 2, 2], "reverse path must rotate too");
-        assert_eq!(s.inflight_len(), 0, "ACK picks must not enter the pool");
+        assert_eq!(s.inflight.len(), 0, "ACK picks must not enter the pool");
         s.suspicion[2] = QUARANTINE_AFTER;
         for seq in 8..32u32 {
             assert_ne!(
@@ -438,9 +433,9 @@ mod tests {
             // Immediately re-pick so the pool refills.
             s.pick(&ctx(2, seq, &c, &sl), &mut cur, &mut rng);
         }
-        assert!(s.cache_len() <= 4 * BUCKET_CAP);
+        assert!(cache_len(&s) <= 4 * BUCKET_CAP);
         assert!(s.buckets.iter().all(|b| b.len() <= BUCKET_CAP));
-        assert!(s.inflight_len() <= INFLIGHT_CAP);
+        assert!(s.inflight.len() <= INFLIGHT_CAP);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// Number of causes (array sizing).
-    pub const COUNT: usize = 3;
+    const COUNT: usize = 3;
 
     /// Dense index.
     pub fn idx(self) -> usize {

@@ -42,11 +42,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Construct from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// The raw nanosecond value.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -119,11 +114,6 @@ impl SimDuration {
     /// Construct from milliseconds.
     pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Construct from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// The raw nanosecond value.
@@ -249,7 +239,6 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_us(1).as_ns(), 1_000);
         assert_eq!(SimDuration::from_ms(1).as_ns(), 1_000_000);
-        assert_eq!(SimDuration::from_secs(1).as_ns(), 1_000_000_000);
     }
 
     #[test]
@@ -257,7 +246,7 @@ mod tests {
         assert_eq!(SimDuration::from_ns(10).mul_f64(1.5).as_ns(), 15);
         assert_eq!(SimDuration::from_ns(3).mul_f64(0.5).as_ns(), 2); // 1.5 rounds to 2
         assert_eq!(
-            SimDuration::from_secs(u64::MAX / 2_000_000_000).mul_f64(1e30),
+            SimDuration(u64::MAX / 2).mul_f64(1e30),
             SimDuration::from_ns(u64::MAX)
         );
     }
@@ -267,7 +256,7 @@ mod tests {
         assert_eq!(SimDuration::from_ns(12).to_string(), "12ns");
         assert_eq!(SimDuration::from_ns(1_500).to_string(), "1.500us");
         assert_eq!(SimDuration::from_ms(2).to_string(), "2.000ms");
-        assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
+        assert_eq!(SimDuration::from_ms(3_000).to_string(), "3.000s");
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl FatTreeSpec {
         self.spines * self.parallel_links
     }
 
-    /// True if the fabric is non-blocking for its hosts (uplink capacity per
-    /// leaf ≥ host capacity per leaf, assuming equal line rates).
-    pub fn is_non_blocking(&self) -> bool {
-        self.n_vspines() >= self.hosts_per_leaf
-    }
-
     /// Basic sanity checks.
     pub fn validate(&self) -> Result<(), String> {
         if self.leaves == 0 || self.spines == 0 || self.hosts_per_leaf == 0 {
@@ -535,11 +529,6 @@ impl Topology {
         self.spec.leaves as usize
     }
 
-    /// Number of physical spines.
-    pub fn n_spines(&self) -> usize {
-        self.spec.spines as usize
-    }
-
     /// Number of virtual spines (spine planes).
     pub fn n_vspines(&self) -> usize {
         self.spec.n_vspines() as usize
@@ -580,7 +569,6 @@ mod tests {
     fn default_matches_paper() {
         let t = Topology::fat_tree(FatTreeSpec::default());
         assert_eq!(t.n_leaves(), 32);
-        assert_eq!(t.n_spines(), 16);
         assert_eq!(t.n_hosts(), 32);
         assert_eq!(t.n_vspines(), 16);
         // 32 host pairs + 32*16 fabric pairs, two directed links each
@@ -592,7 +580,6 @@ mod tests {
         let s = FatTreeSpec::from_radix(64);
         assert_eq!(s.leaves, 64);
         assert_eq!(s.spines, 32);
-        assert!(s.is_non_blocking());
     }
 
     #[test]

@@ -176,14 +176,6 @@ impl TraceBuffer {
             })
             .collect()
     }
-
-    /// Drain the retained records into a telemetry recorder as structured
-    /// events (oldest first). The buffer itself is not modified.
-    pub fn export_into(&self, rec: &mut dyn fp_telemetry::Recorder) {
-        for (at, ev) in self.buf.iter() {
-            rec.on_event(at.as_ns(), &ev.to_telemetry());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -246,32 +238,22 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].t_ns, 10);
         assert_eq!(recs[1].event, t.records().nth(1).unwrap().1);
-
-        struct Collect(Vec<(u64, fp_telemetry::Event)>);
-        impl fp_telemetry::Recorder for Collect {
-            fn on_event(&mut self, t_ns: u64, ev: &fp_telemetry::Event) {
-                self.0.push((t_ns, ev.clone()));
-            }
-        }
-        let mut c = Collect(Vec::new());
-        t.export_into(&mut c);
-        assert_eq!(c.0.len(), 2);
         assert_eq!(
-            c.0[0].1,
+            recs[0].event.to_telemetry(),
             fp_telemetry::Event::FaultSet {
                 link: 4,
                 kind: "SilentBlackhole".into()
             }
         );
         assert_eq!(
-            c.0[1].1,
+            recs[1].event.to_telemetry(),
             fp_telemetry::Event::Pfc {
                 link: 2,
                 prio: 1,
                 paused: true
             }
         );
-        // Export does not consume the buffer.
+        // A snapshot does not consume the buffer.
         assert_eq!(t.len(), 2);
     }
 }

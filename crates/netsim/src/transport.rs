@@ -133,7 +133,7 @@ impl FlowState {
     }
 
     /// Payload size of segment `seq`.
-    pub fn seg_size(&self, seq: u32) -> u32 {
+    fn seg_size(&self, seq: u32) -> u32 {
         debug_assert!(seq < self.npkts);
         if seq + 1 == self.npkts {
             let rem = self.bytes - (self.npkts as u64 - 1) * self.mtu as u64;

@@ -14,11 +14,6 @@ use std::fmt;
 pub struct Bandwidth(u64);
 
 impl Bandwidth {
-    /// Construct from bits per second.
-    pub const fn from_bps(bps: u64) -> Self {
-        Bandwidth(bps)
-    }
-
     /// Construct from gigabits per second.
     pub const fn from_gbps(gbps: u64) -> Self {
         Bandwidth(gbps * 1_000_000_000)
@@ -79,7 +74,7 @@ mod tests {
         // 4096B at 400Gbps: 4096*8 bits / 400e9 bps = 81.92ns -> ceil 82ns
         assert_eq!(Bandwidth::from_gbps(400).ser_time(4096).as_ns(), 82);
         // 1 byte at 8 bps = 1s
-        assert_eq!(Bandwidth::from_bps(8).ser_time(1).as_ns(), 1_000_000_000);
+        assert_eq!(Bandwidth(8).ser_time(1).as_ns(), 1_000_000_000);
         // never zero for a nonzero payload
         assert_eq!(Bandwidth::from_gbps(400).ser_time(1).as_ns(), 1);
     }
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Bandwidth::from_gbps(400).to_string(), "400Gbps");
-        assert_eq!(Bandwidth::from_bps(1500).to_string(), "1500bps");
+        assert_eq!(Bandwidth(1500).to_string(), "1500bps");
         assert_eq!(fmt_bytes(512), "512B");
         assert_eq!(fmt_bytes(2048), "2.00KiB");
         assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00MiB");

@@ -9,9 +9,9 @@
 //!
 //! ## Layout
 //!
-//! [`WHEEL_LEVELS`] levels of [`WHEEL_SLOTS`] slots each, at 1 ns base
+//! [`WHEEL_LEVELS`] levels of `WHEEL_SLOTS` slots each, at 1 ns base
 //! resolution (timestamps are integer nanoseconds). A timestamp is viewed
-//! as little-endian base-[`WHEEL_SLOTS`] digits; an event files into the
+//! as little-endian base-`WHEEL_SLOTS` digits; an event files into the
 //! *most significant level whose digit differs from the cursor's* — level 0
 //! if only the low byte differs, level 1 if the second byte differs, and so
 //! on ([`SimTime::radix_level`]). Four 8-bit levels cover the low 32 bits:
@@ -53,7 +53,7 @@ use std::collections::BinaryHeap;
 /// log2 of slots per level (8 → 256 slots, one timestamp byte per level).
 pub const WHEEL_BITS: u32 = 8;
 /// Slots per wheel level.
-pub const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
+const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 /// Hierarchy depth. 4 byte-levels span 2³² ns ≈ 4.29 s past the cursor.
 pub const WHEEL_LEVELS: usize = 4;
 /// Words per occupancy bitmap.

@@ -41,7 +41,7 @@ impl LogHistogram {
     }
 
     /// Bucket index a value falls into.
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -51,7 +51,7 @@ impl LogHistogram {
 
     /// Half-open `[lo, hi)` range of bucket `i` (the top bucket's `hi`
     /// saturates at `u64::MAX`).
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    fn bucket_bounds(i: usize) -> (u64, u64) {
         assert!(i < NBUCKETS, "bucket index {i} out of range");
         if i == 0 {
             (0, 1)

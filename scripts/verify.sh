@@ -41,16 +41,57 @@ if git grep --untracked -nE "$inside" -- crates/netsim/src |
 fi
 echo "    clean outside pipeline.rs, engine.rs, wheel.rs and *_tests.rs"
 
+echo "==> host boundary: a NIC's fresh-segment deques are host.rs's business"
+# `Hosts::active` is pub(crate) for the tests; the event loop goes through
+# host.rs's methods and memo shifts and fingerprints the deques through
+# them too.
+if git grep --untracked -nE '\.active([^A-Za-z0-9_]|$)' -- crates/netsim/src |
+    grep -vE '^crates/netsim/src/(host\.rs|sim/memo/[a-z_]+\.rs|[a-z_]*_tests\.rs):'; then
+    echo "    a fresh-segment deque leaked out of host.rs (lines above)" >&2
+    exit 1
+fi
+echo "    clean outside host.rs, sim/memo/ and *_tests.rs"
+
 echo "==> non-test lines per crate (each file up to its 'mod tests', *_tests.rs left out)"
 # Every file of fp-netsim, where the carving happens; a subtotal for each
-# crate, so the next simplicity PR starts from a number.
+# crate, so the next simplicity PR starts from a number. A gate too: no
+# file of fp-netsim over 1 000 (ROADMAP 8(a) carved sim.rs and memo.rs
+# under it; a file that grows past it gets split, not waved through).
 for crate in crates/*/; do
     find "${crate}src" -name '*.rs' ! -name '*_tests.rs' | sort | while read -r f; do
         echo "$(awk '/^mod tests/{exit} {n++} END{print n+0}' "$f") $f"
     done | sort -rn | awk -v crate="${crate%/}" '
         { s += $1; if (crate == "crates/netsim") printf "    %5d %s\n", $1, $2 }
-        END { printf "    %5d %s/src total\n", s, crate }'
+        crate == "crates/netsim" && $1 > 1000 { big = big " " $2 }
+        END {
+            printf "    %5d %s/src total\n", s, crate
+            if (big != "") { print "    over 1 000 non-test lines:" big > "/dev/stderr"; exit 1 }
+        }'
 done
+
+echo "==> dead surface: pub items nothing outside their own file names (report only)"
+# A `pub` fn / struct / enum / trait / type / const / static of a library
+# file (up to its `mod tests`) that no other file of the workspace names:
+# crates, root tests and examples, and benchmark/, so whatever benchmark/
+# imports is allowlisted. Named by another `pub` line of its own file (a
+# type in a public signature) counts as used. Matching is by name, so a
+# common name hides its item; what is listed either goes, or goes private.
+dead=0
+for f in $(git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.rs' |
+    grep -v '_tests\.rs$'); do
+    own="$(awk '/^mod tests/{exit} {print}' "$f")"
+    for name in $(awk '/^mod tests/{exit}
+        match($0, /^[ \t]*pub (const fn|fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
+            s = substr($0, RSTART, RLENGTH); sub(/.* /, "", s); print s }' "$f"); do
+        if [[ $(grep -cE "^\s*pub .*\b$name\b" <<<"$own") -gt 1 ]] ||
+            git grep --untracked -qw -- "$name" -- crates src tests examples benchmark/src ":!$f"; then
+            continue
+        fi
+        echo "    $f: $name"
+        dead=$((dead + 1))
+    done
+done
+echo "    $dead item(s) named nowhere else"
 
 echo "==> benchmark/: its own tests, then 3-s checked runs of all six workloads"
 # Seed 1 also compares event, packet, retransmit, drop and alarm counts
@@ -209,6 +250,14 @@ echo "==> clos3_tour example: the agg tier must pin the faulty core slot"
 # golden file: the example asserts its own verdict.
 cargo run --release -q --example clos3_tour >/dev/null
 echo "    clos3_tour: leaf tier detected, agg tier pinned the core slot"
+
+echo "==> learning_demo, multi_job and fault_hunt examples: each asserts its own story"
+cargo run --release -q --example learning_demo >/dev/null
+echo "    learning_demo: one heal rebaseline, no alarm around it, the new fault caught"
+cargo run --release -q --example multi_job >/dev/null
+echo "    multi_job: the job crossing the faulty link alarms at its leaf, the other stays quiet"
+cargo run --release -q --example fault_hunt >/dev/null
+echo "    fault_hunt: every injected fault of the zoo detected"
 
 echo "==> monitord smoke: quick E10 sweep through the live service"
 tm1="$(mktemp -d)"
