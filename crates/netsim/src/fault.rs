@@ -61,8 +61,9 @@ impl FaultKind {
     /// dropped at insert.
     pub fn drops(&self, dst: u16, rng: &mut SmallRng) -> bool {
         match *self {
-            FaultKind::AdminDown | FaultKind::SilentBlackhole => true,
+            FaultKind::AdminDown => true,
             FaultKind::SilentDrop { rate } => coin(rng, rate),
+            FaultKind::SilentBlackhole => true,
             FaultKind::DstBlackhole { dst_leaf } => dst == dst_leaf,
         }
     }

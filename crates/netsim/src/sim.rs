@@ -29,7 +29,7 @@
 
 use crate::app::Application;
 use crate::config::SimConfig;
-use crate::control::{AppliedControl, ControlAction};
+use crate::control::{AppliedControl, ControlVerb};
 use crate::counters::CounterStore;
 pub use crate::egress::LinkState;
 use crate::egress::PfcIngress;
@@ -124,8 +124,9 @@ pub struct Simulator {
     app: Option<Box<dyn Application>>,
     app_started: bool,
     /// Every timed link change — fault, heal or remediation — with the
-    /// control action that scheduled it, if one did (see `links`).
-    link_changes: Vec<(FaultEvent, Option<ControlAction>)>,
+    /// verb of the control action that scheduled it, if one did (see
+    /// `links`).
+    link_changes: Vec<(FaultEvent, Option<ControlVerb>)>,
     applied_controls: Vec<AppliedControl>,
     iter_spans: Vec<IterSpanRecord>,
     recorder: Option<Box<dyn Recorder>>,
@@ -516,11 +517,8 @@ impl Simulator {
     /// transmitter one reverse-link latency from now.
     fn push_pfc(&mut self, in_link: LinkId, prio: u8, pause: bool) {
         let delay = self.topo.links[self.topo.peer[in_link.idx()].idx()].latency;
-        let frame = EventKind::Pfc {
-            link: in_link,
-            prio,
-            pause,
-        };
+        let link = in_link;
+        let frame = EventKind::Pfc { link, prio, pause };
         self.agenda.after(self.now, delay, frame);
     }
 
@@ -546,9 +544,11 @@ impl Simulator {
     }
 
     fn handle_delivery(&mut self, link: LinkId, pkt: Packet) {
-        let l = &mut self.links[link.idx()];
-        l.delivered_pkts += 1;
-        l.delivered_bytes += pkt.size as u64;
+        {
+            let l = &mut self.links[link.idx()];
+            l.delivered_pkts += 1;
+            l.delivered_bytes += pkt.size as u64;
+        }
         match self.topo.links[link.idx()].dst {
             NodeId::Switch(sw) => self.switch_receive(sw, link, pkt),
             NodeId::Host(h) => self.host_receive(h, pkt),
@@ -558,23 +558,33 @@ impl Simulator {
     fn switch_receive(&mut self, sw: SwitchId, in_link: LinkId, mut pkt: Packet) {
         // FlowPulse counters: tagged data arriving at a monitored ingress —
         // spine→leaf ports at leaves, core→agg ports at 3-level aggs.
-        let monitored = match self.topo.links[in_link.idx()].class {
-            LinkClass::SpineDown { vspine, leaf } => Some((&mut self.counters, leaf, vspine)),
-            LinkClass::CoreDown { core, agg } => {
-                let k = core % self.topo.cores_per_group.max(1);
-                Some((&mut self.agg_counters, agg, k))
+        match self.topo.links[in_link.idx()].class {
+            LinkClass::SpineDown { vspine, leaf } if pkt.is_data() => {
+                if let Some(tag) = pkt.tag {
+                    self.counters.record(
+                        leaf,
+                        vspine,
+                        tag,
+                        pkt.src_leaf as u32,
+                        pkt.size as u64,
+                        self.now,
+                    );
+                }
             }
-            _ => None,
-        };
-        if let (Some((store, row, port)), Some(tag), true) = (monitored, pkt.tag, pkt.is_data()) {
-            store.record(
-                row,
-                port,
-                tag,
-                pkt.src_leaf as u32,
-                pkt.size as u64,
-                self.now,
-            );
+            LinkClass::CoreDown { core, agg } if pkt.is_data() => {
+                if let Some(tag) = pkt.tag {
+                    let k = core % self.topo.cores_per_group.max(1);
+                    self.agg_counters.record(
+                        agg,
+                        k,
+                        tag,
+                        pkt.src_leaf as u32,
+                        pkt.size as u64,
+                        self.now,
+                    );
+                }
+            }
+            _ => {}
         }
         let fab = Fabric {
             topo: &self.topo,

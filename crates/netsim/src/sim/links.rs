@@ -9,7 +9,7 @@
 //! before the change and an [`AppliedControl`] after it.
 
 use super::Simulator;
-use crate::control::{AppliedControl, ControlAction};
+use crate::control::{AppliedControl, ControlAction, ControlVerb};
 use crate::engine::EventKind;
 use crate::fault::{FaultAction, FaultEvent, FaultKind};
 use crate::ids::LinkId;
@@ -32,13 +32,13 @@ impl Simulator {
     /// [`Simulator::applied_controls`] once the action has taken effect.
     pub fn schedule_control(&mut self, at: SimTime, action: ControlAction) -> u32 {
         let ev = FaultEvent::new(at, action.link, action.verb.action(), action.bidirectional);
-        self.schedule_link_change(ev, Some(action))
+        self.schedule_link_change(ev, Some(action.verb))
     }
 
-    fn schedule_link_change(&mut self, ev: FaultEvent, control: Option<ControlAction>) -> u32 {
+    fn schedule_link_change(&mut self, ev: FaultEvent, verb: Option<ControlVerb>) -> u32 {
         let idx = self.link_changes.len() as u32;
         self.at(ev.at, EventKind::LinkChange { idx });
-        self.link_changes.push((ev, control));
+        self.link_changes.push((ev, verb));
         idx
     }
 
@@ -49,14 +49,19 @@ impl Simulator {
 
     /// Entry `idx` of the link-change schedule is due.
     pub(super) fn apply_link_change(&mut self, idx: u32) {
-        let (ev, control) = self.link_changes[idx as usize];
-        if control.is_some() {
-            let link = ev.link;
+        let (ev, verb) = self.link_changes[idx as usize];
+        let (link, bidirectional) = (ev.link, ev.bidirectional);
+        if verb.is_some() {
             self.trace
                 .push(self.now, TraceEvent::ControlApplied { link });
         }
-        self.apply_fault_now(ev.link, ev.action, ev.bidirectional);
-        if let Some(action) = control {
+        self.apply_fault_now(link, ev.action, bidirectional);
+        if let Some(verb) = verb {
+            let action = ControlAction {
+                link,
+                bidirectional,
+                verb,
+            };
             let at = self.now;
             self.applied_controls
                 .push(AppliedControl { at, idx, action });

@@ -78,35 +78,51 @@ impl Simulator {
     pub(super) fn sample_tick(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
+        self.sample_links();
+        if let Some(interval) = self
+            .recorder
+            .as_ref()
+            .map(|r| r.sample_interval_ns())
+            .filter(|&i| i > 0)
+        {
+            let next = at + SimDuration::from_ns(interval);
+            if !self.agenda.is_empty() {
+                self.agenda.at(next, EventKind::Sample);
+            }
+        }
+    }
+
+    /// Hand every link's egress state to the recorder.
+    fn sample_links(&mut self) {
         // Move the recorder out so the link table can be borrowed freely.
         let Some(mut rec) = self.recorder.take() else {
             return;
         };
+        let t = self.now.as_ns();
         for (i, l) in self.links.iter().enumerate() {
-            rec.on_link_sample(at.as_ns(), i as u32, &l.sample());
+            rec.on_link_sample(t, i as u32, &l.sample());
         }
-        let interval = rec.sample_interval_ns();
         self.recorder = Some(rec);
-        if interval > 0 && !self.agenda.is_empty() {
-            self.agenda
-                .at(at + SimDuration::from_ns(interval), EventKind::Sample);
-        }
+    }
+}
+
+/// Compact endpoint label for telemetry track names.
+fn node_label(n: NodeId) -> String {
+    match n {
+        NodeId::Host(h) => format!("host{}", h.0),
+        NodeId::Switch(s) => format!("sw{}", s.0),
     }
 }
 
 /// The telemetry link descriptions for a topology — what
 /// [`Simulator::set_recorder`] hands to [`Recorder::on_topology`].
 fn link_metas(topo: &Topology) -> Vec<LinkMeta> {
-    let label = |n: NodeId| match n {
-        NodeId::Host(h) => format!("host{}", h.0),
-        NodeId::Switch(s) => format!("sw{}", s.0),
-    };
     topo.links
         .iter()
         .enumerate()
         .map(|(i, l)| LinkMeta {
             id: i as u32,
-            name: format!("{}->{}", label(l.src), label(l.dst)),
+            name: format!("{}->{}", node_label(l.src), node_label(l.dst)),
             bytes_per_sec: l.bandwidth.bps() / 8,
         })
         .collect()

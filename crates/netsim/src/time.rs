@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute simulated timestamp, in nanoseconds since simulation start.
 #[derive(
@@ -90,11 +90,6 @@ impl SimTime {
             SimTime(self.0 >> log2_ns << log2_ns)
         }
     }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -152,13 +147,6 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
-impl Add for SimDuration {
-    type Output = SimDuration;
-    fn add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0 + other.0)
-    }
-}
-
 impl Sub for SimDuration {
     type Output = SimDuration;
     /// Durations cannot be negative, so subtraction saturates at zero.
@@ -167,13 +155,6 @@ impl Sub for SimDuration {
     fn sub(self, other: SimDuration) -> SimDuration {
         debug_assert!(self.0 >= other.0, "duration underflow: {self} - {other}");
         SimDuration(self.0.saturating_sub(other.0))
-    }
-}
-
-impl Mul<u64> for SimDuration {
-    type Output = SimDuration;
-    fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
     }
 }
 

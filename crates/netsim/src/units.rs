@@ -7,7 +7,6 @@
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Link bandwidth, stored in bits per second.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Debug)]
@@ -36,16 +35,6 @@ impl Bandwidth {
     /// Bytes transferred in `d` at this rate (floor).
     pub fn bytes_in(self, d: SimDuration) -> u64 {
         (d.as_ns() as u128 * self.0 as u128 / (8 * 1_000_000_000)) as u64
-    }
-}
-
-impl fmt::Display for Bandwidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000_000 && self.0.is_multiple_of(1_000_000_000) {
-            write!(f, "{}Gbps", self.0 / 1_000_000_000)
-        } else {
-            write!(f, "{}bps", self.0)
-        }
     }
 }
 
@@ -89,8 +78,6 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(Bandwidth::from_gbps(400).to_string(), "400Gbps");
-        assert_eq!(Bandwidth(1500).to_string(), "1500bps");
         assert_eq!(fmt_bytes(512), "512B");
         assert_eq!(fmt_bytes(2048), "2.00KiB");
         assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00MiB");

@@ -91,22 +91,13 @@ fn main() {
         }
         // The fault is on the downlink into leaf 2. Job 1's ring includes
         // host 2 (leaf 2), so its traffic crosses the faulty link and its
-        // worst shortfall is that port. (The untagged background traffic
-        // nudges the adaptive spray, so a port elsewhere can brush the 1 %
-        // line as well.) Job 2 runs on the odd leaves only — none of its
-        // flows terminate at leaf 2, so it rightly sees nothing: per-job
-        // monitoring pinpoints *which* tenants a fault affects.
+        // monitor alarms there. Job 2 runs on the odd leaves only — none
+        // of its flows terminate at leaf 2, so it rightly sees nothing:
+        // per-job monitoring pinpoints *which* tenants a fault affects.
         if job == 1 {
-            let worst = monitor
-                .alarms
-                .iter()
-                .flat_map(|a| &a.deviations)
-                .min_by(|x, y| x.rel.total_cmp(&y.rel))
-                .map(|d| (d.leaf, d.vspine));
-            assert_eq!(
-                worst,
-                Some((2, 0)),
-                "job 1's worst shortfall must be spine0->leaf2: {:?}",
+            assert!(
+                !monitor.alarms.is_empty() && monitor.alarms.iter().all(|a| a.leaf == 2),
+                "job 1 must alarm at leaf 2: {:?}",
                 monitor.alarms
             );
         } else {
@@ -118,8 +109,7 @@ fn main() {
         }
     }
     println!(
-        "\njob 1 (rides through the faulty link) sees its worst shortfall on \
-         spine0->leaf2; job 2 (odd leaves only) is unaffected — per-job \
-         blast-radius attribution."
+        "\njob 1 (rides through the faulty link) alarms at leaf 2; job 2 \
+         (odd leaves only) is unaffected — per-job blast-radius attribution."
     );
 }
