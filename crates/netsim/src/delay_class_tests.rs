@@ -16,6 +16,7 @@ use crate::control::ControlAction;
 use crate::fault::{FaultAction, FaultKind};
 use crate::packet::CollectiveTag;
 use crate::pipeline::MAX_DELAY_CLASSES;
+use crate::time::SimDuration;
 use crate::topology::{Clos3Spec, FatTreeSpec};
 use fp_telemetry::LinkSample;
 use proptest::prelude::*;
@@ -63,6 +64,8 @@ pub(super) struct Scenario {
     /// Telemetry sampling interval; 0 attaches no recorder (and keeps the
     /// sampler's ticks out of the scheduler).
     pub sample_ns: u64,
+    /// Adaptive spray's deficit half-life (`SimConfig::spray_tau`).
+    pub spray_tau: SimDuration,
 }
 
 impl Scenario {
@@ -88,6 +91,7 @@ impl Scenario {
             mixed_prio: false,
             recycle: false,
             sample_ns: 0,
+            spray_tau: SimConfig::default().spray_tau,
         }
     }
 }
@@ -150,6 +154,8 @@ pub(super) struct Traffic {
     pub data_pkts_sent: u64,
     pub retransmits: u64,
     pub flows_failed: u64,
+    /// Spray picks the entropy-recycle quarantine narrowed.
+    pub spray_avoided_picks: u64,
 }
 
 /// Entry by entry: the store's own `Debug` walks a hash index.
@@ -163,8 +169,9 @@ fn counters_debug(c: &CounterStore) -> String {
     )
 }
 
-pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
-    let topo = if sc.three_level {
+/// The fabric `run` builds for `sc`.
+pub(super) fn topology(sc: &Scenario) -> Topology {
+    if sc.three_level {
         Topology::clos3(Clos3Spec {
             pods: 2,
             leaves_per_pod: sc.leaves,
@@ -180,12 +187,17 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
             hosts_per_leaf: sc.hosts_per_leaf,
             ..Default::default()
         })
-    };
+    }
+}
+
+pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
+    let topo = topology(&sc);
     let n_links = topo.n_links() as u32;
     let n_hosts = topo.n_hosts() as u32;
     let cfg = SimConfig {
         sched: Some(sc.sched),
         spray: sc.spray,
+        spray_tau: sc.spray_tau,
         rto_max_attempts: sc.rto_max_attempts,
         pfc: match sc.pfc_sel {
             0 => PfcConfig {
@@ -301,6 +313,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
             data_pkts_sent: sim.stats.data_pkts_sent,
             retransmits: sim.stats.retransmits,
             flows_failed: sim.stats.flows_failed,
+            spray_avoided_picks: sim.stats.spray_avoided_picks,
         },
     )
 }

@@ -7,11 +7,15 @@
 //! The corpus is what no `results/*.json` exercises — no sweep schedules a
 //! fault: flaps, entropy-recycle verbs, the sampler, three-level fabrics,
 //! every spray backend and PFC storms. Applied controls are digested by
-//! time, link, direction and verb name, never by schedule index.
+//! time, link, direction and verb name, never by schedule index. A second
+//! digest pins `spray_cases`, the spray-pick shapes the corpus misses; its
+//! literals were taken before the rotating least-loaded pick was fused into
+//! one pass.
 
-use super::delay_class_tests::{run, Outcome, Scenario};
+use super::delay_class_tests::{run, topology, Outcome, Scenario};
 use super::head_timer_tests::scenario;
 use super::*;
+use crate::time::SimDuration;
 
 struct Fnv(u64);
 
@@ -77,6 +81,112 @@ fn the_corpus_produces_the_pinned_bytes_on_both_schedulers() {
         }
     }
 }
+
+/// Spray-pick shapes the corpus reaches rarely or never: Adaptive and
+/// LeastLoaded under an entropy-recycle quarantine (on a leaf uplink and on
+/// an agg→core uplink), LeastLoaded with PFC pauses, three-level cross-pod
+/// spray, an admin-down leaf uplink that shrinks `valid_up`, and deficit
+/// half-lives of 0, 1 ns and 2 µs so decay crosses its grid often.
+fn spray_cases() -> Vec<Scenario> {
+    use spray::SprayPolicy::{Adaptive, LeastLoaded};
+    let base = |spray, three_level| Scenario {
+        spray,
+        three_level,
+        hosts_per_leaf: 2,
+        ..Scenario::basic(1, 3, 3, 9, 4)
+    };
+    let tau = SimDuration::from_ns;
+    // The first seed whose `link_of(seed)` is a sprayed uplink of the
+    // fabric: `run` faults link `seed >> 8` and quarantines `seed >> 16`.
+    let aim = |sc: Scenario, link_of: fn(u32) -> u32| {
+        let topo = topology(&sc);
+        let n = topo.n_links() as u32;
+        let sprayed = |s: u64| match topo.links[(link_of(s as u32) % n) as usize].class {
+            LinkClass::LeafUp { .. } => !sc.three_level,
+            LinkClass::AggUp { .. } => sc.three_level,
+            _ => false,
+        };
+        let seed = (1u64..).find(|&s| sprayed(s)).unwrap();
+        Scenario { seed, ..sc }
+    };
+    let quarantined = |sc| {
+        aim(
+            Scenario {
+                recycle: true,
+                ..sc
+            },
+            |s| s >> 16,
+        )
+    };
+    vec![
+        quarantined(base(Adaptive, false)),
+        quarantined(Scenario {
+            spray_tau: tau(2_000),
+            ..base(Adaptive, false)
+        }),
+        quarantined(base(LeastLoaded, false)),
+        quarantined(Scenario {
+            spray_tau: tau(2_000),
+            ..base(Adaptive, true)
+        }),
+        Scenario {
+            pfc_sel: 2,
+            ..base(LeastLoaded, false)
+        },
+        Scenario {
+            spray_tau: tau(2_000),
+            ..base(Adaptive, true)
+        },
+        aim(
+            Scenario {
+                fault_sel: 3,
+                flap: true,
+                spray_tau: tau(2_000),
+                ..base(Adaptive, false)
+            },
+            |s| s >> 8,
+        ),
+        Scenario {
+            spray_tau: tau(0),
+            ..base(Adaptive, false)
+        },
+        Scenario {
+            spray_tau: tau(1),
+            ..base(Adaptive, true)
+        },
+    ]
+}
+
+#[test]
+fn the_spray_cases_produce_the_pinned_bytes_on_both_schedulers() {
+    for sched in [SchedKind::Heap, SchedKind::Wheel] {
+        let mut h = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
+        for sc in spray_cases() {
+            let (o, t) = run(Scenario { sched, ..sc });
+            assert_eq!(t.spray_avoided_picks > 0, sc.recycle, "{sc:?}");
+            if sc.three_level {
+                assert_ne!(o.agg_counters, "[]", "no cross-pod traffic: {sc:?}");
+            }
+            fold(&mut h, &o);
+        }
+        let got = h.map(|f| f.0);
+        for (i, part) in PARTS.iter().enumerate() {
+            assert_eq!(
+                got[i], PINNED_SPRAY[i],
+                "{part} moved on {sched:?}: {got:#018x?}"
+            );
+        }
+    }
+}
+
+const PINNED_SPRAY: [u64; 6] = [
+    0x9adb_ca64_0718_4408,
+    0x518b_db34_26dd_7847,
+    0x62f9_3591_7ccf_0ed1,
+    0x8ece_26dc_48d3_34db,
+    0xb1e2_47a5_4265_d9a5,
+    0xb99d_72da_fb2e_de1d,
+];
 
 const PINNED: [u64; 6] = [
     0x86df_393f_a551_7a69,
