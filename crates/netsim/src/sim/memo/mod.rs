@@ -445,6 +445,9 @@ impl Simulator {
         }
         if self.cfg.spray_tau.as_ns() > 0 {
             for sw in &mut self.switches.state {
+                // Untouched bases stay put, so the gate cannot shift with
+                // the rest; 0 is always a valid one.
+                sw.decay_gate = 0;
                 for v in 0..sw.spray_deficit_at.len() {
                     // Never-touched slots keep their initial zero base
                     // (it is not boundary-relative state).

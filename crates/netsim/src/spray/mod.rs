@@ -10,14 +10,20 @@
 //! ACK/ECN/timeout echoes from the transport back to the sprayer that
 //! placed the packet.
 //!
-//! Classic policies (the paper's repertoire, byte-identical to the
-//! pre-trait implementation via `ClassicSprayer`):
+//! Classic policies (the paper's repertoire, all decided by [`choose`]):
 //!
 //! * [`SprayPolicy::Random`] — uniform random port (Dixit et al.).
 //! * [`SprayPolicy::RoundRobin`] — cyclic, perfectly smooth.
 //! * [`SprayPolicy::Adaptive`] — utilization-aware least-loaded (default).
 //! * [`SprayPolicy::LeastLoaded`] — queue-depth-only, rotating tie-break.
 //! * [`SprayPolicy::LeastLoadedRandomTie`] — queue-depth-only, random ties.
+//!
+//! The engine sends Random, RoundRobin and LeastLoadedRandomTie through
+//! `ClassicSprayer`, and gathers loads for the last one only. Adaptive and
+//! LeastLoaded, the rotating least-loaded pair, it picks in one fused pass
+//! over its own tables (`crate::switch`), with [`choose`] as that pass's
+//! test oracle; [`make_sprayer`] still builds a `ClassicSprayer` for them,
+//! for callers outside the engine.
 //!
 //! Literature backends (the mitigation-zoo extension):
 //!
@@ -163,11 +169,10 @@ pub enum SprayEcho {
 
 /// Per-packet context for one spray decision. Candidates are the
 /// routing-valid uplinks for the packet's destination; `loads` carries the
-/// classic policies' load signal (queued bytes, plus the decayed byte
+/// load-reading policies' signal (queued bytes, plus the decayed byte
 /// deficit under [`SprayPolicy::Adaptive`]) and is empty for backends that
 /// do not consume it; `slots` gives each candidate's stable uplink slot
-/// (virtual-spine index on leaves, core slot on 3-level aggs) and is filled
-/// only for feedback-driven backends.
+/// (virtual-spine index on leaves, core slot on 3-level aggs).
 #[derive(Debug)]
 pub struct SprayCtx<'a> {
     /// Flow the packet belongs to (trial-global id).
@@ -187,10 +192,10 @@ pub struct SprayCtx<'a> {
     pub data: bool,
     /// Candidate uplinks (non-empty; the pick indexes into this).
     pub cands: &'a [LinkId],
-    /// Load signal per candidate (classic policies only, else empty).
-    pub loads: &'a [u64],
-    /// Stable uplink slot per candidate (feedback backends only, else
+    /// Load signal per candidate (load-reading policies only, else
     /// empty).
+    pub loads: &'a [u64],
+    /// Stable uplink slot per candidate.
     pub slots: &'a [u32],
 }
 
@@ -228,7 +233,9 @@ pub trait Sprayer: std::fmt::Debug + Send {
 /// The classic closed-enum policies behind the [`Sprayer`] trait.
 /// Delegates to [`choose`], so RNG draws, cursor updates and therefore
 /// output bytes are identical to the pre-trait implementation. Holds only
-/// policies for which [`SprayPolicy::is_classic`] is true.
+/// policies for which [`SprayPolicy::is_classic`] is true. Random and
+/// RoundRobin count the candidates and never read [`SprayCtx::loads`], so
+/// the engine leaves it empty for them.
 #[derive(Copy, Clone, Debug)]
 struct ClassicSprayer {
     policy: SprayPolicy,
@@ -236,7 +243,12 @@ struct ClassicSprayer {
 
 impl Sprayer for ClassicSprayer {
     fn pick(&mut self, ctx: &SprayCtx<'_>, cursor: &mut u64, rng: &mut SmallRng) -> usize {
-        choose(self.policy, ctx.loads, cursor, rng)
+        match self.policy {
+            SprayPolicy::Random | SprayPolicy::RoundRobin => {
+                choose_blind(self.policy, ctx.cands.len(), cursor, rng)
+            }
+            policy => choose(policy, ctx.loads, cursor, rng),
+        }
     }
 }
 
@@ -263,12 +275,7 @@ pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut Sm
     debug_assert!(!loads.is_empty(), "spray over zero candidates");
     let n = loads.len();
     match policy {
-        SprayPolicy::Random => rng.gen_range(0..n),
-        SprayPolicy::RoundRobin => {
-            let i = (*cursor as usize) % n;
-            *cursor = cursor.wrapping_add(1);
-            i
-        }
+        SprayPolicy::Random | SprayPolicy::RoundRobin => choose_blind(policy, n, cursor, rng),
         SprayPolicy::Adaptive | SprayPolicy::LeastLoaded => {
             // Scan starting at the cursor so equal-load ports are taken in
             // rotation; advance the cursor past the chosen port. The scan
@@ -317,6 +324,20 @@ pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut Sm
             best
         }
         _ => unreachable!("choose() is classic-only; {policy:?} has its own backend"),
+    }
+}
+
+/// The picks that read no load: a uniform draw or the next cursor
+/// position among `n` candidates.
+fn choose_blind(policy: SprayPolicy, n: usize, cursor: &mut u64, rng: &mut SmallRng) -> usize {
+    match policy {
+        SprayPolicy::Random => rng.gen_range(0..n),
+        SprayPolicy::RoundRobin => {
+            let i = (*cursor as usize) % n;
+            *cursor = cursor.wrapping_add(1);
+            i
+        }
+        _ => unreachable!("{policy:?} reads loads"),
     }
 }
 
@@ -469,7 +490,8 @@ mod tests {
     fn classic_sprayer_matches_choose_exactly() {
         // The trait wrapper must replay the exact pick sequence (and RNG
         // consumption) of the bare function — the byte-identity hinge of
-        // the refactor.
+        // the refactor. Random and RoundRobin get no loads, as from the
+        // engine, and must still match `choose` over the full ones.
         for policy in [
             SprayPolicy::Random,
             SprayPolicy::RoundRobin,
@@ -486,6 +508,7 @@ mod tests {
             let mut cur_a = 0u64;
             let mut cur_b = 0u64;
             let mut s = ClassicSprayer { policy };
+            let blind = matches!(policy, SprayPolicy::Random | SprayPolicy::RoundRobin);
             for loads in &loads_seq {
                 let direct = choose(policy, loads, &mut cur_a, &mut rng_a);
                 let ctx = SprayCtx {
@@ -495,7 +518,7 @@ mod tests {
                     seq: 0,
                     data: true,
                     cands: &cands,
-                    loads,
+                    loads: if blind { &[] } else { loads },
                     slots: &[],
                 };
                 let via_trait = s.pick(&ctx, &mut cur_b, &mut rng_b);

@@ -23,21 +23,53 @@ pub(crate) struct SwitchState {
     /// Round-robin spray cursor.
     pub(crate) rr_cursor: u64,
     /// Pluggable spray backend ([`spray::Sprayer`]) built from
-    /// `cfg.spray`. Classic policies wrap [`spray::choose`] verbatim, so
-    /// the default `Adaptive` path is byte-identical to the pre-trait
-    /// engine; stateful backends (REPS) keep their per-switch state here.
+    /// `cfg.spray`. The rotating least-loaded policies (`Adaptive`,
+    /// `LeastLoaded`) never reach it: [`Switches::route`] picks for them in
+    /// one fused pass. Stateful backends (REPS) keep their per-switch state
+    /// here.
     pub(crate) sprayer: Box<dyn spray::Sprayer>,
     /// Leaf only: valid uplinks per destination leaf (admin state only —
     /// silent faults are *not* reflected here, that's the point).
     pub(crate) valid_up: Vec<Vec<LinkId>>,
+    /// The deficit slot (virtual-spine index) of each `valid_up` entry.
+    valid_up_slots: Vec<Vec<u32>>,
     /// 3-level aggs only: valid agg→core uplinks per destination pod.
     pub(crate) valid_core: Vec<Vec<LinkId>>,
+    /// The deficit slot (core slot) of each `valid_core` entry.
+    valid_core_slots: Vec<Vec<u32>>,
     /// [`spray::SprayPolicy::Adaptive`]: decaying per-upstream-port byte
     /// counters (the utilization half of the load signal). Sized
     /// `n_vspines` on leaves, `cores_per_group` on 3-level aggs.
     pub(crate) spray_deficit: Vec<u64>,
     /// Timestamp base for the lazy exponential decay of `spray_deficit`.
     pub(crate) spray_deficit_at: Vec<u64>,
+    /// A lower bound on `min(spray_deficit_at) + tau`: before it no slot
+    /// can halve, so a pick skips the per-slot decay. Derived state (the
+    /// memo fingerprint leaves it out); it stays a bound because
+    /// `spray_deficit_at` only moves forward, and 0 is always one.
+    pub(crate) decay_gate: u64,
+}
+
+/// Lazy exponential decay of one deficit slot up to `now`: the counter
+/// halves every `tau` nanoseconds since its timestamp base `at`, which
+/// advances by the whole halvings applied.
+fn decay(deficit: &mut u64, at: &mut u64, now: u64, tau: u64) -> u64 {
+    let elapsed = now.saturating_sub(*at);
+    if elapsed < tau {
+        // Zero halvings: skip the division (nearly every read).
+        return *deficit;
+    }
+    let halvings = elapsed.checked_div(tau).unwrap_or(0);
+    if halvings > 0 {
+        *deficit >>= halvings.min(63);
+        *at += halvings * tau;
+    }
+    *deficit
+}
+
+/// The earliest time any slot with timestamp base in `at` can halve.
+fn decay_floor(at: &[u64], tau: u64) -> u64 {
+    at.iter().min().map_or(0, |&at| at + tau)
 }
 
 impl SwitchState {
@@ -46,17 +78,12 @@ impl SwitchState {
     /// is the EWMA-like utilization signal of
     /// [`spray::SprayPolicy::Adaptive`].
     fn decayed_deficit(&mut self, v: usize, now: u64, tau: u64) -> u64 {
-        let elapsed = now.saturating_sub(self.spray_deficit_at[v]);
-        if elapsed < tau {
-            // Zero halvings: skip the division (nearly every read).
-            return self.spray_deficit[v];
-        }
-        let halvings = elapsed.checked_div(tau).unwrap_or(0);
-        if halvings > 0 {
-            self.spray_deficit[v] >>= halvings.min(63);
-            self.spray_deficit_at[v] += halvings * tau;
-        }
-        self.spray_deficit[v]
+        decay(
+            &mut self.spray_deficit[v],
+            &mut self.spray_deficit_at[v],
+            now,
+            tau,
+        )
     }
 
     /// A slot nothing was ever charged to: its timestamp base is still the
@@ -94,24 +121,15 @@ pub(crate) struct Fabric<'a> {
     pub(crate) now: SimTime,
 }
 
-/// Deficit-table slot of an upstream (sprayed) link: the vspine index for
-/// leaf uplinks, the core slot for agg uplinks.
-fn deficit_idx(topo: &Topology, up: LinkId) -> u32 {
-    match topo.links[up.idx()].class {
-        LinkClass::LeafUp { vspine, .. } => vspine,
-        LinkClass::AggUp { core_k, .. } => core_k,
-        c => unreachable!("not a sprayed uplink: {c:?}"),
-    }
-}
-
 /// Every switch of the fabric, plus what the spray stage shares between
 /// them.
 pub(crate) struct Switches {
     pub(crate) state: Vec<SwitchState>,
+    /// The candidates (and their slots) the quarantine filter kept.
     scratch_cands: Vec<LinkId>,
-    scratch_loads: Vec<u64>,
-    /// Scratch uplink-slot ids handed to feedback-driven sprayers.
     scratch_slots: Vec<u32>,
+    /// `LeastLoadedRandomTie`'s load signal, one entry per candidate.
+    scratch_loads: Vec<u64>,
     /// `cfg.spray.wants_feedback()`, cached: gates every per-packet
     /// feedback hook (CE marking, ACK echoes) so classic policies pay one
     /// predictable branch and stay byte-identical to the pre-trait engine.
@@ -141,17 +159,20 @@ impl Switches {
                     rr_cursor: 0,
                     sprayer: spray::make_sprayer(cfg.spray, n_deficit),
                     valid_up: vec![Vec::new(); n_valid_up],
+                    valid_up_slots: vec![Vec::new(); n_valid_up],
                     valid_core: vec![Vec::new(); n_valid_core],
+                    valid_core_slots: vec![Vec::new(); n_valid_core],
                     spray_deficit: vec![0; n_deficit],
                     spray_deficit_at: vec![0; n_deficit],
+                    decay_gate: 0,
                 }
             })
             .collect();
         Switches {
             state,
             scratch_cands: Vec::new(),
-            scratch_loads: Vec::new(),
             scratch_slots: Vec::new(),
+            scratch_loads: Vec::new(),
             feedback: cfg.spray.wants_feedback(),
             avoided: 0,
         }
@@ -172,26 +193,28 @@ impl Switches {
     }
 
     /// Rebuild all valid-uplink sets (leaf→agg and, for 3-level, agg→core)
-    /// from link admin state, by [`Topology::valid_planes`] and
-    /// [`Topology::valid_core_slots`].
+    /// and their slot tables from link admin state, by
+    /// [`Topology::valid_planes`] and [`Topology::valid_core_slots`].
     pub(crate) fn recompute_routing(&mut self, topo: &Topology, links: &[LinkState]) {
         let up = |l: LinkId| links[l.idx()].admin_up;
         for (s, kind) in self.state.iter_mut().zip(&topo.switch_kind) {
             match *kind {
                 SwitchKind::Leaf(leaf) => {
-                    for (dst, set) in (0..).zip(&mut s.valid_up) {
+                    let tables = s.valid_up.iter_mut().zip(&mut s.valid_up_slots);
+                    for (dst, (set, slots)) in (0..).zip(tables) {
+                        slots.clear();
+                        slots.extend(topo.valid_planes(leaf, dst, up));
                         set.clear();
-                        set.extend(
-                            topo.valid_planes(leaf, dst, up)
-                                .map(|v| topo.uplink(leaf, v)),
-                        );
+                        set.extend(slots.iter().map(|&v| topo.uplink(leaf, v)));
                     }
                 }
                 SwitchKind::Spine(agg) => {
-                    for (pod, set) in (0..).zip(&mut s.valid_core) {
+                    let tables = s.valid_core.iter_mut().zip(&mut s.valid_core_slots);
+                    for (pod, (set, slots)) in (0..).zip(tables) {
+                        slots.clear();
+                        slots.extend(topo.valid_core_slots(agg, pod, up));
                         set.clear();
-                        let slots = topo.valid_core_slots(agg, pod, up);
-                        set.extend(slots.map(|k| topo.agg_uplink(agg, k)));
+                        set.extend(slots.iter().map(|&k| topo.agg_uplink(agg, k)));
                     }
                 }
                 SwitchKind::Core(_) => {}
@@ -249,6 +272,12 @@ impl Switches {
     /// the given table (leaf→spine per destination leaf, or 3-level
     /// agg→core per destination pod), honouring the configured policy and
     /// charging the adaptive byte deficit.
+    ///
+    /// `Adaptive` and `LeastLoaded` pick here, in one pass with no
+    /// candidate copy: exactly [`spray::choose`]'s rotating least-loaded
+    /// scan over `queued_bytes + decayed deficit` (the deficit stays zero
+    /// under `LeastLoaded`, which never charges it). Every other policy
+    /// goes through the switch's [`spray::Sprayer`].
     fn spray_among(
         &mut self,
         fab: &Fabric<'_>,
@@ -265,16 +294,20 @@ impl Switches {
             now,
         } = *fab;
         let s = &mut self.state[sw.idx()];
-        let valid = match table {
-            SprayTable::Up(dst_leaf) => &s.valid_up[dst_leaf as usize],
-            SprayTable::Core(dst_pod) => &s.valid_core[dst_pod as usize],
+        let (valid, valid_slots) = match table {
+            SprayTable::Up(dst_leaf) => (
+                &s.valid_up[dst_leaf as usize],
+                &s.valid_up_slots[dst_leaf as usize],
+            ),
+            SprayTable::Core(dst_pod) => (
+                &s.valid_core[dst_pod as usize],
+                &s.valid_core_slots[dst_pod as usize],
+            ),
         };
         if valid.is_empty() {
             return None;
         }
-        let cands = &mut self.scratch_cands;
-        cands.clear();
-        cands.extend_from_slice(valid);
+        let (mut cands, mut slots) = (&valid[..], &valid_slots[..]);
         // Entropy-recycle remediation (`ControlVerb::RecycleEntropy`):
         // drop quarantined uplinks from the candidate set, mirroring the
         // admin-down pairing (the uplink itself, or — when steering
@@ -282,10 +315,160 @@ impl Switches {
         // filter never empties the set: with no clean alternative the
         // original candidates stand, because the pick must stay total.
         if self.avoided > 0 && cands.len() > 1 {
+            let (kept, kept_slots) = (&mut self.scratch_cands, &mut self.scratch_slots);
+            kept.clear();
+            kept_slots.clear();
+            for (&up, &slot) in cands.iter().zip(slots) {
+                let down_avoided = match table {
+                    SprayTable::Up(dst_leaf) => {
+                        links[topo.downlink(slot, dst_leaf).idx()].spray_avoid
+                    }
+                    SprayTable::Core(_) => false,
+                };
+                if !links[up.idx()].spray_avoid && !down_avoided {
+                    kept.push(up);
+                    kept_slots.push(slot);
+                }
+            }
+            if !kept.is_empty() {
+                if kept.len() < cands.len() {
+                    stats.spray_avoided_picks += 1;
+                }
+                (cands, slots) = (kept, kept_slots);
+            }
+        }
+        let (now, tau) = (now.as_ns(), cfg.spray_tau.as_ns());
+        debug_assert!(s.decay_gate <= decay_floor(&s.spray_deficit_at, tau));
+        let adaptive = cfg.spray == spray::SprayPolicy::Adaptive;
+        let i = match cfg.spray {
+            _ if cands.len() == 1 => 0,
+            spray::SprayPolicy::Adaptive | spray::SprayPolicy::LeastLoaded => {
+                if adaptive && now >= s.decay_gate {
+                    for &v in slots {
+                        let v = v as usize;
+                        decay(
+                            &mut s.spray_deficit[v],
+                            &mut s.spray_deficit_at[v],
+                            now,
+                            tau,
+                        );
+                    }
+                    s.decay_gate = decay_floor(&s.spray_deficit_at, tau);
+                }
+                least_loaded(links, cands, slots, &s.spray_deficit, &mut s.rr_cursor)
+            }
+            policy => {
+                let loads = &mut self.scratch_loads;
+                loads.clear();
+                // Only the random tie-break reads a load signal; Random,
+                // RoundRobin and the hash/entropy backends pick without one.
+                if policy == spray::SprayPolicy::LeastLoadedRandomTie {
+                    loads.extend(cands.iter().map(|&id| links[id.idx()].queued_bytes));
+                }
+                let (flow, seq, data) = match pkt.kind {
+                    PacketKind::Data { flow, seq } => (flow, seq, true),
+                    PacketKind::Ack { flow, .. } => (flow, 0, false),
+                };
+                let ctx = spray::SprayCtx {
+                    flow,
+                    src: pkt.src.0,
+                    dst: pkt.dst.0,
+                    seq,
+                    data,
+                    cands,
+                    loads,
+                    slots,
+                };
+                s.sprayer.pick(&ctx, &mut s.rr_cursor, rng)
+            }
+        };
+        debug_assert!(i < cands.len(), "sprayer picked out of range");
+        if adaptive {
+            let wire = pkt.size as u64 + cfg.wire_overhead as u64;
+            s.spray_deficit[slots[i] as usize] += wire;
+        }
+        Some(cands[i])
+    }
+}
+
+/// [`spray::choose`]'s rotating least-loaded scan over the load
+/// `links[cands[k]].queued_bytes + deficit[slots[k]]`, read in place: the
+/// scan starts at the cursor so equal loads are taken in rotation, and the
+/// cursor moves past the chosen candidate.
+fn least_loaded(
+    links: &[LinkState],
+    cands: &[LinkId],
+    slots: &[u32],
+    deficit: &[u64],
+    cursor: &mut u64,
+) -> usize {
+    let n = cands.len();
+    let c = *cursor as usize;
+    let start = if c < n { c } else { c % n };
+    let load = |id: &LinkId, v: &u32| links[id.idx()].queued_bytes + deficit[*v as usize];
+    let (mut best, mut best_load) = (start, load(&cands[start], &slots[start]));
+    // `(start + k) % n` for `k` in `1..n`, as two runs without a division.
+    let runs = [(start + 1, n), (0, start)];
+    for (lo, hi) in runs {
+        for (k, (id, v)) in (lo..).zip(cands[lo..hi].iter().zip(&slots[lo..hi])) {
+            let l = load(id, v);
+            if l < best_load {
+                best = k;
+                best_load = l;
+            }
+        }
+    }
+    *cursor = best as u64 + 1;
+    best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::HostId;
+    use crate::packet::Priority;
+    use crate::rng::splitmix64;
+    use crate::spray::SprayPolicy;
+    use crate::time::SimDuration;
+    use crate::topology::{Clos3Spec, FatTreeSpec};
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// Deficit slot of a sprayed uplink, read from its link class.
+    fn slot_of(topo: &Topology, up: LinkId) -> usize {
+        match topo.links[up.idx()].class {
+            LinkClass::LeafUp { vspine, .. } => vspine as usize,
+            LinkClass::AggUp { core_k, .. } => core_k as usize,
+            c => unreachable!("not a sprayed uplink: {c:?}"),
+        }
+    }
+
+    /// The rotating least-loaded pick as two stages: copy and filter the
+    /// candidates, gather each load through `decayed_deficit`, then
+    /// [`spray::choose`]. Returns the pick and whether the quarantine
+    /// narrowed it.
+    fn reference_pick(
+        s: &mut SwitchState,
+        fab: &Fabric<'_>,
+        table: SprayTable,
+        wire: u64,
+        rng: &mut SmallRng,
+    ) -> Option<(LinkId, bool)> {
+        let (topo, links, policy) = (fab.topo, fab.links, fab.cfg.spray);
+        let valid = match table {
+            SprayTable::Up(dst_leaf) => s.valid_up[dst_leaf as usize].clone(),
+            SprayTable::Core(dst_pod) => s.valid_core[dst_pod as usize].clone(),
+        };
+        if valid.is_empty() {
+            return None;
+        }
+        let mut cands = valid.clone();
+        let mut narrowed = false;
+        if links.iter().any(|l| l.spray_avoid) && cands.len() > 1 {
             cands.retain(|&up| {
                 let down_avoided = match table {
                     SprayTable::Up(dst_leaf) => {
-                        let down = topo.downlink(deficit_idx(topo, up), dst_leaf);
+                        let down = topo.downlink(slot_of(topo, up) as u32, dst_leaf);
                         links[down.idx()].spray_avoid
                     }
                     SprayTable::Core(_) => false,
@@ -293,64 +476,168 @@ impl Switches {
                 !links[up.idx()].spray_avoid && !down_avoided
             });
             if cands.is_empty() {
-                cands.extend_from_slice(valid);
-            } else if cands.len() < valid.len() {
-                stats.spray_avoided_picks += 1;
+                cands = valid.clone();
             }
+            narrowed = cands.len() < valid.len();
         }
-        let adaptive = cfg.spray == spray::SprayPolicy::Adaptive;
+        let adaptive = policy == SprayPolicy::Adaptive;
         let chosen = if cands.len() == 1 {
             cands[0]
         } else {
-            let loads = &mut self.scratch_loads;
-            loads.clear();
-            // Load signals feed only the classic policies; skipping the
-            // gather for hash/entropy backends keeps their pick O(1).
-            if cfg.spray.is_classic() {
-                let (now, tau) = (now.as_ns(), cfg.spray_tau.as_ns());
-                for &id in cands.iter() {
-                    let mut load = links[id.idx()].queued_bytes;
-                    if adaptive {
-                        load += s.decayed_deficit(deficit_idx(topo, id) as usize, now, tau);
-                    }
-                    loads.push(load);
-                }
-            }
-            let slots = &mut self.scratch_slots;
-            slots.clear();
-            if self.feedback {
-                slots.extend(cands.iter().map(|&id| deficit_idx(topo, id)));
-            }
-            let (flow, seq, data) = match pkt.kind {
-                PacketKind::Data { flow, seq } => (flow, seq, true),
-                PacketKind::Ack { flow, .. } => (flow, 0, false),
-            };
-            let ctx = spray::SprayCtx {
-                flow,
-                src: pkt.src.0,
-                dst: pkt.dst.0,
-                seq,
-                data,
-                cands,
-                loads,
-                slots,
-            };
-            let i = s.sprayer.pick(&ctx, &mut s.rr_cursor, rng);
-            debug_assert!(i < cands.len(), "sprayer picked out of range");
-            cands[i]
+            let (now, tau) = (fab.now.as_ns(), fab.cfg.spray_tau.as_ns());
+            let loads: Vec<u64> = cands
+                .iter()
+                .map(|&id| {
+                    let deficit = match adaptive {
+                        true => s.decayed_deficit(slot_of(topo, id), now, tau),
+                        false => 0,
+                    };
+                    links[id.idx()].queued_bytes + deficit
+                })
+                .collect();
+            cands[spray::choose(policy, &loads, &mut s.rr_cursor, rng)]
         };
         if adaptive {
-            let wire = pkt.size as u64 + cfg.wire_overhead as u64;
-            s.spray_deficit[deficit_idx(topo, chosen) as usize] += wire;
+            s.spray_deficit[slot_of(topo, chosen)] += wire;
         }
-        Some(chosen)
+        Some((chosen, narrowed))
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::topology::FatTreeSpec;
+    /// Every spraying `(switch, table)` of `topo`.
+    fn spray_sites(topo: &Topology) -> Vec<(SwitchId, SprayTable)> {
+        let mut sites = Vec::new();
+        for (i, kind) in topo.switch_kind.iter().enumerate() {
+            let sw = SwitchId(i as u32);
+            match *kind {
+                SwitchKind::Leaf(l) => sites.extend(
+                    (0..topo.n_leaves() as u32)
+                        .filter(|&d| d != l)
+                        .map(|d| (sw, SprayTable::Up(d))),
+                ),
+                SwitchKind::Spine(agg) if topo.is_three_level() => sites.extend(
+                    (0..topo.pods)
+                        .filter(|&p| p != agg / topo.spec.spines)
+                        .map(|p| (sw, SprayTable::Core(p))),
+                ),
+                _ => {}
+            }
+        }
+        sites
+    }
+
+    proptest! {
+        /// The fused pass and the two-stage pick agree on every step: the
+        /// same uplink, cursor, deficits and timestamp bases, and the
+        /// same quarantine count, over random queues, cursors (in range,
+        /// at `n`, far past it), time steps across and far beyond tau grid
+        /// crossings, admin-down subsets and quarantines. The decay gate
+        /// stays a lower bound on every switch throughout.
+        #[test]
+        fn fused_pick_matches_gather_then_choose(
+            shape in 0u8..4,
+            tau_sel in 0usize..4,
+            down_seed in 0u64..u64::MAX,
+            avoid_seed in 0u64..u64::MAX,
+            // (time step × cursor move, raw draw, queue seed, site)
+            steps in collection::vec(
+                (0u8..48, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+                1..48,
+            ),
+        ) {
+            let (three_level, adaptive) = (shape & 1 == 1, shape & 2 == 2);
+            let tau = [0u64, 1, 100, 100_000][tau_sel];
+            let topo = if three_level {
+                Topology::clos3(Clos3Spec {
+                    pods: 2,
+                    leaves_per_pod: 2,
+                    aggs_per_pod: 2,
+                    cores_per_group: 4,
+                    hosts_per_leaf: 1,
+                    ..Default::default()
+                })
+            } else {
+                Topology::fat_tree(FatTreeSpec {
+                    leaves: 3,
+                    spines: 3,
+                    parallel_links: 2,
+                    hosts_per_leaf: 1,
+                    ..Default::default()
+                })
+            };
+            let cfg = SimConfig {
+                spray: if adaptive { SprayPolicy::Adaptive } else { SprayPolicy::LeastLoaded },
+                spray_tau: SimDuration::from_ns(tau),
+                ..SimConfig::default()
+            };
+            let mut links: Vec<LinkState> =
+                (0..topo.n_links()).map(|_| LinkState::new()).collect();
+            let (mut fused, mut want) = (Switches::new(&topo, &cfg), Switches::new(&topo, &cfg));
+            // About one link in six admin-down, one in eight quarantined.
+            for (i, l) in links.iter_mut().enumerate() {
+                l.admin_up = !splitmix64(down_seed ^ i as u64).is_multiple_of(6);
+                if splitmix64(avoid_seed ^ i as u64).is_multiple_of(8) {
+                    fused.set_spray_avoid(l, true);
+                }
+            }
+            fused.recompute_routing(&topo, &links);
+            want.recompute_routing(&topo, &links);
+            let sites = spray_sites(&topo);
+            let (mut stats, mut narrowed) = (Stats::default(), 0);
+            let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(1), SmallRng::seed_from_u64(1));
+            let mut now = 0u64;
+            for (sel, raw, queues, site) in steps {
+                now += match sel % 8 {
+                    0 => 0,
+                    1 => 1,
+                    2 => tau.saturating_sub(1),
+                    3 => tau,
+                    4 => tau + 1,
+                    5 => raw % (3 * tau + 5),
+                    6 => 70 * tau + raw % 7,
+                    _ => raw % 1_000_000_000,
+                };
+                // Few distinct queue depths, so ties are common.
+                for (i, l) in links.iter_mut().enumerate() {
+                    l.queued_bytes = splitmix64(queues ^ i as u64) % 4 * 4160;
+                }
+                let (sw, table) = sites[(site % sites.len() as u64) as usize];
+                let cursor = match sel / 8 {
+                    0 => Some(splitmix64(raw) % 20),
+                    1 => Some(splitmix64(raw)),
+                    _ => None,
+                };
+                if let Some(c) = cursor {
+                    fused.state[sw.idx()].rr_cursor = c;
+                    want.state[sw.idx()].rr_cursor = c;
+                }
+                let pkt = Packet {
+                    kind: PacketKind::Data { flow: 0, seq: 0 },
+                    src: HostId(0),
+                    dst: HostId(1),
+                    size: 64 + (raw % 4096) as u32,
+                    prio: Priority::MEASURED,
+                    tag: None,
+                    src_leaf: 0,
+                    ingress: None,
+                    ce: false,
+                };
+                let fab = Fabric { topo: &topo, links: &links, cfg: &cfg, now: SimTime::from_ns(now) };
+                let got = fused.spray_among(&fab, sw, table, &pkt, &mut rng_a, &mut stats);
+                let wire = pkt.size as u64 + cfg.wire_overhead as u64;
+                let (a, b) = (&fused.state[sw.idx()], &mut want.state[sw.idx()]);
+                let reference = reference_pick(b, &fab, table, wire, &mut rng_b);
+                narrowed += reference.is_some_and(|(_, n)| n) as u64;
+                prop_assert_eq!(got, reference.map(|(l, _)| l));
+                prop_assert_eq!(a.rr_cursor, b.rr_cursor);
+                prop_assert_eq!(&a.spray_deficit, &b.spray_deficit);
+                prop_assert_eq!(&a.spray_deficit_at, &b.spray_deficit_at);
+                prop_assert_eq!(stats.spray_avoided_picks, narrowed);
+                for s in &fused.state {
+                    prop_assert!(s.decay_gate <= decay_floor(&s.spray_deficit_at, tau));
+                }
+            }
+        }
+    }
 
     #[test]
     fn decayed_deficit_matches_the_always_divide_formulation() {
