@@ -109,7 +109,7 @@ impl SprayPolicy {
     /// True for the original closed-enum policies whose decisions flow
     /// through [`choose`] (and whose RNG/cursor usage is pinned by the
     /// byte-identity contract).
-    pub fn is_classic(self) -> bool {
+    fn is_classic(self) -> bool {
         matches!(
             self,
             SprayPolicy::Random
