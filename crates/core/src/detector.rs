@@ -6,7 +6,7 @@
 //! prediction. If the discrepancy exceeds a predefined threshold, the
 //! switch declares a fault. … FlowPulse uses a detection threshold of 1%."
 
-use crate::model::PortLoads;
+use crate::model::{PortCells, PortLoads};
 use serde::{Deserialize, Serialize};
 
 /// One port whose observation deviates from the prediction.
@@ -53,48 +53,74 @@ impl Detector {
         }
     }
 
-    /// All ports (across all leaves) deviating beyond the threshold.
+    /// All ports (across all leaves) deviating beyond the threshold, leaf
+    /// by leaf.
     pub fn compare(&self, expected: &PortLoads, observed: &PortLoads) -> Vec<Deviation> {
-        assert_eq!(expected.bytes.len(), observed.bytes.len(), "shape mismatch");
         let mut out = Vec::new();
-        for leaf in 0..expected.n_leaves as u32 {
-            for v in 0..expected.n_vspines as u32 {
-                let e = expected.get(leaf, v);
-                let o = observed.get(leaf, v);
-                if e >= self.min_expected {
-                    let rel = (o - e) / e;
-                    if rel.abs() > self.threshold {
-                        out.push(Deviation {
-                            leaf,
-                            vspine: v,
-                            expected: e,
-                            observed: o,
-                            rel,
-                        });
-                    }
-                } else if o > self.min_expected {
-                    out.push(Deviation {
-                        leaf,
-                        vspine: v,
-                        expected: e,
-                        observed: o,
-                        rel: f64::INFINITY,
-                    });
-                }
-            }
-        }
+        self.pass(expected, observed.bytes.iter().copied(), |d| out.push(d));
         out
     }
 
     /// Largest absolute relative deviation (for ROC sweeps, which evaluate
     /// many thresholds over one run).
     pub fn max_abs_rel(&self, expected: &PortLoads, observed: &PortLoads) -> f64 {
-        expected.max_rel_dev(observed, self.min_expected)
+        self.pass(expected, observed.bytes.iter().copied(), |_| {})
+    }
+
+    /// One pass over every port of an observed iteration, read in place:
+    /// appends to `out` the ports [`compare`](Self::compare) lists and
+    /// returns the figure [`max_abs_rel`](Self::max_abs_rel) reports.
+    pub(crate) fn judge(
+        &self,
+        expected: &PortLoads,
+        observed: PortCells<'_>,
+        out: &mut Vec<Deviation>,
+    ) -> f64 {
+        self.pass(expected, observed.values(), |d| out.push(d))
+    }
+
+    /// The deviation rule, once per port. A port expected to carry at
+    /// least the floor deviates by `(o − e) / e`; one expected below it
+    /// deviates only when it carries more than the floor — traffic where
+    /// none was expected — which counts as 1 towards the maximum and is
+    /// reported with an infinite `rel`. Inlined into each view, so that one
+    /// that drops the maximum (`compare`) or the deviations (`max_abs_rel`)
+    /// does not compute it: out of line, `compare` paid for the maximum,
+    /// ≈ 15 % of its time on a 32 × 16 fabric.
+    #[inline(always)]
+    fn pass(
+        &self,
+        expected: &PortLoads,
+        observed: impl ExactSizeIterator<Item = f64>,
+        mut deviating: impl FnMut(Deviation),
+    ) -> f64 {
+        assert_eq!(expected.bytes.len(), observed.len(), "shape mismatch");
+        let mut worst = 0.0f64;
+        for (i, (&e, o)) in expected.bytes.iter().zip(observed).enumerate() {
+            let port = |rel| Deviation {
+                leaf: (i / expected.n_vspines) as u32,
+                vspine: (i % expected.n_vspines) as u32,
+                expected: e,
+                observed: o,
+                rel,
+            };
+            if e >= self.min_expected {
+                let rel = (o - e) / e;
+                worst = worst.max(rel.abs());
+                if rel.abs() > self.threshold {
+                    deviating(port(rel));
+                }
+            } else if o > self.min_expected {
+                worst = worst.max(1.0);
+                deviating(port(f64::INFINITY));
+            }
+        }
+        worst
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn loads(vals: &[f64]) -> PortLoads {
@@ -103,6 +129,129 @@ mod tests {
             n_vspines: vals.len(),
             bytes: vals.to_vec(),
         }
+    }
+
+    /// The maximum as `PortLoads::max_rel_dev` took it in its own pass
+    /// over all ports: the reference the one-pass rule is held to.
+    pub(crate) fn max_rel_dev(expected: &PortLoads, observed: &PortLoads, floor: f64) -> f64 {
+        assert_eq!(expected.bytes.len(), observed.bytes.len(), "shape mismatch");
+        let mut worst = 0.0f64;
+        for (&e, &o) in expected.bytes.iter().zip(&observed.bytes) {
+            if e >= floor {
+                worst = worst.max(((o - e) / e).abs());
+            } else if o > floor {
+                worst = worst.max(1.0);
+            }
+        }
+        worst
+    }
+
+    /// `compare` as it was, leaf by leaf and port by port.
+    pub(crate) fn compare_by_port(
+        d: &Detector,
+        expected: &PortLoads,
+        observed: &PortLoads,
+    ) -> Vec<Deviation> {
+        assert_eq!(expected.bytes.len(), observed.bytes.len(), "shape mismatch");
+        let mut out = Vec::new();
+        for leaf in 0..expected.n_leaves as u32 {
+            for v in 0..expected.n_vspines as u32 {
+                let e = expected.get(leaf, v);
+                let o = observed.get(leaf, v);
+                let dev = |rel| Deviation {
+                    leaf,
+                    vspine: v,
+                    expected: e,
+                    observed: o,
+                    rel,
+                };
+                if e >= d.min_expected {
+                    let rel = (o - e) / e;
+                    if rel.abs() > d.threshold {
+                        out.push(dev(rel));
+                    }
+                } else if o > d.min_expected {
+                    out.push(dev(f64::INFINITY));
+                }
+            }
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    /// The 2^53 + 1 and up that `as f64` rounds.
+    const BIG: u64 = (1 << 53) + 1;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `judge` (cells in place), `compare` and `max_abs_rel` give what
+        /// the two separate passes gave: the maximum bit for bit, the
+        /// deviation list entry for entry. Ports expected below the floor
+        /// (0, fractions) with traffic above it or not, zeros, observed equal
+        /// to expected, fractional expectations (warm-up means), values past
+        /// 2^53, floors 0 / 0.25 / 1 / 2000 and thresholds 0 / 1 % / 1 / 2.
+        #[test]
+        fn one_pass_matches_the_two_pass_oracle(
+            dims in (1usize..5, 1usize..6),
+            knobs in (0usize..4, 0usize..4),
+            ports in collection::vec((0u32..7, 0u32..6, 0u64..=u64::MAX), 30),
+        ) {
+            let (n_leaves, n_vspines) = dims;
+            let d = Detector {
+                threshold: [0.0, 0.01, 1.0, 2.0][knobs.0],
+                min_expected: [0.0, 0.25, 1.0, 2000.0][knobs.1],
+            };
+            let mut expected = PortLoads::zeros(n_leaves, n_vspines);
+            let mut cells = vec![0u64; n_leaves * n_vspines];
+            for (i, &(e_kind, o_kind, r)) in ports.iter().take(cells.len()).enumerate() {
+                let small = r % 5000;
+                let e = match e_kind {
+                    0 => 0.0,
+                    1 => [0.25, 0.5, 1.0, 2000.0][(r % 4) as usize],
+                    2 => small as f64 / 3.0,
+                    3 => (BIG + r % 1000) as f64,
+                    _ => small as f64,
+                };
+                expected.bytes[i] = e;
+                cells[i] = match o_kind {
+                    0 => 0,
+                    1 => e as u64,
+                    2 => (e as u64).saturating_add(r % 7).saturating_sub(3),
+                    3 => BIG.max(r),
+                    4 => r % 4,
+                    _ => small,
+                };
+            }
+            let observed = PortCells { n_leaves, n_vspines, bytes: &cells };
+            let as_loads = observed.to_loads();
+            let oracle_max = max_rel_dev(&expected, &as_loads, d.min_expected);
+            let oracle_devs = compare_by_port(&d, &expected, &as_loads);
+
+            let mut devs = Vec::new();
+            let max = d.judge(&expected, observed, &mut devs);
+            prop_assert_eq!(max.to_bits(), oracle_max.to_bits());
+            prop_assert_eq!(&devs, &oracle_devs);
+            prop_assert_eq!(d.max_abs_rel(&expected, &as_loads).to_bits(), oracle_max.to_bits());
+            prop_assert_eq!(&d.compare(&expected, &as_loads), &oracle_devs);
+        }
+    }
+
+    #[test]
+    fn max_abs_rel_symmetric_cases() {
+        let d = Detector::default();
+        let e = loads(&[100.0, 100.0]);
+        assert_eq!(d.max_abs_rel(&e, &e), 0.0);
+        let o = loads(&[98.0, 100.0]); // -2%
+        assert!((d.max_abs_rel(&e, &o) - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unexpected_traffic_counts_as_deviation() {
+        // Expect nothing, see 500 bytes: 1 towards the maximum.
+        let d = Detector::default();
+        assert_eq!(d.max_abs_rel(&loads(&[0.0]), &loads(&[500.0])), 1.0);
     }
 
     #[test]

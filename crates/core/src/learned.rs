@@ -9,7 +9,7 @@
 //! replaces the baseline measurement with a new measurement reflecting the
 //! improved network state."
 
-use crate::model::PortLoads;
+use crate::model::{PortCells, PortLoads};
 use serde::{Deserialize, Serialize};
 
 /// What [`LearnedModel::observe`] concluded about an iteration.
@@ -39,8 +39,6 @@ pub struct LearnedModel {
     pub warmup: u32,
     /// Detection threshold used for the internal consistency check.
     pub threshold: f64,
-    /// Minimum expected bytes for a port to participate in comparisons.
-    pub min_expected: f64,
     /// Detect healing and rebaseline (Fig. 3). When false, a healed
     /// transient keeps alarming forever.
     pub healing_detection: bool,
@@ -57,7 +55,6 @@ impl LearnedModel {
         LearnedModel {
             warmup,
             threshold,
-            min_expected: 1.0,
             healing_detection: true,
             samples: Vec::new(),
             baseline: None,
@@ -81,10 +78,19 @@ impl LearnedModel {
         self.rebaselines += 1;
     }
 
-    /// Feed one iteration's observed loads, in order.
-    pub fn observe(&mut self, obs: &PortLoads) -> LearnedUpdate {
+    /// Feed one iteration's observed cells, in order. When there is a
+    /// baseline, `max_rel_dev` is called once with it and gives the largest
+    /// |relative deviation| of `obs` from it — the monitor hands in its
+    /// detector's pass, so the model judges at the detector's floor. A
+    /// [`PortLoads`] copy of `obs` is made only to keep it: as a warm-up
+    /// sample, or as the new baseline after a heal.
+    pub fn observe(
+        &mut self,
+        obs: PortCells<'_>,
+        max_rel_dev: impl FnOnce(&PortLoads) -> f64,
+    ) -> LearnedUpdate {
         let Some(base) = &self.baseline else {
-            self.samples.push(obs.clone());
+            self.samples.push(obs.to_loads());
             if self.samples.len() as u32 >= self.warmup {
                 self.baseline = Some(PortLoads::mean_of(&self.samples));
                 self.samples.clear();
@@ -92,7 +98,7 @@ impl LearnedModel {
             }
             return LearnedUpdate::Warming;
         };
-        let max_rel = base.max_rel_dev(obs, self.min_expected);
+        let max_rel = max_rel_dev(base);
         if max_rel <= self.threshold {
             return LearnedUpdate::Consistent;
         }
@@ -100,11 +106,10 @@ impl LearnedModel {
             // Restart learning from this healthier state.
             self.rebaselines += 1;
             self.samples.clear();
-            self.samples.push(obs.clone());
             if self.warmup == 1 {
-                self.baseline = Some(obs.clone());
-                self.samples.clear();
+                self.baseline = Some(obs.to_loads());
             } else {
+                self.samples.push(obs.to_loads());
                 self.baseline = None;
             }
             return LearnedUpdate::Rebalanced;
@@ -120,7 +125,7 @@ impl LearnedModel {
     /// drops, and duplicate deliveries can slightly inflate a
     /// fault-period baseline, so the volume check carries a
     /// threshold-sized tolerance.
-    fn looks_like_heal(&self, base: &PortLoads, obs: &PortLoads) -> bool {
+    fn looks_like_heal(&self, base: &PortLoads, obs: PortCells<'_>) -> bool {
         let tol = self.threshold.max(1e-6);
         let vol_ok = obs.total() >= base.total() * (1.0 - tol);
         if !vol_ok {
@@ -149,23 +154,27 @@ impl LearnedModel {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::detector::tests::max_rel_dev;
+    use crate::detector::Detector;
 
-    fn loads(vals: &[f64]) -> PortLoads {
-        PortLoads {
+    /// Observe one leaf's ports, judged as a monitor with the default
+    /// detector judges them.
+    fn feed(m: &mut LearnedModel, vals: &[u64]) -> LearnedUpdate {
+        let obs = PortCells {
             n_leaves: 1,
             n_vspines: vals.len(),
-            bytes: vals.to_vec(),
-        }
+            bytes: vals,
+        };
+        m.observe(obs, |base| {
+            Detector::default().judge(base, obs, &mut Vec::new())
+        })
     }
 
     #[test]
     fn warmup_then_baseline() {
         let mut m = LearnedModel::new(2, 0.01);
-        assert_eq!(m.observe(&loads(&[100.0, 100.0])), LearnedUpdate::Warming);
-        assert_eq!(
-            m.observe(&loads(&[102.0, 98.0])),
-            LearnedUpdate::BaselineReady
-        );
+        assert_eq!(feed(&mut m, &[100, 100]), LearnedUpdate::Warming);
+        assert_eq!(feed(&mut m, &[102, 98]), LearnedUpdate::BaselineReady);
         let b = m.baseline().unwrap();
         assert_eq!(b.bytes, vec![101.0, 99.0]);
     }
@@ -173,19 +182,16 @@ pub(crate) mod tests {
     #[test]
     fn consistent_iterations_pass() {
         let mut m = LearnedModel::new(1, 0.01);
-        m.observe(&loads(&[1000.0, 1000.0]));
-        assert_eq!(
-            m.observe(&loads(&[1001.0, 999.0])),
-            LearnedUpdate::Consistent
-        );
+        feed(&mut m, &[1000, 1000]);
+        assert_eq!(feed(&mut m, &[1001, 999]), LearnedUpdate::Consistent);
     }
 
     #[test]
     fn new_fault_deviates() {
         let mut m = LearnedModel::new(1, 0.01);
-        m.observe(&loads(&[1000.0, 1000.0]));
+        feed(&mut m, &[1000, 1000]);
         // Port 0 loses 5%: volume down, imbalance up → a fault, not a heal.
-        match m.observe(&loads(&[950.0, 1000.0])) {
+        match feed(&mut m, &[950, 1000]) {
             LearnedUpdate::Deviating { max_rel } => assert!((max_rel - 0.05).abs() < 1e-9),
             u => panic!("expected Deviating, got {u:?}"),
         }
@@ -196,55 +202,44 @@ pub(crate) mod tests {
     fn heal_rebaselines() {
         // Learn a baseline *during* a transient fault: port 0 suppressed.
         let mut m = LearnedModel::new(1, 0.01);
-        m.observe(&loads(&[700.0, 1000.0]));
+        feed(&mut m, &[700, 1000]);
         // Fault heals: port 0 returns to parity, volume up, imbalance down.
-        assert_eq!(
-            m.observe(&loads(&[1000.0, 1000.0])),
-            LearnedUpdate::Rebalanced
-        );
+        assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::Rebalanced);
         assert_eq!(m.rebaselines, 1);
         // With warmup=1 the new baseline is live immediately.
         assert_eq!(m.baseline().unwrap().bytes, vec![1000.0, 1000.0]);
         // Subsequent healthy iterations are consistent.
-        assert_eq!(
-            m.observe(&loads(&[1000.0, 1000.0])),
-            LearnedUpdate::Consistent
-        );
+        assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::Consistent);
     }
 
     #[test]
     fn heal_with_multi_iteration_warmup_relearns() {
         let mut m = LearnedModel::new(2, 0.01);
-        m.observe(&loads(&[700.0, 1000.0]));
-        m.observe(&loads(&[700.0, 1000.0]));
+        feed(&mut m, &[700, 1000]);
+        feed(&mut m, &[700, 1000]);
         assert!(m.baseline().is_some());
-        assert_eq!(
-            m.observe(&loads(&[1000.0, 1000.0])),
-            LearnedUpdate::Rebalanced
-        );
+        assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::Rebalanced);
         // One more sample completes the fresh warm-up.
-        assert_eq!(
-            m.observe(&loads(&[1000.0, 1000.0])),
-            LearnedUpdate::BaselineReady
-        );
+        assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::BaselineReady);
     }
 
     #[test]
     fn healing_detection_can_be_disabled() {
         let mut m = LearnedModel::new(1, 0.01);
         m.healing_detection = false;
-        m.observe(&loads(&[700.0, 1000.0]));
-        match m.observe(&loads(&[1000.0, 1000.0])) {
+        feed(&mut m, &[700, 1000]);
+        match feed(&mut m, &[1000, 1000]) {
             LearnedUpdate::Deviating { .. } => {}
             u => panic!("expected Deviating, got {u:?}"),
         }
     }
 
     /// `observe` as it was while it still cloned the baseline on every
-    /// call: the reference the borrowing version is held to.
-    fn observe_by_clone(m: &mut LearnedModel, obs: &PortLoads) -> LearnedUpdate {
+    /// call: the reference the borrowing version is held to. `floor` is the
+    /// one the model is judged at.
+    fn observe_by_clone(m: &mut LearnedModel, obs: PortCells<'_>, floor: f64) -> LearnedUpdate {
         let Some(base) = m.baseline.clone() else {
-            m.samples.push(obs.clone());
+            m.samples.push(obs.to_loads());
             if m.samples.len() as u32 >= m.warmup {
                 m.baseline = Some(PortLoads::mean_of(&m.samples));
                 m.samples.clear();
@@ -252,16 +247,16 @@ pub(crate) mod tests {
             }
             return LearnedUpdate::Warming;
         };
-        let max_rel = base.max_rel_dev(obs, m.min_expected);
+        let max_rel = max_rel_dev(&base, &obs.to_loads(), floor);
         if max_rel <= m.threshold {
             return LearnedUpdate::Consistent;
         }
         if m.healing_detection && m.looks_like_heal(&base, obs) {
             m.rebaselines += 1;
             m.samples.clear();
-            m.samples.push(obs.clone());
+            m.samples.push(obs.to_loads());
             if m.warmup == 1 {
-                m.baseline = Some(obs.clone());
+                m.baseline = Some(obs.to_loads());
                 m.samples.clear();
             } else {
                 m.baseline = None;
@@ -271,23 +266,25 @@ pub(crate) mod tests {
         LearnedUpdate::Deviating { max_rel }
     }
 
-    /// Port loads that walk a model through every verdict: a fault-time
-    /// shape, the healed shape, noise inside the threshold, new faults.
-    pub(crate) const SHAPES: [[f64; 4]; 7] = [
-        [700.0, 1000.0, 1000.0, 1000.0],
-        [1000.0, 1000.0, 1000.0, 1000.0],
-        [1004.0, 997.0, 1000.0, 1001.0],
-        [940.0, 1000.0, 1000.0, 1030.0],
-        [900.0, 900.0, 900.0, 900.0],
-        [0.0, 1000.0, 1000.0, 1000.0],
-        [1000.0, 1000.0, 0.5, 3.0],
+    /// Port counters that walk a model through every verdict: a fault-time
+    /// shape, the healed shape, noise inside the threshold, new faults, and
+    /// near-empty ports whose warm-up means fall between 0 and 1.
+    pub(crate) static SHAPES: [[u64; 4]; 8] = [
+        [700, 1000, 1000, 1000],
+        [1000, 1000, 1000, 1000],
+        [1004, 997, 1000, 1001],
+        [940, 1000, 1000, 1030],
+        [900, 900, 900, 900],
+        [0, 1000, 1000, 1000],
+        [1000, 1000, 1, 3],
+        [1, 1000, 0, 2],
     ];
 
-    pub(crate) fn shape(k: usize) -> PortLoads {
-        PortLoads {
+    pub(crate) fn shape(k: usize) -> PortCells<'static> {
+        PortCells {
             n_leaves: 2,
             n_vspines: 2,
-            bytes: SHAPES[k].to_vec(),
+            bytes: &SHAPES[k],
         }
     }
 
@@ -308,12 +305,19 @@ pub(crate) mod tests {
             let mut new = LearnedModel::new(warmup, 0.01);
             new.healing_detection = healing > 0;
             let mut old = new.clone();
+            let detector = Detector::default();
             for (k, relearn) in steps {
                 if relearn == 0 {
                     new.force_relearn();
                     old.force_relearn();
                 }
-                prop_assert_eq!(new.observe(&shape(k)), observe_by_clone(&mut old, &shape(k)));
+                let verdict = new.observe(shape(k), |base| {
+                    detector.judge(base, shape(k), &mut Vec::new())
+                });
+                prop_assert_eq!(
+                    verdict,
+                    observe_by_clone(&mut old, shape(k), detector.min_expected)
+                );
                 prop_assert_eq!(new.baseline(), old.baseline());
                 prop_assert_eq!(&new.samples, &old.samples);
                 prop_assert_eq!(new.rebaselines, old.rebaselines);
@@ -324,10 +328,10 @@ pub(crate) mod tests {
     #[test]
     fn volume_drop_is_never_a_heal() {
         let mut m = LearnedModel::new(1, 0.01);
-        m.observe(&loads(&[1000.0, 1000.0]));
+        feed(&mut m, &[1000, 1000]);
         // Re-balanced but *less* volume: e.g. a black hole that happens to
         // even things out must still alarm.
-        match m.observe(&loads(&[900.0, 900.0])) {
+        match feed(&mut m, &[900, 900]) {
             LearnedUpdate::Deviating { .. } => {}
             u => panic!("expected Deviating, got {u:?}"),
         }

@@ -3,8 +3,8 @@
 //! A [`PortLoads`] holds the expected (or observed) byte volume on every
 //! monitored port — the spine→leaf ingress ports of every leaf — for one
 //! collective iteration. Load models (§5.2) produce predicted `PortLoads`;
-//! the in-switch counters produce observed ones; the detector (§5.3)
-//! compares them.
+//! the in-switch counters produce observed ones, which the monitor reads
+//! in place as [`PortCells`]; the detector (§5.3) compares the two.
 
 use fp_netsim::counters::IterCounters;
 use serde::{Deserialize, Serialize};
@@ -32,16 +32,7 @@ impl PortLoads {
 
     /// Convert observed in-switch counters into loads.
     pub fn from_counters(c: &IterCounters) -> Self {
-        let (n_leaves, n_vspines) = {
-            // bytes layout is [leaf * n_vspines + vspine]
-            let nl = c.first_seen.len();
-            (nl, c.bytes.len() / nl.max(1))
-        };
-        PortLoads {
-            n_leaves,
-            n_vspines,
-            bytes: c.bytes.iter().map(|&b| b as f64).collect(),
-        }
+        PortCells::from_counters(c).to_loads()
     }
 
     /// Load on one port.
@@ -85,34 +76,76 @@ impl PortLoads {
     /// Coefficient of variation (σ/μ) of one leaf's non-trivial ports.
     /// Spatial-asymmetry measure: pre-existing faults push it up.
     pub fn leaf_cov(&self, leaf: u32) -> f64 {
-        let ports = self.leaf(leaf);
-        let n = ports.len() as f64;
-        if n == 0.0 {
-            return 0.0;
+        cov(self.leaf(leaf).iter().copied())
+    }
+}
+
+/// One iteration's observed per-port byte counters, borrowed from where
+/// they are kept (a `CounterStore` or an `OpenWindow`): the same row-major
+/// `[leaf][vspine]` layout as [`PortLoads`], as the `u64`s the switches
+/// count. Each value reads as `b as f64`, the conversion
+/// [`PortLoads::from_counters`] makes.
+#[derive(Copy, Clone, Debug)]
+pub struct PortCells<'a> {
+    /// Number of leaves.
+    pub n_leaves: usize,
+    /// Number of virtual spines (monitored ingress ports per leaf).
+    pub n_vspines: usize,
+    /// Row-major `[leaf][vspine]` bytes.
+    pub bytes: &'a [u64],
+}
+
+impl<'a> PortCells<'a> {
+    /// The per-port byte counters of one iteration's in-switch counters.
+    pub(crate) fn from_counters(c: &'a IterCounters) -> Self {
+        // bytes layout is [leaf * n_vspines + vspine]
+        let n_leaves = c.first_seen.len();
+        PortCells {
+            n_leaves,
+            n_vspines: c.bytes.len() / n_leaves.max(1),
+            bytes: &c.bytes,
         }
-        let mean = ports.iter().sum::<f64>() / n;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let var = ports.iter().map(|&p| (p - mean) * (p - mean)).sum::<f64>() / n;
-        var.sqrt() / mean
     }
 
-    /// Largest |observed−expected|/expected across all ports with
-    /// `expected ≥ min_expected`.
-    pub fn max_rel_dev(&self, observed: &PortLoads, min_expected: f64) -> f64 {
-        assert_eq!(self.bytes.len(), observed.bytes.len(), "shape mismatch");
-        let mut worst = 0.0f64;
-        for (&e, &o) in self.bytes.iter().zip(&observed.bytes) {
-            if e >= min_expected {
-                worst = worst.max(((o - e) / e).abs());
-            } else if o > min_expected {
-                // Traffic where none was expected is itself a deviation.
-                worst = worst.max(1.0);
-            }
+    /// An owned copy as loads.
+    pub(crate) fn to_loads(self) -> PortLoads {
+        PortLoads {
+            n_leaves: self.n_leaves,
+            n_vspines: self.n_vspines,
+            bytes: self.values().collect(),
         }
-        worst
     }
+
+    /// Every port's bytes as `f64`, row-major.
+    pub(crate) fn values(self) -> impl ExactSizeIterator<Item = f64> + Clone + 'a {
+        self.bytes.iter().map(|&b| b as f64)
+    }
+
+    /// Sum over all ports, as [`PortLoads::total`] sums the converted copy.
+    pub(crate) fn total(self) -> f64 {
+        self.values().sum()
+    }
+
+    /// [`PortLoads::leaf_cov`] of the converted copy.
+    pub(crate) fn leaf_cov(self, leaf: u32) -> f64 {
+        let s = leaf as usize * self.n_vspines;
+        cov(self.bytes[s..s + self.n_vspines].iter().map(|&b| b as f64))
+    }
+}
+
+/// Coefficient of variation (σ/μ) of `ports`; 0 when there are none or
+/// their mean is not positive.
+fn cov(ports: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+    let n = ports.len() as f64;
+    if n == 0.0 {
+        return 0.0;
+    }
+    let mean = ports.clone().sum::<f64>() / n;
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    let var = ports.map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+    var.sqrt() / mean
 }
 
 /// Byte volume per `(row, vspine, src_leaf)` — the per-sender breakdown
@@ -215,23 +248,25 @@ mod tests {
     }
 
     #[test]
-    fn max_rel_dev_symmetric_cases() {
-        let mut e = PortLoads::zeros(1, 2);
-        e.add(0, 0, 100.0);
-        e.add(0, 1, 100.0);
-        let mut o = e.clone();
-        assert_eq!(e.max_rel_dev(&o, 1.0), 0.0);
-        o.bytes[0] = 98.0; // -2%
-        let d = e.max_rel_dev(&o, 1.0);
-        assert!((d - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unexpected_traffic_counts_as_deviation() {
-        let e = PortLoads::zeros(1, 1); // expect nothing
-        let mut o = PortLoads::zeros(1, 1);
-        o.add(0, 0, 500.0);
-        assert_eq!(e.max_rel_dev(&o, 1.0), 1.0);
+    fn cells_read_as_their_converted_copy() {
+        // Values above 2^53 round on conversion; every statistic rounds
+        // the same way on both sides.
+        let big = (1u64 << 53) + 1;
+        let bytes = [0, 7, 1000, 999, big, u64::MAX, 3, 3, 0, 0, 0, 0];
+        let cells = PortCells {
+            n_leaves: 3,
+            n_vspines: 4,
+            bytes: &bytes,
+        };
+        let loads = cells.to_loads();
+        assert_eq!(loads.bytes[4], big as f64);
+        assert_eq!(cells.total().to_bits(), loads.total().to_bits());
+        for leaf in 0..3 {
+            assert_eq!(
+                cells.leaf_cov(leaf).to_bits(),
+                loads.leaf_cov(leaf).to_bits()
+            );
+        }
     }
 
     #[test]

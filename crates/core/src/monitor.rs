@@ -16,7 +16,7 @@
 
 use crate::detector::{Detector, Deviation};
 use crate::learned::{LearnedModel, LearnedUpdate};
-use crate::model::PortLoads;
+use crate::model::{PortCells, PortLoads};
 use fp_netsim::counters::CounterStore;
 use serde::{Deserialize, Serialize};
 
@@ -26,8 +26,9 @@ use serde::{Deserialize, Serialize};
 pub trait IterSource {
     /// Whether any counter of `(job, iter)` was recorded.
     fn has_iter(&self, job: u32, iter: u32) -> bool;
-    /// The observed per-port loads of `(job, iter)`, if recorded.
-    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads>;
+    /// The observed per-port byte counters of `(job, iter)`, if recorded,
+    /// borrowed where they are kept.
+    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>>;
 }
 
 impl IterSource for CounterStore {
@@ -35,8 +36,8 @@ impl IterSource for CounterStore {
         self.get(job, iter).is_some()
     }
 
-    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads> {
-        self.get(job, iter).map(PortLoads::from_counters)
+    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>> {
+        self.get(job, iter).map(PortCells::from_counters)
     }
 }
 
@@ -85,35 +86,35 @@ pub struct Monitor {
     /// Hysteresis state: last iteration each `(leaf, vspine)` port
     /// alarmed, for episode freshness tracking.
     port_last_alarm: std::collections::BTreeMap<(u32, u32), u32>,
+    /// The evaluated iteration's ports beyond the threshold, leaf by leaf;
+    /// kept between iterations for its capacity.
+    deviating: Vec<Deviation>,
 }
 
 impl Monitor {
     /// Monitor `job` against a fixed prediction.
     pub fn new_fixed(job: u32, detector: Detector, prediction: PortLoads) -> Self {
-        Monitor {
-            job,
-            detector,
-            model: ModelSource::Fixed(prediction),
-            next_iter: 0,
-            alarms: Vec::new(),
-            iter_max_dev: Vec::new(),
-            learned_events: Vec::new(),
-            port_last_alarm: Default::default(),
-        }
+        Self::with_model(job, detector, ModelSource::Fixed(prediction))
     }
 
     /// Monitor `job` with a baseline learned from the first `warmup`
     /// iterations.
     pub fn new_learned(job: u32, detector: Detector, warmup: u32) -> Self {
+        let model = LearnedModel::new(warmup, detector.threshold);
+        Self::with_model(job, detector, ModelSource::Learned(model))
+    }
+
+    fn with_model(job: u32, detector: Detector, model: ModelSource) -> Self {
         Monitor {
             job,
             detector,
-            model: ModelSource::Learned(LearnedModel::new(warmup, detector.threshold)),
+            model,
             next_iter: 0,
             alarms: Vec::new(),
             iter_max_dev: Vec::new(),
             learned_events: Vec::new(),
             port_last_alarm: Default::default(),
+            deviating: Vec::new(),
         }
     }
 
@@ -137,10 +138,10 @@ impl Monitor {
             if !closed {
                 break;
             }
-            let Some(obs) = counters.iter_loads(self.job, i) else {
+            let Some(obs) = counters.iter_cells(self.job, i) else {
                 break;
             };
-            self.evaluate(i, &obs);
+            self.evaluate(i, obs);
             self.next_iter += 1;
         }
     }
@@ -151,61 +152,56 @@ impl Monitor {
         self.next_iter
     }
 
-    fn evaluate(&mut self, iter: u32, obs: &PortLoads) {
-        let devs = match &mut self.model {
+    /// Judge one iteration in one pass over its cells: the pass's maximum
+    /// is the `iter_max_dev` record and, under a learned model, what the
+    /// model judges by; its deviations are raised when the model calls
+    /// them a fault (a fixed model always does).
+    fn evaluate(&mut self, iter: u32, obs: PortCells<'_>) {
+        let (detector, deviating) = (&self.detector, &mut self.deviating);
+        deviating.clear();
+        let raise = match &mut self.model {
             ModelSource::Fixed(expected) => {
-                self.iter_max_dev
-                    .push((iter, self.detector.max_abs_rel(expected, obs)));
-                self.detector.compare(expected, obs)
+                let max = detector.judge(expected, obs, deviating);
+                self.iter_max_dev.push((iter, max));
+                true
             }
             ModelSource::Learned(lm) => {
-                // Measured against the baseline `obs` is judged by, so
-                // before `observe`, which replaces it on a heal.
-                if let Some(base) = lm.baseline() {
-                    self.iter_max_dev
-                        .push((iter, self.detector.max_abs_rel(base, obs)));
-                }
-                let verdict = lm.observe(obs);
-                // A deviating verdict leaves the baseline it judged by in
-                // place, so comparing after `observe` reads the same one.
-                let devs = match (&verdict, lm.baseline()) {
-                    (LearnedUpdate::Deviating { .. }, Some(base)) => {
-                        self.detector.compare(base, obs)
-                    }
-                    _ => Vec::new(),
-                };
+                // Against the baseline `obs` is judged by: `observe` calls
+                // this before a heal can replace it.
+                let verdict = lm.observe(obs, |base| {
+                    let max = detector.judge(base, obs, deviating);
+                    self.iter_max_dev.push((iter, max));
+                    max
+                });
+                let raise = matches!(verdict, LearnedUpdate::Deviating { .. });
                 self.learned_events.push((iter, verdict));
-                devs
+                raise
             }
         };
-        self.push_alarms(iter, devs);
+        if raise {
+            self.push_alarms(iter);
+        }
     }
 
-    fn push_alarms(&mut self, iter: u32, devs: Vec<Deviation>) {
-        if devs.is_empty() {
-            return;
-        }
-        // Group by leaf: each leaf raises its own independent alarm.
-        let mut by_leaf: std::collections::BTreeMap<u32, Vec<Deviation>> = Default::default();
-        for d in devs {
-            by_leaf.entry(d.leaf).or_default().push(d);
-        }
-        for (leaf, deviations) in by_leaf {
+    fn push_alarms(&mut self, iter: u32) {
+        // Group by leaf: each leaf raises its own independent alarm. The
+        // pass lists ports leaf by leaf, so a leaf's ports are one run.
+        for group in self.deviating.chunk_by(|a, b| a.leaf == b.leaf) {
             // Hysteresis: the alarm is fresh (opens an episode) unless every
             // one of its ports was already alarming on the previous
             // iteration. Ports within one iteration are unique, so updating
             // the map per leaf-group cannot affect sibling groups.
             let fresh = iter == 0
-                || deviations
+                || group
                     .iter()
                     .any(|d| self.port_last_alarm.get(&(d.leaf, d.vspine)) != Some(&(iter - 1)));
-            for d in &deviations {
+            for d in group {
                 self.port_last_alarm.insert((d.leaf, d.vspine), iter);
             }
             self.alarms.push(Alarm {
                 iter,
-                leaf,
-                deviations,
+                leaf: group[0].leaf,
+                deviations: group.to_vec(),
                 fresh,
             });
         }
@@ -457,41 +453,45 @@ mod tests {
     }
 
     /// What `evaluate` derived from one observation while it still cloned
-    /// the baseline before `observe` and the verdict after it: the learned
-    /// event, the max-deviation record and the deviations alarmed on.
+    /// the baseline before `observe` and the verdict after it, each figure
+    /// from its own pass: the learned event, the max-deviation record and
+    /// the deviations alarmed on. The model judges at the detector's floor.
     fn evaluate_by_clone(
         lm: &mut LearnedModel,
         detector: &Detector,
-        obs: &PortLoads,
+        obs: PortCells<'_>,
     ) -> (LearnedUpdate, Option<f64>, Vec<Deviation>) {
+        let floor = detector.min_expected;
+        let loads = obs.to_loads();
         let baseline_before = lm.baseline().cloned();
-        let verdict = lm.observe(obs);
+        let verdict = lm.observe(obs, |base| max_rel_dev(base, &loads, floor));
         let event = verdict.clone();
         let mut max_dev = None;
         let mut devs = Vec::new();
         if let Some(base) = baseline_before {
-            max_dev = Some(detector.max_abs_rel(&base, obs));
+            max_dev = Some(max_rel_dev(&base, &loads, floor));
             if matches!(verdict, LearnedUpdate::Deviating { .. }) {
-                devs = detector.compare(&base, obs);
+                devs = compare_by_port(detector, &base, &loads);
             }
         }
         (event, max_dev, devs)
     }
 
+    use crate::detector::tests::{compare_by_port, max_rel_dev};
     use crate::learned::tests::{shape, SHAPES};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The clone-free `evaluate` records what the cloning one did, step
-        /// for step: through warm-up, noise, new faults, a heal that
-        /// rebaselines (at once with `warmup` 1, after relearning with
-        /// more) and `rebaseline()` calls in between.
+        /// The one-pass, clone-free `evaluate` records what the cloning
+        /// one did, step for step: through warm-up, noise, new faults, a
+        /// heal that rebaselines (at once with `warmup` 1, after relearning
+        /// with more) and `rebaseline()` calls in between.
         #[test]
         fn evaluate_matches_the_cloning_formulation(
             warmup in 1u32..4,
-            // The detector's floor need not be the model's.
+            // The floor the detector and the model share.
             min_expected in 0u32..3,
             steps in collection::vec((0usize..SHAPES.len(), 0u32..12), 1..40),
         ) {
@@ -509,8 +509,8 @@ mod tests {
                     reference.force_relearn();
                 }
                 let obs = shape(k);
-                m.evaluate(iter, &obs);
-                let (event, max_dev, devs) = evaluate_by_clone(&mut reference, &detector, &obs);
+                m.evaluate(iter, obs);
+                let (event, max_dev, devs) = evaluate_by_clone(&mut reference, &detector, obs);
                 events.push((iter, event));
                 max_devs.extend(max_dev.map(|d| (iter, d)));
                 alarmed.extend(devs.into_iter().map(|d| (iter, d)));

@@ -96,6 +96,7 @@ impl SimulationModel {
 mod tests {
     use super::*;
     use crate::analytical::AnalyticalModel;
+    use crate::detector::Detector;
     use fp_collectives::ring::ring_allreduce;
     use fp_netsim::ids::HostId;
     use fp_netsim::topology::FatTreeSpec;
@@ -117,7 +118,7 @@ mod tests {
         let ana = AnalyticalModel::new(&t, []).predict(&sched.demand(8));
         // Fig. 2's claim: analytical ≈ simulation. Adaptive spraying tracks
         // the ideal split to within a fraction of a percent.
-        let dev = ana.loads.max_rel_dev(&sim_loads, 1.0);
+        let dev = Detector::default().max_abs_rel(&ana.loads, &sim_loads);
         assert!(
             dev < 0.005,
             "analytical-vs-sim deviation {:.4}%",
@@ -137,7 +138,7 @@ mod tests {
         assert_eq!(sim_loads.get(1, 1), 0.0);
         assert!(sim_loads.get(1, 0) > 0.0);
         let ana = AnalyticalModel::new(&t, down).predict(&sched.demand(8));
-        let dev = ana.loads.max_rel_dev(&sim_loads, 1.0);
+        let dev = Detector::default().max_abs_rel(&ana.loads, &sim_loads);
         assert!(dev < 0.005, "deviation {:.4}%", dev * 100.0);
     }
 

@@ -9,7 +9,7 @@
 //! for a stream of any length, over an [`OpenWindow`] of the iterations
 //! still open. The per-source breakdown is deliberately *not* shipped:
 //! the temporal-symmetry detector reads only per-port bytes
-//! ([`crate::model::PortLoads::from_counters`]), and ring localization
+//! ([`crate::model::PortCells::from_counters`]), and ring localization
 //! correlates alarms across leaves rather than across senders, so the wire
 //! format stays at `n_leaves × n_vspines` u64s per iteration (~4 KiB for
 //! the paper's 32×16 fabric) instead of the ~128 KiB per-sender matrix.
@@ -17,7 +17,7 @@
 //! [`CounterStore`]: fp_netsim::counters::CounterStore
 //! [`Monitor`]: crate::monitor::Monitor
 
-use crate::model::PortLoads;
+use crate::model::PortCells;
 use crate::monitor::IterSource;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::packet::CollectiveTag;
@@ -194,12 +194,12 @@ impl IterSource for OpenWindow {
         job == self.job && self.open.contains_key(&iter)
     }
 
-    fn iter_loads(&self, job: u32, iter: u32) -> Option<PortLoads> {
+    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>> {
         let cells = self.open.get(&iter).filter(|_| job == self.job)?;
-        Some(PortLoads {
+        Some(PortCells {
             n_leaves: self.n_leaves,
             n_vspines: self.n_vspines,
-            bytes: cells.iter().map(|&b| b as f64).collect(),
+            bytes: cells,
         })
     }
 }

@@ -118,17 +118,17 @@ proptest! {
     /// samples.
     #[test]
     fn learned_baseline_is_mean(
-        a in proptest::collection::vec(100.0f64..1000.0, 4),
-        b in proptest::collection::vec(100.0f64..1000.0, 4),
+        a in proptest::collection::vec(100u64..1000, 4),
+        b in proptest::collection::vec(100u64..1000, 4),
     ) {
         let mut m = LearnedModel::new(2, 0.01);
-        let pa = PortLoads { n_leaves: 1, n_vspines: 4, bytes: a.clone() };
-        let pb = PortLoads { n_leaves: 1, n_vspines: 4, bytes: b.clone() };
-        m.observe(&pa);
-        m.observe(&pb);
+        for bytes in [&a, &b] {
+            let obs = flowpulse::model::PortCells { n_leaves: 1, n_vspines: 4, bytes };
+            m.observe(obs, |_| unreachable!("no baseline while warming"));
+        }
         let base = m.baseline().unwrap();
         for i in 0..4 {
-            prop_assert!((base.bytes[i] - (a[i] + b[i]) / 2.0).abs() < 1e-9);
+            prop_assert!((base.bytes[i] - (a[i] + b[i]) as f64 / 2.0).abs() < 1e-9);
         }
     }
 

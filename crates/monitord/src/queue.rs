@@ -219,17 +219,18 @@ impl IngestQueue {
         true
     }
 
-    /// Take up to `max` snapshots, blocking while the queue is empty and
-    /// open. Returns the batch plus the depth left behind, or `None` once
-    /// the queue is closed *and* drained — the worker's shutdown signal.
-    /// `spent` — the snapshots the worker finished since its last call —
-    /// is emptied onto the return lane first; what the lane has no room
-    /// for is freed.
+    /// Move up to `max` snapshots onto `batch` — a buffer the worker keeps
+    /// and empties between calls — blocking while the queue is empty and
+    /// open. Returns the depth left behind, or `None` once the queue is
+    /// closed *and* drained — the worker's shutdown signal. `spent` — the
+    /// snapshots the worker finished since its last call — is emptied onto
+    /// the return lane first; what the lane has no room for is freed.
     pub(crate) fn pop_batch(
         &self,
         max: usize,
         spent: &mut Vec<CounterSnapshot>,
-    ) -> Option<(Vec<Item>, usize)> {
+        batch: &mut Vec<Item>,
+    ) -> Option<usize> {
         let mut st = self.state.lock().unwrap();
         let room = self.cap - st.spare.len();
         st.spare.extend(spent.drain(..room.min(spent.len())));
@@ -244,7 +245,7 @@ impl IngestQueue {
             return None;
         }
         let n = st.q.len().min(max.max(1));
-        let batch: Vec<Item> = st.q.drain(..n).collect();
+        batch.extend(st.q.drain(..n));
         let depth = st.q.len();
         let wake = st.push_waiting > 0;
         drop(st);
@@ -252,7 +253,7 @@ impl IngestQueue {
             self.not_full.notify_all();
         }
         spent.clear();
-        Some((batch, depth))
+        Some(depth)
     }
 
     /// Close the queue: subsequent pushes fail, parked/blocked producers
@@ -321,9 +322,9 @@ mod tests {
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                let mut seen = 0u64;
-                while let Some((batch, _)) = q.pop_batch(1, &mut Vec::new()) {
-                    seen += batch.len() as u64;
+                let (mut seen, mut batch) = (0u64, Vec::new());
+                while q.pop_batch(1, &mut Vec::new(), &mut batch).is_some() {
+                    seen += batch.drain(..).len() as u64;
                     std::thread::sleep(Duration::from_micros(50));
                 }
                 seen
@@ -345,9 +346,9 @@ mod tests {
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                let mut seen = 0u64;
-                while let Some((batch, _)) = q.pop_batch(8, &mut Vec::new()) {
-                    seen += batch.len() as u64;
+                let (mut seen, mut batch) = (0u64, Vec::new());
+                while q.pop_batch(8, &mut Vec::new(), &mut batch).is_some() {
+                    seen += batch.drain(..).len() as u64;
                     std::thread::sleep(Duration::from_micros(300));
                 }
                 seen
@@ -379,11 +380,13 @@ mod tests {
                         let consumer = s.spawn(|| {
                             let mut seen = 0u64;
                             let mut batches = 0u64;
-                            while let Some((batch, depth)) = q.pop_batch(batch_max, &mut Vec::new())
+                            let mut batch = Vec::new();
+                            while let Some(depth) =
+                                q.pop_batch(batch_max, &mut Vec::new(), &mut batch)
                             {
                                 assert!(!batch.is_empty() && batch.len() <= batch_max);
                                 assert!(depth <= cap);
-                                seen += batch.len() as u64;
+                                seen += batch.drain(..).len() as u64;
                                 batches += 1;
                                 if batches.is_multiple_of(7) {
                                     std::thread::sleep(Duration::from_micros(100));
@@ -433,7 +436,8 @@ mod tests {
         assert!(stash.is_empty(), "nothing has come back yet");
         // The worker hands back three; the lane keeps `cap` of them.
         let mut spent = vec![snap(10), snap(11), snap(12)];
-        let (batch, _) = q.pop_batch(8, &mut spent).unwrap();
+        let mut batch = Vec::new();
+        q.pop_batch(8, &mut spent, &mut batch).unwrap();
         assert_eq!(batch.len(), 1);
         assert!(spent.is_empty());
         assert_eq!(q.spare_buffers(), 2);

@@ -315,6 +315,7 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
     let mut snapshots = 0u64;
     // Processed snapshots, handed to the return lane with the next pop.
     let mut spent = Vec::new();
+    let mut batch = Vec::new();
     let mut evicted = Vec::new();
     let mut sink = cfg.metrics_path.as_ref().map(|p| {
         if let Some(dir) = p.parent() {
@@ -323,15 +324,20 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
         std::fs::File::create(p).expect("create metrics.jsonl")
     });
 
-    while let Some((batch, depth_after)) = queue.pop_batch(cfg.batch_max, &mut spent) {
+    while let Some(depth_after) = queue.pop_batch(cfg.batch_max, &mut spent, &mut batch) {
         metrics.observe("batch_size", batch.len() as u64);
         metrics.observe("queue_depth_at_batch", depth_after as u64);
         metrics.set_gauge("queue_depth", depth_after as f64);
-        for item in batch {
+        for item in batch.drain(..) {
             snapshots += 1;
+            // One clock read ends the snapshot's wait and starts its scan.
+            let taken = Instant::now();
             metrics.observe(
                 "queue_wait_ns",
-                item.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+                taken
+                    .duration_since(item.enqueued)
+                    .as_nanos()
+                    .min(u128::from(u64::MAX)) as u64,
             );
             let mut snap = item.snap;
             let jobs = match streams.get_mut(snap.fabric.as_str()) {
@@ -347,7 +353,6 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 spent.push(snap);
                 continue;
             }
-            let t0 = Instant::now();
             let alarms_before = state.monitor.alarms.len();
             state
                 .window
@@ -364,7 +369,7 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 .evict_below(state.monitor.next_iter(), &mut evicted);
             snap.bytes = evicted.pop().unwrap_or_default();
             evicted.clear();
-            metrics.observe("scan_latency_ns", t0.elapsed().as_nanos() as u64);
+            metrics.observe("scan_latency_ns", taken.elapsed().as_nanos() as u64);
             metrics.inc("snapshots_processed", 1);
             metrics.inc(
                 "alarms_raised",

@@ -9,10 +9,13 @@
 //! a service.
 //!
 //! [`decode_line`] scans a line of the exact shape [`snapshot_line`]
-//! emits in place, without building a `Value` tree, and hands every other
-//! input to `serde_json::from_str` unchanged — so which lines are
-//! accepted, and as what, stays `serde_json`'s decision. [`feed_lines`]
-//! scans into snapshots the service has finished with (the queue's
+//! emits in place, without building a `Value` tree — its cell list eight
+//! bytes at a time — and hands every other input to `serde_json::from_str`
+//! unchanged, so which lines are accepted, and as what, stays
+//! `serde_json`'s decision. [`feed_lines`] scans the raw bytes it reads
+//! (that shape is ASCII but for the fabric id, which the scan checks) and
+//! checks a whole line for UTF-8 only before handing it to `serde_json`;
+//! it scans into snapshots the service has finished with (the queue's
 //! return lane), so a steady feed allocates nothing per line.
 
 use crate::service::IngestHandle;
@@ -40,36 +43,40 @@ pub fn snapshot_line(s: &CounterSnapshot) -> String {
 /// gives one.
 pub fn decode_line(line: &str) -> Result<CounterSnapshot, serde_json::Error> {
     let mut snap = CounterSnapshot::default();
-    match scan_canonical(line, &mut snap) {
+    match scan_canonical(line.as_bytes(), &mut snap) {
         Some(()) => Ok(snap),
         None => serde_json::from_str(line),
     }
 }
 
-/// The unread rest of a line being scanned by [`scan_canonical`].
-struct Scan<'a>(&'a str);
+/// A line being scanned by [`scan_canonical`], and how far.
+struct Scan<'a> {
+    line: &'a [u8],
+    at: usize,
+}
 
 impl<'a> Scan<'a> {
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        self.0 = self.0.strip_prefix(lit)?;
+    fn rest(&self) -> &'a [u8] {
+        &self.line[self.at..]
+    }
+
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        if !self.rest().starts_with(lit) {
+            return None;
+        }
+        self.at += lit.len();
         Some(())
     }
 
     /// A plain decimal integer: digits only, no leading zero, fits `u64`.
     fn uint(&mut self) -> Option<u64> {
-        let mut n = 0u64;
-        let mut digits = 0;
-        for &b in self.0.as_bytes() {
-            if !b.is_ascii_digit() {
-                break;
-            }
-            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-            digits += 1;
-        }
-        if digits == 0 || (digits > 1 && self.0.as_bytes()[0] == b'0') {
-            return None;
-        }
-        self.0 = &self.0[digits..];
+        let digits = self
+            .rest()
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let n = checked_uint(&self.rest()[..digits])?;
+        self.at += digits;
         Some(n)
     }
 
@@ -78,67 +85,158 @@ impl<'a> Scan<'a> {
     }
 
     /// The contents of a string up to its closing quote, if it holds no
-    /// escape and no control byte. The opening quote is already consumed.
+    /// escape and no control byte and is UTF-8. The opening quote is
+    /// already consumed.
     fn plain_str(&mut self) -> Option<&'a str> {
-        let end = self
-            .0
-            .bytes()
-            .position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
-        if self.0.as_bytes()[end] != b'"' {
+        let rest = self.rest();
+        let end = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        if rest[end] != b'"' {
             return None;
         }
-        // `end` holds an ASCII byte, so both cuts are char boundaries.
-        let s = &self.0[..end];
-        self.0 = &self.0[end + 1..];
-        Some(s)
+        self.at += end + 1;
+        std::str::from_utf8(&rest[..end]).ok()
     }
+
+    /// A cell list after its `[`, through its `]`, onto `out`. Cells are
+    /// found eight bytes at a time: in `w ^ 0x30…30` a digit's lane holds
+    /// 0–9, and any other byte's lane is marked as a separator. Each cell
+    /// is then read from the word that ends at its separator, so no cell
+    /// waits on the previous one's value. A list whose `]` does not fall
+    /// in a whole word of the line is not canonical: a line of
+    /// [`snapshot_line`]'s shape has at least 14 more bytes after it.
+    fn cells(&mut self, out: &mut Vec<u64>) -> Option<()> {
+        if self.lit(b"]").is_some() {
+            return Some(());
+        }
+        let line = self.line;
+        let mut start = self.at;
+        let mut word = self.at;
+        while let Some(&bytes) = line[word..].first_chunk::<8>() {
+            let mut seps = separators(u64::from_le_bytes(bytes));
+            while seps != 0 {
+                let end = word + seps.trailing_zeros() as usize / 8;
+                seps &= seps - 1;
+                out.push(cell(line, start, end)?);
+                match line[end] {
+                    b',' => start = end + 1,
+                    b']' => {
+                        self.at = end + 1;
+                        return Some(());
+                    }
+                    _ => return None,
+                }
+            }
+            word += 8;
+        }
+        None
+    }
+}
+
+/// Every lane holding `'0'`: XOR with it maps the digits to 0–9 and every
+/// other byte past 9, lane by lane. (Subtracting it instead lets a lane
+/// below `'0'`, such as a `,`, borrow from the lane after it, so that a
+/// `0` right after a comma reads as a non-digit.)
+const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+const LOW7: u64 = u64::from_le_bytes([0x7f; 8]);
+const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// The high bit of each lane of `w` that is not an ASCII digit: `x + 0x76`
+/// reaches 0x80 exactly when a lane's `x` is past 9, masked to seven bits
+/// first so that no lane carries into the next.
+fn separators(w: u64) -> u64 {
+    let x = w ^ ZEROS;
+    (((x & LOW7) + u64::from_le_bytes([0x76; 8])) | x) & HIGH
+}
+
+/// The cell `line[start..end]`, all digits: none if empty, led by a zero,
+/// or past `u64::MAX`. Up to 16 digits are read from one or two words;
+/// longer cells take the checked per-digit loop.
+fn cell(line: &[u8], start: usize, end: usize) -> Option<u64> {
+    let len = end - start;
+    if len == 0 || (len > 1 && line[start] == b'0') {
+        return None;
+    }
+    match len {
+        1..=8 => Some(swar8(line, end, len)),
+        9..=16 => Some(swar8(line, end - 8, len - 8) * 100_000_000 + swar8(line, end, 8)),
+        _ => checked_uint(&line[start..end]),
+    }
+}
+
+/// The `len` (1–8) digits that end at `end`, from the one little-endian
+/// word that ends there: the lanes before the number are zeroed, then
+/// neighbouring lanes are combined into 2-, 4- and 8-digit values with
+/// three multiplies. The last two overflow into bits the result does not
+/// read, so they wrap by design. Every cell starts at least 21 bytes into
+/// the line (after `{"fabric":"` and `,"bytes":[`), so `end - 8` and, for
+/// a second word, `end - 16` are in the line.
+fn swar8(line: &[u8], end: usize, len: usize) -> u64 {
+    let w = line[end - 8..]
+        .first_chunk::<8>()
+        .expect("a cell ends in the line");
+    let x = (u64::from_le_bytes(*w) ^ ZEROS) & (u64::MAX << (8 * (8 - len)));
+    // Each lane: 10 × its digit + the next lane's, at most 99.
+    let x = x * 10 + (x >> 8);
+    // Lanes 0 and 4, then 2 and 6: the four 2-digit pairs, most
+    // significant first, summed into bits 32–63.
+    let pairs = 0x0000_00ff_0000_00ff;
+    let hi = (x & pairs).wrapping_mul(100 + (1_000_000 << 32));
+    let lo = ((x >> 16) & pairs).wrapping_mul(1 + (10_000 << 32));
+    (hi + lo) >> 32
+}
+
+/// `digits` (ASCII digits only) as a number with no leading zero that
+/// fits `u64`.
+fn checked_uint(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+    })
 }
 
 /// Scan a line of exactly the shape [`snapshot_line`] emits: keys in
 /// declaration order, no whitespace, plain decimal integers, a fabric id
 /// without escapes. `None` means "not that shape", never "malformed".
+/// Everything but the fabric id is ASCII in that shape, so only the id is
+/// checked for UTF-8.
 ///
 /// Every field of `into` is overwritten, reusing the capacity its
 /// `fabric` and `bytes` bring; after a `None` it holds leftovers.
-fn scan_canonical(line: &str, into: &mut CounterSnapshot) -> Option<()> {
-    let mut s = Scan(line);
-    s.lit("{\"fabric\":\"")?;
+fn scan_canonical(line: &[u8], into: &mut CounterSnapshot) -> Option<()> {
+    let mut s = Scan { line, at: 0 };
+    s.lit(b"{\"fabric\":\"")?;
     let fabric = s.plain_str()?;
-    s.lit(",\"job\":")?;
+    s.lit(b",\"job\":")?;
     into.job = s.uint32()?;
-    s.lit(",\"iter\":")?;
+    s.lit(b",\"iter\":")?;
     into.iter = s.uint32()?;
-    s.lit(",\"n_leaves\":")?;
+    s.lit(b",\"n_leaves\":")?;
     into.n_leaves = s.uint32()?;
-    s.lit(",\"n_vspines\":")?;
+    s.lit(b",\"n_vspines\":")?;
     into.n_vspines = s.uint32()?;
-    s.lit(",\"t_ns\":")?;
+    s.lit(b",\"t_ns\":")?;
     into.t_ns = s.uint()?;
-    s.lit(",\"bytes\":[")?;
+    s.lit(b",\"bytes\":[")?;
     // Every cell takes at least two bytes of the line, which bounds the
     // allocation by the input whatever the dimensions claim.
     let cells =
-        (u64::from(into.n_leaves) * u64::from(into.n_vspines)).min(s.0.len() as u64 / 2 + 1);
+        (u64::from(into.n_leaves) * u64::from(into.n_vspines)).min(s.rest().len() as u64 / 2 + 1);
     into.bytes.clear();
     into.bytes.reserve(cells as usize);
-    if s.lit("]").is_none() {
-        loop {
-            into.bytes.push(s.uint()?);
-            if s.lit(",").is_none() {
-                s.lit("]")?;
-                break;
-            }
-        }
-    }
-    s.lit(",\"last\":")?;
-    into.last = if s.lit("true").is_some() {
+    s.cells(&mut into.bytes)?;
+    s.lit(b",\"last\":")?;
+    into.last = if s.lit(b"true").is_some() {
         true
     } else {
-        s.lit("false")?;
+        s.lit(b"false")?;
         false
     };
-    s.lit("}")?;
-    if !s.0.is_empty() {
+    s.lit(b"}")?;
+    if !s.rest().is_empty() {
         return None;
     }
     into.fabric.clear();
@@ -167,12 +265,8 @@ fn pump<R: BufRead>(
     // Snapshots the service is done with, to decode the next lines into.
     let mut stash = Vec::new();
     while reader.read_until(b'\n', &mut line)? > 0 {
-        let text = std::str::from_utf8(&line).map(str::trim);
-        if text != Ok("") {
+        if let Some(decoded) = decode_recycling(&line, &mut stash) {
             stats.lines += 1;
-            let decoded = text
-                .map_err(|e| e.to_string())
-                .and_then(|t| decode_recycling(t, &mut stash).map_err(|e| e.to_string()));
             match decoded {
                 Ok(snap) => {
                     if !handle.0.push_recycling(snap, &mut stash) {
@@ -192,17 +286,26 @@ fn pump<R: BufRead>(
     Ok(())
 }
 
-/// [`decode_line`] into a snapshot off `stash` when it has one.
+/// One raw line read by [`feed_lines`], decoded into a snapshot off
+/// `stash` when it has one; `None` for a line that is empty once trimmed.
+/// A canonical line is taken in place: one that is `{…}` once ASCII
+/// whitespace is cut is what `str::trim` leaves too, and its bytes are
+/// UTF-8 because the scan checked them. Every other line is checked for
+/// UTF-8, trimmed with `str::trim` and handed to `serde_json`.
 fn decode_recycling(
-    line: &str,
+    line: &[u8],
     stash: &mut Vec<CounterSnapshot>,
-) -> Result<CounterSnapshot, serde_json::Error> {
+) -> Option<Result<CounterSnapshot, String>> {
     let mut snap = stash.pop().unwrap_or_default();
-    if scan_canonical(line, &mut snap).is_some() {
-        return Ok(snap);
+    if scan_canonical(line.trim_ascii(), &mut snap).is_some() {
+        return Some(Ok(snap));
     }
     stash.push(snap);
-    serde_json::from_str(line)
+    match std::str::from_utf8(line).map(str::trim) {
+        Ok("") => None,
+        Ok(text) => Some(serde_json::from_str(text).map_err(|e| e.to_string())),
+        Err(e) => Some(Err(e.to_string())),
+    }
 }
 
 /// Accept connections on a Unix-domain socket and pump each one through
@@ -416,6 +519,115 @@ mod tests {
         "+1",
     ];
 
+    /// A snapshot line whose cell list reads `cells`.
+    fn with_cells(cells: &str) -> String {
+        format!(
+            "{{\"fabric\":\"f\",\"job\":1,\"iter\":2,\"n_leaves\":1,\"n_vspines\":3,\
+             \"t_ns\":4,\"bytes\":[{cells}],\"last\":false}}"
+        )
+    }
+
+    /// `line` decodes as `serde_json` says, and is taken in place exactly
+    /// when it is what `snapshot_line` writes for its value.
+    fn check_in_place(line: &str) -> Result<(), String> {
+        agree(line)?;
+        let canonical = matches!(
+            serde_json::from_str::<CounterSnapshot>(line),
+            Ok(s) if snapshot_line(&s) == line
+        );
+        let scanned = scan_canonical(line.as_bytes(), &mut CounterSnapshot::default());
+        if scanned.is_some() != canonical {
+            return Err(format!(
+                "{line:?}: in place {scanned:?}, canonical {canonical}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The block scanner's edges, each held to `serde_json` and to the
+    /// in-place rule. Offsets are counted from the byte after `[`, where
+    /// the scan's eight-byte words start.
+    #[test]
+    fn cell_scanner_edge_table() {
+        let digits = "12345678901234567890";
+        for len in 1..=20 {
+            let cell = &digits[..len];
+            for offset in 0..8 {
+                // A first cell and its comma that put `cell` at `offset`.
+                let pad = match offset {
+                    0 => String::new(),
+                    1 => "7".repeat(8) + ",",
+                    k => "7".repeat(k - 1) + ",",
+                };
+                for tail in ["", ",0", ",5,", "]"] {
+                    check_in_place(&with_cells(&format!("{pad}{cell}{tail}"))).unwrap();
+                }
+                check_in_place(&with_cells(&format!("{pad}0{cell}"))).unwrap();
+            }
+        }
+        let max = u64::MAX.to_string();
+        let past_max = "18446744073709551616";
+        let (max_inside, past_max_last) = (format!("1,{max},2"), format!("1,{past_max}"));
+        let lists = [
+            // A `0` right after a comma, where a subtracting scan borrowed.
+            "1,0,2",
+            "0,0",
+            "0",
+            "10,0",
+            "9,0,0,0,0,0,0,0,0,0",
+            &max,
+            past_max,
+            &max_inside,
+            &past_max_last,
+            // Leading zeros.
+            "00",
+            "007",
+            "1,01",
+            "0000000000000000001",
+            // Empty list, and empty cells.
+            "",
+            ",",
+            "1,,2",
+            "1,",
+            // `]` on the first byte of the second and third words …
+            "1234,678",
+            "1,3,5,7,9,11,131",
+            // … and on the last byte of the first and second.
+            "1,2,3,4",
+            "123456789,12345",
+        ];
+        for cells in lists {
+            check_in_place(&with_cells(cells)).unwrap();
+        }
+        assert!(
+            scan_canonical(with_cells(&max).as_bytes(), &mut CounterSnapshot::default()).is_some()
+        );
+
+        // What `feed_lines` reads, line ending included: a canonical line is
+        // scanned into the stashed snapshot, anything else goes back to
+        // `serde_json` and the stashed snapshot back onto the stash.
+        let line = with_cells("1,0,20");
+        let want = serde_json::from_str::<CounterSnapshot>(&line).unwrap();
+        for (raw, in_place) in [
+            (format!("{line}\r\n"), true),
+            (format!(" \t{line}\n"), true),
+            (format!("{line}\u{b}\n"), false),
+            (format!("\u{a0}{line}\r\n"), false),
+        ] {
+            let mut stash = vec![CounterSnapshot::default()];
+            let got = decode_recycling(raw.as_bytes(), &mut stash);
+            assert_eq!(got, Some(Ok(want.clone())), "{raw:?}");
+            assert_eq!(stash.is_empty(), in_place, "{raw:?}");
+        }
+        assert_eq!(decode_recycling(b" \r\n", &mut Vec::new()), None);
+        // The fabric id `f` (byte 11) made a byte that is not UTF-8.
+        let bad_fabric = [b"{\"fabric\":\"\xff".as_slice(), &line.as_bytes()[12..]].concat();
+        assert!(matches!(
+            decode_recycling(&bad_fabric, &mut Vec::new()),
+            Some(Err(_))
+        ));
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -447,7 +659,7 @@ mod tests {
             prop_assert_eq!(decode_line(&line).map_err(|e| e.to_string()), Ok(snap.clone()));
             let plain = !snap.fabric.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20);
             let mut scanned = CounterSnapshot::default();
-            prop_assert_eq!(scan_canonical(&line, &mut scanned).is_some(), plain, "{}", line);
+            prop_assert_eq!(scan_canonical(line.as_bytes(), &mut scanned).is_some(), plain, "{}", line);
 
             let (kind, field, number, at) = mutation;
             let at = at % (line.len() + 1);
@@ -593,11 +805,11 @@ mod tests {
         queue: &crate::queue::IngestQueue,
         streams: &'a [Vec<CounterSnapshot>],
     ) -> (u64, Option<(CounterSnapshot, Option<&'a CounterSnapshot>)>) {
-        let mut spent = Vec::new();
+        let (mut spent, mut batch) = (Vec::new(), Vec::new());
         let mut seen = 0;
         let mut wrong = None;
-        while let Some((batch, _)) = queue.pop_batch(3, &mut spent) {
-            for item in batch {
+        while queue.pop_batch(3, &mut spent, &mut batch).is_some() {
+            for item in batch.drain(..) {
                 let mut snap = item.snap;
                 let sent = streams
                     .iter()

@@ -2,25 +2,31 @@
 //! in steady state the decoder allocates nothing per snapshot, and nothing
 //! it allocated is freed by the service worker — the cross-thread
 //! `malloc`/`free` pairs that used to serialize the two stages on the
-//! allocator's arena lock.
+//! allocator's arena lock. The worker allocates nothing for a clean
+//! stream's snapshot either: it judges the cells in place, and an alarming
+//! stream's snapshot allocates for its alarms only.
 //!
 //! A counting `#[global_allocator]` tags every block with the role of the
 //! thread that allocated it. The reader feeding `feed_lines` holds each
 //! line back until the worker has returned the previous snapshot, so the
 //! number of snapshots in flight — and with it every count below — does
-//! not depend on how the two threads are scheduled. One test per binary:
-//! any other thread allocating while the counts are armed would be taken
-//! for the worker.
+//! not depend on how the two threads are scheduled, and the worker's
+//! allocations are counted against the line it is processing. One test
+//! per binary: any other thread allocating while the counts are armed
+//! would be taken for the worker.
 
 use flowpulse::snapshot::CounterSnapshot;
 use fp_monitord::{feed_lines, snapshot_line, IngestHandle, Monitord, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufRead, Read};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const STREAMS: u32 = 32;
-const WARMUP: usize = 64;
+/// Three iterations of every stream: the baseline is learned from
+/// iteration 0, and iteration 2's snapshots close the first iteration it
+/// judges, which sizes the monitor's reused buffers.
+const WARMUP: usize = 3 * STREAMS as usize;
 const STEADY_ITERS: u32 = 40;
 
 /// Tag of a block allocated by the thread that runs `feed_lines`.
@@ -31,10 +37,17 @@ thread_local! {
     static ROLE: Cell<usize> = const { Cell::new(0) };
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// What `ARMED` holds: counts off, or on for a line of a clean stream or
+/// of an alarming one.
+const OFF: usize = 0;
+const CLEAN: usize = 1;
+const ALARMING: usize = 2;
+
+static ARMED: AtomicUsize = AtomicUsize::new(OFF);
 static DECODER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static CROSS_FREES: AtomicU64 = AtomicU64::new(0);
-static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Worker allocations while a `CLEAN` / an `ALARMING` line is armed.
+static WORKER_ALLOCS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Hands out `System` blocks with the allocating thread's role stored in
 /// a header in front of them.
@@ -61,11 +74,12 @@ fn with_header(layout: Layout) -> Layout {
 unsafe impl GlobalAlloc for Tagging {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let role = ROLE.with(Cell::get);
-        if ARMED.load(Ordering::Relaxed) {
+        let armed = ARMED.load(Ordering::Relaxed);
+        if armed != OFF {
             let count = if role == DECODER {
                 &DECODER_ALLOCS
             } else {
-                &WORKER_ALLOCS
+                &WORKER_ALLOCS[armed - 1]
             };
             count.fetch_add(1, Ordering::Relaxed);
         }
@@ -88,7 +102,8 @@ unsafe impl GlobalAlloc for Tagging {
         let base = unsafe { ptr.sub(header(layout)) };
         // SAFETY: as above; the tag was written by `alloc`.
         let tag = unsafe { base.cast::<usize>().read() };
-        if tag == DECODER && ROLE.with(Cell::get) != DECODER && ARMED.load(Ordering::Relaxed) {
+        if tag == DECODER && ROLE.with(Cell::get) != DECODER && ARMED.load(Ordering::Relaxed) != OFF
+        {
             CROSS_FREES.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `base` is what `System.alloc(with_header(layout))` gave.
@@ -100,14 +115,13 @@ unsafe impl GlobalAlloc for Tagging {
 static ALLOC: Tagging = Tagging;
 
 /// Serves the wire one line at a time, each only once the service has
-/// finished with the previous one, and arms the counts for the lines
-/// after the warm-up and before the closing tail.
+/// finished with the previous one, and sets `ARMED` to `arm[line]` while
+/// that line is decoded and processed.
 struct LockStep<'a> {
     wire: &'a [u8],
     handle: IngestHandle,
     served: usize,
-    arm_from: usize,
-    arm_until: usize,
+    arm: &'a [usize],
 }
 
 impl LockStep<'_> {
@@ -135,7 +149,7 @@ impl BufRead for LockStep<'_> {
             std::thread::yield_now();
         }
         ARMED.store(
-            (self.arm_from..self.arm_until).contains(&self.served),
+            self.arm.get(self.served).map_or(OFF, |&a| a),
             Ordering::SeqCst,
         );
         Ok(&self.wire[..self.line_end()])
@@ -179,18 +193,31 @@ fn steady_feed_allocates_nothing_and_frees_nothing_across_threads() {
         }
     }
     let steady = (STREAMS * STEADY_ITERS) as usize;
+    // The lines after the warm-up and before the closing tail, each counted
+    // by the kind of stream it belongs to.
+    let arm: Vec<usize> = (0..(STREAMS * total_iters) as usize)
+        .map(|line| match line {
+            _ if !(WARMUP..WARMUP + steady).contains(&line) => OFF,
+            _ if line as u32 % STREAMS % 2 == 1 => ALARMING,
+            _ => CLEAN,
+        })
+        .collect();
 
-    let svc = Monitord::spawn(ServiceConfig::default());
+    // The periodic metrics line is a cost per emission, not per snapshot;
+    // with one snapshot per batch here it would land on every 16th line.
+    let svc = Monitord::spawn(ServiceConfig {
+        metrics_every_batches: 0,
+        ..ServiceConfig::default()
+    });
     let reader = LockStep {
         wire: &wire,
         handle: svc.handle(),
         served: 0,
-        arm_from: WARMUP,
-        arm_until: WARMUP + steady,
+        arm: &arm,
     };
     ROLE.with(|r| r.set(DECODER));
     let stats = feed_lines(reader, &svc.handle()).unwrap();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.store(OFF, Ordering::SeqCst);
     ROLE.with(|r| r.set(0));
     let report = svc.shutdown();
 
@@ -202,16 +229,24 @@ fn steady_feed_allocates_nothing_and_frees_nothing_across_threads() {
         assert!(s.closed);
         assert_eq!(s.alarms.is_empty(), k % 2 == 0, "stream {}", s.fabric);
     }
+    // A snapshot of iteration `i` closes, and so judges, iteration `i - 1`.
+    let armed_iters = WARMUP as u32 / STREAMS..WARMUP as u32 / STREAMS + STEADY_ITERS;
+    let alarms = report
+        .streams
+        .iter()
+        .flat_map(|s| &s.alarms)
+        .filter(|a| armed_iters.contains(&(a.iter + 1)))
+        .count() as u64;
 
-    let worker_allocs = WORKER_ALLOCS.load(Ordering::Relaxed);
+    let clean = WORKER_ALLOCS[CLEAN - 1].load(Ordering::Relaxed);
+    let alarming = WORKER_ALLOCS[ALARMING - 1].load(Ordering::Relaxed);
     println!(
         "{steady} steady snapshots: {} decoder allocations, {} decoder blocks freed \
-         elsewhere, {worker_allocs} worker allocations",
+         elsewhere; worker allocations: {clean} on clean streams, {alarming} on alarming \
+         streams, which raised {alarms} alarms",
         DECODER_ALLOCS.load(Ordering::Relaxed),
         CROSS_FREES.load(Ordering::Relaxed),
     );
-    // The counts were live: the worker builds one `PortLoads` per scan.
-    assert!(worker_allocs >= steady as u64);
     assert_eq!(
         DECODER_ALLOCS.load(Ordering::Relaxed),
         0,
@@ -221,5 +256,14 @@ fn steady_feed_allocates_nothing_and_frees_nothing_across_threads() {
         CROSS_FREES.load(Ordering::Relaxed),
         0,
         "decoder-allocated blocks freed on another thread"
+    );
+    assert_eq!(clean, 0, "worker allocations for clean streams' snapshots");
+    // Each alarm owns its deviation list — which also shows the worker's
+    // count is armed — and the rest is the alarm log and the hysteresis
+    // map growing: far below one more per alarm.
+    assert!(alarms > 0);
+    assert!(
+        (alarms..=2 * alarms).contains(&alarming),
+        "{alarming} worker allocations for {alarms} alarms"
     );
 }

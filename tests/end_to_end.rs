@@ -32,7 +32,7 @@ fn temporal_symmetry_holds_end_to_end() {
 fn analytical_prediction_matches_fabric() {
     let r = run_trial(&small());
     let pred = r.predicted.as_ref().unwrap();
-    let dev = pred.max_rel_dev(&r.observed[0], 1.0);
+    let dev = Detector::default().max_abs_rel(pred, &r.observed[0]);
     assert!(dev < 0.005, "model-vs-fabric deviation {:.4}%", dev * 100.0);
 }
 
@@ -151,7 +151,7 @@ fn alltoall_full_tagging_mismatch() {
     let mut worst = 0.0f64;
     for i in sim.counters.iters_of(1) {
         let obs = PortLoads::from_counters(sim.counters.get(1, i).unwrap());
-        worst = worst.max(pred.loads.max_rel_dev(&obs, 1.0));
+        worst = worst.max(Detector::default().max_abs_rel(&pred.loads, &obs));
     }
     assert!(
         worst > 0.01,

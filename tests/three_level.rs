@@ -50,12 +50,12 @@ fn both_tiers_match_analytical_predictions_when_clean() {
     let sim = run_ring(topo, 2, 3, None);
 
     let leaf_obs = PortLoads::from_counters(sim.counters.get(1, 0).unwrap());
-    let leaf_dev = pred.loads.max_rel_dev(&leaf_obs, 1.0);
+    let leaf_dev = Detector::default().max_abs_rel(&pred.loads, &leaf_obs);
     assert!(leaf_dev < 0.005, "leaf tier dev {:.3}%", leaf_dev * 100.0);
 
     let agg_obs = PortLoads::from_counters(sim.agg_counters.get(1, 0).unwrap());
     let agg_pred = pred.agg_loads.as_ref().unwrap();
-    let agg_dev = agg_pred.max_rel_dev(&agg_obs, 1.0);
+    let agg_dev = Detector::default().max_abs_rel(agg_pred, &agg_obs);
     assert!(agg_dev < 0.005, "agg tier dev {:.3}%", agg_dev * 100.0);
     // The ring crosses pods: the core tier genuinely carries traffic.
     assert!(agg_obs.total() > 0.0);
