@@ -59,7 +59,7 @@ echo "==> non-test lines per crate (each file up to its 'mod tests', *_tests.rs 
 # under it; a file that grows past it gets split, not waved through).
 for crate in crates/*/; do
     find "${crate}src" -name '*.rs' ! -name '*_tests.rs' | sort | while read -r f; do
-        echo "$(awk '/^mod tests/{exit} {n++} END{print n+0}' "$f") $f"
+        echo "$(awk '/^(pub\(crate\) )?mod tests/{exit} {n++} END{print n+0}' "$f") $f"
     done | sort -rn | awk -v crate="${crate%/}" '
         { s += $1; if (crate == "crates/netsim") printf "    %5d %s\n", $1, $2 }
         crate == "crates/netsim" && $1 > 1000 { big = big " " $2 }
@@ -79,8 +79,8 @@ echo "==> dead surface: pub items nothing outside their own file names (report o
 dead=0
 for f in $(git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.rs' |
     grep -v '_tests\.rs$'); do
-    own="$(awk '/^mod tests/{exit} {print}' "$f")"
-    for name in $(awk '/^mod tests/{exit}
+    own="$(awk '/^(pub\(crate\) )?mod tests/{exit} {print}' "$f")"
+    for name in $(awk '/^(pub\(crate\) )?mod tests/{exit}
         match($0, /^[ \t]*pub (const fn|fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
             s = substr($0, RSTART, RLENGTH); sub(/.* /, "", s); print s }' "$f"); do
         if [[ $(grep -cE "^\s*pub .*\b$name\b" <<<"$own") -gt 1 ]] ||
