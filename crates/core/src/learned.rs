@@ -78,17 +78,12 @@ impl LearnedModel {
         self.rebaselines += 1;
     }
 
-    /// Feed one iteration's observed cells, in order. When there is a
-    /// baseline, `max_rel_dev` is called once with it and gives the largest
-    /// |relative deviation| of `obs` from it — the monitor hands in its
-    /// detector's pass, so the model judges at the detector's floor. A
-    /// [`PortLoads`] copy of `obs` is made only to keep it: as a warm-up
-    /// sample, or as the new baseline after a heal.
-    pub fn observe(
-        &mut self,
-        obs: PortCells<'_>,
-        max_rel_dev: impl FnOnce(&PortLoads) -> f64,
-    ) -> LearnedUpdate {
+    /// Feed one iteration's observed cells, in order. `max_rel` is the
+    /// largest |relative deviation| of `obs` from [`baseline`](Self::baseline),
+    /// as the monitor's detector measured it; it is read only when there is
+    /// a baseline. A [`PortLoads`] copy of `obs` is made only to keep it: as
+    /// a warm-up sample, or as the new baseline after a heal.
+    pub fn observe(&mut self, obs: PortCells<'_>, max_rel: Option<f64>) -> LearnedUpdate {
         let Some(base) = &self.baseline else {
             self.samples.push(obs.to_loads());
             if self.samples.len() as u32 >= self.warmup {
@@ -98,7 +93,7 @@ impl LearnedModel {
             }
             return LearnedUpdate::Warming;
         };
-        let max_rel = max_rel_dev(base);
+        let max_rel = max_rel.expect("a deviation from the baseline");
         if max_rel <= self.threshold {
             return LearnedUpdate::Consistent;
         }
@@ -165,9 +160,10 @@ pub(crate) mod tests {
             n_vspines: vals.len(),
             bytes: vals,
         };
-        m.observe(obs, |base| {
-            Detector::default().judge(base, obs, &mut Vec::new())
-        })
+        let max_rel = m
+            .baseline()
+            .map(|base| Detector::default().judge(base, obs, &mut Vec::new()));
+        m.observe(obs, max_rel)
     }
 
     #[test]
@@ -311,9 +307,10 @@ pub(crate) mod tests {
                     new.force_relearn();
                     old.force_relearn();
                 }
-                let verdict = new.observe(shape(k), |base| {
-                    detector.judge(base, shape(k), &mut Vec::new())
-                });
+                let max_rel = new
+                    .baseline()
+                    .map(|base| detector.judge(base, shape(k), &mut Vec::new()));
+                let verdict = new.observe(shape(k), max_rel);
                 prop_assert_eq!(
                     verdict,
                     observe_by_clone(&mut old, shape(k), detector.min_expected)

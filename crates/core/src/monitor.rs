@@ -166,13 +166,13 @@ impl Monitor {
                 true
             }
             ModelSource::Learned(lm) => {
-                // Against the baseline `obs` is judged by: `observe` calls
-                // this before a heal can replace it.
-                let verdict = lm.observe(obs, |base| {
-                    let max = detector.judge(base, obs, deviating);
-                    self.iter_max_dev.push((iter, max));
-                    max
-                });
+                // Against the baseline before `observe` can replace it on a
+                // heal.
+                let max = lm
+                    .baseline()
+                    .map(|base| detector.judge(base, obs, deviating));
+                self.iter_max_dev.extend(max.map(|m| (iter, m)));
+                let verdict = lm.observe(obs, max);
                 let raise = matches!(verdict, LearnedUpdate::Deviating { .. });
                 self.learned_events.push((iter, verdict));
                 raise
@@ -464,12 +464,13 @@ mod tests {
         let floor = detector.min_expected;
         let loads = obs.to_loads();
         let baseline_before = lm.baseline().cloned();
-        let verdict = lm.observe(obs, |base| max_rel_dev(base, &loads, floor));
+        let max_dev = baseline_before
+            .as_ref()
+            .map(|base| max_rel_dev(base, &loads, floor));
+        let verdict = lm.observe(obs, max_dev);
         let event = verdict.clone();
-        let mut max_dev = None;
         let mut devs = Vec::new();
         if let Some(base) = baseline_before {
-            max_dev = Some(max_rel_dev(&base, &loads, floor));
             if matches!(verdict, LearnedUpdate::Deviating { .. }) {
                 devs = compare_by_port(detector, &base, &loads);
             }

@@ -151,8 +151,8 @@ fn separators(w: u64) -> u64 {
 }
 
 /// The cell `line[start..end]`, all digits: none if empty, led by a zero,
-/// or past `u64::MAX`. Up to 16 digits are read from one or two words;
-/// longer cells take the checked per-digit loop.
+/// or past `u64::MAX`. Up to 8 digits are read from one word; longer
+/// cells take the checked per-digit loop.
 fn cell(line: &[u8], start: usize, end: usize) -> Option<u64> {
     let len = end - start;
     if len == 0 || (len > 1 && line[start] == b'0') {
@@ -160,7 +160,6 @@ fn cell(line: &[u8], start: usize, end: usize) -> Option<u64> {
     }
     match len {
         1..=8 => Some(swar8(line, end, len)),
-        9..=16 => Some(swar8(line, end - 8, len - 8) * 100_000_000 + swar8(line, end, 8)),
         _ => checked_uint(&line[start..end]),
     }
 }
@@ -170,8 +169,8 @@ fn cell(line: &[u8], start: usize, end: usize) -> Option<u64> {
 /// neighbouring lanes are combined into 2-, 4- and 8-digit values with
 /// three multiplies. The last two overflow into bits the result does not
 /// read, so they wrap by design. Every cell starts at least 21 bytes into
-/// the line (after `{"fabric":"` and `,"bytes":[`), so `end - 8` and, for
-/// a second word, `end - 16` are in the line.
+/// the line (after `{"fabric":"` and `,"bytes":[`), so `end - 8` is in
+/// the line.
 fn swar8(line: &[u8], end: usize, len: usize) -> u64 {
     let w = line[end - 8..]
         .first_chunk::<8>()

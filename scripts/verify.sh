@@ -353,13 +353,9 @@ for bad in FP_MONITORD_POLICY=dorp FP_MONITORD_THRESHOLD=1% FP_MONITORD_CAP=1k; 
 done
 echo "    exit 2 naming variable and value for a bad policy, threshold and capacity"
 
-echo "==> monitord ingest hot path in release: allocator counts, cell scanner, one-pass judge"
-# Debug ran above with the workspace tests; optimised code is what ships.
-# Inlining is what could turn a reused buffer back into a fresh one, and
-# the cell scanner's lane arithmetic wraps by design, which only a release
-# build (no overflow checks) runs as shipped.
+echo "==> monitord ingest: allocator-counted steady state of decoder and worker (release)"
+# Debug ran above with the workspace tests; optimised code is what ships,
+# and inlining is what could turn a reused buffer back into a fresh one.
 cargo test --release -q -p fp-monitord --test alloc_steady
-cargo test --release -q -p fp-monitord --lib wire
-cargo test --release -q -p flowpulse --lib -- monitor learned detector
 
 echo "verify: OK"
