@@ -60,7 +60,7 @@ fn run_scenario(
 
     let ana = AnalyticalModel::new(topo, admin_down.iter().copied()).predict(&demand);
     // Model and fabric both follow `FP_SPRAY`.
-    let (sim_pred, _) = SimulationModel::new(cfg.sim()).predict(topo, &admin_down, &sched, 7);
+    let sim_pred = SimulationModel::new(cfg.sim()).predict(topo, &admin_down, &sched, 7);
 
     // The "production" fabric run.
     let mut sim = Simulator::new(topo.clone(), cfg.sim(), 42);

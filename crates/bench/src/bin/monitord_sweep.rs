@@ -80,7 +80,6 @@ fn main() {
         (32, QueuePolicy::Block),
         (64, QueuePolicy::Block),
         (32, QueuePolicy::Drop),
-        (32, QueuePolicy::Park),
     ];
     for &(streams, policy) in cells {
         let name = format!("monitord{streams}_{}", policy.name());
@@ -124,12 +123,11 @@ fn main() {
         let us = |hist, q| quantile_us(&report.prometheus, hist, q);
         println!(
             "{name}: {streams} streams x {} snaps, processed={} in {wall_us} us \
-             ({eps:.0} snap/s), dropped={} parked={} blocked={} closed={}, \
+             ({eps:.0} snap/s), dropped={} blocked={} closed={}, \
              queue wait p50/p99 {:.1}/{:.1} us, scan p50/p99 {:.1}/{:.1} us",
             total / streams,
             report.snapshots,
             report.queue.dropped,
-            report.queue.parked,
             report.queue.blocked,
             report.streams.iter().filter(|s| s.closed).count(),
             us("queue_wait_ns", "0.5"),

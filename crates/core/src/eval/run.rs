@@ -11,7 +11,7 @@ use super::spec::{
     TrialSpec,
 };
 use crate::analytical::AnalyticalModel;
-use crate::model::{PortLoads, PortSrcLoads};
+use crate::model::PortLoads;
 use crate::simulated::SimulationModel;
 use crate::snapshot::CounterSnapshot;
 use fp_collectives::alltoall::{demand_of_subset, single_nonlocal_subset};
@@ -64,7 +64,6 @@ struct Prepared<'a> {
     preexisting_ports: Vec<Cable>,
     fault_port: Option<Cable>,
     predicted: Option<PortLoads>,
-    predicted_by_src: Option<PortSrcLoads>,
 }
 
 /// What a finished run leaves behind, copied out of the simulator: the
@@ -73,7 +72,6 @@ pub(super) struct RawRun {
     pub preexisting_ports: Vec<Cable>,
     pub fault_port: Option<Cable>,
     pub predicted: Option<PortLoads>,
-    pub predicted_by_src: Option<PortSrcLoads>,
     /// Application bytes one iteration of the schedule moves.
     pub sched_total_bytes: u64,
     /// Ground-truth fault install time, for time-to-detect/-mitigate.
@@ -116,7 +114,7 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
         }
         _ => MeasuredSubset::All,
     };
-    let (predicted, predicted_by_src) = match spec.model {
+    let predicted = match spec.model {
         ModelKind::Analytical => {
             let demand = match &measured {
                 MeasuredSubset::Transfers(subset) => {
@@ -125,19 +123,16 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
                 MeasuredSubset::All => sched.demand(topo.n_hosts()),
             };
             let p = AnalyticalModel::new(&topo, admin_down.iter().copied()).predict(&demand);
-            (Some(p.loads), Some(p.by_src))
+            Some(p.loads)
         }
-        ModelKind::Simulation => {
-            let (l, s) = SimulationModel::new(spec.sim.clone()).predict_measured(
-                &topo,
-                &admin_down,
-                &sched,
-                JOB,
-                measured.clone(),
-            );
-            (Some(l), Some(s))
-        }
-        ModelKind::Learned { .. } => (None, None),
+        ModelKind::Simulation => Some(SimulationModel::new(spec.sim.clone()).predict_measured(
+            &topo,
+            &admin_down,
+            &sched,
+            JOB,
+            measured.clone(),
+        )),
+        ModelKind::Learned { .. } => None,
     };
 
     let injected = spec.fault.zip(fault_port).map(|(f, (fleaf, fv))| {
@@ -168,7 +163,6 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
         preexisting_ports,
         fault_port,
         predicted,
-        predicted_by_src,
     }
 }
 
@@ -267,7 +261,6 @@ fn execute(
         preexisting_ports: p.preexisting_ports,
         fault_port: p.fault_port,
         predicted: p.predicted,
-        predicted_by_src: p.predicted_by_src,
         sched_total_bytes,
         install_ns: install_ns.get(),
         end_ns: sim.now().as_ns(),

@@ -10,7 +10,7 @@ use super::spec::{Cable, CollectiveKind, ModelKind, TrialSpec};
 use crate::detector::Detector;
 use crate::learned::LearnedUpdate;
 use crate::localizer::{Localizer, RingLocalization};
-use crate::model::{PortLoads, PortSrcLoads};
+use crate::model::PortLoads;
 use crate::monitor::{Alarm, Monitor};
 use crate::snapshot::CounterSnapshot;
 use fp_netsim::sim::IterSpanRecord;
@@ -135,10 +135,6 @@ pub struct TrialResult {
     pub observed: Vec<PortLoads>,
     /// The model prediction (`None` for learned until formed).
     pub predicted: Option<PortLoads>,
-    /// Per-sender predicted loads (analytical/simulation models).
-    pub predicted_by_src: Option<PortSrcLoads>,
-    /// Per-sender observed loads per iteration.
-    pub observed_by_src: Vec<PortSrcLoads>,
     /// Which event-scheduler backend ran the trial (telemetry only; result
     /// rows never serialize this, so heap/wheel runs stay byte-identical).
     pub sched_kind: fp_netsim::engine::SchedKind,
@@ -202,11 +198,9 @@ pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
     // Observations for figure harnesses, and the snapshot stream a monitor
     // service would have ingested iteration by iteration.
     let mut observed = Vec::new();
-    let mut observed_by_src = Vec::new();
     for i in raw.counters.iters_of(JOB) {
         let c = raw.counters.get(JOB, i).expect("listed iteration");
         observed.push(PortLoads::from_counters(c));
-        observed_by_src.push(PortSrcLoads::from_counters(c));
     }
     let snapshots = CounterSnapshot::sequence_from(&raw.counters, JOB);
 
@@ -234,8 +228,6 @@ pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
         trace_truncated: raw.trace_truncated,
         observed,
         predicted: raw.predicted,
-        predicted_by_src: raw.predicted_by_src,
-        observed_by_src,
         sched_kind: raw.sched_kind,
         sched: raw.sched,
         shard_windows: 0,
@@ -626,7 +618,6 @@ mod tests {
             preexisting_ports: Vec::new(),
             fault_port,
             predicted: Some(predicted),
-            predicted_by_src: None,
             sched_total_bytes: 1000,
             install_ns: None,
             end_ns: 4_000,

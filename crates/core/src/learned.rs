@@ -39,9 +39,6 @@ pub struct LearnedModel {
     pub warmup: u32,
     /// Detection threshold used for the internal consistency check.
     pub threshold: f64,
-    /// Detect healing and rebaseline (Fig. 3). When false, a healed
-    /// transient keeps alarming forever.
-    pub healing_detection: bool,
     samples: Vec<PortLoads>,
     baseline: Option<PortLoads>,
     /// Times the baseline was replaced after observing a heal.
@@ -55,7 +52,6 @@ impl LearnedModel {
         LearnedModel {
             warmup,
             threshold,
-            healing_detection: true,
             samples: Vec::new(),
             baseline: None,
             rebaselines: 0,
@@ -97,7 +93,7 @@ impl LearnedModel {
         if max_rel <= self.threshold {
             return LearnedUpdate::Consistent;
         }
-        if self.healing_detection && self.looks_like_heal(base, obs) {
+        if self.looks_like_heal(base, obs) {
             // Restart learning from this healthier state.
             self.rebaselines += 1;
             self.samples.clear();
@@ -219,17 +215,6 @@ pub(crate) mod tests {
         assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::BaselineReady);
     }
 
-    #[test]
-    fn healing_detection_can_be_disabled() {
-        let mut m = LearnedModel::new(1, 0.01);
-        m.healing_detection = false;
-        feed(&mut m, &[700, 1000]);
-        match feed(&mut m, &[1000, 1000]) {
-            LearnedUpdate::Deviating { .. } => {}
-            u => panic!("expected Deviating, got {u:?}"),
-        }
-    }
-
     /// `observe` as it was while it still cloned the baseline on every
     /// call: the reference the borrowing version is held to. `floor` is the
     /// one the model is judged at.
@@ -247,7 +232,7 @@ pub(crate) mod tests {
         if max_rel <= m.threshold {
             return LearnedUpdate::Consistent;
         }
-        if m.healing_detection && m.looks_like_heal(&base, obs) {
+        if m.looks_like_heal(&base, obs) {
             m.rebaselines += 1;
             m.samples.clear();
             m.samples.push(obs.to_loads());
@@ -291,15 +276,13 @@ pub(crate) mod tests {
 
         /// Borrowing the baseline changed no verdict and no state: heal →
         /// `Rebalanced` with a one- and a multi-iteration warm-up,
-        /// `force_relearn` at arbitrary points, healing detection off.
+        /// `force_relearn` at arbitrary points.
         #[test]
         fn observe_matches_the_cloning_formulation(
             warmup in 1u32..4,
-            healing in 0u32..4,
             steps in collection::vec((0usize..SHAPES.len(), 0u32..12), 1..40),
         ) {
             let mut new = LearnedModel::new(warmup, 0.01);
-            new.healing_detection = healing > 0;
             let mut old = new.clone();
             let detector = Detector::default();
             for (k, relearn) in steps {

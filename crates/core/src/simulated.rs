@@ -12,7 +12,7 @@
 //! same known faults, same collective schedule, no silent faults, no
 //! jitter. Its iteration-0 counters are the prediction.
 
-use crate::model::{PortLoads, PortSrcLoads};
+use crate::model::PortLoads;
 use fp_collectives::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
 use fp_collectives::schedule::Schedule;
 use fp_netsim::config::SimConfig;
@@ -21,15 +21,15 @@ use fp_netsim::ids::LinkId;
 use fp_netsim::sim::Simulator;
 use fp_netsim::topology::Topology;
 
+/// Seed of every prediction run (the prediction is deterministic given the
+/// seed; with the default `Adaptive` spray the seed barely matters).
+const SEED: u64 = 0x51D;
+
 /// Simulation-based predictor.
 pub struct SimulationModel {
     /// Simulator parameters (use the production fabric's config for highest
     /// fidelity).
     pub cfg: SimConfig,
-    /// Seed for the prediction run (the prediction is deterministic given
-    /// the seed; with the default `Adaptive` spray the seed barely
-    /// matters).
-    pub seed: u64,
     /// Known gray faults to reproduce in the prediction run (silent faults
     /// the operator already knows about — the paper notes simulation can
     /// incorporate them, unlike the analytical model).
@@ -41,20 +41,19 @@ impl SimulationModel {
     pub fn new(cfg: SimConfig) -> Self {
         SimulationModel {
             cfg,
-            seed: 0x51D,
             known_gray: Vec::new(),
         }
     }
 
     /// Run one clean iteration of `sched` on a replica of `topo` with the
-    /// given known-down links and return per-port (and per-sender) loads.
+    /// given known-down links and return per-port loads.
     pub fn predict(
         &self,
         topo: &Topology,
         admin_down: &[LinkId],
         sched: &Schedule,
         job: u32,
-    ) -> (PortLoads, PortSrcLoads) {
+    ) -> PortLoads {
         self.predict_measured(topo, admin_down, sched, job, MeasuredSubset::All)
     }
 
@@ -68,8 +67,8 @@ impl SimulationModel {
         sched: &Schedule,
         job: u32,
         measured: MeasuredSubset,
-    ) -> (PortLoads, PortSrcLoads) {
-        let mut sim = Simulator::new(topo.clone(), self.cfg.clone(), self.seed);
+    ) -> PortLoads {
+        let mut sim = Simulator::new(topo.clone(), self.cfg.clone(), SEED);
         for &l in admin_down {
             sim.apply_fault_now(l, FaultAction::Set(FaultKind::AdminDown), false);
         }
@@ -88,7 +87,7 @@ impl SimulationModel {
             .counters
             .get(job, 0)
             .expect("prediction run produced no tagged traffic");
-        (PortLoads::from_counters(c), PortSrcLoads::from_counters(c))
+        PortLoads::from_counters(c)
     }
 }
 
@@ -114,7 +113,7 @@ mod tests {
         let t = topo();
         let hosts: Vec<HostId> = (0..8).map(HostId).collect();
         let sched = ring_allreduce(&hosts, 4 * 1024 * 1024);
-        let (sim_loads, _) = SimulationModel::new(SimConfig::default()).predict(&t, &[], &sched, 1);
+        let sim_loads = SimulationModel::new(SimConfig::default()).predict(&t, &[], &sched, 1);
         let ana = AnalyticalModel::new(&t, []).predict(&sched.demand(8));
         // Fig. 2's claim: analytical ≈ simulation. Adaptive spraying tracks
         // the ideal split to within a fraction of a percent.
@@ -132,8 +131,7 @@ mod tests {
         let hosts: Vec<HostId> = (0..8).map(HostId).collect();
         let sched = ring_allreduce(&hosts, 2 * 1024 * 1024);
         let down = [t.uplink(0, 1), t.downlink(1, 0)];
-        let (sim_loads, _) =
-            SimulationModel::new(SimConfig::default()).predict(&t, &down, &sched, 1);
+        let sim_loads = SimulationModel::new(SimConfig::default()).predict(&t, &down, &sched, 1);
         // Leaf 1 receives from leaf 0; vspine 1 is cut on the source side.
         assert_eq!(sim_loads.get(1, 1), 0.0);
         assert!(sim_loads.get(1, 0) > 0.0);
@@ -154,10 +152,8 @@ mod tests {
         let bad = t.downlink(2, 3);
         m.known_gray
             .push((bad, FaultKind::SilentDrop { rate: 0.2 }));
-        let (loads, _) = m.predict(&t, &[], &sched, 1);
-        let clean = SimulationModel::new(SimConfig::default())
-            .predict(&t, &[], &sched, 1)
-            .0;
+        let loads = m.predict(&t, &[], &sched, 1);
+        let clean = SimulationModel::new(SimConfig::default()).predict(&t, &[], &sched, 1);
         // Port (leaf 3, vspine 2) sees visibly less than in the clean run.
         assert!(loads.get(3, 2) < clean.get(3, 2) * 0.9);
     }

@@ -82,10 +82,6 @@ fn assert_lockstep(off: &TrialResult, on: &TrialResult) {
         format!("{:?}", on.observed),
         "observed loads"
     );
-    assert_eq!(
-        format!("{:?}", off.observed_by_src),
-        format!("{:?}", on.observed_by_src)
-    );
     assert_eq!(off.iter_goodput, on.iter_goodput, "iter_goodput");
     assert_eq!(
         format!("{:?}", off.snapshots),

@@ -8,8 +8,8 @@
 //! this crate is the serving shape around the same detection core:
 //!
 //! * **Ingest** ([`queue`]) — a bounded queue with explicit, counted
-//!   backpressure: [`QueuePolicy::Drop`] / [`Park`](QueuePolicy::Park) /
-//!   [`Block`](QueuePolicy::Block), and a return lane that carries
+//!   backpressure: [`QueuePolicy::Drop`] or [`Block`](QueuePolicy::Block),
+//!   and a return lane that carries
 //!   processed snapshots back to the decoder, so that in steady state no
 //!   heap block is allocated on one thread and freed on the other.
 //! * **Process** ([`service`]) — one worker batches snapshots off the

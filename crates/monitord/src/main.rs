@@ -9,7 +9,7 @@
 //!
 //! | var                      | default   | meaning                          |
 //! |--------------------------|-----------|----------------------------------|
-//! | `FP_MONITORD_POLICY`     | `block`   | queue policy: drop / park / block|
+//! | `FP_MONITORD_POLICY`     | `block`   | queue policy: drop / block       |
 //! | `FP_MONITORD_CAP`        | `1024`    | queue capacity (snapshots)       |
 //! | `FP_MONITORD_BATCH`      | `64`      | max batch size                   |
 //! | `FP_MONITORD_THRESHOLD`  | `0.01`    | detection threshold              |
@@ -42,13 +42,8 @@ fn settings(var: impl Fn(&str) -> Option<String>) -> Result<Settings, String> {
     let cfg = ServiceConfig {
         queue_capacity: get(&var, "FP_MONITORD_CAP", count, num)?.unwrap_or(d.queue_capacity),
         batch_max: get(&var, "FP_MONITORD_BATCH", count, num)?.unwrap_or(d.batch_max),
-        policy: get(
-            &var,
-            "FP_MONITORD_POLICY",
-            "drop|park|block",
-            QueuePolicy::parse,
-        )?
-        .unwrap_or(d.policy),
+        policy: get(&var, "FP_MONITORD_POLICY", "drop|block", QueuePolicy::parse)?
+            .unwrap_or(d.policy),
         threshold: get(
             &var,
             "FP_MONITORD_THRESHOLD",
@@ -115,12 +110,8 @@ fn main() {
         stats.rejected
     );
     println!(
-        "# queue: offered={} accepted={} dropped={} parked={} blocked={}",
-        report.queue.offered,
-        report.queue.accepted,
-        report.queue.dropped,
-        report.queue.parked,
-        report.queue.blocked
+        "# queue: offered={} accepted={} dropped={} blocked={}",
+        report.queue.offered, report.queue.accepted, report.queue.dropped, report.queue.blocked
     );
     for s in &report.streams {
         let verdict = match &s.localization {
@@ -200,6 +191,7 @@ mod tests {
     fn a_mistyped_setting_is_refused_by_name_and_value() {
         for (key, bad) in [
             ("FP_MONITORD_POLICY", "dorp"),
+            ("FP_MONITORD_POLICY", "park"),
             ("FP_MONITORD_THRESHOLD", "1%"),
             ("FP_MONITORD_THRESHOLD", "-0.01"),
             ("FP_MONITORD_THRESHOLD", "NaN"),

@@ -23,7 +23,7 @@ use flowpulse::snapshot::CounterSnapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a producer experiences when the queue is full.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -32,10 +32,6 @@ pub enum QueuePolicy {
     /// may miss iterations, which the per-stream monitor tolerates by
     /// stalling at the gap.
     Drop,
-    /// Park the producer in bounded timed waits (counted per wait in
-    /// `parked`) until space frees up. Lossless; wakes on a timer even if
-    /// a notify is missed.
-    Park,
     /// Block the producer on the not-full condvar until space frees up
     /// (counted once per blocking push in `blocked`). Lossless.
     Block,
@@ -46,7 +42,6 @@ impl QueuePolicy {
     pub fn name(self) -> &'static str {
         match self {
             QueuePolicy::Drop => "drop",
-            QueuePolicy::Park => "park",
             QueuePolicy::Block => "block",
         }
     }
@@ -55,15 +50,11 @@ impl QueuePolicy {
     pub fn parse(s: &str) -> Option<QueuePolicy> {
         match s.to_ascii_lowercase().as_str() {
             "drop" => Some(QueuePolicy::Drop),
-            "park" => Some(QueuePolicy::Park),
             "block" => Some(QueuePolicy::Block),
             _ => None,
         }
     }
 }
-
-/// How long a parked producer sleeps between capacity re-checks.
-const PARK_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Spent snapshots a producer takes off the return lane at a time.
 const WITHDRAW: usize = 16;
@@ -83,7 +74,7 @@ struct State {
     closed: bool,
     /// Consumers parked on `not_empty`.
     pop_waiting: usize,
-    /// Producers parked on `not_full` (blocked or in a timed park).
+    /// Producers parked on `not_full`.
     push_waiting: usize,
 }
 
@@ -97,7 +88,8 @@ pub struct QueueStats {
     /// Snapshots rejected (full under [`QueuePolicy::Drop`], or pushed
     /// after close).
     pub dropped: u64,
-    /// Timed waits taken by parked producers.
+    /// Inert: always 0. The timed-wait policy it counted is gone; the
+    /// field stays only because the frozen `benchmark/` package reads it.
     pub parked: u64,
     /// Pushes that had to block at least once.
     pub blocked: u64,
@@ -114,7 +106,6 @@ pub struct IngestQueue {
     offered: AtomicU64,
     accepted: AtomicU64,
     dropped: AtomicU64,
-    parked: AtomicU64,
     blocked: AtomicU64,
 }
 
@@ -137,7 +128,6 @@ impl IngestQueue {
             offered: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            parked: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
         }
     }
@@ -148,8 +138,8 @@ impl IngestQueue {
     }
 
     /// Offer one snapshot. Returns `false` if it was dropped (full under
-    /// the drop policy, or the queue is closed); `Park`/`Block` producers
-    /// only ever see `false` after [`close`](Self::close).
+    /// the drop policy, or the queue is closed); `Block` producers only
+    /// ever see `false` after [`close`](Self::close).
     pub fn push(&self, snap: CounterSnapshot) -> bool {
         self.offer(snap, None)
     }
@@ -169,28 +159,15 @@ impl IngestQueue {
     fn offer(&self, snap: CounterSnapshot, stash: Option<&mut Vec<CounterSnapshot>>) -> bool {
         self.offered.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock().unwrap();
-        if st.q.len() >= self.cap && !st.closed {
-            match self.policy {
-                QueuePolicy::Drop => {}
-                QueuePolicy::Block => {
-                    self.blocked.fetch_add(1, Ordering::Relaxed);
-                    st.push_waiting += 1;
-                    while st.q.len() >= self.cap && !st.closed {
-                        st = self.not_full.wait(st).unwrap();
-                    }
-                    st.push_waiting -= 1;
-                }
-                QueuePolicy::Park => {
-                    st.push_waiting += 1;
-                    while st.q.len() >= self.cap && !st.closed {
-                        self.parked.fetch_add(1, Ordering::Relaxed);
-                        st = self.not_full.wait_timeout(st, PARK_BACKOFF).unwrap().0;
-                    }
-                    st.push_waiting -= 1;
-                }
+        if st.q.len() >= self.cap && !st.closed && self.policy == QueuePolicy::Block {
+            self.blocked.fetch_add(1, Ordering::Relaxed);
+            st.push_waiting += 1;
+            while st.q.len() >= self.cap && !st.closed {
+                st = self.not_full.wait(st).unwrap();
             }
+            st.push_waiting -= 1;
         }
-        // Still full only under the drop policy: the others waited.
+        // Still full only under the drop policy: a blocked push waited.
         if st.closed || st.q.len() >= self.cap {
             drop(st);
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -256,8 +233,8 @@ impl IngestQueue {
         Some(depth)
     }
 
-    /// Close the queue: subsequent pushes fail, parked/blocked producers
-    /// wake and give up, and the worker drains what is left then exits.
+    /// Close the queue: subsequent pushes fail, blocked producers wake and
+    /// give up, and the worker drains what is left then exits.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
@@ -281,7 +258,7 @@ impl IngestQueue {
             offered: self.offered.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
+            parked: 0,
             blocked: self.blocked.load(Ordering::Relaxed),
         }
     }
@@ -291,6 +268,7 @@ impl IngestQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn snap(iter: u32) -> CounterSnapshot {
         CounterSnapshot {
@@ -340,39 +318,15 @@ mod tests {
         assert!(s.blocked > 0, "tiny queue must have pushed back");
     }
 
-    #[test]
-    fn park_policy_is_lossless_and_counts_waits() {
-        let q = Arc::new(IngestQueue::new(1, QueuePolicy::Park));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let (mut seen, mut batch) = (0u64, Vec::new());
-                while q.pop_batch(8, &mut Vec::new(), &mut batch).is_some() {
-                    seen += batch.drain(..).len() as u64;
-                    std::thread::sleep(Duration::from_micros(300));
-                }
-                seen
-            })
-        };
-        for i in 0..16 {
-            assert!(q.push(snap(i)));
-        }
-        q.close();
-        assert_eq!(consumer.join().unwrap(), 16);
-        let s = q.stats();
-        assert_eq!(s.dropped, 0);
-        assert!(s.parked > 0);
-    }
-
     /// No lost wake-up and exact accounting with notifications sent only
     /// to parked threads: 4 producers against a consumer that sometimes
-    /// sleeps (so both sides really park), over every policy, tiny
+    /// sleeps (so both sides really park), over both policies, tiny
     /// capacities and both batch extremes. A lost wake-up hangs the test.
     #[test]
     fn waiter_aware_wakeups_lose_nothing_under_stress() {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 400;
-        for policy in [QueuePolicy::Block, QueuePolicy::Park, QueuePolicy::Drop] {
+        for policy in [QueuePolicy::Block, QueuePolicy::Drop] {
             for cap in [1, 2, 8] {
                 for batch_max in [1, 64] {
                     let q = IngestQueue::new(cap, policy);

@@ -238,7 +238,6 @@ const COUNTERS: &[&str] = &[
     "ingest_offered",
     "ingest_accepted",
     "ingest_dropped",
-    "ingest_parked",
     "ingest_blocked",
     "snapshots_processed",
     "alarms_raised",
@@ -279,7 +278,6 @@ fn mirror_queue(m: &mut MetricsRegistry, queue: &IngestQueue) -> QueueStats {
     m.set_counter("ingest_offered", q.offered);
     m.set_counter("ingest_accepted", q.accepted);
     m.set_counter("ingest_dropped", q.dropped);
-    m.set_counter("ingest_parked", q.parked);
     m.set_counter("ingest_blocked", q.blocked);
     m.set_gauge("ingest_per_sec", q.accepted as f64 / m.uptime_secs());
     m.set_gauge("spare_buffers", queue.spare_buffers() as f64);

@@ -866,7 +866,7 @@ mod tests {
                 })
                 .collect();
 
-            for policy in [QueuePolicy::Block, QueuePolicy::Park, QueuePolicy::Drop] {
+            for policy in [QueuePolicy::Block, QueuePolicy::Drop] {
                 for cap in [1, 8, 1024] {
                     for producers in [1, 4] {
                         let what = format!("{} cap={cap} producers={producers}", policy.name());

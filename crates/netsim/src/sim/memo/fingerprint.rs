@@ -87,12 +87,13 @@ struct NormLink {
 
 /// One switch's runtime state. `valid_up`/`valid_core` are derived from
 /// admin state, which `NormLink::admin_up` already covers. `rr_cursor` is
-/// compared raw: the adaptive and least-loaded policies write bounded
-/// values whose short phase cycles the boundary ring matches at distance
-/// `k`, while round-robin's cursor grows monotonically — no two
-/// boundaries ever fingerprint equal, which is exactly the safe fallback
-/// (a replayed round-robin window would resume from the wrong cursor
-/// phase).
+/// compared raw: the least-loaded policy writes bounded values whose short
+/// phase cycles the boundary ring matches at distance `k`, while
+/// round-robin's cursor grows monotonically — no two boundaries ever
+/// fingerprint equal, which is exactly the safe fallback (a replayed
+/// round-robin window would resume from the wrong cursor phase). The
+/// adaptive-spray deficits are left out: a snapshot refuses once any slot
+/// was charged, so at every fingerprinted boundary they are all zero.
 #[derive(PartialEq, Eq, Debug)]
 struct NormSwitch {
     rr_cursor: u64,
@@ -101,12 +102,6 @@ struct NormSwitch {
     /// backends). A backend refusing to fingerprint fails the snapshot
     /// with its reason instead.
     sprayer_residual: u64,
-    /// Canonical adaptive-spray deficit per uplink slot: `(value, phase)`
-    /// after an eager decay sync (see `memo_sync_spray_decay`), where
-    /// `phase = T_i - spray_deficit_at`. Never-touched slots are
-    /// `(0, u64::MAX)` — their timestamp base is still the initial zero
-    /// and must not be compared (or shifted) against the boundary clock.
-    spray: Vec<(u64, u64)>,
 }
 
 /// One flow's transport state, rebased. Flows at block distance `> D+1`
@@ -293,24 +288,10 @@ impl Normalizer {
 }
 
 impl Simulator {
-    /// Eagerly apply the lazy exponential decay of every adaptive-spray
-    /// deficit slot up to `now`
-    /// ([`crate::switch::SwitchState::sync_decay`]). Semantically a no-op —
-    /// the floor-composition identity `q + ⌊(x - q·τ)/τ⌋ = ⌊x/τ⌋` makes
-    /// early advancement commute with later ones — but it puts
-    /// `spray_deficit_at` into a canonical, boundary-relative form the
-    /// fingerprint can compare.
-    fn memo_sync_spray_decay(&mut self) {
-        let (now, tau) = (self.now.as_ns(), self.cfg.spray_tau.as_ns());
-        for sw in &mut self.switches.state {
-            sw.sync_decay(now, tau);
-        }
-    }
-
     /// Capture the normalized residual fingerprint at an iteration
     /// boundary, or refuse with a reason when residual state is not
     /// provably periodic.
-    pub(super) fn memo_snapshot(&mut self, next_iter: u32) -> Result<NormSnapshot, &'static str> {
+    pub(super) fn memo_snapshot(&self, next_iter: u32) -> Result<NormSnapshot, &'static str> {
         let flows_len = self.flows.len() as u32;
         if next_iter == 0 || flows_len == 0 {
             return Err("warmup");
@@ -323,7 +304,11 @@ impl Simulator {
                 return Err("link-fault-active");
             }
         }
-        self.memo_sync_spray_decay();
+        // A charged deficit decays on an absolute `spray_tau` grid, which
+        // no boundary-relative fingerprint captures (DESIGN.md §11).
+        if self.switches.state.iter().any(|s| s.deficit_charged()) {
+            return Err("adaptive-spray-deficit");
+        }
         let mut n = Normalizer {
             t_ns: self.now.as_ns(),
             seqc: self.agenda.memo_seq(),
@@ -398,7 +383,6 @@ impl Simulator {
             })
             .collect();
 
-        let tau = self.cfg.spray_tau.as_ns();
         let switches: Vec<NormSwitch> = self
             .switches
             .state
@@ -412,18 +396,6 @@ impl Simulator {
                         0
                     }
                 },
-                spray: (0..s.spray_deficit.len())
-                    .map(|v| {
-                        let (d, at) = (s.spray_deficit[v], s.spray_deficit_at[v]);
-                        if tau == 0 {
-                            (d, 0) // decay disabled; the timestamp base is dead state
-                        } else if s.untouched(v) {
-                            (0, u64::MAX)
-                        } else {
-                            (d, n.t_ns - at)
-                        }
-                    })
-                    .collect(),
             })
             .collect();
 

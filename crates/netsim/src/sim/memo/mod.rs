@@ -64,11 +64,12 @@
 //!
 //! The snapshot *refuses* (falls back to live simulation, recording a
 //! reason) whenever residual state is not provably periodic: a telemetry
-//! recorder is attached, a fault is installed on any link,
-//! control/fault/wake/sampler events are pending in the scheduler, the
-//! flow table does not divide evenly into per-iteration blocks, or the
-//! warm-up (`next_iter < D + 3` for block-reference depth `D`) has
-//! not completed. Random spray policies are refused at enable time (their
+//! recorder is attached, a fault is installed on any link, an
+//! adaptive-spray deficit slot was ever charged (it decays on an absolute
+//! grid the fingerprint does not carry), control/fault/wake/sampler
+//! events are pending in the scheduler, the flow table does not divide
+//! evenly into per-iteration blocks, or the warm-up (`next_iter < D + 3`
+//! for block-reference depth `D`) has not completed. Random spray policies are refused at enable time (their
 //! RNG draws would also break the fingerprint, but refusing early gives a
 //! clear fallback reason). Scheduled faults and controls act as
 //! *barriers*: the caller passes their iteration numbers to
@@ -262,9 +263,9 @@ impl Simulator {
             // on an absolute `spray_tau` grid (`spray_deficit_at` starts at
             // 0 and only ever advances by whole multiples of tau), so the
             // boundary-relative deficit state repeats only when the
-            // iteration period divides tau. The fingerprint would soundly
-            // auto-miss forever; refuse eagerly so the fallback reason is
-            // visible instead of a silent perpetual miss.
+            // iteration period divides tau. The snapshot refuses any
+            // charged deficit (`adaptive-spray-deficit`) on its own;
+            // refuse here too, before a single boundary is looked at.
             SprayPolicy::Adaptive => Some("adaptive-spray-decay"),
             // REPS recycles entropies fed by ACK arrival order; the cache
             // is feedback-dependent state the fingerprint cannot soundly
@@ -443,20 +444,6 @@ impl Simulator {
                 }
             }
         }
-        if self.cfg.spray_tau.as_ns() > 0 {
-            for sw in &mut self.switches.state {
-                // Untouched bases stay put, so the gate cannot shift with
-                // the rest; 0 is always a valid one.
-                sw.decay_gate = 0;
-                for v in 0..sw.spray_deficit_at.len() {
-                    // Never-touched slots keep their initial zero base
-                    // (it is not boundary-relative state).
-                    if !sw.untouched(v) {
-                        sw.spray_deficit_at[v] += dt.as_ns();
-                    }
-                }
-            }
-        }
         self.hosts.memo_shift(dflow);
         self.memo_replay_flows(&snap, next_iter, units, k, period_ns, sq);
         for j in 1..=units {
@@ -582,5 +569,47 @@ impl Simulator {
             }
         }
         debug_assert_eq!(self.flows.len(), nb_new as usize * fpb_us);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::SimConfig;
+    use crate::ids::HostId;
+    use crate::packet::Priority;
+    use crate::sim::Simulator;
+    use crate::spray::SprayPolicy;
+    use crate::topology::{FatTreeSpec, Topology};
+
+    /// A drained one-message run, its flow table one iteration block.
+    fn drained(spray: SprayPolicy) -> Simulator {
+        let topo = Topology::fat_tree(FatTreeSpec {
+            leaves: 4,
+            spines: 2,
+            hosts_per_leaf: 1,
+            ..Default::default()
+        });
+        let cfg = SimConfig {
+            spray,
+            ..SimConfig::default()
+        };
+        let mut s = Simulator::new(topo, cfg, 1);
+        s.post_message(HostId(0), HostId(3), 100_000, None, Priority::MEASURED);
+        s.run();
+        s
+    }
+
+    /// The fingerprint carries no deficit state, so a boundary after any
+    /// charge is refused by the snapshot itself, whatever `enable_memo`
+    /// let through.
+    #[test]
+    fn a_charged_spray_deficit_refuses_the_snapshot() {
+        let mut s = drained(SprayPolicy::LeastLoaded);
+        assert_eq!(s.memo_snapshot(1).unwrap_err(), "warmup");
+        s.switches.state[0].spray_deficit[1] += 4160;
+        assert_eq!(s.memo_snapshot(1).unwrap_err(), "adaptive-spray-deficit");
+        // Adaptive charges a slot with every sprayed packet.
+        let s = drained(SprayPolicy::Adaptive);
+        assert_eq!(s.memo_snapshot(1).unwrap_err(), "adaptive-spray-deficit");
     }
 }

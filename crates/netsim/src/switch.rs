@@ -42,12 +42,11 @@ pub(crate) struct SwitchState {
     /// `n_vspines` on leaves, `cores_per_group` on 3-level aggs.
     pub(crate) spray_deficit: Vec<u64>,
     /// Timestamp base for the lazy exponential decay of `spray_deficit`.
-    pub(crate) spray_deficit_at: Vec<u64>,
+    spray_deficit_at: Vec<u64>,
     /// A lower bound on `min(spray_deficit_at) + tau`: before it no slot
-    /// can halve, so a pick skips the per-slot decay. Derived state (the
-    /// memo fingerprint leaves it out); it stays a bound because
-    /// `spray_deficit_at` only moves forward, and 0 is always one.
-    pub(crate) decay_gate: u64,
+    /// can halve, so a pick skips the per-slot decay. It stays a bound
+    /// because `spray_deficit_at` only moves forward, and 0 is always one.
+    decay_gate: u64,
 }
 
 /// Lazy exponential decay of one deficit slot up to `now`: the counter
@@ -73,34 +72,12 @@ fn decay_floor(at: &[u64], tau: u64) -> u64 {
 }
 
 impl SwitchState {
-    /// Read the spray deficit of uplink slot `v`, applying lazy
-    /// exponential decay: the counter halves every `tau` nanoseconds. This
-    /// is the EWMA-like utilization signal of
-    /// [`spray::SprayPolicy::Adaptive`].
-    fn decayed_deficit(&mut self, v: usize, now: u64, tau: u64) -> u64 {
-        decay(
-            &mut self.spray_deficit[v],
-            &mut self.spray_deficit_at[v],
-            now,
-            tau,
-        )
-    }
-
-    /// A slot nothing was ever charged to: its timestamp base is still the
-    /// initial zero, which is not relative to any clock.
-    pub(crate) fn untouched(&self, v: usize) -> bool {
-        self.spray_deficit[v] == 0 && self.spray_deficit_at[v] == 0
-    }
-
-    /// Apply the lazy decay of every touched slot up to `now`: exactly the
-    /// advancement [`Self::decayed_deficit`] performs at the slot's next
-    /// read, done early.
-    pub(crate) fn sync_decay(&mut self, now: u64, tau: u64) {
-        for v in 0..self.spray_deficit.len() {
-            if !self.untouched(v) {
-                self.decayed_deficit(v, now, tau);
-            }
-        }
+    /// Some deficit slot was charged, now or before: a charge leaves the
+    /// counter non-zero until a decay moves its timestamp base off the
+    /// initial zero.
+    pub(crate) fn deficit_charged(&self) -> bool {
+        let mut slots = self.spray_deficit.iter().zip(&self.spray_deficit_at);
+        slots.any(|(&d, &at)| d != 0 || at != 0)
     }
 }
 
@@ -433,6 +410,21 @@ mod tests {
     use crate::topology::{Clos3Spec, FatTreeSpec};
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    impl SwitchState {
+        /// Read the spray deficit of uplink slot `v`, applying lazy
+        /// exponential decay: the counter halves every `tau` nanoseconds.
+        /// This is the EWMA-like utilization signal of
+        /// [`SprayPolicy::Adaptive`], one slot at a time.
+        fn decayed_deficit(&mut self, v: usize, now: u64, tau: u64) -> u64 {
+            decay(
+                &mut self.spray_deficit[v],
+                &mut self.spray_deficit_at[v],
+                now,
+                tau,
+            )
+        }
+    }
 
     /// Deficit slot of a sprayed uplink, read from its link class.
     fn slot_of(topo: &Topology, up: LinkId) -> usize {

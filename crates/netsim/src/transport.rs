@@ -388,7 +388,7 @@ pub struct AckAccum {
     /// set ⇒ the segment acknowledged by bit `i` arrived CE-marked.
     pub ce_mask: u64,
     /// A flush timer is already scheduled.
-    pub flush_scheduled: bool,
+    flush_scheduled: bool,
 }
 
 impl AckAccum {
