@@ -316,6 +316,18 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.dropped, 0);
         assert!(s.blocked > 0, "tiny queue must have pushed back");
+        assert_eq!(s.parked, 0, "no policy takes timed waits");
+    }
+
+    #[test]
+    fn policy_names_round_trip_and_park_is_unknown() {
+        for p in [QueuePolicy::Drop, QueuePolicy::Block] {
+            assert_eq!(QueuePolicy::parse(p.name()), Some(p));
+            assert_eq!(QueuePolicy::parse(&p.name().to_ascii_uppercase()), Some(p));
+        }
+        for bad in ["park", "", "dorp", "block "] {
+            assert_eq!(QueuePolicy::parse(bad), None, "{bad:?}");
+        }
     }
 
     /// No lost wake-up and exact accounting with notifications sent only
