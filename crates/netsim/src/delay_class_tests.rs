@@ -158,15 +158,20 @@ pub(super) struct Traffic {
     pub spray_avoided_picks: u64,
 }
 
-/// Entry by entry: the store's own `Debug` walks a hash index.
+/// Entry by entry (the store's own `Debug` walks a hash index), the cells
+/// a reader reads: per-port bytes, per-sender bytes and the iteration's
+/// last tagged-packet stamp.
 fn counters_debug(c: &CounterStore) -> String {
-    format!(
-        "{:?}",
-        c.keys()
-            .iter()
-            .map(|&(job, iter)| c.get(job, iter))
-            .collect::<Vec<_>>()
-    )
+    let cells: Vec<_> = c
+        .keys()
+        .into_iter()
+        .map(|(job, iter)| {
+            let e = c.get(job, iter).expect("listed key");
+            let last_seen = e.last_seen.iter().copied().max().unwrap_or(0);
+            (job, iter, &e.bytes, &e.by_src, last_seen)
+        })
+        .collect();
+    format!("{cells:?}")
 }
 
 /// The fabric `run` builds for `sc`.

@@ -10,7 +10,10 @@
 //! time, link, direction and verb name, never by schedule index. A second
 //! digest pins `spray_cases`, the spray-pick shapes the corpus misses; its
 //! literals were taken before the rotating least-loaded pick was fused into
-//! one pass.
+//! one pass. Both digests' `counters` and `agg_counters` literals cover the
+//! cells a reader reads — per-port bytes, per-sender bytes and the
+//! iteration's last stamp — and were re-taken before the counter's unread
+//! columns (packet counts, first-seen stamps) were deleted.
 
 use super::delay_class_tests::{run, topology, Outcome, Scenario};
 use super::head_timer_tests::scenario;
@@ -181,8 +184,8 @@ fn the_spray_cases_produce_the_pinned_bytes_on_both_schedulers() {
 
 const PINNED_SPRAY: [u64; 6] = [
     0x9adb_ca64_0718_4408,
-    0x518b_db34_26dd_7847,
-    0x62f9_3591_7ccf_0ed1,
+    0x4ac1_0757_276a_f20f,
+    0x26c1_d175_06c4_8c5b,
     0x8ece_26dc_48d3_34db,
     0xb1e2_47a5_4265_d9a5,
     0xb99d_72da_fb2e_de1d,
@@ -190,8 +193,8 @@ const PINNED_SPRAY: [u64; 6] = [
 
 const PINNED: [u64; 6] = [
     0x86df_393f_a551_7a69,
-    0x3a9f_fd21_9378_5fbe,
-    0x130a_533a_f4bf_7b16,
+    0xfd86_a8c0_c0ef_d702,
+    0x4126_8d8e_1263_250c,
     0x558d_632c_cce1_7261,
     0x68f2_c6ab_9100_7dc3,
     0x3e0d_833b_bac2_994b,
