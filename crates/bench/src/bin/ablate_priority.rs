@@ -75,7 +75,7 @@ fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
         let c = sim.counters.get(1, i).unwrap();
         let obs = PortLoads::from_counters(c);
         worst = worst.max(detector.max_abs_rel(&prediction, &obs));
-        last_seen = last_seen.max(c.last_seen.iter().copied().max().unwrap_or(0));
+        last_seen = last_seen.max(c.last_seen);
     }
     Row {
         background,

@@ -67,7 +67,7 @@ fn main() {
     );
     let alarmed: std::collections::HashSet<u32> = r.alarms.iter().map(|a| a.iter).collect();
     let mut rows = Vec::new();
-    for (i, obs) in r.observed.iter().enumerate() {
+    for (i, obs) in r.snapshots.iter().map(CounterSnapshot::loads).enumerate() {
         let verdict = r
             .learned_events
             .iter()

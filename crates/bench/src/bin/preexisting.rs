@@ -79,9 +79,9 @@ fn main() {
         let mut spatial_fp = 0u32;
         let mut spatial_n = 0u32;
         for t in &clean_trials {
-            for obs in &t.observed {
+            for snap in &t.snapshots {
                 spatial_n += 1;
-                if !spatial.check(obs).is_empty() {
+                if !spatial.check(&snap.loads()).is_empty() {
                     spatial_fp += 1;
                 }
             }

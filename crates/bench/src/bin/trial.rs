@@ -101,9 +101,9 @@ fn main() {
         events: r.stats.events,
         events_per_pkt: per_pkt(r.stats.events),
         agenda_ops_per_pkt: per_pkt(agenda_ops),
-        trace: r.trace.clone(),
-        trace_offered: r.trace_offered,
-        trace_truncated: r.trace_truncated,
+        trace: r.trace.to_records(),
+        trace_offered: r.trace.offered,
+        trace_truncated: r.trace.truncated(),
     };
     if summary.trace_truncated {
         eprintln!(

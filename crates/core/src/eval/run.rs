@@ -13,7 +13,6 @@ use super::spec::{
 use crate::analytical::AnalyticalModel;
 use crate::model::PortLoads;
 use crate::simulated::SimulationModel;
-use crate::snapshot::CounterSnapshot;
 use fp_collectives::alltoall::{demand_of_subset, single_nonlocal_subset};
 use fp_collectives::jitter::JitterModel;
 use fp_collectives::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
@@ -27,7 +26,7 @@ use fp_netsim::sim::memo::MemoCounters;
 use fp_netsim::sim::{IterSpanRecord, Simulator};
 use fp_netsim::stats::Stats;
 use fp_netsim::topology::Topology;
-use fp_netsim::trace::TraceRecord;
+use fp_netsim::trace::TraceBuffer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
@@ -66,7 +65,7 @@ struct Prepared<'a> {
     predicted: Option<PortLoads>,
 }
 
-/// What a finished run leaves behind, copied out of the simulator: the
+/// What a finished run leaves behind, moved out of the simulator: the
 /// only hand-off between running and scoring.
 pub(super) struct RawRun {
     pub preexisting_ports: Vec<Cable>,
@@ -80,9 +79,7 @@ pub(super) struct RawRun {
     pub counters: CounterStore,
     pub spans: Vec<IterSpanRecord>,
     pub stats: Stats,
-    pub trace: Vec<TraceRecord>,
-    pub trace_offered: u64,
-    pub trace_truncated: bool,
+    pub trace: TraceBuffer,
     pub sched_kind: SchedKind,
     pub sched: SchedStats,
     /// Fast-forward accounting; `fallback` is why a trial that requested
@@ -190,7 +187,7 @@ pub fn memo_ineligibility(
     None
 }
 
-/// Run the prepared trial to completion and copy out what scoring reads.
+/// Run the prepared trial to completion and move out what scoring reads.
 /// The recorder comes back for the export and the caller's `finish`.
 fn execute(
     mut p: Prepared<'_>,
@@ -251,10 +248,11 @@ fn execute(
     sim.set_app(Box::new(runner));
     sim.run();
 
-    // Copy out what scoring reads and free the simulator — its flow table
+    // Move out what scoring reads and free the simulator — its flow table
     // and queues are most of a trial's memory — before scoring allocates:
     // kept alive to the end it cost +23 % peak RSS on the benchmark's
-    // 24-iteration `steady_adaptive`.
+    // 24-iteration `steady_adaptive`. The counters (per-sender matrix
+    // included) and the trace ring change hands; nothing is copied.
     let mut memo = sim.memo_counters().unwrap_or_default();
     memo.fallback = memo_ineligible.or(memo.fallback);
     let raw = RawRun {
@@ -264,12 +262,10 @@ fn execute(
         sched_total_bytes,
         install_ns: install_ns.get(),
         end_ns: sim.now().as_ns(),
-        counters: sim.counters.clone(),
+        counters: std::mem::replace(&mut sim.counters, CounterStore::new(0, 0)),
         spans: sim.iter_spans().to_vec(),
         stats: sim.stats.clone(),
-        trace: sim.trace.to_records(),
-        trace_offered: sim.trace.offered,
-        trace_truncated: sim.trace.truncated(),
+        trace: std::mem::replace(&mut sim.trace, TraceBuffer::new(0)),
         sched_kind: sim.sched_kind(),
         sched: sim.sched_stats(),
         memo,
@@ -319,48 +315,6 @@ pub fn run_trial_ctl(
         export(rec, spec, &result, end_ns);
     }
     (result, recorder)
-}
-
-/// Run `specs` on a pool of `threads` workers and stream every trial's
-/// per-iteration [`CounterSnapshot`] sequence into `push` — the feed side
-/// of a monitor service (`fp-monitord` wraps its ingest handle in exactly
-/// this closure shape). Each trial becomes one stream, stamped
-/// `fabric-<index>`; snapshots within a stream arrive in scan order, while
-/// concurrent trials interleave arbitrarily, which is what a service keyed
-/// by `(fabric, job)` must tolerate. Returns the trial results in spec
-/// order, so callers can compare a service's per-stream alarms against
-/// the offline monitor's ([`TrialResult::alarms`]).
-pub fn monitord_feed(
-    specs: &[TrialSpec],
-    threads: usize,
-    push: impl Fn(CounterSnapshot) + Sync,
-) -> Vec<TrialResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<TrialResult>>> =
-        specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let push = &push;
-    let cursor = &cursor;
-    let results_ref = &results;
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1).min(specs.len().max(1)) {
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let r = run_trial(spec);
-                for snap in &r.snapshots {
-                    let mut snap = snap.clone();
-                    snap.fabric = format!("fabric-{i:03}");
-                    push(snap);
-                }
-                *results_ref[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker finished its trial"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -123,16 +123,11 @@ pub struct TrialResult {
     pub learned_events: Vec<(u32, LearnedUpdate)>,
     /// Transport/fabric statistics.
     pub stats: Stats,
-    /// Retained trace-ring records (drops, fault transitions, PFC state
-    /// changes, flow failures), oldest first.
-    pub trace: Vec<fp_netsim::trace::TraceRecord>,
-    /// Events offered to the trace ring, including any evicted ones.
-    pub trace_offered: u64,
-    /// The ring evicted records (`trace_offered > trace.len()`); exports
-    /// must surface this — the retained window is the *most recent* slice.
-    pub trace_truncated: bool,
-    /// Observed per-port loads per iteration (for figure harnesses).
-    pub observed: Vec<PortLoads>,
+    /// The run's trace ring (drops, fault transitions, PFC state changes,
+    /// flow failures), oldest record first. When it evicted records
+    /// ([`TraceBuffer::truncated`](fp_netsim::trace::TraceBuffer::truncated))
+    /// exports must say so — the retained window is the *most recent* slice.
+    pub trace: fp_netsim::trace::TraceBuffer,
     /// The model prediction (`None` for learned until formed).
     pub predicted: Option<PortLoads>,
     /// Which event-scheduler backend ran the trial (telemetry only; result
@@ -155,9 +150,10 @@ pub struct TrialResult {
     /// [`TrialResult::shard_windows`] by the same follow-up PR.
     pub shard_syncs: u64,
     /// Per-iteration counter snapshots of the measured job in scan order —
-    /// the stream a monitor service ingests ([`crate::snapshot`]). The
-    /// final row has `last` set; `fabric` is empty until a feed
-    /// ([`monitord_feed`](super::monitord_feed)) stamps a stream id.
+    /// the stream a monitor service ingests ([`crate::snapshot`]), and the
+    /// one copy of the observed cells
+    /// ([`CounterSnapshot::loads`] for figure harnesses). The final row
+    /// has `last` set; `fabric` is empty until a feed stamps a stream id.
     pub snapshots: Vec<CounterSnapshot>,
     /// Temporal-symmetry fast-forwards performed (0 unless the trial
     /// requested memoization and steady state converged).
@@ -194,14 +190,8 @@ pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
         _ => unreachable!("non-learned model without prediction"),
     };
     monitor.scan(&raw.counters, true);
-
-    // Observations for figure harnesses, and the snapshot stream a monitor
-    // service would have ingested iteration by iteration.
-    let mut observed = Vec::new();
-    for i in raw.counters.iters_of(JOB) {
-        let c = raw.counters.get(JOB, i).expect("listed iteration");
-        observed.push(PortLoads::from_counters(c));
-    }
+    // The snapshot stream a monitor service would have ingested iteration
+    // by iteration.
     let snapshots = CounterSnapshot::sequence_from(&raw.counters, JOB);
 
     let (localization, localized_correctly) =
@@ -224,9 +214,6 @@ pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
             .map(|s| ctrl_outcome(s, raw.install_ns, raw.fault_port)),
         stats: raw.stats,
         trace: raw.trace,
-        trace_offered: raw.trace_offered,
-        trace_truncated: raw.trace_truncated,
-        observed,
         predicted: raw.predicted,
         sched_kind: raw.sched_kind,
         sched: raw.sched,
@@ -333,8 +320,8 @@ pub(super) fn export(
     if let Some(reason) = &r.memo_fallback {
         milestone(rec, 0, "memo_fallback", reason.clone());
     }
-    for t in &r.trace {
-        rec.on_event(t.t_ns, &t.event.to_telemetry());
+    for (at, event) in r.trace.records() {
+        rec.on_event(at.as_ns(), &event.to_telemetry());
     }
     Monitor::export_alarms(&r.alarms, end_ns, rec, |a| {
         let loc = r.localization.as_ref()?;
@@ -631,9 +618,7 @@ mod tests {
                 })
                 .collect(),
             stats: Stats::default(),
-            trace: Vec::new(),
-            trace_offered: 0,
-            trace_truncated: false,
+            trace: fp_netsim::trace::TraceBuffer::new(0),
             sched_kind: Default::default(),
             sched: Default::default(),
             memo: Default::default(),
@@ -718,7 +703,6 @@ mod tests {
         let bps = 1000.0 * 8.0 / (1000.0 * 1e-9);
         let expect: Vec<(u32, f64)> = (0..ITERS).map(|i| (i, bps)).collect();
         assert_eq!(r.iter_goodput, expect);
-        assert_eq!(r.observed.len(), ITERS as usize);
         assert_eq!(r.snapshots.len(), ITERS as usize);
         let c = r.ctrl.expect("controller record joined");
         assert_eq!(c.time_to_detect_ns, Some(50));

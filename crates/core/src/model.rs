@@ -98,11 +98,10 @@ pub struct PortCells<'a> {
 impl<'a> PortCells<'a> {
     /// The per-port byte counters of one iteration's in-switch counters.
     pub(crate) fn from_counters(c: &'a IterCounters) -> Self {
-        // bytes layout is [leaf * n_vspines + vspine]
-        let n_leaves = c.first_seen.len();
+        let (n_leaves, n_vspines, _) = c.dims();
         PortCells {
             n_leaves,
-            n_vspines: c.bytes.len() / n_leaves.max(1),
+            n_vspines,
             bytes: &c.bytes,
         }
     }
@@ -181,16 +180,10 @@ impl PortSrcLoads {
 
     /// Convert from in-switch counters.
     pub fn from_counters(c: &IterCounters) -> Self {
-        let rows = c.first_seen.len();
-        let nv = c.bytes.len().checked_div(rows).unwrap_or(0);
-        let n_src = if c.bytes.is_empty() {
-            0
-        } else {
-            c.by_src.len() / c.bytes.len()
-        };
+        let (n_leaves, n_vspines, n_src) = c.dims();
         PortSrcLoads {
-            n_leaves: rows,
-            n_vspines: nv,
+            n_leaves,
+            n_vspines,
             n_src,
             bytes: c.by_src.iter().map(|&b| b as f64).collect(),
         }

@@ -17,7 +17,7 @@
 //! [`CounterStore`]: fp_netsim::counters::CounterStore
 //! [`Monitor`]: crate::monitor::Monitor
 
-use crate::model::PortCells;
+use crate::model::{PortCells, PortLoads};
 use crate::monitor::IterSource;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::packet::CollectiveTag;
@@ -30,8 +30,8 @@ use std::collections::btree_map::{BTreeMap, Entry};
 #[derive(Clone, Default, PartialEq, Serialize, Deserialize, Debug)]
 pub struct CounterSnapshot {
     /// Stream identity: which fabric produced this snapshot. The trial
-    /// harness leaves this empty; feeds ([`crate::eval::monitord_feed`])
-    /// stamp a per-stream id before pushing.
+    /// harness leaves this empty; a feed stamps a per-stream id before
+    /// pushing.
     pub fabric: String,
     /// Monitored job (collective tag sentinel).
     pub job: u32,
@@ -41,8 +41,8 @@ pub struct CounterSnapshot {
     pub n_leaves: u32,
     /// Virtual spine count (monitored ingress ports per leaf).
     pub n_vspines: u32,
-    /// Simulated time the iteration's counters closed (max `last_seen`
-    /// across leaves; informational — detection never reads it).
+    /// Simulated time the iteration's counters closed (its last tagged
+    /// packet at any leaf; informational — detection never reads it).
     pub t_ns: u64,
     /// Row-major `[leaf * n_vspines + vspine]` payload byte counters.
     pub bytes: Vec<u64>,
@@ -72,7 +72,7 @@ impl CounterSnapshot {
                     iter,
                     n_leaves: n_leaves as u32,
                     n_vspines: n_vspines as u32,
-                    t_ns: c.last_seen.iter().copied().max().unwrap_or(0),
+                    t_ns: c.last_seen,
                     bytes: c.bytes.clone(),
                     last: k + 1 == n,
                 }
@@ -80,11 +80,22 @@ impl CounterSnapshot {
             .collect()
     }
 
+    /// The byte cells as loads, each `b as f64` — what
+    /// [`PortLoads::from_counters`] makes of the same iteration.
+    pub fn loads(&self) -> PortLoads {
+        PortCells {
+            n_leaves: self.n_leaves as usize,
+            n_vspines: self.n_vspines as usize,
+            bytes: &self.bytes,
+        }
+        .to_loads()
+    }
+
     /// Replay this snapshot into a consumer-side store so the byte matrix
     /// the [`Monitor`](crate::monitor::Monitor) reads is identical to the
     /// producer's. Only per-port bytes are reconstructed (see the module
-    /// docs); packet counts and the per-source breakdown stay zero, which
-    /// detection and ring localization never read.
+    /// docs); the per-source breakdown stays zero, which detection and
+    /// ring localization never read.
     pub fn apply(&self, store: &mut CounterStore) {
         let tag = CollectiveTag {
             job: self.job,

@@ -44,8 +44,8 @@ fn base_spec(seed: u64, iterations: u32, wheel: bool, least_loaded: bool) -> Tri
 /// on-vs-off divergence.
 fn trace_without_memo(r: &TrialResult) -> Vec<String> {
     r.trace
-        .iter()
-        .filter(|t| !matches!(t.event, TraceEvent::MemoFastForward { .. }))
+        .records()
+        .filter(|(_, event)| !matches!(event, TraceEvent::MemoFastForward { .. }))
         .map(|t| format!("{t:?}"))
         .collect()
 }
@@ -77,17 +77,9 @@ fn assert_lockstep(off: &TrialResult, on: &TrialResult) {
         "stats"
     );
     assert_eq!(trace_without_memo(off), trace_without_memo(on), "trace");
-    assert_eq!(
-        format!("{:?}", off.observed),
-        format!("{:?}", on.observed),
-        "observed loads"
-    );
     assert_eq!(off.iter_goodput, on.iter_goodput, "iter_goodput");
-    assert_eq!(
-        format!("{:?}", off.snapshots),
-        format!("{:?}", on.snapshots),
-        "snapshot stream"
-    );
+    // The observed cells, with each iteration's closing stamp.
+    assert_eq!(off.snapshots, on.snapshots, "snapshot stream");
 }
 
 fn run_pair(spec: &TrialSpec) -> (TrialResult, TrialResult) {
@@ -156,6 +148,7 @@ fn fault_free_run_replays_and_matches() {
     assert!(on.memo_replayed_events > 0);
     // The memoized trace carries exactly `hits` extra records.
     assert_eq!(on.trace.len() as u64, off.trace.len() as u64 + on.memo_hits);
+    assert_eq!(on.trace.offered, off.trace.offered + on.memo_hits);
 }
 
 /// A transient drop fault: the replay chain must stop at the onset

@@ -30,9 +30,9 @@
 //!   lines and a Prometheus-style text dump.
 //!
 //! The `fp-monitord` binary wraps all of this around stdin or
-//! `FP_MONITORD_SOCK`; `flowpulse::eval::monitord_feed` is the harness
-//! side that streams N concurrent simulated fabrics into one service
-//! (see the E10 sweep `monitord_sweep` in `fp-bench`).
+//! `FP_MONITORD_SOCK`; the E10 sweep `monitord_sweep` in `fp-bench` is the
+//! harness side, streaming many simulated fabrics' `TrialResult::snapshots`
+//! into one service.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

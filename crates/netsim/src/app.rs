@@ -28,22 +28,11 @@ pub trait Application {
         let _ = (sim, flow);
     }
 
-    /// Every segment of `flow` has been acknowledged back at the sender.
-    fn on_flow_acked(&mut self, sim: &mut Simulator, flow: FlowId) {
-        let _ = (sim, flow);
-    }
-
     /// The sender gave up retransmitting some segment of `flow`.
     fn on_flow_failed(&mut self, sim: &mut Simulator, flow: FlowId) {
         let _ = (sim, flow);
     }
 }
-
-/// An application that does nothing (for harness-driven simulations).
-#[derive(Default, Debug, Clone, Copy)]
-pub struct NullApp;
-
-impl Application for NullApp {}
 
 /// Runs several applications side by side on one fabric (e.g. a measured
 /// collective plus background traffic, or two parallel training jobs —
@@ -83,11 +72,6 @@ impl Application for MultiApp {
     fn on_message_complete(&mut self, sim: &mut Simulator, flow: FlowId) {
         for a in &mut self.apps {
             a.on_message_complete(sim, flow);
-        }
-    }
-    fn on_flow_acked(&mut self, sim: &mut Simulator, flow: FlowId) {
-        for a in &mut self.apps {
-            a.on_flow_acked(sim, flow);
         }
     }
     fn on_flow_failed(&mut self, sim: &mut Simulator, flow: FlowId) {

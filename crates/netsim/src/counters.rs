@@ -3,7 +3,9 @@
 //! Each *leaf* switch maintains, per spine-facing ingress port, the number of
 //! payload bytes received for every `(job, iteration)` collective tag
 //! (paper §5.1/§5.3). A second, per-source-leaf breakdown supports fault
-//! localization (§5.3, Fig. 4). Only *valid, delivered* data packets are
+//! localization (§5.3, Fig. 4). Besides those two byte matrices an entry
+//! keeps one stamp, the time of its last tagged packet; nothing else is
+//! read, so nothing else is counted. Only *valid, delivered* data packets are
 //! counted — packets lost to silent faults never reach the counter, which is
 //! precisely the temporal-symmetry signal.
 //!
@@ -15,7 +17,7 @@ use crate::packet::CollectiveTag;
 use crate::time::SimTime;
 use std::collections::HashMap;
 
-/// Byte/packet counts for one collective iteration, across all monitoring
+/// Byte counts for one collective iteration, across all monitoring
 /// switches ("rows": leaves for the leaf-level store, aggs for the 3-level
 /// agg-level store).
 #[derive(Clone, Debug)]
@@ -25,17 +27,11 @@ pub struct IterCounters {
     n_src: usize,
     /// Payload bytes per `(row, vspine)` ingress port; index `row * n_vspines + vspine`.
     pub bytes: Vec<u64>,
-    /// Packets per `(row, vspine)`.
-    pub pkts: Vec<u64>,
     /// Payload bytes per `(row, vspine, src_leaf)`;
     /// index `(row * n_vspines + vspine) * n_src + src_leaf`.
     pub by_src: Vec<u64>,
-    /// Per-row time the first tagged packet of this iteration was seen
-    /// (`u64::MAX` = never). This is what lets a leaf *independently* detect
-    /// the start of iteration `k+1` and close its measurement of `k` (§5.1).
-    pub first_seen: Vec<u64>,
-    /// Per-row time of the last tagged packet.
-    pub last_seen: Vec<u64>,
+    /// Time of the iteration's last tagged packet, at any row.
+    pub last_seen: u64,
 }
 
 impl IterCounters {
@@ -45,10 +41,8 @@ impl IterCounters {
             n_rows,
             n_src,
             bytes: vec![0; n_rows * n_vspines],
-            pkts: vec![0; n_rows * n_vspines],
             by_src: vec![0; n_rows * n_vspines * n_src],
-            first_seen: vec![u64::MAX; n_rows],
-            last_seen: vec![0; n_rows],
+            last_seen: 0,
         }
     }
 
@@ -79,12 +73,6 @@ impl IterCounters {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
     }
-
-    /// When `leaf` first saw this iteration, if ever.
-    pub fn first_seen_at(&self, leaf: u32) -> Option<SimTime> {
-        let t = self.first_seen[leaf as usize];
-        (t != u64::MAX).then(|| SimTime::from_ns(t))
-    }
 }
 
 /// Counter growth for one `(job, iter)` over one recorded memo window —
@@ -98,16 +86,12 @@ pub struct CounterDelta {
     pub iter: u32,
     /// Added bytes per `(row, vspine)` cell.
     pub bytes: Vec<u64>,
-    /// Added packets per `(row, vspine)` cell.
-    pub pkts: Vec<u64>,
     /// Added bytes per `(row, vspine, src)` cell.
     pub by_src: Vec<u64>,
-    /// Per-row `first_seen` written this window (`u64::MAX` = untouched);
-    /// absolute ns, rebased by the replay time shift.
-    pub first_seen: Vec<u64>,
-    /// Per-row `last_seen` written this window (`0` = untouched);
-    /// absolute ns, rebased by the replay time shift.
-    pub last_seen: Vec<u64>,
+    /// `last_seen` at the end of the window, absolute ns, rebased by the
+    /// replay time shift: the window recorded into the entry, and the
+    /// clock only moves forward, so this is its last record's stamp.
+    pub last_seen: u64,
 }
 
 /// All iteration counters of a run, keyed by `(job, iter)`.
@@ -186,13 +170,8 @@ impl CounterStore {
         let c = &mut self.entries[i].1;
         let pi = leaf as usize * self.n_vspines + vspine as usize;
         c.bytes[pi] += bytes;
-        c.pkts[pi] += 1;
         c.by_src[pi * self.n_src + src_leaf as usize] += bytes;
-        let fs = &mut c.first_seen[leaf as usize];
-        if *fs == u64::MAX {
-            *fs = now.as_ns();
-        }
-        c.last_seen[leaf as usize] = c.last_seen[leaf as usize].max(now.as_ns());
+        c.last_seen = c.last_seen.max(now.as_ns());
     }
 
     /// Counters for one `(job, iter)`, if any packet was recorded.
@@ -227,50 +206,29 @@ impl CounterStore {
     }
 
     /// One `(job, iter)` entry's worth of counter growth over a recorded
-    /// memo window (see `crate::sim::memo`). `first_seen` uses `u64::MAX`
-    /// and `last_seen` uses `0` as "row untouched this window" sentinels —
-    /// the same idle values [`IterCounters::new`] starts rows at, so a
-    /// sentinel never shadows a real update.
+    /// memo window (see `crate::sim::memo`), for every entry the window
+    /// recorded into. Every record adds bytes, so an entry whose bytes did
+    /// not grow was not touched.
     pub fn memo_diff(&self, prev: &CounterStore) -> Vec<CounterDelta> {
         debug_assert!(self.entries.len() >= prev.entries.len());
         let mut out = Vec::new();
         for ((job, iter), c) in &self.entries {
-            let base = prev.get(*job, *iter);
             let mut d = CounterDelta {
                 job: *job,
                 iter: *iter,
                 bytes: c.bytes.clone(),
-                pkts: c.pkts.clone(),
                 by_src: c.by_src.clone(),
-                first_seen: c.first_seen.clone(),
-                last_seen: c.last_seen.clone(),
+                last_seen: c.last_seen,
             };
-            if let Some(p) = base {
+            if let Some(p) = prev.get(*job, *iter) {
                 for (a, b) in d.bytes.iter_mut().zip(&p.bytes) {
-                    *a -= b;
-                }
-                for (a, b) in d.pkts.iter_mut().zip(&p.pkts) {
                     *a -= b;
                 }
                 for (a, b) in d.by_src.iter_mut().zip(&p.by_src) {
                     *a -= b;
                 }
-                for (a, b) in d.first_seen.iter_mut().zip(&p.first_seen) {
-                    if *a == *b {
-                        *a = u64::MAX;
-                    }
-                }
-                for (a, b) in d.last_seen.iter_mut().zip(&p.last_seen) {
-                    if *a == *b {
-                        *a = 0;
-                    }
-                }
             }
-            let touched = d.bytes.iter().any(|&v| v != 0)
-                || d.pkts.iter().any(|&v| v != 0)
-                || d.first_seen.iter().any(|&v| v != u64::MAX)
-                || d.last_seen.iter().any(|&v| v != 0);
-            if touched {
+            if d.bytes.iter().any(|&v| v != 0) {
                 out.push(d);
             }
         }
@@ -279,7 +237,7 @@ impl CounterStore {
 
     /// Replay one recorded window delta onto the store, rebased by
     /// `iter_shift` collective iterations and `t_shift_ns` of simulated
-    /// time. Cells add; seen-times min/max-merge exactly like a live
+    /// time. Cells add; the last stamp max-merges exactly like a live
     /// [`Self::record`] stream would have produced.
     pub fn memo_apply(&mut self, d: &CounterDelta, iter_shift: u32, t_shift_ns: u64) {
         let key = (d.job, d.iter + iter_shift);
@@ -299,22 +257,10 @@ impl CounterStore {
         for (a, b) in c.bytes.iter_mut().zip(&d.bytes) {
             *a += b;
         }
-        for (a, b) in c.pkts.iter_mut().zip(&d.pkts) {
-            *a += b;
-        }
         for (a, b) in c.by_src.iter_mut().zip(&d.by_src) {
             *a += b;
         }
-        for (a, b) in c.first_seen.iter_mut().zip(&d.first_seen) {
-            if *b != u64::MAX {
-                *a = (*a).min(b + t_shift_ns);
-            }
-        }
-        for (a, b) in c.last_seen.iter_mut().zip(&d.last_seen) {
-            if *b != 0 {
-                *a = (*a).max(b + t_shift_ns);
-            }
-        }
+        c.last_seen = c.last_seen.max(d.last_seen + t_shift_ns);
     }
 }
 
@@ -338,14 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn first_last_seen_per_leaf() {
+    fn last_seen_is_the_latest_record_at_any_row() {
         let mut s = CounterStore::new(2, 2);
         s.record(0, 0, TAG, 1, 10, SimTime::from_ns(5));
-        s.record(0, 1, TAG, 1, 10, SimTime::from_ns(9));
-        let c = s.get(1, 0).unwrap();
-        assert_eq!(c.first_seen_at(0), Some(SimTime::from_ns(5)));
-        assert_eq!(c.last_seen[0], 9);
-        assert_eq!(c.first_seen_at(1), None);
+        s.record(1, 1, TAG, 1, 10, SimTime::from_ns(9));
+        s.record(0, 1, TAG, 1, 10, SimTime::from_ns(7));
+        assert_eq!(s.get(1, 0).unwrap().last_seen, 9);
     }
 
     #[test]

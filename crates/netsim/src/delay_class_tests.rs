@@ -167,8 +167,7 @@ fn counters_debug(c: &CounterStore) -> String {
         .into_iter()
         .map(|(job, iter)| {
             let e = c.get(job, iter).expect("listed key");
-            let last_seen = e.last_seen.iter().copied().max().unwrap_or(0);
-            (job, iter, &e.bytes, &e.by_src, last_seen)
+            (job, iter, &e.bytes, &e.by_src, e.last_seen)
         })
         .collect();
     format!("{cells:?}")

@@ -86,7 +86,7 @@ pub mod wheel;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::app::{Application, MultiApp, NullApp};
+    pub use crate::app::{Application, MultiApp};
     pub use crate::config::{PfcConfig, SimConfig};
     pub use crate::control::{AppliedControl, ControlAction, ControlVerb};
     pub use crate::counters::{CounterStore, IterCounters};

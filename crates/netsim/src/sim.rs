@@ -737,7 +737,7 @@ impl Simulator {
         echoes.clear();
         let f = &mut self.flows[flow as usize];
         let pair = (f.src.0, f.dst.0);
-        let newly_done = f.on_ack(block, self.switches.feedback.then_some(&mut echoes));
+        f.on_ack(block, self.switches.feedback.then_some(&mut echoes));
         // Echo each newly acknowledged segment to the source leaf's
         // sprayer: a clean ACK proves the path, a CE-marked one flags it.
         if !echoes.is_empty() {
@@ -753,9 +753,6 @@ impl Simulator {
             }
         }
         self.scratch_echoes = echoes;
-        if newly_done {
-            self.with_app(|app, sim| app.on_flow_acked(sim, flow));
-        }
     }
 
     fn handle_rto(&mut self, flow: FlowId, seq: u32, attempt: u32) {

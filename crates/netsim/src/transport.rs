@@ -294,11 +294,10 @@ impl FlowState {
         let cum = self.cum_rcvd();
         match &mut self.pending_ack {
             None => {
-                let mut a = AckAccum::new(seq, ce);
+                let a = AckAccum::new(seq, ce);
                 if coalesce <= 1 {
                     return (Some(a.block(cum)), false);
                 }
-                a.flush_scheduled = true;
                 self.pending_ack = Some(a);
                 (None, true)
             }
@@ -307,10 +306,7 @@ impl FlowState {
                     // Window overflow: emit the old block, restart under
                     // the timer that is already running.
                     let old = a.block(cum);
-                    *a = AckAccum {
-                        flush_scheduled: a.flush_scheduled,
-                        ..AckAccum::new(seq, ce)
-                    };
+                    *a = AckAccum::new(seq, ce);
                     (Some(old), false)
                 } else if a.count() >= coalesce {
                     (self.pending_ack.take().map(|a| a.block(cum)), false)
@@ -329,13 +325,9 @@ impl FlowState {
 
     /// Sender: apply one ACK. Every *newly* acknowledged segment is, when
     /// `echoes` is given, reported there as `(seq, CE-marked)`; a timer
-    /// pending for it is cancelled lazily, when it surfaces. Returns true
-    /// when this ACK completed the flow's acknowledgement.
-    pub(crate) fn on_ack(
-        &mut self,
-        block: AckBlock,
-        mut echoes: Option<&mut Vec<(u32, bool)>>,
-    ) -> bool {
+    /// pending for it is cancelled lazily, when it surfaces. The ACK that
+    /// completes the flow's acknowledgement frees its timer-slot log.
+    pub(crate) fn on_ack(&mut self, block: AckBlock, mut echoes: Option<&mut Vec<(u32, bool)>>) {
         let was_done = self.fully_acked();
         // Cumulative watermark first (heals any previously lost ACKs)…
         let cum = block.cum.min(self.npkts);
@@ -358,11 +350,9 @@ impl FlowState {
                 }
             }
         }
-        let done = !was_done && self.fully_acked();
-        if done {
+        if !was_done && self.fully_acked() {
             self.release_log();
         }
-        done
     }
 }
 
@@ -387,8 +377,6 @@ pub struct AckAccum {
     /// CE (congestion-experienced) echoes, bit-parallel to `mask`: bit `i`
     /// set ⇒ the segment acknowledged by bit `i` arrived CE-marked.
     pub ce_mask: u64,
-    /// A flush timer is already scheduled.
-    flush_scheduled: bool,
 }
 
 impl AckAccum {
@@ -398,7 +386,6 @@ impl AckAccum {
             base: seq,
             mask: 1,
             ce_mask: ce as u64,
-            flush_scheduled: false,
         }
     }
 
@@ -525,7 +512,7 @@ mod tests {
         // Watermark covers 0..3; the block names 2 (again), 5 and 6, the
         // last one CE-marked.
         let block = ack(3, 2, 0b11001, 0b10000);
-        assert!(!f.on_ack(block, Some(&mut echoes)));
+        f.on_ack(block, Some(&mut echoes));
         assert_eq!(f.cum_acked, 3);
         let acked = |f: &FlowState| (0..8).filter(|&s| f.acked.get(s)).collect::<Vec<_>>();
         assert_eq!(acked(&f), [0, 1, 2, 5, 6]);
@@ -537,15 +524,15 @@ mod tests {
         );
         // The same ACK again acknowledges nothing new: no echo.
         echoes.clear();
-        assert!(!f.on_ack(block, Some(&mut echoes)));
+        f.on_ack(block, Some(&mut echoes));
         assert_eq!(acked(&f), [0, 1, 2, 5, 6]);
         assert!(echoes.is_empty());
         assert!(f.rto_is_stale(5), "acknowledged");
         assert!(!f.rto_is_stale(3));
-        // A watermark past the end is clamped; finishing reports done once.
-        assert!(f.on_ack(ack(99, 0, 0, 0), None), "feedback off: no echoes");
+        // A watermark past the end is clamped; feedback off: no echoes.
+        f.on_ack(ack(99, 0, 0, 0), None);
         assert!(f.fully_acked());
-        assert!(!f.on_ack(ack(99, 0, 0, 0), None), "already done");
+        assert_eq!(f.cum_acked, 8);
     }
 
     #[test]
@@ -638,7 +625,7 @@ mod tests {
         assert_eq!((f.rto_armed, f.rto_cursor), (false, 6));
         // Segment 0 is still in doubt (on a backoff timer of its own).
         assert_eq!(f.sent.capacity(), 6);
-        assert!(f.on_ack(ack(1, 0, 0, 0), None));
+        f.on_ack(ack(1, 0, 0, 0), None);
         assert_eq!(f.sent.capacity(), 0, "freed by the last acknowledgement");
     }
 
@@ -699,17 +686,16 @@ mod tests {
             (Some(ack(0, 1, 0b111, 0b010)), false)
         );
         assert_eq!(f.pending_ack, None);
-        // Window overflow: the old block goes out, the new one starts at
-        // the offending sequence and keeps `flush_scheduled` — the timer
-        // armed for the old one is still running, so none is asked for.
+        // Window overflow: the old block goes out and the new one starts
+        // at the offending sequence — the timer armed for the old one is
+        // still running, so none is asked for.
         assert_eq!(f.ack_data(10, false, 8), (None, true));
         assert_eq!(f.ack_data(100, true, 8), (Some(ack(0, 10, 1, 0)), false));
         let restarted = f.pending_ack.expect("restarted");
         assert_eq!((restarted.base, restarted.ce_mask), (100, 1));
-        assert!(restarted.flush_scheduled);
         // A sequence below the base overflows the same way.
         assert_eq!(f.ack_data(99, false, 8), (Some(ack(0, 100, 1, 1)), false));
-        assert!(f.pending_ack.is_some_and(|a| a.flush_scheduled));
+        assert!(f.pending_ack.is_some_and(|a| a.base == 99));
         // The timer takes whatever is pending, once.
         f.on_data(0, SimTime::from_ns(9));
         assert_eq!(f.flush_ack(), Some(ack(2, 99, 1, 0)));

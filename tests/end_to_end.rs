@@ -24,15 +24,15 @@ fn temporal_symmetry_holds_end_to_end() {
     assert!(!r.false_alarm);
     // With no jitter and deterministic adaptive spraying, observed loads
     // repeat across iterations bit-for-bit.
-    assert_eq!(r.observed[0].bytes, r.observed[1].bytes);
-    assert_eq!(r.observed[1].bytes, r.observed[2].bytes);
+    assert_eq!(r.snapshots[0].bytes, r.snapshots[1].bytes);
+    assert_eq!(r.snapshots[1].bytes, r.snapshots[2].bytes);
 }
 
 #[test]
 fn analytical_prediction_matches_fabric() {
     let r = run_trial(&small());
     let pred = r.predicted.as_ref().unwrap();
-    let dev = Detector::default().max_abs_rel(pred, &r.observed[0]);
+    let dev = Detector::default().max_abs_rel(pred, &r.snapshots[0].loads());
     assert!(dev < 0.005, "model-vs-fabric deviation {:.4}%", dev * 100.0);
 }
 
@@ -344,9 +344,46 @@ fn spatial_baseline_fails_where_flowpulse_succeeds() {
     let r = run_trial(&spec);
     assert!(!r.false_alarm, "FlowPulse must accept known faults");
     let spatial = SpatialSymmetryDetector::default();
-    let alarms = spatial.check(&r.observed[0]);
+    let alarms = spatial.check(&r.snapshots[0].loads());
     assert!(
         !alarms.is_empty(),
         "spatial baseline should false-alarm on pre-existing faults"
     );
+}
+
+#[test]
+fn snapshots_carry_the_live_cells_and_last_stamp_of_each_iteration() {
+    // A ring run stepped one event at a time: whenever an iteration's
+    // counters grow, `now` is its latest tagged-packet stamp so far.
+    let topo = Topology::fat_tree(FatTreeSpec {
+        leaves: 4,
+        spines: 2,
+        ..Default::default()
+    });
+    let hosts: Vec<HostId> = (0..4).map(HostId).collect();
+    let mut sim = Simulator::new(topo, SimConfig::default(), 5);
+    sim.set_app(Box::new(CollectiveRunner::new(
+        ring_allreduce(&hosts, 256 * 1024),
+        RunnerConfig {
+            iterations: 3,
+            ..Default::default()
+        },
+    )));
+    let mut totals = std::collections::BTreeMap::new();
+    let mut stamps = std::collections::BTreeMap::new();
+    while sim.step() {
+        for iter in sim.counters.iters_of(1) {
+            let total = sim.counters.get(1, iter).unwrap().total_bytes();
+            if totals.insert(iter, total) != Some(total) {
+                stamps.insert(iter, sim.now().as_ns());
+            }
+        }
+    }
+    let snaps = CounterSnapshot::sequence_from(&sim.counters, 1);
+    assert_eq!(snaps.len(), 3);
+    for s in &snaps {
+        let c = sim.counters.get(1, s.iter).unwrap();
+        assert_eq!(s.loads(), PortLoads::from_counters(c), "iter {}", s.iter);
+        assert_eq!(s.t_ns, stamps[&s.iter], "iter {}", s.iter);
+    }
 }
