@@ -4,11 +4,10 @@
 //! node — and, unlike data-parallel AllReduce, the per-pair volume may vary
 //! (expert parallelism). FlowPulse's future-work section proposes handling
 //! it by extracting the demand matrix and recomputing expected loads; this
-//! module provides both the uniform and the demand-driven variants so the
-//! localization experiments (which need multiple senders per monitored
+//! module provides the uniform variant and the §5.1 measured subset, so
+//! the localization experiments (which need multiple senders per monitored
 //! port — Fig. 4) have a workload to run on.
 
-use crate::demand::DemandMatrix;
 use crate::schedule::{Schedule, Transfer};
 use fp_netsim::ids::HostId;
 
@@ -33,27 +32,6 @@ pub fn alltoall_uniform(nodes: &[HostId], bytes_per_pair: u64) -> Schedule {
     let deps = vec![None; transfers.len()];
     Schedule {
         name: "alltoall-uniform".to_string(),
-        nodes: nodes.to_vec(),
-        transfers,
-        deps,
-    }
-}
-
-/// Demand-driven AlltoAll: one transfer per non-zero demand entry (dynamic
-/// demand matrices from e.g. expert-parallel routing).
-pub fn alltoall_from_demand(nodes: &[HostId], demand: &DemandMatrix) -> Schedule {
-    let mut transfers = Vec::new();
-    for (src, dst, bytes) in demand.pairs() {
-        transfers.push(Transfer {
-            src,
-            dst,
-            bytes,
-            step: 0,
-        });
-    }
-    let deps = vec![None; transfers.len()];
-    Schedule {
-        name: "alltoall-demand".to_string(),
         nodes: nodes.to_vec(),
         transfers,
         deps,
@@ -150,16 +128,6 @@ mod tests {
                 assert_eq!(d.get(HostId(i), HostId(j)), want);
             }
         }
-    }
-
-    #[test]
-    fn demand_driven_roundtrips() {
-        let mut d = DemandMatrix::new(3);
-        d.add(HostId(0), HostId(2), 500);
-        d.add(HostId(1), HostId(0), 250);
-        let s = alltoall_from_demand(&hosts(3), &d);
-        s.validate().unwrap();
-        assert_eq!(s.demand(3), d);
     }
 
     #[test]

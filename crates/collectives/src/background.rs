@@ -50,19 +50,13 @@ impl Default for BackgroundConfig {
 pub struct BackgroundTraffic {
     cfg: BackgroundConfig,
     rng: SmallRng,
-    /// Messages posted so far.
-    pub posted: u64,
 }
 
 impl BackgroundTraffic {
     /// New generator.
     pub fn new(cfg: BackgroundConfig) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed);
-        BackgroundTraffic {
-            cfg,
-            rng,
-            posted: 0,
-        }
+        BackgroundTraffic { cfg, rng }
     }
 
     fn exp_interval(&mut self) -> SimDuration {
@@ -102,7 +96,6 @@ impl Application for BackgroundTraffic {
                 None,
                 self.cfg.prio,
             );
-            self.posted += 1;
         }
         self.schedule_next(sim);
     }

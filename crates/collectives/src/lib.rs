@@ -38,14 +38,12 @@ pub mod schedule;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::alltoall::{
-        alltoall_from_demand, alltoall_uniform, demand_of_subset, single_nonlocal_subset,
-    };
+    pub use crate::alltoall::{alltoall_uniform, demand_of_subset, single_nonlocal_subset};
     pub use crate::background::{BackgroundConfig, BackgroundTraffic};
     pub use crate::demand::DemandMatrix;
     pub use crate::halving::halving_doubling_allreduce;
     pub use crate::jitter::JitterModel;
-    pub use crate::ring::{ring_allgather, ring_allreduce, ring_reduce_scatter};
+    pub use crate::ring::{ring_allreduce, ring_reduce_scatter};
     pub use crate::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
     pub use crate::schedule::{Schedule, Transfer};
 }

@@ -1,4 +1,4 @@
-//! Ring collectives: AllReduce, ReduceScatter, AllGather.
+//! Ring collectives: AllReduce and its ReduceScatter half.
 //!
 //! Ring-AllReduce over N nodes runs 2(N−1) pipelined stages: N−1
 //! reduce-scatter stages followed by N−1 all-gather stages; in each stage
@@ -97,16 +97,6 @@ pub fn ring_reduce_scatter(nodes: &[HostId], bytes_per_node: u64) -> Schedule {
     )
 }
 
-/// Ring AllGather: N−1 stages propagating each node's chunk around the ring.
-pub fn ring_allgather(nodes: &[HostId], bytes_per_node: u64) -> Schedule {
-    ring_schedule(
-        "ring-allgather",
-        nodes,
-        bytes_per_node,
-        &[RingPhase::AllGather],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn allgather_matches_reduce_scatter_volume() {
+    fn allreduce_moves_twice_the_reduce_scatter_volume() {
         let a = ring_reduce_scatter(&hosts(6), 6_000);
-        let b = ring_allgather(&hosts(6), 6_000);
-        assert_eq!(a.total_bytes(), b.total_bytes());
+        let b = ring_allreduce(&hosts(6), 6_000);
+        assert_eq!(2 * a.total_bytes(), b.total_bytes());
     }
 
     #[test]

@@ -293,6 +293,32 @@ mod tests {
     }
 
     #[test]
+    fn a_window_delta_replays_like_the_live_records_it_stands_for() {
+        let tag = |iter| CollectiveTag { job: 1, iter };
+        let mut s = CounterStore::new(2, 2);
+        s.record(0, 0, tag(1), 1, 5, SimTime::from_ns(1));
+        let prev = s.clone();
+        // The window records into iteration 0 only.
+        s.record(1, 0, tag(0), 0, 10, SimTime::from_ns(20));
+        s.record(0, 1, tag(0), 1, 30, SimTime::from_ns(25));
+        let deltas = s.memo_diff(&prev);
+        assert_eq!(deltas.len(), 1, "an entry the window missed has no delta");
+        let (mut replayed, mut live) = (s.clone(), s.clone());
+        // Onto an iteration that already has cells, and onto a new one.
+        for (k, shift) in [(1, 100), (2, 200)] {
+            replayed.memo_apply(&deltas[0], k, shift);
+            live.record(1, 0, tag(k), 0, 10, SimTime::from_ns(20 + shift));
+            live.record(0, 1, tag(k), 1, 30, SimTime::from_ns(25 + shift));
+        }
+        assert_eq!(replayed.keys(), live.keys());
+        for (job, iter) in live.keys() {
+            let show = |c: &CounterStore| format!("{:?}", c.get(job, iter));
+            assert_eq!(show(&replayed), show(&live), "iteration {iter}");
+        }
+        assert_eq!(replayed.get(1, 1).unwrap().last_seen, 125);
+    }
+
+    #[test]
     fn iterations_are_separate() {
         let mut s = CounterStore::new(2, 2);
         s.record(

@@ -55,12 +55,6 @@ impl PrimeSprayer {
     pub fn new() -> Self {
         PrimeSprayer::default()
     }
-
-    /// Current entropy epoch of the `(src, dst)` pair (0 until a
-    /// congestion signal).
-    pub fn epoch(&self, src: u32, dst: u32) -> u32 {
-        self.epochs.get(&pair_key(src, dst)).copied().unwrap_or(0)
-    }
 }
 
 impl Sprayer for PrimeSprayer {
@@ -108,6 +102,12 @@ mod tests {
             loads: &[],
             slots: &[],
         }
+    }
+
+    /// Current entropy epoch of the `(src, dst)` pair (0 until a
+    /// congestion signal).
+    fn epoch(s: &PrimeSprayer, src: u32, dst: u32) -> u32 {
+        s.epochs.get(&pair_key(src, dst)).copied().unwrap_or(0)
     }
 
     #[test]
@@ -166,13 +166,13 @@ mod tests {
             .collect();
         assert_eq!(s.memo_residual(), Ok(0));
         s.on_feedback(1, (0, 1), 0, SprayEcho::Ecn);
-        assert_eq!(s.epoch(0, 1), 1);
+        assert_eq!(epoch(&s, 0, 1), 1);
         let after: Vec<usize> = (0..32)
             .map(|seq| s.pick(&ctx(0, 1, seq, &cands), &mut cur, &mut rng))
             .collect();
         assert_ne!(before, after, "epoch bump must re-randomize the path set");
         // Other pairs are untouched.
-        assert_eq!(s.epoch(0, 2), 0);
+        assert_eq!(epoch(&s, 0, 2), 0);
         // Feedback-fed state refuses the memo fingerprint with a reason.
         assert_eq!(s.memo_residual(), Err("prime-congestion-epochs"));
     }
@@ -181,9 +181,9 @@ mod tests {
     fn clean_acks_do_not_bump_epochs() {
         let mut s = PrimeSprayer::new();
         s.on_feedback(1, (0, 1), 0, SprayEcho::Ack);
-        assert_eq!(s.epoch(0, 1), 0);
+        assert_eq!(epoch(&s, 0, 1), 0);
         assert_eq!(s.memo_residual(), Ok(0));
         s.on_feedback(1, (0, 1), 1, SprayEcho::Timeout);
-        assert_eq!(s.epoch(0, 1), 1);
+        assert_eq!(epoch(&s, 0, 1), 1);
     }
 }

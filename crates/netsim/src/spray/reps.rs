@@ -69,8 +69,6 @@ pub struct RepsSprayer {
     /// Reverse-path (ACK) rotation cursor, separate so ACK bursts do not
     /// skew the data stratification.
     ack_cursor: u64,
-    /// Data picks served from a recycled entropy.
-    pub recycled: u64,
     /// Data picks served by a fresh draw.
     pub fresh: u64,
     /// Entropies evicted (ECN/timeout echoes + quarantine purges).
@@ -89,7 +87,6 @@ impl RepsSprayer {
             skipped: vec![0; n_slots],
             cursor: 0,
             ack_cursor: 0,
-            recycled: 0,
             fresh: 0,
             evicted: 0,
         }
@@ -147,7 +144,6 @@ impl Sprayer for RepsSprayer {
                 continue;
             }
             if let Some(e) = self.buckets.get_mut(slot).and_then(|b| b.pop_front()) {
-                self.recycled += 1;
                 chosen = Some((e, idx, slot as u32));
                 break;
             }
@@ -261,7 +257,7 @@ mod tests {
         // The recycled entropy reproduces the same pick.
         let idx2 = s.pick(&ctx(1, 1, &c, &sl), &mut cur, &mut rng);
         assert_eq!(idx, idx2, "recycled entropy must replay the proven path");
-        assert_eq!(s.recycled, 1);
+        assert_eq!(s.fresh, 1, "served from the cache, not a fresh draw");
         assert_eq!(cache_len(&s), 0);
     }
 

@@ -4,14 +4,12 @@
 //! dynamics; this crate gives the simulator the same courtesy. It defines a
 //! [`Recorder`] trait the engine drives at well-known points — periodic
 //! per-link samples, flow completions, RTO attempts, PFC pauses, structured
-//! exceptional events, and collective iteration spans — plus two
-//! implementations:
-//!
-//! * [`NullRecorder`]: every hook is an empty default; the engine only calls
-//!   hooks when a recorder is attached, so the disabled path costs nothing
-//!   and is byte-identical to a build without telemetry.
-//! * [`RunRecorder`]: buffers everything in memory and, on
-//!   [`Recorder::finish`], writes a self-describing artifact directory:
+//! exceptional events, and collective iteration spans — whose every hook
+//! defaults to doing nothing. The engine only calls hooks when a recorder
+//! is attached, so the disabled path costs nothing and is byte-identical
+//! to a build without telemetry. [`RunRecorder`] is the implementation: it
+//! buffers everything in memory and, on [`Recorder::finish`], writes a
+//! self-describing artifact directory:
 //!
 //!   | file              | contents                                          |
 //!   |-------------------|---------------------------------------------------|
@@ -41,7 +39,7 @@ mod run;
 pub use events::{Event, EventRecord};
 pub use histogram::{HistogramBucket, HistogramExport, LogHistogram};
 pub use manifest::{git_describe, Manifest};
-pub use recorder::{LinkMeta, LinkSample, NullRecorder, Recorder};
+pub use recorder::{LinkMeta, LinkSample, Recorder};
 pub use run::{IterSpan, RunRecorder, SampleRow};
 
 /// Default sampler period: 100 µs of simulated time between link samples.

@@ -78,22 +78,18 @@ pub trait Recorder {
     }
 }
 
-/// A recorder that records nothing (every hook is the default no-op).
-///
-/// Useful for exercising the recorder-attached code path in tests without
-/// producing artifacts.
-#[derive(Copy, Clone, Default, Debug)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every hook left at its default.
+    struct Inert;
+
+    impl Recorder for Inert {}
+
     #[test]
-    fn null_recorder_is_inert() {
-        let mut r = NullRecorder;
+    fn default_hooks_do_nothing() {
+        let mut r = Inert;
         assert_eq!(r.sample_interval_ns(), 0);
         r.on_topology(&[]);
         r.on_link_sample(

@@ -72,10 +72,13 @@ done
 echo "==> dead surface: pub items, fields and variants nothing outside their own file names (report only)"
 # A `pub` fn / struct / enum / trait / type / const / static, `pub` struct
 # field or variant of a `pub` enum of a library file (up to its `mod
-# tests`) that no other file of the workspace names: crates, root tests
-# and examples, and benchmark/, so whatever benchmark/ names is
-# allowlisted (`QueueStats::parked`, always 0, stays only for it). An item
-# named by another `pub` line of its own file (a type in a public
+# tests`) that no other file of the workspace names in code: crates, root
+# tests and examples, and benchmark/, so whatever benchmark/ names is
+# allowlisted (`QueueStats::parked`, always 0, stays only for it). Other
+# files are read as code only — comments, doc comments and `use` /
+# `pub use` lists (one line or many) are cut out first — so a name that
+# is only mentioned, or only imported and re-exported, is not a use. An
+# item named by another `pub` line of its own file (a type in a public
 # signature) counts as used. Matching is by name, so a common name hides
 # its item. What is listed either goes, goes private, or is kept here:
 #   simulated.rs known_gray: the one demonstration of paper §5.2's claim
@@ -90,14 +93,28 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 #   runner.rs compute_gap, ctrl lib.rs max_mitigations: the compute phase
 #     between iterations and the control loop's mitigation budget, which
 #     their own tests vary;
-#   jitter.rs Straggler: a start-jitter model a `trial` JSON spec can name.
+#   jitter.rs Straggler: a start-jitter model a `trial` JSON spec can name;
+#   score.rs GoodputPhases: the return type of `goodput_phases`, whose
+#     signature spans lines, so its own-file `pub` line is not found;
+#   telemetry lib.rs parse_setting: imported as `get` by the two doors
+#     that read the environment, and called under that name;
+#   wire.rs decode_line: the one-line decoder of fp-monitord's library
+#     surface; its proptests pin the in-place scanner to serde_json.
+code="$(mktemp -d)"
+git ls-files --cached --others --exclude-standard -- \
+    'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' 'benchmark/src/*.rs' |
+    while read -r f; do
+        mkdir -p "$code/$(dirname "$f")"
+        perl -0777 -pe 's{/\*.*?\*/}{}gs; s{//[^\n]*}{}g;
+            s{^[ \t]*(pub(\([a-z:]+\))? )?use [^;]*;}{}gm' "$f" >"$code/$f"
+    done
 dead=0
 for f in $(git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.rs' |
     grep -v '_tests\.rs$'); do
     own="$(awk '/^(pub\(crate\) )?mod tests/{exit} {print}' "$f")"
     while read -r what name; do
         if [[ $what == item && $(grep -cE "^\s*pub .*\b$name\b" <<<"$own") -gt 1 ]] ||
-            git grep --untracked -qw -- "$name" -- crates src tests examples benchmark/src ":!$f"; then
+            [[ -n $(grep -rlw -- "$name" "$code" | grep -vxF "$code/$f") ]]; then
             continue
         fi
         echo "    $f: $what $name"
@@ -112,6 +129,7 @@ for f in $(git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.
         match($0, /^[ \t]+pub [a-z_][a-z0-9_]*:/) {
             s = substr($0, RSTART, RLENGTH - 1); sub(/.* /, "", s); print "field", s }' "$f")
 done
+rm -rf "$code"
 echo "    $dead item(s) named nowhere else"
 
 echo "==> benchmark/: its own tests, then 3-s checked runs of all six workloads"
