@@ -123,11 +123,13 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Buffer keeping the most recent `cap` events.
+    /// Buffer keeping the most recent `cap` events. It allocates on the
+    /// first push, not here: most runs trace nothing, and a finished
+    /// trial's result keeps its buffer.
     pub fn new(cap: usize) -> Self {
         TraceBuffer {
             cap,
-            buf: VecDeque::with_capacity(cap.min(1024)),
+            buf: VecDeque::new(),
             offered: 0,
         }
     }
