@@ -106,35 +106,23 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
         spray: fp_netsim::spray::SprayPolicy::Random,
         ..Default::default()
     };
-    let mut sim = Simulator::new(topo.clone(), sim_cfg, 5);
     // Bidirectional 30% gray fault on a known cable from iteration 1.
-    let fleaf = 3u32;
-    let fv = 1u32;
+    let (fleaf, fv) = (3u32, 1u32);
     let bad = topo.downlink(fv, fleaf);
-    let mut runner = CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: 2,
-            ..Default::default()
-        },
-    );
-    let mut installed = false;
-    runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-        if iter >= 1 && !installed {
-            installed = true;
-            sim.apply_fault_now(
-                bad,
-                fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.30 }),
-                true,
-            );
-        }
-    }));
-    sim.set_app(Box::new(runner));
-    sim.run();
+    let drop = FaultAction::Set(FaultKind::SilentDrop { rate: 0.30 });
+    let rcfg = RunnerConfig {
+        iterations: 2,
+        ..Default::default()
+    };
+    let run = Scenario {
+        at_iter: vec![(1, bad, drop), (1, topo.peer[bad.idx()], drop)],
+        ..Scenario::new(topo, sched, rcfg, sim_cfg, 5)
+    }
+    .run();
 
     let expected = &pred.by_src;
     let mut observed =
-        flowpulse::model::PortSrcLoads::from_counters(sim.counters.get(1, 1).unwrap());
+        flowpulse::model::PortSrcLoads::from_counters(run.counters.get(1, 1).unwrap());
     // Compare how each sender's volume *splits* across a leaf's ports, not
     // its absolute size: the cable also loses ACKs, and every retransmitted
     // duplicate is counted again on whichever port it arrives — with a

@@ -40,8 +40,6 @@ fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
         .predict(&demand)
         .loads;
 
-    // Follows `FP_SPRAY`: the drift is a property of the backend in use.
-    let mut sim = Simulator::new(topo, cfg.sim(), 11);
     let rcfg = RunnerConfig {
         job: 1,
         iterations: 3,
@@ -55,24 +53,25 @@ fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
         },
         ..Default::default()
     };
-    let runner = CollectiveRunner::new(sched, rcfg);
-    let mut apps: Vec<Box<dyn Application>> = vec![Box::new(runner)];
+    // Follows `FP_SPRAY`: the drift is a property of the backend in use.
+    let mut scenario = Scenario::new(topo, sched, rcfg, cfg.sim(), 11);
     if background {
-        apps.push(Box::new(BackgroundTraffic::new(BackgroundConfig {
-            msg_bytes: 1024 * 1024,
-            mean_interval: SimDuration::from_us(5),
-            until: SimTime::from_ms(cfg.pick(4, 2)),
-            ..Default::default()
-        })));
+        scenario
+            .extra
+            .push(Box::new(BackgroundTraffic::new(BackgroundConfig {
+                msg_bytes: 1024 * 1024,
+                mean_interval: SimDuration::from_us(5),
+                until: SimTime::from_ms(cfg.pick(4, 2)),
+                ..Default::default()
+            })));
     }
-    sim.set_app(Box::new(MultiApp::new(apps)));
-    sim.run();
+    let run = scenario.run();
 
     let detector = Detector::new(0.01);
     let mut worst: f64 = 0.0;
     let mut last_seen = 0u64;
-    for i in sim.counters.iters_of(1) {
-        let c = sim.counters.get(1, i).unwrap();
+    for i in run.counters.iters_of(1) {
+        let c = run.counters.get(1, i).unwrap();
         let obs = PortLoads::from_counters(c);
         worst = worst.max(detector.max_abs_rel(&prediction, &obs));
         last_seen = last_seen.max(c.last_seen);

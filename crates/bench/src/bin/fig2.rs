@@ -10,6 +10,7 @@
 
 use flowpulse::prelude::*;
 use fp_bench::{header, pct, RunConfig};
+use fp_collectives::runner::RunnerConfig;
 use fp_collectives::schedule::{Schedule, Transfer};
 use fp_netsim::prelude::*;
 use serde::Serialize;
@@ -62,20 +63,21 @@ fn run_scenario(
     // Model and fabric both follow `FP_SPRAY`.
     let sim_pred = SimulationModel::new(cfg.sim()).predict(topo, &admin_down, &sched, 7);
 
-    // The "production" fabric run.
-    let mut sim = Simulator::new(topo.clone(), cfg.sim(), 42);
-    for &l in &admin_down {
-        sim.apply_fault_now(
-            l,
-            fp_netsim::fault::FaultAction::Set(FaultKind::AdminDown),
-            false,
-        );
+    // The "production" fabric run: the same one-transfer schedule.
+    let rcfg = RunnerConfig {
+        job: 7,
+        ..Default::default()
+    };
+    let run = Scenario {
+        before: admin_down
+            .iter()
+            .map(|&l| (l, FaultAction::Set(FaultKind::AdminDown)))
+            .collect(),
+        ..Scenario::new(topo.clone(), sched, rcfg, cfg.sim(), 42)
     }
-    let tag = CollectiveTag { job: 7, iter: 0 };
-    sim.post_message(src, dst, bytes, Some(tag), Priority::MEASURED);
-    sim.run();
-    assert!(sim.all_flows_complete(), "flow must complete");
-    let obs = PortLoads::from_counters(sim.counters.get(7, 0).unwrap());
+    .run();
+    assert!(run.all_flows_complete, "flow must complete");
+    let obs = PortLoads::from_counters(run.counters.get(7, 0).unwrap());
 
     header(&format!("Fig 2 — {name}"));
     println!(

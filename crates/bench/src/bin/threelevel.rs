@@ -76,37 +76,25 @@ fn main() {
             let bad = topo.core_downlink(topo.core_global(group, slot), dst_pod);
             let expected_port = (topo.agg_global(dst_pod, group), slot);
 
-            // Follows `FP_SPRAY` (leaves and aggs spray with the same backend).
-            let mut sim = Simulator::new(topo, cfg.sim(), seed);
-            let mut runner = CollectiveRunner::new(
-                sched,
-                RunnerConfig {
-                    iterations: 3,
-                    jitter: JitterModel::Uniform {
-                        max: SimDuration::from_us(1),
-                    },
-                    ..Default::default()
+            let rcfg = RunnerConfig {
+                iterations: 3,
+                jitter: JitterModel::Uniform {
+                    max: SimDuration::from_us(1),
                 },
-            );
-            let mut installed = false;
-            runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-                if iter >= 1 && !installed {
-                    installed = true;
-                    sim.apply_fault_now(
-                        bad,
-                        fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate }),
-                        false,
-                    );
-                }
-            }));
-            sim.set_app(Box::new(runner));
-            sim.run();
+                ..Default::default()
+            };
+            // Follows `FP_SPRAY` (leaves and aggs spray with the same backend).
+            let run = Scenario {
+                at_iter: vec![(1, bad, FaultAction::Set(FaultKind::SilentDrop { rate }))],
+                ..Scenario::new(topo, sched, rcfg, cfg.sim(), seed)
+            }
+            .run();
 
             let mut agg_mon =
                 Monitor::new_fixed(1, Detector::new(0.01), pred.agg_loads.clone().unwrap());
-            agg_mon.scan(&sim.agg_counters, true);
+            agg_mon.scan(&run.agg_counters, true);
             let mut leaf_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.loads.clone());
-            leaf_mon.scan(&sim.counters, true);
+            leaf_mon.scan(&run.counters, true);
 
             agg_detected += agg_mon.alarms.iter().any(|a| a.iter >= 1) as u32;
             slot_localized += agg_mon.shortfall_ports(1).contains(&expected_port) as u32;

@@ -63,8 +63,7 @@ impl RunConfig {
         let dir = |key| lookup(key).filter(|v| !v.is_empty()).map(PathBuf::from);
         let on_off = "1|on|true|yes or 0|off|false|no";
         let count = "a positive integer";
-        let policies =
-            "random|rr|adaptive|least_loaded|least_loaded_random_tie|ecmp|prime|reps|reps_failover";
+        let policies = "random|rr|adaptive|least_loaded|ecmp|prime|reps|reps_failover";
         Ok(RunConfig {
             quick: get(&var, "FP_QUICK", on_off, toggle)?.unwrap_or(false),
             threads: get(&var, "FP_THREADS", count, positive)?

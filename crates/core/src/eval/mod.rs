@@ -6,8 +6,9 @@
 //!    shape, collective, pre-existing (known) faults, an optionally
 //!    injected silent fault, the prediction model and detection threshold.
 //! 2. **run** — [`run_trial`] (and its two siblings that let a telemetry
-//!    recorder or an online controller ride along) builds the fabric,
-//!    predicts, runs the engine and moves out what it left behind.
+//!    recorder or an online controller ride along) resolves the spec into
+//!    a [`Scenario`] and runs it, the door every other run uses too, and
+//!    moves out what the engine left behind ([`RawRun`]).
 //! 3. **score** — a pure function of the spec and that raw run: monitor
 //!    scan, ground-truth join, localization verdict, goodput, controller
 //!    outcome — the [`TrialResult`].
@@ -20,7 +21,9 @@ mod run;
 mod score;
 mod spec;
 
-pub use run::{memo_ineligibility, run_trial, run_trial_ctl, run_trial_with, TrialController};
+pub use run::{
+    memo_ineligibility, run_trial, run_trial_ctl, run_trial_with, RawRun, Scenario, TrialController,
+};
 pub use score::{
     goodput_phases, roc_curve, split_devs, CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary,
     GoodputPhases, Rates, RocPoint, TrialResult,

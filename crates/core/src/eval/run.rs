@@ -1,14 +1,11 @@
-//! Stage 2 of a trial — **run**: [`prepare`] settles everything that
-//! happens once before the first event (topology, cable placement,
-//! schedule, measured subset, prediction, runner config); [`execute`] is
-//! the only code in the harness that holds a `Simulator` and hands back a
-//! [`RawRun`] — plain data, the simulator already freed. The three public
-//! doors differ only in what rides along.
+//! Stage 2 of a trial — **run**: [`prepare`] resolves a [`TrialSpec`] into
+//! a [`Scenario`] plus what scoring reads beside it. [`Scenario::run`] is
+//! the one place the harness, the sweeps and the examples drive a
+//! `Simulator`; it hands back a [`RawRun`], the simulator already freed.
 
 use super::score::{export, score, CtrlSummary, TrialResult};
 use super::spec::{
-    build_schedule, choose_cables, Cable, CollectiveKind, FaultSpec, InjectedFault, ModelKind,
-    TrialSpec,
+    build_schedule, choose_cables, Cable, CollectiveKind, InjectedFault, ModelKind, TrialSpec,
 };
 use crate::analytical::AnalyticalModel;
 use crate::model::PortLoads;
@@ -17,6 +14,8 @@ use fp_collectives::alltoall::{demand_of_subset, single_nonlocal_subset};
 use fp_collectives::jitter::JitterModel;
 use fp_collectives::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
 use fp_collectives::schedule::Schedule;
+use fp_netsim::app::{Application, MultiApp};
+use fp_netsim::config::SimConfig;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::engine::{SchedKind, SchedStats};
 use fp_netsim::fault::{FaultAction, FaultKind};
@@ -50,46 +49,68 @@ pub trait TrialController {
     fn summary(&self) -> CtrlSummary;
 }
 
-/// Everything settled before the first event.
-struct Prepared<'a> {
-    spec: &'a TrialSpec,
-    topo: Topology,
-    sched: Schedule,
-    rcfg: RunnerConfig,
-    /// Known faults: both directions of each pre-existing cable.
-    admin_down: Vec<LinkId>,
-    /// The injected fault in the engine's terms: spec, downlink, kind.
-    injected: Option<(FaultSpec, LinkId, FaultKind)>,
-    preexisting_ports: Vec<Cable>,
-    fault_port: Option<Cable>,
-    predicted: Option<PortLoads>,
+/// A run with every seed and placement already resolved.
+pub struct Scenario {
+    /// The fabric.
+    pub topo: Topology,
+    /// The measured job's collective.
+    pub sched: Schedule,
+    /// The measured job's runner (job id, iterations, priority, jitter).
+    pub rcfg: RunnerConfig,
+    /// Engine parameters.
+    pub sim: SimConfig,
+    /// The simulator's seed.
+    pub seed: u64,
+    /// Link changes applied in order before the first event.
+    pub before: Vec<(LinkId, FaultAction)>,
+    /// `(k, link, action)`: lands at the measured job's first iteration
+    /// start `>= k`, in list order — keep the list ordered by `k`.
+    pub at_iter: Vec<(u32, LinkId, FaultAction)>,
+    /// Other applications, after the measured runner in one `MultiApp`.
+    pub extra: Vec<Box<dyn Application>>,
+    /// Fast-forward repeated iterations ([`Simulator::enable_memo`]), with
+    /// the iterations of `at_iter` as barriers a replay never crosses.
+    pub memo: bool,
 }
 
-/// What a finished run leaves behind, moved out of the simulator: the
-/// only hand-off between running and scoring.
-pub(super) struct RawRun {
+/// What scoring reads beside the run: cable placement and prediction.
+pub(super) struct Placed {
     pub preexisting_ports: Vec<Cable>,
     pub fault_port: Option<Cable>,
     pub predicted: Option<PortLoads>,
+}
+
+/// What a finished run leaves behind, moved out of the simulator.
+pub struct RawRun {
     /// Application bytes one iteration of the schedule moves.
     pub sched_total_bytes: u64,
-    /// Ground-truth fault install time, for time-to-detect/-mitigate.
+    /// When the first of [`Scenario::at_iter`] landed (a trial's fault).
     pub install_ns: Option<u64>,
+    /// Simulated time when the run went idle.
     pub end_ns: u64,
+    /// Every flow posted was delivered in full.
+    pub all_flows_complete: bool,
+    /// Leaf-ingress counters.
     pub counters: CounterStore,
+    /// Agg-ingress counters (3-level fabrics; empty on a fat tree).
+    pub agg_counters: CounterStore,
+    /// Every iteration's span.
     pub spans: Vec<IterSpanRecord>,
+    /// Engine counters.
     pub stats: Stats,
+    /// The exceptional-event trace.
     pub trace: TraceBuffer,
+    /// Which scheduler ran.
     pub sched_kind: SchedKind,
+    /// The scheduler's own counters.
     pub sched: SchedStats,
-    /// Fast-forward accounting; `fallback` is why a trial that requested
-    /// memoization ran live, the harness's reason first, else the engine's.
+    /// Fast-forward accounting (`fallback`: why a memo request ran live).
     pub memo: MemoCounters,
     /// The controller's own record, when one rode the trial.
     pub ctrl: Option<CtrlSummary>,
 }
 
-fn prepare(spec: &TrialSpec) -> Prepared<'_> {
+fn prepare(spec: &TrialSpec) -> (Scenario, Placed) {
     let topo = Topology::fat_tree(spec.fabric());
     let mut place_rng = SmallRng::seed_from_u64(splitmix64(spec.seed ^ 0xFA_17));
     let (preexisting_ports, fault_port) =
@@ -132,7 +153,11 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
         ModelKind::Learned { .. } => None,
     };
 
-    let injected = spec.fault.zip(fault_port).map(|(f, (fleaf, fv))| {
+    // The injected fault lands at its iteration and, if it heals, clears
+    // at the first iteration start at or after both onset and heal; a
+    // bidirectional one changes the downlink, then its peer.
+    let mut at_iter = Vec::new();
+    if let (Some(f), Some((fleaf, fv))) = (spec.fault, fault_port) {
         let kind = match f.kind {
             InjectedFault::Drop { rate } => FaultKind::SilentDrop { rate },
             InjectedFault::Blackhole => FaultKind::SilentBlackhole,
@@ -140,8 +165,17 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
                 dst_leaf: fleaf as u16,
             },
         };
-        (f, topo.downlink(fv, fleaf), kind)
-    });
+        let down = topo.downlink(fv, fleaf);
+        let heal = f
+            .heal_at_iter
+            .map(|h| (h.max(f.at_iter), FaultAction::Clear));
+        for (k, action) in std::iter::once((f.at_iter, FaultAction::Set(kind))).chain(heal) {
+            at_iter.push((k, down, action));
+            if f.bidirectional {
+                at_iter.push((k, topo.peer[down.idx()], action));
+            }
+        }
+    }
     let rcfg = RunnerConfig {
         job: JOB,
         iterations: spec.iterations,
@@ -150,128 +184,151 @@ fn prepare(spec: &TrialSpec) -> Prepared<'_> {
         measured,
         ..Default::default()
     };
-    Prepared {
-        spec,
-        topo,
-        sched,
-        rcfg,
-        admin_down,
-        injected,
+    let scenario = Scenario {
+        before: admin_down
+            .into_iter()
+            .map(|l| (l, FaultAction::Set(FaultKind::AdminDown)))
+            .collect(),
+        at_iter,
+        memo: spec.memo.unwrap_or(false),
+        ..Scenario::new(topo, sched, rcfg, spec.sim.clone(), spec.seed)
+    };
+    let placed = Placed {
         preexisting_ports,
         fault_port,
         predicted,
-    }
+    };
+    (scenario, placed)
 }
 
-/// Why a trial that requests memoization (`FP_MEMO` / [`TrialSpec::memo`])
+/// Why a run that requests memoization (`FP_MEMO` / [`Scenario::memo`])
 /// must run fully live, or `None` when the harness can enable it. Start
 /// jitter draws from the runner's private RNG, invisible to the engine
 /// fingerprint; controllers and recorders observe every live iteration.
 /// Spray-policy ineligibility (random draws, the adaptive policy's
 /// absolute-grid deficit decay) is the engine's own gate and surfaces
 /// through [`fp_netsim::prelude::MemoCounters::fallback`] instead.
-pub fn memo_ineligibility(
-    spec: &TrialSpec,
-    has_controller: bool,
-    has_recorder: bool,
-) -> Option<String> {
-    if has_controller {
+pub fn memo_ineligibility(jitter: JitterModel, controller: bool, recorder: bool) -> Option<String> {
+    if controller {
         return Some("an online controller observes every iteration end".into());
     }
-    if has_recorder {
+    if recorder {
         return Some("telemetry recorder samples on absolute time".into());
     }
-    if spec.jitter != JitterModel::None {
+    if jitter != JitterModel::None {
         return Some("per-node start jitter draws outside the fingerprint".into());
     }
     None
 }
 
-/// Run the prepared trial to completion and move out what scoring reads.
-/// The recorder comes back for the export and the caller's `finish`.
-fn execute(
-    mut p: Prepared<'_>,
-    recorder: Rec,
-    controller: Option<Rc<RefCell<dyn TrialController>>>,
-) -> (RawRun, Rec) {
-    let spec = p.spec;
-    // Temporal-symmetry fast-forward: enable when requested and eligible.
-    // Fault onsets and heal edges are barriers a replay never crosses, so
-    // the iteration-start install/heal hook — which only acts at exactly
-    // those iterations — is safe to skip in between (`memo_barrier_hooks`).
-    let memo_requested = spec.memo.unwrap_or(false);
-    let memo_ineligible = memo_requested
-        .then(|| memo_ineligibility(spec, controller.is_some(), recorder.is_some()))
-        .flatten();
+impl Scenario {
+    /// `sched` under `rcfg` on `topo` and nothing else: no link changes,
+    /// no other applications, memo off.
+    pub fn new(
+        topo: Topology,
+        sched: Schedule,
+        rcfg: RunnerConfig,
+        sim: SimConfig,
+        seed: u64,
+    ) -> Self {
+        Scenario {
+            topo,
+            sched,
+            rcfg,
+            sim,
+            seed,
+            before: Vec::new(),
+            at_iter: Vec::new(),
+            extra: Vec::new(),
+            memo: false,
+        }
+    }
 
-    let mut sim = Simulator::new(p.topo, spec.sim.clone(), spec.seed);
-    if let Some(rec) = recorder {
-        sim.set_recorder(rec);
+    /// Run to completion and move out what the run left behind.
+    pub fn run(self) -> RawRun {
+        self.run_observed(None, None).0
     }
-    if memo_requested && memo_ineligible.is_none() {
-        let barriers = spec.fault.map_or(Vec::new(), |f| {
-            let heal = f.heal_at_iter.map(|h| h.max(f.at_iter));
-            std::iter::once(f.at_iter).chain(heal).collect()
-        });
-        sim.enable_memo(barriers);
-        p.rcfg.memo_barrier_hooks = true;
-    }
-    for &l in &p.admin_down {
-        sim.apply_fault_now(l, FaultAction::Set(FaultKind::AdminDown), false);
-    }
-    let sched_total_bytes = p.sched.total_bytes();
-    let mut runner = CollectiveRunner::new(p.sched, p.rcfg);
-    let install_ns: Rc<Cell<Option<u64>>> = Rc::default();
-    if let Some((f, down, kind)) = p.injected {
-        let mut installed = false;
-        let mut healed = false;
-        let install_ns = install_ns.clone();
-        runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-            if !installed && iter >= f.at_iter {
-                installed = true;
-                install_ns.set(Some(sim.now().as_ns()));
-                sim.apply_fault_now(down, FaultAction::Set(kind), f.bidirectional);
-            }
-            if let Some(h) = f.heal_at_iter {
-                if installed && !healed && iter >= h {
-                    healed = true;
-                    sim.apply_fault_now(down, FaultAction::Clear, f.bidirectional);
+
+    /// [`Scenario::run`] with a recorder and a controller riding along; the
+    /// recorder comes back for the export and the caller's `finish`.
+    fn run_observed(
+        mut self,
+        recorder: Rec,
+        controller: Option<Rc<RefCell<dyn TrialController>>>,
+    ) -> (RawRun, Rec) {
+        // Temporal-symmetry fast-forward: enable when requested and eligible.
+        // The boundary changes are barriers a replay never crosses, so the
+        // iteration-start hook — which only acts at exactly those
+        // iterations — is safe to skip in between (`memo_barrier_hooks`).
+        let memo_ineligible = self
+            .memo
+            .then(|| memo_ineligibility(self.rcfg.jitter, controller.is_some(), recorder.is_some()))
+            .flatten();
+
+        let mut sim = Simulator::new(self.topo, self.sim, self.seed);
+        if let Some(rec) = recorder {
+            sim.set_recorder(rec);
+        }
+        if self.memo && memo_ineligible.is_none() {
+            sim.enable_memo(self.at_iter.iter().map(|c| c.0).collect());
+            self.rcfg.memo_barrier_hooks = true;
+        }
+        for &(link, action) in &self.before {
+            sim.apply_fault_now(link, action, false);
+        }
+        let sched_total_bytes = self.sched.total_bytes();
+        let mut runner = CollectiveRunner::new(self.sched, self.rcfg);
+        let install_ns: Rc<Cell<Option<u64>>> = Rc::default();
+        if !self.at_iter.is_empty() {
+            let (at_iter, install_ns) = (self.at_iter, install_ns.clone());
+            let mut next = 0;
+            runner.set_iteration_start_hook(Box::new(move |sim, iter| {
+                while let Some(&(_, link, action)) = at_iter.get(next).filter(|c| c.0 <= iter) {
+                    if next == 0 {
+                        install_ns.set(Some(sim.now().as_ns()));
+                    }
+                    sim.apply_fault_now(link, action, false);
+                    next += 1;
                 }
-            }
-        }));
-    }
-    if let Some(ctl) = controller.clone() {
-        runner.set_iteration_end_hook(Box::new(move |sim, iter| {
-            ctl.borrow_mut().on_iteration_end(sim, iter);
-        }));
-    }
-    sim.set_app(Box::new(runner));
-    sim.run();
+            }));
+        }
+        if let Some(ctl) = controller.clone() {
+            runner.set_iteration_end_hook(Box::new(move |sim, iter| {
+                ctl.borrow_mut().on_iteration_end(sim, iter);
+            }));
+        }
+        if self.extra.is_empty() {
+            sim.set_app(Box::new(runner));
+        } else {
+            let mut apps: Vec<Box<dyn Application>> = vec![Box::new(runner)];
+            apps.extend(self.extra);
+            sim.set_app(Box::new(MultiApp::new(apps)));
+        }
+        sim.run();
 
-    // Move out what scoring reads and free the simulator — its flow table
-    // and queues are most of a trial's memory — before scoring allocates:
-    // kept alive to the end it cost +23 % peak RSS on the benchmark's
-    // 24-iteration `steady_adaptive`. The counters (per-sender matrix
-    // included) and the trace ring change hands; nothing is copied.
-    let mut memo = sim.memo_counters().unwrap_or_default();
-    memo.fallback = memo_ineligible.or(memo.fallback);
-    let raw = RawRun {
-        preexisting_ports: p.preexisting_ports,
-        fault_port: p.fault_port,
-        predicted: p.predicted,
-        sched_total_bytes,
-        install_ns: install_ns.get(),
-        end_ns: sim.now().as_ns(),
-        counters: std::mem::replace(&mut sim.counters, CounterStore::new(0, 0)),
-        spans: sim.iter_spans().to_vec(),
-        stats: sim.stats.clone(),
-        trace: std::mem::replace(&mut sim.trace, TraceBuffer::new(0)),
-        sched_kind: sim.sched_kind(),
-        sched: sim.sched_stats(),
-        memo,
-        ctrl: controller.map(|c| c.borrow().summary()),
-    };
-    (raw, sim.take_recorder())
+        // Move out what the caller reads and free the simulator — its flow
+        // table and queues are most of a trial's memory — before scoring
+        // allocates (+23 % peak RSS on `steady_adaptive` otherwise). The
+        // counters and the trace ring change hands; nothing is copied.
+        let mut memo = sim.memo_counters().unwrap_or_default();
+        memo.fallback = memo_ineligible.or(memo.fallback);
+        let raw = RawRun {
+            sched_total_bytes,
+            install_ns: install_ns.get(),
+            end_ns: sim.now().as_ns(),
+            all_flows_complete: sim.all_flows_complete(),
+            counters: std::mem::replace(&mut sim.counters, CounterStore::new(0, 0)),
+            agg_counters: std::mem::replace(&mut sim.agg_counters, CounterStore::new(0, 0)),
+            spans: sim.iter_spans().to_vec(),
+            stats: sim.stats.clone(),
+            trace: std::mem::replace(&mut sim.trace, TraceBuffer::new(0)),
+            sched_kind: sim.sched_kind(),
+            sched: sim.sched_stats(),
+            memo,
+            ctrl: controller.map(|c| c.borrow().summary()),
+        };
+        (raw, sim.take_recorder())
+    }
 }
 
 /// Execute one trial end-to-end.
@@ -308,9 +365,10 @@ pub fn run_trial_ctl(
     recorder: Rec,
     controller: Option<Rc<RefCell<dyn TrialController>>>,
 ) -> (TrialResult, Rec) {
-    let (raw, mut recorder) = execute(prepare(spec), recorder, controller);
+    let (scenario, placed) = prepare(spec);
+    let (raw, mut recorder) = scenario.run_observed(recorder, controller);
     let end_ns = raw.end_ns;
-    let result = score(spec, raw);
+    let result = score(spec, placed, raw);
     if let Some(rec) = recorder.as_deref_mut() {
         export(rec, spec, &result, end_ns);
     }
@@ -320,8 +378,10 @@ pub fn run_trial_ctl(
 #[cfg(test)]
 mod tests {
     use super::super::score::split_devs;
+    use super::super::spec::FaultSpec;
     use super::*;
-    use fp_netsim::time::SimDuration;
+    use fp_netsim::time::{SimDuration, SimTime};
+    use fp_netsim::trace::TraceEvent;
 
     /// Small, fast spec for unit tests (full-size runs live in fp-bench and
     /// the integration suite).
@@ -648,5 +708,131 @@ mod tests {
         let (r, _) = run_trial_ctl(&spec, None, Some(ctl));
         let c = r.ctrl.expect("controller ran");
         assert_eq!(c.false_mitigations, 1, "healthy cable downed in clean run");
+    }
+
+    /// A 4-leaf ring of five 64 KiB iterations on `topo`, with link changes
+    /// before the run and at iteration starts.
+    fn changed_ring(
+        topo: Topology,
+        before: Vec<(LinkId, FaultAction)>,
+        at_iter: Vec<(u32, LinkId, FaultAction)>,
+    ) -> RawRun {
+        let hosts: Vec<_> = (0..4).map(fp_netsim::ids::HostId).collect();
+        let sched = fp_collectives::ring::ring_allreduce(&hosts, 64 << 10);
+        let rcfg = RunnerConfig {
+            iterations: 5,
+            ..Default::default()
+        };
+        Scenario {
+            before,
+            at_iter,
+            ..Scenario::new(topo, sched, rcfg, SimConfig::default(), 3)
+        }
+        .run()
+    }
+
+    fn fat4() -> Topology {
+        Topology::fat_tree(fp_netsim::topology::FatTreeSpec {
+            leaves: 4,
+            spines: 2,
+            ..Default::default()
+        })
+    }
+
+    /// The set and clear records of the run's trace, in order.
+    fn link_changes(run: &RawRun) -> Vec<(u64, TraceEvent)> {
+        run.trace
+            .records()
+            .filter(|(_, e)| {
+                matches!(
+                    e,
+                    TraceEvent::FaultSet { .. } | TraceEvent::FaultCleared { .. }
+                )
+            })
+            .map(|&(t, e)| (t.as_ns(), e))
+            .collect()
+    }
+
+    /// `t` falls after iteration `k - 1` ended and before iteration `k`
+    /// posted its first transfer.
+    fn between_iterations(run: &RawRun, t: u64, k: usize) -> bool {
+        run.spans[k - 1].end.as_ns() <= t && t < run.spans[k].start.as_ns()
+    }
+
+    #[test]
+    fn changes_at_one_boundary_land_in_list_order() {
+        let topo = fat4();
+        let link = topo.downlink(1, 2);
+        let kind = FaultKind::SilentDrop { rate: 0.5 };
+        let run = changed_ring(
+            topo,
+            Vec::new(),
+            vec![
+                (2, link, FaultAction::Set(kind)),
+                (2, link, FaultAction::Clear),
+            ],
+        );
+        let changes = link_changes(&run);
+        let at = changes[0].0;
+        assert_eq!(
+            changes,
+            vec![
+                (at, TraceEvent::FaultSet { link, kind }),
+                (at, TraceEvent::FaultCleared { link }),
+            ]
+        );
+        assert!(between_iterations(&run, at, 2));
+        assert_eq!(run.install_ns, Some(at));
+    }
+
+    #[test]
+    fn a_set_and_a_clear_bracket_exactly_their_iterations() {
+        let topo = fat4();
+        let link = topo.downlink(0, 3);
+        let kind = FaultKind::SilentDrop { rate: 0.05 };
+        let run = changed_ring(
+            topo,
+            Vec::new(),
+            vec![
+                (1, link, FaultAction::Set(kind)),
+                (3, link, FaultAction::Clear),
+            ],
+        );
+        let changes = link_changes(&run);
+        let (set_at, clear_at) = (changes[0].0, changes[1].0);
+        assert_eq!(
+            changes,
+            vec![
+                (set_at, TraceEvent::FaultSet { link, kind }),
+                (clear_at, TraceEvent::FaultCleared { link }),
+            ]
+        );
+        assert!(between_iterations(&run, set_at, 1));
+        assert!(between_iterations(&run, clear_at, 3));
+        assert_eq!(run.install_ns, Some(set_at));
+        assert!(run.all_flows_complete);
+    }
+
+    #[test]
+    fn a_change_before_the_run_is_traced_at_zero_ahead_of_every_packet() {
+        let topo = fat4();
+        let link = topo.downlink(1, 2);
+        let kind = FaultKind::SilentDrop { rate: 0.05 };
+        let run = changed_ring(topo, vec![(link, FaultAction::Set(kind))], Vec::new());
+        let records: Vec<_> = run.trace.records().collect();
+        assert_eq!(
+            *records[0],
+            (SimTime::ZERO, TraceEvent::FaultSet { link, kind })
+        );
+        assert!(
+            records[1..]
+                .iter()
+                .any(|(_, e)| matches!(e, TraceEvent::Drop { .. })),
+            "the fault dropped packets after it was set"
+        );
+        assert_eq!(
+            run.install_ns, None,
+            "only boundary changes count as installs"
+        );
     }
 }

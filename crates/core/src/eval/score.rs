@@ -1,11 +1,11 @@
-//! Stage 3 of a trial — **score**: a pure function from the spec and what
-//! the run left behind ([`RawRun`]) to a [`TrialResult`] — monitor scan,
+//! Stage 3 of a trial — **score**: a pure function from the spec, the
+//! placement and what the run left behind ([`RawRun`]) to a [`TrialResult`] — monitor scan,
 //! join with ground truth, ring verdict, goodput, controller outcome —
 //! then [`export`] of the same story into a telemetry recorder. What
 //! sweeps aggregate over many results ([`Rates`], [`roc_curve`],
 //! [`goodput_phases`]) lives here too, so tests score with the same code.
 
-use super::run::{RawRun, JOB};
+use super::run::{Placed, RawRun, JOB};
 use super::spec::{Cable, CollectiveKind, ModelKind, TrialSpec};
 use crate::detector::Detector;
 use crate::learned::LearnedUpdate;
@@ -182,9 +182,9 @@ const _: fn() = || {
 
 /// Score one run: everything [`TrialResult`] reports that the engine did
 /// not hand over ready-made.
-pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
+pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun) -> TrialResult {
     let detector = Detector::new(spec.threshold);
-    let mut monitor = match (&spec.model, &raw.predicted) {
+    let mut monitor = match (&spec.model, &placed.predicted) {
         (ModelKind::Learned { warmup }, _) => Monitor::new_learned(JOB, detector, *warmup),
         (_, Some(p)) => Monitor::new_fixed(JOB, detector, p.clone()),
         _ => unreachable!("non-learned model without prediction"),
@@ -195,26 +195,26 @@ pub(super) fn score(spec: &TrialSpec, raw: RawRun) -> TrialResult {
     let snapshots = CounterSnapshot::sequence_from(&raw.counters, JOB);
 
     let (localization, localized_correctly) =
-        ring_verdict(spec, raw.fault_port, &monitor.alarms).unzip();
+        ring_verdict(spec, placed.fault_port, &monitor.alarms).unzip();
     let mut r = TrialResult {
         detected: false,
         false_alarm: false,
         iter_max_dev: monitor.iter_max_dev,
         alarms: monitor.alarms,
         learned_events: monitor.learned_events,
-        fault_port: raw.fault_port,
+        fault_port: placed.fault_port,
         fault_iter: spec.fault.map(|f| f.at_iter),
         heal_iter: spec.fault.and_then(|f| f.heal_at_iter),
         localization,
         localized_correctly,
-        preexisting_ports: raw.preexisting_ports,
+        preexisting_ports: placed.preexisting_ports,
         iter_goodput: iter_goodput(&raw.spans, raw.sched_total_bytes),
         ctrl: raw
             .ctrl
-            .map(|s| ctrl_outcome(s, raw.install_ns, raw.fault_port)),
+            .map(|s| ctrl_outcome(s, raw.install_ns, placed.fault_port)),
         stats: raw.stats,
         trace: raw.trace,
-        predicted: raw.predicted,
+        predicted: placed.predicted,
         sched_kind: raw.sched_kind,
         sched: raw.sched,
         shard_windows: 0,
@@ -580,7 +580,7 @@ mod tests {
     /// Hand-built run: every port predicted and observed at 1000 bytes per
     /// iteration, except that the `sagging` ports deliver 900 from
     /// iteration 2 on. Iterations last 1 us and move 1000 bytes.
-    fn raw(sagging: &[Cable], fault_port: Option<Cable>) -> RawRun {
+    fn raw(sagging: &[Cable], fault_port: Option<Cable>) -> (Placed, RawRun) {
         let mut counters = CounterStore::new(LEAVES as usize, VSPINES as usize);
         let mut predicted = PortLoads::zeros(LEAVES as usize, VSPINES as usize);
         for iter in 0..ITERS {
@@ -601,14 +601,18 @@ mod tests {
                 }
             }
         }
-        RawRun {
+        let placed = Placed {
             preexisting_ports: Vec::new(),
             fault_port,
             predicted: Some(predicted),
+        };
+        let run = RawRun {
             sched_total_bytes: 1000,
             install_ns: None,
             end_ns: 4_000,
+            all_flows_complete: true,
             counters,
+            agg_counters: CounterStore::new(0, 0),
             spans: (0..ITERS)
                 .map(|iter| IterSpanRecord {
                     job: 1,
@@ -623,13 +627,18 @@ mod tests {
             sched: Default::default(),
             memo: Default::default(),
             ctrl: None,
-        }
+        };
+        (placed, run)
+    }
+
+    fn scored(spec: &TrialSpec, (placed, run): (Placed, RawRun)) -> TrialResult {
+        score(spec, placed, run)
     }
 
     #[test]
     fn alarms_are_judged_against_the_fault_window() {
         // Port (1,0) sags in iterations 2 and 3.
-        let permanent = score(&spec(fault(None, false)), raw(&[(1, 0)], Some((1, 0))));
+        let permanent = scored(&spec(fault(None, false)), raw(&[(1, 0)], Some((1, 0))));
         assert_eq!(permanent.alarms.len(), 2);
         assert!(permanent.detected && !permanent.false_alarm);
         assert_eq!((permanent.fault_iter, permanent.heal_iter), (Some(2), None));
@@ -637,12 +646,12 @@ mod tests {
         assert_eq!(permanent.iter_max_dev.len(), ITERS as usize);
 
         // Healed at 3: the iteration-3 alarm is outside the window.
-        let healed = score(&spec(fault(Some(3), false)), raw(&[(1, 0)], Some((1, 0))));
+        let healed = scored(&spec(fault(Some(3), false)), raw(&[(1, 0)], Some((1, 0))));
         assert!(healed.detected && healed.false_alarm);
         assert!(healed.is_faulty_iter(2) && !healed.is_faulty_iter(3));
 
         // No fault injected: every alarm is a false alarm.
-        let clean = score(&spec(None), raw(&[(1, 0)], None));
+        let clean = scored(&spec(None), raw(&[(1, 0)], None));
         assert!(!clean.detected && clean.false_alarm);
         assert!(clean.localization.is_none() && clean.localized_correctly.is_none());
     }
@@ -650,29 +659,29 @@ mod tests {
     #[test]
     fn ring_verdict_matches_the_fault_direction() {
         // One direction: the lone short port stays unpaired.
-        let uni = score(&spec(fault(None, false)), raw(&[(1, 0)], Some((1, 0))));
+        let uni = scored(&spec(fault(None, false)), raw(&[(1, 0)], Some((1, 0))));
         let loc = uni.localization.as_ref().expect("ring verdict");
         assert!(loc.cables.is_empty());
         assert_eq!(loc.unpaired, vec![(1, 0)]);
         assert_eq!(uni.localized_correctly, Some(true));
         // The same evidence is wrong for a bidirectional fault ...
-        let r = score(&spec(fault(None, true)), raw(&[(1, 0)], Some((1, 0))));
+        let r = scored(&spec(fault(None, true)), raw(&[(1, 0)], Some((1, 0))));
         assert_eq!(r.localized_correctly, Some(false));
         // ... which shows as the leaf and its ring successor both short.
-        let bi = score(
+        let bi = scored(
             &spec(fault(None, true)),
             raw(&[(1, 0), (2, 0)], Some((1, 0))),
         );
         assert_eq!(bi.localization.as_ref().unwrap().cables, vec![(1, 0)]);
         assert_eq!(bi.localized_correctly, Some(true));
         // A verdict naming another cable is not correct.
-        let off = score(&spec(fault(None, false)), raw(&[(1, 0)], Some((3, 1))));
+        let off = scored(&spec(fault(None, false)), raw(&[(1, 0)], Some((3, 1))));
         assert_eq!(off.localized_correctly, Some(false));
     }
 
     #[test]
     fn no_alarm_yields_the_empty_verdict() {
-        let r = score(&spec(fault(None, false)), raw(&[], Some((1, 0))));
+        let r = scored(&spec(fault(None, false)), raw(&[], Some((1, 0))));
         assert!(r.alarms.is_empty() && !r.detected && !r.false_alarm);
         assert_eq!(r.localization, Some(RingLocalization::default()));
         assert_eq!(r.localized_correctly, Some(false));
@@ -682,7 +691,7 @@ mod tests {
             hosts_per_leaf: 2,
             ..spec(fault(None, false))
         };
-        assert!(score(&multi, raw(&[(1, 0)], Some((1, 0))))
+        assert!(scored(&multi, raw(&[(1, 0)], Some((1, 0))))
             .localization
             .is_none());
     }
@@ -690,15 +699,15 @@ mod tests {
     #[test]
     fn goodput_and_controller_record_are_joined_with_ground_truth() {
         let mut run = raw(&[], Some((1, 0)));
-        run.install_ns = Some(100);
-        run.ctrl = Some(CtrlSummary {
+        run.1.install_ns = Some(100);
+        run.1.ctrl = Some(CtrlSummary {
             detect_ns: Some(150),
             mitigate_ns: Some(180),
             mitigate_iter: Some(2),
             mitigated_ports: vec![(1, 0), (3, 1)],
             ..Default::default()
         });
-        let r = score(&spec(fault(None, false)), run);
+        let r = scored(&spec(fault(None, false)), run);
         // 1000 bytes over 1 us (8 Gbit/s), every iteration.
         let bps = 1000.0 * 8.0 / (1000.0 * 1e-9);
         let expect: Vec<(u32, f64)> = (0..ITERS).map(|i| (i, bps)).collect();
@@ -711,12 +720,12 @@ mod tests {
 
         // Fault-free run: latencies are absolute, every mitigation false.
         let mut run = raw(&[], None);
-        run.ctrl = Some(CtrlSummary {
+        run.1.ctrl = Some(CtrlSummary {
             detect_ns: Some(150),
             mitigated_ports: vec![(1, 0)],
             ..Default::default()
         });
-        let c = score(&spec(None), run).ctrl.unwrap();
+        let c = scored(&spec(None), run).ctrl.unwrap();
         assert_eq!(
             (c.time_to_detect_ns, c.time_to_mitigate_ns),
             (Some(150), None)

@@ -12,13 +12,13 @@
 //! same known faults, same collective schedule, no silent faults, no
 //! jitter. Its iteration-0 counters are the prediction.
 
+use crate::eval::Scenario;
 use crate::model::PortLoads;
-use fp_collectives::runner::{CollectiveRunner, MeasuredSubset, RunnerConfig};
+use fp_collectives::runner::{MeasuredSubset, RunnerConfig};
 use fp_collectives::schedule::Schedule;
 use fp_netsim::config::SimConfig;
 use fp_netsim::fault::{FaultAction, FaultKind};
 use fp_netsim::ids::LinkId;
-use fp_netsim::sim::Simulator;
 use fp_netsim::topology::Topology;
 
 /// Seed of every prediction run (the prediction is deterministic given the
@@ -68,22 +68,22 @@ impl SimulationModel {
         job: u32,
         measured: MeasuredSubset,
     ) -> PortLoads {
-        let mut sim = Simulator::new(topo.clone(), self.cfg.clone(), SEED);
-        for &l in admin_down {
-            sim.apply_fault_now(l, FaultAction::Set(FaultKind::AdminDown), false);
-        }
-        for &(l, kind) in &self.known_gray {
-            sim.apply_fault_now(l, FaultAction::Set(kind), false);
-        }
+        let known = admin_down.iter().map(|&l| (l, FaultKind::AdminDown));
         let rcfg = RunnerConfig {
             job,
             iterations: 1,
             measured,
             ..Default::default()
         };
-        sim.set_app(Box::new(CollectiveRunner::new(sched.clone(), rcfg)));
-        sim.run();
-        let c = sim
+        let run = Scenario {
+            before: known
+                .chain(self.known_gray.iter().copied())
+                .map(|(l, kind)| (l, FaultAction::Set(kind)))
+                .collect(),
+            ..Scenario::new(topo.clone(), sched.clone(), rcfg, self.cfg.clone(), SEED)
+        }
+        .run();
+        let c = run
             .counters
             .get(job, 0)
             .expect("prediction run produced no tagged traffic");

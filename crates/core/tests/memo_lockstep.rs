@@ -271,9 +271,9 @@ fn gate_refuses_with_reasons() {
 
     // The pure gate function, for the ineligibility table in DESIGN.md.
     let eligible = base_spec(3, 8, false, true);
-    assert_eq!(memo_ineligibility(&eligible, false, false), None);
-    assert!(memo_ineligibility(&eligible, true, false).is_some());
-    assert!(memo_ineligibility(&eligible, false, true).is_some());
+    assert_eq!(memo_ineligibility(eligible.jitter, false, false), None);
+    assert!(memo_ineligibility(eligible.jitter, true, false).is_some());
+    assert!(memo_ineligibility(eligible.jitter, false, true).is_some());
 }
 
 /// Engine-level case for the timers that wait outside the scheduler: at

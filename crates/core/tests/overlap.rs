@@ -6,11 +6,10 @@
 
 use flowpulse::prelude::*;
 use fp_collectives::ring::ring_allreduce;
-use fp_collectives::runner::{CollectiveRunner, RunnerConfig};
+use fp_collectives::runner::RunnerConfig;
 use fp_netsim::config::SimConfig;
 use fp_netsim::fault::{FaultAction, FaultKind};
 use fp_netsim::ids::HostId;
-use fp_netsim::sim::Simulator;
 use fp_netsim::topology::{FatTreeSpec, Topology};
 
 const LEAVES: u32 = 8;
@@ -22,7 +21,7 @@ const SPINES: u32 = 4;
 const DROP_PORT: (u32, u32) = (2, 1);
 const BLACKHOLE_PORT: (u32, u32) = (5, 3);
 
-fn run_with_overlapping_faults(iters: u32) -> Simulator {
+fn run_with_overlapping_faults(iters: u32) -> RawRun {
     let topo = Topology::fat_tree(FatTreeSpec {
         leaves: LEAVES,
         spines: SPINES,
@@ -30,44 +29,31 @@ fn run_with_overlapping_faults(iters: u32) -> Simulator {
     });
     let hosts: Vec<HostId> = (0..LEAVES).map(HostId).collect();
     let sched = ring_allreduce(&hosts, 8 * 1024 * 1024);
-    let mut sim = Simulator::new(topo, SimConfig::default(), 9);
-    let mut runner = CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: iters,
-            ..Default::default()
-        },
-    );
-    let mut installed = false;
-    runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-        if !installed && iter >= 1 {
-            installed = true;
-            let (dl, dv) = DROP_PORT;
-            sim.apply_fault_now(
-                sim.topo.downlink(dv, dl),
-                FaultAction::Set(FaultKind::SilentDrop { rate: 0.05 }),
-                false,
-            );
-            let (bl, bv) = BLACKHOLE_PORT;
-            sim.apply_fault_now(
-                sim.topo.downlink(bv, bl),
-                FaultAction::Set(FaultKind::DstBlackhole {
-                    dst_leaf: bl as u16,
-                }),
-                false,
-            );
-        }
-    }));
-    sim.set_app(Box::new(runner));
-    sim.run();
-    sim
+    let (dl, dv) = DROP_PORT;
+    let drop = FaultKind::SilentDrop { rate: 0.05 };
+    let (bl, bv) = BLACKHOLE_PORT;
+    let blackhole = FaultKind::DstBlackhole {
+        dst_leaf: bl as u16,
+    };
+    let rcfg = RunnerConfig {
+        iterations: iters,
+        ..Default::default()
+    };
+    Scenario {
+        at_iter: vec![
+            (1, topo.downlink(dv, dl), FaultAction::Set(drop)),
+            (1, topo.downlink(bv, bl), FaultAction::Set(blackhole)),
+        ],
+        ..Scenario::new(topo, sched, rcfg, SimConfig::default(), 9)
+    }
+    .run()
 }
 
 #[test]
 fn overlapping_drop_and_dst_blackhole_are_both_localized() {
-    let sim = run_with_overlapping_faults(3);
+    let run = run_with_overlapping_faults(3);
     let mut monitor = Monitor::new_learned(1, Detector::new(0.01), 1);
-    monitor.scan(&sim.counters, true);
+    monitor.scan(&run.counters, true);
 
     // Both faulty iterations alarm, and both faulted ports show a
     // shortfall — the screaming black hole does not drown out the 5% drop.
@@ -107,9 +93,9 @@ fn dst_blackhole_only_starves_its_own_leaf() {
     // spine 3's cable to leaf 5 must not produce shortfalls at any other
     // leaf's ingress from that spine (a full blackhole there would starve
     // every leaf the spine serves via sprayed ring shares).
-    let sim = run_with_overlapping_faults(3);
+    let run = run_with_overlapping_faults(3);
     let mut monitor = Monitor::new_learned(1, Detector::new(0.01), 1);
-    monitor.scan(&sim.counters, true);
+    monitor.scan(&run.counters, true);
     let (bl, bv) = BLACKHOLE_PORT;
     for (leaf, v) in monitor.shortfall_ports(1) {
         if v == bv {

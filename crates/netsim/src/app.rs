@@ -41,7 +41,6 @@ pub trait Application {
 /// Every callback is forwarded to every child; children must ignore flows
 /// and wake tokens they do not own. The conventional token layout is
 /// `job_id << 32 | payload`, which the `fp-collectives` runners follow.
-#[derive(Default)]
 pub struct MultiApp {
     apps: Vec<Box<dyn Application>>,
 }
@@ -50,11 +49,6 @@ impl MultiApp {
     /// Combine `apps` into one.
     pub fn new(apps: Vec<Box<dyn Application>>) -> Self {
         MultiApp { apps }
-    }
-
-    /// Add another child application.
-    pub fn push(&mut self, app: Box<dyn Application>) {
-        self.apps.push(app);
     }
 }
 

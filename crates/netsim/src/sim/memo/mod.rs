@@ -258,7 +258,7 @@ impl Simulator {
     /// invisible to the fingerprint).
     pub fn enable_memo(&mut self, barriers: Vec<u32>) {
         let disabled = match self.cfg.spray {
-            SprayPolicy::Random | SprayPolicy::LeastLoadedRandomTie => Some("random-spray"),
+            SprayPolicy::Random => Some("random-spray"),
             // Adaptive spraying is phase-anchored: deficit halvings happen
             // on an absolute `spray_tau` grid (`spray_deficit_at` starts at
             // 0 and only ever advances by whole multiples of tau), so the

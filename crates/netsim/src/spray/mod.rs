@@ -16,10 +16,9 @@
 //! * [`SprayPolicy::RoundRobin`] — cyclic, perfectly smooth.
 //! * [`SprayPolicy::Adaptive`] — utilization-aware least-loaded (default).
 //! * [`SprayPolicy::LeastLoaded`] — queue-depth-only, rotating tie-break.
-//! * [`SprayPolicy::LeastLoadedRandomTie`] — queue-depth-only, random ties.
 //!
-//! The engine sends Random, RoundRobin and LeastLoadedRandomTie through
-//! `ClassicSprayer`, and gathers loads for the last one only. Adaptive and
+//! The engine sends Random and RoundRobin through `ClassicSprayer`, with
+//! no load signal. Adaptive and
 //! LeastLoaded, the rotating least-loaded pair, it picks in one fused pass
 //! over its own tables (`crate::switch`), with [`choose`] as that pass's
 //! test oracle; [`make_sprayer`] still builds a `ClassicSprayer` for them,
@@ -79,9 +78,6 @@ pub enum SprayPolicy {
     /// mostly empty, so this degenerates toward round-robin with
     /// phase noise from ACK interleaving.
     LeastLoaded,
-    /// Queue-depth-only with uniform random tie-break; degenerates toward
-    /// `Random` in an underloaded fabric.
-    LeastLoadedRandomTie,
     /// Static flow hashing (no spraying): every packet between one host
     /// pair takes the same uplink — the 5-tuple hash of classic ECMP,
     /// which our collective workloads make a pure `(src, dst)` function.
@@ -116,7 +112,6 @@ impl SprayPolicy {
                 | SprayPolicy::RoundRobin
                 | SprayPolicy::Adaptive
                 | SprayPolicy::LeastLoaded
-                | SprayPolicy::LeastLoadedRandomTie
         )
     }
 
@@ -138,9 +133,6 @@ impl SprayPolicy {
             "rr" | "round_robin" | "roundrobin" => Some(SprayPolicy::RoundRobin),
             "adaptive" => Some(SprayPolicy::Adaptive),
             "least_loaded" | "leastloaded" => Some(SprayPolicy::LeastLoaded),
-            "least_loaded_random_tie" | "leastloadedrandomtie" => {
-                Some(SprayPolicy::LeastLoadedRandomTie)
-            }
             "ecmp" => Some(SprayPolicy::Ecmp),
             "prime" => Some(SprayPolicy::Prime),
             "reps" => Some(SprayPolicy::Reps),
@@ -303,26 +295,6 @@ pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut Sm
             *cursor = (best as u64) + 1;
             best
         }
-        SprayPolicy::LeastLoadedRandomTie => {
-            // Single pass: track the minimum and reservoir-sample among ties
-            // so the tie-break is unbiased without a second pass/allocation.
-            let mut best = 0usize;
-            let mut best_load = loads[0];
-            let mut ties = 1u32;
-            for (i, &l) in loads.iter().enumerate().skip(1) {
-                if l < best_load {
-                    best = i;
-                    best_load = l;
-                    ties = 1;
-                } else if l == best_load {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = i;
-                    }
-                }
-            }
-            best
-        }
         _ => unreachable!("choose() is classic-only; {policy:?} has its own backend"),
     }
 }
@@ -442,25 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn random_tie_break_is_unbiased() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut cursor = 0;
-        let loads = [7u64, 7, 7];
-        let mut hist = [0u32; 3];
-        for _ in 0..30_000 {
-            hist[choose(
-                SprayPolicy::LeastLoadedRandomTie,
-                &loads,
-                &mut cursor,
-                &mut rng,
-            )] += 1;
-        }
-        for &h in &hist {
-            assert!((8_000..12_000).contains(&h), "hist={hist:?}");
-        }
-    }
-
-    #[test]
     fn random_covers_all_ports() {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut cursor = 0;
@@ -480,7 +433,6 @@ mod tests {
             SprayPolicy::Random,
             SprayPolicy::RoundRobin,
             SprayPolicy::LeastLoaded,
-            SprayPolicy::LeastLoadedRandomTie,
         ] {
             assert_eq!(choose(p, &[42], &mut cursor, &mut rng), 0);
         }
@@ -497,7 +449,6 @@ mod tests {
             SprayPolicy::RoundRobin,
             SprayPolicy::Adaptive,
             SprayPolicy::LeastLoaded,
-            SprayPolicy::LeastLoadedRandomTie,
         ] {
             let loads_seq: Vec<Vec<u64>> = (0..32u64)
                 .map(|i| (0..4).map(|j| (i * 7 + j * 13) % 5).collect())
@@ -563,7 +514,6 @@ mod tests {
             SprayPolicy::LeastLoaded,
             SprayPolicy::RoundRobin,
             SprayPolicy::Random,
-            SprayPolicy::LeastLoadedRandomTie,
         ] {
             assert!(p.is_classic());
             assert!(!p.wants_feedback());

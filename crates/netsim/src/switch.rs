@@ -105,8 +105,6 @@ pub(crate) struct Switches {
     /// The candidates (and their slots) the quarantine filter kept.
     scratch_cands: Vec<LinkId>,
     scratch_slots: Vec<u32>,
-    /// `LeastLoadedRandomTie`'s load signal, one entry per candidate.
-    scratch_loads: Vec<u64>,
     /// `cfg.spray.wants_feedback()`, cached: gates every per-packet
     /// feedback hook (CE marking, ACK echoes) so classic policies pay one
     /// predictable branch and stay byte-identical to the pre-trait engine.
@@ -149,7 +147,6 @@ impl Switches {
             state,
             scratch_cands: Vec::new(),
             scratch_slots: Vec::new(),
-            scratch_loads: Vec::new(),
             feedback: cfg.spray.wants_feedback(),
             avoided: 0,
         }
@@ -334,14 +331,9 @@ impl Switches {
                 }
                 least_loaded(links, cands, slots, &s.spray_deficit, &mut s.rr_cursor)
             }
-            policy => {
-                let loads = &mut self.scratch_loads;
-                loads.clear();
-                // Only the random tie-break reads a load signal; Random,
-                // RoundRobin and the hash/entropy backends pick without one.
-                if policy == spray::SprayPolicy::LeastLoadedRandomTie {
-                    loads.extend(cands.iter().map(|&id| links[id.idx()].queued_bytes));
-                }
+            // Random, RoundRobin and the hash/entropy backends pick without
+            // a load signal.
+            _ => {
                 let (flow, seq, data) = match pkt.kind {
                     PacketKind::Data { flow, seq } => (flow, seq, true),
                     PacketKind::Ack { flow, .. } => (flow, 0, false),
@@ -353,7 +345,7 @@ impl Switches {
                     seq,
                     data,
                     cands,
-                    loads,
+                    loads: &[],
                     slots,
                 };
                 s.sprayer.pick(&ctx, &mut s.rr_cursor, rng)

@@ -49,31 +49,23 @@ fn main() {
         "injecting: 8% silent drop on core(group {group}, slot {slot}) -> pod {dst_pod} at iteration 1\n"
     );
 
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), 42);
-    let mut runner = CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: 3,
-            ..Default::default()
-        },
-    );
-    let mut installed = false;
-    runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-        if iter >= 1 && !installed {
-            installed = true;
-            sim.apply_fault_now(
-                bad,
-                fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.08 }),
-                false,
-            );
-        }
-    }));
-    sim.set_app(Box::new(runner));
-    sim.run();
+    let rcfg = RunnerConfig {
+        iterations: 3,
+        ..Default::default()
+    };
+    let run = Scenario {
+        at_iter: vec![(
+            1,
+            bad,
+            FaultAction::Set(FaultKind::SilentDrop { rate: 0.08 }),
+        )],
+        ..Scenario::new(topo.clone(), sched, rcfg, SimConfig::default(), 42)
+    }
+    .run();
 
     // Tier 1: leaf monitors (spine->leaf ports).
     let mut leaf_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.loads.clone());
-    leaf_mon.scan(&sim.counters, true);
+    leaf_mon.scan(&run.counters, true);
     println!("leaf-tier alarms:");
     for a in &leaf_mon.alarms {
         println!(
@@ -89,7 +81,7 @@ fn main() {
 
     // Tier 2: agg monitors (core->agg ports) pin the slot.
     let mut agg_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.agg_loads.clone().unwrap());
-    agg_mon.scan(&sim.agg_counters, true);
+    agg_mon.scan(&run.agg_counters, true);
     println!("\nagg-tier alarms:");
     for a in &agg_mon.alarms {
         println!(

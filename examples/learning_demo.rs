@@ -23,45 +23,42 @@ fn main() {
     let hosts: Vec<HostId> = (0..leaves).map(HostId).collect();
     let sched = ring_allreduce(&hosts, 8 * 1024 * 1024);
 
-    let mut sim = Simulator::new(topo, SimConfig::default(), 77);
     // Transient 6% drop on spine1→leaf3, active for iterations 0..3.
-    let bad_early = sim.topo.downlink(1, 3);
+    let bad_early = topo.downlink(1, 3);
     // A *new* 3% fault on spine2→leaf5 from iteration 6.
-    let bad_late = sim.topo.downlink(2, 5);
-    let mut runner = CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: 9,
-            ..Default::default()
-        },
-    );
-    runner.set_iteration_start_hook(Box::new(move |sim, iter| match iter {
-        0 => sim.apply_fault_now(
-            bad_early,
-            fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.06 }),
-            false,
-        ),
-        3 => sim.apply_fault_now(bad_early, fp_netsim::fault::FaultAction::Clear, false),
-        6 => sim.apply_fault_now(
-            bad_late,
-            fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.03 }),
-            false,
-        ),
-        _ => {}
-    }));
-    sim.set_app(Box::new(runner));
-    sim.run();
+    let bad_late = topo.downlink(2, 5);
+    let rcfg = RunnerConfig {
+        iterations: 9,
+        ..Default::default()
+    };
+    let run = Scenario {
+        at_iter: vec![
+            (
+                0,
+                bad_early,
+                FaultAction::Set(FaultKind::SilentDrop { rate: 0.06 }),
+            ),
+            (3, bad_early, FaultAction::Clear),
+            (
+                6,
+                bad_late,
+                FaultAction::Set(FaultKind::SilentDrop { rate: 0.03 }),
+            ),
+        ],
+        ..Scenario::new(topo, sched, rcfg, SimConfig::default(), 77)
+    }
+    .run();
 
     let mut monitor = Monitor::new_learned(1, Detector::new(0.01), 2);
-    monitor.scan(&sim.counters, true);
+    monitor.scan(&run.counters, true);
 
     println!("timeline (learned model, warmup 2):");
     println!("  iterations 0-2: transient 6% fault on spine1->leaf3 (active during learning)");
     println!("  iteration  3:   fault heals");
     println!("  iteration  6:   NEW 3% fault on spine2->leaf5\n");
 
-    for i in sim.counters.iters_of(1) {
-        let c = sim.counters.get(1, i).unwrap();
+    for i in run.counters.iters_of(1) {
+        let c = run.counters.get(1, i).unwrap();
         let obs = PortLoads::from_counters(c);
         let verdict = monitor
             .learned_events

@@ -28,23 +28,14 @@ fn main() {
     let demand1 = sched1.demand(topo.n_hosts());
     let demand2 = sched2.demand(topo.n_hosts());
 
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), 3);
     // A silent 4% fault on spine0->leaf2, present from the start.
-    let bad = sim.topo.downlink(0, 2);
-    sim.apply_fault_now(
-        bad,
-        fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.04 }),
-        false,
-    );
+    let bad = FaultAction::Set(FaultKind::SilentDrop { rate: 0.04 });
 
-    let runner1 = CollectiveRunner::new(
-        sched1,
-        RunnerConfig {
-            job: 1,
-            iterations: 3,
-            ..Default::default()
-        },
-    );
+    let rcfg1 = RunnerConfig {
+        job: 1,
+        iterations: 3,
+        ..Default::default()
+    };
     let runner2 = CollectiveRunner::new(
         sched2,
         RunnerConfig {
@@ -59,12 +50,12 @@ fn main() {
         until: SimTime::from_ms(2),
         ..Default::default()
     });
-    sim.set_app(Box::new(MultiApp::new(vec![
-        Box::new(runner1),
-        Box::new(runner2),
-        Box::new(background),
-    ])));
-    sim.run();
+    let run = Scenario {
+        before: vec![(topo.downlink(0, 2), bad)],
+        extra: vec![Box::new(runner2), Box::new(background)],
+        ..Scenario::new(topo.clone(), sched1, rcfg1, SimConfig::default(), 3)
+    }
+    .run();
 
     // Each job's monitor uses its own analytical prediction; background
     // traffic is untagged and invisible to both.
@@ -72,7 +63,7 @@ fn main() {
     for (job, demand) in [(1u32, &demand1), (2u32, &demand2)] {
         let pred = ana.predict(demand).loads;
         let mut monitor = Monitor::new_fixed(job, Detector::new(0.01), pred);
-        monitor.scan(&sim.counters, true);
+        monitor.scan(&run.counters, true);
         println!(
             "job {job}: {} iterations evaluated, {} alarms",
             monitor.iter_max_dev.len(),

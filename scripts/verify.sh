@@ -52,6 +52,20 @@ if git grep --untracked -nE '\.active([^A-Za-z0-9_]|$)' -- crates/netsim/src |
 fi
 echo "    clean outside host.rs, sim/memo/ and *_tests.rs"
 
+echo "==> one door: the harness, the sweeps and the examples run a Scenario"
+# `Scenario::run` (eval/run.rs) is the one place they build a `Simulator`.
+# Left out: baselines.rs's unit tests and headline's probe mesh, which
+# drive a live engine of their own. Tests and the engine crates are free.
+tests_at="$(grep -n '^mod tests' crates/core/src/baselines.rs | cut -d: -f1)"
+if git grep --untracked -nF 'Simulator::new(' -- crates/core/src crates/bench/src/bin examples |
+    awk -F: -v t="$tests_at" '$1 != "crates/core/src/eval/run.rs" &&
+        $1 != "crates/bench/src/bin/headline.rs" &&
+        !($1 == "crates/core/src/baselines.rs" && $2 > t)' | grep .; then
+    echo "    a simulator built outside Scenario::run (lines above)" >&2
+    exit 1
+fi
+echo "    clean outside eval/run.rs, baselines.rs's tests and headline.rs"
+
 echo "==> non-test lines per crate (each file up to its 'mod tests', *_tests.rs left out)"
 # Every file of fp-netsim, where the carving happens; a subtotal for each
 # crate, so the next simplicity PR starts from a number. A gate too: no
@@ -292,7 +306,7 @@ echo "    clos3_tour: leaf tier detected, agg tier pinned the core slot"
 
 echo "==> learning_demo and fault_hunt examples: each asserts its own story"
 # multi_job asserts too, but fails today: job 1 raises a false alarm at
-# leaf 4 next to the real one at leaf 2 (ROADMAP item 9(i)).
+# leaf 4 next to the real one at leaf 2 (ROADMAP item 10).
 cargo run --release -q --example learning_demo >/dev/null
 echo "    learning_demo: one heal rebaseline, no alarm around it, the new fault caught"
 cargo run --release -q --example fault_hunt >/dev/null

@@ -5,10 +5,12 @@
 //! were taken from the hand-built runs, so a harness that sends them all
 //! through one door must reproduce every byte of them.
 //!
-//! `hand_built` is what those runs share: link changes applied before the
-//! first event, the measured runner with link changes landing at the first
-//! iteration start ≥ k in list order, and any other applications after it
-//! in one `MultiApp`. fig2's fabric run posts its one message by hand.
+//! Each run now goes through `Scenario::run`: link changes applied before
+//! the first event, the measured runner with link changes landing at the
+//! first iteration start ≥ k in list order, and any other applications
+//! after it in one `MultiApp`. fig2's fabric run used to post its one
+//! message by hand; it now sends the same transfer through the runner,
+//! which adds the runner's start wake and nothing else.
 
 use flowpulse::prelude::*;
 use fp_collectives::prelude::*;
@@ -55,16 +57,13 @@ fn digest(stats: &Stats, counters: &CounterStore, agg_counters: &CounterStore) -
     [s.0, cells(counters), cells(agg_counters)]
 }
 
-fn pin(name: &str, want: [u64; 3], sim: Simulator) {
-    let got = digest(&sim.stats, &sim.counters, &sim.agg_counters);
+fn pin(name: &str, want: [u64; 3], run: RawRun) {
+    let got = digest(&run.stats, &run.counters, &run.agg_counters);
     assert_eq!(got, want, "{name} moved: {got:#018x?}");
 }
 
-/// `(link, action, both directions)`.
-type Change = (LinkId, FaultAction, bool);
-
-fn set(link: LinkId, kind: FaultKind) -> Change {
-    (link, FaultAction::Set(kind), false)
+fn set(kind: FaultKind) -> FaultAction {
+    FaultAction::Set(kind)
 }
 
 fn drop(rate: f64) -> FaultKind {
@@ -72,39 +71,23 @@ fn drop(rate: f64) -> FaultKind {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn hand_built(
+fn scenario(
     topo: Topology,
     cfg: SimConfig,
     seed: u64,
-    before: &[Change],
+    before: &[(LinkId, FaultAction)],
     sched: Schedule,
     rcfg: RunnerConfig,
-    at: Vec<(u32, Change)>,
+    at_iter: Vec<(u32, LinkId, FaultAction)>,
     extra: Vec<Box<dyn Application>>,
-) -> Simulator {
-    let mut sim = Simulator::new(topo, cfg, seed);
-    for &(l, a, both) in before {
-        sim.apply_fault_now(l, a, both);
+) -> RawRun {
+    Scenario {
+        before: before.to_vec(),
+        at_iter,
+        extra,
+        ..Scenario::new(topo, sched, rcfg, cfg, seed)
     }
-    let mut runner = CollectiveRunner::new(sched, rcfg);
-    if !at.is_empty() {
-        let mut next = 0;
-        runner.set_iteration_start_hook(Box::new(move |sim, iter| {
-            while let Some(&(_, (l, a, both))) = at.get(next).filter(|c| c.0 <= iter) {
-                sim.apply_fault_now(l, a, both);
-                next += 1;
-            }
-        }));
-    }
-    if extra.is_empty() {
-        sim.set_app(Box::new(runner));
-    } else {
-        let mut apps: Vec<Box<dyn Application>> = vec![Box::new(runner)];
-        apps.extend(extra);
-        sim.set_app(Box::new(MultiApp::new(apps)));
-    }
-    sim.run();
-    sim
+    .run()
 }
 
 fn hosts(n: u32) -> Vec<HostId> {
@@ -180,7 +163,7 @@ fn ablate_priority_runs_hold() {
         } else {
             Vec::new()
         };
-        let sim = hand_built(
+        let run = scenario(
             fat(8, 4),
             SimConfig::default(),
             11,
@@ -190,7 +173,7 @@ fn ablate_priority_runs_hold() {
             Vec::new(),
             extra,
         );
-        pin(&format!("ablate_priority row {i}"), want[i], sim);
+        pin(&format!("ablate_priority row {i}"), want[i], run);
     }
 }
 
@@ -223,29 +206,29 @@ fn threelevel_and_clos3_tour_runs_hold() {
         let dst_pod = rng.gen_range(0..spec.pods);
         let bad = topo.core_downlink(topo.core_global(group, slot), dst_pod);
         let n = topo.n_hosts() as u32;
-        let sim = hand_built(
+        let run = scenario(
             topo,
             SimConfig::default(),
             seed,
             &[],
             ring_allreduce(&hosts(n), 4 << 20),
             jittered(3),
-            vec![(1, set(bad, drop(0.05)))],
+            vec![(1, bad, set(drop(0.05)))],
             Vec::new(),
         );
-        pin(&format!("threelevel seed {seed}"), want, sim);
+        pin(&format!("threelevel seed {seed}"), want, run);
     }
 
     let topo = Topology::clos3(clos3(4, 2));
     let bad = topo.core_downlink(topo.core_global(1, 0), 3);
-    let sim = hand_built(
+    let run = scenario(
         topo,
         SimConfig::default(),
         42,
         &[],
         ring_allreduce(&hosts(8), 8 << 20),
         runner(1, 3),
-        vec![(1, set(bad, drop(0.08)))],
+        vec![(1, bad, set(drop(0.08)))],
         Vec::new(),
     );
     pin(
@@ -255,7 +238,7 @@ fn threelevel_and_clos3_tour_runs_hold() {
             0x887a_b0fc_f189_8a1b,
             0xddb2_f93a_27a8_4a6b,
         ],
-        sim,
+        run,
     );
 }
 
@@ -263,24 +246,25 @@ fn threelevel_and_clos3_tour_runs_hold() {
 fn ablate_localize_alltoall_run_holds() {
     let topo = fat(8, 4);
     let bad = topo.downlink(1, 3);
+    let peer = topo.peer[bad.idx()];
     let cfg = SimConfig {
         spray: SprayPolicy::Random,
         ..Default::default()
     };
-    let sim = hand_built(
+    let run = scenario(
         topo,
         cfg,
         5,
         &[],
         alltoall_uniform(&hosts(8), 4 << 20),
         runner(1, 2),
-        vec![(1, (bad, FaultAction::Set(drop(0.30)), true))],
+        vec![(1, bad, set(drop(0.30))), (1, peer, set(drop(0.30)))],
         Vec::new(),
     );
     pin(
         "ablate_localize alltoall",
         [0x99ac_76d6_439a_61d3, 0x8dd1_9448_20fc_5557, EMPTY],
-        sim,
+        run,
     );
 }
 
@@ -315,14 +299,33 @@ fn fig2_runs_and_models_hold() {
             .iter()
             .flat_map(|&(leaf, v)| [topo.uplink(leaf, v), topo.downlink(v, leaf)])
             .collect();
+        let before: Vec<_> = admin_down
+            .iter()
+            .map(|&l| (l, set(FaultKind::AdminDown)))
+            .collect();
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), 42);
-        for &l in &admin_down {
-            sim.apply_fault_now(l, FaultAction::Set(FaultKind::AdminDown), false);
+        for &(l, a) in &before {
+            sim.apply_fault_now(l, a, false);
         }
         let tag = CollectiveTag { job: 7, iter: 0 };
         sim.post_message(src, dst, bytes, Some(tag), Priority::MEASURED);
         sim.run();
-        pin(&format!("fig2 fabric {i}"), want[i].0, sim);
+        let hand = digest(&sim.stats, &sim.counters, &sim.agg_counters);
+        assert_eq!(hand, want[i].0, "fig2 hand-posted {i} moved: {hand:#018x?}");
+
+        let mut run = scenario(
+            topo.clone(),
+            SimConfig::default(),
+            42,
+            &before,
+            sched.clone(),
+            runner(7, 1),
+            Vec::new(),
+            Vec::new(),
+        );
+        assert_eq!(run.stats.events, sim.stats.events + 1, "one start wake");
+        run.stats.events -= 1;
+        pin(&format!("fig2 fabric {i}"), want[i].0, run);
 
         let model =
             SimulationModel::new(SimConfig::default()).predict(&topo, &admin_down, &sched, 7);
@@ -338,11 +341,11 @@ fn example_runs_hold() {
     let even: Vec<HostId> = hosts(8).into_iter().filter(|h| h.0 % 2 == 0).collect();
     let odd: Vec<HostId> = hosts(8).into_iter().filter(|h| h.0 % 2 == 1).collect();
     let job2 = CollectiveRunner::new(ring_allreduce(&odd, 4 << 20), runner(2, 3));
-    let sim = hand_built(
+    let run = scenario(
         topo.clone(),
         SimConfig::default(),
         3,
-        &[set(topo.downlink(0, 2), drop(0.04))],
+        &[(topo.downlink(0, 2), set(drop(0.04)))],
         ring_allreduce(&even, 8 << 20),
         runner(1, 3),
         Vec::new(),
@@ -354,11 +357,11 @@ fn example_runs_hold() {
     pin(
         "multi_job",
         [0xf1e1_0bd6_79ac_2290, 0x9308_8d71_8db2_6e73, EMPTY],
-        sim,
+        run,
     );
 
     let (early, late) = (topo.downlink(1, 3), topo.downlink(2, 5));
-    let sim = hand_built(
+    let run = scenario(
         topo,
         SimConfig::default(),
         77,
@@ -366,16 +369,16 @@ fn example_runs_hold() {
         ring_allreduce(&hosts(8), 8 << 20),
         runner(1, 9),
         vec![
-            (0, set(early, drop(0.06))),
-            (3, (early, FaultAction::Clear, false)),
-            (6, set(late, drop(0.03))),
+            (0, early, set(drop(0.06))),
+            (3, early, FaultAction::Clear),
+            (6, late, set(drop(0.03))),
         ],
         Vec::new(),
     );
     pin(
         "learning_demo",
         [0x072c_3182_35ad_2e41, 0x4c8b_3504_3e33_f7bb, EMPTY],
-        sim,
+        run,
     );
 }
 
@@ -383,7 +386,7 @@ fn example_runs_hold() {
 fn test_runs_hold() {
     let ring4 = |n| ring_allreduce(&hosts(n), 4 << 20);
     let topo = Topology::clos3(clos3(4, 2));
-    let sim = hand_built(
+    let run = scenario(
         topo.clone(),
         SimConfig::default(),
         3,
@@ -400,17 +403,17 @@ fn test_runs_hold() {
             0x3057_342c_9634_c365,
             0x8ec1_de66_b98b_0153,
         ],
-        sim,
+        run,
     );
     let bad = topo.core_downlink(topo.core_global(0, 0), 2);
-    let sim = hand_built(
+    let run = scenario(
         topo.clone(),
         SimConfig::default(),
         7,
         &[],
         ring4(8),
         runner(1, 3),
-        vec![(1, set(bad, drop(0.10)))],
+        vec![(1, bad, set(drop(0.10)))],
         Vec::new(),
     );
     pin(
@@ -420,11 +423,11 @@ fn test_runs_hold() {
             0xd71b_1023_b95e_f81d,
             0xe056_2612_d89e_91e8,
         ],
-        sim,
+        run,
     );
     let known = topo.core_downlink(topo.core_global(1, 1), 3);
-    let down = [known, topo.peer[known.idx()]].map(|l| set(l, FaultKind::AdminDown));
-    let sim = hand_built(
+    let down = [known, topo.peer[known.idx()]].map(|l| (l, set(FaultKind::AdminDown)));
+    let run = scenario(
         topo,
         SimConfig::default(),
         5,
@@ -441,18 +444,19 @@ fn test_runs_hold() {
             0xa4dc_618c_0223_5725,
             0x1cd2_d0bd_8970_d8b2,
         ],
-        sim,
+        run,
     );
 
     let topo = fat(8, 4);
     let overlap = vec![
-        (1, set(topo.downlink(1, 2), drop(0.05))),
+        (1, topo.downlink(1, 2), set(drop(0.05))),
         (
             1,
-            set(topo.downlink(3, 5), FaultKind::DstBlackhole { dst_leaf: 5 }),
+            topo.downlink(3, 5),
+            set(FaultKind::DstBlackhole { dst_leaf: 5 }),
         ),
     ];
-    let sim = hand_built(
+    let run = scenario(
         topo.clone(),
         SimConfig::default(),
         9,
@@ -465,10 +469,10 @@ fn test_runs_hold() {
     pin(
         "overlap",
         [0xeb6d_3915_5018_3441, 0x54ee_fe9b_ccef_e34f, EMPTY],
-        sim,
+        run,
     );
 
-    let sim = hand_built(
+    let run = scenario(
         topo.clone(),
         SimConfig::default(),
         31,
@@ -481,13 +485,13 @@ fn test_runs_hold() {
     pin(
         "end_to_end alltoall full tagging",
         [0xb558_9b98_6157_4ef3, 0xb186_40fd_0343_5a98, EMPTY],
-        sim,
+        run,
     );
 
     let even: Vec<HostId> = (0..8).filter(|h| h % 2 == 0).map(HostId).collect();
     let odd: Vec<HostId> = (0..8).filter(|h| h % 2 == 1).map(HostId).collect();
     let job2 = CollectiveRunner::new(ring_allreduce(&odd, 1 << 20), runner(2, 2));
-    let sim = hand_built(
+    let run = scenario(
         topo,
         SimConfig::default(),
         9,
@@ -503,6 +507,6 @@ fn test_runs_hold() {
     pin(
         "end_to_end multi job",
         [0x9532_7d4d_f26e_b024, 0xd637_81d6_9f56_a979, EMPTY],
-        sim,
+        run,
     );
 }

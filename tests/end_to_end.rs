@@ -139,18 +139,14 @@ fn alltoall_full_tagging_mismatch() {
     let sched = alltoall_uniform(&hosts, 2 * 1024 * 1024);
     let demand = sched.demand(8);
     let pred = AnalyticalModel::new(&topo, []).predict(&demand);
-    let mut sim = Simulator::new(topo, SimConfig::default(), 31);
-    sim.set_app(Box::new(CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: 3,
-            ..Default::default()
-        },
-    )));
-    sim.run();
+    let rcfg = RunnerConfig {
+        iterations: 3,
+        ..Default::default()
+    };
+    let run = Scenario::new(topo, sched, rcfg, SimConfig::default(), 31).run();
     let mut worst = 0.0f64;
-    for i in sim.counters.iters_of(1) {
-        let obs = PortLoads::from_counters(sim.counters.get(1, i).unwrap());
+    for i in run.counters.iters_of(1) {
+        let obs = PortLoads::from_counters(run.counters.get(1, i).unwrap());
         worst = worst.max(Detector::default().max_abs_rel(&pred.loads, &obs));
     }
     assert!(
@@ -294,15 +290,11 @@ fn multi_job_fabric_with_background_traffic() {
     });
     let even: Vec<HostId> = (0..8).filter(|h| h % 2 == 0).map(HostId).collect();
     let odd: Vec<HostId> = (0..8).filter(|h| h % 2 == 1).map(HostId).collect();
-    let mut sim = Simulator::new(topo, SimConfig::default(), 9);
-    let r1 = CollectiveRunner::new(
-        ring_allreduce(&even, 2 * 1024 * 1024),
-        RunnerConfig {
-            job: 1,
-            iterations: 2,
-            ..Default::default()
-        },
-    );
+    let rcfg1 = RunnerConfig {
+        job: 1,
+        iterations: 2,
+        ..Default::default()
+    };
     let r2 = CollectiveRunner::new(
         ring_allreduce(&odd, 1024 * 1024),
         RunnerConfig {
@@ -317,20 +309,20 @@ fn multi_job_fabric_with_background_traffic() {
         mean_interval: SimDuration::from_us(20),
         ..Default::default()
     });
-    sim.set_app(Box::new(MultiApp::new(vec![
-        Box::new(r1),
-        Box::new(r2),
-        Box::new(bg),
-    ])));
-    sim.run();
-    assert!(sim.all_flows_complete());
-    assert!(sim.counters.get(1, 0).is_some());
-    assert!(sim.counters.get(1, 1).is_some());
-    assert!(sim.counters.get(2, 0).is_some());
-    assert!(sim.counters.get(2, 1).is_some());
+    let sched1 = ring_allreduce(&even, 2 * 1024 * 1024);
+    let run = Scenario {
+        extra: vec![Box::new(r2), Box::new(bg)],
+        ..Scenario::new(topo, sched1, rcfg1, SimConfig::default(), 9)
+    }
+    .run();
+    assert!(run.all_flows_complete);
+    assert!(run.counters.get(1, 0).is_some());
+    assert!(run.counters.get(1, 1).is_some());
+    assert!(run.counters.get(2, 0).is_some());
+    assert!(run.counters.get(2, 1).is_some());
     // Jobs' counter sets are disjoint by tag.
-    let t1 = sim.counters.get(1, 0).unwrap().total_bytes();
-    let t2 = sim.counters.get(2, 0).unwrap().total_bytes();
+    let t1 = run.counters.get(1, 0).unwrap().total_bytes();
+    let t2 = run.counters.get(2, 0).unwrap().total_bytes();
     assert!(t1 > t2, "job 1 moves twice the bytes of job 2");
 }
 

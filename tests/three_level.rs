@@ -19,27 +19,28 @@ fn fabric() -> Topology {
     })
 }
 
-/// Run `iters` ring iterations over all hosts; returns the simulator.
-fn run_ring(topo: Topology, iters: u32, seed: u64, hook: Option<IterationHook>) -> Simulator {
+/// Run `iters` ring iterations over all hosts, with `before` applied
+/// before the first event and `at_iter` at iteration starts.
+fn run_ring(
+    topo: Topology,
+    iters: u32,
+    seed: u64,
+    before: Vec<(LinkId, FaultAction)>,
+    at_iter: Vec<(u32, LinkId, FaultAction)>,
+) -> RawRun {
     let hosts: Vec<HostId> = (0..topo.n_hosts() as u32).map(HostId).collect();
     let sched = ring_allreduce(&hosts, 4 * 1024 * 1024);
-    let mut sim = Simulator::new(topo, SimConfig::default(), seed);
-    let mut runner = CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: iters,
-            ..Default::default()
-        },
-    );
-    if let Some(h) = hook {
-        runner.set_iteration_start_hook(h);
+    let rcfg = RunnerConfig {
+        iterations: iters,
+        ..Default::default()
+    };
+    Scenario {
+        before,
+        at_iter,
+        ..Scenario::new(topo, sched, rcfg, SimConfig::default(), seed)
     }
-    sim.set_app(Box::new(runner));
-    sim.run();
-    sim
+    .run()
 }
-
-use fp_collectives::runner::IterationHook;
 
 #[test]
 fn both_tiers_match_analytical_predictions_when_clean() {
@@ -47,13 +48,13 @@ fn both_tiers_match_analytical_predictions_when_clean() {
     let hosts: Vec<HostId> = (0..8).map(HostId).collect();
     let demand = ring_allreduce(&hosts, 4 * 1024 * 1024).demand(8);
     let pred = AnalyticalModel::new(&topo, []).predict(&demand);
-    let sim = run_ring(topo, 2, 3, None);
+    let run = run_ring(topo, 2, 3, Vec::new(), Vec::new());
 
-    let leaf_obs = PortLoads::from_counters(sim.counters.get(1, 0).unwrap());
+    let leaf_obs = PortLoads::from_counters(run.counters.get(1, 0).unwrap());
     let leaf_dev = Detector::default().max_abs_rel(&pred.loads, &leaf_obs);
     assert!(leaf_dev < 0.005, "leaf tier dev {:.3}%", leaf_dev * 100.0);
 
-    let agg_obs = PortLoads::from_counters(sim.agg_counters.get(1, 0).unwrap());
+    let agg_obs = PortLoads::from_counters(run.agg_counters.get(1, 0).unwrap());
     let agg_pred = pred.agg_loads.as_ref().unwrap();
     let agg_dev = Detector::default().max_abs_rel(agg_pred, &agg_obs);
     assert!(agg_dev < 0.005, "agg tier dev {:.3}%", agg_dev * 100.0);
@@ -71,26 +72,16 @@ fn silent_core_fault_caught_by_agg_monitor_and_localized_to_slot() {
     // Fault: 10% silent drop on core(group 0, slot 0) -> pod 2, installed
     // from iteration 1.
     let bad = topo.core_downlink(topo.core_global(0, 0), 2);
-    let mut installed = false;
-    let sim = run_ring(
-        topo.clone(),
-        3,
-        7,
-        Some(Box::new(move |sim: &mut Simulator, iter: u32| {
-            if iter >= 1 && !installed {
-                installed = true;
-                sim.apply_fault_now(
-                    bad,
-                    fp_netsim::fault::FaultAction::Set(FaultKind::SilentDrop { rate: 0.10 }),
-                    false,
-                );
-            }
-        })),
+    let drop = (
+        1,
+        bad,
+        FaultAction::Set(FaultKind::SilentDrop { rate: 0.10 }),
     );
+    let run = run_ring(topo.clone(), 3, 7, Vec::new(), vec![drop]);
 
     // Agg-tier monitor.
     let mut agg_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.agg_loads.clone().unwrap());
-    agg_mon.scan(&sim.agg_counters, true);
+    agg_mon.scan(&run.agg_counters, true);
     assert!(
         agg_mon.alarms.iter().all(|a| a.iter >= 1),
         "no false alarms before the fault: {:?}",
@@ -107,7 +98,7 @@ fn silent_core_fault_caught_by_agg_monitor_and_localized_to_slot() {
     // Leaf-tier monitor sees the same fault (its port from agg group 0 at
     // the destination leaf is short), but cannot tell which core slot.
     let mut leaf_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.loads.clone());
-    leaf_mon.scan(&sim.counters, true);
+    leaf_mon.scan(&run.counters, true);
     assert!(leaf_mon.alarms.iter().any(|a| a.iter >= 1));
 }
 
@@ -123,32 +114,17 @@ fn known_core_fault_is_absorbed_by_the_model() {
     ];
     let pred = AnalyticalModel::new(&topo, down).predict(&demand);
 
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), 5);
-    for l in down {
-        sim.apply_fault_now(
-            l,
-            fp_netsim::fault::FaultAction::Set(FaultKind::AdminDown),
-            false,
-        );
-    }
-    let sched = ring_allreduce(&hosts, 4 * 1024 * 1024);
-    sim.set_app(Box::new(CollectiveRunner::new(
-        sched,
-        RunnerConfig {
-            iterations: 2,
-            ..Default::default()
-        },
-    )));
-    sim.run();
+    let known = down.map(|l| (l, FaultAction::Set(FaultKind::AdminDown)));
+    let run = run_ring(topo.clone(), 2, 5, known.to_vec(), Vec::new());
 
     let mut agg_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.agg_loads.unwrap());
-    agg_mon.scan(&sim.agg_counters, true);
+    agg_mon.scan(&run.agg_counters, true);
     assert!(
         agg_mon.alarms.is_empty(),
         "known fault must not alarm: {:?}",
         agg_mon.alarms
     );
     let mut leaf_mon = Monitor::new_fixed(1, Detector::new(0.01), pred.loads);
-    leaf_mon.scan(&sim.counters, true);
+    leaf_mon.scan(&run.counters, true);
     assert!(leaf_mon.alarms.is_empty(), "{:?}", leaf_mon.alarms);
 }
