@@ -796,6 +796,11 @@ impl Simulator {
     // Inspection helpers
     // ------------------------------------------------------------------
 
+    /// Flow `id`'s transport state.
+    pub fn flow(&self, id: FlowId) -> &FlowState {
+        &self.flows[id as usize]
+    }
+
     /// True if every posted flow has been fully received.
     pub fn all_flows_complete(&self) -> bool {
         self.flows.iter().all(|f| f.is_complete())
