@@ -125,8 +125,10 @@ mod tests {
         sim.run();
         assert!(sim.all_flows_complete());
         // ~50 expected arrivals; accept a broad band.
-        assert!(sim.flows.len() > 15, "only {} flows", sim.flows.len());
-        assert!(sim.flows.len() < 150);
+        let posted = sim.flow_ids().end;
+        assert!(posted > 15, "only {posted} flows");
+        assert!(posted < 150);
+        assert_eq!(sim.stats.flows_completed, posted as u64);
         // Background traffic is untagged: no counter entries.
         assert!(sim.counters.keys().is_empty());
     }
@@ -148,9 +150,8 @@ mod tests {
         };
         sim.set_app(Box::new(BackgroundTraffic::new(cfg)));
         sim.run();
-        for f in &sim.flows {
-            assert_ne!(f.src, f.dst);
-        }
-        assert!(!sim.flows.is_empty());
+        // `post_message` panics on a self-addressed message, so posting a
+        // few hundred is the check.
+        assert!(sim.flow_ids().end > 200, "{:?}", sim.flow_ids());
     }
 }

@@ -517,8 +517,8 @@ mod tests {
         assert_eq!(c.total_bytes(), subset_bytes);
         // Non-subset flows ran untagged at background priority.
         let bg = sim
-            .flows
-            .iter()
+            .flow_ids()
+            .map(|id| sim.flow(id))
             .filter(|f| f.tag.is_none() && f.prio == fp_netsim::packet::Priority::BACKGROUND)
             .count();
         assert_eq!(bg, 4 * 3 - subset.len());

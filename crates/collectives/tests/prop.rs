@@ -217,7 +217,13 @@ fn run_and_check(sc: &FaultedRun) -> String {
         sim.stats.bytes_delivered,
         ITERS as u64 * sc.sched.total_bytes()
     );
-    let segments: u64 = sim.flows.iter().map(|f| f.npkts as u64).sum();
+    let mtu = sim.cfg.mtu as u64;
+    let segments: u64 = ITERS as u64
+        * sc.sched
+            .transfers
+            .iter()
+            .map(|t| t.bytes.div_ceil(mtu))
+            .sum::<u64>();
     assert_eq!(
         sim.stats.data_pkts_delivered - sim.stats.dup_pkts_delivered,
         segments

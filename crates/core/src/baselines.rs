@@ -113,11 +113,14 @@ pub struct ProbeReport {
 
 /// Run a probe campaign on `sim` (which may already carry faults). Probes
 /// run at background priority so they contend like real probe traffic.
+/// Each round is tallied once it drains, before the next one posts: a post
+/// retires the flows that finished.
 pub fn run_probe_mesh(sim: &mut Simulator, cfg: &ProbeMeshConfig) -> ProbeReport {
     let n = sim.topo.n_hosts() as u32;
-    let first_flow = sim.flows.len();
     let mut probes = 0u64;
+    let mut lossy: std::collections::BTreeMap<u32, u32> = Default::default();
     for _ in 0..cfg.rounds {
+        let first = sim.flow_ids().end;
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
@@ -136,11 +139,11 @@ pub fn run_probe_mesh(sim: &mut Simulator, cfg: &ProbeMeshConfig) -> ProbeReport
             }
         }
         sim.run();
-    }
-    let mut lossy: std::collections::BTreeMap<u32, u32> = Default::default();
-    for f in &sim.flows[first_flow..] {
-        if f.retx > 0 || f.failed {
-            *lossy.entry(sim.topo.leaf_of(f.dst)).or_default() += 1;
+        for id in first..sim.flow_ids().end {
+            let f = sim.flow(id);
+            if f.retx > 0 || f.failed {
+                *lossy.entry(sim.topo.leaf_of(f.dst)).or_default() += 1;
+            }
         }
     }
     ProbeReport {

@@ -331,7 +331,10 @@ fn replay_shifts_pending_delay_class_entries() {
         let log = seen.clone();
         runner.set_iteration_end_hook(Box::new(move |sim, _| {
             let ss = sim.sched_stats();
-            let unflushed = sim.flows.iter().filter(|f| f.pending_ack.is_some()).count();
+            let unflushed = sim
+                .flow_ids()
+                .filter(|&id| sim.flow(id).pending_ack.is_some())
+                .count();
             let class_pending = ss.class_pushes - ss.class_pops;
             log.borrow_mut()
                 .push((class_pending, ss.head_arms - ss.head_pops, unflushed));

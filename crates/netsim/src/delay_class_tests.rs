@@ -46,6 +46,10 @@ pub(super) struct Scenario {
     /// group instead of a 2-level tree (fills `agg_counters`).
     pub three_level: bool,
     pub msgs: usize,
+    /// Message `m` is posted in wave `m % waves`: wave 0 before the run,
+    /// wave `w` by a workload wake-up at `w · WAVE_GAP`, while earlier
+    /// waves are still in flight (1: no workload, every message at zero).
+    pub waves: u32,
     /// 0 drop, 1 blackhole, 2 dst-blackhole, 3 admin-down, else none.
     pub fault_sel: u32,
     /// The fault comes and goes three times before it heals for good.
@@ -82,6 +86,7 @@ impl Scenario {
             hosts_per_leaf: 1,
             three_level: false,
             msgs,
+            waves: 1,
             fault_sel,
             flap: false,
             // Fail fast under black holes so drains stay cheap.
@@ -119,6 +124,31 @@ impl Outcome {
         Outcome {
             rto_stale_skips: 0,
             ..self
+        }
+    }
+}
+
+/// Time between two waves of messages (see `Scenario::waves`).
+const WAVE_GAP: SimTime = SimTime::from_ns(9_000);
+
+/// One message: source, destination, bytes, tag and class.
+type Msg = (HostId, HostId, u64, Option<CollectiveTag>, Priority);
+
+/// Posts wave `w + 1` of the messages at `(w + 1) · WAVE_GAP`.
+struct Waves(Vec<Vec<Msg>>);
+
+impl Application for Waves {
+    fn on_start(&mut self, sim: &mut Simulator) {
+        for w in 0..self.0.len() {
+            let at = SimTime::from_ns(WAVE_GAP.as_ns() * (w as u64 + 1));
+            sim.schedule_wake(at, HostId(0), w as u64);
+        }
+    }
+
+    fn on_wake(&mut self, sim: &mut Simulator, _: HostId, token: u64) {
+        super::flow_table_tests::assert_refs_exact(sim);
+        for &(src, dst, bytes, tag, prio) in &self.0[token as usize] {
+            sim.post_message(src, dst, bytes, tag, prio);
         }
     }
 }
@@ -195,6 +225,12 @@ pub(super) fn topology(sc: &Scenario) -> Topology {
 }
 
 pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
+    let (_, outcome, traffic) = run_sim(sc);
+    (outcome, traffic)
+}
+
+/// [`run`], handing back the drained simulator too.
+pub(super) fn run_sim(sc: Scenario) -> (Simulator, Outcome, Traffic) {
     let topo = topology(&sc);
     let n_links = topo.n_links() as u32;
     let n_hosts = topo.n_hosts() as u32;
@@ -229,6 +265,7 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
         }));
     }
     let tag = Some(CollectiveTag { job: 1, iter: 0 });
+    let mut later = vec![Vec::new(); sc.waves.max(1) as usize - 1];
     for m in 0..sc.msgs as u32 {
         let src = HostId(m % n_hosts);
         let dst = HostId((m + 1 + (sc.seed as u32 % (n_hosts - 1))) % n_hosts);
@@ -241,7 +278,13 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
             (true, 1) => (tag, Priority::CONTROL),
             (true, _) => (None, Priority::BACKGROUND),
         };
-        sim.post_message(src, dst, bytes, tag, prio);
+        match (m % sc.waves.max(1)) as usize {
+            0 => _ = sim.post_message(src, dst, bytes, tag, prio),
+            w => later[w - 1].push((src, dst, bytes, tag, prio)),
+        }
+    }
+    if !later.is_empty() {
+        sim.set_app(Box::new(Waves(later)));
     }
     let link = LinkId((sc.seed as u32 >> 8) % n_links);
     let kind = match sc.fault_sel {
@@ -288,38 +331,39 @@ pub(super) fn run(sc: Scenario) -> (Outcome, Traffic) {
         sim.stats.events - sim.stats.pipeline_deliveries + sim.stats.rto_stale_skips + ticks,
         "pop count decomposition"
     );
-    // Drained: every flow is acknowledged or gave up, and gave its timer
-    // slot log back.
-    for (id, f) in sim.flows.iter().enumerate() {
+    // Drained: every flow is acknowledged or gave up, gave its timer slot
+    // log back, and nothing names it.
+    for id in sim.flow_ids() {
+        let f = sim.flow(id);
         assert!(f.fully_acked() || f.failed, "flow {id} left in doubt");
         assert!(!f.rto_armed && f.sent.capacity() == 0, "flow {id} log");
+        assert_eq!(f.refs, 0, "flow {id} still named");
     }
     let rto_stale_skips = std::mem::take(&mut sim.stats.rto_stale_skips);
-    (
-        Outcome {
-            events: summary.events,
-            end: summary.end,
-            stats: format!("{:?}", sim.stats),
-            rto_stale_skips,
-            counters: counters_debug(&sim.counters),
-            agg_counters: counters_debug(&sim.agg_counters),
-            trace: sim.trace.to_records(),
-            applied_controls: sim.applied_controls().to_vec(),
-            samples,
-        },
-        Traffic {
-            pushes: ss.pushes,
-            class_pushes: ss.class_pushes,
-            classes: sim.agenda.classes(),
-            direct_starts: sim.direct_starts,
-            pfc_pauses: sim.stats.pfc_pauses,
-            head_arms: ss.head_arms,
-            data_pkts_sent: sim.stats.data_pkts_sent,
-            retransmits: sim.stats.retransmits,
-            flows_failed: sim.stats.flows_failed,
-            spray_avoided_picks: sim.stats.spray_avoided_picks,
-        },
-    )
+    let outcome = Outcome {
+        events: summary.events,
+        end: summary.end,
+        stats: format!("{:?}", sim.stats),
+        rto_stale_skips,
+        counters: counters_debug(&sim.counters),
+        agg_counters: counters_debug(&sim.agg_counters),
+        trace: sim.trace.to_records(),
+        applied_controls: sim.applied_controls().to_vec(),
+        samples,
+    };
+    let traffic = Traffic {
+        pushes: ss.pushes,
+        class_pushes: ss.class_pushes,
+        classes: sim.agenda.classes(),
+        direct_starts: sim.direct_starts,
+        pfc_pauses: sim.stats.pfc_pauses,
+        head_arms: ss.head_arms,
+        data_pkts_sent: sim.stats.data_pkts_sent,
+        retransmits: sim.stats.retransmits,
+        flows_failed: sim.stats.flows_failed,
+        spray_avoided_picks: sim.stats.spray_avoided_picks,
+    };
+    (sim, outcome, traffic)
 }
 
 proptest! {

@@ -228,7 +228,7 @@ fn ack_and_retransmit_order_on_a_busy_idle_or_paused_host_uplink() {
             Vec::<String>::new(),
             "{why}: one segment, then idle"
         );
-        s.flows[f as usize].acked = crate::bitset::BitSet::new(1);
+        s.flows[f].acked = crate::bitset::BitSet::new(1);
         s.handle_rto(f, 0, 0);
         assert_eq!(on_wire(&s, l).as_deref(), Some("d0.0"), "{why}");
         assert_eq!(s.links[l.idx()].queued_pkts(), 0, "{why}");
@@ -271,7 +271,7 @@ fn ack_and_retransmit_order_on_a_busy_idle_or_paused_host_uplink() {
         s.handle_pfc(l, Priority::CONTROL.0, true);
         s.send_ack(g, ack_of(0));
         assert_eq!(on_wire(&s, l), None, "{why}: paused class started");
-        s.flows[f as usize].acked = crate::bitset::BitSet::new(1);
+        s.flows[f].acked = crate::bitset::BitSet::new(1);
         s.handle_rto(f, 0, 0);
         assert_eq!(on_wire(&s, l).as_deref(), Some("d0.0"), "{why}");
         assert_eq!(

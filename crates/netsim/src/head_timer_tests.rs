@@ -140,8 +140,8 @@ fn one_segment_into_a_black_hole_climbs_the_ladder_alone() {
         "the first wait is on the head-of-line timer, the rest on backoff timers"
     );
     assert_eq!(s.stats.rto_stale_skips, 0);
-    assert!(s.flows[f as usize].failed);
-    assert_eq!(s.flows[f as usize].sent.capacity(), 0);
+    assert!(s.flow(f).failed);
+    assert_eq!(s.flow(f).sent.capacity(), 0);
     assert_eq!(s.pending_events(), 0);
 }
 
@@ -189,7 +189,7 @@ fn a_clean_run_arms_few_timers_and_frees_every_log() {
         "{}",
         ss.head_arms
     );
-    for f in &s.flows {
+    for f in s.flow_ids().map(|id| s.flow(id)) {
         assert!(f.fully_acked() && !f.rto_armed);
         assert_eq!(f.sent.capacity(), 0);
     }

@@ -15,13 +15,14 @@ use crate::pipeline::Agenda;
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::topology::Topology;
-use crate::transport::FlowState;
+use crate::transport::FlowTable;
 use std::collections::VecDeque;
 
 /// Every host NIC's flows with fresh segments left.
 pub(crate) struct Hosts {
     /// Per host, drained round-robin. A flow that ran out (or failed) stays
-    /// until the next pull passes it.
+    /// until the next pull passes it — one that failed, even once the flow
+    /// table has retired it.
     pub(crate) active: Vec<VecDeque<FlowId>>,
 }
 
@@ -31,7 +32,7 @@ pub(crate) struct Nic<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) now: SimTime,
     pub(crate) links: &'a mut [LinkState],
-    pub(crate) flows: &'a mut [FlowState],
+    pub(crate) flows: &'a mut FlowTable,
     pub(crate) agenda: &'a mut Agenda,
     pub(crate) stats: &'a mut Stats,
     /// Test hook: arm a first-attempt timer for every segment, i.e. run
@@ -97,11 +98,10 @@ impl Hosts {
         let active = &mut self.active[h.idx()];
         for _ in 0..active.len() {
             let fid = active.pop_front().expect("len checked");
-            let f = &mut nic.flows[fid as usize];
-            if !f.has_fresh() {
-                // Exhausted (or failed): drop from the active set.
+            let Some(f) = nic.flows.get_mut(fid).filter(|f| f.has_fresh()) else {
+                // Exhausted, failed or retired: drop from the active set.
                 continue;
-            }
+            };
             if f.prio.idx() != q {
                 active.push_back(fid);
                 continue;
@@ -111,8 +111,11 @@ impl Hosts {
                 active.push_back(fid);
             }
             nic.stats.data_pkts_sent += 1;
+            // The segment names its flow until it is delivered or dropped.
+            f.refs += 1;
             #[cfg(test)]
             if nic.per_segment_rto {
+                f.refs += 1;
                 let (flow, seq, attempt) = (fid, f.next_seq - 1, 0);
                 let rto = crate::engine::EventKind::Rto { flow, seq, attempt };
                 nic.agenda.after(nic.now, nic.cfg.rto, rto);
@@ -120,6 +123,7 @@ impl Hosts {
             }
             let slot = nic.agenda.reserve_after(nic.now, nic.cfg.rto);
             if let Some(rto) = f.log_sent(fid, slot) {
+                f.refs += 1;
                 nic.agenda.arm_reserved(slot, rto);
             }
             return Some(pkt);

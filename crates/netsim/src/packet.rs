@@ -157,6 +157,13 @@ impl Packet {
     pub fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data { .. })
     }
+
+    /// The transport flow the packet belongs to.
+    pub(crate) fn flow(&self) -> FlowId {
+        match self.kind {
+            PacketKind::Data { flow, .. } | PacketKind::Ack { flow, .. } => flow,
+        }
+    }
 }
 
 #[cfg(test)]

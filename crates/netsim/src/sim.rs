@@ -46,7 +46,7 @@ use crate::switch::{Fabric, Switches};
 use crate::time::SimTime;
 use crate::topology::{LinkClass, Topology};
 use crate::trace::{TraceBuffer, TraceEvent};
-use crate::transport::{FlowState, RtoOutcome};
+use crate::transport::{FlowState, FlowTable, RtoOutcome};
 use fp_telemetry::Recorder;
 pub use telemetry::IterSpanRecord;
 
@@ -65,6 +65,10 @@ mod engine_digest_tests;
 #[cfg(test)]
 #[path = "fast_path_tests.rs"]
 mod fast_path_tests;
+
+#[cfg(test)]
+#[path = "flow_table_tests.rs"]
+mod flow_table_tests;
 
 #[cfg(test)]
 #[path = "head_timer_tests.rs"]
@@ -108,8 +112,9 @@ pub struct Simulator {
     /// Forwarding state of every switch and the spray stage.
     switches: Switches,
     hosts: Hosts,
-    /// Transport flow table (public for inspection by harnesses).
-    pub flows: Vec<FlowState>,
+    /// Transport flow table: the flows something can still touch
+    /// ([`Simulator::flow`] reads one).
+    flows: FlowTable,
     rng: RngStreams,
     /// Aggregate run statistics.
     pub stats: Stats,
@@ -175,7 +180,7 @@ impl Simulator {
             links,
             pfc: PfcIngress::new(n_links),
             switches,
-            flows: Vec::new(),
+            flows: FlowTable::default(),
             rng: RngStreams::new(seed),
             stats: Stats::default(),
             counters,
@@ -216,9 +221,10 @@ impl Simulator {
         &self.links[id.idx()]
     }
 
-    /// Count and trace a packet dropped at `link`.
+    /// Count, trace and forget a packet dropped at `link`.
     fn trace_drop(&mut self, link: LinkId, cause: DropCause, pkt: &Packet) {
         self.stats.drop(cause);
+        self.flows[pkt.flow()].refs -= 1;
         let flow = match pkt.kind {
             PacketKind::Data { flow, .. } => Some(flow),
             PacketKind::Ack { .. } => None,
@@ -242,8 +248,7 @@ impl Simulator {
         prio: Priority,
     ) -> FlowId {
         assert!(src != dst, "self-addressed message");
-        let id = self.flows.len() as FlowId;
-        self.flows.push(FlowState::new(
+        let id = self.flows.post(FlowState::new(
             src,
             dst,
             bytes,
@@ -354,7 +359,8 @@ impl Simulator {
 
     fn dispatch(&mut self, at: SimTime, kind: EventKind) {
         if let EventKind::Rto { flow, seq, attempt } = kind {
-            let f = &mut self.flows[flow as usize];
+            let f = &mut self.flows[flow];
+            f.refs -= 1;
             // A first-attempt timer is its flow's only armed one: the
             // flow's next logged slot takes its place before anything else
             // happens, so the flow never names a timer that is gone.
@@ -363,6 +369,7 @@ impl Simulator {
             let head_of_line = head_of_line && !self.per_segment_rto;
             if head_of_line {
                 if let Some((slot, next)) = f.next_head(flow, seq) {
+                    f.refs += 1;
                     self.agenda.arm_reserved(slot, next);
                 }
             }
@@ -609,6 +616,7 @@ impl Simulator {
         let l = &self.links[out_link.idx()];
         if !l.admin_up {
             self.stats.drop(DropCause::AdminDown);
+            self.flows[pkt.flow()].refs -= 1;
             return;
         }
         // ECN: CE-mark data packets entering a standing queue. Gated on
@@ -672,9 +680,11 @@ impl Simulator {
     }
 
     fn receive_data(&mut self, h: HostId, flow: FlowId, seq: u32, size: u32, ce: bool) {
-        debug_assert_eq!(self.flows[flow as usize].dst, h, "data at wrong host");
+        let f = &mut self.flows[flow];
+        debug_assert_eq!(f.dst, h, "data at wrong host");
+        f.refs -= 1;
         self.stats.data_pkts_delivered += 1;
-        let (newly, completed) = self.flows[flow as usize].on_data(seq, self.now);
+        let (newly, completed) = f.on_data(seq, self.now);
         if newly {
             self.stats.bytes_delivered += size as u64;
         } else {
@@ -683,7 +693,7 @@ impl Simulator {
         if completed {
             self.stats.flows_completed += 1;
             if let Some(rec) = self.recorder.as_mut() {
-                let created = self.flows[flow as usize].created_at;
+                let created = self.flows[flow].created_at;
                 rec.on_fct_ns(self.now.as_ns().saturating_sub(created.as_ns()));
             }
         }
@@ -696,8 +706,9 @@ impl Simulator {
     }
 
     fn accumulate_ack(&mut self, flow: FlowId, seq: u32, ce: bool) {
-        let f = &mut self.flows[flow as usize];
+        let f = &mut self.flows[flow];
         let (block, schedule_flush) = f.ack_data(seq, ce, self.cfg.ack_coalesce);
+        f.refs += schedule_flush as u32;
         if let Some(block) = block {
             self.send_ack(flow, block);
         }
@@ -708,13 +719,16 @@ impl Simulator {
     }
 
     fn handle_ack_flush(&mut self, flow: FlowId) {
-        if let Some(block) = self.flows[flow as usize].flush_ack() {
+        let f = &mut self.flows[flow];
+        f.refs -= 1;
+        if let Some(block) = f.flush_ack() {
             self.send_ack(flow, block);
         }
     }
 
     fn send_ack(&mut self, flow: FlowId, block: AckBlock) {
-        let f = &self.flows[flow as usize];
+        let f = &mut self.flows[flow];
+        f.refs += 1;
         let pkt = Packet {
             kind: PacketKind::Ack { flow, block },
             src: f.dst,
@@ -732,10 +746,11 @@ impl Simulator {
     }
 
     fn receive_ack(&mut self, h: HostId, flow: FlowId, block: AckBlock) {
-        debug_assert_eq!(self.flows[flow as usize].src, h, "ack at wrong host");
         let mut echoes = std::mem::take(&mut self.scratch_echoes);
         echoes.clear();
-        let f = &mut self.flows[flow as usize];
+        let f = &mut self.flows[flow];
+        debug_assert_eq!(f.src, h, "ack at wrong host");
+        f.refs -= 1;
         let pair = (f.src.0, f.dst.0);
         f.on_ack(block, self.switches.feedback.then_some(&mut echoes));
         // Echo each newly acknowledged segment to the source leaf's
@@ -756,7 +771,7 @@ impl Simulator {
     }
 
     fn handle_rto(&mut self, flow: FlowId, seq: u32, attempt: u32) {
-        let f = &mut self.flows[flow as usize];
+        let f = &mut self.flows[flow];
         let (src, pair) = (f.src, (f.src.0, f.dst.0));
         let leaf = self.topo.leaf_of(src);
         let max = self.cfg.rto_max_attempts;
@@ -769,7 +784,10 @@ impl Simulator {
                 self.with_app(|app, sim| app.on_flow_failed(sim, flow));
                 return;
             }
-            RtoOutcome::Retransmit(pkt, rearm) => (pkt, rearm),
+            RtoOutcome::Retransmit(pkt, rearm) => {
+                f.refs += 2;
+                (pkt, rearm)
+            }
         };
         self.stats.retransmits += 1;
         if let Some(rec) = self.recorder.as_mut() {
@@ -796,14 +814,26 @@ impl Simulator {
     // Inspection helpers
     // ------------------------------------------------------------------
 
-    /// Flow `id`'s transport state.
+    /// Flow `id`'s transport state. Panics once the flow is retired: a
+    /// post retires every finished flow older than the oldest one still
+    /// in play, so a drained run's flows are readable until the workload
+    /// posts again.
     pub fn flow(&self, id: FlowId) -> &FlowState {
-        &self.flows[id as usize]
+        let held = self.flows.ids();
+        assert!(held.contains(&id), "flow {id} is not held ({held:?})");
+        &self.flows[id]
     }
 
-    /// True if every posted flow has been fully received.
+    /// Ids of the flows [`Simulator::flow`] can read, oldest first; `end`
+    /// is the id the next post gets.
+    pub fn flow_ids(&self) -> std::ops::Range<FlowId> {
+        self.flows.ids()
+    }
+
+    /// True if every posted flow has been fully received and none failed
+    /// (a retired flow either finished or failed).
     pub fn all_flows_complete(&self) -> bool {
-        self.flows.iter().all(|f| f.is_complete())
+        self.stats.flows_failed == 0 && self.flows.iter().all(|f| f.is_complete())
     }
 
     /// Pending work count: timed events plus packets on the wire
@@ -850,8 +880,8 @@ mod tests {
         let f = s.post_message(HostId(0), HostId(2), 100_000, None, Priority::MEASURED);
         let r = s.run();
         assert_eq!(r.reason, RunReason::Drained);
-        assert!(s.flows[f as usize].is_complete());
-        assert!(s.flows[f as usize].fully_acked());
+        assert!(s.flow(f).is_complete());
+        assert!(s.flow(f).fully_acked());
         assert_eq!(s.stats.bytes_delivered, 100_000);
         assert_eq!(s.stats.flows_completed, 1);
         assert_eq!(s.stats.flows_failed, 0);
@@ -950,7 +980,7 @@ mod tests {
         let f = s.post_message(HostId(0), HostId(3), 2_000_000, None, Priority::MEASURED);
         let r = s.run();
         assert_eq!(r.reason, RunReason::Drained);
-        assert!(s.flows[f as usize].is_complete(), "flow must recover");
+        assert!(s.flow(f).is_complete(), "flow must recover");
         assert!(s.stats.silent_drops() > 0, "fault must have bitten");
         assert!(s.stats.retransmits >= s.stats.silent_drops() / 2);
     }
@@ -962,7 +992,7 @@ mod tests {
         s.apply_fault_now(bad, FaultAction::Set(FaultKind::SilentBlackhole), false);
         let f = s.post_message(HostId(0), HostId(2), 500_000, None, Priority::MEASURED);
         s.run();
-        assert!(s.flows[f as usize].is_complete());
+        assert!(s.flow(f).is_complete());
         assert!(s.stats.silent_drops() > 0);
     }
 
@@ -1046,8 +1076,8 @@ mod tests {
         let fa = s.post_message(HostId(0), HostId(3), 400_000, None, Priority::MEASURED);
         let fb = s.post_message(HostId(0), HostId(2), 400_000, None, Priority::MEASURED);
         s.run();
-        assert!(s.flows[fa as usize].is_complete());
-        assert!(s.flows[fb as usize].is_complete());
+        assert!(s.flow(fa).is_complete());
+        assert!(s.flow(fb).is_complete());
         // Flow to leaf 3 suffered; flow to leaf 2 did not lose anything.
         assert!(s.stats.silent_drops() > 0);
     }
@@ -1208,7 +1238,7 @@ mod tests {
         let mut s = sim(61);
         s.post_message(HostId(0), HostId(3), 1_000_000, None, Priority::MEASURED);
         s.run();
-        assert_eq!((s.flows[0].npkts, s.stats.retransmits), (245, 0));
+        assert_eq!((s.flow(0).npkts, s.stats.retransmits), (245, 0));
         let ss = s.sched_stats();
         assert_eq!(
             ss.head_arms, s.stats.rto_stale_skips,
@@ -1332,7 +1362,7 @@ mod tests {
         s.run();
         let fcts = rec.fcts.borrow();
         assert_eq!(fcts.len(), 1);
-        let flow = &s.flows[f as usize];
+        let flow = s.flow(f);
         let want = flow.completed_at.unwrap().as_ns() - flow.created_at.as_ns();
         assert_eq!(fcts[0], want);
     }

@@ -17,7 +17,7 @@
 //! completes, at time `T_i`. At each boundary we capture a *normalized
 //! residual snapshot*: every piece of simulator state that can influence
 //! future behaviour, rebased so that absolute time becomes an offset from
-//! `T_i`, flow ids become offsets from the flow-table length, scheduler
+//! `T_i`, flow ids become offsets from the next flow id, scheduler
 //! sequence numbers become offsets from the sequence counter, and
 //! iteration tags become distances from the just-finished iteration.
 //!
@@ -48,9 +48,8 @@
 //! * FlowPulse counter matrices gain `u` shifted copies of the window's
 //!   per-iteration entries (timestamps shifted by `j·P`, iterations by
 //!   `j·k`), so snapshot sequences and detector inputs are byte-identical;
-//! * the flow table gains `u·k` shifted blocks, and the aged-out blocks in
-//!   between are rewritten to the terminal frozen form of their phase
-//!   (see `memo_replay_flows`);
+//! * every flow the table holds moves `u·k` blocks on (see
+//!   `memo_replay_flows`);
 //! * per-iteration span records repeat with shifted times;
 //! * the clock jumps to `T_i + u·P`.
 //!
@@ -88,7 +87,6 @@ use crate::spray::SprayPolicy;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
-use crate::transport::FlowState;
 use fingerprint::NormSnapshot;
 
 mod fingerprint;
@@ -159,8 +157,8 @@ struct BoundaryRecord {
     at: SimTime,
     /// Scheduler sequence counter at the boundary.
     seq: u64,
-    /// Flow-table length at the boundary.
-    flows_len: u32,
+    /// Next flow id at the boundary.
+    next_flow: u32,
     /// Cumulative run statistics (cloned baseline).
     stats: Stats,
     /// Scheduler statistics (cloned baseline).
@@ -185,7 +183,7 @@ impl BoundaryRecord {
         BoundaryRecord {
             at: sim.now,
             seq: sim.agenda.memo_seq(),
-            flows_len: sim.flows.len() as u32,
+            next_flow: sim.flows.ids().end,
             stats: sim.stats.clone(),
             sched: sim.sched_stats(),
             link_tx: sim
@@ -401,7 +399,7 @@ impl Simulator {
             st.push(BoundaryRecord::capture(self, snap));
             return None;
         }
-        debug_assert_eq!(self.flows.len() as u32 - p.flows_len, k * snap.fpb);
+        debug_assert_eq!(self.flows.ids().end - p.next_flow, k * snap.fpb);
 
         // ---- recorded window deltas ----
         let sq = self.agenda.memo_seq() - p.seq;
@@ -445,7 +443,7 @@ impl Simulator {
             }
         }
         self.hosts.memo_shift(dflow);
-        self.memo_replay_flows(&snap, next_iter, units, k, period_ns, sq);
+        self.memo_replay_flows(dflow, iters, dt, dseq);
         for j in 1..=units {
             let tshift = period_ns * j as u64;
             for d in &counter_deltas {
@@ -500,75 +498,29 @@ impl Simulator {
         Some(MemoReplay { iters })
     }
 
-    /// Rewrite the flow table for a fast-forward of `units` windows of
-    /// `k` iterations each (`iters = units·k` in total).
+    /// Move the flow table over a fast-forward of `iters` iterations
+    /// (`dflow` ids, `dt` of clock, `dseq` sequence numbers).
     ///
-    /// At the boundary `B_i` (`i = next_iter - 1`) the table holds blocks
-    /// `0..=i` of `fpb` flows each. After the replay the table must equal
-    /// what a live run would hold at `B_{i+iters}`:
-    ///
-    /// * blocks `b <= i-(D+1)` were already frozen — unchanged;
-    /// * blocks `b >= i+iters-(D+1)` are still live — a copy of block
-    ///   `b-iters` shifted by `units` window periods;
-    /// * blocks in between aged out during the replayed span and reached
-    ///   the terminal frozen form of their *phase* — a copy of the newest
-    ///   frozen block congruent to `b` mod `k` (one of the `k` blocks
-    ///   ending at `i-(D+1)`), shifted whole windows forward. With `k = 1`
-    ///   every phase is the same and this degenerates to the single
-    ///   terminal block.
-    ///
-    /// Shifting a flow by `s` blocks (`s` a multiple of `k`) adds
-    /// `(s/k)·P` to its timestamps, `s` to its iteration tag (its id is
-    /// its table index, which the push below moves by `s·F`) and
-    /// `((s/k)·P, (s/k)·Sq)` to its logged timer slots; all other
-    /// transport state (bitmaps, cursors, counters) copies verbatim —
-    /// that is what the fingerprint equality certifies, block by block,
-    /// for every block live at either compared boundary.
-    fn memo_replay_flows(
-        &mut self,
-        snap: &NormSnapshot,
-        next_iter: u32,
-        units: u32,
-        k: u32,
-        period_ns: u64,
-        sq: u64,
-    ) {
-        let (fpb, dterm) = (snap.fpb, snap.dterm);
-        let iters = units * k;
-        let nb_old = next_iter; // blocks before the replay
-        let nb_new = next_iter + iters;
-        let term = nb_old - dterm - 2; // newest frozen block, i-(D+1)
-        let base = term + 1 - k; // oldest per-phase terminal block needed
-        let fpb_us = fpb as usize;
-        let tail: Vec<FlowState> = self.flows[base as usize * fpb_us..].to_vec();
-        self.flows.truncate((term as usize + 1) * fpb_us);
-        for b in (term + 1)..nb_new {
-            let (src, s) = if b + dterm + 2 >= nb_new {
-                (b - iters, iters) // still-live tail: shift the old block
-            } else {
-                // Aged out: terminal frozen form of this phase, the
-                // newest frozen block a whole number of windows back.
-                let w = (b - term).div_ceil(k);
-                (b - w * k, w * k)
-            };
-            let shift = SimDuration::from_ns(period_ns * (s / k) as u64);
-            let off = (src - base) as usize * fpb_us;
-            for j in 0..fpb_us {
-                let mut f = tail[off + j].clone();
-                f.created_at += shift;
-                if let Some(c) = f.completed_at {
-                    f.completed_at = Some(c + shift);
-                }
-                if let Some(tag) = &mut f.tag {
-                    tag.iter += s;
-                }
-                for slot in &mut f.sent {
-                    slot.memo_shift(shift, sq * (s / k) as u64);
-                }
-                self.flows.push(f);
+    /// The fingerprint holds every flow the table holds, so its equality
+    /// certifies that the table a live run would hold at the landing
+    /// boundary is this one, `iters` blocks on: each flow's id (its place
+    /// in the table, which the base moves by `dflow`), timestamps, logged
+    /// timer slots and iteration tag shift, and all other transport state
+    /// (bitmaps, cursors, counters, references) copies verbatim. The blocks
+    /// that age out during the replayed span are never materialised.
+    fn memo_replay_flows(&mut self, dflow: u32, iters: u32, dt: SimDuration, dseq: u64) {
+        self.flows.memo_shift(dflow, |f| {
+            f.created_at += dt;
+            if let Some(c) = &mut f.completed_at {
+                *c += dt;
             }
-        }
-        debug_assert_eq!(self.flows.len(), nb_new as usize * fpb_us);
+            if let Some(tag) = &mut f.tag {
+                tag.iter += iters;
+            }
+            for slot in &mut f.sent {
+                slot.memo_shift(dt, dseq);
+            }
+        });
     }
 }
 

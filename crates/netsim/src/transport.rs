@@ -41,6 +41,8 @@ use crate::ids::HostId;
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority};
 use crate::pipeline::Reserved;
 use crate::time::SimTime;
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut, Range};
 
 /// Sender+receiver state for one message flow. The simulator holds the
 /// global table; in a real deployment the two halves live on different NICs.
@@ -83,6 +85,10 @@ pub struct FlowState {
     pub(crate) rto_cursor: u32,
     /// True while one of this flow's logged slots is armed.
     pub(crate) rto_armed: bool,
+    /// What still names this flow: its packets on a wire or in a queue
+    /// and its armed timers (head-of-line slot, backoff `Rto`,
+    /// `AckFlush`). See [`FlowTable`].
+    pub(crate) refs: u32,
 
     // --- receiver side ---
     /// Segments received so far.
@@ -125,6 +131,7 @@ impl FlowState {
             sent: Vec::new(),
             rto_cursor: 0,
             rto_armed: false,
+            refs: 0,
             rcvd: BitSet::new(npkts),
             pending_ack: None,
             completed_at: None,
@@ -151,6 +158,13 @@ impl FlowState {
     /// True once every segment is acknowledged at the sender.
     pub fn fully_acked(&self) -> bool {
         self.acked.full()
+    }
+
+    /// True once nothing can touch the flow again: the sender is fully
+    /// acknowledged (so the receiver holds every segment) or gave up, and
+    /// nothing names it any more.
+    fn is_done(&self) -> bool {
+        self.refs == 0 && (self.failed || self.fully_acked())
     }
 
     /// True while the sender still has fresh segments to inject.
@@ -353,6 +367,72 @@ impl FlowState {
         if !was_done && self.fully_acked() {
             self.release_log();
         }
+    }
+}
+
+/// The flow table. `FlowId`s are handed out in posting order and never
+/// move, but the table holds only the flows from the oldest one something
+/// can still touch: each post first retires the prefix of done flows
+/// ([`FlowState::is_done`]), so memory follows the live flows rather than
+/// the run's length, and a drained run's last flows stay readable until
+/// the workload posts again. Every packet, timer and event names a held
+/// flow; only a NIC's round may still list a flow that gave up
+/// ([`FlowTable::get_mut`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FlowTable {
+    /// Id of the oldest flow held; every id below it is retired.
+    base: FlowId,
+    held: VecDeque<FlowState>,
+}
+
+impl FlowTable {
+    /// Ids of the flows held, oldest first; `end` is the next id posted.
+    pub(crate) fn ids(&self) -> Range<FlowId> {
+        self.base..self.base + self.held.len() as FlowId
+    }
+
+    /// Retire the done prefix, then hold `f` under the next id.
+    pub(crate) fn post(&mut self, f: FlowState) -> FlowId {
+        while self.held.front().is_some_and(FlowState::is_done) {
+            self.held.pop_front();
+            self.base += 1;
+        }
+        self.held.push_back(f);
+        self.ids().end - 1
+    }
+
+    /// Flow `id`, or `None` once it is retired.
+    pub(crate) fn get_mut(&mut self, id: FlowId) -> Option<&mut FlowState> {
+        self.held.get_mut(id.checked_sub(self.base)? as usize)
+    }
+
+    /// Every flow held, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FlowState> {
+        self.held.iter()
+    }
+
+    /// Temporal-symmetry fast-forward: every flow moves `dflow` ids on,
+    /// its state rebased by `shift`.
+    pub(crate) fn memo_shift(&mut self, dflow: u32, shift: impl FnMut(&mut FlowState)) {
+        self.base += dflow;
+        self.held.iter_mut().for_each(shift);
+    }
+}
+
+/// A retired id indexes out of bounds, so every lookup that must find its
+/// flow held panics rather than read another flow.
+impl Index<FlowId> for FlowTable {
+    type Output = FlowState;
+    #[inline]
+    fn index(&self, id: FlowId) -> &FlowState {
+        &self.held[id.wrapping_sub(self.base) as usize]
+    }
+}
+
+impl IndexMut<FlowId> for FlowTable {
+    #[inline]
+    fn index_mut(&mut self, id: FlowId) -> &mut FlowState {
+        &mut self.held[id.wrapping_sub(self.base) as usize]
     }
 }
 

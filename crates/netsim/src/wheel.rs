@@ -112,7 +112,10 @@ pub struct TimingWheel {
     /// instant (entries spliced into `due` may sit below it).
     cursor: SimTime,
     /// The due buffer: the most recently drained level-0 slot, sorted by
-    /// `seq`, consumed from `due_pos` forward. Reused to avoid allocation.
+    /// `seq`, consumed from `due_pos` forward. It is the slot's own buffer,
+    /// taken rather than swapped for the spent one, so no slot keeps a
+    /// buffer it no longer needs: swapped back, 16 entries' worth piled up
+    /// per `steady_adaptive` iteration (`tests/flow_memory.rs`).
     due: Vec<Entry>,
     due_pos: usize,
     /// Pending events across wheel + overflow + unread due entries.
@@ -297,7 +300,7 @@ impl TimingWheel {
                     // Due: a level-0 slot is 1 ns wide, so these entries
                     // share one timestamp; sorting by seq restores global
                     // insertion order across direct pushes and cascades.
-                    std::mem::swap(&mut self.due, &mut self.slots[flat]);
+                    self.due = std::mem::take(&mut self.slots[flat]);
                     self.due.sort_unstable_by_key(|e| e.seq);
                     self.cursor = self.due[0].at;
                     debug_assert!(self.due.iter().all(|e| e.at == self.cursor));

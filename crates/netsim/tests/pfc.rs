@@ -88,13 +88,11 @@ fn strict_priority_isolates_the_measured_class() {
     let m = sim.post_message(HostId(0), HostId(3), 4_000_000, None, Priority::MEASURED);
     sim.run();
     assert!(sim.all_flows_complete());
-    let m_done = sim.flows[m as usize].completed_at.unwrap();
+    let m_done = sim.flow(m).completed_at.unwrap();
     let bg_last = sim
-        .flows
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != m as usize)
-        .map(|(_, f)| f.completed_at.unwrap())
+        .flow_ids()
+        .filter(|&id| id != m)
+        .map(|id| sim.flow(id).completed_at.unwrap())
         .max()
         .unwrap();
     assert!(
@@ -130,11 +128,10 @@ fn pause_state_is_per_priority() {
     assert_eq!(sim.stats.total_drops(), 0);
     // The measured flow to an *uncongested* destination finished well
     // before the incast tail despite sharing its source host and leaf.
-    let m_done = sim.flows[m as usize].completed_at.unwrap();
+    let m_done = sim.flow(m).completed_at.unwrap();
     let tail = sim
-        .flows
-        .iter()
-        .map(|f| f.completed_at.unwrap())
+        .flow_ids()
+        .map(|id| sim.flow(id).completed_at.unwrap())
         .max()
         .unwrap();
     assert!(m_done < tail);

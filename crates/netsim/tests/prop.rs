@@ -180,7 +180,7 @@ proptest! {
         let mut sim = Simulator::new(topo, cfg, seed);
         let f = sim.post_message(HostId(src), HostId(dst), bytes, None, Priority::MEASURED);
         sim.run();
-        prop_assert!(sim.flows[f as usize].is_complete());
+        prop_assert!(sim.flow(f).is_complete());
         prop_assert_eq!(sim.stats.bytes_delivered, bytes);
         prop_assert_eq!(sim.stats.total_drops(), 0);
     }
@@ -199,7 +199,7 @@ proptest! {
         let bytes = 500_000u64;
         let f = sim.post_message(HostId(0), HostId(3), bytes, None, Priority::MEASURED);
         sim.run();
-        prop_assert!(sim.flows[f as usize].is_complete());
+        prop_assert!(sim.flow(f).is_complete());
         // Unique delivered payload equals the message exactly, despite
         // retransmissions and duplicates.
         prop_assert_eq!(sim.stats.bytes_delivered, bytes);

@@ -16,8 +16,8 @@ fn one_byte_message() {
     let mut sim = Simulator::new(small(), SimConfig::default(), 1);
     let f = sim.post_message(HostId(0), HostId(3), 1, None, Priority::MEASURED);
     sim.run();
-    assert!(sim.flows[f as usize].is_complete());
-    assert_eq!(sim.flows[f as usize].npkts, 1);
+    assert!(sim.flow(f).is_complete());
+    assert_eq!(sim.flow(f).npkts, 1);
     assert_eq!(sim.stats.bytes_delivered, 1);
 }
 
@@ -27,8 +27,8 @@ fn message_exactly_one_mtu() {
     let mtu = sim.cfg.mtu as u64;
     let f = sim.post_message(HostId(0), HostId(2), mtu, None, Priority::MEASURED);
     sim.run();
-    assert_eq!(sim.flows[f as usize].npkts, 1);
-    assert!(sim.flows[f as usize].is_complete());
+    assert_eq!(sim.flow(f).npkts, 1);
+    assert!(sim.flow(f).is_complete());
 }
 
 #[test]
@@ -77,8 +77,8 @@ fn give_up_after_max_attempts_fires_failure() {
     let f = sim.post_message(HostId(0), HostId(1), 100_000, None, Priority::MEASURED);
     let r = sim.run();
     assert_eq!(r.reason, fp_netsim::sim::RunReason::Drained);
-    assert!(sim.flows[f as usize].failed);
-    assert!(!sim.flows[f as usize].is_complete());
+    assert!(sim.flow(f).failed);
+    assert!(!sim.flow(f).is_complete());
     assert!(sim.stats.flows_failed >= 1);
     assert!(sim.stats.retransmits >= 4);
     // Failure shows up in the trace.
@@ -113,8 +113,8 @@ fn bidirectional_flows_between_same_pair() {
     let a = sim.post_message(HostId(0), HostId(3), 1_000_000, None, Priority::MEASURED);
     let b = sim.post_message(HostId(3), HostId(0), 1_000_000, None, Priority::MEASURED);
     sim.run();
-    assert!(sim.flows[a as usize].is_complete());
-    assert!(sim.flows[b as usize].is_complete());
+    assert!(sim.flow(a).is_complete());
+    assert!(sim.flow(b).is_complete());
     assert_eq!(sim.stats.bytes_delivered, 2_000_000);
 }
 
@@ -166,6 +166,6 @@ fn retx_counter_tracks_per_flow_losses() {
     let lossy = sim.post_message(HostId(0), HostId(3), 1_000_000, None, Priority::MEASURED);
     let clean = sim.post_message(HostId(1), HostId(2), 1_000_000, None, Priority::MEASURED);
     sim.run();
-    assert!(sim.flows[lossy as usize].retx > 0);
-    assert_eq!(sim.flows[clean as usize].retx, 0);
+    assert!(sim.flow(lossy).retx > 0);
+    assert_eq!(sim.flow(clean).retx, 0);
 }

@@ -411,4 +411,7 @@ echo "==> monitord ingest: allocator-counted steady state of decoder and worker 
 # and inlining is what could turn a reused buffer back into a fresh one.
 cargo test --release -q -p fp-monitord --test alloc_steady
 
+echo "==> flow table: simulator peak heap flat from 24 to 96 iterations (release)"
+cargo test --release -q --test flow_memory
+
 echo "verify: OK"
