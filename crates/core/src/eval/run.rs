@@ -306,10 +306,9 @@ impl Scenario {
         }
         sim.run();
 
-        // Move out what the caller reads and free the simulator — its flow
-        // table and queues are most of a trial's memory — before scoring
-        // allocates (+23 % peak RSS on `steady_adaptive` otherwise). The
-        // counters and the trace ring change hands; nothing is copied.
+        // Move out what the caller reads and free the simulator before
+        // scoring allocates. The counters and the trace ring change hands;
+        // nothing is copied.
         let mut memo = sim.memo_counters().unwrap_or_default();
         memo.fallback = memo_ineligible.or(memo.fallback);
         let raw = RawRun {

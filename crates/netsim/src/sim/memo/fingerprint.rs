@@ -405,9 +405,9 @@ impl Simulator {
 
         // Every reference has been seen: the deepest block one reaches,
         // D, is final. No snapshot is taken before boundary D + 3. The
-        // replay needs no block history, but the rule fixes where the first
-        // fast-forward lands, and so every memo count
-        // `benchmark/expected.json` checks.
+        // replay needs no block history; the rule fixes where the first
+        // fast-forward lands, and with it the hit and replay counts the
+        // benchmark reports (`netsim.memo.*`).
         if next_iter < n.maxd + 3 {
             return Err("warmup");
         }

@@ -66,8 +66,8 @@
 //! recorder is attached, a fault is installed on any link, an
 //! adaptive-spray deficit slot was ever charged (it decays on an absolute
 //! grid the fingerprint does not carry), control/fault/wake/sampler
-//! events are pending in the scheduler, the flow table does not divide
-//! evenly into per-iteration blocks, or the warm-up (`next_iter < D + 3`
+//! events are pending in the scheduler, the flows posted so far do not
+//! divide evenly into per-iteration blocks, or the warm-up (`next_iter < D + 3`
 //! for block-reference depth `D`) has not completed. Random spray policies are refused at enable time (their
 //! RNG draws would also break the fingerprint, but refusing early gives a
 //! clear fallback reason). Scheduled faults and controls act as

@@ -378,7 +378,7 @@ impl FlowState {
 /// the workload posts again. Every packet, timer and event names a held
 /// flow; only a NIC's round may still list a flow that gave up
 /// ([`FlowTable::get_mut`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Default)]
 pub(crate) struct FlowTable {
     /// Id of the oldest flow held; every id below it is retired.
     base: FlowId,

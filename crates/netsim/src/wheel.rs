@@ -113,9 +113,9 @@ pub struct TimingWheel {
     cursor: SimTime,
     /// The due buffer: the most recently drained level-0 slot, sorted by
     /// `seq`, consumed from `due_pos` forward. It is the slot's own buffer,
-    /// taken rather than swapped for the spent one, so no slot keeps a
-    /// buffer it no longer needs: swapped back, 16 entries' worth piled up
-    /// per `steady_adaptive` iteration (`tests/flow_memory.rs`).
+    /// taken, so a drained slot keeps no buffer and the wheel's memory
+    /// follows its pending events, not the time it has covered
+    /// (`tests/flow_memory.rs`).
     due: Vec<Entry>,
     due_pos: usize,
     /// Pending events across wheel + overflow + unread due entries.

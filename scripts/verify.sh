@@ -100,8 +100,8 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 #   learned.rs Warming, Consistent, localizer.rs Inconclusive, sim.rs
 #     EventLimit: outcomes a caller receives that only their own tests
 #     spell out (LearnedUpdate's are written to results/fig3.json);
-#   baselines.rs rel_to_mean, probes_sent, lossy_dst_leaves,
-#     collection_bytes: what the comparison baselines report, and
+#   baselines.rs rel_to_mean, collection_bytes: what the comparison
+#     baselines report, and
 #     min_mean, probes_per_pair, min_missing_pkts, bytes_per_link_report:
 #     the parameters they run with (every caller keeps the defaults);
 #   runner.rs compute_gap, ctrl lib.rs max_mitigations: the compute phase
