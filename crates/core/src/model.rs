@@ -185,7 +185,7 @@ impl PortSrcLoads {
             n_leaves,
             n_vspines,
             n_src,
-            bytes: c.by_src.iter().map(|&b| b as f64).collect(),
+            bytes: c.src_cells().map(|b| b as f64).collect(),
         }
     }
 

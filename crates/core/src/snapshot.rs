@@ -94,8 +94,10 @@ impl CounterSnapshot {
     /// Replay this snapshot into a consumer-side store so the byte matrix
     /// the [`Monitor`](crate::monitor::Monitor) reads is identical to the
     /// producer's. Only per-port bytes are reconstructed (see the module
-    /// docs); the per-source breakdown stays zero, which detection and
-    /// ring localization never read.
+    /// docs): the snapshot names no sender, so each port's bytes are
+    /// credited to its own leaf, one sender per port, which keeps the
+    /// rebuilt entries in their sender-column form. Detection and ring
+    /// localization never read that breakdown.
     pub fn apply(&self, store: &mut CounterStore) {
         let tag = CollectiveTag {
             job: self.job,

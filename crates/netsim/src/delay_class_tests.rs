@@ -197,7 +197,13 @@ fn counters_debug(c: &CounterStore) -> String {
         .into_iter()
         .map(|(job, iter)| {
             let e = c.get(job, iter).expect("listed key");
-            (job, iter, &e.bytes, &e.by_src, e.last_seen)
+            (
+                job,
+                iter,
+                &e.bytes,
+                e.src_cells().collect::<Vec<_>>(),
+                e.last_seen,
+            )
         })
         .collect();
     format!("{cells:?}")

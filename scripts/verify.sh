@@ -414,4 +414,7 @@ cargo test --release -q -p fp-monitord --test alloc_steady
 echo "==> flow table: simulator peak heap flat from 24 to 96 iterations (release)"
 cargo test --release -q --test flow_memory
 
+echo "==> counters: a ring iteration hands back at most 2 kB, 24 to 96 iterations (release)"
+cargo test --release -q --test counter_memory
+
 echo "verify: OK"

@@ -42,7 +42,11 @@ fn cells(c: &CounterStore) -> u64 {
     for (job, iter) in c.keys() {
         let row = c.get(job, iter).unwrap();
         h.u64(((job as u64) << 32) | iter as u64);
-        row.bytes.iter().chain(&row.by_src).for_each(|&b| h.u64(b));
+        row.bytes
+            .iter()
+            .copied()
+            .chain(row.src_cells())
+            .for_each(|b| h.u64(b));
         h.u64(row.last_seen);
     }
     h.0
