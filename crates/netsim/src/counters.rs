@@ -73,6 +73,7 @@ impl IterCounters {
     /// Add `bytes` sent by `src_leaf` at port `pi` (`row * n_vspines +
     /// vspine`). A second sender at any port unfolds the column first.
     fn add(&mut self, pi: usize, src_leaf: u32, bytes: u64) {
+        debug_assert!((src_leaf as usize) < self.n_src, "source leaf {src_leaf}");
         match &mut self.senders {
             Senders::Column(col) if col[pi] == src_leaf as u16 => {}
             Senders::Column(col) if col[pi] == NO_SENDER => col[pi] = src_leaf as u16,
@@ -173,20 +174,19 @@ impl fmt::Debug for IterCounters {
 
 /// Counter growth for one `(job, iter)` over one recorded memo window —
 /// see [`CounterStore::memo_diff`] / [`CounterStore::memo_apply`].
-#[derive(Clone, Debug)]
-pub struct CounterDelta {
+pub(crate) struct CounterDelta {
     /// Job of the entry this delta grows.
-    pub job: u32,
+    job: u32,
     /// Collective iteration of the entry; replay rebases this by the
     /// replayed-iteration offset.
-    pub iter: u32,
+    iter: u32,
     /// `(port, src_leaf, added bytes)` for every per-sender cell that
     /// grew; port is `row * n_vspines + vspine`.
-    pub cells: Vec<(u32, u16, u64)>,
+    cells: Vec<(u32, u16, u64)>,
     /// `last_seen` at the end of the window, absolute ns, rebased by the
     /// replay time shift: the window recorded into the entry, and the
     /// clock only moves forward, so this is its last record's stamp.
-    pub last_seen: u64,
+    last_seen: u64,
 }
 
 /// All iteration counters of a run, keyed by `(job, iter)`.
@@ -310,7 +310,7 @@ impl CounterStore {
     /// memo window (see `crate::sim::memo`), for every entry the window
     /// recorded into. Every record adds bytes, so an entry whose bytes did
     /// not grow was not touched.
-    pub fn memo_diff(&self, prev: &CounterStore) -> Vec<CounterDelta> {
+    pub(crate) fn memo_diff(&self, prev: &CounterStore) -> Vec<CounterDelta> {
         debug_assert!(self.entries.len() >= prev.entries.len());
         let mut out = Vec::new();
         for ((job, iter), c) in &self.entries {
@@ -344,7 +344,7 @@ impl CounterStore {
     /// time. Cells add, through the same sender rule as a live
     /// [`Self::record`]; the last stamp max-merges exactly like a live
     /// record stream would have produced.
-    pub fn memo_apply(&mut self, d: &CounterDelta, iter_shift: u32, t_shift_ns: u64) {
+    pub(crate) fn memo_apply(&mut self, d: &CounterDelta, iter_shift: u32, t_shift_ns: u64) {
         let i = self.slot((d.job, d.iter + iter_shift));
         let c = &mut self.entries[i].1;
         for &(pi, src, b) in &d.cells {
