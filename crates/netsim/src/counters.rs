@@ -72,21 +72,24 @@ impl IterCounters {
 
     /// Add `bytes` sent by `src_leaf` at port `pi` (`row * n_vspines +
     /// vspine`). A second sender at any port unfolds the column first.
+    #[inline]
     fn add(&mut self, pi: usize, src_leaf: u32, bytes: u64) {
         debug_assert!((src_leaf as usize) < self.n_src, "source leaf {src_leaf}");
-        match &mut self.senders {
-            Senders::Column(col) if col[pi] == src_leaf as u16 => {}
-            Senders::Column(col) if col[pi] == NO_SENDER => col[pi] = src_leaf as u16,
-            Senders::Column(_) => {
-                self.unfold();
-                return self.add(pi, src_leaf, bytes);
+        if let Senders::Column(col) = &mut self.senders {
+            match col[pi] {
+                s if s == src_leaf as u16 => {}
+                NO_SENDER => col[pi] = src_leaf as u16,
+                _ => self.unfold(),
             }
-            Senders::Dense(by_src) => by_src[pi * self.n_src + src_leaf as usize] += bytes,
+        }
+        if let Senders::Dense(by_src) = &mut self.senders {
+            by_src[pi * self.n_src + src_leaf as usize] += bytes;
         }
         self.bytes[pi] += bytes;
     }
 
     /// Turn the sender column into the dense block it stands for.
+    #[cold]
     fn unfold(&mut self) {
         if let Senders::Column(col) = &self.senders {
             let mut by_src = vec![0; self.bytes.len() * self.n_src];
