@@ -35,12 +35,12 @@ fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
         "{:>14} {:>8} {:>10} {:>10}",
         "fault", "trials", "detected", "localized"
     );
-    for bidir in [false, true] {
-        let seeds = seeds(cfg.pick(8, 3));
-        let mut detected = 0;
-        let mut localized = 0;
-        for &s in &seeds {
-            let spec = TrialSpec {
+    let seeds = seeds(cfg.pick(8, 3));
+    let directions = [false, true];
+    let specs: Vec<TrialSpec> = directions
+        .iter()
+        .flat_map(|&bidir| {
+            seeds.iter().map(move |&s| TrialSpec {
                 leaves: cfg.pick(16, 8),
                 spines: cfg.pick(8, 4),
                 bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
@@ -53,11 +53,16 @@ fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
                     bidirectional: bidir,
                 }),
                 ..cfg.base_spec()
-            };
-            let r = run_trial(&spec);
-            detected += r.detected as u32;
-            localized += (r.localized_correctly == Some(true)) as u32;
-        }
+            })
+        })
+        .collect();
+    let results = cfg.run_logged("ablate_localize_ring", &specs);
+    for (bidir, trials) in directions.into_iter().zip(results.chunks(seeds.len())) {
+        let detected = trials.iter().filter(|r| r.detected).count() as u32;
+        let localized = trials
+            .iter()
+            .filter(|r| r.localized_correctly == Some(true))
+            .count() as u32;
         println!(
             "{:>14} {:>8} {:>10} {:>10}",
             if bidir {
@@ -147,7 +152,6 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
     }
     let localizer = Localizer {
         sender_threshold: 0.15,
-        ..Default::default()
     };
 
     // At the faulty leaf's own port: all senders short → Local.

@@ -28,7 +28,10 @@ fn main() {
     header("Model comparison — analytical vs simulation vs learned");
     println!("{:>22} {:>8} {:>8} {:>8}", "model", "drop", "FPR", "FNR");
 
-    let mut rows = Vec::new();
+    // Specs in table order: per (model, drop rate), the clean seeds, then
+    // the fault seeds.
+    let mut cells = Vec::new();
+    let mut specs = Vec::new();
     for model in models {
         for &rate in &drop_rates {
             let base = TrialSpec {
@@ -40,15 +43,15 @@ fn main() {
                 model,
                 ..cfg.base_spec()
             };
-            let mut trials = Vec::new();
+            cells.push((model, rate));
             for &s in &clean_seeds {
-                trials.push(run_trial(&TrialSpec {
+                specs.push(TrialSpec {
                     seed: s,
                     ..base.clone()
-                }));
+                });
             }
             for &s in &fault_seeds {
-                trials.push(run_trial(&TrialSpec {
+                specs.push(TrialSpec {
                     seed: s,
                     fault: Some(FaultSpec {
                         kind: InjectedFault::Drop { rate },
@@ -57,23 +60,29 @@ fn main() {
                         bidirectional: false,
                     }),
                     ..base.clone()
-                }));
+                });
             }
-            let r = Rates::from_trials(&trials);
-            println!(
-                "{:>22} {:>8} {:>8} {:>8}",
-                format!("{model:?}"),
-                pct(rate),
-                pct(r.fpr()),
-                pct(r.fnr())
-            );
-            rows.push(Row {
-                model: format!("{model:?}"),
-                drop_rate: rate,
-                fpr: r.fpr(),
-                fnr: r.fnr(),
-            });
         }
+    }
+    let results = cfg.run_logged("ablate_model", &specs);
+
+    let mut rows = Vec::new();
+    let per_cell = clean_seeds.len() + fault_seeds.len();
+    for ((model, rate), trials) in cells.into_iter().zip(results.chunks(per_cell)) {
+        let r = Rates::from_trials(trials);
+        println!(
+            "{:>22} {:>8} {:>8} {:>8}",
+            format!("{model:?}"),
+            pct(rate),
+            pct(r.fpr()),
+            pct(r.fnr())
+        );
+        rows.push(Row {
+            model: format!("{model:?}"),
+            drop_rate: rate,
+            fpr: r.fpr(),
+            fnr: r.fnr(),
+        });
     }
     cfg.save_json("ablate_model", &rows);
     println!(

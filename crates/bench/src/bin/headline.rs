@@ -6,7 +6,7 @@
 //! One end-to-end run at exactly that configuration, plus a probe-mesh
 //! comparison showing the overhead FlowPulse avoids.
 
-use flowpulse::baselines::{run_probe_mesh, ProbeMeshConfig};
+use flowpulse::baselines::run_probe_mesh;
 use flowpulse::prelude::*;
 use fp_bench::{header, pct, RunConfig};
 use fp_netsim::fault::FaultAction;
@@ -119,7 +119,7 @@ fn main() {
     let mut probe_bytes = 0u64;
     let mut detected_by_probe = false;
     for _ in 0..cfg.pick(40, 10) {
-        let rep = run_probe_mesh(&mut sim, &ProbeMeshConfig::default());
+        let rep = run_probe_mesh(&mut sim, 1);
         probe_bytes += rep.bytes_injected;
         if rep.detected {
             detected_by_probe = true;

@@ -90,7 +90,6 @@ fn main() {
 
         let svc = Monitord::spawn(ServiceConfig {
             queue_capacity: 256,
-            batch_max: 64,
             policy,
             metrics_path: Some(cfg.out_dir().join(format!("monitord_metrics_{name}.jsonl"))),
             ..Default::default()

@@ -27,7 +27,6 @@ fn main() {
     let drop_rates: Vec<f64> = cfg.pick(vec![0.010, 0.015, 0.025], vec![0.025]);
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(3, 1));
-    let spatial = SpatialSymmetryDetector::default();
 
     let base_for = |pre: u32| TrialSpec {
         leaves: cfg.pick(32, 8),
@@ -81,7 +80,7 @@ fn main() {
         for t in &clean_trials {
             for snap in &t.snapshots {
                 spatial_n += 1;
-                if !spatial.check(&snap.loads()).is_empty() {
+                if !SpatialSymmetryDetector.check(&snap.loads()).is_empty() {
                     spatial_fp += 1;
                 }
             }

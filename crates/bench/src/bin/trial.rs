@@ -10,8 +10,9 @@
 //! cargo run --release -p fp-bench --bin trial -- spec.json
 //! ```
 //!
-//! The template follows `FP_SPRAY` / `FP_MEMO`; a spec that leaves `memo`
-//! out runs under `FP_MEMO`, everything else it says itself.
+//! The template follows `FP_SPRAY`; everything else a spec says itself. A
+//! spec that cannot be read, parsed or run ends the process with status 2
+//! and one line saying why.
 
 use flowpulse::prelude::*;
 use fp_bench::RunConfig;
@@ -48,6 +49,24 @@ struct Summary {
     trace_truncated: bool,
 }
 
+/// The spec at `path` (stdin when `None`), parsed and validated; the error
+/// is one line naming the path or what is wrong with the spec.
+fn read_spec(path: Option<&String>) -> Result<TrialSpec, String> {
+    let (raw, from) = match path {
+        Some(path) => (std::fs::read_to_string(path), path.as_str()),
+        None => {
+            let mut s = String::new();
+            (std::io::stdin().read_to_string(&mut s).map(|_| s), "stdin")
+        }
+    };
+    let raw = raw.map_err(|e| format!("cannot read {from}: {e}"))?;
+    let spec: TrialSpec =
+        serde_json::from_str(&raw).map_err(|e| format!("malformed TrialSpec in {from}: {e}"))?;
+    spec.validate()
+        .map_err(|e| format!("invalid TrialSpec in {from}: {e}"))?;
+    Ok(spec)
+}
+
 fn main() {
     let cfg = RunConfig::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,24 +83,10 @@ fn main() {
         println!("{}", serde_json::to_string_pretty(&spec).unwrap());
         return;
     }
-    let raw = match args.iter().find(|a| !a.starts_with("--")) {
-        Some(path) => {
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-        }
-        None => {
-            let mut s = String::new();
-            std::io::stdin()
-                .read_to_string(&mut s)
-                .expect("read spec JSON from stdin");
-            s
-        }
-    };
-    let mut spec: TrialSpec = serde_json::from_str(&raw).expect("parse TrialSpec JSON");
-    spec.memo.get_or_insert(cfg.memo);
-    if let Err(e) = spec.validate() {
-        eprintln!("invalid TrialSpec: {e}");
+    let spec = read_spec(args.iter().find(|a| !a.starts_with("--"))).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
     let r = run_trial(&spec);
     let agenda_ops =
         r.sched.pops + r.sched.class_pops + r.sched.head_pops + r.stats.pipeline_deliveries;

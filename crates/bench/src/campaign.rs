@@ -231,12 +231,12 @@ mod tests {
         assert_eq!(Campaign::with_threads(0).threads, 1);
     }
 
-    /// What `FP_MEMO` / `FP_SPRAY` asked for is what the manifest says ran:
-    /// in its `config` object and in every echoed spec.
+    /// What `FP_SPRAY` asked for is what the manifest says ran: in its
+    /// `config` object and in every echoed spec, beside the spec's own memo
+    /// request.
     #[test]
     fn campaign_manifest_totals_and_echo() {
         let cfg = RunConfig::from_vars(|key| match key {
-            "FP_MEMO" => Some("1".into()),
             "FP_SPRAY" => Some("reps".into()),
             "FP_THREADS" => Some("2".into()),
             _ => None,
@@ -248,6 +248,7 @@ mod tests {
             bytes_per_node: 64 * 1024,
             iterations: 1,
             seed: 7,
+            memo: Some(true),
             ..cfg.base_spec()
         };
         spec.sim.sched = Some(SchedKind::Wheel);
@@ -285,7 +286,10 @@ mod tests {
             let map = v.as_map().expect("a JSON object");
             map.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
         };
-        assert_eq!(get(&m.config, "memo"), Some(serde::Value::Bool(true)));
+        assert_eq!(
+            get(&m.config, "spray"),
+            Some(serde::Value::Str("Reps".into()))
+        );
         assert_eq!(get(&m.config, "threads"), Some(serde::Value::U64(2)));
         assert_eq!(get(&m.config, "quick"), Some(serde::Value::Bool(false)));
         // The spec list is embedded verbatim.

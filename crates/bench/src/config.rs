@@ -2,9 +2,9 @@
 //! read from the process environment once, first thing in `main`
 //! ([`RunConfig::from_env`]), and passed on explicitly. No library crate
 //! reads the environment — `SimConfig::default()` and `TrialSpec::default()`
-//! are constants — so what `FP_SPRAY` / `FP_MEMO` ask for reaches a trial
-//! through [`RunConfig::sim`] / [`RunConfig::base_spec`], and the spec a
-//! manifest echoes is the spec that ran.
+//! are constants — so what `FP_SPRAY` asks for reaches a trial through
+//! [`RunConfig::sim`] / [`RunConfig::base_spec`], and the spec a manifest
+//! echoes is the spec that ran.
 
 use crate::campaign::Campaign;
 use flowpulse::prelude::TrialSpec;
@@ -28,9 +28,6 @@ pub struct RunConfig {
     /// `FP_SPRAY`: spray backend of every trial that does not pin its own
     /// (default [`SprayPolicy::Adaptive`]).
     pub spray: SprayPolicy,
-    /// `FP_MEMO`: temporal-symmetry fast-forward for every trial that does
-    /// not pin its own (default off).
-    pub memo: bool,
     /// `FP_TELEMETRY`: directory for manifests and recorder artifacts
     /// (default none: nothing is written).
     pub telemetry: Option<PathBuf>,
@@ -70,7 +67,6 @@ impl RunConfig {
                 .unwrap_or_else(|| crate::campaign::host_parallelism() as usize),
             results: dir("FP_RESULTS").unwrap_or_else(|| "results".into()),
             spray: get(&var, "FP_SPRAY", policies, SprayPolicy::parse)?.unwrap_or_default(),
-            memo: get(&var, "FP_MEMO", on_off, toggle)?.unwrap_or(false),
             telemetry: dir("FP_TELEMETRY"),
             sample_interval_ns: get(&var, "FP_TELEMETRY_INTERVAL_NS", count, positive)?
                 .unwrap_or(fp_telemetry::DEFAULT_SAMPLE_INTERVAL_NS),
@@ -109,13 +105,12 @@ impl RunConfig {
         }
     }
 
-    /// The default trial under the configured spray backend and memo
-    /// setting: what a sweep spreads where a library caller spreads
-    /// `Default::default()`. Fields the sweep sets itself still win.
+    /// The default trial under the configured spray backend: what a sweep
+    /// spreads where a library caller spreads `Default::default()`. Fields
+    /// the sweep sets itself still win.
     pub fn base_spec(&self) -> TrialSpec {
         TrialSpec {
             sim: self.sim(),
-            memo: Some(self.memo),
             ..TrialSpec::default()
         }
     }
@@ -150,7 +145,6 @@ impl Serialize for RunConfig {
             ("threads", self.threads.to_value()),
             ("results", path(&self.results).to_value()),
             ("spray", self.spray.to_value()),
-            ("memo", self.memo.to_value()),
             ("telemetry", self.telemetry.as_ref().map(path).to_value()),
             ("sample_interval_ns", self.sample_interval_ns.to_value()),
         ];
@@ -178,7 +172,7 @@ mod tests {
     #[test]
     fn nothing_set_means_every_default() {
         let d = defaults();
-        assert!(!d.quick && !d.memo);
+        assert!(!d.quick);
         assert!(d.threads >= 1, "every core the host exposes");
         assert_eq!(d.results, PathBuf::from("results"));
         assert_eq!(d.spray, SprayPolicy::Adaptive);
@@ -195,18 +189,12 @@ mod tests {
     #[test]
     fn each_knob_applies_its_value_or_refuses_by_name_and_value() {
         type Check = fn(&RunConfig) -> bool;
-        let knobs: [(&str, &[&str], Check, &[&str]); 5] = [
+        let knobs: [(&str, &[&str], Check, &[&str]); 4] = [
             (
                 "FP_QUICK",
                 &["1", "on", "true", " yes "],
                 |c| c.quick,
                 &["ture", "On", "2"],
-            ),
-            (
-                "FP_MEMO",
-                &["1", "on", "true", "yes"],
-                |c| c.memo,
-                &["On", "enable"],
             ),
             (
                 "FP_THREADS",
@@ -245,7 +233,7 @@ mod tests {
             }
         }
         for off in ["0", "off", "false", "no"] {
-            let cfg = RunConfig::from_vars(with(&[("FP_QUICK", off), ("FP_MEMO", off)]));
+            let cfg = RunConfig::from_vars(with(&[("FP_QUICK", off)]));
             assert_eq!(cfg, Ok(defaults()), "{off:?} is off, not on");
         }
     }
@@ -276,21 +264,15 @@ mod tests {
     fn pick_and_base_spec_follow_the_configuration() {
         let full = defaults();
         assert_eq!(full.pick(10, 2), 10);
-        let cfg = RunConfig::from_vars(with(&[
-            ("FP_QUICK", "1"),
-            ("FP_MEMO", "1"),
-            ("FP_SPRAY", "ecmp"),
-        ]))
-        .unwrap();
+        let cfg = RunConfig::from_vars(with(&[("FP_QUICK", "1"), ("FP_SPRAY", "ecmp")])).unwrap();
         assert_eq!(cfg.pick(10, 2), 2);
         assert_eq!(cfg.sim().spray, SprayPolicy::Ecmp);
-        let spec = cfg.base_spec();
-        assert_eq!((spec.memo, spec.sim.spray), (Some(true), SprayPolicy::Ecmp));
+        assert_eq!(cfg.base_spec().sim.spray, SprayPolicy::Ecmp);
         // A sweep that pins a field itself still wins.
         let pinned = TrialSpec {
-            memo: Some(false),
+            memo: Some(true),
             ..cfg.base_spec()
         };
-        assert_eq!(pinned.memo, Some(false));
+        assert_eq!(pinned.memo, Some(true));
     }
 }

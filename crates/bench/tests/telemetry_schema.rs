@@ -198,7 +198,6 @@ fn manifest_validates_when_present() {
         "threads",
         "results",
         "spray",
-        "memo",
         "telemetry",
         "sample_interval_ns",
     ] {

@@ -22,12 +22,6 @@ pub enum JitterModel {
         /// Upper bound.
         max: SimDuration,
     },
-    /// A single straggler: one uniformly-chosen node per iteration is
-    /// delayed by exactly `delay`; everyone else starts on time.
-    Straggler {
-        /// The straggler's extra delay.
-        delay: SimDuration,
-    },
 }
 
 impl JitterModel {
@@ -38,13 +32,6 @@ impl JitterModel {
             JitterModel::Uniform { max } => (0..n)
                 .map(|_| SimDuration::from_ns(rng.gen_range(0..=max.as_ns())))
                 .collect(),
-            JitterModel::Straggler { delay } => {
-                let mut v = vec![SimDuration::ZERO; n];
-                if n > 0 {
-                    v[rng.gen_range(0..n)] = delay;
-                }
-                v
-            }
         }
     }
 }
@@ -70,24 +57,5 @@ mod tests {
                 assert!(d <= max);
             }
         }
-    }
-
-    #[test]
-    fn straggler_hits_exactly_one() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let delay = SimDuration::from_us(10);
-        let mut who = std::collections::HashSet::new();
-        for _ in 0..200 {
-            let v = JitterModel::Straggler { delay }.sample(4, &mut rng);
-            let idx: Vec<usize> = v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| (*d == delay).then_some(i))
-                .collect();
-            assert_eq!(idx.len(), 1);
-            who.insert(idx[0]);
-        }
-        // Different nodes straggle across iterations.
-        assert!(who.len() >= 3, "straggler should rotate, saw {who:?}");
     }
 }

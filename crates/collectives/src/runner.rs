@@ -60,9 +60,6 @@ pub struct RunnerConfig {
     /// Priority class for the collective's *measured* data packets (the
     /// measured collective runs at [`Priority::MEASURED`], §5.1).
     pub prio: Priority,
-    /// Stamp packets with a [`CollectiveTag`] (disable to model an untagged
-    /// legacy job that FlowPulse cannot see).
-    pub tag: bool,
     /// Which transfers are measured (tagged + prioritized).
     pub measured: MeasuredSubset,
     /// Seed for the jitter stream (independent of fabric randomness).
@@ -86,7 +83,6 @@ impl Default for RunnerConfig {
             compute_gap: SimDuration::from_us(20),
             jitter: JitterModel::None,
             prio: Priority::MEASURED,
-            tag: true,
             measured: MeasuredSubset::All,
             jitter_seed: 0x6a_17_7e_12,
             memo_barrier_hooks: false,
@@ -204,7 +200,7 @@ impl CollectiveRunner {
     fn post_transfer(&mut self, sim: &mut Simulator, t: u32) {
         let tr = self.sched.transfers[t as usize];
         let measured = self.cfg.measured.contains(t);
-        let tag = (self.cfg.tag && measured).then_some(CollectiveTag {
+        let tag = measured.then_some(CollectiveTag {
             job: self.cfg.job,
             iter: self.iter,
         });
@@ -251,7 +247,7 @@ impl Application for CollectiveRunner {
             self.iter += 1;
             if self.iter < self.cfg.iterations {
                 let mut base = now;
-                // Temporal-symmetry fast-forward (`FP_MEMO`): at a clean
+                // Temporal-symmetry fast-forward (`enable_memo`): at a clean
                 // boundary the engine may replay recorded steady-state
                 // iterations instead of simulating them. Only offered on
                 // jitter-free runs — jitter draws from the runner's
@@ -484,7 +480,7 @@ mod tests {
         let mut sim = fabric(4, 2);
         let sched = ring_allreduce(&hosts(4), 32 * 1024);
         let cfg = RunnerConfig {
-            tag: false,
+            measured: MeasuredSubset::Transfers(vec![]),
             ..Default::default()
         };
         sim.set_app(Box::new(CollectiveRunner::new(sched, cfg)));

@@ -30,23 +30,15 @@ pub struct SpatialAlarm {
     pub rel_to_mean: f64,
 }
 
-/// Flags ports deviating from their leaf's mean load.
-#[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct SpatialSymmetryDetector {
-    /// Allowed relative deviation from the leaf mean.
-    pub threshold: f64,
-    /// Leaves with mean load below this are skipped.
-    pub min_mean: f64,
-}
+/// Flags ports deviating from their leaf's mean load by more than 1 %,
+/// the threshold FlowPulse itself runs at.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct SpatialSymmetryDetector;
 
-impl Default for SpatialSymmetryDetector {
-    fn default() -> Self {
-        SpatialSymmetryDetector {
-            threshold: 0.01,
-            min_mean: 1.0,
-        }
-    }
-}
+/// Allowed relative deviation from the leaf mean.
+const SPATIAL_THRESHOLD: f64 = 0.01;
+/// Leaves with mean load below this many bytes are skipped.
+const SPATIAL_MIN_MEAN: f64 = 1.0;
 
 impl SpatialSymmetryDetector {
     /// Check one iteration's observed loads — no model, no history.
@@ -55,12 +47,12 @@ impl SpatialSymmetryDetector {
         for leaf in 0..obs.n_leaves as u32 {
             let ports = obs.leaf(leaf);
             let mean = ports.iter().sum::<f64>() / ports.len().max(1) as f64;
-            if mean < self.min_mean {
+            if mean < SPATIAL_MIN_MEAN {
                 continue;
             }
             for (v, &p) in ports.iter().enumerate() {
                 let rel = p / mean - 1.0;
-                if rel.abs() > self.threshold {
+                if rel.abs() > SPATIAL_THRESHOLD {
                     out.push(SpatialAlarm {
                         leaf,
                         vspine: v as u32,
@@ -73,28 +65,11 @@ impl SpatialSymmetryDetector {
     }
 }
 
-/// Probe-mesh parameters.
-#[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct ProbeMeshConfig {
-    /// Bytes per probe (one MTU by default: silent faults are sampled per
-    /// packet, so bigger probes only add overhead).
-    pub probe_bytes: u64,
-    /// Probe rounds; each round sends `probes_per_pair` probes between
-    /// every ordered host pair.
-    pub rounds: u32,
-    /// Probes per pair per round.
-    pub probes_per_pair: u32,
-}
-
-impl Default for ProbeMeshConfig {
-    fn default() -> Self {
-        ProbeMeshConfig {
-            probe_bytes: 4096,
-            rounds: 1,
-            probes_per_pair: 4,
-        }
-    }
-}
+/// Bytes per probe: one MTU, since silent faults are sampled per packet
+/// and bigger probes only add overhead.
+const PROBE_BYTES: u64 = 4096;
+/// Probes each ordered host pair sends per round.
+const PROBES_PER_PAIR: u32 = 4;
 
 /// What a probe campaign found.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
@@ -111,26 +86,27 @@ pub struct ProbeReport {
     pub lossy_dst_leaves: Vec<(u32, u32)>,
 }
 
-/// Run a probe campaign on `sim` (which may already carry faults). Probes
-/// run at background priority so they contend like real probe traffic.
-/// Each round is tallied once it drains, before the next one posts: a post
-/// retires the flows that finished.
-pub fn run_probe_mesh(sim: &mut Simulator, cfg: &ProbeMeshConfig) -> ProbeReport {
+/// Run `rounds` of a probe campaign on `sim` (which may already carry
+/// faults); each round sends a few one-MTU probes between every ordered
+/// host pair. Probes run at background priority so they contend like real
+/// probe traffic. Each round is tallied once it drains, before the next
+/// one posts: a post retires the flows that finished.
+pub fn run_probe_mesh(sim: &mut Simulator, rounds: u32) -> ProbeReport {
     let n = sim.topo.n_hosts() as u32;
     let mut probes = 0u64;
     let mut lossy: std::collections::BTreeMap<u32, u32> = Default::default();
-    for _ in 0..cfg.rounds {
+    for _ in 0..rounds {
         let first = sim.flow_ids().end;
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
                     continue;
                 }
-                for _ in 0..cfg.probes_per_pair {
+                for _ in 0..PROBES_PER_PAIR {
                     sim.post_message(
                         HostId(src),
                         HostId(dst),
-                        cfg.probe_bytes,
+                        PROBE_BYTES,
                         None,
                         Priority::BACKGROUND,
                     );
@@ -148,38 +124,17 @@ pub fn run_probe_mesh(sim: &mut Simulator, cfg: &ProbeMeshConfig) -> ProbeReport
     }
     ProbeReport {
         probes_sent: probes,
-        bytes_injected: probes * cfg.probe_bytes,
+        bytes_injected: probes * PROBE_BYTES,
         detected: !lossy.is_empty(),
         lossy_dst_leaves: lossy.into_iter().collect(),
     }
 }
 
-/// Centralized counter-aggregation baseline (LossRadar/Everflow-style,
-/// paper §1/§3): periodically collect every link's tx/rx counters at a
-/// central point and flag links whose ends disagree.
-///
-/// It *can* see silent drops — when the counters themselves are honest,
-/// which the paper points out is not a given ("the counters themselves
-/// might be incorrect because of a hardware fault"). Its structural cost is
-/// what FlowPulse avoids: every sweep moves `O(links)` counter state to a
-/// central collector, with detection latency bounded by the sweep period.
-#[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct CounterSweepConfig {
-    /// Links missing fewer packets than this are ignored (absorbs
-    /// in-flight skew when sweeping a live fabric).
-    pub min_missing_pkts: u64,
-    /// Bytes of counter state reported per directed link per sweep.
-    pub bytes_per_link_report: u64,
-}
-
-impl Default for CounterSweepConfig {
-    fn default() -> Self {
-        CounterSweepConfig {
-            min_missing_pkts: 2,
-            bytes_per_link_report: 16,
-        }
-    }
-}
+/// Links missing fewer packets than this are ignored by a counter sweep
+/// (absorbs in-flight skew when sweeping a live fabric).
+const MIN_MISSING_PKTS: u64 = 2;
+/// Bytes of counter state reported per directed link per sweep.
+const BYTES_PER_LINK_REPORT: u64 = 16;
 
 /// Result of one centralized counter sweep.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
@@ -193,8 +148,17 @@ pub struct CounterSweepReport {
     pub links_polled: u64,
 }
 
-/// Perform one centralized sweep over `sim`'s link counters.
-pub fn sweep_link_counters(sim: &Simulator, cfg: &CounterSweepConfig) -> CounterSweepReport {
+/// Perform one centralized sweep over `sim`'s link counters: the
+/// counter-aggregation baseline (LossRadar/Everflow-style, paper §1/§3),
+/// which collects every link's tx/rx counters at a central point and flags
+/// links whose ends disagree.
+///
+/// It *can* see silent drops — when the counters themselves are honest,
+/// which the paper points out is not a given ("the counters themselves
+/// might be incorrect because of a hardware fault"). Its structural cost is
+/// what FlowPulse avoids: every sweep moves `O(links)` counter state to a
+/// central collector, with detection latency bounded by the sweep period.
+pub fn sweep_link_counters(sim: &Simulator) -> CounterSweepReport {
     let mut suspects = Vec::new();
     let n = sim.topo.n_links();
     for i in 0..n {
@@ -203,13 +167,13 @@ pub fn sweep_link_counters(sim: &Simulator, cfg: &CounterSweepConfig) -> Counter
         let missing = l
             .txed_pkts
             .saturating_sub(l.delivered_pkts + l.queued_pkts() as u64);
-        if missing >= cfg.min_missing_pkts {
+        if missing >= MIN_MISSING_PKTS {
             suspects.push((i as u32, missing));
         }
     }
     CounterSweepReport {
         suspect_links: suspects,
-        collection_bytes: n as u64 * cfg.bytes_per_link_report,
+        collection_bytes: n as u64 * BYTES_PER_LINK_REPORT,
         links_polled: n as u64,
     }
 }
@@ -223,7 +187,7 @@ mod tests {
 
     #[test]
     fn spatial_detector_flags_imbalance() {
-        let d = SpatialSymmetryDetector::default();
+        let d = SpatialSymmetryDetector;
         let obs = PortLoads {
             n_leaves: 1,
             n_vspines: 4,
@@ -237,7 +201,7 @@ mod tests {
 
     #[test]
     fn spatial_detector_passes_balance() {
-        let d = SpatialSymmetryDetector::default();
+        let d = SpatialSymmetryDetector;
         let obs = PortLoads {
             n_leaves: 2,
             n_vspines: 2,
@@ -250,7 +214,7 @@ mod tests {
     fn spatial_detector_false_positives_on_preexisting_faults() {
         // The paper's core criticism: a leaf with one admin-down ingress
         // port looks permanently asymmetric.
-        let d = SpatialSymmetryDetector::default();
+        let d = SpatialSymmetryDetector;
         let obs = PortLoads {
             n_leaves: 1,
             n_vspines: 4,
@@ -269,7 +233,7 @@ mod tests {
         let mut sim = Simulator::new(topo, SimConfig::default(), 7);
         let bad = sim.topo.downlink(0, 2);
         sim.apply_fault_now(bad, FaultAction::Set(FaultKind::SilentBlackhole), false);
-        let report = run_probe_mesh(&mut sim, &ProbeMeshConfig::default());
+        let report = run_probe_mesh(&mut sim, 1);
         assert!(report.detected);
         // Loss concentrates on destination leaf 2.
         let worst = report
@@ -289,7 +253,7 @@ mod tests {
             ..Default::default()
         });
         let mut sim = Simulator::new(topo, SimConfig::default(), 8);
-        let report = run_probe_mesh(&mut sim, &ProbeMeshConfig::default());
+        let report = run_probe_mesh(&mut sim, 1);
         assert!(!report.detected);
         assert_eq!(report.probes_sent, (4 * 3 * 4) as u64);
     }
@@ -316,7 +280,7 @@ mod tests {
             fp_netsim::packet::Priority::MEASURED,
         );
         sim.run();
-        let rep = sweep_link_counters(&sim, &CounterSweepConfig::default());
+        let rep = sweep_link_counters(&sim);
         assert_eq!(rep.suspect_links.len(), 1);
         assert_eq!(rep.suspect_links[0].0, bad.0);
         assert!(rep.suspect_links[0].1 > 0);
@@ -340,7 +304,7 @@ mod tests {
             fp_netsim::packet::Priority::MEASURED,
         );
         sim.run();
-        let rep = sweep_link_counters(&sim, &CounterSweepConfig::default());
+        let rep = sweep_link_counters(&sim);
         assert!(rep.suspect_links.is_empty(), "{:?}", rep.suspect_links);
     }
 
@@ -361,14 +325,10 @@ mod tests {
             FaultAction::Set(FaultKind::SilentDrop { rate: 0.01 }),
             false,
         );
-        let cfg = ProbeMeshConfig {
-            probes_per_pair: 1,
-            ..Default::default()
-        };
-        let report = run_probe_mesh(&mut sim, &cfg);
+        let report = run_probe_mesh(&mut sim, 1);
         // Not asserting a miss (it's stochastic) — asserting the *budget*
         // accounting exists so harnesses can compare detection probability
         // per injected byte.
-        assert_eq!(report.probes_sent, 12);
+        assert_eq!(report.probes_sent, 48);
     }
 }

@@ -201,7 +201,7 @@ fn prepare(spec: &TrialSpec) -> (Scenario, Placed) {
     (scenario, placed)
 }
 
-/// Why a run that requests memoization (`FP_MEMO` / [`Scenario::memo`])
+/// Why a run that requests memoization ([`TrialSpec::memo`] / [`Scenario::memo`])
 /// must run fully live, or `None` when the harness can enable it. Start
 /// jitter draws from the runner's private RNG, invisible to the engine
 /// fingerprint; controllers and recorders observe every live iteration.

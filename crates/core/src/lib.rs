@@ -72,9 +72,7 @@ pub mod snapshot;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::analytical::{AnalyticalModel, Prediction};
-    pub use crate::baselines::{
-        run_probe_mesh, ProbeMeshConfig, ProbeReport, SpatialSymmetryDetector,
-    };
+    pub use crate::baselines::{run_probe_mesh, ProbeReport, SpatialSymmetryDetector};
     pub use crate::detector::{Detector, Deviation};
     pub use crate::eval::{
         goodput_phases, roc_curve, run_trial, run_trial_ctl, run_trial_with, CollectiveKind,

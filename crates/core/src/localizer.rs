@@ -56,15 +56,15 @@ pub struct RingLocalization {
 pub struct Localizer {
     /// Relative shortfall for a sender to count as affected.
     pub sender_threshold: f64,
-    /// Senders expected to contribute fewer bytes than this are ignored.
-    pub min_expected: f64,
 }
+
+/// Senders expected to contribute fewer bytes than this are ignored.
+const MIN_EXPECTED: f64 = 1.0;
 
 impl Default for Localizer {
     fn default() -> Self {
         Localizer {
             sender_threshold: 0.01,
-            min_expected: 1.0,
         }
     }
 }
@@ -82,7 +82,7 @@ impl Localizer {
         let mut unaffected = 0u32;
         for src in 0..expected.n_src as u32 {
             let e = expected.get(leaf, vspine, src);
-            if e < self.min_expected {
+            if e < MIN_EXPECTED {
                 continue;
             }
             let o = observed.get(leaf, vspine, src);
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn negligible_senders_are_ignored() {
         let mut e = PortSrcLoads::zeros(2, 1);
-        e.add(1, 0, 0, 0.5); // below min_expected
+        e.add(1, 0, 0, 0.5); // below MIN_EXPECTED
         let o = PortSrcLoads::zeros(2, 1);
         let l = Localizer::default();
         assert_eq!(l.localize_port(&e, &o, 1, 0), PortVerdict::Inconclusive);

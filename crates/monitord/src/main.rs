@@ -11,7 +11,6 @@
 //! |--------------------------|-----------|----------------------------------|
 //! | `FP_MONITORD_POLICY`     | `block`   | queue policy: drop / block       |
 //! | `FP_MONITORD_CAP`        | `1024`    | queue capacity (snapshots)       |
-//! | `FP_MONITORD_BATCH`      | `64`      | max batch size                   |
 //! | `FP_MONITORD_THRESHOLD`  | `0.01`    | detection threshold              |
 //! | `FP_MONITORD_WARMUP`     | `1`       | learned-baseline warmup iters    |
 //! | `FP_MONITORD_METRICS`    | (unset)   | path for `metrics.jsonl`         |
@@ -41,7 +40,6 @@ fn settings(var: impl Fn(&str) -> Option<String>) -> Result<Settings, String> {
     let d = ServiceConfig::default();
     let cfg = ServiceConfig {
         queue_capacity: get(&var, "FP_MONITORD_CAP", count, num)?.unwrap_or(d.queue_capacity),
-        batch_max: get(&var, "FP_MONITORD_BATCH", count, num)?.unwrap_or(d.batch_max),
         policy: get(&var, "FP_MONITORD_POLICY", "drop|block", QueuePolicy::parse)?
             .unwrap_or(d.policy),
         threshold: get(
@@ -67,10 +65,9 @@ fn main() {
         std::process::exit(2);
     });
     eprintln!(
-        "fp-monitord: policy={} cap={} batch={} threshold={} warmup={} metrics={:?} sock={:?} conns={:?}",
+        "fp-monitord: policy={} cap={} threshold={} warmup={} metrics={:?} sock={:?} conns={:?}",
         cfg.policy.name(),
         cfg.queue_capacity,
-        cfg.batch_max,
         cfg.threshold,
         cfg.warmup,
         cfg.metrics_path,
@@ -157,7 +154,6 @@ mod tests {
         ] {
             let (cfg, sock, conns) = settings(with(env)).unwrap();
             assert_eq!(cfg.queue_capacity, d.queue_capacity);
-            assert_eq!(cfg.batch_max, d.batch_max);
             assert_eq!(cfg.policy, d.policy);
             assert_eq!(cfg.threshold, d.threshold);
             assert_eq!(cfg.warmup, d.warmup);
@@ -170,7 +166,6 @@ mod tests {
     fn well_formed_settings_apply() {
         let (cfg, sock, conns) = settings(with(&[
             ("FP_MONITORD_CAP", "16"),
-            ("FP_MONITORD_BATCH", "4"),
             ("FP_MONITORD_POLICY", "Drop"),
             ("FP_MONITORD_THRESHOLD", "0.05"),
             ("FP_MONITORD_WARMUP", "3"),
@@ -179,7 +174,7 @@ mod tests {
             ("FP_MONITORD_CONNS", "2"),
         ]))
         .unwrap();
-        assert_eq!((cfg.queue_capacity, cfg.batch_max), (16, 4));
+        assert_eq!(cfg.queue_capacity, 16);
         assert_eq!(cfg.policy, QueuePolicy::Drop);
         assert_eq!((cfg.threshold, cfg.warmup), (0.05, 3));
         assert_eq!(cfg.metrics_path, Some("m.jsonl".into()));
@@ -196,7 +191,6 @@ mod tests {
             ("FP_MONITORD_THRESHOLD", "-0.01"),
             ("FP_MONITORD_THRESHOLD", "NaN"),
             ("FP_MONITORD_CAP", "1k"),
-            ("FP_MONITORD_BATCH", "-1"),
             ("FP_MONITORD_WARMUP", "one"),
             ("FP_MONITORD_CONNS", "2.5"),
         ] {

@@ -37,14 +37,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Most snapshots the worker takes off the queue per batch.
+const BATCH_MAX: usize = 64;
+
 /// Service tunables; [`Default`] matches the paper-style monitor (1%
 /// threshold, 1 warmup iteration, blocking backpressure).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Bounded queue capacity, in snapshots.
     pub queue_capacity: usize,
-    /// Max snapshots the worker takes per batch.
-    pub batch_max: usize,
     /// Backpressure policy when the queue is full.
     pub policy: QueuePolicy,
     /// Detection threshold for every stream's monitor.
@@ -63,7 +64,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_capacity: 1024,
-            batch_max: 64,
             policy: QueuePolicy::Block,
             threshold: 0.01,
             warmup: 1,
@@ -322,7 +322,7 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
         std::fs::File::create(p).expect("create metrics.jsonl")
     });
 
-    while let Some(depth_after) = queue.pop_batch(cfg.batch_max, &mut spent, &mut batch) {
+    while let Some(depth_after) = queue.pop_batch(BATCH_MAX, &mut spent, &mut batch) {
         metrics.observe("batch_size", batch.len() as u64);
         metrics.observe("queue_depth_at_batch", depth_after as u64);
         metrics.set_gauge("queue_depth", depth_after as f64);
@@ -465,7 +465,6 @@ mod tests {
     fn per_stream_alarms_match_offline_monitor_byte_for_byte() {
         let cfg = ServiceConfig {
             queue_capacity: 8, // force backpressure
-            batch_max: 4,
             ..Default::default()
         };
         let svc = Monitord::spawn(cfg.clone());

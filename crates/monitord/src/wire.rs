@@ -853,7 +853,7 @@ mod tests {
                 .map(|(k, &(iters, onset, sag))| lane_stream(k, iters, onset, sag))
                 .collect();
             let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
-            let cfg = ServiceConfig { batch_max: 3, ..Default::default() };
+            let cfg = ServiceConfig::default();
             let offline: Vec<_> = streams
                 .iter()
                 .map(|st| {

@@ -67,8 +67,6 @@ pub struct LinkState {
     pub txed_bytes: u64,
     /// Packets delivered at the far end (survived faults).
     pub delivered_pkts: u64,
-    /// Payload bytes delivered at the far end.
-    pub delivered_bytes: u64,
 }
 
 impl LinkState {
@@ -88,7 +86,6 @@ impl LinkState {
             txed_pkts: 0,
             txed_bytes: 0,
             delivered_pkts: 0,
-            delivered_bytes: 0,
         }
     }
 

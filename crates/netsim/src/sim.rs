@@ -138,7 +138,7 @@ pub struct Simulator {
     /// Scratch `(seq, ce)` echoes collected while the flow table is
     /// borrowed in [`Simulator::receive_ack`].
     scratch_echoes: Vec<(u32, bool)>,
-    /// Temporal-symmetry memoization state (`FP_MEMO`, see [`memo`]);
+    /// Temporal-symmetry memoization state (see [`memo`]);
     /// `None` (the default) falls back to fully live simulation.
     memo: Option<Box<memo::MemoState>>,
     /// Test hook: send every packet down the queued route, i.e. run the
@@ -551,11 +551,7 @@ impl Simulator {
     }
 
     fn handle_delivery(&mut self, link: LinkId, pkt: Packet) {
-        {
-            let l = &mut self.links[link.idx()];
-            l.delivered_pkts += 1;
-            l.delivered_bytes += pkt.size as u64;
-        }
+        self.links[link.idx()].delivered_pkts += 1;
         match self.topo.links[link.idx()].dst {
             NodeId::Switch(sw) => self.switch_receive(sw, link, pkt),
             NodeId::Host(h) => self.host_receive(h, pkt),

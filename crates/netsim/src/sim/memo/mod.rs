@@ -8,7 +8,7 @@
 //! and scheduler sequence numbers. This module detects that fixed point
 //! and, instead of simulating the next iteration event by event, applies
 //! the recorded window's observable deltas in O(residual state) and jumps
-//! the clock — producing byte-identical output (`FP_MEMO=1` vs live) at a
+//! the clock — producing byte-identical output (memoized vs live) at a
 //! fraction of the event cost.
 //!
 //! ## The fingerprint theorem
@@ -163,8 +163,8 @@ struct BoundaryRecord {
     stats: Stats,
     /// Scheduler statistics (cloned baseline).
     sched: SchedStats,
-    /// Per-link `[txed_pkts, txed_bytes, delivered_pkts, delivered_bytes]`.
-    link_tx: Vec<[u64; 4]>,
+    /// Per-link `[txed_pkts, txed_bytes, delivered_pkts]`.
+    link_tx: Vec<[u64; 3]>,
     /// FlowPulse leaf counters (cloned baseline).
     counters: CounterStore,
     /// FlowPulse agg counters (cloned baseline; empty on 2-level fabrics).
@@ -189,14 +189,7 @@ impl BoundaryRecord {
             link_tx: sim
                 .links
                 .iter()
-                .map(|l| {
-                    [
-                        l.txed_pkts,
-                        l.txed_bytes,
-                        l.delivered_pkts,
-                        l.delivered_bytes,
-                    ]
-                })
+                .map(|l| [l.txed_pkts, l.txed_bytes, l.delivered_pkts])
                 .collect(),
             counters: sim.counters.clone(),
             agg_counters: sim.agg_counters.clone(),
@@ -243,7 +236,7 @@ fn shift_packet(p: &mut Packet, dflow: u32, diter: u32) {
 }
 
 impl Simulator {
-    /// Arm temporal-symmetry memoization (`FP_MEMO`). `barriers` lists
+    /// Arm temporal-symmetry memoization. `barriers` lists
     /// iteration numbers that must run live — fault onsets, heal edges
     /// and scheduled control actions; a fast-forward never covers one.
     ///
@@ -403,7 +396,7 @@ impl Simulator {
 
         // ---- recorded window deltas ----
         let sq = self.agenda.memo_seq() - p.seq;
-        let link_delta: Vec<[u64; 4]> = self
+        let link_delta: Vec<[u64; 3]> = self
             .links
             .iter()
             .zip(&p.link_tx)
@@ -412,7 +405,6 @@ impl Simulator {
                     l.txed_pkts - b[0],
                     l.txed_bytes - b[1],
                     l.delivered_pkts - b[2],
-                    l.delivered_bytes - b[3],
                 ]
             })
             .collect();
@@ -432,7 +424,6 @@ impl Simulator {
             l.txed_pkts += d[0] * units as u64;
             l.txed_bytes += d[1] * units as u64;
             l.delivered_pkts += d[2] * units as u64;
-            l.delivered_bytes += d[3] * units as u64;
             for pkt in l.packets_mut() {
                 shift_packet(pkt, dflow, iters);
             }

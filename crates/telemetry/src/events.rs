@@ -74,7 +74,7 @@ pub enum Event {
         detail: String,
     },
     /// The simulator fast-forwarded a steady-state span instead of
-    /// simulating it (temporal-symmetry memoization, `FP_MEMO`). One event
+    /// simulating it (temporal-symmetry memoization, `TrialSpec::memo`). One event
     /// per replayed span, stamped at the boundary where the replay began.
     MemoFastForward {
         /// Collective iterations replayed in this span.

@@ -37,7 +37,7 @@ pub struct Manifest {
     /// Event-scheduler backend the trials ran on (`"heap"` / `"wheel"`).
     pub scheduler: String,
     /// Iteration spans fast-forwarded by temporal-symmetry memoization
-    /// (`FP_MEMO`), summed across trials. 0 when memoization was off or
+    /// (`TrialSpec::memo`), summed across trials. 0 when memoization was off or
     /// never converged.
     pub memo_hits: u64,
     /// Engine events accounted for by replayed spans (already included in

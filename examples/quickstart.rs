@@ -81,12 +81,12 @@ fn main() {
     // state after a couple of iterations, and once an iteration boundary
     // fingerprints identically to a recent one the engine fast-forwards
     // the rest — replaying the recorded window's deltas instead of
-    // simulating them, byte-identical to the live run (`FP_MEMO`, see
-    // DESIGN.md §11). Least-loaded spray here because the default adaptive
-    // policy's deficit decay runs on an absolute time grid the iteration
-    // period never realigns with, so it is refused by the eligibility gate
-    // — as is the default 1 µs start jitter (per-node RNG draws outside
-    // the fingerprint).
+    // simulating them, byte-identical to the live run (`TrialSpec::memo`,
+    // see DESIGN.md §11). Least-loaded spray here because the default
+    // adaptive policy's deficit decay runs on an absolute time grid the
+    // iteration period never realigns with, so it is refused by the
+    // eligibility gate — as is the default 1 µs start jitter (per-node RNG
+    // draws outside the fingerprint).
     let mut memo_spec = TrialSpec {
         fault: None,
         iterations: 12,

@@ -20,7 +20,7 @@ cargo test --workspace -q
 
 echo "==> tier-1 tests with every fp-bench knob exported: no library reads the environment"
 # The same test binaries (cached build), so this costs test time only.
-FP_SPRAY=ecmp FP_MEMO=1 FP_QUICK=1 FP_THREADS=1 cargo test -q
+FP_SPRAY=ecmp FP_QUICK=1 FP_THREADS=1 cargo test -q
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -101,13 +101,10 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 #     EventLimit: outcomes a caller receives that only their own tests
 #     spell out (LearnedUpdate's are written to results/fig3.json);
 #   baselines.rs rel_to_mean, collection_bytes: what the comparison
-#     baselines report, and
-#     min_mean, probes_per_pair, min_missing_pkts, bytes_per_link_report:
-#     the parameters they run with (every caller keeps the defaults);
+#     baselines report;
 #   runner.rs compute_gap, ctrl lib.rs max_mitigations: the compute phase
 #     between iterations and the control loop's mitigation budget, which
 #     their own tests vary;
-#   jitter.rs Straggler: a start-jitter model a `trial` JSON spec can name;
 #   score.rs GoodputPhases: the return type of `goodput_phases`, whose
 #     signature spans lines, so its own-file `pub` line is not found;
 #   telemetry lib.rs parse_setting: imported as `get` by the two doors
@@ -165,7 +162,7 @@ for w in paper_live steady_adaptive steady_leastloaded fault_loop sweep_small mo
     fi
 done
 
-BINARIES=(fig5a fig5b fig5c preexisting ablate_spray ablate_jitter mitigation)
+BINARIES=(fig5a fig5b fig5c preexisting ablate_spray ablate_jitter ablate_model ablate_localize mitigation)
 t1="$(mktemp -d)"
 t4="$(mktemp -d)"
 tt="$(mktemp -d)"
@@ -177,7 +174,10 @@ for bin in "${BINARIES[@]}"; do
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
     FP_QUICK=1 FP_THREADS=4 FP_RESULTS="$t4" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
-    cmp "$t1/$bin.json" "$t4/$bin.json"
+    # ablate_localize writes two files, one per localization path.
+    for out in "$t1/$bin"*.json; do
+        cmp "$out" "$t4/$(basename "$out")"
+    done
     echo "    $bin: JSON byte-identical across thread counts"
 done
 
@@ -206,7 +206,7 @@ echo "==> FP_* typos: a mistyped knob must stop every fp-bench binary with statu
 # of them refuses any knob, before a trial runs or a file is written.
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
-    for bad in FP_SPRAY=ecpm FP_MEMO=On FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
+    for bad in FP_SPRAY=ecpm FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
         rc=0
         env FP_QUICK=1 FP_RESULTS="$tsp/typo" "$bad" "target/release/$bin" \
             </dev/null >/dev/null 2>"$tsp/typo.err" || rc=$?
@@ -217,7 +217,7 @@ for src in crates/bench/src/bin/*.rs; do
     done
 done
 test ! -e "$tsp/typo"
-echo "    exit 2 naming variable and value: FP_SPRAY=ecpm, FP_MEMO=On, FP_QUICK=ture," \
+echo "    exit 2 naming variable and value: FP_SPRAY=ecpm, FP_QUICK=ture," \
     "FP_THREADS=four, FP_TELEMETRY_INTERVAL_NS=1ms ($(ls crates/bench/src/bin/*.rs | wc -l) binaries each)"
 
 echo "==> FP_RESULTS= (set but empty) means the default directory, not the current one"
@@ -256,33 +256,20 @@ FP_TELEMETRY_CHECK="$tt/headline" \
     cargo test --release -q -p fp-bench --test telemetry_schema
 echo "    telemetry artifacts validate (JSONL schema + Chrome trace)"
 
-echo "==> FP_MEMO smoke: memoized runs byte-identical to live"
-tmo="$(mktemp -d)"
-tmm="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tmo" "$tmm"' EXIT
-for bin in headline fig2 mitigation; do
-    FP_QUICK=1 FP_RESULTS="$tmo" \
-        cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
-    FP_QUICK=1 FP_MEMO=1 FP_RESULTS="$tmm" \
-        cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
-    cmp "$tmo/$bin.json" "$tmm/$bin.json"
-    echo "    $bin: JSON byte-identical FP_MEMO=1 vs off"
-done
-
 echo "==> golden results: every committed results/*.json regenerates to its bytes"
 # Full mode, every fp-bench binary but the spec-driven `trial` (about
 # 3 min on two cores; fig5a, fig5c and preexisting are two thirds of it).
-# The thread-count and memo comparisons above only compare runs with each
+# The thread-count comparisons above only compare runs with each
 # other; this one compares with what is committed, so a change in simulated
 # behaviour shows up as a diff in results/ to be explained, and a binary
 # whose output nobody committed fails too. monitord_metrics_*.jsonl carry
 # host time and are not compared (nor committed).
 tg="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tmo" "$tmm" "$tg"' EXIT
+trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tg"' EXIT
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
     [[ "$bin" == trial ]] && continue
-    env -u FP_QUICK -u FP_SPRAY -u FP_MEMO FP_RESULTS="$tg" \
+    env -u FP_QUICK -u FP_SPRAY FP_RESULTS="$tg" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
 done
 for f in results/*.json "$tg"/*.json; do
@@ -315,7 +302,7 @@ echo "    fault_hunt: every injected fault of the zoo detected"
 echo "==> monitord smoke: quick E10 sweep through the live service"
 tm1="$(mktemp -d)"
 tm4="$(mktemp -d)"
-trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tmo" "$tmm" "$tg" "$tm1" "$tm4"' EXIT
+trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tg" "$tm1" "$tm4"' EXIT
 # The sweep itself asserts zero drops + all streams closed under the
 # blocking policy; verify.sh additionally checks the metrics.jsonl schema
 # and that per-stream verdicts are byte-identical across producer thread

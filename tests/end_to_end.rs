@@ -335,8 +335,7 @@ fn spatial_baseline_fails_where_flowpulse_succeeds() {
     spec.preexisting = 2;
     let r = run_trial(&spec);
     assert!(!r.false_alarm, "FlowPulse must accept known faults");
-    let spatial = SpatialSymmetryDetector::default();
-    let alarms = spatial.check(&r.snapshots[0].loads());
+    let alarms = SpatialSymmetryDetector.check(&r.snapshots[0].loads());
     assert!(
         !alarms.is_empty(),
         "spatial baseline should false-alarm on pre-existing faults"

@@ -25,11 +25,7 @@ fn probe_mesh(kind: FaultKind, seed: u64) -> ProbeReport {
     let mut sim = Simulator::new(fat_tree(4, 2), cfg, seed);
     let bad = sim.topo.downlink(1, 2);
     sim.apply_fault_now(bad, FaultAction::Set(kind), false);
-    let mesh = ProbeMeshConfig {
-        rounds: 2,
-        ..Default::default()
-    };
-    run_probe_mesh(&mut sim, &mesh)
+    run_probe_mesh(&mut sim, 2)
 }
 
 #[test]

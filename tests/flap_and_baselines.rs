@@ -1,8 +1,6 @@
 //! Integration tests for flapping faults and the comparison baselines.
 
-use flowpulse::baselines::{
-    run_probe_mesh, sweep_link_counters, CounterSweepConfig, ProbeMeshConfig,
-};
+use flowpulse::baselines::{run_probe_mesh, sweep_link_counters};
 use flowpulse::prelude::*;
 use fp_collectives::prelude::*;
 use fp_netsim::fault::{flap_schedule, FaultAction};
@@ -98,7 +96,7 @@ fn baseline_comparison_on_one_scenario() {
 
     // Centralized counter sweep: also catches it, but had to poll every
     // link in the fabric.
-    let sweep = sweep_link_counters(&sim, &CounterSweepConfig::default());
+    let sweep = sweep_link_counters(&sim);
     assert!(sweep.suspect_links.iter().any(|&(l, _)| l == bad.0));
     assert_eq!(sweep.links_polled as usize, sim.topo.n_links());
 
@@ -107,7 +105,7 @@ fn baseline_comparison_on_one_scenario() {
     let mut probe_bytes = 0;
     let mut found = false;
     for _ in 0..20 {
-        let rep = run_probe_mesh(&mut sim, &ProbeMeshConfig::default());
+        let rep = run_probe_mesh(&mut sim, 1);
         probe_bytes += rep.bytes_injected;
         if rep.detected {
             found = true;
