@@ -6,7 +6,7 @@
 //! fault-free noise floor and detection accuracy at a 1.5% drop.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use fp_collectives::jitter::JitterModel;
 use fp_netsim::time::SimDuration;
 use serde::Serialize;
@@ -25,49 +25,26 @@ fn main() {
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(2, 1));
 
-    let base_for = |us: u64| {
-        let jitter = if us == 0 {
-            JitterModel::None
-        } else {
-            JitterModel::Uniform {
-                max: SimDuration::from_us(us),
-            }
-        };
-        TrialSpec {
-            leaves: cfg.pick(32, 8),
-            spines: cfg.pick(16, 4),
-            bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
-            iterations: 3,
-            jitter,
-            ..cfg.base_spec()
-        }
-    };
-
-    // Specs in serial-harness order: per jitter magnitude, clean seeds then
-    // fault seeds.
-    let mut specs: Vec<TrialSpec> = Vec::new();
-    for &us in &jitters_us {
-        let base = base_for(us);
-        for &s in &clean_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                ..base.clone()
-            });
-        }
-        for &s in &fault_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                fault: Some(FaultSpec {
-                    kind: InjectedFault::Drop { rate: 0.015 },
-                    at_iter: 1,
-                    heal_at_iter: None,
-                    bidirectional: false,
-                }),
-                ..base.clone()
-            });
-        }
-    }
-    let mut results = cfg.run_logged("ablate_jitter", &specs).into_iter();
+    let cells: Vec<Cell> = jitters_us
+        .iter()
+        .map(|&us| Cell {
+            base: TrialSpec {
+                leaves: cfg.pick(32, 8),
+                spines: cfg.pick(16, 4),
+                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
+                iterations: 3,
+                jitter: match us {
+                    0 => JitterModel::None,
+                    _ => JitterModel::Uniform {
+                        max: SimDuration::from_us(us),
+                    },
+                },
+                ..cfg.base_spec()
+            },
+            faults: vec![drop_fault(0.015, 1)],
+        })
+        .collect();
+    let grid = cfg.run_grid("ablate_jitter", &cells, &clean_seeds, &fault_seeds);
 
     header("A2 — jitter sensitivity (ring-allreduce, 1.5% drop)");
     println!(
@@ -76,17 +53,8 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &us in &jitters_us {
-        let mut trials = Vec::new();
-        let mut noise: f64 = 0.0;
-        for _ in &clean_seeds {
-            let t = results.next().expect("one result per spec");
-            let (c, _) = flowpulse::eval::split_devs(&t);
-            noise = noise.max(c.iter().cloned().fold(0.0, f64::max));
-            trials.push(t);
-        }
-        trials.extend(results.by_ref().take(fault_seeds.len()));
-        let r = Rates::from_trials(&trials);
+    for (&us, pair) in jitters_us.iter().zip(grid.pairs()) {
+        let (r, noise) = (pair.rates, pair.noise_floor);
         println!(
             "{:>8}us {:>12} {:>8} {:>8}",
             us,

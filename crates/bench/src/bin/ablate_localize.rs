@@ -11,7 +11,7 @@
 //!    local-vs-remote by itself.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, seeds, RunConfig};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,27 +37,25 @@ fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
     );
     let seeds = seeds(cfg.pick(8, 3));
     let directions = [false, true];
-    let specs: Vec<TrialSpec> = directions
-        .iter()
-        .flat_map(|&bidir| {
-            seeds.iter().map(move |&s| TrialSpec {
-                leaves: cfg.pick(16, 8),
-                spines: cfg.pick(8, 4),
-                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
-                iterations: 3,
-                seed: s,
-                fault: Some(FaultSpec {
-                    kind: InjectedFault::Drop { rate: 0.025 },
-                    at_iter: 1,
-                    heal_at_iter: None,
-                    bidirectional: bidir,
-                }),
-                ..cfg.base_spec()
+    // No clean seeds: one cell, the fault one way and both ways.
+    let cell = Cell {
+        base: TrialSpec {
+            leaves: cfg.pick(16, 8),
+            spines: cfg.pick(8, 4),
+            bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
+            iterations: 3,
+            ..cfg.base_spec()
+        },
+        faults: directions
+            .map(|bidirectional| FaultSpec {
+                bidirectional,
+                ..drop_fault(0.025, 1)
             })
-        })
-        .collect();
-    let results = cfg.run_logged("ablate_localize_ring", &specs);
-    for (bidir, trials) in directions.into_iter().zip(results.chunks(seeds.len())) {
+            .into(),
+    };
+    let grid = cfg.run_grid("ablate_localize_ring", &[cell], &[], &seeds);
+    for (bidir, pair) in directions.into_iter().zip(grid.pairs()) {
+        let trials = pair.faulty;
         let detected = trials.iter().filter(|r| r.detected).count() as u32;
         let localized = trials
             .iter()

@@ -3,7 +3,7 @@
 //! detector; this sweep compares their FPR/FNR on identical scenarios.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,60 +28,41 @@ fn main() {
     header("Model comparison — analytical vs simulation vs learned");
     println!("{:>22} {:>8} {:>8} {:>8}", "model", "drop", "FPR", "FNR");
 
-    // Specs in table order: per (model, drop rate), the clean seeds, then
-    // the fault seeds.
+    let mut axes = Vec::new();
     let mut cells = Vec::new();
-    let mut specs = Vec::new();
     for model in models {
         for &rate in &drop_rates {
-            let base = TrialSpec {
-                leaves: cfg.pick(16, 8),
-                spines: cfg.pick(8, 4),
-                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
-                // Learned needs warmup room before the fault.
-                iterations: 5,
-                model,
-                ..cfg.base_spec()
-            };
-            cells.push((model, rate));
-            for &s in &clean_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    ..base.clone()
-                });
-            }
-            for &s in &fault_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    fault: Some(FaultSpec {
-                        kind: InjectedFault::Drop { rate },
-                        at_iter: 3,
-                        heal_at_iter: None,
-                        bidirectional: false,
-                    }),
-                    ..base.clone()
-                });
-            }
+            axes.push((model, rate));
+            cells.push(Cell {
+                base: TrialSpec {
+                    leaves: cfg.pick(16, 8),
+                    spines: cfg.pick(8, 4),
+                    bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
+                    // Learned needs warmup room before the fault.
+                    iterations: 5,
+                    model,
+                    ..cfg.base_spec()
+                },
+                faults: vec![drop_fault(rate, 3)],
+            });
         }
     }
-    let results = cfg.run_logged("ablate_model", &specs);
+    let grid = cfg.run_grid("ablate_model", &cells, &clean_seeds, &fault_seeds);
 
     let mut rows = Vec::new();
-    let per_cell = clean_seeds.len() + fault_seeds.len();
-    for ((model, rate), trials) in cells.into_iter().zip(results.chunks(per_cell)) {
-        let r = Rates::from_trials(trials);
+    for ((model, rate), pair) in axes.into_iter().zip(grid.pairs()) {
         println!(
             "{:>22} {:>8} {:>8} {:>8}",
             format!("{model:?}"),
             pct(rate),
-            pct(r.fpr()),
-            pct(r.fnr())
+            pct(pair.rates.fpr()),
+            pct(pair.rates.fnr())
         );
         rows.push(Row {
             model: format!("{model:?}"),
             drop_rate: rate,
-            fpr: r.fpr(),
-            fnr: r.fnr(),
+            fpr: pair.rates.fpr(),
+            fnr: pair.rates.fnr(),
         });
     }
     cfg.save_json("ablate_model", &rows);

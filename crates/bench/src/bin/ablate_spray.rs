@@ -19,7 +19,7 @@
 //! random faulty cable is usually invisible to it).
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use fp_netsim::spray::SprayPolicy;
 use serde::Serialize;
 
@@ -50,50 +50,30 @@ fn main() {
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(3, 1));
 
-    let base_for = |policy: SprayPolicy, model: ModelKind, mib: u64| {
-        // The swept variable, pinned per row: `FP_SPRAY` does not reach it.
-        let sim_cfg = fp_netsim::config::SimConfig {
-            spray: policy,
-            ..Default::default()
-        };
-        TrialSpec {
-            leaves: cfg.pick(16, 8),
-            spines: cfg.pick(8, 4),
-            bytes_per_node: mib * 1024 * 1024,
-            iterations: 3,
-            model,
-            sim: sim_cfg,
-            ..cfg.base_spec()
-        }
-    };
-
-    // Specs in serial-harness order: per (policy, size), clean seeds then
-    // fault seeds.
-    let mut specs: Vec<TrialSpec> = Vec::new();
+    let mut cells = Vec::new();
     for (policy, model) in policies {
         for &mib in &sizes_mib {
-            let base = base_for(policy, model, mib);
-            for &s in &clean_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    ..base.clone()
-                });
-            }
-            for &s in &fault_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    fault: Some(FaultSpec {
-                        kind: InjectedFault::Drop { rate: 0.015 },
-                        at_iter: 1,
-                        heal_at_iter: None,
-                        bidirectional: false,
-                    }),
-                    ..base.clone()
-                });
-            }
+            cells.push(Cell {
+                base: TrialSpec {
+                    leaves: cfg.pick(16, 8),
+                    spines: cfg.pick(8, 4),
+                    bytes_per_node: mib * 1024 * 1024,
+                    iterations: 3,
+                    model,
+                    // The swept variable, pinned per row: `FP_SPRAY` does
+                    // not reach it.
+                    sim: fp_netsim::config::SimConfig {
+                        spray: policy,
+                        ..Default::default()
+                    },
+                    ..cfg.base_spec()
+                },
+                faults: vec![drop_fault(0.015, 1)],
+            });
         }
     }
-    let mut results = cfg.run_logged("ablate_spray", &specs).into_iter();
+    let grid = cfg.run_grid("ablate_spray", &cells, &clean_seeds, &fault_seeds);
+    let mut pairs = grid.pairs();
 
     header("A1 — spray backend vs symmetry noise and detection (1.5% drop)");
     println!(
@@ -104,16 +84,8 @@ fn main() {
     let mut rows = Vec::new();
     for (policy, model) in policies {
         for &mib in &sizes_mib {
-            let mut trials = Vec::new();
-            let mut noise: f64 = 0.0;
-            for _ in &clean_seeds {
-                let t = results.next().expect("one result per spec");
-                let (c, _) = flowpulse::eval::split_devs(&t);
-                noise = noise.max(c.iter().cloned().fold(0.0, f64::max));
-                trials.push(t);
-            }
-            trials.extend(results.by_ref().take(fault_seeds.len()));
-            let r = Rates::from_trials(&trials);
+            let pair = pairs.next().expect("one pair per cell");
+            let (r, noise) = (pair.rates, pair.noise_floor);
             let model_name = match model {
                 ModelKind::Analytical => "analytical",
                 ModelKind::Simulation => "simulation",

@@ -155,13 +155,20 @@ fn main() {
         });
     }
 
-    // Controllers are !Send, so each worker builds its trial's controller
-    // inside the closure; determinism is per-spec, not per-thread.
-    let t0 = std::time::Instant::now();
-    let results: Vec<TrialResult> = cfg
-        .campaign()
-        .map(&cases, |case| run_ctrl_trial(&case.spec, case.ctrl));
-    let wall_us_total = t0.elapsed().as_micros() as u64;
+    let ctrl = cases
+        .iter()
+        .map(|c| {
+            let key = format!("{}/{}/{}", c.backend, c.mitigation, c.scenario);
+            (key, c.ctrl.to_value())
+        })
+        .collect();
+    let results = cfg.run_logged(
+        "e11_spray",
+        &cases,
+        |c| &c.spec,
+        |c| run_ctrl_trial(&c.spec, c.ctrl),
+        serde::Value::Map(ctrl),
+    );
     let rows: Vec<Row> = cases
         .iter()
         .zip(&results)
@@ -206,21 +213,6 @@ fn main() {
         );
     }
 
-    let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
-    let ctrl = cases
-        .iter()
-        .map(|c| {
-            let key = format!("{}/{}/{}", c.backend, c.mitigation, c.scenario);
-            (key, c.ctrl.to_value())
-        })
-        .collect();
-    cfg.write_manifest(
-        "e11_spray",
-        &specs,
-        &results,
-        wall_us_total,
-        serde::Value::Map(ctrl),
-    );
     cfg.save_json("e11_spray", &rows);
 
     // The acceptance bar stays up in quick mode: the headline rows are in

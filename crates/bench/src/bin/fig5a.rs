@@ -6,8 +6,9 @@
 //! plus fault-free trials, record each iteration's max relative deviation,
 //! and sweep the detection threshold offline to produce ROC points.
 
+use flowpulse::eval::split_devs;
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,41 +37,17 @@ fn main() {
         ..cfg.base_spec()
     };
 
-    // The whole sweep as one spec list, in the order the serial harness ran
-    // it: clean seeds first, then fault seeds per drop rate. The campaign
-    // executes trials in parallel; aggregation below consumes the results
-    // in input order, so the JSON is byte-identical at any FP_THREADS.
-    let mut specs: Vec<TrialSpec> = Vec::new();
-    for &s in &clean_seeds {
-        specs.push(TrialSpec {
-            seed: s,
-            ..base.clone()
-        });
-    }
-    for &rate in &drop_rates {
-        for &s in &fault_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                fault: Some(FaultSpec {
-                    kind: InjectedFault::Drop { rate },
-                    at_iter: 1,
-                    heal_at_iter: None,
-                    bidirectional: false,
-                }),
-                ..base.clone()
-            });
-        }
-    }
-    let mut results = cfg.run_logged("fig5a", &specs).into_iter();
-
-    // Clean deviations: fault-free trials + pre-fault iterations of fault
-    // trials all contribute.
-    let mut clean_devs: Vec<f64> = Vec::new();
-    for _ in &clean_seeds {
-        let r = results.next().expect("one result per spec");
-        let (c, _) = flowpulse::eval::split_devs(&r);
-        clean_devs.extend(c);
-    }
+    // One cell: the fault-free trials, then each drop rate over the fault
+    // seeds. Every rate is scored against one clean pool: the fault-free
+    // trials plus every fault trial's pre-fault iterations.
+    let cell = Cell {
+        base: base.clone(),
+        faults: drop_rates.iter().map(|&r| drop_fault(r, 1)).collect(),
+    };
+    let grid = cfg.run_grid("fig5a", &[cell], &clean_seeds, &fault_seeds);
+    let pairs: Vec<_> = grid.pairs().collect();
+    let pool = pairs.iter().flat_map(|p| p.faulty).chain(pairs[0].clean);
+    let clean_devs: Vec<f64> = pool.flat_map(|t| split_devs(t).0).collect();
 
     header("Fig 5(a) — ROC");
     println!(
@@ -87,14 +64,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut perfect_at_1pct = Vec::new();
-    for &rate in &drop_rates {
-        let mut faulty_devs = Vec::new();
-        for _ in &fault_seeds {
-            let r = results.next().expect("one result per spec");
-            let (c, f) = flowpulse::eval::split_devs(&r);
-            clean_devs.extend(c);
-            faulty_devs.extend(f);
-        }
+    for (&rate, pair) in drop_rates.iter().zip(&pairs) {
+        let faulty_devs: Vec<f64> = pair.faulty.iter().flat_map(|t| split_devs(t).1).collect();
         let curve = roc_curve(&clean_devs, &faulty_devs, &thresholds);
         println!("\ndrop rate {}:", pct(rate));
         println!("{:>10} {:>8} {:>8}", "threshold", "FPR", "TPR");

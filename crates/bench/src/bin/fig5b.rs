@@ -15,8 +15,9 @@
 //! with radix and pushes both error rates up — "higher radixes are more
 //! challenging".
 
+use flowpulse::eval::split_devs;
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,40 +39,21 @@ fn main() {
     let fault_seeds = seeds(cfg.pick(4, 2));
     let clean_seeds = seeds(cfg.pick(4, 1));
 
-    let base_for = |radix: u32| TrialSpec {
-        leaves: radix,
-        spines: radix / 2,
-        bytes_per_node: cfg.pick(16, 8) * 1024 * 1024,
-        iterations: 3,
-        threshold,
-        ..cfg.base_spec()
-    };
-
-    // Specs in serial-harness order: per radix, clean seeds then fault
-    // seeds. Results are consumed in the same order below.
-    let mut specs: Vec<TrialSpec> = Vec::new();
-    for &radix in &radixes {
-        let base = base_for(radix);
-        for &s in &clean_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                ..base.clone()
-            });
-        }
-        for &s in &fault_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                fault: Some(FaultSpec {
-                    kind: InjectedFault::Drop { rate: drop_rate },
-                    at_iter: 1,
-                    heal_at_iter: None,
-                    bidirectional: false,
-                }),
-                ..base.clone()
-            });
-        }
-    }
-    let mut results = cfg.run_logged("fig5b", &specs).into_iter();
+    let cells: Vec<Cell> = radixes
+        .iter()
+        .map(|&radix| Cell {
+            base: TrialSpec {
+                leaves: radix,
+                spines: radix / 2,
+                bytes_per_node: cfg.pick(16, 8) * 1024 * 1024,
+                iterations: 3,
+                threshold,
+                ..cfg.base_spec()
+            },
+            faults: vec![drop_fault(drop_rate, 1)],
+        })
+        .collect();
+    let grid = cfg.run_grid("fig5b", &cells, &clean_seeds, &fault_seeds);
 
     header("Fig 5(b) — FPR/FNR vs switch radix (drop rate 0.8%)");
     println!(
@@ -79,20 +61,11 @@ fn main() {
         "radix", "leaves", "spines", "FPR", "FNR", "mean dev(flt)"
     );
 
-    let per_radix = clean_seeds.len() + fault_seeds.len();
     let mut rows = Vec::new();
-    for &radix in &radixes {
-        let trials: Vec<TrialResult> = results.by_ref().take(per_radix).collect();
-        let rates = Rates::from_trials(&trials);
-        let faulty_devs: Vec<f64> = trials
-            .iter()
-            .flat_map(|t| flowpulse::eval::split_devs(t).1)
-            .collect();
-        let mean_dev = if faulty_devs.is_empty() {
-            0.0
-        } else {
-            faulty_devs.iter().sum::<f64>() / faulty_devs.len() as f64
-        };
+    for (&radix, pair) in radixes.iter().zip(grid.pairs()) {
+        let rates = pair.rates;
+        let devs: Vec<f64> = pair.faulty.iter().flat_map(|t| split_devs(t).1).collect();
+        let mean_dev = devs.iter().sum::<f64>() / devs.len().max(1) as f64;
         println!(
             "{radix:>6} {:>7} {:>7} {:>8} {:>8} {:>14}",
             radix,

@@ -6,7 +6,7 @@
 //! large ones (the paper notes LLM AllReduces reach GBs) separate cleanly.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,42 +24,21 @@ fn main() {
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(2, 1));
 
-    let base_for = |mib: u64| TrialSpec {
-        leaves: cfg.pick(32, 8),
-        spines: cfg.pick(16, 4),
-        bytes_per_node: mib * 1024 * 1024,
-        iterations: 3,
-        ..cfg.base_spec()
-    };
-
-    // Specs in serial-harness order: per size, the shared clean trials once,
-    // then fault seeds per drop rate. Aggregation below re-creates the
-    // original trial lists (clean results cloned into each rate's batch).
-    let mut specs: Vec<TrialSpec> = Vec::new();
-    for &mib in &sizes_mib {
-        let base = base_for(mib);
-        for &s in &clean_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                ..base.clone()
-            });
-        }
-        for &rate in &drop_rates {
-            for &s in &fault_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    fault: Some(FaultSpec {
-                        kind: InjectedFault::Drop { rate },
-                        at_iter: 1,
-                        heal_at_iter: None,
-                        bidirectional: false,
-                    }),
-                    ..base.clone()
-                });
-            }
-        }
-    }
-    let mut results = cfg.run_logged("fig5c", &specs).into_iter();
+    // Per size, the clean trials once, shared by every drop rate.
+    let cells: Vec<Cell> = sizes_mib
+        .iter()
+        .map(|&mib| Cell {
+            base: TrialSpec {
+                leaves: cfg.pick(32, 8),
+                spines: cfg.pick(16, 4),
+                bytes_per_node: mib * 1024 * 1024,
+                iterations: 3,
+                ..cfg.base_spec()
+            },
+            faults: drop_rates.iter().map(|&r| drop_fault(r, 1)).collect(),
+        })
+        .collect();
+    let grid = cfg.run_grid("fig5c", &cells, &clean_seeds, &fault_seeds);
 
     header("Fig 5(c) — FPR/FNR vs collective size");
     println!(
@@ -68,25 +47,20 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &mib in &sizes_mib {
-        // Clean trials shared across drop rates for this size.
-        let clean_trials: Vec<TrialResult> = results.by_ref().take(clean_seeds.len()).collect();
-        for &rate in &drop_rates {
-            let mut trials = clean_trials.clone();
-            trials.extend(results.by_ref().take(fault_seeds.len()));
-            let r = Rates::from_trials(&trials);
+    for (&mib, pairs) in sizes_mib.iter().zip(grid.cells()) {
+        for (&rate, pair) in drop_rates.iter().zip(pairs) {
             println!(
                 "{:>8}Mi {:>10} {:>8} {:>8}",
                 mib,
                 pct(rate),
-                pct(r.fpr()),
-                pct(r.fnr())
+                pct(pair.rates.fpr()),
+                pct(pair.rates.fnr())
             );
             rows.push(Row {
                 bytes_per_node: mib * 1024 * 1024,
                 drop_rate: rate,
-                fpr: r.fpr(),
-                fnr: r.fnr(),
+                fpr: pair.rates.fpr(),
+                fnr: pair.rates.fnr(),
             });
         }
     }

@@ -69,7 +69,7 @@ fn main() {
     );
     cfg.write_manifest(
         "headline",
-        std::slice::from_ref(&spec),
+        &[&spec],
         std::slice::from_ref(&r),
         wall_us,
         serde::Value::Null,

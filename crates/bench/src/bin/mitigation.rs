@@ -128,14 +128,26 @@ fn main() {
         });
     }
 
-    // Controllers are !Send, so each worker builds its trial's controller
-    // inside the closure; determinism is per-spec, not per-thread.
-    let t0 = std::time::Instant::now();
-    let results: Vec<TrialResult> = cfg.campaign().map(&cases, |case| match case.ctrl {
-        Some(cfg) => run_ctrl_trial(&case.spec, cfg),
-        None => run_trial(&case.spec),
-    });
-    let wall_us_total = t0.elapsed().as_micros() as u64;
+    // With FP_TELEMETRY=dir the campaign manifest carries the controller
+    // sweep: which cells ran closed-loop, with what knobs (Null stays the
+    // controller-less marker).
+    let ctrl = cases
+        .iter()
+        .map(|c| {
+            let cfg = c.ctrl.map_or(serde::Value::Null, |cfg| cfg.to_value());
+            (c.label.clone(), cfg)
+        })
+        .collect();
+    let results = cfg.run_logged(
+        "mitigation",
+        &cases,
+        |c| &c.spec,
+        |case| match case.ctrl {
+            Some(cfg) => run_ctrl_trial(&case.spec, cfg),
+            None => run_trial(&case.spec),
+        },
+        serde::Value::Map(ctrl),
+    );
     let rows: Vec<Row> = cases
         .iter()
         .zip(&results)
@@ -171,24 +183,6 @@ fn main() {
         );
     }
 
-    // With FP_TELEMETRY=dir: the campaign manifest, with the controller
-    // sweep attached — which cells ran closed-loop, with what knobs (Null
-    // stays the controller-less marker).
-    let specs: Vec<TrialSpec> = cases.iter().map(|c| c.spec.clone()).collect();
-    let ctrl = cases
-        .iter()
-        .map(|c| {
-            let cfg = c.ctrl.map_or(serde::Value::Null, |cfg| cfg.to_value());
-            (c.label.clone(), cfg)
-        })
-        .collect();
-    cfg.write_manifest(
-        "mitigation",
-        &specs,
-        &results,
-        wall_us_total,
-        serde::Value::Map(ctrl),
-    );
     cfg.save_json("mitigation", &rows);
 
     if cfg.quick {

@@ -9,7 +9,7 @@
 
 use flowpulse::baselines::SpatialSymmetryDetector;
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,42 +28,23 @@ fn main() {
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(3, 1));
 
-    let base_for = |pre: u32| TrialSpec {
-        leaves: cfg.pick(32, 8),
-        spines: cfg.pick(16, 4),
-        bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
-        preexisting: pre,
-        iterations: 3,
-        ..cfg.base_spec()
-    };
-
-    // Specs in serial-harness order: per pre-existing count, the shared
-    // clean trials, then fault seeds per drop rate.
-    let mut specs: Vec<TrialSpec> = Vec::new();
-    for &pre in &preexisting_counts {
-        let base = base_for(pre);
-        for &s in &clean_seeds {
-            specs.push(TrialSpec {
-                seed: s,
-                ..base.clone()
-            });
-        }
-        for &rate in &drop_rates {
-            for &s in &fault_seeds {
-                specs.push(TrialSpec {
-                    seed: s,
-                    fault: Some(FaultSpec {
-                        kind: InjectedFault::Drop { rate },
-                        at_iter: 1,
-                        heal_at_iter: None,
-                        bidirectional: false,
-                    }),
-                    ..base.clone()
-                });
-            }
-        }
-    }
-    let mut results = cfg.run_logged("preexisting", &specs).into_iter();
+    // Per pre-existing count, the clean trials once, shared by every drop
+    // rate.
+    let cells: Vec<Cell> = preexisting_counts
+        .iter()
+        .map(|&pre| Cell {
+            base: TrialSpec {
+                leaves: cfg.pick(32, 8),
+                spines: cfg.pick(16, 4),
+                bytes_per_node: cfg.pick(32, 8) * 1024 * 1024,
+                preexisting: pre,
+                iterations: 3,
+                ..cfg.base_spec()
+            },
+            faults: drop_rates.iter().map(|&r| drop_fault(r, 1)).collect(),
+        })
+        .collect();
+    let grid = cfg.run_grid("preexisting", &cells, &clean_seeds, &fault_seeds);
 
     header("E6 — new silent faults on top of pre-existing known faults");
     println!(
@@ -72,41 +53,27 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &pre in &preexisting_counts {
-        let clean_trials: Vec<TrialResult> = results.by_ref().take(clean_seeds.len()).collect();
+    for (&pre, pairs) in preexisting_counts.iter().zip(grid.cells()) {
         // Spatial baseline FPR: fraction of *clean* iterations it alarms on.
-        let mut spatial_fp = 0u32;
-        let mut spatial_n = 0u32;
-        for t in &clean_trials {
-            for snap in &t.snapshots {
-                spatial_n += 1;
-                if !SpatialSymmetryDetector.check(&snap.loads()).is_empty() {
-                    spatial_fp += 1;
-                }
-            }
-        }
-        let spatial_fpr = if spatial_n > 0 {
-            spatial_fp as f64 / spatial_n as f64
-        } else {
-            0.0
-        };
+        let snaps: Vec<_> = pairs[0].clean.iter().flat_map(|t| &t.snapshots).collect();
+        let alarmed = snaps
+            .iter()
+            .filter(|s| !SpatialSymmetryDetector.check(&s.loads()).is_empty());
+        let spatial_fpr = alarmed.count() as f64 / snaps.len().max(1) as f64;
 
-        for &rate in &drop_rates {
-            let mut trials = clean_trials.clone();
-            trials.extend(results.by_ref().take(fault_seeds.len()));
-            let r = Rates::from_trials(&trials);
+        for (&rate, pair) in drop_rates.iter().zip(&pairs) {
             println!(
                 "{pre:>6} {:>8} {:>8} {:>8} {:>14}",
                 pct(rate),
-                pct(r.fpr()),
-                pct(r.fnr()),
+                pct(pair.rates.fpr()),
+                pct(pair.rates.fnr()),
                 pct(spatial_fpr)
             );
             rows.push(Row {
                 preexisting: pre,
                 drop_rate: rate,
-                fpr: r.fpr(),
-                fnr: r.fnr(),
+                fpr: pair.rates.fpr(),
+                fnr: pair.rates.fnr(),
                 spatial_baseline_fpr: spatial_fpr,
             });
         }

@@ -13,9 +13,11 @@
 //! The pool size comes from [`RunConfig::threads`] (`FP_THREADS`, falling
 //! back to the machine's available parallelism), so `FP_THREADS=1`
 //! reproduces the serial harness exactly and any other value produces the
-//! same bytes, faster. Binaries build their full spec list up front in the
-//! order the serial code ran trials, call [`Campaign::run`] once, then
-//! aggregate the results walking that same order.
+//! same bytes, faster. Binaries build their full list up front in the
+//! order the serial code ran trials, run it once through
+//! [`RunConfig::run_logged`] (a detection sweep through
+//! [`RunConfig::run_grid`]), then aggregate the results walking that same
+//! order.
 
 use crate::config::RunConfig;
 use flowpulse::prelude::{run_trial, TrialResult, TrialSpec};
@@ -51,16 +53,26 @@ impl Campaign {
 }
 
 impl RunConfig {
-    /// [`Campaign::run`] on the configured pool, plus — when `FP_TELEMETRY`
-    /// is set — a `manifest.json` describing the whole run (configuration,
-    /// specs, seeds, revision, totals) written to `$FP_TELEMETRY/<name>/`.
-    /// The trial results are byte-identical to [`Campaign::run`]: timing
-    /// never feeds back into simulation.
-    pub fn run_logged(&self, name: &str, specs: &[TrialSpec]) -> Vec<TrialResult> {
+    /// `run` over `items` on the configured pool, results in input order,
+    /// plus — when `FP_TELEMETRY` is set — a `manifest.json` describing the
+    /// whole run (configuration, each item's `spec`, seeds, revision,
+    /// totals, and `ctrl`, the controller sweep that rode it or `Null`)
+    /// written to `$FP_TELEMETRY/<name>/`. The trial results are
+    /// byte-identical to a serial run: timing never feeds back into
+    /// simulation. A controller is `!Send`, so `run` builds its own.
+    pub fn run_logged<I: Sync>(
+        &self,
+        name: &str,
+        items: &[I],
+        spec: impl Fn(&I) -> &TrialSpec,
+        run: impl Fn(&I) -> TrialResult + Sync,
+        ctrl: serde::Value,
+    ) -> Vec<TrialResult> {
         let t0 = Instant::now();
-        let results = self.campaign().run(specs);
+        let results = self.campaign().map(items, run);
         let wall_us_total = t0.elapsed().as_micros() as u64;
-        self.write_manifest(name, specs, &results, wall_us_total, serde::Value::Null);
+        let specs: Vec<&TrialSpec> = items.iter().map(spec).collect();
+        self.write_manifest(name, &specs, &results, wall_us_total, ctrl);
         results
     }
 
@@ -72,7 +84,7 @@ impl RunConfig {
     pub fn write_manifest(
         &self,
         name: &str,
-        specs: &[TrialSpec],
+        specs: &[&TrialSpec],
         results: &[TrialResult],
         wall_us_total: u64,
         ctrl: serde::Value,
@@ -80,8 +92,7 @@ impl RunConfig {
         let Some(dir) = &self.telemetry else {
             return;
         };
-        let mut m = campaign_manifest(name, self, specs, results, wall_us_total);
-        m.ctrl = ctrl;
+        let m = campaign_manifest(name, self, specs, results, wall_us_total, ctrl);
         let mdir = dir.join(name);
         match m.write(&mdir) {
             Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
@@ -115,13 +126,14 @@ fn aggregate_memo(results: &[TrialResult]) -> (u64, u64) {
 
 /// Build the self-describing [`fp_telemetry::Manifest`] for one campaign
 /// from the configuration it ran under, its specs, their results (same
-/// order) and the wall-clock the whole campaign took.
+/// order), the wall-clock the whole campaign took and its controller sweep.
 fn campaign_manifest(
     name: &str,
     cfg: &RunConfig,
-    specs: &[TrialSpec],
+    specs: &[&TrialSpec],
     results: &[TrialResult],
     wall_us_total: u64,
+    ctrl: serde::Value,
 ) -> fp_telemetry::Manifest {
     let (sched_kind, sched) = aggregate_sched(results);
     let (memo_hits, memo_replayed_events) = aggregate_memo(results);
@@ -145,7 +157,7 @@ fn campaign_manifest(
         memo_replayed_events,
         sched: sched.to_value(),
         specs: specs.to_value(),
-        ctrl: serde::Value::Null,
+        ctrl,
     }
 }
 
@@ -260,7 +272,14 @@ mod tests {
             },
         ];
         let results = cfg.campaign().run(&specs);
-        let m = campaign_manifest("demo", &cfg, &specs, &results, 1_000_000);
+        let m = campaign_manifest(
+            "demo",
+            &cfg,
+            &[&specs[0], &specs[1]],
+            &results,
+            1_000_000,
+            serde::Value::Null,
+        );
         assert_eq!(m.trials, 2);
         assert!(m.host_parallelism >= 1);
         assert_eq!(m.seeds, vec![7, 8]);

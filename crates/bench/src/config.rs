@@ -116,7 +116,7 @@ impl RunConfig {
     }
 
     /// A worker pool of the configured size.
-    pub fn campaign(&self) -> Campaign {
+    pub(crate) fn campaign(&self) -> Campaign {
         Campaign::with_threads(self.threads)
     }
 

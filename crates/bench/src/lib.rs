@@ -2,20 +2,29 @@
 //!
 //! One binary per paper artifact (see `DESIGN.md` §4 for the index):
 //!
-//! | binary            | artifact                                        |
-//! |-------------------|-------------------------------------------------|
-//! | `fig2`            | Fig. 2 — analytical vs simulated per-port load  |
-//! | `fig3`            | Fig. 3 — learning model heal rebaseline          |
-//! | `fig5a`           | Fig. 5(a) — ROC across thresholds × drop rates  |
-//! | `fig5b`           | Fig. 5(b) — FPR/FNR vs switch radix             |
-//! | `fig5c`           | Fig. 5(c) — FPR/FNR vs collective size          |
-//! | `preexisting`     | §6 — new faults on top of pre-existing ones     |
-//! | `headline`        | abstract — 1.5% drop, 32-leaf fabric, detected  |
-//! | `ablate_spray`    | A1 — spray-policy ablation                      |
-//! | `ablate_jitter`   | A2 — jitter sensitivity                         |
-//! | `ablate_priority` | A3 — measurement prioritization                 |
-//! | `ablate_localize` | A4 — localization accuracy                      |
-//! | `ablate_model`    | prediction-model comparison                     |
+//! | binary                 | artifact                                        |
+//! |------------------------|-------------------------------------------------|
+//! | `fig2`                 | Fig. 2 — analytical vs simulated per-port load  |
+//! | `fig3`                 | Fig. 3 — learning model heal rebaseline         |
+//! | `fig5a`                | Fig. 5(a) — ROC across thresholds × drop rates  |
+//! | `fig5b`                | Fig. 5(b) — FPR/FNR vs switch radix             |
+//! | `fig5c`                | Fig. 5(c) — FPR/FNR vs collective size          |
+//! | `preexisting`          | §6 — new faults on top of pre-existing ones     |
+//! | `headline`             | abstract — 1.5% drop, 32-leaf fabric, detected  |
+//! | `threelevel`           | E8 — 3-level Clos, two-tier monitoring          |
+//! | `mitigation`           | E9 — closed-loop mitigation vs baseline         |
+//! | `monitord_sweep`       | E10 — monitor-service ingest scaling            |
+//! | `e11_spray_mitigation` | E11 — spray backend × mitigation verb           |
+//! | `ablate_spray`         | A1 — spray-policy ablation                      |
+//! | `ablate_jitter`        | A2 — jitter sensitivity                         |
+//! | `ablate_priority`      | A3 — measurement prioritization                 |
+//! | `ablate_localize`      | A4 — localization accuracy                      |
+//! | `ablate_model`         | prediction-model comparison                     |
+//! | `trial`                | one `TrialSpec` read from a JSON file           |
+//!
+//! The detection sweeps (fig5a–c, preexisting, A1, A2, the model
+//! comparison, A4's ring half) each run one [`grid`] of clean and faulty
+//! trials.
 //!
 //! Every binary prints a human-readable table and writes machine-readable
 //! JSON rows under `results/`. Each reads its `FP_*` knobs once, first
@@ -26,9 +35,11 @@
 
 pub mod campaign;
 pub mod config;
+pub mod grid;
 
 pub use campaign::Campaign;
 pub use config::RunConfig;
+pub use grid::{drop_fault, Cell};
 
 /// Print a section header.
 pub fn header(title: &str) {

@@ -2,7 +2,7 @@
 //! change a byte of a sweep's output.
 
 use flowpulse::prelude::*;
-use fp_bench::Campaign;
+use fp_bench::{drop_fault, Campaign, Cell, RunConfig};
 use serde::Serialize;
 
 /// The fields the fig binaries derive their JSON rows from.
@@ -14,34 +14,22 @@ struct Row {
     devs: Vec<(u32, f64)>,
 }
 
+/// One grid cell: two clean seeds, then a 3 % drop over two fault seeds.
+fn cell() -> Cell {
+    Cell {
+        base: TrialSpec {
+            leaves: 4,
+            spines: 2,
+            bytes_per_node: 2 * 1024 * 1024,
+            iterations: 2,
+            ..Default::default()
+        },
+        faults: vec![drop_fault(0.03, 1)],
+    }
+}
+
 fn sweep() -> Vec<TrialSpec> {
-    let base = TrialSpec {
-        leaves: 4,
-        spines: 2,
-        bytes_per_node: 2 * 1024 * 1024,
-        iterations: 2,
-        ..Default::default()
-    };
-    let mut specs = Vec::new();
-    for s in [1u64, 2] {
-        specs.push(TrialSpec {
-            seed: s,
-            ..base.clone()
-        });
-    }
-    for s in [3u64, 4] {
-        specs.push(TrialSpec {
-            seed: s,
-            fault: Some(FaultSpec {
-                kind: InjectedFault::Drop { rate: 0.03 },
-                at_iter: 1,
-                heal_at_iter: None,
-                bidirectional: false,
-            }),
-            ..base.clone()
-        });
-    }
-    specs
+    fp_bench::grid::specs(&[cell()], &[1, 2], &[3, 4])
 }
 
 fn serialize_rows(specs: &[TrialSpec], results: &[TrialResult]) -> String {
@@ -69,6 +57,19 @@ fn campaign_rows_are_byte_identical_across_thread_counts() {
         serialize_rows(&specs, &parallel),
         "FP_THREADS must not change output bytes"
     );
+    // The grid runs the same specs and hands back the same results,
+    // sliced, whatever the pool.
+    for threads in ["1", "4"] {
+        let cfg = RunConfig::from_vars(|k| (k == "FP_THREADS").then(|| threads.into())).unwrap();
+        let grid = cfg.run_grid("determinism", &[cell()], &[1, 2], &[3, 4]);
+        let pair = grid.pairs().next().expect("one pair");
+        let sliced: Vec<TrialResult> = pair.clean.iter().chain(pair.faulty).cloned().collect();
+        assert_eq!(
+            serialize_rows(&specs, &serial),
+            serialize_rows(&specs, &sliced),
+            "FP_THREADS={threads}: the grid must not change output bytes"
+        );
+    }
     // Spot-check the raw per-iteration deviations too, not just the rows.
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.iter_max_dev, b.iter_max_dev);
