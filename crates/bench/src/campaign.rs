@@ -21,7 +21,7 @@
 
 use crate::config::RunConfig;
 use flowpulse::prelude::{run_trial, TrialResult, TrialSpec};
-use fp_netsim::engine::{SchedKind, SchedStats};
+use fp_netsim::engine::SchedStats;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -101,18 +101,14 @@ impl RunConfig {
     }
 }
 
-/// Aggregate scheduler identity and occupancy counters over a campaign's
-/// results (max of high-water marks, sums of traffic counters). The kind is
-/// taken from the first trial; campaigns never mix backends unless a spec
-/// explicitly pins one, in which case the first trial's still describes the
-/// headline run.
-fn aggregate_sched(results: &[TrialResult]) -> (SchedKind, SchedStats) {
-    let kind = results.first().map(|r| r.sched_kind).unwrap_or_default();
+/// Aggregate scheduler occupancy counters over a campaign's results (max
+/// of high-water marks, sums of traffic counters).
+fn aggregate_sched(results: &[TrialResult]) -> SchedStats {
     let mut agg = SchedStats::default();
     for r in results {
         agg.merge(&r.sched);
     }
-    (kind, agg)
+    agg
 }
 
 /// Aggregate temporal-symmetry memoization accounting over a campaign's
@@ -135,7 +131,7 @@ fn campaign_manifest(
     wall_us_total: u64,
     ctrl: serde::Value,
 ) -> fp_telemetry::Manifest {
-    let (sched_kind, sched) = aggregate_sched(results);
+    let sched = aggregate_sched(results);
     let (memo_hits, memo_replayed_events) = aggregate_memo(results);
     let events_total: u64 = results.iter().map(|r| r.stats.events).sum();
     fp_telemetry::Manifest {
@@ -152,7 +148,6 @@ fn campaign_manifest(
         } else {
             events_total as f64 * 1e6 / wall_us_total as f64
         },
-        scheduler: sched_kind.name().to_string(),
         memo_hits,
         memo_replayed_events,
         sched: sched.to_value(),
@@ -254,7 +249,7 @@ mod tests {
             _ => None,
         })
         .unwrap();
-        let mut spec = TrialSpec {
+        let spec = TrialSpec {
             leaves: 4,
             spines: 2,
             bytes_per_node: 64 * 1024,
@@ -263,7 +258,6 @@ mod tests {
             memo: Some(true),
             ..cfg.base_spec()
         };
-        spec.sim.sched = Some(SchedKind::Wheel);
         let specs = vec![
             spec.clone(),
             TrialSpec {
@@ -287,7 +281,6 @@ mod tests {
         assert_eq!(m.events_total, events);
         // 1 s of campaign wall: events/s is the event total.
         assert!((m.events_per_sec - events as f64).abs() < 1e-6);
-        assert_eq!(m.scheduler, "wheel");
         assert_eq!((m.memo_hits, m.memo_replayed_events), (0, 0));
         // Slot-occupancy stats are embedded as a map.
         let max_pending = results.iter().map(|r| r.sched.max_pending).max();
@@ -331,17 +324,11 @@ mod tests {
             iterations: 1,
             ..TrialSpec::default()
         };
-        let mut wheel_spec = spec.clone();
-        wheel_spec.sim.sched = Some(SchedKind::Wheel);
-        let results = vec![run_trial(&wheel_spec), run_trial(&wheel_spec)];
-        let (kind, agg) = aggregate_sched(&results);
-        assert_eq!(kind, SchedKind::Wheel);
+        let results = vec![run_trial(&spec), run_trial(&spec)];
+        let agg = aggregate_sched(&results);
         let one = results[0].sched;
         assert!(agg.max_pending >= one.max_pending);
-        assert_eq!(
-            agg.level_pushes.iter().sum::<u64>(),
-            2 * one.level_pushes.iter().sum::<u64>()
-        );
+        assert_eq!(agg.class_pushes, 2 * one.class_pushes);
     }
 
     #[test]

@@ -145,60 +145,67 @@ fn attached_recorder_never_changes_sweep_bytes() {
     }
 }
 
+/// `SimConfig::sched` is inert: pinned to the wheel (as every `benchmark/`
+/// spec is), to the heap or left unset, a trial runs the same engine — a
+/// jittered drop fault at `sweep_small`'s size, and a LeastLoaded trial
+/// that memo replays.
 #[test]
-fn heap_and_wheel_schedulers_are_byte_identical() {
-    // The headline spec (quick scale) run once per scheduler backend: the
-    // event queue is an implementation detail, so every serialized row —
-    // and the raw engine accounting — must match byte for byte.
+fn scheduler_setting_is_inert() {
     use fp_netsim::engine::SchedKind;
-    let spec_for = |kind: SchedKind| TrialSpec {
+    use fp_netsim::spray::SprayPolicy;
+    let faulted = TrialSpec {
         leaves: 8,
         spines: 4,
-        bytes_per_node: 8 * 1024 * 1024,
+        bytes_per_node: 2 * 1024 * 1024,
         iterations: 3,
         fault: Some(FaultSpec {
-            kind: InjectedFault::Drop { rate: 0.015 },
+            kind: InjectedFault::Drop { rate: 0.02 },
             at_iter: 1,
             heal_at_iter: None,
             bidirectional: false,
         }),
         seed: 2025,
-        sim: fp_netsim::config::SimConfig {
-            sched: Some(kind),
-            ..Default::default()
-        },
         ..Default::default()
     };
-    let heap_specs = vec![spec_for(SchedKind::Heap)];
-    let wheel_specs = vec![spec_for(SchedKind::Wheel)];
-    let heap = Campaign::with_threads(2).run(&heap_specs);
-    let wheel = Campaign::with_threads(2).run(&wheel_specs);
-    assert_eq!(heap[0].sched_kind, SchedKind::Heap);
-    assert_eq!(wheel[0].sched_kind, SchedKind::Wheel);
-    assert_eq!(
-        serialize_rows(&heap_specs, &heap),
-        serialize_rows(&wheel_specs, &wheel),
-        "the scheduler backend must not change output bytes"
-    );
-    for (a, b) in heap.iter().zip(&wheel) {
-        assert_eq!(a.iter_max_dev, b.iter_max_dev);
-        assert_eq!(a.fault_port, b.fault_port);
-        assert_eq!(a.alarms, b.alarms);
-        assert_eq!(a.stats.events, b.stats.events);
-        assert_eq!(a.stats.pkts_txed, b.stats.pkts_txed);
-        assert_eq!(a.stats.retransmits, b.stats.retransmits);
+    let mut replayed = TrialSpec {
+        leaves: 8,
+        spines: 4,
+        bytes_per_node: 256 * 1024,
+        iterations: 12,
+        jitter: fp_collectives::jitter::JitterModel::None,
+        seed: 7,
+        memo: Some(true),
+        ..Default::default()
+    };
+    replayed.sim.spray = SprayPolicy::LeastLoaded;
+    let seen = |r: &TrialResult| {
+        let trace: Vec<String> = r.trace.records().map(|t| format!("{t:?}")).collect();
+        let debug = format!("{:?} {:?}", r.stats, r.alarms);
+        (debug, r.iter_max_dev.clone(), trace, r.sched)
+    };
+    for spec in [faulted, replayed] {
+        let runs: Vec<TrialResult> = [Some(SchedKind::Wheel), Some(SchedKind::Heap), None]
+            .into_iter()
+            .map(|sched| {
+                let mut spec = spec.clone();
+                spec.sim.sched = sched;
+                run_trial(&spec)
+            })
+            .collect();
+        assert_eq!(runs[0].memo_hits > 0, spec.memo == Some(true), "memo");
+        for r in &runs[1..] {
+            assert_eq!(seen(r), seen(&runs[0]), "seed {}", spec.seed);
+        }
     }
 }
 
 /// The spray-engine refactor contract: swapping the closed `SprayPolicy`
 /// dispatch for the pluggable `Sprayer` trait must not move a single
 /// byte of the default backend's output. These digests were recorded on
-/// the enum-dispatch build immediately before the trait landed; every
-/// value is pinned for both scheduler backends.
+/// the enum-dispatch build immediately before the trait landed.
 #[test]
 fn trait_refactor_preserves_pinned_adaptive_digest() {
-    use fp_netsim::engine::SchedKind;
-    let spec_for = |kind: SchedKind| TrialSpec {
+    let r = run_trial(&TrialSpec {
         leaves: 8,
         spines: 4,
         bytes_per_node: 8 * 1024 * 1024,
@@ -210,30 +217,22 @@ fn trait_refactor_preserves_pinned_adaptive_digest() {
             bidirectional: false,
         }),
         seed: 2025,
-        sim: fp_netsim::config::SimConfig {
-            sched: Some(kind),
-            ..Default::default()
-        },
         ..Default::default()
-    };
-    for kind in [SchedKind::Heap, SchedKind::Wheel] {
-        let r = run_trial(&spec_for(kind));
-        assert_eq!(r.sched_kind, kind);
-        assert_eq!(r.stats.events, 819_681, "{kind:?}: event count moved");
-        assert_eq!(r.stats.data_pkts_sent, 86_016, "{kind:?}");
-        assert_eq!(r.stats.retransmits, 26, "{kind:?}");
-        assert_eq!(r.stats.silent_drops(), 31, "{kind:?}");
-        assert!(r.detected, "{kind:?}: pinned run no longer detects");
-        assert_eq!(
-            r.iter_max_dev,
-            vec![
-                (0, 0.002232142857142857),
-                (1, 0.012276785714285714),
-                (2, 0.010044642857142858),
-            ],
-            "{kind:?}: deviation trajectory moved"
-        );
-    }
+    });
+    assert_eq!(r.stats.events, 819_681, "event count moved");
+    assert_eq!(r.stats.data_pkts_sent, 86_016);
+    assert_eq!(r.stats.retransmits, 26);
+    assert_eq!(r.stats.silent_drops(), 31);
+    assert!(r.detected, "pinned run no longer detects");
+    assert_eq!(
+        r.iter_max_dev,
+        vec![
+            (0, 0.002232142857142857),
+            (1, 0.012276785714285714),
+            (2, 0.010044642857142858),
+        ],
+        "deviation trajectory moved"
+    );
 }
 
 #[test]

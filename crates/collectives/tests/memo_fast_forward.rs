@@ -9,7 +9,6 @@
 use fp_collectives::ring::ring_allreduce;
 use fp_collectives::runner::{CollectiveRunner, RunnerConfig};
 use fp_netsim::config::SimConfig;
-use fp_netsim::engine::SchedKind;
 use fp_netsim::ids::HostId;
 use fp_netsim::sim::{RunSummary, Simulator};
 use fp_netsim::spray::SprayPolicy;
@@ -20,7 +19,7 @@ fn hosts(n: u32) -> Vec<HostId> {
     (0..n).map(HostId).collect()
 }
 
-fn run(memo: bool, sched: SchedKind, iters: u32) -> (Simulator, RunSummary) {
+fn run(memo: bool, iters: u32) -> (Simulator, RunSummary) {
     let topo = Topology::fat_tree(FatTreeSpec {
         leaves: 4,
         spines: 2,
@@ -30,7 +29,6 @@ fn run(memo: bool, sched: SchedKind, iters: u32) -> (Simulator, RunSummary) {
     // decay is anchored to an absolute tau grid, so the boundary-relative
     // state never repeats. LeastLoaded is deterministic and periodic.
     let cfg = SimConfig {
-        sched: Some(sched),
         spray: SprayPolicy::LeastLoaded,
         ..Default::default()
     };
@@ -101,9 +99,9 @@ fn assert_equivalent(live: &(Simulator, RunSummary), memo: &(Simulator, RunSumma
 }
 
 #[test]
-fn memoized_run_is_byte_identical_and_actually_replays_heap() {
-    let live = run(false, SchedKind::Heap, 12);
-    let memo = run(true, SchedKind::Heap, 12);
+fn memoized_run_is_byte_identical_and_actually_replays() {
+    let live = run(false, 12);
+    let memo = run(true, 12);
     assert_equivalent(&live, &memo);
     let c = memo.0.memo_counters().expect("memo enabled");
     assert!(
@@ -118,20 +116,7 @@ fn memoized_run_is_byte_identical_and_actually_replays_heap() {
 }
 
 #[test]
-fn memoized_run_is_byte_identical_on_wheel() {
-    let live = run(false, SchedKind::Wheel, 12);
-    let memo = run(true, SchedKind::Wheel, 12);
-    assert_equivalent(&live, &memo);
-    let c = memo.0.memo_counters().expect("memo enabled");
-    assert!(
-        c.hits > 0,
-        "no fast-forward fired: fallback={:?}",
-        c.fallback
-    );
-}
-
-#[test]
 fn live_run_without_enable_reports_no_counters() {
-    let (sim, _) = run(false, SchedKind::Heap, 3);
+    let (sim, _) = run(false, 3);
     assert!(sim.memo_counters().is_none());
 }

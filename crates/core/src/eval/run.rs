@@ -17,7 +17,7 @@ use fp_collectives::schedule::Schedule;
 use fp_netsim::app::{Application, MultiApp};
 use fp_netsim::config::SimConfig;
 use fp_netsim::counters::CounterStore;
-use fp_netsim::engine::{SchedKind, SchedStats};
+use fp_netsim::engine::SchedStats;
 use fp_netsim::fault::{FaultAction, FaultKind};
 use fp_netsim::ids::LinkId;
 use fp_netsim::rng::splitmix64;
@@ -100,8 +100,6 @@ pub struct RawRun {
     pub stats: Stats,
     /// The exceptional-event trace.
     pub trace: TraceBuffer,
-    /// Which scheduler ran.
-    pub sched_kind: SchedKind,
     /// The scheduler's own counters.
     pub sched: SchedStats,
     /// Fast-forward accounting (`fallback`: why a memo request ran live).
@@ -321,7 +319,6 @@ impl Scenario {
             spans: sim.iter_spans().to_vec(),
             stats: sim.stats.clone(),
             trace: std::mem::replace(&mut sim.trace, TraceBuffer::new(0)),
-            sched_kind: sim.sched_kind(),
             sched: sim.sched_stats(),
             memo,
             ctrl: controller.map(|c| c.borrow().summary()),

@@ -130,10 +130,8 @@ pub struct TrialResult {
     pub trace: fp_netsim::trace::TraceBuffer,
     /// The model prediction (`None` for learned until formed).
     pub predicted: Option<PortLoads>,
-    /// Which event-scheduler backend ran the trial (telemetry only; result
-    /// rows never serialize this, so heap/wheel runs stay byte-identical).
-    pub sched_kind: fp_netsim::engine::SchedKind,
-    /// Scheduler occupancy counters (telemetry only, like `sched_kind`).
+    /// Scheduler occupancy counters (telemetry only; result rows never
+    /// serialize them).
     pub sched: fp_netsim::engine::SchedStats,
     /// Per-iteration goodput `(iter, bits/sec)` of the measured job, from
     /// the engine's always-on span log: schedule bytes over iteration span.
@@ -215,7 +213,6 @@ pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun) -> TrialResul
         stats: raw.stats,
         trace: raw.trace,
         predicted: placed.predicted,
-        sched_kind: raw.sched_kind,
         sched: raw.sched,
         shard_windows: 0,
         shard_syncs: 0,
@@ -623,7 +620,6 @@ mod tests {
                 .collect(),
             stats: Stats::default(),
             trace: fp_netsim::trace::TraceBuffer::new(0),
-            sched_kind: Default::default(),
             sched: Default::default(),
             memo: Default::default(),
             ctrl: None,

@@ -1,7 +1,7 @@
 //! Lockstep property: a trial with temporal-symmetry fast-forward enabled
 //! (`TrialSpec::memo`) is byte-identical to the same trial run fully live,
-//! across random fault schedules, both scheduler backends and both
-//! memo-eligible and -ineligible spray policies. The only permitted
+//! across random fault schedules and both memo-eligible and -ineligible
+//! spray policies. The only permitted
 //! divergence is the `MemoFastForward` trace records themselves (and the
 //! trace's offered count, which includes them). Debug builds additionally
 //! re-snapshot after every replay inside the engine, so each proptest case
@@ -11,7 +11,6 @@
 use flowpulse::eval::{memo_ineligibility, run_trial_ctl, TrialController};
 use flowpulse::prelude::*;
 use fp_collectives::jitter::JitterModel;
-use fp_netsim::engine::SchedKind;
 use fp_netsim::spray::SprayPolicy;
 use fp_netsim::time::SimDuration;
 use fp_netsim::trace::TraceEvent;
@@ -19,7 +18,7 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn base_spec(seed: u64, iterations: u32, wheel: bool, least_loaded: bool) -> TrialSpec {
+fn base_spec(seed: u64, iterations: u32, least_loaded: bool) -> TrialSpec {
     let mut spec = TrialSpec {
         leaves: 8,
         spines: 4,
@@ -29,11 +28,6 @@ fn base_spec(seed: u64, iterations: u32, wheel: bool, least_loaded: bool) -> Tri
         seed,
         ..Default::default()
     };
-    spec.sim.sched = Some(if wheel {
-        SchedKind::Wheel
-    } else {
-        SchedKind::Heap
-    });
     if least_loaded {
         spec.sim.spray = SprayPolicy::LeastLoaded;
     }
@@ -50,9 +44,8 @@ fn trace_without_memo(r: &TrialResult) -> Vec<String> {
         .collect()
 }
 
-/// Everything observable must match; `sched`/`sched_kind` are telemetry
-/// (absolute-time wheel placement diagnostics are approximated on replay
-/// and documented as such), and the memo counters differ by design.
+/// Everything observable must match; `sched` is telemetry (replay does
+/// not move its `max_pending`), and the memo counters differ by design.
 fn assert_lockstep(off: &TrialResult, on: &TrialResult) {
     assert_eq!(off.iter_max_dev, on.iter_max_dev, "iter_max_dev");
     assert_eq!(format!("{:?}", off.alarms), format!("{:?}", on.alarms));
@@ -94,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random fault schedules: kind, onset, optional heal, direction —
-    /// plus scheduler backend and spray policy. Memoized and live runs
+    /// plus spray policy. Memoized and live runs
     /// must agree on every observable artifact, whether the boundary
     /// chain hits (fault-free tails), is barred (onset/heal barriers) or
     /// is refused outright (adaptive spray, active fault windows).
@@ -104,14 +97,13 @@ proptest! {
     fn memo_lockstep_random_fault_schedules(
         seed in 0u64..u64::MAX,
         iterations in 10u32..14,
-        wheel in 0u8..2,
         least_loaded in 0u8..2,
         fault_kind in 0u8..4,
         at_iter in 2u32..6,
         heal_after in 0u32..5,
         bidirectional in 0u8..2,
     ) {
-        let mut spec = base_spec(seed, iterations, wheel == 1, least_loaded == 1);
+        let mut spec = base_spec(seed, iterations, least_loaded == 1);
         if fault_kind > 0 {
             spec.fault = Some(FaultSpec {
                 kind: match fault_kind {
@@ -135,7 +127,7 @@ proptest! {
 /// staying byte-identical — the quickstart-path guarantee.
 #[test]
 fn fault_free_run_replays_and_matches() {
-    let spec = base_spec(7, 12, false, true);
+    let spec = base_spec(7, 12, true);
     let (off, on) = run_pair(&spec);
     assert_lockstep(&off, &on);
     assert!(
@@ -157,7 +149,7 @@ fn fault_free_run_replays_and_matches() {
 /// post-heal tail — all byte-identical.
 #[test]
 fn transient_fault_reconverges_after_heal() {
-    let mut spec = base_spec(11, 18, false, true);
+    let mut spec = base_spec(11, 18, true);
     spec.fault = Some(FaultSpec {
         kind: InjectedFault::Drop { rate: 0.03 },
         at_iter: 3,
@@ -174,29 +166,13 @@ fn transient_fault_reconverges_after_heal() {
     );
 }
 
-/// Wheel backend, same transient schedule: replay must be byte-identical
-/// on `SchedKind::Wheel` too.
-#[test]
-fn transient_fault_reconverges_on_wheel() {
-    let mut spec = base_spec(11, 18, true, true);
-    spec.fault = Some(FaultSpec {
-        kind: InjectedFault::Drop { rate: 0.03 },
-        at_iter: 3,
-        heal_at_iter: Some(5),
-        bidirectional: false,
-    });
-    let (off, on) = run_pair(&spec);
-    assert_lockstep(&off, &on);
-    assert!(on.memo_hits > 0, "fallback: {:?}", on.memo_fallback);
-}
-
 /// The hash backends of the spray engine are memo-eligible: ECMP is
 /// stateless and a clean PRIME run has no congestion epochs, so both
 /// fingerprint cleanly and the steady state fast-forwards byte-identically.
 #[test]
 fn ecmp_and_clean_prime_fast_forward_and_match() {
     for policy in [SprayPolicy::Ecmp, SprayPolicy::Prime] {
-        let mut spec = base_spec(7, 12, false, false);
+        let mut spec = base_spec(7, 12, false);
         spec.sim.spray = policy;
         let (off, on) = run_pair(&spec);
         assert_lockstep(&off, &on);
@@ -215,7 +191,7 @@ fn ecmp_and_clean_prime_fast_forward_and_match() {
 #[test]
 fn reps_refuses_memo_with_residual_reason() {
     for policy in [SprayPolicy::Reps, SprayPolicy::RepsFailover] {
-        let mut spec = base_spec(7, 12, false, false);
+        let mut spec = base_spec(7, 12, false);
         spec.sim.spray = policy;
         let (off, on) = run_pair(&spec);
         assert_lockstep(&off, &on);
@@ -241,7 +217,7 @@ impl TrialController for NoopController {
 #[test]
 fn gate_refuses_with_reasons() {
     // Controller active: the harness refuses before enabling.
-    let mut spec = base_spec(3, 8, false, true);
+    let mut spec = base_spec(3, 8, true);
     spec.memo = Some(true);
     let ctl: Rc<RefCell<dyn TrialController>> = Rc::new(RefCell::new(NoopController));
     let (r, _) = run_trial_ctl(&spec, None, Some(ctl));
@@ -250,7 +226,7 @@ fn gate_refuses_with_reasons() {
     assert!(reason.contains("controller"), "reason: {reason}");
 
     // Start jitter: refused by the harness gate.
-    let mut spec = base_spec(3, 8, false, true);
+    let mut spec = base_spec(3, 8, true);
     spec.jitter = JitterModel::Uniform {
         max: SimDuration::from_us(1),
     };
@@ -262,7 +238,7 @@ fn gate_refuses_with_reasons() {
 
     // Adaptive spray (the default): the engine refuses at enable time
     // (absolute-grid deficit decay), surfaced through the same field.
-    let spec = base_spec(3, 8, false, false);
+    let spec = base_spec(3, 8, false);
     let (off, on) = run_pair(&spec);
     assert_lockstep(&off, &on);
     assert_eq!(on.memo_hits, 0);
@@ -270,7 +246,7 @@ fn gate_refuses_with_reasons() {
     assert!(reason.contains("adaptive"), "reason: {reason}");
 
     // The pure gate function, for the ineligibility table in DESIGN.md.
-    let eligible = base_spec(3, 8, false, true);
+    let eligible = base_spec(3, 8, true);
     assert_eq!(memo_ineligibility(eligible.jitter, false, false), None);
     assert!(memo_ineligibility(eligible.jitter, true, false).is_some());
     assert!(memo_ineligibility(eligible.jitter, false, true).is_some());
@@ -298,14 +274,13 @@ fn replay_shifts_pending_delay_class_entries() {
     /// armed, flows holding an unflushed partial ACK block).
     type Seen = Rc<RefCell<Vec<(u64, u64, usize)>>>;
 
-    fn run(memo: bool, sched: SchedKind) -> (Simulator, Seen) {
+    fn run(memo: bool) -> (Simulator, Seen) {
         let topo = Topology::fat_tree(FatTreeSpec {
             leaves: 8,
             spines: 4,
             ..Default::default()
         });
         let cfg = SimConfig {
-            sched: Some(sched),
             spray: SprayPolicy::LeastLoaded,
             ..Default::default()
         };
@@ -344,47 +319,45 @@ fn replay_shifts_pending_delay_class_entries() {
         (sim, seen)
     }
 
-    for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let (live, live_seen) = run(false, sched);
-        let (memo, memo_seen) = run(true, sched);
-        for &(class_pending, heads, unflushed) in live_seen.borrow().iter() {
-            assert!(unflushed > 0, "no ACK flush timer armed at a boundary");
-            assert!(class_pending >= unflushed as u64, "one flush timer each");
-            assert!(heads > 0, "no flow's RTO timer armed at a boundary");
-        }
-        let mc = memo.memo_counters().expect("memo armed");
-        assert!(mc.hits > 0, "never fast-forwarded: {:?}", mc.fallback);
-        // Matched boundaries are live ones: the hook saw them.
-        assert!(memo_seen.borrow().len() < live_seen.borrow().len());
-        let n = memo_seen.borrow().len();
-        assert_eq!(memo_seen.borrow()[..3], live_seen.borrow()[..3]);
-        assert_eq!(
-            memo_seen.borrow()[n - 1],
-            *live_seen.borrow().last().unwrap()
-        );
-
-        assert_eq!(live.now(), memo.now(), "end time");
-        assert_eq!(format!("{:?}", live.stats), format!("{:?}", memo.stats));
-        // Entry by entry: the store's own `Debug` walks a hash index.
-        assert_eq!(live.counters.keys(), memo.counters.keys());
-        for (job, iter) in live.counters.keys() {
-            assert_eq!(
-                format!("{:?}", live.counters.get(job, iter)),
-                format!("{:?}", memo.counters.get(job, iter)),
-                "counters of iteration {iter}"
-            );
-        }
-        assert_eq!(live.iter_spans(), memo.iter_spans());
-        // Pushes and pops are exact on replay, per container.
-        let (ls, ms) = (live.sched_stats(), memo.sched_stats());
-        assert_eq!(
-            (ls.pushes, ls.pops, ls.class_pushes, ls.class_pops),
-            (ms.pushes, ms.pops, ms.class_pushes, ms.class_pops)
-        );
-        assert_eq!((ls.head_arms, ls.head_pops), (ms.head_arms, ms.head_pops));
-        assert_eq!(ms.class_pushes, ms.class_pops, "drained");
-        assert_eq!(ms.head_arms, ms.head_pops, "drained");
-        // The scheduler saw only the runner's per-host start wake-ups.
-        assert_eq!(ms.pushes, 14 * 8);
+    let (live, live_seen) = run(false);
+    let (memo, memo_seen) = run(true);
+    for &(class_pending, heads, unflushed) in live_seen.borrow().iter() {
+        assert!(unflushed > 0, "no ACK flush timer armed at a boundary");
+        assert!(class_pending >= unflushed as u64, "one flush timer each");
+        assert!(heads > 0, "no flow's RTO timer armed at a boundary");
     }
+    let mc = memo.memo_counters().expect("memo armed");
+    assert!(mc.hits > 0, "never fast-forwarded: {:?}", mc.fallback);
+    // Matched boundaries are live ones: the hook saw them.
+    assert!(memo_seen.borrow().len() < live_seen.borrow().len());
+    let n = memo_seen.borrow().len();
+    assert_eq!(memo_seen.borrow()[..3], live_seen.borrow()[..3]);
+    assert_eq!(
+        memo_seen.borrow()[n - 1],
+        *live_seen.borrow().last().unwrap()
+    );
+
+    assert_eq!(live.now(), memo.now(), "end time");
+    assert_eq!(format!("{:?}", live.stats), format!("{:?}", memo.stats));
+    // Entry by entry: the store's own `Debug` walks a hash index.
+    assert_eq!(live.counters.keys(), memo.counters.keys());
+    for (job, iter) in live.counters.keys() {
+        assert_eq!(
+            format!("{:?}", live.counters.get(job, iter)),
+            format!("{:?}", memo.counters.get(job, iter)),
+            "counters of iteration {iter}"
+        );
+    }
+    assert_eq!(live.iter_spans(), memo.iter_spans());
+    // Pushes and pops are exact on replay, per container.
+    let (ls, ms) = (live.sched_stats(), memo.sched_stats());
+    assert_eq!(
+        (ls.pushes, ls.pops, ls.class_pushes, ls.class_pops),
+        (ms.pushes, ms.pops, ms.class_pushes, ms.class_pops)
+    );
+    assert_eq!((ls.head_arms, ls.head_pops), (ms.head_arms, ms.head_pops));
+    assert_eq!(ms.class_pushes, ms.class_pops, "drained");
+    assert_eq!(ms.head_arms, ms.head_pops, "drained");
+    // The scheduler saw only the runner's per-host start wake-ups.
+    assert_eq!(ms.pushes, 14 * 8);
 }

@@ -78,9 +78,8 @@ pub struct SimConfig {
     pub pfc: PfcConfig,
     /// Hard safety limit on processed events (guards runaway configs).
     pub max_events: u64,
-    /// Future-event scheduler backend. `None` (the default, and what specs
-    /// that predate the field deserialize to) means the timing wheel; the
-    /// choice never affects results, only speed.
+    /// Inert: kept because `benchmark/` and older specs set it; every value
+    /// runs the one binary heap of [`crate::engine`].
     pub sched: Option<SchedKind>,
 }
 

@@ -29,7 +29,6 @@ use std::rc::Rc;
 /// midway — plus the engine variant to run it on.
 #[derive(Copy, Clone, Debug)]
 pub(super) struct Scenario {
-    pub sched: SchedKind,
     /// Delay-class bound (see `Agenda::set_class_bound`).
     pub bound: usize,
     /// Run every enqueue down the queued route (the engine before the
@@ -76,7 +75,6 @@ impl Scenario {
     /// The shape the class-bound test has always generated.
     pub fn basic(seed: u64, leaves: u32, spines: u32, msgs: usize, fault_sel: u32) -> Scenario {
         Scenario {
-            sched: SchedKind::Wheel,
             bound: MAX_DELAY_CLASSES,
             queued_route_only: false,
             per_segment_rto: false,
@@ -241,7 +239,6 @@ pub(super) fn run_sim(sc: Scenario) -> (Simulator, Outcome, Traffic) {
     let n_links = topo.n_links() as u32;
     let n_hosts = topo.n_hosts() as u32;
     let cfg = SimConfig {
-        sched: Some(sc.sched),
         spray: sc.spray,
         spray_tau: sc.spray_tau,
         rto_max_attempts: sc.rto_max_attempts,
@@ -376,7 +373,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn class_bound_and_backend_never_change_results(
+    fn class_bound_never_changes_results(
         seed in 0u64..1 << 48,
         leaves in 2u32..6,
         spines in 1u32..4,
@@ -384,27 +381,24 @@ proptest! {
         fault_sel in 0u32..5,
         pfc_sel in 0u32..2,
     ) {
-        let go = |sched, bound| run(Scenario {
-            sched,
+        let go = |bound| run(Scenario {
             bound,
             pfc_sel,
             ..Scenario::basic(seed, leaves, spines, msgs, fault_sel)
         });
-        let (want, all) = go(SchedKind::Wheel, 0);
+        let (want, all) = go(0);
         prop_assert_eq!(all.class_pushes, 0, "bound 0 must keep every event in the scheduler");
-        for sched in [SchedKind::Heap, SchedKind::Wheel] {
-            for bound in [0, 2, MAX_DELAY_CLASSES] {
-                let (got, t) = go(sched, bound);
-                prop_assert_eq!(&got, &want, "diverged at {:?} bound {}", sched, bound);
-                // Events only move between containers; none is elided.
-                prop_assert_eq!(t.pushes + t.class_pushes, all.pushes);
-                prop_assert!(t.classes <= bound);
-                if bound == 2 {
-                    // TxDone of a data packet, TxDone of an ACK, the RTO
-                    // and the ACK flush are four delays already.
-                    prop_assert_eq!(t.classes, 2);
-                    prop_assert!(t.pushes > 2, "nothing overflowed at bound 2");
-                }
+        for bound in [2, MAX_DELAY_CLASSES] {
+            let (got, t) = go(bound);
+            prop_assert_eq!(&got, &want, "diverged at bound {}", bound);
+            // Events only move between containers; none is elided.
+            prop_assert_eq!(t.pushes + t.class_pushes, all.pushes);
+            prop_assert!(t.classes <= bound);
+            if bound == 2 {
+                // TxDone of a data packet, TxDone of an ACK, the RTO
+                // and the ACK flush are four delays already.
+                prop_assert_eq!(t.classes, 2);
+                prop_assert!(t.pushes > 2, "nothing overflowed at bound 2");
             }
         }
     }

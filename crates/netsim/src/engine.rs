@@ -1,18 +1,14 @@
-//! The discrete-event core: deterministic future-event schedulers.
+//! The discrete-event core: the deterministic future-event list.
 //!
-//! Two interchangeable backends implement the [`Scheduler`] trait: the
-//! original binary min-heap ([`EventHeap`]) and the hierarchical timing
-//! wheel ([`TimingWheel`], the default — see [`crate::wheel`]). Events at
-//! equal timestamps are processed in insertion order (a per-scheduler
-//! sequence number breaks ties), so runs are bit-for-bit reproducible for a
-//! given seed regardless of platform *and of scheduler backend*. The
-//! backend is chosen per simulator via [`SchedKind`]
-//! ([`crate::config::SimConfig::sched`]).
+//! [`EventQueue`] is a binary min-heap. Events at equal timestamps are
+//! processed in insertion order (a sequence number breaks ties), so runs
+//! are bit-for-bit reproducible for a given seed regardless of platform.
+//! Most pending events never reach it: packets and constant-delay timers
+//! wait in the agenda's pipes ([`crate::pipeline`]).
 
 use crate::ids::{HostId, LinkId};
 use crate::packet::FlowId;
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -104,75 +100,51 @@ impl EventKind {
     }
 }
 
-// Scheduler entries are moved into slot buckets and copied again on every
-// timing-wheel cascade, so growing `EventKind` silently taxes the hottest
-// path in the simulator. Deliveries — which used to carry the 64-byte
-// `Packet` by value — no longer exist as scheduler events at all: packets
-// ride per-link FIFO pipelines (`crate::pipeline`) and only tiny timer /
-// control events go through the wheel or heap. The largest variants today
-// are `Wake` (tag, host and the 8-byte token) and `Rto` (tag + three
-// `u32`s): two words, which is also what a delay-class pipe entry packs an
-// event into (`crate::pipeline`). If a variant ever needs more, box its
-// payload instead of raising this.
+// Scheduler entries are moved on every sift of the heap, so growing
+// `EventKind` silently taxes every push and pop. Deliveries — which used
+// to carry the 64-byte `Packet` by value — no longer exist as scheduler
+// events at all: packets ride per-link FIFO pipelines (`crate::pipeline`)
+// and only tiny timer / control events go through the heap. The largest
+// variants today are `Wake` (tag, host and the 8-byte token) and `Rto`
+// (tag + three `u32`s): two words, which is also what a delay-class pipe
+// entry packs an event into (`crate::pipeline`). If a variant ever needs
+// more, box its payload instead of raising this.
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
 
-/// Which future-event scheduler backs a simulator.
-#[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug, Default)]
+/// Inert: kept because `benchmark/` pins it; every value runs the one
+/// [`EventQueue`].
+#[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
 pub enum SchedKind {
-    /// Binary min-heap (`O(log n)` push/pop) — the original backend, the
-    /// reference the lockstep tests compare the wheel against.
+    /// Inert: the binary heap every simulator runs on.
     Heap,
-    /// Hierarchical timing wheel (`O(1)` near-future push/pop) — the
-    /// default.
-    #[default]
+    /// Inert: once the timing wheel, now the same binary heap.
     Wheel,
 }
 
-impl SchedKind {
-    /// Stable lowercase name (`"heap"` / `"wheel"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedKind::Heap => "heap",
-            SchedKind::Wheel => "wheel",
-        }
-    }
-}
-
-/// Occupancy / traffic counters a scheduler accumulates over its lifetime.
+/// Occupancy / traffic counters of one agenda over its lifetime.
 ///
 /// These are *observability only*: they are reported through telemetry
-/// manifests, never through trial result rows, so heap and wheel runs stay
-/// byte-identical where determinism is asserted.
+/// manifests, never through trial result rows.
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug, Default)]
 pub struct SchedStats {
-    /// Events actually pushed into the backend (excludes sequence numbers
+    /// Events actually pushed into the heap (excludes sequence numbers
     /// that were merely *reserved* for pipe entries — see
     /// [`Scheduler::reserve_seq`]). This is the "scheduler traffic" number
     /// the delivery and delay-class pipes shrink.
     pub pushes: u64,
-    /// Events popped back out of the backend. Counts every pop the engine
+    /// Events popped back out of the heap. Counts every pop the engine
     /// performs — including lazily-cancelled RTO timers that are then
     /// discarded *without* being dispatched — so `pushes == pops + len`
-    /// holds at any quiescent point on both backends, while the engine's
-    /// `stats.events` (events *executed*) stays a separate number.
+    /// holds at any quiescent point, while the engine's `stats.events`
+    /// (events *executed*) stays a separate number.
     pub pops: u64,
     /// High-water mark of pending events.
     pub max_pending: u64,
-    /// Slot insertions per wheel level (direct pushes *and* cascade
-    /// re-files). All zero for the heap backend.
-    pub level_pushes: [u64; crate::wheel::WHEEL_LEVELS],
-    /// Events filed beyond the wheel horizon into the overflow spill.
-    pub spill_pushes: u64,
-    /// Higher-level slots drained and re-filed one level down.
-    pub cascades: u64,
-    /// Entries moved by those cascades.
+    /// Inert: kept because `benchmark/` reads it; always 0.
     pub cascaded_entries: u64,
-    /// Pushes that landed below a peek-advanced cursor and were spliced
-    /// straight into the due buffer (rare; see [`crate::wheel`]).
-    pub due_splices: u64,
-    /// Events appended to a delay-class pipe instead of the backend (see
+    /// Events appended to a delay-class pipe instead of the heap (see
     /// [`crate::pipeline`]). Filled in by `Simulator::sched_stats`; a bare
-    /// scheduler reports zero.
+    /// queue reports zero.
     pub class_pushes: u64,
     /// Events popped off a delay-class pipe — like `pops`, including
     /// lazily-cancelled RTO timers that are then discarded. On a drained,
@@ -194,13 +166,6 @@ impl SchedStats {
         self.pushes += other.pushes;
         self.pops += other.pops;
         self.max_pending = self.max_pending.max(other.max_pending);
-        for (a, b) in self.level_pushes.iter_mut().zip(other.level_pushes) {
-            *a += b;
-        }
-        self.spill_pushes += other.spill_pushes;
-        self.cascades += other.cascades;
-        self.cascaded_entries += other.cascaded_entries;
-        self.due_splices += other.due_splices;
         self.class_pushes += other.class_pushes;
         self.class_pops += other.class_pops;
         self.head_arms += other.head_arms;
@@ -208,15 +173,16 @@ impl SchedStats {
     }
 }
 
-/// Common surface of the future-event list backends.
+/// The future-event list's surface.
 ///
-/// Implementations must be deterministic: every `pop` yields the earliest
-/// *currently pending* event, and events with equal timestamps come out in
-/// global insertion order regardless of how they were internally filed.
-/// (The popped sequence is not globally nondecreasing: popping a
-/// lazily-cancelled RTO timer consumes a future timestamp without
-/// advancing the simulator clock, so a later push may legally be earlier
-/// than an already-popped stale timer.)
+/// Inert: [`EventQueue`] is its one implementor; kept because `benchmark/`
+/// imports it to call these methods.
+///
+/// Every `pop` yields the earliest *currently pending* event, and events
+/// with equal timestamps come out in insertion order. (The popped sequence
+/// is not globally nondecreasing: popping a lazily-cancelled RTO timer
+/// consumes a future timestamp without advancing the simulator clock, so a
+/// later push may legally be earlier than an already-popped stale timer.)
 pub trait Scheduler {
     /// Schedule `kind` at absolute time `at`. Any `at` is legal, including
     /// one below previously popped timestamps (see the trait docs).
@@ -233,17 +199,14 @@ pub trait Scheduler {
     fn pop(&mut self) -> Option<(SimTime, EventKind)>;
     /// `(timestamp, sequence)` of the next event without removing it — the
     /// pair the event loop compares against an armed pipe front to decide
-    /// which dispatches first at equal timestamps. Takes `&mut self`
-    /// because the wheel advances its cursor lazily on peek.
-    fn peek_next(&mut self) -> Option<(SimTime, u64)>;
+    /// which dispatches first at equal timestamps.
+    fn peek_next(&self) -> Option<(SimTime, u64)>;
     /// Number of pending events.
     fn len(&self) -> usize;
     /// True if nothing is scheduled.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Which backend this is.
-    fn kind(&self) -> SchedKind;
     /// Lifetime occupancy counters.
     fn stats(&self) -> SchedStats;
 }
@@ -277,13 +240,13 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Deterministic future-event list.
+/// Deterministic future-event list: a binary min-heap on `(time, seq)`.
 ///
-/// The head timestamp is mirrored into a plain field so the event loop's
+/// The head is mirrored into a plain field so the event loop's
 /// peek-then-pop pattern reads one word instead of dereferencing the heap
 /// root on every iteration.
 #[derive(Default)]
-pub struct EventHeap {
+pub struct EventQueue {
     heap: BinaryHeap<HeapEntry>,
     /// Next global sequence number; advanced by pushes *and* reservations.
     seq: u64,
@@ -297,10 +260,10 @@ pub struct EventHeap {
     max_pending: u64,
 }
 
-impl EventHeap {
-    /// Empty heap.
-    pub fn new() -> Self {
-        Self::default()
+impl EventQueue {
+    /// Empty queue. Inert: `kind` is ignored, there is one backend.
+    pub fn new(_kind: SchedKind) -> EventQueue {
+        EventQueue::default()
     }
 
     /// Visit every pending entry, in no particular order (memo snapshot).
@@ -347,7 +310,7 @@ impl EventHeap {
     }
 }
 
-impl Scheduler for EventHeap {
+impl Scheduler for EventQueue {
     fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.reserve_seq();
         self.pushed += 1;
@@ -376,14 +339,11 @@ impl Scheduler for EventHeap {
         Some((popped.at, popped.kind))
     }
     #[inline]
-    fn peek_next(&mut self) -> Option<(SimTime, u64)> {
+    fn peek_next(&self) -> Option<(SimTime, u64)> {
         self.next
     }
     fn len(&self) -> usize {
         self.heap.len()
-    }
-    fn kind(&self) -> SchedKind {
-        SchedKind::Heap
     }
     fn stats(&self) -> SchedStats {
         SchedStats {
@@ -392,94 +352,6 @@ impl Scheduler for EventHeap {
             max_pending: self.max_pending,
             ..SchedStats::default()
         }
-    }
-}
-
-/// Statically-dispatched scheduler selection.
-///
-/// The event loop is the hottest code in the workspace; an enum over the
-/// two [`Scheduler`] backends keeps every call site a direct (inlinable)
-/// match instead of a vtable hop through `dyn Scheduler`.
-pub enum EventQueue {
-    /// Binary min-heap backend.
-    Heap(EventHeap),
-    /// Hierarchical timing-wheel backend.
-    Wheel(Box<TimingWheel>),
-}
-
-impl EventQueue {
-    /// Empty queue of the requested backend.
-    pub fn new(kind: SchedKind) -> EventQueue {
-        match kind {
-            SchedKind::Heap => EventQueue::Heap(EventHeap::new()),
-            SchedKind::Wheel => EventQueue::Wheel(Box::default()),
-        }
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $q:ident => $e:expr) => {
-        match $self {
-            EventQueue::Heap($q) => $e,
-            EventQueue::Wheel($q) => $e,
-        }
-    };
-}
-
-impl EventQueue {
-    /// Visit every pending entry (memo snapshot; order is backend-defined).
-    pub(crate) fn memo_for_each(&self, f: &mut dyn FnMut(SimTime, u64, EventKind)) {
-        dispatch!(self, q => q.memo_for_each(f))
-    }
-
-    /// In-place fast-forward rebase: shift pending entries by `dt`/`dseq`/
-    /// `dflow` and advance the sequence counter by `dseq`.
-    pub(crate) fn memo_rebase(&mut self, dt: crate::time::SimDuration, dseq: u64, dflow: u32) {
-        dispatch!(self, q => q.memo_rebase(dt, dseq, dflow))
-    }
-
-    /// Account `reps` repetitions of one recorded window's scheduler
-    /// traffic.
-    pub(crate) fn memo_add_stats(&mut self, d: &SchedStats, reps: u64) {
-        dispatch!(self, q => q.memo_add_stats(d, reps))
-    }
-
-    /// Current sequence-counter value (pushes + reservations so far).
-    pub(crate) fn memo_seq(&self) -> u64 {
-        dispatch!(self, q => q.memo_seq())
-    }
-}
-
-impl Scheduler for EventQueue {
-    #[inline]
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        dispatch!(self, q => q.push(at, kind))
-    }
-    #[inline]
-    fn reserve_seq(&mut self) -> u64 {
-        dispatch!(self, q => q.reserve_seq())
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        dispatch!(self, q => q.pop())
-    }
-    #[inline]
-    fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        dispatch!(self, q => q.peek_next())
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        dispatch!(self, q => q.len())
-    }
-    #[inline]
-    fn is_empty(&self) -> bool {
-        dispatch!(self, q => q.is_empty())
-    }
-    fn kind(&self) -> SchedKind {
-        dispatch!(self, q => q.kind())
-    }
-    fn stats(&self) -> SchedStats {
-        dispatch!(self, q => q.stats())
     }
 }
 
@@ -499,7 +371,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         for (t, k) in [wake(30, 0), wake(10, 1), wake(20, 2)] {
             h.push(t, k);
         }
@@ -509,7 +381,7 @@ mod tests {
 
     #[test]
     fn equal_times_are_fifo() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         for i in 0..10u64 {
             let (t, k) = wake(100, i);
             h.push(t, k);
@@ -526,7 +398,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         let (t, k) = wake(55, 0);
         h.push(t, k);
         assert_eq!(h.peek_next(), Some((SimTime::from_ns(55), 0)));
@@ -538,7 +410,7 @@ mod tests {
 
     #[test]
     fn cached_peek_tracks_pushes_and_pops() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         assert_eq!(h.peek_next(), None);
         let (t, k) = wake(50, 0);
         h.push(t, k);
@@ -556,7 +428,7 @@ mod tests {
 
     #[test]
     fn pushes_count_every_push_ever_made() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         for i in 0..5u64 {
             let (t, k) = wake(i, i);
             h.push(t, k);
@@ -567,7 +439,7 @@ mod tests {
 
     #[test]
     fn cached_peek_cleared_when_pop_empties_heap() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         let (t, k) = wake(7, 0);
         h.push(t, k);
         assert_eq!(h.pop().map(|(t, _)| t.as_ns()), Some(7));
@@ -578,7 +450,7 @@ mod tests {
 
     #[test]
     fn heap_stats_track_high_water_mark() {
-        let mut h = EventHeap::new();
+        let mut h = EventQueue::default();
         for i in 0..4u64 {
             let (t, k) = wake(i, i);
             h.push(t, k);
@@ -588,14 +460,7 @@ mod tests {
         let (t, k) = wake(9, 9);
         h.push(t, k);
         assert_eq!(h.stats().max_pending, 4);
-        assert_eq!(h.stats().cascades, 0);
-    }
-
-    #[test]
-    fn sched_kind_names_and_default() {
-        assert_eq!(SchedKind::default(), SchedKind::Wheel);
-        assert_eq!(SchedKind::Heap.name(), "heap");
-        assert_eq!(SchedKind::Wheel.name(), "wheel");
+        assert_eq!(h.stats().cascaded_entries, 0);
     }
 
     #[test]
@@ -604,11 +469,7 @@ mod tests {
             pushes: 100,
             pops: 90,
             max_pending: 10,
-            level_pushes: [1, 2, 3, 4],
-            spill_pushes: 5,
-            cascades: 6,
-            cascaded_entries: 7,
-            due_splices: 1,
+            cascaded_entries: 0,
             class_pushes: 30,
             class_pops: 25,
             head_arms: 9,
@@ -618,11 +479,7 @@ mod tests {
             pushes: 20,
             pops: 20,
             max_pending: 3,
-            level_pushes: [10, 0, 0, 0],
-            spill_pushes: 1,
-            cascades: 1,
-            cascaded_entries: 1,
-            due_splices: 0,
+            cascaded_entries: 0,
             class_pushes: 3,
             class_pops: 3,
             head_arms: 2,
@@ -632,11 +489,6 @@ mod tests {
         assert_eq!(m.pushes, 120);
         assert_eq!(m.pops, 110);
         assert_eq!(m.max_pending, 10);
-        assert_eq!(m.level_pushes, [11, 2, 3, 4]);
-        assert_eq!(m.spill_pushes, 6);
-        assert_eq!(m.cascades, 7);
-        assert_eq!(m.cascaded_entries, 8);
-        assert_eq!(m.due_splices, 1);
         assert_eq!(m.class_pushes, 33);
         assert_eq!(m.class_pops, 28);
         assert_eq!((m.head_arms, m.head_pops), (11, 9));
@@ -646,61 +498,31 @@ mod tests {
     fn reserved_seqs_gap_the_tie_break_but_not_the_push_count() {
         // A reservation consumes a sequence number (so a later push ties
         // *after* the reserved slot) without counting as scheduler traffic.
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            let (t, k) = wake(10, 0);
-            q.push(t, k);
-            let reserved = q.reserve_seq();
-            assert_eq!(reserved, 1, "kind={kind:?}");
-            let (t, k) = wake(10, 2);
-            q.push(t, k);
-            assert_eq!(q.stats().pushes, 2, "reservation must not count as a push");
-            assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 0)));
-            q.pop();
-            assert_eq!(q.peek_next().map(|(_, s)| s), Some(2));
-            q.pop();
-            assert_eq!(q.stats().pops, 2);
-            assert_eq!(q.peek_next(), None);
-        }
+        let mut q = EventQueue::default();
+        let (t, k) = wake(10, 0);
+        q.push(t, k);
+        assert_eq!(q.reserve_seq(), 1);
+        let (t, k) = wake(10, 2);
+        q.push(t, k);
+        assert_eq!(q.stats().pushes, 2, "reservation must not count as a push");
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 0)));
+        q.pop();
+        assert_eq!(q.peek_next().map(|(_, s)| s), Some(2));
+        q.pop();
+        assert_eq!(q.stats().pops, 2);
+        assert_eq!(q.peek_next(), None);
     }
 
     #[test]
     fn pushes_equal_pops_plus_len_at_any_point() {
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            for i in 0..6u64 {
-                let (t, k) = wake(10 * i, i);
-                q.push(t, k);
-            }
-            q.pop();
-            q.pop();
-            let s = q.stats();
-            assert_eq!(s.pushes, s.pops + q.len() as u64, "kind={kind:?}");
+        let mut q = EventQueue::default();
+        for i in 0..6u64 {
+            let (t, k) = wake(10 * i, i);
+            q.push(t, k);
         }
-    }
-
-    #[test]
-    fn event_queue_dispatches_to_both_backends() {
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            assert_eq!(q.kind(), kind);
-            assert!(q.is_empty());
-            for (t, tok) in [(30u64, 0u64), (10, 1), (30, 2)] {
-                let (at, k) = wake(t, tok);
-                q.push(at, k);
-            }
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.stats().pushes, 3);
-            assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 1)));
-            let order: Vec<(u64, u64)> = std::iter::from_fn(|| {
-                q.pop().map(|(t, k)| match k {
-                    EventKind::Wake { token, .. } => (t.as_ns(), token),
-                    _ => unreachable!(),
-                })
-            })
-            .collect();
-            assert_eq!(order, vec![(10, 1), (30, 0), (30, 2)], "kind={kind:?}");
-            assert_eq!(q.stats().max_pending, 3);
-        }
+        q.pop();
+        q.pop();
+        let s = q.stats();
+        assert_eq!(s.pushes, s.pops + q.len() as u64);
     }
 }

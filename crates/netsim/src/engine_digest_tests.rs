@@ -1,5 +1,5 @@
 //! What the engine produces, pinned: `head_timer_tests`' 48-case corpus run
-//! through `delay_class_tests::run` on both schedulers, folded into one
+//! through `delay_class_tests::run`, folded into one
 //! FNV-1a digest per kind of output. The literals were taken before
 //! `sim.rs` was carved into hosts, link changes and telemetry; a carve that
 //! moves one event, byte, trace record or sampler row fails here.
@@ -68,20 +68,15 @@ fn fold(h: &mut [Fnv; 6], o: &Outcome) {
 }
 
 #[test]
-fn the_corpus_produces_the_pinned_bytes_on_both_schedulers() {
-    for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let mut h = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
-        for case in 0..48 {
-            let (o, _) = run(Scenario {
-                sched,
-                ..scenario(case)
-            });
-            fold(&mut h, &o);
-        }
-        let got = h.map(|f| f.0);
-        for (i, part) in PARTS.iter().enumerate() {
-            assert_eq!(got[i], PINNED[i], "{part} moved on {sched:?}: {got:#018x?}");
-        }
+fn the_corpus_produces_the_pinned_bytes() {
+    let mut h = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
+    for case in 0..48 {
+        let (o, _) = run(scenario(case));
+        fold(&mut h, &o);
+    }
+    let got = h.map(|f| f.0);
+    for (i, part) in PARTS.iter().enumerate() {
+        assert_eq!(got[i], PINNED[i], "{part} moved: {got:#018x?}");
     }
 }
 
@@ -161,24 +156,19 @@ fn spray_cases() -> Vec<Scenario> {
 }
 
 #[test]
-fn the_spray_cases_produce_the_pinned_bytes_on_both_schedulers() {
-    for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let mut h = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
-        for sc in spray_cases() {
-            let (o, t) = run(Scenario { sched, ..sc });
-            assert_eq!(t.spray_avoided_picks > 0, sc.recycle, "{sc:?}");
-            if sc.three_level {
-                assert_ne!(o.agg_counters, "[]", "no cross-pod traffic: {sc:?}");
-            }
-            fold(&mut h, &o);
+fn the_spray_cases_produce_the_pinned_bytes() {
+    let mut h = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
+    for sc in spray_cases() {
+        let (o, t) = run(sc);
+        assert_eq!(t.spray_avoided_picks > 0, sc.recycle, "{sc:?}");
+        if sc.three_level {
+            assert_ne!(o.agg_counters, "[]", "no cross-pod traffic: {sc:?}");
         }
-        let got = h.map(|f| f.0);
-        for (i, part) in PARTS.iter().enumerate() {
-            assert_eq!(
-                got[i], PINNED_SPRAY[i],
-                "{part} moved on {sched:?}: {got:#018x?}"
-            );
-        }
+        fold(&mut h, &o);
+    }
+    let got = h.map(|f| f.0);
+    for (i, part) in PARTS.iter().enumerate() {
+        assert_eq!(got[i], PINNED_SPRAY[i], "{part} moved: {got:#018x?}");
     }
 }
 

@@ -40,30 +40,27 @@ proptest! {
         // strategies per test).
         flags in 0u32..16,
     ) {
-        for sched in [SchedKind::Heap, SchedKind::Wheel] {
-            let go = |queued_route_only| run(Scenario {
-                sched,
-                queued_route_only,
-                hosts_per_leaf,
-                three_level: flags & 1 != 0,
-                pfc_sel,
-                spray: SPRAYS[spray_sel],
-                mixed_prio: flags & 2 != 0,
-                recycle: flags & 4 != 0,
-                sample_ns: if flags & 8 != 0 { 700 } else { 0 },
-                ..Scenario::basic(seed, leaves, spines, msgs, fault_sel)
-            });
-            let (want, slow) = go(true);
-            let (got, fast) = go(false);
-            prop_assert_eq!(slow.direct_starts, 0);
-            prop_assert!(fast.direct_starts > 0, "shortcut never taken");
-            prop_assert_eq!(&got, &want, "routes diverged on {:?}", sched);
-            // Same dispatches: no event moved container, none was elided.
-            prop_assert_eq!(
-                (fast.pushes, fast.class_pushes, fast.classes),
-                (slow.pushes, slow.class_pushes, slow.classes)
-            );
-        }
+        let go = |queued_route_only| run(Scenario {
+            queued_route_only,
+            hosts_per_leaf,
+            three_level: flags & 1 != 0,
+            pfc_sel,
+            spray: SPRAYS[spray_sel],
+            mixed_prio: flags & 2 != 0,
+            recycle: flags & 4 != 0,
+            sample_ns: if flags & 8 != 0 { 700 } else { 0 },
+            ..Scenario::basic(seed, leaves, spines, msgs, fault_sel)
+        });
+        let (want, slow) = go(true);
+        let (got, fast) = go(false);
+        prop_assert_eq!(slow.direct_starts, 0);
+        prop_assert!(fast.direct_starts > 0, "shortcut never taken");
+        prop_assert_eq!(&got, &want, "routes diverged");
+        // Same dispatches: no event moved container, none was elided.
+        prop_assert_eq!(
+            (fast.pushes, fast.class_pushes, fast.classes),
+            (slow.pushes, slow.class_pushes, slow.classes)
+        );
     }
 }
 

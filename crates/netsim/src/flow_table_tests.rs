@@ -82,19 +82,18 @@ proptest! {
         spray_sel in 0usize..SPRAYS.len(),
         // Bits: three-level fabric, mixed priorities, recycle-entropy
         // verb, telemetry sampler, flapping fault, a timer per segment,
-        // heap scheduler, the full backoff ladder; then the PFC setting.
-        flags in 0u32..768,
+        // the full backoff ladder; then the PFC setting.
+        flags in 0u32..384,
     ) {
         let bit = |i: u32| flags & (1 << i) != 0;
         drain_then_post(Scenario {
-            sched: if bit(6) { SchedKind::Heap } else { SchedKind::Wheel },
             per_segment_rto: bit(5),
             hosts_per_leaf: 1 + shape / 9,
             three_level: bit(0),
             waves: 2 + (seed % 3) as u32,
             flap: bit(4),
-            rto_max_attempts: if bit(7) { 6 } else { 2 },
-            pfc_sel: flags >> 8,
+            rto_max_attempts: if bit(6) { 6 } else { 2 },
+            pfc_sel: flags >> 7,
             spray: SPRAYS[spray_sel],
             mixed_prio: bit(1),
             recycle: bit(2),

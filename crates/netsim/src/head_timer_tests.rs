@@ -54,38 +54,35 @@ fn one_timer_per_flow_never_changes_results() {
     let (mut retransmits, mut flows_failed, mut pfc_pauses) = (0, 0, 0);
     for case in 0..48 {
         let sc = scenario(case);
-        for sched in [SchedKind::Heap, SchedKind::Wheel] {
-            let go = |per_segment_rto| {
-                run(Scenario {
-                    sched,
-                    per_segment_rto,
-                    ..sc
-                })
-            };
-            let (want, each) = go(true);
-            let (got, head) = go(false);
-            assert_eq!(each.head_arms, 0, "case {case}: {sc:?}");
-            assert!(got.rto_stale_skips < want.rto_stale_skips);
-            assert_eq!(
-                got.sans_stale_skips(),
-                want.sans_stale_skips(),
-                "case {case} on {sched:?}: {sc:?}"
-            );
-            // The first-attempt timers are the only events that moved.
-            assert_eq!(
-                head.pushes + head.class_pushes + each.data_pkts_sent,
-                each.pushes + each.class_pushes,
-                "case {case}: {sc:?}"
-            );
-            if each.classes < MAX_DELAY_CLASSES {
-                // The RTO's own delay class pushed no other out.
-                assert_eq!(head.pushes, each.pushes, "case {case}: {sc:?}");
-            }
-            assert!(head.head_arms < head.data_pkts_sent, "case {case}: {sc:?}");
-            retransmits += head.retransmits;
-            flows_failed += head.flows_failed;
-            pfc_pauses += head.pfc_pauses;
+        let go = |per_segment_rto| {
+            run(Scenario {
+                per_segment_rto,
+                ..sc
+            })
+        };
+        let (want, each) = go(true);
+        let (got, head) = go(false);
+        assert_eq!(each.head_arms, 0, "case {case}: {sc:?}");
+        assert!(got.rto_stale_skips < want.rto_stale_skips);
+        assert_eq!(
+            got.sans_stale_skips(),
+            want.sans_stale_skips(),
+            "case {case}: {sc:?}"
+        );
+        // The first-attempt timers are the only events that moved.
+        assert_eq!(
+            head.pushes + head.class_pushes + each.data_pkts_sent,
+            each.pushes + each.class_pushes,
+            "case {case}: {sc:?}"
+        );
+        if each.classes < MAX_DELAY_CLASSES {
+            // The RTO's own delay class pushed no other out.
+            assert_eq!(head.pushes, each.pushes, "case {case}: {sc:?}");
         }
+        assert!(head.head_arms < head.data_pkts_sent, "case {case}: {sc:?}");
+        retransmits += head.retransmits;
+        flows_failed += head.flows_failed;
+        pfc_pauses += head.pfc_pauses;
     }
     assert!(retransmits > 0, "no live timeout in the corpus");
     assert!(flows_failed > 0, "no flow gave up in the corpus");

@@ -29,9 +29,8 @@
 //! derived from one seed, so every run is exactly reproducible. Its layers,
 //! from the clock outward:
 //!
-//! * [`engine`] / [`wheel`] — the two future-event schedulers (timing wheel
-//!   by default, binary heap as the reference) behind one trait;
-//! * [`pipeline`] — the agenda: where every pending event waits (scheduler,
+//! * [`engine`] — the future-event list, a binary heap;
+//! * [`pipeline`] — the agenda: where every pending event waits (heap,
 //!   delay-class pipe or delivery pipe) and which is next;
 //! * [`egress`], `switch`, `host`, [`transport`] — the state a handler
 //!   mutates: one transmitter per link with its PFC budget, per-switch
@@ -82,7 +81,6 @@ pub mod topology;
 pub mod trace;
 pub mod transport;
 pub mod units;
-pub mod wheel;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -90,7 +88,7 @@ pub mod prelude {
     pub use crate::config::{PfcConfig, SimConfig};
     pub use crate::control::{AppliedControl, ControlAction, ControlVerb};
     pub use crate::counters::{CounterStore, IterCounters};
-    pub use crate::engine::{SchedKind, SchedStats};
+    pub use crate::engine::SchedStats;
     pub use crate::fault::{FaultAction, FaultEvent, FaultKind};
     pub use crate::ids::{HostId, LinkId, NodeId, SwitchId};
     pub use crate::packet::{CollectiveTag, FlowId, Packet, Priority};

@@ -7,11 +7,12 @@
 //! it lives in a contiguous FIFO (a "pipe"), and only its *head* competes
 //! for dispatch. A single armed [`PipeFront`] per nonempty pipe sits in a
 //! small [`FrontHeap`]; whichever of (scheduler head, front head) orders
-//! first by `(time, seq)` is the next event.
+//! first by `(time, seq)` is the next event. The scheduler is the one
+//! binary heap of [`crate::engine`].
 //!
 //! `Agenda` owns all of it — the scheduler (and with it the one sequence
 //! counter), both pipe families, the head-of-line timer set, the front
-//! set, the cached scheduler head and the link → latency-class map — and
+//! set and the link → latency-class map — and
 //! the rest of the engine sees five entry points: `at` (absolute time),
 //! `after` (constant delay), `deliver` (a packet on a wire),
 //! `reserve_after` / `arm_reserved` (a place in the order now, an event
@@ -46,12 +47,10 @@
 //!
 //! One pipe per *delay value* — not per link, and not per event kind.
 //! Per-link pipes are equally FIFO but put hundreds of entries in the front
-//! heap, and measured slower than the timing wheel they replaced; per-kind
-//! pipes are not FIFO at all (a 3 ns ACK serialization overtakes an 84 ns
-//! data one). Keying on the delay keeps the front heap at a handful of
-//! entries and every insert/dispatch an O(1) push/pop on a contiguous ring
-//! buffer — the cache behaviour that lets this beat the timing wheel's
-//! bucketed hot path.
+//! heap, and measured slower; per-kind pipes are not FIFO at all (a 3 ns
+//! ACK serialization overtakes an 84 ns data one). Keying on the delay
+//! keeps the front heap at a handful of entries and every insert/dispatch
+//! an O(1) push/pop on a contiguous ring buffer.
 //!
 //! ## Determinism
 //!
@@ -62,8 +61,8 @@
 //! heap orders pipe heads by the same pair, and `peek` compares that pair
 //! against the scheduler's head — so the global dispatch order, and
 //! therefore every RNG draw and every output byte, is identical to the
-//! all-scheduler engine on both scheduler backends. Which container an
-//! event waits in is unobservable.
+//! all-scheduler engine. Which container an event waits in is
+//! unobservable.
 //!
 //! ## Entries are written once, where they wait
 //!
@@ -74,7 +73,7 @@
 //! copied into a queue with one 16-byte load cannot be store-forwarded;
 //! two such copies held 13 % of the engine's samples (DESIGN.md §6).
 
-use crate::engine::{EventKind, EventQueue, SchedKind, SchedStats, Scheduler};
+use crate::engine::{EventKind, EventQueue, SchedStats, Scheduler};
 use crate::ids::{HostId, LinkId};
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
@@ -498,10 +497,6 @@ pub(crate) struct Agenda {
     /// sampler ticks) and for delays past the class bound. Also
     /// the one source of tie-break sequence numbers for every pipe.
     sched: EventQueue,
-    /// `sched`'s head `(time, seq)` as of the last refresh, and whether
-    /// `sched` changed since (see [`Self::peek`]).
-    head: Option<(SimTime, u64)>,
-    head_stale: bool,
     /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
     front: FrontHeap,
     /// Delivery pipes, one per link latency class.
@@ -526,10 +521,10 @@ pub(crate) struct Agenda {
 }
 
 impl Agenda {
-    /// Empty agenda on scheduler backend `sched` for links with the given
-    /// latencies, in link order. One delivery pipe per distinct latency;
-    /// class order follows first appearance, which is deterministic.
-    pub(crate) fn new(sched: SchedKind, latencies: impl Iterator<Item = SimDuration>) -> Self {
+    /// Empty agenda for links with the given latencies, in link order. One
+    /// delivery pipe per distinct latency; class order follows first
+    /// appearance, which is deterministic.
+    pub(crate) fn new(latencies: impl Iterator<Item = SimDuration>) -> Self {
         let mut wire = Pipes(Vec::new());
         let mut classes: Vec<SimDuration> = Vec::new();
         let link_class = latencies
@@ -542,9 +537,7 @@ impl Agenda {
             })
             .collect();
         Agenda {
-            sched: EventQueue::new(sched),
-            head: None,
-            head_stale: false,
+            sched: EventQueue::default(),
             front: FrontHeap::new(),
             wire,
             link_class,
@@ -563,7 +556,6 @@ impl Agenda {
     #[inline]
     pub(crate) fn at(&mut self, at: SimTime, kind: EventKind) {
         self.sched.push(at, kind);
-        self.head_stale = true;
     }
 
     /// Schedule `kind` to fire `delay` after `now`.
@@ -643,19 +635,9 @@ impl Agenda {
     /// Whichever of (scheduler head, pipe-front head) orders first by
     /// global `(time, seq)`; `None` when nothing is pending.
     #[inline]
-    pub(crate) fn peek(&mut self) -> Option<Next> {
-        // The scheduler holds a few dozen entries per trial against
-        // millions of loop iterations, so its head is read from a field and
-        // re-peeked only after a push, pop or rebase. Re-peeking *here*
-        // rather than at the push keeps the wheel's lazy cursor where a
-        // peek-every-iteration loop had it, so `SchedStats` do not move.
-        if self.head_stale {
-            self.head = self.sched.peek_next();
-            self.head_stale = false;
-        }
-        debug_assert_eq!(self.head, self.sched.peek_next());
+    pub(crate) fn peek(&self) -> Option<Next> {
         // The front head goes first unless the scheduler's orders before it.
-        match (self.head, self.front.peek()) {
+        match (self.sched.peek_next(), self.front.peek()) {
             (None, None) => None,
             (Some((at, s)), Some(f)) if (at, s) < (f.at, f.seq) => Some(Next { at, front: None }),
             (Some((at, _)), None) => Some(Next { at, front: None }),
@@ -670,7 +652,6 @@ impl Agenda {
         let Some(f) = next.front else {
             let (at, kind) = self.sched.pop().expect("peeked");
             debug_assert_eq!(at, next.at);
-            self.head_stale = true;
             return Due::Event(kind);
         };
         debug_assert_eq!(self.front.peek(), Some(f));
@@ -708,11 +689,6 @@ impl Agenda {
         self.sched.is_empty() && self.front.is_empty()
     }
 
-    /// Which scheduler backend this agenda runs on.
-    pub(crate) fn sched_kind(&self) -> SchedKind {
-        self.sched.kind()
-    }
-
     /// The scheduler's occupancy counters plus the delay-class and
     /// head-of-line traffic.
     pub(crate) fn stats(&self) -> SchedStats {
@@ -746,7 +722,7 @@ impl Agenda {
     }
 
     /// Visit every pending entry with its `(at, seq)`: scheduler entries
-    /// in backend order, then each delay-class pipe, the head-of-line
+    /// in heap order, then each delay-class pipe, the head-of-line
     /// timers in heap order, then each delivery pipe in class order, head
     /// first. The armed fronts are derived from the containers and are not
     /// residual state of their own.
@@ -776,7 +752,6 @@ impl Agenda {
         shift_pkt: &mut dyn FnMut(&mut Packet),
     ) {
         self.sched.memo_rebase(dt, dseq, dflow);
-        self.head_stale = true;
         let shift = |e: &mut Entry<Packed>| {
             e.at += dt;
             e.seq += dseq;
@@ -807,7 +782,6 @@ impl Agenda {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EventHeap;
     use crate::packet::{PacketKind, Priority};
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -957,14 +931,14 @@ mod tests {
 
     /// An agenda over six links in three latency classes (5, 9, 5, 1, …).
     const LATENCIES: [u64; 3] = [5, 9, 1];
-    fn agenda(sched: SchedKind) -> Agenda {
+    fn agenda() -> Agenda {
         let lat = |l: usize| SimDuration::from_ns(LATENCIES[l % 3]);
-        Agenda::new(sched, (0..6).map(lat))
+        Agenda::new((0..6).map(lat))
     }
 
     #[test]
     fn classes_are_discovered_up_to_the_bound() {
-        let mut a = agenda(SchedKind::Wheel);
+        let mut a = agenda();
         a.set_class_bound(2);
         let d = SimDuration::from_ns;
         for (i, delay) in [84, 5_000, 84, 3].into_iter().enumerate() {
@@ -974,7 +948,7 @@ mod tests {
         let s = a.stats();
         assert_eq!((s.class_pushes, s.pushes), (3, 1), "3 ns is past the bound");
         assert_eq!(a.len(), 4);
-        let mut none = agenda(SchedKind::Heap);
+        let mut none = agenda();
         none.set_class_bound(0);
         none.after(SimTime::ZERO, d(84), wake(0));
         assert_eq!((none.classes(), none.stats().pushes), (0, 1));
@@ -1012,16 +986,16 @@ mod tests {
         Passed,
     }
 
-    /// Drive an [`Agenda`] and a single [`EventHeap`] — the all-scheduler
+    /// Drive an [`Agenda`] and a single [`EventQueue`] — the all-scheduler
     /// engine — with one script. Every agenda insert or reservation takes
     /// one sequence number, exactly like the heap push that mirrors it (the
     /// model's sequence number *is* the item id), so the heap's `(at, seq)`
     /// order is the order the agenda must pop in. A reservation not armed
     /// by the time it reaches the model's head is in no container of the
     /// agenda: the model drops it there.
-    fn agenda_vs_heap(sched: SchedKind, script: &[u64]) -> Result<(), String> {
-        let mut a = agenda(sched);
-        let mut model = EventHeap::new();
+    fn agenda_vs_heap(script: &[u64]) -> Result<(), String> {
+        let mut a = agenda();
+        let mut model = EventQueue::default();
         let mut items: Vec<Item> = Vec::new();
         // Reserved slots by id, armed or not, in no particular order.
         let mut slots: Vec<(Reserved, u64)> = Vec::new();
@@ -1157,14 +1131,12 @@ mod tests {
         /// under random interleavings of `at` / `after` / `deliver` /
         /// reserve / arm-later / peek / pop with equal timestamps, more
         /// delays than there are classes, pushes that order before the
-        /// cached scheduler head (a cache not invalidated on a push fails
+        /// scheduler's cached head (a cache not invalidated on a push fails
         /// here) and slots armed before every other front.
         #[test]
         fn agenda_matches_a_single_heap(script in proptest::collection::vec(0u64..u64::MAX, 1..400)) {
-            for sched in [SchedKind::Heap, SchedKind::Wheel] {
-                if let Err(e) = agenda_vs_heap(sched, &script) {
-                    prop_assert!(false, "{:?}: {}", sched, e);
-                }
+            if let Err(e) = agenda_vs_heap(&script) {
+                prop_assert!(false, "{}", e);
             }
         }
 

@@ -33,7 +33,7 @@ use crate::control::{AppliedControl, ControlVerb};
 use crate::counters::CounterStore;
 pub use crate::egress::LinkState;
 use crate::egress::PfcIngress;
-use crate::engine::{EventKind, SchedKind, SchedStats};
+use crate::engine::{EventKind, SchedStats};
 use crate::fault::FaultEvent;
 use crate::host::{Hosts, Nic};
 use crate::ids::{HostId, LinkId, NodeId, SwitchId};
@@ -167,10 +167,7 @@ impl Simulator {
             topo.cores_per_group as usize,
             topo.n_leaves(),
         );
-        let agenda = Agenda::new(
-            cfg.sched.unwrap_or_default(),
-            topo.links.iter().map(|l| l.latency),
-        );
+        let agenda = Agenda::new(topo.links.iter().map(|l| l.latency));
         let mut sim = Simulator {
             cfg,
             hosts: Hosts::new(topo.n_hosts()),
@@ -838,13 +835,8 @@ impl Simulator {
         self.agenda.len()
     }
 
-    /// Which scheduler backend this simulator runs on.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.agenda.sched_kind()
-    }
-
     /// Scheduler occupancy counters accumulated so far (telemetry only —
-    /// never part of trial results, which are backend-independent).
+    /// never part of trial results).
     pub fn sched_stats(&self) -> SchedStats {
         self.agenda.stats()
     }

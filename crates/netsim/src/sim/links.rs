@@ -27,9 +27,9 @@ impl Simulator {
     ///
     /// It joins the link-change schedule as the fault action its verb is,
     /// riding the same agenda as every other event, so a controller-enabled
-    /// run stays byte-identical across scheduler backends and thread
-    /// counts. Returns the schedule index, which reappears in
-    /// [`Simulator::applied_controls`] once the action has taken effect.
+    /// run stays byte-identical across thread counts. Returns the schedule
+    /// index, which reappears in [`Simulator::applied_controls`] once the
+    /// action has taken effect.
     pub fn schedule_control(&mut self, at: SimTime, action: ControlAction) -> u32 {
         let ev = FaultEvent::new(at, action.link, action.verb.action(), action.bidirectional);
         self.schedule_link_change(ev, Some(action.verb))

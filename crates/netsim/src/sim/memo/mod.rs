@@ -202,25 +202,15 @@ impl BoundaryRecord {
 
 /// Scheduler-statistics growth over one window. `max_pending` is a
 /// high-water mark; the delta carries zero and replay never adds to it.
-/// The timing wheel's placement diagnostics (level pushes, cascades,
-/// spills, splices) depend on absolute-time radix digits and are *not*
-/// exactly periodic — replay applies the recorded window's counts as an
-/// approximation, documented in DESIGN.md §11 (pushes and pops are
-/// exact; only the per-level placement split can drift).
 fn sched_window(cur: &SchedStats, prev: &SchedStats) -> SchedStats {
     SchedStats {
         pushes: cur.pushes - prev.pushes,
         pops: cur.pops - prev.pops,
-        max_pending: 0,
-        level_pushes: std::array::from_fn(|i| cur.level_pushes[i] - prev.level_pushes[i]),
-        spill_pushes: cur.spill_pushes - prev.spill_pushes,
-        cascades: cur.cascades - prev.cascades,
-        cascaded_entries: cur.cascaded_entries - prev.cascaded_entries,
-        due_splices: cur.due_splices - prev.due_splices,
         class_pushes: cur.class_pushes - prev.class_pushes,
         class_pops: cur.class_pops - prev.class_pops,
         head_arms: cur.head_arms - prev.head_arms,
         head_pops: cur.head_pops - prev.head_pops,
+        ..SchedStats::default()
     }
 }
 

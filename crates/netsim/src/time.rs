@@ -51,45 +51,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Digit `level` of the timestamp in base `2^bits_per_level`.
-    ///
-    /// The timing-wheel scheduler views a timestamp as a little-endian
-    /// sequence of radix digits; digit `l` selects the slot index at wheel
-    /// level `l`. Levels beyond the top of the `u64` yield zero.
-    pub const fn radix_digit(self, bits_per_level: u32, level: u32) -> usize {
-        let shift = bits_per_level * level;
-        if shift >= u64::BITS {
-            0
-        } else {
-            ((self.0 >> shift) & ((1u64 << bits_per_level) - 1)) as usize
-        }
-    }
-
-    /// Index of the most significant base-`2^bits_per_level` digit in which
-    /// `self` and `other` differ, or 0 when they are equal.
-    ///
-    /// This is the wheel level an event at `self` files into when the
-    /// cursor sits at `other`: all digits above the returned level agree,
-    /// so the event becomes due only after the cursor sweeps up to that
-    /// digit boundary.
-    pub const fn radix_level(self, other: SimTime, bits_per_level: u32) -> u32 {
-        let diff = self.0 ^ other.0;
-        if diff == 0 {
-            0
-        } else {
-            (u64::BITS - 1 - diff.leading_zeros()) / bits_per_level
-        }
-    }
-
-    /// Truncate to the start of the enclosing `2^log2_ns`-nanosecond tick.
-    pub const fn floor_ticks(self, log2_ns: u32) -> SimTime {
-        if log2_ns >= u64::BITS {
-            SimTime(0)
-        } else {
-            SimTime(self.0 >> log2_ns << log2_ns)
-        }
-    }
 }
 
 impl SimDuration {
@@ -238,35 +199,6 @@ mod tests {
         assert_eq!(SimDuration::from_ns(1_500).to_string(), "1.500us");
         assert_eq!(SimDuration::from_ms(2).to_string(), "2.000ms");
         assert_eq!(SimDuration::from_ms(3_000).to_string(), "3.000s");
-    }
-
-    #[test]
-    fn radix_digit_extracts_bytes() {
-        let t = SimTime::from_ns(0x1122_3344_5566_7788);
-        assert_eq!(t.radix_digit(8, 0), 0x88);
-        assert_eq!(t.radix_digit(8, 1), 0x77);
-        assert_eq!(t.radix_digit(8, 3), 0x55);
-        assert_eq!(t.radix_digit(8, 7), 0x11);
-        assert_eq!(t.radix_digit(8, 8), 0); // beyond the top of u64
-        assert_eq!(t.radix_digit(16, 1), 0x5566);
-    }
-
-    #[test]
-    fn radix_level_finds_most_significant_differing_digit() {
-        let base = SimTime::from_ns(0x0000_0000_0001_2300);
-        assert_eq!(base.radix_level(base, 8), 0);
-        assert_eq!(SimTime::from_ns(0x0001_2301).radix_level(base, 8), 0);
-        assert_eq!(SimTime::from_ns(0x0001_2400).radix_level(base, 8), 1);
-        assert_eq!(SimTime::from_ns(0x0002_0000).radix_level(base, 8), 2);
-        assert_eq!(SimTime::from_ns(0x1_0000_0000).radix_level(base, 8), 4);
-        assert_eq!(SimTime::MAX.radix_level(SimTime::ZERO, 8), 7);
-    }
-
-    #[test]
-    fn floor_ticks_truncates() {
-        assert_eq!(SimTime::from_ns(0x1234).floor_ticks(8).as_ns(), 0x1200);
-        assert_eq!(SimTime::from_ns(0x1234).floor_ticks(0).as_ns(), 0x1234);
-        assert_eq!(SimTime::from_ns(7).floor_ticks(64).as_ns(), 0);
     }
 
     #[test]

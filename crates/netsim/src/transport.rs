@@ -507,7 +507,6 @@ impl AckAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SchedKind;
     use crate::pipeline::Agenda;
     use crate::time::SimDuration;
 
@@ -667,7 +666,7 @@ mod tests {
     }
 
     fn agenda() -> Agenda {
-        Agenda::new(SchedKind::Heap, std::iter::empty())
+        Agenda::new(std::iter::empty())
     }
 
     /// The timer of `seq` surfaced: which segment's logged slot is armed

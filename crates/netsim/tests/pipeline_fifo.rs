@@ -5,24 +5,21 @@
 //! sequence number, the dispatcher pops whichever of (scheduler head,
 //! front head) orders first by `(time, seq)` — against random scripts
 //! that interleave scheduler traffic (including the *backdated* pushes
-//! lazy RTO cancellation produces) on **both** scheduler backends. The
-//! model uses one pipe per link (the finest legal granularity; the
-//! simulator coalesces same-latency links, which only merges already-
-//! sorted streams). The property: per-link delivery order equals
-//! per-link injection order (the FIFO invariant), and both backends
-//! dispatch the identical global sequence.
+//! lazy RTO cancellation produces). The model uses one pipe per link (the
+//! finest legal granularity; the simulator coalesces same-latency links,
+//! which only merges already-sorted streams). The property: per-link
+//! delivery order equals per-link injection order (the FIFO invariant).
 //!
-//! The full-simulator counterpart — random faulted fabrics on both
-//! backends with the scheduled/executed accounting identity — lives in
+//! The full-simulator counterpart — random faulted fabrics with the
+//! scheduled/executed accounting identity — lives in
 //! `src/delay_class_tests.rs`, which also varies the delay-class bound.
 
 use std::collections::VecDeque;
 
-use fp_netsim::engine::{EventHeap, EventKind, Scheduler};
+use fp_netsim::engine::{EventKind, EventQueue, Scheduler};
 use fp_netsim::ids::HostId;
 use fp_netsim::pipeline::{FrontHeap, PipeFront};
 use fp_netsim::time::SimTime;
-use fp_netsim::wheel::TimingWheel;
 use proptest::prelude::*;
 
 const NLINKS: usize = 8;
@@ -34,36 +31,25 @@ fn wake(token: u64) -> EventKind {
     }
 }
 
-/// One dispatched occurrence, for cross-backend comparison.
-#[derive(Copy, Clone, PartialEq, Debug)]
-enum Dispatched {
-    /// A pipeline head delivery: (arrival, reserved seq, link, inject id).
-    Delivery(u64, u64, u32, u64),
-    /// A scheduler pop: (time, seq is implicit in order) wake token.
-    Sched(u64, u64),
-}
-
-/// Drive one scheduler backend plus the pipeline machinery with a raw
-/// op script; returns the global dispatch log and asserts per-link FIFO.
-fn drive<S: Scheduler>(sched: &mut S, script: &[u64]) -> Result<Vec<Dispatched>, String> {
+/// Drive the scheduler plus the pipeline machinery with a raw op script
+/// and check per-link FIFO.
+fn drive(sched: &mut EventQueue, script: &[u64]) -> Result<(), String> {
     let mut front = FrontHeap::new();
     // Per-link pipeline of (arrival, seq, inject id).
     let mut pipes: Vec<VecDeque<(SimTime, u64, u64)>> = vec![VecDeque::new(); NLINKS];
     let mut injected: Vec<Vec<u64>> = vec![Vec::new(); NLINKS];
     let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); NLINKS];
     let mut last_at = [0u64; NLINKS];
-    let mut log = Vec::new();
     let mut now = 0u64;
     let mut next_inject = 0u64;
     let mut next_token = 0u64;
 
     // Dispatch the earlier of (scheduler head, front head) by (time, seq),
     // exactly the engine's main-loop comparison.
-    let dispatch_one = |sched: &mut S,
+    let dispatch_one = |sched: &mut EventQueue,
                         front: &mut FrontHeap,
                         pipes: &mut Vec<VecDeque<(SimTime, u64, u64)>>,
                         delivered: &mut Vec<Vec<u64>>,
-                        log: &mut Vec<Dispatched>,
                         now: &mut u64|
      -> Result<bool, String> {
         let f = front.peek();
@@ -96,15 +82,9 @@ fn drive<S: Scheduler>(sched: &mut S, script: &[u64]) -> Result<Vec<Dispatched>,
             }
             delivered[link].push(id);
             *now = (*now).max(at.as_ns());
-            log.push(Dispatched::Delivery(at.as_ns(), seq, f.pipe, id));
         } else {
-            let (at, kind) = sched.pop().ok_or("peeked scheduler is empty")?;
-            let token = match kind {
-                EventKind::Wake { token, .. } => token,
-                _ => unreachable!("script only schedules Wake"),
-            };
+            let (at, _) = sched.pop().ok_or("peeked scheduler is empty")?;
             *now = (*now).max(at.as_ns());
-            log.push(Dispatched::Sched(at.as_ns(), token));
         }
         Ok(true)
     };
@@ -147,14 +127,7 @@ fn drive<S: Scheduler>(sched: &mut S, script: &[u64]) -> Result<Vec<Dispatched>,
             _ => {
                 let k = raw % 4 + 1;
                 for _ in 0..k {
-                    if !dispatch_one(
-                        sched,
-                        &mut front,
-                        &mut pipes,
-                        &mut delivered,
-                        &mut log,
-                        &mut now,
-                    )? {
+                    if !dispatch_one(sched, &mut front, &mut pipes, &mut delivered, &mut now)? {
                         break;
                     }
                 }
@@ -162,14 +135,7 @@ fn drive<S: Scheduler>(sched: &mut S, script: &[u64]) -> Result<Vec<Dispatched>,
         }
     }
     // Drain everything.
-    while dispatch_one(
-        sched,
-        &mut front,
-        &mut pipes,
-        &mut delivered,
-        &mut log,
-        &mut now,
-    )? {}
+    while dispatch_one(sched, &mut front, &mut pipes, &mut delivered, &mut now)? {}
 
     // The FIFO invariant: each link delivered exactly what was injected,
     // in injection order.
@@ -181,7 +147,7 @@ fn drive<S: Scheduler>(sched: &mut S, script: &[u64]) -> Result<Vec<Dispatched>,
             ));
         }
     }
-    Ok(log)
+    Ok(())
 }
 
 proptest! {
@@ -189,25 +155,16 @@ proptest! {
 
     /// Per-link delivery order equals per-link injection order under
     /// arbitrary interleavings of pipeline inserts, scheduler pushes
-    /// (including backdated ones) and dispatches — and the heap and wheel
-    /// backends dispatch the identical global sequence.
+    /// (including backdated ones) and dispatches.
     #[test]
     fn per_link_delivery_order_equals_injection_order(
         script in proptest::collection::vec(0u64..u64::MAX, 1..300)
     ) {
-        let mut heap = EventHeap::new();
-        let mut wheel = TimingWheel::new();
-        let a = drive(&mut heap, &script);
-        let b = drive(&mut wheel, &script);
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a, b, "backends dispatched different sequences");
-                let (hs, ws) = (heap.stats(), wheel.stats());
-                prop_assert_eq!(hs.pushes, ws.pushes);
-                prop_assert_eq!(hs.pops, ws.pops);
-                prop_assert_eq!(hs.pushes, hs.pops, "drained: pushes == pops");
-            }
-            (a, b) => prop_assert!(false, "driver failed: heap={:?} wheel={:?}", a.err(), b.err()),
+        let mut heap = EventQueue::default();
+        if let Err(e) = drive(&mut heap, &script) {
+            prop_assert!(false, "driver failed: {}", e);
         }
+        let s = heap.stats();
+        prop_assert_eq!(s.pushes, s.pops, "drained: pushes == pops");
     }
 }

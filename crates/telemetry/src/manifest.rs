@@ -34,8 +34,6 @@ pub struct Manifest {
     pub events_total: u64,
     /// Engine events per wall-clock second, aggregated.
     pub events_per_sec: f64,
-    /// Event-scheduler backend the trials ran on (`"heap"` / `"wheel"`).
-    pub scheduler: String,
     /// Iteration spans fast-forwarded by temporal-symmetry memoization
     /// (`TrialSpec::memo`), summed across trials. 0 when memoization was off or
     /// never converged.
@@ -43,9 +41,9 @@ pub struct Manifest {
     /// Engine events accounted for by replayed spans (already included in
     /// `events_total`), summed across trials.
     pub memo_replayed_events: u64,
-    /// Scheduler occupancy counters aggregated over the run (per-level
-    /// slot insertions, overflow spills, cascades, pending high-water
-    /// mark), serialized by the caller.
+    /// Scheduler occupancy counters aggregated over the run (heap, pipe
+    /// and head-of-line traffic, pending high-water mark), serialized by
+    /// the caller.
     pub sched: Value,
     /// The full trial spec list, serialized by the caller.
     pub specs: Value,
@@ -96,7 +94,6 @@ mod tests {
             wall_us_total: 120,
             events_total: 9000,
             events_per_sec: 7.5e7,
-            scheduler: "wheel".into(),
             memo_hits: 3,
             memo_replayed_events: 4500,
             sched: Value::Map(vec![("max_pending".to_string(), Value::U64(12))]),
@@ -115,7 +112,6 @@ mod tests {
         let get = |key: &str| map.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         assert_eq!(get("name").and_then(Value::as_str), Some("fig5a"));
         assert_eq!(get("trials").and_then(Value::as_u64), Some(2));
-        assert_eq!(get("scheduler").and_then(Value::as_str), Some("wheel"));
         assert_eq!(get("host_parallelism").and_then(Value::as_u64), Some(8));
         assert_eq!(get("memo_hits").and_then(Value::as_u64), Some(3));
         assert_eq!(

@@ -29,17 +29,17 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
-# Only the agenda (pipeline.rs), the schedulers under it and in-crate test
+# Only the agenda (pipeline.rs), the scheduler under it and in-crate test
 # modules may name the containers (pipes, their ring, the head-of-line
 # timer set), reserve a sequence number or make up a reserved slot. The
 # bracket keeps this line from matching itself.
 inside='reserve_se[q]|CLASS_PIP[E]|ClassPipe[s]|FrontHea[p]|Rin[g]<|HEAD_PIP[E]|Reserve[d] \{'
 if git grep --untracked -nE "$inside" -- crates/netsim/src |
-    grep -vE '^crates/netsim/src/(pipeline|engine|wheel|[a-z_]*_tests)\.rs:'; then
+    grep -vE '^crates/netsim/src/(pipeline|engine|[a-z_]*_tests)\.rs:'; then
     echo "    a container leaked out of the agenda (lines above)" >&2
     exit 1
 fi
-echo "    clean outside pipeline.rs, engine.rs, wheel.rs and *_tests.rs"
+echo "    clean outside pipeline.rs, engine.rs and *_tests.rs"
 
 echo "==> host boundary: a NIC's fresh-segment deques are host.rs's business"
 # `Hosts::active` is pub(crate) for the tests; the event loop goes through
@@ -88,7 +88,10 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 # field or variant of a `pub` enum of a library file (up to its `mod
 # tests`) that no other file of the workspace names in code: crates, root
 # tests and examples, and benchmark/, so whatever benchmark/ names is
-# allowlisted (`QueueStats::parked`, always 0, stays only for it). Other
+# allowlisted (`QueueStats::parked`, always 0, stays only for it, and so
+# do the names the deleted timing wheel left inert: `SchedKind::{Heap,
+# Wheel}`, `SimConfig::sched`, `EventQueue::new`'s kind and
+# `SchedStats::cascaded_entries`, always 0). Other
 # files are read as code only — comments, doc comments and `use` /
 # `pub use` lists (one line or many) are cut out first — so a name that
 # is only mentioned, or only imported and re-exported, is not a use. An
@@ -110,7 +113,9 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 #   telemetry lib.rs parse_setting: imported as `get` by the two doors
 #     that read the environment, and called under that name;
 #   wire.rs decode_line: the one-line decoder of fp-monitord's library
-#     surface; its proptests pin the in-place scanner to serde_json.
+#     surface; its proptests pin the in-place scanner to serde_json;
+#   engine.rs Scheduler: inert since the timing wheel went (one
+#     implementor); benchmark/ imports it to call the heap's methods.
 code="$(mktemp -d)"
 git ls-files --cached --others --exclude-standard -- \
     'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' 'benchmark/src/*.rs' |
