@@ -1,11 +1,12 @@
 //! End-to-end closed-loop scenarios: the controller catches an injected
 //! fault, admin-downs the right cable, and training goodput recovers —
 //! while a controller-less baseline stays degraded. Plus the determinism
-//! contract: a controller-enabled trial is byte-identical across event
-//! scheduler backends.
+//! contract: a controller-enabled trial does not depend on the inert
+//! `SimConfig::sched` setting.
 
 use flowpulse::prelude::*;
 use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
+use fp_netsim::engine::SchedKind;
 use fp_netsim::spray::SprayPolicy;
 use fp_netsim::time::SimDuration;
 
@@ -191,4 +192,29 @@ fn reaction_latency_delays_mitigation() {
         s.time_to_mitigate_ns.unwrap() >= f.time_to_mitigate_ns.unwrap() + 200_000,
         "slow {s:?} vs fast {f:?}"
     );
+}
+
+/// The determinism contract extended to the control plane: the full
+/// closed-loop trial — alarms, control actions, goodput trajectory, event
+/// totals, scheduler counters — is the same whatever `SimConfig::sched`
+/// says: pinned to the wheel (as every `benchmark/` spec is), to the heap
+/// or unset.
+#[test]
+fn controller_trial_ignores_the_sched_setting() {
+    let story = |sched| {
+        let mut spec = spec_with(InjectedFault::Blackhole, 2);
+        spec.sim.sched = sched;
+        let r = run_ctrl_trial(&spec, CtrlConfig::default());
+        assert!(r
+            .ctrl
+            .as_ref()
+            .is_some_and(|c| !c.mitigated_ports.is_empty()));
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            r.ctrl, r.alarms, r.iter_goodput, r.iter_max_dev, r.stats, r.sched
+        )
+    };
+    let wheel = story(Some(SchedKind::Wheel));
+    assert_eq!(story(Some(SchedKind::Heap)), wheel);
+    assert_eq!(story(None), wheel);
 }

@@ -74,3 +74,59 @@ impl Application for MultiApp {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::packet::Priority;
+    use crate::time::SimTime;
+    use crate::topology::{FatTreeSpec, Topology};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Logs every callback it sees, prefixed with its name.
+    struct Logger(&'static str, Rc<RefCell<Vec<String>>>);
+
+    impl Application for Logger {
+        fn on_start(&mut self, _: &mut Simulator) {
+            self.1.borrow_mut().push(format!("{} start", self.0));
+        }
+        fn on_wake(&mut self, _: &mut Simulator, host: HostId, token: u64) {
+            self.1
+                .borrow_mut()
+                .push(format!("{} wake {} {token}", self.0, host.0));
+        }
+        fn on_message_complete(&mut self, _: &mut Simulator, flow: FlowId) {
+            self.1.borrow_mut().push(format!("{} done {flow}", self.0));
+        }
+    }
+
+    #[test]
+    fn multi_app_forwards_every_callback_to_every_child_in_order() {
+        let topo = Topology::fat_tree(FatTreeSpec {
+            leaves: 2,
+            spines: 1,
+            hosts_per_leaf: 1,
+            ..Default::default()
+        });
+        let mut sim = Simulator::new(topo, SimConfig::default(), 1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        sim.set_app(Box::new(MultiApp::new(vec![
+            Box::new(Logger("a", log.clone())),
+            Box::new(Logger("b", log.clone())),
+        ])));
+        let flow = sim.post_message(HostId(0), HostId(1), 4_096, None, Priority::MEASURED);
+        sim.schedule_wake(SimTime::from_ns(1), HostId(1), 42);
+        sim.run();
+        let expected = [
+            "a start".to_string(),
+            "b start".to_string(),
+            "a wake 1 42".to_string(),
+            "b wake 1 42".to_string(),
+            format!("a done {flow}"),
+            format!("b done {flow}"),
+        ];
+        assert_eq!(*log.borrow(), expected);
+    }
+}

@@ -525,4 +525,246 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.pushes, s.pops + q.len() as u64);
     }
+
+    fn token(k: EventKind) -> u64 {
+        match k {
+            EventKind::Wake { token, .. } => token,
+            _ => unreachable!(),
+        }
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(|(t, k)| (t.as_ns(), token(k)))).collect()
+    }
+
+    #[test]
+    fn far_future_events_pop_in_order() {
+        // Times past 2^32 ns (about 4.3 s of simulated time) order like
+        // any other, ties included.
+        let far = 1u64 << 32;
+        let mut q = EventQueue::default();
+        for (t, tok) in [(far + 7, 0), (3, 1), (far + 7, 2), (far + 5, 3)] {
+            let (at, k) = wake(t, tok);
+            q.push(at, k);
+        }
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(3), 1)));
+        assert_eq!(
+            drain(&mut q),
+            vec![(3, 1), (far + 5, 3), (far + 7, 0), (far + 7, 2)]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn interleaved_push_pop_matches_sorted_order() {
+        // The simulator's steady state: bursts at fixed offsets from the
+        // clock (serialization, latency, RTO) while the backlog drains two
+        // at a time. Tokens are push order, so sorting by (time, token) is
+        // the FIFO-at-equal-times reference.
+        let mut q = EventQueue::default();
+        let (mut expected, mut got) = (Vec::new(), Vec::new());
+        let (mut now, mut next_token) = (0u64, 0u64);
+        for _ in 0..200 {
+            for off in [1, 257, 5_000, 70_000] {
+                let (t, k) = wake(now + off, next_token);
+                q.push(t, k);
+                expected.push((now + off, next_token));
+                next_token += 1;
+            }
+            for _ in 0..2 {
+                if let Some((t, k)) = q.pop() {
+                    now = t.as_ns();
+                    got.push((now, token(k)));
+                }
+            }
+        }
+        got.extend(drain(&mut q));
+        expected.sort_unstable();
+        assert_eq!(got, expected);
+        let s = q.stats();
+        assert_eq!((s.pushes, s.pops), (800, 800));
+        assert!(s.max_pending >= 400, "backlog never built: {s:?}");
+    }
+
+    #[test]
+    fn push_below_peeked_head_comes_out_first() {
+        // The cached head must move when a push orders before it, and the
+        // pushes must come out in time order, FIFO at equal times.
+        let mut q = EventQueue::default();
+        let (t, k) = wake(10, 0);
+        q.push(t, k);
+        let (t, k) = wake(1_000, 1);
+        q.push(t, k);
+        assert_eq!(q.pop().map(|(t, k)| (t.as_ns(), token(k))), Some((10, 0)));
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(1_000), 1)));
+        for (t, tok) in [(500, 2), (200, 3), (500, 4)] {
+            let (at, k) = wake(t, tok);
+            q.push(at, k);
+        }
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(200), 3)));
+        assert_eq!(
+            drain(&mut q),
+            vec![(200, 3), (500, 2), (500, 4), (1_000, 1)]
+        );
+    }
+
+    #[test]
+    fn push_below_popped_timestamp_is_legal() {
+        // The lazy-RTO shape: a stale timer pops at a *future* timestamp
+        // without advancing the simulator clock, then the engine schedules
+        // a wire event off its own, earlier, clock. The backdated event
+        // must come straight back out first.
+        let mut q = EventQueue::default();
+        let (t, k) = wake(378_076, 0);
+        q.push(t, k);
+        assert_eq!(
+            q.pop().map(|(t, k)| (t.as_ns(), token(k))),
+            Some((378_076, 0))
+        );
+        let (t, k) = wake(375_124, 1);
+        q.push(t, k);
+        let (t, k) = wake(379_000, 2);
+        q.push(t, k);
+        assert_eq!(drain(&mut q), vec![(375_124, 1), (379_000, 2)]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn event_queue_new_ignores_its_kind() {
+        // `SchedKind` is inert: both values build the same queue, with the
+        // same order, the same counters and `cascaded_entries` at 0.
+        let run = |mut q: EventQueue| {
+            for (t, tok) in [(30u64, 0u64), (10, 1), (30, 2), (1 << 33, 3)] {
+                let (at, k) = wake(t, tok);
+                q.push(at, k);
+            }
+            q.reserve_seq();
+            let (at, k) = wake(10, 4);
+            q.push(at, k);
+            let head = q.peek_next();
+            (head, drain(&mut q), q.stats())
+        };
+        let default = run(EventQueue::default());
+        assert_eq!(run(EventQueue::new(SchedKind::Heap)), default);
+        assert_eq!(run(EventQueue::new(SchedKind::Wheel)), default);
+        let (head, order, stats) = default;
+        assert_eq!(head, Some((SimTime::from_ns(10), 1)));
+        assert_eq!(
+            order,
+            vec![(10, 1), (10, 4), (30, 0), (30, 2), (1 << 33, 3)]
+        );
+        assert_eq!((stats.pushes, stats.pops, stats.max_pending), (5, 5, 5));
+        assert_eq!(stats.cascaded_entries, 0);
+    }
+
+    /// The three kinds a memoized residual may hold.
+    fn residual(flow: FlowId) -> [EventKind; 3] {
+        [
+            EventKind::Rto {
+                flow,
+                seq: 4,
+                attempt: 1,
+            },
+            EventKind::AckFlush { flow },
+            EventKind::TxDone { link: LinkId(5) },
+        ]
+    }
+
+    fn pending(q: &EventQueue) -> Vec<(u64, u64, String)> {
+        let mut v = Vec::new();
+        q.memo_for_each(&mut |at, seq, kind| v.push((at.as_ns(), seq, format!("{kind:?}"))));
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn memo_shift_flow_moves_only_flow_references() {
+        let shifted = residual(10).map(|k| format!("{:?}", k.memo_shift_flow(7)));
+        let expected = residual(17).map(|k| format!("{k:?}"));
+        assert_eq!(shifted[..2], expected[..2]);
+        // TxDone names a link, not a flow: it passes through unchanged.
+        assert_eq!(shifted[2], format!("{:?}", residual(10)[2]));
+    }
+
+    #[test]
+    fn memo_for_each_visits_every_pending_entry() {
+        let mut q = EventQueue::default();
+        for (i, k) in residual(2).into_iter().enumerate() {
+            q.push(SimTime::from_ns(40 - 10 * i as u64), k);
+        }
+        q.reserve_seq();
+        let (t, k) = wake(5, 9);
+        q.push(t, k);
+        q.pop();
+        let seen = pending(&q);
+        assert_eq!(seen.len(), q.len());
+        let at_seq: Vec<(u64, u64)> = seen.iter().map(|&(t, s, _)| (t, s)).collect();
+        assert_eq!(at_seq, vec![(20, 2), (30, 1), (40, 0)]);
+    }
+
+    #[test]
+    fn memo_rebase_shifts_time_seq_and_flow() {
+        let dt = crate::time::SimDuration::from_ns(1_000);
+        let mut q = EventQueue::default();
+        for (i, k) in residual(3).into_iter().enumerate() {
+            q.push(SimTime::from_ns(100 + i as u64), k);
+        }
+        q.reserve_seq();
+        let before = pending(&q);
+        q.memo_rebase(dt, 50, 8);
+        assert_eq!(q.memo_seq(), 4 + 50);
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(1_100), 50)));
+        let after = pending(&q);
+        let kinds = residual(11).map(|k| format!("{k:?}"));
+        for (i, ((t0, s0, _), (t1, s1, k1))) in before.iter().zip(&after).enumerate() {
+            assert_eq!((*t1, *s1), (t0 + 1_000, s0 + 50));
+            assert_eq!(*k1, kinds[i]);
+        }
+        // A push after the rebase ties after every shifted entry.
+        let (t, k) = wake(1_100, 0);
+        q.push(t, k);
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(1_100), 50)));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.as_ns())).collect();
+        assert_eq!(order, vec![1_100, 1_100, 1_101, 1_102]);
+        assert_eq!(q.stats().pushes, 4, "a rebase is not scheduler traffic");
+    }
+
+    #[test]
+    fn memo_rebase_of_an_empty_queue_advances_only_the_counter() {
+        let mut q = EventQueue::default();
+        let (t, k) = wake(10, 0);
+        q.push(t, k);
+        q.pop();
+        let stats = q.stats();
+        q.memo_rebase(crate::time::SimDuration::from_ns(500), 7, 3);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_next(), None);
+        assert_eq!(q.memo_seq(), 1 + 7);
+        assert_eq!(q.stats(), stats);
+        assert_eq!(q.reserve_seq(), 8);
+    }
+
+    #[test]
+    fn memo_add_stats_scales_pushes_and_pops_not_max_pending() {
+        let mut q = EventQueue::default();
+        for i in 0..3u64 {
+            let (t, k) = wake(i, i);
+            q.push(t, k);
+        }
+        q.pop();
+        let window = SchedStats {
+            pushes: 4,
+            pops: 5,
+            max_pending: 99,
+            ..SchedStats::default()
+        };
+        q.memo_add_stats(&window, 10);
+        let s = q.stats();
+        assert_eq!((s.pushes, s.pops), (3 + 40, 1 + 50));
+        assert_eq!(
+            s.max_pending, 3,
+            "a replayed window sets no new high-water mark"
+        );
+        assert_eq!(q.len(), 2, "pending entries are untouched");
+    }
 }

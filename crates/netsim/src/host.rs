@@ -143,3 +143,48 @@ impl Hosts {
         self.active.iter().map(round).collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_posted_flow_joins_the_back_of_its_hosts_round() {
+        let mut hosts = Hosts::new(3);
+        for (h, flow) in [(1, 7), (0, 2), (1, 4), (1, 9)] {
+            hosts.post(HostId(h), flow);
+        }
+        let rounds: Vec<Vec<FlowId>> = hosts
+            .active
+            .iter()
+            .map(|a| a.iter().copied().collect())
+            .collect();
+        assert_eq!(rounds, vec![vec![2], vec![7, 4, 9], vec![]]);
+    }
+
+    #[test]
+    fn nothing_fresh_above_the_top_class_or_an_idle_host() {
+        let mut hosts = Hosts::new(2);
+        hosts.post(HostId(0), 3);
+        // The top class goes first whatever is waiting.
+        assert!(hosts.nothing_fresh_above(HostId(0), 0));
+        // A lower class waits behind a host with fresh segments left...
+        assert!(!hosts.nothing_fresh_above(HostId(0), 1));
+        assert!(!hosts.nothing_fresh_above(HostId(0), NPRIO - 1));
+        // ...but not behind an idle one.
+        assert!(hosts.nothing_fresh_above(HostId(1), NPRIO - 1));
+    }
+
+    #[test]
+    fn memo_shift_and_norm_cover_every_queued_flow() {
+        let mut hosts = Hosts::new(3);
+        for (h, flow) in [(0, 10), (2, 11), (0, 12)] {
+            hosts.post(HostId(h), flow);
+        }
+        hosts.memo_shift(100);
+        let norm = hosts.memo_norm(|f| f - 100);
+        assert_eq!(norm, vec![vec![10, 12], vec![], vec![11]]);
+        let raw = hosts.memo_norm(|f| f);
+        assert_eq!(raw, vec![vec![110, 112], vec![], vec![111]]);
+    }
+}

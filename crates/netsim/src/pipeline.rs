@@ -973,6 +973,134 @@ mod tests {
         assert_eq!(p.iter().map(|e| e.seq).collect::<Vec<_>>(), [5]);
     }
 
+    fn data(flow: u32) -> Packet {
+        Packet {
+            kind: PacketKind::Data { flow, seq: 0 },
+            src: HostId(0),
+            dst: HostId(1),
+            size: 64,
+            prio: Priority::MEASURED,
+            tag: None,
+            src_leaf: 0,
+            ingress: None,
+            ce: false,
+        }
+    }
+
+    /// An agenda with entries in every container, all of kinds a memoized
+    /// residual may hold: one scheduler event, three delay-class events in
+    /// two classes, one armed head-of-line timer and three packets on the
+    /// wire in two latency classes.
+    fn filled() -> Agenda {
+        let mut a = agenda();
+        let (now, d) = (SimTime::from_ns(10), SimDuration::from_ns);
+        let rto = |flow, seq, attempt| EventKind::Rto { flow, seq, attempt };
+        a.at(SimTime::from_ns(50), rto(1, 0, 2));
+        a.after(now, d(84), EventKind::TxDone { link: LinkId(2) });
+        a.after(now, d(84), EventKind::AckFlush { flow: 2 });
+        a.after(now, d(5_000), rto(3, 1, 1));
+        let slot = a.reserve_after(now, d(300));
+        a.arm_reserved(slot, rto(4, 0, 0));
+        a.deliver(now + d(5), LinkId(0), data(5));
+        a.deliver(now + d(9), LinkId(1), data(6));
+        a.deliver(now + d(5), LinkId(3), data(7));
+        a
+    }
+
+    /// Every pending entry as `(at, seq, what)`, sorted by `(at, seq)`.
+    fn entries(a: &Agenda) -> Vec<(u64, u64, String)> {
+        let mut v = Vec::new();
+        a.memo_for_each(&mut |at, seq, due| v.push((at.as_ns(), seq, format!("{due:?}"))));
+        v.sort();
+        v
+    }
+
+    fn drain(a: &mut Agenda) -> Vec<(u64, String)> {
+        std::iter::from_fn(|| a.peek().map(|n| (n.at.as_ns(), format!("{:?}", a.pop(n))))).collect()
+    }
+
+    #[test]
+    fn memo_for_each_visits_every_container_in_dispatch_order() {
+        let mut a = filled();
+        let seen = entries(&a);
+        assert_eq!(seen.len(), a.len());
+        assert_eq!(seen.len(), 8);
+        let seqs: Vec<u64> = seen.iter().map(|e| e.1).collect();
+        let mut distinct = seqs.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct, (0..8).collect::<Vec<_>>(), "one seq per entry");
+        let wire = seen.iter().filter(|e| e.2.starts_with("Delivery")).count();
+        assert_eq!(wire, 3);
+        // Sorted by (at, seq), the entries are the dispatch order.
+        let visited: Vec<(u64, String)> = seen.into_iter().map(|(t, _, w)| (t, w)).collect();
+        assert_eq!(drain(&mut a), visited);
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn memo_rebase_shifts_every_container_uniformly() {
+        let (dt, dseq, dflow) = (SimDuration::from_ns(7_000), 100, 20);
+        let mut live = filled();
+        let mut moved = filled();
+        let (before, stats) = (entries(&moved), moved.stats());
+        moved.memo_rebase(dt, dseq, dflow, &mut |p| match &mut p.kind {
+            PacketKind::Data { flow, .. } | PacketKind::Ack { flow, .. } => *flow += dflow,
+        });
+        assert_eq!(moved.memo_seq(), live.memo_seq() + dseq);
+        assert_eq!(moved.stats(), stats, "a rebase is not agenda traffic");
+        let after = entries(&moved);
+        assert_eq!(after.len(), before.len());
+        for ((t0, s0, _), (t1, s1, _)) in before.iter().zip(&after) {
+            assert_eq!((*t1, *s1), (t0 + 7_000, s0 + dseq));
+        }
+        // Popped side by side, the rebased agenda is the live one shifted:
+        // same order, every time `dt` later, every flow `dflow` on.
+        let mut shifted = Vec::new();
+        while let Some(n) = live.peek() {
+            let due = match live.pop(n) {
+                Due::Event(k) => Due::Event(k.memo_shift_flow(dflow)),
+                Due::Delivery(l, mut p) => {
+                    if let PacketKind::Data { flow, .. } = &mut p.kind {
+                        *flow += dflow;
+                    }
+                    Due::Delivery(l, p)
+                }
+            };
+            shifted.push((n.at.as_ns() + 7_000, format!("{due:?}")));
+        }
+        assert_eq!(drain(&mut moved), shifted);
+    }
+
+    #[test]
+    fn memo_add_stats_scales_every_counter_but_max_pending() {
+        let mut a = filled();
+        let s0 = a.stats();
+        let window = SchedStats {
+            pushes: 1,
+            pops: 2,
+            max_pending: 100,
+            cascaded_entries: 0,
+            class_pushes: 3,
+            class_pops: 4,
+            head_arms: 5,
+            head_pops: 6,
+        };
+        a.memo_add_stats(&window, 3);
+        let s = a.stats();
+        assert_eq!((s.pushes, s.pops), (s0.pushes + 3, s0.pops + 6));
+        assert_eq!(
+            (s.class_pushes, s.class_pops),
+            (s0.class_pushes + 9, s0.class_pops + 12)
+        );
+        assert_eq!(
+            (s.head_arms, s.head_pops),
+            (s0.head_arms + 15, s0.head_pops + 18)
+        );
+        assert_eq!(s.max_pending, s0.max_pending);
+        assert_eq!(a.len(), 8, "pending entries are untouched");
+    }
+
     /// What the model heap's entry `id` stands for in the agenda.
     #[derive(Copy, Clone, PartialEq, Debug)]
     enum Item {

@@ -1052,6 +1052,46 @@ mod tests {
     }
 
     #[test]
+    fn faults_and_controls_share_one_link_change_schedule() {
+        use crate::control::ControlAction;
+        let mut s = sim(31);
+        let up = s.topo.uplink(1, 0);
+        let blackhole = FaultAction::Set(FaultKind::SilentBlackhole);
+        s.schedule_fault(FaultEvent::new(SimTime::from_us(1), up, blackhole, false));
+        let at = SimTime::from_us(2);
+        let idx = s.schedule_control(at, ControlAction::admin_down_cable(up));
+        assert_eq!(idx, 1, "the fault took schedule entry 0");
+        s.run();
+        // Both landed; only the remediation is logged as a control.
+        let applied = s.applied_controls();
+        assert_eq!(applied.len(), 1);
+        assert_eq!((applied[0].at, applied[0].idx), (at, 1));
+        assert!(!s.links[up.idx()].admin_up);
+        let peer = s.topo.peer[up.idx()];
+        assert!(
+            !s.links[peer.idx()].admin_up,
+            "a cable action takes both directions"
+        );
+    }
+
+    #[test]
+    fn a_quarantine_keeps_the_cable_routed_until_a_clear_lifts_it() {
+        let mut s = sim(33);
+        let up = s.topo.uplink(0, 1);
+        let peer = s.topo.peer[up.idx()];
+        s.apply_fault_now(up, FaultAction::Quarantine, true);
+        for l in [up, peer] {
+            let link = &s.links[l.idx()];
+            assert!(link.spray_avoid && link.admin_up && link.fault.is_none());
+        }
+        // Spray avoids it, routing still counts it.
+        assert_eq!(s.switches.state[0].valid_up[3].len(), 2);
+        s.apply_fault_now(up, FaultAction::Clear, true);
+        assert!(!s.links[up.idx()].spray_avoid && !s.links[peer.idx()].spray_avoid);
+        assert_eq!(s.switches.state[0].valid_up[3].len(), 2);
+    }
+
+    #[test]
     fn dst_blackhole_only_affects_target_leaf() {
         let mut s = sim(29);
         // Blackhole packets to leaf 3 on leaf0's uplink to vspine 0.
