@@ -35,8 +35,8 @@ struct Summary {
     events: u64,
     /// Engine events per data packet delivered.
     events_per_pkt: f64,
-    /// Entries the agenda handed out per data packet delivered: scheduler,
-    /// delay-class and head-of-line pops plus wire deliveries. Unlike
+    /// Entries the agenda handed out per data packet delivered: scheduler
+    /// and delay-class pops plus wire deliveries. Unlike
     /// `events` this counts the retransmission timers that surface only to
     /// be discarded, so it is where a change in timer traffic shows.
     agenda_ops_per_pkt: f64,
@@ -88,8 +88,7 @@ fn main() {
         std::process::exit(2);
     });
     let r = run_trial(&spec);
-    let agenda_ops =
-        r.sched.pops + r.sched.class_pops + r.sched.head_pops + r.stats.pipeline_deliveries;
+    let agenda_ops = r.sched.pops + r.sched.class_pops + r.stats.pipeline_deliveries;
     let per_pkt = |n: u64| n as f64 / r.stats.data_pkts_delivered.max(1) as f64;
     let summary = Summary {
         detected: r.detected,

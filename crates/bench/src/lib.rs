@@ -1,6 +1,7 @@
 //! # fp-bench — experiment harness for the FlowPulse reproduction
 //!
-//! One binary per paper artifact (see `DESIGN.md` §4 for the index):
+//! One binary per paper artifact (`EXPERIMENTS.md` gives each its
+//! parameters and numbers):
 //!
 //! | binary                 | artifact                                        |
 //! |------------------------|-------------------------------------------------|

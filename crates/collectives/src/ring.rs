@@ -11,7 +11,7 @@
 //! The paper's §6 workload — "a 31-stage Ring-AllReduce" on 32 leaves — is
 //! the N−1 = 31-stage pipeline of one phase; [`ring_reduce_scatter`]
 //! reproduces exactly that, and [`ring_allreduce`] the full 62-stage
-//! collective.
+//! collective, which the experiments run (temporal symmetry is the same).
 
 use crate::schedule::{Schedule, Transfer};
 use fp_netsim::ids::HostId;

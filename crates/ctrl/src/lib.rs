@@ -17,8 +17,8 @@
 //!    [`Simulator::schedule_control`] after a configurable reaction
 //!    latency, modelling the detect→ticket→drain delay of a real NOC. The
 //!    engine applies the action deterministically on its own clock, so
-//!    controller-enabled trials stay byte-identical across scheduler
-//!    backends and worker-thread counts.
+//!    controller-enabled trials stay byte-identical across worker-thread
+//!    counts.
 //! 4. **Rebaseline** — once the remediation lands, the monitor relearns its
 //!    baseline against the post-mitigation `d/(s−f)` load shape and the
 //!    iteration the action landed mid-flight in (partly faulty, partly

@@ -4,7 +4,9 @@
 //! processed in insertion order (a sequence number breaks ties), so runs
 //! are bit-for-bit reproducible for a given seed regardless of platform.
 //! Most pending events never reach it: packets and constant-delay timers
-//! wait in the agenda's pipes ([`crate::pipeline`]).
+//! wait in the agenda's pipes ([`crate::pipeline`]). First-attempt RTO
+//! timers do, at the `(at, seq)` slot the agenda reserved for them when
+//! their segment left ([`EventQueue::insert`]).
 
 use crate::ids::{HostId, LinkId};
 use crate::packet::FlowId;
@@ -129,8 +131,9 @@ pub enum SchedKind {
 pub struct SchedStats {
     /// Events actually pushed into the heap (excludes sequence numbers
     /// that were merely *reserved* for pipe entries — see
-    /// [`Scheduler::reserve_seq`]). This is the "scheduler traffic" number
-    /// the delivery and delay-class pipes shrink.
+    /// [`Scheduler::reserve_seq`]), first-attempt RTO timers armed in a
+    /// reserved slot included. `pushes - head_arms` is the "scheduler
+    /// traffic" number the delivery and delay-class pipes shrink.
     pub pushes: u64,
     /// Events popped back out of the heap. Counts every pop the engine
     /// performs — including lazily-cancelled RTO timers that are then
@@ -148,14 +151,13 @@ pub struct SchedStats {
     pub class_pushes: u64,
     /// Events popped off a delay-class pipe — like `pops`, including
     /// lazily-cancelled RTO timers that are then discarded. On a drained,
-    /// recorder-free run `pops + class_pops + head_pops == events -
-    /// pipeline_deliveries + rto_stale_skips`.
+    /// recorder-free run `pops + class_pops == events - pipeline_deliveries
+    /// + rto_stale_skips`.
     pub class_pops: u64,
-    /// First-attempt retransmission timers armed in the agenda's
-    /// head-of-line set (one at a time per flow, see `crate::transport`).
+    /// First-attempt retransmission timers armed in a reserved slot (one
+    /// at a time per flow, see `crate::transport`); each is also one of
+    /// `pushes`.
     pub head_arms: u64,
-    /// Head-of-line timers that surfaced (live or lazily cancelled).
-    pub head_pops: u64,
 }
 
 impl SchedStats {
@@ -169,7 +171,6 @@ impl SchedStats {
         self.class_pushes += other.class_pushes;
         self.class_pops += other.class_pops;
         self.head_arms += other.head_arms;
-        self.head_pops += other.head_pops;
     }
 }
 
@@ -308,17 +309,24 @@ impl EventQueue {
     pub(crate) fn memo_seq(&self) -> u64 {
         self.seq
     }
-}
 
-impl Scheduler for EventQueue {
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.reserve_seq();
+    /// Push `kind` at `(at, seq)`, where `seq` was taken from this queue
+    /// by a push or [`Scheduler::reserve_seq`] and is used by no other
+    /// pending entry. It may order before the cached head.
+    pub(crate) fn insert(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         self.pushed += 1;
         if self.next.is_none_or(|(t, s)| (at, seq) < (t, s)) {
             self.next = Some((at, seq));
         }
         self.heap.push(HeapEntry { at, seq, kind });
         self.max_pending = self.max_pending.max(self.heap.len() as u64);
+    }
+}
+
+impl Scheduler for EventQueue {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.reserve_seq();
+        self.insert(at, seq, kind);
     }
     #[inline]
     fn reserve_seq(&mut self) -> u64 {
@@ -473,7 +481,6 @@ mod tests {
             class_pushes: 30,
             class_pops: 25,
             head_arms: 9,
-            head_pops: 8,
         };
         let mut m = SchedStats {
             pushes: 20,
@@ -483,7 +490,6 @@ mod tests {
             class_pushes: 3,
             class_pops: 3,
             head_arms: 2,
-            head_pops: 1,
         };
         m.merge(&a);
         assert_eq!(m.pushes, 120);
@@ -491,7 +497,7 @@ mod tests {
         assert_eq!(m.max_pending, 10);
         assert_eq!(m.class_pushes, 33);
         assert_eq!(m.class_pops, 28);
-        assert_eq!((m.head_arms, m.head_pops), (11, 9));
+        assert_eq!(m.head_arms, 11);
     }
 
     #[test]
@@ -629,21 +635,27 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// A fixed script, with its head before the drain, the drained order
+    /// and the counters. A `fn`, not a closure: rustc 1.95.0 at opt-level
+    /// 2 and above miscompiles a closure called twice with a by-value
+    /// queue into a double free.
+    type Run = (Option<(SimTime, u64)>, Vec<(u64, u64)>, SchedStats);
+    fn run(mut q: EventQueue) -> Run {
+        for (t, tok) in [(30u64, 0u64), (10, 1), (30, 2), (1 << 33, 3)] {
+            let (at, k) = wake(t, tok);
+            q.push(at, k);
+        }
+        q.reserve_seq();
+        let (at, k) = wake(10, 4);
+        q.push(at, k);
+        let head = q.peek_next();
+        (head, drain(&mut q), q.stats())
+    }
+
     #[test]
     fn event_queue_new_ignores_its_kind() {
         // `SchedKind` is inert: both values build the same queue, with the
         // same order, the same counters and `cascaded_entries` at 0.
-        let run = |mut q: EventQueue| {
-            for (t, tok) in [(30u64, 0u64), (10, 1), (30, 2), (1 << 33, 3)] {
-                let (at, k) = wake(t, tok);
-                q.push(at, k);
-            }
-            q.reserve_seq();
-            let (at, k) = wake(10, 4);
-            q.push(at, k);
-            let head = q.peek_next();
-            (head, drain(&mut q), q.stats())
-        };
         let default = run(EventQueue::default());
         assert_eq!(run(EventQueue::new(SchedKind::Heap)), default);
         assert_eq!(run(EventQueue::new(SchedKind::Wheel)), default);
@@ -655,6 +667,27 @@ mod tests {
         );
         assert_eq!((stats.pushes, stats.pops, stats.max_pending), (5, 5, 5));
         assert_eq!(stats.cascaded_entries, 0);
+    }
+
+    #[test]
+    fn a_reserved_slot_below_the_cached_head_becomes_the_head() {
+        // A timer armed late, in a slot reserved early: it may order
+        // before the head cached since; a slot reserved after that head,
+        // at the same time, queues behind it.
+        let mut q = EventQueue::default();
+        let early = q.reserve_seq();
+        let (t, k) = wake(10, 1);
+        q.push(t, k);
+        let late = q.reserve_seq();
+        let (t, k) = wake(10, late);
+        q.insert(t, late, k);
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), 1)));
+        let (t, k) = wake(10, early);
+        q.insert(t, early, k);
+        assert_eq!(q.peek_next(), Some((SimTime::from_ns(10), early)));
+        assert_eq!(drain(&mut q), vec![(10, 0), (10, 1), (10, 2)]);
+        let s = q.stats();
+        assert_eq!((s.pushes, s.pops, s.max_pending), (3, 3, 3));
     }
 
     /// The three kinds a memoized residual may hold.

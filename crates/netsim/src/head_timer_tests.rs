@@ -121,14 +121,14 @@ fn one_segment_into_a_black_hole_climbs_the_ladder_alone() {
     assert_eq!(s.stats.retransmits, 3);
     assert_eq!(s.stats.flows_failed, 1);
     assert_eq!(s.now().as_ns(), rto * (1 + 2 + 4 + 8), "5, 10, 20, 40 µs");
+    // Nothing is scheduled at an absolute time (the fault is applied now),
+    // so every scheduler push is a first-attempt timer and `pushes - pops`
+    // counts the armed ones.
     let waits: Vec<_> = fired
         .iter()
         .map(|(retx, ss)| {
-            (
-                *retx,
-                ss.head_arms - ss.head_pops,
-                ss.class_pushes - ss.class_pops,
-            )
+            assert_eq!(ss.pushes, ss.head_arms, "only first-attempt timers");
+            (*retx, ss.pushes - ss.pops, ss.class_pushes - ss.class_pops)
         })
         .collect();
     assert_eq!(

@@ -11,16 +11,15 @@
 //! binary heap of [`crate::engine`].
 //!
 //! `Agenda` owns all of it — the scheduler (and with it the one sequence
-//! counter), both pipe families, the head-of-line timer set, the front
-//! set and the link → latency-class map — and
-//! the rest of the engine sees five entry points: `at` (absolute time),
-//! `after` (constant delay), `deliver` (a packet on a wire),
-//! `reserve_after` / `arm_reserved` (a place in the order now, an event
-//! there later or never) and the `peek` / `pop` pair. Which container an
-//! event waits in is this module's business and nobody else's; the memo
+//! counter), both pipe families, the front set and the link →
+//! latency-class map — and the rest of the engine sees five entry points:
+//! `at` (absolute time), `after` (constant delay), `deliver` (a packet on a
+//! wire), `reserve_after` / `arm_reserved` (a place in the order now, an
+//! event there later or never) and the `peek` / `pop` pair. Which container
+//! an event waits in is this module's business and nobody else's; the memo
 //! fast-forward reaches pending events only through the `memo_*` trio.
 //!
-//! Two families of pipes and one set share the one front set:
+//! Two families of pipes share the one front set:
 //!
 //! * **Delivery pipes** carry packets on the wire, one pipe per link
 //!   *latency class* (two in a fat tree: host↔leaf, leaf↔spine). The FIFO
@@ -36,12 +35,12 @@
 //!   delay past the bound simply goes to the scheduler, which remains the
 //!   general future-event list for everything scheduled at an absolute
 //!   time (link changes, wake-ups, sampler ticks).
-//! * **Head-of-line timers** are the first-attempt `Rto`s. The transport
-//!   reserves a slot — `(deadline, sequence number)` — for every segment
-//!   it sends but arms only one per flow at a time (`crate::transport`),
-//!   later and out of FIFO order, so these wait in a small heap of their
-//!   own whose minimum competes through one more front. A reserved slot
-//!   nobody arms costs nothing beyond its sequence number.
+//!
+//! First-attempt `Rto`s are neither. The transport reserves a slot —
+//! `(deadline, sequence number)` — for every segment it sends but arms only
+//! one per flow at a time (`crate::transport`), later and out of FIFO
+//! order, so an armed one waits in the scheduler at its reserved slot. A
+//! reserved slot nobody arms costs nothing beyond its sequence number.
 //!
 //! ## Pipe granularity
 //!
@@ -58,10 +57,10 @@
 //! the scheduler at exactly the program point where a scheduler push would
 //! have consumed one ([`Scheduler::reserve_seq`]) and stores it in the
 //! entry. Each pipe is sorted by `(at, seq)` by construction, the front
-//! heap orders pipe heads by the same pair, and `peek` compares that pair
-//! against the scheduler's head — so the global dispatch order, and
-//! therefore every RNG draw and every output byte, is identical to the
-//! all-scheduler engine. Which container an event waits in is
+//! heap orders each pipe's first entry by the same pair, and `peek`
+//! compares that pair against the scheduler's head — so the global
+//! dispatch order, and therefore every RNG draw and every output byte, is
+//! identical to the all-scheduler engine. Which container an event waits in is
 //! unobservable.
 //!
 //! ## Entries are written once, where they wait
@@ -77,8 +76,6 @@ use crate::engine::{EventKind, EventQueue, SchedStats, Scheduler};
 use crate::ids::{HostId, LinkId};
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The armed head-of-pipe entry of one pipe.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -104,16 +101,10 @@ const CLASS_PIPE: u32 = 1 << 31;
 /// heap without limit.
 pub const MAX_DELAY_CLASSES: usize = 16;
 
-/// The front of the head-of-line timer set, among the [`PipeFront::pipe`]
-/// indices (past every delay class; carries the [`CLASS_PIPE`] mark, as
-/// its entries are timers too).
-const HEAD_PIPE: u32 = u32::MAX;
-
 /// One pending entry of a pipe: due time, the global sequence number
 /// reserved at insert (it breaks equal-timestamp ties exactly like a
-/// scheduler push would), and what is waiting. Ordered by `(at, seq)`;
-/// sequence numbers are unique, so the item never decides.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// scheduler push would), and what is waiting.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct Entry<T> {
     at: SimTime,
     seq: u64,
@@ -123,7 +114,7 @@ struct Entry<T> {
 /// An [`EventKind`] as two words: the variant's tag in the low byte of the
 /// first and its `u32` identifier (link, flow, host, index) in the high
 /// half, everything else in the second. No field is narrowed.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct Packed(u64, u64);
 
 // Every pipe push writes one of these and every pop reads it back; a field
@@ -346,9 +337,8 @@ impl<T: Copy> Pipes<T> {
 ///
 /// Holds at most one entry per pipe, so its size is bounded by the number
 /// of *busy pipes* (two latency classes in a fat tree, at most
-/// [`MAX_DELAY_CLASSES`] delay classes and the head-of-line timer set), not
-/// by the number of packets in flight or timers pending — the pipes absorb
-/// the depth. At that size a linear scan for the minimum after each change
+/// [`MAX_DELAY_CLASSES`] delay classes), not by the number of packets in
+/// flight or timers pending — the pipes absorb the depth. At that size a linear scan for the minimum after each change
 /// (a run of compare/select over three cache lines) beats sifting a binary
 /// heap, whose few levels cost a mispredicted branch each; the name is kept
 /// for the callers.
@@ -411,15 +401,6 @@ impl FrontHeap {
             "pipe arrivals regressed"
         );
         self.fronts[self.top] = f;
-        self.find_top();
-    }
-
-    /// Move the front of `f.pipe` (armed, not necessarily the top) to `f`,
-    /// which may sort before it — a set, unlike a FIFO, can gain a new
-    /// minimum while it waits.
-    pub fn rearm(&mut self, f: PipeFront) {
-        let armed = self.fronts.iter_mut().find(|a| a.pipe == f.pipe);
-        *armed.expect("rearm of a pipe that is not armed") = f;
         self.find_top();
     }
 
@@ -494,10 +475,11 @@ pub(crate) struct Next {
 /// Every pending event of one simulator (see the module docs).
 pub(crate) struct Agenda {
     /// Future-event list for absolute-time events (link changes, wake-ups,
-    /// sampler ticks) and for delays past the class bound. Also
-    /// the one source of tie-break sequence numbers for every pipe.
+    /// sampler ticks), for delays past the class bound and for first-attempt
+    /// RTO timers at their reserved slots. Also the one source of tie-break
+    /// sequence numbers for every pipe.
     sched: EventQueue,
-    /// Armed pipe heads, one per nonempty delivery or delay-class pipe.
+    /// Armed fronts, one per nonempty delivery or delay-class pipe.
     front: FrontHeap,
     /// Delivery pipes, one per link latency class.
     wire: Pipes<(LinkId, Packet)>,
@@ -506,10 +488,6 @@ pub(crate) struct Agenda {
     /// Delay-class pipes: `TxDone`, `Rto` backoff, `AckFlush` and `Pfc`
     /// events.
     timers: Pipes<Packed>,
-    /// Head-of-line timers: reserved slots that were armed, earliest on
-    /// top. One per flow with a first attempt in doubt, so a heap: an
-    /// all-to-all keeps hosts² flows open.
-    heads: BinaryHeap<Reverse<Entry<Packed>>>,
     /// Delay of timer class `i`, nanoseconds. At most `class_bound`
     /// entries, scanned linearly — the hot delays are discovered first.
     delays: Vec<u64>,
@@ -517,7 +495,6 @@ pub(crate) struct Agenda {
     class_pushes: u64,
     class_pops: u64,
     head_arms: u64,
-    head_pops: u64,
 }
 
 impl Agenda {
@@ -542,13 +519,11 @@ impl Agenda {
             wire,
             link_class,
             timers: Pipes(Vec::new()),
-            heads: BinaryHeap::new(),
             delays: Vec::new(),
             class_bound: MAX_DELAY_CLASSES,
             class_pushes: 0,
             class_pops: 0,
             head_arms: 0,
-            head_pops: 0,
         }
     }
 
@@ -602,20 +577,8 @@ impl Agenda {
     /// been dispatched past: the caller arms a slot later than the one
     /// whose event it is handling, or one it just reserved.
     pub(crate) fn arm_reserved(&mut self, slot: Reserved, kind: EventKind) {
-        let Reserved { at, seq } = slot;
-        let f = PipeFront {
-            at,
-            seq,
-            pipe: HEAD_PIPE,
-        };
-        match self.heads.peek() {
-            None => self.front.arm(f),
-            Some(Reverse(min)) if (at, seq) < (min.at, min.seq) => self.front.rearm(f),
-            Some(_) => {}
-        }
-        let item = pack(kind);
-        self.heads.push(Reverse(Entry { at, seq, item }));
         self.head_arms += 1;
+        self.sched.insert(slot.at, slot.seq, kind);
     }
 
     /// Put `pkt` on `link`'s wire, arriving at `at` (now + the link's
@@ -656,14 +619,8 @@ impl Agenda {
         };
         debug_assert_eq!(self.front.peek(), Some(f));
         if f.pipe & CLASS_PIPE != 0 {
-            let (head, behind) = if f.pipe == HEAD_PIPE {
-                self.head_pops += 1;
-                let Reverse(head) = self.heads.pop().expect("armed set has an entry");
-                (head, self.heads.peek().map(|Reverse(n)| (n.at, n.seq)))
-            } else {
-                self.class_pops += 1;
-                self.timers.pop(f.pipe & !CLASS_PIPE)
-            };
+            self.class_pops += 1;
+            let (head, behind) = self.timers.pop(f.pipe & !CLASS_PIPE);
             debug_assert_eq!((head.at, head.seq), (f.at, f.seq), "front out of sync");
             self.front.advance_top(behind);
             Due::Event(unpack(head.item))
@@ -676,27 +633,26 @@ impl Agenda {
         }
     }
 
-    /// Pending entries: scheduler events, delay-class events, armed
-    /// head-of-line timers and packets on the wire.
+    /// Pending entries: scheduler events, delay-class events and packets
+    /// on the wire.
     pub(crate) fn len(&self) -> usize {
-        self.sched.len() + self.timers.len() + self.heads.len() + self.wire.len()
+        self.sched.len() + self.timers.len() + self.wire.len()
     }
 
-    /// True when nothing is pending. Every nonempty pipe, and the
-    /// head-of-line set while it holds a timer, has an armed front.
+    /// True when nothing is pending. Every nonempty pipe has an armed
+    /// front.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.sched.is_empty() && self.front.is_empty()
     }
 
-    /// The scheduler's occupancy counters plus the delay-class and
-    /// head-of-line traffic.
+    /// The scheduler's occupancy counters plus the delay-class traffic and
+    /// the count of reserved slots armed.
     pub(crate) fn stats(&self) -> SchedStats {
         SchedStats {
             class_pushes: self.class_pushes,
             class_pops: self.class_pops,
             head_arms: self.head_arms,
-            head_pops: self.head_pops,
             ..self.sched.stats()
         }
     }
@@ -722,15 +678,13 @@ impl Agenda {
     }
 
     /// Visit every pending entry with its `(at, seq)`: scheduler entries
-    /// in heap order, then each delay-class pipe, the head-of-line
-    /// timers in heap order, then each delivery pipe in class order, head
-    /// first. The armed fronts are derived from the containers and are not
+    /// in heap order, then each delay-class pipe, then each delivery pipe,
+    /// in class order, head first. The armed fronts are derived from the containers and are not
     /// residual state of their own.
     pub(crate) fn memo_for_each(&self, f: &mut dyn FnMut(SimTime, u64, Due)) {
         self.sched
             .memo_for_each(&mut |at, seq, kind| f(at, seq, Due::Event(kind)));
-        let heads = self.heads.iter().map(|Reverse(e)| e);
-        for e in self.timers.iter().chain(heads) {
+        for e in self.timers.iter() {
             f(e.at, e.seq, Due::Event(unpack(e.item)));
         }
         for e in self.wire.iter() {
@@ -752,15 +706,11 @@ impl Agenda {
         shift_pkt: &mut dyn FnMut(&mut Packet),
     ) {
         self.sched.memo_rebase(dt, dseq, dflow);
-        let shift = |e: &mut Entry<Packed>| {
+        for e in self.timers.iter_mut() {
             e.at += dt;
             e.seq += dseq;
             e.item = pack(unpack(e.item).memo_shift_flow(dflow));
-        };
-        self.timers.iter_mut().for_each(shift);
-        let mut heads = std::mem::take(&mut self.heads).into_vec();
-        heads.iter_mut().for_each(|Reverse(e)| shift(e));
-        self.heads = heads.into();
+        }
         for e in self.wire.iter_mut() {
             e.at += dt;
             e.seq += dseq;
@@ -775,7 +725,6 @@ impl Agenda {
         self.class_pushes += d.class_pushes * reps;
         self.class_pops += d.class_pops * reps;
         self.head_arms += d.head_arms * reps;
-        self.head_pops += d.head_pops * reps;
     }
 }
 
@@ -827,21 +776,6 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| h.pop_top().map(|f| f.pipe)).collect();
         assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn a_sets_front_can_move_before_the_top() {
-        let mut h = FrontHeap::new();
-        h.arm(front(10, 4, 0));
-        h.arm(front(30, 9, HEAD_PIPE));
-        assert_eq!(h.peek().unwrap().pipe, 0);
-        // A timer armed late, in a slot reserved early: the set's minimum
-        // drops below the FIFO's head.
-        h.rearm(front(10, 2, HEAD_PIPE));
-        assert_eq!(h.peek().unwrap(), front(10, 2, HEAD_PIPE));
-        assert_eq!(h.len(), 2);
-        h.rearm(front(10, 7, HEAD_PIPE));
-        assert_eq!(h.peek().unwrap(), front(10, 4, 0));
     }
 
     #[test]
@@ -988,9 +922,9 @@ mod tests {
     }
 
     /// An agenda with entries in every container, all of kinds a memoized
-    /// residual may hold: one scheduler event, three delay-class events in
-    /// two classes, one armed head-of-line timer and three packets on the
-    /// wire in two latency classes.
+    /// residual may hold: two scheduler events (one of them a timer armed
+    /// in a reserved slot), three delay-class events in two classes and
+    /// three packets on the wire in two latency classes.
     fn filled() -> Agenda {
         let mut a = agenda();
         let (now, d) = (SimTime::from_ns(10), SimDuration::from_ns);
@@ -1084,7 +1018,6 @@ mod tests {
             class_pushes: 3,
             class_pops: 4,
             head_arms: 5,
-            head_pops: 6,
         };
         a.memo_add_stats(&window, 3);
         let s = a.stats();
@@ -1093,10 +1026,7 @@ mod tests {
             (s.class_pushes, s.class_pops),
             (s0.class_pushes + 9, s0.class_pops + 12)
         );
-        assert_eq!(
-            (s.head_arms, s.head_pops),
-            (s0.head_arms + 15, s0.head_pops + 18)
-        );
+        assert_eq!(s.head_arms, s0.head_arms + 15);
         assert_eq!(s.max_pending, s0.max_pending);
         assert_eq!(a.len(), 8, "pending entries are untouched");
     }
@@ -1244,9 +1174,7 @@ mod tests {
             // Deliveries are in no scheduler counter: count those still on
             // the wire apart, and nothing else may be unaccounted for.
             let s = a.stats();
-            if s.pushes + s.class_pushes + s.head_arms
-                != s.pops + s.class_pops + s.head_pops + a.len() as u64 - on_wire
-            {
+            if s.pushes + s.class_pushes != s.pops + s.class_pops + a.len() as u64 - on_wire {
                 return Err(format!("pushes != pops + len: {s:?} len {}", a.len()));
             }
         }

@@ -209,7 +209,6 @@ fn sched_window(cur: &SchedStats, prev: &SchedStats) -> SchedStats {
         class_pushes: cur.class_pushes - prev.class_pushes,
         class_pops: cur.class_pops - prev.class_pops,
         head_arms: cur.head_arms - prev.head_arms,
-        head_pops: cur.head_pops - prev.head_pops,
         ..SchedStats::default()
     }
 }

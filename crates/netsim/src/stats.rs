@@ -37,9 +37,8 @@ pub struct Stats {
     /// straight from a link's in-flight FIFO (never pushed through the
     /// scheduler). `events - pipeline_deliveries + rto_stale_skips` is the
     /// number of pops a drained, recorder-free run performed off the
-    /// scheduler, the delay-class pipes and the head-of-line timer set
-    /// together (`SchedStats::pops + SchedStats::class_pops +
-    /// SchedStats::head_pops`).
+    /// scheduler and the delay-class pipes together (`SchedStats::pops +
+    /// SchedStats::class_pops`).
     pub pipeline_deliveries: u64,
     /// Packets that completed serialization on some link.
     pub pkts_txed: u64,

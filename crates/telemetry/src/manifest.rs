@@ -41,9 +41,9 @@ pub struct Manifest {
     /// Engine events accounted for by replayed spans (already included in
     /// `events_total`), summed across trials.
     pub memo_replayed_events: u64,
-    /// Scheduler occupancy counters aggregated over the run (heap, pipe
-    /// and head-of-line traffic, pending high-water mark), serialized by
-    /// the caller.
+    /// Scheduler occupancy counters aggregated over the run (heap and pipe
+    /// traffic, timers armed in reserved slots, pending high-water mark),
+    /// serialized by the caller.
     pub sched: Value,
     /// The full trial spec list, serialized by the caller.
     pub specs: Value,
