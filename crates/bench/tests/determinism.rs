@@ -199,10 +199,11 @@ fn scheduler_setting_is_inert() {
     }
 }
 
-/// The spray-engine refactor contract: swapping the closed `SprayPolicy`
-/// dispatch for the pluggable `Sprayer` trait must not move a single
-/// byte of the default backend's output. These digests were recorded on
-/// the enum-dispatch build immediately before the trait landed.
+/// The spray-engine refactor contract: no change of how the engine
+/// dispatches a spray pick (the closed `SprayPolicy` match, then a boxed
+/// `Sprayer` trait, now the `Sprayer` enum's arms) may move a single byte
+/// of the default backend's output. These digests were recorded on the
+/// closed-match build immediately before the trait landed.
 #[test]
 fn trait_refactor_preserves_pinned_adaptive_digest() {
     let r = run_trial(&TrialSpec {

@@ -91,16 +91,14 @@ struct NormLink {
 /// phase cycles the boundary ring matches at distance `k`, while
 /// round-robin's cursor grows monotonically — no two boundaries ever
 /// fingerprint equal, which is exactly the safe fallback (a replayed
-/// round-robin window would resume from the wrong cursor phase). The
-/// adaptive-spray deficits are left out: a snapshot refuses once any slot
-/// was charged, so at every fingerprinted boundary they are all zero.
+/// round-robin window would resume from the wrong cursor phase).
 #[derive(PartialEq, Eq, Debug)]
 struct NormSwitch {
     rr_cursor: u64,
-    /// Pluggable-backend residual from [`crate::spray::Sprayer::memo_residual`]:
-    /// a canonical digest of any backend-private state (0 for stateless
-    /// backends). A backend refusing to fingerprint fails the snapshot
-    /// with its reason instead.
+    /// The sprayer's residual from [`crate::spray::Sprayer::memo_residual`]:
+    /// a canonical digest of its state (0 when stateless or empty). An
+    /// arm refusing to fingerprint — a charged Adaptive deficit, PRIME
+    /// epochs, REPS buckets — fails the snapshot with its reason instead.
     sprayer_residual: u64,
 }
 
@@ -303,11 +301,6 @@ impl Simulator {
             if l.fault.is_some() {
                 return Err("link-fault-active");
             }
-        }
-        // A charged deficit decays on an absolute `spray_tau` grid, which
-        // no boundary-relative fingerprint captures (DESIGN.md §11).
-        if self.switches.state.iter().any(|s| s.deficit_charged()) {
-            return Err("adaptive-spray-deficit");
         }
         let mut n = Normalizer {
             t_ns: self.now.as_ns(),

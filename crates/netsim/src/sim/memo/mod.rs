@@ -240,11 +240,11 @@ impl Simulator {
         let disabled = match self.cfg.spray {
             SprayPolicy::Random => Some("random-spray"),
             // Adaptive spraying is phase-anchored: deficit halvings happen
-            // on an absolute `spray_tau` grid (`spray_deficit_at` starts at
-            // 0 and only ever advances by whole multiples of tau), so the
-            // boundary-relative deficit state repeats only when the
-            // iteration period divides tau. The snapshot refuses any
-            // charged deficit (`adaptive-spray-deficit`) on its own;
+            // on an absolute `spray_tau` grid (each slot's timestamp base
+            // starts at 0 and only ever advances by whole multiples of
+            // tau), so the boundary-relative deficit state repeats only
+            // when the iteration period divides tau. The snapshot refuses
+            // any charged deficit (`adaptive-spray-deficit`) on its own;
             // refuse here too, before a single boundary is looked at.
             SprayPolicy::Adaptive => Some("adaptive-spray-decay"),
             // REPS recycles entropies fed by ACK arrival order; the cache
@@ -513,7 +513,7 @@ mod tests {
     use crate::spray::SprayPolicy;
     use crate::topology::{FatTreeSpec, Topology};
 
-    /// A drained one-message run, its flow table one iteration block.
+    /// A drained run of three one-message iteration blocks.
     fn drained(spray: SprayPolicy) -> Simulator {
         let topo = Topology::fat_tree(FatTreeSpec {
             leaves: 4,
@@ -526,22 +526,22 @@ mod tests {
             ..SimConfig::default()
         };
         let mut s = Simulator::new(topo, cfg, 1);
-        s.post_message(HostId(0), HostId(3), 100_000, None, Priority::MEASURED);
+        for (src, dst) in [(0, 3), (1, 2), (2, 0)] {
+            s.post_message(HostId(src), HostId(dst), 100_000, None, Priority::MEASURED);
+        }
         s.run();
         s
     }
 
     /// The fingerprint carries no deficit state, so a boundary after any
-    /// charge is refused by the snapshot itself, whatever `enable_memo`
-    /// let through.
+    /// charge is refused by the snapshot itself (the Adaptive arm's memo
+    /// residual), whatever `enable_memo` let through.
     #[test]
     fn a_charged_spray_deficit_refuses_the_snapshot() {
-        let mut s = drained(SprayPolicy::LeastLoaded);
-        assert_eq!(s.memo_snapshot(1).unwrap_err(), "warmup");
-        s.switches.state[0].spray_deficit[1] += 4160;
-        assert_eq!(s.memo_snapshot(1).unwrap_err(), "adaptive-spray-deficit");
+        // Past warm-up, a drained LeastLoaded run fingerprints.
+        assert!(drained(SprayPolicy::LeastLoaded).memo_snapshot(3).is_ok());
         // Adaptive charges a slot with every sprayed packet.
         let s = drained(SprayPolicy::Adaptive);
-        assert_eq!(s.memo_snapshot(1).unwrap_err(), "adaptive-spray-deficit");
+        assert_eq!(s.memo_snapshot(3).unwrap_err(), "adaptive-spray-deficit");
     }
 }

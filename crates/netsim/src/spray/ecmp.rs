@@ -15,36 +15,22 @@
 //! byte-identical across thread counts, and its memo residual is always
 //! clean.
 
-use super::{SprayCtx, Sprayer};
+use super::SprayCtx;
 use crate::rng::splitmix64;
-use rand::rngs::SmallRng;
 
 /// Pair-hash salt (arbitrary constant; fixed so picks are reproducible).
 const ECMP_SALT: u64 = 0x4543_4d50_0000_0001;
 
-/// Static flow-hash backend. See the module docs.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct EcmpSprayer;
-
-impl EcmpSprayer {
-    /// Build the (stateless) backend.
-    pub fn new() -> Self {
-        EcmpSprayer
-    }
-}
-
-impl Sprayer for EcmpSprayer {
-    fn pick(&mut self, ctx: &SprayCtx<'_>, _cursor: &mut u64, _rng: &mut SmallRng) -> usize {
-        let pair = (ctx.src as u64) << 32 | ctx.dst as u64;
-        (splitmix64(pair ^ ECMP_SALT) % ctx.cands.len() as u64) as usize
-    }
+/// The candidate the packet's host pair hashes to. See the module docs.
+pub(super) fn pick(ctx: &SprayCtx<'_>) -> usize {
+    let pair = (ctx.src as u64) << 32 | ctx.dst as u64;
+    (splitmix64(pair ^ ECMP_SALT) % ctx.cands.len() as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::LinkId;
-    use rand::SeedableRng;
 
     fn ctx(src: u32, dst: u32, seq: u32, cands: &[LinkId]) -> SprayCtx<'_> {
         SprayCtx {
@@ -62,14 +48,10 @@ mod tests {
     #[test]
     fn same_pair_always_same_port() {
         let cands: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mut s = EcmpSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
-        let first = s.pick(&ctx(7, 3, 0, &cands), &mut cur, &mut rng);
+        let first = pick(&ctx(7, 3, 0, &cands));
         for seq in 1..100 {
-            assert_eq!(s.pick(&ctx(7, 3, seq, &cands), &mut cur, &mut rng), first);
+            assert_eq!(pick(&ctx(7, 3, seq, &cands)), first);
         }
-        assert_eq!(cur, 0, "ECMP must not consume the rotation cursor");
     }
 
     #[test]
@@ -77,27 +59,21 @@ mod tests {
         // Iteration-stability hinge: the same host pair maps identically
         // no matter which trial-global flow carries the transfer.
         let cands: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mut s = EcmpSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
         let mut c = ctx(2, 5, 0, &cands);
-        let first = s.pick(&c, &mut cur, &mut rng);
+        let first = pick(&c);
         for flow in 1..64 {
             c.flow = flow * 1000;
-            assert_eq!(s.pick(&c, &mut cur, &mut rng), first);
+            assert_eq!(pick(&c), first);
         }
     }
 
     #[test]
     fn different_pairs_spread_over_ports() {
         let cands: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mut s = EcmpSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
         let mut seen = [false; 8];
         for src in 0..16 {
             for dst in 0..16 {
-                seen[s.pick(&ctx(src, dst, 0, &cands), &mut cur, &mut rng)] = true;
+                seen[pick(&ctx(src, dst, 0, &cands))] = true;
             }
         }
         assert!(seen.iter().all(|&x| x), "256 pairs must cover 8 ports");
@@ -105,13 +81,10 @@ mod tests {
 
     #[test]
     fn pick_is_valid_for_any_candidate_count() {
-        let mut s = EcmpSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
         for n in 1..=16usize {
             let cands: Vec<LinkId> = (0..n as u32).map(LinkId).collect();
             for src in 0..64 {
-                assert!(s.pick(&ctx(src, src + 1, 0, &cands), &mut cur, &mut rng) < n);
+                assert!(pick(&ctx(src, src + 1, 0, &cands)) < n);
             }
         }
     }

@@ -1,38 +1,36 @@
-//! Pluggable per-packet spray engine (APS policies and beyond).
+//! Per-packet uplink choice (APS policies and beyond).
 //!
 //! In an APS fabric the leaf switch picks an uplink *per packet* among all
-//! uplinks that can reach the destination leaf (paper §2). Historically
-//! this module was a closed enum of stateless policies; it is now a
-//! pluggable subsystem: every switch that sprays carries a boxed
-//! [`Sprayer`] instance built by [`make_sprayer`], and the simulator's
-//! uplink choice is `sprayer.pick(ctx, cursor, rng)` with an explicit
-//! per-packet feedback channel ([`Sprayer::on_feedback`]) threading
-//! ACK/ECN/timeout echoes from the transport back to the sprayer that
-//! placed the packet.
+//! uplinks that can reach the destination leaf (paper §2). Every switch
+//! that sprays holds one [`Sprayer`], built by [`make_sprayer`]: an enum
+//! with one arm per policy state, plain data that clones with the switch.
+//! The uplink choice is `sprayer.pick(ctx, cursor, rng)`, and
+//! [`Sprayer::on_feedback`] threads ACK/ECN/timeout echoes from the
+//! transport back to the sprayer that placed the packet.
 //!
-//! Classic policies (the paper's repertoire, all decided by [`choose`]):
+//! The paper's repertoire:
 //!
 //! * [`SprayPolicy::Random`] — uniform random port (Dixit et al.).
 //! * [`SprayPolicy::RoundRobin`] — cyclic, perfectly smooth.
 //! * [`SprayPolicy::Adaptive`] — utilization-aware least-loaded (default).
 //! * [`SprayPolicy::LeastLoaded`] — queue-depth-only, rotating tie-break.
 //!
-//! The engine sends Random and RoundRobin through `ClassicSprayer`, with
-//! no load signal. Adaptive and
-//! LeastLoaded, the rotating least-loaded pair, it picks in one fused pass
-//! over its own tables (`crate::switch`), with [`choose`] as that pass's
-//! test oracle; [`make_sprayer`] still builds a `ClassicSprayer` for them,
-//! for callers outside the engine.
+//! The engine sends Random and RoundRobin through [`Sprayer::pick`] with
+//! no load signal. Adaptive and LeastLoaded, the rotating least-loaded
+//! pair, it picks in one fused pass over its own tables
+//! (`crate::switch`), reading the Adaptive arm's decaying `Deficits` in
+//! place; [`choose`] is that pass's test oracle, and `pick` runs the
+//! same scan over [`SprayCtx::loads`] for callers outside the engine.
 //!
 //! Literature backends (the mitigation-zoo extension):
 //!
-//! * [`SprayPolicy::Ecmp`] — static per-flow hash ([`ecmp`]): the
+//! * [`SprayPolicy::Ecmp`] — static per-flow hash (`ecmp`): the
 //!   no-spraying baseline every APS design measures against.
-//! * [`SprayPolicy::Prime`] — multi-part pseudo-random entropy
-//!   ([`prime`]): a deterministic per-flow base entropy combined with a
-//!   per-packet part, recomputed when the flow sees a congestion signal.
-//! * [`SprayPolicy::Reps`] — recycled entropy spraying ([`reps`]): cache
-//!   the entropy of ACKed packets, re-use it, evict on ECN or timeout.
+//! * [`SprayPolicy::Prime`] — multi-part pseudo-random entropy (`prime`):
+//!   a deterministic per-flow base entropy combined with a per-packet
+//!   part, recomputed when the flow sees a congestion signal.
+//! * [`SprayPolicy::Reps`] — recycled entropy spraying (`reps`): cache the
+//!   entropy of ACKed packets, re-use it, evict on ECN or timeout.
 //! * [`SprayPolicy::RepsFailover`] — REPS plus per-uplink suspicion
 //!   scores that quarantine a path after repeated timeouts, so entropies
 //!   crossing a faulty cable stop being recycled — a mitigation in its
@@ -49,13 +47,14 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-pub mod ecmp;
-pub mod prime;
-pub mod reps;
+mod adaptive;
+mod ecmp;
+mod prime;
+mod reps;
 
-pub use ecmp::EcmpSprayer;
-pub use prime::PrimeSprayer;
-pub use reps::RepsSprayer;
+pub(crate) use adaptive::Deficits;
+use prime::PrimeSprayer;
+use reps::RepsSprayer;
 
 /// Which uplink-selection policy spraying switches use.
 #[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug, Default)]
@@ -102,23 +101,10 @@ pub enum SprayPolicy {
 }
 
 impl SprayPolicy {
-    /// True for the original closed-enum policies whose decisions flow
-    /// through [`choose`] (and whose RNG/cursor usage is pinned by the
-    /// byte-identity contract).
-    fn is_classic(self) -> bool {
-        matches!(
-            self,
-            SprayPolicy::Random
-                | SprayPolicy::RoundRobin
-                | SprayPolicy::Adaptive
-                | SprayPolicy::LeastLoaded
-        )
-    }
-
     /// True when the backend consumes transport echoes
     /// ([`Sprayer::on_feedback`]). The simulator only pays for feedback
     /// plumbing (CE marking, ACK echo collection) when this is set, so
-    /// classic policies keep their exact pre-feedback byte behaviour.
+    /// the other policies keep their exact pre-feedback byte behaviour.
     pub fn wants_feedback(self) -> bool {
         matches!(
             self,
@@ -161,10 +147,11 @@ pub enum SprayEcho {
 
 /// Per-packet context for one spray decision. Candidates are the
 /// routing-valid uplinks for the packet's destination; `loads` carries the
-/// load-reading policies' signal (queued bytes, plus the decayed byte
-/// deficit under [`SprayPolicy::Adaptive`]) and is empty for backends that
-/// do not consume it; `slots` gives each candidate's stable uplink slot
-/// (virtual-spine index on leaves, core slot on 3-level aggs).
+/// load-reading policies' signal for callers outside the engine (queued
+/// bytes, plus the decayed byte deficit under [`SprayPolicy::Adaptive`])
+/// and is empty for arms that do not read it; `slots` gives each
+/// candidate's stable uplink slot (virtual-spine index on leaves, core
+/// slot on 3-level aggs).
 #[derive(Debug)]
 pub struct SprayCtx<'a> {
     /// Flow the packet belongs to (trial-global id).
@@ -191,126 +178,145 @@ pub struct SprayCtx<'a> {
     pub slots: &'a [u32],
 }
 
-/// A pluggable uplink-selection engine with per-switch state.
+/// One switch's uplink-selection state: one arm per policy, plain data
+/// that clones with the switch.
 ///
-/// Determinism contract: `pick` may consult only its own state, the
+/// Determinism contract: `pick` may consult only the arm's state, the
 /// context, the shared rotation `cursor` and the purpose-split spray RNG —
 /// never ambient randomness or map iteration order — so a trial replays
-/// byte-identically at any `FP_THREADS` setting and on either scheduler
-/// backend. Backends whose state is fed by transport echoes
-/// ([`Sprayer::on_feedback`]) are still deterministic but refuse the memo
-/// fast path (see
-/// [`Sprayer::memo_residual`] and the harness eligibility gate).
-pub trait Sprayer: std::fmt::Debug + Send {
+/// byte-identically at any `FP_THREADS` setting. Arms whose state is fed
+/// by transport echoes ([`Sprayer::on_feedback`]) are still deterministic
+/// but refuse the memo fast path (see [`Sprayer::memo_residual`] and the
+/// harness eligibility gate).
+#[derive(Clone, PartialEq, Debug)]
+pub enum Sprayer {
+    /// [`SprayPolicy::Random`].
+    Random,
+    /// [`SprayPolicy::RoundRobin`].
+    RoundRobin,
+    /// [`SprayPolicy::LeastLoaded`].
+    LeastLoaded,
+    /// [`SprayPolicy::Adaptive`], with the decaying per-slot byte
+    /// deficits the engine's fused pass reads and charges.
+    Adaptive(Deficits),
+    /// [`SprayPolicy::Ecmp`]: a pure hash of the host pair.
+    Ecmp,
+    /// [`SprayPolicy::Prime`].
+    Prime(PrimeSprayer),
+    /// [`SprayPolicy::Reps`] and [`SprayPolicy::RepsFailover`].
+    Reps(RepsSprayer),
+}
+
+impl Sprayer {
     /// Choose a candidate index for the packet described by `ctx`.
-    /// `cursor` is the switch's rotation state (shared with the classic
-    /// policies); `rng` is the purpose-split spray stream.
-    fn pick(&mut self, ctx: &SprayCtx<'_>, cursor: &mut u64, rng: &mut SmallRng) -> usize;
+    /// `cursor` is the switch's rotation state (shared by RoundRobin and
+    /// the rotating least-loaded pair); `rng` is the purpose-split spray
+    /// stream. Random and RoundRobin count the candidates and never read
+    /// [`SprayCtx::loads`]; Adaptive and LeastLoaded pick by [`choose`]
+    /// over it.
+    pub fn pick(&mut self, ctx: &SprayCtx<'_>, cursor: &mut u64, rng: &mut SmallRng) -> usize {
+        match self {
+            Sprayer::Random => rng.gen_range(0..ctx.cands.len()),
+            Sprayer::RoundRobin => rotate(ctx.cands.len(), cursor),
+            Sprayer::LeastLoaded | Sprayer::Adaptive(_) => least_loaded(ctx.loads, cursor),
+            Sprayer::Ecmp => ecmp::pick(ctx),
+            Sprayer::Prime(p) => p.pick(ctx),
+            Sprayer::Reps(r) => r.pick(ctx, rng),
+        }
+    }
 
     /// Deliver a transport echo for a previously-picked data packet.
     /// `pair` is the packet's `(src, dst)` host pair — the same stable
-    /// identity [`SprayCtx`] carried at pick time. Default: ignore
-    /// (stateless backends).
-    fn on_feedback(&mut self, _flow: FlowId, _pair: (u32, u32), _seq: u32, _echo: SprayEcho) {}
+    /// identity [`SprayCtx`] carried at pick time. Only the PRIME and REPS
+    /// arms listen.
+    pub fn on_feedback(&mut self, flow: FlowId, pair: (u32, u32), seq: u32, echo: SprayEcho) {
+        match self {
+            Sprayer::Prime(p) => p.on_feedback(pair, echo),
+            Sprayer::Reps(r) => r.on_feedback(flow, seq, echo),
+            _ => {}
+        }
+    }
 
     /// Canonical residual state for the temporal-symmetry memo
-    /// fingerprint: `Ok(token)` when the backend's state is captured by
-    /// `token` (0 = stateless/empty), `Err(reason)` when it holds
-    /// feedback-fed state no fingerprint can soundly cover.
-    fn memo_residual(&self) -> Result<u64, &'static str> {
-        Ok(0)
-    }
-}
-
-/// The classic closed-enum policies behind the [`Sprayer`] trait.
-/// Delegates to [`choose`], so RNG draws, cursor updates and therefore
-/// output bytes are identical to the pre-trait implementation. Holds only
-/// policies for which [`SprayPolicy::is_classic`] is true. Random and
-/// RoundRobin count the candidates and never read [`SprayCtx::loads`], so
-/// the engine leaves it empty for them.
-#[derive(Copy, Clone, Debug)]
-struct ClassicSprayer {
-    policy: SprayPolicy,
-}
-
-impl Sprayer for ClassicSprayer {
-    fn pick(&mut self, ctx: &SprayCtx<'_>, cursor: &mut u64, rng: &mut SmallRng) -> usize {
-        match self.policy {
-            SprayPolicy::Random | SprayPolicy::RoundRobin => {
-                choose_blind(self.policy, ctx.cands.len(), cursor, rng)
-            }
-            policy => choose(policy, ctx.loads, cursor, rng),
+    /// fingerprint: `Ok(token)` when the arm's state is captured by
+    /// `token` (0 = stateless/empty), `Err(reason)` when it holds state no
+    /// fingerprint can soundly cover.
+    pub fn memo_residual(&self) -> Result<u64, &'static str> {
+        match self {
+            // A charged deficit decays on an absolute `spray_tau` grid,
+            // which no boundary-relative fingerprint captures (DESIGN.md
+            // §11).
+            Sprayer::Adaptive(d) if d.charged() => Err("adaptive-spray-deficit"),
+            Sprayer::Prime(p) if p.congested() => Err("prime-congestion-epochs"),
+            Sprayer::Reps(_) => Err("reps-entropy-cache"),
+            _ => Ok(0),
         }
     }
 }
 
-/// Build the per-switch sprayer instance for `policy`. `n_slots` is the
-/// switch's uplink-slot count (virtual spines on a leaf, core slots on a
-/// 3-level agg); feedback-driven backends size their per-slot state from
-/// it.
-pub fn make_sprayer(policy: SprayPolicy, n_slots: usize) -> Box<dyn Sprayer> {
+/// Build the per-switch sprayer for `policy`. `n_slots` is the switch's
+/// uplink-slot count (virtual spines on a leaf, core slots on a 3-level
+/// agg); the Adaptive and REPS arms size their per-slot state from it.
+pub fn make_sprayer(policy: SprayPolicy, n_slots: usize) -> Sprayer {
     match policy {
-        policy if policy.is_classic() => Box::new(ClassicSprayer { policy }),
-        SprayPolicy::Ecmp => Box::new(EcmpSprayer::new()),
-        SprayPolicy::Prime => Box::new(PrimeSprayer::new()),
-        SprayPolicy::Reps => Box::new(RepsSprayer::new(n_slots, false)),
-        SprayPolicy::RepsFailover => Box::new(RepsSprayer::new(n_slots, true)),
-        _ => unreachable!("policy {policy:?} not mapped to a backend"),
+        SprayPolicy::Random => Sprayer::Random,
+        SprayPolicy::RoundRobin => Sprayer::RoundRobin,
+        SprayPolicy::Adaptive => Sprayer::Adaptive(Deficits::new(n_slots)),
+        SprayPolicy::LeastLoaded => Sprayer::LeastLoaded,
+        SprayPolicy::Ecmp => Sprayer::Ecmp,
+        SprayPolicy::Prime => Sprayer::Prime(PrimeSprayer::default()),
+        SprayPolicy::Reps => Sprayer::Reps(RepsSprayer::new(n_slots, false)),
+        SprayPolicy::RepsFailover => Sprayer::Reps(RepsSprayer::new(n_slots, true)),
     }
 }
 
 /// Pick an index into `loads` (queued bytes per candidate) according to the
 /// policy. `cursor` is the per-switch rotation state. `loads` must be
-/// non-empty. Classic policies only — the pluggable backends implement
-/// [`Sprayer`] directly.
+/// non-empty. The paper's four policies only — the literature backends
+/// pick through their [`Sprayer`] arm.
 pub fn choose(policy: SprayPolicy, loads: &[u64], cursor: &mut u64, rng: &mut SmallRng) -> usize {
     debug_assert!(!loads.is_empty(), "spray over zero candidates");
-    let n = loads.len();
     match policy {
-        SprayPolicy::Random | SprayPolicy::RoundRobin => choose_blind(policy, n, cursor, rng),
-        SprayPolicy::Adaptive | SprayPolicy::LeastLoaded => {
-            // Scan starting at the cursor so equal-load ports are taken in
-            // rotation; advance the cursor past the chosen port. The scan
-            // order is `(start + k) % n` for `k` in `0..n`, walked as two
-            // slices so the per-candidate step has no division; the cursor
-            // this arm writes is at most `n`, so the reduction below
-            // rarely divides either.
-            let c = *cursor as usize;
-            let start = if c < n { c } else { c % n };
-            let (wrapped, first) = loads.split_at(start);
-            let mut best = start;
-            let mut best_load = first[0];
-            for (k, &l) in first.iter().enumerate().skip(1) {
-                if l < best_load {
-                    best = start + k;
-                    best_load = l;
-                }
-            }
-            for (i, &l) in wrapped.iter().enumerate() {
-                if l < best_load {
-                    best = i;
-                    best_load = l;
-                }
-            }
-            *cursor = (best as u64) + 1;
-            best
-        }
-        _ => unreachable!("choose() is classic-only; {policy:?} has its own backend"),
+        SprayPolicy::Random => rng.gen_range(0..loads.len()),
+        SprayPolicy::RoundRobin => rotate(loads.len(), cursor),
+        SprayPolicy::Adaptive | SprayPolicy::LeastLoaded => least_loaded(loads, cursor),
+        _ => unreachable!("choose() is for the paper's policies; {policy:?} has its own arm"),
     }
 }
 
-/// The picks that read no load: a uniform draw or the next cursor
-/// position among `n` candidates.
-fn choose_blind(policy: SprayPolicy, n: usize, cursor: &mut u64, rng: &mut SmallRng) -> usize {
-    match policy {
-        SprayPolicy::Random => rng.gen_range(0..n),
-        SprayPolicy::RoundRobin => {
-            let i = (*cursor as usize) % n;
-            *cursor = cursor.wrapping_add(1);
-            i
+/// The next cursor position among `n` candidates.
+fn rotate(n: usize, cursor: &mut u64) -> usize {
+    let i = (*cursor as usize) % n;
+    *cursor = cursor.wrapping_add(1);
+    i
+}
+
+/// The rotating least-loaded scan: start at the cursor so equal-load ports
+/// are taken in rotation, and advance the cursor past the chosen port.
+fn least_loaded(loads: &[u64], cursor: &mut u64) -> usize {
+    // The scan order is `(start + k) % n` for `k` in `0..n`, walked as two
+    // slices so the per-candidate step has no division; the cursor this
+    // writes is at most `n`, so the reduction below rarely divides either.
+    let n = loads.len();
+    let c = *cursor as usize;
+    let start = if c < n { c } else { c % n };
+    let (wrapped, first) = loads.split_at(start);
+    let mut best = start;
+    let mut best_load = first[0];
+    for (k, &l) in first.iter().enumerate().skip(1) {
+        if l < best_load {
+            best = start + k;
+            best_load = l;
         }
-        _ => unreachable!("{policy:?} reads loads"),
     }
+    for (i, &l) in wrapped.iter().enumerate() {
+        if l < best_load {
+            best = i;
+            best_load = l;
+        }
+    }
+    *cursor = (best as u64) + 1;
+    best
 }
 
 #[cfg(test)]
@@ -318,6 +324,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    const ALL: [SprayPolicy; 8] = [
+        SprayPolicy::Random,
+        SprayPolicy::RoundRobin,
+        SprayPolicy::Adaptive,
+        SprayPolicy::LeastLoaded,
+        SprayPolicy::Ecmp,
+        SprayPolicy::Prime,
+        SprayPolicy::Reps,
+        SprayPolicy::RepsFailover,
+    ];
 
     /// The rotating least-loaded scan as originally written: one modulo
     /// per candidate.
@@ -439,11 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn classic_sprayer_matches_choose_exactly() {
-        // The trait wrapper must replay the exact pick sequence (and RNG
-        // consumption) of the bare function — the byte-identity hinge of
-        // the refactor. Random and RoundRobin get no loads, as from the
-        // engine, and must still match `choose` over the full ones.
+    fn paper_arms_match_choose_exactly() {
+        // Each arm of the paper's four policies replays the exact pick
+        // sequence (and RNG consumption) of the bare function — the
+        // byte-identity hinge of the engine. Random and RoundRobin get no
+        // loads, as from the engine, and must still match `choose` over
+        // the full ones.
         for policy in [
             SprayPolicy::Random,
             SprayPolicy::RoundRobin,
@@ -458,25 +476,72 @@ mod tests {
             let mut rng_b = SmallRng::seed_from_u64(11);
             let mut cur_a = 0u64;
             let mut cur_b = 0u64;
-            let mut s = ClassicSprayer { policy };
+            let mut s = make_sprayer(policy, 4);
             let blind = matches!(policy, SprayPolicy::Random | SprayPolicy::RoundRobin);
             for loads in &loads_seq {
                 let direct = choose(policy, loads, &mut cur_a, &mut rng_a);
                 let ctx = SprayCtx {
-                    flow: 1,
-                    src: 0,
-                    dst: 1,
-                    seq: 0,
-                    data: true,
-                    cands: &cands,
                     loads: if blind { &[] } else { loads },
-                    slots: &[],
+                    ..ctx(&cands, &[], 0)
                 };
-                let via_trait = s.pick(&ctx, &mut cur_b, &mut rng_b);
-                assert_eq!(direct, via_trait, "{policy:?} diverged");
+                let via_arm = s.pick(&ctx, &mut cur_b, &mut rng_b);
+                assert_eq!(direct, via_arm, "{policy:?} diverged");
             }
             assert_eq!(cur_a, cur_b);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG desynced");
+        }
+    }
+
+    /// A data-packet context over `cands` (slots `slots`) for segment `seq`.
+    fn ctx<'a>(cands: &'a [LinkId], slots: &'a [u32], seq: u32) -> SprayCtx<'a> {
+        SprayCtx {
+            flow: 1,
+            src: 0,
+            dst: 1,
+            seq,
+            data: true,
+            cands,
+            loads: &[],
+            slots,
+        }
+    }
+
+    #[test]
+    fn a_cloned_sprayer_picks_in_lockstep() {
+        // Forking a trial copies each switch's sprayer with its cursor and
+        // RNG: after any pick and feedback history, the copy must make the
+        // same next picks and leave cursor and RNG where the original does.
+        let cands: Vec<LinkId> = (0..4).map(LinkId).collect();
+        let slots: Vec<u32> = (0..4).collect();
+        let loads = [3u64, 1, 1, 2];
+        for policy in ALL {
+            let mut s = make_sprayer(policy, 4);
+            let (mut cursor, mut rng) = (0u64, SmallRng::seed_from_u64(3));
+            for seq in 0..48u32 {
+                let ctx = SprayCtx {
+                    loads: &loads,
+                    ..ctx(&cands, &slots, seq)
+                };
+                s.pick(&ctx, &mut cursor, &mut rng);
+                let echo = match seq % 7 {
+                    0 | 3 => SprayEcho::Timeout,
+                    5 => SprayEcho::Ecn,
+                    _ => SprayEcho::Ack,
+                };
+                s.on_feedback(1, (0, 1), seq, echo);
+            }
+            let (mut t, mut cursor_t, mut rng_t) = (s.clone(), cursor, rng.clone());
+            assert_eq!(t, s, "{policy:?}: the copy differs");
+            for seq in 48..96u32 {
+                let ctx = SprayCtx {
+                    loads: &loads,
+                    ..ctx(&cands, &slots, seq)
+                };
+                let a = s.pick(&ctx, &mut cursor, &mut rng);
+                let b = t.pick(&ctx, &mut cursor_t, &mut rng_t);
+                assert_eq!((a, cursor, &rng), (b, cursor_t, &rng_t), "{policy:?} {seq}");
+            }
+            assert_eq!(t, s, "{policy:?}: the states diverged");
         }
     }
 
@@ -500,43 +565,32 @@ mod tests {
 
     #[test]
     fn feedback_flag_matches_backend_statefulness() {
-        for p in [
-            SprayPolicy::Prime,
-            SprayPolicy::Reps,
-            SprayPolicy::RepsFailover,
-        ] {
-            assert!(p.wants_feedback());
-            assert!(!p.is_classic());
-        }
-        assert!(!SprayPolicy::Ecmp.wants_feedback());
-        for p in [
-            SprayPolicy::Adaptive,
-            SprayPolicy::LeastLoaded,
-            SprayPolicy::RoundRobin,
-            SprayPolicy::Random,
-        ] {
-            assert!(p.is_classic());
-            assert!(!p.wants_feedback());
+        // The simulator wires echoes only where they can change a sprayer.
+        let cands: Vec<LinkId> = (0..4).map(LinkId).collect();
+        for p in ALL {
+            let mut s = make_sprayer(p, 4);
+            let ctx = SprayCtx {
+                loads: &[0; 4],
+                ..ctx(&cands, &[], 0)
+            };
+            s.pick(&ctx, &mut 0, &mut SmallRng::seed_from_u64(0));
+            let before = s.clone();
+            s.on_feedback(1, (0, 1), 0, SprayEcho::Timeout);
+            assert_eq!(s != before, p.wants_feedback(), "{p:?}");
         }
     }
 
     #[test]
     fn factory_builds_every_backend() {
-        for p in [
-            SprayPolicy::Adaptive,
-            SprayPolicy::Ecmp,
-            SprayPolicy::Prime,
-            SprayPolicy::Reps,
-            SprayPolicy::RepsFailover,
-        ] {
+        for p in ALL {
             let s = make_sprayer(p, 4);
-            // Stateless/empty backends report a clean memo residual; REPS
+            // Stateless/empty arms report a clean memo residual; REPS
             // refuses outright.
             match p {
                 SprayPolicy::Reps | SprayPolicy::RepsFailover => {
-                    assert!(s.memo_residual().is_err())
+                    assert_eq!(s.memo_residual(), Err("reps-entropy-cache"))
                 }
-                _ => assert_eq!(s.memo_residual(), Ok(0)),
+                _ => assert_eq!(s.memo_residual(), Ok(0), "{p:?}"),
             }
         }
     }

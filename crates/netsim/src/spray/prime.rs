@@ -20,14 +20,12 @@
 //! congestion signal the backend is a deterministic function of the
 //! packet alone: no RNG draws, no cursor movement, and a clean memo
 //! residual. Once an epoch has been bumped the sprayer carries
-//! feedback-fed state; [`Sprayer::memo_residual`] then refuses with an
-//! explicit reason so the temporal-symmetry memo falls back to live
-//! simulation instead of fingerprinting unsoundly.
+//! feedback-fed state; [`super::Sprayer::memo_residual`] then refuses
+//! with an explicit reason so the temporal-symmetry memo falls back to
+//! live simulation instead of fingerprinting unsoundly.
 
-use super::{SprayCtx, SprayEcho, Sprayer};
-use crate::packet::FlowId;
+use super::{SprayCtx, SprayEcho};
 use crate::rng::splitmix64;
-use rand::rngs::SmallRng;
 use std::collections::HashMap;
 
 /// Per-pair base-entropy salt.
@@ -41,7 +39,7 @@ fn pair_key(src: u32, dst: u32) -> u64 {
 }
 
 /// Multi-part entropy backend. See the module docs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct PrimeSprayer {
     /// Per-pair entropy epoch, present only for pairs that saw a
     /// congestion signal. Lookup-only on the pick path (iteration order
@@ -51,14 +49,7 @@ pub struct PrimeSprayer {
 }
 
 impl PrimeSprayer {
-    /// Build the backend (no congestion epochs yet).
-    pub fn new() -> Self {
-        PrimeSprayer::default()
-    }
-}
-
-impl Sprayer for PrimeSprayer {
-    fn pick(&mut self, ctx: &SprayCtx<'_>, _cursor: &mut u64, _rng: &mut SmallRng) -> usize {
+    pub(super) fn pick(&self, ctx: &SprayCtx<'_>) -> usize {
         let pair = pair_key(ctx.src, ctx.dst);
         let epoch = self.epochs.get(&pair).copied().unwrap_or(0) as u64;
         // Base part: stable per (pair, epoch).
@@ -69,19 +60,17 @@ impl Sprayer for PrimeSprayer {
         ((base ^ pkt.rotate_left(17)) % ctx.cands.len() as u64) as usize
     }
 
-    fn on_feedback(&mut self, _flow: FlowId, pair: (u32, u32), _seq: u32, echo: SprayEcho) {
+    pub(super) fn on_feedback(&mut self, pair: (u32, u32), echo: SprayEcho) {
         // Congestion signal ⇒ recompute the pair's entropy (bump epoch).
         if matches!(echo, SprayEcho::Ecn | SprayEcho::Timeout) {
             *self.epochs.entry(pair_key(pair.0, pair.1)).or_insert(0) += 1;
         }
     }
 
-    fn memo_residual(&self) -> Result<u64, &'static str> {
-        if self.epochs.is_empty() {
-            Ok(0)
-        } else {
-            Err("prime-congestion-epochs")
-        }
+    /// Some pair saw a congestion signal: the feedback-fed epochs no
+    /// fingerprint covers.
+    pub(super) fn congested(&self) -> bool {
+        !self.epochs.is_empty()
     }
 }
 
@@ -89,7 +78,7 @@ impl Sprayer for PrimeSprayer {
 mod tests {
     use super::*;
     use crate::ids::LinkId;
-    use rand::SeedableRng;
+    use crate::spray::Sprayer;
 
     fn ctx(src: u32, dst: u32, seq: u32, cands: &[LinkId]) -> SprayCtx<'_> {
         SprayCtx {
@@ -113,28 +102,22 @@ mod tests {
     #[test]
     fn per_packet_part_sprays_within_a_flow() {
         let cands: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mut s = PrimeSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
+        let s = PrimeSprayer::default();
         let mut seen = [false; 8];
         for seq in 0..256 {
-            seen[s.pick(&ctx(0, 3, seq, &cands), &mut cur, &mut rng)] = true;
+            seen[s.pick(&ctx(0, 3, seq, &cands))] = true;
         }
         assert!(seen.iter().all(|&x| x), "one flow must still spray");
-        assert_eq!(cur, 0, "PRIME must not consume the rotation cursor");
     }
 
     #[test]
     fn picks_are_a_pure_function_of_pair_seq_epoch() {
         let cands: Vec<LinkId> = (0..4).map(LinkId).collect();
-        let mut a = PrimeSprayer::new();
-        let mut b = PrimeSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut cur = 0;
+        let (a, b) = (PrimeSprayer::default(), PrimeSprayer::default());
         for seq in 0..64 {
             assert_eq!(
-                a.pick(&ctx(2, 5, seq, &cands), &mut cur, &mut rng),
-                b.pick(&ctx(2, 5, seq, &cands), &mut cur, &mut rng)
+                a.pick(&ctx(2, 5, seq, &cands)),
+                b.pick(&ctx(2, 5, seq, &cands))
             );
         }
     }
@@ -144,46 +127,39 @@ mod tests {
         // Iteration-stability hinge: the same host pair maps identically
         // no matter which trial-global flow carries the transfer.
         let cands: Vec<LinkId> = (0..4).map(LinkId).collect();
-        let mut s = PrimeSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut cur = 0;
+        let s = PrimeSprayer::default();
         let mut a = ctx(2, 5, 7, &cands);
-        let first = s.pick(&a, &mut cur, &mut rng);
+        let first = s.pick(&a);
         for flow in 1..32 {
             a.flow = flow * 1000;
-            assert_eq!(s.pick(&a, &mut cur, &mut rng), first);
+            assert_eq!(s.pick(&a), first);
         }
     }
 
     #[test]
     fn congestion_signal_recomputes_the_mapping() {
         let cands: Vec<LinkId> = (0..8).map(LinkId).collect();
-        let mut s = PrimeSprayer::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut cur = 0;
-        let before: Vec<usize> = (0..32)
-            .map(|seq| s.pick(&ctx(0, 1, seq, &cands), &mut cur, &mut rng))
-            .collect();
-        assert_eq!(s.memo_residual(), Ok(0));
-        s.on_feedback(1, (0, 1), 0, SprayEcho::Ecn);
+        let mut s = PrimeSprayer::default();
+        let before: Vec<usize> = (0..32).map(|seq| s.pick(&ctx(0, 1, seq, &cands))).collect();
+        assert!(!s.congested());
+        s.on_feedback((0, 1), SprayEcho::Ecn);
         assert_eq!(epoch(&s, 0, 1), 1);
-        let after: Vec<usize> = (0..32)
-            .map(|seq| s.pick(&ctx(0, 1, seq, &cands), &mut cur, &mut rng))
-            .collect();
+        let after: Vec<usize> = (0..32).map(|seq| s.pick(&ctx(0, 1, seq, &cands))).collect();
         assert_ne!(before, after, "epoch bump must re-randomize the path set");
         // Other pairs are untouched.
         assert_eq!(epoch(&s, 0, 2), 0);
         // Feedback-fed state refuses the memo fingerprint with a reason.
+        let s = Sprayer::Prime(s);
         assert_eq!(s.memo_residual(), Err("prime-congestion-epochs"));
     }
 
     #[test]
     fn clean_acks_do_not_bump_epochs() {
-        let mut s = PrimeSprayer::new();
-        s.on_feedback(1, (0, 1), 0, SprayEcho::Ack);
+        let mut s = PrimeSprayer::default();
+        s.on_feedback((0, 1), SprayEcho::Ack);
         assert_eq!(epoch(&s, 0, 1), 0);
-        assert_eq!(s.memo_residual(), Ok(0));
-        s.on_feedback(1, (0, 1), 1, SprayEcho::Timeout);
+        assert!(!s.congested());
+        s.on_feedback((0, 1), SprayEcho::Timeout);
         assert_eq!(epoch(&s, 0, 1), 1);
     }
 }

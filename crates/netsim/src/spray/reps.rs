@@ -30,9 +30,9 @@
 //! All state is per-leaf and fed by the deterministic echo stream, so the
 //! backend is byte-deterministic. The pool is fed by ACK arrival order,
 //! though, so the backend refuses the temporal-symmetry memo
-//! ([`Sprayer::memo_residual`]).
+//! ([`super::Sprayer::memo_residual`]).
 
-use super::{SprayCtx, SprayEcho, Sprayer};
+use super::{SprayCtx, SprayEcho};
 use crate::packet::FlowId;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -51,7 +51,7 @@ const QUARANTINE_AFTER: u32 = 3;
 const PROBE_BACKOFF_CAP: u32 = 6;
 
 /// Recycled-entropy backend. See the module docs.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RepsSprayer {
     failover: bool,
     /// Per-slot FIFOs of entropies whose packets were ACKed clean.
@@ -69,16 +69,12 @@ pub struct RepsSprayer {
     /// Reverse-path (ACK) rotation cursor, separate so ACK bursts do not
     /// skew the data stratification.
     ack_cursor: u64,
-    /// Data picks served by a fresh draw.
-    pub fresh: u64,
-    /// Entropies evicted (ECN/timeout echoes + quarantine purges).
-    pub evicted: u64,
 }
 
 impl RepsSprayer {
     /// Build the backend for a switch with `n_slots` uplink slots;
     /// `failover` enables the hard-quarantine layer.
-    pub fn new(n_slots: usize, failover: bool) -> Self {
+    pub(super) fn new(n_slots: usize, failover: bool) -> Self {
         RepsSprayer {
             failover,
             buckets: vec![VecDeque::new(); n_slots],
@@ -87,8 +83,6 @@ impl RepsSprayer {
             skipped: vec![0; n_slots],
             cursor: 0,
             ack_cursor: 0,
-            fresh: 0,
-            evicted: 0,
         }
     }
 
@@ -100,7 +94,7 @@ impl RepsSprayer {
     }
 
     /// True when failover mode has quarantined `slot`.
-    pub fn quarantined(&self, slot: u32) -> bool {
+    fn quarantined(&self, slot: u32) -> bool {
         self.failover && self.suspect(slot)
     }
 
@@ -109,10 +103,8 @@ impl RepsSprayer {
     fn slot_of(ctx: &SprayCtx<'_>, idx: usize) -> u32 {
         ctx.slots.get(idx).copied().unwrap_or(idx as u32)
     }
-}
 
-impl Sprayer for RepsSprayer {
-    fn pick(&mut self, ctx: &SprayCtx<'_>, _cursor: &mut u64, rng: &mut SmallRng) -> usize {
+    pub(super) fn pick(&mut self, ctx: &SprayCtx<'_>, rng: &mut SmallRng) -> usize {
         let n = ctx.cands.len();
         if !ctx.data {
             // ACKs carry no echo identity, so they cannot feed the pool;
@@ -138,7 +130,6 @@ impl Sprayer for RepsSprayer {
             if self.quarantined(slot as u32) {
                 // Hard quarantine: purge whatever the slot still caches.
                 if let Some(b) = self.buckets.get_mut(slot) {
-                    self.evicted += b.len() as u64;
                     b.clear();
                 }
                 continue;
@@ -157,7 +148,6 @@ impl Sprayer for RepsSprayer {
                 }
                 *skip = 0;
             }
-            self.fresh += 1;
             chosen = Some((rng.gen::<u64>(), idx, slot as u32));
             break;
         }
@@ -166,7 +156,6 @@ impl Sprayer for RepsSprayer {
             // total, so the rotation proceeds regardless.
             let idx = (self.cursor % n as u64) as usize;
             self.cursor += 1;
-            self.fresh += 1;
             (rng.gen::<u64>(), idx, Self::slot_of(ctx, idx))
         });
         if self.inflight.len() >= INFLIGHT_CAP {
@@ -176,7 +165,7 @@ impl Sprayer for RepsSprayer {
         idx
     }
 
-    fn on_feedback(&mut self, flow: FlowId, _pair: (u32, u32), seq: u32, echo: SprayEcho) {
+    pub(super) fn on_feedback(&mut self, flow: FlowId, seq: u32, echo: SprayEcho) {
         let Some((entropy, slot)) = self.inflight.remove(&(flow, seq)) else {
             return; // single-candidate pick, cap purge, or stale echo
         };
@@ -195,22 +184,15 @@ impl Sprayer for RepsSprayer {
                     }
                 }
             }
-            SprayEcho::Ecn => {
-                // Congested path: drop the entropy but keep the slot in
-                // good standing (congestion is not failure).
-                self.evicted += 1;
-            }
+            // Congested path: drop the entropy but keep the slot in good
+            // standing (congestion is not failure).
+            SprayEcho::Ecn => {}
             SprayEcho::Timeout => {
-                self.evicted += 1;
                 if let Some(s) = self.suspicion.get_mut(slot) {
                     *s = s.saturating_add(1);
                 }
             }
         }
-    }
-
-    fn memo_residual(&self) -> Result<u64, &'static str> {
-        Err("reps-entropy-cache")
     }
 }
 
@@ -247,17 +229,16 @@ mod tests {
         let (c, sl) = cands(1);
         let mut s = RepsSprayer::new(1, false);
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut cur = 0;
-        let idx = s.pick(&ctx(1, 0, &c, &sl), &mut cur, &mut rng);
+        let idx = s.pick(&ctx(1, 0, &c, &sl), &mut rng);
         assert_eq!(s.inflight.len(), 1);
-        assert_eq!(s.fresh, 1);
-        s.on_feedback(1, (0, 0), 0, SprayEcho::Ack);
+        s.on_feedback(1, 0, SprayEcho::Ack);
         assert_eq!(cache_len(&s), 1, "clean ACK must recycle the entropy");
         assert_eq!(s.inflight.len(), 0);
         // The recycled entropy reproduces the same pick.
-        let idx2 = s.pick(&ctx(1, 1, &c, &sl), &mut cur, &mut rng);
+        let drawn = rng.clone();
+        let idx2 = s.pick(&ctx(1, 1, &c, &sl), &mut rng);
         assert_eq!(idx, idx2, "recycled entropy must replay the proven path");
-        assert_eq!(s.fresh, 1, "served from the cache, not a fresh draw");
+        assert_eq!(rng, drawn, "served from the cache, not a fresh draw");
         assert_eq!(cache_len(&s), 0);
     }
 
@@ -266,10 +247,9 @@ mod tests {
         let (c, sl) = cands(4);
         let mut s = RepsSprayer::new(4, false);
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut cur = 0;
         let mut counts = [0u32; 4];
         for seq in 0..32u32 {
-            counts[s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng)] += 1;
+            counts[s.pick(&ctx(1, seq, &c, &sl), &mut rng)] += 1;
         }
         assert_eq!(
             counts,
@@ -284,11 +264,9 @@ mod tests {
         let (c, sl) = cands(4);
         let mut s = RepsSprayer::new(4, false);
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut cur = 0;
-        s.pick(&ctx(1, 0, &c, &sl), &mut cur, &mut rng);
-        s.on_feedback(1, (0, 0), 0, SprayEcho::Ecn);
+        s.pick(&ctx(1, 0, &c, &sl), &mut rng);
+        s.on_feedback(1, 0, SprayEcho::Ecn);
         assert_eq!(cache_len(&s), 0, "CE-marked entropy must not be recycled");
-        assert_eq!(s.evicted, 1);
         assert_eq!(s.inflight.len(), 0);
     }
 
@@ -297,29 +275,28 @@ mod tests {
         let (c, sl) = cands(4);
         let mut s = RepsSprayer::new(4, true);
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut cur = 0;
         // Drive timeouts until some slot crosses the quarantine threshold.
         let mut quarantined = None;
         for seq in 0..64u32 {
-            let idx = s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng);
-            s.on_feedback(1, (0, 0), seq, SprayEcho::Timeout);
+            let idx = s.pick(&ctx(1, seq, &c, &sl), &mut rng);
+            s.on_feedback(1, seq, SprayEcho::Timeout);
             if s.quarantined(idx as u32) {
                 quarantined = Some(idx as u32);
                 break;
             }
         }
         let bad = quarantined.expect("repeated timeouts must quarantine a slot");
-        assert!(s.evicted > 0);
+        assert_eq!(cache_len(&s), 0, "timed-out entropies must not be recycled");
         // Quarantined slots are avoided by subsequent picks.
         for seq in 100..200u32 {
-            let idx = s.pick(&ctx(2, seq, &c, &sl), &mut cur, &mut rng);
+            let idx = s.pick(&ctx(2, seq, &c, &sl), &mut rng);
             assert_ne!(idx as u32, bad, "failover must steer off the bad slot");
-            s.on_feedback(2, (0, 0), seq, SprayEcho::Ack);
+            s.on_feedback(2, seq, SprayEcho::Ack);
         }
         // A clean ACK on the slot resets its suspicion. Build one by
         // hand: feed the echo directly through an inflight entry.
         s.inflight.insert((9, 0), (42, bad));
-        s.on_feedback(9, (0, 0), 0, SprayEcho::Ack);
+        s.on_feedback(9, 0, SprayEcho::Ack);
         assert!(!s.quarantined(bad), "ACK must lift the quarantine");
     }
 
@@ -328,29 +305,26 @@ mod tests {
         let (c, sl) = cands(2);
         let mut s = RepsSprayer::new(2, true);
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut cur = 0;
         // Recycle a batch of entropies landing on both slots.
         for seq in 0..32u32 {
-            s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng);
-            s.on_feedback(1, (0, 0), seq, SprayEcho::Ack);
+            s.pick(&ctx(1, seq, &c, &sl), &mut rng);
+            s.on_feedback(1, seq, SprayEcho::Ack);
         }
-        assert!(cache_len(&s) > 0);
+        assert!(!s.buckets[0].is_empty());
         // Quarantine slot 0 by force.
         s.suspicion[0] = QUARANTINE_AFTER;
-        let evicted_before = s.evicted;
         for seq in 32..96u32 {
-            let idx = s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng);
+            let idx = s.pick(&ctx(1, seq, &c, &sl), &mut rng);
             assert_eq!(
                 idx, 1,
                 "recycled entropies crossing slot 0 must not be used"
             );
-            s.on_feedback(1, (0, 0), seq, SprayEcho::Ack);
+            s.on_feedback(1, seq, SprayEcho::Ack);
         }
         assert!(
-            s.evicted > evicted_before,
+            s.buckets[0].is_empty(),
             "slot-0 entropies must have been purged"
         );
-        assert!(s.buckets[0].is_empty());
     }
 
     #[test]
@@ -359,16 +333,15 @@ mod tests {
         // Plain mode: no hard quarantine, only probe throttling.
         let mut s = RepsSprayer::new(2, false);
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut cur = 0;
         let mut seq = 0u32;
         let mut pick = |s: &mut RepsSprayer, rng: &mut SmallRng| {
-            let idx = s.pick(&ctx(1, seq, &c, &sl), &mut cur, rng);
+            let idx = s.pick(&ctx(1, seq, &c, &sl), rng);
             let echo = if idx == 0 {
                 SprayEcho::Timeout // slot 0 is black-holed
             } else {
                 SprayEcho::Ack
             };
-            s.on_feedback(1, (0, 1), seq, echo);
+            s.on_feedback(1, seq, echo);
             seq += 1;
             idx
         };
@@ -390,7 +363,6 @@ mod tests {
         let (c, sl) = cands(4);
         let mut s = RepsSprayer::new(4, false);
         let mut rng = SmallRng::seed_from_u64(6);
-        let mut cur = 0;
         let ack_ctx = |seq: u32| SprayCtx {
             flow: 1,
             src: 0,
@@ -403,14 +375,14 @@ mod tests {
         };
         let mut counts = [0u32; 4];
         for seq in 0..8u32 {
-            counts[s.pick(&ack_ctx(seq), &mut cur, &mut rng)] += 1;
+            counts[s.pick(&ack_ctx(seq), &mut rng)] += 1;
         }
         assert_eq!(counts, [2, 2, 2, 2], "reverse path must rotate too");
         assert_eq!(s.inflight.len(), 0, "ACK picks must not enter the pool");
         s.suspicion[2] = QUARANTINE_AFTER;
         for seq in 8..32u32 {
             assert_ne!(
-                s.pick(&ack_ctx(seq), &mut cur, &mut rng),
+                s.pick(&ack_ctx(seq), &mut rng),
                 2,
                 "ACKs must avoid suspect slots"
             );
@@ -422,12 +394,11 @@ mod tests {
         let (c, sl) = cands(4);
         let mut s = RepsSprayer::new(4, false);
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut cur = 0;
         for seq in 0..(BUCKET_CAP as u32 * 8) {
-            s.pick(&ctx(1, seq, &c, &sl), &mut cur, &mut rng);
-            s.on_feedback(1, (0, 0), seq, SprayEcho::Ack);
+            s.pick(&ctx(1, seq, &c, &sl), &mut rng);
+            s.on_feedback(1, seq, SprayEcho::Ack);
             // Immediately re-pick so the pool refills.
-            s.pick(&ctx(2, seq, &c, &sl), &mut cur, &mut rng);
+            s.pick(&ctx(2, seq, &c, &sl), &mut rng);
         }
         assert!(cache_len(&s) <= 4 * BUCKET_CAP);
         assert!(s.buckets.iter().all(|b| b.len() <= BUCKET_CAP));
@@ -436,7 +407,7 @@ mod tests {
 
     #[test]
     fn memo_residual_refuses() {
-        let s = RepsSprayer::new(4, false);
+        let s = crate::spray::Sprayer::Reps(RepsSprayer::new(4, false));
         assert_eq!(s.memo_residual(), Err("reps-entropy-cache"));
     }
 }

@@ -11,74 +11,29 @@ use crate::config::SimConfig;
 use crate::egress::LinkState;
 use crate::ids::{LinkId, SwitchId};
 use crate::packet::{Packet, PacketKind};
-use crate::spray;
+use crate::spray::{self, Sprayer};
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::topology::{LinkClass, SwitchKind, Topology};
 use rand::rngs::SmallRng;
 
 /// Runtime state of one switch.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct SwitchState {
     /// Round-robin spray cursor.
     pub(crate) rr_cursor: u64,
-    /// Pluggable spray backend ([`spray::Sprayer`]) built from
-    /// `cfg.spray`. The rotating least-loaded policies (`Adaptive`,
-    /// `LeastLoaded`) never reach it: [`Switches::route`] picks for them in
-    /// one fused pass. Stateful backends (REPS) keep their per-switch state
-    /// here.
-    pub(crate) sprayer: Box<dyn spray::Sprayer>,
+    /// The spray policy's per-switch state, built from `cfg.spray`: the
+    /// Adaptive deficits, PRIME's epochs, REPS' entropy buckets.
+    pub(crate) sprayer: Sprayer,
     /// Leaf only: valid uplinks per destination leaf (admin state only —
     /// silent faults are *not* reflected here, that's the point).
     pub(crate) valid_up: Vec<Vec<LinkId>>,
-    /// The deficit slot (virtual-spine index) of each `valid_up` entry.
+    /// The uplink slot (virtual-spine index) of each `valid_up` entry.
     valid_up_slots: Vec<Vec<u32>>,
     /// 3-level aggs only: valid agg→core uplinks per destination pod.
     pub(crate) valid_core: Vec<Vec<LinkId>>,
-    /// The deficit slot (core slot) of each `valid_core` entry.
+    /// The uplink slot (core slot) of each `valid_core` entry.
     valid_core_slots: Vec<Vec<u32>>,
-    /// [`spray::SprayPolicy::Adaptive`]: decaying per-upstream-port byte
-    /// counters (the utilization half of the load signal). Sized
-    /// `n_vspines` on leaves, `cores_per_group` on 3-level aggs.
-    pub(crate) spray_deficit: Vec<u64>,
-    /// Timestamp base for the lazy exponential decay of `spray_deficit`.
-    spray_deficit_at: Vec<u64>,
-    /// A lower bound on `min(spray_deficit_at) + tau`: before it no slot
-    /// can halve, so a pick skips the per-slot decay. It stays a bound
-    /// because `spray_deficit_at` only moves forward, and 0 is always one.
-    decay_gate: u64,
-}
-
-/// Lazy exponential decay of one deficit slot up to `now`: the counter
-/// halves every `tau` nanoseconds since its timestamp base `at`, which
-/// advances by the whole halvings applied.
-fn decay(deficit: &mut u64, at: &mut u64, now: u64, tau: u64) -> u64 {
-    let elapsed = now.saturating_sub(*at);
-    if elapsed < tau {
-        // Zero halvings: skip the division (nearly every read).
-        return *deficit;
-    }
-    let halvings = elapsed.checked_div(tau).unwrap_or(0);
-    if halvings > 0 {
-        *deficit >>= halvings.min(63);
-        *at += halvings * tau;
-    }
-    *deficit
-}
-
-/// The earliest time any slot with timestamp base in `at` can halve.
-fn decay_floor(at: &[u64], tau: u64) -> u64 {
-    at.iter().min().map_or(0, |&at| at + tau)
-}
-
-impl SwitchState {
-    /// Some deficit slot was charged, now or before: a charge leaves the
-    /// counter non-zero until a decay moves its timestamp base off the
-    /// initial zero.
-    pub(crate) fn deficit_charged(&self) -> bool {
-        let mut slots = self.spray_deficit.iter().zip(&self.spray_deficit_at);
-        slots.any(|(&d, &at)| d != 0 || at != 0)
-    }
 }
 
 /// Which upstream table a spray decision consults.
@@ -100,14 +55,15 @@ pub(crate) struct Fabric<'a> {
 
 /// Every switch of the fabric, plus what the spray stage shares between
 /// them.
+#[derive(Clone)]
 pub(crate) struct Switches {
     pub(crate) state: Vec<SwitchState>,
     /// The candidates (and their slots) the quarantine filter kept.
     scratch_cands: Vec<LinkId>,
     scratch_slots: Vec<u32>,
     /// `cfg.spray.wants_feedback()`, cached: gates every per-packet
-    /// feedback hook (CE marking, ACK echoes) so classic policies pay one
-    /// predictable branch and stay byte-identical to the pre-trait engine.
+    /// feedback hook (CE marking, ACK echoes, timeout echoes) so the other
+    /// policies pay one predictable branch.
     pub(crate) feedback: bool,
     /// Number of links currently carrying [`LinkState::spray_avoid`];
     /// zero keeps the avoidance filter entirely off the spray hot path.
@@ -123,7 +79,7 @@ impl Switches {
             .switch_kind
             .iter()
             .map(|kind| {
-                let (n_valid_up, n_valid_core, n_deficit) = match kind {
+                let (n_valid_up, n_valid_core, n_slots) = match kind {
                     SwitchKind::Leaf(_) => (topo.n_leaves(), 0, topo.n_vspines()),
                     SwitchKind::Spine(_) if three_level => {
                         (0, topo.pods as usize, topo.cores_per_group as usize)
@@ -132,14 +88,11 @@ impl Switches {
                 };
                 SwitchState {
                     rr_cursor: 0,
-                    sprayer: spray::make_sprayer(cfg.spray, n_deficit),
+                    sprayer: spray::make_sprayer(cfg.spray, n_slots),
                     valid_up: vec![Vec::new(); n_valid_up],
                     valid_up_slots: vec![Vec::new(); n_valid_up],
                     valid_core: vec![Vec::new(); n_valid_core],
                     valid_core_slots: vec![Vec::new(); n_valid_core],
-                    spray_deficit: vec![0; n_deficit],
-                    spray_deficit_at: vec![0; n_deficit],
-                    decay_gate: 0,
                 }
             })
             .collect();
@@ -249,9 +202,8 @@ impl Switches {
     ///
     /// `Adaptive` and `LeastLoaded` pick here, in one pass with no
     /// candidate copy: exactly [`spray::choose`]'s rotating least-loaded
-    /// scan over `queued_bytes + decayed deficit` (the deficit stays zero
-    /// under `LeastLoaded`, which never charges it). Every other policy
-    /// goes through the switch's [`spray::Sprayer`].
+    /// scan over `queued_bytes`, plus the Adaptive arm's decayed deficit.
+    /// Every other arm picks through [`Sprayer::pick`].
     fn spray_among(
         &mut self,
         fab: &Fabric<'_>,
@@ -311,29 +263,20 @@ impl Switches {
                 (cands, slots) = (kept, kept_slots);
             }
         }
-        let (now, tau) = (now.as_ns(), cfg.spray_tau.as_ns());
-        debug_assert!(s.decay_gate <= decay_floor(&s.spray_deficit_at, tau));
-        let adaptive = cfg.spray == spray::SprayPolicy::Adaptive;
-        let i = match cfg.spray {
+        let queued = |id: LinkId| links[id.idx()].queued_bytes;
+        let i = match &mut s.sprayer {
             _ if cands.len() == 1 => 0,
-            spray::SprayPolicy::Adaptive | spray::SprayPolicy::LeastLoaded => {
-                if adaptive && now >= s.decay_gate {
-                    for &v in slots {
-                        let v = v as usize;
-                        decay(
-                            &mut s.spray_deficit[v],
-                            &mut s.spray_deficit_at[v],
-                            now,
-                            tau,
-                        );
-                    }
-                    s.decay_gate = decay_floor(&s.spray_deficit_at, tau);
-                }
-                least_loaded(links, cands, slots, &s.spray_deficit, &mut s.rr_cursor)
+            Sprayer::Adaptive(d) => {
+                d.decay(slots, now.as_ns(), cfg.spray_tau.as_ns());
+                let load = |id, v| queued(id) + d.get(v);
+                least_loaded(cands, slots, &mut s.rr_cursor, load)
+            }
+            Sprayer::LeastLoaded => {
+                least_loaded(cands, slots, &mut s.rr_cursor, |id, _| queued(id))
             }
             // Random, RoundRobin and the hash/entropy backends pick without
             // a load signal.
-            _ => {
+            sprayer => {
                 let (flow, seq, data) = match pkt.kind {
                     PacketKind::Data { flow, seq } => (flow, seq, true),
                     PacketKind::Ack { flow, .. } => (flow, 0, false),
@@ -348,38 +291,35 @@ impl Switches {
                     loads: &[],
                     slots,
                 };
-                s.sprayer.pick(&ctx, &mut s.rr_cursor, rng)
+                sprayer.pick(&ctx, &mut s.rr_cursor, rng)
             }
         };
         debug_assert!(i < cands.len(), "sprayer picked out of range");
-        if adaptive {
-            let wire = pkt.size as u64 + cfg.wire_overhead as u64;
-            s.spray_deficit[slots[i] as usize] += wire;
+        if let Sprayer::Adaptive(d) = &mut s.sprayer {
+            d.charge(slots[i], pkt.size as u64 + cfg.wire_overhead as u64);
         }
         Some(cands[i])
     }
 }
 
-/// [`spray::choose`]'s rotating least-loaded scan over the load
-/// `links[cands[k]].queued_bytes + deficit[slots[k]]`, read in place: the
-/// scan starts at the cursor so equal loads are taken in rotation, and the
-/// cursor moves past the chosen candidate.
+/// [`spray::choose`]'s rotating least-loaded scan over
+/// `load(cands[k], slots[k])`, read in place: the scan starts at the
+/// cursor so equal loads are taken in rotation, and the cursor moves past
+/// the chosen candidate.
 fn least_loaded(
-    links: &[LinkState],
     cands: &[LinkId],
     slots: &[u32],
-    deficit: &[u64],
     cursor: &mut u64,
+    load: impl Fn(LinkId, u32) -> u64,
 ) -> usize {
     let n = cands.len();
     let c = *cursor as usize;
     let start = if c < n { c } else { c % n };
-    let load = |id: &LinkId, v: &u32| links[id.idx()].queued_bytes + deficit[*v as usize];
-    let (mut best, mut best_load) = (start, load(&cands[start], &slots[start]));
+    let (mut best, mut best_load) = (start, load(cands[start], slots[start]));
     // `(start + k) % n` for `k` in `1..n`, as two runs without a division.
     let runs = [(start + 1, n), (0, start)];
     for (lo, hi) in runs {
-        for (k, (id, v)) in (lo..).zip(cands[lo..hi].iter().zip(&slots[lo..hi])) {
+        for (k, (&id, &v)) in (lo..).zip(cands[lo..hi].iter().zip(&slots[lo..hi])) {
             let l = load(id, v);
             if l < best_load {
                 best = k;
@@ -397,38 +337,29 @@ mod tests {
     use crate::ids::HostId;
     use crate::packet::Priority;
     use crate::rng::splitmix64;
-    use crate::spray::SprayPolicy;
+    use crate::spray::{Deficits, SprayPolicy};
     use crate::time::SimDuration;
     use crate::topology::{Clos3Spec, FatTreeSpec};
     use proptest::prelude::*;
     use rand::SeedableRng;
 
-    impl SwitchState {
-        /// Read the spray deficit of uplink slot `v`, applying lazy
-        /// exponential decay: the counter halves every `tau` nanoseconds.
-        /// This is the EWMA-like utilization signal of
-        /// [`SprayPolicy::Adaptive`], one slot at a time.
-        fn decayed_deficit(&mut self, v: usize, now: u64, tau: u64) -> u64 {
-            decay(
-                &mut self.spray_deficit[v],
-                &mut self.spray_deficit_at[v],
-                now,
-                tau,
-            )
-        }
-    }
+    /// Forking a trial copies the switch layer by value.
+    const _: fn() = || {
+        fn clone<T: Clone>() {}
+        clone::<Switches>();
+    };
 
-    /// Deficit slot of a sprayed uplink, read from its link class.
-    fn slot_of(topo: &Topology, up: LinkId) -> usize {
+    /// Uplink slot of a sprayed uplink, read from its link class.
+    fn slot_of(topo: &Topology, up: LinkId) -> u32 {
         match topo.links[up.idx()].class {
-            LinkClass::LeafUp { vspine, .. } => vspine as usize,
-            LinkClass::AggUp { core_k, .. } => core_k as usize,
+            LinkClass::LeafUp { vspine, .. } => vspine,
+            LinkClass::AggUp { core_k, .. } => core_k,
             c => unreachable!("not a sprayed uplink: {c:?}"),
         }
     }
 
     /// The rotating least-loaded pick as two stages: copy and filter the
-    /// candidates, gather each load through `decayed_deficit`, then
+    /// candidates, gather each load through `Deficits::decayed`, then
     /// [`spray::choose`]. Returns the pick and whether the quarantine
     /// narrowed it.
     fn reference_pick(
@@ -438,7 +369,7 @@ mod tests {
         wire: u64,
         rng: &mut SmallRng,
     ) -> Option<(LinkId, bool)> {
-        let (topo, links, policy) = (fab.topo, fab.links, fab.cfg.spray);
+        let (topo, links) = (fab.topo, fab.links);
         let valid = match table {
             SprayTable::Up(dst_leaf) => s.valid_up[dst_leaf as usize].clone(),
             SprayTable::Core(dst_pod) => s.valid_core[dst_pod as usize].clone(),
@@ -452,7 +383,7 @@ mod tests {
             cands.retain(|&up| {
                 let down_avoided = match table {
                     SprayTable::Up(dst_leaf) => {
-                        let down = topo.downlink(slot_of(topo, up) as u32, dst_leaf);
+                        let down = topo.downlink(slot_of(topo, up), dst_leaf);
                         links[down.idx()].spray_avoid
                     }
                     SprayTable::Core(_) => false,
@@ -464,7 +395,6 @@ mod tests {
             }
             narrowed = cands.len() < valid.len();
         }
-        let adaptive = policy == SprayPolicy::Adaptive;
         let chosen = if cands.len() == 1 {
             cands[0]
         } else {
@@ -472,19 +402,27 @@ mod tests {
             let loads: Vec<u64> = cands
                 .iter()
                 .map(|&id| {
-                    let deficit = match adaptive {
-                        true => s.decayed_deficit(slot_of(topo, id), now, tau),
-                        false => 0,
+                    let deficit = match &mut s.sprayer {
+                        Sprayer::Adaptive(d) => d.decayed(slot_of(topo, id), now, tau),
+                        _ => 0,
                     };
                     links[id.idx()].queued_bytes + deficit
                 })
                 .collect();
-            cands[spray::choose(policy, &loads, &mut s.rr_cursor, rng)]
+            cands[spray::choose(fab.cfg.spray, &loads, &mut s.rr_cursor, rng)]
         };
-        if adaptive {
-            s.spray_deficit[slot_of(topo, chosen)] += wire;
+        if let Sprayer::Adaptive(d) = &mut s.sprayer {
+            d.charge(slot_of(topo, chosen), wire);
         }
         Some((chosen, narrowed))
+    }
+
+    /// The Adaptive arm's deficits, if the switch sprays Adaptive.
+    fn deficits(s: &SwitchState) -> Option<&Deficits> {
+        match &s.sprayer {
+            Sprayer::Adaptive(d) => Some(d),
+            _ => None,
+        }
     }
 
     /// Every spraying `(switch, table)` of `topo`.
@@ -613,49 +551,12 @@ mod tests {
                 narrowed += reference.is_some_and(|(_, n)| n) as u64;
                 prop_assert_eq!(got, reference.map(|(l, _)| l));
                 prop_assert_eq!(a.rr_cursor, b.rr_cursor);
-                prop_assert_eq!(&a.spray_deficit, &b.spray_deficit);
-                prop_assert_eq!(&a.spray_deficit_at, &b.spray_deficit_at);
+                prop_assert_eq!(deficits(a).is_some(), adaptive);
+                prop_assert_eq!(deficits(a).map(Deficits::slots), deficits(b).map(Deficits::slots));
                 prop_assert_eq!(stats.spray_avoided_picks, narrowed);
                 for s in &fused.state {
-                    prop_assert!(s.decay_gate <= decay_floor(&s.spray_deficit_at, tau));
+                    prop_assert!(deficits(s).is_none_or(|d| d.gate_holds(tau)));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn decayed_deficit_matches_the_always_divide_formulation() {
-        // The read path returns early when less than one tau has passed;
-        // that must be invisible: same value, same timestamp base, across
-        // grid crossings, multi-tau gaps, > 63 halvings and tau = 0.
-        fn reference(deficit: &mut u64, at: &mut u64, now: u64, tau: u64) -> u64 {
-            let elapsed = now.saturating_sub(*at);
-            let halvings = elapsed.checked_div(tau).unwrap_or(0);
-            if halvings > 0 {
-                *deficit >>= halvings.min(63);
-                *at += halvings * tau;
-            }
-            *deficit
-        }
-        let topo = Topology::fat_tree(FatTreeSpec {
-            leaves: 4,
-            spines: 2,
-            hosts_per_leaf: 1,
-            ..Default::default()
-        });
-        for tau in [0u64, 1, 100, 100_000] {
-            let mut sw = Switches::new(&topo, &SimConfig::default());
-            let s = &mut sw.state[0];
-            let (mut want, mut want_at, mut now) = (0u64, 0u64, 0u64);
-            let steps = [0, 1, tau / 2, tau.saturating_sub(1), 1, tau, tau + 1];
-            let gaps = [3 * tau + 7, 5, 70 * tau, 2 * tau, 0];
-            for step in steps.into_iter().chain(gaps) {
-                now += step;
-                want += 4160;
-                s.spray_deficit[1] += 4160;
-                let got = s.decayed_deficit(1, now, tau);
-                assert_eq!(got, reference(&mut want, &mut want_at, now, tau));
-                assert_eq!(s.spray_deficit_at[1], want_at, "tau={tau}");
             }
         }
     }

@@ -193,14 +193,15 @@ for bin in "${BINARIES[@]}"; do
     echo "    $bin: JSON byte-identical across thread counts"
 done
 
-echo "==> FP_SPRAY smoke: pluggable backends byte-identical across thread counts"
+echo "==> FP_SPRAY smoke: spray policies byte-identical across thread counts"
 tsp="$(mktemp -d)"
 trap 'rm -rf "$t1" "$t4" "$tt" "$tsp"' EXIT
 # fig5a does not pin `sim.spray`, so the knob (through `cfg.base_spec()`)
-# drives the whole sweep; `reps` exercises the ACK-fed feedback path end to
-# end. Each backend's bytes must also differ from the Adaptive run above,
-# or the knob no longer reaches the trials.
-for pol in ecmp prime reps; do
+# drives the whole sweep; `rr` and `random` are the arms the engine sends
+# through `Sprayer::pick` with no load signal, and `reps` exercises the
+# ACK-fed feedback path end to end. Each policy's bytes must also differ
+# from the Adaptive run above, or the knob no longer reaches the trials.
+for pol in rr random ecmp prime reps; do
     FP_QUICK=1 FP_SPRAY="$pol" FP_THREADS=1 FP_RESULTS="$tsp/s1" \
         cargo run --release -q -p fp-bench --bin fig5a >/dev/null
     FP_QUICK=1 FP_SPRAY="$pol" FP_THREADS=4 FP_RESULTS="$tsp/s4" \
