@@ -12,11 +12,14 @@
 //!
 //! The template follows `FP_SPRAY`; everything else a spec says itself. A
 //! spec that cannot be read, parsed or run ends the process with status 2
-//! and one line saying why.
+//! and one line saying why. A spec written before the transport settings
+//! became constants still carries them under `sim`
+//! ([`FIXED_KEYS`]); it runs only while each holds its fixed value.
 
 use flowpulse::prelude::*;
 use fp_bench::RunConfig;
-use serde::Serialize;
+use fp_netsim::config::FIXED_KEYS;
+use serde::{Deserialize, Serialize, Value};
 use std::io::Read;
 
 #[derive(Serialize)]
@@ -60,11 +63,31 @@ fn read_spec(path: Option<&String>) -> Result<TrialSpec, String> {
         }
     };
     let raw = raw.map_err(|e| format!("cannot read {from}: {e}"))?;
-    let spec: TrialSpec =
-        serde_json::from_str(&raw).map_err(|e| format!("malformed TrialSpec in {from}: {e}"))?;
-    spec.validate()
+    let malformed = |e: String| format!("malformed TrialSpec in {from}: {e}");
+    let value: Value = serde_json::from_str(&raw).map_err(|e| malformed(e.to_string()))?;
+    let spec = TrialSpec::from_value(&value).map_err(malformed)?;
+    fixed_keys_hold(&value)
+        .and_then(|()| spec.validate())
         .map_err(|e| format!("invalid TrialSpec in {from}: {e}"))?;
     Ok(spec)
+}
+
+/// Every removed `sim` key that `spec` still carries holds its fixed value:
+/// the deserializer skips unknown keys, so any other value would otherwise
+/// be dropped without a word.
+fn fixed_keys_hold(spec: &Value) -> Result<(), String> {
+    fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+        v.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let Some(sim) = field(spec, "sim") else {
+        return Ok(());
+    };
+    for (key, fixed) in FIXED_KEYS {
+        if field(sim, key).is_some_and(|v| v.as_f64() != Some(fixed)) {
+            return Err(format!("sim.{key} is fixed at {fixed}"));
+        }
+    }
+    Ok(())
 }
 
 fn main() {

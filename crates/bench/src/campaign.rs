@@ -76,7 +76,7 @@ impl RunConfig {
         results
     }
 
-    /// When `FP_TELEMETRY` is set, write the [`campaign_manifest`] of a
+    /// When `FP_TELEMETRY` is set, write the `campaign_manifest` of a
     /// finished campaign to `$FP_TELEMETRY/<name>/manifest.json`; nothing
     /// otherwise. `ctrl` is the controller sweep that rode it (`Null` for
     /// controller-less campaigns). A manifest that cannot be written is a

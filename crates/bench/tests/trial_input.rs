@@ -45,3 +45,39 @@ fn a_straggler_jitter_spec_is_malformed_input() {
         "{line}"
     );
 }
+
+/// A small spec as a build from before the transport settings became
+/// constants wrote it: its `sim` map carries all nine, at their values.
+fn spec_with_fixed_keys() -> String {
+    let spec = TrialSpec {
+        leaves: 4,
+        spines: 2,
+        bytes_per_node: 256 * 1024,
+        iterations: 2,
+        ..Default::default()
+    };
+    let spec = serde_json::to_string(&spec).unwrap();
+    let fixed = r#""sim":{"mtu":4096,"wire_overhead":64,"ack_size":64,"rto":5000,
+        "rto_backoff":2.0,"rto_backoff_cap":8,"ack_coalesce":8,"ack_flush_delay":500,
+        "ecn_threshold":65536,"#;
+    assert!(spec.contains(r#""sim":{"#), "{spec}");
+    spec.replace(r#""sim":{"#, fixed)
+}
+
+#[test]
+fn a_spec_carrying_the_fixed_keys_at_their_values_runs() {
+    let (code, line) = run_trial_on("trial_fixed_keys.json", &spec_with_fixed_keys());
+    assert_eq!(code, Some(0), "{line}");
+}
+
+#[test]
+fn a_fixed_key_at_another_value_exits_2_naming_it() {
+    let spec = spec_with_fixed_keys().replace(r#""mtu":4096"#, r#""mtu":9000"#);
+    let (code, line) = run_trial_on("trial_jumbo_mtu.json", &spec);
+    assert_eq!(code, Some(2), "{line}");
+    assert!(
+        line.starts_with("invalid TrialSpec in ")
+            && line.ends_with("trial_jumbo_mtu.json: sim.mtu is fixed at 4096"),
+        "{line}"
+    );
+}

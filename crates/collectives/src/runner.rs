@@ -46,6 +46,9 @@ impl MeasuredSubset {
     }
 }
 
+/// Compute time separating an iteration's end from the next one's start.
+const COMPUTE_GAP: SimDuration = SimDuration::from_us(20);
+
 /// Runner parameters.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct RunnerConfig {
@@ -53,8 +56,6 @@ pub struct RunnerConfig {
     pub job: u32,
     /// Training iterations to run.
     pub iterations: u32,
-    /// Compute time separating an iteration's end from the next one's start.
-    pub compute_gap: SimDuration,
     /// Per-node start jitter model.
     pub jitter: JitterModel,
     /// Priority class for the collective's *measured* data packets (the
@@ -80,7 +81,6 @@ impl Default for RunnerConfig {
         RunnerConfig {
             job: 1,
             iterations: 1,
-            compute_gap: SimDuration::from_us(20),
             jitter: JitterModel::None,
             prio: Priority::MEASURED,
             measured: MeasuredSubset::All,
@@ -268,7 +268,7 @@ impl Application for CollectiveRunner {
                     }
                 }
                 if self.iter < self.cfg.iterations {
-                    self.begin_iteration(sim, base + self.cfg.compute_gap);
+                    self.begin_iteration(sim, base + COMPUTE_GAP);
                 }
             }
         }
@@ -341,7 +341,6 @@ mod tests {
         let sched = ring_allreduce(&hosts(4), 32 * 1024);
         let cfg = RunnerConfig {
             iterations: 2,
-            compute_gap: SimDuration::from_us(50),
             ..Default::default()
         };
         let runner = CollectiveRunner::new(sched, cfg);
@@ -370,10 +369,8 @@ mod tests {
         let mut sim = fabric(4, 2);
         sim.set_recorder(Box::new(Rec(spans.clone())));
         let sched = ring_allreduce(&hosts(4), 32 * 1024);
-        let gap = SimDuration::from_us(50);
         let cfg = RunnerConfig {
             iterations: 2,
-            compute_gap: gap,
             ..Default::default()
         };
         sim.set_app(Box::new(CollectiveRunner::new(sched, cfg)));
@@ -387,7 +384,7 @@ mod tests {
         }
         // Iteration 1's scheduled base is exactly iteration 0's completion
         // plus the compute gap (jitter is off by default).
-        assert_eq!(s[1].2, s[0].3 + gap.as_ns());
+        assert_eq!(s[1].2, s[0].3 + COMPUTE_GAP.as_ns());
     }
 
     #[test]

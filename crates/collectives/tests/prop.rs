@@ -154,6 +154,7 @@ proptest! {
 // packet/byte conservation.
 // ---------------------------------------------------------------------
 
+use fp_netsim::config::MTU;
 use fp_netsim::prelude::*;
 
 /// One faulted collective run: a schedule on an 8×4 (or smaller) fabric,
@@ -217,12 +218,11 @@ fn run_and_check(sc: &FaultedRun) -> String {
         sim.stats.bytes_delivered,
         ITERS as u64 * sc.sched.total_bytes()
     );
-    let mtu = sim.cfg.mtu as u64;
     let segments: u64 = ITERS as u64
         * sc.sched
             .transfers
             .iter()
-            .map(|t| t.bytes.div_ceil(mtu))
+            .map(|t| t.bytes.div_ceil(MTU as u64))
             .sum::<u64>();
     assert_eq!(
         sim.stats.data_pkts_delivered - sim.stats.dup_pkts_delivered,

@@ -24,33 +24,28 @@ pub struct Deviation {
     pub rel: f64,
 }
 
+/// Ports expected to carry fewer bytes than this are skipped (their
+/// relative deviation is meaningless); observed-but-unexpected traffic
+/// above this floor *is* flagged.
+const MIN_EXPECTED: f64 = 1.0;
+
 /// Threshold comparator.
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct Detector {
     /// Relative-deviation alarm threshold (paper default: 0.01).
-    pub threshold: f64,
-    /// Ports expected to carry fewer bytes than this are skipped (their
-    /// relative deviation is meaningless); observed-but-unexpected traffic
-    /// above this floor *is* flagged.
-    pub min_expected: f64,
+    pub(crate) threshold: f64,
 }
 
 impl Default for Detector {
     fn default() -> Self {
-        Detector {
-            threshold: 0.01,
-            min_expected: 1.0,
-        }
+        Detector::new(0.01)
     }
 }
 
 impl Detector {
-    /// A detector with the paper's 1% threshold.
+    /// A detector alarming past relative deviation `threshold`.
     pub fn new(threshold: f64) -> Self {
-        Detector {
-            threshold,
-            ..Default::default()
-        }
+        Detector { threshold }
     }
 
     /// All ports (across all leaves) deviating beyond the threshold, leaf
@@ -104,13 +99,13 @@ impl Detector {
                 observed: o,
                 rel,
             };
-            if e >= self.min_expected {
+            if e >= MIN_EXPECTED {
                 let rel = (o - e) / e;
                 worst = worst.max(rel.abs());
                 if rel.abs() > self.threshold {
                     deviating(port(rel));
                 }
-            } else if o > self.min_expected {
+            } else if o > MIN_EXPECTED {
                 worst = worst.max(1.0);
                 deviating(port(f64::INFINITY));
             }
@@ -133,13 +128,13 @@ pub(crate) mod tests {
 
     /// The maximum as `PortLoads::max_rel_dev` took it in its own pass
     /// over all ports: the reference the one-pass rule is held to.
-    pub(crate) fn max_rel_dev(expected: &PortLoads, observed: &PortLoads, floor: f64) -> f64 {
+    pub(crate) fn max_rel_dev(expected: &PortLoads, observed: &PortLoads) -> f64 {
         assert_eq!(expected.bytes.len(), observed.bytes.len(), "shape mismatch");
         let mut worst = 0.0f64;
         for (&e, &o) in expected.bytes.iter().zip(&observed.bytes) {
-            if e >= floor {
+            if e >= MIN_EXPECTED {
                 worst = worst.max(((o - e) / e).abs());
-            } else if o > floor {
+            } else if o > MIN_EXPECTED {
                 worst = worst.max(1.0);
             }
         }
@@ -165,12 +160,12 @@ pub(crate) mod tests {
                     observed: o,
                     rel,
                 };
-                if e >= d.min_expected {
+                if e >= MIN_EXPECTED {
                     let rel = (o - e) / e;
                     if rel.abs() > d.threshold {
                         out.push(dev(rel));
                     }
-                } else if o > d.min_expected {
+                } else if o > MIN_EXPECTED {
                     out.push(dev(f64::INFINITY));
                 }
             }
@@ -188,21 +183,18 @@ pub(crate) mod tests {
 
         /// `judge` (cells in place), `compare` and `max_abs_rel` give what
         /// the two separate passes gave: the maximum bit for bit, the
-        /// deviation list entry for entry. Ports expected below the floor
-        /// (0, fractions) with traffic above it or not, zeros, observed equal
-        /// to expected, fractional expectations (warm-up means), values past
-        /// 2^53, floors 0 / 0.25 / 1 / 2000 and thresholds 0 / 1 % / 1 / 2.
+        /// deviation list entry for entry. Ports expected below, at and
+        /// above the floor (0, fractions, 1, 2000) with traffic above it or
+        /// not, zeros, observed equal to expected, fractional expectations
+        /// (warm-up means), values past 2^53, and thresholds 0 / 1 % / 1 / 2.
         #[test]
         fn one_pass_matches_the_two_pass_oracle(
             dims in (1usize..5, 1usize..6),
-            knobs in (0usize..4, 0usize..4),
+            threshold in 0usize..4,
             ports in collection::vec((0u32..7, 0u32..6, 0u64..=u64::MAX), 30),
         ) {
             let (n_leaves, n_vspines) = dims;
-            let d = Detector {
-                threshold: [0.0, 0.01, 1.0, 2.0][knobs.0],
-                min_expected: [0.0, 0.25, 1.0, 2000.0][knobs.1],
-            };
+            let d = Detector::new([0.0, 0.01, 1.0, 2.0][threshold]);
             let mut expected = PortLoads::zeros(n_leaves, n_vspines);
             let mut cells = vec![0u64; n_leaves * n_vspines];
             for (i, &(e_kind, o_kind, r)) in ports.iter().take(cells.len()).enumerate() {
@@ -226,7 +218,7 @@ pub(crate) mod tests {
             }
             let observed = PortCells { n_leaves, n_vspines, bytes: &cells };
             let as_loads = observed.to_loads();
-            let oracle_max = max_rel_dev(&expected, &as_loads, d.min_expected);
+            let oracle_max = max_rel_dev(&expected, &as_loads);
             let oracle_devs = compare_by_port(&d, &expected, &as_loads);
 
             let mut devs = Vec::new();
@@ -332,11 +324,11 @@ pub(crate) mod tests {
 
     #[test]
     fn near_zero_prediction_with_real_traffic_is_flagged() {
-        // `min_expected` floor: a prediction *below* the floor but nonzero
+        // `MIN_EXPECTED` floor: a prediction *below* the floor but nonzero
         // must behave like the zero case — real observed traffic on the
         // port is a symmetry break, not a skipped comparison.
         let d = Detector::new(0.01);
-        let e = loads(&[0.5]); // below min_expected = 1.0
+        let e = loads(&[0.5]); // below MIN_EXPECTED = 1.0
         let o = loads(&[900.0]);
         let devs = d.compare(&e, &o);
         assert_eq!(devs.len(), 1);
@@ -355,13 +347,13 @@ pub(crate) mod tests {
         assert!(d.compare(&e, &o).is_empty());
 
         // Same with observed exactly at the floor (strict `>` comparison).
-        let o_at_floor = loads(&[d.min_expected]);
+        let o_at_floor = loads(&[MIN_EXPECTED]);
         assert!(d.compare(&e, &o_at_floor).is_empty());
     }
 
     #[test]
     fn floor_boundary_uses_the_ratio_path() {
-        // A prediction exactly at `min_expected` participates in the
+        // A prediction exactly at `MIN_EXPECTED` participates in the
         // normal relative comparison (`>=` floor check), so a genuine
         // shortfall there still alarms with a finite rel.
         let d = Detector::new(0.01);

@@ -123,8 +123,9 @@ pub struct TrialSpec {
     /// Results are byte-identical either way; fault onsets, heal edges and
     /// scheduled controls act as barriers the replay never crosses. Trials
     /// that are ineligible (start jitter, online controller, telemetry
-    /// recorder — see [`memo_ineligibility`]) run fully
-    /// live with the reason in [`TrialResult::memo_fallback`]; ineligible
+    /// recorder — see [`memo_ineligibility`](super::memo_ineligibility))
+    /// run fully live with the reason in
+    /// [`TrialResult::memo_fallback`](super::TrialResult::memo_fallback); ineligible
     /// *configurations* (random or adaptive spray) surface the engine's
     /// own refusal reason the same way.
     #[serde(default)]
@@ -274,6 +275,7 @@ pub(super) fn choose_cables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fp_netsim::config::PfcConfig;
     use rand::SeedableRng;
 
     fn small_spec() -> TrialSpec {
@@ -334,7 +336,7 @@ mod tests {
             ("rate", TrialSpec { fault: drop_at(1, 1.5), ..base.clone() }),
             ("fault.at_iter", TrialSpec { fault: drop_at(3, 0.02), ..base.clone() }),
             ("fault.heal_at_iter", TrialSpec { fault: Some(healed_early), ..base.clone() }),
-            ("sim: mtu", TrialSpec { sim: SimConfig { mtu: 0, ..Default::default() }, ..base.clone() }),
+            ("sim: PFC", TrialSpec { sim: SimConfig { pfc: PfcConfig { xon_bytes: 1 << 30, ..Default::default() }, ..Default::default() }, ..base.clone() }),
         ];
         for (field, spec) in cases {
             let err = spec.validate().expect_err(field);

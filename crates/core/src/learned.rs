@@ -216,9 +216,8 @@ pub(crate) mod tests {
     }
 
     /// `observe` as it was while it still cloned the baseline on every
-    /// call: the reference the borrowing version is held to. `floor` is the
-    /// one the model is judged at.
-    fn observe_by_clone(m: &mut LearnedModel, obs: PortCells<'_>, floor: f64) -> LearnedUpdate {
+    /// call: the reference the borrowing version is held to.
+    fn observe_by_clone(m: &mut LearnedModel, obs: PortCells<'_>) -> LearnedUpdate {
         let Some(base) = m.baseline.clone() else {
             m.samples.push(obs.to_loads());
             if m.samples.len() as u32 >= m.warmup {
@@ -228,7 +227,7 @@ pub(crate) mod tests {
             }
             return LearnedUpdate::Warming;
         };
-        let max_rel = max_rel_dev(&base, &obs.to_loads(), floor);
+        let max_rel = max_rel_dev(&base, &obs.to_loads());
         if max_rel <= m.threshold {
             return LearnedUpdate::Consistent;
         }
@@ -296,7 +295,7 @@ pub(crate) mod tests {
                 let verdict = new.observe(shape(k), max_rel);
                 prop_assert_eq!(
                     verdict,
-                    observe_by_clone(&mut old, shape(k), detector.min_expected)
+                    observe_by_clone(&mut old, shape(k))
                 );
                 prop_assert_eq!(new.baseline(), old.baseline());
                 prop_assert_eq!(&new.samples, &old.samples);

@@ -455,18 +455,17 @@ mod tests {
     /// What `evaluate` derived from one observation while it still cloned
     /// the baseline before `observe` and the verdict after it, each figure
     /// from its own pass: the learned event, the max-deviation record and
-    /// the deviations alarmed on. The model judges at the detector's floor.
+    /// the deviations alarmed on.
     fn evaluate_by_clone(
         lm: &mut LearnedModel,
         detector: &Detector,
         obs: PortCells<'_>,
     ) -> (LearnedUpdate, Option<f64>, Vec<Deviation>) {
-        let floor = detector.min_expected;
         let loads = obs.to_loads();
         let baseline_before = lm.baseline().cloned();
         let max_dev = baseline_before
             .as_ref()
-            .map(|base| max_rel_dev(base, &loads, floor));
+            .map(|base| max_rel_dev(base, &loads));
         let verdict = lm.observe(obs, max_dev);
         let event = verdict.clone();
         let mut devs = Vec::new();
@@ -492,14 +491,9 @@ mod tests {
         #[test]
         fn evaluate_matches_the_cloning_formulation(
             warmup in 1u32..4,
-            // The floor the detector and the model share.
-            min_expected in 0u32..3,
             steps in collection::vec((0usize..SHAPES.len(), 0u32..12), 1..40),
         ) {
-            let detector = Detector {
-                threshold: 0.01,
-                min_expected: [1.0, 0.25, 2000.0][min_expected as usize],
-            };
+            let detector = Detector::new(0.01);
             let mut m = Monitor::new_learned(1, detector, warmup);
             let mut reference = LearnedModel::new(warmup, detector.threshold);
             let (mut events, mut max_devs, mut alarmed) = (Vec::new(), Vec::new(), Vec::new());

@@ -9,7 +9,7 @@
 //! for a stream of any length, over an [`OpenWindow`] of the iterations
 //! still open. The per-source breakdown is deliberately *not* shipped:
 //! the temporal-symmetry detector reads only per-port bytes
-//! ([`crate::model::PortCells::from_counters`]), and ring localization
+//! (`PortCells::from_counters`), and ring localization
 //! correlates alarms across leaves rather than across senders, so the wire
 //! format stays at `n_leaves × n_vspines` u64s per iteration (~4 KiB for
 //! the paper's 32×16 fabric) instead of the ~128 KiB per-sender matrix.

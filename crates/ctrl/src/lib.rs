@@ -7,9 +7,10 @@
 //! each training iteration closes, and feeds remediation back into the
 //! fabric:
 //!
-//! 1. **Detect** — a [`Monitor`](flowpulse::monitor::Monitor) with a
-//!    learned baseline scans the just-closed iteration; hysteresis means
-//!    one *fresh* alarm per fault episode, not one per iteration.
+//! 1. **Detect** — a [`Monitor`] with a learned baseline (one warm-up
+//!    iteration, the paper's 1 % threshold) scans the just-closed
+//!    iteration; hysteresis means one *fresh* alarm per fault episode, not
+//!    one per iteration.
 //! 2. **Localize** — ring correlation over the fresh alarms' shortfall
 //!    ports names culprit cables.
 //! 3. **Mitigate** — each culprit is admin-downed
@@ -64,14 +65,15 @@ pub enum Mitigation {
     None,
 }
 
+/// Detection threshold for the online monitor (paper: 0.01).
+const THRESHOLD: f64 = 0.01;
+/// Iterations the learned baseline averages before detection arms — both
+/// at job start and after every post-mitigation rebaseline.
+const WARMUP: u32 = 1;
+
 /// Knobs of the closed loop.
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct CtrlConfig {
-    /// Detection threshold for the online monitor (paper: 0.01).
-    pub threshold: f64,
-    /// Iterations the learned baseline averages before detection arms —
-    /// both at job start and after every post-mitigation rebaseline.
-    pub warmup: u32,
     /// Simulated delay between the localization verdict and the remediation
     /// landing in the fabric (detect → ticket → drain in a real NOC).
     pub reaction_latency: SimDuration,
@@ -88,8 +90,6 @@ pub struct CtrlConfig {
 impl Default for CtrlConfig {
     fn default() -> Self {
         CtrlConfig {
-            threshold: 0.01,
-            warmup: 1,
             reaction_latency: SimDuration::from_us(50),
             max_mitigations: 4,
             mitigation: Mitigation::default(),
@@ -125,7 +125,7 @@ impl Controller {
             cfg,
             job,
             leaves,
-            monitor: Monitor::new_learned(job, Detector::new(cfg.threshold), cfg.warmup),
+            monitor: Monitor::new_learned(job, Detector::new(THRESHOLD), WARMUP),
             summary: CtrlSummary::default(),
             in_flight: BTreeMap::new(),
             applied_seen: 0,
@@ -309,8 +309,6 @@ mod tests {
     #[test]
     fn config_defaults_match_the_paper_loop() {
         let cfg = CtrlConfig::default();
-        assert_eq!(cfg.threshold, 0.01);
-        assert_eq!(cfg.warmup, 1);
         assert_eq!(cfg.reaction_latency, SimDuration::from_us(50));
         assert_eq!(cfg.max_mitigations, 4);
     }

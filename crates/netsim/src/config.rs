@@ -34,31 +34,62 @@ impl Default for PfcConfig {
     }
 }
 
-/// Global simulator parameters. Defaults follow the paper's evaluation setup
-/// (§6): RoCE-like reorder-tolerant transport, no congestion control,
-/// retransmission timeout of 5 µs, lossless fabric.
+/// Maximum data payload per packet, bytes.
+pub const MTU: u32 = 4096;
+/// Per-packet wire overhead added to serialization (headers/IFG), bytes.
+pub(crate) const WIRE_OVERHEAD: u64 = 64;
+/// ACK packet payload size, bytes.
+pub(crate) const ACK_SIZE: u32 = 64;
+/// Retransmission timeout (paper §6: 5 µs).
+pub(crate) const RTO: SimDuration = SimDuration::from_us(5);
+/// Multiplicative RTO backoff per retransmission attempt.
+pub(crate) const RTO_BACKOFF: f64 = 2.0;
+/// Backoff exponent cap: the timeout never exceeds
+/// `RTO * RTO_BACKOFF^RTO_BACKOFF_CAP`.
+pub(crate) const RTO_BACKOFF_CAP: u32 = 8;
+/// Coalesce up to this many data packets into one selective ACK (2 to 64,
+/// one `AckBlock`).
+pub(crate) const ACK_COALESCE: u32 = 8;
+/// Flush a partially-filled ACK after this delay.
+pub(crate) const ACK_FLUSH_DELAY: SimDuration = SimDuration::from_ns(500);
+/// ECN marking threshold, bytes (16 packets of [`MTU`]): a data packet
+/// enqueued while the egress queue already holds at least this many bytes
+/// is CE-marked, and the mark is echoed in the ACK (`AckBlock::ce_mask`).
+/// Only consulted when the spray backend asks for feedback
+/// (`SprayPolicy::wants_feedback`); classic policies never mark.
+pub(crate) const ECN_THRESHOLD: u64 = 64 * 1024;
+
+// What the transport relies on: a retry never waits less than the first
+// try, and a partial ACK is flushed well before the sender's timer fires.
+const _: () = {
+    assert!(MTU > 0);
+    assert!(ACK_COALESCE >= 2 && ACK_COALESCE <= 64);
+    assert!(RTO_BACKOFF >= 1.0);
+    assert!(ACK_FLUSH_DELAY.as_ns() * 2 <= RTO.as_ns());
+};
+
+/// The `sim` keys a spec serialized before the transport settings above
+/// became constants, with the one value (as a JSON number) each may hold.
+pub const FIXED_KEYS: [(&str, f64); 9] = [
+    ("mtu", MTU as f64),
+    ("wire_overhead", WIRE_OVERHEAD as f64),
+    ("ack_size", ACK_SIZE as f64),
+    ("rto", RTO.as_ns() as f64),
+    ("rto_backoff", RTO_BACKOFF),
+    ("rto_backoff_cap", RTO_BACKOFF_CAP as f64),
+    ("ack_coalesce", ACK_COALESCE as f64),
+    ("ack_flush_delay", ACK_FLUSH_DELAY.as_ns() as f64),
+    ("ecn_threshold", ECN_THRESHOLD as f64),
+];
+
+/// The simulator parameters an experiment may vary. Everything else of the
+/// paper's evaluation setup (§6: RoCE-like reorder-tolerant transport, no
+/// congestion control, retransmission timeout of 5 µs) is a constant above.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct SimConfig {
-    /// Maximum data payload per packet, bytes.
-    pub mtu: u32,
-    /// Per-packet wire overhead added to serialization (headers/IFG), bytes.
-    pub wire_overhead: u32,
-    /// ACK packet payload size, bytes.
-    pub ack_size: u32,
-    /// Retransmission timeout (paper §6: 5 µs).
-    pub rto: SimDuration,
-    /// Multiplicative RTO backoff per retransmission attempt.
-    pub rto_backoff: f64,
-    /// Backoff exponent cap: the timeout never exceeds
-    /// `rto * rto_backoff^rto_backoff_cap`.
-    pub rto_backoff_cap: u32,
     /// Give up on a segment after this many retransmissions and mark the
     /// flow failed (guards against infinite loops under total black holes).
     pub rto_max_attempts: u32,
-    /// Coalesce up to this many data packets into one selective ACK.
-    pub ack_coalesce: u32,
-    /// Flush a partially-filled ACK after this delay (must be ≪ RTO).
-    pub ack_flush_delay: SimDuration,
     /// Leaf uplink selection policy / spray backend (default
     /// [`SprayPolicy::Adaptive`]).
     pub spray: SprayPolicy,
@@ -66,14 +97,6 @@ pub struct SimConfig {
     /// (lazy exponential decay). Zero disables decay (pure byte-deficit
     /// balancing).
     pub spray_tau: SimDuration,
-    /// ECN marking threshold, bytes: a data packet enqueued while the
-    /// egress queue already holds at least this many bytes is CE-marked,
-    /// and the mark is echoed in the ACK (`AckBlock::ce_mask`). Only
-    /// consulted when the spray backend asks for feedback
-    /// (`SprayPolicy::wants_feedback`); classic policies never mark, so
-    /// specs that predate the field (serde default) behave identically.
-    #[serde(default = "default_ecn_threshold")]
-    pub ecn_threshold: u64,
     /// Priority Flow Control parameters.
     pub pfc: PfcConfig,
     /// Hard safety limit on processed events (guards runaway configs).
@@ -83,27 +106,12 @@ pub struct SimConfig {
     pub sched: Option<SchedKind>,
 }
 
-/// Serde default for [`SimConfig::ecn_threshold`]: 16 MTU-sized packets
-/// of standing queue (64 KiB at the default 4 KiB MTU).
-fn default_ecn_threshold() -> u64 {
-    64 * 1024
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            mtu: 4096,
-            wire_overhead: 64,
-            ack_size: 64,
-            rto: SimDuration::from_us(5),
-            rto_backoff: 2.0,
-            rto_backoff_cap: 8,
             rto_max_attempts: 50,
-            ack_coalesce: 8,
-            ack_flush_delay: SimDuration::from_ns(500),
             spray: SprayPolicy::Adaptive,
             spray_tau: SimDuration::from_us(100),
-            ecn_threshold: default_ecn_threshold(),
             pfc: PfcConfig::default(),
             max_events: u64::MAX,
             sched: None,
@@ -114,20 +122,8 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Validate invariants that would otherwise produce confusing behaviour.
     pub fn validate(&self) -> Result<(), String> {
-        if self.mtu == 0 {
-            return Err("mtu must be positive".into());
-        }
-        if self.ack_coalesce == 0 || self.ack_coalesce > 64 {
-            return Err("ack_coalesce must be in 1..=64 (one AckBlock)".into());
-        }
         if self.pfc.enabled && self.pfc.xon_bytes >= self.pfc.xoff_bytes {
             return Err("PFC xon must be below xoff".into());
-        }
-        if self.rto_backoff < 1.0 {
-            return Err("rto_backoff must be >= 1.0".into());
-        }
-        if self.ack_flush_delay.as_ns() * 2 > self.rto.as_ns() {
-            return Err("ack_flush_delay must be well below the RTO".into());
         }
         Ok(())
     }
@@ -143,28 +139,9 @@ mod tests {
     }
 
     #[test]
-    // Some probes set a field from the default's own values, so the
-    // mutate-one-field pattern is clearer than struct-update syntax here.
-    #[allow(clippy::field_reassign_with_default)]
     fn rejects_bad_configs() {
         let mut c = SimConfig::default();
-        c.mtu = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
-        c.ack_coalesce = 65;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
         c.pfc.xon_bytes = c.pfc.xoff_bytes;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
-        c.rto_backoff = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
-        c.ack_flush_delay = c.rto;
         assert!(c.validate().is_err());
     }
 

@@ -8,10 +8,10 @@
 //! queued, how many bytes are charged). Two routes lead a packet onto the
 //! wire:
 //!
-//! * the **queued** route: [`LinkState::push`] now, [`LinkState::pop`] when
+//! * the **queued** route: `LinkState::push` now, `LinkState::pop` when
 //!   the transmitter next looks for work;
-//! * the **direct** route: [`LinkState::start`] right away, allowed exactly
-//!   when [`LinkState::uncontended`] holds — the transmitter is up, idle,
+//! * the **direct** route: `LinkState::start` right away, allowed exactly
+//!   when `LinkState::uncontended` holds — the transmitter is up, idle,
 //!   not paused for the packet's class and nothing at all is queued, so
 //!   the queued route would pop this very packet straight back.
 //!
@@ -188,9 +188,9 @@ impl LinkState {
     /// Serialization finished: release the transmitter and the packet's
     /// `wire` bytes, count it as transmitted, hand it back.
     #[inline]
-    pub(crate) fn finish(&mut self, wire_overhead: u32) -> (Packet, u64) {
+    pub(crate) fn finish(&mut self) -> (Packet, u64) {
         let pkt = self.current.take().expect("TxDone without current packet");
-        let wire = pkt.size as u64 + wire_overhead as u64;
+        let wire = pkt.wire_size();
         self.txing = false;
         self.txed_pkts += 1;
         self.txed_bytes += wire;
@@ -202,12 +202,12 @@ impl LinkState {
     /// Admin-down drain: take the next queued packet in priority order and
     /// release its `wire` bytes. The packet being serialized is not queued
     /// and finishes normally.
-    pub(crate) fn drain_next(&mut self, wire_overhead: u32) -> Option<(Packet, u64)> {
+    pub(crate) fn drain_next(&mut self) -> Option<(Packet, u64)> {
         if self.occupied == 0 {
             return None;
         }
         let pkt = self.pop(self.occupied.trailing_zeros() as usize)?;
-        let wire = pkt.size as u64 + wire_overhead as u64;
+        let wire = pkt.wire_size();
         self.queued_bytes -= wire;
         Some((pkt, wire))
     }
@@ -314,8 +314,6 @@ mod tests {
     use crate::ids::HostId;
     use crate::packet::{PacketKind, Priority};
 
-    const OVERHEAD: u32 = 64;
-
     fn pkt(seq: u32, prio: Priority) -> Packet {
         Packet {
             kind: PacketKind::Data { flow: 0, seq },
@@ -354,7 +352,7 @@ mod tests {
 
     /// The queued route as `try_start_tx` walks it on a switch egress.
     fn queue_then_start(l: &mut LinkState, p: Packet) {
-        l.charge(p.size as u64 + OVERHEAD as u64);
+        l.charge(p.wire_size());
         l.push(p);
         if l.txing || !l.admin_up {
             return;
@@ -381,12 +379,12 @@ mod tests {
                 let (mut fast, mut slow) = (mk(), mk());
                 assert!(fast.uncontended(prio.idx()));
                 let p = pkt(1, prio);
-                fast.charge(p.size as u64 + OVERHEAD as u64);
+                fast.charge(p.wire_size());
                 fast.start(p);
                 queue_then_start(&mut slow, p);
                 assert_eq!(observable(&fast), observable(&slow));
                 assert_eq!((fast.queued_pkts(), slow.queued_pkts()), (0, 0));
-                let (a, b) = (fast.finish(OVERHEAD), slow.finish(OVERHEAD));
+                let (a, b) = (fast.finish(), slow.finish());
                 assert_eq!((seq_of(&a.0), a.1), (seq_of(&b.0), b.1));
                 assert_eq!(observable(&fast), observable(&slow));
                 assert_eq!(fast.queued_bytes, 0);
@@ -432,7 +430,7 @@ mod tests {
         ];
         for (i, &prio) in order.iter().enumerate() {
             let p = pkt(i as u32, prio);
-            l.charge(p.size as u64 + OVERHEAD as u64);
+            l.charge(p.wire_size());
             l.push(p);
         }
         assert_eq!(l.queued_pkts(), 5);
@@ -441,17 +439,17 @@ mod tests {
         assert_eq!(l.pop(Priority::MEASURED.idx()).map(|p| seq_of(&p)), None);
         assert_ne!(l.queued_pkts(), 0);
         // Drain: strict priority, FIFO inside a class, bytes released.
-        let drained: Vec<u32> = std::iter::from_fn(|| l.drain_next(OVERHEAD))
+        let drained: Vec<u32> = std::iter::from_fn(|| l.drain_next())
             .map(|(p, wire)| {
-                assert_eq!(wire, p.size as u64 + OVERHEAD as u64);
+                assert_eq!(wire, p.wire_size());
                 seq_of(&p)
             })
             .collect();
         assert_eq!(drained, vec![1, 4, 0, 2]);
         assert_eq!(l.queued_pkts(), 0);
         // The MEASURED packet popped above was never finished.
-        assert_eq!(l.queued_bytes, 1003 + OVERHEAD as u64);
-        assert_eq!(l.drain_next(OVERHEAD).map(|(p, _)| seq_of(&p)), None);
+        assert_eq!(l.queued_bytes, pkt(3, Priority::MEASURED).wire_size());
+        assert_eq!(l.drain_next().map(|(p, _)| seq_of(&p)), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Most pending events never reach it: packets and constant-delay timers
 //! wait in the agenda's pipes ([`crate::pipeline`]). First-attempt RTO
 //! timers do, at the `(at, seq)` slot the agenda reserved for them when
-//! their segment left ([`EventQueue::insert`]).
+//! their segment left (`EventQueue::insert`).
 
 use crate::ids::{HostId, LinkId};
 use crate::packet::FlowId;

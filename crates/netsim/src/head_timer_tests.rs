@@ -117,7 +117,7 @@ fn one_segment_into_a_black_hole_climbs_the_ladder_alone() {
             fired.push((s.stats.retransmits, s.sched_stats()));
         }
     }
-    let rto = s.cfg.rto.as_ns();
+    let rto = config::RTO.as_ns();
     assert_eq!(s.stats.retransmits, 3);
     assert_eq!(s.stats.flows_failed, 1);
     assert_eq!(s.now().as_ns(), rto * (1 + 2 + 4 + 8), "5, 10, 20, 40 µs");

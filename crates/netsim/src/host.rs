@@ -7,7 +7,7 @@
 //! segments, class by class, round-robin over its flows. What a pull reads
 //! and writes of the rest of the world comes in through a borrowed [`Nic`].
 
-use crate::config::SimConfig;
+use crate::config::RTO;
 use crate::egress::LinkState;
 use crate::ids::{HostId, LinkId};
 use crate::packet::{FlowId, Packet, NPRIO};
@@ -29,7 +29,6 @@ pub(crate) struct Hosts {
 /// What a NIC reads and writes of the rest of the simulator.
 pub(crate) struct Nic<'a> {
     pub(crate) topo: &'a Topology,
-    pub(crate) cfg: &'a SimConfig,
     pub(crate) now: SimTime,
     pub(crate) links: &'a mut [LinkState],
     pub(crate) flows: &'a mut FlowTable,
@@ -82,8 +81,7 @@ impl Hosts {
                 return Some(pkt);
             }
             if let Some(pkt) = self.next_fresh(nic, h, q) {
-                let wire = pkt.size as u64 + nic.cfg.wire_overhead as u64;
-                nic.links[link.idx()].charge(wire);
+                nic.links[link.idx()].charge(pkt.wire_size());
                 return Some(pkt);
             }
         }
@@ -118,10 +116,10 @@ impl Hosts {
                 f.refs += 1;
                 let (flow, seq, attempt) = (fid, f.next_seq - 1, 0);
                 let rto = crate::engine::EventKind::Rto { flow, seq, attempt };
-                nic.agenda.after(nic.now, nic.cfg.rto, rto);
+                nic.agenda.after(nic.now, RTO, rto);
                 return Some(pkt);
             }
-            let slot = nic.agenda.reserve_after(nic.now, nic.cfg.rto);
+            let slot = nic.agenda.reserve_after(nic.now, RTO);
             if let Some(rto) = f.log_sent(fid, slot) {
                 f.refs += 1;
                 nic.agenda.arm_reserved(slot, rto);

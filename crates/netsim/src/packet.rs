@@ -10,6 +10,7 @@
 //! (§5.1): it is the only piece of information switches need in order to know
 //! which bytes to count, and when one iteration ends and the next begins.
 
+use crate::config::WIRE_OVERHEAD;
 use crate::ids::{HostId, LinkId};
 use serde::{Deserialize, Serialize};
 
@@ -145,7 +146,7 @@ pub struct Packet {
     /// sitting in the host NIC queue.
     pub ingress: Option<LinkId>,
     /// Congestion-experienced mark (ECN CE): set by a switch when this data
-    /// packet is enqueued into a queue past `SimConfig::ecn_threshold`, and
+    /// packet is enqueued into a queue past `config::ECN_THRESHOLD` bytes, and
     /// echoed back via [`AckBlock::ce_mask`]. Only feedback-driven spray
     /// backends (`SimConfig::spray.wants_feedback()`) mark packets, so the
     /// classic policies' behaviour is untouched byte-for-byte.
@@ -156,6 +157,12 @@ impl Packet {
     /// True if this is a data packet (counts toward FlowPulse port counters).
     pub fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data { .. })
+    }
+
+    /// Bytes the packet occupies on a wire and in a queue: its payload plus
+    /// [`WIRE_OVERHEAD`].
+    pub(crate) fn wire_size(&self) -> u64 {
+        self.size as u64 + WIRE_OVERHEAD
     }
 
     /// The transport flow the packet belongs to.

@@ -28,7 +28,7 @@
 //!   reorder-tolerant receivers.
 
 use crate::app::Application;
-use crate::config::SimConfig;
+use crate::config::{self, SimConfig};
 use crate::control::{AppliedControl, ControlVerb};
 use crate::counters::CounterStore;
 pub use crate::egress::LinkState;
@@ -245,15 +245,8 @@ impl Simulator {
         prio: Priority,
     ) -> FlowId {
         assert!(src != dst, "self-addressed message");
-        let id = self.flows.post(FlowState::new(
-            src,
-            dst,
-            bytes,
-            self.cfg.mtu,
-            tag,
-            prio,
-            self.now,
-        ));
+        let flow = FlowState::new(src, dst, bytes, tag, prio, self.now);
+        let id = self.flows.post(flow);
         self.hosts.post(src, id);
         self.try_start_tx(self.topo.host_up[src.idx()]);
         id
@@ -412,10 +405,6 @@ impl Simulator {
     // Data path
     // ------------------------------------------------------------------
 
-    fn wire_size(&self, pkt: &Packet) -> u64 {
-        pkt.size as u64 + self.cfg.wire_overhead as u64
-    }
-
     /// Start transmitting on `link` if it is idle and something is eligible.
     fn try_start_tx(&mut self, link: LinkId) {
         let l = &mut self.links[link.idx()];
@@ -441,7 +430,6 @@ impl Simulator {
     fn nic(&mut self) -> (&mut Hosts, Nic<'_>) {
         let nic = Nic {
             topo: &self.topo,
-            cfg: &self.cfg,
             now: self.now,
             links: &mut self.links,
             flows: &mut self.flows,
@@ -456,14 +444,14 @@ impl Simulator {
     /// Put `pkt` on `link`'s wire and schedule the end of its serialization.
     #[inline]
     fn begin_tx(&mut self, link: LinkId, pkt: Packet) {
-        let wire = self.wire_size(&pkt);
+        let wire = pkt.wire_size();
         let ser = self.topo.links[link.idx()].bandwidth.ser_time(wire);
         self.links[link.idx()].start(pkt);
         self.agenda.after(self.now, ser, EventKind::TxDone { link });
     }
 
     fn handle_tx_done(&mut self, link: LinkId) {
-        let (pkt, wire) = self.links[link.idx()].finish(self.cfg.wire_overhead);
+        let (pkt, wire) = self.links[link.idx()].finish();
         self.stats.pkts_txed += 1;
         // Release PFC budget the packet held at this node.
         self.pfc_release(&pkt, wire);
@@ -615,14 +603,9 @@ impl Simulator {
         // ECN: CE-mark data packets entering a standing queue. Gated on
         // the backend actually consuming the echo so classic policies run
         // the pre-feedback byte path unchanged.
-        if self.switches.feedback
-            && !pkt.ce
-            && pkt.is_data()
-            && l.queued_bytes >= self.cfg.ecn_threshold
-        {
-            pkt.ce = true;
-        }
-        let wire = self.wire_size(&pkt);
+        pkt.ce |=
+            self.switches.feedback && pkt.is_data() && l.queued_bytes >= config::ECN_THRESHOLD;
+        let wire = pkt.wire_size();
         let q = pkt.prio.idx();
         let owner = self.topo.links[out_link.idx()].src;
         // `ingress` is stamped by the switch that buffers the packet and
@@ -700,14 +683,14 @@ impl Simulator {
 
     fn accumulate_ack(&mut self, flow: FlowId, seq: u32, ce: bool) {
         let f = &mut self.flows[flow];
-        let (block, schedule_flush) = f.ack_data(seq, ce, self.cfg.ack_coalesce);
+        let (block, schedule_flush) = f.ack_data(seq, ce);
         f.refs += schedule_flush as u32;
         if let Some(block) = block {
             self.send_ack(flow, block);
         }
         if schedule_flush {
             let flush = EventKind::AckFlush { flow };
-            self.agenda.after(self.now, self.cfg.ack_flush_delay, flush);
+            self.agenda.after(self.now, config::ACK_FLUSH_DELAY, flush);
         }
     }
 
@@ -726,7 +709,7 @@ impl Simulator {
             kind: PacketKind::Ack { flow, block },
             src: f.dst,
             dst: f.src,
-            size: self.cfg.ack_size,
+            size: config::ACK_SIZE,
             prio: Priority::CONTROL,
             tag: None,
             src_leaf: self.topo.leaf_of(f.dst) as u16,
@@ -798,8 +781,8 @@ impl Simulator {
             );
         }
         self.enqueue(self.topo.host_up[src.idx()], pkt);
-        let exp = (attempt + 1).min(self.cfg.rto_backoff_cap);
-        let backoff = self.cfg.rto.mul_f64(self.cfg.rto_backoff.powi(exp as i32));
+        let exp = (attempt + 1).min(config::RTO_BACKOFF_CAP);
+        let backoff = config::RTO.mul_f64(config::RTO_BACKOFF.powi(exp as i32));
         self.agenda.after(self.now, backoff, rearm);
     }
 
@@ -1257,7 +1240,7 @@ mod tests {
             "one segment: the flow's only timer is armed and dies stale"
         );
         assert!(
-            s.now() < SimTime::ZERO + s.cfg.rto,
+            s.now() < SimTime::ZERO + config::RTO,
             "dead timer advanced the clock to {}",
             s.now()
         );

@@ -118,7 +118,7 @@ impl Simulator {
     /// Drop everything queued on a link that just went admin-down,
     /// releasing PFC accounting for each dropped packet.
     fn drain_link_queues(&mut self, link: LinkId) {
-        while let Some((pkt, wire)) = self.links[link.idx()].drain_next(self.cfg.wire_overhead) {
+        while let Some((pkt, wire)) = self.links[link.idx()].drain_next() {
             self.trace_drop(link, DropCause::AdminDown, &pkt);
             self.pfc_release(&pkt, wire);
         }

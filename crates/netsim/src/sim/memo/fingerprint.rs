@@ -108,7 +108,6 @@ struct NormFlow {
     src: u32,
     dst: u32,
     bytes: u64,
-    mtu: u32,
     npkts: u32,
     /// `(job, top_iter - iter)`.
     tag: Option<(u32, u32)>,
@@ -265,7 +264,6 @@ impl Normalizer {
             src: f.src.0,
             dst: f.dst.0,
             bytes: f.bytes,
-            mtu: f.mtu,
             npkts: f.npkts,
             tag: f.tag.map(|t| (t.job, self.diter(t.iter))),
             prio: f.prio.0,

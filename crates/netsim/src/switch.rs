@@ -296,7 +296,7 @@ impl Switches {
         };
         debug_assert!(i < cands.len(), "sprayer picked out of range");
         if let Sprayer::Adaptive(d) = &mut s.sprayer {
-            d.charge(slots[i], pkt.size as u64 + cfg.wire_overhead as u64);
+            d.charge(slots[i], pkt.wire_size());
         }
         Some(cands[i])
     }
@@ -545,7 +545,7 @@ mod tests {
                 };
                 let fab = Fabric { topo: &topo, links: &links, cfg: &cfg, now: SimTime::from_ns(now) };
                 let got = fused.spray_among(&fab, sw, table, &pkt, &mut rng_a, &mut stats);
-                let wire = pkt.size as u64 + cfg.wire_overhead as u64;
+                let wire = pkt.wire_size();
                 let (a, b) = (&fused.state[sw.idx()], &mut want.state[sw.idx()]);
                 let reference = reference_pick(b, &fab, table, wire, &mut rng_b);
                 narrowed += reference.is_some_and(|(_, n)| n) as u64;

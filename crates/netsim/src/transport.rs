@@ -36,6 +36,7 @@
 //! whether anything was).
 
 use crate::bitset::BitSet;
+use crate::config::{ACK_COALESCE, MTU};
 use crate::engine::EventKind;
 use crate::ids::HostId;
 use crate::packet::{AckBlock, CollectiveTag, FlowId, Packet, PacketKind, Priority};
@@ -49,13 +50,11 @@ use std::ops::{Index, IndexMut, Range};
 #[derive(Clone, Debug)]
 pub struct FlowState {
     /// Sending host.
-    pub src: HostId,
+    pub(crate) src: HostId,
     /// Receiving host.
     pub dst: HostId,
     /// Total payload bytes.
-    pub bytes: u64,
-    /// Segment payload size (last segment may be smaller).
-    pub mtu: u32,
+    pub(crate) bytes: u64,
     /// Number of segments.
     pub npkts: u32,
     /// Collective tag stamped on every data packet.
@@ -65,9 +64,9 @@ pub struct FlowState {
 
     // --- sender side ---
     /// Next fresh (never-transmitted) segment.
-    pub next_seq: u32,
+    pub(crate) next_seq: u32,
     /// Segments acknowledged so far.
-    pub acked: BitSet,
+    pub(crate) acked: BitSet,
     /// True once the sender has given up on some segment.
     pub failed: bool,
     /// Retransmissions issued for this flow (loss signal for probing
@@ -75,7 +74,7 @@ pub struct FlowState {
     pub retx: u32,
     /// Highest cumulative-ACK watermark processed (sender side; avoids
     /// re-scanning the bitmap on every cumulative ACK).
-    pub cum_acked: u32,
+    pub(crate) cum_acked: u32,
     /// First-attempt timer slot of every segment sent so far, by segment
     /// (see the module docs). Given back, capacity and all, once the flow
     /// is fully acknowledged or failed and none of its slots is armed.
@@ -92,34 +91,31 @@ pub struct FlowState {
 
     // --- receiver side ---
     /// Segments received so far.
-    pub rcvd: BitSet,
+    pub(crate) rcvd: BitSet,
     /// Pending coalesced-ACK accumulator.
     pub pending_ack: Option<AckAccum>,
     /// Set when every segment has been received.
     pub completed_at: Option<SimTime>,
     /// When the flow was posted.
-    pub created_at: SimTime,
+    pub(crate) created_at: SimTime,
 }
 
 impl FlowState {
-    /// Create a flow of `bytes` split into `mtu`-sized segments.
-    pub fn new(
+    /// Create a flow of `bytes` split into [`MTU`]-sized segments.
+    pub(crate) fn new(
         src: HostId,
         dst: HostId,
         bytes: u64,
-        mtu: u32,
         tag: Option<CollectiveTag>,
         prio: Priority,
         now: SimTime,
     ) -> Self {
         assert!(bytes > 0, "zero-byte flow");
-        assert!(mtu > 0);
-        let npkts = bytes.div_ceil(mtu as u64) as u32;
+        let npkts = bytes.div_ceil(MTU as u64) as u32;
         FlowState {
             src,
             dst,
             bytes,
-            mtu,
             npkts,
             tag,
             prio,
@@ -143,10 +139,10 @@ impl FlowState {
     fn seg_size(&self, seq: u32) -> u32 {
         debug_assert!(seq < self.npkts);
         if seq + 1 == self.npkts {
-            let rem = self.bytes - (self.npkts as u64 - 1) * self.mtu as u64;
+            let rem = self.bytes - (self.npkts as u64 - 1) * MTU as u64;
             rem as u32
         } else {
-            self.mtu
+            MTU
         }
     }
 
@@ -296,23 +292,14 @@ impl FlowState {
     }
 
     /// Receiver: fold the acknowledgement of `seq` (CE-marked if `ce`) into
-    /// the pending accumulator, `coalesce` sequences per block. Returns the
-    /// block to send now, if one filled up, and whether the caller must
-    /// schedule the flush timer of a freshly opened accumulator.
-    pub(crate) fn ack_data(
-        &mut self,
-        seq: u32,
-        ce: bool,
-        coalesce: u32,
-    ) -> (Option<AckBlock>, bool) {
+    /// the pending accumulator, [`ACK_COALESCE`] sequences per block.
+    /// Returns the block to send now, if one filled up, and whether the
+    /// caller must schedule the flush timer of a freshly opened accumulator.
+    pub(crate) fn ack_data(&mut self, seq: u32, ce: bool) -> (Option<AckBlock>, bool) {
         let cum = self.cum_rcvd();
         match &mut self.pending_ack {
             None => {
-                let a = AckAccum::new(seq, ce);
-                if coalesce <= 1 {
-                    return (Some(a.block(cum)), false);
-                }
-                self.pending_ack = Some(a);
+                self.pending_ack = Some(AckAccum::new(seq, ce));
                 (None, true)
             }
             Some(a) => {
@@ -322,7 +309,7 @@ impl FlowState {
                     let old = a.block(cum);
                     *a = AckAccum::new(seq, ce);
                     (Some(old), false)
-                } else if a.count() >= coalesce {
+                } else if a.count() >= ACK_COALESCE {
                     (self.pending_ack.take().map(|a| a.block(cum)), false)
                 } else {
                     (None, false)
@@ -510,12 +497,11 @@ mod tests {
     use crate::pipeline::Agenda;
     use crate::time::SimDuration;
 
-    fn flow(bytes: u64, mtu: u32) -> FlowState {
+    fn flow(bytes: u64) -> FlowState {
         FlowState::new(
             HostId(0),
             HostId(1),
             bytes,
-            mtu,
             None,
             Priority::MEASURED,
             SimTime::ZERO,
@@ -524,7 +510,7 @@ mod tests {
 
     #[test]
     fn segmentation_with_remainder() {
-        let f = flow(10_000, 4096);
+        let f = flow(10_000);
         assert_eq!(f.npkts, 3);
         assert_eq!(f.seg_size(0), 4096);
         assert_eq!(f.seg_size(1), 4096);
@@ -533,21 +519,21 @@ mod tests {
 
     #[test]
     fn exact_multiple_has_full_last_segment() {
-        let f = flow(8192, 4096);
+        let f = flow(8192);
         assert_eq!(f.npkts, 2);
         assert_eq!(f.seg_size(1), 4096);
     }
 
     #[test]
     fn single_small_message() {
-        let f = flow(100, 4096);
+        let f = flow(100);
         assert_eq!(f.npkts, 1);
         assert_eq!(f.seg_size(0), 100);
     }
 
     #[test]
     fn completion_tracking() {
-        let mut f = flow(8192, 4096);
+        let mut f = flow(8192);
         assert!(!f.is_complete());
         f.rcvd.set(1);
         f.rcvd.set(0);
@@ -586,7 +572,7 @@ mod tests {
 
     #[test]
     fn ack_applies_the_watermark_then_the_block_and_reports_each_segment_once() {
-        let mut f = flow(8 * 4096, 4096);
+        let mut f = flow(8 * 4096);
         let mut echoes = Vec::new();
         // Watermark covers 0..3; the block names 2 (again), 5 and 6, the
         // last one CE-marked.
@@ -616,7 +602,7 @@ mod tests {
 
     #[test]
     fn rto_retransmits_until_attempts_run_out() {
-        let mut f = flow(3 * 4096 + 10, 4096);
+        let mut f = flow(3 * 4096 + 10);
         let pkt = f.send_fresh(7, 2);
         let show = |p: &Packet| format!("{p:?}");
         assert_eq!(show(&pkt), show(&f.segment(7, 0, 2)));
@@ -687,7 +673,7 @@ mod tests {
 
     #[test]
     fn the_head_passes_over_acked_segments_but_never_the_last_one_sent() {
-        let (mut f, mut a) = (flow(6 * 4096, 4096), agenda());
+        let (mut f, mut a) = (flow(6 * 4096), agenda());
         assert_eq!(
             send(&mut f, &mut a, 6),
             [Some(0), None, None, None, None, None],
@@ -710,7 +696,7 @@ mod tests {
 
     #[test]
     fn a_failed_flow_keeps_only_its_last_slot_armed() {
-        let (mut f, mut a) = (flow(5 * 4096, 4096), agenda());
+        let (mut f, mut a) = (flow(5 * 4096), agenda());
         send(&mut f, &mut a, 4);
         assert!(matches!(f.on_rto(7, 0, 1, 1, 2), RtoOutcome::GaveUp));
         assert_eq!(f.sent.capacity(), 5, "a slot is still armed");
@@ -725,7 +711,7 @@ mod tests {
 
     #[test]
     fn a_flow_with_no_timer_armed_arms_the_next_segment_it_sends() {
-        let (mut f, mut a) = (flow(4 * 4096, 4096), agenda());
+        let (mut f, mut a) = (flow(4 * 4096), agenda());
         assert_eq!(send(&mut f, &mut a, 2), [Some(0), None]);
         // Segment 0 times out for real: the head moves on first, then the
         // retransmission takes a backoff timer of its own.
@@ -748,7 +734,7 @@ mod tests {
 
     #[test]
     fn receiver_coalesces_flushes_and_restarts_under_the_running_timer() {
-        let mut f = flow(200 * 4096, 4096);
+        let mut f = flow(200 * 4096);
         assert_eq!(f.on_data(1, SimTime::from_ns(5)), (true, false));
         assert_eq!(
             f.on_data(1, SimTime::from_ns(6)),
@@ -756,37 +742,39 @@ mod tests {
             "duplicate"
         );
         // First sequence opens the accumulator and asks for the timer.
-        assert_eq!(f.ack_data(1, false, 3), (None, true));
-        assert_eq!(f.ack_data(2, true, 3), (None, false));
-        // Third fills it: the block goes out with the receive watermark
-        // (segment 0 is still missing) and the accumulator closes.
+        assert_eq!(f.ack_data(1, false), (None, true));
+        assert_eq!(f.ack_data(2, true), (None, false));
+        for seq in 3..ACK_COALESCE {
+            assert_eq!(f.ack_data(seq, false), (None, false));
+        }
+        // The `ACK_COALESCE`-th fills it: the block goes out with the
+        // receive watermark (segment 0 is still missing) and the
+        // accumulator closes.
+        let full = (1 << ACK_COALESCE) - 1;
         assert_eq!(
-            f.ack_data(3, false, 3),
-            (Some(ack(0, 1, 0b111, 0b010)), false)
+            f.ack_data(ACK_COALESCE, false),
+            (Some(ack(0, 1, full, 0b010)), false)
         );
         assert_eq!(f.pending_ack, None);
         // Window overflow: the old block goes out and the new one starts
         // at the offending sequence — the timer armed for the old one is
         // still running, so none is asked for.
-        assert_eq!(f.ack_data(10, false, 8), (None, true));
-        assert_eq!(f.ack_data(100, true, 8), (Some(ack(0, 10, 1, 0)), false));
+        assert_eq!(f.ack_data(10, false), (None, true));
+        assert_eq!(f.ack_data(100, true), (Some(ack(0, 10, 1, 0)), false));
         let restarted = f.pending_ack.expect("restarted");
         assert_eq!((restarted.base, restarted.ce_mask), (100, 1));
         // A sequence below the base overflows the same way.
-        assert_eq!(f.ack_data(99, false, 8), (Some(ack(0, 100, 1, 1)), false));
+        assert_eq!(f.ack_data(99, false), (Some(ack(0, 100, 1, 1)), false));
         assert!(f.pending_ack.is_some_and(|a| a.base == 99));
         // The timer takes whatever is pending, once.
         f.on_data(0, SimTime::from_ns(9));
         assert_eq!(f.flush_ack(), Some(ack(2, 99, 1, 0)));
         assert_eq!(f.flush_ack(), None);
-        // No coalescing: every sequence is its own block, no timer.
-        assert_eq!(f.ack_data(7, false, 1), (Some(ack(2, 7, 1, 0)), false));
-        assert_eq!(f.pending_ack, None);
     }
 
     #[test]
     fn completion_is_stamped_once() {
-        let mut f = flow(2 * 4096, 4096);
+        let mut f = flow(2 * 4096);
         assert_eq!(f.on_data(1, SimTime::from_ns(3)), (true, false));
         assert_eq!(f.on_data(0, SimTime::from_ns(8)), (true, true));
         assert_eq!(f.on_data(0, SimTime::from_ns(9)), (false, false));
@@ -795,7 +783,7 @@ mod tests {
 
     #[test]
     fn fresh_segments_drain() {
-        let mut f = flow(3 * 4096, 4096);
+        let mut f = flow(3 * 4096);
         assert!(f.has_fresh());
         f.next_seq = 3;
         assert!(!f.has_fresh());

@@ -1,6 +1,7 @@
-//! Transport edge cases: tiny messages, give-up behaviour, coalescing
-//! configurations, overhead accounting.
+//! Transport edge cases: tiny messages, give-up behaviour, overhead
+//! accounting.
 
+use fp_netsim::config::MTU;
 use fp_netsim::prelude::*;
 
 fn small() -> Topology {
@@ -24,8 +25,7 @@ fn one_byte_message() {
 #[test]
 fn message_exactly_one_mtu() {
     let mut sim = Simulator::new(small(), SimConfig::default(), 1);
-    let mtu = sim.cfg.mtu as u64;
-    let f = sim.post_message(HostId(0), HostId(2), mtu, None, Priority::MEASURED);
+    let f = sim.post_message(HostId(0), HostId(2), MTU as u64, None, Priority::MEASURED);
     sim.run();
     assert_eq!(sim.flow(f).npkts, 1);
     assert!(sim.flow(f).is_complete());
@@ -42,20 +42,6 @@ fn many_tiny_flows_all_complete() {
     sim.run();
     assert!(sim.all_flows_complete());
     assert_eq!(sim.stats.flows_completed, 200);
-}
-
-#[test]
-fn no_ack_coalescing_works_too() {
-    let cfg = SimConfig {
-        ack_coalesce: 1, // one ACK per data packet
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(small(), cfg, 3);
-    sim.post_message(HostId(1), HostId(2), 500_000, None, Priority::MEASURED);
-    sim.run();
-    assert!(sim.all_flows_complete());
-    // Every data packet individually acked.
-    assert!(sim.stats.acks_sent >= sim.stats.data_pkts_sent);
 }
 
 #[test]
@@ -92,19 +78,16 @@ fn give_up_after_max_attempts_fires_failure() {
 fn wire_overhead_is_charged_on_the_wire_only() {
     // Counters and delivery totals are payload-only; link tx counters see
     // payload + overhead.
-    let cfg = SimConfig {
-        wire_overhead: 100,
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(small(), cfg, 7);
+    let mut sim = Simulator::new(small(), SimConfig::default(), 7);
     let tag = CollectiveTag { job: 1, iter: 0 };
     sim.post_message(HostId(0), HostId(2), 40_960, Some(tag), Priority::MEASURED);
     sim.run();
     assert_eq!(sim.stats.bytes_delivered, 40_960);
     assert_eq!(sim.counters.get(1, 0).unwrap().total_bytes(), 40_960);
-    // Host uplink carried 10 packets with +100B each (plus ACK wire).
+    // Host uplink carried 10 packets with 64 B of overhead each (plus ACK
+    // wire).
     let up = sim.link(sim.topo.host_up[0]);
-    assert!(up.txed_bytes >= 40_960 + 10 * 100);
+    assert!(up.txed_bytes >= 40_960 + 10 * 64);
 }
 
 #[test]

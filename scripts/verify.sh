@@ -35,6 +35,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps, warnings denied"
+# A doc link to a deleted or private item fails here rather than rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> agenda boundary: where a pending event waits is pipeline.rs's business"
 # Only the agenda (pipeline.rs), the scheduler under it and in-crate test
 # modules may name the containers (pipes, their ring), reserve a sequence
@@ -112,9 +116,8 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 #     spell out (LearnedUpdate's are written to results/fig3.json);
 #   baselines.rs rel_to_mean, collection_bytes: what the comparison
 #     baselines report;
-#   runner.rs compute_gap, ctrl lib.rs max_mitigations: the compute phase
-#     between iterations and the control loop's mitigation budget, which
-#     their own tests vary;
+#   ctrl lib.rs max_mitigations: the control loop's mitigation budget,
+#     which its own tests vary;
 #   score.rs GoodputPhases: the return type of `goodput_phases`, whose
 #     signature spans lines, so its own-file `pub` line is not found;
 #   telemetry lib.rs parse_setting: imported as `get` by the two doors

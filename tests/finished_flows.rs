@@ -6,6 +6,7 @@
 
 use flowpulse::prelude::*;
 use fp_collectives::prelude::*;
+use fp_netsim::config::MTU;
 use fp_netsim::prelude::*;
 
 fn fat_tree(leaves: u32, spines: u32) -> Topology {
@@ -91,8 +92,7 @@ fn transport_edge_outcomes_hold() {
     got.push(outcome(&sim, f));
 
     let mut sim = Simulator::new(fat_tree(4, 2), SimConfig::default(), 1);
-    let mtu = sim.cfg.mtu as u64;
-    let f = sim.post_message(HostId(0), HostId(2), mtu, None, Priority::MEASURED);
+    let f = sim.post_message(HostId(0), HostId(2), MTU as u64, None, Priority::MEASURED);
     sim.run();
     got.push(outcome(&sim, f));
 
