@@ -6,18 +6,10 @@
 //! fault-free noise floor and detection accuracy at a 1.5% drop.
 
 use flowpulse::prelude::*;
-use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
+use fp_bench::results::ablate_jitter::{table, Row};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 use fp_collectives::jitter::JitterModel;
 use fp_netsim::time::SimDuration;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    jitter_us: u64,
-    noise_floor: f64,
-    fpr: f64,
-    fnr: f64,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -46,22 +38,9 @@ fn main() {
         .collect();
     let grid = cfg.run_grid("ablate_jitter", &cells, &clean_seeds, &fault_seeds);
 
-    header("A2 — jitter sensitivity (ring-allreduce, 1.5% drop)");
-    println!(
-        "{:>10} {:>12} {:>8} {:>8}",
-        "jitter", "noise-floor", "FPR", "FNR"
-    );
-
     let mut rows = Vec::new();
     for (&us, pair) in jitters_us.iter().zip(grid.pairs()) {
         let (r, noise) = (pair.rates, pair.noise_floor);
-        println!(
-            "{:>8}us {:>12} {:>8} {:>8}",
-            us,
-            pct(noise),
-            pct(r.fpr()),
-            pct(r.fnr())
-        );
         rows.push(Row {
             jitter_us: us,
             noise_floor: noise,
@@ -69,6 +48,8 @@ fn main() {
             fnr: r.fnr(),
         });
     }
+    header("A2 — jitter sensitivity (ring-allreduce, 1.5% drop)");
+    print!("{}", table(&rows));
     cfg.save_json("ablate_jitter", &rows);
     println!(
         "\nA2 verdict: with adaptive spraying the noise floor stays well \

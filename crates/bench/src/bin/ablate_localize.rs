@@ -11,30 +11,10 @@
 //!    local-vs-remote by itself.
 
 use flowpulse::prelude::*;
+use fp_bench::results::{ablate_localize_alltoall as a2a, ablate_localize_ring as ring};
 use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct RingRow {
-    bidirectional: bool,
-    trials: u32,
-    detected: u32,
-    localized: u32,
-}
-
-#[derive(Serialize)]
-struct A2ARow {
-    port_role: String,
-    verdict: String,
-    correct: bool,
-}
-
-fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
-    header("A4.1 — ring cross-leaf correlation");
-    println!(
-        "{:>14} {:>8} {:>10} {:>10}",
-        "fault", "trials", "detected", "localized"
-    );
+fn ring_part(cfg: &RunConfig) -> Vec<ring::Row> {
     let seeds = seeds(cfg.pick(8, 3));
     let directions = [false, true];
     // No clean seeds: one cell, the fault one way and both ways.
@@ -54,6 +34,7 @@ fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
             .into(),
     };
     let grid = cfg.run_grid("ablate_localize_ring", &[cell], &[], &seeds);
+    let mut rows = Vec::new();
     for (bidir, pair) in directions.into_iter().zip(grid.pairs()) {
         let trials = pair.faulty;
         let detected = trials.iter().filter(|r| r.detected).count() as u32;
@@ -61,28 +42,19 @@ fn ring_part(cfg: &RunConfig, rows: &mut Vec<RingRow>) {
             .iter()
             .filter(|r| r.localized_correctly == Some(true))
             .count() as u32;
-        println!(
-            "{:>14} {:>8} {:>10} {:>10}",
-            if bidir {
-                "bidirectional"
-            } else {
-                "spine→leaf"
-            },
-            seeds.len(),
-            detected,
-            localized
-        );
-        rows.push(RingRow {
+        rows.push(ring::Row {
             bidirectional: bidir,
             trials: seeds.len() as u32,
             detected,
             localized,
         });
     }
+    header("A4.1 — ring cross-leaf correlation");
+    print!("{}", ring::table(&rows));
+    rows
 }
 
-fn alltoall_part(rows: &mut Vec<A2ARow>) {
-    header("A4.2 — Fig. 4 per-sender comparison on AlltoAll");
+fn alltoall_part() -> Vec<a2a::Row> {
     // Per-sender localization needs every monitored port to carry many
     // senders with *independently* predictable shares. Aggregate-balancing
     // adaptive spray does not provide that (§5.1), but Random spraying
@@ -155,16 +127,11 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
     // At the faulty leaf's own port: all senders short → Local.
     let v_local = localizer.localize_port(expected, &observed, fleaf, fv);
     let ok_local = v_local == PortVerdict::Local;
-    println!(
-        "port (leaf{fleaf}, vspine{fv})  — verdict {:?} (expected Local): {}",
-        v_local,
-        if ok_local { "OK" } else { "WRONG" }
-    );
-    rows.push(A2ARow {
+    let mut rows = vec![a2a::Row {
         port_role: "local".into(),
         verdict: format!("{v_local:?}"),
         correct: ok_local,
-    });
+    }];
 
     // At every other leaf's port for the same vspine: only the faulty
     // leaf's uplink traffic is short → Remote{fleaf}.
@@ -181,26 +148,27 @@ fn alltoall_part(rows: &mut Vec<A2ARow>) {
                 senders: vec![fleaf],
             };
         remote_ok += correct as u32;
-        rows.push(A2ARow {
+        rows.push(a2a::Row {
             port_role: format!("remote@leaf{leaf}"),
             verdict: format!("{v:?}"),
             correct,
         });
     }
-    println!("remote ports: {remote_ok}/{remote_total} correctly blamed leaf{fleaf}'s cable");
+    header("A4.2 — Fig. 4 per-sender comparison on AlltoAll");
+    println!("faulty cable: leaf{fleaf}, vspine{fv}; Local expected at its port, Remote elsewhere");
+    print!("{}", a2a::table(&rows));
     assert!(ok_local, "Fig. 4 local verdict failed");
     assert!(
         remote_ok * 10 >= remote_total * 8,
         "Fig. 4 remote verdicts too weak: {remote_ok}/{remote_total}"
     );
+    rows
 }
 
 fn main() {
     let cfg = RunConfig::from_env();
-    let mut ring_rows = Vec::new();
-    ring_part(&cfg, &mut ring_rows);
-    let mut a2a_rows = Vec::new();
-    alltoall_part(&mut a2a_rows);
+    let ring_rows = ring_part(&cfg);
+    let a2a_rows = alltoall_part();
     cfg.save_json("ablate_localize_ring", &ring_rows);
     cfg.save_json("ablate_localize_alltoall", &a2a_rows);
     println!("\nA4 verdict: see tables — both localization paths functional.");

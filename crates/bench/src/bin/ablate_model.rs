@@ -3,16 +3,8 @@
 //! detector; this sweep compares their FPR/FNR on identical scenarios.
 
 use flowpulse::prelude::*;
-use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    drop_rate: f64,
-    fpr: f64,
-    fnr: f64,
-}
+use fp_bench::results::ablate_model::{table, Row};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -24,9 +16,6 @@ fn main() {
     let drop_rates: Vec<f64> = cfg.pick(vec![0.02], vec![0.02]);
     let fault_seeds = seeds(cfg.pick(3, 2));
     let clean_seeds = seeds(cfg.pick(3, 1));
-
-    header("Model comparison — analytical vs simulation vs learned");
-    println!("{:>22} {:>8} {:>8} {:>8}", "model", "drop", "FPR", "FNR");
 
     let mut axes = Vec::new();
     let mut cells = Vec::new();
@@ -51,13 +40,6 @@ fn main() {
 
     let mut rows = Vec::new();
     for ((model, rate), pair) in axes.into_iter().zip(grid.pairs()) {
-        println!(
-            "{:>22} {:>8} {:>8} {:>8}",
-            format!("{model:?}"),
-            pct(rate),
-            pct(pair.rates.fpr()),
-            pct(pair.rates.fnr())
-        );
         rows.push(Row {
             model: format!("{model:?}"),
             drop_rate: rate,
@@ -65,6 +47,8 @@ fn main() {
             fnr: pair.rates.fnr(),
         });
     }
+    header("Model comparison — analytical vs simulation vs learned");
+    print!("{}", table(&rows));
     cfg.save_json("ablate_model", &rows);
     println!(
         "\nVerdict: all three §5.2 prediction methods support accurate \

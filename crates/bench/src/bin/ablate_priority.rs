@@ -11,18 +11,10 @@
 //! analytical prediction.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, RunConfig};
+use fp_bench::results::ablate_priority::{table, Row};
+use fp_bench::{header, RunConfig};
 use fp_collectives::prelude::*;
 use fp_netsim::prelude::*;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    background: bool,
-    prioritized: bool,
-    max_dev_vs_model: f64,
-    collective_wall_us: u64,
-}
 
 fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
     let leaves = cfg.pick(16u32, 8);
@@ -87,22 +79,11 @@ fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
 fn main() {
     let cfg = RunConfig::from_env();
     header("A3 — background traffic and measurement prioritization");
-    println!(
-        "{:>12} {:>12} {:>16} {:>16}",
-        "background", "prioritized", "max-dev-vs-model", "collective-end"
-    );
-    let mut rows = Vec::new();
-    for (bg, prio) in [(false, true), (true, true), (true, false)] {
-        let r = scenario(&cfg, bg, prio);
-        println!(
-            "{:>12} {:>12} {:>16} {:>14}us",
-            r.background,
-            r.prioritized,
-            pct(r.max_dev_vs_model),
-            r.collective_wall_us
-        );
-        rows.push(r);
-    }
+    let rows: Vec<Row> = [(false, true), (true, true), (true, false)]
+        .into_iter()
+        .map(|(bg, prio)| scenario(&cfg, bg, prio))
+        .collect();
+    print!("{}", table(&rows));
     cfg.save_json("ablate_priority", &rows);
     println!(
         "\nA3 verdict: prioritizing the measured collective keeps observed \

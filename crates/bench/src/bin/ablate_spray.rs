@@ -19,19 +19,9 @@
 //! random faulty cable is usually invisible to it).
 
 use flowpulse::prelude::*;
-use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
+use fp_bench::results::ablate_spray::{table, Row};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 use fp_netsim::spray::SprayPolicy;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    policy: String,
-    model: String,
-    bytes_per_node: u64,
-    noise_floor: f64,
-    fpr: f64,
-    fnr: f64,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -75,12 +65,6 @@ fn main() {
     let grid = cfg.run_grid("ablate_spray", &cells, &clean_seeds, &fault_seeds);
     let mut pairs = grid.pairs();
 
-    header("A1 — spray backend vs symmetry noise and detection (1.5% drop)");
-    println!(
-        "{:>22} {:>10} {:>10} {:>12} {:>8} {:>8}",
-        "policy", "model", "size/node", "noise-floor", "FPR", "FNR"
-    );
-
     let mut rows = Vec::new();
     for (policy, model) in policies {
         for &mib in &sizes_mib {
@@ -91,15 +75,6 @@ fn main() {
                 ModelKind::Simulation => "simulation",
                 ModelKind::Learned { .. } => "learned",
             };
-            println!(
-                "{:>22} {:>10} {:>8}Mi {:>12} {:>8} {:>8}",
-                format!("{policy:?}"),
-                model_name,
-                mib,
-                pct(noise),
-                pct(r.fpr()),
-                pct(r.fnr())
-            );
             rows.push(Row {
                 policy: format!("{policy:?}"),
                 model: model_name.into(),
@@ -110,6 +85,8 @@ fn main() {
             });
         }
     }
+    header("A1 — spray backend vs symmetry noise and detection (1.5% drop)");
+    print!("{}", table(&rows));
     cfg.save_json("ablate_spray", &rows);
     // The pair-keyed backends must not pay for their determinism with
     // false alarms: healthy-state volumes are iteration-stable under the

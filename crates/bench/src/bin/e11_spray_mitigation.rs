@@ -16,6 +16,7 @@
 //! pair, which would make the ECMP column vacuous).
 
 use flowpulse::prelude::*;
+use fp_bench::results::e11_spray::{table, Row};
 use fp_bench::{header, RunConfig};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
 use fp_netsim::spray::SprayPolicy;
@@ -32,27 +33,6 @@ struct Case {
     scenario: &'static str,
     spec: TrialSpec,
     ctrl: CtrlConfig,
-}
-
-#[derive(Serialize)]
-struct Row {
-    backend: String,
-    mitigation: String,
-    scenario: String,
-    detected: bool,
-    tt_detect_ns: Option<u64>,
-    tt_mitigate_ns: Option<u64>,
-    mitigate_iter: Option<u32>,
-    false_mitigations: u32,
-    /// `admin_down` verbs the controller actually scheduled.
-    admin_downs: u32,
-    /// `recycle_entropy` verbs the controller actually scheduled.
-    recycles: u32,
-    flows_failed: u64,
-    pre_bps: f64,
-    during_bps: f64,
-    post_bps: f64,
-    recovered: bool,
 }
 
 fn row_of(case: &Case, r: &TrialResult) -> Row {
@@ -175,44 +155,7 @@ fn main() {
         .map(|(c, r)| row_of(c, r))
         .collect();
 
-    println!(
-        "{:<14} {:<16} {:<10} {:>9} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}  recovered",
-        "backend",
-        "mitigation",
-        "scenario",
-        "tt_det_us",
-        "adown",
-        "recyc",
-        "fails",
-        "pre",
-        "during",
-        "post"
-    );
-    for row in &rows {
-        println!(
-            "{:<14} {:<16} {:<10} {:>9} {:>6} {:>6} {:>6} {:>9.2e} {:>9.2e} {:>9.2e}  {}",
-            row.backend,
-            row.mitigation,
-            row.scenario,
-            row.tt_detect_ns
-                .map(|n| (n / 1_000).to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.admin_downs,
-            row.recycles,
-            row.flows_failed,
-            row.pre_bps,
-            row.during_bps,
-            row.post_bps,
-            if row.scenario == "clean" {
-                "n/a"
-            } else if row.recovered {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-    }
-
+    print!("{}", table(&rows));
     cfg.save_json("e11_spray", &rows);
 
     // The acceptance bar stays up in quick mode: the headline rows are in

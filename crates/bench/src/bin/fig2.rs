@@ -9,21 +9,11 @@
 //! source and destination leaves, which reshape the valid-spine sets.
 
 use flowpulse::prelude::*;
+use fp_bench::results::fig2::{table, Row};
 use fp_bench::{header, pct, RunConfig};
 use fp_collectives::runner::RunnerConfig;
 use fp_collectives::schedule::{Schedule, Transfer};
 use fp_netsim::prelude::*;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    scenario: String,
-    vspine: u32,
-    analytical: f64,
-    simulated: f64,
-    observed: f64,
-    rel_err_analytical: f64,
-}
 
 fn single_flow_schedule(src: HostId, dst: HostId, bytes: u64) -> Schedule {
     Schedule {
@@ -79,11 +69,6 @@ fn run_scenario(
     assert!(run.all_flows_complete, "flow must complete");
     let obs = PortLoads::from_counters(run.counters.get(7, 0).unwrap());
 
-    header(&format!("Fig 2 — {name}"));
-    println!(
-        "{:>7} {:>14} {:>14} {:>14} {:>10}",
-        "vspine", "analytical", "sim-model", "observed", "err(ana)"
-    );
     let mut worst: f64 = 0.0;
     for v in 0..topo.n_vspines() as u32 {
         let a = ana.loads.get(dst_leaf, v);
@@ -91,7 +76,6 @@ fn run_scenario(
         let o = obs.get(dst_leaf, v);
         let err = if a > 0.0 { (o - a) / a } else { 0.0 };
         worst = worst.max(err.abs());
-        println!("{v:>7} {a:>14.0} {s:>14.0} {o:>14.0} {:>10}", pct(err));
         rows.push(Row {
             scenario: name.into(),
             vspine: v,
@@ -101,7 +85,6 @@ fn run_scenario(
             rel_err_analytical: err,
         });
     }
-    println!("max |err| analytical-vs-observed: {}", pct(worst));
     worst
 }
 
@@ -135,6 +118,8 @@ fn main() {
         &mut rows,
     );
 
+    header("Fig 2 — analytical vs simulated vs observed per-port load");
+    print!("{}", table(&rows));
     cfg.save_json("fig2", &rows);
     println!(
         "\nFig 2 verdict: analytical model tracks the packet-level fabric to \

@@ -17,18 +17,8 @@
 //! the baseline is replaced — exactly the Fig. 3 story.
 
 use flowpulse::prelude::*;
+use fp_bench::results::fig3::{table, Row};
 use fp_bench::{header, RunConfig};
-use fp_netsim::units::fmt_bytes;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    iter: u32,
-    faulty_port_bytes: f64,
-    healthy_port_bytes: f64,
-    verdict: String,
-    alarmed: bool,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -61,10 +51,6 @@ fn main() {
         "fault: silent black hole on spine{fv}→leaf{fleaf} during iterations \
          0..{heal_at} (learned baseline, warmup 2)"
     );
-    println!(
-        "{:>5} {:>16} {:>16} {:>14} {:>8}",
-        "iter", "faulty-port", "healthy-port", "verdict", "alarm"
-    );
     let alarmed: std::collections::HashSet<u32> = r.alarms.iter().map(|a| a.iter).collect();
     let mut rows = Vec::new();
     for (i, obs) in r.snapshots.iter().map(CounterSnapshot::loads).enumerate() {
@@ -81,16 +67,6 @@ fn main() {
             .replace('{', "");
         let fb = obs.get(fleaf, fv);
         let hb = obs.get(fleaf, hv);
-        println!(
-            "{i:>5} {:>16} {:>16} {verdict:>14} {:>8}",
-            fmt_bytes(fb as u64),
-            fmt_bytes(hb as u64),
-            if alarmed.contains(&(i as u32)) {
-                "YES"
-            } else {
-                "-"
-            }
-        );
         rows.push(Row {
             iter: i as u32,
             faulty_port_bytes: fb,
@@ -99,6 +75,7 @@ fn main() {
             alarmed: alarmed.contains(&(i as u32)),
         });
     }
+    print!("{}", table(&rows));
     cfg.save_json("fig3", &rows);
 
     let rebalanced = r

@@ -8,16 +8,8 @@
 
 use flowpulse::eval::split_devs;
 use flowpulse::prelude::*;
+use fp_bench::results::fig5a::{table, Row};
 use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    drop_rate: f64,
-    threshold: f64,
-    fpr: f64,
-    tpr: f64,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -67,15 +59,7 @@ fn main() {
     for (&rate, pair) in drop_rates.iter().zip(&pairs) {
         let faulty_devs: Vec<f64> = pair.faulty.iter().flat_map(|t| split_devs(t).1).collect();
         let curve = roc_curve(&clean_devs, &faulty_devs, &thresholds);
-        println!("\ndrop rate {}:", pct(rate));
-        println!("{:>10} {:>8} {:>8}", "threshold", "FPR", "TPR");
         for p in &curve {
-            println!(
-                "{:>10} {:>8} {:>8}",
-                pct(p.threshold),
-                pct(p.fpr),
-                pct(p.tpr)
-            );
             rows.push(Row {
                 drop_rate: rate,
                 threshold: p.threshold,
@@ -91,6 +75,7 @@ fn main() {
             perfect_at_1pct.push(rate);
         }
     }
+    print!("\nTPR / FPR per drop rate and threshold:\n{}", table(&rows));
     cfg.save_json("fig5a", &rows);
 
     println!(

@@ -17,19 +17,8 @@
 
 use flowpulse::eval::split_devs;
 use flowpulse::prelude::*;
-use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    radix: u32,
-    leaves: u32,
-    spines: u32,
-    drop_rate: f64,
-    fpr: f64,
-    fnr: f64,
-    mean_faulty_dev: f64,
-}
+use fp_bench::results::fig5b::{table, Row};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -55,25 +44,11 @@ fn main() {
         .collect();
     let grid = cfg.run_grid("fig5b", &cells, &clean_seeds, &fault_seeds);
 
-    header("Fig 5(b) — FPR/FNR vs switch radix (drop rate 0.8%)");
-    println!(
-        "{:>6} {:>7} {:>7} {:>8} {:>8} {:>14}",
-        "radix", "leaves", "spines", "FPR", "FNR", "mean dev(flt)"
-    );
-
     let mut rows = Vec::new();
     for (&radix, pair) in radixes.iter().zip(grid.pairs()) {
         let rates = pair.rates;
         let devs: Vec<f64> = pair.faulty.iter().flat_map(|t| split_devs(t).1).collect();
         let mean_dev = devs.iter().sum::<f64>() / devs.len().max(1) as f64;
-        println!(
-            "{radix:>6} {:>7} {:>7} {:>8} {:>8} {:>14}",
-            radix,
-            radix / 2,
-            pct(rates.fpr()),
-            pct(rates.fnr()),
-            pct(mean_dev)
-        );
         rows.push(Row {
             radix,
             leaves: radix,
@@ -84,6 +59,8 @@ fn main() {
             mean_faulty_dev: mean_dev,
         });
     }
+    header("Fig 5(b) — FPR/FNR vs switch radix (drop rate 0.8%)");
+    print!("{}", table(&rows));
     cfg.save_json("fig5b", &rows);
 
     println!(

@@ -6,16 +6,8 @@
 //! large ones (the paper notes LLM AllReduces reach GBs) separate cleanly.
 
 use flowpulse::prelude::*;
-use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    bytes_per_node: u64,
-    drop_rate: f64,
-    fpr: f64,
-    fnr: f64,
-}
+use fp_bench::results::fig5c::{table, Row};
+use fp_bench::{drop_fault, header, seeds, Cell, RunConfig};
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -40,22 +32,9 @@ fn main() {
         .collect();
     let grid = cfg.run_grid("fig5c", &cells, &clean_seeds, &fault_seeds);
 
-    header("Fig 5(c) — FPR/FNR vs collective size");
-    println!(
-        "{:>10} {:>10} {:>8} {:>8}",
-        "size/node", "drop", "FPR", "FNR"
-    );
-
     let mut rows = Vec::new();
     for (&mib, pairs) in sizes_mib.iter().zip(grid.cells()) {
         for (&rate, pair) in drop_rates.iter().zip(pairs) {
-            println!(
-                "{:>8}Mi {:>10} {:>8} {:>8}",
-                mib,
-                pct(rate),
-                pct(pair.rates.fpr()),
-                pct(pair.rates.fnr())
-            );
             rows.push(Row {
                 bytes_per_node: mib * 1024 * 1024,
                 drop_rate: rate,
@@ -64,6 +43,8 @@ fn main() {
             });
         }
     }
+    header("Fig 5(c) — FPR/FNR vs collective size");
+    print!("{}", table(&rows));
     cfg.save_json("fig5c", &rows);
 
     println!(

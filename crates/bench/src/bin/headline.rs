@@ -8,23 +8,10 @@
 
 use flowpulse::baselines::run_probe_mesh;
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, RunConfig};
+use fp_bench::results::headline::{table, Row};
+use fp_bench::{header, RunConfig};
 use fp_netsim::fault::FaultAction;
 use fp_netsim::prelude::*;
-use fp_netsim::units::fmt_bytes;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Headline {
-    drop_rate: f64,
-    detected: bool,
-    false_alarm: bool,
-    localized_correctly: bool,
-    faulty_iteration_dev: f64,
-    clean_iteration_dev_max: f64,
-    probe_bytes_for_parity: u64,
-    flowpulse_bytes_injected: u64,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -81,14 +68,10 @@ fn main() {
     let (fleaf, fv) = r.fault_port.unwrap();
 
     println!("fault:      spine{fv} → leaf{fleaf}, 1.5% silent drop from iteration 1");
-    println!("detected:   {}", r.detected);
-    println!("false alarm:{}", r.false_alarm);
     println!(
         "localized:  {:?} (expected unpaired port ({fleaf}, {fv}))",
         r.localization.as_ref().unwrap()
     );
-    println!("clean-iteration max deviation:  {}", pct(clean_max));
-    println!("faulty-iteration max deviation: {}", pct(faulty_max));
     println!(
         "drops: {} silent, retransmits: {}",
         r.stats.silent_drops(),
@@ -127,30 +110,22 @@ fn main() {
             break;
         }
     }
-    println!(
-        "\nprobe-mesh baseline: {} injected before {} — FlowPulse injects 0 \
-         (passive).",
-        fmt_bytes(probe_bytes),
-        if detected_by_probe {
-            "first detection"
-        } else {
-            "giving up (undetected!)"
-        }
-    );
+    if !detected_by_probe {
+        println!("probe mesh: gave up undetected; its bytes below are a lower bound");
+    }
 
-    cfg.save_json(
-        "headline",
-        &Headline {
-            drop_rate: 0.015,
-            detected: r.detected,
-            false_alarm: r.false_alarm,
-            localized_correctly: r.localized_correctly.unwrap_or(false),
-            faulty_iteration_dev: faulty_max,
-            clean_iteration_dev_max: clean_max,
-            probe_bytes_for_parity: probe_bytes,
-            flowpulse_bytes_injected: 0,
-        },
-    );
+    let row = Row {
+        drop_rate: 0.015,
+        detected: r.detected,
+        false_alarm: r.false_alarm,
+        localized_correctly: r.localized_correctly.unwrap_or(false),
+        faulty_iteration_dev: faulty_max,
+        clean_iteration_dev_max: clean_max,
+        probe_bytes_for_parity: probe_bytes,
+        flowpulse_bytes_injected: 0,
+    };
+    print!("\n{}", table(&row));
+    cfg.save_json("headline", &row);
 
     if cfg.quick {
         // Quick mode shrinks the fabric below the regime the headline

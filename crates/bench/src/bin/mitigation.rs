@@ -9,6 +9,7 @@
 //! and fault-free controller runs pin the false-mitigation count at zero.
 
 use flowpulse::prelude::*;
+use fp_bench::results::mitigation::{table, Row};
 use fp_bench::{header, RunConfig};
 use fp_ctrl::{run_ctrl_trial, CtrlConfig};
 use fp_netsim::time::SimDuration;
@@ -20,22 +21,6 @@ struct Case {
     label: String,
     spec: TrialSpec,
     ctrl: Option<CtrlConfig>,
-}
-
-#[derive(Serialize)]
-struct Row {
-    label: String,
-    controller: bool,
-    reaction_us: u64,
-    detected: bool,
-    tt_detect_ns: Option<u64>,
-    tt_mitigate_ns: Option<u64>,
-    mitigate_iter: Option<u32>,
-    false_mitigations: u32,
-    pre_bps: f64,
-    during_bps: f64,
-    post_bps: f64,
-    recovered: bool,
 }
 
 fn row_of(case: &Case, r: &TrialResult) -> Row {
@@ -154,35 +139,7 @@ fn main() {
         .map(|(c, r)| row_of(c, r))
         .collect();
 
-    println!(
-        "{:<28} {:>9} {:>12} {:>9} {:>9} {:>9}  recovered",
-        "case", "tt_det_us", "tt_mit_us", "pre", "during", "post"
-    );
-    for row in &rows {
-        println!(
-            "{:<28} {:>9} {:>12} {:>9.2e} {:>9.2e} {:>9.2e}  {}",
-            row.label,
-            row.tt_detect_ns
-                .map(|n| (n / 1_000).to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.tt_mitigate_ns
-                .map(|n| (n / 1_000).to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.pre_bps,
-            row.during_bps,
-            row.post_bps,
-            if row.controller {
-                if row.recovered {
-                    "yes"
-                } else {
-                    "no"
-                }
-            } else {
-                "n/a"
-            },
-        );
-    }
-
+    print!("{}", table(&rows));
     cfg.save_json("mitigation", &rows);
 
     if cfg.quick {

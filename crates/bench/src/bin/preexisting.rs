@@ -9,17 +9,8 @@
 
 use flowpulse::baselines::SpatialSymmetryDetector;
 use flowpulse::prelude::*;
+use fp_bench::results::preexisting::{table, Row};
 use fp_bench::{drop_fault, header, pct, seeds, Cell, RunConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    preexisting: u32,
-    drop_rate: f64,
-    fpr: f64,
-    fnr: f64,
-    spatial_baseline_fpr: f64,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -46,12 +37,6 @@ fn main() {
         .collect();
     let grid = cfg.run_grid("preexisting", &cells, &clean_seeds, &fault_seeds);
 
-    header("E6 — new silent faults on top of pre-existing known faults");
-    println!(
-        "{:>6} {:>8} {:>8} {:>8} {:>14}",
-        "pre", "drop", "FPR", "FNR", "spatial-FPR"
-    );
-
     let mut rows = Vec::new();
     for (&pre, pairs) in preexisting_counts.iter().zip(grid.cells()) {
         // Spatial baseline FPR: fraction of *clean* iterations it alarms on.
@@ -62,13 +47,6 @@ fn main() {
         let spatial_fpr = alarmed.count() as f64 / snaps.len().max(1) as f64;
 
         for (&rate, pair) in drop_rates.iter().zip(&pairs) {
-            println!(
-                "{pre:>6} {:>8} {:>8} {:>8} {:>14}",
-                pct(rate),
-                pct(pair.rates.fpr()),
-                pct(pair.rates.fnr()),
-                pct(spatial_fpr)
-            );
             rows.push(Row {
                 preexisting: pre,
                 drop_rate: rate,
@@ -78,6 +56,8 @@ fn main() {
             });
         }
     }
+    header("E6 — new silent faults on top of pre-existing known faults");
+    print!("{}", table(&rows));
     cfg.save_json("preexisting", &rows);
 
     let perfect: Vec<&Row> = rows

@@ -9,21 +9,11 @@
 //! cannot disambiguate the slot.
 
 use flowpulse::prelude::*;
-use fp_bench::{header, pct, seeds, RunConfig};
+use fp_bench::results::threelevel::{table, Row};
+use fp_bench::{header, seeds, RunConfig};
 use fp_collectives::prelude::*;
 use fp_netsim::prelude::*;
 use fp_netsim::topology::Clos3Spec;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    drop_rate: f64,
-    trials: u32,
-    agg_detected: u32,
-    agg_slot_localized: u32,
-    leaf_detected: u32,
-    false_alarms: u32,
-}
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -47,10 +37,6 @@ fn main() {
         spec.aggs_per_pod,
         spec.cores_per_group,
         fp_netsim::units::fmt_bytes(bytes)
-    );
-    println!(
-        "{:>8} {:>8} {:>12} {:>14} {:>13} {:>8}",
-        "drop", "trials", "agg-detect", "slot-localize", "leaf-detect", "FP"
     );
 
     let mut rows = Vec::new();
@@ -102,15 +88,6 @@ fn main() {
             false_alarms += (agg_mon.alarms.iter().any(|a| a.iter < 1)
                 || leaf_mon.alarms.iter().any(|a| a.iter < 1)) as u32;
         }
-        println!(
-            "{:>8} {:>8} {:>12} {:>14} {:>13} {:>8}",
-            pct(rate),
-            trial_seeds.len(),
-            agg_detected,
-            slot_localized,
-            leaf_detected,
-            false_alarms
-        );
         rows.push(Row {
             drop_rate: rate,
             trials: trial_seeds.len() as u32,
@@ -120,6 +97,7 @@ fn main() {
             false_alarms,
         });
     }
+    print!("{}", table(&rows));
     cfg.save_json("threelevel", &rows);
     println!(
         "\nE8 verdict: two-tier deployment detects silent core-link faults and \

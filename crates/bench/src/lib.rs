@@ -22,13 +22,15 @@
 //! | `ablate_localize`      | A4 — localization accuracy                      |
 //! | `ablate_model`         | prediction-model comparison                     |
 //! | `trial`                | one `TrialSpec` read from a JSON file           |
+//! | `docs`                 | EXPERIMENTS.md's result blocks from `results/`  |
 //!
 //! The detection sweeps (fig5a–c, preexisting, A1, A2, the model
 //! comparison, A4's ring half) each run one [`grid`] of clean and faulty
 //! trials.
 //!
-//! Every binary prints a human-readable table and writes machine-readable
-//! JSON rows under `results/`. Each reads its `FP_*` knobs once, first
+//! Every sweep writes machine-readable JSON rows under `results/` and
+//! prints them as the table [`results`] defines for that file, the same
+//! table `docs` renders into EXPERIMENTS.md. Each reads its `FP_*` knobs once, first
 //! thing in `main`, into a [`RunConfig`] it passes on explicitly:
 //! `FP_QUICK=1` for reduced sweeps (used by smoke tests), `FP_THREADS` for
 //! the [`Campaign`] worker-pool size (default: all cores) without changing
@@ -37,6 +39,7 @@
 pub mod campaign;
 pub mod config;
 pub mod grid;
+pub mod results;
 
 pub use campaign::Campaign;
 pub use config::RunConfig;

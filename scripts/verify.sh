@@ -219,7 +219,8 @@ done
 
 echo "==> FP_* typos: a mistyped knob must stop every fp-bench binary with status 2"
 # Each binary resolves the whole configuration first thing in main, so any
-# of them refuses any knob, before a trial runs or a file is written.
+# of them refuses any knob, before a trial runs, a file is written or
+# `docs` reads its stdin (empty here).
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
     for bad in FP_SPRAY=ecpm FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
@@ -273,8 +274,9 @@ FP_TELEMETRY_CHECK="$tt/headline" \
 echo "    telemetry artifacts validate (JSONL schema + Chrome trace)"
 
 echo "==> golden results: every committed results/*.json regenerates to its bytes"
-# Full mode, every fp-bench binary but the spec-driven `trial` (about
-# 3 min on two cores; fig5a, fig5c and preexisting are two thirds of it).
+# Full mode, every fp-bench binary but the spec-driven `trial` and `docs`,
+# which writes no results (about 3 min on two cores; fig5a, fig5c and
+# preexisting are two thirds of it).
 # The thread-count comparisons above only compare runs with each
 # other; this one compares with what is committed, so a change in simulated
 # behaviour shows up as a diff in results/ to be explained, and a binary
@@ -284,7 +286,7 @@ tg="$(mktemp -d)"
 trap 'rm -rf "$t1" "$t4" "$tt" "$tsp" "$tg"' EXIT
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
-    [[ "$bin" == trial ]] && continue
+    [[ "$bin" == trial || "$bin" == docs ]] && continue
     env -u FP_QUICK -u FP_SPRAY FP_RESULTS="$tg" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
 done
@@ -296,6 +298,22 @@ for f in results/*.json "$tg"/*.json; do
     fi
 done
 echo "    $(ls results/*.json | wc -l) files byte-identical to a full regeneration"
+
+echo "==> EXPERIMENTS.md: its result blocks equal their rendering from the regenerated rows"
+# The same gate for the doc: a block whose table no longer matches its
+# results file fails here, and `docs` names it on stderr. To update the
+# doc after a deliberate change to results/:
+#   cargo run --release -q -p fp-bench --bin docs <EXPERIMENTS.md >EXPERIMENTS.md.new && mv EXPERIMENTS.md.new EXPERIMENTS.md
+rc=0
+FP_RESULTS="$tg" target/release/docs <EXPERIMENTS.md >"$tg/EXPERIMENTS.md" 2>"$tg/docs.err" || rc=$?
+if [[ $rc -ne 0 ]] || ! cmp -s EXPERIMENTS.md "$tg/EXPERIMENTS.md"; then
+    grep -v '^\[config ' "$tg/docs.err" >&2
+    echo "    EXPERIMENTS.md differs from its rendering (docs exit $rc; blocks named above)" >&2
+    exit 1
+fi
+empty="$(target/release/docs </dev/null 2>/dev/null)"
+test -z "$empty"
+echo "    $(grep -c '^<!-- results:' EXPERIMENTS.md) blocks equal their rendering; empty stdin renders nothing"
 
 echo "==> quickstart example: fault-free fast-forward must engage (memo_hits > 0)"
 cargo run --release -q --example quickstart >/dev/null
