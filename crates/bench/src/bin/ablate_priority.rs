@@ -54,7 +54,6 @@ fn scenario(cfg: &RunConfig, background: bool, prioritized: bool) -> Row {
                 msg_bytes: 1024 * 1024,
                 mean_interval: SimDuration::from_us(5),
                 until: SimTime::from_ms(cfg.pick(4, 2)),
-                ..Default::default()
             })));
     }
     let run = scenario.run();

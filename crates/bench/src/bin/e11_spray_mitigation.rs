@@ -16,41 +16,30 @@
 //! pair, which would make the ECMP column vacuous).
 
 use flowpulse::prelude::*;
+use fp_bench::closed_loop::{Case, LoopRun};
 use fp_bench::results::e11_spray::{table, Row};
 use fp_bench::{header, RunConfig};
-use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
+use fp_ctrl::{CtrlConfig, Mitigation};
 use fp_netsim::spray::SprayPolicy;
-use serde::Serialize;
 
 /// Pinned so the blackholed cable sits on the ECMP path (see module docs).
 const SEED: u64 = 44;
 const ONSET: u32 = 2;
 
-#[derive(Clone)]
-struct Case {
-    backend: &'static str,
-    mitigation: &'static str,
-    scenario: &'static str,
-    spec: TrialSpec,
-    ctrl: CtrlConfig,
-}
+/// A sweep cell's coordinates: backend, verb and scenario.
+type Cell = (&'static str, &'static str, &'static str);
 
-fn row_of(case: &Case, r: &TrialResult) -> Row {
+fn row_of(&(backend, mitigation, scenario): &Cell, run: &LoopRun) -> Row {
+    let (r, g) = (&run.result, &run.goodput);
     let c = r.ctrl.as_ref();
-    // A fault-free run (onset 0) counts its whole trajectory as "pre".
-    let g = goodput_phases(
-        &r.iter_goodput,
-        r.fault_iter.unwrap_or(0),
-        c.and_then(|c| c.mitigate_iter),
-    );
     let verb_count = |verb: &str| {
         c.map(|c| c.actions.iter().filter(|a| a.detail.contains(verb)).count() as u32)
             .unwrap_or(0)
     };
     Row {
-        backend: case.backend.into(),
-        mitigation: case.mitigation.into(),
-        scenario: case.scenario.into(),
+        backend: backend.into(),
+        mitigation: mitigation.into(),
+        scenario: scenario.into(),
         detected: c.map(|c| c.time_to_detect_ns.is_some()).unwrap_or(false),
         tt_detect_ns: c.and_then(|c| c.time_to_detect_ns),
         tt_mitigate_ns: c.and_then(|c| c.time_to_mitigate_ns),
@@ -98,7 +87,20 @@ fn main() {
         ..cfg.base_spec()
     };
 
-    let mut cases = Vec::new();
+    // Each cell runs under a controller; its manifest key is its
+    // coordinates joined by `/`.
+    let (mut cells, mut cases) = (Vec::<Cell>::new(), Vec::new());
+    let mut push = |cell: Cell, spec: TrialSpec, mitigation| {
+        cases.push(Case {
+            label: format!("{}/{}/{}", cell.0, cell.1, cell.2),
+            spec,
+            ctrl: Some(CtrlConfig {
+                mitigation,
+                ..CtrlConfig::default()
+            }),
+        });
+        cells.push(cell);
+    };
     for &(bname, policy) in backends {
         let mut faulty = TrialSpec {
             fault: Some(FaultSpec {
@@ -111,49 +113,17 @@ fn main() {
         };
         faulty.sim.spray = policy;
         for &(mname, mit) in mitigations {
-            cases.push(Case {
-                backend: bname,
-                mitigation: mname,
-                scenario: "blackhole",
-                spec: faulty.clone(),
-                ctrl: CtrlConfig {
-                    mitigation: mit,
-                    ..CtrlConfig::default()
-                },
-            });
+            push((bname, mname, "blackhole"), faulty.clone(), mit);
         }
         // Fault-free column: detection quality on a healthy fabric — the
         // learned baseline must stay quiet whatever the spray backend.
         let mut clean = base.clone();
         clean.sim.spray = policy;
-        cases.push(Case {
-            backend: bname,
-            mitigation: "admin_down",
-            scenario: "clean",
-            spec: clean,
-            ctrl: CtrlConfig::default(),
-        });
+        push((bname, "admin_down", "clean"), clean, Mitigation::AdminDown);
     }
 
-    let ctrl = cases
-        .iter()
-        .map(|c| {
-            let key = format!("{}/{}/{}", c.backend, c.mitigation, c.scenario);
-            (key, c.ctrl.to_value())
-        })
-        .collect();
-    let results = cfg.run_logged(
-        "e11_spray",
-        &cases,
-        |c| &c.spec,
-        |c| run_ctrl_trial(&c.spec, c.ctrl),
-        serde::Value::Map(ctrl),
-    );
-    let rows: Vec<Row> = cases
-        .iter()
-        .zip(&results)
-        .map(|(c, r)| row_of(c, r))
-        .collect();
+    let runs = cfg.run_closed_loop("e11_spray", &cases);
+    let rows: Vec<Row> = cells.iter().zip(&runs).map(|(c, r)| row_of(c, r)).collect();
 
     print!("{}", table(&rows));
     cfg.save_json("e11_spray", &rows);

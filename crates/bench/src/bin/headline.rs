@@ -33,18 +33,24 @@ fn main() {
     // With FP_TELEMETRY=dir, ride a full RunRecorder along: link samples,
     // FCT/RTO/PFC histograms, structured events and a Chrome trace land in
     // $FP_TELEMETRY/headline/ next to the run's manifest.
-    let recorder = cfg.telemetry.as_ref().map(|d| {
-        Box::new(
-            fp_telemetry::RunRecorder::new(d.join("headline"))
-                .with_interval_ns(cfg.sample_interval_ns),
-        ) as Box<dyn fp_telemetry::Recorder>
-    });
-    let t0 = std::time::Instant::now();
-    let (r, recorder) = run_trial_with(&spec, recorder);
-    let wall_us = t0.elapsed().as_micros() as u64;
-    if let Some(mut rec) = recorder {
-        rec.finish().expect("write telemetry artifacts");
-    }
+    let results = cfg.run_logged(
+        "headline",
+        std::slice::from_ref(&spec),
+        |s| s,
+        |s| {
+            let recorder = cfg.telemetry.as_ref().map(|d| {
+                Box::new(fp_telemetry::RunRecorder::new(d.join("headline")))
+                    as Box<dyn fp_telemetry::Recorder>
+            });
+            let (r, recorder) = run_trial_with(s, recorder);
+            if let Some(mut rec) = recorder {
+                rec.finish().expect("write telemetry artifacts");
+            }
+            r
+        },
+        serde::Value::Null,
+    );
+    let r = &results[0];
     // An exact count, not host noise: constant-delay events ride the
     // delay-class pipes (DESIGN.md §6), so a headline run that pushes more
     // than 1 % of its events through the scheduler, first-attempt RTO
@@ -55,14 +61,7 @@ fn main() {
         "{pushes} scheduler pushes for {} events: constant-delay events are reaching the scheduler again",
         r.stats.events
     );
-    cfg.write_manifest(
-        "headline",
-        &[&spec],
-        std::slice::from_ref(&r),
-        wall_us,
-        serde::Value::Null,
-    );
-    let (clean, faulty) = flowpulse::eval::split_devs(&r);
+    let (clean, faulty) = flowpulse::eval::split_devs(r);
     let clean_max = clean.iter().cloned().fold(0.0, f64::max);
     let faulty_max = faulty.iter().cloned().fold(0.0, f64::max);
     let (fleaf, fv) = r.fault_port.unwrap();

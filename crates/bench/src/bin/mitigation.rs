@@ -9,28 +9,15 @@
 //! and fault-free controller runs pin the false-mitigation count at zero.
 
 use flowpulse::prelude::*;
+use fp_bench::closed_loop::{Case, LoopRun};
 use fp_bench::results::mitigation::{table, Row};
 use fp_bench::{header, RunConfig};
-use fp_ctrl::{run_ctrl_trial, CtrlConfig};
+use fp_ctrl::CtrlConfig;
 use fp_netsim::time::SimDuration;
-use serde::Serialize;
 
-/// One sweep cell: a spec plus the controller riding it (if any).
-#[derive(Clone)]
-struct Case {
-    label: String,
-    spec: TrialSpec,
-    ctrl: Option<CtrlConfig>,
-}
-
-fn row_of(case: &Case, r: &TrialResult) -> Row {
+fn row_of(case: &Case, run: &LoopRun) -> Row {
+    let (r, g) = (&run.result, &run.goodput);
     let c = r.ctrl.as_ref();
-    // A fault-free run (onset 0) counts its whole trajectory as "pre".
-    let g = goodput_phases(
-        &r.iter_goodput,
-        r.fault_iter.unwrap_or(0),
-        c.and_then(|c| c.mitigate_iter),
-    );
     Row {
         label: case.label.clone(),
         controller: case.ctrl.is_some(),
@@ -113,31 +100,8 @@ fn main() {
         });
     }
 
-    // With FP_TELEMETRY=dir the campaign manifest carries the controller
-    // sweep: which cells ran closed-loop, with what knobs (Null stays the
-    // controller-less marker).
-    let ctrl = cases
-        .iter()
-        .map(|c| {
-            let cfg = c.ctrl.map_or(serde::Value::Null, |cfg| cfg.to_value());
-            (c.label.clone(), cfg)
-        })
-        .collect();
-    let results = cfg.run_logged(
-        "mitigation",
-        &cases,
-        |c| &c.spec,
-        |case| match case.ctrl {
-            Some(cfg) => run_ctrl_trial(&case.spec, cfg),
-            None => run_trial(&case.spec),
-        },
-        serde::Value::Map(ctrl),
-    );
-    let rows: Vec<Row> = cases
-        .iter()
-        .zip(&results)
-        .map(|(c, r)| row_of(c, r))
-        .collect();
+    let runs = cfg.run_closed_loop("mitigation", &cases);
+    let rows: Vec<Row> = cases.iter().zip(&runs).map(|(c, r)| row_of(c, r)).collect();
 
     print!("{}", table(&rows));
     cfg.save_json("mitigation", &rows);

@@ -71,33 +71,18 @@ impl RunConfig {
         let t0 = Instant::now();
         let results = self.campaign().map(items, run);
         let wall_us_total = t0.elapsed().as_micros() as u64;
-        let specs: Vec<&TrialSpec> = items.iter().map(spec).collect();
-        self.write_manifest(name, &specs, &results, wall_us_total, ctrl);
-        results
-    }
-
-    /// When `FP_TELEMETRY` is set, write the `campaign_manifest` of a
-    /// finished campaign to `$FP_TELEMETRY/<name>/manifest.json`; nothing
-    /// otherwise. `ctrl` is the controller sweep that rode it (`Null` for
-    /// controller-less campaigns). A manifest that cannot be written is a
-    /// warning, not a failed sweep.
-    pub fn write_manifest(
-        &self,
-        name: &str,
-        specs: &[&TrialSpec],
-        results: &[TrialResult],
-        wall_us_total: u64,
-        ctrl: serde::Value,
-    ) {
-        let Some(dir) = &self.telemetry else {
-            return;
-        };
-        let m = campaign_manifest(name, self, specs, results, wall_us_total, ctrl);
-        let mdir = dir.join(name);
-        match m.write(&mdir) {
-            Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
-            Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
+        // A manifest that cannot be written is a warning, not a failed
+        // sweep.
+        if let Some(dir) = &self.telemetry {
+            let specs: Vec<&TrialSpec> = items.iter().map(spec).collect();
+            let m = campaign_manifest(name, self, &specs, &results, wall_us_total, ctrl);
+            let mdir = dir.join(name);
+            match m.write(&mdir) {
+                Ok(()) => println!("[manifest {}]", mdir.join("manifest.json").display()),
+                Err(e) => eprintln!("warning: cannot write manifest in {}: {e}", mdir.display()),
+            }
         }
+        results
     }
 }
 

@@ -31,9 +31,6 @@ pub struct RunConfig {
     /// `FP_TELEMETRY`: directory for manifests and recorder artifacts
     /// (default none: nothing is written).
     pub telemetry: Option<PathBuf>,
-    /// `FP_TELEMETRY_INTERVAL_NS`: link-sampler period of an attached
-    /// recorder (default [`fp_telemetry::DEFAULT_SAMPLE_INTERVAL_NS`]).
-    pub sample_interval_ns: u64,
 }
 
 /// What every on/off knob accepts.
@@ -68,8 +65,6 @@ impl RunConfig {
             results: dir("FP_RESULTS").unwrap_or_else(|| "results".into()),
             spray: get(&var, "FP_SPRAY", policies, SprayPolicy::parse)?.unwrap_or_default(),
             telemetry: dir("FP_TELEMETRY"),
-            sample_interval_ns: get(&var, "FP_TELEMETRY_INTERVAL_NS", count, positive)?
-                .unwrap_or(fp_telemetry::DEFAULT_SAMPLE_INTERVAL_NS),
         })
     }
 
@@ -146,7 +141,6 @@ impl Serialize for RunConfig {
             ("results", path(&self.results).to_value()),
             ("spray", self.spray.to_value()),
             ("telemetry", self.telemetry.as_ref().map(path).to_value()),
-            ("sample_interval_ns", self.sample_interval_ns.to_value()),
         ];
         Value::Map(knobs.map(|(k, v)| (k.to_string(), v)).into())
     }
@@ -177,10 +171,6 @@ mod tests {
         assert_eq!(d.results, PathBuf::from("results"));
         assert_eq!(d.spray, SprayPolicy::Adaptive);
         assert_eq!(d.telemetry, None);
-        assert_eq!(
-            d.sample_interval_ns,
-            fp_telemetry::DEFAULT_SAMPLE_INTERVAL_NS
-        );
         assert_eq!(d.sim(), SimConfig::default());
         assert_eq!(d.base_spec().sim, TrialSpec::default().sim);
     }
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn each_knob_applies_its_value_or_refuses_by_name_and_value() {
         type Check = fn(&RunConfig) -> bool;
-        let knobs: [(&str, &[&str], Check, &[&str]); 4] = [
+        let knobs: [(&str, &[&str], Check, &[&str]); 3] = [
             (
                 "FP_QUICK",
                 &["1", "on", "true", " yes "],
@@ -207,12 +197,6 @@ mod tests {
                 &["reps", "REPS", " reps "],
                 |c| c.spray == SprayPolicy::Reps,
                 &["ecpm", "adaptive,ecmp"],
-            ),
-            (
-                "FP_TELEMETRY_INTERVAL_NS",
-                &["250"],
-                |c| c.sample_interval_ns == 250,
-                &["1ms", "0", "-5", "1e3"],
             ),
         ];
         for (key, valid, applied, typos) in knobs {

@@ -26,7 +26,8 @@
 //!
 //! The detection sweeps (fig5a–c, preexisting, A1, A2, the model
 //! comparison, A4's ring half) each run one [`grid`] of clean and faulty
-//! trials.
+//! trials. The two closed-loop sweeps (E9, E11) run through one
+//! [`closed_loop`] door.
 //!
 //! Every sweep writes machine-readable JSON rows under `results/` and
 //! prints them as the table [`results`] defines for that file, the same
@@ -37,6 +38,7 @@
 //! a byte of the output.
 
 pub mod campaign;
+pub mod closed_loop;
 pub mod config;
 pub mod grid;
 pub mod results;

@@ -193,14 +193,7 @@ fn manifest_validates_when_present() {
     assert_eq!(specs.len() as u64, trials);
     // The resolved configuration, every knob, defaults included.
     let config = get(&m, "config").expect("config");
-    for knob in [
-        "quick",
-        "threads",
-        "results",
-        "spray",
-        "telemetry",
-        "sample_interval_ns",
-    ] {
+    for knob in ["quick", "threads", "results", "spray", "telemetry"] {
         assert!(get(config, knob).is_some(), "config echoes {knob}");
     }
 }

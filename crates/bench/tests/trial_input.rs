@@ -2,7 +2,7 @@
 //! cannot read or parse ends the run with status 2 and one line naming the
 //! file and what is wrong, never a panic.
 
-use flowpulse::prelude::TrialSpec;
+use flowpulse::prelude::{ModelKind, TrialSpec};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -80,4 +80,56 @@ fn a_fixed_key_at_another_value_exits_2_naming_it() {
             && line.ends_with("trial_jumbo_mtu.json: sim.mtu is fixed at 4096"),
         "{line}"
     );
+}
+
+/// A spec that parses but cannot run: rejected by `TrialSpec::validate`
+/// before the simulation, naming the field, where it once panicked inside
+/// the run (exit 101).
+#[test]
+fn an_unrunnable_spec_exits_2_naming_the_field() {
+    let base = TrialSpec {
+        leaves: 8,
+        spines: 4,
+        bytes_per_node: 1024 * 1024,
+        ..Default::default()
+    };
+    let cases = [
+        (
+            "preexisting",
+            TrialSpec {
+                preexisting: 100,
+                ..base.clone()
+            },
+        ),
+        (
+            "bytes_per_node",
+            TrialSpec {
+                bytes_per_node: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "bytes_per_node",
+            TrialSpec {
+                bytes_per_node: 3,
+                ..base.clone()
+            },
+        ),
+        (
+            "model.Learned.warmup",
+            TrialSpec {
+                model: ModelKind::Learned { warmup: 0 },
+                ..base.clone()
+            },
+        ),
+    ];
+    for (i, (field, spec)) in cases.into_iter().enumerate() {
+        let name = format!("trial_unrunnable_{i}.json");
+        let (code, line) = run_trial_on(&name, &serde_json::to_string(&spec).unwrap());
+        assert_eq!(code, Some(2), "{field}: {line}");
+        assert!(
+            line.starts_with("invalid TrialSpec in ") && line.contains(field),
+            "{field}: {line}"
+        );
+    }
 }

@@ -14,36 +14,23 @@ use fp_netsim::sim::Simulator;
 use fp_netsim::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Background generator parameters.
-#[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
+/// Token namespace of the generator's wake-ups (differs from every
+/// collective job id on the fabric).
+const JOB: u32 = 0xB6;
+/// RNG seed of the pair and arrival draws.
+const SEED: u64 = 0xBA5E;
+
+/// Background generator parameters. Flows go out at
+/// [`Priority::BACKGROUND`].
+#[derive(Clone, PartialEq, Debug)]
 pub struct BackgroundConfig {
-    /// Token namespace (must differ from collective job ids on the fabric).
-    pub job: u32,
     /// Message size, bytes.
     pub msg_bytes: u64,
     /// Mean inter-arrival time (exponential).
     pub mean_interval: SimDuration,
     /// Stop generating at this simulated time.
     pub until: SimTime,
-    /// Priority of the generated flows.
-    pub prio: Priority,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for BackgroundConfig {
-    fn default() -> Self {
-        BackgroundConfig {
-            job: 0xB6,
-            msg_bytes: 512 * 1024,
-            mean_interval: SimDuration::from_us(20),
-            until: SimTime::from_ms(2),
-            prio: Priority::BACKGROUND,
-            seed: 0xBA5E,
-        }
-    }
 }
 
 /// Injects random-pair best-effort messages until a deadline.
@@ -55,7 +42,7 @@ pub struct BackgroundTraffic {
 impl BackgroundTraffic {
     /// New generator.
     pub fn new(cfg: BackgroundConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
+        let rng = SmallRng::seed_from_u64(SEED);
         BackgroundTraffic { cfg, rng }
     }
 
@@ -68,7 +55,7 @@ impl BackgroundTraffic {
         let at = sim.now() + self.exp_interval();
         if at <= self.cfg.until {
             // Host in the token is irrelevant; we use host 0 as the anchor.
-            sim.schedule_wake(at, HostId(0), (self.cfg.job as u64) << 32);
+            sim.schedule_wake(at, HostId(0), (JOB as u64) << 32);
         }
     }
 }
@@ -79,7 +66,7 @@ impl Application for BackgroundTraffic {
     }
 
     fn on_wake(&mut self, sim: &mut Simulator, _host: HostId, token: u64) {
-        if token >> 32 != self.cfg.job as u64 {
+        if token >> 32 != JOB as u64 {
             return;
         }
         let n = sim.topo.n_hosts() as u32;
@@ -94,7 +81,7 @@ impl Application for BackgroundTraffic {
                 HostId(dst),
                 self.cfg.msg_bytes,
                 None,
-                self.cfg.prio,
+                Priority::BACKGROUND,
             );
         }
         self.schedule_next(sim);
@@ -119,7 +106,6 @@ mod tests {
             mean_interval: SimDuration::from_us(10),
             until: SimTime::from_us(500),
             msg_bytes: 64 * 1024,
-            ..Default::default()
         };
         sim.set_app(Box::new(BackgroundTraffic::new(cfg)));
         sim.run();
@@ -146,7 +132,6 @@ mod tests {
             mean_interval: SimDuration::from_ns(200),
             until: SimTime::from_us(100),
             msg_bytes: 4096,
-            ..Default::default()
         };
         sim.set_app(Box::new(BackgroundTraffic::new(cfg)));
         sim.run();

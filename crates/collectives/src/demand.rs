@@ -24,11 +24,6 @@ impl DemandMatrix {
         }
     }
 
-    /// Number of hosts.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Add `bytes` to the `(src, dst)` demand.
     pub fn add(&mut self, src: HostId, dst: HostId, bytes: u64) {
         assert_ne!(src, dst, "self-demand");

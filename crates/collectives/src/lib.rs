@@ -28,7 +28,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod alltoall;
-pub mod background;
+pub(crate) mod background;
 pub mod demand;
 pub mod halving;
 pub mod jitter;
@@ -38,9 +38,8 @@ pub mod schedule;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::alltoall::{alltoall_uniform, demand_of_subset, single_nonlocal_subset};
+    pub use crate::alltoall::alltoall_uniform;
     pub use crate::background::{BackgroundConfig, BackgroundTraffic};
-    pub use crate::demand::DemandMatrix;
     pub use crate::halving::halving_doubling_allreduce;
     pub use crate::jitter::JitterModel;
     pub use crate::ring::{ring_allreduce, ring_reduce_scatter};

@@ -38,7 +38,7 @@ pub enum MeasuredSubset {
 
 impl MeasuredSubset {
     /// True when transfer index `t` is measured (tagged + prioritized).
-    pub fn contains(&self, t: u32) -> bool {
+    pub(crate) fn contains(&self, t: u32) -> bool {
         match self {
             MeasuredSubset::All => true,
             MeasuredSubset::Transfers(v) => v.contains(&t),
@@ -91,7 +91,7 @@ impl Default for RunnerConfig {
 }
 
 /// Callback invoked at an iteration boundary with `(sim, iteration)`.
-pub type IterationHook = Box<dyn FnMut(&mut Simulator, u32)>;
+pub(crate) type IterationHook = Box<dyn FnMut(&mut Simulator, u32)>;
 
 /// Drives one collective job across iterations.
 pub struct CollectiveRunner {
@@ -146,16 +146,6 @@ impl CollectiveRunner {
             scratch_unblocked: Vec::new(),
             iter_start: SimTime::ZERO,
         }
-    }
-
-    /// The schedule being executed.
-    pub fn schedule(&self) -> &Schedule {
-        &self.sched
-    }
-
-    /// The runner config.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.cfg
     }
 
     fn token(&self, transfer: u32) -> u64 {

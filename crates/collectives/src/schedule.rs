@@ -50,7 +50,7 @@ impl Schedule {
 
     /// Inverse dependency map: `children()[t]` = transfers unblocked when
     /// `t` completes.
-    pub fn children(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn children(&self) -> Vec<Vec<u32>> {
         let mut ch = vec![Vec::new(); self.transfers.len()];
         for (i, d) in self.deps.iter().enumerate() {
             if let Some(p) = d {

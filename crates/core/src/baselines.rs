@@ -23,11 +23,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct SpatialAlarm {
     /// Leaf raising the alarm.
-    pub leaf: u32,
+    pub(crate) leaf: u32,
     /// Offending ingress port.
-    pub vspine: u32,
+    pub(crate) vspine: u32,
     /// Port load relative to the leaf's mean, minus one (signed).
-    pub rel_to_mean: f64,
+    pub(crate) rel_to_mean: f64,
 }
 
 /// Flags ports deviating from their leaf's mean load by more than 1 %,
@@ -75,7 +75,7 @@ const PROBES_PER_PAIR: u32 = 4;
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct ProbeReport {
     /// Probes injected.
-    pub probes_sent: u64,
+    pub(crate) probes_sent: u64,
     /// Probe payload bytes injected into the fabric (the overhead FlowPulse
     /// avoids entirely).
     pub bytes_injected: u64,
@@ -83,7 +83,7 @@ pub struct ProbeReport {
     pub detected: bool,
     /// Destination leaves whose probes saw loss, with loss counts —
     /// the prober's (coarse) localization signal.
-    pub lossy_dst_leaves: Vec<(u32, u32)>,
+    pub(crate) lossy_dst_leaves: Vec<(u32, u32)>,
 }
 
 /// Run `rounds` of a probe campaign on `sim` (which may already carry
@@ -143,7 +143,7 @@ pub struct CounterSweepReport {
     /// with the missing-packet count.
     pub suspect_links: Vec<(u32, u64)>,
     /// Counter state moved to the collector for this sweep.
-    pub collection_bytes: u64,
+    pub(crate) collection_bytes: u64,
     /// Links polled.
     pub links_polled: u64,
 }

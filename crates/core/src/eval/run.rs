@@ -75,19 +75,19 @@ pub struct Scenario {
 
 /// What scoring reads beside the run: cable placement and prediction.
 pub(super) struct Placed {
-    pub preexisting_ports: Vec<Cable>,
-    pub fault_port: Option<Cable>,
-    pub predicted: Option<PortLoads>,
+    pub(crate) preexisting_ports: Vec<Cable>,
+    pub(crate) fault_port: Option<Cable>,
+    pub(crate) predicted: Option<PortLoads>,
 }
 
 /// What a finished run leaves behind, moved out of the simulator.
 pub struct RawRun {
     /// Application bytes one iteration of the schedule moves.
-    pub sched_total_bytes: u64,
+    pub(crate) sched_total_bytes: u64,
     /// When the first of [`Scenario::at_iter`] landed (a trial's fault).
-    pub install_ns: Option<u64>,
+    pub(crate) install_ns: Option<u64>,
     /// Simulated time when the run went idle.
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
     /// Every flow posted was delivered in full.
     pub all_flows_complete: bool,
     /// Leaf-ingress counters.
@@ -95,17 +95,17 @@ pub struct RawRun {
     /// Agg-ingress counters (3-level fabrics; empty on a fat tree).
     pub agg_counters: CounterStore,
     /// Every iteration's span.
-    pub spans: Vec<IterSpanRecord>,
+    pub(crate) spans: Vec<IterSpanRecord>,
     /// Engine counters.
     pub stats: Stats,
     /// The exceptional-event trace.
-    pub trace: TraceBuffer,
+    pub(crate) trace: TraceBuffer,
     /// The scheduler's own counters.
-    pub sched: SchedStats,
+    pub(crate) sched: SchedStats,
     /// Fast-forward accounting (`fallback`: why a memo request ran live).
     pub memo: MemoCounters,
     /// The controller's own record, when one rode the trial.
-    pub ctrl: Option<CtrlSummary>,
+    pub(crate) ctrl: Option<CtrlSummary>,
 }
 
 fn prepare(spec: &TrialSpec) -> (Scenario, Placed) {

@@ -32,7 +32,7 @@ pub enum CtrlPhase {
 
 impl CtrlPhase {
     /// Stable lowercase label for telemetry.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CtrlPhase::Detect => "detect",
             CtrlPhase::Localize => "localize",

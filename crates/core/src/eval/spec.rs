@@ -188,7 +188,33 @@ impl TrialSpec {
             self.collective != CollectiveKind::HalvingDoubling || hosts.is_power_of_two(),
             format!("collective HalvingDoubling needs a power-of-two host count, got {hosts}"),
         )?;
+        ensure(
+            self.collective == CollectiveKind::AllToAll
+                || self.collective == CollectiveKind::HalvingDoubling
+                || self.bytes_per_node >= hosts,
+            format!(
+                "bytes_per_node {} is below the host count {hosts}: a ring cuts it into one chunk per host",
+                self.bytes_per_node
+            ),
+        )?;
         ensure(self.iterations >= 1, "iterations must be at least 1".into())?;
+        if let ModelKind::Learned { warmup } = self.model {
+            ensure(
+                warmup >= 1,
+                "model.Learned.warmup must be at least 1".into(),
+            )?;
+        }
+        // `choose_cables` leaves every leaf one uplink.
+        let down = self.preexisting as u64 + self.fault.is_some() as u64;
+        let uplinks = self.spines as u64 * self.parallel_links as u64;
+        let most = self.leaves as u64 * uplinks.saturating_sub(1);
+        ensure(
+            down <= most,
+            format!(
+                "preexisting {} and fault take down {down} cables; with every leaf keeping an uplink at most {most} can be down",
+                self.preexisting
+            ),
+        )?;
         let t = self.threshold;
         ensure(
             t.is_finite() && t >= 0.0,
@@ -312,6 +338,20 @@ mod tests {
         }
         .validate()
         .unwrap();
+        // Every leaf keeps one of its four uplinks: 8 x 3 cables may go.
+        for (preexisting, fault) in [(24, None), (23, drop_at(1, 0.02))] {
+            let spec = TrialSpec {
+                preexisting,
+                fault,
+                ..small_spec()
+            };
+            spec.validate().unwrap();
+        }
+        let tiny_ring = TrialSpec {
+            bytes_per_node: 8,
+            ..small_spec()
+        };
+        tiny_ring.validate().unwrap();
     }
 
     #[test]
@@ -328,6 +368,11 @@ mod tests {
             ("parallel_links", TrialSpec { parallel_links: 0, ..base.clone() }),
             ("power-of-two", TrialSpec { leaves: 6, collective: CollectiveKind::HalvingDoubling, ..base.clone() }),
             ("iterations", TrialSpec { iterations: 0, ..base.clone() }),
+            ("bytes_per_node", TrialSpec { bytes_per_node: 0, ..base.clone() }),
+            ("bytes_per_node", TrialSpec { bytes_per_node: 3, collective: CollectiveKind::RingReduceScatter, ..base.clone() }),
+            ("preexisting", TrialSpec { preexisting: 100, ..base.clone() }),
+            ("preexisting", TrialSpec { preexisting: 24, fault: drop_at(1, 0.02), ..base.clone() }),
+            ("model.Learned.warmup", TrialSpec { model: ModelKind::Learned { warmup: 0 }, ..base.clone() }),
             ("threshold", TrialSpec { threshold: f64::NAN, ..base.clone() }),
             ("threshold", TrialSpec { threshold: -0.01, ..base.clone() }),
             ("threshold", TrialSpec { threshold: f64::INFINITY, ..base.clone() }),

@@ -36,9 +36,9 @@ pub enum LearnedUpdate {
 #[derive(Clone, Debug)]
 pub struct LearnedModel {
     /// Iterations averaged into the baseline.
-    pub warmup: u32,
+    pub(crate) warmup: u32,
     /// Detection threshold used for the internal consistency check.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     samples: Vec<PortLoads>,
     baseline: Option<PortLoads>,
     /// Times the baseline was replaced after observing a heal.
@@ -68,7 +68,7 @@ impl LearnedModel {
     /// a remediation lands: the post-mitigation fabric has a new
     /// `d/(s−f)` load shape, so detection must re-arm against it rather
     /// than keep comparing to the pre-fault baseline.
-    pub fn force_relearn(&mut self) {
+    pub(crate) fn force_relearn(&mut self) {
         self.baseline = None;
         self.samples.clear();
         self.rebaselines += 1;

@@ -15,7 +15,7 @@
 //! 1. **Measure** ([`fp_netsim::counters`]) — every leaf switch counts
 //!    tagged collective bytes per spine-ingress port per iteration, with a
 //!    per-source-leaf breakdown (§5.1).
-//! 2. **Predict** ([`analytical`], [`simulated`], [`learned`]) — expected
+//! 2. **Predict** ([`analytical`], `simulated`, `learned`) — expected
 //!    per-port volume from the demand matrix and known faults (§5.2).
 //! 3. **Detect** ([`detector`], [`monitor`]) — per-leaf threshold
 //!    comparison at iteration boundaries, no coordination (§5.3).
@@ -62,17 +62,17 @@ pub mod analytical;
 pub mod baselines;
 pub mod detector;
 pub mod eval;
-pub mod learned;
+pub(crate) mod learned;
 pub mod localizer;
 pub mod model;
 pub mod monitor;
-pub mod simulated;
+pub(crate) mod simulated;
 pub mod snapshot;
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::analytical::{AnalyticalModel, Prediction};
-    pub use crate::baselines::{run_probe_mesh, ProbeReport, SpatialSymmetryDetector};
+    pub use crate::baselines::{run_probe_mesh, ProbeReport};
     pub use crate::detector::{Detector, Deviation};
     pub use crate::eval::{
         goodput_phases, roc_curve, run_trial, run_trial_ctl, run_trial_with, CollectiveKind,
@@ -80,7 +80,7 @@ pub mod prelude {
         ModelKind, Rates, RawRun, RocPoint, Scenario, TrialController, TrialResult, TrialSpec,
     };
     pub use crate::learned::{LearnedModel, LearnedUpdate};
-    pub use crate::localizer::{Localizer, PortVerdict, RingLocalization};
+    pub use crate::localizer::{Localizer, PortVerdict};
     pub use crate::model::{PortLoads, PortSrcLoads};
     pub use crate::monitor::{Alarm, Monitor};
     pub use crate::simulated::SimulationModel;

@@ -57,7 +57,7 @@ impl PortLoads {
     }
 
     /// Element-wise mean of several load maps (all same shape).
-    pub fn mean_of(samples: &[PortLoads]) -> PortLoads {
+    pub(crate) fn mean_of(samples: &[PortLoads]) -> PortLoads {
         assert!(!samples.is_empty());
         let mut out = PortLoads::zeros(samples[0].n_leaves, samples[0].n_vspines);
         for s in samples {
@@ -75,7 +75,7 @@ impl PortLoads {
 
     /// Coefficient of variation (σ/μ) of one leaf's non-trivial ports.
     /// Spatial-asymmetry measure: pre-existing faults push it up.
-    pub fn leaf_cov(&self, leaf: u32) -> f64 {
+    pub(crate) fn leaf_cov(&self, leaf: u32) -> f64 {
         cov(self.leaf(leaf).iter().copied())
     }
 }
@@ -164,7 +164,7 @@ pub struct PortSrcLoads {
 
 impl PortSrcLoads {
     /// All-zero, sources = rows (2-level leaf store shape).
-    pub fn zeros(n_leaves: usize, n_vspines: usize) -> Self {
+    pub(crate) fn zeros(n_leaves: usize, n_vspines: usize) -> Self {
         Self::zeros_with_src(n_leaves, n_vspines, n_leaves)
     }
 
@@ -202,7 +202,8 @@ impl PortSrcLoads {
     }
 
     /// Collapse the per-sender axis into plain [`PortLoads`].
-    pub fn port_totals(&self) -> PortLoads {
+    #[cfg(test)]
+    pub(crate) fn port_totals(&self) -> PortLoads {
         let mut out = PortLoads::zeros(self.n_leaves, self.n_vspines);
         for leaf in 0..self.n_leaves {
             for v in 0..self.n_vspines {

@@ -70,9 +70,9 @@ pub struct Alarm {
 /// Continuous per-job monitor.
 pub struct Monitor {
     /// Job (collective tag sentinel) being monitored.
-    pub job: u32,
+    pub(crate) job: u32,
     /// Threshold comparator.
-    pub detector: Detector,
+    pub(crate) detector: Detector,
     model: ModelSource,
     next_iter: u32,
     /// All alarms raised so far.
@@ -236,7 +236,7 @@ impl Monitor {
     /// post-hoc (counters are scanned after the run), so the caller
     /// supplies the simulated time `at_ns` the scan is attributed to —
     /// conventionally the end-of-run clock.
-    pub fn export_alarms(
+    pub(crate) fn export_alarms(
         alarms: &[Alarm],
         at_ns: u64,
         rec: &mut dyn fp_telemetry::Recorder,

@@ -29,11 +29,11 @@ const SEED: u64 = 0x51D;
 pub struct SimulationModel {
     /// Simulator parameters (use the production fabric's config for highest
     /// fidelity).
-    pub cfg: SimConfig,
+    pub(crate) cfg: SimConfig,
     /// Known gray faults to reproduce in the prediction run (silent faults
     /// the operator already knows about — the paper notes simulation can
     /// incorporate them, unlike the analytical model).
-    pub known_gray: Vec<(LinkId, FaultKind)>,
+    pub(crate) known_gray: Vec<(LinkId, FaultKind)>,
 }
 
 impl SimulationModel {
@@ -60,7 +60,7 @@ impl SimulationModel {
     /// Like [`SimulationModel::predict`], but measuring only a subset of
     /// the schedule's transfers (mirrors the production runner's §5.1
     /// subset configuration for multi-destination collectives).
-    pub fn predict_measured(
+    pub(crate) fn predict_measured(
         &self,
         topo: &Topology,
         admin_down: &[LinkId],

@@ -103,7 +103,7 @@ impl Default for CtrlConfig {
 /// [`flowpulse::eval::run_trial_ctl`] — or use [`run_ctrl_trial`] which does
 /// both. Campaigns fan controller-enabled trials across threads by building
 /// the controller *inside* the worker closure; nothing here is `Send`.
-pub struct Controller {
+pub(crate) struct Controller {
     cfg: CtrlConfig,
     job: u32,
     leaves: u32,
@@ -120,7 +120,7 @@ pub struct Controller {
 
 impl Controller {
     /// Controller for `job` on a fabric with `leaves` leaf switches.
-    pub fn new(job: u32, leaves: u32, cfg: CtrlConfig) -> Controller {
+    pub(crate) fn new(job: u32, leaves: u32, cfg: CtrlConfig) -> Controller {
         Controller {
             cfg,
             job,
@@ -284,7 +284,7 @@ impl TrialController for Controller {
     }
 }
 
-/// Run one trial closed-loop: a fresh [`Controller`] built from `cfg` rides
+/// Run one trial closed-loop: a fresh `Controller` built from `cfg` rides
 /// the simulation and its record lands in [`TrialResult::ctrl`].
 pub fn run_ctrl_trial(spec: &TrialSpec, cfg: CtrlConfig) -> TrialResult {
     let ctl = Rc::new(RefCell::new(Controller::for_spec(spec, cfg)));

@@ -24,7 +24,7 @@
 //!   Unix-domain socket listener; canonical lines are decoded in place,
 //!   undecodable ones (bad UTF-8 included) are counted and skipped, and a
 //!   failed connection ends only itself.
-//! * **Self-observability** ([`metrics`]) — counters, gauges and
+//! * **Self-observability** (`metrics`) — counters, gauges and
 //!   log-bucketed histograms (ingest rate, queue depth, batch sizes,
 //!   scan/verdict latencies, drops) exported as periodic `metrics.jsonl`
 //!   lines and a Prometheus-style text dump.
@@ -37,15 +37,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod queue;
 pub mod service;
 pub mod wire;
 
-pub use metrics::MetricsRegistry;
-pub use queue::{IngestQueue, QueuePolicy, QueueStats};
+pub use queue::{QueuePolicy, QueueStats};
 pub use service::{IngestHandle, Monitord, ServiceConfig, ServiceReport, StreamReport};
-pub use wire::{decode_line, feed_lines, snapshot_line, WireStats};
+pub use wire::{feed_lines, snapshot_line, WireStats};
 
 #[cfg(unix)]
 pub use wire::serve_unix;

@@ -20,7 +20,7 @@ use std::time::Instant;
 /// Internal metrics: counters, gauges, histograms. Names are `&'static
 /// str` because the metric set is fixed at compile time — there is no
 /// dynamic label cardinality to manage.
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     start: Instant,
     emitted: u64,
     counters: BTreeMap<&'static str, u64>,
@@ -36,7 +36,7 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry; uptime is measured from construction.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry {
             start: Instant::now(),
             emitted: 0,
@@ -47,41 +47,41 @@ impl MetricsRegistry {
     }
 
     /// Add to a counter.
-    pub fn inc(&mut self, name: &'static str, by: u64) {
+    pub(crate) fn inc(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
     /// Set a counter to an absolute value (for mirroring counters owned
     /// elsewhere, e.g. the queue's atomics).
-    pub fn set_counter(&mut self, name: &'static str, v: u64) {
+    pub(crate) fn set_counter(&mut self, name: &'static str, v: u64) {
         self.counters.insert(name, v);
     }
 
     /// Set a gauge.
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
+    pub(crate) fn set_gauge(&mut self, name: &'static str, v: f64) {
         self.gauges.insert(name, v);
     }
 
     /// Record one histogram observation.
-    pub fn observe(&mut self, name: &'static str, v: u64) {
+    pub(crate) fn observe(&mut self, name: &'static str, v: u64) {
         self.hists.entry(name).or_default().record(v);
     }
 
     /// Make a histogram exist (empty) before its first observation, so
     /// exports list it from the first line on.
-    pub fn register_histogram(&mut self, name: &'static str) {
+    pub(crate) fn register_histogram(&mut self, name: &'static str) {
         self.hists.entry(name).or_default();
     }
 
     /// Seconds since the registry was created.
-    pub fn uptime_secs(&self) -> f64 {
+    pub(crate) fn uptime_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64().max(1e-9)
     }
 
     /// One `metrics.jsonl` line: a compact JSON object with `seq`,
     /// `uptime_us`, and the three metric sections. Increments the
     /// emission sequence number.
-    pub fn jsonl_line(&mut self) -> String {
+    pub(crate) fn jsonl_line(&mut self) -> String {
         self.emitted += 1;
         let hists: Vec<(String, Value)> = self
             .hists
@@ -118,7 +118,7 @@ impl MetricsRegistry {
     }
 
     /// Prometheus text-exposition dump of the current state.
-    pub fn prometheus_text(&self) -> String {
+    pub(crate) fn prometheus_text(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             out.push_str(&format!(

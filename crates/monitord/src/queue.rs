@@ -62,8 +62,8 @@ const WITHDRAW: usize = 16;
 /// One queued snapshot, stamped at enqueue so the service can report
 /// queue-wait latency.
 pub(crate) struct Item {
-    pub enqueued: Instant,
-    pub snap: CounterSnapshot,
+    pub(crate) enqueued: Instant,
+    pub(crate) snap: CounterSnapshot,
 }
 
 struct State {
@@ -97,7 +97,7 @@ pub struct QueueStats {
 
 /// The bounded snapshot queue shared between producers and the service
 /// worker.
-pub struct IngestQueue {
+pub(crate) struct IngestQueue {
     state: Mutex<State>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -112,7 +112,7 @@ pub struct IngestQueue {
 impl IngestQueue {
     /// A queue holding at most `cap` snapshots, applying `policy` when
     /// full.
-    pub fn new(cap: usize, policy: QueuePolicy) -> Self {
+    pub(crate) fn new(cap: usize, policy: QueuePolicy) -> Self {
         IngestQueue {
             state: Mutex::new(State {
                 q: VecDeque::with_capacity(cap.min(4096)),
@@ -132,15 +132,10 @@ impl IngestQueue {
         }
     }
 
-    /// The policy this queue was built with.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
-    }
-
     /// Offer one snapshot. Returns `false` if it was dropped (full under
     /// the drop policy, or the queue is closed); `Block` producers only
     /// ever see `false` after [`close`](Self::close).
-    pub fn push(&self, snap: CounterSnapshot) -> bool {
+    pub(crate) fn push(&self, snap: CounterSnapshot) -> bool {
         self.offer(snap, None)
     }
 
@@ -235,25 +230,25 @@ impl IngestQueue {
 
     /// Close the queue: subsequent pushes fail, blocked producers wake and
     /// give up, and the worker drains what is left then exits.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     /// Snapshots currently enqueued.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state.lock().unwrap().q.len()
     }
 
     /// Spent snapshots waiting on the return lane (at most the queue's
     /// capacity).
-    pub fn spare_buffers(&self) -> usize {
+    pub(crate) fn spare_buffers(&self) -> usize {
         self.state.lock().unwrap().spare.len()
     }
 
     /// Current backpressure counters.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         QueueStats {
             offered: self.offered.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),

@@ -165,7 +165,7 @@ pub struct Monitord {
 pub struct IngestHandle(pub(crate) Arc<IngestQueue>);
 
 impl IngestHandle {
-    /// Offer one snapshot; see [`IngestQueue::push`] for the policy
+    /// Offer one snapshot; see `IngestQueue::push` for the policy
     /// semantics behind the returned bool.
     pub fn push(&self, snap: CounterSnapshot) -> bool {
         self.0.push(snap)
@@ -177,7 +177,7 @@ impl IngestHandle {
     }
 
     /// Processed snapshots waiting on the return lane; see
-    /// [`IngestQueue::spare_buffers`].
+    /// `IngestQueue::spare_buffers`.
     pub fn spare_buffers(&self) -> usize {
         self.0.spare_buffers()
     }

@@ -8,7 +8,7 @@
 //! connection only: a service that dies on one bad producer line is not
 //! a service.
 //!
-//! [`decode_line`] scans a line of the exact shape [`snapshot_line`]
+//! The decoder scans a line of the exact shape [`snapshot_line`]
 //! emits in place, without building a `Value` tree — its cell list eight
 //! bytes at a time — and hands every other input to `serde_json::from_str`
 //! unchanged, so which lines are accepted, and as what, stays
@@ -40,8 +40,10 @@ pub fn snapshot_line(s: &CounterSnapshot) -> String {
 
 /// Decode one wire line (no surrounding whitespace): the same `Ok` value
 /// or an `Err` exactly when `serde_json::from_str::<CounterSnapshot>`
-/// gives one.
-pub fn decode_line(line: &str) -> Result<CounterSnapshot, serde_json::Error> {
+/// gives one. What [`feed_lines`] does per line, minus its buffer reuse;
+/// the proptests pin the scanner to `serde_json` through it.
+#[cfg(test)]
+fn decode_line(line: &str) -> Result<CounterSnapshot, serde_json::Error> {
     let mut snap = CounterSnapshot::default();
     match scan_canonical(line.as_bytes(), &mut snap) {
         Some(()) => Ok(snap),

@@ -25,16 +25,6 @@ impl BitSet {
         }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// True if capacity is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of set bits (O(1), maintained incrementally).
     pub fn count(&self) -> u32 {
         self.ones
@@ -71,7 +61,7 @@ impl BitSet {
     }
 
     /// Index of the first clear bit, if any.
-    pub fn first_clear(&self) -> Option<u32> {
+    pub(crate) fn first_clear(&self) -> Option<u32> {
         let w = *self.words.get(self.first_open as usize)?;
         // A tail word holds only `len % 64` usable bits and never fills.
         let bit = self.first_open * 64 + w.trailing_ones();
@@ -122,7 +112,7 @@ mod tests {
     #[test]
     fn first_clear_matches_the_naive_scan_under_random_set_orders() {
         fn naive(b: &BitSet) -> Option<u32> {
-            (0..b.len()).find(|&i| !b.get(i))
+            (0..b.len).find(|&i| !b.get(i))
         }
         let mut state = 0x5eed_u64;
         // Word-aligned, ragged-tail, sub-word and single-bit lengths.
@@ -163,7 +153,7 @@ mod tests {
     #[test]
     fn zero_len() {
         let b = BitSet::new(0);
-        assert!(b.is_empty());
+        assert_eq!(b.len, 0);
         assert!(b.full()); // vacuously
         assert_eq!(b.first_clear(), None);
     }

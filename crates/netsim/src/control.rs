@@ -10,7 +10,7 @@
 //! A remediation is a silent fault made *known* — the paper's story: once
 //! it is known, spraying routes around it and the analytical `d/(s−f)`
 //! load shape applies again. So each verb is a
-//! [`FaultAction`] ([`ControlVerb::action`]) and rides the simulator's one
+//! [`FaultAction`] (`ControlVerb::action`) and rides the simulator's one
 //! link-change schedule with faults and heals, applied in `(time, seq)`
 //! order; a controller-enabled run stays byte-identical across scheduler
 //! backends and thread counts. All that sets it apart is what is logged
@@ -50,7 +50,7 @@ impl ControlVerb {
     }
 
     /// The link change this verb is.
-    pub fn action(self) -> FaultAction {
+    pub(crate) fn action(self) -> FaultAction {
         match self {
             ControlVerb::AdminDown => FaultAction::Set(FaultKind::AdminDown),
             ControlVerb::Restore => FaultAction::Clear,
@@ -64,10 +64,10 @@ impl ControlVerb {
 #[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
 pub struct ControlAction {
     /// Target directed link.
-    pub link: LinkId,
+    pub(crate) link: LinkId,
     /// Apply to the reverse direction as well (physical-cable semantics —
     /// an operator pulls the cable, not one lane of it).
-    pub bidirectional: bool,
+    pub(crate) bidirectional: bool,
     /// What to do.
     pub verb: ControlVerb,
 }
@@ -83,7 +83,8 @@ impl ControlAction {
     }
 
     /// Restore both directions of `link`'s physical cable.
-    pub fn restore_cable(link: LinkId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn restore_cable(link: LinkId) -> Self {
         ControlAction {
             link,
             bidirectional: true,

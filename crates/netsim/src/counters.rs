@@ -222,7 +222,7 @@ impl CounterStore {
     /// Empty store with an explicit source dimension — used by the 3-level
     /// agg-level store, where rows are aggregation switches but traffic
     /// sources are still leaves.
-    pub fn new_with_src(n_rows: usize, n_vspines: usize, n_src: usize) -> Self {
+    pub(crate) fn new_with_src(n_rows: usize, n_vspines: usize, n_src: usize) -> Self {
         assert!(n_src < NO_SENDER as usize, "{n_src} sources");
         CounterStore {
             n_rows,

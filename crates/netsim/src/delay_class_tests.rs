@@ -343,7 +343,7 @@ pub(super) fn run_sim(sc: Scenario) -> (Simulator, Outcome, Traffic) {
     }
     let rto_stale_skips = std::mem::take(&mut sim.stats.rto_stale_skips);
     let outcome = Outcome {
-        events: summary.events,
+        events: sim.stats.events,
         end: summary.end,
         stats: format!("{:?}", sim.stats),
         rto_stale_skips,

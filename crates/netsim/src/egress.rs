@@ -31,16 +31,16 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct LinkState {
     /// Administratively up (known faults take links out of routing).
-    pub admin_up: bool,
+    pub(crate) admin_up: bool,
     /// Entropy-recycle remediation flag (`ControlVerb::RecycleEntropy`):
     /// the link stays admin-up and keeps forwarding, but spray decisions
     /// steer away from it whenever an alternative candidate exists. Far
     /// gentler than admin-down — in-flight and queued packets survive.
-    pub spray_avoid: bool,
+    pub(crate) spray_avoid: bool,
     /// Installed silent fault, if any.
-    pub fault: Option<FaultKind>,
+    pub(crate) fault: Option<FaultKind>,
     /// Currently serializing a packet.
-    pub txing: bool,
+    pub(crate) txing: bool,
     current: Option<Packet>,
     /// Packets on the wire: fully serialized, propagating toward the far
     /// end. The packets themselves live in the simulator's per-latency-class
@@ -55,9 +55,9 @@ pub struct LinkState {
     /// signal. Including the packet currently serializing is what lets
     /// least-loaded spraying rotate away from the port it just used (as
     /// DRILL-style hardware does) instead of seeing all-empty queues.
-    pub queued_bytes: u64,
+    pub(crate) queued_bytes: u64,
     /// PFC pause state per priority (set by the downstream receiver).
-    pub paused: [bool; NPRIO],
+    pub(crate) paused: [bool; NPRIO],
     /// When the current pause interval started, per priority (valid only
     /// while `paused[p]`; feeds `Stats::pfc_pause_ns`).
     pub(crate) paused_since: [SimTime; NPRIO],
@@ -92,12 +92,6 @@ impl LinkState {
     /// Packets waiting in all priority queues.
     pub fn queued_pkts(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Packets on the wire (serialized, not yet delivered) — the per-link
-    /// pipeline depth sampled by telemetry.
-    pub fn inflight_pkts(&self) -> usize {
-        self.inflight as usize
     }
 
     /// The telemetry view of this egress.

@@ -48,7 +48,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// True for fault kinds that are invisible to routing/telemetry.
-    pub fn is_silent(&self) -> bool {
+    pub(crate) fn is_silent(&self) -> bool {
         !matches!(self, FaultKind::AdminDown)
     }
 
@@ -59,7 +59,7 @@ impl FaultKind {
     /// its link's delivery pipe — a dropped packet never goes in flight, and
     /// a fault cleared mid-flight cannot retroactively save packets already
     /// dropped at insert.
-    pub fn drops(&self, dst: u16, rng: &mut SmallRng) -> bool {
+    pub(crate) fn drops(&self, dst: u16, rng: &mut SmallRng) -> bool {
         match *self {
             FaultKind::AdminDown => true,
             FaultKind::SilentDrop { rate } => coin(rng, rate),
@@ -87,19 +87,19 @@ pub enum FaultAction {
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct FaultEvent {
     /// When the change takes effect.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Target directed link.
-    pub link: LinkId,
+    pub(crate) link: LinkId,
     /// Apply to the reverse direction as well (physical-cable semantics).
-    pub bidirectional: bool,
+    pub(crate) bidirectional: bool,
     /// What changes.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 impl FaultEvent {
     /// `action` on `link` at `at` (and on its peer, if `bidirectional`):
     /// the argument order of [`crate::sim::Simulator::apply_fault_now`].
-    pub fn new(at: SimTime, link: LinkId, action: FaultAction, bidirectional: bool) -> Self {
+    pub(crate) fn new(at: SimTime, link: LinkId, action: FaultAction, bidirectional: bool) -> Self {
         FaultEvent {
             at,
             link,

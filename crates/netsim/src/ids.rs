@@ -39,7 +39,7 @@ impl HostId {
 
 impl SwitchId {
     /// Index into switch tables.
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self.0 as usize
     }
 }

@@ -32,7 +32,7 @@
 //! * [`engine`] — the future-event list, a binary heap;
 //! * [`pipeline`] — the agenda: where every pending event waits (heap,
 //!   delay-class pipe or delivery pipe) and which is next;
-//! * [`egress`], `switch`, `host`, [`transport`] — the state a handler
+//! * `egress`, `switch`, `host`, [`transport`] — the state a handler
 //!   mutates: one transmitter per link with its PFC budget, per-switch
 //!   routing tables and the spray stage, each host NIC's round robin over
 //!   its flows, per-flow sender/receiver bookkeeping;
@@ -62,7 +62,7 @@ pub mod bitset;
 pub mod config;
 pub mod control;
 pub mod counters;
-pub mod egress;
+pub(crate) mod egress;
 pub mod engine;
 pub mod fault;
 mod host;
@@ -84,19 +84,19 @@ pub mod units;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::app::{Application, MultiApp};
-    pub use crate::config::{PfcConfig, SimConfig};
+    pub use crate::app::Application;
+    pub use crate::config::SimConfig;
     pub use crate::control::{AppliedControl, ControlAction, ControlVerb};
     pub use crate::counters::{CounterStore, IterCounters};
     pub use crate::engine::SchedStats;
     pub use crate::fault::{FaultAction, FaultEvent, FaultKind};
-    pub use crate::ids::{HostId, LinkId, NodeId, SwitchId};
-    pub use crate::packet::{CollectiveTag, FlowId, Packet, Priority};
+    pub use crate::ids::{HostId, LinkId, SwitchId};
+    pub use crate::packet::{CollectiveTag, FlowId, Priority};
     pub use crate::sim::memo::{MemoCounters, MemoReplay};
     pub use crate::sim::{IterSpanRecord, RunReason, RunSummary, Simulator};
     pub use crate::spray::SprayPolicy;
     pub use crate::stats::{DropCause, Stats};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::{FatTreeSpec, LinkClass, LinkSpec, Topology};
+    pub use crate::topology::{FatTreeSpec, LinkSpec, Topology};
     pub use crate::units::Bandwidth;
 }

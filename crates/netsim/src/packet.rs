@@ -1,6 +1,6 @@
 //! Packets and the collective tag.
 //!
-//! A [`Packet`] is a small `Copy` struct — the simulator never materializes
+//! A `Packet` is a small `Copy` struct — the simulator never materializes
 //! payload bytes. Packets in flight live in the engine's delivery pipes
 //! (`crate::pipeline`), not inside scheduler events, so `Packet`'s size is
 //! off the scheduler's hot path (`EventKind` carries only IDs and fits in
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub type FlowId = u32;
 
 /// Number of priority classes. Strict priority scheduling, 0 is highest.
-pub const NPRIO: usize = 3;
+pub(crate) const NPRIO: usize = 3;
 
 /// Priority class of a packet or flow.
 ///
@@ -30,14 +30,14 @@ pub struct Priority(pub u8);
 
 impl Priority {
     /// Transport control (ACKs): highest.
-    pub const CONTROL: Priority = Priority(0);
+    pub(crate) const CONTROL: Priority = Priority(0);
     /// The measured collective (§5.1: prioritized above background).
     pub const MEASURED: Priority = Priority(1);
     /// Background / best-effort traffic.
     pub const BACKGROUND: Priority = Priority(2);
 
     /// Queue index for this priority.
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         debug_assert!((self.0 as usize) < NPRIO);
         self.0 as usize
     }
@@ -96,7 +96,7 @@ impl AckBlock {
 
     /// True if the selectively acknowledged sequence `seq` arrived
     /// CE-marked.
-    pub fn ce(self, seq: u32) -> bool {
+    pub(crate) fn ce(self, seq: u32) -> bool {
         let off = seq.wrapping_sub(self.base);
         off < 64 && self.ce_mask & (1u64 << off) != 0
     }
@@ -104,7 +104,7 @@ impl AckBlock {
 
 /// What a packet is.
 #[derive(Copy, Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
-pub enum PacketKind {
+pub(crate) enum PacketKind {
     /// A data segment of a flow.
     Data {
         /// Owning flow.
@@ -125,37 +125,37 @@ pub enum PacketKind {
 /// (headers, preamble) is added by the link when computing serialization time,
 /// so counters and load models work in clean payload bytes.
 #[derive(Copy, Clone, Serialize, Deserialize, Debug)]
-pub struct Packet {
+pub(crate) struct Packet {
     /// Payload type.
-    pub kind: PacketKind,
+    pub(crate) kind: PacketKind,
     /// Originating host.
-    pub src: HostId,
+    pub(crate) src: HostId,
     /// Destination host.
-    pub dst: HostId,
+    pub(crate) dst: HostId,
     /// Payload size in bytes.
-    pub size: u32,
+    pub(crate) size: u32,
     /// Priority class.
-    pub prio: Priority,
+    pub(crate) prio: Priority,
     /// Collective tag, if this packet belongs to a measured collective.
-    pub tag: Option<CollectiveTag>,
+    pub(crate) tag: Option<CollectiveTag>,
     /// Leaf switch index of the source host (stamped at creation; used by the
     /// per-sender localization counters, paper §5.3).
-    pub src_leaf: u16,
+    pub(crate) src_leaf: u16,
     /// While buffered inside a switch: the directed link this packet arrived
     /// on (for PFC ingress accounting). `None` for host-originated packets
     /// sitting in the host NIC queue.
-    pub ingress: Option<LinkId>,
+    pub(crate) ingress: Option<LinkId>,
     /// Congestion-experienced mark (ECN CE): set by a switch when this data
     /// packet is enqueued into a queue past `config::ECN_THRESHOLD` bytes, and
     /// echoed back via [`AckBlock::ce_mask`]. Only feedback-driven spray
     /// backends (`SimConfig::spray.wants_feedback()`) mark packets, so the
     /// classic policies' behaviour is untouched byte-for-byte.
-    pub ce: bool,
+    pub(crate) ce: bool,
 }
 
 impl Packet {
     /// True if this is a data packet (counts toward FlowPulse port counters).
-    pub fn is_data(&self) -> bool {
+    pub(crate) fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data { .. })
     }
 

@@ -99,7 +99,7 @@ const CLASS_PIPE: u32 = 1 << 31;
 /// flush delay, one PFC latency per link class); the bound only keeps a
 /// workload with many distinct tail-segment sizes from growing the front
 /// heap without limit.
-pub const MAX_DELAY_CLASSES: usize = 16;
+pub(crate) const MAX_DELAY_CLASSES: usize = 16;
 
 /// One pending entry of a pipe: due time, the global sequence number
 /// reserved at insert (it breaks equal-timestamp ties exactly like a
@@ -337,7 +337,7 @@ impl<T: Copy> Pipes<T> {
 ///
 /// Holds at most one entry per pipe, so its size is bounded by the number
 /// of *busy pipes* (two latency classes in a fat tree, at most
-/// [`MAX_DELAY_CLASSES`] delay classes), not by the number of packets in
+/// `MAX_DELAY_CLASSES` delay classes), not by the number of packets in
 /// flight or timers pending — the pipes absorb the depth. At that size a linear scan for the minimum after each change
 /// (a run of compare/select over three cache lines) beats sifting a binary
 /// heap, whose few levels cost a mispredicted branch each; the name is kept
@@ -370,14 +370,9 @@ impl FrontHeap {
         self.fronts.get(self.top).copied()
     }
 
-    /// Number of armed pipes (pipes with a packet in flight).
-    pub fn len(&self) -> usize {
-        self.fronts.len()
-    }
-
     /// True if no pipe has packets in flight.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.fronts.is_empty()
     }
 

@@ -12,21 +12,21 @@ use rand::{Rng, SeedableRng};
 
 /// Independent RNG streams derived from a master seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RngStreams {
+pub(crate) struct RngStreams {
     /// APS spray choices (random policy, tie-breaking for least-loaded).
-    pub spray: SmallRng,
+    pub(crate) spray: SmallRng,
     /// Silent-fault drop sampling.
-    pub fault: SmallRng,
+    pub(crate) fault: SmallRng,
     /// Workload jitter and application-level randomness.
-    pub app: SmallRng,
+    pub(crate) app: SmallRng,
     /// Background-traffic generation.
-    pub background: SmallRng,
+    pub(crate) background: SmallRng,
 }
 
 impl RngStreams {
     /// Derive the four streams from `seed` using SplitMix64 on
     /// purpose-specific keys.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         RngStreams {
             spray: SmallRng::seed_from_u64(splitmix64(seed ^ 0x5350_5241_5900_0001)),
             fault: SmallRng::seed_from_u64(splitmix64(seed ^ 0x4641_554c_5400_0002)),
@@ -45,7 +45,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Sample a Bernoulli event with probability `p` from `rng`.
-pub fn coin(rng: &mut SmallRng, p: f64) -> bool {
+pub(crate) fn coin(rng: &mut SmallRng, p: f64) -> bool {
     if p <= 0.0 {
         false
     } else if p >= 1.0 {

@@ -1,7 +1,7 @@
 //! The simulator: the event loop and the data-path handlers.
 //!
 //! [`Simulator`] owns the whole world — topology, per-link egress state
-//! ([`crate::egress`]), per-switch forwarding state (`crate::switch`), each
+//! (`crate::egress`), per-switch forwarding state (`crate::switch`), each
 //! host NIC's round robin (`crate::host`), the transport flow table
 //! ([`crate::transport`]), FlowPulse counters — and processes its pending
 //! events in the deterministic `(time, seq)` order the agenda
@@ -88,8 +88,6 @@ pub enum RunReason {
 /// Result of a run.
 #[derive(Copy, Clone, Debug)]
 pub struct RunSummary {
-    /// Events processed in this call.
-    pub events: u64,
     /// Simulated clock at return.
     pub end: SimTime,
     /// Why the run stopped.
@@ -99,7 +97,7 @@ pub struct RunSummary {
 /// The packet-level fat-tree simulator.
 pub struct Simulator {
     /// Configuration (immutable after construction).
-    pub cfg: SimConfig,
+    pub(crate) cfg: SimConfig,
     /// The fabric.
     pub topo: Topology,
     now: SimTime,
@@ -287,7 +285,8 @@ impl Simulator {
 
     /// Run until simulated time `horizon` (events at exactly `horizon` are
     /// processed). The clock is left at `horizon` if the agenda drained early.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunSummary {
+    #[cfg(test)]
+    pub(crate) fn run_until(&mut self, horizon: SimTime) -> RunSummary {
         let s = self.run_inner(horizon);
         if self.now < horizon {
             self.now = horizon;
@@ -328,14 +327,12 @@ impl Simulator {
 
     fn run_inner(&mut self, horizon: SimTime) -> RunSummary {
         self.start_app_if_needed();
-        let start_events = self.stats.events;
         let reason = loop {
             if let Err(reason) = self.dispatch_next(horizon, self.cfg.max_events) {
                 break reason;
             }
         };
         RunSummary {
-            events: self.stats.events - start_events,
             end: self.now,
             reason,
         }
@@ -1284,9 +1281,14 @@ mod tests {
             );
             s.post_message(HostId(0), HostId(3), 500_000, None, Priority::MEASURED);
             let r = s.run();
-            (r, s.stats.rto_stale_skips, s.stats.retransmits)
+            (
+                r,
+                s.stats.events,
+                s.stats.rto_stale_skips,
+                s.stats.retransmits,
+            )
         };
-        let (r1, skips, retx) = run(u64::MAX);
+        let (r1, events1, skips, retx) = run(u64::MAX);
         assert_eq!(r1.reason, RunReason::Drained);
         assert!(retx > 0, "fault must have forced retransmissions");
         assert!(
@@ -1294,9 +1296,9 @@ mod tests {
             "{skips}: an acknowledged head-of-line segment leaves a stale \
              timer behind, most of the 123 segments never arm one"
         );
-        let (r2, skips2, _) = run(r1.events + 1);
+        let (r2, events2, skips2, _) = run(events1 + 1);
         assert_eq!(r2.reason, RunReason::Drained);
-        assert_eq!(r2.events, r1.events, "runs must be identical");
+        assert_eq!(events2, events1, "runs must be identical");
         assert_eq!(skips2, skips);
     }
 

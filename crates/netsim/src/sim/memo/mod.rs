@@ -123,7 +123,7 @@ pub struct MemoCounters {
 const MEMO_RING: usize = 8;
 
 /// Per-simulator memoization state (boxed off the `Simulator` hot path).
-pub struct MemoState {
+pub(crate) struct MemoState {
     /// Iterations that must run live (fault onsets, heal edges, scheduled
     /// controls). A replay never covers one.
     barriers: Vec<u32>,

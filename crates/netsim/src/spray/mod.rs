@@ -105,7 +105,7 @@ impl SprayPolicy {
     /// ([`Sprayer::on_feedback`]). The simulator only pays for feedback
     /// plumbing (CE marking, ACK echo collection) when this is set, so
     /// the other policies keep their exact pre-feedback byte behaviour.
-    pub fn wants_feedback(self) -> bool {
+    pub(crate) fn wants_feedback(self) -> bool {
         matches!(
             self,
             SprayPolicy::Prime | SprayPolicy::Reps | SprayPolicy::RepsFailover
@@ -186,7 +186,7 @@ pub struct SprayCtx<'a> {
 /// never ambient randomness or map iteration order — so a trial replays
 /// byte-identically at any `FP_THREADS` setting. Arms whose state is fed
 /// by transport echoes ([`Sprayer::on_feedback`]) are still deterministic
-/// but refuse the memo fast path (see [`Sprayer::memo_residual`] and the
+/// but refuse the memo fast path (see `Sprayer::memo_residual` and the
 /// harness eligibility gate).
 #[derive(Clone, PartialEq, Debug)]
 pub enum Sprayer {
@@ -241,7 +241,7 @@ impl Sprayer {
     /// fingerprint: `Ok(token)` when the arm's state is captured by
     /// `token` (0 = stateless/empty), `Err(reason)` when it holds state no
     /// fingerprint can soundly cover.
-    pub fn memo_residual(&self) -> Result<u64, &'static str> {
+    pub(crate) fn memo_residual(&self) -> Result<u64, &'static str> {
         match self {
             // A charged deficit decays on an absolute `spray_tau` grid,
             // which no boundary-relative fingerprint captures (DESIGN.md

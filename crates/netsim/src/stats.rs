@@ -19,7 +19,7 @@ impl DropCause {
     const COUNT: usize = 3;
 
     /// Dense index.
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         match self {
             DropCause::SilentFault => 0,
             DropCause::AdminDown => 1,
@@ -65,7 +65,7 @@ pub struct Stats {
     /// Flows abandoned after `rto_max_attempts` on some segment.
     pub flows_failed: u64,
     /// Drops by cause.
-    pub drops: [u64; DropCause::COUNT],
+    pub(crate) drops: [u64; DropCause::COUNT],
     /// PFC pause frames sent.
     pub pfc_pauses: u64,
     /// PFC resume frames sent.
@@ -73,18 +73,18 @@ pub struct Stats {
     /// Nanoseconds spent paused per priority, summed over all links.
     /// Counts completed pause intervals only — a pause still open when the
     /// run ends contributes nothing.
-    pub pfc_pause_ns: [u64; NPRIO],
+    pub(crate) pfc_pause_ns: [u64; NPRIO],
     /// High-water mark of any single egress queue, in bytes.
     pub max_queue_bytes: u64,
     /// Spray decisions where entropy-recycle remediation
     /// (`ControlVerb::RecycleEntropy`) removed at least one quarantined
     /// uplink from the candidate set.
-    pub spray_avoided_picks: u64,
+    pub(crate) spray_avoided_picks: u64,
 }
 
 impl Stats {
     /// Record a drop.
-    pub fn drop(&mut self, cause: DropCause) {
+    pub(crate) fn drop(&mut self, cause: DropCause) {
         self.drops[cause.idx()] += 1;
     }
 

@@ -25,7 +25,7 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
     /// The latest representable instant (used as an "infinite" horizon).
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     pub const fn from_ns(ns: u64) -> Self {
@@ -45,11 +45,6 @@ impl SimTime {
     /// The raw nanosecond value.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// Time elapsed since `earlier`, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -75,11 +70,6 @@ impl SimDuration {
     /// The raw nanosecond value.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// The duration as fractional seconds (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
     }
 
     /// Scale by a floating factor, rounding to the nearest nanosecond.
@@ -148,9 +138,6 @@ mod tests {
     fn time_arithmetic_roundtrips() {
         let t = SimTime::from_ns(1_000) + SimDuration::from_us(2);
         assert_eq!(t.as_ns(), 3_000);
-        assert_eq!(t.since(SimTime::from_ns(500)).as_ns(), 2_500);
-        // saturating: asking for time before an instant yields zero
-        assert_eq!(SimTime::from_ns(5).since(SimTime::from_ns(9)).as_ns(), 0);
     }
 
     #[test]

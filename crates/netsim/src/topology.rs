@@ -53,9 +53,8 @@ pub struct FatTreeSpec {
     pub hosts_per_leaf: u32,
     /// Parallel links between each leaf–spine pair (≥ 1).
     pub parallel_links: u32,
-    /// Leaf–spine link parameters.
-    pub fabric_link: LinkSpec,
-    /// Host–leaf link parameters.
+    /// Host–leaf link parameters. Every switch–switch cable runs at
+    /// [`LinkSpec::default`].
     pub host_link: LinkSpec,
 }
 
@@ -68,7 +67,6 @@ impl Default for FatTreeSpec {
             spines: 16,
             hosts_per_leaf: 1,
             parallel_links: 1,
-            fabric_link: LinkSpec::default(),
             host_link: LinkSpec::default(),
         }
     }
@@ -89,13 +87,8 @@ impl FatTreeSpec {
         }
     }
 
-    /// Total hosts.
-    pub fn n_hosts(&self) -> u32 {
-        self.leaves * self.hosts_per_leaf
-    }
-
     /// Virtual spines (= uplink count per leaf).
-    pub fn n_vspines(&self) -> u32 {
+    pub(crate) fn n_vspines(&self) -> u32 {
         self.spines * self.parallel_links
     }
 
@@ -219,9 +212,8 @@ pub struct Clos3Spec {
     pub cores_per_group: u32,
     /// Hosts per leaf.
     pub hosts_per_leaf: u32,
-    /// Fabric link parameters (leaf–agg and agg–core).
-    pub fabric_link: LinkSpec,
-    /// Host link parameters.
+    /// Host link parameters. Leaf–agg and agg–core cables run at
+    /// [`LinkSpec::default`].
     pub host_link: LinkSpec,
 }
 
@@ -233,7 +225,6 @@ impl Default for Clos3Spec {
             aggs_per_pod: 4,
             cores_per_group: 2,
             hosts_per_leaf: 1,
-            fabric_link: LinkSpec::default(),
             host_link: LinkSpec::default(),
         }
     }
@@ -241,7 +232,7 @@ impl Default for Clos3Spec {
 
 impl Clos3Spec {
     /// Basic sanity checks.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.pods == 0
             || self.leaves_per_pod == 0
             || self.aggs_per_pod == 0
@@ -254,11 +245,6 @@ impl Clos3Spec {
             return Err("too many leaves (u16 leaf indices)".into());
         }
         Ok(())
-    }
-
-    /// Total hosts.
-    pub fn n_hosts(&self) -> u32 {
-        self.pods * self.leaves_per_pod * self.hosts_per_leaf
     }
 }
 
@@ -318,7 +304,6 @@ impl Topology {
             spines: spec.aggs_per_pod,
             hosts_per_leaf: spec.hosts_per_leaf,
             parallel_links: 1,
-            fabric_link: spec.fabric_link,
             host_link: spec.host_link,
         };
         Topology::build(summary, spec.pods, spec.cores_per_group)
@@ -376,7 +361,7 @@ impl Topology {
                 let (up, down) = cable(
                     switch(leaf),
                     switch(nl + first_spine + vspine / np),
-                    spec.fabric_link,
+                    LinkSpec::default(),
                     LinkClass::LeafUp { leaf, vspine },
                     LinkClass::SpineDown { vspine, leaf },
                 );
@@ -394,7 +379,7 @@ impl Topology {
                 let (up, down) = cable(
                     switch(nl + agg),
                     switch(nl + n_aggs + core),
-                    spec.fabric_link,
+                    LinkSpec::default(),
                     LinkClass::AggUp { agg, core_k },
                     LinkClass::CoreDown { core, agg },
                 );
@@ -490,7 +475,7 @@ impl Topology {
     }
 
     /// Leaves per pod.
-    pub fn leaves_per_pod(&self) -> u32 {
+    pub(crate) fn leaves_per_pod(&self) -> u32 {
         self.spec.leaves / self.pods
     }
 

@@ -108,7 +108,7 @@ impl TraceEvent {
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct TraceRecord {
     /// Simulated time, nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// The traced event.
     pub event: TraceEvent,
 }
@@ -135,7 +135,7 @@ impl TraceBuffer {
     }
 
     /// Append, evicting the oldest record if full.
-    pub fn push(&mut self, at: SimTime, ev: TraceEvent) {
+    pub(crate) fn push(&mut self, at: SimTime, ev: TraceEvent) {
         self.offered += 1;
         if self.cap == 0 {
             return;

@@ -152,7 +152,7 @@ impl FlowState {
     }
 
     /// True once every segment is acknowledged at the sender.
-    pub fn fully_acked(&self) -> bool {
+    pub(crate) fn fully_acked(&self) -> bool {
         self.acked.full()
     }
 
@@ -164,7 +164,7 @@ impl FlowState {
     }
 
     /// True while the sender still has fresh segments to inject.
-    pub fn has_fresh(&self) -> bool {
+    pub(crate) fn has_fresh(&self) -> bool {
         self.next_seq < self.npkts && !self.failed
     }
 
@@ -438,12 +438,12 @@ pub(crate) enum RtoOutcome {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AckAccum {
     /// Base sequence of the block.
-    pub base: u32,
+    pub(crate) base: u32,
     /// Bitmap relative to `base`.
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// CE (congestion-experienced) echoes, bit-parallel to `mask`: bit `i`
     /// set ⇒ the segment acknowledged by bit `i` arrived CE-marked.
-    pub ce_mask: u64,
+    pub(crate) ce_mask: u64,
 }
 
 impl AckAccum {
@@ -475,7 +475,7 @@ impl AckAccum {
     }
 
     /// Number of sequences accumulated.
-    pub fn count(&self) -> u32 {
+    pub(crate) fn count(&self) -> u32 {
         self.mask.count_ones()
     }
 

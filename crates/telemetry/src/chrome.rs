@@ -58,7 +58,7 @@ fn instant_home(ev: &Event) -> (&'static str, u64, u64) {
 }
 
 /// Build the full trace document as a JSON value tree.
-pub fn build(
+pub(crate) fn build(
     links: &[LinkMeta],
     samples: &[SampleRow],
     spans: &[IterSpan],

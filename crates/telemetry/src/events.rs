@@ -86,11 +86,11 @@ pub enum Event {
 
 /// A timestamped [`Event`] — one line of `events.jsonl`.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct EventRecord {
+pub(crate) struct EventRecord {
     /// Simulated time, nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// The event.
-    pub event: Event,
+    pub(crate) event: Event,
 }
 
 #[cfg(test)]

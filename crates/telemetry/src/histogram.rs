@@ -93,18 +93,13 @@ impl LogHistogram {
     }
 
     /// Smallest recorded value, `None` if empty.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.total > 0).then_some(self.min)
     }
 
     /// Largest recorded value, `None` if empty.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.total > 0).then_some(self.max)
-    }
-
-    /// Mean of recorded values, `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (0.0..=1.0);
@@ -147,28 +142,28 @@ impl LogHistogram {
 
 /// One non-empty bucket of a [`HistogramExport`].
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct HistogramBucket {
+pub(crate) struct HistogramBucket {
     /// Inclusive lower bound.
-    pub lo: u64,
+    pub(crate) lo: u64,
     /// Exclusive upper bound.
-    pub hi: u64,
+    pub(crate) hi: u64,
     /// Values recorded in `[lo, hi)`.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 /// Serializable histogram snapshot.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct HistogramExport {
     /// Number of recorded values.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of recorded values (saturating at `u64::MAX` on export).
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest recorded value (`null` if empty).
-    pub min: Option<u64>,
+    pub(crate) min: Option<u64>,
     /// Largest recorded value (`null` if empty).
-    pub max: Option<u64>,
+    pub(crate) max: Option<u64>,
     /// Non-empty buckets, ascending.
-    pub buckets: Vec<HistogramBucket>,
+    pub(crate) buckets: Vec<HistogramBucket>,
 }
 
 #[cfg(test)]
@@ -210,7 +205,6 @@ mod tests {
         assert_eq!(h.sum(), 1011);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));
-        assert_eq!(h.mean(), Some(1011.0 / 5.0));
     }
 
     #[test]

@@ -36,14 +36,11 @@ mod manifest;
 mod recorder;
 mod run;
 
-pub use events::{Event, EventRecord};
-pub use histogram::{HistogramBucket, HistogramExport, LogHistogram};
+pub use events::Event;
+pub use histogram::{HistogramExport, LogHistogram};
 pub use manifest::{git_describe, Manifest};
 pub use recorder::{LinkMeta, LinkSample, Recorder};
-pub use run::{IterSpan, RunRecorder, SampleRow};
-
-/// Default sampler period: 100 µs of simulated time between link samples.
-pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 100_000;
+pub use run::RunRecorder;
 
 /// One rule for every `FP_*` setting, over whatever `var` looks a key up
 /// in: `Ok(None)` when `key` is unset or empty (the caller's default

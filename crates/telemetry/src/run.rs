@@ -9,36 +9,39 @@ use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+/// Sampler period: 100 µs of simulated time between link samples.
+const SAMPLE_INTERVAL_NS: u64 = 100_000;
+
 /// One line of `samples.jsonl`: a periodic observation of one link.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct SampleRow {
+pub(crate) struct SampleRow {
     /// Simulated time, nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Link id.
-    pub link: u32,
+    pub(crate) link: u32,
     /// Queued plus in-flight wire bytes on the egress queue.
-    pub queued_bytes: u64,
+    pub(crate) queued_bytes: u64,
     /// Packets waiting in the egress priority queues.
-    pub queued_pkts: u32,
+    pub(crate) queued_pkts: u32,
     /// Packets on the wire (the link's delivery-pipeline depth).
-    pub inflight_pkts: u32,
+    pub(crate) inflight_pkts: u32,
     /// Fraction of line rate used since the previous sample (0.0..=1.0).
-    pub util: f64,
+    pub(crate) util: f64,
     /// PFC pause bitmask, bit `p` = priority `p` paused.
-    pub paused_mask: u8,
+    pub(crate) paused_mask: u8,
 }
 
 /// A completed collective iteration span (Chrome-trace `X` event).
 #[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct IterSpan {
+pub(crate) struct IterSpan {
     /// Job id.
-    pub job: u32,
+    pub(crate) job: u32,
     /// Iteration number.
-    pub iter: u32,
+    pub(crate) iter: u32,
     /// Iteration start, simulated nanoseconds.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Iteration end, simulated nanoseconds.
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
 }
 
 /// Serializable wrapper for `histograms.json`.
@@ -54,7 +57,6 @@ struct HistogramsFile {
 /// `trace.json`) on [`Recorder::finish`].
 pub struct RunRecorder {
     dir: PathBuf,
-    interval_ns: u64,
     links: Vec<LinkMeta>,
     /// Per-link `(t_ns, txed_bytes)` of the previous sample, for utilization.
     prev: Vec<(u64, u64)>,
@@ -69,12 +71,11 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// Recorder writing into `dir` (created on finish) with the default
-    /// sampling period.
+    /// Recorder writing into `dir` (created on finish), sampling every link
+    /// each 100 µs of simulated time.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         RunRecorder {
             dir: dir.into(),
-            interval_ns: crate::DEFAULT_SAMPLE_INTERVAL_NS,
             links: Vec::new(),
             prev: Vec::new(),
             ticks: 0,
@@ -86,53 +87,6 @@ impl RunRecorder {
             rto_attempts: LogHistogram::new(),
             pfc_pause_ns: LogHistogram::new(),
         }
-    }
-
-    /// Override the sampling period (nanoseconds of simulated time).
-    pub fn with_interval_ns(mut self, interval_ns: u64) -> Self {
-        assert!(interval_ns > 0, "sampling interval must be positive");
-        self.interval_ns = interval_ns;
-        self
-    }
-
-    /// Artifact directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of sampler ticks observed (distinct sample timestamps).
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Buffered per-link samples, in arrival order.
-    pub fn samples(&self) -> &[SampleRow] {
-        &self.samples
-    }
-
-    /// Buffered structured events, in arrival order.
-    pub fn events(&self) -> &[EventRecord] {
-        &self.events
-    }
-
-    /// Completed collective iteration spans.
-    pub fn spans(&self) -> &[IterSpan] {
-        &self.spans
-    }
-
-    /// Flow completion time histogram (nanoseconds).
-    pub fn fct_ns(&self) -> &LogHistogram {
-        &self.fct_ns
-    }
-
-    /// RTO attempt-number histogram.
-    pub fn rto_attempts(&self) -> &LogHistogram {
-        &self.rto_attempts
-    }
-
-    /// PFC pause duration histogram (nanoseconds).
-    pub fn pfc_pause_ns(&self) -> &LogHistogram {
-        &self.pfc_pause_ns
     }
 
     fn write_jsonl<T: Serialize>(path: &Path, rows: &[T]) -> std::io::Result<()> {
@@ -148,7 +102,7 @@ impl RunRecorder {
 
 impl Recorder for RunRecorder {
     fn sample_interval_ns(&self) -> u64 {
-        self.interval_ns
+        SAMPLE_INTERVAL_NS
     }
 
     fn on_topology(&mut self, links: &[LinkMeta]) {
@@ -274,9 +228,9 @@ mod tests {
         // 1 GB/s link: 500 bytes in 1000 ns = 50% utilization.
         r.on_link_sample(1000, 0, &s(500));
         r.on_link_sample(2000, 0, &s(1500));
-        assert_eq!(r.samples()[0].util, 0.5);
-        assert_eq!(r.samples()[1].util, 1.0);
-        assert_eq!(r.ticks(), 2);
+        assert_eq!(r.samples[0].util, 0.5);
+        assert_eq!(r.samples[1].util, 1.0);
+        assert_eq!(r.ticks, 2);
     }
 
     #[test]
@@ -294,8 +248,8 @@ mod tests {
         r.on_link_sample(100, 1, &s);
         r.on_link_sample(200, 0, &s);
         r.on_link_sample(200, 1, &s);
-        assert_eq!(r.ticks(), 2);
-        assert_eq!(r.samples().len(), 4);
+        assert_eq!(r.ticks, 2);
+        assert_eq!(r.samples.len(), 4);
     }
 
     #[test]

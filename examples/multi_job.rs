@@ -48,7 +48,6 @@ fn main() {
         msg_bytes: 256 * 1024,
         mean_interval: SimDuration::from_us(10),
         until: SimTime::from_ms(2),
-        ..Default::default()
     });
     let run = Scenario {
         before: vec![(topo.downlink(0, 2), bad)],

@@ -109,21 +109,13 @@ echo "==> dead surface: pub items, fields and variants nothing outside their own
 # item named by another `pub` line of its own file (a type in a public
 # signature) counts as used. Matching is by name, so a common name hides
 # its item. What is listed either goes, goes private, or is kept here:
-#   simulated.rs known_gray: the one demonstration of paper §5.2's claim
-#     that a simulated prediction can include known gray faults;
 #   learned.rs Warming, Consistent, localizer.rs Inconclusive, sim.rs
 #     EventLimit: outcomes a caller receives that only their own tests
 #     spell out (LearnedUpdate's are written to results/fig3.json);
-#   baselines.rs rel_to_mean, collection_bytes: what the comparison
-#     baselines report;
 #   ctrl lib.rs max_mitigations: the control loop's mitigation budget,
 #     which its own tests vary;
-#   score.rs GoodputPhases: the return type of `goodput_phases`, whose
-#     signature spans lines, so its own-file `pub` line is not found;
 #   telemetry lib.rs parse_setting: imported as `get` by the two doors
 #     that read the environment, and called under that name;
-#   wire.rs decode_line: the one-line decoder of fp-monitord's library
-#     surface; its proptests pin the in-place scanner to serde_json;
 #   engine.rs Scheduler: inert since the timing wheel went (one
 #     implementor); benchmark/ imports it to call the heap's methods.
 code="$(mktemp -d)"
@@ -177,7 +169,11 @@ for w in paper_live steady_adaptive steady_leastloaded fault_loop sweep_small mo
     fi
 done
 
-BINARIES=(fig5a fig5b fig5c preexisting ablate_spray ablate_jitter ablate_model ablate_localize mitigation)
+# e11_spray_mitigation asserts the headline E11 claims on every run, quick
+# mode included: healthy fabrics are never mitigated (zero false
+# mitigations, zero verbs) and entropy recycling restores the REPS fabric's
+# goodput.
+BINARIES=(fig5a fig5b fig5c preexisting ablate_spray ablate_jitter ablate_model ablate_localize mitigation e11_spray_mitigation)
 t1="$(mktemp -d)"
 t4="$(mktemp -d)"
 tt="$(mktemp -d)"
@@ -185,15 +181,18 @@ trap 'rm -rf "$t1" "$t4" "$tt"' EXIT
 
 echo "==> FP_QUICK smoke: ${BINARIES[*]} at FP_THREADS=1 and FP_THREADS=4"
 for bin in "${BINARIES[@]}"; do
-    FP_QUICK=1 FP_THREADS=1 FP_RESULTS="$t1" \
+    FP_QUICK=1 FP_THREADS=1 FP_RESULTS="$t1/$bin" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
-    FP_QUICK=1 FP_THREADS=4 FP_RESULTS="$t4" \
+    FP_QUICK=1 FP_THREADS=4 FP_RESULTS="$t4/$bin" \
         cargo run --release -q -p fp-bench --bin "$bin" >/dev/null
-    # ablate_localize writes two files, one per localization path.
-    for out in "$t1/$bin"*.json; do
-        cmp "$out" "$t4/$(basename "$out")"
+    # Every JSON file the binary writes, whatever its name: ablate_localize
+    # writes two, e11_spray_mitigation writes e11_spray.json.
+    files="$(cd "$t1/$bin" && ls -- *.json)"
+    test "$files" = "$(cd "$t4/$bin" && ls -- *.json)"
+    for out in $files; do
+        cmp "$t1/$bin/$out" "$t4/$bin/$out"
     done
-    echo "    $bin: JSON byte-identical across thread counts"
+    echo "    $bin:" $files "byte-identical across thread counts"
 done
 
 echo "==> FP_SPRAY smoke: spray policies byte-identical across thread counts"
@@ -210,7 +209,7 @@ for pol in rr random ecmp prime reps; do
     FP_QUICK=1 FP_SPRAY="$pol" FP_THREADS=4 FP_RESULTS="$tsp/s4" \
         cargo run --release -q -p fp-bench --bin fig5a >/dev/null
     cmp "$tsp/s1/fig5a.json" "$tsp/s4/fig5a.json"
-    if cmp -s "$tsp/s1/fig5a.json" "$t1/fig5a.json"; then
+    if cmp -s "$tsp/s1/fig5a.json" "$t1/fig5a/fig5a.json"; then
         echo "    fig5a FP_SPRAY=$pol: same bytes as the Adaptive run, the knob did not apply" >&2
         exit 1
     fi
@@ -223,7 +222,7 @@ echo "==> FP_* typos: a mistyped knob must stop every fp-bench binary with statu
 # `docs` reads its stdin (empty here).
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
-    for bad in FP_SPRAY=ecpm FP_QUICK=ture FP_THREADS=four FP_TELEMETRY_INTERVAL_NS=1ms; do
+    for bad in FP_SPRAY=ecpm FP_QUICK=ture FP_THREADS=four FP_THREADS=0; do
         rc=0
         env FP_QUICK=1 FP_RESULTS="$tsp/typo" "$bad" "target/release/$bin" \
             </dev/null >/dev/null 2>"$tsp/typo.err" || rc=$?
@@ -235,7 +234,7 @@ for src in crates/bench/src/bin/*.rs; do
 done
 test ! -e "$tsp/typo"
 echo "    exit 2 naming variable and value: FP_SPRAY=ecpm, FP_QUICK=ture," \
-    "FP_THREADS=four, FP_TELEMETRY_INTERVAL_NS=1ms ($(ls crates/bench/src/bin/*.rs | wc -l) binaries each)"
+    "FP_THREADS=four, FP_THREADS=0 ($(ls crates/bench/src/bin/*.rs | wc -l) binaries each)"
 
 echo "==> FP_RESULTS= (set but empty) means the default directory, not the current one"
 fig5a="$PWD/target/release/fig5a"
@@ -244,17 +243,6 @@ mkdir "$tsp/empty_results"
 test -s "$tsp/empty_results/results/fig5a.json"
 test ! -e "$tsp/empty_results/fig5a.json"
 echo "    fig5a rows landed under results/ of its working directory"
-
-echo "==> E11 smoke: quick spray x mitigation cross, 1 vs 4 threads"
-# The binary itself asserts the headline E11 claims on every run: healthy
-# fabrics are never mitigated (zero false mitigations, zero verbs) and
-# entropy recycling restores the REPS fabric's goodput.
-FP_QUICK=1 FP_THREADS=1 FP_RESULTS="$tsp/e1" \
-    cargo run --release -q -p fp-bench --bin e11_spray_mitigation >/dev/null
-FP_QUICK=1 FP_THREADS=4 FP_RESULTS="$tsp/e4" \
-    cargo run --release -q -p fp-bench --bin e11_spray_mitigation >/dev/null
-cmp "$tsp/e1/e11_spray.json" "$tsp/e4/e11_spray.json"
-echo "    e11_spray: clean rows untouched, recycle recovers, JSON byte-identical"
 
 echo "==> headline smoke: telemetry on vs off, scheduler-push guard"
 # The binary itself asserts that at most 1 % of its events reach the

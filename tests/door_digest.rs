@@ -139,7 +139,6 @@ fn background(msg_bytes: u64, mean_us: u64, until: SimTime) -> Box<dyn Applicati
         msg_bytes,
         mean_interval: SimDuration::from_us(mean_us),
         until,
-        ..Default::default()
     }))
 }
 

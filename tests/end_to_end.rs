@@ -307,7 +307,6 @@ fn multi_job_fabric_with_background_traffic() {
         until: SimTime::from_us(500),
         msg_bytes: 128 * 1024,
         mean_interval: SimDuration::from_us(20),
-        ..Default::default()
     });
     let sched1 = ring_allreduce(&even, 2 * 1024 * 1024);
     let run = Scenario {
