@@ -291,6 +291,9 @@ pub mod mitigation {
         pub label: String,
         pub controller: bool,
         pub reaction_us: u64,
+        /// The offline scorer's verdict on the whole trial
+        /// (`TrialResult::detected`): some alarm covered the faulty
+        /// cable. Not E11's `detected`, which is the controller's.
         pub detected: bool,
         pub tt_detect_ns: Option<u64>,
         pub tt_mitigate_ns: Option<u64>,
@@ -333,6 +336,9 @@ pub mod e11_spray {
         pub backend: String,
         pub mitigation: String,
         pub scenario: String,
+        /// The controller saw the fault online (its
+        /// `CtrlOutcome::time_to_detect_ns` is set). Not E9's `detected`,
+        /// which is the offline scorer's.
         pub detected: bool,
         pub tt_detect_ns: Option<u64>,
         pub tt_mitigate_ns: Option<u64>,
