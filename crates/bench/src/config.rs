@@ -11,7 +11,7 @@ use flowpulse::prelude::TrialSpec;
 use fp_netsim::config::SimConfig;
 use fp_netsim::spray::SprayPolicy;
 use fp_telemetry::parse_setting as get;
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 use std::ffi::OsString;
 use std::io::Write;
 use std::path::PathBuf;
@@ -131,18 +131,28 @@ impl RunConfig {
     }
 }
 
+/// What a manifest echoes of a [`RunConfig`]: one flat object, a key per
+/// knob (paths lossily, as displayed).
+#[derive(Serialize)]
+struct Echo {
+    quick: bool,
+    threads: usize,
+    results: String,
+    spray: SprayPolicy,
+    telemetry: Option<String>,
+}
+
 impl Serialize for RunConfig {
-    /// One flat object, a key per knob (paths lossily, as displayed).
-    fn to_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         let path = |p: &PathBuf| p.display().to_string();
-        let knobs = [
-            ("quick", self.quick.to_value()),
-            ("threads", self.threads.to_value()),
-            ("results", path(&self.results).to_value()),
-            ("spray", self.spray.to_value()),
-            ("telemetry", self.telemetry.as_ref().map(path).to_value()),
-        ];
-        Value::Map(knobs.map(|(k, v)| (k.to_string(), v)).into())
+        let echo = Echo {
+            quick: self.quick,
+            threads: self.threads,
+            results: path(&self.results),
+            spray: self.spray,
+            telemetry: self.telemetry.as_ref().map(path),
+        };
+        echo.write_json(w);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Every type writes its JSON straight into the vendored serde's one
-//! writer (`Serialize::write_json`). The text must be what writing its
-//! `to_value` tree gives, byte for byte, compact and pretty; and every
+//! writer (`Serialize::write_json`). The derive shapes write the literal
+//! texts below, compact and pretty; a type's `Value` tree, its compact
+//! text parsed back, writes that text again in both layouts; and every
 //! committed results file, read into its rows and written back the way
 //! `RunConfig::save_json` writes, must come back unchanged.
 
@@ -10,17 +11,23 @@ use fp_monitord::{Monitord, ServiceConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::path::PathBuf;
 
-/// `x` written directly equals `x`'s value tree written, in both layouts.
-fn same_as_tree<T: Serialize>(what: &str, x: &T) {
+/// `x` writes `compact` and `pretty`.
+fn writes<T: Serialize>(x: &T, compact: &str, pretty: &str) {
+    assert_eq!(serde_json::to_string(x).unwrap(), compact);
+    assert_eq!(serde_json::to_string_pretty(x).unwrap(), pretty);
+}
+
+/// `x`'s tree, its text parsed back, writes `x`'s text in both layouts.
+fn tree_writes_its_text<T: Serialize>(what: &str, x: &T) {
     let tree = x.to_value();
     assert_eq!(
-        serde_json::to_string(x).unwrap(),
         serde_json::to_string(&tree).unwrap(),
+        serde_json::to_string(x).unwrap(),
         "{what}: compact"
     );
     assert_eq!(
-        serde_json::to_string_pretty(x).unwrap(),
         serde_json::to_string_pretty(&tree).unwrap(),
+        serde_json::to_string_pretty(x).unwrap(),
         "{what}: pretty"
     );
 }
@@ -54,7 +61,7 @@ enum Shape {
 }
 
 #[test]
-fn every_derive_shape_writes_its_tree() {
+fn every_derive_shape_writes_its_text() {
     let nested = Shape::Fielded {
         x: -3,
         y: vec![
@@ -75,37 +82,101 @@ fn every_derive_shape_writes_its_tree() {
         c: Some("quote \" tab \t".into()),
         d: nested,
     };
-    same_as_tree("named struct", &named);
-    same_as_tree("tuple struct", &Pair(9, Some(false)));
-    same_as_tree("newtype struct", &Newtype(-5));
-    same_as_tree("unit struct", &Unit);
-    same_as_tree("struct without fields", &Empty {});
-    same_as_tree(
-        "non-finite floats",
-        &[f64::NAN, f64::INFINITY, -f64::INFINITY],
+    writes(
+        &named,
+        r#"{"a":42,"b":[0.1,1e16,2.0,-0.0,5e-324],"c":"quote \" tab \t","d":{"Fielded":{"x":-3,"y":["Plain",{"Wrapped":-9223372036854775808},{"Tupled":[7,-0.0,[null,null]]},{"Fielded":{"x":0,"y":[],"z":[255,null]}}],"z":[1,true]}}}"#,
+        r#"{
+  "a": 42,
+  "b": [
+    0.1,
+    1e16,
+    2.0,
+    -0.0,
+    5e-324
+  ],
+  "c": "quote \" tab \t",
+  "d": {
+    "Fielded": {
+      "x": -3,
+      "y": [
+        "Plain",
+        {
+          "Wrapped": -9223372036854775808
+        },
+        {
+          "Tupled": [
+            7,
+            -0.0,
+            [
+              null,
+              null
+            ]
+          ]
+        },
+        {
+          "Fielded": {
+            "x": 0,
+            "y": [],
+            "z": [
+              255,
+              null
+            ]
+          }
+        }
+      ],
+      "z": [
+        1,
+        true
+      ]
+    }
+  }
+}"#,
     );
-    for v in [
-        Shape::Plain,
-        Shape::Wrapped(Newtype(1)),
-        Shape::Tupled(1, 2.5, vec![]),
-        Shape::Fielded {
+    writes(&Pair(9, Some(false)), "[9,false]", "[\n  9,\n  false\n]");
+    writes(&Newtype(-5), "-5", "-5");
+    writes(&Unit, "null", "null");
+    writes(&Empty {}, "{}", "{}");
+    writes(
+        &[f64::NAN, f64::INFINITY, -f64::INFINITY],
+        "[null,null,null]",
+        "[\n  null,\n  null,\n  null\n]",
+    );
+    writes(&Shape::Plain, r#""Plain""#, r#""Plain""#);
+    writes(
+        &Shape::Wrapped(Newtype(1)),
+        r#"{"Wrapped":1}"#,
+        "{\n  \"Wrapped\": 1\n}",
+    );
+    writes(
+        &Shape::Tupled(1, 2.5, vec![]),
+        r#"{"Tupled":[1,2.5,[]]}"#,
+        "{\n  \"Tupled\": [\n    1,\n    2.5,\n    []\n  ]\n}",
+    );
+    writes(
+        &Shape::Fielded {
             x: 1,
             y: vec![Shape::Plain],
             z: Pair(0, None),
         },
-    ] {
-        same_as_tree(&format!("{v:?}"), &v);
-    }
-    assert_eq!(serde_json::to_string(&Unit).unwrap(), "null");
-    assert_eq!(serde_json::to_string(&Empty {}).unwrap(), "{}");
-    assert_eq!(serde_json::to_string(&Shape::Plain).unwrap(), r#""Plain""#);
-    assert_eq!(
-        serde_json::to_string(&Shape::Tupled(1, 2.5, vec![Unit])).unwrap(),
-        r#"{"Tupled":[1,2.5,[null]]}"#
+        r#"{"Fielded":{"x":1,"y":["Plain"],"z":[0,null]}}"#,
+        r#"{
+  "Fielded": {
+    "x": 1,
+    "y": [
+      "Plain"
+    ],
+    "z": [
+      0,
+      null
+    ]
+  }
+}"#,
     );
+    tree_writes_its_text("named struct", &named);
+    // A non-finite float is written `null`, so that is its tree too.
     assert_eq!(
-        serde_json::to_string_pretty(&Shape::Wrapped(Newtype(3))).unwrap(),
-        "{\n  \"Wrapped\": 3\n}"
+        [f64::NAN, f64::INFINITY].to_value(),
+        Value::Seq(vec![Value::Null, Value::Null])
     );
 
     // What the writer wrote reads back as what was written.
@@ -130,24 +201,24 @@ fn small_trial() -> (TrialSpec, TrialResult) {
 }
 
 #[test]
-fn the_types_the_tree_writes_out_write_their_trees() {
-    same_as_tree("TrialSpec::default()", &TrialSpec::default());
+fn workspace_types_parse_back_to_their_text() {
+    tree_writes_its_text("TrialSpec::default()", &TrialSpec::default());
     let (spec, r) = small_trial();
-    same_as_tree("spec", &spec);
-    same_as_tree("stats", &r.stats);
-    same_as_tree("sched", &r.sched);
+    tree_writes_its_text("spec", &spec);
+    tree_writes_its_text("stats", &r.stats);
+    tree_writes_its_text("sched", &r.sched);
     assert!(!r.alarms.is_empty());
-    same_as_tree("alarms", &r.alarms);
+    tree_writes_its_text("alarms", &r.alarms);
     for a in &r.alarms {
-        same_as_tree("alarm", a);
+        tree_writes_its_text("alarm", a);
     }
     assert!(r.localization.is_some());
-    same_as_tree("localization", &r.localization);
-    same_as_tree("iter_max_dev", &r.iter_max_dev);
-    same_as_tree("learned_events", &r.learned_events);
-    same_as_tree("fault_port", &r.fault_port);
-    same_as_tree("predicted", &r.predicted);
-    same_as_tree("iter_goodput", &r.iter_goodput);
+    tree_writes_its_text("localization", &r.localization);
+    tree_writes_its_text("iter_max_dev", &r.iter_max_dev);
+    tree_writes_its_text("learned_events", &r.learned_events);
+    tree_writes_its_text("fault_port", &r.fault_port);
+    tree_writes_its_text("predicted", &r.predicted);
+    tree_writes_its_text("iter_goodput", &r.iter_goodput);
 
     let snapshot = CounterSnapshot {
         fabric: "fabric-\u{1}\"07\"".into(),
@@ -159,10 +230,10 @@ fn the_types_the_tree_writes_out_write_their_trees() {
         bytes: (0..128u64).map(|i| i * 104_729 % 9_999_991).collect(),
         last: true,
     };
-    same_as_tree("snapshot", &snapshot);
+    tree_writes_its_text("snapshot", &snapshot);
     assert_eq!(
         fp_monitord::snapshot_line(&snapshot),
-        serde_json::to_string(&snapshot.to_value()).unwrap()
+        serde_json::to_string(&snapshot).unwrap()
     );
 
     let cfg = RunConfig::from_vars(|_| None).unwrap();
@@ -182,12 +253,12 @@ fn the_types_the_tree_writes_out_write_their_trees() {
         specs: vec![&spec].to_value(),
         ctrl: Value::Null,
     };
-    same_as_tree("manifest", &manifest);
-    same_as_tree("run config (hand-written to_value)", &cfg);
+    tree_writes_its_text("manifest", &manifest);
+    tree_writes_its_text("run config", &cfg);
 }
 
 #[test]
-fn monitord_stream_reports_write_their_trees() {
+fn monitord_stream_reports_parse_back_to_their_text() {
     let svc = Monitord::spawn(ServiceConfig::default());
     let handle = svc.handle();
     for iter in 0..5u32 {
@@ -214,7 +285,7 @@ fn monitord_stream_reports_write_their_trees() {
     assert_eq!(report.streams.len(), 2);
     let sagging = &report.streams[1];
     assert!(!sagging.alarms.is_empty() && sagging.localization.is_some());
-    same_as_tree("stream reports", &report.streams);
+    tree_writes_its_text("stream reports", &report.streams);
 }
 
 fn repo() -> PathBuf {

@@ -22,7 +22,8 @@ mod score;
 mod spec;
 
 pub use run::{
-    memo_ineligibility, run_trial, run_trial_ctl, run_trial_with, RawRun, Scenario, TrialController,
+    memo_ineligibility, run_trial, run_trial_ctl, run_trial_with, RawRun, Scenario,
+    TrialController, JOB,
 };
 pub use score::{
     goodput_phases, roc_curve, split_devs, CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary,

@@ -32,7 +32,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// The measured collective's job id (the tag sentinel).
-pub(super) const JOB: u32 = 1;
+pub const JOB: u32 = 1;
 
 /// A telemetry recorder riding a trial, or none.
 type Rec = Option<Box<dyn fp_telemetry::Recorder>>;

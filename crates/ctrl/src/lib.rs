@@ -37,7 +37,7 @@
 
 use flowpulse::detector::Detector;
 use flowpulse::eval::{
-    CtrlAction, CtrlPhase, CtrlSummary, TrialController, TrialResult, TrialSpec,
+    CtrlAction, CtrlPhase, CtrlSummary, TrialController, TrialResult, TrialSpec, JOB,
 };
 use flowpulse::localizer::Localizer;
 use flowpulse::monitor::{Alarm, Monitor};
@@ -105,7 +105,6 @@ impl Default for CtrlConfig {
 /// the controller *inside* the worker closure; nothing here is `Send`.
 pub(crate) struct Controller {
     cfg: CtrlConfig,
-    job: u32,
     leaves: u32,
     monitor: Monitor,
     summary: CtrlSummary,
@@ -119,24 +118,18 @@ pub(crate) struct Controller {
 }
 
 impl Controller {
-    /// Controller for `job` on a fabric with `leaves` leaf switches.
-    pub(crate) fn new(job: u32, leaves: u32, cfg: CtrlConfig) -> Controller {
+    /// Controller matching a trial spec, watching the measured collective
+    /// ([`JOB`]).
+    fn for_spec(spec: &TrialSpec, cfg: CtrlConfig) -> Controller {
         Controller {
             cfg,
-            job,
-            leaves,
-            monitor: Monitor::new_learned(job, Detector::new(THRESHOLD), WARMUP),
+            leaves: spec.leaves,
+            monitor: Monitor::new_learned(JOB, Detector::new(THRESHOLD), WARMUP),
             summary: CtrlSummary::default(),
             in_flight: BTreeMap::new(),
             applied_seen: 0,
             mitigations: 0,
         }
-    }
-
-    /// Controller matching a trial spec (the harness runs the measured
-    /// collective as job 1).
-    fn for_spec(spec: &TrialSpec, cfg: CtrlConfig) -> Controller {
-        Controller::new(1, spec.leaves, cfg)
     }
 
     fn act(&mut self, t_ns: u64, phase: CtrlPhase, detail: String) {
@@ -160,7 +153,7 @@ impl Controller {
         let iter_start_ns = sim
             .iter_spans()
             .iter()
-            .find(|s| s.job == self.job && s.iter == iter)
+            .find(|s| s.job == JOB && s.iter == iter)
             .map(|s| s.start.as_ns())
             .unwrap_or(0);
         let mut mixed = false;

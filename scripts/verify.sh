@@ -79,10 +79,11 @@ echo "    clean outside eval/run.rs, baselines.rs's tests and headline.rs"
 
 echo "==> non-test lines per crate (each file up to its 'mod tests', *_tests.rs left out)"
 # Every file of fp-netsim, where the carving happens; a subtotal for each
-# crate, so the next simplicity PR starts from a number. A gate too: no
+# crate, the vendored stand-ins under vendor/ included, so the next
+# simplicity PR starts from a number. A gate too: no
 # file of fp-netsim over 1 000 (ROADMAP 8(a) carved sim.rs and memo.rs
 # under it; a file that grows past it gets split, not waved through).
-for crate in crates/*/; do
+for crate in crates/*/ vendor/*/; do
     find "${crate}src" -name '*.rs' ! -name '*_tests.rs' | sort | while read -r f; do
         echo "$(awk '/^(pub\(crate\) )?mod tests/{exit} {n++} END{print n+0}' "$f") $f"
     done | sort -rn | awk -v crate="${crate%/}" '
