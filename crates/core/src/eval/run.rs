@@ -3,7 +3,7 @@
 //! the one place the harness, the sweeps and the examples drive a
 //! `Simulator`; it hands back a [`RawRun`], the simulator already freed.
 
-use super::score::{export, score, CtrlSummary, TrialResult};
+use super::score::{export, score, CtrlSummary, Scorer, TrialResult};
 use super::spec::{
     build_schedule, choose_cables, Cable, CollectiveKind, InjectedFault, ModelKind, TrialSpec,
 };
@@ -242,17 +242,23 @@ impl Scenario {
         }
     }
 
-    /// Run to completion and move out what the run left behind.
+    /// Run to completion and move out what the run left behind, every
+    /// counter entry included.
     pub fn run(self) -> RawRun {
-        self.run_observed(None, None).0
+        self.run_observed(None, None, None).0
     }
 
-    /// [`Scenario::run`] with a recorder and a controller riding along; the
-    /// recorder comes back for the export and the caller's `finish`.
+    /// [`Scenario::run`] with a recorder, a controller and a scorer riding
+    /// along; the recorder comes back for the export and the caller's
+    /// `finish`. At each iteration end, after the controller, the scorer
+    /// takes the iterations that closed; the rest it takes once the run
+    /// has drained, and always all of them when memo is engaged, whose
+    /// replay must see the counters it recorded.
     fn run_observed(
         mut self,
         recorder: Rec,
         controller: Option<Rc<RefCell<dyn TrialController>>>,
+        scorer: Option<&Rc<RefCell<Scorer>>>,
     ) -> (RawRun, Rec) {
         // Temporal-symmetry fast-forward: enable when requested and eligible.
         // The boundary changes are barriers a replay never crosses, so the
@@ -267,7 +273,8 @@ impl Scenario {
         if let Some(rec) = recorder {
             sim.set_recorder(rec);
         }
-        if self.memo && memo_ineligible.is_none() {
+        let memo = self.memo && memo_ineligible.is_none();
+        if memo {
             sim.enable_memo(self.at_iter.iter().map(|c| c.0).collect());
             self.rcfg.memo_barrier_hooks = true;
         }
@@ -290,9 +297,16 @@ impl Scenario {
                 }
             }));
         }
-        if let Some(ctl) = controller.clone() {
+        let closing = scorer.filter(|_| !memo).cloned();
+        if controller.is_some() || closing.is_some() {
+            let ctl = controller.clone();
             runner.set_iteration_end_hook(Box::new(move |sim, iter| {
-                ctl.borrow_mut().on_iteration_end(sim, iter);
+                if let Some(ctl) = &ctl {
+                    ctl.borrow_mut().on_iteration_end(sim, iter);
+                }
+                if let Some(scorer) = &closing {
+                    scorer.borrow_mut().close_below(sim, iter);
+                }
             }));
         }
         if self.extra.is_empty() {
@@ -303,6 +317,9 @@ impl Scenario {
             sim.set_app(Box::new(MultiApp::new(apps)));
         }
         sim.run();
+        if let Some(scorer) = scorer {
+            scorer.borrow_mut().finish(&mut sim.counters);
+        }
 
         // Move out what the caller reads and free the simulator before
         // scoring allocates. The counters and the trace ring change hands;
@@ -362,9 +379,11 @@ pub fn run_trial_ctl(
     controller: Option<Rc<RefCell<dyn TrialController>>>,
 ) -> (TrialResult, Rec) {
     let (scenario, placed) = prepare(spec);
-    let (raw, mut recorder) = scenario.run_observed(recorder, controller);
+    let scorer = Rc::new(RefCell::new(Scorer::new(spec, &placed, &scenario.topo)));
+    let (raw, mut recorder) = scenario.run_observed(recorder, controller, Some(&scorer));
     let end_ns = raw.end_ns;
-    let result = score(spec, placed, raw);
+    let scorer = Rc::into_inner(scorer).expect("the run dropped its hook");
+    let result = score(spec, placed, raw, scorer.into_inner());
     if let Some(rec) = recorder.as_deref_mut() {
         export(rec, spec, &result, end_ns);
     }
@@ -704,6 +723,113 @@ mod tests {
         let (r, _) = run_trial_ctl(&spec, None, Some(ctl));
         let c = r.ctrl.expect("controller ran");
         assert_eq!(c.false_mitigations, 1, "healthy cable downed in clean run");
+    }
+
+    /// A trial scored as its iterations close reports what the whole-store
+    /// path reported: one flushing scan of the finished store and its
+    /// whole snapshot sequence, over `Scenario::run` of the same prepared
+    /// scenario.
+    #[test]
+    fn scoring_as_iterations_close_equals_scanning_the_finished_store() {
+        use crate::detector::Detector;
+        use crate::monitor::Monitor;
+        use crate::snapshot::CounterSnapshot;
+        let fault = |kind, at_iter, heal_at_iter, bidirectional| {
+            Some(FaultSpec {
+                kind,
+                at_iter,
+                heal_at_iter,
+                bidirectional,
+            })
+        };
+        let drop = InjectedFault::Drop { rate: 0.03 };
+        let base = TrialSpec {
+            bytes_per_node: 2 * 1024 * 1024,
+            iterations: 5,
+            ..small_spec()
+        };
+        let learned = |warmup| ModelKind::Learned { warmup };
+        let specs = [
+            base.clone(),
+            TrialSpec {
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                fault: fault(InjectedFault::Blackhole, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                fault: fault(InjectedFault::DstBlackhole, 1, Some(3), false),
+                ..base.clone()
+            },
+            TrialSpec {
+                fault: fault(drop, 2, None, true),
+                ..base.clone()
+            },
+            TrialSpec {
+                fault: fault(InjectedFault::Blackhole, 1, Some(3), true),
+                ..base.clone()
+            },
+            TrialSpec {
+                model: ModelKind::Simulation,
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                model: learned(1),
+                fault: fault(drop, 0, Some(2), false),
+                ..base.clone()
+            },
+            TrialSpec {
+                model: learned(3),
+                fault: fault(InjectedFault::Blackhole, 3, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                preexisting: 2,
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                collective: CollectiveKind::AllToAll,
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                collective: CollectiveKind::HalvingDoubling,
+                fault: fault(InjectedFault::Blackhole, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                jitter: JitterModel::None,
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+            TrialSpec {
+                hosts_per_leaf: 2,
+                fault: fault(drop, 2, None, false),
+                ..base.clone()
+            },
+        ];
+        for spec in specs {
+            let r = run_trial(&spec);
+            let (scenario, placed) = prepare(&spec);
+            let detector = Detector::new(spec.threshold);
+            let mut monitor = match spec.model {
+                ModelKind::Learned { warmup } => Monitor::new_learned(JOB, detector, warmup),
+                _ => Monitor::new_fixed(JOB, detector, placed.predicted.unwrap()),
+            };
+            let raw = scenario.run();
+            monitor.scan(&raw.counters, true);
+            let snapshots = CounterSnapshot::sequence_from(&raw.counters, JOB);
+            assert_eq!(snapshots.len(), spec.iterations as usize, "{spec:?}");
+            let show = |x: &dyn std::fmt::Debug| format!("{x:?}");
+            assert_eq!(show(&r.alarms), show(&monitor.alarms), "{spec:?}");
+            assert_eq!(show(&r.iter_max_dev), show(&monitor.iter_max_dev));
+            assert_eq!(show(&r.learned_events), show(&monitor.learned_events));
+            assert_eq!(show(&r.snapshots), show(&snapshots), "{spec:?}");
+        }
     }
 
     /// A 4-leaf ring of five 64 KiB iterations on `topo`, with link changes

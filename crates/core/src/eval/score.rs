@@ -1,7 +1,9 @@
-//! Stage 3 of a trial — **score**: a pure function from the spec, the
-//! placement and what the run left behind ([`RawRun`]) to a [`TrialResult`] — monitor scan,
-//! join with ground truth, ring verdict, goodput, controller outcome —
-//! then [`export`] of the same story into a telemetry recorder. What
+//! Stage 3 of a trial — **score**. During the run the [`Scorer`] takes
+//! each iteration of the measured job as it closes; after it [`score`] is
+//! a pure function from the spec, the placement, what the run left
+//! behind ([`RawRun`]) and the scorer to a [`TrialResult`] — join with
+//! ground truth, ring verdict, goodput, controller outcome — then
+//! [`export`] of the same story into a telemetry recorder. What
 //! sweeps aggregate over many results ([`Rates`], [`roc_curve`],
 //! [`goodput_phases`]) lives here too, so tests score with the same code.
 
@@ -12,9 +14,11 @@ use crate::learned::LearnedUpdate;
 use crate::localizer::{Localizer, RingLocalization};
 use crate::model::PortLoads;
 use crate::monitor::{Alarm, Monitor};
-use crate::snapshot::CounterSnapshot;
-use fp_netsim::sim::IterSpanRecord;
+use crate::snapshot::{CounterSnapshot, OpenWindow};
+use fp_netsim::counters::CounterStore;
+use fp_netsim::sim::{IterSpanRecord, Simulator};
 use fp_netsim::stats::Stats;
+use fp_netsim::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// A control-plane phase, for telemetry labelling.
@@ -178,20 +182,82 @@ const _: fn() = || {
     assert_send_sync::<TrialResult>();
 };
 
-/// Score one run: everything [`TrialResult`] reports that the engine did
-/// not hand over ready-made.
-pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun) -> TrialResult {
-    let detector = Detector::new(spec.threshold);
-    let mut monitor = match (&spec.model, &placed.predicted) {
-        (ModelKind::Learned { warmup }, _) => Monitor::new_learned(JOB, detector, *warmup),
-        (_, Some(p)) => Monitor::new_fixed(JOB, detector, p.clone()),
-        _ => unreachable!("non-learned model without prediction"),
-    };
-    monitor.scan(&raw.counters, true);
-    // The snapshot stream a monitor service would have ingested iteration
-    // by iteration.
-    let snapshots = CounterSnapshot::sequence_from(&raw.counters, JOB);
+/// The trial's scorer: the measured job's counter entries, handed over as
+/// they close, go through the per-snapshot step fp-monitord takes
+/// ([`OpenWindow::score`]), so the trial holds only its open iterations.
+pub(super) struct Scorer {
+    monitor: Monitor,
+    window: OpenWindow,
+    /// What the window reads of the entry being handed over; its cells
+    /// are the buffer the window handed back last time.
+    fed: CounterSnapshot,
+    /// Every entry handed over, in iteration order.
+    snapshots: Vec<CounterSnapshot>,
+}
 
+impl Scorer {
+    /// A scorer for `spec`'s model on `topo`, `placed` holding the
+    /// prediction of a fixed one.
+    pub(super) fn new(spec: &TrialSpec, placed: &Placed, topo: &Topology) -> Self {
+        let detector = Detector::new(spec.threshold);
+        let monitor = match (&spec.model, &placed.predicted) {
+            (ModelKind::Learned { warmup }, _) => Monitor::new_learned(JOB, detector, *warmup),
+            (_, Some(p)) => Monitor::new_fixed(JOB, detector, p.clone()),
+            _ => unreachable!("non-learned model without prediction"),
+        };
+        let (leaves, vspines) = (topo.n_leaves() as u32, topo.n_vspines() as u32);
+        Scorer {
+            monitor,
+            window: OpenWindow::new(JOB, leaves, vspines),
+            fed: CounterSnapshot::default(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Hand over the measured job's entries below iteration `iter` that
+    /// no flow can still add a byte to. Called at `iter`'s end, when the
+    /// newest entry is `iter`'s own: it stays, for [`Self::finish`] to
+    /// flush with, and none is taken while it is missing.
+    pub(super) fn close_below(&mut self, sim: &mut Simulator, iter: u32) {
+        if sim.counters.get(JOB, iter).is_none() {
+            return;
+        }
+        let mut quiet = iter;
+        while quiet > 0 && sim.may_record(JOB, quiet - 1) {
+            quiet -= 1;
+        }
+        for (i, entry) in sim.counters.take_below(JOB, quiet) {
+            self.take(CounterSnapshot::of_entry(JOB, i, entry));
+        }
+    }
+
+    /// Hand over the rest once the run has drained, `last` set on the
+    /// final entry.
+    pub(super) fn finish(&mut self, counters: &mut CounterStore) {
+        let rest = counters.take_below(JOB, u32::MAX);
+        let n = rest.len();
+        for (k, (i, entry)) in rest.into_iter().enumerate() {
+            let mut snap = CounterSnapshot::of_entry(JOB, i, entry);
+            snap.last = k + 1 == n;
+            self.take(snap);
+        }
+    }
+
+    fn take(&mut self, snap: CounterSnapshot) {
+        self.fed.bytes.clear();
+        self.fed.bytes.extend_from_slice(&snap.bytes);
+        (self.fed.iter, self.fed.last) = (snap.iter, snap.last);
+        self.window.score(&mut self.fed, &mut self.monitor);
+        self.snapshots.push(snap);
+    }
+}
+
+/// Score one run: everything [`TrialResult`] reports that the engine and
+/// the scorer did not hand over ready-made.
+pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun, scorer: Scorer) -> TrialResult {
+    let Scorer {
+        monitor, snapshots, ..
+    } = scorer;
     let (localization, localized_correctly) =
         ring_verdict(spec, placed.fault_port, &monitor.alarms).unzip();
     let mut r = TrialResult {
@@ -627,8 +693,13 @@ mod tests {
         (placed, run)
     }
 
-    fn scored(spec: &TrialSpec, (placed, run): (Placed, RawRun)) -> TrialResult {
-        score(spec, placed, run)
+    /// Score a hand-built run as a trial does, its counters all handed
+    /// over at the end.
+    fn scored(spec: &TrialSpec, (placed, mut run): (Placed, RawRun)) -> TrialResult {
+        let mut scorer = Scorer::new(spec, &placed, &Topology::fat_tree(spec.fabric()));
+        scorer.finish(&mut run.counters);
+        assert!(run.counters.keys().is_empty());
+        score(spec, placed, run, scorer)
     }
 
     #[test]
@@ -793,5 +864,13 @@ mod tests {
         let p01 = pts.iter().find(|p| p.threshold == 0.01).unwrap();
         assert_eq!(p01.fpr, 0.0);
         assert!((p01.tpr - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_deviation_exactly_at_the_threshold_is_not_an_alarm() {
+        // As `Detector` judges (`exactly_at_threshold_is_not_an_alarm`), the
+        // ROC counts a deviation only when it is strictly above.
+        let pts = roc_curve(&[0.01, 0.002], &[0.01, 0.02], &[0.01]);
+        assert_eq!((pts[0].fpr, pts[0].tpr), (0.0, 0.5));
     }
 }

@@ -151,9 +151,14 @@ pub(crate) mod tests {
     /// Observe one leaf's ports, judged as a monitor with the default
     /// detector judges them.
     fn feed(m: &mut LearnedModel, vals: &[u64]) -> LearnedUpdate {
+        feed_leaves(m, 1, vals)
+    }
+
+    /// [`feed`] over `n_leaves` leaves, `vals` row-major.
+    fn feed_leaves(m: &mut LearnedModel, n_leaves: usize, vals: &[u64]) -> LearnedUpdate {
         let obs = PortCells {
-            n_leaves: 1,
-            n_vspines: vals.len(),
+            n_leaves,
+            n_vspines: vals.len() / n_leaves,
             bytes: vals,
         };
         let max_rel = m
@@ -202,6 +207,25 @@ pub(crate) mod tests {
         assert_eq!(m.baseline().unwrap().bytes, vec![1000.0, 1000.0]);
         // Subsequent healthy iterations are consistent.
         assert_eq!(feed(&mut m, &[1000, 1000]), LearnedUpdate::Consistent);
+    }
+
+    #[test]
+    fn a_heal_on_one_leaf_does_not_hide_a_new_fault_on_another() {
+        // Leaf 0's baseline was learned during a fault on its port 0.
+        let mut m = LearnedModel::new(1, 0.01);
+        feed_leaves(&mut m, 2, &[700, 1000, 1000, 1000]);
+        // Leaf 0 re-balances while leaf 1's port 1 loses as much: the
+        // volume is unchanged and one leaf improved, but the other grew
+        // more imbalanced, so this is a new fault, not a heal.
+        match feed_leaves(&mut m, 2, &[1000, 1000, 1000, 700]) {
+            LearnedUpdate::Deviating { .. } => {}
+            u => panic!("expected Deviating, got {u:?}"),
+        }
+        assert_eq!(m.rebaselines, 0);
+        assert_eq!(
+            m.baseline().unwrap().bytes,
+            vec![700.0, 1000.0, 1000.0, 1000.0]
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! [`Monitor`]: crate::monitor::Monitor
 
 use crate::model::{PortCells, PortLoads};
-use crate::monitor::IterSource;
-use fp_netsim::counters::CounterStore;
+use crate::monitor::{IterSource, Monitor};
+use fp_netsim::counters::{CounterStore, IterCounters};
 use fp_netsim::packet::CollectiveTag;
 use fp_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -53,10 +53,28 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Extract the per-iteration snapshot sequence for `job` from a run's
-    /// counter store, in scan order. The final snapshot has
+    /// The snapshot of `job`'s iteration `iter` from its entry, moved out
+    /// of a leaf-level store ([`CounterStore::take_below`]); `fabric` is
+    /// left empty for a feed to stamp and `last` unset.
+    pub(crate) fn of_entry(job: u32, iter: u32, entry: IterCounters) -> Self {
+        let (n_leaves, n_vspines, _) = entry.dims();
+        CounterSnapshot {
+            fabric: String::new(),
+            job,
+            iter,
+            n_leaves: n_leaves as u32,
+            n_vspines: n_vspines as u32,
+            t_ns: entry.last_seen,
+            bytes: entry.bytes,
+            last: false,
+        }
+    }
+
+    /// Extract the per-iteration snapshot sequence for `job` from a whole
+    /// run's counter store, in scan order. The final snapshot has
     /// [`last`](Self::last) set; `fabric` is left empty for the feed to
-    /// stamp.
+    /// stamp. A trial hands each closed entry over as it closes instead;
+    /// this export of a finished store is what `benchmark/` times.
     pub fn sequence_from(store: &CounterStore, job: u32) -> Vec<CounterSnapshot> {
         let (n_leaves, n_vspines) = store.dims();
         let iters = store.iters_of(job);
@@ -150,13 +168,32 @@ impl OpenWindow {
         }
     }
 
-    /// Record one snapshot's `bytes` for iteration `iter` of this
-    /// window's job.
+    /// One snapshot's step on its stream, the one a monitor service and a
+    /// trial both take: record `snap`'s cells, let `monitor` evaluate every
+    /// iteration that closed (flushing the rest when `snap` is the
+    /// stream's [`last`](CounterSnapshot::last)), then forget what it has
+    /// passed. The cells move into the window and `snap.bytes` comes back
+    /// holding a spent buffer for the caller to reuse (empty when none was
+    /// spent); any further spent buffer is freed. A late snapshot of an
+    /// iteration already evaluated is discarded unread.
     ///
     /// # Panics
-    /// If `bytes` is not `n_leaves × n_vspines` long — the caller checks
-    /// wire input against the stream's shape first.
-    pub fn record(&mut self, iter: u32, bytes: Vec<u64>) {
+    /// If `snap.bytes` is not `n_leaves × n_vspines` long — the caller
+    /// checks wire input against the stream's shape first.
+    pub fn score(&mut self, snap: &mut CounterSnapshot, monitor: &mut Monitor) {
+        self.record(snap.iter, std::mem::take(&mut snap.bytes));
+        monitor.scan(self, snap.last);
+        let below = monitor.next_iter();
+        while let Some(e) = self.open.first_entry().filter(|e| *e.key() < below) {
+            let spent = e.remove();
+            if snap.bytes.capacity() == 0 {
+                snap.bytes = spent;
+            }
+        }
+    }
+
+    /// Add `bytes` to iteration `iter`'s cells.
+    fn record(&mut self, iter: u32, bytes: Vec<u64>) {
         assert_eq!(
             Some(bytes.len()),
             self.n_leaves.checked_mul(self.n_vspines),
@@ -174,20 +211,6 @@ impl OpenWindow {
                     *cell += b;
                 }
             }
-        }
-    }
-
-    /// Forget every iteration below `iter`, moving its cell buffer onto
-    /// `spent` for the caller to reuse or drop. Called with
-    /// [`Monitor::next_iter`](crate::monitor::Monitor::next_iter) after
-    /// every scan, this also discards a late snapshot of an iteration
-    /// already evaluated.
-    pub fn evict_below(&mut self, iter: u32, spent: &mut Vec<Vec<u64>>) {
-        while let Some(e) = self.open.first_entry() {
-            if *e.key() >= iter {
-                break;
-            }
-            spent.push(e.remove());
         }
     }
 

@@ -1,4 +1,5 @@
-//! Differential oracle for [`OpenWindow`]: a monitor scanning the window
+//! Differential oracle for [`OpenWindow::score`], the per-snapshot step of
+//! fp-monitord and of a trial's scorer: a monitor fed through the window
 //! must stay in lockstep with one scanning the [`CounterStore`] that
 //! [`CounterSnapshot::apply`] rebuilds from the same snapshots, whatever
 //! order they arrive in.
@@ -83,9 +84,8 @@ proptest! {
             snap.apply(&mut store);
             st.offline.scan(&store, snap.last);
 
-            st.window.record(snap.iter, snap.bytes);
-            st.online.scan(&st.window, snap.last);
-            st.window.evict_below(st.online.next_iter(), &mut Vec::new());
+            let mut snap = snap;
+            st.window.score(&mut snap, &mut st.online);
 
             prop_assert_eq!(&st.online.alarms, &st.offline.alarms, "step {}", step);
             prop_assert_eq!(&st.online.iter_max_dev, &st.offline.iter_max_dev, "step {}", step);

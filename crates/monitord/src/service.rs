@@ -4,9 +4,10 @@
 //! demultiplexed onto per-stream state keyed by fabric, then job. Each
 //! stream keeps an [`OpenWindow`] — the cells of the iterations its
 //! monitor has not evaluated yet, nothing older — and drives a learned
-//! [`Monitor`] over it incrementally — `scan(…, false)` per snapshot,
-//! `scan(…, true)` on the stream's final snapshot — which produces an
-//! alarm sequence byte-identical to rebuilding a whole [`CounterStore`]
+//! [`Monitor`] over it one snapshot at a time with [`OpenWindow::score`],
+//! the step a trial scores its closed iterations with: `scan(…, false)`
+//! per snapshot, `scan(…, true)` on the stream's final snapshot. That
+//! produces an alarm sequence byte-identical to rebuilding a whole [`CounterStore`]
 //! with `CounterSnapshot::apply` and scanning it offline once
 //! (`Monitor::scan` only ever evaluates closed iterations and never
 //! looks back, so neither the split points nor the eviction can
@@ -314,7 +315,6 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
     // Processed snapshots, handed to the return lane with the next pop.
     let mut spent = Vec::new();
     let mut batch = Vec::new();
-    let mut evicted = Vec::new();
     let mut sink = cfg.metrics_path.as_ref().map(|p| {
         if let Some(dir) = p.parent() {
             std::fs::create_dir_all(dir).ok();
@@ -352,21 +352,12 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 continue;
             }
             let alarms_before = state.monitor.alarms.len();
-            state
-                .window
-                .record(snap.iter, std::mem::take(&mut snap.bytes));
-            state.monitor.scan(&state.window, snap.last);
+            // A spent buffer rides back in place of the one the window kept.
+            state.window.score(&mut snap, &mut state.monitor);
             // Nothing here reads the per-iteration diagnostics; left
             // alone they grow by an entry per snapshot for good.
             state.monitor.iter_max_dev.clear();
             state.monitor.learned_events.clear();
-            // One evicted buffer rides back in place of the one the window
-            // kept; a flush or a closed gap evicts more, freed here.
-            state
-                .window
-                .evict_below(state.monitor.next_iter(), &mut evicted);
-            snap.bytes = evicted.pop().unwrap_or_default();
-            evicted.clear();
             metrics.observe("scan_latency_ns", taken.elapsed().as_nanos() as u64);
             metrics.inc("snapshots_processed", 1);
             metrics.inc(

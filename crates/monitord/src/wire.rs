@@ -502,11 +502,18 @@ mod tests {
         "}],\"last\":true}",
     ];
 
-    /// Number spellings a producer that is not `snapshot_line` might emit.
-    const NUMBERS: [&str; 14] = [
+    /// Number spellings a producer that is not `snapshot_line` might emit;
+    /// JSON refuses those from `007` on, except the `u64` edges.
+    const NUMBERS: [&str; 20] = [
         "0",
         "007",
         "00",
+        "-01",
+        "-",
+        "1.",
+        "1e",
+        "1e+",
+        "1e400",
         "4294967295",
         "4294967296",
         "18446744073709551615",
@@ -627,6 +634,47 @@ mod tests {
             decode_recycling(&bad_fabric, &mut Vec::new()),
             Some(Err(_))
         ));
+    }
+
+    /// Malformed numbers in every field and among the cells, and `\u`
+    /// escapes in the fabric id: the decoder refuses what `serde_json`
+    /// refuses, and reads a surrogate pair as its one character.
+    #[test]
+    fn refused_numbers_and_escapes_agree_with_serde_json() {
+        let snap = snaps("f").remove(0);
+        for number in ["01", "-01", "-", "1.", "1e", "1e+", "1e400", "-1e400", "00"] {
+            for field in 1..7 {
+                let mut fields = fields_of(&snap);
+                fields[field].1 = number.into();
+                let line = render(&fields);
+                assert!(decode_line(&line).is_err(), "{line}");
+                agree(&line).unwrap();
+            }
+            for cells in [
+                number.to_string(),
+                format!("1,{number}"),
+                format!("{number},2"),
+            ] {
+                let line = with_cells(&cells);
+                assert!(decode_line(&line).is_err(), "{line}");
+                check_in_place(&line).unwrap();
+            }
+        }
+        for (fabric, decoded) in [
+            (r#""\ud83d\ude00""#, Some("😀")),
+            (r#""rail-\uD834\uDD1E""#, Some("rail-𝄞")),
+            (r#""\ud83d""#, None),
+            (r#""\ud83d-""#, None),
+            (r#""\ud83d\u0041""#, None),
+            (r#""\ude00\ud83d""#, None),
+        ] {
+            let mut fields = fields_of(&snap);
+            fields[0].1 = fabric.into();
+            let line = render(&fields);
+            agree(&line).unwrap();
+            let got = decode_line(&line).ok().map(|s| s.fabric);
+            assert_eq!(got.as_deref(), decoded, "{line}");
+        }
     }
 
     use proptest::prelude::*;

@@ -304,6 +304,25 @@ impl CounterStore {
         k
     }
 
+    /// Move out `job`'s entries below iteration `iter`, sorted by
+    /// iteration; a later record of one of them starts a fresh entry.
+    pub fn take_below(&mut self, job: u32, iter: u32) -> Vec<(u32, IterCounters)> {
+        let mut out: Vec<(u32, IterCounters)> = self
+            .entries
+            .extract_if(.., |((j, i), _)| *j == job && *i < iter)
+            .map(|((_, i), c)| (i, c))
+            .collect();
+        if !out.is_empty() {
+            out.sort_unstable_by_key(|&(i, _)| i);
+            self.index.clear();
+            for (i, (key, _)) in self.entries.iter().enumerate() {
+                self.index.insert(*key, i as u32);
+            }
+            self.last = u32::MAX;
+        }
+        out
+    }
+
     /// Fabric dimensions `(n_rows, n_vspines)`.
     pub fn dims(&self) -> (usize, usize) {
         (self.n_rows, self.n_vspines)
@@ -528,6 +547,28 @@ mod tests {
         assert_eq!(s.get(2, 0).unwrap().port_bytes(0, 0), 30);
         assert_eq!(s.iters_of(1), vec![0, 1]);
         assert_eq!(s.keys(), vec![(1, 0), (1, 1), (2, 0)]);
+    }
+
+    #[test]
+    fn take_below_moves_out_one_jobs_old_entries() {
+        let tag = |job, iter| CollectiveTag { job, iter };
+        let mut s = CounterStore::new(2, 2);
+        for (job, iter) in [(1, 2), (1, 0), (2, 0), (1, 1), (1, 3)] {
+            s.record(0, 1, tag(job, iter), 1, 10 + iter as u64, SimTime::ZERO);
+        }
+        let taken = s.take_below(1, 2);
+        let iters: Vec<u32> = taken.iter().map(|&(i, _)| i).collect();
+        assert_eq!(iters, vec![0, 1], "sorted by iteration");
+        assert_eq!(taken[1].1.port_bytes(0, 1), 11);
+        assert_eq!(s.keys(), vec![(1, 2), (1, 3), (2, 0)]);
+        assert!(s.take_below(1, 2).is_empty());
+        // The index and the record cache follow the entries that moved.
+        assert_eq!(s.get(1, 3).unwrap().port_bytes(0, 1), 13);
+        s.record(0, 1, tag(1, 2), 1, 5, SimTime::ZERO);
+        s.record(0, 1, tag(1, 0), 1, 5, SimTime::ZERO);
+        assert_eq!(s.get(1, 2).unwrap().port_bytes(0, 1), 17);
+        assert_eq!(s.get(1, 0).unwrap().port_bytes(0, 1), 5);
+        assert_eq!(s.get(2, 0).unwrap().port_bytes(0, 1), 10);
     }
 
     #[test]

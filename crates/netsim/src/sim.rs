@@ -803,6 +803,17 @@ impl Simulator {
         self.flows.ids()
     }
 
+    /// True while a held flow tagged `(job, iter ≤ through)` can still add
+    /// a byte to the counters: it is not done (`FlowState::is_done`), so
+    /// it has segments to send, a packet or timer still names it, or both.
+    /// A receiver completes while its ACKs are in flight, so an iteration
+    /// is never quiet at its own end. A retired flow is done.
+    pub fn may_record(&self, job: u32, through: u32) -> bool {
+        self.flows
+            .iter()
+            .any(|f| f.tag.is_some_and(|t| t.job == job && t.iter <= through) && !f.is_done())
+    }
+
     /// True if every posted flow has been fully received and none failed
     /// (a retired flow either finished or failed).
     pub fn all_flows_complete(&self) -> bool {
@@ -1114,6 +1125,59 @@ mod tests {
             c.port_src_bytes(3, 0, 0) + c.port_src_bytes(3, 1, 0),
             300_000
         );
+    }
+
+    /// A tagged iteration stays open until nothing can add a byte to it:
+    /// its receiver completes with ACKs still in flight, so it is open at
+    /// its own end, and it closes once the last ACK lands and nothing names
+    /// the flow. A flow that gave up closes too.
+    #[test]
+    fn a_tag_stays_open_until_its_flows_are_done() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        const TAG: CollectiveTag = CollectiveTag { job: 9, iter: 2 };
+        /// What `may_record` said at the receiver's completion.
+        struct AtCompletion(Rc<Cell<Option<[bool; 4]>>>);
+        impl Application for AtCompletion {
+            fn on_message_complete(&mut self, sim: &mut Simulator, flow: FlowId) {
+                assert!(sim.flow(flow).refs > 0, "the ACK is in flight");
+                self.0.set(Some([
+                    sim.may_record(9, 2),
+                    sim.may_record(9, 7),
+                    sim.may_record(9, 1),
+                    sim.may_record(8, 2),
+                ]));
+            }
+        }
+        let seen = Rc::new(Cell::new(None));
+        let mut s = sim(5);
+        s.set_app(Box::new(AtCompletion(seen.clone())));
+        assert!(!s.may_record(9, 2), "nothing posted yet");
+        let f = s.post_message(HostId(0), HostId(2), 64_000, Some(TAG), Priority::MEASURED);
+        assert!(s.may_record(9, 2));
+        s.run();
+        assert_eq!(
+            seen.get(),
+            Some([true, true, false, false]),
+            "open through its own iteration and later ones, at its own end"
+        );
+        assert_eq!(s.flow(f).refs, 0);
+        assert!(!s.may_record(9, 2), "closed once the ACK landed");
+
+        let mut s = sim(5);
+        s.cfg.rto_max_attempts = 2;
+        s.apply_fault_now(
+            s.topo.host_up[0],
+            FaultAction::Set(FaultKind::SilentBlackhole),
+            false,
+        );
+        let f = s.post_message(HostId(0), HostId(2), 8_000, Some(TAG), Priority::MEASURED);
+        while s.step() {
+            assert!(s.may_record(9, 2) || s.flow(f).refs == 0);
+        }
+        assert_eq!(s.stats.flows_failed, 1);
+        assert!(!s.flow(f).is_complete());
+        assert!(!s.may_record(9, 2), "a flow that gave up is closed");
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl FlowState {
     /// True once nothing can touch the flow again: the sender is fully
     /// acknowledged (so the receiver holds every segment) or gave up, and
     /// nothing names it any more.
-    fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.refs == 0 && (self.failed || self.fully_acked())
     }
 
