@@ -39,7 +39,8 @@ type Rec = Option<Box<dyn fp_telemetry::Recorder>>;
 
 /// An online control plane riding a trial: called at every iteration end
 /// (counters for that iteration are complete, no later packets exist yet),
-/// free to read the simulator's counters and schedule remediation via
+/// before the trial's scorer takes the iterations that closed, free to
+/// read that iteration's live counters and schedule remediation via
 /// [`Simulator::schedule_control`]. Implementations live in `fp-ctrl`;
 /// the harness only needs this interface, keeping the dependency one-way.
 pub trait TrialController {
@@ -90,7 +91,8 @@ pub struct RawRun {
     pub(crate) end_ns: u64,
     /// Every flow posted was delivered in full.
     pub all_flows_complete: bool,
-    /// Leaf-ingress counters.
+    /// Leaf-ingress counters: every entry after [`Scenario::run`]; a
+    /// trial's scorer has taken the measured job's.
     pub counters: CounterStore,
     /// Agg-ingress counters (3-level fabrics; empty on a fat tree).
     pub agg_counters: CounterStore,
@@ -318,7 +320,9 @@ impl Scenario {
         }
         sim.run();
         if let Some(scorer) = scorer {
-            scorer.borrow_mut().finish(&mut sim.counters);
+            scorer
+                .borrow_mut()
+                .take_below(&mut sim.counters, u32::MAX, true);
         }
 
         // Move out what the caller reads and free the simulator before

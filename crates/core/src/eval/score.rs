@@ -188,9 +188,6 @@ const _: fn() = || {
 pub(super) struct Scorer {
     monitor: Monitor,
     window: OpenWindow,
-    /// What the window reads of the entry being handed over; its cells
-    /// are the buffer the window handed back last time.
-    fed: CounterSnapshot,
     /// Every entry handed over, in iteration order.
     snapshots: Vec<CounterSnapshot>,
 }
@@ -209,46 +206,32 @@ impl Scorer {
         Scorer {
             monitor,
             window: OpenWindow::new(JOB, leaves, vspines),
-            fed: CounterSnapshot::default(),
             snapshots: Vec::new(),
         }
     }
 
-    /// Hand over the measured job's entries below iteration `iter` that
-    /// no flow can still add a byte to. Called at `iter`'s end, when the
-    /// newest entry is `iter`'s own: it stays, for [`Self::finish`] to
-    /// flush with, and none is taken while it is missing.
+    /// At iteration `iter`'s end, hand over the measured job's entries
+    /// below it that no flow can still add a byte to. `iter`'s own entry,
+    /// the newest, stays for the run's end to flush with, so none is taken
+    /// while it is missing.
     pub(super) fn close_below(&mut self, sim: &mut Simulator, iter: u32) {
-        if sim.counters.get(JOB, iter).is_none() {
-            return;
-        }
-        let mut quiet = iter;
-        while quiet > 0 && sim.may_record(JOB, quiet - 1) {
-            quiet -= 1;
-        }
-        for (i, entry) in sim.counters.take_below(JOB, quiet) {
-            self.take(CounterSnapshot::of_entry(JOB, i, entry));
+        if sim.counters.get(JOB, iter).is_some() {
+            let quiet = (0..iter).rev().find(|&i| !sim.may_record(JOB, i));
+            self.take_below(&mut sim.counters, quiet.map_or(0, |i| i + 1), false);
         }
     }
 
-    /// Hand over the rest once the run has drained, `last` set on the
-    /// final entry.
-    pub(super) fn finish(&mut self, counters: &mut CounterStore) {
-        let rest = counters.take_below(JOB, u32::MAX);
-        let n = rest.len();
-        for (k, (i, entry)) in rest.into_iter().enumerate() {
+    /// Hand over the measured job's entries below `iter`, in order, `last`
+    /// set on the final one when `end` (the run has drained).
+    pub(super) fn take_below(&mut self, counters: &mut CounterStore, iter: u32, end: bool) {
+        let entries = counters.take_below(JOB, iter);
+        let n = entries.len();
+        for (k, (i, entry)) in entries.into_iter().enumerate() {
             let mut snap = CounterSnapshot::of_entry(JOB, i, entry);
-            snap.last = k + 1 == n;
-            self.take(snap);
+            snap.last = end && k + 1 == n;
+            self.window.score(&mut snap.clone(), &mut self.monitor);
+            self.snapshots.push(snap);
         }
-    }
-
-    fn take(&mut self, snap: CounterSnapshot) {
-        self.fed.bytes.clear();
-        self.fed.bytes.extend_from_slice(&snap.bytes);
-        (self.fed.iter, self.fed.last) = (snap.iter, snap.last);
-        self.window.score(&mut self.fed, &mut self.monitor);
-        self.snapshots.push(snap);
     }
 }
 
@@ -362,7 +345,7 @@ fn ctrl_outcome(s: CtrlSummary, install_ns: Option<u64>, fault_port: Option<Cabl
 
 /// Structured-event export: the trace ring, the fresh alarms with their
 /// localization verdicts, the control steps and the trial milestones, as
-/// recorder events. `end_ns` is the end-of-run clock the post-hoc scan is
+/// recorder events. `end_ns` is the end-of-run clock the alarms are
 /// attributed to.
 pub(super) fn export(
     rec: &mut dyn fp_telemetry::Recorder,
@@ -697,7 +680,7 @@ mod tests {
     /// over at the end.
     fn scored(spec: &TrialSpec, (placed, mut run): (Placed, RawRun)) -> TrialResult {
         let mut scorer = Scorer::new(spec, &placed, &Topology::fat_tree(spec.fabric()));
-        scorer.finish(&mut run.counters);
+        scorer.take_below(&mut run.counters, u32::MAX, true);
         assert!(run.counters.keys().is_empty());
         score(spec, placed, run, scorer)
     }

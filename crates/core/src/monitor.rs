@@ -232,10 +232,11 @@ impl Monitor {
     /// telemetry recorder as structured [`fp_telemetry::Event::Alarm`]s.
     /// Only *fresh* alarms are exported — one per fault episode, not one
     /// per iteration (see [`Alarm::fresh`]). `verdict` attaches each
-    /// alarm's localization verdict, when one is known. Monitoring is
-    /// post-hoc (counters are scanned after the run), so the caller
-    /// supplies the simulated time `at_ns` the scan is attributed to —
-    /// conventionally the end-of-run clock.
+    /// alarm's localization verdict, when one is known. A trial scores
+    /// its iterations as they close but exports its alarms after the run,
+    /// with the verdict only the whole run gives, so the caller supplies
+    /// the simulated time `at_ns` they are attributed to — conventionally
+    /// the end-of-run clock.
     pub(crate) fn export_alarms(
         alarms: &[Alarm],
         at_ns: u64,

@@ -110,7 +110,7 @@ impl CounterSnapshot {
     }
 
     /// Replay this snapshot into a consumer-side store so the byte matrix
-    /// the [`Monitor`](crate::monitor::Monitor) reads is identical to the
+    /// the [`Monitor`] reads is identical to the
     /// producer's. Only per-port bytes are reconstructed (see the module
     /// docs): the snapshot names no sender, so each port's bytes are
     /// credited to its own leaf, one sender per port, which keeps the
@@ -138,7 +138,7 @@ impl CounterSnapshot {
 }
 
 /// The iterations of one `(fabric, job)` stream that its
-/// [`Monitor`](crate::monitor::Monitor) has not evaluated yet — what a
+/// [`Monitor`] has not evaluated yet — what a
 /// long-running consumer keeps instead of a [`CounterStore`] that grows
 /// with the stream. It answers [`IterSource`] exactly as the store
 /// [`CounterSnapshot::apply`] fills would: cells add on a repeated
@@ -185,10 +185,7 @@ impl OpenWindow {
         monitor.scan(self, snap.last);
         let below = monitor.next_iter();
         while let Some(e) = self.open.first_entry().filter(|e| *e.key() < below) {
-            let spent = e.remove();
-            if snap.bytes.capacity() == 0 {
-                snap.bytes = spent;
-            }
+            snap.bytes = e.remove();
         }
     }
 
