@@ -7,9 +7,9 @@
 //! [`Monitor`] over it one snapshot at a time with [`OpenWindow::score`],
 //! the step a trial scores its closed iterations with: `scan(…, false)`
 //! per snapshot, `scan(…, true)` on the stream's final snapshot. That
-//! produces an alarm sequence byte-identical to rebuilding a whole [`CounterStore`]
-//! with `CounterSnapshot::apply` and scanning it offline once
-//! (`Monitor::scan` only ever evaluates closed iterations and never
+//! produces an alarm sequence byte-identical to rebuilding a whole
+//! [`CounterStore`] with `CounterSnapshot::apply` and scanning it offline
+//! once (`Monitor::scan` only ever evaluates closed iterations and never
 //! looks back, so neither the split points nor the eviction can
 //! matter). On close, the ring localizer correlates the stream's
 //! shortfall alarms into cable verdicts. A processed snapshot goes back

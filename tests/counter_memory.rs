@@ -1,14 +1,14 @@
-//! A trial's counters cost what they hold. Under a ring all-reduce each
+//! A run's counters cost what they hold. Under a ring all-reduce each
 //! monitored port only ever sees one sender leaf, so an iteration's entry
 //! keeps its per-port bytes and one sender per port instead of a
-//! leaves-wide per-sender block. What a run of the `steady_adaptive`
-//! benchmark shape (a 16×8 fat tree, a 4 MiB/node ring all-reduce,
-//! Adaptive spray, no jitter) hands back grows by at most 2 kB per
-//! iteration from 24 to 96 iterations (about 1.44 kB on the 16×8 fabric);
-//! with a dense block in every entry it grew by about 17.6 kB.
-//! Halving-doubling, whose ports see several senders, unfolds into the
-//! dense block and may not grow faster than it did with one in every entry.
-//!
+//! leaves-wide per-sender block. What `Scenario::run` of the
+//! `steady_adaptive` benchmark shape (a 16×8 fat tree, a 4 MiB/node ring
+//! all-reduce, Adaptive spray, no jitter) hands back, every entry
+//! included, grows by at most 2 kB per iteration from 24 to 96 iterations
+//! (about 1.44 kB on the 16×8 fabric); with a dense block in every entry
+//! it grew by about 17.6 kB. Halving-doubling, whose ports see several
+//! senders, unfolds into the dense block and may not grow faster than it
+//! did with one in every entry.
 //!
 //! A trial keeps none of that: its scorer takes each iteration as it
 //! closes, so the store holds only the open ones, and what `run_trial`
