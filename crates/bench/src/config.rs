@@ -27,7 +27,7 @@ pub struct RunConfig {
     pub results: PathBuf,
     /// `FP_SPRAY`: spray backend of every trial that does not pin its own
     /// (default [`SprayPolicy::Adaptive`]).
-    pub spray: SprayPolicy,
+    pub(crate) spray: SprayPolicy,
     /// `FP_TELEMETRY`: directory for manifests and recorder artifacts
     /// (default none: nothing is written).
     pub telemetry: Option<PathBuf>,

@@ -383,7 +383,7 @@ pub fn run_trial_ctl(
     controller: Option<Rc<RefCell<dyn TrialController>>>,
 ) -> (TrialResult, Rec) {
     let (scenario, placed) = prepare(spec);
-    let scorer = Rc::new(RefCell::new(Scorer::new(spec, &placed, &scenario.topo)));
+    let scorer = Rc::new(RefCell::new(Scorer::new(spec, &placed)));
     let (raw, mut recorder) = scenario.run_observed(recorder, controller, Some(&scorer));
     let end_ns = raw.end_ns;
     let scorer = Rc::into_inner(scorer).expect("the run dropped its hook");

@@ -14,11 +14,10 @@ use crate::learned::LearnedUpdate;
 use crate::localizer::{Localizer, RingLocalization};
 use crate::model::PortLoads;
 use crate::monitor::{Alarm, Monitor};
-use crate::snapshot::{CounterSnapshot, OpenWindow};
+use crate::snapshot::CounterSnapshot;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::sim::{IterSpanRecord, Simulator};
 use fp_netsim::stats::Stats;
-use fp_netsim::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// A control-plane phase, for telemetry labelling.
@@ -184,28 +183,25 @@ const _: fn() = || {
 
 /// The trial's scorer: the measured job's counter entries, handed over as
 /// they close, go through the per-snapshot step fp-monitord takes
-/// ([`OpenWindow::score`]), so the trial holds only its open iterations.
+/// ([`Monitor::score`]), so the trial holds only its open iterations.
 pub(super) struct Scorer {
     monitor: Monitor,
-    window: OpenWindow,
     /// Every entry handed over, in iteration order.
     snapshots: Vec<CounterSnapshot>,
 }
 
 impl Scorer {
-    /// A scorer for `spec`'s model on `topo`, `placed` holding the
-    /// prediction of a fixed one.
-    pub(super) fn new(spec: &TrialSpec, placed: &Placed, topo: &Topology) -> Self {
+    /// A scorer for `spec`'s model, `placed` holding the prediction of a
+    /// fixed one.
+    pub(super) fn new(spec: &TrialSpec, placed: &Placed) -> Self {
         let detector = Detector::new(spec.threshold);
         let monitor = match (&spec.model, &placed.predicted) {
             (ModelKind::Learned { warmup }, _) => Monitor::new_learned(JOB, detector, *warmup),
             (_, Some(p)) => Monitor::new_fixed(JOB, detector, p.clone()),
             _ => unreachable!("non-learned model without prediction"),
         };
-        let (leaves, vspines) = (topo.n_leaves() as u32, topo.n_vspines() as u32);
         Scorer {
             monitor,
-            window: OpenWindow::new(JOB, leaves, vspines),
             snapshots: Vec::new(),
         }
     }
@@ -229,7 +225,7 @@ impl Scorer {
         for (k, (i, entry)) in entries.into_iter().enumerate() {
             let mut snap = CounterSnapshot::of_entry(JOB, i, entry);
             snap.last = end && k + 1 == n;
-            self.window.score(&mut snap.clone(), &mut self.monitor);
+            self.monitor.score(&mut snap.clone());
             self.snapshots.push(snap);
         }
     }
@@ -238,9 +234,7 @@ impl Scorer {
 /// Score one run: everything [`TrialResult`] reports that the engine and
 /// the scorer did not hand over ready-made.
 pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun, scorer: Scorer) -> TrialResult {
-    let Scorer {
-        monitor, snapshots, ..
-    } = scorer;
+    let Scorer { monitor, snapshots } = scorer;
     let (localization, localized_correctly) =
         ring_verdict(spec, placed.fault_port, &monitor.alarms).unzip();
     let mut r = TrialResult {
@@ -679,7 +673,7 @@ mod tests {
     /// Score a hand-built run as a trial does, its counters all handed
     /// over at the end.
     fn scored(spec: &TrialSpec, (placed, mut run): (Placed, RawRun)) -> TrialResult {
-        let mut scorer = Scorer::new(spec, &placed, &Topology::fat_tree(spec.fabric()));
+        let mut scorer = Scorer::new(spec, &placed);
         scorer.take_below(&mut run.counters, u32::MAX, true);
         assert!(run.counters.keys().is_empty());
         score(spec, placed, run, scorer)

@@ -17,29 +17,10 @@
 use crate::detector::{Detector, Deviation};
 use crate::learned::{LearnedModel, LearnedUpdate};
 use crate::model::{PortCells, PortLoads};
+use crate::snapshot::CounterSnapshot;
 use fp_netsim::counters::CounterStore;
 use serde::{Deserialize, Serialize};
-
-/// What [`Monitor::scan`] reads iterations from: a whole run's
-/// [`CounterStore`], or a window holding only the iterations still open
-/// ([`crate::snapshot::OpenWindow`]).
-pub trait IterSource {
-    /// Whether any counter of `(job, iter)` was recorded.
-    fn has_iter(&self, job: u32, iter: u32) -> bool;
-    /// The observed per-port byte counters of `(job, iter)`, if recorded,
-    /// borrowed where they are kept.
-    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>>;
-}
-
-impl IterSource for CounterStore {
-    fn has_iter(&self, job: u32, iter: u32) -> bool {
-        self.get(job, iter).is_some()
-    }
-
-    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>> {
-        self.get(job, iter).map(PortCells::from_counters)
-    }
-}
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Where predictions come from.
 enum ModelSource {
@@ -85,10 +66,17 @@ pub struct Monitor {
     pub learned_events: Vec<(u32, LearnedUpdate)>,
     /// Hysteresis state: last iteration each `(leaf, vspine)` port
     /// alarmed, for episode freshness tracking.
-    port_last_alarm: std::collections::BTreeMap<(u32, u32), u32>,
+    port_last_alarm: BTreeMap<(u32, u32), u32>,
     /// The evaluated iteration's ports beyond the threshold, leaf by leaf;
     /// kept between iterations for its capacity.
     deviating: Vec<Deviation>,
+    /// The iterations [`Self::score`] recorded and has not evaluated yet,
+    /// each one's per-port byte cells row-major: one or two on a healthy
+    /// stream, whatever its length.
+    open: BTreeMap<u32, Vec<u64>>,
+    /// `(n_leaves, n_vspines)` of the scored stream, fixed by its first
+    /// snapshot.
+    shape: Option<(usize, usize)>,
 }
 
 impl Monitor {
@@ -115,6 +103,8 @@ impl Monitor {
             learned_events: Vec::new(),
             port_last_alarm: Default::default(),
             deviating: Vec::new(),
+            open: BTreeMap::new(),
+            shape: None,
         }
     }
 
@@ -129,16 +119,84 @@ impl Monitor {
     /// Process every *closed* iteration in `counters`. Iteration `i` is
     /// closed once iteration `i+1` has been observed; pass `flush = true`
     /// at end of job to evaluate the trailing iteration too.
-    pub fn scan<S: IterSource>(&mut self, counters: &S, flush: bool) {
+    pub fn scan(&mut self, counters: &CounterStore, flush: bool) {
+        let job = self.job;
+        self.evaluate_closed(flush, |i| {
+            counters.get(job, i).map(PortCells::from_counters)
+        });
+    }
+
+    /// One snapshot's step on its stream, the one a monitor service and a
+    /// trial both take: record `snap`'s cells (adding them to a repeated
+    /// iteration's; an all-zero snapshot records nothing), evaluate every
+    /// iteration that closed (flushing the rest when `snap` is the
+    /// stream's [`last`](CounterSnapshot::last)), then forget what it has
+    /// passed. The result is what [`Self::scan`] makes of the store
+    /// [`CounterSnapshot::apply`] fills from the same snapshots, yet the
+    /// monitor holds only the iterations it has not evaluated. The cells
+    /// move in and `snap.bytes` comes back holding a spent buffer for the
+    /// caller to reuse (empty when none was spent); any further spent
+    /// buffer is freed. A late snapshot of an iteration already evaluated
+    /// is discarded unread. The snapshot's `job` is not read: the caller
+    /// routes each job's stream to its own monitor.
+    ///
+    /// # Panics
+    /// If `snap`'s shape differs from the first scored snapshot's, or its
+    /// cells are not `n_leaves × n_vspines` — the caller checks wire input
+    /// against the stream's shape first.
+    pub fn score(&mut self, snap: &mut CounterSnapshot) {
+        let dims = (snap.n_leaves as usize, snap.n_vspines as usize);
+        let (n_leaves, n_vspines) = *self.shape.get_or_insert(dims);
+        assert!(
+            dims == (n_leaves, n_vspines)
+                && Some(snap.bytes.len()) == n_leaves.checked_mul(n_vspines),
+            "snapshot cells do not match the stream's fabric shape"
+        );
+        let bytes = std::mem::take(&mut snap.bytes);
+        if bytes.iter().any(|&b| b != 0) {
+            match self.open.entry(snap.iter) {
+                Entry::Vacant(e) => {
+                    e.insert(bytes);
+                }
+                Entry::Occupied(mut e) => {
+                    for (cell, b) in e.get_mut().iter_mut().zip(bytes) {
+                        *cell += b;
+                    }
+                }
+            }
+        }
+        let open = std::mem::take(&mut self.open);
+        self.evaluate_closed(snap.last, |i| {
+            let bytes = open.get(&i)?;
+            Some(PortCells {
+                n_leaves,
+                n_vspines,
+                bytes,
+            })
+        });
+        self.open = open;
+        let below = self.next_iter;
+        while let Some(e) = self.open.first_entry().filter(|e| *e.key() < below) {
+            snap.bytes = e.remove();
+        }
+    }
+
+    /// Iterations [`Self::score`] holds: recorded, not evaluated yet.
+    pub fn open_iters(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Evaluate, from `next_iter` on, every iteration `cells` holds whose
+    /// successor it holds too, or every one up to the first gap when
+    /// `flush`.
+    fn evaluate_closed<'c>(&mut self, flush: bool, cells: impl Fn(u32) -> Option<PortCells<'c>>) {
         loop {
             let i = self.next_iter;
-            let closed = flush
-                || i.checked_add(1)
-                    .is_some_and(|next| counters.has_iter(self.job, next));
+            let closed = flush || i.checked_add(1).is_some_and(|next| cells(next).is_some());
             if !closed {
                 break;
             }
-            let Some(obs) = counters.iter_cells(self.job, i) else {
+            let Some(obs) = cells(i) else {
                 break;
             };
             self.evaluate(i, obs);
@@ -146,7 +204,7 @@ impl Monitor {
         }
     }
 
-    /// The first iteration `scan` has not evaluated yet; everything below
+    /// The first iteration not evaluated yet; everything below
     /// it will never be read again.
     pub fn next_iter(&self) -> u32 {
         self.next_iter
@@ -451,6 +509,26 @@ mod tests {
         m.scan(&store(&[[1000, 1000], [600, 1000], [1000, 1000]]), true);
         assert!(m.alarms.is_empty(), "skipped iteration must not alarm");
         assert_eq!(m.iter_max_dev.len(), 2); // iters 0 and 2
+    }
+
+    /// The first snapshot a monitor scores fixes the stream's shape; a
+    /// later one of another shape, even with as many cells, is refused.
+    #[test]
+    #[should_panic(expected = "snapshot cells do not match the stream's fabric shape")]
+    fn a_snapshot_of_another_shape_panics() {
+        let mut m = Monitor::new_learned(1, Detector::new(0.01), 1);
+        let snap = |iter, n_leaves, n_vspines| CounterSnapshot {
+            job: 1,
+            iter,
+            n_leaves,
+            n_vspines,
+            bytes: vec![1000; 2],
+            ..CounterSnapshot::default()
+        };
+        m.score(&mut snap(0, 1, 2));
+        m.score(&mut snap(1, 1, 2));
+        assert_eq!(m.next_iter(), 1, "the first two snapshots are scored");
+        m.score(&mut snap(2, 2, 1));
     }
 
     /// What `evaluate` derived from one observation while it still cloned

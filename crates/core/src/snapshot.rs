@@ -4,10 +4,11 @@
 //! A [`CounterSnapshot`] carries one job's closed iteration counters for
 //! one fabric: the row-major `(leaf, vspine)` byte matrix the detector
 //! compares, plus enough shape metadata for a consumer that has never seen
-//! the fabric to run the [`Monitor`] incrementally — over a rebuilt
-//! [`CounterStore`] ([`CounterSnapshot::apply`], the offline oracle) or,
-//! for a stream of any length, over an [`OpenWindow`] of the iterations
-//! still open. The per-source breakdown is deliberately *not* shipped:
+//! the fabric to run the [`Monitor`] incrementally. For a stream of any
+//! length, [`Monitor::score`] takes one snapshot at a time and holds only
+//! the iterations it has not evaluated; the offline oracle rebuilds a
+//! [`CounterStore`] ([`CounterSnapshot::apply`]) and scans it. The
+//! per-source breakdown is deliberately *not* shipped:
 //! the temporal-symmetry detector reads only per-port bytes
 //! (`PortCells::from_counters`), and ring localization
 //! correlates alarms across leaves rather than across senders, so the wire
@@ -16,14 +17,13 @@
 //!
 //! [`CounterStore`]: fp_netsim::counters::CounterStore
 //! [`Monitor`]: crate::monitor::Monitor
+//! [`Monitor::score`]: crate::monitor::Monitor::score
 
 use crate::model::{PortCells, PortLoads};
-use crate::monitor::{IterSource, Monitor};
 use fp_netsim::counters::{CounterStore, IterCounters};
 use fp_netsim::packet::CollectiveTag;
 use fp_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One job-iteration's counters from one fabric, as shipped to the
 /// monitor service (in-process channel or newline-delimited JSON).
@@ -110,7 +110,7 @@ impl CounterSnapshot {
     }
 
     /// Replay this snapshot into a consumer-side store so the byte matrix
-    /// the [`Monitor`] reads is identical to the
+    /// the [`Monitor`](crate::monitor::Monitor) reads is identical to the
     /// producer's. Only per-port bytes are reconstructed (see the module
     /// docs): the snapshot names no sender, so each port's bytes are
     /// credited to its own leaf, one sender per port, which keeps the
@@ -134,106 +134,6 @@ impl CounterSnapshot {
     /// An empty store with this snapshot's fabric dimensions.
     pub fn new_store(&self) -> CounterStore {
         CounterStore::new(self.n_leaves as usize, self.n_vspines as usize)
-    }
-}
-
-/// The iterations of one `(fabric, job)` stream that its
-/// [`Monitor`] has not evaluated yet — what a
-/// long-running consumer keeps instead of a [`CounterStore`] that grows
-/// with the stream. It answers [`IterSource`] exactly as the store
-/// [`CounterSnapshot::apply`] fills would: cells add on a repeated
-/// iteration, an all-zero snapshot records nothing, and — because the
-/// monitor never looks back — an iteration it has passed can be evicted,
-/// or arrive late and be evicted, unread. Memory is the open iterations
-/// × ports, whatever the stream length.
-///
-/// [`CounterStore`]: fp_netsim::counters::CounterStore
-#[derive(Clone, Debug)]
-pub struct OpenWindow {
-    job: u32,
-    n_leaves: usize,
-    n_vspines: usize,
-    /// Per-port byte cells of each open iteration, row-major.
-    open: BTreeMap<u32, Vec<u64>>,
-}
-
-impl OpenWindow {
-    /// An empty window for `job` on an `n_leaves × n_vspines` fabric.
-    pub fn new(job: u32, n_leaves: u32, n_vspines: u32) -> Self {
-        OpenWindow {
-            job,
-            n_leaves: n_leaves as usize,
-            n_vspines: n_vspines as usize,
-            open: BTreeMap::new(),
-        }
-    }
-
-    /// One snapshot's step on its stream, the one a monitor service and a
-    /// trial both take: record `snap`'s cells, let `monitor` evaluate every
-    /// iteration that closed (flushing the rest when `snap` is the
-    /// stream's [`last`](CounterSnapshot::last)), then forget what it has
-    /// passed. The cells move into the window and `snap.bytes` comes back
-    /// holding a spent buffer for the caller to reuse (empty when none was
-    /// spent); any further spent buffer is freed. A late snapshot of an
-    /// iteration already evaluated is discarded unread.
-    ///
-    /// # Panics
-    /// If `snap.bytes` is not `n_leaves × n_vspines` long — the caller
-    /// checks wire input against the stream's shape first.
-    pub fn score(&mut self, snap: &mut CounterSnapshot, monitor: &mut Monitor) {
-        self.record(snap.iter, std::mem::take(&mut snap.bytes));
-        monitor.scan(self, snap.last);
-        let below = monitor.next_iter();
-        while let Some(e) = self.open.first_entry().filter(|e| *e.key() < below) {
-            snap.bytes = e.remove();
-        }
-    }
-
-    /// Add `bytes` to iteration `iter`'s cells.
-    fn record(&mut self, iter: u32, bytes: Vec<u64>) {
-        assert_eq!(
-            Some(bytes.len()),
-            self.n_leaves.checked_mul(self.n_vspines),
-            "snapshot cells do not match the window's fabric shape"
-        );
-        if bytes.iter().all(|&b| b == 0) {
-            return;
-        }
-        match self.open.entry(iter) {
-            Entry::Vacant(e) => {
-                e.insert(bytes);
-            }
-            Entry::Occupied(mut e) => {
-                for (cell, b) in e.get_mut().iter_mut().zip(bytes) {
-                    *cell += b;
-                }
-            }
-        }
-    }
-
-    /// Iterations currently held.
-    pub fn len(&self) -> usize {
-        self.open.len()
-    }
-
-    /// No iteration is held.
-    pub fn is_empty(&self) -> bool {
-        self.open.is_empty()
-    }
-}
-
-impl IterSource for OpenWindow {
-    fn has_iter(&self, job: u32, iter: u32) -> bool {
-        job == self.job && self.open.contains_key(&iter)
-    }
-
-    fn iter_cells(&self, job: u32, iter: u32) -> Option<PortCells<'_>> {
-        let cells = self.open.get(&iter).filter(|_| job == self.job)?;
-        Some(PortCells {
-            n_leaves: self.n_leaves,
-            n_vspines: self.n_vspines,
-            bytes: cells,
-        })
     }
 }
 

@@ -1,22 +1,22 @@
-//! Differential oracle for [`OpenWindow::score`], the per-snapshot step of
-//! fp-monitord and of a trial's scorer: a monitor fed through the window
-//! must stay in lockstep with one scanning the [`CounterStore`] that
+//! Differential oracle for [`Monitor::score`], the per-snapshot step of
+//! fp-monitord and of a trial's scorer: a monitor fed one snapshot at a
+//! time, holding only the iterations it has not evaluated, must stay in
+//! lockstep with one scanning the [`CounterStore`] that
 //! [`CounterSnapshot::apply`] rebuilds from the same snapshots, whatever
 //! order they arrive in.
 
 use flowpulse::detector::Detector;
 use flowpulse::monitor::Monitor;
-use flowpulse::snapshot::{CounterSnapshot, OpenWindow};
+use flowpulse::snapshot::CounterSnapshot;
 use proptest::prelude::*;
 
 const LEAVES: u32 = 2;
 const VSPINES: u32 = 2;
 const JOBS: u32 = 2;
 
-/// One `(fabric, job)` stream as the service keeps it, next to the
-/// monitor that reads the shared offline store.
+/// One `(fabric, job)` stream's monitor as the service keeps it, next to
+/// the monitor that reads the shared offline store.
 struct Stream {
-    window: OpenWindow,
     online: Monitor,
     offline: Monitor,
     /// Where in-order arrivals of this job have got to.
@@ -27,7 +27,6 @@ impl Stream {
     fn new(job: u32) -> Self {
         let monitor = || Monitor::new_learned(job, Detector::new(0.01), 1);
         Stream {
-            window: OpenWindow::new(job, LEAVES, VSPINES),
             online: monitor(),
             offline: monitor(),
             cursor: 0,
@@ -41,7 +40,8 @@ proptest! {
     /// Gaps, duplicates, out-of-order arrivals, all-zero iterations, late
     /// repeats of evaluated iterations, `last` mid-stream and two jobs on
     /// one fabric: every monitor output is equal after every snapshot, and
-    /// the window holds exactly the recorded iterations not evaluated yet.
+    /// the scoring monitor holds exactly the recorded iterations not
+    /// evaluated yet.
     #[test]
     fn window_matches_rebuilt_store_in_lockstep(
         ops in collection::vec((0u32..JOBS, 0u32..16, 0u32..16, 0u64..4), 1..60),
@@ -85,7 +85,7 @@ proptest! {
             st.offline.scan(&store, snap.last);
 
             let mut snap = snap;
-            st.window.score(&mut snap, &mut st.online);
+            st.online.score(&mut snap);
 
             prop_assert_eq!(&st.online.alarms, &st.offline.alarms, "step {}", step);
             prop_assert_eq!(&st.online.iter_max_dev, &st.offline.iter_max_dev, "step {}", step);
@@ -97,7 +97,7 @@ proptest! {
                 .into_iter()
                 .filter(|&i| i >= st.online.next_iter())
                 .count();
-            prop_assert_eq!(st.window.len(), unevaluated, "step {}", step);
+            prop_assert_eq!(st.online.open_iters(), unevaluated, "step {}", step);
         }
     }
 }

@@ -14,8 +14,8 @@
 //!   heap block is allocated on one thread and freed on the other.
 //! * **Process** ([`service`]) — one worker batches snapshots off the
 //!   queue and demultiplexes them onto per-`(fabric, job)` stream state:
-//!   a window of the iterations not evaluated yet plus an
-//!   incrementally-scanned learned monitor, flushed through the ring
+//!   a learned monitor that scores one snapshot at a time and holds only
+//!   the iterations it has not evaluated, flushed through the ring
 //!   localizer when the stream ends. Memory does not grow with stream
 //!   length, and per-stream alarm output is byte-identical to running the
 //!   offline monitor over the same snapshot sequence.

@@ -2,19 +2,18 @@
 //!
 //! Ingested [`CounterSnapshot`]s are batched off the bounded queue and
 //! demultiplexed onto per-stream state keyed by fabric, then job. Each
-//! stream keeps an [`OpenWindow`] — the cells of the iterations its
-//! monitor has not evaluated yet, nothing older — and drives a learned
-//! [`Monitor`] over it one snapshot at a time with [`OpenWindow::score`],
-//! the step a trial scores its closed iterations with: `scan(…, false)`
-//! per snapshot, `scan(…, true)` on the stream's final snapshot. That
-//! produces an alarm sequence byte-identical to rebuilding a whole
+//! stream drives a learned [`Monitor`] one snapshot at a time with
+//! [`Monitor::score`], the step a trial scores its closed iterations with;
+//! the monitor holds the cells of the iterations it has not evaluated
+//! yet, nothing older, and flushes them on the stream's final snapshot.
+//! That produces an alarm sequence byte-identical to rebuilding a whole
 //! [`CounterStore`] with `CounterSnapshot::apply` and scanning it offline
-//! once (`Monitor::scan` only ever evaluates closed iterations and never
+//! once (the monitor only ever evaluates closed iterations and never
 //! looks back, so neither the split points nor the eviction can
 //! matter). On close, the ring localizer correlates the stream's
 //! shortfall alarms into cable verdicts. A processed snapshot goes back
 //! to its producer over the queue's return lane, carrying its fabric id
-//! and the cell buffer its stream's window just evicted, so that the
+//! and the cell buffer its stream's monitor just evicted, so that the
 //! worker frees nothing a decoder allocated.
 //!
 //! Processing stays single-threaded by design: stream state needs no
@@ -30,7 +29,7 @@ use crate::queue::{IngestQueue, QueuePolicy, QueueStats};
 use flowpulse::detector::Detector;
 use flowpulse::localizer::{Localizer, RingLocalization};
 use flowpulse::monitor::{Alarm, Monitor};
-use flowpulse::snapshot::{CounterSnapshot, OpenWindow};
+use flowpulse::snapshot::CounterSnapshot;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -111,7 +110,6 @@ pub struct ServiceReport {
 }
 
 struct StreamState {
-    window: OpenWindow,
     monitor: Monitor,
     n_leaves: u32,
     n_vspines: u32,
@@ -123,7 +121,6 @@ struct StreamState {
 impl StreamState {
     fn new(first: &CounterSnapshot, cfg: &ServiceConfig) -> Self {
         StreamState {
-            window: OpenWindow::new(first.job, first.n_leaves, first.n_vspines),
             monitor: Monitor::new_learned(first.job, Detector::new(cfg.threshold), cfg.warmup),
             n_leaves: first.n_leaves,
             n_vspines: first.n_vspines,
@@ -285,11 +282,11 @@ fn mirror_queue(m: &mut MetricsRegistry, queue: &IngestQueue) -> QueueStats {
     q
 }
 
-/// The largest open-iteration window across streams: 1–2 on a healthy
+/// The most open iterations a stream's monitor holds: 1–2 on a healthy
 /// stream, growing only behind a gap the scan is stalled at.
 fn set_open_iters(m: &mut MetricsRegistry, streams: &Streams) {
-    let windows = streams.values().flat_map(BTreeMap::values);
-    let widest = windows.map(|s| s.window.len()).max().unwrap_or(0);
+    let states = streams.values().flat_map(BTreeMap::values);
+    let widest = states.map(|s| s.monitor.open_iters()).max().unwrap_or(0);
     m.set_gauge("open_iters", widest as f64);
 }
 
@@ -352,8 +349,8 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 continue;
             }
             let alarms_before = state.monitor.alarms.len();
-            // A spent buffer rides back in place of the one the window kept.
-            state.window.score(&mut snap, &mut state.monitor);
+            // A spent buffer rides back in place of the one the monitor kept.
+            state.monitor.score(&mut snap);
             // Nothing here reads the per-iteration diagnostics; left
             // alone they grow by an entry per snapshot for good.
             state.monitor.iter_max_dev.clear();

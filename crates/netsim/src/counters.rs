@@ -23,7 +23,6 @@
 
 use crate::packet::CollectiveTag;
 use crate::time::SimTime;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A port that has not seen a tagged byte yet. Sources are leaves, and a
@@ -194,21 +193,23 @@ pub(crate) struct CounterDelta {
 
 /// All iteration counters of a run, keyed by `(job, iter)`.
 ///
-/// Layout is optimized for the per-packet hot path ([`Self::record`]):
-/// counters live in a dense `Vec` with a `HashMap` index on the side, and
-/// the most recently touched slot is cached. Tagged packets of the same
-/// collective iteration arrive in long runs, so almost every record hits
-/// the cache and touches neither the hash nor the index.
+/// Layout is sized for what a store holds: a trial's scorer takes each
+/// entry as its iteration closes, so one or two are live, and a kept run
+/// holds one per iteration. Entries live in a `Vec` sorted by
+/// `(job, iter)`, found by binary search, and the most recently touched
+/// slot is cached for the per-packet hot path ([`Self::record`]). Tagged
+/// packets of the same collective iteration arrive in long runs, so almost
+/// every record hits the cache and searches nothing.
 #[derive(Clone, Debug)]
 pub struct CounterStore {
     n_rows: usize,
     n_vspines: usize,
     n_src: usize,
-    /// Dense storage in first-recorded order.
+    /// Entries sorted by `(job, iter)`.
     entries: Vec<((u32, u32), IterCounters)>,
-    /// `(job, iter)` → index into `entries`.
-    index: HashMap<(u32, u32), u32>,
-    /// Most recently recorded entry (`u32::MAX` = none yet).
+    /// Most recently recorded entry (`u32::MAX` = none yet). A hit is
+    /// checked against its key, so an insertion or a take that moves the
+    /// entries leaves it stale but never wrong.
     last: u32,
 }
 
@@ -229,7 +230,6 @@ impl CounterStore {
             n_vspines,
             n_src,
             entries: Vec::new(),
-            index: HashMap::new(),
             last: u32::MAX,
         }
     }
@@ -264,63 +264,49 @@ impl CounterStore {
         c.last_seen = c.last_seen.max(now.as_ns());
     }
 
+    /// Where `key` is in `entries`, or where it would go.
+    fn find(&self, key: (u32, u32)) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |(k, _)| *k)
+    }
+
     /// Index into `entries` of `key`'s entry, added empty if it is new.
     fn slot(&mut self, key: (u32, u32)) -> usize {
-        if let Some(&i) = self.index.get(&key) {
-            return i as usize;
-        }
-        let i = self.entries.len();
-        self.entries.push((
-            key,
-            IterCounters::new(self.n_rows, self.n_vspines, self.n_src),
-        ));
-        self.index.insert(key, i as u32);
-        i
+        self.find(key).unwrap_or_else(|i| {
+            let c = IterCounters::new(self.n_rows, self.n_vspines, self.n_src);
+            self.entries.insert(i, (key, c));
+            i
+        })
     }
 
     /// Counters for one `(job, iter)`, if any packet was recorded.
     pub fn get(&self, job: u32, iter: u32) -> Option<&IterCounters> {
-        self.index
-            .get(&(job, iter))
-            .map(|&i| &self.entries[i as usize].1)
+        let i = self.find((job, iter)).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// All `(job, iter)` keys, sorted.
     pub fn keys(&self) -> Vec<(u32, u32)> {
-        let mut k: Vec<_> = self.entries.iter().map(|(k, _)| *k).collect();
-        k.sort_unstable();
-        k
+        self.entries.iter().map(|(k, _)| *k).collect()
     }
 
     /// Iterations recorded for `job`, sorted.
     pub fn iters_of(&self, job: u32) -> Vec<u32> {
-        let mut k: Vec<u32> = self
-            .entries
+        self.entries
             .iter()
             .filter(|((j, _), _)| *j == job)
             .map(|&((_, i), _)| i)
-            .collect();
-        k.sort_unstable();
-        k
+            .collect()
     }
 
     /// Move out `job`'s entries below iteration `iter`, sorted by
     /// iteration; a later record of one of them starts a fresh entry.
     pub fn take_below(&mut self, job: u32, iter: u32) -> Vec<(u32, IterCounters)> {
-        let mut out: Vec<(u32, IterCounters)> = self
-            .entries
-            .extract_if(.., |((j, i), _)| *j == job && *i < iter)
+        let from = self.entries.partition_point(|(k, _)| *k < (job, 0));
+        let to = self.entries.partition_point(|(k, _)| *k < (job, iter));
+        self.entries
+            .drain(from..to)
             .map(|((_, i), c)| (i, c))
-            .collect();
-        if !out.is_empty() {
-            out.sort_unstable_by_key(|&(i, _)| i);
-            self.index.clear();
-            for (i, (key, _)) in self.entries.iter().enumerate() {
-                self.index.insert(*key, i as u32);
-            }
-            self.last = u32::MAX;
-        }
-        out
+            .collect()
     }
 
     /// Fabric dimensions `(n_rows, n_vspines)`.
@@ -562,7 +548,7 @@ mod tests {
         assert_eq!(taken[1].1.port_bytes(0, 1), 11);
         assert_eq!(s.keys(), vec![(1, 2), (1, 3), (2, 0)]);
         assert!(s.take_below(1, 2).is_empty());
-        // The index and the record cache follow the entries that moved.
+        // The record cache follows the entries that moved.
         assert_eq!(s.get(1, 3).unwrap().port_bytes(0, 1), 13);
         s.record(0, 1, tag(1, 2), 1, 5, SimTime::ZERO);
         s.record(0, 1, tag(1, 0), 1, 5, SimTime::ZERO);
