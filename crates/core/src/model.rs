@@ -81,9 +81,9 @@ impl PortLoads {
 }
 
 /// One iteration's observed per-port byte counters, borrowed from where
-/// they are kept (a `CounterStore` or an `OpenWindow`): the same row-major
-/// `[leaf][vspine]` layout as [`PortLoads`], as the `u64`s the switches
-/// count. Each value reads as `b as f64`, the conversion
+/// they are kept (a `CounterStore`, or a monitor's open iterations): the
+/// same row-major `[leaf][vspine]` layout as [`PortLoads`], as the `u64`s
+/// the switches count. Each value reads as `b as f64`, the conversion
 /// [`PortLoads::from_counters`] makes.
 #[derive(Copy, Clone, Debug)]
 pub struct PortCells<'a> {
