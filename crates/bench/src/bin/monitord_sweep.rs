@@ -8,9 +8,13 @@
 //! `fp-monitord` instance, one (streams, policy) cell at a time
 //! (`"monitord32_block"`, …). The blocking-policy cells assert the E10
 //! acceptance bar: zero drops at ≥ 32 concurrent streams. Each cell's
-//! own metrics land in `results/monitord_metrics_<cell>.jsonl`; how fast
-//! the service ingests is measured by `benchmark/`'s `monitord_ingest`
-//! workload, the rate printed here is a single reading.
+//! own metrics, its queue-wait and scan-latency histograms among them,
+//! land in `results/monitord_metrics_<cell>.jsonl`. How fast the service
+//! ingests, and its p50/p99 queue wait and scan latency, are measured by
+//! `benchmark/`'s `monitord_ingest` workload (the per-layer rows
+//! `monitord.queue.wait_p50_us` / `_p99_us` and
+//! `monitord.service.scan_p50_us` / `_p99_us`); the rate printed here is
+//! a single reading.
 //!
 //! The 32-stream blocking cell also saves `results/monitord_alarms.json`
 //! — per-stream alarm/localization verdicts, which are byte-identical
@@ -36,15 +40,6 @@ fn synthesize(base: &[CounterSnapshot], fabric: String, rounds: u32) -> Vec<Coun
         }
     }
     out
-}
-
-/// One quantile of a service histogram, read off the report's Prometheus
-/// dump (`fp_monitord_<hist>{quantile="<q>"} <ns>`), in microseconds.
-fn quantile_us(prometheus: &str, hist: &str, q: &str) -> f64 {
-    let key = format!("fp_monitord_{hist}{{quantile=\"{q}\"}} ");
-    let ns = prometheus.lines().find_map(|l| l.strip_prefix(&key));
-    let ns: f64 = ns.and_then(|v| v.parse().ok()).expect("service histogram");
-    ns / 1e3
 }
 
 fn main() {
@@ -119,20 +114,14 @@ fn main() {
         let report = svc.shutdown();
         let wall_us = (t0.elapsed().as_micros() as u64).max(1);
         let eps = report.snapshots as f64 * 1e6 / wall_us as f64;
-        let us = |hist, q| quantile_us(&report.prometheus, hist, q);
         println!(
             "{name}: {streams} streams x {} snaps, processed={} in {wall_us} us \
-             ({eps:.0} snap/s), dropped={} blocked={} closed={}, \
-             queue wait p50/p99 {:.1}/{:.1} us, scan p50/p99 {:.1}/{:.1} us",
+             ({eps:.0} snap/s), dropped={} blocked={} closed={}",
             total / streams,
             report.snapshots,
             report.queue.dropped,
             report.queue.blocked,
             report.streams.iter().filter(|s| s.closed).count(),
-            us("queue_wait_ns", "0.5"),
-            us("queue_wait_ns", "0.99"),
-            us("scan_latency_ns", "0.5"),
-            us("scan_latency_ns", "0.99"),
         );
         if policy == QueuePolicy::Block {
             assert_eq!(

@@ -75,8 +75,8 @@ pub struct Monitor {
     /// stream, whatever its length.
     open: BTreeMap<u32, Vec<u64>>,
     /// `(n_leaves, n_vspines)` of the scored stream, fixed by its first
-    /// snapshot.
-    shape: Option<(usize, usize)>,
+    /// snapshot that [`fits`](Self::fits).
+    shape: Option<(u32, u32)>,
 }
 
 impl Monitor {
@@ -141,17 +141,15 @@ impl Monitor {
     /// routes each job's stream to its own monitor.
     ///
     /// # Panics
-    /// If `snap`'s shape differs from the first scored snapshot's, or its
-    /// cells are not `n_leaves × n_vspines` — the caller checks wire input
-    /// against the stream's shape first.
+    /// If `snap` does not [`fit`](Self::fits) — the caller checks wire
+    /// input first.
     pub fn score(&mut self, snap: &mut CounterSnapshot) {
-        let dims = (snap.n_leaves as usize, snap.n_vspines as usize);
-        let (n_leaves, n_vspines) = *self.shape.get_or_insert(dims);
         assert!(
-            dims == (n_leaves, n_vspines)
-                && Some(snap.bytes.len()) == n_leaves.checked_mul(n_vspines),
+            self.fits(snap),
             "snapshot cells do not match the stream's fabric shape"
         );
+        let (n_leaves, n_vspines) = *self.shape.get_or_insert((snap.n_leaves, snap.n_vspines));
+        let (n_leaves, n_vspines) = (n_leaves as usize, n_vspines as usize);
         let bytes = std::mem::take(&mut snap.bytes);
         if bytes.iter().any(|&b| b != 0) {
             match self.open.entry(snap.iter) {
@@ -179,6 +177,23 @@ impl Monitor {
         while let Some(e) = self.open.first_entry().filter(|e| *e.key() < below) {
             snap.bytes = e.remove();
         }
+    }
+
+    /// Whether [`Self::score`] takes `snap`: it has one cell per port,
+    /// `n_leaves × n_vspines` (a product of untrusted wire fields, taken in
+    /// `u64` where it cannot wrap), and the stream's shape. The first
+    /// snapshot that fits fixes that shape; one that does not fit fixes
+    /// nothing.
+    pub fn fits(&self, snap: &CounterSnapshot) -> bool {
+        let dims = (snap.n_leaves, snap.n_vspines);
+        self.shape.is_none_or(|shape| shape == dims)
+            && snap.bytes.len() as u64 == u64::from(dims.0) * u64::from(dims.1)
+    }
+
+    /// Leaf count of the stream's shape, once a snapshot fixed it: the
+    /// ring size its localization wraps around.
+    pub fn n_leaves(&self) -> Option<u32> {
+        self.shape.map(|(n_leaves, _)| n_leaves)
     }
 
     /// Iterations [`Self::score`] holds: recorded, not evaluated yet.
@@ -509,6 +524,31 @@ mod tests {
         m.scan(&store(&[[1000, 1000], [600, 1000], [1000, 1000]]), true);
         assert!(m.alarms.is_empty(), "skipped iteration must not alarm");
         assert_eq!(m.iter_max_dev.len(), 2); // iters 0 and 2
+    }
+
+    /// The first snapshot that fits fixes the stream's shape; one whose
+    /// cells do not fill its own dimensions fits no stream and fixes
+    /// nothing.
+    #[test]
+    fn the_first_snapshot_that_fits_fixes_the_shape() {
+        let mut m = Monitor::new_learned(1, Detector::new(0.01), 1);
+        let snap = |n_leaves, n_vspines, cells| CounterSnapshot {
+            job: 1,
+            n_leaves,
+            n_vspines,
+            bytes: vec![1000; cells],
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(m.n_leaves(), None);
+        // 65536 × 65536 is 0 in `u32`, which no cells would match.
+        for malformed in [snap(2, 2, 3), snap(1 << 16, 1 << 16, 0)] {
+            assert!(!m.fits(&malformed));
+        }
+        assert!(m.fits(&snap(2, 1, 2)) && m.fits(&snap(1, 2, 2)));
+        m.score(&mut snap(1, 2, 2));
+        assert_eq!(m.n_leaves(), Some(1));
+        assert!(m.fits(&snap(1, 2, 2)));
+        assert!(!m.fits(&snap(2, 1, 2)), "a fixed shape refuses another");
     }
 
     /// The first snapshot a monitor scores fixes the stream's shape; a

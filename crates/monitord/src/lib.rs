@@ -24,10 +24,11 @@
 //!   Unix-domain socket listener; canonical lines are decoded in place,
 //!   undecodable ones (bad UTF-8 included) are counted and skipped, and a
 //!   failed connection ends only itself.
-//! * **Self-observability** (`metrics`) — counters, gauges and
-//!   log-bucketed histograms (ingest rate, queue depth, batch sizes,
-//!   scan/verdict latencies, drops) exported as periodic `metrics.jsonl`
-//!   lines and a Prometheus-style text dump.
+//! * **Self-observability** (`metrics`) — one typed value of counters,
+//!   gauges and log-bucketed histograms (ingest rate, queue depth, batch
+//!   sizes, scan/verdict latencies, drops), written as periodic
+//!   `metrics.jsonl` lines and handed back as
+//!   [`ServiceReport::metrics_final`].
 //!
 //! The `fp-monitord` binary wraps all of this around stdin or
 //! `FP_MONITORD_SOCK`; the E10 sweep `monitord_sweep` in `fp-bench` is the

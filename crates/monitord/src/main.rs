@@ -2,8 +2,9 @@
 //!
 //! Reads newline-delimited [`CounterSnapshot`] JSON from stdin (default)
 //! or accepts connections on a Unix-domain socket, runs the per-stream
-//! learned monitor + ring localizer, and prints a per-stream summary and
-//! a Prometheus-style metrics dump on EOF.
+//! learned monitor + ring localizer, and on EOF prints a summary: the
+//! wire and queue counts, one line per stream (snapshots, alarms and the
+//! ring verdict), then the service's final `metrics.jsonl` line.
 //!
 //! Environment knobs:
 //!
@@ -126,7 +127,7 @@ fn main() {
             verdict
         );
     }
-    println!("\n{}", report.prometheus);
+    println!("{}", report.metrics_final);
     if input_failed {
         std::process::exit(1);
     }

@@ -24,7 +24,7 @@
 //!
 //! [`CounterStore`]: fp_netsim::counters::CounterStore
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::Metrics;
 use crate::queue::{IngestQueue, QueuePolicy, QueueStats};
 use flowpulse::detector::Detector;
 use flowpulse::localizer::{Localizer, RingLocalization};
@@ -105,38 +105,15 @@ pub struct ServiceReport {
     /// The final `metrics.jsonl` line (also appended to the configured
     /// metrics file, if any).
     pub metrics_final: String,
-    /// Prometheus text-exposition dump of the final metrics state.
-    pub prometheus: String,
 }
 
+/// One stream's state. Its fabric shape is its monitor's: the first
+/// snapshot that [`fits`](Monitor::fits) fixes it.
 struct StreamState {
     monitor: Monitor,
-    n_leaves: u32,
-    n_vspines: u32,
     snapshots: u32,
     closed: bool,
     localization: Option<RingLocalization>,
-}
-
-impl StreamState {
-    fn new(first: &CounterSnapshot, cfg: &ServiceConfig) -> Self {
-        StreamState {
-            monitor: Monitor::new_learned(first.job, Detector::new(cfg.threshold), cfg.warmup),
-            n_leaves: first.n_leaves,
-            n_vspines: first.n_vspines,
-            snapshots: 0,
-            closed: false,
-            localization: None,
-        }
-    }
-
-    /// `snap` has this stream's fabric shape and one cell per port. Both
-    /// dimensions are untrusted wire fields: a `u32` product can wrap, a
-    /// `u64` one cannot.
-    fn shape_matches(&self, snap: &CounterSnapshot) -> bool {
-        (snap.n_leaves, snap.n_vspines) == (self.n_leaves, self.n_vspines)
-            && snap.bytes.len() as u64 == u64::from(snap.n_leaves) * u64::from(snap.n_vspines)
-    }
 }
 
 /// Stream state by fabric, then job: a snapshot finds its stream through
@@ -145,7 +122,7 @@ type Streams = BTreeMap<String, BTreeMap<u32, StreamState>>;
 
 struct WorkerOut {
     streams: Streams,
-    metrics: MetricsRegistry,
+    metrics: Metrics,
     batches: u64,
     snapshots: u64,
 }
@@ -204,7 +181,6 @@ impl Monitord {
         let mut out = self.worker.join().expect("monitord worker panicked");
         let queue = mirror_queue(&mut out.metrics, &self.queue);
         let metrics_final = emit_metrics(&mut out.metrics, None);
-        let prometheus = out.metrics.prometheus_text();
         let streams = out
             .streams
             .into_iter()
@@ -225,74 +201,36 @@ impl Monitord {
             batches: out.batches,
             snapshots: out.snapshots,
             metrics_final,
-            prometheus,
         }
     }
 }
 
-/// Every metric DESIGN.md §10 documents, so a `metrics.jsonl` line has
-/// the same keys whatever happened (or did not) before it.
-const COUNTERS: &[&str] = &[
-    "ingest_offered",
-    "ingest_accepted",
-    "ingest_dropped",
-    "ingest_blocked",
-    "snapshots_processed",
-    "alarms_raised",
-    "streams_closed",
-    "shape_errors",
-];
-const GAUGES: &[&str] = &[
-    "queue_depth",
-    "streams_active",
-    "ingest_per_sec",
-    "open_iters",
-    "spare_buffers",
-];
-const HISTOGRAMS: &[&str] = &[
-    "batch_size",
-    "queue_depth_at_batch",
-    "queue_wait_ns",
-    "scan_latency_ns",
-    "verdict_latency_ns",
-];
-
-fn register_schema(m: &mut MetricsRegistry) {
-    for c in COUNTERS {
-        m.inc(c, 0);
-    }
-    for g in GAUGES {
-        m.set_gauge(g, 0.0);
-    }
-    for h in HISTOGRAMS {
-        m.register_histogram(h);
-    }
-}
-
-/// Copy the queue's own accounting into the registry; returns the
+/// Copy the queue's own accounting into the metrics; returns the
 /// counters read.
-fn mirror_queue(m: &mut MetricsRegistry, queue: &IngestQueue) -> QueueStats {
+fn mirror_queue(m: &mut Metrics, queue: &IngestQueue) -> QueueStats {
     let q = queue.stats();
-    m.set_counter("ingest_offered", q.offered);
-    m.set_counter("ingest_accepted", q.accepted);
-    m.set_counter("ingest_dropped", q.dropped);
-    m.set_counter("ingest_blocked", q.blocked);
-    m.set_gauge("ingest_per_sec", q.accepted as f64 / m.uptime_secs());
-    m.set_gauge("spare_buffers", queue.spare_buffers() as f64);
+    let per_sec = q.accepted as f64 / m.uptime_secs();
+    let (c, g) = (&mut m.line.counters, &mut m.line.gauges);
+    c.ingest_offered = q.offered;
+    c.ingest_accepted = q.accepted;
+    c.ingest_dropped = q.dropped;
+    c.ingest_blocked = q.blocked;
+    g.ingest_per_sec = per_sec;
+    g.spare_buffers = queue.spare_buffers() as f64;
     q
 }
 
 /// The most open iterations a stream's monitor holds: 1–2 on a healthy
 /// stream, growing only behind a gap the scan is stalled at.
-fn set_open_iters(m: &mut MetricsRegistry, streams: &Streams) {
+fn set_open_iters(m: &mut Metrics, streams: &Streams) {
     let states = streams.values().flat_map(BTreeMap::values);
     let widest = states.map(|s| s.monitor.open_iters()).max().unwrap_or(0);
-    m.set_gauge("open_iters", widest as f64);
+    m.line.gauges.open_iters = widest as f64;
 }
 
 /// Emit one metrics line: appended to `sink` when writing periodically,
 /// and always returned (the shutdown path stores it in the report).
-fn emit_metrics(m: &mut MetricsRegistry, sink: Option<&mut std::fs::File>) -> String {
+fn emit_metrics(m: &mut Metrics, sink: Option<&mut std::fs::File>) -> String {
     let line = m.jsonl_line();
     if let Some(f) = sink {
         if let Err(e) = writeln!(f, "{line}") {
@@ -303,10 +241,8 @@ fn emit_metrics(m: &mut MetricsRegistry, sink: Option<&mut std::fs::File>) -> St
 }
 
 fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
-    let mut metrics = MetricsRegistry::new();
-    register_schema(&mut metrics);
+    let mut metrics = Metrics::new();
     let mut streams = Streams::new();
-    let mut streams_active = 0u64;
     let mut batches = 0u64;
     let mut snapshots = 0u64;
     // Processed snapshots, handed to the return lane with the next pop.
@@ -320,15 +256,15 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
     });
 
     while let Some(depth_after) = queue.pop_batch(BATCH_MAX, &mut spent, &mut batch) {
-        metrics.observe("batch_size", batch.len() as u64);
-        metrics.observe("queue_depth_at_batch", depth_after as u64);
-        metrics.set_gauge("queue_depth", depth_after as f64);
+        let m = &mut metrics.line;
+        m.histograms.batch_size.record(batch.len() as u64);
+        m.histograms.queue_depth_at_batch.record(depth_after as u64);
+        m.gauges.queue_depth = depth_after as f64;
         for item in batch.drain(..) {
             snapshots += 1;
             // One clock read ends the snapshot's wait and starts its scan.
             let taken = Instant::now();
-            metrics.observe(
-                "queue_wait_ns",
+            m.histograms.queue_wait_ns.record(
                 taken
                     .duration_since(item.enqueued)
                     .as_nanos()
@@ -340,11 +276,20 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
                 None => streams.entry(snap.fabric.clone()).or_default(),
             };
             let state = jobs.entry(snap.job).or_insert_with(|| {
-                streams_active += 1;
-                StreamState::new(&snap, cfg)
+                m.gauges.streams_active += 1.0;
+                StreamState {
+                    monitor: Monitor::new_learned(
+                        snap.job,
+                        Detector::new(cfg.threshold),
+                        cfg.warmup,
+                    ),
+                    snapshots: 0,
+                    closed: false,
+                    localization: None,
+                }
             });
-            if !state.shape_matches(&snap) {
-                metrics.inc("shape_errors", 1);
+            if !state.monitor.fits(&snap) {
+                m.counters.shape_errors += 1;
                 spent.push(snap);
                 continue;
             }
@@ -355,29 +300,32 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
             // alone they grow by an entry per snapshot for good.
             state.monitor.iter_max_dev.clear();
             state.monitor.learned_events.clear();
-            metrics.observe("scan_latency_ns", taken.elapsed().as_nanos() as u64);
-            metrics.inc("snapshots_processed", 1);
-            metrics.inc(
-                "alarms_raised",
-                (state.monitor.alarms.len() - alarms_before) as u64,
-            );
+            m.histograms
+                .scan_latency_ns
+                .record(taken.elapsed().as_nanos() as u64);
+            m.counters.snapshots_processed += 1;
+            m.counters.alarms_raised += (state.monitor.alarms.len() - alarms_before) as u64;
             state.snapshots += 1;
             if snap.last && !state.closed {
                 let t0 = Instant::now();
-                let loc = Localizer::default()
-                    .localize_ring_alarms(&state.monitor.alarms, state.n_leaves);
+                let leaves = state
+                    .monitor
+                    .n_leaves()
+                    .expect("a scored snapshot fixed it");
+                let loc = Localizer::default().localize_ring_alarms(&state.monitor.alarms, leaves);
                 // No shortfall anywhere: the stream closes without a verdict.
                 if loc != RingLocalization::default() {
                     state.localization = Some(loc);
                 }
-                metrics.observe("verdict_latency_ns", t0.elapsed().as_nanos() as u64);
+                m.histograms
+                    .verdict_latency_ns
+                    .record(t0.elapsed().as_nanos() as u64);
                 state.closed = true;
-                metrics.inc("streams_closed", 1);
+                m.counters.streams_closed += 1;
             }
             spent.push(snap);
         }
         batches += 1;
-        metrics.set_gauge("streams_active", streams_active as f64);
         if cfg.metrics_every_batches > 0 && batches.is_multiple_of(cfg.metrics_every_batches) {
             set_open_iters(&mut metrics, &streams);
             mirror_queue(&mut metrics, queue);
@@ -533,19 +481,16 @@ mod tests {
             handle.push(s);
         }
         let report = svc.shutdown();
-        for h in HISTOGRAMS {
-            let count = metric(&report.metrics_final, "histograms", h)
-                .and_then(|h| metric_field(&h, "count"))
-                .and_then(|c| c.as_u64());
-            assert!(count > Some(0), "histogram {h} recorded nothing");
+        let line: serde::Value = serde_json::from_str(&report.metrics_final).unwrap();
+        let hists = metric_field(&line, "histograms").unwrap();
+        for (name, h) in hists.as_map().unwrap() {
+            let count = metric_field(h, "count").and_then(|c| c.as_u64());
+            assert!(count > Some(0), "histogram {name} recorded nothing");
         }
         let processed = metric(&report.metrics_final, "counters", "snapshots_processed")
             .and_then(|v| v.as_u64())
             .unwrap();
         assert_eq!(processed, 4);
-        assert!(report
-            .prometheus
-            .contains("fp_monitord_snapshots_processed_total 4"));
     }
 
     #[test]
@@ -612,23 +557,77 @@ mod tests {
         assert_eq!(per_stream, [("f", 1), ("g", 0)]);
     }
 
+    /// A `last` snapshot sent twice (a producer's retry) closes its stream
+    /// once: one verdict, one `streams_closed`.
+    #[test]
+    fn a_repeated_last_snapshot_closes_its_stream_once() {
+        let svc = Monitord::spawn(ServiceConfig::default());
+        let handle = svc.handle();
+        let snaps = stream("f", 4, true);
+        for s in snaps.iter().chain(snaps.last()) {
+            handle.push(s.clone());
+        }
+        let report = svc.shutdown();
+        let closed = metric(&report.metrics_final, "counters", "streams_closed").unwrap();
+        assert_eq!(closed.as_u64(), Some(1));
+        let verdicts = metric(&report.metrics_final, "histograms", "verdict_latency_ns")
+            .and_then(|h| metric_field(&h, "count"))
+            .and_then(|c| c.as_u64());
+        assert_eq!(verdicts, Some(1));
+        let s = &report.streams[0];
+        assert_eq!((s.snapshots, s.closed), (5, true));
+        assert_eq!(s.localization.as_ref().unwrap().cables, vec![(1, 0)]);
+    }
+
+    /// A stream's shape is fixed by its first snapshot that fits, not by
+    /// its first snapshot: one whose cells do not fill its own dimensions
+    /// is refused and leaves the shape open.
+    #[test]
+    fn a_malformed_first_snapshot_does_not_fix_the_shape() {
+        let cfg = ServiceConfig::default();
+        let svc = Monitord::spawn(cfg.clone());
+        let handle = svc.handle();
+        let snaps = stream("f", 4, true);
+        handle.push(CounterSnapshot {
+            n_leaves: 2,
+            bytes: vec![1000; 3],
+            ..snaps[0].clone()
+        });
+        for s in &snaps {
+            handle.push(s.clone());
+        }
+        let report = svc.shutdown();
+        let errors = metric(&report.metrics_final, "counters", "shape_errors").unwrap();
+        assert_eq!(errors.as_u64(), Some(1));
+        let s = &report.streams[0];
+        assert_eq!((s.snapshots, s.closed), (4, true));
+        assert_eq!(s.alarms, offline_alarms(&snaps, &cfg));
+    }
+
+    /// An idle service's final line, with its one host-dependent figure,
+    /// `uptime_us`, written as `_`: every metric, at zero, in the order
+    /// `metrics.jsonl` readers see.
+    const IDLE_LINE: &str = concat!(
+        r#"{"seq":2,"uptime_us":_,"#,
+        r#""counters":{"alarms_raised":0,"ingest_accepted":0,"ingest_blocked":0,"#,
+        r#""ingest_dropped":0,"ingest_offered":0,"shape_errors":0,"#,
+        r#""snapshots_processed":0,"streams_closed":0},"#,
+        r#""gauges":{"ingest_per_sec":0.0,"open_iters":0.0,"queue_depth":0.0,"#,
+        r#""spare_buffers":0.0,"streams_active":0.0},"#,
+        r#""histograms":{"#,
+        r#""batch_size":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]},"#,
+        r#""queue_depth_at_batch":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]},"#,
+        r#""queue_wait_ns":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]},"#,
+        r#""scan_latency_ns":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]},"#,
+        r#""verdict_latency_ns":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]}}}"#,
+    );
+
     #[test]
     fn idle_service_emits_the_whole_metrics_schema() {
         let report = Monitord::spawn(ServiceConfig::default()).shutdown();
-        for (section, names) in [
-            ("counters", COUNTERS),
-            ("gauges", GAUGES),
-            ("histograms", HISTOGRAMS),
-        ] {
-            for name in names {
-                assert!(
-                    metric(&report.metrics_final, section, name).is_some(),
-                    "idle metrics line lacks {section}.{name}"
-                );
-            }
-        }
-        assert!(report
-            .prometheus
-            .contains("fp_monitord_streams_closed_total 0"));
+        let (head, rest) = report.metrics_final.split_once(r#""uptime_us":"#).unwrap();
+        let (uptime, tail) = rest.split_once(',').unwrap();
+        assert!(uptime.parse::<u64>().is_ok(), "uptime_us {uptime}");
+        assert_eq!(format!(r#"{head}"uptime_us":_,{tail}"#), IDLE_LINE);
     }
 }

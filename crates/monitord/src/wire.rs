@@ -637,8 +637,9 @@ mod tests {
     }
 
     /// Malformed numbers in every field and among the cells, and `\u`
-    /// escapes in the fabric id: the decoder refuses what `serde_json`
-    /// refuses, and reads a surrogate pair as its one character.
+    /// escapes and raw control bytes in the fabric id: the decoder refuses
+    /// what `serde_json` refuses, and reads a surrogate pair as its one
+    /// character.
     #[test]
     fn refused_numbers_and_escapes_agree_with_serde_json() {
         let snap = snaps("f").remove(0);
@@ -667,6 +668,8 @@ mod tests {
             (r#""\ud83d-""#, None),
             (r#""\ud83d\u0041""#, None),
             (r#""\ude00\ud83d""#, None),
+            ("\"raw\u{1}ctl\"", None),
+            ("\"raw\ttab\"", None),
         ] {
             let mut fields = fields_of(&snap);
             fields[0].1 = fabric.into();

@@ -4,7 +4,7 @@
 //! fixed 65-slot array, and merge is element-wise addition — the right shape
 //! for per-trial histograms that campaigns later aggregate.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 /// Number of buckets: one for zero plus one per bit of a `u64`.
 const NBUCKETS: usize = 65;
@@ -87,11 +87,6 @@ impl LogHistogram {
         self.total
     }
 
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
     /// Smallest recorded value, `None` if empty.
     pub(crate) fn min(&self) -> Option<u64> {
         (self.total > 0).then_some(self.min)
@@ -102,28 +97,11 @@ impl LogHistogram {
         (self.total > 0).then_some(self.max)
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile (0.0..=1.0);
-    /// `None` if empty. Log buckets bound the relative error at 2×.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_bounds(i).1.saturating_sub(1).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-
     /// Serializable snapshot (non-empty buckets only).
     pub fn export(&self) -> HistogramExport {
         HistogramExport {
             count: self.total,
-            sum: self.sum as u64,
+            sum: u64::try_from(self.sum).unwrap_or(u64::MAX),
             min: self.min(),
             max: self.max(),
             buckets: self
@@ -137,6 +115,13 @@ impl LogHistogram {
                 })
                 .collect(),
         }
+    }
+}
+
+/// Written as its [`export`](LogHistogram::export).
+impl Serialize for LogHistogram {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.export().write_json(w);
     }
 }
 
@@ -195,16 +180,19 @@ mod tests {
     #[test]
     fn record_and_stats() {
         let mut h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.quantile(0.5), None);
+        let e = h.export();
+        assert_eq!((e.count, e.sum, e.min, e.max), (0, 0, None, None));
         for v in [0, 1, 5, 5, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1011);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(1000));
+        let e = h.export();
+        assert_eq!(
+            (e.count, e.sum, e.min, e.max),
+            (5, 1011, Some(0), Some(1000))
+        );
+        // The sum is kept in `u128` and saturates on export.
+        h.record(u64::MAX);
+        assert_eq!(h.export().sum, u64::MAX);
     }
 
     #[test]
@@ -231,17 +219,6 @@ mod tests {
         let before = a.clone();
         a.merge(&LogHistogram::new());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn quantile_hits_containing_bucket() {
-        let mut h = LogHistogram::new();
-        for _ in 0..99 {
-            h.record(10); // bucket [8, 16)
-        }
-        h.record(1_000_000); // bucket [2^19, 2^20)
-        assert_eq!(h.quantile(0.5), Some(15));
-        assert_eq!(h.quantile(1.0), Some((1 << 20) - 1));
     }
 
     #[test]
