@@ -148,8 +148,8 @@ impl Monitor {
             self.fits(snap),
             "snapshot cells do not match the stream's fabric shape"
         );
-        let (n_leaves, n_vspines) = *self.shape.get_or_insert((snap.n_leaves, snap.n_vspines));
-        let (n_leaves, n_vspines) = (n_leaves as usize, n_vspines as usize);
+        self.shape = Some((snap.n_leaves, snap.n_vspines));
+        let (n_leaves, n_vspines) = (snap.n_leaves as usize, snap.n_vspines as usize);
         let bytes = std::mem::take(&mut snap.bytes);
         if bytes.iter().any(|&b| b != 0) {
             match self.open.entry(snap.iter) {
