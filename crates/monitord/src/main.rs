@@ -4,7 +4,8 @@
 //! or accepts connections on a Unix-domain socket, runs the per-stream
 //! learned monitor + ring localizer, and on EOF prints a summary: the
 //! wire and queue counts, one line per stream (snapshots, alarms and the
-//! ring verdict), then the service's final `metrics.jsonl` line.
+//! ring verdict), then the service's final metrics line, in
+//! `metrics.jsonl`'s format.
 //!
 //! Environment knobs:
 //!

@@ -102,8 +102,9 @@ pub struct ServiceReport {
     pub batches: u64,
     /// Snapshots the worker processed.
     pub snapshots: u64,
-    /// The final `metrics.jsonl` line (also appended to the configured
-    /// metrics file, if any).
+    /// The final metrics line, in `metrics.jsonl`'s format, taken once
+    /// the worker has stopped: one emission past the last line the worker
+    /// appended to the metrics file, and not written there itself.
     pub metrics_final: String,
 }
 
