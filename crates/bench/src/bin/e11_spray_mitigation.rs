@@ -20,6 +20,7 @@ use fp_bench::closed_loop::{Case, LoopRun};
 use fp_bench::results::e11_spray::{table, Row};
 use fp_bench::{header, RunConfig};
 use fp_ctrl::{CtrlConfig, Mitigation};
+use fp_netsim::control::ControlVerb;
 use fp_netsim::spray::SprayPolicy;
 
 /// Pinned so the blackholed cable sits on the ECMP path (see module docs).
@@ -32,9 +33,10 @@ type Cell = (&'static str, &'static str, &'static str);
 fn row_of(&(backend, mitigation, scenario): &Cell, run: &LoopRun) -> Row {
     let (r, g) = (&run.result, &run.goodput);
     let c = r.ctrl.as_ref();
-    let verb_count = |verb: &str| {
-        c.map(|c| c.actions.iter().filter(|a| a.detail.contains(verb)).count() as u32)
-            .unwrap_or(0)
+    // Each verb the controller scheduled, counted once.
+    let verb_count = |verb| {
+        let actions = c.into_iter().flat_map(|c| &c.actions);
+        actions.filter(|a| a.scheduled() == Some(verb)).count() as u32
     };
     Row {
         backend: backend.into(),
@@ -45,8 +47,8 @@ fn row_of(&(backend, mitigation, scenario): &Cell, run: &LoopRun) -> Row {
         tt_mitigate_ns: c.and_then(|c| c.time_to_mitigate_ns),
         mitigate_iter: c.and_then(|c| c.mitigate_iter),
         false_mitigations: c.map(|c| c.false_mitigations).unwrap_or(0),
-        admin_downs: verb_count("admin_down"),
-        recycles: verb_count("recycle_entropy"),
+        admin_downs: verb_count(ControlVerb::AdminDown),
+        recycles: verb_count(ControlVerb::RecycleEntropy),
         flows_failed: r.stats.flows_failed,
         pre_bps: g.pre_bps,
         during_bps: g.during_bps,

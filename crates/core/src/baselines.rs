@@ -130,54 +130,6 @@ pub fn run_probe_mesh(sim: &mut Simulator, rounds: u32) -> ProbeReport {
     }
 }
 
-/// Links missing fewer packets than this are ignored by a counter sweep
-/// (absorbs in-flight skew when sweeping a live fabric).
-const MIN_MISSING_PKTS: u64 = 2;
-/// Bytes of counter state reported per directed link per sweep.
-const BYTES_PER_LINK_REPORT: u64 = 16;
-
-/// Result of one centralized counter sweep.
-#[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
-pub struct CounterSweepReport {
-    /// Links whose transmit counter exceeds the far end's receive counter,
-    /// with the missing-packet count.
-    pub suspect_links: Vec<(u32, u64)>,
-    /// Counter state moved to the collector for this sweep.
-    pub(crate) collection_bytes: u64,
-    /// Links polled.
-    pub links_polled: u64,
-}
-
-/// Perform one centralized sweep over `sim`'s link counters: the
-/// counter-aggregation baseline (LossRadar/Everflow-style, paper §1/§3),
-/// which collects every link's tx/rx counters at a central point and flags
-/// links whose ends disagree.
-///
-/// It *can* see silent drops — when the counters themselves are honest,
-/// which the paper points out is not a given ("the counters themselves
-/// might be incorrect because of a hardware fault"). Its structural cost is
-/// what FlowPulse avoids: every sweep moves `O(links)` counter state to a
-/// central collector, with detection latency bounded by the sweep period.
-pub fn sweep_link_counters(sim: &Simulator) -> CounterSweepReport {
-    let mut suspects = Vec::new();
-    let n = sim.topo.n_links();
-    for i in 0..n {
-        let id = fp_netsim::ids::LinkId(i as u32);
-        let l = sim.link(id);
-        let missing = l
-            .txed_pkts
-            .saturating_sub(l.delivered_pkts + l.queued_pkts() as u64);
-        if missing >= MIN_MISSING_PKTS {
-            suspects.push((i as u32, missing));
-        }
-    }
-    CounterSweepReport {
-        suspect_links: suspects,
-        collection_bytes: n as u64 * BYTES_PER_LINK_REPORT,
-        links_polled: n as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,56 +208,6 @@ mod tests {
         let report = run_probe_mesh(&mut sim, 1);
         assert!(!report.detected);
         assert_eq!(report.probes_sent, (4 * 3 * 4) as u64);
-    }
-
-    #[test]
-    fn counter_sweep_pins_the_lossy_link() {
-        let topo = Topology::fat_tree(FatTreeSpec {
-            leaves: 4,
-            spines: 2,
-            ..Default::default()
-        });
-        let mut sim = Simulator::new(topo, SimConfig::default(), 21);
-        let bad = sim.topo.downlink(1, 3);
-        sim.apply_fault_now(
-            bad,
-            FaultAction::Set(FaultKind::SilentDrop { rate: 0.1 }),
-            false,
-        );
-        sim.post_message(
-            fp_netsim::ids::HostId(0),
-            fp_netsim::ids::HostId(3),
-            2_000_000,
-            None,
-            fp_netsim::packet::Priority::MEASURED,
-        );
-        sim.run();
-        let rep = sweep_link_counters(&sim);
-        assert_eq!(rep.suspect_links.len(), 1);
-        assert_eq!(rep.suspect_links[0].0, bad.0);
-        assert!(rep.suspect_links[0].1 > 0);
-        assert_eq!(rep.links_polled as usize, sim.topo.n_links());
-        assert!(rep.collection_bytes > 0);
-    }
-
-    #[test]
-    fn counter_sweep_clean_fabric_is_silent() {
-        let topo = Topology::fat_tree(FatTreeSpec {
-            leaves: 4,
-            spines: 2,
-            ..Default::default()
-        });
-        let mut sim = Simulator::new(topo, SimConfig::default(), 22);
-        sim.post_message(
-            fp_netsim::ids::HostId(1),
-            fp_netsim::ids::HostId(2),
-            1_000_000,
-            None,
-            fp_netsim::packet::Priority::MEASURED,
-        );
-        sim.run();
-        let rep = sweep_link_counters(&sim);
-        assert!(rep.suspect_links.is_empty(), "{:?}", rep.suspect_links);
     }
 
     #[test]

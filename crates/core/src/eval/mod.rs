@@ -26,7 +26,7 @@ pub use run::{
     TrialController, JOB,
 };
 pub use score::{
-    goodput_phases, roc_curve, split_devs, CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary,
-    GoodputPhases, Rates, RocPoint, TrialResult,
+    goodput_phases, roc_curve, split_devs, CtrlAction, CtrlOutcome, CtrlPhase, GoodputPhases,
+    Rates, RocPoint, TrialResult,
 };
 pub use spec::{build_schedule, CollectiveKind, FaultSpec, InjectedFault, ModelKind, TrialSpec};

@@ -3,7 +3,7 @@
 //! the one place the harness, the sweeps and the examples drive a
 //! `Simulator`; it hands back a [`RawRun`], the simulator already freed.
 
-use super::score::{export, score, CtrlSummary, Scorer, TrialResult};
+use super::score::{export, score, CtrlAction, Scorer, TrialResult};
 use super::spec::{
     build_schedule, choose_cables, Cable, CollectiveKind, InjectedFault, ModelKind, TrialSpec,
 };
@@ -46,8 +46,9 @@ type Rec = Option<Box<dyn fp_telemetry::Recorder>>;
 pub trait TrialController {
     /// Iteration `iter` of the measured job has fully completed.
     fn on_iteration_end(&mut self, sim: &mut Simulator, iter: u32);
-    /// The controller's record of what it did.
-    fn summary(&self) -> CtrlSummary;
+    /// Hand back the controller's action log, the one record of what it
+    /// did, once the run has drained.
+    fn take_log(&mut self) -> Vec<CtrlAction>;
 }
 
 /// A run with every seed and placement already resolved.
@@ -106,8 +107,8 @@ pub struct RawRun {
     pub(crate) sched: SchedStats,
     /// Fast-forward accounting (`fallback`: why a memo request ran live).
     pub memo: MemoCounters,
-    /// The controller's own record, when one rode the trial.
-    pub(crate) ctrl: Option<CtrlSummary>,
+    /// The controller's action log, when one rode the trial.
+    pub(crate) ctrl: Option<Vec<CtrlAction>>,
 }
 
 fn prepare(spec: &TrialSpec) -> (Scenario, Placed) {
@@ -342,7 +343,7 @@ impl Scenario {
             trace: std::mem::replace(&mut sim.trace, TraceBuffer::new(0)),
             sched: sim.sched_stats(),
             memo,
-            ctrl: controller.map(|c| c.borrow().summary()),
+            ctrl: controller.map(|c| c.borrow_mut().take_log()),
         };
         (raw, sim.take_recorder())
     }
@@ -396,9 +397,10 @@ pub fn run_trial_ctl(
 
 #[cfg(test)]
 mod tests {
-    use super::super::score::split_devs;
+    use super::super::score::{split_devs, CtrlPhase};
     use super::super::spec::FaultSpec;
     use super::*;
+    use fp_netsim::control::{ControlAction, ControlVerb};
     use fp_netsim::time::{SimDuration, SimTime};
     use fp_netsim::trace::TraceEvent;
 
@@ -658,30 +660,46 @@ mod tests {
     struct Scripted {
         at_iter: u32,
         cable: (u32, u32),
-        summary: CtrlSummary,
+        log: Vec<CtrlAction>,
+    }
+    impl Scripted {
+        fn new(at_iter: u32, cable: (u32, u32)) -> Self {
+            let log = Vec::new();
+            Scripted {
+                at_iter,
+                cable,
+                log,
+            }
+        }
+        fn act(&mut self, t_ns: u64, iter: u32, phase: CtrlPhase) {
+            self.log.push(CtrlAction {
+                t_ns,
+                iter,
+                phase,
+                cable: Some(self.cable),
+                verb: Some(ControlVerb::AdminDown),
+                detail: String::new(),
+            });
+        }
     }
     impl TrialController for Scripted {
         fn on_iteration_end(&mut self, sim: &mut Simulator, iter: u32) {
-            if iter == self.at_iter && self.summary.detect_ns.is_none() {
+            if iter == self.at_iter && self.log.is_empty() {
                 let now = sim.now();
                 let (leaf, v) = self.cable;
                 let link = sim.topo.downlink(v, leaf);
-                sim.schedule_control(
-                    now + SimDuration::from_us(5),
-                    fp_netsim::control::ControlAction::admin_down_cable(link),
-                );
-                self.summary.detect_ns = Some(now.as_ns());
+                let action = ControlAction::cable(link, ControlVerb::AdminDown);
+                sim.schedule_control(now + SimDuration::from_us(5), action);
+                self.act(now.as_ns(), iter, CtrlPhase::Detect);
+                self.act(now.as_ns(), iter, CtrlPhase::Localize);
             }
-            for ac in sim.applied_controls() {
-                if self.summary.mitigate_ns.is_none() {
-                    self.summary.mitigate_ns = Some(ac.at.as_ns());
-                    self.summary.mitigate_iter = Some(iter);
-                    self.summary.mitigated_ports.push(self.cable);
-                }
+            let mitigated = self.log.iter().any(|a| a.phase == CtrlPhase::Mitigate);
+            if let Some(ac) = sim.applied_controls().first().filter(|_| !mitigated) {
+                self.act(ac.at.as_ns(), iter, CtrlPhase::Mitigate);
             }
         }
-        fn summary(&self) -> CtrlSummary {
-            self.summary.clone()
+        fn take_log(&mut self) -> Vec<CtrlAction> {
+            std::mem::take(&mut self.log)
         }
     }
 
@@ -698,11 +716,7 @@ mod tests {
         // Dry-run to learn where the fault lands, then script that cable.
         let probe = run_trial(&spec);
         let cable = probe.fault_port.unwrap();
-        let ctl = Rc::new(RefCell::new(Scripted {
-            at_iter: 1,
-            cable,
-            summary: CtrlSummary::default(),
-        }));
+        let ctl = Rc::new(RefCell::new(Scripted::new(1, cable)));
         let (r, _) = run_trial_ctl(&spec, None, Some(ctl));
         let c = r.ctrl.expect("controller ran");
         assert!(c.time_to_detect_ns.is_some());
@@ -719,11 +733,7 @@ mod tests {
     fn scripted_controller_on_healthy_cable_counts_false_mitigation() {
         let mut spec = small_spec();
         spec.iterations = 3;
-        let ctl = Rc::new(RefCell::new(Scripted {
-            at_iter: 0,
-            cable: (2, 1),
-            summary: CtrlSummary::default(),
-        }));
+        let ctl = Rc::new(RefCell::new(Scripted::new(0, (2, 1))));
         let (r, _) = run_trial_ctl(&spec, None, Some(ctl));
         let c = r.ctrl.expect("controller ran");
         assert_eq!(c.false_mitigations, 1, "healthy cable downed in clean run");

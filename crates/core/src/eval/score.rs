@@ -15,6 +15,7 @@ use crate::localizer::{Localizer, RingLocalization};
 use crate::model::PortLoads;
 use crate::monitor::{Alarm, Monitor};
 use crate::snapshot::CounterSnapshot;
+use fp_netsim::control::ControlVerb;
 use fp_netsim::counters::CounterStore;
 use fp_netsim::sim::{IterSpanRecord, Simulator};
 use fp_netsim::stats::Stats;
@@ -45,38 +46,34 @@ impl CtrlPhase {
     }
 }
 
-/// One timestamped control-plane step.
+/// One timestamped control-plane step. A controller's log of these is the
+/// one record of what a closed loop did; [`CtrlOutcome`] is derived from it.
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct CtrlAction {
     /// Simulated time the step happened, nanoseconds.
     pub t_ns: u64,
+    /// The measured job's iteration whose end produced the step.
+    pub iter: u32,
     /// Which phase of the loop.
     pub phase: CtrlPhase,
+    /// The `(leaf, vspine)` cable a Localize or Mitigate step names.
+    pub cable: Option<Cable>,
+    /// The verb a Localize step scheduled or a Mitigate step harvested.
+    pub verb: Option<ControlVerb>,
     /// Free-form detail for humans.
     pub detail: String,
 }
 
-/// What a controller did during a run, reported by
-/// [`TrialController::summary`](super::TrialController::summary) after the simulation drains.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize, Debug)]
-pub struct CtrlSummary {
-    /// Simulated time of the first fresh alarm the controller acted on.
-    pub detect_ns: Option<u64>,
-    /// Simulated time the first remediation was applied by the engine.
-    pub mitigate_ns: Option<u64>,
-    /// Iteration during which the first remediation landed.
-    pub mitigate_iter: Option<u32>,
-    /// `(leaf, vspine)` cables the controller admin-downed.
-    pub mitigated_ports: Vec<(u32, u32)>,
-    /// Times detection was re-armed (baseline relearns).
-    pub rebaselines: u32,
-    /// Every timestamped step, in order.
-    pub actions: Vec<CtrlAction>,
+impl CtrlAction {
+    /// The verb this step scheduled, if it is a Localize step that sent one.
+    pub fn scheduled(&self) -> Option<ControlVerb> {
+        self.verb.filter(|_| self.phase == CtrlPhase::Localize)
+    }
 }
 
 /// End-to-end closed-loop outcome of a controller-enabled trial: the
-/// controller's own record ([`CtrlSummary`]) joined with the harness's
-/// ground truth (fault install time and cable identity).
+/// controller's action log joined with the harness's ground truth (fault
+/// install time and cable identity).
 #[derive(Clone, PartialEq, Serialize, Deserialize, Debug)]
 pub struct CtrlOutcome {
     /// Fault install → first acted-on alarm, nanoseconds. Measured from
@@ -86,7 +83,8 @@ pub struct CtrlOutcome {
     pub time_to_mitigate_ns: Option<u64>,
     /// Iteration during which the first remediation landed.
     pub mitigate_iter: Option<u32>,
-    /// `(leaf, vspine)` cables the controller admin-downed.
+    /// `(leaf, vspine)` cables of the Mitigate steps: each verb the
+    /// controller saw land, in order.
     pub mitigated_ports: Vec<(u32, u32)>,
     /// Mitigated cables that were *not* the injected fault — healthy links
     /// taken down by a wrong verdict (every mitigation in a fault-free run
@@ -252,7 +250,7 @@ pub(super) fn score(spec: &TrialSpec, placed: Placed, raw: RawRun, scorer: Score
         iter_goodput: iter_goodput(&raw.spans, raw.sched_total_bytes),
         ctrl: raw
             .ctrl
-            .map(|s| ctrl_outcome(s, raw.install_ns, placed.fault_port)),
+            .map(|log| ctrl_outcome(log, raw.install_ns, placed.fault_port)),
         stats: raw.stats,
         trace: raw.trace,
         predicted: placed.predicted,
@@ -315,25 +313,37 @@ fn iter_goodput(spans: &[IterSpanRecord], sched_total_bytes: u64) -> Vec<(u32, f
         .collect()
 }
 
-/// Join the controller's record with ground truth. Latencies are relative
-/// to the fault install when one happened; absolute when the controller
-/// acted in a fault-free run (any such action is a false
-/// detection/mitigation).
-fn ctrl_outcome(s: CtrlSummary, install_ns: Option<u64>, fault_port: Option<Cable>) -> CtrlOutcome {
-    let delta = |t: Option<u64>| t.map(|t| t.saturating_sub(install_ns.unwrap_or(0)));
-    let false_mitigations = s
-        .mitigated_ports
+/// Join the controller's action log with ground truth: every closed-loop
+/// fact is read off the log here. Latencies are relative to the fault
+/// install when one happened; absolute when the controller acted in a
+/// fault-free run (any such action is a false detection/mitigation).
+fn ctrl_outcome(
+    actions: Vec<CtrlAction>,
+    install_ns: Option<u64>,
+    fault_port: Option<Cable>,
+) -> CtrlOutcome {
+    let first = |phase| actions.iter().find(|a| a.phase == phase);
+    let delta = |a: Option<&CtrlAction>| a.map(|a| a.t_ns.saturating_sub(install_ns.unwrap_or(0)));
+    let mitigate = first(CtrlPhase::Mitigate);
+    let mitigated_ports: Vec<Cable> = actions
         .iter()
-        .filter(|&&p| Some(p) != fault_port)
-        .count() as u32;
+        .filter(|a| a.phase == CtrlPhase::Mitigate)
+        .filter_map(|a| a.cable)
+        .collect();
     CtrlOutcome {
-        time_to_detect_ns: delta(s.detect_ns),
-        time_to_mitigate_ns: delta(s.mitigate_ns),
-        mitigate_iter: s.mitigate_iter,
-        mitigated_ports: s.mitigated_ports,
-        false_mitigations,
-        rebaselines: s.rebaselines,
-        actions: s.actions,
+        time_to_detect_ns: delta(first(CtrlPhase::Detect)),
+        time_to_mitigate_ns: delta(mitigate),
+        mitigate_iter: mitigate.map(|a| a.iter),
+        false_mitigations: mitigated_ports
+            .iter()
+            .filter(|&&p| Some(p) != fault_port)
+            .count() as u32,
+        mitigated_ports,
+        rebaselines: actions
+            .iter()
+            .filter(|a| a.phase == CtrlPhase::Rebaseline)
+            .count() as u32,
+        actions,
     }
 }
 
@@ -740,17 +750,37 @@ mod tests {
             .is_none());
     }
 
+    /// A log step at the end of iteration `iter`; a step naming a cable
+    /// carries `admin_down`.
+    fn step(t_ns: u64, iter: u32, phase: CtrlPhase, cable: Option<Cable>) -> CtrlAction {
+        let verb = cable.map(|_| ControlVerb::AdminDown);
+        let detail = String::new();
+        CtrlAction {
+            t_ns,
+            iter,
+            phase,
+            cable,
+            verb,
+            detail,
+        }
+    }
+
     #[test]
     fn goodput_and_controller_record_are_joined_with_ground_truth() {
+        use CtrlPhase::{Detect, Localize, Mitigate, Rebaseline};
         let mut run = raw(&[], Some((1, 0)));
         run.1.install_ns = Some(100);
-        run.1.ctrl = Some(CtrlSummary {
-            detect_ns: Some(150),
-            mitigate_ns: Some(180),
-            mitigate_iter: Some(2),
-            mitigated_ports: vec![(1, 0), (3, 1)],
-            ..Default::default()
-        });
+        let log = vec![
+            step(150, 1, Detect, None),
+            step(150, 1, Localize, Some((1, 0))),
+            step(180, 2, Mitigate, Some((1, 0))),
+            step(190, 2, Rebaseline, None),
+            step(250, 3, Detect, None),
+            step(250, 3, Localize, Some((3, 1))),
+            step(300, 4, Mitigate, Some((3, 1))),
+            step(310, 4, Rebaseline, None),
+        ];
+        run.1.ctrl = Some(log.clone());
         let r = scored(&spec(fault(None, false)), run);
         // 1000 bytes over 1 us (8 Gbit/s), every iteration.
         let bps = 1000.0 * 8.0 / (1000.0 * 1e-9);
@@ -758,22 +788,39 @@ mod tests {
         assert_eq!(r.iter_goodput, expect);
         assert_eq!(r.snapshots.len(), ITERS as usize);
         let c = r.ctrl.expect("controller record joined");
+        // The first Detect and the first Mitigate, from the install.
         assert_eq!(c.time_to_detect_ns, Some(50));
-        assert_eq!(c.time_to_mitigate_ns, Some(80));
+        assert_eq!(
+            (c.time_to_mitigate_ns, c.mitigate_iter),
+            (Some(80), Some(2))
+        );
+        assert_eq!(c.mitigated_ports, vec![(1, 0), (3, 1)]);
         assert_eq!(c.false_mitigations, 1, "(3,1) was healthy");
+        assert_eq!(c.rebaselines, 2);
+        assert_eq!(c.actions, log);
+        let scheduled: Vec<_> = c.actions.iter().filter_map(CtrlAction::scheduled).collect();
+        assert_eq!(
+            scheduled,
+            [ControlVerb::AdminDown; 2],
+            "Localize steps only"
+        );
 
         // Fault-free run: latencies are absolute, every mitigation false.
         let mut run = raw(&[], None);
-        run.1.ctrl = Some(CtrlSummary {
-            detect_ns: Some(150),
-            mitigated_ports: vec![(1, 0)],
-            ..Default::default()
-        });
+        run.1.ctrl = Some(vec![
+            step(150, 0, Detect, None),
+            step(150, 0, Localize, Some((1, 0))),
+        ]);
         let c = scored(&spec(None), run).ctrl.unwrap();
         assert_eq!(
             (c.time_to_detect_ns, c.time_to_mitigate_ns),
             (Some(150), None)
         );
+        assert!(c.mitigated_ports.is_empty(), "scheduled, never applied");
+        let mut run = raw(&[], None);
+        run.1.ctrl = Some(vec![step(180, 1, Mitigate, Some((1, 0)))]);
+        let c = scored(&spec(None), run).ctrl.unwrap();
+        assert_eq!(c.time_to_mitigate_ns, Some(180));
         assert_eq!(c.false_mitigations, 1);
     }
 

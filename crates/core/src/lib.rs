@@ -76,8 +76,8 @@ pub mod prelude {
     pub use crate::detector::{Detector, Deviation};
     pub use crate::eval::{
         goodput_phases, roc_curve, run_trial, run_trial_ctl, run_trial_with, CollectiveKind,
-        CtrlAction, CtrlOutcome, CtrlPhase, CtrlSummary, FaultSpec, GoodputPhases, InjectedFault,
-        ModelKind, Rates, RawRun, RocPoint, Scenario, TrialController, TrialResult, TrialSpec,
+        CtrlAction, CtrlOutcome, CtrlPhase, FaultSpec, GoodputPhases, InjectedFault, ModelKind,
+        Rates, RawRun, RocPoint, Scenario, TrialController, TrialResult, TrialSpec,
     };
     pub use crate::learned::{LearnedModel, LearnedUpdate};
     pub use crate::localizer::{Localizer, PortVerdict};

@@ -207,8 +207,8 @@ fn reps_refuses_memo_with_residual_reason() {
 struct NoopController;
 impl TrialController for NoopController {
     fn on_iteration_end(&mut self, _sim: &mut fp_netsim::sim::Simulator, _iter: u32) {}
-    fn summary(&self) -> CtrlSummary {
-        CtrlSummary::default()
+    fn take_log(&mut self) -> Vec<CtrlAction> {
+        Vec::new()
     }
 }
 

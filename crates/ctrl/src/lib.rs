@@ -13,8 +13,8 @@
 //!    one per iteration.
 //! 2. **Localize** — ring correlation over the fresh alarms' shortfall
 //!    ports names culprit cables.
-//! 3. **Mitigate** — each culprit is admin-downed
-//!    ([`ControlAction::admin_down_cable`]) via
+//! 3. **Mitigate** — each culprit gets the configured verb
+//!    ([`ControlAction::cable`]) via
 //!    [`Simulator::schedule_control`] after a configurable reaction
 //!    latency, modelling the detect→ticket→drain delay of a real NOC. The
 //!    engine applies the action deterministically on its own clock, so
@@ -26,6 +26,11 @@
 //!    healed) is skipped so it cannot poison the new baseline. Detection is
 //!    then re-armed for the *next* fault.
 //!
+//! Every step goes into one action log ([`CtrlAction`]: time, iteration,
+//! phase, cable, verb), which the harness reads every closed-loop fact off
+//! ([`flowpulse::eval::CtrlOutcome`]); the controller keeps no tally of its
+//! own beside it.
+//!
 //! The controller is deliberately trusting of its localizer: a wrong
 //! verdict admin-downs a healthy cable, which the harness counts as a
 //! *false mitigation* ([`flowpulse::eval::CtrlOutcome::false_mitigations`]).
@@ -36,12 +41,10 @@
 #![warn(rust_2018_idioms)]
 
 use flowpulse::detector::Detector;
-use flowpulse::eval::{
-    CtrlAction, CtrlPhase, CtrlSummary, TrialController, TrialResult, TrialSpec, JOB,
-};
+use flowpulse::eval::{CtrlAction, CtrlPhase, TrialController, TrialResult, TrialSpec, JOB};
 use flowpulse::localizer::Localizer;
 use flowpulse::monitor::{Alarm, Monitor};
-use fp_netsim::control::ControlAction;
+use fp_netsim::control::{ControlAction, ControlVerb};
 use fp_netsim::sim::Simulator;
 use fp_netsim::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -65,6 +68,17 @@ pub enum Mitigation {
     None,
 }
 
+impl Mitigation {
+    /// The verb this remediation schedules; `None` schedules nothing.
+    fn verb(self) -> Option<ControlVerb> {
+        match self {
+            Mitigation::AdminDown => Some(ControlVerb::AdminDown),
+            Mitigation::RecycleEntropy => Some(ControlVerb::RecycleEntropy),
+            Mitigation::None => None,
+        }
+    }
+}
+
 /// Detection threshold for the online monitor (paper: 0.01).
 const THRESHOLD: f64 = 0.01;
 /// Iterations the learned baseline averages before detection arms — both
@@ -77,7 +91,7 @@ pub struct CtrlConfig {
     /// Simulated delay between the localization verdict and the remediation
     /// landing in the fabric (detect → ticket → drain in a real NOC).
     pub reaction_latency: SimDuration,
-    /// Most cables this controller will ever admin-down in one run; a wrong
+    /// Most verbs this controller will ever schedule in one run; a wrong
     /// localization chain cannot take the fabric apart.
     pub max_mitigations: u32,
     /// Remediation verb scheduled on localized culprits. Serde-defaulted
@@ -99,53 +113,60 @@ impl Default for CtrlConfig {
 
 /// The online detect→localize→mitigate→rebaseline state machine.
 ///
-/// Construct one per trial (`Controller::for_spec`) and hand it to
+/// Construct one per trial (`Controller::new`) and hand it to
 /// [`flowpulse::eval::run_trial_ctl`] — or use [`run_ctrl_trial`] which does
 /// both. Campaigns fan controller-enabled trials across threads by building
 /// the controller *inside* the worker closure; nothing here is `Send`.
 pub(crate) struct Controller {
     cfg: CtrlConfig,
-    leaves: u32,
     monitor: Monitor,
-    summary: CtrlSummary,
+    /// Every step, in order: the one record of what the loop did.
+    log: Vec<CtrlAction>,
     /// Remediations scheduled but not yet applied: control-event index
     /// (from [`Simulator::schedule_control`]) → `(leaf, vspine)` cable.
     in_flight: BTreeMap<u32, (u32, u32)>,
     /// Harvest cursor into [`Simulator::applied_controls`].
     applied_seen: usize,
-    /// Cables admin-downed so far, against the budget.
-    mitigations: u32,
 }
 
 impl Controller {
-    /// Controller matching a trial spec, watching the measured collective
-    /// ([`JOB`]).
-    fn for_spec(spec: &TrialSpec, cfg: CtrlConfig) -> Controller {
+    /// Controller watching the measured collective ([`JOB`]).
+    fn new(cfg: CtrlConfig) -> Controller {
         Controller {
             cfg,
-            leaves: spec.leaves,
             monitor: Monitor::new_learned(JOB, Detector::new(THRESHOLD), WARMUP),
-            summary: CtrlSummary::default(),
+            log: Vec::new(),
             in_flight: BTreeMap::new(),
             applied_seen: 0,
-            mitigations: 0,
         }
     }
 
-    fn act(&mut self, t_ns: u64, phase: CtrlPhase, detail: String) {
-        self.summary.actions.push(CtrlAction {
+    /// Log one step taken at the end of iteration `iter`.
+    fn act(
+        &mut self,
+        t_ns: u64,
+        iter: u32,
+        phase: CtrlPhase,
+        cable: Option<(u32, u32)>,
+        verb: Option<ControlVerb>,
+        detail: String,
+    ) {
+        self.log.push(CtrlAction {
             t_ns,
+            iter,
             phase,
+            cable,
+            verb,
             detail,
         });
     }
 
-    /// Record remediations the engine applied since the last callback.
+    /// Log remediations the engine applied since the last callback.
     /// Returns `(any_applied, mixed)`: `mixed` is `true` if one landed
     /// mid-iteration `iter` (making that iteration's counters a
     /// faulty/healed mix).
     fn harvest_applied(&mut self, sim: &Simulator, iter: u32) -> (bool, bool) {
-        let applied = sim.applied_controls()[self.applied_seen..].to_vec();
+        let applied = &sim.applied_controls()[self.applied_seen..];
         self.applied_seen += applied.len();
         if applied.is_empty() {
             return (false, false);
@@ -157,35 +178,35 @@ impl Controller {
             .map(|s| s.start.as_ns())
             .unwrap_or(0);
         let mut mixed = false;
-        for ac in &applied {
+        for ac in applied {
             let Some(cable) = self.in_flight.remove(&ac.idx) else {
                 continue; // not ours (another controller / scripted event)
             };
-            if self.summary.mitigate_ns.is_none() {
-                self.summary.mitigate_ns = Some(ac.at.as_ns());
-                self.summary.mitigate_iter = Some(iter);
-            }
-            self.summary.mitigated_ports.push(cable);
+            let (at, verb) = (ac.at.as_ns(), ac.action.verb);
+            let detail = format!("{} cable ({},{})", verb.name(), cable.0, cable.1);
             self.act(
-                ac.at.as_ns(),
+                at,
+                iter,
                 CtrlPhase::Mitigate,
-                format!("{} cable ({},{})", ac.action.verb.name(), cable.0, cable.1),
+                Some(cable),
+                Some(verb),
+                detail,
             );
-            mixed |= ac.at.as_ns() > iter_start_ns;
+            mixed |= at > iter_start_ns;
         }
         (true, mixed)
     }
+}
 
-    /// Culprit cables from the fresh alarms' shortfall ports, via ring
-    /// correlation (paired and unpaired verdicts both name a cable to pull).
-    fn localize(&self, fresh: &[Alarm]) -> Vec<(u32, u32)> {
-        let loc = Localizer::default().localize_ring_alarms(fresh, self.leaves);
-        let mut culprits = loc.cables;
-        culprits.extend(loc.unpaired);
-        culprits.sort_unstable();
-        culprits.dedup();
-        culprits
-    }
+/// Culprit cables from the fresh alarms' shortfall ports, via ring
+/// correlation: paired and unpaired verdicts (disjoint, each without
+/// repeats) both name a cable to pull.
+fn localize(fresh: &[Alarm], leaves: u32) -> Vec<(u32, u32)> {
+    let loc = Localizer::default().localize_ring_alarms(fresh, leaves);
+    let mut culprits = loc.cables;
+    culprits.extend(loc.unpaired);
+    culprits.sort_unstable();
+    culprits
 }
 
 impl TrialController for Controller {
@@ -193,14 +214,11 @@ impl TrialController for Controller {
         // 1. Harvest remediations that landed since the last callback; each
         //    batch re-arms detection against the post-mitigation shape.
         let (harvested, mixed) = self.harvest_applied(sim, iter);
+        let now = sim.now();
         if harvested {
             self.monitor.rebaseline();
-            self.summary.rebaselines += 1;
-            self.act(
-                sim.now().as_ns(),
-                CtrlPhase::Rebaseline,
-                "relearn baseline post-mitigation".into(),
-            );
+            let detail = "relearn baseline post-mitigation".into();
+            self.act(now.as_ns(), iter, CtrlPhase::Rebaseline, None, None, detail);
         }
         if mixed {
             // The iteration the action landed in is part-faulty,
@@ -222,65 +240,51 @@ impl TrialController for Controller {
             // raised while it travels are the same fault still burning.
             return;
         }
-        let now = sim.now();
-        if self.summary.detect_ns.is_none() {
-            self.summary.detect_ns = Some(now.as_ns());
-        }
-        self.act(
-            now.as_ns(),
-            CtrlPhase::Detect,
-            format!("{} fresh alarm(s) at iter {iter}", fresh.len()),
-        );
+        let detail = format!("{} fresh alarm(s) at iter {iter}", fresh.len());
+        self.act(now.as_ns(), iter, CtrlPhase::Detect, None, None, detail);
 
         // 3. Localize and schedule remediation after the reaction latency.
-        for (leaf, v) in self.localize(&fresh) {
-            if self.mitigations >= self.cfg.max_mitigations {
-                self.act(
-                    now.as_ns(),
-                    CtrlPhase::Localize,
+        for cable @ (leaf, v) in localize(&fresh, sim.topo.spec.leaves) {
+            let scheduled = self.log.iter().filter_map(CtrlAction::scheduled).count();
+            let (verb, detail) = match self.cfg.mitigation.verb() {
+                _ if scheduled >= self.cfg.max_mitigations as usize => (
+                    None,
                     format!("cable ({leaf},{v}) named, mitigation budget exhausted"),
-                );
-                continue;
-            }
-            if self.cfg.mitigation == Mitigation::None {
-                self.act(
-                    now.as_ns(),
-                    CtrlPhase::Localize,
+                ),
+                None => (
+                    None,
                     format!("cable ({leaf},{v}) named, mitigation disabled"),
-                );
-                continue;
-            }
-            self.mitigations += 1;
-            let link = sim.topo.downlink(v, leaf);
-            let at = now + self.cfg.reaction_latency;
-            let action = match self.cfg.mitigation {
-                Mitigation::AdminDown => ControlAction::admin_down_cable(link),
-                Mitigation::RecycleEntropy => ControlAction::recycle_entropy_cable(link),
-                Mitigation::None => unreachable!("handled above"),
+                ),
+                Some(verb) => {
+                    let at = now + self.cfg.reaction_latency;
+                    let link = sim.topo.downlink(v, leaf);
+                    let idx = sim.schedule_control(at, ControlAction::cable(link, verb));
+                    self.in_flight.insert(idx, cable);
+                    let detail =
+                        format!("cable ({leaf},{v}) → {} at {}ns", verb.name(), at.as_ns());
+                    (Some(verb), detail)
+                }
             };
-            let idx = sim.schedule_control(at, action);
-            self.in_flight.insert(idx, (leaf, v));
             self.act(
                 now.as_ns(),
+                iter,
                 CtrlPhase::Localize,
-                format!(
-                    "cable ({leaf},{v}) → {} at {}ns",
-                    action.verb.name(),
-                    at.as_ns()
-                ),
+                Some(cable),
+                verb,
+                detail,
             );
         }
     }
 
-    fn summary(&self) -> CtrlSummary {
-        self.summary.clone()
+    fn take_log(&mut self) -> Vec<CtrlAction> {
+        std::mem::take(&mut self.log)
     }
 }
 
 /// Run one trial closed-loop: a fresh `Controller` built from `cfg` rides
 /// the simulation and its record lands in [`TrialResult::ctrl`].
 pub fn run_ctrl_trial(spec: &TrialSpec, cfg: CtrlConfig) -> TrialResult {
-    let ctl = Rc::new(RefCell::new(Controller::for_spec(spec, cfg)));
+    let ctl = Rc::new(RefCell::new(Controller::new(cfg)));
     flowpulse::eval::run_trial_ctl(spec, None, Some(ctl)).0
 }
 
@@ -288,6 +292,8 @@ pub fn run_ctrl_trial(spec: &TrialSpec, cfg: CtrlConfig) -> TrialResult {
 mod tests {
     use super::*;
     use flowpulse::eval::{FaultSpec, InjectedFault};
+    use fp_netsim::spray::SprayPolicy;
+    use fp_netsim::trace::TraceEvent;
 
     fn small_spec() -> TrialSpec {
         TrialSpec {
@@ -364,9 +370,60 @@ mod tests {
         let c = r.ctrl.expect("controller rode the trial");
         assert!(c.mitigated_ports.is_empty(), "budget 0 admin-downs nothing");
         assert!(c.time_to_detect_ns.is_some(), "detection still reports");
-        assert!(c
+        let named: Vec<_> = c.actions.iter().filter(|a| a.cable.is_some()).collect();
+        assert!(!named.is_empty(), "localization still names the cable");
+        assert!(named
+            .iter()
+            .all(|a| a.phase == CtrlPhase::Localize && a.verb.is_none()));
+    }
+
+    /// The late-verb residual, pinned to its extent (E11's PRIME
+    /// `admin_down` cell): the controller schedules a second `admin_down`,
+    /// on healthy cable (0,0), at the end of the last iteration; the
+    /// engine applies it after the last iteration-end callback, so it is
+    /// never harvested and the outcome counts neither the cable nor a
+    /// false mitigation.
+    #[test]
+    fn a_verb_scheduled_after_the_last_iteration_lands_unharvested() {
+        let mut spec = small_spec();
+        spec.iterations = 8;
+        spec.seed = 44;
+        spec.sim.spray = SprayPolicy::Prime;
+        spec.fault = Some(FaultSpec {
+            kind: InjectedFault::Blackhole,
+            at_iter: 2,
+            heal_at_iter: None,
+            bidirectional: false,
+        });
+        let r = run_ctrl_trial(&spec, CtrlConfig::default());
+        let c = r.ctrl.as_ref().expect("controller rode the trial");
+        let scheduled: Vec<_> = c
             .actions
             .iter()
-            .any(|a| a.detail.contains("budget exhausted")));
+            .filter(|a| a.scheduled().is_some())
+            .map(|a| (a.t_ns, a.iter, a.cable))
+            .collect();
+        assert_eq!(
+            scheduled[1],
+            (5_073_688, 7, Some((0, 0))),
+            "the second verb: {scheduled:?}"
+        );
+        assert_eq!(scheduled.len(), 2, "{:?}", c.actions);
+        let harvested = c.actions.iter().filter(|a| a.phase == CtrlPhase::Mitigate);
+        assert_eq!(harvested.count(), 1, "{:?}", c.actions);
+        assert_eq!(c.mitigated_ports, vec![(7, 3)]);
+        assert_eq!(r.fault_port, Some((7, 3)));
+        assert_eq!(c.false_mitigations, 0);
+        // The engine did apply it, after the run's last callback.
+        let applied: Vec<(u64, u32)> = r
+            .trace
+            .records()
+            .filter_map(|(at, e)| match e {
+                TraceEvent::ControlApplied { link } => Some((at.as_ns(), link.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(applied.len(), 2, "{applied:?}");
+        assert_eq!(applied[1], (5_123_688, 17));
     }
 }

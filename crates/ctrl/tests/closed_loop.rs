@@ -6,6 +6,7 @@
 
 use flowpulse::prelude::*;
 use fp_ctrl::{run_ctrl_trial, CtrlConfig, Mitigation};
+use fp_netsim::control::ControlVerb;
 use fp_netsim::engine::SchedKind;
 use fp_netsim::spray::SprayPolicy;
 use fp_netsim::time::SimDuration;
@@ -106,15 +107,14 @@ fn assert_recovers_by_recycling(spray: Option<SprayPolicy>, name: &str) {
         "{name}: wrong cable quarantined"
     );
     assert_eq!(c.false_mitigations, 0, "{name}: healthy cable quarantined");
+    let verbs: Vec<ControlVerb> = c.actions.iter().filter_map(|a| a.verb).collect();
     assert!(
-        c.actions
-            .iter()
-            .any(|a| a.detail.contains("recycle_entropy")),
+        verbs.contains(&ControlVerb::RecycleEntropy),
         "{name}: no recycle_entropy action recorded: {:?}",
         c.actions
     );
     assert!(
-        !c.actions.iter().any(|a| a.detail.contains("admin_down")),
+        !verbs.contains(&ControlVerb::AdminDown),
         "{name}: cable was admin-downed despite RecycleEntropy: {:?}",
         c.actions
     );
@@ -153,8 +153,13 @@ fn mitigation_none_names_the_cable_but_leaves_it_up() {
     assert!(
         c.actions
             .iter()
-            .any(|a| a.detail.contains("mitigation disabled")),
+            .any(|a| a.phase == CtrlPhase::Localize && a.cable.is_some()),
         "localization should still name the cable: {:?}",
+        c.actions
+    );
+    assert!(
+        c.actions.iter().all(|a| a.verb.is_none()),
+        "no verb was scheduled: {:?}",
         c.actions
     );
 }

@@ -103,8 +103,8 @@ pub struct ServiceReport {
     /// Snapshots the worker processed.
     pub snapshots: u64,
     /// The final metrics line, in `metrics.jsonl`'s format, taken once
-    /// the worker has stopped: one emission past the last line the worker
-    /// appended to the metrics file, and not written there itself.
+    /// the worker has stopped: the metrics file's last line, when there is
+    /// a file.
     pub metrics_final: String,
 }
 
@@ -124,6 +124,8 @@ type Streams = BTreeMap<String, BTreeMap<u32, StreamState>>;
 struct WorkerOut {
     streams: Streams,
     metrics: Metrics,
+    /// The metrics file, still open for the final line.
+    sink: Option<std::fs::File>,
     batches: u64,
     snapshots: u64,
 }
@@ -180,8 +182,10 @@ impl Monitord {
     pub fn shutdown(self) -> ServiceReport {
         self.queue.close();
         let mut out = self.worker.join().expect("monitord worker panicked");
+        // One final line, so short runs still leave a complete metrics.jsonl.
+        set_open_iters(&mut out.metrics, &out.streams);
         let queue = mirror_queue(&mut out.metrics, &self.queue);
-        let metrics_final = emit_metrics(&mut out.metrics, None);
+        let metrics_final = emit_metrics(&mut out.metrics, out.sink.as_mut());
         let streams = out
             .streams
             .into_iter()
@@ -229,8 +233,8 @@ fn set_open_iters(m: &mut Metrics, streams: &Streams) {
     m.line.gauges.open_iters = widest as f64;
 }
 
-/// Emit one metrics line: appended to `sink` when writing periodically,
-/// and always returned (the shutdown path stores it in the report).
+/// Emit one metrics line: appended to `sink` when there is a file, and
+/// always returned (the shutdown path stores it in the report).
 fn emit_metrics(m: &mut Metrics, sink: Option<&mut std::fs::File>) -> String {
     let line = m.jsonl_line();
     if let Some(f) = sink {
@@ -333,13 +337,10 @@ fn run_worker(queue: &IngestQueue, cfg: &ServiceConfig) -> WorkerOut {
             emit_metrics(&mut metrics, sink.as_mut());
         }
     }
-    // Final line so short runs still leave a complete metrics.jsonl.
-    set_open_iters(&mut metrics, &streams);
-    mirror_queue(&mut metrics, queue);
-    emit_metrics(&mut metrics, sink.as_mut());
     WorkerOut {
         streams,
         metrics,
+        sink,
         batches,
         snapshots,
     }
@@ -609,7 +610,7 @@ mod tests {
     /// `uptime_us`, written as `_`: every metric, at zero, in the order
     /// `metrics.jsonl` readers see.
     const IDLE_LINE: &str = concat!(
-        r#"{"seq":2,"uptime_us":_,"#,
+        r#"{"seq":1,"uptime_us":_,"#,
         r#""counters":{"alarms_raised":0,"ingest_accepted":0,"ingest_blocked":0,"#,
         r#""ingest_dropped":0,"ingest_offered":0,"shape_errors":0,"#,
         r#""snapshots_processed":0,"streams_closed":0},"#,
@@ -622,6 +623,31 @@ mod tests {
         r#""scan_latency_ns":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]},"#,
         r#""verdict_latency_ns":{"count":0,"sum":0,"min":null,"max":null,"buckets":[]}}}"#,
     );
+
+    #[test]
+    fn the_metrics_file_ends_with_metrics_final() {
+        let path = std::env::temp_dir().join(format!(
+            "fp-monitord-metrics-{}/metrics.jsonl",
+            std::process::id()
+        ));
+        let cfg = ServiceConfig {
+            metrics_every_batches: 1,
+            metrics_path: Some(path.clone()),
+            ..Default::default()
+        };
+        let svc = Monitord::spawn(cfg);
+        for s in stream("f", 5, true) {
+            assert!(svc.handle().push(s));
+        }
+        let report = svc.shutdown();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.last(), Some(&report.metrics_final.as_str()));
+        // Every line is emitted once: `seq` counts the file's lines.
+        let seq = metric_field(&serde_json::from_str(lines.last().unwrap()).unwrap(), "seq");
+        assert_eq!(seq.and_then(|v| v.as_u64()), Some(lines.len() as u64));
+    }
 
     #[test]
     fn idle_service_emits_the_whole_metrics_schema() {

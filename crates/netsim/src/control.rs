@@ -73,32 +73,12 @@ pub struct ControlAction {
 }
 
 impl ControlAction {
-    /// Admin-down both directions of `link`'s physical cable.
-    pub fn admin_down_cable(link: LinkId) -> Self {
+    /// `verb` on both directions of `link`'s physical cable.
+    pub fn cable(link: LinkId, verb: ControlVerb) -> Self {
         ControlAction {
             link,
             bidirectional: true,
-            verb: ControlVerb::AdminDown,
-        }
-    }
-
-    /// Restore both directions of `link`'s physical cable.
-    #[cfg(test)]
-    pub(crate) fn restore_cable(link: LinkId) -> Self {
-        ControlAction {
-            link,
-            bidirectional: true,
-            verb: ControlVerb::Restore,
-        }
-    }
-
-    /// Quarantine both directions of `link`'s physical cable for spray
-    /// decisions (entropy-recycle remediation) without taking it down.
-    pub fn recycle_entropy_cable(link: LinkId) -> Self {
-        ControlAction {
-            link,
-            bidirectional: true,
-            verb: ControlVerb::RecycleEntropy,
+            verb,
         }
     }
 }
@@ -130,16 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn cable_constructors_are_bidirectional() {
-        let a = ControlAction::admin_down_cable(LinkId(7));
-        assert!(a.bidirectional);
-        assert_eq!(a.verb, ControlVerb::AdminDown);
-        let r = ControlAction::restore_cable(LinkId(7));
-        assert!(r.bidirectional);
-        assert_eq!(r.verb, ControlVerb::Restore);
-        let q = ControlAction::recycle_entropy_cable(LinkId(7));
-        assert!(q.bidirectional);
-        assert_eq!(q.verb, ControlVerb::RecycleEntropy);
+    fn a_cable_verb_is_bidirectional() {
+        for verb in [
+            ControlVerb::AdminDown,
+            ControlVerb::Restore,
+            ControlVerb::RecycleEntropy,
+        ] {
+            let a = ControlAction::cable(LinkId(7), verb);
+            assert!(a.bidirectional);
+            assert_eq!((a.link, a.verb), (LinkId(7), verb));
+        }
     }
 
     #[test]

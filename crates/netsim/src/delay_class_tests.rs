@@ -12,7 +12,7 @@
 
 use super::*;
 use crate::config::PfcConfig;
-use crate::control::ControlAction;
+use crate::control::{ControlAction, ControlVerb};
 use crate::fault::{FaultAction, FaultKind};
 use crate::packet::CollectiveTag;
 use crate::pipeline::MAX_DELAY_CLASSES;
@@ -312,11 +312,11 @@ pub(super) fn run_sim(sc: Scenario) -> (Simulator, Outcome, Traffic) {
         let cable = LinkId((sc.seed as u32 >> 16) % n_links);
         sim.schedule_control(
             SimTime::from_ns(3_000),
-            ControlAction::recycle_entropy_cable(cable),
+            ControlAction::cable(cable, ControlVerb::RecycleEntropy),
         );
         sim.schedule_control(
             SimTime::from_ns(30_000),
-            ControlAction::restore_cable(cable),
+            ControlAction::cable(cable, ControlVerb::Restore),
         );
     }
     let summary = sim.run();

@@ -749,8 +749,6 @@ impl Simulator {
         let leaf = self.topo.leaf_of(src);
         let max = self.cfg.rto_max_attempts;
         let (pkt, rearm) = match f.on_rto(flow, seq, attempt, max, leaf as u16) {
-            // Defense in depth: `dispatch` already discards stale timers.
-            RtoOutcome::Stale => return,
             RtoOutcome::GaveUp => {
                 self.stats.flows_failed += 1;
                 self.trace.push(self.now, TraceEvent::FlowFailed { flow });
@@ -1020,8 +1018,8 @@ mod tests {
         let cable = s.topo.uplink(0, 0);
         let down_at = SimTime::from_ns(50_000);
         let up_at = SimTime::from_ns(150_000);
-        s.schedule_control(down_at, ControlAction::admin_down_cable(cable));
-        s.schedule_control(up_at, ControlAction::restore_cable(cable));
+        s.schedule_control(down_at, ControlAction::cable(cable, ControlVerb::AdminDown));
+        s.schedule_control(up_at, ControlAction::cable(cable, ControlVerb::Restore));
         s.post_message(HostId(0), HostId(3), 2_000_000, None, Priority::MEASURED);
         s.run();
         assert!(s.all_flows_complete());
@@ -1052,7 +1050,7 @@ mod tests {
         let blackhole = FaultAction::Set(FaultKind::SilentBlackhole);
         s.schedule_fault(FaultEvent::new(SimTime::from_us(1), up, blackhole, false));
         let at = SimTime::from_us(2);
-        let idx = s.schedule_control(at, ControlAction::admin_down_cable(up));
+        let idx = s.schedule_control(at, ControlAction::cable(up, ControlVerb::AdminDown));
         assert_eq!(idx, 1, "the fault took schedule entry 0");
         s.run();
         // Both landed; only the remediation is logged as a control.
@@ -1236,7 +1234,10 @@ mod tests {
         use crate::control::ControlAction;
         let mut s = sim_at_5us();
         let up = s.topo.uplink(0, 0);
-        s.schedule_control(SimTime::from_us(4), ControlAction::restore_cable(up));
+        s.schedule_control(
+            SimTime::from_us(4),
+            ControlAction::cable(up, ControlVerb::Restore),
+        );
     }
 
     #[test]

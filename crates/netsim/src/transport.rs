@@ -252,6 +252,8 @@ impl FlowState {
     }
 
     /// Sender: the timer of `seq` fired after `attempt` retransmissions.
+    /// Only a live timer gets here: `Simulator::dispatch` discards one that
+    /// [`rto_is_stale`](Self::rto_is_stale) first.
     pub(crate) fn on_rto(
         &mut self,
         fid: FlowId,
@@ -260,9 +262,7 @@ impl FlowState {
         max_attempts: u32,
         src_leaf: u16,
     ) -> RtoOutcome {
-        if self.failed || self.acked.get(seq) {
-            return RtoOutcome::Stale;
-        }
+        debug_assert!(!self.rto_is_stale(seq), "a stale timer reached on_rto");
         if attempt >= max_attempts {
             self.failed = true;
             self.release_log();
@@ -425,8 +425,6 @@ impl IndexMut<FlowId> for FlowTable {
 
 /// What [`FlowState::on_rto`] decided.
 pub(crate) enum RtoOutcome {
-    /// The flow failed or the segment was acknowledged meanwhile.
-    Stale,
     /// Out of attempts: the flow is now failed.
     GaveUp,
     /// Send this packet again and arm this timer behind it.
@@ -625,10 +623,10 @@ mod tests {
         }
         assert_eq!(f.retx, 1);
         f.on_ack(ack(0, 0, 1, 0), None);
-        assert!(matches!(f.on_rto(7, 0, 1, 2, 2), RtoOutcome::Stale));
+        assert!(f.rto_is_stale(0), "acknowledged");
         assert!(matches!(f.on_rto(7, 1, 2, 2, 2), RtoOutcome::GaveUp));
         assert!(f.failed && !f.has_fresh());
-        assert!(matches!(f.on_rto(7, 2, 0, 2, 2), RtoOutcome::Stale));
+        assert!(f.rto_is_stale(2), "the flow gave up");
         assert_eq!(f.retx, 1);
     }
 
